@@ -156,12 +156,9 @@ func BenchmarkFigure4Covertype(b *testing.B) {
 
 // --- Ablations beyond the paper's figures -------------------------------
 
-// BenchmarkAblationDescent sweeps all descent strategies (the paper's
-// Section 2.2 finding: glo best, then bft, then dft), each in two layout
-// variants: the pointer tree and the structure-of-arrays mirror
-// (vectorized descent). The layouts are digit-identical in accuracy —
-// the acc@N metrics must match pairwise — so the rows isolate the pure
-// layout cost of each strategy.
+// BenchmarkAblationDescent sweeps all descent strategies over the
+// per-class forest (the paper's Section 2.2 finding: glo best, then bft,
+// then dft).
 func BenchmarkAblationDescent(b *testing.B) {
 	ds := benchDataset(b, "pendigits", benchScale)
 	loader, ok := bulkload.ByName("emtopdown")
@@ -169,31 +166,25 @@ func BenchmarkAblationDescent(b *testing.B) {
 		b.Fatal("unknown loader emtopdown")
 	}
 	for _, strat := range []core.Strategy{core.DescentGlobal, core.DescentBFT, core.DescentDFT} {
-		for _, layout := range []struct {
-			name string
-			soa  bool
-		}{{"pointer", false}, {"soa", true}} {
-			b.Run(fmt.Sprintf("emtopdown/%s/%s", strat, layout.name), func(b *testing.B) {
-				var last *eval.Curve
-				for i := 0; i < b.N; i++ {
-					c, err := eval.AnytimeCurve(ds, loader, eval.CurveOptions{
-						Folds:    4,
-						MaxNodes: 100,
-						Seed:     42,
-						SoA:      layout.soa,
-						Classifier: core.ClassifierOptions{
-							Strategy: strat,
-							Priority: core.PriorityProbabilistic,
-						},
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = c
+		b.Run(fmt.Sprintf("emtopdown/%s", strat), func(b *testing.B) {
+			var last *eval.Curve
+			for i := 0; i < b.N; i++ {
+				c, err := eval.AnytimeCurve(ds, loader, eval.CurveOptions{
+					Folds:    4,
+					MaxNodes: 100,
+					Seed:     42,
+					Classifier: core.ClassifierOptions{
+						Strategy: strat,
+						Priority: core.PriorityProbabilistic,
+					},
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				reportCurve(b, last)
-			})
-		}
+				last = c
+			}
+			reportCurve(b, last)
+		})
 	}
 }
 
@@ -302,7 +293,11 @@ func BenchmarkAblationFanout(b *testing.B) {
 
 // BenchmarkAblationMultiTree compares the Section 4.1 single multi-class
 // tree against the per-class forest (both built incrementally, so the
-// comparison isolates the structural change).
+// comparison isolates the structural change). The multitree and
+// multitree-soa rows are the same tree descended through the pointer
+// loop and through the published structure-of-arrays mirror (the layout
+// the server serves): their acc@N metrics must match digit for digit,
+// so the pair isolates the layout's cost.
 func BenchmarkAblationMultiTree(b *testing.B) {
 	ds := benchDataset(b, "pendigits", benchScale)
 	b.Run("forest-iterative", func(b *testing.B) {
@@ -320,15 +315,17 @@ func BenchmarkAblationMultiTree(b *testing.B) {
 	for _, mo := range []struct {
 		name string
 		opts core.MultiOptions
+		soa  bool
 	}{
-		{"multitree", core.MultiOptions{}},
-		{"multitree-pooled", core.MultiOptions{PooledVariance: true}},
-		{"multitree-entropy", core.MultiOptions{EntropyPriority: true}},
+		{"multitree", core.MultiOptions{}, false},
+		{"multitree-soa", core.MultiOptions{}, true},
+		{"multitree-pooled", core.MultiOptions{PooledVariance: true}, false},
+		{"multitree-entropy", core.MultiOptions{EntropyPriority: true}, false},
 	} {
 		b.Run(mo.name, func(b *testing.B) {
 			var last *eval.Curve
 			for i := 0; i < b.N; i++ {
-				c, err := eval.MultiCurve(ds, mo.opts, eval.CurveOptions{Folds: 4, MaxNodes: 100, Seed: 42})
+				c, err := eval.MultiCurve(ds, mo.opts, eval.CurveOptions{Folds: 4, MaxNodes: 100, Seed: 42, SoA: mo.soa})
 				if err != nil {
 					b.Fatal(err)
 				}

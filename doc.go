@@ -16,7 +16,7 @@
 // This package is the public facade: it re-exports the core types and
 // provides one-call training. The implementation lives in internal/
 // packages (core, bulkload, dataset, eval, stream, clustree, and the
-// substrates em, mixture, stats, kernels, mbr, rstar, sfc, vec).
+// substrates em, mixture, stats, kernels, mbr, sfc).
 //
 // # The frozen-Gaussian fast path
 //

@@ -30,13 +30,6 @@ type ClassifierOptions struct {
 	// K is the qbk parameter: the number of currently most probable
 	// classes refined in turns. Zero means DefaultK.
 	K int
-	// ExactDescent forces the pointer-based descent path even when a
-	// structure-of-arrays mirror is published — the exact-mode fallback.
-	// Both paths are digit-identical by construction (see soa.go and the
-	// equivalence property tests); this switch exists so deployments can
-	// opt out of the vectorized path wholesale, and so ablations can
-	// measure it.
-	ExactDescent bool
 }
 
 // Classifier is the paper's anytime Bayesian classifier: one Bayes tree
@@ -179,7 +172,7 @@ func (c *Classifier) NewQuery(x []float64) *Query {
 	q.turn = 0
 	q.reads = 0
 	for i, t := range c.trees {
-		q.cursors[i] = t.newCursorExact(x, c.opts.Strategy, c.opts.Priority, c.opts.ExactDescent)
+		q.cursors[i] = t.NewCursor(x, c.opts.Strategy, c.opts.Priority)
 	}
 	return q
 }

@@ -27,11 +27,11 @@ import (
 // Weight(), which folds the outstanding decay factor into the stored
 // root mass.
 //
-// The frozen-cache invalidation contract gains a second trigger here:
-// besides Insert, both AdvanceEpoch and DecaySweep store nil into the
-// per-tree query-state pointer, so no query ever mixes state from two
-// decay epochs. With decay disabled (λ = 0) every path below is
-// bypassed and behaviour is digit-identical to an undecayed tree.
+// Like Insert, both AdvanceEpoch and DecaySweep drop the cached query
+// state (Tree stores nil into its query-state pointer; MultiTree calls
+// invalidate), so no query ever mixes state from two decay epochs. With
+// decay disabled (λ = 0) every path below is bypassed and behaviour is
+// digit-identical to an undecayed tree.
 
 // DecayOptions configure exponential forgetting on a tree.
 type DecayOptions struct {
@@ -101,7 +101,6 @@ func (t *Tree) EnableDecay(opts DecayOptions) error {
 	}
 	t.decay = opts
 	t.queryState.Store(nil)
-	t.soaInvalidate()
 	return nil
 }
 
@@ -130,15 +129,13 @@ func (t *Tree) RestoreDecayState(opts DecayOptions, epoch, ref int64) error {
 	t.epoch = epoch
 	t.refEpoch = ref
 	t.queryState.Store(nil)
-	t.soaInvalidate()
 	return nil
 }
 
 // AdvanceEpoch moves logical time forward by n epochs. Stored state is
 // untouched — decay is applied lazily: subsequent inserts carry larger
 // amplified weights and Weight() folds the larger outstanding decay
-// factor — but the cached query-time constants are invalidated (the
-// second trigger of the frozen-cache invalidation contract), so no
+// factor — but the cached query-time constants are dropped, so no
 // query observes state from two epochs at once. A no-op when decay is
 // disabled.
 func (t *Tree) AdvanceEpoch(n int64) {
@@ -147,7 +144,6 @@ func (t *Tree) AdvanceEpoch(n int64) {
 	}
 	t.epoch += n
 	t.queryState.Store(nil)
-	t.soaInvalidate()
 }
 
 // insertWeight is the amplified weight of an observation inserted now:
@@ -230,7 +226,6 @@ func (t *Tree) DecaySweep() SweepStats {
 	}
 	st.PointsPruned = before - t.size
 	t.queryState.Store(nil)
-	t.soaInvalidate()
 	return st
 }
 
@@ -346,8 +341,7 @@ func (t *MultiTree) EnableDecay(opts DecayOptions) error {
 		return err
 	}
 	t.decay = opts
-	t.queryState.Store(nil)
-	t.soaInvalidate()
+	t.invalidate(nil, false)
 	return nil
 }
 
@@ -374,8 +368,7 @@ func (t *MultiTree) RestoreDecayState(opts DecayOptions, epoch, ref int64) error
 	t.decay = opts
 	t.epoch = epoch
 	t.refEpoch = ref
-	t.queryState.Store(nil)
-	t.soaInvalidate()
+	t.invalidate(nil, false)
 	return nil
 }
 
@@ -386,8 +379,7 @@ func (t *MultiTree) AdvanceEpoch(n int64) {
 		return
 	}
 	t.epoch += n
-	t.queryState.Store(nil)
-	t.soaInvalidate()
+	t.invalidate(nil, false)
 }
 
 func (t *MultiTree) insertWeight() float64 {
@@ -473,8 +465,7 @@ func (t *MultiTree) DecaySweep() SweepStats {
 		t.counts[c] = root.CFs[c].N
 	}
 	st.PointsPruned = before - t.size
-	t.queryState.Store(nil)
-	t.soaInvalidate()
+	t.invalidate(nil, false)
 	return st
 }
 

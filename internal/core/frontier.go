@@ -59,14 +59,11 @@ func (p Priority) String() string {
 }
 
 // refElem is a refinable frontier element: an entry whose subtree can be
-// expanded by one node read. child addresses the node on the pointer
-// path; node is its index in the SoA mirror when the cursor runs the
-// vectorized fast path.
+// expanded by one node read.
 type refElem struct {
 	logTerm float64 // log contribution to the mixture density at x
 	prio    float64 // refinement priority, higher first
 	child   *Node
-	node    int32
 	seq     int // FIFO tie-break for determinism
 }
 
@@ -103,11 +100,6 @@ type Cursor struct {
 	logN   float64
 	obs    []int // observed dims for missing-value queries (nil = all)
 	obsBuf []int // retained backing array for obs across pooled reuses
-
-	// soa is the structure-of-arrays mirror this cursor descends through
-	// (nil = pointer path); outBuf is its sweep output scratch.
-	soa    *treeSoA
-	outBuf []float64
 }
 
 // cursorPool recycles cursors — and, crucially, their heap/FIFO backing
@@ -125,9 +117,6 @@ type Cursorable struct {
 	// kern is the leaf kernel frozen at the tree's bandwidths, so leaf
 	// refinement performs no bandwidth-derived recomputation per point.
 	kern kernels.FrozenKernel
-	// sweep is kern viewed through its flat sweep interface; nil when
-	// the kernel cannot sweep (the SoA fast path then stays off).
-	sweep kernels.Sweeper
 }
 
 // NewCursor starts an anytime density query for x against the tree.
@@ -135,25 +124,11 @@ type Cursorable struct {
 // marginal over the observed dimensions (Section 4.2 extension). It
 // returns nil for an empty tree.
 func (t *Tree) NewCursor(x []float64, strategy Strategy, priority Priority) *Cursor {
-	return t.newCursorExact(x, strategy, priority, false)
-}
-
-// newCursorExact is NewCursor with an explicit exact-mode switch: when
-// exact is true the cursor takes the pointer path even if a SoA mirror
-// is published (both paths score bitwise identically; exact mode is the
-// documented fallback).
-func (t *Tree) newCursorExact(x []float64, strategy Strategy, priority Priority, exact bool) *Cursor {
 	ct := t.cursorable()
 	if ct == nil {
 		return nil
 	}
-	c := newCursor(ct, x, strategy, priority)
-	if !exact && ct.sweep != nil {
-		if m := t.soa.Load(); m != nil {
-			c.soa = m
-		}
-	}
-	return c
+	return newCursor(ct, x, strategy, priority)
 }
 
 func newCursor(ct *Cursorable, x []float64, strategy Strategy, priority Priority) *Cursor {
@@ -162,7 +137,6 @@ func newCursor(ct *Cursorable, x []float64, strategy Strategy, priority Priority
 	c.x = x
 	c.strategy = strategy
 	c.priority = priority
-	c.soa = nil
 	c.heap = c.heap[:0]
 	c.fifo = c.fifo[:0]
 	c.head = 0
@@ -202,7 +176,6 @@ func (c *Cursor) Close() {
 	c.tree = nil
 	c.x = nil
 	c.obs = nil
-	c.soa = nil
 	cursorPool.Put(c)
 }
 
@@ -322,10 +295,6 @@ func (c *Cursor) Refine() bool {
 	}
 	c.reads++
 	c.removeTerm(e.logTerm)
-	if c.soa != nil {
-		c.refineSoA(int(e.node))
-		return true
-	}
 	n := e.child
 	if n.leaf {
 		if n.weights == nil {

@@ -88,8 +88,8 @@ type MultiTree struct {
 	size   int
 	counts []float64
 	// queryState caches the per-query constants (root summary, per-class
-	// bandwidths and log counts); built on first query, invalidated by
-	// Insert, AdvanceEpoch and DecaySweep.
+	// bandwidths and log counts); built on first query, dropped by
+	// invalidate.
 	queryState atomic.Pointer[multiQueryState]
 	// decay configures exponential forgetting (zero value = off); epoch
 	// is the current logical time and refEpoch the epoch the stored
@@ -98,9 +98,9 @@ type MultiTree struct {
 	epoch    int64
 	refEpoch int64
 	// soa publishes the structure-of-arrays mirror for vectorized
-	// descent (nil = unpublished; queries fall back to the pointer
-	// path). The remaining fields are the refresh bookkeeping, guarded
-	// by the same exclusive-access contract as mutation. See soa.go.
+	// descent (nil = unpublished; queries take the pointer loop). The
+	// remaining fields are the refresh bookkeeping, guarded by the same
+	// exclusive-access contract as mutation. See soa.go.
 	soa           atomic.Pointer[multiSoA]
 	soaTrack      bool
 	soaStructural bool
@@ -276,7 +276,6 @@ func (t *MultiTree) Insert(x []float64, label int) error {
 	t.insertPointW(LabeledPoint{X: cp, Label: label}, w)
 	t.size++
 	t.counts[ci] += w
-	t.queryState.Store(nil) // cached root summary and bandwidths are stale
 	return nil
 }
 
@@ -292,8 +291,7 @@ func (t *MultiTree) insertPointW(p LabeledPoint, w float64) {
 		path = append(path, n)
 	}
 	n.appendPoint(p, w)
-	split := t.fixOverflow(path)
-	t.soaMarkInsert(path, split)
+	t.invalidate(path, t.fixOverflow(path))
 }
 
 // appendPoint adds one observation with the given weight, materialising
@@ -494,15 +492,14 @@ type MultiQuery struct {
 	outBuf    []float64
 	finiteBuf []float64
 	scoreBuf  []float64
-	usedSoA   bool
 }
 
 var multiQueryPool = sync.Pool{New: func() any { return new(MultiQuery) }}
 
 // NewQuery starts an anytime classification of x. It returns an error for
 // an empty tree or one with empty classes. When the tree has a published
-// SoA mirror (and opts.ExactDescent is off), the query descends through
-// it; otherwise it uses the pointer path. Both paths produce bitwise
+// SoA mirror and every class kernel can sweep, the query descends
+// through it; otherwise it takes the pointer loop. Both produce bitwise
 // identical scores. Call Close when done with the query.
 func (t *MultiTree) NewQuery(x []float64, opts ClassifierOptions) (*MultiQuery, error) {
 	if t.size == 0 {
@@ -529,13 +526,12 @@ func (t *MultiTree) NewQuery(x []float64, opts ClassifierOptions) (*MultiQuery, 
 	q.logNc = st.logNc
 	q.obs, q.obsBuf = stats.ObservedDimsInto(x, q.obsBuf)
 	q.soa, q.sweep = nil, nil
-	if !opts.ExactDescent && st.sweepOK {
+	if st.sweepOK {
 		if m := t.soa.Load(); m != nil {
 			q.soa = m
 			q.sweep = st.sweep
 		}
 	}
-	q.usedSoA = q.soa != nil
 	q.pushEntry(&st.root, 0)
 	return q, nil
 }
@@ -559,9 +555,9 @@ func (q *MultiQuery) Close() {
 	multiQueryPool.Put(q)
 }
 
-// UsedSoA reports whether this query descended through the
-// structure-of-arrays mirror (false = exact pointer path).
-func (q *MultiQuery) UsedSoA() bool { return q.usedSoA }
+// UsedSoA reports whether this query descends through the
+// structure-of-arrays mirror (false = pointer loop). Ask before Close.
+func (q *MultiQuery) UsedSoA() bool { return q.soa != nil }
 
 // pushEntry converts an entry into a frontier element, adds its per-class
 // terms and enqueues it for refinement. node is the entry's child index

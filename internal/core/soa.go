@@ -20,21 +20,23 @@ import (
 // from the mirror is digit-identical to the pointer path — the
 // equivalence property tests in soa_equiv_test.go assert it bitwise.
 //
-// The mirror extends the frozen-cache invalidation contract with its
-// THIRD trigger: besides Insert (PR 1) and epoch-advance/decay-sweep
-// (PR 3), every mutation now also unpublishes the SoA mirror (the
-// atomic pointer goes nil, so in-flight and later queries fall back to
-// the exact pointer path) and records what went stale. For the
-// MultiTree the bookkeeping is per-subtree: a split-free insert only
-// dirties the nodes on its insertion path, and RefreshSoA patches those
-// node blocks in place (leaf blocks are padded to MaxLeaf so a leaf can
-// grow without moving); splits, decay sweeps and epoch advances are
-// structural and force a full rebuild. The per-class Tree mirror is
-// rebuilt whole (forced reinsertion makes insert paths non-local).
-// RefreshSoA must be called with exclusive access to the tree — the
-// serving layer calls it under the shard write lock right after the
-// mutation, and piggybacks full rebuilds on recovery replay and the
-// decay maintenance sweep.
+// Staleness has one rule: every MultiTree mutation ends in
+// (*MultiTree).invalidate, which drops the cached query constants and
+// unpublishes the mirror (the atomic pointer goes nil, so later queries
+// take the pointer loop) and records what went stale. A split-free
+// insert only dirties the nodes on its insertion path, and RefreshSoA
+// patches those node blocks in place (leaf blocks are padded to MaxLeaf
+// so a leaf can grow without moving); splits, decay sweeps and epoch
+// advances are structural and force a full rebuild. RefreshSoA must be
+// called with exclusive access to the tree — the serving layer calls it
+// under the shard write lock right after the mutation, and piggybacks
+// full rebuilds on recovery replay and the decay maintenance sweep.
+//
+// The pointer loop in MultiQuery.consume stays for two inputs: a leaf
+// kernel that does not implement kernels.Sweeper, and a tree nobody
+// called RefreshSoA on. It is also the reference the equivalence tests
+// compare the mirror against. The per-class Tree/Cursor/Classifier have
+// no mirror: they are the paper-faithful pointer implementation.
 
 // ---------------------------------------------------------------------
 // MultiTree mirror
@@ -336,29 +338,21 @@ func (t *MultiTree) SoACounters() (rebuilds, patches, invalidations int64) {
 	return t.soaRebuilds, t.soaPatches, t.soaInvalid
 }
 
-// soaInvalidate is the structural form of the mirror's third
-// invalidation trigger: unpublish and force a full rebuild on the next
-// RefreshSoA. Inserts use the finer per-subtree marking in
-// insertPointW instead.
-func (t *MultiTree) soaInvalidate() {
-	if !t.soaTrack {
-		return
-	}
-	t.soa.Store(nil)
-	t.soaStructural = true
-	t.soaInvalid++
-}
-
-// soaMarkInsert records one insert's staleness: unpublish, then either
-// dirty the nodes along the insertion path (patchable) or mark the
-// mirror structural when the insert split nodes.
-func (t *MultiTree) soaMarkInsert(path []*MultiNode, split bool) {
+// invalidate is the tree's single invalidation point: every mutation
+// calls it (mutation already requires exclusive access, so no version
+// stamp is needed). It drops the cached query constants and, once
+// RefreshSoA has turned tracking on, unpublishes the mirror and records
+// what went stale: the nodes on a split-free insert's path are marked
+// for in-place patching; a split, or a nil path (decay and epoch
+// changes), forces a full rebuild on the next RefreshSoA.
+func (t *MultiTree) invalidate(path []*MultiNode, split bool) {
+	t.queryState.Store(nil)
 	if !t.soaTrack {
 		return
 	}
 	t.soa.Store(nil)
 	t.soaInvalid++
-	if split {
+	if split || path == nil {
 		t.soaStructural = true
 		return
 	}
@@ -379,7 +373,7 @@ func (t *MultiTree) soaMarkInsert(path []*MultiNode, split bool) {
 // refineSoA expands one frontier node through the mirror: every class's
 // entry block is scored in one flat sweep, then per-entry terms are
 // folded into the accumulators entry-major/class-inner — the exact
-// order (and arithmetic) of the pointer path's pushEntry loop.
+// order (and arithmetic) of the pointer loop's pushEntry calls.
 func (q *MultiQuery) refineSoA(idx int) {
 	s := q.soa
 	nd := &s.nodes[idx]
@@ -477,190 +471,4 @@ func (q *MultiQuery) ensureOut(n int) []float64 {
 		q.outBuf = make([]float64, n)
 	}
 	return q.outBuf[:n]
-}
-
-// ---------------------------------------------------------------------
-// Tree mirror
-
-// soaNode locates one Node's blocks inside a treeSoA.
-type soaNode struct {
-	leaf     bool
-	weighted bool
-	entBase  int32
-	entCount int32
-	ptBase   int32
-	ptCount  int32
-}
-
-// treeSoA is the flat mirror of one per-class Tree: tight arrays, full
-// rebuilds only (forced reinsertion makes insert paths non-local, so
-// per-subtree patching would not pay).
-type treeSoA struct {
-	dim     int
-	nodes   []soaNode
-	means   []float64
-	invVar  []float64
-	logVar  []float64
-	logNorm []float64
-	logN    []float64
-	child   []int32
-	rectLo  []float64
-	rectHi  []float64
-	pts     []float64
-	ptLogW  []float64
-}
-
-// buildTreeSoA flattens the tree in BFS order (root = node 0).
-func buildTreeSoA(t *Tree) *treeSoA {
-	dim := t.cfg.Dim
-	s := &treeSoA{dim: dim}
-	index := make(map[*Node]int32)
-	queue := []*Node{t.root}
-	var ents, pts int
-	for qi := 0; qi < len(queue); qi++ {
-		n := queue[qi]
-		index[n] = int32(qi)
-		if n.leaf {
-			s.nodes = append(s.nodes, soaNode{leaf: true, weighted: n.weights != nil,
-				ptBase: int32(pts), ptCount: int32(len(n.points))})
-			pts += len(n.points)
-			continue
-		}
-		s.nodes = append(s.nodes, soaNode{entBase: int32(ents), entCount: int32(len(n.entries))})
-		ents += len(n.entries)
-		for i := range n.entries {
-			queue = append(queue, n.entries[i].Child)
-		}
-	}
-	s.means = make([]float64, ents*dim)
-	s.invVar = make([]float64, ents*dim)
-	s.logVar = make([]float64, ents*dim)
-	s.logNorm = make([]float64, ents)
-	s.logN = make([]float64, ents)
-	s.child = make([]int32, ents)
-	s.rectLo = make([]float64, ents*dim)
-	s.rectHi = make([]float64, ents*dim)
-	s.pts = make([]float64, pts*dim)
-	s.ptLogW = make([]float64, pts)
-	for qi, n := range queue {
-		nd := &s.nodes[qi]
-		if n.leaf {
-			for i, p := range n.points {
-				slot := int(nd.ptBase) + i
-				copy(s.pts[slot*dim:slot*dim+dim], p)
-				if n.weights != nil {
-					s.ptLogW[slot] = math.Log(n.weights[i])
-				}
-			}
-			continue
-		}
-		for e := range n.entries {
-			en := &n.entries[e]
-			ent := int(nd.entBase) + e
-			s.child[ent] = index[en.Child]
-			copy(s.rectLo[ent*dim:ent*dim+dim], en.Rect.Lo)
-			copy(s.rectHi[ent*dim:ent*dim+dim], en.Rect.Hi)
-			f := en.Frozen()
-			copy(s.means[ent*dim:ent*dim+dim], f.Mean)
-			copy(s.invVar[ent*dim:ent*dim+dim], f.InvVar)
-			copy(s.logVar[ent*dim:ent*dim+dim], f.LogVar)
-			s.logNorm[ent] = f.LogNorm()
-			s.logN[ent] = f.LogN
-		}
-	}
-	return s
-}
-
-// RefreshSoA builds (or refreshes) the tree's structure-of-arrays
-// mirror and publishes it, enabling vectorized descent for subsequent
-// cursors. The first call turns tracking on; any mutation unpublishes
-// the mirror until the next call. Must be called with exclusive access
-// to the tree.
-func (t *Tree) RefreshSoA() {
-	t.soaTrack = true
-	if t.size == 0 {
-		t.soa.Store(nil)
-		t.soaStale = false
-		return
-	}
-	if !t.soaStale && t.soa.Load() != nil {
-		return
-	}
-	t.soa.Store(buildTreeSoA(t))
-	t.soaStale = false
-}
-
-// soaInvalidate unpublishes the mirror after a mutation (the third
-// trigger of the invalidation contract, alongside the queryState nil
-// stores).
-func (t *Tree) soaInvalidate() {
-	if !t.soaTrack {
-		return
-	}
-	t.soa.Store(nil)
-	t.soaStale = true
-}
-
-// RefreshSoA refreshes the structure-of-arrays mirror of every class
-// tree (see Tree.RefreshSoA). Call it after training or mutating the
-// forest, with no queries in flight.
-func (c *Classifier) RefreshSoA() {
-	for _, t := range c.trees {
-		t.RefreshSoA()
-	}
-}
-
-// ---------------------------------------------------------------------
-// Cursor fast path
-
-// refineSoA expands one frontier node through the per-class tree
-// mirror: inner entries via one flat frozen-Gaussian sweep, leaf kernel
-// centres via the frozen kernel's sweep — arithmetic and order exactly
-// as Cursor.Refine's pointer path.
-func (c *Cursor) refineSoA(idx int) {
-	s := c.soa
-	nd := &s.nodes[idx]
-	dim := s.dim
-	if nd.leaf {
-		cnt := int(nd.ptCount)
-		if cnt == 0 {
-			return
-		}
-		out := c.ensureOut(cnt)
-		start := int(nd.ptBase)
-		c.tree.sweep.SweepLogDensityObs(c.x, s.pts[start*dim:(start+cnt)*dim], cnt, dim, c.obs, out)
-		if nd.weighted {
-			for j := 0; j < cnt; j++ {
-				c.addTerm(s.ptLogW[start+j] - c.logN + out[j])
-			}
-		} else {
-			for j := 0; j < cnt; j++ {
-				c.addTerm(-c.logN + out[j])
-			}
-		}
-		return
-	}
-	k := int(nd.entCount)
-	out := c.ensureOut(k)
-	base := int(nd.entBase)
-	kernels.SweepFrozenLogPDFObs(c.x, s.means[base*dim:], s.invVar[base*dim:], s.logVar[base*dim:],
-		s.logNorm[base:], k, dim, c.obs, out)
-	for e := 0; e < k; e++ {
-		ent := base + e
-		logTerm := s.logN[ent] - c.logN + out[e]
-		prio := logTerm
-		if c.priority == PriorityGeometric {
-			prio = -minDist2Flat(s.rectLo[ent*dim:ent*dim+dim], s.rectHi[ent*dim:ent*dim+dim], c.x, c.obs)
-		}
-		c.push(refElem{logTerm: logTerm, prio: prio, node: s.child[ent]})
-		c.addTerm(logTerm)
-	}
-}
-
-// ensureOut returns the cursor's sweep output scratch grown to n.
-func (c *Cursor) ensureOut(n int) []float64 {
-	if cap(c.outBuf) < n {
-		c.outBuf = make([]float64, n)
-	}
-	return c.outBuf[:n]
 }

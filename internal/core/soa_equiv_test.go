@@ -12,11 +12,22 @@ import (
 // These are the digit-identity property tests of the vectorized-descent
 // contract (soa.go): a query served through the structure-of-arrays
 // mirror must produce bitwise the same scores, at every step, as the
-// exact pointer path — across strategies, priorities, kernels,
-// missing-value queries, randomized insert/decay/classify
-// interleavings (including the epoch-advance invalidation trigger) and
-// the fused batch path. Run them under -race to also check the
-// published mirror is safe for concurrent readers.
+// pointer loop — across strategies, priorities, kernels, missing-value
+// queries, randomized insert/decay/classify interleavings and the fused
+// batch path. Run them under -race to also check the published mirror
+// is safe for concurrent readers.
+
+// pointerQuery is the suite's reference: a fresh query detached from
+// the mirror, so it refines through the pointer loop. The root element
+// NewQuery pushed carries both the node pointer and mirror index 0, so
+// nothing else depends on the layout.
+func pointerQuery(mt *MultiTree, x []float64, opts ClassifierOptions) (*MultiQuery, error) {
+	q, err := mt.NewQuery(x, opts)
+	if err == nil {
+		q.soa, q.sweep = nil, nil
+	}
+	return q, err
+}
 
 func bitsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
@@ -30,14 +41,12 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// compareMultiQuery runs x through the exact pointer path and the SoA
-// mirror in lockstep and fails on the first step whose scores differ in
+// compareMultiQuery runs x through the pointer loop and the SoA mirror
+// in lockstep and fails on the first step whose scores differ in
 // any bit. budget < 0 means until exhaustion.
 func compareMultiQuery(t *testing.T, ctx string, mt *MultiTree, x []float64, opts ClassifierOptions, budget int) {
 	t.Helper()
-	exact := opts
-	exact.ExactDescent = true
-	qe, err := mt.NewQuery(x, exact)
+	qe, err := pointerQuery(mt, x, opts)
 	if err != nil {
 		t.Fatalf("%s: exact query: %v", ctx, err)
 	}
@@ -48,7 +57,7 @@ func compareMultiQuery(t *testing.T, ctx string, mt *MultiTree, x []float64, opt
 	}
 	defer qs.Close()
 	if qe.UsedSoA() {
-		t.Fatalf("%s: ExactDescent query took the SoA path", ctx)
+		t.Fatalf("%s: reference query took the SoA path", ctx)
 	}
 	if !qs.UsedSoA() {
 		t.Fatalf("%s: SoA query fell back to the pointer path", ctx)
@@ -221,25 +230,32 @@ func TestSoAPatchPath(t *testing.T) {
 	}
 }
 
+// TestScoreBatchMatchesSolo: the lockstep batch equals solo queries
+// bitwise on both paths — before RefreshSoA (pointer loop) and after
+// (fused mirror sweeps).
 func TestScoreBatchMatchesSolo(t *testing.T) {
 	xs, ys := twoClassData(500, 5)
 	mt := buildMultiTree(t, xs, ys, MultiOptions{})
-	mt.RefreshSoA()
 	queries, _ := twoClassData(40, 6)
 	budgets := make([]int, len(queries))
 	for i := range budgets {
 		budgets[i] = []int{0, 3, 17, 80, -1}[i%5]
 	}
-	for _, exact := range []bool{false, true} {
-		opts := ClassifierOptions{ExactDescent: exact}
-		scores, reads, err := mt.ScoreBatch(queries, opts, budgets, 4)
+	for _, mirror := range []bool{false, true} {
+		if mirror {
+			mt.RefreshSoA()
+		}
+		scores, reads, err := mt.ScoreBatch(queries, ClassifierOptions{}, budgets, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, x := range queries {
-			q, err := mt.NewQuery(x, opts)
+			q, err := mt.NewQuery(x, ClassifierOptions{})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if q.UsedSoA() != mirror {
+				t.Fatalf("mirror=%v: solo query UsedSoA=%v", mirror, q.UsedSoA())
 			}
 			for s := 0; budgets[i] < 0 || s < budgets[i]; s++ {
 				if !q.Step() {
@@ -247,88 +263,78 @@ func TestScoreBatchMatchesSolo(t *testing.T) {
 				}
 			}
 			if !bitsEqual(scores[i], q.Scores()) {
-				t.Fatalf("exact=%v: item %d: batch scores %v != solo %v", exact, i, scores[i], q.Scores())
+				t.Fatalf("mirror=%v: item %d: batch scores %v != solo %v", mirror, i, scores[i], q.Scores())
 			}
 			if reads[i] != q.NodesRead() {
-				t.Fatalf("exact=%v: item %d: batch reads %d != solo %d", exact, i, reads[i], q.NodesRead())
+				t.Fatalf("mirror=%v: item %d: batch reads %d != solo %d", mirror, i, reads[i], q.NodesRead())
 			}
 			q.Close()
 		}
 	}
 }
 
-func TestSoAEquivalenceTreeCursor(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	tr, err := NewTree(smallConfig(2))
+// slowGaussian is the Gaussian kernel stripped of kernels.Freezer (and
+// with it kernels.Sweeper): a MultiTree over it can publish a mirror
+// but no query can sweep its leaves.
+type slowGaussian struct{}
+
+func (slowGaussian) LogDensity(x, center, h []float64) float64 {
+	return kernels.Gaussian{}.LogDensity(x, center, h)
+}
+
+func (slowGaussian) LogDensityObs(x, center, h []float64, obs []int) float64 {
+	return kernels.Gaussian{}.LogDensityObs(x, center, h, obs)
+}
+
+func (slowGaussian) Name() string { return "slow-gaussian" }
+
+// TestNonSweepableKernelKeepsPointerLoop pins the input the pointer
+// loop is kept for: with a kernel that cannot sweep, RefreshSoA changes
+// neither the path a query takes nor one bit of its scores.
+func TestNonSweepableKernelKeepsPointerLoop(t *testing.T) {
+	cfg := smallConfig(2)
+	cfg.Kernel = slowGaussian{}
+	xs, ys := twoClassData(300, 23)
+	mt, err := NewMultiTree(cfg, []int{0, 1}, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := 0; j < 300; j++ {
-		if err := tr.Insert([]float64{rng.NormFloat64(), rng.NormFloat64()}); err != nil {
+	for i := range xs {
+		if err := mt.Insert(xs[i], ys[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tr.RefreshSoA()
-	strategies, priorities := soaVariants()
-	for _, strat := range strategies {
-		for _, prio := range priorities {
-			for qi := 0; qi < 8; qi++ {
-				x := []float64{rng.NormFloat64(), rng.NormFloat64()}
-				if qi == 7 {
-					x[0] = math.NaN()
-				}
-				ce := tr.newCursorExact(x, strat, prio, true)
-				cs := tr.newCursorExact(x, strat, prio, false)
-				if cs.soa == nil {
-					t.Fatalf("cursor did not pick up the mirror")
-				}
-				for step := 0; ; step++ {
-					le, ls := ce.LogDensity(), cs.LogDensity()
-					if math.Float64bits(le) != math.Float64bits(ls) {
-						t.Fatalf("%v/%v step %d: soa density %v != exact %v", strat, prio, step, ls, le)
-					}
-					oke, oks := ce.Refine(), cs.Refine()
-					if oke != oks {
-						t.Fatalf("%v/%v step %d: refine %v vs %v", strat, prio, step, oke, oks)
-					}
-					if !oke {
-						break
-					}
-				}
-				ce.Close()
-				cs.Close()
+	queries, _ := twoClassData(10, 24)
+	queries = append(queries, []float64{math.NaN(), 0.4})
+	run := func(x []float64) (trace [][]float64) {
+		q, err := mt.NewQuery(x, ClassifierOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		if q.UsedSoA() {
+			t.Fatalf("query over a non-sweepable kernel took the mirror")
+		}
+		for {
+			trace = append(trace, q.Scores())
+			if !q.Step() {
+				return trace
 			}
 		}
 	}
-	// Insert must unpublish; refresh must republish.
-	if err := tr.Insert([]float64{0, 0}); err != nil {
-		t.Fatal(err)
+	before := make([][][]float64, len(queries))
+	for i, x := range queries {
+		before[i] = run(x)
 	}
-	if c := tr.newCursorExact([]float64{0, 0}, DescentGlobal, PriorityProbabilistic, false); c.soa != nil {
-		t.Fatalf("cursor used a mirror a mutation should have unpublished")
-	} else {
-		c.Close()
-	}
-	tr.RefreshSoA()
-	if c := tr.newCursorExact([]float64{0, 0}, DescentGlobal, PriorityProbabilistic, false); c.soa == nil {
-		t.Fatalf("refresh did not republish the mirror")
-	} else {
-		c.Close()
-	}
-}
-
-func TestSoAEquivalenceClassifier(t *testing.T) {
-	xs, ys := twoClassData(400, 13)
-	ce := buildClassifier(t, xs, ys, ClassifierOptions{ExactDescent: true})
-	cs := buildClassifier(t, xs, ys, ClassifierOptions{})
-	cs.RefreshSoA()
-	queries, _ := twoClassData(20, 14)
-	for _, x := range queries {
-		te := ce.ClassifyTrace(x, 60)
-		ts := cs.ClassifyTrace(x, 60)
-		for i := range te {
-			if te[i] != ts[i] {
-				t.Fatalf("trace diverges at node %d: exact %d, soa %d", i, te[i], ts[i])
+	mt.RefreshSoA()
+	for i, x := range queries {
+		after := run(x)
+		if len(after) != len(before[i]) {
+			t.Fatalf("query %d: %d steps after RefreshSoA, %d before", i, len(after), len(before[i]))
+		}
+		for step := range after {
+			if !bitsEqual(after[step], before[i][step]) {
+				t.Fatalf("query %d step %d: scores %v after RefreshSoA != %v before", i, step, after[step], before[i][step])
 			}
 		}
 	}
@@ -342,21 +348,31 @@ func TestSoAConcurrentQueries(t *testing.T) {
 	mt := buildMultiTree(t, xs, ys, MultiOptions{})
 	mt.RefreshSoA()
 	queries, _ := twoClassData(32, 18)
+	// The reference answers come from the pointer loop.
+	want := make([]int, len(queries))
+	for i, x := range queries {
+		q, err := pointerQuery(mt, x, ClassifierOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < 40 && q.Step(); b++ {
+		}
+		want[i] = q.Predict()
+		q.Close()
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i, x := range queries {
-				opts := ClassifierOptions{ExactDescent: (g+i)%2 == 0}
-				pred, err := mt.Classify(x, opts, 40)
+				pred, err := mt.Classify(x, ClassifierOptions{}, 40)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				want, err := mt.Classify(x, ClassifierOptions{ExactDescent: true}, 40)
-				if err != nil || pred != want {
-					t.Errorf("goroutine %d: pred %d want %d err %v", g, pred, want, err)
+				if pred != want[i] {
+					t.Errorf("goroutine %d: pred %d want %d", g, pred, want[i])
 					return
 				}
 			}

@@ -95,12 +95,6 @@ type Tree struct {
 	decay    DecayOptions
 	epoch    int64
 	refEpoch int64
-	// soa publishes the structure-of-arrays mirror for vectorized
-	// descent (nil = unpublished; cursors fall back to the pointer
-	// path); soaTrack/soaStale are the refresh bookkeeping. See soa.go.
-	soa      atomic.Pointer[treeSoA]
-	soaTrack bool
-	soaStale bool
 }
 
 // NewTree returns an empty Bayes tree.
@@ -175,7 +169,6 @@ func (t *Tree) cursorable() *Cursorable {
 		bw:   bw,
 		kern: kernels.FreezeKernel(t.cfg.Kernel, bw),
 	}
-	ct.sweep, _ = ct.kern.(kernels.Sweeper)
 	t.queryState.Store(ct)
 	return ct
 }
@@ -227,7 +220,6 @@ func (t *Tree) Insert(x []float64) error {
 	t.insertPointW(p, t.insertWeight(), reinserted)
 	t.size++
 	t.queryState.Store(nil) // cached root summary and bandwidths are stale
-	t.soaInvalidate()
 	return nil
 }
 

@@ -35,9 +35,11 @@ type CurveOptions struct {
 	Config func(dim int) core.Config
 	// Workers bounds classification parallelism (default GOMAXPROCS).
 	Workers int
-	// SoA publishes the structure-of-arrays mirror after building, so
-	// classification descends through the flat vectorized layout instead
-	// of the pointer tree (digit-identical scores, see internal/core).
+	// SoA makes MultiCurve publish the tree's structure-of-arrays mirror
+	// after building, so classification descends through the flat
+	// vectorized layout instead of the pointer loop (digit-identical
+	// scores, see internal/core). The per-class forest has no mirror;
+	// AnytimeCurve ignores it.
 	SoA bool
 }
 
@@ -115,9 +117,6 @@ func AnytimeCurve(ds *dataset.Dataset, loader bulkload.Loader, opts CurveOptions
 			return nil, err
 		}
 		buildTime += time.Since(start)
-		if opts.SoA {
-			clf.RefreshSoA()
-		}
 		foldCorrect, err := traceCorrect(clf, test, opts.MaxNodes, opts.Workers)
 		if err != nil {
 			return nil, err

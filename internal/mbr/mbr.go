@@ -106,16 +106,6 @@ func Union(a, b Rect) Rect {
 	return out
 }
 
-// UnionAll returns the smallest rectangle covering all given rectangles,
-// or the empty rectangle of dimension d if none are given.
-func UnionAll(rects []Rect, d int) Rect {
-	out := Empty(d)
-	for _, r := range rects {
-		out.Extend(r)
-	}
-	return out
-}
-
 // Area returns the d-dimensional volume of r (0 for degenerate or empty
 // rectangles).
 func (r Rect) Area() float64 {
@@ -175,16 +165,6 @@ func (r Rect) ContainsPoint(x []float64) bool {
 	return true
 }
 
-// Intersects reports whether r and other overlap (inclusive boundaries).
-func (r Rect) Intersects(other Rect) bool {
-	for i := range r.Lo {
-		if other.Hi[i] < r.Lo[i] || other.Lo[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // OverlapArea returns the volume of the intersection of a and b.
 func OverlapArea(a, b Rect) float64 {
 	v := 1.0
@@ -204,35 +184,26 @@ func Enlargement(r, other Rect) float64 {
 	return Union(r, other).Area() - r.Area()
 }
 
-// MinDist2 returns the squared minimum distance from the point x to the
-// rectangle (0 if x is inside) — the MINDIST bound of Roussopoulos et al.
-// used by the paper's geometric descent priority.
-func (r Rect) MinDist2(x []float64) float64 {
-	var s float64
-	for i := range r.Lo {
-		switch {
-		case x[i] < r.Lo[i]:
-			d := r.Lo[i] - x[i]
-			s += d * d
-		case x[i] > r.Hi[i]:
-			d := x[i] - r.Hi[i]
-			s += d * d
-		}
-	}
-	return s
-}
-
-// MinDist returns the minimum distance from x to r.
-func (r Rect) MinDist(x []float64) float64 { return math.Sqrt(r.MinDist2(x)) }
-
-// MinDist2Obs returns the squared MINDIST restricted to the observed
-// dimensions obs (nil = all) — used by geometric descent priorities for
-// queries with missing values.
+// MinDist2Obs returns the squared minimum distance from the point x to
+// the rectangle (0 if x is inside) restricted to the observed dimensions
+// obs (nil = all) — the MINDIST bound of Roussopoulos et al. behind the
+// paper's geometric descent priority, marginalised for queries with
+// missing values.
 func (r Rect) MinDist2Obs(x []float64, obs []int) float64 {
-	if obs == nil {
-		return r.MinDist2(x)
-	}
 	var s float64
+	if obs == nil {
+		for i := range r.Lo {
+			switch {
+			case x[i] < r.Lo[i]:
+				d := r.Lo[i] - x[i]
+				s += d * d
+			case x[i] > r.Hi[i]:
+				d := x[i] - r.Hi[i]
+				s += d * d
+			}
+		}
+		return s
+	}
 	for _, i := range obs {
 		switch {
 		case x[i] < r.Lo[i]:

@@ -119,18 +119,6 @@ func TestOverlapArea(t *testing.T) {
 	}
 }
 
-func TestIntersects(t *testing.T) {
-	a := rect(t, []float64{0}, []float64{1})
-	b := rect(t, []float64{1}, []float64{2}) // touching counts
-	if !a.Intersects(b) {
-		t.Errorf("touching rects should intersect")
-	}
-	c := rect(t, []float64{1.1}, []float64{2})
-	if a.Intersects(c) {
-		t.Errorf("disjoint rects intersect")
-	}
-}
-
 func TestEnlargement(t *testing.T) {
 	a := rect(t, []float64{0, 0}, []float64{1, 1})
 	b := rect(t, []float64{0, 0}, []float64{2, 1})
@@ -144,14 +132,18 @@ func TestEnlargement(t *testing.T) {
 
 func TestMinDist(t *testing.T) {
 	r := rect(t, []float64{0, 0}, []float64{1, 1})
-	if got := r.MinDist2([]float64{0.5, 0.5}); got != 0 {
-		t.Errorf("inside point dist = %v", got)
+	if got := r.MinDist2Obs([]float64{0.5, 0.5}, nil); got != 0 {
+		t.Errorf("inside point dist² = %v", got)
 	}
-	if got := r.MinDist([]float64{4, 5}); math.Abs(got-5) > 1e-12 {
-		t.Errorf("corner dist = %v, want 5", got)
+	if got := r.MinDist2Obs([]float64{4, 5}, nil); math.Abs(got-25) > 1e-12 {
+		t.Errorf("corner dist² = %v, want 25", got)
 	}
-	if got := r.MinDist([]float64{0.5, 3}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("edge dist = %v, want 2", got)
+	if got := r.MinDist2Obs([]float64{0.5, 3}, nil); math.Abs(got-4) > 1e-12 {
+		t.Errorf("edge dist² = %v, want 4", got)
+	}
+	// Restricted to dimension 0 only the x offset counts.
+	if got := r.MinDist2Obs([]float64{4, 5}, []int{0}); math.Abs(got-9) > 1e-12 {
+		t.Errorf("marginal dist² = %v, want 9", got)
 	}
 }
 
@@ -167,8 +159,8 @@ func TestMinDistLowerBoundProperty(t *testing.T) {
 			r.Lo[1] + rng.Float64()*(r.Hi[1]-r.Lo[1]),
 		}
 		dp := math.Hypot(p[0]-q[0], p[1]-q[1])
-		if r.MinDist(q) > dp+1e-9 {
-			t.Fatalf("MINDIST %v exceeds point distance %v", r.MinDist(q), dp)
+		if md := math.Sqrt(r.MinDist2Obs(q, nil)); md > dp+1e-9 {
+			t.Fatalf("MINDIST %v exceeds point distance %v", md, dp)
 		}
 	}
 }
@@ -187,21 +179,6 @@ func TestValidate(t *testing.T) {
 	}
 	if err := Empty(1).Validate(); err == nil {
 		t.Errorf("empty rect should not validate")
-	}
-}
-
-func TestUnionAll(t *testing.T) {
-	rs := []Rect{
-		Point([]float64{0, 0}),
-		Point([]float64{2, 1}),
-		Point([]float64{1, 3}),
-	}
-	u := UnionAll(rs, 2)
-	if u.Lo[0] != 0 || u.Hi[0] != 2 || u.Lo[1] != 0 || u.Hi[1] != 3 {
-		t.Errorf("UnionAll = %v", u)
-	}
-	if !UnionAll(nil, 2).IsEmpty() {
-		t.Errorf("UnionAll of nothing should be empty")
 	}
 }
 

@@ -52,31 +52,6 @@ func BenchmarkServerClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkServerClassifyExact is the pointer-layout baseline of
-// BenchmarkServerClassify: ExactDescent disables the structure-of-arrays
-// mirror, so diffing the two benchmarks prices the vectorized descent.
-func BenchmarkServerClassifyExact(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		for _, budget := range []int{10, 50, 200} {
-			b.Run(fmt.Sprintf("shards=%d/budget=%d", shards, budget), func(b *testing.B) {
-				s := benchServer(b, shards, Config{Query: core.ClassifierOptions{ExactDescent: true}})
-				var seed atomic.Int64
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					rng := rand.New(rand.NewSource(seed.Add(1)))
-					for pb.Next() {
-						x, _ := genPoint(rng)
-						if _, err := s.Classify(x, budget); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
-			})
-		}
-	}
-}
-
 // BenchmarkServerClassifyBatch measures the fused batch path: same-shard
 // queries advance in lockstep rounds sorted by node, so concurrent
 // descents share cache lines of the flat mirror.

@@ -102,12 +102,10 @@ type engine[M Model] struct {
 	maintDone chan struct{}
 	closeOnce sync.Once
 
-	// soaRefresh gates the SoA mirror hooks (off under
-	// Config.Query.ExactDescent); soaHits/soaMisses count shard queries
-	// that did / did not descend through a published mirror.
-	soaRefresh bool
-	soaHits    atomic.Int64
-	soaMisses  atomic.Int64
+	// soaHits/soaMisses count shard queries that did / did not descend
+	// through a published mirror.
+	soaHits   atomic.Int64
+	soaMisses atomic.Int64
 
 	requests       atomic.Int64
 	inserts        atomic.Int64
@@ -153,9 +151,8 @@ func (e *engine[M]) init(models []M, cfg Config, exclusive bool) error {
 		}
 	}
 	// Publish the structure-of-arrays descent mirror on every shard that
-	// supports it (unless exact descent is forced), so serving starts on
-	// the fast path; the per-mutation hooks keep it fresh from here.
-	e.soaRefresh = !cfg.Query.ExactDescent
+	// supports it, so serving starts on the fast path; the per-mutation
+	// hooks keep it fresh from here.
 	for _, sh := range e.shards {
 		e.refreshShardSoA(sh)
 	}
@@ -171,9 +168,6 @@ func (e *engine[M]) init(models []M, cfg Config, exclusive bool) error {
 // if the workload has one. The caller must hold the shard's write lock
 // (or otherwise have exclusive access, as init and recovery do).
 func (e *engine[M]) refreshShardSoA(sh *shard[M]) {
-	if !e.soaRefresh {
-		return
-	}
 	if m, ok := any(sh.tree).(soaShard); ok {
 		m.RefreshSoA()
 	}
@@ -231,9 +225,9 @@ func (e *engine[M]) AdvanceDecay() core.SweepStats {
 		sh.mu.Lock()
 		sh.tree.AdvanceEpoch(1)
 		st := sh.tree.DecaySweep()
-		// Epoch advance and sweep are the structural invalidation
-		// triggers; rebuild the descent mirror while we still hold the
-		// write lock so reads never see a stale one.
+		// Epoch advance and sweep invalidate the descent mirror
+		// structurally; rebuild it while we still hold the write lock so
+		// no read falls back to the pointer loop.
 		e.refreshShardSoA(sh)
 		sh.mu.Unlock()
 		agg.PointsPruned += st.PointsPruned

@@ -63,7 +63,8 @@ type lineResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Handler returns the HTTP handler serving the four endpoints.
+// Handler returns the HTTP handler serving the six endpoints:
+// /classify, /insert, /stats, /healthz, /readyz and /replicate.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/classify", s.handleClassify)

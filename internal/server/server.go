@@ -628,8 +628,7 @@ type Stats struct {
 	// misses count solo classifications' shard queries that did / did not
 	// descend through a published structure-of-arrays mirror, and the
 	// rebuild/patch/invalidation counters aggregate the shards' mirror
-	// maintenance (the third trigger of the frozen-cache invalidation
-	// contract). All zero for workloads without a mirror.
+	// maintenance. All zero for workloads without a mirror.
 	SoAHits          int64 `json:"soa_hits"`
 	SoAMisses        int64 `json:"soa_misses"`
 	SoARebuilds      int64 `json:"soa_rebuilds"`
