@@ -36,62 +36,55 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"bayestree/internal/core"
 	"bayestree/internal/dataset"
-	"bayestree/internal/persist"
 	"bayestree/internal/registry"
-	"bayestree/internal/replica"
 	"bayestree/internal/serve"
 	"bayestree/internal/server"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", ":8080", "HTTP listen address")
-		shards   = flag.Int("shards", 4, "number of model shards (ignored when warm-starting from -snapshot)")
-		snapshot = flag.String("snapshot", "", "snapshot path: warm-start from it when present, write it back on drain")
-		dsName   = flag.String("dataset", "", "bootstrap data set when no snapshot exists (pendigits|letter|gender|covertype)")
-		scale    = flag.Float64("scale", 0.05, "bootstrap data set scale in (0,1]")
-		emptyDim = flag.Int("empty-dim", 0, "bootstrap an empty model of this dimensionality when no snapshot or dataset is given — the model is built entirely by ingest traffic")
-		emptyLab = flag.String("empty-labels", "0,1,2", "comma-separated class label set of an -empty-dim bootstrap")
-		seed     = flag.Int64("seed", 42, "bootstrap shuffle seed")
-		budget   = flag.Int("budget", 32, "default per-request node budget when the request sets none")
-		maxB     = flag.Int("max-budget", server.DefaultMaxBudget, "hard cap on any request's node budget")
-		nps      = flag.Float64("nps", 0, "admission capacity in node reads/second across all requests (0 = unlimited)")
-		burst    = flag.Float64("burst", 0, "admission bucket capacity in node reads (0 = max(nps, max-budget))")
-		strategy = flag.String("strategy", "glo", "descent strategy glo|bft|dft")
-		priority = flag.String("priority", "prob", "descent priority prob|geom")
-		pooled   = flag.Bool("pooled", false, "bootstrap trees with pooled per-entry variance")
-		entropy  = flag.Bool("entropy", false, "bootstrap trees with entropy-weighted descent priority")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful drain timeout on SIGTERM/SIGINT")
-		decayL   = flag.Float64("decay-lambda", 0, "concept-drift forgetting rate λ: weights fade 2^(-λ) per decay epoch (0 = append-only, never forget)")
-		minW     = flag.Float64("min-weight", 0.05, "maintenance pruning floor: observations whose decayed weight falls below it are forgotten (with -decay-lambda > 0)")
-		decayDur = flag.Duration("decay-every", time.Minute, "wall-clock length of one decay epoch for the background maintenance sweep (with -decay-lambda > 0)")
-		walDir   = flag.String("wal-dir", "", "durability directory: per-shard write-ahead log + checkpoint snapshots; inserts survive crashes via snapshot+replay recovery")
-		fsyncDur = flag.Duration("fsync-every", 100*time.Millisecond, "WAL group-commit fsync interval; 0 fsyncs every insert (with -wal-dir)")
-		follow   = flag.String("follow", "", "run as a read-only replica of the primary at this base URL, e.g. http://host:8080 (requires -wal-dir; writes answer 307 to the primary)")
-		promFile = flag.String("promote-file", "", "promote this replica to primary when the file appears (SIGHUP promotes too; with -follow)")
-		replAddr = flag.String("replicate-addr", "", "serve the replication stream (/replicate) on a second listener at this address (with -wal-dir)")
+// options are the command's flags: the shared serving set plus the
+// classifier's own — its bootstrap, query strategy and decay rate.
+type options struct {
+	*serve.Flags
+	dataset      string
+	scale        float64
+	emptyDim     int
+	emptyLabels  string
+	seed         int64
+	strategy     string
+	priority     string
+	pooled       bool
+	entropy      bool
+	decayLambda  float64
+	tenantLabels string
+}
 
-		tenantsDir   = flag.String("tenants-dir", "", "multi-tenant mode: serve a registry of named models rooted at this directory (/t/{tenant}/classify, …); excludes -snapshot/-dataset/-wal-dir/-follow")
-		maxResident  = flag.Int("max-resident", 0, "multi-tenant: resident-model cap; LRU tenants beyond it are checkpointed and paged out (0 = registry default)")
-		maxResBytes  = flag.Int64("max-resident-bytes", 0, "multi-tenant: additional resident-memory cap in estimated bytes (0 = none)")
-		tenantDim    = flag.Int("tenant-default-dim", 3, "multi-tenant: dimensionality of tenants created on first write")
-		tenantLabels = flag.String("tenant-default-labels", "0,1,2", "multi-tenant: comma-separated label set of tenants created on first write")
-		tenantShards = flag.Int("tenant-default-shards", 1, "multi-tenant: shard count of tenants created on first write")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
+// register declares every flag on fs and installs the usage text.
+func register(fs *flag.FlagSet) *options {
+	o := &options{Flags: serve.RegisterFlags(fs, serve.FlagDefaults{
+		Addr: ":8080", Budget: 32, MaxBudget: server.DefaultMaxBudget, TenantDim: 3,
+	})}
+	fs.StringVar(&o.dataset, "dataset", "", "bootstrap data set when no snapshot exists (pendigits|letter|gender|covertype)")
+	fs.Float64Var(&o.scale, "scale", 0.05, "bootstrap data set scale in (0,1]")
+	fs.IntVar(&o.emptyDim, "empty-dim", 0, "bootstrap an empty model of this dimensionality when no snapshot or dataset is given — the model is built entirely by ingest traffic")
+	fs.StringVar(&o.emptyLabels, "empty-labels", "0,1,2", "comma-separated class label set of an -empty-dim bootstrap")
+	fs.Int64Var(&o.seed, "seed", 42, "bootstrap shuffle seed")
+	fs.StringVar(&o.strategy, "strategy", "glo", "descent strategy glo|bft|dft")
+	fs.StringVar(&o.priority, "priority", "prob", "descent priority prob|geom")
+	fs.BoolVar(&o.pooled, "pooled", false, "bootstrap trees with pooled per-entry variance")
+	fs.BoolVar(&o.entropy, "entropy", false, "bootstrap trees with entropy-weighted descent priority")
+	fs.Float64Var(&o.decayLambda, "decay-lambda", 0, "concept-drift forgetting rate λ: weights fade 2^(-λ) per decay epoch (0 = append-only, never forget)")
+	fs.StringVar(&o.tenantLabels, "tenant-default-labels", "0,1,2", "multi-tenant: comma-separated label set of tenants created on first write")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(),
 			"Usage: serveclass [flags]\n\n"+
 				"Serve anytime classification over HTTP from a sharded Bayes tree model.\n"+
 				"Model source: -snapshot (warm start), -dataset (bootstrap), or -empty-dim\n"+
@@ -116,202 +109,66 @@ func main() {
 				"  GET  /healthz    liveness: 200 once listening\n"+
 				"  GET  /readyz     readiness: 503 while recovering or draining\n"+
 				"  GET  /replicate  replication stream (checkpoint + live WAL tail)\n\nFlags:\n")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
+	return o
+}
+
+func main() {
+	o := register(flag.CommandLine)
 	flag.Parse()
-	if flag.NArg() > 0 {
-		usageErrorf("unexpected arguments %v", flag.Args())
+	w, err := o.workload(flag.Args())
+	if err == nil {
+		err = serve.Main(o.Flags, w)
 	}
-
-	strat, ok := parseStrategy(*strategy)
-	if !ok {
-		usageErrorf("unknown strategy %q (want glo|bft|dft)", *strategy)
-	}
-	prio, ok := parsePriority(*priority)
-	if !ok {
-		usageErrorf("unknown priority %q (want prob|geom)", *priority)
-	}
-	cfg := server.Config{
-		DefaultBudget:  *budget,
-		MaxBudget:      *maxB,
-		NodesPerSecond: *nps,
-		Burst:          *burst,
-		Query:          core.ClassifierOptions{Strategy: strat, Priority: prio},
-	}
-	if *decayL > 0 {
-		decay := core.DecayOptions{Lambda: *decayL, MinWeight: *minW}
-		if err := decay.Validate(); err != nil {
-			usageErrorf("%v", err)
-		}
-		if *decayDur <= 0 {
-			usageErrorf("-decay-every must be > 0 with -decay-lambda set, got %v", *decayDur)
-		}
-		cfg.Decay = decay
-		cfg.DecayEvery = *decayDur
-	} else if *decayL < 0 {
-		usageErrorf("-decay-lambda must be ≥ 0, got %v", *decayL)
-	}
-
-	if *tenantsDir != "" {
-		if *snapshot != "" || *dsName != "" || *walDir != "" || *follow != "" || *replAddr != "" {
-			usageErrorf("-tenants-dir is exclusive with -snapshot/-dataset/-wal-dir/-follow/-replicate-addr")
-		}
-		if *fsyncDur < 0 {
-			usageErrorf("-fsync-every must be ≥ 0, got %v", *fsyncDur)
-		}
-		labels, err := parseLabelList(*tenantLabels)
-		if err != nil {
-			usageErrorf("-tenant-default-labels: %v", err)
-		}
-		defaults := registry.TenantConfig{
-			Dim:           *tenantDim,
-			Labels:        labels,
-			Shards:        *tenantShards,
-			DefaultBudget: *budget,
-			MaxBudget:     *maxB,
-		}
-		if *decayL > 0 {
-			defaults.DecayLambda = *decayL
-			defaults.DecayMinWeight = *minW
-			defaults.DecayEveryMS = (*decayDur).Milliseconds()
-		}
-		runRegistry(*addr, *drain, registry.Options{
-			Dir:              *tenantsDir,
-			MaxResident:      *maxResident,
-			MaxResidentBytes: *maxResBytes,
-			NodesPerSecond:   *nps,
-			FsyncEvery:       *fsyncDur,
-			Defaults:         defaults,
-		})
-		return
-	}
-	if *maxResident != 0 || *maxResBytes != 0 {
-		usageErrorf("-max-resident/-max-resident-bytes require -tenants-dir")
-	}
-
-	if *follow != "" {
-		if *walDir == "" {
-			usageErrorf("-follow requires -wal-dir (the replica's own durable state)")
-		}
-		if *fsyncDur < 0 {
-			usageErrorf("-fsync-every must be ≥ 0, got %v", *fsyncDur)
-		}
-		runFollower(*addr, *follow, *promFile, *replAddr, *drain,
-			server.DurabilityOptions{Dir: *walDir, FsyncEvery: *fsyncDur}, cfg)
-		return
-	}
-	if *promFile != "" {
-		usageErrorf("-promote-file only applies to a replica (-follow)")
-	}
-	if *replAddr != "" && *walDir == "" {
-		usageErrorf("-replicate-addr requires -wal-dir (replication ships the WAL)")
-	}
-
-	bootstrap := func() (*server.Server, error) {
-		return buildServer(*snapshot, *dsName, *scale, *seed, *shards, *emptyDim, *emptyLab, *pooled, *entropy, cfg)
-	}
-	var s *server.Server
-	var err error
-	var recoverFn func() error
-	if *walDir != "" {
-		if *fsyncDur < 0 {
-			usageErrorf("-fsync-every must be ≥ 0, got %v", *fsyncDur)
-		}
-		dopts := server.DurabilityOptions{Dir: *walDir, FsyncEvery: *fsyncDur}
-		s, err = server.OpenDurableServer(dopts, cfg, bootstrap)
-		if err == nil {
-			recoverFn = func() error {
-				if err := s.Recover(); err != nil {
-					return err
-				}
-				st := s.Stats()
-				log.Printf("recovery complete: %d WAL records replayed (%d torn dropped), generation %d, %d observations",
-					st.WALReplayed, st.WALDroppedRecords, st.SnapshotGeneration, st.Observations)
-				return nil
-			}
-		}
-	} else {
-		s, err = bootstrap()
-	}
-	if err != nil {
-		var ue usageError
-		if errors.As(err, &ue) {
-			usageErrorf("%v", err)
-		}
-		log.Fatalf("serveclass: %v", err)
-	}
-	log.Printf("serving %d observations over %d shards on %s (default budget %d, admission %s, decay %s, wal %s)",
-		s.Len(), s.NumShards(), *addr, *budget, admissionDesc(*nps), decayDesc(s, *decayL, *minW, *decayDur), walDesc(*walDir, *fsyncDur))
-
-	app := serve.App{
-		Name:         "serveclass",
-		Addr:         *addr,
-		Handler:      s.Handler(),
-		DrainTimeout: *drain,
-		Recover:      recoverFn,
-		SetDraining:  s.SetDraining,
-		Close:        s.Close,
-	}
-	if *replAddr != "" {
-		app.ReplicateAddr = *replAddr
-		app.ReplicateHandler = s.ReplicateHandler()
-	}
-	app.Persist = func() error {
-		if *walDir != "" {
-			if err := s.Checkpoint(); err != nil {
-				return err
-			}
-			if err := s.CloseDurability(); err != nil {
-				return err
-			}
-			log.Printf("final checkpoint written to %s (%d observations)", *walDir, s.Len())
-		}
-		if *snapshot != "" {
-			if err := saveSnapshot(s, *snapshot); err != nil {
-				return err
-			}
-			log.Printf("snapshot written to %s (%d observations)", *snapshot, s.Len())
-		}
-		return nil
-	}
-	if err := serve.Run(app); err != nil {
-		log.Fatalf("%v", err)
-	}
+	serve.Exit("serveclass", err)
 }
 
-// runRegistry runs the multi-tenant lifecycle: a model registry over
-// the tenants directory, served until a drain checkpoints every loaded
-// tenant back to disk.
-func runRegistry(addr string, drain time.Duration, opts registry.Options) {
-	r, err := registry.Open(opts, registry.ClassifyBackend())
+// workload validates the command's own flags and describes the
+// classification workload to the shared runner.
+func (o *options) workload(args []string) (serve.Workload[*server.Server], error) {
+	var w serve.Workload[*server.Server]
+	if len(args) > 0 {
+		return w, serve.UsageErrorf("unexpected arguments %v", args)
+	}
+	strat, ok := parseStrategy(o.strategy)
+	if !ok {
+		return w, serve.UsageErrorf("unknown strategy %q (want glo|bft|dft)", o.strategy)
+	}
+	prio, ok := parsePriority(o.priority)
+	if !ok {
+		return w, serve.UsageErrorf("unknown priority %q (want prob|geom)", o.priority)
+	}
+	cfg, err := o.Config("decay-lambda", o.decayLambda)
 	if err != nil {
-		log.Fatalf("serveclass: %v", err)
+		return w, err
 	}
-	log.Printf("serving %d tenants (0 resident) from %s on %s (max resident %d, admission %s)",
-		r.Tenants(), opts.Dir, addr, r.Stats().MaxResident, admissionDesc(opts.NodesPerSecond))
-	app := serve.App{
+	// A classifier's floor must stay below 1, a fresh observation's weight.
+	if err := cfg.Decay.Validate(); err != nil {
+		return w, serve.UsageErrorf("%v", err)
+	}
+	cfg.Query = core.ClassifierOptions{Strategy: strat, Priority: prio}
+	if o.TenantsDir != "" && o.dataset != "" {
+		return w, serve.UsageErrorf("-tenants-dir is exclusive with -dataset")
+	}
+	labels, err := parseLabelList(o.tenantLabels)
+	if err != nil {
+		return w, serve.UsageErrorf("-tenant-default-labels: %v", err)
+	}
+	return serve.Workload[*server.Server]{
 		Name:         "serveclass",
-		Addr:         addr,
-		Handler:      r.Handler(),
-		DrainTimeout: drain,
-		SetDraining:  r.SetDraining,
-		Persist: func() error {
-			// Drain = checkpoint-all: every loaded tenant is paged out
-			// through the eviction path, then the manifest gets its final
-			// save.
-			if err := r.Close(); err != nil {
-				return err
-			}
-			log.Printf("drained: %d tenants checkpointed to %s", r.Tenants(), opts.Dir)
-			return nil
-		},
-	}
-	if err := serve.Run(app); err != nil {
-		log.Fatalf("%v", err)
-	}
+		Config:       cfg,
+		Decode:       server.FromSnapshot,
+		Bootstrap:    func() (*server.Server, error) { return o.buildServer(cfg) },
+		Open:         server.OpenDurableServer,
+		Follow:       server.NewFollowerServer,
+		Backend:      registry.ClassifyBackend(),
+		TenantLabels: labels,
+		Stats:        (*server.Server).Stats,
+	}, nil
 }
 
-// parseLabelList parses the comma-separated -tenant-default-labels set.
+// parseLabelList parses a comma-separated class label set.
 func parseLabelList(s string) ([]int, error) {
 	var labels []int
 	for _, part := range strings.Split(s, ",") {
@@ -331,127 +188,32 @@ func parseLabelList(s string) ([]int, error) {
 	return labels, nil
 }
 
-// runFollower runs the replica lifecycle: a Follower over the durable
-// directory, a Tailer pumping the primary's stream into it, and the
-// serve loop with the promote triggers armed.
-func runFollower(addr, primaryURL, promoteFile, replAddr string, drain time.Duration, dopts server.DurabilityOptions, cfg server.Config) {
-	f, err := server.NewFollowerServer(dopts, cfg, primaryURL)
-	if err != nil {
-		log.Fatalf("serveclass: %v", err)
-	}
-	t := replica.New(f, replica.Options{
-		PrimaryURL: primaryURL,
-		Workload:   replica.WorkloadClassify,
-		Epoch:      f.Epoch,
-	})
-	t.Start()
-	log.Printf("following %s (wal %s); promote with SIGHUP%s", primaryURL, dopts.Dir, promoteHint(promoteFile))
-	app := serve.App{
-		Name:         "serveclass",
-		Addr:         addr,
-		Handler:      f.Handler(),
-		DrainTimeout: drain,
-		SetDraining:  f.SetDraining,
-		Close:        f.Close,
-		Persist: func() error {
-			t.Stop()
-			return f.Persist()
-		},
-		Promote: func() error {
-			t.Stop()
-			return f.Promote()
-		},
-		PromoteFile: promoteFile,
-	}
-	if replAddr != "" {
-		app.ReplicateAddr = replAddr
-		app.ReplicateHandler = followReplicateHandler(f.Handler())
-	}
-	if err := serve.Run(app); err != nil {
-		log.Fatalf("%v", err)
-	}
-}
-
-// followReplicateHandler exposes only /replicate of a follower's full
-// handler on the replication listener — live once the follower is
-// promoted (or for chained replication).
-func followReplicateHandler(h http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/replicate", h)
-	return mux
-}
-
-// promoteHint describes the promote-file trigger for the startup log.
-func promoteHint(path string) string {
-	if path == "" {
-		return ""
-	}
-	return fmt.Sprintf(" or by creating %s", path)
-}
-
-// walDesc describes the durability mode for the startup log line.
-func walDesc(dir string, fsyncEvery time.Duration) string {
-	if dir == "" {
-		return "off"
-	}
-	if fsyncEvery == 0 {
-		return fmt.Sprintf("%s (fsync per insert)", dir)
-	}
-	return fmt.Sprintf("%s (group commit %v)", dir, fsyncEvery)
-}
-
-// usageError marks configuration mistakes that should print usage and
-// exit with status 2 rather than 1.
-type usageError string
-
-func (e usageError) Error() string { return string(e) }
-
-// buildServer resolves the model source: an existing snapshot wins,
-// otherwise a data set is bootstrapped into empty shards via the same
-// hash routing online inserts use.
-func buildServer(snapshot, dsName string, scale float64, seed int64, shards, emptyDim int, emptyLabels string, pooled, entropy bool, cfg server.Config) (*server.Server, error) {
-	if snapshot != "" {
-		f, err := os.Open(snapshot)
-		if err == nil {
-			defer f.Close()
-			s, err := server.FromSnapshot(f, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("snapshot %s: %w", snapshot, err)
-			}
-			log.Printf("warm start from %s: %d shards, %d observations", snapshot, s.NumShards(), s.Len())
-			return s, nil
+// buildServer bootstraps a fresh model: a data set routed into empty
+// shards by the same hash online inserts use, or empty shards that
+// ingest traffic fills.
+func (o *options) buildServer(cfg server.Config) (*server.Server, error) {
+	mopts := core.MultiOptions{PooledVariance: o.pooled, EntropyPriority: o.entropy}
+	if o.dataset == "" {
+		if o.emptyDim <= 0 {
+			return nil, serve.UsageErrorf("need -snapshot (existing), -dataset or -empty-dim to build a model")
 		}
-		if !os.IsNotExist(err) {
-			return nil, err
-		}
-		log.Printf("snapshot %s does not exist yet; bootstrapping", snapshot)
-	}
-	if shards < 1 {
-		return nil, usageError(fmt.Sprintf("-shards must be ≥ 1, got %d", shards))
-	}
-	if dsName == "" {
-		if emptyDim <= 0 {
-			return nil, usageError("need -snapshot (existing), -dataset or -empty-dim to build a model")
-		}
-		labels, err := parseLabelList(emptyLabels)
+		labels, err := parseLabelList(o.emptyLabels)
 		if err != nil {
-			return nil, usageError(fmt.Sprintf("-empty-labels: %v", err))
+			return nil, serve.UsageErrorf("-empty-labels: %v", err)
 		}
-		mopts := core.MultiOptions{PooledVariance: pooled, EntropyPriority: entropy}
-		s, err := server.NewEmpty(shards, core.DefaultConfig(emptyDim), labels, mopts, cfg)
+		s, err := server.NewEmpty(o.Shards, core.DefaultConfig(o.emptyDim), labels, mopts, cfg)
 		if err != nil {
 			return nil, err
 		}
-		log.Printf("bootstrapped empty model: %d dims, %d classes, %d shards — awaiting ingest", emptyDim, len(labels), shards)
+		log.Printf("bootstrapped empty model: %d dims, %d classes, %d shards — awaiting ingest", o.emptyDim, len(labels), o.Shards)
 		return s, nil
 	}
-	ds, err := dataset.ByName(dsName, scale)
+	ds, err := dataset.ByName(o.dataset, o.scale)
 	if err != nil {
-		return nil, usageError(err.Error())
+		return nil, serve.UsageErrorf("%v", err)
 	}
-	ds.Shuffle(seed)
-	mopts := core.MultiOptions{PooledVariance: pooled, EntropyPriority: entropy}
-	s, err := server.NewEmpty(shards, core.DefaultConfig(ds.Dim()), ds.Classes(), mopts, cfg)
+	ds.Shuffle(o.seed)
+	s, err := server.NewEmpty(o.Shards, core.DefaultConfig(ds.Dim()), ds.Classes(), mopts, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -462,35 +224,8 @@ func buildServer(snapshot, dsName string, scale float64, seed int64, shards, emp
 		}
 	}
 	log.Printf("bootstrapped %s: %d observations, %d classes, %d dims into %d shards in %v",
-		ds.Name, ds.Len(), len(ds.Classes()), ds.Dim(), shards, time.Since(start).Round(time.Millisecond))
+		ds.Name, ds.Len(), len(ds.Classes()), ds.Dim(), o.Shards, time.Since(start).Round(time.Millisecond))
 	return s, nil
-}
-
-// saveSnapshot writes the model durably and atomically.
-func saveSnapshot(s *server.Server, path string) error {
-	return persist.WriteFileAtomic(path, s.WriteSnapshot)
-}
-
-func admissionDesc(nps float64) string {
-	if nps <= 0 {
-		return "unlimited"
-	}
-	return fmt.Sprintf("%.0f node reads/s", nps)
-}
-
-// decayDesc describes the decay state the server actually runs with —
-// which may come from a warm-started snapshot rather than the flags. A
-// decayed snapshot loaded without -decay-lambda keeps fading scores
-// but advances no epochs, which deserves a loud hint, not "off".
-func decayDesc(s *server.Server, lambda, minWeight float64, every time.Duration) string {
-	st := s.Stats()
-	if !st.DecayEnabled {
-		return "off"
-	}
-	if lambda <= 0 {
-		return fmt.Sprintf("snapshot state at epoch %d — no maintenance loop; pass -decay-lambda/-decay-every to resume forgetting", st.DecayEpoch)
-	}
-	return fmt.Sprintf("λ=%g floor=%g epoch=%v", lambda, minWeight, every)
 }
 
 func parseStrategy(s string) (core.Strategy, bool) {
@@ -513,13 +248,4 @@ func parsePriority(s string) (core.Priority, bool) {
 		return core.PriorityGeometric, true
 	}
 	return 0, false
-}
-
-// usageErrorf prints the error and usage, then exits with status 2 —
-// the conventional "bad invocation" status, distinct from runtime
-// failures (1).
-func usageErrorf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "serveclass: "+format+"\n\n", args...)
-	flag.Usage()
-	os.Exit(2)
 }

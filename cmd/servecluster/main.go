@@ -31,51 +31,38 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
-	"net/http"
-	"os"
-	"time"
+	"io"
 
 	"bayestree/internal/clustree"
-	"bayestree/internal/core"
-	"bayestree/internal/persist"
 	"bayestree/internal/registry"
-	"bayestree/internal/replica"
 	"bayestree/internal/serve"
 	"bayestree/internal/server"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", ":8081", "HTTP listen address")
-		shards   = flag.Int("shards", 4, "number of model shards (ignored when warm-starting from -snapshot)")
-		snapshot = flag.String("snapshot", "", "snapshot path: warm-start from it when present, write it back on drain")
-		dim      = flag.Int("dim", 0, "observation dimensionality when no snapshot exists")
-		budget   = flag.Int("budget", 8, "default per-object descent budget when the request sets none")
-		maxB     = flag.Int("max-budget", 64, "hard cap on any object's descent budget")
-		nps      = flag.Float64("nps", 0, "admission capacity in node visits/second across all ingests (0 = unlimited)")
-		burst    = flag.Float64("burst", 0, "admission bucket capacity in node visits (0 = max(nps, max-budget))")
-		lambda   = flag.Float64("lambda", 0.004, "decay rate: a weight halves every 1/λ stream objects (0 = never forget)")
-		minW     = flag.Float64("min-weight", 0.05, "maintenance pruning floor: micro-clusters whose decayed weight falls below it are forgotten (with -lambda > 0)")
-		decayDur = flag.Duration("decay-every", time.Minute, "wall-clock interval between maintenance sweeps (with -lambda > 0)")
-		snapN    = flag.Int("snap-every", 1024, "record a pyramidal micro-cluster snapshot every N ingested objects (< 0 disables /window)")
-		alpha    = flag.Int("snap-alpha", 2, "pyramidal store base (granularity coarsens by this factor per order)")
-		snapCap  = flag.Int("snap-cap", 0, "pyramidal store per-order capacity (0 = alpha+1)")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful drain timeout on SIGTERM/SIGINT")
-		walDir   = flag.String("wal-dir", "", "durability directory: per-shard write-ahead log + checkpoint snapshots; ingested objects survive crashes via snapshot+replay recovery")
-		fsyncDur = flag.Duration("fsync-every", 100*time.Millisecond, "WAL group-commit fsync interval; 0 fsyncs every ingest (with -wal-dir)")
-		follow   = flag.String("follow", "", "run as a read-only replica of the primary at this base URL, e.g. http://host:8081 (requires -wal-dir; writes answer 307 to the primary)")
-		promFile = flag.String("promote-file", "", "promote this replica to primary when the file appears (SIGHUP promotes too; with -follow)")
-		replAddr = flag.String("replicate-addr", "", "serve the replication stream (/replicate) on a second listener at this address (with -wal-dir)")
+// options are the command's flags: the shared serving set plus the
+// clustering workload's own — its bootstrap, decay rate and pyramidal
+// snapshot store.
+type options struct {
+	*serve.Flags
+	dim       int
+	lambda    float64
+	snapEvery int
+	snapAlpha int
+	snapCap   int
+}
 
-		tenantsDir   = flag.String("tenants-dir", "", "multi-tenant mode: serve a registry of named clustering models rooted at this directory (/t/{tenant}/cluster, …); excludes -snapshot/-wal-dir/-follow")
-		maxResident  = flag.Int("max-resident", 0, "multi-tenant: resident-model cap; LRU tenants beyond it are checkpointed and paged out (0 = registry default)")
-		maxResBytes  = flag.Int64("max-resident-bytes", 0, "multi-tenant: additional resident-memory cap in estimated bytes (0 = none)")
-		tenantDim    = flag.Int("tenant-default-dim", 2, "multi-tenant: dimensionality of tenants created on first write")
-		tenantShards = flag.Int("tenant-default-shards", 1, "multi-tenant: shard count of tenants created on first write")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
+// register declares every flag on fs and installs the usage text.
+func register(fs *flag.FlagSet) *options {
+	o := &options{Flags: serve.RegisterFlags(fs, serve.FlagDefaults{
+		Addr: ":8081", Budget: 8, MaxBudget: 64, TenantDim: 2,
+	})}
+	fs.IntVar(&o.dim, "dim", 0, "observation dimensionality when no snapshot exists")
+	fs.Float64Var(&o.lambda, "lambda", 0.004, "decay rate: a weight halves every 1/λ stream objects (0 = never forget)")
+	fs.IntVar(&o.snapEvery, "snap-every", 1024, "record a pyramidal micro-cluster snapshot every N ingested objects (< 0 disables /window)")
+	fs.IntVar(&o.snapAlpha, "snap-alpha", 2, "pyramidal store base (granularity coarsens by this factor per order)")
+	fs.IntVar(&o.snapCap, "snap-cap", 0, "pyramidal store per-order capacity (0 = alpha+1)")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(),
 			"Usage: servecluster [flags]\n\n"+
 				"Serve the Section-4.2 anytime clustering extension over HTTP from a sharded\n"+
 				"ClusTree model. Model source: -snapshot (warm start) or -dim (empty start);\n"+
@@ -99,277 +86,62 @@ func main() {
 				"  GET  /healthz        liveness: 200 once listening\n"+
 				"  GET  /readyz         readiness: 503 while recovering or draining\n"+
 				"  GET  /replicate      replication stream (checkpoint + live WAL tail)\n\nFlags:\n")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() > 0 {
-		usageErrorf("unexpected arguments %v", flag.Args())
-	}
+	return o
+}
 
-	cfg := server.Config{
-		DefaultBudget:  *budget,
-		MaxBudget:      *maxB,
-		NodesPerSecond: *nps,
-		Burst:          *burst,
+func main() {
+	o := register(flag.CommandLine)
+	flag.Parse()
+	w, err := o.workload(flag.Args())
+	if err == nil {
+		err = serve.Main(o.Flags, w)
 	}
-	if *lambda > 0 {
-		// No core.DecayOptions.Validate here: its MinWeight < 1 bound is
-		// a classifier rule (fresh observations weigh 1); micro-cluster
-		// floors are decayed object counts and may usefully exceed 1.
-		if *minW < 0 {
-			usageErrorf("-min-weight must be ≥ 0, got %v", *minW)
-		}
-		if *decayDur <= 0 {
-			usageErrorf("-decay-every must be > 0 with -lambda set, got %v", *decayDur)
-		}
-		cfg.Decay = core.DecayOptions{Lambda: *lambda, MinWeight: *minW}
-		cfg.DecayEvery = *decayDur
-	} else if *lambda < 0 {
-		usageErrorf("-lambda must be ≥ 0, got %v", *lambda)
+	serve.Exit("servecluster", err)
+}
+
+// workload validates the command's own flags and describes the
+// clustering workload to the shared runner.
+func (o *options) workload(args []string) (serve.Workload[*server.ClusterServer], error) {
+	var w serve.Workload[*server.ClusterServer]
+	if len(args) > 0 {
+		return w, serve.UsageErrorf("unexpected arguments %v", args)
+	}
+	// No core.DecayOptions.Validate here: its MinWeight < 1 bound is a
+	// classifier rule (fresh observations weigh 1); micro-cluster floors
+	// are decayed object counts and may usefully exceed 1.
+	cfg, err := o.Config("lambda", o.lambda)
+	if err != nil {
+		return w, err
 	}
 	copts := server.ClusterOptions{
-		SnapshotAlpha:    *alpha,
-		SnapshotCapacity: *snapCap,
-		SnapshotEvery:    *snapN,
+		SnapshotAlpha:    o.snapAlpha,
+		SnapshotCapacity: o.snapCap,
+		SnapshotEvery:    o.snapEvery,
 	}
-
-	if *tenantsDir != "" {
-		if *snapshot != "" || *walDir != "" || *follow != "" || *replAddr != "" {
-			usageErrorf("-tenants-dir is exclusive with -snapshot/-wal-dir/-follow/-replicate-addr")
-		}
-		if *fsyncDur < 0 {
-			usageErrorf("-fsync-every must be ≥ 0, got %v", *fsyncDur)
-		}
-		defaults := registry.TenantConfig{
-			Dim:           *tenantDim,
-			Shards:        *tenantShards,
-			DefaultBudget: *budget,
-			MaxBudget:     *maxB,
-		}
-		if *lambda > 0 {
-			defaults.DecayLambda = *lambda
-			defaults.DecayMinWeight = *minW
-			defaults.DecayEveryMS = (*decayDur).Milliseconds()
-		}
-		runRegistry(*addr, *drain, registry.Options{
-			Dir:              *tenantsDir,
-			MaxResident:      *maxResident,
-			MaxResidentBytes: *maxResBytes,
-			NodesPerSecond:   *nps,
-			FsyncEvery:       *fsyncDur,
-			Defaults:         defaults,
-		}, copts)
-		return
-	}
-	if *maxResident != 0 || *maxResBytes != 0 {
-		usageErrorf("-max-resident/-max-resident-bytes require -tenants-dir")
-	}
-
-	if *follow != "" {
-		if *walDir == "" {
-			usageErrorf("-follow requires -wal-dir (the replica's own durable state)")
-		}
-		if *fsyncDur < 0 {
-			usageErrorf("-fsync-every must be ≥ 0, got %v", *fsyncDur)
-		}
-		runFollower(*addr, *follow, *promFile, *replAddr, *drain,
-			server.DurabilityOptions{Dir: *walDir, FsyncEvery: *fsyncDur}, cfg, copts)
-		return
-	}
-	if *promFile != "" {
-		usageErrorf("-promote-file only applies to a replica (-follow)")
-	}
-	if *replAddr != "" && *walDir == "" {
-		usageErrorf("-replicate-addr requires -wal-dir (replication ships the WAL)")
-	}
-
-	bootstrap := func() (*server.ClusterServer, error) {
-		return buildServer(*snapshot, *dim, *shards, cfg, copts)
-	}
-	var s *server.ClusterServer
-	var err error
-	var recoverFn func() error
-	if *walDir != "" {
-		if *fsyncDur < 0 {
-			usageErrorf("-fsync-every must be ≥ 0, got %v", *fsyncDur)
-		}
-		dopts := server.DurabilityOptions{Dir: *walDir, FsyncEvery: *fsyncDur}
-		s, err = server.OpenDurableCluster(dopts, cfg, copts, bootstrap)
-		if err == nil {
-			recoverFn = func() error {
-				if err := s.Recover(); err != nil {
-					return err
-				}
-				st := s.Stats()
-				log.Printf("recovery complete: %d WAL records replayed (%d torn dropped), generation %d, clock %d",
-					st.WALReplayed, st.WALDroppedRecords, st.SnapshotGeneration, st.Clock)
-				return nil
-			}
-		}
-	} else {
-		s, err = bootstrap()
-	}
-	if err != nil {
-		log.Fatalf("servecluster: %v", err)
-	}
-	log.Printf("serving clustering over %d shards on %s (dim %d, default budget %d, λ=%g, clock %d)",
-		s.NumShards(), *addr, s.Dim(), *budget, *lambda, s.Clock())
-
-	app := serve.App{
-		Name:         "servecluster",
-		Addr:         *addr,
-		Handler:      s.Handler(),
-		DrainTimeout: *drain,
-		Recover:      recoverFn,
-		SetDraining:  s.SetDraining,
-		Close:        s.Close,
-		Persist: func() error {
-			if *walDir != "" {
-				if err := s.Checkpoint(); err != nil {
-					return err
-				}
-				if err := s.CloseDurability(); err != nil {
-					return err
-				}
-				log.Printf("final checkpoint written to %s (clock %d)", *walDir, s.Clock())
-			}
-			if *snapshot != "" {
-				if err := persist.WriteFileAtomic(*snapshot, s.WriteSnapshot); err != nil {
-					return err
-				}
-				log.Printf("snapshot written to %s (clock %d)", *snapshot, s.Clock())
-			}
-			return nil
+	return serve.Workload[*server.ClusterServer]{
+		Name:   "servecluster",
+		Config: cfg,
+		Decode: func(r io.Reader, cfg server.Config) (*server.ClusterServer, error) {
+			return server.ClusterFromSnapshot(r, cfg, copts)
 		},
-	}
-	if *replAddr != "" {
-		app.ReplicateAddr = *replAddr
-		app.ReplicateHandler = s.ReplicateHandler()
-	}
-	if err := serve.Run(app); err != nil {
-		log.Fatalf("%v", err)
-	}
-}
-
-// runRegistry runs the multi-tenant lifecycle: a clustering model
-// registry over the tenants directory, served until a drain
-// checkpoints every loaded tenant back to disk.
-func runRegistry(addr string, drain time.Duration, opts registry.Options, copts server.ClusterOptions) {
-	r, err := registry.Open(opts, registry.ClusterBackend(copts))
-	if err != nil {
-		log.Fatalf("servecluster: %v", err)
-	}
-	log.Printf("serving %d clustering tenants (0 resident) from %s on %s (max resident %d)",
-		r.Tenants(), opts.Dir, addr, r.Stats().MaxResident)
-	app := serve.App{
-		Name:         "servecluster",
-		Addr:         addr,
-		Handler:      r.Handler(),
-		DrainTimeout: drain,
-		SetDraining:  r.SetDraining,
-		Persist: func() error {
-			if err := r.Close(); err != nil {
-				return err
+		Bootstrap: func() (*server.ClusterServer, error) {
+			if o.dim < 1 {
+				return nil, serve.UsageErrorf("need -snapshot (existing) or -dim ≥ 1 to build a model")
 			}
-			log.Printf("drained: %d tenants checkpointed to %s", r.Tenants(), opts.Dir)
-			return nil
+			ccfg := clustree.DefaultConfig(o.dim)
+			// A zero cfg.Decay.Lambda is "never forget", overriding the tree default.
+			ccfg.Lambda = cfg.Decay.Lambda
+			return server.NewCluster(ccfg, o.Shards, cfg, copts)
 		},
-	}
-	if err := serve.Run(app); err != nil {
-		log.Fatalf("%v", err)
-	}
-}
-
-// runFollower runs the replica lifecycle: a Follower over the durable
-// directory, a Tailer pumping the primary's stream into it, and the
-// serve loop with the promote triggers armed.
-func runFollower(addr, primaryURL, promoteFile, replAddr string, drain time.Duration, dopts server.DurabilityOptions, cfg server.Config, copts server.ClusterOptions) {
-	f, err := server.NewFollowerCluster(dopts, cfg, copts, primaryURL)
-	if err != nil {
-		log.Fatalf("servecluster: %v", err)
-	}
-	t := replica.New(f, replica.Options{
-		PrimaryURL: primaryURL,
-		Workload:   replica.WorkloadCluster,
-		Epoch:      f.Epoch,
-	})
-	t.Start()
-	log.Printf("following %s (wal %s); promote with SIGHUP%s", primaryURL, dopts.Dir, promoteHint(promoteFile))
-	app := serve.App{
-		Name:         "servecluster",
-		Addr:         addr,
-		Handler:      f.Handler(),
-		DrainTimeout: drain,
-		SetDraining:  f.SetDraining,
-		Close:        f.Close,
-		Persist: func() error {
-			t.Stop()
-			return f.Persist()
+		Open: func(d server.DurabilityOptions, cfg server.Config, boot func() (*server.ClusterServer, error)) (*server.ClusterServer, error) {
+			return server.OpenDurableCluster(d, cfg, copts, boot)
 		},
-		Promote: func() error {
-			t.Stop()
-			return f.Promote()
+		Follow: func(d server.DurabilityOptions, cfg server.Config, primaryURL string) (*server.Follower[*server.ClusterServer], error) {
+			return server.NewFollowerCluster(d, cfg, copts, primaryURL)
 		},
-		PromoteFile: promoteFile,
-	}
-	if replAddr != "" {
-		app.ReplicateAddr = replAddr
-		mux := http.NewServeMux()
-		mux.Handle("/replicate", f.Handler())
-		app.ReplicateHandler = mux
-	}
-	if err := serve.Run(app); err != nil {
-		log.Fatalf("%v", err)
-	}
-}
-
-// promoteHint describes the promote-file trigger for the startup log.
-func promoteHint(path string) string {
-	if path == "" {
-		return ""
-	}
-	return fmt.Sprintf(" or by creating %s", path)
-}
-
-// buildServer resolves the model source: an existing snapshot wins,
-// otherwise empty shards over the flag dimensionality.
-func buildServer(snapshot string, dim, shards int, cfg server.Config, copts server.ClusterOptions) (*server.ClusterServer, error) {
-	if snapshot != "" {
-		f, err := os.Open(snapshot)
-		if err == nil {
-			defer f.Close()
-			s, err := server.ClusterFromSnapshot(f, cfg, copts)
-			if err != nil {
-				return nil, fmt.Errorf("snapshot %s: %w", snapshot, err)
-			}
-			log.Printf("warm start from %s: %d shards, clock %d", snapshot, s.NumShards(), s.Clock())
-			return s, nil
-		}
-		if !os.IsNotExist(err) {
-			return nil, err
-		}
-		log.Printf("snapshot %s does not exist yet; starting empty", snapshot)
-	}
-	if dim < 1 {
-		usageErrorf("need -snapshot (existing) or -dim ≥ 1 to build a model")
-	}
-	if shards < 1 {
-		usageErrorf("-shards must be ≥ 1, got %d", shards)
-	}
-	ccfg := clustree.DefaultConfig(dim)
-	if cfg.Decay.Enabled() {
-		ccfg.Lambda = cfg.Decay.Lambda
-	} else {
-		ccfg.Lambda = 0
-	}
-	return server.NewCluster(ccfg, shards, cfg, copts)
-}
-
-// usageErrorf prints the error and usage, then exits with status 2 —
-// the conventional "bad invocation" status, distinct from runtime
-// failures (1).
-func usageErrorf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "servecluster: "+format+"\n\n", args...)
-	flag.Usage()
-	os.Exit(2)
+		Backend: registry.ClusterBackend(copts),
+		Stats:   func(s *server.ClusterServer) server.Stats { return s.Stats().Stats },
+	}, nil
 }

@@ -25,7 +25,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -98,10 +97,10 @@ Flags:
 	}
 	flag.Parse()
 	if flag.NArg() > 0 {
-		usageErrorf("unexpected arguments %v", flag.Args())
+		serve.Exit("serveproxy", serve.UsageErrorf("unexpected arguments %v", flag.Args()))
 	}
 	if len(groups) == 0 {
-		usageErrorf("at least one -group is required")
+		serve.Exit("serveproxy", serve.UsageErrorf("at least one -group is required"))
 	}
 
 	p, err := proxy.New(proxy.Config{
@@ -116,28 +115,15 @@ Flags:
 		HedgeMin:      *hedgeMin,
 		WriteRetries:  *retries,
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "serveproxy: %v\n", err)
-		os.Exit(1)
-	}
+	serve.Exit("serveproxy", err)
 	p.Start()
 
-	if err := serve.Run(serve.App{
+	serve.Exit("serveproxy", serve.Run(serve.App{
 		Name:         "serveproxy",
 		Addr:         *addr,
 		Handler:      p.Handler(),
 		DrainTimeout: *drain,
 		SetDraining:  p.SetDraining,
 		Close:        func() { p.Close() },
-	}); err != nil {
-		fmt.Fprintf(os.Stderr, "serveproxy: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// usageErrorf prints a usage error plus the flag help and exits 2.
-func usageErrorf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "serveproxy: "+format+"\n\n", args...)
-	flag.Usage()
-	os.Exit(2)
+	}))
 }

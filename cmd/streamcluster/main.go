@@ -13,6 +13,7 @@ import (
 
 	"bayestree/internal/clustree"
 	"bayestree/internal/dataset"
+	"bayestree/internal/serve"
 )
 
 func main() {
@@ -43,16 +44,16 @@ func main() {
 	}
 	flag.Parse()
 	if flag.NArg() > 0 {
-		usageErrorf("unexpected arguments %v", flag.Args())
+		serve.Exit("streamcluster", serve.UsageErrorf("unexpected arguments %v", flag.Args()))
 	}
 	if *size < 1 {
-		usageErrorf("-size must be ≥ 1, got %d", *size)
+		serve.Exit("streamcluster", serve.UsageErrorf("-size must be ≥ 1, got %d", *size))
 	}
 	if *dims < 1 {
-		usageErrorf("-dims must be ≥ 1, got %d", *dims)
+		serve.Exit("streamcluster", serve.UsageErrorf("-dims must be ≥ 1, got %d", *dims))
 	}
 	if *lambda < 0 {
-		usageErrorf("-lambda must be ≥ 0, got %v", *lambda)
+		serve.Exit("streamcluster", serve.UsageErrorf("-lambda must be ≥ 0, got %v", *lambda))
 	}
 
 	ds, err := dataset.DriftStream(dataset.DriftSpec{
@@ -134,13 +135,4 @@ func coords(x []float64) string {
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "streamcluster: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// usageErrorf prints the error and usage, then exits with status 2 —
-// the conventional "bad invocation" status, distinct from runtime
-// failures (1).
-func usageErrorf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "streamcluster: "+format+"\n\n", args...)
-	flag.Usage()
-	os.Exit(2)
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+
+	"bayestree/internal/replica"
 )
 
 // This file generates the request mix. The classification workload
@@ -28,12 +30,12 @@ const (
 // Workload selects which server the scenario drives.
 type Workload string
 
-// The two served workloads.
+// The two served workloads, under the names the servers give them.
 const (
 	// WorkloadClassify drives a classification server (serveclass).
-	WorkloadClassify Workload = "classify"
+	WorkloadClassify Workload = replica.WorkloadClassify
 	// WorkloadCluster drives a clustering server (servecluster).
-	WorkloadCluster Workload = "cluster"
+	WorkloadCluster Workload = replica.WorkloadCluster
 )
 
 // classDim is the dimensionality of the synthetic classification

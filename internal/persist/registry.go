@@ -42,7 +42,7 @@ type RegistryTenant struct {
 // root. Written atomically on tenant creation and eviction, so a
 // restarted registry always knows its full tenant population.
 type RegistryManifest struct {
-	// Workload names the served workload ("classify" or "cluster"); a
+	// Workload names the served workload (replica.Workload*); a
 	// registry refuses to open a root written by the other workload.
 	Workload string `json:"workload"`
 	// Tenants lists every tenant ever created, sorted by name.

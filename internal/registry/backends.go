@@ -5,12 +5,13 @@ import (
 
 	"bayestree/internal/clustree"
 	"bayestree/internal/core"
+	"bayestree/internal/replica"
 	"bayestree/internal/server"
 )
 
-// This file binds the registry to the two engine workloads. Each
-// backend's Open is the cold-load path: open the tenant's durable
-// state (bootstrapping an empty model from its TenantConfig on first
+// This file binds the registry to the two engine workloads. A backend's
+// Open is the cold-load path: open the tenant's durable state
+// (bootstrapping an empty model from its TenantConfig on first
 // creation), replay recovery, and hand the registry a serving tenant.
 // Recovery after a clean eviction is snapshot-decode-only — the
 // eviction checkpoint truncated the WAL — which is what keeps cold
@@ -20,55 +21,48 @@ import (
 // tenants (*server.Server). Tenants are created on their first POST
 // /insert.
 func ClassifyBackend() Backend[*server.Server] {
-	return Backend[*server.Server]{
-		Workload:    "classify",
-		CreatePaths: map[string]bool{"/insert": true},
-		Open: func(dir string, tc TenantConfig, carvedNPS float64, dopts server.DurabilityOptions) (*server.Server, error) {
-			cfg := tc.ServerConfig(carvedNPS)
-			s, err := server.OpenDurableServer(dopts, cfg, func() (*server.Server, error) {
-				if tc.Dim <= 0 {
-					return nil, fmt.Errorf("tenant dim unset (configure registry defaults or PUT the tenant)")
-				}
-				if len(tc.Labels) < 2 {
-					return nil, fmt.Errorf("tenant needs at least two labels (configure registry defaults or PUT the tenant)")
-				}
-				return server.NewEmpty(tc.Shards, core.DefaultConfig(tc.Dim), tc.Labels, core.MultiOptions{}, cfg)
-			})
-			if err != nil {
-				return nil, err
+	return backend(replica.WorkloadClassify, "/insert", func(dopts server.DurabilityOptions, cfg server.Config, tc TenantConfig) (*server.Server, error) {
+		return server.OpenDurableServer(dopts, cfg, func() (*server.Server, error) {
+			if len(tc.Labels) < 2 {
+				return nil, fmt.Errorf("tenant needs at least two labels (configure registry defaults or PUT the tenant)")
 			}
-			if err := s.Recover(); err != nil {
-				s.CloseDurability()
-				s.Close()
-				return nil, err
-			}
-			return s, nil
-		},
-	}
+			return server.NewEmpty(tc.Shards, core.DefaultConfig(tc.Dim), tc.Labels, core.MultiOptions{}, cfg)
+		})
+	})
 }
 
 // ClusterBackend serves anytime stream-clustering tenants
 // (*server.ClusterServer) with the given clustering options. Tenants
 // are created on their first POST /cluster.
 func ClusterBackend(copts server.ClusterOptions) Backend[*server.ClusterServer] {
-	return Backend[*server.ClusterServer]{
-		Workload:    "cluster",
-		CreatePaths: map[string]bool{"/cluster": true},
-		Open: func(dir string, tc TenantConfig, carvedNPS float64, dopts server.DurabilityOptions) (*server.ClusterServer, error) {
-			cfg := tc.ServerConfig(carvedNPS)
-			s, err := server.OpenDurableCluster(dopts, cfg, copts, func() (*server.ClusterServer, error) {
-				if tc.Dim <= 0 {
-					return nil, fmt.Errorf("tenant dim unset (configure registry defaults or PUT the tenant)")
-				}
-				return server.NewCluster(clustree.DefaultConfig(tc.Dim), tc.Shards, cfg, copts)
-			})
+	return backend(replica.WorkloadCluster, "/cluster", func(dopts server.DurabilityOptions, cfg server.Config, tc TenantConfig) (*server.ClusterServer, error) {
+		return server.OpenDurableCluster(dopts, cfg, copts, func() (*server.ClusterServer, error) {
+			return server.NewCluster(clustree.DefaultConfig(tc.Dim), tc.Shards, cfg, copts)
+		})
+	})
+}
+
+// backend is the one cold-load body: open the workload's durable state
+// (its bootstrap builds an empty model of the tenant's shape), then
+// recover. createPath is the tenant-relative POST path whose first hit
+// creates the tenant.
+func backend[T server.Served](workload, createPath string, open func(server.DurabilityOptions, server.Config, TenantConfig) (T, error)) Backend[T] {
+	return Backend[T]{
+		Workload:    workload,
+		CreatePaths: map[string]bool{createPath: true},
+		Open: func(dir string, tc TenantConfig, carvedNPS float64, dopts server.DurabilityOptions) (T, error) {
+			var zero T
+			if tc.Dim <= 0 {
+				return zero, fmt.Errorf("tenant dim unset (configure registry defaults or PUT the tenant)")
+			}
+			s, err := open(dopts, tc.ServerConfig(carvedNPS), tc)
 			if err != nil {
-				return nil, err
+				return zero, err
 			}
 			if err := s.Recover(); err != nil {
 				s.CloseDurability()
 				s.Close()
-				return nil, err
+				return zero, err
 			}
 			return s, nil
 		},

@@ -35,6 +35,9 @@ func (r *Registry[T]) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		if r.Draining() {
+			// The uniform not-ready shape: probers back off the same way
+			// whichever tier answers.
+			w.Header().Set("Retry-After", "1")
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}

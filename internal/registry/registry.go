@@ -68,32 +68,6 @@ const tenantConfigName = "TENANT.json"
 // one durability subdirectory per tenant.
 const tenantsSubdir = "tenants"
 
-// Tenant is what the registry requires of a per-tenant server: the
-// HTTP surface to delegate requests to, the checkpoint/close sequence
-// eviction runs, and the size observables the paging caps read. Both
-// engine workloads (*server.Server, *server.ClusterServer) satisfy it.
-type Tenant interface {
-	// Handler serves the tenant's endpoints (paths rooted at /).
-	Handler() http.Handler
-	// Checkpoint folds the WAL into a new snapshot generation and
-	// truncates — the eviction write-out.
-	Checkpoint() error
-	// CloseDurability closes the WAL and releases the tenant directory
-	// lock after the eviction checkpoint.
-	CloseDurability() error
-	// Close stops background maintenance.
-	Close()
-	// SetDraining flips the tenant's draining state.
-	SetDraining(bool)
-	// Len is the tenant's observation count.
-	Len() int
-	// ApproxBytes estimates the tenant's resident memory.
-	ApproxBytes() int64
-	// Generation is the tenant's checkpoint generation, recorded in the
-	// registry manifest at eviction.
-	Generation() uint64
-}
-
 // TenantConfig is a tenant's creation-time shape. The zero value of
 // any field means "use the registry default" (Options.Defaults); the
 // resolved config is persisted as TENANT.json in the tenant's
@@ -179,9 +153,13 @@ func (tc TenantConfig) ServerConfig(carvedNPS float64) server.Config {
 }
 
 // Backend opens tenants of one workload; ClassifyBackend and
-// ClusterBackend are the two engine instantiations.
-type Backend[T Tenant] struct {
-	// Workload names the backend ("classify" or "cluster"); recorded in
+// ClusterBackend are the two engine instantiations. A tenant is a
+// server.Served: the registry delegates requests to its Handler, runs
+// Checkpoint + CloseDurability (after Close) to evict it, and reads
+// Len, ApproxBytes and Generation for the paging caps and the manifest.
+type Backend[T server.Served] struct {
+	// Workload names the backend (replica.WorkloadClassify or
+	// replica.WorkloadCluster); recorded in
 	// the registry manifest and checked at open, so a classification
 	// registry cannot silently decode clustering snapshots.
 	Workload string
@@ -250,7 +228,7 @@ const (
 
 // handle is one tenant's in-memory lifecycle record. All fields are
 // guarded by the registry mutex; cond shares it.
-type handle[T Tenant] struct {
+type handle[T server.Served] struct {
 	name    string
 	cfg     TenantConfig // resolved creation config (persisted copy wins at load)
 	state   int
@@ -267,7 +245,7 @@ type handle[T Tenant] struct {
 
 // Registry serves a population of named tenants with LRU paging. All
 // methods are safe for concurrent use.
-type Registry[T Tenant] struct {
+type Registry[T server.Served] struct {
 	opts    Options
 	backend Backend[T]
 	lock    *os.File
@@ -334,7 +312,7 @@ func ValidTenantName(name string) bool {
 // not open for days), load the REGISTRY manifest and adopt any tenant
 // directory a crash left out of it. No tenant model is loaded — cold
 // tenants stay on disk until their first request.
-func Open[T Tenant](opts Options, backend Backend[T]) (*Registry[T], error) {
+func Open[T server.Served](opts Options, backend Backend[T]) (*Registry[T], error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("registry: root dir required")
 	}
@@ -671,35 +649,41 @@ func (r *Registry[T]) maybeEvict() {
 			r.mu.Unlock()
 			return
 		}
-		victim.state = stateEvicting
-		r.resident--
-		srv := victim.srv
-		r.mu.Unlock()
-
-		gen, err := r.checkpointClose(srv)
-		r.mu.Lock()
-		if err != nil {
-			// The checkpoint failed; the model is intact in memory, so the
-			// tenant reverts to resident (its maintenance loop is stopped —
-			// the next successful eviction/reload restores it) rather than
-			// losing unflushed writes.
-			victim.state = stateResident
-			r.resident++
-			r.evictErrors.Add(1)
-			victim.cond.Broadcast()
-			r.mu.Unlock()
+		if r.pageOut(victim) != nil {
 			return
 		}
-		var zero T
-		victim.srv = zero
-		victim.handler = nil
-		victim.state = stateCold
-		r.known[victim.name] = gen
-		victim.cond.Broadcast()
-		r.mu.Unlock()
-		r.evictions.Add(1)
-		r.markDirty()
 	}
+}
+
+// pageOut checkpoints and closes the resident, idle tenant h and marks
+// it cold. Called with r.mu held, it returns with r.mu released: the
+// disk work runs unlocked, with h in stateEvicting so that requests for
+// it wait.
+func (r *Registry[T]) pageOut(h *handle[T]) error {
+	h.state = stateEvicting
+	r.resident--
+	srv := h.srv
+	r.mu.Unlock()
+	gen, err := r.checkpointClose(srv)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	defer h.cond.Broadcast()
+	if err != nil {
+		// The checkpoint failed; the model is intact in memory, so the
+		// tenant reverts to resident (its maintenance loop is stopped —
+		// the next successful eviction/reload restores it) rather than
+		// losing unflushed writes.
+		h.state = stateResident
+		r.resident++
+		r.evictErrors.Add(1)
+		return err
+	}
+	var zero T
+	h.srv, h.handler, h.state = zero, nil, stateCold
+	r.known[h.name] = gen
+	r.evictions.Add(1)
+	r.markDirty()
+	return nil
 }
 
 // checkpointClose runs the eviction write-out: stop maintenance, fold
@@ -731,30 +715,7 @@ func (r *Registry[T]) Evict(name string) error {
 			h.cond.Wait()
 			continue
 		}
-		h.state = stateEvicting
-		r.resident--
-		srv := h.srv
-		r.mu.Unlock()
-		gen, err := r.checkpointClose(srv)
-		r.mu.Lock()
-		if err != nil {
-			h.state = stateResident
-			r.resident++
-			r.evictErrors.Add(1)
-			h.cond.Broadcast()
-			r.mu.Unlock()
-			return err
-		}
-		var zero T
-		h.srv = zero
-		h.handler = nil
-		h.state = stateCold
-		r.known[name] = gen
-		h.cond.Broadcast()
-		r.mu.Unlock()
-		r.evictions.Add(1)
-		r.markDirty()
-		return nil
+		return r.pageOut(h)
 	}
 }
 

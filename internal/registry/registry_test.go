@@ -389,8 +389,8 @@ func TestDrainingRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining readyz: %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("draining readyz: %d (Retry-After %q), want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {

@@ -1,12 +1,14 @@
-// Package serve is the shared lifecycle runner of the serving
-// commands: it owns the boilerplate that serveclass and servecluster
-// previously each carried a copy of — start the HTTP server(s), run
-// WAL recovery in the background while /readyz reports 503, wait for
-// SIGTERM/SIGINT, drain gracefully (fail readiness, let in-flight
-// requests finish, stop maintenance) and persist the model on the way
-// out. It also owns the promote triggers of a replica: SIGHUP and the
-// promote-file poller both invoke the app's Promote hook in place, so
-// a follower can be flipped to primary without restarting.
+// Package serve is what the serving commands share. Run is the
+// lifecycle runner: start the HTTP server(s), run WAL recovery in the
+// background while /readyz reports 503, wait for SIGTERM/SIGINT, drain
+// gracefully (fail readiness, let in-flight requests finish, stop
+// maintenance) and persist the model on the way out; it also owns the
+// promote triggers of a replica — SIGHUP and the promote-file poller
+// both invoke the app's Promote hook in place, so a follower can be
+// flipped to primary without restarting. On top of it, Flags and Main
+// (flags.go, workload.go) hold the flag set, its validation and the
+// primary / replica / registry wiring that serveclass and servecluster
+// have in common, behind one Workload descriptor each command fills in.
 package serve
 
 import (
@@ -26,7 +28,7 @@ const promoteFilePoll = 300 * time.Millisecond
 // App describes one serving process. Only Addr and Handler are
 // required; nil hooks are skipped.
 type App struct {
-	// Name prefixes log lines and error messages (the command name).
+	// Name prefixes log lines (the command name).
 	Name string
 	// Addr is the HTTP listen address.
 	Addr string
@@ -80,16 +82,17 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 // Run drives the app's lifecycle and returns when the process should
 // exit: nil after a clean signal-triggered drain, an error when a
-// listener, recovery, or the final persist failed.
+// listener, recovery, or the final persist failed (Exit prefixes it
+// with the command name).
 func Run(a App) error {
 	httpSrv := newHTTPServer(a.Addr, a.Handler)
 	errc := make(chan error, 2)
-	go func() { errc <- fmt.Errorf("%s: %w", a.Name, listenAndServe(httpSrv)) }()
+	go func() { errc <- listenAndServe(httpSrv) }()
 
 	var replSrv *http.Server
 	if a.ReplicateAddr != "" && a.ReplicateHandler != nil {
 		replSrv = newHTTPServer(a.ReplicateAddr, a.ReplicateHandler)
-		go func() { errc <- fmt.Errorf("%s: replicate listener: %w", a.Name, listenAndServe(replSrv)) }()
+		go func() { errc <- fmt.Errorf("replicate listener: %w", listenAndServe(replSrv)) }()
 	}
 
 	recc := make(chan error, 1)
@@ -132,7 +135,7 @@ func Run(a App) error {
 			return err
 		case err := <-recc:
 			if err != nil {
-				return fmt.Errorf("%s: recovery: %w", a.Name, err)
+				return fmt.Errorf("recovery: %w", err)
 			}
 			recovered = true
 		case <-promc:
@@ -169,16 +172,14 @@ func Run(a App) error {
 	// WAL coverage on the next checkpoint.
 	if !recovered {
 		if err := <-recc; err != nil {
-			return fmt.Errorf("%s: recovery: %w", a.Name, err)
+			return fmt.Errorf("recovery: %w", err)
 		}
 	}
 	if a.Close != nil {
 		a.Close()
 	}
 	if a.Persist != nil {
-		if err := a.Persist(); err != nil {
-			return fmt.Errorf("%s: %w", a.Name, err)
-		}
+		return a.Persist()
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"bayestree/internal/clustree"
 	"bayestree/internal/core"
 	"bayestree/internal/persist"
+	"bayestree/internal/replica"
 )
 
 // This file instantiates the engine for the paper's second anytime
@@ -190,7 +191,30 @@ func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.Snapsho
 		}
 		s.store = store
 	}
-	if err := s.init(models, cfg, true); err != nil {
+	err := s.init(models, cfg, true, workload[*ctree]{
+		name:   replica.WorkloadCluster,
+		encode: s.encodeSet,
+		record: func(payload []byte) (int64, func(*shard[*ctree]) error, func(), error) {
+			head, x, err := decodeRecord(payload, 2, ccfg.Dim)
+			if err != nil {
+				return 0, nil, nil, err
+			}
+			ts, granted := head[0], int(head[1])
+			return ts, func(sh *shard[*ctree]) error {
+				// The clock mirrors the one that logged the record: advance
+				// to its timestamp (per-shard order is apply order, so this is
+				// monotone per shard; across shards the max keeps the global
+				// clock consistent).
+				if ts > s.clock.Load() {
+					s.clock.Store(ts)
+				}
+				_, err := sh.tree.t.InsertCounted(x, float64(ts), granted)
+				return err
+			}, func() { s.maybeRecord(ts) }, nil
+		},
+		stats: func() any { return s.Stats() },
+	})
+	if err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -207,17 +231,9 @@ func ClusterFromSnapshot(r io.Reader, cfg Config, copts ClusterOptions) (*Cluste
 	return newClusterOver(set.Trees, set.Clock, set.Store, cfg, copts)
 }
 
-// WriteSnapshot encodes every shard's tree, the pyramidal store and the
-// logical clock into one versioned snapshot. It holds all shard locks
-// for the duration, so the snapshot is a consistent cut.
-func (s *ClusterServer) WriteSnapshot(w io.Writer) error {
-	return s.withAllRead(func(models []*ctree) error {
-		return s.encodeSet(w, models)
-	})
-}
-
-// encodeSet encodes the full server state; callers hold all shard
-// locks (WriteSnapshot's cut, or the checkpoint path's).
+// encodeSet encodes the full server state — every shard's tree, the
+// pyramidal store and the logical clock; callers hold all shard locks
+// (WriteSnapshot's cut, or the checkpoint path's).
 func (s *ClusterServer) encodeSet(w io.Writer, models []*ctree) error {
 	trees := make([]*clustree.Tree, len(models))
 	for i, m := range models {
@@ -280,9 +296,6 @@ func (s *ClusterServer) insertResolved(x []float64, requested int) (ClusterResul
 	if len(x) != s.ccfg.Dim {
 		return ClusterResult{}, fmt.Errorf("server: point dim %d != model dim %d", len(x), s.ccfg.Dim)
 	}
-	if s.Recovering() {
-		return ClusterResult{}, errRecovering
-	}
 	if err := s.writeAllowed(); err != nil {
 		return ClusterResult{}, err
 	}
@@ -292,12 +305,12 @@ func (s *ClusterServer) insertResolved(x []float64, requested int) (ClusterResul
 	sh.mu.Lock()
 	ts := s.clock.Add(1)
 	if s.durableOn() {
-		if err := s.logAppend(idx, encodeClusterRecord(ts, granted, x)); err != nil {
+		if err := s.logAppend(idx, encodeRecord(x, ts, int64(granted))); err != nil {
 			// The clock tick is not rolled back: per-shard timestamps stay
 			// strictly increasing, a skipped tick is harmless.
 			sh.mu.Unlock()
 			finish(0)
-			return ClusterResult{}, fmt.Errorf("server: wal: %w", err)
+			return ClusterResult{}, err
 		}
 	}
 	parkedBefore := sh.tree.t.Parked()
@@ -314,48 +327,6 @@ func (s *ClusterServer) insertResolved(x []float64, requested int) (ClusterResul
 		Shard: idx, Requested: requested, Granted: granted,
 		NodesRead: visited, Parked: parked, Degraded: granted < requested,
 	}, nil
-}
-
-// ApplyReplicated applies one WAL record shipped from a primary to the
-// given shard, through the follower's own log-before-apply path. The
-// record carries the primary's timestamp and granted budget — the
-// inputs that make the descent deterministic — so the follower's tree
-// is digit-identical to the primary's at the same applied LSN. Used by
-// the replication tailer; not a client API.
-func (s *ClusterServer) ApplyReplicated(shard int, payload []byte) error {
-	if s.Recovering() {
-		return errRecovering
-	}
-	if shard < 0 || shard >= len(s.shards) {
-		return fmt.Errorf("server: replicated record for shard %d of %d", shard, len(s.shards))
-	}
-	ts, granted, x, err := decodeClusterRecord(s.ccfg.Dim, payload)
-	if err != nil {
-		return err
-	}
-	sh := s.shards[shard]
-	sh.mu.Lock()
-	// The follower's clock mirrors the primary's: advance to the shipped
-	// timestamp (per-shard order is apply order, so this is monotone per
-	// shard; across shards the max keeps the global clock consistent).
-	if ts > s.clock.Load() {
-		s.clock.Store(ts)
-	}
-	if s.durableOn() {
-		if err := s.logAppend(shard, payload); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("server: wal: %w", err)
-		}
-	}
-	_, err = sh.tree.t.InsertCounted(x, float64(ts), granted)
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.inserts.Add(1)
-	s.repl.applied.Add(1)
-	s.maybeRecord(ts)
-	return nil
 }
 
 // maybeRecord stores a pyramidal snapshot of the union micro-clusters

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -59,80 +58,21 @@ type macroClusterJSON struct {
 
 // Handler returns the HTTP handler serving the clustering endpoints.
 func (s *ClusterServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/cluster", s.handleCluster)
-	mux.HandleFunc("/microclusters", s.handleMicroClusters)
-	mux.HandleFunc("/macroclusters", s.handleMacroClusters)
-	mux.HandleFunc("/window", s.handleWindow)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/replicate", s.handleReplicate)
+	mux := s.mux()
+	// Objects in one /cluster window are ingested by a small worker pool —
+	// inserts to distinct shards proceed in parallel, each admitted
+	// individually.
+	mux.HandleFunc("/cluster", itemHandler(&s.engine, itemRoute[clusterRequest]{
+		write:   true,
+		workers: 8,
+		badLine: "bad request line",
+		serve:   func(req clusterRequest, _ bool) (any, error) { return s.Insert(req.X, req.Budget) },
+		errLine: func(msg string) any { return clusterLineResponse{Error: msg} },
+	}))
+	mux.HandleFunc("/microclusters", getOnly(s.handleMicroClusters))
+	mux.HandleFunc("/macroclusters", getOnly(s.handleMacroClusters))
+	mux.HandleFunc("/window", getOnly(s.handleWindow))
 	return mux
-}
-
-func (s *ClusterServer) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if primary := s.followerRedirect(); primary != "" {
-		redirectToPrimary(w, r, primary)
-		return
-	}
-	if s.replFenced() {
-		writeError(w, http.StatusServiceUnavailable, "fenced: a newer primary (epoch %d) exists", s.repl.fencedBy.Load())
-		return
-	}
-	if s.Recovering() {
-		writeUnavailable(w, "recovering: WAL replay in progress")
-		return
-	}
-	if s.Draining() {
-		writeUnavailable(w, "draining")
-		return
-	}
-	if isStream(r) {
-		s.streamCluster(w, r)
-		return
-	}
-	var req clusterRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	res, err := s.Insert(req.X, req.Budget)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// streamCluster serves the NDJSON bulk ingest form: one ack line per
-// object line, in order, flushed per window. Objects in one window are
-// ingested by a small worker pool — inserts to distinct shards proceed
-// in parallel, each admitted individually.
-func (s *ClusterServer) streamCluster(w http.ResponseWriter, r *http.Request) {
-	ndjsonStream(w, r, func(lines []string) []interface{} {
-		responses := make([]interface{}, len(lines))
-		runPool(len(lines), 8, func(i int) {
-			var req clusterRequest
-			if err := json.Unmarshal([]byte(lines[i]), &req); err != nil {
-				responses[i] = clusterLineResponse{Error: fmt.Sprintf("bad request line: %v", err)}
-				return
-			}
-			res, err := s.Insert(req.X, req.Budget)
-			if err != nil {
-				responses[i] = clusterLineResponse{Error: err.Error()}
-				return
-			}
-			responses[i] = clusterLineResponse{ClusterResult: res}
-		})
-		return responses
-	}, func(msg string) interface{} {
-		return clusterLineResponse{Error: msg}
-	})
 }
 
 // queryFloat parses a float query parameter, using def when absent.
@@ -149,10 +89,6 @@ func queryFloat(r *http.Request, name string, def float64) (float64, error) {
 }
 
 func (s *ClusterServer) handleMicroClusters(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	minw, err := queryFloat(r, "minw", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -169,10 +105,6 @@ func (s *ClusterServer) handleMicroClusters(w http.ResponseWriter, r *http.Reque
 }
 
 func (s *ClusterServer) handleMacroClusters(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	eps, err1 := queryFloat(r, "eps", 0.1)
 	minw, err2 := queryFloat(r, "minw", 1)
 	for _, err := range []error{err1, err2} {
@@ -191,10 +123,6 @@ func (s *ClusterServer) handleMacroClusters(w http.ResponseWriter, r *http.Reque
 // the data that arrived between the retained snapshots closest to t1
 // and t2 (CF subtractivity).
 func (s *ClusterServer) handleWindow(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	t1, err1 := queryFloat(r, "t1", 0)
 	t2, err2 := queryFloat(r, "t2", 0)
 	eps, err3 := queryFloat(r, "eps", 0.1)
@@ -227,24 +155,4 @@ func macroJSON(mcs []clustree.MicroCluster, eps, minw float64) ([]macroClusterJS
 		out[i] = macroClusterJSON{Weight: m.Weight, Mean: m.Mean, Size: len(m.Members)}
 	}
 	return out, len(noise)
-}
-
-func (s *ClusterServer) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// handleHealthz is pure liveness: 200 as long as the process is up and
-// listening, even mid-recovery. Routability is /readyz's job.
-func (s *ClusterServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz is readiness: 503 + Retry-After while WAL replay is
-// rebuilding the model or the process is draining, 200 otherwise.
-func (s *ClusterServer) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	writeReady(w, s.Recovering(), s.Draining())
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,7 +13,6 @@ import (
 	"syscall"
 	"time"
 
-	"bayestree/internal/core"
 	"bayestree/internal/persist"
 	"bayestree/internal/wal"
 )
@@ -57,9 +57,20 @@ type DurabilityOptions struct {
 	SegmentBytes int64
 }
 
-// errRecovering rejects writes while WAL replay is rebuilding the
-// model; the HTTP layer maps it to 503.
-var errRecovering = fmt.Errorf("server: recovering (WAL replay in progress)")
+// The states in which a well-formed write is refused. The HTTP layer
+// answers the first three 503 + Retry-After — what its guard answers a
+// request that arrives in the same state — and errWAL 500; every other
+// insert error is the caller's (400).
+var (
+	// errRecovering: WAL replay is still rebuilding the model.
+	errRecovering = errors.New("server: recovering (WAL replay in progress)")
+	// errFollower: this process is a read-only replica.
+	errFollower = errors.New("server: read-only follower")
+	// errFenced: a newer primary exists.
+	errFenced = errors.New("server: fenced")
+	// errWAL: the write-ahead log refused the append.
+	errWAL = errors.New("server: wal")
+)
 
 // durState is the engine's durability state: the logs, the manifest
 // they continue, and the recovery/replay accounting.
@@ -131,7 +142,7 @@ func (e *engine[M]) attachDurability(opts DurabilityOptions, do durOpen) {
 }
 
 // Recovering reports whether the engine is still replaying its WAL —
-// writes are rejected and /healthz fails until it completes.
+// writes are rejected and /readyz answers 503 until it completes.
 func (e *engine[M]) Recovering() bool {
 	return e.dur != nil && e.dur.recovering.Load()
 }
@@ -151,7 +162,7 @@ func (e *engine[M]) durableOn() bool {
 // it sees precisely the records after its snapshot.
 func (e *engine[M]) logAppend(idx int, payload []byte) error {
 	if err := e.dur.logs[idx].Append(payload); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", errWAL, err)
 	}
 	e.dur.hub.publish(idx, payload)
 	return nil
@@ -187,22 +198,132 @@ func (e *engine[M]) openLogs() error {
 	return nil
 }
 
-// finishRecovery flips the engine into serving mode; openLogs must have
-// succeeded first.
-func (e *engine[M]) finishRecovery() { e.dur.recovering.Store(false) }
+// Recover replays the WAL tail into the shard models, opens the logs
+// for appending and, when anything was replayed or this is a fresh
+// directory, folds the result into a new checkpoint, so the next
+// restart replays from a short log. Idempotent once recovered.
+func (e *engine[M]) Recover() error {
+	d := e.dur
+	if d == nil {
+		return fmt.Errorf("server: durability not configured")
+	}
+	if !d.recovering.Load() {
+		return nil
+	}
+	if err := e.replay(); err != nil {
+		return err
+	}
+	if err := e.openLogs(); err != nil {
+		return err
+	}
+	// Replay leaves the descent mirrors unpublished (every insert
+	// invalidates); one refresh per shard restores the fast path before
+	// the server starts answering.
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		e.refreshShardSoA(sh)
+		sh.mu.Unlock()
+	}
+	d.recovering.Store(false)
+	if !d.hadState || d.replayed.Load() > 0 || d.dropped.Load() > 0 {
+		return e.Checkpoint()
+	}
+	return nil
+}
 
-// checkpoint writes a new snapshot generation and truncates the WAL
-// behind it: rotate every shard's log under all shard locks (the same
-// consistent cut the snapshot sees), write the snapshot atomically,
-// commit the new manifest, then garbage-collect the old segments and
-// snapshot. Crash-safe at every step — the manifest write is the commit
-// point.
-func (e *engine[M]) checkpoint(encode func(io.Writer, []M) error) error {
-	_, _, _, err := e.checkpointSubscribe(encode, nil)
+// replay applies the WAL tail, merging the per-shard logs by the
+// records' logical time (ties to the lower shard). A clustering record
+// carries the global clock, so the clock — and the pyramidal store's
+// recording boundaries — advance exactly as in the original run; a
+// classification record carries none, so the logs replay shard after
+// shard, which content-hashed routing makes the exact insert sequence.
+func (e *engine[M]) replay() error {
+	d := e.dur
+	type head struct {
+		at    int64
+		apply func(*shard[M]) error // nil: the shard's log is exhausted
+		after func()
+	}
+	readers := make([]*wal.Reader, len(e.shards))
+	heads := make([]head, len(e.shards))
+	defer func() {
+		for _, r := range readers {
+			if r != nil {
+				r.Close()
+			}
+		}
+	}()
+	advance := func(i int) error {
+		heads[i] = head{}
+		payload, err := readers[i].Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			heads[i].at, heads[i].apply, heads[i].after, err = e.wl.record(payload)
+		}
+		if err != nil {
+			return fmt.Errorf("server: wal shard %d: %w", i, err)
+		}
+		return nil
+	}
+	for i := range e.shards {
+		r, err := wal.OpenReader(shardWALDir(d.opts.Dir, i), e.shardLogStart(i))
+		if err != nil {
+			return fmt.Errorf("server: wal shard %d: %w", i, err)
+		}
+		readers[i] = r
+		if err := advance(i); err != nil {
+			return err
+		}
+	}
+	for {
+		best := -1
+		for i, h := range heads {
+			if h.apply != nil && (best < 0 || h.at < heads[best].at) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		h, sh := heads[best], e.shards[best]
+		// The shard lock keeps replay exclusive against a running decay-
+		// maintenance loop.
+		sh.mu.Lock()
+		err := h.apply(sh)
+		sh.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("server: replay shard %d: %w", best, err)
+		}
+		d.replayed.Add(1)
+		if h.after != nil {
+			h.after()
+		}
+		if err := advance(best); err != nil {
+			return err
+		}
+	}
+	for _, r := range readers {
+		d.dropped.Add(int64(r.Dropped()))
+	}
+	return nil
+}
+
+// Checkpoint writes a new snapshot generation and truncates the WAL
+// behind it — the durable form of WriteSnapshot: rotate every shard's
+// log under all shard locks (the same consistent cut the snapshot
+// sees), write the snapshot atomically, commit the new manifest, then
+// garbage-collect the old segments and snapshot. Crash-safe at every
+// step — the manifest write is the commit point. The serving commands
+// run it on drain; long-lived deployments can also call it periodically
+// to bound replay time.
+func (e *engine[M]) Checkpoint() error {
+	_, _, _, err := e.checkpointSubscribe(nil)
 	return err
 }
 
-// checkpointSubscribe is checkpoint with an optional replication
+// checkpointSubscribe is Checkpoint with an optional replication
 // subscriber: when sub is non-nil it is attached to the hub inside the
 // withAllRead cut — all shard locks held, so no append can land between
 // the snapshot and the attachment — and the new snapshot is returned as
@@ -211,7 +332,7 @@ func (e *engine[M]) checkpoint(encode func(io.Writer, []M) error) error {
 // collection (unlink keeps the inode readable), so /replicate can
 // stream it without racing the next checkpoint. With sub nil both
 // returns are zero and no file is opened.
-func (e *engine[M]) checkpointSubscribe(encode func(io.Writer, []M) error, sub *replSub) (persist.Manifest, *os.File, uint64, error) {
+func (e *engine[M]) checkpointSubscribe(sub *replSub) (persist.Manifest, *os.File, uint64, error) {
 	d := e.dur
 	if d == nil {
 		return persist.Manifest{}, nil, 0, fmt.Errorf("server: durability not configured")
@@ -237,7 +358,7 @@ func (e *engine[M]) checkpointSubscribe(encode func(io.Writer, []M) error, sub *
 			baseLSN = d.hub.attach(sub)
 		}
 		return persist.WriteFileAtomic(filepath.Join(d.opts.Dir, name), func(w io.Writer) error {
-			return encode(w, models)
+			return e.wl.encode(w, models)
 		})
 	})
 	if err != nil {
@@ -335,98 +456,74 @@ func (e *engine[M]) durStats(st *Stats) {
 }
 
 // ---------------------------------------------------------------------
-// record codecs
+// record codec
 
-// encodeClassRecord frames one classification insert: label then the
-// point, all little-endian 64-bit.
-func encodeClassRecord(label int, x []float64) []byte {
-	b := make([]byte, 8+8*len(x))
-	binary.LittleEndian.PutUint64(b[0:8], uint64(int64(label)))
+// encodeRecord frames one logged write: the header words, then the
+// point, all little-endian 64-bit. A classification record's header is
+// the label; a clustering record's is the logical timestamp and the
+// granted descent budget — the two inputs besides the point that make a
+// ClusTree descent deterministic.
+func encodeRecord(x []float64, head ...int64) []byte {
+	b := make([]byte, 8*(len(head)+len(x)))
+	for i, v := range head {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+	}
 	for i, v := range x {
-		binary.LittleEndian.PutUint64(b[8+8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(b[8*(len(head)+i):], math.Float64bits(v))
 	}
 	return b
 }
 
-// decodeClassRecord is the inverse of encodeClassRecord.
-func decodeClassRecord(dim int, p []byte) (label int, x []float64, err error) {
-	if len(p) != 8+8*dim {
-		return 0, nil, fmt.Errorf("server: class record %d bytes, want %d", len(p), 8+8*dim)
+// decodeRecord is the inverse of encodeRecord for a record of nhead
+// (at most two) header words and a dim-dimensional point.
+func decodeRecord(p []byte, nhead, dim int) (head [2]int64, x []float64, err error) {
+	if len(p) != 8*(nhead+dim) {
+		return head, nil, fmt.Errorf("server: WAL record %d bytes, want %d", len(p), 8*(nhead+dim))
 	}
-	label = int(int64(binary.LittleEndian.Uint64(p[0:8])))
+	for i := 0; i < nhead; i++ {
+		head[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
+	}
 	x = make([]float64, dim)
 	for i := range x {
-		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8+8*i:]))
+		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*(nhead+i):]))
 	}
-	return label, x, nil
-}
-
-// encodeClusterRecord frames one clustering ingest: the logical
-// timestamp and granted descent budget — the two inputs besides the
-// point that make a ClusTree descent deterministic — then the point.
-func encodeClusterRecord(ts int64, granted int, x []float64) []byte {
-	b := make([]byte, 16+8*len(x))
-	binary.LittleEndian.PutUint64(b[0:8], uint64(ts))
-	binary.LittleEndian.PutUint64(b[8:16], uint64(int64(granted)))
-	for i, v := range x {
-		binary.LittleEndian.PutUint64(b[16+8*i:], math.Float64bits(v))
-	}
-	return b
-}
-
-// decodeClusterRecord is the inverse of encodeClusterRecord.
-func decodeClusterRecord(dim int, p []byte) (ts int64, granted int, x []float64, err error) {
-	if len(p) != 16+8*dim {
-		return 0, 0, nil, fmt.Errorf("server: cluster record %d bytes, want %d", len(p), 16+8*dim)
-	}
-	ts = int64(binary.LittleEndian.Uint64(p[0:8]))
-	granted = int(int64(binary.LittleEndian.Uint64(p[8:16])))
-	x = make([]float64, dim)
-	for i := range x {
-		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[16+8*i:]))
-	}
-	return ts, granted, x, nil
+	return head, x, nil
 }
 
 // ---------------------------------------------------------------------
-// classification workload
+// opening a durability directory
 
 // OpenDurableServer opens (or creates) the durable classification state
 // at dopts.Dir: when a manifest exists its snapshot generation is
 // loaded and bootstrap is not called; otherwise bootstrap supplies the
 // initial server (empty shards, a data set, or a legacy snapshot file).
-// The returned server is recovering — /healthz fails and writes are
-// rejected — until Recover replays the WAL tail. The directory is
+// The returned server is recovering — /readyz answers 503 and writes
+// are rejected — until Recover replays the WAL tail. The directory is
 // locked (flock) for the life of the server, so a second process
 // pointed at the same -wal-dir fails here instead of truncating live
 // segments out from under the first.
 func OpenDurableServer(dopts DurabilityOptions, cfg Config, bootstrap func() (*Server, error)) (*Server, error) {
-	s, do, err := openDurable(dopts, func(r io.Reader) (*Server, error) {
-		return FromSnapshot(r, cfg)
-	}, bootstrap)
-	if err != nil {
-		return nil, err
-	}
-	s.attachDurability(dopts, do)
-	return s, nil
+	return openDurable(dopts, func(r io.Reader) (*Server, error) { return FromSnapshot(r, cfg) }, bootstrap)
+}
+
+// OpenDurableCluster is OpenDurableServer for the clustering workload.
+func OpenDurableCluster(dopts DurabilityOptions, cfg Config, copts ClusterOptions, bootstrap func() (*ClusterServer, error)) (*ClusterServer, error) {
+	return openDurable(dopts, func(r io.Reader) (*ClusterServer, error) { return ClusterFromSnapshot(r, cfg, copts) }, bootstrap)
 }
 
 // openDurable is the open sequence both workloads share: lock + sweep
 // the directory, load the manifest, decode its checkpoint snapshot (or
-// bootstrap a fresh model), and check the shard layout. On error the
-// directory lock is released.
-func openDurable[S interface {
-	comparable
-	NumShards() int
-}](dopts DurabilityOptions, decode func(io.Reader) (S, error), bootstrap func() (S, error)) (S, durOpen, error) {
+// bootstrap a fresh model), check the shard layout and arm the
+// durability state. On error the directory lock is released.
+func openDurable[S Served](dopts DurabilityOptions, decode func(io.Reader) (S, error), bootstrap func() (S, error)) (S, error) {
 	var zero S
 	do, err := openDurableDir(dopts)
 	if err != nil {
-		return zero, do, err
+		return zero, err
 	}
-	fail := func(err error) (S, durOpen, error) {
+	fail := func(err error) (S, error) {
 		do.lock.Close()
-		return zero, durOpen{}, err
+		return zero, err
 	}
 	var s S
 	if do.hadState && do.manifest.Snapshot != "" {
@@ -450,7 +547,8 @@ func openDurable[S interface {
 	if do.hadState && do.manifest.Shards != s.NumShards() {
 		return fail(fmt.Errorf("server: manifest has %d shards, model has %d", do.manifest.Shards, s.NumShards()))
 	}
-	return s, do, nil
+	s.attachDurability(dopts, do)
+	return s, nil
 }
 
 // openDurableDir validates the options, creates and exclusively locks
@@ -495,215 +593,4 @@ func lockDir(dir string) (*os.File, error) {
 		return nil, fmt.Errorf("server: durability dir %s is in use by another process: %w", dir, err)
 	}
 	return f, nil
-}
-
-// Recover replays the WAL tail into the shard trees, opens the logs for
-// appending and — when anything was replayed or this is a fresh
-// directory — folds the result into a new checkpoint, so the next
-// restart replays from a short log. Idempotent once recovered.
-func (s *Server) Recover() error {
-	d := s.dur
-	if d == nil {
-		return fmt.Errorf("server: durability not configured")
-	}
-	if !d.recovering.Load() {
-		return nil
-	}
-	for i, sh := range s.shards {
-		r, err := wal.OpenReader(shardWALDir(d.opts.Dir, i), s.shardLogStart(i))
-		if err != nil {
-			return fmt.Errorf("server: wal shard %d: %w", i, err)
-		}
-		err = func() error {
-			defer r.Close()
-			for {
-				payload, err := r.Next()
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				label, x, err := decodeClassRecord(s.dim, payload)
-				if err != nil {
-					return err
-				}
-				// The shard lock keeps replay exclusive against a running
-				// decay-maintenance loop.
-				sh.mu.Lock()
-				err = sh.tree.Insert(x, label)
-				sh.mu.Unlock()
-				if err != nil {
-					return fmt.Errorf("replay: %w", err)
-				}
-				d.replayed.Add(1)
-			}
-		}()
-		if err != nil {
-			return fmt.Errorf("server: wal shard %d: %w", i, err)
-		}
-		d.dropped.Add(int64(r.Dropped()))
-	}
-	if err := s.openLogs(); err != nil {
-		return err
-	}
-	// Replay leaves the descent mirrors unpublished (every Insert
-	// invalidates); one refresh per shard restores the fast path before
-	// the server starts answering.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		s.refreshShardSoA(sh)
-		sh.mu.Unlock()
-	}
-	s.finishRecovery()
-	if !d.hadState || d.replayed.Load() > 0 || d.dropped.Load() > 0 {
-		return s.Checkpoint()
-	}
-	return nil
-}
-
-// Checkpoint writes a new snapshot generation and truncates the WAL
-// behind it — the durable form of WriteSnapshot. The serving commands
-// run it on drain; long-lived deployments can also call it
-// periodically to bound replay time.
-func (s *Server) Checkpoint() error {
-	return s.checkpoint(func(w io.Writer, trees []*core.MultiTree) error {
-		return persist.EncodeMultiTrees(w, trees)
-	})
-}
-
-// knownLabel reports whether the server predicts this class — the
-// pre-validation that keeps the WAL free of records whose apply would
-// fail.
-func (s *Server) knownLabel(label int) bool {
-	for _, l := range s.labels {
-		if l == label {
-			return true
-		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------
-// clustering workload
-
-// OpenDurableCluster is OpenDurableServer for the clustering workload:
-// manifest + checkpoint snapshot win, otherwise bootstrap supplies the
-// initial server. The result is recovering until Recover completes.
-func OpenDurableCluster(dopts DurabilityOptions, cfg Config, copts ClusterOptions, bootstrap func() (*ClusterServer, error)) (*ClusterServer, error) {
-	s, do, err := openDurable(dopts, func(r io.Reader) (*ClusterServer, error) {
-		return ClusterFromSnapshot(r, cfg, copts)
-	}, bootstrap)
-	if err != nil {
-		return nil, err
-	}
-	s.attachDurability(dopts, do)
-	return s, nil
-}
-
-// clusterReplayHead is one shard's next pending record during the
-// timestamp merge.
-type clusterReplayHead struct {
-	ts      int64
-	granted int
-	x       []float64
-}
-
-// Recover replays the WAL tail into the shard trees. The per-shard logs
-// are merged by logical timestamp so the global clock — and the
-// pyramidal store's recording boundaries — advance exactly as they did
-// in the original run, then the logs open for appending and the result
-// is folded into a new checkpoint. Idempotent once recovered.
-func (s *ClusterServer) Recover() error {
-	d := s.dur
-	if d == nil {
-		return fmt.Errorf("server: durability not configured")
-	}
-	if !d.recovering.Load() {
-		return nil
-	}
-	readers := make([]*wal.Reader, len(s.shards))
-	heads := make([]*clusterReplayHead, len(s.shards))
-	defer func() {
-		for _, r := range readers {
-			if r != nil {
-				r.Close()
-			}
-		}
-	}()
-	advance := func(i int) error {
-		heads[i] = nil
-		payload, err := readers[i].Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("server: wal shard %d: %w", i, err)
-		}
-		ts, granted, x, err := decodeClusterRecord(s.ccfg.Dim, payload)
-		if err != nil {
-			return fmt.Errorf("server: wal shard %d: %w", i, err)
-		}
-		heads[i] = &clusterReplayHead{ts: ts, granted: granted, x: x}
-		return nil
-	}
-	for i := range s.shards {
-		r, err := wal.OpenReader(shardWALDir(d.opts.Dir, i), s.shardLogStart(i))
-		if err != nil {
-			return fmt.Errorf("server: wal shard %d: %w", i, err)
-		}
-		readers[i] = r
-		if err := advance(i); err != nil {
-			return err
-		}
-	}
-	for {
-		best := -1
-		for i, h := range heads {
-			if h != nil && (best < 0 || h.ts < heads[best].ts) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		h := heads[best]
-		sh := s.shards[best]
-		// The shard lock keeps replay exclusive against a running decay-
-		// maintenance loop.
-		sh.mu.Lock()
-		if h.ts > s.clock.Load() {
-			s.clock.Store(h.ts)
-		}
-		_, err := sh.tree.t.InsertCounted(h.x, float64(h.ts), h.granted)
-		sh.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("server: replay shard %d: %w", best, err)
-		}
-		d.replayed.Add(1)
-		s.maybeRecord(h.ts)
-		if err := advance(best); err != nil {
-			return err
-		}
-	}
-	for i, r := range readers {
-		d.dropped.Add(int64(r.Dropped()))
-		readers[i] = nil
-		r.Close()
-	}
-	if err := s.openLogs(); err != nil {
-		return err
-	}
-	s.finishRecovery()
-	if !d.hadState || d.replayed.Load() > 0 || d.dropped.Load() > 0 {
-		return s.Checkpoint()
-	}
-	return nil
-}
-
-// Checkpoint writes a new snapshot generation (trees, pyramidal store,
-// clock) and truncates the WAL behind it — the durable form of
-// WriteSnapshot.
-func (s *ClusterServer) Checkpoint() error {
-	return s.checkpoint(s.encodeSet)
 }

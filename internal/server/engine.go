@@ -2,6 +2,8 @@ package server
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,9 +28,13 @@ import (
 //     sweeps faded mass one short write-lock slice at a time;
 //   - draining state for graceful shutdown behind a load balancer.
 //
-// A workload plugs in by implementing Model for its per-shard type and
-// embedding engine[M]; Server (classification) and ClusterServer
-// (clustering) are the two instantiations.
+// A workload plugs in by implementing Model for its per-shard type,
+// embedding engine[M] and handing init a workload descriptor; Server
+// (classification) and ClusterServer (clustering) are the two
+// instantiations. Everything in the lifecycle that is not a model
+// operation — recovery, checkpoints, replication, promotion, the shared
+// HTTP routes — is written once here against that descriptor and
+// reaches the outer types by method promotion.
 
 // Model is the per-shard contract a workload implements to be served by
 // the engine: size and mass accounting for budget splitting and stats,
@@ -67,6 +73,66 @@ type soaShard interface {
 	SoACounters() (rebuilds, patches, invalidations int64)
 }
 
+// Served is the lifecycle surface of a served workload — the one
+// description the Follower, the multi-tenant registry and the serving
+// commands all drive a model through. *Server and *ClusterServer are its
+// two implementations and get all of it but Handler from the embedded
+// engine. It is a type constraint (servers are compared against their
+// zero value) and closed to this package.
+type Served interface {
+	comparable
+	// Handler serves the workload's HTTP endpoints.
+	Handler() http.Handler
+	// ReplicateHandler serves only /replicate, for a second listener.
+	ReplicateHandler() http.Handler
+	// Recover replays the WAL tail; the server is recovering until then.
+	Recover() error
+	// Checkpoint folds the WAL into a new snapshot generation.
+	Checkpoint() error
+	// WriteSnapshot encodes the whole model as one consistent cut.
+	WriteSnapshot(w io.Writer) error
+	// Promote makes this server the primary of a new fencing epoch.
+	Promote() error
+	// ApplyReplicated logs and applies one record shipped by a primary.
+	ApplyReplicated(shard int, payload []byte) error
+	// CloseDurability closes the WAL and releases the directory lock.
+	CloseDurability() error
+	// Close stops background maintenance.
+	Close()
+	// SetDraining flips the draining state /readyz reports.
+	SetDraining(v bool)
+	// Len is the observation count, NumShards the shard count and
+	// ApproxBytes an estimate of resident memory.
+	Len() int
+	NumShards() int
+	ApproxBytes() int64
+	// Generation is the checkpoint generation, Epoch the fencing epoch.
+	Generation() uint64
+	Epoch() uint64
+
+	attachDurability(DurabilityOptions, durOpen)
+	role() *replState
+}
+
+// workload is what the engine must be told about the model it serves,
+// set once at init.
+type workload[M Model] struct {
+	// name labels the workload on the replication wire
+	// (replica.WorkloadClassify or replica.WorkloadCluster).
+	name string
+	// encode writes the whole-model snapshot; the caller holds every
+	// shard lock, so it sees one consistent cut.
+	encode func(w io.Writer, models []M) error
+	// record decodes one WAL record, on replay or shipped by a primary.
+	// at is its logical time (0 when the workload has no clock); apply
+	// runs under the owning shard's write lock and cannot fail for a
+	// record that was validated before it was logged; after, when
+	// non-nil, runs once that lock is released.
+	record func(payload []byte) (at int64, apply func(sh *shard[M]) error, after func(), err error)
+	// stats is the /stats value.
+	stats func() any
+}
+
 // shard is one partition of a served model behind a reader/writer lock.
 type shard[M Model] struct {
 	mu   sync.RWMutex
@@ -77,6 +143,7 @@ type shard[M Model] struct {
 // safe for concurrent use.
 type engine[M Model] struct {
 	cfg      Config
+	wl       workload[M]
 	shards   []*shard[M]
 	admit    *tokenBucket
 	start    time.Time
@@ -121,12 +188,13 @@ type engine[M Model] struct {
 // init wires the engine over pre-built per-shard models: admission,
 // decay override and the background maintenance loop. exclusive marks
 // workloads whose reads mutate the model.
-func (e *engine[M]) init(models []M, cfg Config, exclusive bool) error {
+func (e *engine[M]) init(models []M, cfg Config, exclusive bool, wl workload[M]) error {
 	if len(models) == 0 {
 		return fmt.Errorf("server: no shards")
 	}
 	cfg = cfg.withDefaults()
 	e.cfg = cfg
+	e.wl = wl
 	e.exclusive = exclusive
 	e.start = time.Now()
 	for _, m := range models {
@@ -293,11 +361,11 @@ func (e *engine[M]) Len() int {
 	return total
 }
 
-// SetDraining marks the engine as draining (or not): /healthz starts
-// failing so load balancers stop routing here and newly arriving
-// requests are rejected with 503. Requests already being processed are
-// unaffected — the serving commands pair this with http.Server.Shutdown,
-// which waits for them to finish.
+// SetDraining marks the engine as draining (or not): /readyz answers
+// 503 so load balancers stop routing here (/healthz stays 200 — the
+// process is alive) and newly arriving requests are rejected with 503.
+// Requests already being processed are unaffected — the serving
+// commands pair this with http.Server.Shutdown, which waits for them.
 func (e *engine[M]) SetDraining(v bool) { e.draining.Store(v) }
 
 // Draining reports whether the engine is draining.
@@ -401,6 +469,14 @@ func (e *engine[M]) withAllRead(fn func(models []M) error) error {
 		models[i] = sh.tree
 	}
 	return fn(models)
+}
+
+// WriteSnapshot encodes the whole model — every shard, plus whatever
+// else the workload keeps beside them — into one versioned snapshot. It
+// holds all shard locks for the duration, so the snapshot is a
+// consistent cut: writes wait, and so do reads of exclusive workloads.
+func (e *engine[M]) WriteSnapshot(w io.Writer) error {
+	return e.withAllRead(func(models []M) error { return e.wl.encode(w, models) })
 }
 
 // baseStats fills the workload-agnostic part of a Stats summary.

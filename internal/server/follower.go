@@ -33,27 +33,8 @@ import (
 // error, just "wait for the primary to ship one".
 var errNoLocalState = errors.New("server: follower has no local state yet")
 
-// replicaModel is the workload-server surface a Follower drives. Both
-// *Server and *ClusterServer satisfy it (the lower-case methods are
-// promoted from the embedded engine).
-type replicaModel interface {
-	comparable
-	NumShards() int
-	Handler() http.Handler
-	Recover() error
-	Checkpoint() error
-	Promote() error
-	Epoch() uint64
-	ApplyReplicated(shard int, payload []byte) error
-	SetDraining(v bool)
-	Close()
-	CloseDurability() error
-	setFollower(url string)
-	setAppliedBase(lsn uint64)
-	markCaughtUp(lsn uint64)
-	markCaughtUpNow()
-	setReplConnected(ok bool)
-}
+// replicaModel is the constraint on a Follower's server type.
+type replicaModel = Served
 
 // Follower is a replica of a primary serving process: it implements
 // replica.Sink over a durable workload server, serving follower reads
@@ -63,7 +44,7 @@ type Follower[S replicaModel] struct {
 	dopts      DurabilityOptions
 	workload   string
 	primaryURL string
-	open       func() (S, error)
+	decode     func(io.Reader) (S, error)
 
 	mu       sync.RWMutex
 	cur      S // zero until the first bootstrap (or warm start) lands
@@ -76,28 +57,28 @@ type Follower[S replicaModel] struct {
 // is recovered and served immediately; otherwise reads answer 503 until
 // the first bootstrap arrives. Drive it with a replica.Tailer.
 func NewFollowerServer(dopts DurabilityOptions, cfg Config, primaryURL string) (*Follower[*Server], error) {
-	f := &Follower[*Server]{
-		dopts:      dopts,
-		workload:   replica.WorkloadClassify,
-		primaryURL: primaryURL,
-	}
-	f.open = func() (*Server, error) {
-		return OpenDurableServer(dopts, cfg, func() (*Server, error) { return nil, errNoLocalState })
-	}
-	return f, f.warmStart()
+	return newFollower(replica.WorkloadClassify, dopts, primaryURL, func(r io.Reader) (*Server, error) { return FromSnapshot(r, cfg) })
 }
 
 // NewFollowerCluster is NewFollowerServer for the clustering workload.
 func NewFollowerCluster(dopts DurabilityOptions, cfg Config, copts ClusterOptions, primaryURL string) (*Follower[*ClusterServer], error) {
-	f := &Follower[*ClusterServer]{
-		dopts:      dopts,
-		workload:   replica.WorkloadCluster,
-		primaryURL: primaryURL,
-	}
-	f.open = func() (*ClusterServer, error) {
-		return OpenDurableCluster(dopts, cfg, copts, func() (*ClusterServer, error) { return nil, errNoLocalState })
-	}
+	return newFollower(replica.WorkloadCluster, dopts, primaryURL, func(r io.Reader) (*ClusterServer, error) { return ClusterFromSnapshot(r, cfg, copts) })
+}
+
+// newFollower builds a follower of the named workload, whose snapshots
+// decode decodes, and warm-starts it.
+func newFollower[S replicaModel](workload string, dopts DurabilityOptions, primaryURL string, decode func(io.Reader) (S, error)) (*Follower[S], error) {
+	f := &Follower[S]{dopts: dopts, workload: workload, primaryURL: primaryURL, decode: decode}
 	return f, f.warmStart()
+}
+
+// open opens the follower's durable state through the standard path;
+// a directory with no checkpoint yet yields errNoLocalState.
+func (f *Follower[S]) open() (S, error) {
+	return openDurable(f.dopts, f.decode, func() (S, error) {
+		var zero S
+		return zero, errNoLocalState
+	})
 }
 
 // warmStart recovers existing local state so a restarted follower
@@ -115,25 +96,30 @@ func (f *Follower[S]) warmStart() error {
 		s.CloseDurability()
 		return err
 	}
-	s.setFollower(f.primaryURL)
+	s.role().setFollower(f.primaryURL)
 	f.mu.Lock()
 	f.cur = s
 	f.mu.Unlock()
 	return nil
 }
 
-// current returns the follower's live server (zero before the first
-// bootstrap).
-func (f *Follower[S]) current() S {
+// Current returns the follower's live workload server, or the zero
+// value before the first bootstrap lands. Promotion does not change the
+// returned server — after Promote it simply serves writes too.
+func (f *Follower[S]) Current() S {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.cur
 }
 
-// Current returns the follower's live workload server, or the zero
-// value before the first bootstrap lands. Promotion does not change the
-// returned server — after Promote it simply serves writes too.
-func (f *Follower[S]) Current() S { return f.current() }
+// ifLive runs fn on the live server; before the first bootstrap there
+// is none and it does nothing.
+func (f *Follower[S]) ifLive(fn func(S)) {
+	var zero S
+	if s := f.Current(); s != zero {
+		fn(s)
+	}
+}
 
 // Bootstrap implements replica.Sink: it replaces the follower's state
 // with the shipped checkpoint. The snapshot is written into the
@@ -222,9 +208,9 @@ func (f *Follower[S]) Bootstrap(h replica.Header, snapshot io.Reader) error {
 		s.CloseDurability()
 		return fmt.Errorf("server: bootstrapped model has %d shards, header promised %d", s.NumShards(), h.Shards)
 	}
-	s.setFollower(f.primaryURL)
-	s.setAppliedBase(h.BaseLSN)
-	s.markCaughtUpNow()
+	s.role().setFollower(f.primaryURL)
+	s.role().setAppliedBase(h.BaseLSN)
+	s.role().markCaughtUpNow()
 	f.cur = s
 	return nil
 }
@@ -233,7 +219,7 @@ func (f *Follower[S]) Bootstrap(h replica.Header, snapshot io.Reader) error {
 // applied on the owning shard.
 func (f *Follower[S]) Apply(shard int, payload []byte) error {
 	var zero S
-	s := f.current()
+	s := f.Current()
 	if s == zero {
 		return fmt.Errorf("server: apply before bootstrap")
 	}
@@ -243,19 +229,13 @@ func (f *Follower[S]) Apply(shard int, payload []byte) error {
 // CaughtUp implements replica.Sink: a primary heartbeat at shipped LSN
 // lsn resets the staleness clock if we have applied that far.
 func (f *Follower[S]) CaughtUp(lsn uint64) {
-	var zero S
-	if s := f.current(); s != zero {
-		s.markCaughtUp(lsn)
-	}
+	f.ifLive(func(s S) { s.role().markCaughtUp(lsn) })
 }
 
 // Connected implements replica.Sink, recording tail connectivity for
 // /stats.
 func (f *Follower[S]) Connected(ok bool) {
-	var zero S
-	if s := f.current(); s != zero {
-		s.setReplConnected(ok)
-	}
+	f.ifLive(func(s S) { s.role().connected.Store(ok) })
 }
 
 // Epoch returns the follower's current fencing epoch — what its tailer
@@ -263,7 +243,7 @@ func (f *Follower[S]) Connected(ok bool) {
 // to the on-disk manifest (0 when none).
 func (f *Follower[S]) Epoch() uint64 {
 	var zero S
-	if s := f.current(); s != zero {
+	if s := f.Current(); s != zero {
 		return s.Epoch()
 	}
 	if m, ok, err := persist.LoadManifest(f.dopts.Dir); err == nil && ok {
@@ -279,7 +259,7 @@ func (f *Follower[S]) Epoch() uint64 {
 func (f *Follower[S]) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var zero S
-		if s := f.current(); s != zero {
+		if s := f.Current(); s != zero {
 			s.Handler().ServeHTTP(w, r)
 			return
 		}
@@ -307,7 +287,7 @@ func (f *Follower[S]) Handler() http.Handler {
 // anything probes it with the new epoch.
 func (f *Follower[S]) Promote() error {
 	var zero S
-	s := f.current()
+	s := f.Current()
 	if s == zero {
 		return fmt.Errorf("server: nothing to promote: no bootstrap received yet")
 	}
@@ -342,26 +322,18 @@ func fenceProbe(primaryURL string, epoch uint64) {
 // SetDraining forwards draining state to the wrapped server (no-op
 // before the first bootstrap).
 func (f *Follower[S]) SetDraining(v bool) {
-	var zero S
-	if s := f.current(); s != zero {
-		s.SetDraining(v)
-	}
+	f.ifLive(func(s S) { s.SetDraining(v) })
 }
 
 // Close stops the wrapped server's background maintenance (no-op before
 // the first bootstrap).
-func (f *Follower[S]) Close() {
-	var zero S
-	if s := f.current(); s != zero {
-		s.Close()
-	}
-}
+func (f *Follower[S]) Close() { f.ifLive(S.Close) }
 
 // Persist cuts a final checkpoint and closes the durability layer — the
 // follower's shutdown path. Stop the tailer first.
 func (f *Follower[S]) Persist() error {
 	var zero S
-	s := f.current()
+	s := f.Current()
 	if s == zero {
 		return nil
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -28,6 +29,11 @@ import (
 // per request line in order, flushed per window — so a client can pipe
 // an unbounded stream through a single connection and read predictions
 // while it is still sending.
+//
+// /stats, /healthz, /readyz and /replicate, the write guard and the
+// body-or-NDJSON item route are the engine's: written once below, the
+// same for every workload. A workload's Handler adds its model routes
+// to engine.mux.
 
 // streamWindow is how many NDJSON lines are classified per parallel
 // window; it bounds both latency-to-first-byte and per-window memory.
@@ -66,14 +72,73 @@ type lineResponse struct {
 // Handler returns the HTTP handler serving the six endpoints:
 // /classify, /insert, /stats, /healthz, /readyz and /replicate.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/classify", s.handleClassify)
-	mux.HandleFunc("/insert", s.handleInsert)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/replicate", s.handleReplicate)
+	mux := s.mux()
+	// Windows of /classify lines are classified by a worker pool, each
+	// item admitted individually.
+	mux.HandleFunc("/classify", itemHandler(&s.engine, itemRoute[classifyRequest]{
+		workers: 8,
+		badLine: "bad request line",
+		serve:   func(req classifyRequest, _ bool) (any, error) { return s.classifyWire(req) },
+		errLine: func(msg string) any { return lineResponse{Error: msg} },
+	}))
+	// Inserts stay sequential — each takes its shard's write lock — but
+	// the single connection amortises transport overhead for bulk ingest
+	// while classifications keep flowing on other connections.
+	mux.HandleFunc("/insert", itemHandler(&s.engine, itemRoute[insertRequest]{
+		write:   true,
+		workers: 1,
+		badLine: "bad insert line",
+		serve: func(req insertRequest, stream bool) (any, error) {
+			if err := s.Insert(req.X, req.Label); err != nil {
+				return nil, err
+			}
+			if stream {
+				return map[string]interface{}{"ok": true}, nil
+			}
+			return map[string]interface{}{"ok": true, "observations": s.Len()}, nil
+		},
+		errLine: func(msg string) any { return map[string]interface{}{"error": msg} },
+	}))
 	return mux
+}
+
+// mux returns a mux serving the routes every workload answers alike —
+// /stats, /healthz, /readyz and /replicate.
+func (e *engine[M]) mux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/stats", getOnly(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, e.wl.stats())
+	}))
+	// Pure liveness: 200 as long as the process is up and listening, even
+	// mid-recovery — so orchestrators do not kill a process that is busy
+	// replaying its WAL. Routability is /readyz's job.
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
+	// Readiness: 503 + Retry-After while WAL replay is rebuilding the
+	// model or the process is draining, 200 otherwise — the endpoint load
+	// balancers should route on.
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case e.Recovering():
+			writeNotReady(w, "recovering")
+		case e.Draining():
+			writeNotReady(w, "draining")
+		default:
+			fmt.Fprintln(w, "ok")
+		}
+	})
+	mux.HandleFunc("/replicate", e.handleReplicate)
+	return mux
+}
+
+// getOnly answers anything but a GET with 405.
+func getOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			return
+		}
+		h(w, r)
+	}
 }
 
 // isStream reports whether the request carries an NDJSON batch body.
@@ -109,20 +174,6 @@ func writeNotReady(w http.ResponseWriter, reason string) {
 	http.Error(w, reason, http.StatusServiceUnavailable)
 }
 
-// writeReady is the shared /readyz body: 503 + Retry-After while the
-// process cannot serve (recovering or draining), 200 otherwise.
-func writeReady(w http.ResponseWriter, recovering, draining bool) {
-	if recovering || draining {
-		reason := "draining"
-		if recovering {
-			reason = "recovering"
-		}
-		writeNotReady(w, reason)
-		return
-	}
-	fmt.Fprintln(w, "ok")
-}
-
 // redirectToPrimary answers a write sent to a follower with a 307 to
 // the same path on the primary — the method and body are preserved by
 // conforming clients, so a retried insert lands where it belongs.
@@ -152,32 +203,6 @@ func (s *Server) classifyWire(req classifyRequest) (Result, error) {
 	return res, nil
 }
 
-func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if s.Draining() {
-		writeUnavailable(w, "draining")
-		return
-	}
-	if isStream(r) {
-		s.streamClassify(w, r)
-		return
-	}
-	var req classifyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	res, err := s.classifyWire(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
 // enableFullDuplex opts the connection out of the HTTP/1 server's
 // default of consuming (closing) the unread request body as soon as
 // the handler writes response bytes. The NDJSON endpoints interleave
@@ -203,7 +228,7 @@ func enableFullDuplex(w http.ResponseWriter) {
 // lines than request lines; errLine builds the terminal error line that
 // lets the client tell truncation from completion.
 func ndjsonStream(w http.ResponseWriter, r *http.Request,
-	process func(lines []string) []interface{}, errLine func(msg string) interface{}) {
+	process func(lines []string) []interface{}, errLine func(msg string) any) {
 	enableFullDuplex(w)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
@@ -252,110 +277,84 @@ func ndjsonStream(w http.ResponseWriter, r *http.Request,
 	}
 }
 
-// streamClassify serves the NDJSON batch form: windows of request lines
-// are classified by a worker pool (each item admitted individually),
-// and response lines are written in input order and flushed per window.
-func (s *Server) streamClassify(w http.ResponseWriter, r *http.Request) {
-	ndjsonStream(w, r, func(lines []string) []interface{} {
-		responses := make([]interface{}, len(lines))
-		runPool(len(lines), 8, func(i int) {
-			var req classifyRequest
-			if err := json.Unmarshal([]byte(lines[i]), &req); err != nil {
-				responses[i] = lineResponse{Error: fmt.Sprintf("bad request line: %v", err)}
-				return
-			}
-			res, err := s.classifyWire(req)
-			if err != nil {
-				responses[i] = lineResponse{Error: err.Error()}
-				return
-			}
-			responses[i] = lineResponse{Result: res}
-		})
-		return responses
-	}, func(msg string) interface{} {
-		return lineResponse{Error: msg}
-	})
+// itemRoute describes one POST endpoint that takes one JSON item per
+// request body or, as NDJSON, one item per line.
+type itemRoute[R any] struct {
+	// write routes pass the write guard before anything is read.
+	write bool
+	// workers sizes the pool that serves one NDJSON window; 1 keeps a
+	// stream's items strictly sequential.
+	workers int
+	// badLine prefixes the error of a line that does not decode.
+	badLine string
+	// serve answers one decoded item; stream reports the NDJSON form.
+	serve func(req R, stream bool) (any, error)
+	// errLine shapes a failed line's response (the stream keeps going).
+	errLine func(msg string) any
 }
 
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if primary := s.followerRedirect(); primary != "" {
-		redirectToPrimary(w, r, primary)
-		return
-	}
-	if s.replFenced() {
-		writeError(w, http.StatusServiceUnavailable, "fenced: a newer primary (epoch %d) exists", s.repl.fencedBy.Load())
-		return
-	}
-	if s.Recovering() {
-		writeUnavailable(w, "recovering: WAL replay in progress")
-		return
-	}
-	if s.Draining() {
-		writeUnavailable(w, "draining")
-		return
-	}
-	if isStream(r) {
-		s.streamInsert(w, r)
-		return
-	}
-	var req insertRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if err := s.Insert(req.X, req.Label); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"ok": true, "observations": s.Len()})
-}
-
-// streamInsert serves the NDJSON batch insert form: one ack line per
-// input line, in order. Inserts stay sequential — each takes its
-// shard's write lock — but the single connection amortises transport
-// overhead for bulk ingest while classifications keep flowing on other
-// connections.
-func (s *Server) streamInsert(w http.ResponseWriter, r *http.Request) {
-	ndjsonStream(w, r, func(lines []string) []interface{} {
-		acks := make([]interface{}, len(lines))
-		for i, line := range lines {
-			var req insertRequest
-			if err := json.Unmarshal([]byte(line), &req); err != nil {
-				acks[i] = map[string]interface{}{"error": fmt.Sprintf("bad insert line: %v", err)}
-			} else if err := s.Insert(req.X, req.Label); err != nil {
-				acks[i] = map[string]interface{}{"error": err.Error()}
-			} else {
-				acks[i] = map[string]interface{}{"ok": true}
+// itemHandler serves an itemRoute. A request is refused in fixed order:
+// 405 for a non-POST, then for write routes 307 to the primary on a
+// follower, 503 when fenced, 503 + Retry-After while recovering, and
+// for every route 503 + Retry-After while draining.
+func itemHandler[M Model, R any](e *engine[M], rt itemRoute[R]) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			writeError(w, http.StatusMethodNotAllowed, "POST only")
+			return
+		}
+		if rt.write {
+			if primary := e.followerRedirect(); primary != "" {
+				redirectToPrimary(w, r, primary)
+				return
+			}
+			if e.replFenced() {
+				writeError(w, http.StatusServiceUnavailable, "fenced: a newer primary (epoch %d) exists", e.repl.fencedBy.Load())
+				return
+			}
+			if e.Recovering() {
+				writeUnavailable(w, "recovering: WAL replay in progress")
+				return
 			}
 		}
-		return acks
-	}, func(msg string) interface{} {
-		return map[string]interface{}{"error": msg}
-	})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
+		if e.Draining() {
+			writeUnavailable(w, "draining")
+			return
+		}
+		if isStream(r) {
+			ndjsonStream(w, r, func(lines []string) []interface{} {
+				responses := make([]interface{}, len(lines))
+				runPool(len(lines), rt.workers, func(i int) {
+					var req R
+					if err := json.Unmarshal([]byte(lines[i]), &req); err != nil {
+						responses[i] = rt.errLine(fmt.Sprintf("%s: %v", rt.badLine, err))
+					} else if res, err := rt.serve(req, true); err != nil {
+						responses[i] = rt.errLine(err.Error())
+					} else {
+						responses[i] = res
+					}
+				})
+				return responses
+			}, rt.errLine)
+			return
+		}
+		var req R
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+			return
+		}
+		res, err := rt.serve(req, false)
+		switch {
+		case err == nil:
+			writeJSON(w, http.StatusOK, res)
+		case errors.Is(err, errRecovering), errors.Is(err, errFenced), errors.Is(err, errFollower):
+			// The state changed between the guard and the write: answer what
+			// the guard would have, so proxies re-probe instead of giving up.
+			writeUnavailable(w, "%v", err)
+		case errors.Is(err, errWAL):
+			writeError(w, http.StatusInternalServerError, "%v", err)
+		default:
+			writeError(w, http.StatusBadRequest, "%v", err)
+		}
 	}
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// handleHealthz is pure liveness: 200 as long as the process is up and
-// listening, even mid-recovery — so orchestrators do not kill a process
-// that is busy replaying its WAL. Routability is /readyz's job.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz is readiness: 503 + Retry-After while WAL replay is
-// rebuilding the model or the process is draining, 200 otherwise — the
-// endpoint load balancers should route on.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	writeReady(w, s.Recovering(), s.Draining())
 }

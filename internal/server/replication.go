@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bayestree/internal/core"
 	"bayestree/internal/persist"
 	"bayestree/internal/replica"
 )
@@ -174,10 +173,13 @@ type replState struct {
 }
 
 // setFollower marks the engine as a follower of the primary at url.
-func (e *engine[M]) setFollower(url string) {
-	e.repl.primary.Store(url)
-	e.repl.follower.Store(true)
+func (r *replState) setFollower(url string) {
+	r.primary.Store(url)
+	r.follower.Store(true)
 }
+
+// role exposes the replication state to the Follower that drives it.
+func (e *engine[M]) role() *replState { return &e.repl }
 
 // followerRedirect returns the primary base URL writes should be
 // redirected to, "" when not a follower.
@@ -209,34 +211,33 @@ func (e *engine[M]) fenceSelf(epoch uint64) {
 
 // setAppliedBase resets the follower's applied-LSN counter to the
 // bootstrap checkpoint's base.
-func (e *engine[M]) setAppliedBase(lsn uint64) { e.repl.applied.Store(lsn) }
+func (r *replState) setAppliedBase(lsn uint64) { r.applied.Store(lsn) }
 
 // markCaughtUp records a primary heartbeat at shipped LSN lsn: if we
 // have applied at least that much, we are provably current as of now.
-func (e *engine[M]) markCaughtUp(lsn uint64) {
-	if e.repl.applied.Load() >= lsn {
-		e.repl.lastCaughtUp.Store(time.Now().UnixNano())
+func (r *replState) markCaughtUp(lsn uint64) {
+	if r.applied.Load() >= lsn {
+		r.markCaughtUpNow()
 	}
 }
 
 // markCaughtUpNow unconditionally resets the staleness clock — used at
 // bootstrap, when the follower state equals the shipped checkpoint by
 // construction.
-func (e *engine[M]) markCaughtUpNow() {
-	e.repl.lastCaughtUp.Store(time.Now().UnixNano())
-}
+func (r *replState) markCaughtUpNow() { r.lastCaughtUp.Store(time.Now().UnixNano()) }
 
-// setReplConnected records tail connectivity for /stats.
-func (e *engine[M]) setReplConnected(ok bool) { e.repl.connected.Store(ok) }
-
-// writeAllowed gates every write path by replication role: followers
-// point the client at the primary, a fenced primary refuses loudly.
+// writeAllowed gates every write path by recovery state and replication
+// role: replay must have finished, followers point the client at the
+// primary, a fenced primary refuses loudly.
 func (e *engine[M]) writeAllowed() error {
+	if e.Recovering() {
+		return errRecovering
+	}
 	if url := e.followerRedirect(); url != "" {
-		return fmt.Errorf("server: read-only follower: writes go to the primary at %s", url)
+		return fmt.Errorf("%w: writes go to the primary at %s", errFollower, url)
 	}
 	if e.replFenced() {
-		return fmt.Errorf("server: fenced: a newer primary (epoch %d) exists, refusing writes", e.repl.fencedBy.Load())
+		return fmt.Errorf("%w: a newer primary (epoch %d) exists, refusing writes", errFenced, e.repl.fencedBy.Load())
 	}
 	return nil
 }
@@ -253,11 +254,12 @@ func (e *engine[M]) Epoch() uint64 {
 	return d.epoch
 }
 
-// promote turns this engine into the primary of a new line of
+// Promote turns this server into the primary of a new line of
 // succession: bump the fencing epoch and cut a checkpoint under it (the
 // manifest write is the durable commit of the new epoch), then drop any
-// follower/fenced role state. checkpoint is the workload's Checkpoint.
-func (e *engine[M]) promote(checkpoint func() error) error {
+// follower/fenced role state. Callers should stop their replication
+// tailer first.
+func (e *engine[M]) Promote() error {
 	d := e.dur
 	if d == nil {
 		return fmt.Errorf("server: promote requires durability (-wal-dir)")
@@ -268,7 +270,7 @@ func (e *engine[M]) promote(checkpoint func() error) error {
 	d.ckptMu.Lock()
 	d.epoch++
 	d.ckptMu.Unlock()
-	if err := checkpoint(); err != nil {
+	if err := e.Checkpoint(); err != nil {
 		d.ckptMu.Lock()
 		d.epoch--
 		d.ckptMu.Unlock()
@@ -277,6 +279,46 @@ func (e *engine[M]) promote(checkpoint func() error) error {
 	e.repl.follower.Store(false)
 	e.repl.fenced.Store(false)
 	clearFenced(d.opts.Dir)
+	return nil
+}
+
+// ApplyReplicated applies one WAL record shipped from a primary to the
+// given shard, through the follower's own log-before-apply path — the
+// replica's on-disk state is itself durable and byte-identical to what
+// the primary logged, and because a record carries every input that
+// makes its apply deterministic, the model is digit-identical to the
+// primary's at the same applied LSN. Used by the replication tailer;
+// not a client API.
+func (e *engine[M]) ApplyReplicated(shard int, payload []byte) error {
+	if e.Recovering() {
+		return errRecovering
+	}
+	if shard < 0 || shard >= len(e.shards) {
+		return fmt.Errorf("server: replicated record for shard %d of %d", shard, len(e.shards))
+	}
+	_, apply, after, err := e.wl.record(payload)
+	if err != nil {
+		return err
+	}
+	sh := e.shards[shard]
+	sh.mu.Lock()
+	if e.durableOn() {
+		err = e.logAppend(shard, payload)
+	}
+	if err == nil {
+		if err = apply(sh); err == nil {
+			e.refreshShardSoA(sh)
+		}
+	}
+	sh.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	e.inserts.Add(1)
+	e.repl.applied.Add(1)
+	if after != nil {
+		after()
+	}
 	return nil
 }
 
@@ -344,17 +386,11 @@ func clearFenced(dir string) { os.Remove(filepath.Join(dir, fencedName)) }
 // ---------------------------------------------------------------------
 // /replicate endpoint
 
-// serveReplicate streams a checkpoint plus the live WAL tail to one
-// follower: the JSON header line, the snapshot bytes, then record and
-// heartbeat frames until the client goes away or falls too far behind.
-// ckpt is checkpointSubscribe bound to the workload's snapshot encoder.
-func serveReplicate[M Model](
-	e *engine[M],
-	ckpt func(*replSub) (persist.Manifest, *os.File, uint64, error),
-	workload string,
-	w http.ResponseWriter,
-	r *http.Request,
-) {
+// handleReplicate serves GET /replicate: it streams a checkpoint plus
+// the live WAL tail to one follower — the JSON header line, the
+// snapshot bytes, then record and heartbeat frames until the client
+// goes away or falls too far behind.
+func (e *engine[M]) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
@@ -386,7 +422,7 @@ func serveReplicate[M Model](
 	}
 
 	sub := &replSub{ch: make(chan replFrame, replSubBuffer)}
-	m, snap, baseLSN, err := ckpt(sub)
+	m, snap, baseLSN, err := e.checkpointSubscribe(sub)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "checkpoint: %v", err)
 		return
@@ -402,7 +438,7 @@ func serveReplicate[M Model](
 	w.Header().Set("Content-Type", "application/octet-stream")
 	h := replica.Header{
 		Proto:         replica.Proto,
-		Workload:      workload,
+		Workload:      e.wl.name,
 		Generation:    m.Generation,
 		Epoch:         m.Epoch,
 		Shards:        len(e.shards),
@@ -463,43 +499,11 @@ func serveReplicate[M Model](
 	}
 }
 
-// handleReplicate serves GET /replicate for the classification workload.
-func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	serveReplicate(&s.engine, func(sub *replSub) (persist.Manifest, *os.File, uint64, error) {
-		return s.checkpointSubscribe(func(w io.Writer, trees []*core.MultiTree) error {
-			return persist.EncodeMultiTrees(w, trees)
-		}, sub)
-	}, replica.WorkloadClassify, w, r)
-}
-
-// handleReplicate serves GET /replicate for the clustering workload.
-func (s *ClusterServer) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	serveReplicate(&s.engine, func(sub *replSub) (persist.Manifest, *os.File, uint64, error) {
-		return s.checkpointSubscribe(s.encodeSet, sub)
-	}, replica.WorkloadCluster, w, r)
-}
-
 // ReplicateHandler returns an http.Handler exposing only /replicate —
 // for serving the replication stream on a separate listener
 // (-replicate-addr) so follower traffic does not share the public port.
-func (s *Server) ReplicateHandler() http.Handler {
+func (e *engine[M]) ReplicateHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/replicate", s.handleReplicate)
+	mux.HandleFunc("/replicate", e.handleReplicate)
 	return mux
 }
-
-// ReplicateHandler is the clustering form of Server.ReplicateHandler.
-func (s *ClusterServer) ReplicateHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/replicate", s.handleReplicate)
-	return mux
-}
-
-// Promote turns this server into the primary of a new line of
-// succession: the fencing epoch is bumped and durably committed via a
-// fresh checkpoint, and any follower/fenced role state is dropped.
-// Callers should stop their replication tailer first.
-func (s *Server) Promote() error { return s.promote(s.Checkpoint) }
-
-// Promote is the clustering form of Server.Promote.
-func (s *ClusterServer) Promote() error { return s.promote(s.Checkpoint) }

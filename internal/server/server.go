@@ -43,6 +43,7 @@ import (
 
 	"bayestree/internal/core"
 	"bayestree/internal/persist"
+	"bayestree/internal/replica"
 	"bayestree/internal/stats"
 )
 
@@ -137,7 +138,19 @@ func New(trees []*core.MultiTree, cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{labels: labels, dim: dim}
-	if err := s.init(trees, cfg, false); err != nil {
+	err := s.init(trees, cfg, false, workload[*core.MultiTree]{
+		name:   replica.WorkloadClassify,
+		encode: persist.EncodeMultiTrees,
+		record: func(payload []byte) (int64, func(*shard[*core.MultiTree]) error, func(), error) {
+			head, x, err := decodeRecord(payload, 1, dim)
+			if err != nil {
+				return 0, nil, nil, err
+			}
+			return 0, func(sh *shard[*core.MultiTree]) error { return sh.tree.Insert(x, int(head[0])) }, nil, nil
+		},
+		stats: func() any { return s.Stats() },
+	})
+	if err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -170,15 +183,6 @@ func FromSnapshot(r io.Reader, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	return New(trees, cfg)
-}
-
-// WriteSnapshot encodes every shard's tree into one versioned snapshot.
-// It holds all shard read locks for the duration, so the snapshot is a
-// consistent cut: concurrent classifications proceed, inserts wait.
-func (s *Server) WriteSnapshot(w io.Writer) error {
-	return s.withAllRead(func(trees []*core.MultiTree) error {
-		return persist.EncodeMultiTrees(w, trees)
-	})
 }
 
 // Labels returns the class labels the server predicts.
@@ -347,9 +351,6 @@ func (s *Server) Insert(x []float64, label int) error {
 	if len(x) != s.dim {
 		return fmt.Errorf("server: point dim %d != model dim %d", len(x), s.dim)
 	}
-	if s.Recovering() {
-		return errRecovering
-	}
 	if err := s.writeAllowed(); err != nil {
 		return err
 	}
@@ -368,13 +369,13 @@ func (s *Server) Insert(x []float64, label int) error {
 				return fmt.Errorf("server: non-finite coordinate %d", i)
 			}
 		}
-		rec = encodeClassRecord(label, x)
+		rec = encodeRecord(x, int64(label))
 	}
 	sh.mu.Lock()
 	if rec != nil {
 		if err := s.logAppend(idx, rec); err != nil {
 			sh.mu.Unlock()
-			return fmt.Errorf("server: wal: %w", err)
+			return err
 		}
 	}
 	err := sh.tree.Insert(x, label)
@@ -392,45 +393,21 @@ func (s *Server) Insert(x []float64, label int) error {
 	return nil
 }
 
+// knownLabel reports whether the server predicts this class — the
+// pre-validation that keeps the WAL free of records whose apply would
+// fail.
+func (s *Server) knownLabel(label int) bool {
+	for _, l := range s.labels {
+		if l == label {
+			return true
+		}
+	}
+	return false
+}
+
 // Learn is Insert under the name stream.Engine expects, so
 // stream.RunBatch can drive a live server for ingest-while-serving.
 func (s *Server) Learn(x []float64, label int) error { return s.Insert(x, label) }
-
-// ApplyReplicated applies one WAL record shipped from a primary to the
-// given shard, through the follower's own log-before-apply path — the
-// replica's on-disk state is itself durable and byte-identical to what
-// the primary logged. Used by the replication tailer; not a client API.
-func (s *Server) ApplyReplicated(shard int, payload []byte) error {
-	if s.Recovering() {
-		return errRecovering
-	}
-	if shard < 0 || shard >= len(s.shards) {
-		return fmt.Errorf("server: replicated record for shard %d of %d", shard, len(s.shards))
-	}
-	label, x, err := decodeClassRecord(s.dim, payload)
-	if err != nil {
-		return err
-	}
-	sh := s.shards[shard]
-	sh.mu.Lock()
-	if s.durableOn() {
-		if err := s.logAppend(shard, payload); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("server: wal: %w", err)
-		}
-	}
-	err = sh.tree.Insert(x, label)
-	if err == nil {
-		s.refreshShardSoA(sh)
-	}
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.inserts.Add(1)
-	s.repl.applied.Add(1)
-	return nil
-}
 
 // ClassifyBatchBudgets classifies xs[i] with budget budgets[i],
 // returning predictions in input order (workers ≤ 0 = GOMAXPROCS,
@@ -636,7 +613,7 @@ type Stats struct {
 	SoAInvalidations int64 `json:"soa_invalidations"`
 	// Durability reports the write-ahead-log state: whether inserts are
 	// logged, whether WAL replay is still rebuilding the model (writes
-	// rejected, /healthz failing), the replay and group-commit counters
+	// rejected, /readyz answering 503), the replay and group-commit counters
 	// and the current checkpoint generation. All zero when the server
 	// runs memory-only.
 	WALEnabled         bool   `json:"wal_enabled"`
