@@ -171,6 +171,28 @@ func (t *Tree) CountNodes() int {
 	return walk(t.root)
 }
 
+// ApproxBytes estimates the tree's resident memory from its shape: a
+// node is a header and one pointer per entry, an entry two cluster
+// features of two Dim-vectors each. The tree stores no objects, so its
+// size follows the micro-cluster count, not the insert count.
+func (t *Tree) ApproxBytes() int64 {
+	const word, slice int64 = 8, 24
+	nodeBytes := word + slice
+	// The entry, its slot in the node, its two CFs.
+	entryBytes := 3*word + 2*(word+2*slice+2*word*int64(t.cfg.Dim))
+	var walk func(n *node) int64
+	walk = func(n *node) int64 {
+		total := nodeBytes + int64(len(n.entries))*entryBytes
+		if !n.leaf {
+			for _, e := range n.entries {
+				total += walk(e.child)
+			}
+		}
+		return total
+	}
+	return walk(t.root)
+}
+
 // decay brings an entry's CFs forward to time ts.
 func (t *Tree) decay(e *entry, ts float64) {
 	if t.cfg.Lambda == 0 || ts <= e.ts {

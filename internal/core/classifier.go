@@ -285,7 +285,8 @@ func (q *Query) Step() bool {
 		return false
 	}
 	// Stable insertion sort by descending score: class counts are small,
-	// and avoiding sort.SliceStable keeps the step allocation-free.
+	// and avoiding the reflection-based stable sort keeps the step
+	// allocation-free.
 	for a := 1; a < len(rs); a++ {
 		for b := a; b > 0 && rs[b].score > rs[b-1].score; b-- {
 			rs[b], rs[b-1] = rs[b-1], rs[b]

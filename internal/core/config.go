@@ -110,17 +110,3 @@ func (c Config) reinsertCount() int {
 	}
 	return p
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

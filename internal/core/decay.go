@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"bayestree/internal/mbr"
 	"bayestree/internal/stats"
 )
 
@@ -320,17 +319,6 @@ func collectWeightedPoints(n *Node, pts *[][]float64, ws *[]float64) {
 	}
 }
 
-// weightedLeaf builds a leaf from the selected indices of a weighted
-// point set (the split path for leaves that carry decayed weights).
-func weightedLeaf(points [][]float64, weights []float64, idx []int) *Node {
-	n := &Node{leaf: true, points: make([][]float64, len(idx)), weights: make([]float64, len(idx))}
-	for k, i := range idx {
-		n.points[k] = points[i]
-		n.weights[k] = weights[i]
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------
 // MultiTree
 
@@ -341,7 +329,7 @@ func (t *MultiTree) EnableDecay(opts DecayOptions) error {
 		return err
 	}
 	t.decay = opts
-	t.invalidate(nil, false)
+	t.invalidate(nil, 0)
 	return nil
 }
 
@@ -368,7 +356,7 @@ func (t *MultiTree) RestoreDecayState(opts DecayOptions, epoch, ref int64) error
 	t.decay = opts
 	t.epoch = epoch
 	t.refEpoch = ref
-	t.invalidate(nil, false)
+	t.invalidate(nil, 0)
 	return nil
 }
 
@@ -379,7 +367,7 @@ func (t *MultiTree) AdvanceEpoch(n int64) {
 		return
 	}
 	t.epoch += n
-	t.invalidate(nil, false)
+	t.invalidate(nil, 0)
 }
 
 func (t *MultiTree) insertWeight() float64 {
@@ -465,7 +453,7 @@ func (t *MultiTree) DecaySweep() SweepStats {
 		t.counts[c] = root.CFs[c].N
 	}
 	st.PointsPruned = before - t.size
-	t.invalidate(nil, false)
+	t.invalidate(nil, 0)
 	return st
 }
 
@@ -549,17 +537,6 @@ func collectWeightedMultiPoints(n *MultiNode, pts *[]LabeledPoint, ws *[]float64
 	}
 }
 
-// weightedMultiLeaf builds a multi-class leaf from the selected indices
-// of a weighted point set.
-func weightedMultiLeaf(points []LabeledPoint, weights []float64, idx []int) *MultiNode {
-	n := &MultiNode{leaf: true, points: make([]LabeledPoint, len(idx)), weights: make([]float64, len(idx))}
-	for k, i := range idx {
-		n.points[k] = points[i]
-		n.weights[k] = weights[i]
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------
 // Classifier
 
@@ -623,15 +600,4 @@ func (c *Classifier) refreshPriors() {
 			c.logPriors[i] = math.Inf(-1)
 		}
 	}
-}
-
-// splitIndices splits the index set [0, n) of a weighted item slice
-// with the same R* topological split splitItems performs; the caller
-// projects the index groups onto its parallel point/weight arrays.
-func splitIndices(n int, rectOf func(int) mbr.Rect, dim, minFill int) (left, right []int) {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return splitItems(idx, rectOf, dim, minFill)
 }

@@ -100,11 +100,14 @@ type MultiTree struct {
 	// soa publishes the structure-of-arrays mirror for vectorized
 	// descent (nil = unpublished; queries take the pointer loop). The
 	// remaining fields are the refresh bookkeeping, guarded by the same
-	// exclusive-access contract as mutation. See soa.go.
+	// exclusive-access contract as mutation: the retained mirror, and
+	// either a whole build owed (soaStructural) or the nodes inserts
+	// left dirty (changed) and dead (replaced by a split). See soa.go.
 	soa           atomic.Pointer[multiSoA]
 	soaTrack      bool
 	soaStructural bool
 	soaDirty      map[*MultiNode]struct{}
+	soaDead       []*MultiNode
 	soaRetained   *multiSoA
 	soaRebuilds   int64
 	soaPatches    int64
@@ -172,6 +175,32 @@ func (t *MultiTree) Counts() []float64 { return append([]float64(nil), t.counts.
 
 // Root returns the root node for read-only traversal.
 func (t *MultiTree) Root() *MultiNode { return t.root }
+
+// ApproxBytes estimates the tree's resident memory: per node, the
+// parent entry that summarises it — a rectangle, the pooled cluster
+// feature and, per class, a cluster feature and a frozen Gaussian, all
+// vectors of Dim float64s — and per observation its coordinates; plus
+// the descent mirror's blocks, counted exactly. It is an estimate (an
+// entry holds no frozen Gaussian for a class it has not seen, and the
+// allocator rounds sizes up), good to well within a factor of two.
+func (t *MultiTree) ApproxBytes() int64 {
+	const word, slice int64 = 8, 24
+	vec := int64(t.cfg.Dim) * word
+	nc := int64(len(t.labels))
+	cf := word + 2*slice + 2*vec     // stats.CF and its LS, SS
+	frozen := 2*word + 3*slice + vec // stats.FrozenGaussian and its mean
+	if !t.mopts.PooledVariance {
+		frozen += 2 * vec // its own InvVar, LogVar
+	}
+	node := 4 * slice // MultiNode
+	entry := 5*slice + 2*vec + cf + nc*(cf+frozen)
+	point := slice + word + vec // LabeledPoint and its coordinates
+	total := int64(t.CountNodes())*(node+entry) + int64(t.size)*point
+	if s := t.soaRetained; s != nil {
+		total += s.bytes()
+	}
+	return total
+}
 
 // summarize computes the MultiEntry describing node n.
 func (t *MultiTree) summarize(n *MultiNode) MultiEntry {
@@ -324,11 +353,12 @@ func (t *MultiTree) chooseSubtree(n *MultiNode, r mbr.Rect) int {
 	return best
 }
 
-// fixOverflow splits overflowing nodes bottom-up and reports whether any
-// split happened — the signal the SoA mirror uses to tell patchable
-// (path-local) staleness from structural staleness.
-func (t *MultiTree) fixOverflow(path []*MultiNode) bool {
-	split := false
+// fixOverflow splits overflowing nodes bottom-up and reports how many
+// levels of the path, counted from the leaf, it replaced by a pair of
+// new siblings (len(path) when the root split) — what the SoA mirror
+// needs to repair itself along the path: those nodes are gone, the ones
+// above them survive with changed contents.
+func (t *MultiTree) fixOverflow(path []*MultiNode) int {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
 		over := (n.leaf && len(n.points) > t.cfg.MaxLeaf) || (!n.leaf && len(n.entries) > t.cfg.MaxFanout)
@@ -337,25 +367,12 @@ func (t *MultiTree) fixOverflow(path []*MultiNode) bool {
 			// covers all remaining levels (they gained no entries), so
 			// stop instead of re-summarizing per level.
 			t.refreshPath(path[:i+1])
-			return split
+			return len(path) - 1 - i
 		}
-		split = true
-		var left, right *MultiNode
-		if n.leaf {
-			if n.weights == nil {
-				l, r := splitItems(n.points, func(p LabeledPoint) mbr.Rect { return mbr.Point(p.X) }, t.cfg.Dim, t.cfg.MinLeaf)
-				left, right = &MultiNode{leaf: true, points: l}, &MultiNode{leaf: true, points: r}
-			} else {
-				li, ri := splitIndices(len(n.points), func(i int) mbr.Rect { return mbr.Point(n.points[i].X) }, t.cfg.Dim, t.cfg.MinLeaf)
-				left, right = weightedMultiLeaf(n.points, n.weights, li), weightedMultiLeaf(n.points, n.weights, ri)
-			}
-		} else {
-			l, r := splitItems(n.entries, func(e MultiEntry) mbr.Rect { return e.Rect }, t.cfg.Dim, t.cfg.MinFanout)
-			left, right = &MultiNode{entries: l}, &MultiNode{entries: r}
-		}
+		left, right := t.splitNode(n)
 		if i == 0 {
 			t.root = &MultiNode{entries: []MultiEntry{t.summarize(left), t.summarize(right)}}
-			return true
+			break
 		}
 		parent := path[i-1]
 		for j := range parent.entries {
@@ -366,7 +383,25 @@ func (t *MultiTree) fixOverflow(path []*MultiNode) bool {
 		}
 		parent.entries = append(parent.entries, t.summarize(right))
 	}
-	return split
+	return len(path)
+}
+
+// splitNode performs the R* topological split on either node kind, as
+// Tree.splitNode does.
+func (t *MultiTree) splitNode(n *MultiNode) (left, right *MultiNode) {
+	if n.leaf {
+		order, cut := splitOrder(len(n.points), func(i int) (lo, hi []float64) { return n.points[i].X, n.points[i].X }, t.cfg.Dim, t.cfg.MinLeaf)
+		half := func(idx []int) *MultiNode {
+			h := &MultiNode{leaf: true, points: gather(n.points, idx)}
+			if n.weights != nil {
+				h.weights = gather(n.weights, idx)
+			}
+			return h
+		}
+		return half(order[:cut]), half(order[cut:])
+	}
+	order, cut := splitOrder(len(n.entries), func(i int) (lo, hi []float64) { return n.entries[i].Rect.Lo, n.entries[i].Rect.Hi }, t.cfg.Dim, t.cfg.MinFanout)
+	return &MultiNode{entries: gather(n.entries, order[:cut])}, &MultiNode{entries: gather(n.entries, order[cut:])}
 }
 
 func (t *MultiTree) refreshPath(path []*MultiNode) {

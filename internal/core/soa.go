@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"unsafe"
 
 	"bayestree/internal/kernels"
 	"bayestree/internal/stats"
@@ -9,28 +10,33 @@ import (
 
 // This file implements the structure-of-arrays mirror behind vectorized
 // descent. The pointer-based tree scores one child entry at a time
-// through scattered heap objects and interface calls; the mirror
-// flattens every node's frozen per-class Gaussians (means, inverse
-// variances, log variances, log-normalisers, log counts), MBR bounds
-// and leaf kernel centres into contiguous float64 slices, so one
-// refinement step scores all children of a frontier node in a single
-// cache-friendly sweep (kernels.SweepFrozenLogPDFObs for inner entries,
-// kernels.Sweeper for leaves). Every sweep replicates the pointer
-// path's floating-point operations in the same order, so a query served
-// from the mirror is digit-identical to the pointer path — the
-// equivalence property tests in soa_equiv_test.go assert it bitwise.
+// through scattered heap objects and interface calls; the mirror keeps,
+// for every tree node, one contiguous block of float64s holding the
+// node's frozen per-class Gaussians (means, inverse variances, log
+// variances, log-normalisers, log counts) and MBR bounds, or a leaf's
+// kernel centres, so one refinement step scores all children of a
+// frontier node in a single cache-friendly sweep
+// (kernels.SweepFrozenLogPDFObs for inner entries, kernels.Sweeper for
+// leaves). Every sweep replicates the pointer path's floating-point
+// operations in the same order, so a query served from the mirror is
+// digit-identical to the pointer path — the equivalence property tests
+// in soa_equiv_test.go assert it bitwise.
 //
 // Staleness has one rule: every MultiTree mutation ends in
 // (*MultiTree).invalidate, which drops the cached query constants and
 // unpublishes the mirror (the atomic pointer goes nil, so later queries
-// take the pointer loop) and records what went stale. A split-free
-// insert only dirties the nodes on its insertion path, and RefreshSoA
-// patches those node blocks in place (leaf blocks are padded to MaxLeaf
-// so a leaf can grow without moving); splits, decay sweeps and epoch
-// advances are structural and force a full rebuild. RefreshSoA must be
-// called with exclusive access to the tree — the serving layer calls it
-// under the shard write lock right after the mutation, and piggybacks
-// full rebuilds on recovery replay and the decay maintenance sweep.
+// take the pointer loop) and records what went stale. An insert is a
+// path-local event: the nodes on its insertion path that survive are
+// dirty, the ones a split replaced are dead, and RefreshSoA repairs the
+// retained mirror along that path — it releases the dead nodes' blocks,
+// mirrors the new siblings (a new root takes over index 0) and refills
+// the dirty ancestors, work proportional to the path and not the tree.
+// Decay sweeps and epoch advances touch every node and are whole
+// builds, as is a pending set that outgrew the mirror it would repair.
+// RefreshSoA must be called with exclusive access to the tree — the
+// serving layer calls it under the shard write lock right after the
+// mutation, and piggybacks whole builds on recovery replay and the
+// decay maintenance sweep.
 //
 // The pointer loop in MultiQuery.consume stays for two inputs: a leaf
 // kernel that does not implement kernels.Sweeper, and a tree nobody
@@ -41,192 +47,230 @@ import (
 // ---------------------------------------------------------------------
 // MultiTree mirror
 
-// soaMultiNode locates one MultiNode's blocks inside the flat arrays of
-// a multiSoA. Inner nodes use entBase/entCount (entry-major arrays) and
-// ecBase (class-major entry-class slots); leaves use ptBase (a point
-// block of MaxLeaf capacity) and coBase (nc+1 class offsets).
-type soaMultiNode struct {
+// soaNode mirrors one MultiNode. The node owns its storage: every
+// float64 slice below is carved from one block allocated for this node,
+// so a sweep runs over contiguous memory within the node and nothing is
+// shared between nodes — a node's blocks can be replaced or dropped
+// without moving any other's.
+//
+// An inner node of k entries keeps its entry-class data in slots laid
+// out class-major (slot = c*k + e), so one class's entries form a
+// contiguous run a single sweep can score. A leaf keeps its points
+// stable-partitioned by class, so each class's kernel centres are
+// contiguous too. A block is exactly as large as its node's entry or
+// point count needs; fill replaces it when that count changed.
+type soaNode struct {
 	leaf     bool
 	weighted bool
-	entBase  int32
-	entCount int32
-	ecBase   int32
-	ptBase   int32
-	coBase   int32
-}
 
-// multiSoA is the flat mirror of one MultiTree. Entry-class data lives
-// in "slots" laid out class-major per node (slot = ecBase + c*entCount
-// + e), so one class's entries form a contiguous run a single sweep can
-// score; leaf points are stable-partitioned by class so each class's
-// kernel centres are contiguous too.
-type multiSoA struct {
-	dim     int
-	nc      int
-	maxLeaf int
-	nodes   []soaMultiNode
-	index   map[*MultiNode]int32
-
-	// Entry-class slot arrays (slot*dim+d for the vectors).
+	// Inner node, per slot (slot*dim+d for the vectors).
 	means   []float64
 	invVar  []float64
 	logVar  []float64
-	logNorm []float64 // per slot
-	logN    []float64 // per slot; −Inf marks an absent class
-
-	// Entry-major arrays (ent*dim+d for the bounds).
-	child  []int32
+	logNorm []float64
+	logN    []float64 // −Inf marks an absent class
+	// Inner node, per entry (e*dim+d for the bounds).
+	child  []int32 // mirror index of the entry's child
 	rectLo []float64
 	rectHi []float64
-	logEnt []float64 // per entry: ln(1 + class entropy), for EntropyPriority
+	logEnt []float64 // ln(1 + class entropy), for EntropyPriority
 
-	// Leaf arrays (point-slot*dim+d for the centres).
+	// Leaf, per point slot (slot*dim+d for the centres).
 	pts      []float64
-	ptLogW   []float64 // per point slot; ln of the decayed weight, 0 when unweighted
-	classOff []int32   // per leaf: nc+1 absolute point-slot offsets
-
-	fillCur []int32 // partition scratch for fillMultiLeaf (exclusive access)
+	ptLogW   []float64 // ln of the decayed weight, 0 when unweighted
+	classOff []int32   // nc+1 point-slot offsets: class c is [classOff[c], classOff[c+1])
 }
 
-// buildMultiSoA flattens the whole tree in BFS order (root = node 0).
+// multiSoA is the mirror of one MultiTree: a table of node mirrors
+// addressed by index (the root is always node 0), the tree node each
+// live one belongs to, and the indices released nodes left free.
+type multiSoA struct {
+	dim   int
+	nc    int
+	nodes []soaNode
+	index map[*MultiNode]int32
+	free  []int32
+
+	fillCur []int32 // partition scratch for fillLeaf (exclusive access)
+}
+
+// buildMultiSoA mirrors the whole tree.
 func buildMultiSoA(t *MultiTree) *multiSoA {
-	dim, nc := t.cfg.Dim, len(t.labels)
-	s := &multiSoA{dim: dim, nc: nc, maxLeaf: t.cfg.MaxLeaf, index: make(map[*MultiNode]int32)}
-	queue := []*MultiNode{t.root}
-	var ents, slots, pts, cos int
-	for qi := 0; qi < len(queue); qi++ {
-		n := queue[qi]
-		s.index[n] = int32(qi)
-		if n.leaf {
-			s.nodes = append(s.nodes, soaMultiNode{leaf: true, ptBase: int32(pts), coBase: int32(cos)})
-			pts += s.maxLeaf
-			cos += nc + 1
-			continue
-		}
-		k := len(n.entries)
-		s.nodes = append(s.nodes, soaMultiNode{entBase: int32(ents), entCount: int32(k), ecBase: int32(slots)})
-		ents += k
-		slots += k * nc
-		for i := range n.entries {
-			queue = append(queue, n.entries[i].Child)
-		}
+	s := &multiSoA{
+		dim:     t.cfg.Dim,
+		nc:      len(t.labels),
+		index:   make(map[*MultiNode]int32),
+		fillCur: make([]int32, len(t.labels)),
 	}
-	s.means = make([]float64, slots*dim)
-	s.invVar = make([]float64, slots*dim)
-	s.logVar = make([]float64, slots*dim)
-	s.logNorm = make([]float64, slots)
-	s.logN = make([]float64, slots)
-	s.child = make([]int32, ents)
-	s.rectLo = make([]float64, ents*dim)
-	s.rectHi = make([]float64, ents*dim)
-	s.logEnt = make([]float64, ents)
-	s.pts = make([]float64, pts*dim)
-	s.ptLogW = make([]float64, pts)
-	s.classOff = make([]int32, cos)
-	s.fillCur = make([]int32, nc)
-	for qi, n := range queue {
-		s.fillMultiNode(t, n, int32(qi))
-	}
+	s.place(t, t.root)
 	return s
 }
 
-// fillMultiNode (re)fills one node's blocks from the live tree node.
-func (s *multiSoA) fillMultiNode(t *MultiTree, n *MultiNode, idx int32) {
-	nd := &s.nodes[idx]
-	if n.leaf {
-		s.fillMultiLeaf(t, n, nd)
+// bytes is the size of the mirror's blocks and tables.
+func (s *multiSoA) bytes() int64 {
+	floats, ints := 0, cap(s.free)
+	for i := range s.nodes {
+		nd := &s.nodes[i]
+		floats += 3*len(nd.means) + 2*len(nd.logN) + 2*len(nd.rectLo) + len(nd.logEnt) + len(nd.pts) + len(nd.ptLogW)
+		ints += len(nd.child) + len(nd.classOff)
+	}
+	const indexEntry = 16 // a map slot: key pointer, int32 value, bucket overhead
+	return int64(8*floats+4*ints) + int64(cap(s.nodes))*int64(unsafe.Sizeof(soaNode{})) + int64(len(s.index))*indexEntry
+}
+
+// place returns n's mirror index, mirroring n — and through it every
+// descendant that has no mirror node yet — when it has none.
+func (s *multiSoA) place(t *MultiTree, n *MultiNode) int32 {
+	if idx, ok := s.index[n]; ok {
+		return idx
+	}
+	var idx int32
+	if k := len(s.free); k > 0 {
+		idx, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		idx = int32(len(s.nodes))
+		s.nodes = append(s.nodes, soaNode{})
+	}
+	s.index[n] = idx
+	s.fill(t, n, idx)
+	return idx
+}
+
+// release drops a dead tree node's mirror node and frees its index.
+// Index 0 is never handed out again: it waits for the new root.
+func (s *multiSoA) release(n *MultiNode) {
+	idx, ok := s.index[n]
+	if !ok {
 		return
 	}
-	dim, nc := s.dim, s.nc
-	k := int(nd.entCount)
-	for e := range n.entries {
-		en := &n.entries[e]
-		ent := int(nd.entBase) + e
-		s.child[ent] = s.index[en.Child]
-		copy(s.rectLo[ent*dim:ent*dim+dim], en.Rect.Lo)
-		copy(s.rectHi[ent*dim:ent*dim+dim], en.Rect.Hi)
-		s.logEnt[ent] = math.Log1p(multiEntryEntropy(en))
-		for c := 0; c < nc; c++ {
-			slot := int(nd.ecBase) + c*k + e
-			if en.CFs[c].N <= 0 {
-				s.logN[slot] = math.Inf(-1)
-				continue
-			}
-			f := t.classFrozen(en, c)
-			copy(s.means[slot*dim:slot*dim+dim], f.Mean)
-			copy(s.invVar[slot*dim:slot*dim+dim], f.InvVar)
-			copy(s.logVar[slot*dim:slot*dim+dim], f.LogVar)
-			s.logNorm[slot] = f.LogNorm()
-			s.logN[slot] = f.LogN
+	delete(s.index, n)
+	s.nodes[idx] = soaNode{}
+	if idx != 0 {
+		s.free = append(s.free, idx)
+	}
+}
+
+// repair brings the mirror up to date after inserts: dead nodes were
+// replaced by splits, dirty ones lie on an insertion path and survived.
+// Refilling a dirty node mirrors the children a split gave it.
+func (s *multiSoA) repair(t *MultiTree, dirty map[*MultiNode]struct{}, dead []*MultiNode) {
+	for _, n := range dead {
+		s.release(n)
+	}
+	if _, ok := s.index[t.root]; !ok {
+		s.index[t.root] = 0
+		s.fill(t, t.root, 0)
+	}
+	for n := range dirty {
+		// A dirty node without a mirror node was itself created by a
+		// split since the last refresh; its parent's refill places it.
+		if idx, ok := s.index[n]; ok {
+			s.fill(t, n, idx)
 		}
 	}
 }
 
-// fillMultiLeaf stable-partitions a leaf's observations by class into
-// its padded point block, so each class's kernel centres are one
-// contiguous sweep range. Within a class the tree's point order is
-// preserved — the accumulator folds per-class terms in the pointer
-// path's order.
-func (s *multiSoA) fillMultiLeaf(t *MultiTree, n *MultiNode, nd *soaMultiNode) {
+// carve cuts the next n values off a block.
+func carve(block *[]float64, n int) []float64 {
+	out := (*block)[:n:n]
+	*block = (*block)[n:]
+	return out
+}
+
+// fill (re)fills mirror node idx from the live tree node, reusing its
+// block when the node still has as many entries or points. It works on
+// a copy of the table row because placing children can grow the table.
+func (s *multiSoA) fill(t *MultiTree, n *MultiNode, idx int32) {
+	nd := s.nodes[idx]
+	if n.leaf {
+		s.fillLeaf(t, n, &nd)
+	} else {
+		s.fillInner(t, n, &nd)
+	}
+	s.nodes[idx] = nd
+}
+
+func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode) {
 	dim, nc := s.dim, s.nc
+	k := len(n.entries)
+	if nd.leaf || len(nd.child) != k {
+		slots := nc * k
+		block := make([]float64, slots*(3*dim+2)+k*(2*dim+1))
+		*nd = soaNode{
+			means:   carve(&block, slots*dim),
+			invVar:  carve(&block, slots*dim),
+			logVar:  carve(&block, slots*dim),
+			logNorm: carve(&block, slots),
+			logN:    carve(&block, slots),
+			child:   make([]int32, k),
+			rectLo:  carve(&block, k*dim),
+			rectHi:  carve(&block, k*dim),
+			logEnt:  carve(&block, k),
+		}
+	}
+	for e := range n.entries {
+		en := &n.entries[e]
+		nd.child[e] = s.place(t, en.Child)
+		copy(nd.rectLo[e*dim:e*dim+dim], en.Rect.Lo)
+		copy(nd.rectHi[e*dim:e*dim+dim], en.Rect.Hi)
+		nd.logEnt[e] = math.Log1p(multiEntryEntropy(en))
+		for c := 0; c < nc; c++ {
+			slot := c*k + e
+			if en.CFs[c].N <= 0 {
+				nd.logN[slot] = math.Inf(-1)
+				continue
+			}
+			f := t.classFrozen(en, c)
+			copy(nd.means[slot*dim:slot*dim+dim], f.Mean)
+			copy(nd.invVar[slot*dim:slot*dim+dim], f.InvVar)
+			copy(nd.logVar[slot*dim:slot*dim+dim], f.LogVar)
+			nd.logNorm[slot] = f.LogNorm()
+			nd.logN[slot] = f.LogN
+		}
+	}
+}
+
+// fillLeaf stable-partitions a leaf's observations by class into its
+// point block, so each class's kernel centres are one contiguous sweep
+// range. Within a class the tree's point order is preserved — the
+// accumulator folds per-class terms in the pointer path's order.
+func (s *multiSoA) fillLeaf(t *MultiTree, n *MultiNode, nd *soaNode) {
+	dim, nc := s.dim, s.nc
+	if k := len(n.points); !nd.leaf || len(nd.ptLogW) != k {
+		co := nd.classOff // nil unless this was a leaf already
+		if co == nil {
+			co = make([]int32, nc+1)
+		}
+		block := make([]float64, k*(dim+1))
+		*nd = soaNode{
+			leaf:     true,
+			pts:      carve(&block, k*dim),
+			ptLogW:   carve(&block, k),
+			classOff: co,
+		}
+	}
 	nd.weighted = n.weights != nil
-	co := int(nd.coBase)
-	for c := 0; c <= nc; c++ {
-		s.classOff[co+c] = 0
-	}
+	co := nd.classOff
+	clear(co)
 	for _, p := range n.points {
-		s.classOff[co+t.index[p.Label]+1]++
+		co[t.index[p.Label]+1]++
 	}
-	s.classOff[co] = nd.ptBase
 	for c := 0; c < nc; c++ {
-		s.classOff[co+c+1] += s.classOff[co+c]
+		co[c+1] += co[c]
 	}
 	curs := s.fillCur
-	for c := 0; c < nc; c++ {
-		curs[c] = s.classOff[co+c]
-	}
+	copy(curs, co[:nc])
 	for i, p := range n.points {
 		c := t.index[p.Label]
 		slot := int(curs[c])
 		curs[c]++
-		copy(s.pts[slot*dim:slot*dim+dim], p.X)
+		copy(nd.pts[slot*dim:slot*dim+dim], p.X)
 		if nd.weighted {
-			s.ptLogW[slot] = math.Log(n.weights[i])
+			nd.ptLogW[slot] = math.Log(n.weights[i])
 		} else {
-			s.ptLogW[slot] = 0
+			nd.ptLogW[slot] = 0
 		}
 	}
-}
-
-// patchMultiNode refills one dirtied node's blocks in place, reporting
-// false when the node outgrew its blocks (or is unknown) and a full
-// rebuild is needed instead.
-func (s *multiSoA) patchMultiNode(t *MultiTree, n *MultiNode) bool {
-	idx, ok := s.index[n]
-	if !ok {
-		return false
-	}
-	nd := &s.nodes[idx]
-	if n.leaf != nd.leaf {
-		return false
-	}
-	if n.leaf {
-		if len(n.points) > s.maxLeaf {
-			return false
-		}
-		s.fillMultiLeaf(t, n, nd)
-		return true
-	}
-	if len(n.entries) != int(nd.entCount) {
-		return false
-	}
-	for e := range n.entries {
-		if _, ok := s.index[n.entries[e].Child]; !ok {
-			return false
-		}
-	}
-	s.fillMultiNode(t, n, idx)
-	return true
 }
 
 // multiEntryEntropy returns the class-label entropy (nats) of an
@@ -290,49 +334,38 @@ func minDist2Flat(lo, hi, x []float64, obs []int) float64 {
 // subsequent queries. The first call turns mirror tracking on. It must
 // be called with exclusive access to the tree (the serving layer holds
 // the shard write lock); concurrent queries keep whatever mirror they
-// loaded at start. Split-free inserts since the last refresh are
-// patched into the retained mirror in place; structural changes
-// (splits, decay sweeps, epoch advances) rebuild it whole.
+// loaded at start. Inserts since the last refresh, splits included, are
+// repaired in the retained mirror along their paths; decay sweeps and
+// epoch advances build it anew.
 func (t *MultiTree) RefreshSoA() {
 	t.soaTrack = true
-	if t.size == 0 {
-		t.soaRetained = nil
-		t.soaStructural = false
-		clear(t.soaDirty)
-		t.soa.Store(nil)
-		return
+	s := t.soaRetained
+	switch {
+	case t.size == 0:
+		s = nil
+	case s == nil || t.soaStructural:
+		s = buildMultiSoA(t)
+		t.soaRebuilds++
+	case len(t.soaDirty)+len(t.soaDead) > 0:
+		s.repair(t, t.soaDirty, t.soaDead)
+		t.soaPatches++
 	}
-	cur := t.soaRetained
-	if cur != nil && !t.soaStructural {
-		if len(t.soaDirty) == 0 {
-			t.soa.Store(cur)
-			return
-		}
-		ok := true
-		for n := range t.soaDirty {
-			if !cur.patchMultiNode(t, n) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			clear(t.soaDirty)
-			t.soaPatches++
-			t.soa.Store(cur)
-			return
-		}
-	}
-	ns := buildMultiSoA(t)
-	t.soaRetained = ns
+	t.soaRetained = s
 	t.soaStructural = false
-	clear(t.soaDirty)
-	t.soaRebuilds++
-	t.soa.Store(ns)
+	t.dropPending()
+	t.soa.Store(s)
 }
 
-// SoACounters reports the mirror's lifetime maintenance counters: full
-// rebuilds, in-place patches and invalidation events (mutations that
-// unpublished the mirror). All zero until RefreshSoA first enables
+// dropPending forgets the recorded dirty and dead nodes.
+func (t *MultiTree) dropPending() {
+	clear(t.soaDirty)
+	clear(t.soaDead)
+	t.soaDead = t.soaDead[:0]
+}
+
+// SoACounters reports the mirror's lifetime maintenance counters: whole
+// builds, path repairs (patches) and invalidation events (mutations
+// that unpublished the mirror). All zero until RefreshSoA first enables
 // tracking.
 func (t *MultiTree) SoACounters() (rebuilds, patches, invalidations int64) {
 	return t.soaRebuilds, t.soaPatches, t.soaInvalid
@@ -342,28 +375,41 @@ func (t *MultiTree) SoACounters() (rebuilds, patches, invalidations int64) {
 // calls it (mutation already requires exclusive access, so no version
 // stamp is needed). It drops the cached query constants and, once
 // RefreshSoA has turned tracking on, unpublishes the mirror and records
-// what went stale: the nodes on a split-free insert's path are marked
-// for in-place patching; a split, or a nil path (decay and epoch
-// changes), forces a full rebuild on the next RefreshSoA.
-func (t *MultiTree) invalidate(path []*MultiNode, split bool) {
+// what went stale. An insert passes its path and the number of levels,
+// counted from the leaf, that splits replaced: those nodes are dead,
+// the rest of the path is dirty. A nil path (decay and epoch changes)
+// makes the next RefreshSoA a whole build, and so does a pending set
+// that outgrew the mirror's live nodes — many inserts with no refresh
+// between them, as in a long replay.
+func (t *MultiTree) invalidate(path []*MultiNode, replaced int) {
 	t.queryState.Store(nil)
 	if !t.soaTrack {
 		return
 	}
 	t.soa.Store(nil)
 	t.soaInvalid++
-	if split || path == nil {
-		t.soaStructural = true
+	if t.soaStructural || t.soaRetained == nil {
 		return
 	}
-	if t.soaStructural {
+	if path == nil {
+		t.soaStructural = true
+		t.dropPending()
 		return
 	}
 	if t.soaDirty == nil {
 		t.soaDirty = make(map[*MultiNode]struct{})
 	}
-	for _, n := range path {
+	alive := len(path) - replaced
+	for _, n := range path[:alive] {
 		t.soaDirty[n] = struct{}{}
+	}
+	for _, n := range path[alive:] {
+		delete(t.soaDirty, n)
+		t.soaDead = append(t.soaDead, n)
+	}
+	if len(t.soaDirty)+len(t.soaDead) > len(t.soaRetained.index) {
+		t.soaStructural = true
+		t.dropPending()
 	}
 }
 
@@ -382,32 +428,31 @@ func (q *MultiQuery) refineSoA(idx int) {
 		return
 	}
 	dim, nc := s.dim, s.nc
-	k := int(nd.entCount)
+	k := len(nd.child)
 	out := q.ensureOut(nc * k)
 	for c := 0; c < nc; c++ {
 		if math.IsInf(q.logNc[c], 1) {
 			continue
 		}
-		base := int(nd.ecBase) + c*k
-		kernels.SweepFrozenLogPDFObs(q.x, s.means[base*dim:], s.invVar[base*dim:], s.logVar[base*dim:],
-			s.logNorm[base:], k, dim, q.obs, out[c*k:(c+1)*k])
+		base := c * k
+		kernels.SweepFrozenLogPDFObs(q.x, nd.means[base*dim:], nd.invVar[base*dim:], nd.logVar[base*dim:],
+			nd.logNorm[base:], k, dim, q.obs, out[c*k:(c+1)*k])
 	}
 	for e := 0; e < k; e++ {
-		ent := int(nd.entBase) + e
 		off := len(q.terms)
 		for c := 0; c < nc; c++ {
-			slot := int(nd.ecBase) + c*k + e
-			if math.IsInf(q.logNc[c], 1) || math.IsInf(s.logN[slot], -1) {
+			slot := c*k + e
+			if math.IsInf(q.logNc[c], 1) || math.IsInf(nd.logN[slot], -1) {
 				q.terms = append(q.terms, math.Inf(-1))
 				continue
 			}
-			term := s.logN[slot] - q.logNc[c] + out[c*k+e]
+			term := nd.logN[slot] - q.logNc[c] + out[slot]
 			q.terms = append(q.terms, term)
 			q.addTerm(c, term)
 		}
-		el := mElem{termOff: int32(off), node: s.child[ent], seq: q.seq}
+		el := mElem{termOff: int32(off), node: nd.child[e], seq: q.seq}
 		q.seq++
-		el.prio = q.prioSoA(ent, q.terms[off:off+nc])
+		el.prio = q.prioSoA(nd, e, q.terms[off:off+nc])
 		switch q.opts.Strategy {
 		case DescentGlobal:
 			q.heap.push(el)
@@ -418,12 +463,11 @@ func (q *MultiQuery) refineSoA(idx int) {
 }
 
 // prioSoA is prioFor over the mirror's flat bounds and precomputed
-// entropy term.
-func (q *MultiQuery) prioSoA(ent int, terms []float64) float64 {
-	s := q.soa
+// entropy term of entry e of node nd.
+func (q *MultiQuery) prioSoA(nd *soaNode, e int, terms []float64) float64 {
 	if q.opts.Priority == PriorityGeometric {
-		d := s.dim
-		return -minDist2Flat(s.rectLo[ent*d:ent*d+d], s.rectHi[ent*d:ent*d+d], q.x, q.obs)
+		d := q.soa.dim
+		return -minDist2Flat(nd.rectLo[e*d:e*d+d], nd.rectHi[e*d:e*d+d], q.x, q.obs)
 	}
 	finite := q.finiteBuf[:0]
 	for _, tm := range terms {
@@ -434,28 +478,27 @@ func (q *MultiQuery) prioSoA(ent int, terms []float64) float64 {
 	q.finiteBuf = finite
 	prio := stats.LogSumExp(finite)
 	if q.t.mopts.EntropyPriority {
-		prio += s.logEnt[ent]
+		prio += nd.logEnt[e]
 	}
 	return prio
 }
 
 // refineSoALeaf scores a leaf's kernel centres one contiguous class
 // range at a time through the frozen kernel's sweep.
-func (q *MultiQuery) refineSoALeaf(nd *soaMultiNode) {
+func (q *MultiQuery) refineSoALeaf(nd *soaNode) {
 	s := q.soa
 	dim, nc := s.dim, s.nc
-	co := int(nd.coBase)
 	for c := 0; c < nc; c++ {
-		start, end := int(s.classOff[co+c]), int(s.classOff[co+c+1])
+		start, end := int(nd.classOff[c]), int(nd.classOff[c+1])
 		if start == end || math.IsInf(q.logNc[c], 1) {
 			continue
 		}
 		cnt := end - start
 		out := q.ensureOut(cnt)
-		q.sweep[c].SweepLogDensityObs(q.x, s.pts[start*dim:end*dim], cnt, dim, q.obs, out)
+		q.sweep[c].SweepLogDensityObs(q.x, nd.pts[start*dim:end*dim], cnt, dim, q.obs, out)
 		if nd.weighted {
 			for j := 0; j < cnt; j++ {
-				q.addTerm(c, -q.logNc[c]+out[j]+s.ptLogW[start+j])
+				q.addTerm(c, -q.logNc[c]+out[j]+nd.ptLogW[start+j])
 			}
 		} else {
 			for j := 0; j < cnt; j++ {

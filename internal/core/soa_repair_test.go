@@ -1,0 +1,172 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// checkMirrorIsFreshBuild asserts the published mirror is exactly what
+// a whole build of the tree as it stands would produce: one live mirror
+// node per tree node (none leaked, none stale), the root at index 0,
+// every block bitwise equal to the fresh build's, children wired to the
+// mirror nodes of the tree's children, and every table row either live
+// or on the free list.
+func checkMirrorIsFreshBuild(t *testing.T, ctx string, mt *MultiTree) {
+	t.Helper()
+	s := mt.soa.Load()
+	if s == nil {
+		t.Fatalf("%s: no mirror published", ctx)
+	}
+	fresh := buildMultiSoA(mt)
+	if len(s.index) != mt.CountNodes() || len(fresh.index) != len(s.index) {
+		t.Fatalf("%s: %d live mirror nodes, fresh build %d, tree has %d nodes", ctx, len(s.index), len(fresh.index), mt.CountNodes())
+	}
+	if s.index[mt.root] != 0 {
+		t.Fatalf("%s: root mirrored at index %d", ctx, s.index[mt.root])
+	}
+	if len(s.nodes) != len(s.index)+len(s.free) {
+		t.Fatalf("%s: %d table rows for %d live + %d free", ctx, len(s.nodes), len(s.index), len(s.free))
+	}
+	owner := make(map[int32]*MultiNode, len(s.index))
+	for n, idx := range s.index {
+		owner[idx] = n
+	}
+	for _, idx := range s.free {
+		if owner[idx] != nil || idx == 0 {
+			t.Fatalf("%s: free index %d is in use", ctx, idx)
+		}
+	}
+	for n, fi := range fresh.index {
+		idx, ok := s.index[n]
+		if !ok {
+			t.Fatalf("%s: tree node has no mirror node", ctx)
+		}
+		got, want := &s.nodes[idx], &fresh.nodes[fi]
+		if got.leaf != want.leaf || got.weighted != want.weighted {
+			t.Fatalf("%s: node %d: leaf/weighted %v/%v, fresh build %v/%v", ctx, idx, got.leaf, got.weighted, want.leaf, want.weighted)
+		}
+		if got.leaf {
+			used := int(want.classOff[s.nc])
+			if used != len(n.points) {
+				t.Fatalf("%s: fresh leaf holds %d points, tree leaf %d", ctx, used, len(n.points))
+			}
+			if !slices.Equal(got.classOff, want.classOff) {
+				t.Fatalf("%s: leaf %d: class offsets %v, fresh build %v", ctx, idx, got.classOff, want.classOff)
+			}
+			if !bitsEqual(got.pts[:used*s.dim], want.pts[:used*s.dim]) || !bitsEqual(got.ptLogW[:used], want.ptLogW[:used]) {
+				t.Fatalf("%s: leaf %d: point block differs from the fresh build's", ctx, idx)
+			}
+			continue
+		}
+		for name, pair := range map[string][2][]float64{
+			"means": {got.means, want.means}, "invVar": {got.invVar, want.invVar}, "logVar": {got.logVar, want.logVar},
+			"logNorm": {got.logNorm, want.logNorm}, "logN": {got.logN, want.logN},
+			"rectLo": {got.rectLo, want.rectLo}, "rectHi": {got.rectHi, want.rectHi}, "logEnt": {got.logEnt, want.logEnt},
+		} {
+			if !bitsEqual(pair[0], pair[1]) {
+				t.Fatalf("%s: inner node %d: %s differs from the fresh build's", ctx, idx, name)
+			}
+		}
+		if len(got.child) != len(n.entries) {
+			t.Fatalf("%s: inner node %d: %d children, tree node has %d", ctx, idx, len(got.child), len(n.entries))
+		}
+		for e := range n.entries {
+			if owner[got.child[e]] != n.entries[e].Child {
+				t.Fatalf("%s: inner node %d: child %d points at the wrong mirror node", ctx, idx, e)
+			}
+		}
+	}
+}
+
+// TestSoARepairMatchesFreshBuild is the path-local repair property:
+// seeded interleavings of inserts from an empty tree — through root
+// splits and multi-level splits, with one or many inserts piled up
+// between refreshes, into decayed (weighted) leaves, and with a decay
+// sweep in the middle — leave, after every RefreshSoA, a mirror that
+// answers bitwise like the pointer loop at every budget up to
+// exhaustion and equals a fresh whole build block for block. Inserts
+// repair (a patch); only decay and epoch changes, or a pile larger than
+// the mirror, build whole.
+func TestSoARepairMatchesFreshBuild(t *testing.T) {
+	// The narrow config splits on every other insert and cascades to
+	// the root often; the small one mixes split-free inserts in.
+	narrow := smallConfig(3)
+	narrow.MinFanout, narrow.MaxFanout, narrow.MinLeaf, narrow.MaxLeaf = 1, 2, 1, 2
+	for ci, cfg := range []Config{narrow, smallConfig(3), DefaultConfig(3)} {
+		for seed := int64(1); seed <= 2; seed++ {
+			rng := rand.New(rand.NewSource(100*int64(ci) + seed))
+			mo := []MultiOptions{{}, {PooledVariance: true}, {EntropyPriority: true}}[(ci+int(seed))%3]
+			mt, err := NewMultiTree(cfg, []int{0, 1, 2}, mo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			point := func() []float64 {
+				return []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+			}
+			insert := func(k int) {
+				for j := 0; j < k; j++ {
+					if err := mt.Insert(point(), rng.Intn(3)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			check := func(ctx string) {
+				t.Helper()
+				ctx = fmt.Sprintf("config %d seed %d %s (size %d)", ci, seed, ctx, mt.Len())
+				mt.RefreshSoA()
+				checkMirrorIsFreshBuild(t, ctx, mt)
+				for _, opts := range []ClassifierOptions{{}, {Strategy: DescentBFT, Priority: PriorityGeometric}} {
+					compareMultiQuery(t, ctx, mt, point(), opts, -1)
+				}
+				if err := mt.Validate(); err != nil {
+					t.Fatalf("%s: %v", ctx, err)
+				}
+			}
+			insertsOnly := func(ctx string, rounds, pile int) {
+				t.Helper()
+				r0, p0, _ := mt.SoACounters()
+				for i := 0; i < rounds; i++ {
+					insert(1 + rng.Intn(pile))
+					check(ctx)
+				}
+				// One insert's path always fits the mirror it came from;
+				// only a pile can outgrow a mirror of a few nodes.
+				r1, p1, _ := mt.SoACounters()
+				if r1+p1 != r0+p0+int64(rounds) || p1 == p0 || (pile == 1 && r1 != r0) {
+					t.Fatalf("config %d seed %d %s: %d rounds of inserts made %d whole builds and %d repairs", ci, seed, ctx, rounds, r1-r0, p1-p0)
+				}
+			}
+
+			mt.RefreshSoA() // empty tree: tracking on, nothing to publish
+			insert(1)
+			check("first point")
+			insertsOnly("one insert per refresh", 40, 1)
+			insertsOnly("piled inserts", 12, 4)
+
+			// A pile that outgrows the mirror is built whole, not
+			// repaired: this many points need more new leaves than
+			// the mirror has nodes, and every new leaf leaves one dead.
+			r0, _, _ := mt.SoACounters()
+			insert(cfg.MaxLeaf * (2*mt.CountNodes() + 2))
+			check("oversized pile")
+			if r1, _, _ := mt.SoACounters(); r1 != r0+1 {
+				t.Fatalf("config %d seed %d: oversized pile made %d whole builds, want 1", ci, seed, r1-r0)
+			}
+
+			// Decay: later inserts carry weights ≠ 1, so leaves turn
+			// weighted and weighted leaves split.
+			if err := mt.EnableDecay(DecayOptions{Lambda: 0.2, MinWeight: 0.05}); err != nil {
+				t.Fatal(err)
+			}
+			mt.AdvanceEpoch(2)
+			check("epoch advance")
+			insertsOnly("weighted inserts", 20, 3)
+			mt.AdvanceEpoch(12)
+			mt.DecaySweep()
+			check("decay sweep")
+			insertsOnly("after the sweep", 15, 3)
+		}
+	}
+}

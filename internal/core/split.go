@@ -2,66 +2,162 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"bayestree/internal/mbr"
 )
 
-// splitItems performs the R* topological split on any slice of items with
-// rectangles: the split axis minimises the summed margins over all legal
-// distributions, the split index minimises overlap (area breaks ties).
-// Both the per-class MultiTree and the per-class forest reuse it, as do
-// leaf splits (whose rectangles are degenerate points).
-func splitItems[T any](items []T, rectOf func(T) mbr.Rect, dim, minFill int) (left, right []T) {
-	xs := append([]T(nil), items...)
-	m := minFill
-	total := len(xs)
-
+// splitOrder performs the R* topological split on n items whose
+// rectangles bounds(i) yields (a point passes itself for both): the
+// split axis minimises the summed margins over all legal distributions,
+// the split index minimises overlap (area breaks ties). It returns the
+// items in the chosen ordering and the cut; order[:cut] is the left
+// group, order[cut:] the right. The per-class MultiTree and the per-class
+// forest both split leaves (plain and weighted) and inner nodes through
+// it.
+//
+// The orderings are stable sorts of one index permutation applied in
+// sequence — lower then upper bound per axis, then the winning one
+// again — so ties fall the way that sequence leaves them.
+func splitOrder(n int, bounds func(i int) (lo, hi []float64), dim, minFill int) (order []int, cut int) {
+	// One block: the items' bounds, read once, then a rectangle per cut.
+	block := make([]float64, (4*n+2)*dim)
+	s := splitter{n: n, dim: dim, minFill: minFill, order: make([]int, n)}
+	s.lo, s.hi = carve(&block, n*dim), carve(&block, n*dim)
+	s.sufLo, s.sufHi = carve(&block, (n+1)*dim), carve(&block, (n+1)*dim)
+	for i := 0; i < n; i++ {
+		lo, hi := bounds(i)
+		copy(s.lo[i*dim:(i+1)*dim], lo)
+		copy(s.hi[i*dim:(i+1)*dim], hi)
+		s.order[i] = i
+	}
 	bestAxis, bestLower := 0, true
 	bestMargin := math.Inf(1)
 	for axis := 0; axis < dim; axis++ {
-		for _, lower := range []bool{true, false} {
-			sortByAxis(xs, rectOf, axis, lower)
+		for _, lower := range [2]bool{true, false} {
+			s.sortBy(axis, lower)
+			s.suffixes()
 			var margin float64
-			for k := m; k <= total-m; k++ {
-				margin += groupRect(xs[:k], rectOf, dim).Margin() + groupRect(xs[k:], rectOf, dim).Margin()
+			for k := 1; k <= n-minFill; k++ {
+				if left := s.growPrefix(k); k >= minFill {
+					margin += left.Margin() + s.suffix(k).Margin()
+				}
 			}
 			if margin < bestMargin {
 				bestMargin, bestAxis, bestLower = margin, axis, lower
 			}
 		}
 	}
-	sortByAxis(xs, rectOf, bestAxis, bestLower)
-	bestK := m
+	s.sortBy(bestAxis, bestLower)
+	s.suffixes()
+	cut = minFill
 	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
-	for k := m; k <= total-m; k++ {
-		lr := groupRect(xs[:k], rectOf, dim)
-		rr := groupRect(xs[k:], rectOf, dim)
-		overlap := mbr.OverlapArea(lr, rr)
-		area := lr.Area() + rr.Area()
+	for k := 1; k <= n-minFill; k++ {
+		left := s.growPrefix(k)
+		if k < minFill {
+			continue
+		}
+		right := s.suffix(k)
+		overlap := mbr.OverlapArea(left, right)
+		area := left.Area() + right.Area()
 		if overlap < bestOverlap || (overlap == bestOverlap && area < bestArea) {
-			bestK, bestOverlap, bestArea = k, overlap, area
+			cut, bestOverlap, bestArea = k, overlap, area
 		}
 	}
-	left = append([]T(nil), xs[:bestK]...)
-	right = append([]T(nil), xs[bestK:]...)
-	return left, right
+	return s.order, cut
 }
 
-func sortByAxis[T any](xs []T, rectOf func(T) mbr.Rect, axis int, lower bool) {
-	sort.SliceStable(xs, func(a, b int) bool {
-		ra, rb := rectOf(xs[a]), rectOf(xs[b])
-		if lower {
-			if ra.Lo[axis] != rb.Lo[axis] {
-				return ra.Lo[axis] < rb.Lo[axis]
-			}
-			return ra.Hi[axis] < rb.Hi[axis]
+// splitter is splitOrder's working state: the items' bounds as flat
+// item-major keys, the current ordering, and a table of bounding
+// rectangles so that scoring every cut of an ordering takes one
+// backward and one forward pass over the items.
+type splitter struct {
+	n, dim, minFill int
+	lo, hi          []float64
+	order           []int
+	// Row k (minFill ≤ k ≤ n−minFill) bounds order[k:], the right-hand
+	// group of cut k. Row n is the running rectangle of either pass.
+	sufLo, sufHi []float64
+}
+
+// sortBy stable-sorts the ordering by the items' lower (else upper)
+// bound on axis, the other bound breaking ties.
+func (s *splitter) sortBy(axis int, lower bool) {
+	k1, k2, dim := s.lo[axis:], s.hi[axis:], s.dim
+	if !lower {
+		k1, k2 = k2, k1
+	}
+	slices.SortStableFunc(s.order, func(a, b int) int {
+		switch a, b := a*dim, b*dim; {
+		case k1[a] < k1[b]:
+			return -1
+		case k1[a] > k1[b]:
+			return 1
+		case k2[a] < k2[b]:
+			return -1
+		case k2[a] > k2[b]:
+			return 1
 		}
-		if ra.Hi[axis] != rb.Hi[axis] {
-			return ra.Hi[axis] < rb.Hi[axis]
-		}
-		return ra.Lo[axis] < rb.Lo[axis]
+		return 0
 	})
+}
+
+func (s *splitter) suffix(k int) mbr.Rect {
+	return mbr.Rect{Lo: s.sufLo[k*s.dim : (k+1)*s.dim], Hi: s.sufHi[k*s.dim : (k+1)*s.dim]}
+}
+
+// extend grows the running rectangle to cover item i.
+func (s *splitter) extend(run mbr.Rect, i int) {
+	lo, hi := s.lo[i*s.dim:(i+1)*s.dim], s.hi[i*s.dim:(i+1)*s.dim]
+	runLo, runHi := run.Lo[:len(lo)], run.Hi[:len(hi)]
+	for d, v := range lo {
+		runLo[d] = min(runLo[d], v)
+	}
+	for d, v := range hi {
+		runHi[d] = max(runHi[d], v)
+	}
+}
+
+// suffixes fills the right-hand rectangle of every legal cut of the
+// current ordering, then empties the running rectangle for the prefix
+// pass.
+func (s *splitter) suffixes() {
+	run := s.suffix(s.n)
+	fillEmpty(run)
+	for k := s.n - 1; k >= s.minFill; k-- {
+		s.extend(run, s.order[k])
+		if k <= s.n-s.minFill {
+			row := s.suffix(k)
+			copy(row.Lo, run.Lo)
+			copy(row.Hi, run.Hi)
+		}
+	}
+	fillEmpty(run)
+}
+
+// growPrefix extends the running rectangle from order[:k-1] to
+// order[:k], the left-hand group of cut k, and returns it.
+func (s *splitter) growPrefix(k int) mbr.Rect {
+	run := s.suffix(s.n)
+	s.extend(run, s.order[k-1])
+	return run
+}
+
+// fillEmpty resets r to the canonical empty rectangle (see mbr.Empty).
+func fillEmpty(r mbr.Rect) {
+	for i := range r.Lo {
+		r.Lo[i] = math.Inf(1)
+		r.Hi[i] = math.Inf(-1)
+	}
+}
+
+// gather returns the items at the given indices, in that order.
+func gather[T any](items []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for k, i := range idx {
+		out[k] = items[i]
+	}
+	return out
 }
 
 func groupRect[T any](xs []T, rectOf func(T) mbr.Rect, dim int) mbr.Rect {
@@ -70,16 +166,6 @@ func groupRect[T any](xs []T, rectOf func(T) mbr.Rect, dim int) mbr.Rect {
 		r.Extend(rectOf(x))
 	}
 	return r
-}
-
-// splitEntries splits inner-node entries.
-func splitEntries(entries []Entry, dim, minFill int) (left, right []Entry) {
-	return splitItems(entries, func(e Entry) mbr.Rect { return e.Rect }, dim, minFill)
-}
-
-// splitPoints splits leaf observations.
-func splitPoints(points [][]float64, dim, minFill int) (left, right [][]float64) {
-	return splitItems(points, mbr.Point, dim, minFill)
 }
 
 func entriesMBR(es []Entry, dim int) mbr.Rect {

@@ -528,19 +528,20 @@ func sortedByDistDesc(n int, at func(int) []float64, center []float64) []int {
 	return out
 }
 
-// splitNode performs the R* topological split on either node kind.
-// Weighted leaves split by index so the weight vector follows its
-// points; unweighted leaves keep the direct (λ = 0 digit-identical)
-// path.
+// splitNode performs the R* topological split on either node kind. A
+// weighted leaf's weight vector follows its points.
 func (t *Tree) splitNode(n *Node) (left, right *Node) {
 	if n.leaf {
-		if n.weights == nil {
-			l, r := splitPoints(n.points, t.cfg.Dim, t.cfg.MinLeaf)
-			return &Node{leaf: true, points: l}, &Node{leaf: true, points: r}
+		order, cut := splitOrder(len(n.points), func(i int) (lo, hi []float64) { return n.points[i], n.points[i] }, t.cfg.Dim, t.cfg.MinLeaf)
+		half := func(idx []int) *Node {
+			h := &Node{leaf: true, points: gather(n.points, idx)}
+			if n.weights != nil {
+				h.weights = gather(n.weights, idx)
+			}
+			return h
 		}
-		li, ri := splitIndices(len(n.points), func(i int) mbr.Rect { return mbr.Point(n.points[i]) }, t.cfg.Dim, t.cfg.MinLeaf)
-		return weightedLeaf(n.points, n.weights, li), weightedLeaf(n.points, n.weights, ri)
+		return half(order[:cut]), half(order[cut:])
 	}
-	l, r := splitEntries(n.entries, t.cfg.Dim, t.cfg.MinFanout)
-	return &Node{entries: l}, &Node{entries: r}
+	order, cut := splitOrder(len(n.entries), func(i int) (lo, hi []float64) { return n.entries[i].Rect.Lo, n.entries[i].Rect.Hi }, t.cfg.Dim, t.cfg.MinFanout)
+	return &Node{entries: gather(n.entries, order[:cut])}, &Node{entries: gather(n.entries, order[cut:])}
 }

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bayestree/internal/core"
+	"bayestree/internal/dataset"
 )
 
 // benchServer builds a pre-filled server outside the timed region.
@@ -103,6 +105,60 @@ func BenchmarkServerMixed(b *testing.B) {
 					i++
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkServerInsert measures one served insert — route, log append
+// when durable, tree insert, mirror repair under the shard write lock —
+// on 4 shards over a 2,000-point Pendigits model (16 dimensions, 10
+// classes, one insert in twelve splits a node), memory-only and behind
+// a group-commit WAL. allocs/op is the number to watch: the split and
+// the mirror repair are meant to stay a small constant.
+func BenchmarkServerInsert(b *testing.B) {
+	d, err := dataset.Pendigits(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Shuffle(1)
+	const preload = 2000
+	empty := func() (*Server, error) {
+		return NewEmpty(4, core.DefaultConfig(d.Dim()), d.Classes(), core.MultiOptions{}, Config{})
+	}
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "durable"
+		}
+		b.Run(name, func(b *testing.B) {
+			var s *Server
+			var err error
+			if durable {
+				s, err = OpenDurableServer(DurabilityOptions{Dir: b.TempDir(), FsyncEvery: 100 * time.Millisecond}, Config{}, empty)
+				if err == nil {
+					defer s.CloseDurability()
+					err = s.Recover()
+				}
+			} else {
+				s, err = empty()
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			insert := func(i int) {
+				if err := s.Insert(d.X[i%d.Len()], d.Y[i%d.Len()]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < preload; i++ {
+				insert(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				insert(preload + i)
+			}
 		})
 	}
 }

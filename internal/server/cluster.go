@@ -55,6 +55,9 @@ func (c *ctree) Weight() float64 { return c.t.Weight() }
 // CountNodes implements Model.
 func (c *ctree) CountNodes() int { return c.t.CountNodes() }
 
+// ApproxBytes implements Model.
+func (c *ctree) ApproxBytes() int64 { return c.t.ApproxBytes() }
+
 // Epoch implements Model.
 func (c *ctree) Epoch() int64 { return c.epoch }
 

@@ -50,6 +50,9 @@ type Model interface {
 	// CountNodes is the tree node count, the bounded-memory observable
 	// of a decaying model.
 	CountNodes() int
+	// ApproxBytes estimates the model's resident memory from its shape
+	// (dimension, classes, nodes, what it stores per observation).
+	ApproxBytes() int64
 	// Epoch returns the model's current decay epoch.
 	Epoch() int64
 	// AdvanceEpoch advances the model's logical decay clock by n epochs.
@@ -323,31 +326,19 @@ func (e *engine[M]) Close() {
 // NumShards returns the number of shards.
 func (e *engine[M]) NumShards() int { return len(e.shards) }
 
-// Rough per-node and per-observation resident-memory costs behind
-// ApproxBytes: a tree node carries entries with rects, CF vectors and
-// frozen caches; an observation is its float64 coordinates plus slice
-// headers. The constants are deliberately coarse — the estimate feeds
-// the registry's resident-bytes paging cap, where being within 2× is
-// enough to bound a process, and recomputing true sizes would walk
-// every allocation.
-const (
-	approxNodeBytes = 384
-	approxObsBytes  = 96
-)
-
-// ApproxBytes estimates the model's resident memory from its node and
-// observation counts — the observable the multi-tenant registry's
-// resident-bytes cap pages against. It takes each shard's read lock
-// briefly; the result is an estimate, not an accounting.
+// ApproxBytes estimates the served model's resident memory as the sum
+// of its shards' own estimates — the observable the multi-tenant
+// registry's resident-bytes cap pages against, where being within 2× is
+// enough to bound a process. It takes each shard's read lock briefly;
+// the result is an estimate, not an accounting.
 func (e *engine[M]) ApproxBytes() int64 {
-	var nodes, obs int
+	var total int64
 	for _, sh := range e.shards {
 		e.rlock(sh)
-		nodes += sh.tree.CountNodes()
-		obs += sh.tree.Len()
+		total += sh.tree.ApproxBytes()
 		e.runlock(sh)
 	}
-	return int64(nodes)*approxNodeBytes + int64(obs)*approxObsBytes
+	return total
 }
 
 // Len returns the total number of observations across all shards.

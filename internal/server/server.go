@@ -381,8 +381,8 @@ func (s *Server) Insert(x []float64, label int) error {
 	err := sh.tree.Insert(x, label)
 	if err == nil {
 		// Re-publish the descent mirror while the write lock still
-		// fences readers: split-free inserts patch in place, splits
-		// rebuild.
+		// fences readers: the insert, split or not, is repaired along
+		// its path.
 		s.refreshShardSoA(sh)
 	}
 	sh.mu.Unlock()
