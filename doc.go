@@ -26,9 +26,10 @@
 // log-normaliser and log count), and each tree caches its query-time
 // constants (root summary, Silverman bandwidths, frozen leaf kernel).
 // The caches are invalidated by Insert — and only by Insert — and
-// entries whose cluster features change are always rebuilt with fresh
-// caches, so a cursor created after an insert sees the new data
-// exactly. Cursors and classification queries are pooled: calling
+// entries whose cluster features change are always brought up to date
+// with them (rebuilt, or for a split-free insert into the multi-class
+// tree refreshed in place for the inserted class, to the same bits), so
+// a cursor created after an insert sees the new data exactly. Cursors and classification queries are pooled: calling
 // Close on them recycles their internal buffers, making steady-state
 // classification allocation-free. Do not interleave Learn/Insert with
 // in-flight queries on the same trees.

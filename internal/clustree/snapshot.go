@@ -106,6 +106,25 @@ func (s *SnapshotStore) Len() int {
 	return total
 }
 
+// ApproxBytes estimates the store's resident memory from its shape:
+// retained snapshots × their micro-clusters × a micro-cluster's size (the
+// struct, counted over the slice's capacity, and its three Dim-vectors:
+// the cluster feature's LS and SS and the mean).
+func (s *SnapshotStore) ApproxBytes() int64 {
+	const word, slice int64 = 8, 24
+	var total int64
+	for _, snaps := range s.orders {
+		for i := range snaps {
+			mcs := snaps[i].MicroClusters
+			total += word + slice // the Snapshot
+			if len(mcs) > 0 {
+				total += int64(cap(mcs))*(3*word+3*slice) + int64(len(mcs))*3*word*int64(len(mcs[0].Mean))
+			}
+		}
+	}
+	return total
+}
+
 // Closest returns the retained snapshot whose time is nearest to t, and
 // false if the store is empty.
 func (s *SnapshotStore) Closest(t float64) (Snapshot, bool) {

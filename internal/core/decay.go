@@ -26,9 +26,9 @@ import (
 // Weight(), which folds the outstanding decay factor into the stored
 // root mass.
 //
-// Like Insert, both AdvanceEpoch and DecaySweep drop the cached query
-// state (Tree stores nil into its query-state pointer; MultiTree calls
-// invalidate), so no query ever mixes state from two decay epochs. With
+// Both AdvanceEpoch and DecaySweep drop the cached query state (Tree
+// stores nil into its query-state pointer; MultiTree calls invalidate
+// with no path), so no query ever mixes state from two decay epochs. With
 // decay disabled (λ = 0) every path below is bypassed and behaviour is
 // digit-identical to an undecayed tree.
 
@@ -329,7 +329,7 @@ func (t *MultiTree) EnableDecay(opts DecayOptions) error {
 		return err
 	}
 	t.decay = opts
-	t.invalidate(nil, 0)
+	t.invalidate(nil, 0, allClasses)
 	return nil
 }
 
@@ -356,7 +356,7 @@ func (t *MultiTree) RestoreDecayState(opts DecayOptions, epoch, ref int64) error
 	t.decay = opts
 	t.epoch = epoch
 	t.refEpoch = ref
-	t.invalidate(nil, 0)
+	t.invalidate(nil, 0, allClasses)
 	return nil
 }
 
@@ -367,7 +367,7 @@ func (t *MultiTree) AdvanceEpoch(n int64) {
 		return
 	}
 	t.epoch += n
-	t.invalidate(nil, 0)
+	t.invalidate(nil, 0, allClasses)
 }
 
 func (t *MultiTree) insertWeight() float64 {
@@ -443,8 +443,12 @@ func (t *MultiTree) DecaySweep() SweepStats {
 		t.root = &MultiNode{leaf: true}
 	}
 	t.refEpoch = t.epoch
+	// Invalidated before the reinserts, so none of them patches query
+	// constants the sweep has already outdated; the class masses they
+	// would be patched from are only recomputed below.
+	t.invalidate(nil, 0, allClasses)
 	for k, p := range orphans {
-		t.insertPointW(p, orphanW[k])
+		t.insertPointW(p, orphanW[k], t.index[p.Label])
 	}
 	st.Reinserted = len(orphans)
 	t.size = countMultiPoints(t.root)
@@ -453,7 +457,6 @@ func (t *MultiTree) DecaySweep() SweepStats {
 		t.counts[c] = root.CFs[c].N
 	}
 	st.PointsPruned = before - t.size
-	t.invalidate(nil, 0)
 	return st
 }
 

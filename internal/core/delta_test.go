@@ -1,0 +1,428 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"bayestree/internal/mbr"
+	"bayestree/internal/stats"
+)
+
+// These tests pin the class-local insert delta (refreshClass, the
+// mirror's one-slot repair, the patched query constants) to the
+// from-scratch routines it stands in for — summarize, buildMultiSoA and
+// a queryConsts rebuilt from nil — bit for bit, and guard what the
+// in-place update relies on: every live entry owns its vectors.
+
+// entryDiff names the first part of got that differs from want in any
+// bit ("" when none does): rectangle, cluster features, frozen
+// Gaussians including their log-normalisers.
+func entryDiff(got, want *MultiEntry) string {
+	switch {
+	case !bitsEqual(got.Rect.Lo, want.Rect.Lo) || !bitsEqual(got.Rect.Hi, want.Rect.Hi):
+		return "Rect"
+	case cfDiff(&got.Total, &want.Total):
+		return "Total"
+	case len(got.CFs) != len(want.CFs) || len(got.frozen) != len(want.frozen):
+		return "class count"
+	}
+	for c := range want.CFs {
+		if cfDiff(&got.CFs[c], &want.CFs[c]) {
+			return fmt.Sprintf("CFs[%d]", c)
+		}
+		g, w := &got.frozen[c], &want.frozen[c]
+		if !bitsEqual(g.Mean, w.Mean) || !bitsEqual(g.InvVar, w.InvVar) || !bitsEqual(g.LogVar, w.LogVar) ||
+			!bitsEqual([]float64{g.LogN, g.LogNorm()}, []float64{w.LogN, w.LogNorm()}) {
+			return fmt.Sprintf("frozen[%d]", c)
+		}
+	}
+	return ""
+}
+
+func cfDiff(a, b *stats.CF) bool {
+	return !bitsEqual([]float64{a.N}, []float64{b.N}) || !bitsEqual(a.LS, b.LS) || !bitsEqual(a.SS, b.SS)
+}
+
+// checkEntriesMatchSummarize asserts every entry of the tree is bitwise
+// summarize of its child.
+func checkEntriesMatchSummarize(t *testing.T, ctx string, mt *MultiTree) {
+	t.Helper()
+	var walk func(n *MultiNode)
+	walk = func(n *MultiNode) {
+		for i := range n.entries {
+			e := &n.entries[i]
+			want := mt.summarize(e.Child)
+			if d := entryDiff(e, &want); d != "" {
+				t.Fatalf("%s: entry %s differs from summarize(child)", ctx, d)
+			}
+			walk(e.Child)
+		}
+	}
+	walk(mt.root)
+}
+
+// checkQueryStateMatchesRebuild asserts the cached query constants —
+// patched or not — are bitwise what a rebuild from nil produces, and
+// leaves the cached state in place so later inserts keep patching it.
+func checkQueryStateMatchesRebuild(t *testing.T, ctx string, mt *MultiTree) {
+	t.Helper()
+	got := mt.queryState.Load()
+	if got == nil {
+		return
+	}
+	mt.queryState.Store(nil)
+	want := mt.queryConsts()
+	mt.queryState.Store(got)
+	if d := entryDiff(&got.root, &want.root); d != "" {
+		t.Fatalf("%s: cached root summary: %s differs from a rebuild", ctx, d)
+	}
+	if got.root.Child != want.root.Child || got.sweepOK != want.sweepOK {
+		t.Fatalf("%s: cached root child / sweepOK differ from a rebuild", ctx)
+	}
+	if !bitsEqual(got.logNc, want.logNc) {
+		t.Fatalf("%s: cached logNc %v, rebuilt %v", ctx, got.logNc, want.logNc)
+	}
+	for c := range want.bw {
+		if !bitsEqual(got.bw[c], want.bw[c]) {
+			t.Fatalf("%s: cached bandwidths of class %d differ from a rebuild", ctx, c)
+		}
+		if !reflect.DeepEqual(got.kern[c], want.kern[c]) || !reflect.DeepEqual(got.sweep[c], want.sweep[c]) {
+			t.Fatalf("%s: cached kernel of class %d differs from a rebuild", ctx, c)
+		}
+	}
+}
+
+// TestInsertDeltaMatchesSummarize is the delta's property: over seeded
+// runs — continuous and tie-heavy coordinates (both zeros among them),
+// PooledVariance × EntropyPriority × decay, three node capacities, two
+// to four classes, an epoch advance and a decay sweep in mid-run, and
+// refreshes skipped at random so deltas pile up in the dirty set — after
+// every insert each entry is bitwise summarize(child), the cached query
+// constants are bitwise a rebuild from nil, and a refreshed mirror is
+// block for block a fresh build.
+func TestInsertDeltaMatchesSummarize(t *testing.T) {
+	narrow := smallConfig(3)
+	narrow.MinFanout, narrow.MaxFanout, narrow.MinLeaf, narrow.MaxLeaf = 1, 2, 1, 2
+	configs := []Config{narrow, smallConfig(3), DefaultConfig(3)}
+	for seed := 1; seed <= 240; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		mo := MultiOptions{PooledVariance: seed&1 != 0, EntropyPriority: seed&2 != 0}
+		decay, tied := seed&4 != 0, seed&8 != 0
+		nc := 2 + seed%3
+		labels := make([]int, nc)
+		for c := range labels {
+			labels[c] = 10 * c
+		}
+		mt, err := NewMultiTree(configs[seed%3], labels, mo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decay {
+			if err := mt.EnableDecay(DecayOptions{Lambda: 0.2, MinWeight: 0.05}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mt.RefreshSoA()
+		for i := 0; i < 70; i++ {
+			ctx := fmt.Sprintf("seed %d insert %d", seed, i)
+			x := []float64{splitCoord(rng, tied), splitCoord(rng, tied), splitCoord(rng, tied)}
+			if err := mt.Insert(x, labels[rng.Intn(nc)]); err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case decay && i == 25:
+				mt.AdvanceEpoch(2)
+			case decay && i == 45:
+				mt.AdvanceEpoch(10)
+				mt.DecaySweep()
+			}
+			checkEntriesMatchSummarize(t, ctx, mt)
+			checkQueryStateMatchesRebuild(t, ctx, mt)
+			if rng.Intn(3) != 0 {
+				mt.RefreshSoA()
+				checkMirrorIsFreshBuild(t, ctx, mt)
+			}
+			mt.queryConsts() // a structure change dropped it: the next insert patches again
+		}
+		if err := mt.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// rebuiltCopy reassembles a deep copy of the tree through the Rebuild*
+// constructors, the way a snapshot decoder does.
+func rebuiltCopy(t *testing.T, mt *MultiTree) *MultiTree {
+	t.Helper()
+	vec := func(v []float64) []float64 { return append([]float64(nil), v...) }
+	cf := func(c stats.CF) stats.CF { return stats.CF{N: c.N, LS: vec(c.LS), SS: vec(c.SS)} }
+	var copyNode func(n *MultiNode) *MultiNode
+	copyNode = func(n *MultiNode) *MultiNode {
+		if n.leaf {
+			pts := make([]LabeledPoint, len(n.points))
+			for i, p := range n.points {
+				pts[i] = LabeledPoint{X: vec(p.X), Label: p.Label}
+			}
+			var ws []float64
+			if n.weights != nil {
+				ws = vec(n.weights)
+			}
+			leaf, err := RebuildMultiLeafWeighted(pts, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return leaf
+		}
+		ents := make([]MultiEntry, len(n.entries))
+		for i := range n.entries {
+			e := &n.entries[i]
+			ents[i] = MultiEntry{Rect: e.Rect.Clone(), CFs: make([]stats.CF, len(e.CFs)), Total: cf(e.Total), Child: copyNode(e.Child)}
+			for c := range e.CFs {
+				ents[i].CFs[c] = cf(e.CFs[c])
+			}
+		}
+		return RebuildMultiInner(ents)
+	}
+	out, err := RebuildMultiTree(mt.cfg, mt.mopts, mt.labels, copyNode(mt.root), mt.counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.RestoreDecayState(mt.decay, mt.epoch, mt.refEpoch); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkEntriesOwnTheirVectors asserts no backing array is referenced by
+// two vectors of the tree's live entries or of the cached root summary
+// — what refreshClass's in-place writes rely on. The one documented
+// alias: under PooledVariance the classes of one entry share its
+// inverse-variance and log-variance vectors.
+func checkEntriesOwnTheirVectors(t *testing.T, ctx string, mt *MultiTree) {
+	t.Helper()
+	// A vector is named by its entry, its class (−1: the entry's own)
+	// and its role; names are only formatted for a failure.
+	type name struct {
+		entry, class int
+		role         string
+	}
+	owner := map[*float64]name{}
+	claim := func(v []float64, who name) {
+		if len(v) == 0 {
+			return
+		}
+		if prev, taken := owner[&v[0]]; taken {
+			t.Fatalf("%s: %+v shares its backing array with %+v", ctx, who, prev)
+		}
+		owner[&v[0]] = who
+	}
+	entries := 0
+	claimEntry := func(e *MultiEntry) {
+		id := entries
+		entries++
+		claim(e.Rect.Lo, name{id, -1, "Rect.Lo"})
+		claim(e.Rect.Hi, name{id, -1, "Rect.Hi"})
+		claim(e.Total.LS, name{id, -1, "Total.LS"})
+		claim(e.Total.SS, name{id, -1, "Total.SS"})
+		var pooled *stats.FrozenGaussian
+		for c := range e.CFs {
+			claim(e.CFs[c].LS, name{id, c, "LS"})
+			claim(e.CFs[c].SS, name{id, c, "SS"})
+			f := &e.frozen[c]
+			claim(f.Mean, name{id, c, "Mean"})
+			if mt.mopts.PooledVariance && f.Mean != nil {
+				if pooled == nil {
+					pooled = f
+				} else if &f.InvVar[0] != &pooled.InvVar[0] || &f.LogVar[0] != &pooled.LogVar[0] || f.LogNorm() != pooled.LogNorm() {
+					t.Fatalf("%s: entry %d class %d does not alias the entry's pooled variance", ctx, id, c)
+				}
+				continue
+			}
+			claim(f.InvVar, name{id, c, "InvVar"})
+			claim(f.LogVar, name{id, c, "LogVar"})
+		}
+		if pooled != nil {
+			claim(pooled.InvVar, name{id, -1, "pooled InvVar"})
+			claim(pooled.LogVar, name{id, -1, "pooled LogVar"})
+		}
+	}
+	var walk func(n *MultiNode)
+	walk = func(n *MultiNode) {
+		for i := range n.entries {
+			claimEntry(&n.entries[i])
+			walk(n.entries[i].Child)
+		}
+	}
+	walk(mt.root)
+	if st := mt.queryState.Load(); st != nil {
+		claimEntry(&st.root)
+	}
+}
+
+// TestEntriesOwnTheirVectors walks trees grown through every place
+// entry values are copied — node splits (gather), the decay sweep's
+// collapse and root-chain collapse, and a rebuild from decoded parts —
+// interleaved at random with split-free inserts and queries, and checks
+// vector ownership after each step.
+func TestEntriesOwnTheirVectors(t *testing.T) {
+	narrow := smallConfig(3)
+	narrow.MinFanout, narrow.MaxFanout, narrow.MinLeaf, narrow.MaxLeaf = 1, 2, 1, 2
+	for seed := 1; seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		mo := MultiOptions{PooledVariance: seed&1 != 0}
+		mt, err := NewMultiTree([]Config{narrow, smallConfig(3)}[seed%2], []int{0, 1, 2}, mo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mt.EnableDecay(DecayOptions{Lambda: 0.25, MinWeight: 0.1}); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 150; step++ {
+			ctx := fmt.Sprintf("seed %d step %d", seed, step)
+			switch op := rng.Intn(20); {
+			case op == 0:
+				mt.AdvanceEpoch(int64(1 + rng.Intn(6)))
+				mt.DecaySweep()
+			case op == 1:
+				mt = rebuiltCopy(t, mt)
+			case op < 5 && mt.Len() > 0:
+				if _, err := mt.Classify([]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}, ClassifierOptions{}, 4); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				if err := mt.Insert([]float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}, rng.Intn(3)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkEntriesOwnTheirVectors(t, ctx, mt)
+			checkEntriesMatchSummarize(t, ctx, mt)
+			checkQueryStateMatchesRebuild(t, ctx, mt)
+		}
+	}
+}
+
+// deepTree grows a tree of the given class count whose leaves sit at
+// least minDepth levels below the root, with the mirror published and
+// the query constants cached.
+func deepTree(t *testing.T, nc, minDepth int, rng *rand.Rand) *MultiTree {
+	t.Helper()
+	labels := make([]int, nc)
+	for c := range labels {
+		labels[c] = c
+	}
+	cfg := smallConfig(4)
+	cfg.MinFanout, cfg.MaxFanout = 2, 4
+	mt, err := NewMultiTree(cfg, labels, MultiOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth := func() int {
+		d := 0
+		for n := mt.root; !n.leaf; n = n.entries[0].Child {
+			d++
+		}
+		return d
+	}
+	for i := 0; depth() < minDepth || i < 40*nc; i++ {
+		if err := mt.Insert(randPoints(rng, 1, 4)[0], labels[i%nc]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mt.RefreshSoA()
+	mt.queryConsts()
+	return mt
+}
+
+// splitFreeInsert inserts random points — each into a tree whose query
+// constants are cached, as between two reads of a served model, and
+// each followed by a mirror refresh — until one split nothing (the node
+// count stayed), and returns that insert's allocations.
+func splitFreeInsert(t *testing.T, mt *MultiTree, rng *rand.Rand) float64 {
+	t.Helper()
+	for {
+		// A class its leaf already holds: an entry's first sight of a
+		// class allocates that class's frozen Gaussian, once.
+		x := randPoints(rng, 1, 4)[0]
+		leaf := mt.root
+		for !leaf.leaf {
+			leaf = leaf.entries[mt.chooseSubtree(leaf, mbr.Rect{Lo: x, Hi: x})].Child
+		}
+		label := leaf.points[rng.Intn(len(leaf.points))].Label
+		nodes := mt.CountNodes()
+		mt.queryConsts()
+		n := mallocs(func() {
+			if err := mt.Insert(x, label); err != nil {
+				t.Fatal(err)
+			}
+			mt.RefreshSoA()
+		})
+		if mt.CountNodes() == nodes {
+			return n
+		}
+	}
+}
+
+// mallocs counts the heap allocations of one call of f, as
+// testing.AllocsPerRun does but without its warm-up call: the calls
+// measured here are each the first of their kind.
+func mallocs(f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs)
+}
+
+// TestSplitFreeInsertAllocs: a split-free insert and its mirror repair
+// allocate a small constant — the stored copy of the point, the leaf's
+// refitted mirror block, the patched class's bandwidths and kernel —
+// whatever the number of classes (2 → 26) and the depth of the tree.
+func TestSplitFreeInsertAllocs(t *testing.T) {
+	const rounds, limit = 50, 8
+	for _, tc := range []struct{ nc, depth int }{{2, 2}, {26, 2}, {2, 5}, {26, 5}} {
+		rng := rand.New(rand.NewSource(int64(100*tc.nc + tc.depth)))
+		mt := deepTree(t, tc.nc, tc.depth, rng)
+		var total float64
+		for i := 0; i < rounds; i++ {
+			total += splitFreeInsert(t, mt, rng)
+		}
+		got := total / rounds
+		t.Logf("%d classes, depth ≥ %d: %.1f allocations per split-free Insert+RefreshSoA", tc.nc, tc.depth, got)
+		if got > limit {
+			t.Errorf("%d classes, depth ≥ %d: split-free Insert+RefreshSoA allocates %.1f times, want ≤ %d", tc.nc, tc.depth, got, limit)
+		}
+	}
+}
+
+// TestFirstReadAfterInsertAllocs: the first query after a split-free
+// insert finds its constants patched, not dropped — it allocates no more
+// than a query with no insert before it (+ ≤ 8).
+func TestFirstReadAfterInsertAllocs(t *testing.T) {
+	const rounds = 50
+	rng := rand.New(rand.NewSource(7))
+	mt := deepTree(t, 10, 3, rng)
+	q := randPoints(rng, 1, 4)[0]
+	read := func() {
+		if _, err := mt.Classify(q, ClassifierOptions{}, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	var steady, afterInsert float64
+	for i := 0; i < rounds; i++ {
+		steady += mallocs(read)
+	}
+	for i := 0; i < rounds; i++ {
+		splitFreeInsert(t, mt, rng)
+		afterInsert += mallocs(read)
+	}
+	steady, afterInsert = steady/rounds, afterInsert/rounds
+	t.Logf("%.1f allocations per read after a split-free insert, %.1f after none", afterInsert, steady)
+	if afterInsert > steady+8 {
+		t.Errorf("first read after an insert allocates %.1f times, a read after none %.1f", afterInsert, steady)
+	}
+}

@@ -88,9 +88,12 @@ type MultiTree struct {
 	size   int
 	counts []float64
 	// queryState caches the per-query constants (root summary, per-class
-	// bandwidths and log counts); built on first query, dropped by
-	// invalidate.
+	// bandwidths and log counts); built on first query, then kept by
+	// invalidate: patched for the class of a split-free insert, dropped
+	// on any other mutation.
 	queryState atomic.Pointer[multiQueryState]
+	// path is insertPointW's descent path, kept for its capacity.
+	path []*MultiNode
 	// decay configures exponential forgetting (zero value = off); epoch
 	// is the current logical time and refEpoch the epoch the stored
 	// weights are valued at. See decay.go.
@@ -106,7 +109,7 @@ type MultiTree struct {
 	soa           atomic.Pointer[multiSoA]
 	soaTrack      bool
 	soaStructural bool
-	soaDirty      map[*MultiNode]struct{}
+	soaDirty      map[*MultiNode]soaDelta
 	soaDead       []*MultiNode
 	soaRetained   *multiSoA
 	soaRebuilds   int64
@@ -245,28 +248,76 @@ func (t *MultiTree) summarize(n *MultiNode) MultiEntry {
 
 // freeze precomputes the per-class Gaussians of an entry, honouring the
 // variance-pooling option. With pooled variance all classes share one
-// inverse-variance vector (aliased, read-only), so freezing stays cheap
-// even for many classes.
+// inverse-variance vector (aliased — the one exception to an entry's
+// vectors being referenced once), so freezing stays cheap even for many
+// classes.
 func (t *MultiTree) freeze(e *MultiEntry) {
 	e.frozen = make([]stats.FrozenGaussian, len(e.CFs))
+	var shared stats.FrozenGaussian
 	if t.mopts.PooledVariance {
-		shared := stats.FrozenFromMoments(nil, e.Total.Variance())
-		for c := range e.CFs {
-			if e.CFs[c].N <= 0 {
-				continue
-			}
-			f := shared
-			f.Mean = e.CFs[c].Mean()
-			f.LogN = math.Log(e.CFs[c].N)
-			e.frozen[c] = f
-		}
-		return
+		shared.SetVariance(&e.Total)
 	}
 	for c := range e.CFs {
 		if e.CFs[c].N <= 0 {
 			continue
 		}
-		e.frozen[c] = stats.Freeze(&e.CFs[c])
+		if t.mopts.PooledVariance {
+			e.frozen[c].ShareVariance(&shared)
+			e.frozen[c].SetMean(&e.CFs[c])
+		} else {
+			stats.FreezeInto(&e.frozen[c], &e.CFs[c])
+		}
+	}
+}
+
+// refreshClass recomputes, in e's own vectors, the parts of
+// e = summarize(n) that an insert of class c below n changed: CFs[c],
+// Total, Rect and frozen[c]. It is summarize's arithmetic in summarize's
+// order, so those parts come out bitwise as summarize would return them,
+// and every other class keeps its bits because its inputs kept theirs.
+// (The rectangle is re-extended, not grown by the point: which of +0 and
+// −0 a bound keeps depends on the order of extension.)
+func (t *MultiTree) refreshClass(e *MultiEntry, n *MultiNode, c int) {
+	cf := &e.CFs[c]
+	cf.Reset()
+	e.Total.Reset()
+	fillEmpty(e.Rect)
+	if n.leaf {
+		label := t.labels[c]
+		for i, p := range n.points {
+			e.Rect.ExtendPoint(p.X)
+			if n.weights == nil {
+				if p.Label == label {
+					cf.Add(p.X)
+				}
+				e.Total.Add(p.X)
+			} else {
+				if p.Label == label {
+					cf.AddWeighted(p.X, n.weights[i])
+				}
+				e.Total.AddWeighted(p.X, n.weights[i])
+			}
+		}
+	} else {
+		for i := range n.entries {
+			e.Rect.Extend(n.entries[i].Rect)
+			cf.Merge(n.entries[i].CFs[c])
+			e.Total.Merge(n.entries[i].Total)
+		}
+	}
+	if !t.mopts.PooledVariance {
+		stats.FreezeInto(&e.frozen[c], cf)
+		return
+	}
+	// The pooled variance moved with Total: rewrite the shared vector
+	// once, through class c, and re-alias every class present.
+	f := &e.frozen[c]
+	f.SetVariance(&e.Total)
+	f.SetMean(cf)
+	for o := range e.CFs {
+		if e.CFs[o].N > 0 {
+			e.frozen[o].ShareVariance(f)
+		}
 	}
 }
 
@@ -302,25 +353,28 @@ func (t *MultiTree) Insert(x []float64, label int) error {
 	cp := make([]float64, len(x))
 	copy(cp, x)
 	w := t.insertWeight()
-	t.insertPointW(LabeledPoint{X: cp, Label: label}, w)
+	// Counted first: the insert ends in invalidate, which patches the
+	// cached query constants of this class from its new count.
 	t.size++
 	t.counts[ci] += w
+	t.insertPointW(LabeledPoint{X: cp, Label: label}, w, ci)
 	return nil
 }
 
-// insertPointW inserts p at leaf level with the given weight (1 for
-// undecayed trees).
-func (t *MultiTree) insertPointW(p LabeledPoint, w float64) {
-	rect := mbr.Point(p.X)
-	path := []*MultiNode{t.root}
+// insertPointW inserts p, of class index c, at leaf level with the given
+// weight (1 for undecayed trees).
+func (t *MultiTree) insertPointW(p LabeledPoint, w float64, c int) {
+	rect := mbr.Rect{Lo: p.X, Hi: p.X}
+	path := append(t.path[:0], t.root)
 	n := t.root
 	for !n.leaf {
 		idx := t.chooseSubtree(n, rect)
 		n = n.entries[idx].Child
 		path = append(path, n)
 	}
+	t.path = path
 	n.appendPoint(p, w)
-	t.invalidate(path, t.fixOverflow(path))
+	t.invalidate(path, t.fixOverflow(path, c), c)
 }
 
 // appendPoint adds one observation with the given weight, materialising
@@ -357,17 +411,24 @@ func (t *MultiTree) chooseSubtree(n *MultiNode, r mbr.Rect) int {
 // levels of the path, counted from the leaf, it replaced by a pair of
 // new siblings (len(path) when the root split) — what the SoA mirror
 // needs to repair itself along the path: those nodes are gone, the ones
-// above them survive with changed contents.
-func (t *MultiTree) fixOverflow(path []*MultiNode) int {
+// above them survive with changed contents. c is the inserted point's
+// class: with no split, class c of the path's entries is all that
+// changed.
+func (t *MultiTree) fixOverflow(path []*MultiNode, c int) int {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
 		over := (n.leaf && len(n.points) > t.cfg.MaxLeaf) || (!n.leaf && len(n.entries) > t.cfg.MaxFanout)
 		if !over {
-			// As in Tree.fixOverflow: one full refresh of this prefix
-			// covers all remaining levels (they gained no entries), so
-			// stop instead of re-summarizing per level.
-			t.refreshPath(path[:i+1])
-			return len(path) - 1 - i
+			// As in Tree.fixOverflow: one refresh of this prefix covers
+			// all remaining levels (they gained no entries). Above a
+			// split it re-summarises: the split reordered the entries
+			// every class's sums run over.
+			replaced := len(path) - 1 - i
+			if replaced > 0 {
+				c = allClasses
+			}
+			t.refreshPath(path[:i+1], c)
+			return replaced
 		}
 		left, right := t.splitNode(n)
 		if i == 0 {
@@ -404,67 +465,74 @@ func (t *MultiTree) splitNode(n *MultiNode) (left, right *MultiNode) {
 	return &MultiNode{entries: gather(n.entries, order[:cut])}, &MultiNode{entries: gather(n.entries, order[cut:])}
 }
 
-func (t *MultiTree) refreshPath(path []*MultiNode) {
+// allClasses asks refreshPath to re-summarise instead of refreshing one
+// class.
+const allClasses = -1
+
+// refreshPath brings the entries along path up to date with their
+// children, leaf to root: class c of each in place (refreshClass), or
+// the whole entry anew for allClasses.
+func (t *MultiTree) refreshPath(path []*MultiNode, c int) {
 	for i := len(path) - 1; i >= 1; i-- {
 		child := path[i]
 		parent := path[i-1]
 		for j := range parent.entries {
 			if parent.entries[j].Child == child {
-				parent.entries[j] = t.summarize(child)
+				if c == allClasses {
+					parent.entries[j] = t.summarize(child)
+				} else {
+					t.refreshClass(&parent.entries[j], child, c)
+				}
 				break
 			}
 		}
 	}
 }
 
-// bandwidths returns the per-class Silverman bandwidth vectors for an
-// already computed root summary.
-func (t *MultiTree) bandwidths(root *MultiEntry) [][]float64 {
-	out := make([][]float64, len(t.labels))
-	for c := range t.labels {
-		cf := root.CFs[c]
-		variance := cf.Variance()
-		sigma := make([]float64, len(variance))
-		for i, v := range variance {
-			sigma[i] = math.Sqrt(v)
-		}
-		n := int(cf.N)
-		out[c] = stats.SilvermanBandwidth(sigma, n, t.cfg.Dim)
-	}
-	return out
-}
-
 // queryConsts returns the cached query-time constants, rebuilding them on
-// first use after a mutation (a benign publication race builds identical
-// values).
+// first use after a structural mutation (a benign publication race
+// builds identical values).
 func (t *MultiTree) queryConsts() *multiQueryState {
 	if st := t.queryState.Load(); st != nil {
 		return st
 	}
-	root := t.summarize(t.root)
+	nc := len(t.labels)
 	st := &multiQueryState{
-		root:  root,
-		bw:    t.bandwidths(&root),
-		logNc: make([]float64, len(t.labels)),
-		kern:  make([]kernels.FrozenKernel, len(t.labels)),
+		root:    t.summarize(t.root),
+		bw:      make([][]float64, nc),
+		logNc:   make([]float64, nc),
+		kern:    make([]kernels.FrozenKernel, nc),
+		sweep:   make([]kernels.Sweeper, nc),
+		sweepOK: true,
 	}
-	st.sweep = make([]kernels.Sweeper, len(t.labels))
-	st.sweepOK = true
-	for c := range st.logNc {
-		if t.counts[c] > 0 {
-			st.logNc[c] = math.Log(t.counts[c])
-		} else {
-			st.logNc[c] = math.Inf(1) // class absent: densities stay zero
-		}
-		st.kern[c] = kernels.FreezeKernel(t.cfg.Kernel, st.bw[c])
-		if sw, ok := st.kern[c].(kernels.Sweeper); ok {
-			st.sweep[c] = sw
-		} else {
-			st.sweepOK = false
-		}
+	for c := 0; c < nc; c++ {
+		t.classConsts(st, c)
 	}
 	t.queryState.Store(st)
 	return st
+}
+
+// classConsts derives class c's query constants from the state's root
+// summary and the class count: the Silverman bandwidths, the log count
+// and the leaf kernel frozen at those bandwidths.
+func (t *MultiTree) classConsts(st *multiQueryState, c int) {
+	cf := &st.root.CFs[c]
+	sigma := cf.Variance()
+	for i, v := range sigma {
+		sigma[i] = math.Sqrt(v)
+	}
+	st.bw[c] = stats.SilvermanBandwidth(sigma, int(cf.N), t.cfg.Dim)
+	if t.counts[c] > 0 {
+		st.logNc[c] = math.Log(t.counts[c])
+	} else {
+		st.logNc[c] = math.Inf(1) // class absent: densities stay zero
+	}
+	st.kern[c] = kernels.FreezeKernel(t.cfg.Kernel, st.bw[c])
+	if sw, ok := st.kern[c].(kernels.Sweeper); ok {
+		st.sweep[c] = sw
+	} else {
+		st.sweepOK = false
+	}
 }
 
 // classGaussian returns the Gaussian contributed by entry e for class c,

@@ -23,16 +23,21 @@ import (
 // in soa_equiv_test.go assert it bitwise.
 //
 // Staleness has one rule: every MultiTree mutation ends in
-// (*MultiTree).invalidate, which drops the cached query constants and
-// unpublishes the mirror (the atomic pointer goes nil, so later queries
-// take the pointer loop) and records what went stale. An insert is a
-// path-local event: the nodes on its insertion path that survive are
-// dirty, the ones a split replaced are dead, and RefreshSoA repairs the
-// retained mirror along that path — it releases the dead nodes' blocks,
-// mirrors the new siblings (a new root takes over index 0) and refills
-// the dirty ancestors, work proportional to the path and not the tree.
-// Decay sweeps and epoch advances touch every node and are whole
-// builds, as is a pending set that outgrew the mirror it would repair.
+// (*MultiTree).invalidate, which unpublishes the mirror (the atomic
+// pointer goes nil, so later queries take the pointer loop) and records
+// what went stale, in the mirror and in the cached query constants
+// alike. The rule has two cases. A split-free insert is a class-local
+// delta: along its path only the inserted class of one entry per node
+// changed (refreshClass rewrote it in place), so each inner node of the
+// path owes the mirror that entry's slot and bounds, the leaf its block,
+// and the query constants are patched for that class. A structure change
+// re-summarises and drops the query constants: after a split the nodes
+// it replaced are dead and the surviving path is dirty whole — RefreshSoA
+// releases the dead nodes' blocks, mirrors the new siblings (a new root
+// takes over index 0) and refills the dirty ancestors, work proportional
+// to the path and not the tree — while decay sweeps and epoch advances
+// touch every node and are whole builds, as is a pending set that
+// outgrew the mirror it would repair.
 // RefreshSoA must be called with exclusive access to the tree — the
 // serving layer calls it under the shard write lock right after the
 // mutation, and piggybacks whole builds on recovery replay and the
@@ -150,10 +155,21 @@ func (s *multiSoA) release(n *MultiNode) {
 	}
 }
 
+// soaDelta is what an insert left stale in a surviving inner node of its
+// path: class `class` of the entry over `child` (a split-free insert
+// changes nothing else there), or, with a nil child, the whole node — a
+// leaf, a node above a split, or one where two different deltas met
+// before a refresh.
+type soaDelta struct {
+	child *MultiNode
+	class int
+}
+
 // repair brings the mirror up to date after inserts: dead nodes were
 // replaced by splits, dirty ones lie on an insertion path and survived.
-// Refilling a dirty node mirrors the children a split gave it.
-func (s *multiSoA) repair(t *MultiTree, dirty map[*MultiNode]struct{}, dead []*MultiNode) {
+// Refilling a dirty node mirrors the children a split gave it; a node
+// with a one-class delta gets that entry's slot and bounds rewritten.
+func (s *multiSoA) repair(t *MultiTree, dirty map[*MultiNode]soaDelta, dead []*MultiNode) {
 	for _, n := range dead {
 		s.release(n)
 	}
@@ -161,11 +177,30 @@ func (s *multiSoA) repair(t *MultiTree, dirty map[*MultiNode]struct{}, dead []*M
 		s.index[t.root] = 0
 		s.fill(t, t.root, 0)
 	}
-	for n := range dirty {
+	for n, delta := range dirty {
 		// A dirty node without a mirror node was itself created by a
 		// split since the last refresh; its parent's refill places it.
-		if idx, ok := s.index[n]; ok {
+		idx, ok := s.index[n]
+		if !ok {
+			continue
+		}
+		if delta.child == nil {
 			s.fill(t, n, idx)
+			continue
+		}
+		lo, hi := delta.class, delta.class+1
+		if t.mopts.PooledVariance {
+			lo, hi = 0, s.nc // every class of the entry shares the variance that moved
+		}
+		nd := &s.nodes[idx]
+		for e := range n.entries {
+			if en := &n.entries[e]; en.Child == delta.child {
+				s.fillBounds(nd, e, en)
+				for c := lo; c < hi; c++ {
+					s.fillSlot(t, nd, e, c, en)
+				}
+				break
+			}
 		}
 	}
 }
@@ -211,23 +246,37 @@ func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode) {
 	for e := range n.entries {
 		en := &n.entries[e]
 		nd.child[e] = s.place(t, en.Child)
-		copy(nd.rectLo[e*dim:e*dim+dim], en.Rect.Lo)
-		copy(nd.rectHi[e*dim:e*dim+dim], en.Rect.Hi)
-		nd.logEnt[e] = math.Log1p(multiEntryEntropy(en))
+		s.fillBounds(nd, e, en)
 		for c := 0; c < nc; c++ {
-			slot := c*k + e
-			if en.CFs[c].N <= 0 {
-				nd.logN[slot] = math.Inf(-1)
-				continue
-			}
-			f := t.classFrozen(en, c)
-			copy(nd.means[slot*dim:slot*dim+dim], f.Mean)
-			copy(nd.invVar[slot*dim:slot*dim+dim], f.InvVar)
-			copy(nd.logVar[slot*dim:slot*dim+dim], f.LogVar)
-			nd.logNorm[slot] = f.LogNorm()
-			nd.logN[slot] = f.LogN
+			s.fillSlot(t, nd, e, c, en)
 		}
 	}
+}
+
+// fillBounds writes entry e's per-entry values: its rectangle and the
+// entropy term of its class counts.
+func (s *multiSoA) fillBounds(nd *soaNode, e int, en *MultiEntry) {
+	dim := s.dim
+	copy(nd.rectLo[e*dim:e*dim+dim], en.Rect.Lo)
+	copy(nd.rectHi[e*dim:e*dim+dim], en.Rect.Hi)
+	nd.logEnt[e] = math.Log1p(multiEntryEntropy(en))
+}
+
+// fillSlot writes class c of entry e: its frozen Gaussian, or the −Inf
+// log count that marks the class absent.
+func (s *multiSoA) fillSlot(t *MultiTree, nd *soaNode, e, c int, en *MultiEntry) {
+	dim := s.dim
+	slot := c*len(nd.child) + e
+	if en.CFs[c].N <= 0 {
+		nd.logN[slot] = math.Inf(-1)
+		return
+	}
+	f := t.classFrozen(en, c)
+	copy(nd.means[slot*dim:slot*dim+dim], f.Mean)
+	copy(nd.invVar[slot*dim:slot*dim+dim], f.InvVar)
+	copy(nd.logVar[slot*dim:slot*dim+dim], f.LogVar)
+	nd.logNorm[slot] = f.LogNorm()
+	nd.logN[slot] = f.LogN
 }
 
 // fillLeaf stable-partitions a leaf's observations by class into its
@@ -373,16 +422,31 @@ func (t *MultiTree) SoACounters() (rebuilds, patches, invalidations int64) {
 
 // invalidate is the tree's single invalidation point: every mutation
 // calls it (mutation already requires exclusive access, so no version
-// stamp is needed). It drops the cached query constants and, once
-// RefreshSoA has turned tracking on, unpublishes the mirror and records
-// what went stale. An insert passes its path and the number of levels,
-// counted from the leaf, that splits replaced: those nodes are dead,
-// the rest of the path is dirty. A nil path (decay and epoch changes)
-// makes the next RefreshSoA a whole build, and so does a pending set
-// that outgrew the mirror's live nodes — many inserts with no refresh
-// between them, as in a long replay.
-func (t *MultiTree) invalidate(path []*MultiNode, replaced int) {
-	t.queryState.Store(nil)
+// stamp is needed). An insert passes its path, the number of levels,
+// counted from the leaf, that splits replaced, and the point's class; a
+// nil path is a decay or epoch change. The rule has two cases, applied
+// alike to the cached query constants and, once RefreshSoA has turned
+// tracking on, to the mirror (which is unpublished either way):
+//
+//   - a split-free insert (replaced == 0) is a class-local delta: the
+//     query constants of that class are patched in place, and each inner
+//     node of the path owes the mirror one entry's slot of that class;
+//     the leaf owes its block.
+//   - a structure change drops the query constants. After a split the
+//     replaced nodes are dead and the rest of the path is dirty whole; a
+//     nil path makes the next RefreshSoA a whole build, and so does a
+//     pending set that outgrew the mirror's live nodes — many inserts
+//     with no refresh between them, as in a long replay.
+func (t *MultiTree) invalidate(path []*MultiNode, replaced, class int) {
+	local := path != nil && replaced == 0
+	if st := t.queryState.Load(); st != nil {
+		if local {
+			t.refreshClass(&st.root, t.root, class)
+			t.classConsts(st, class)
+		} else {
+			t.queryState.Store(nil)
+		}
+	}
 	if !t.soaTrack {
 		return
 	}
@@ -397,11 +461,18 @@ func (t *MultiTree) invalidate(path []*MultiNode, replaced int) {
 		return
 	}
 	if t.soaDirty == nil {
-		t.soaDirty = make(map[*MultiNode]struct{})
+		t.soaDirty = make(map[*MultiNode]soaDelta)
 	}
 	alive := len(path) - replaced
-	for _, n := range path[:alive] {
-		t.soaDirty[n] = struct{}{}
+	for i, n := range path[:alive] {
+		var delta soaDelta
+		if local && i+1 < len(path) {
+			delta = soaDelta{child: path[i+1], class: class}
+		}
+		if old, ok := t.soaDirty[n]; ok && old != delta {
+			delta = soaDelta{}
+		}
+		t.soaDirty[n] = delta
 	}
 	for _, n := range path[alive:] {
 		delete(t.soaDirty, n)

@@ -86,9 +86,12 @@ func checkMirrorIsFreshBuild(t *testing.T, ctx string, mt *MultiTree) {
 // between refreshes, into decayed (weighted) leaves, and with a decay
 // sweep in the middle — leave, after every RefreshSoA, a mirror that
 // answers bitwise like the pointer loop at every budget up to
-// exhaustion and equals a fresh whole build block for block. Inserts
-// repair (a patch); only decay and epoch changes, or a pile larger than
-// the mirror, build whole.
+// exhaustion and equals a fresh whole build block for block — and,
+// before it, entries that are bitwise summarize of their children and
+// cached query constants bitwise a rebuild's (the queries below cache
+// them, the next inserts patch them). Inserts repair (a patch); only
+// decay and epoch changes, or a pile larger than the mirror, build
+// whole.
 func TestSoARepairMatchesFreshBuild(t *testing.T) {
 	// The narrow config splits on every other insert and cascades to
 	// the root often; the small one mixes split-free inserts in.
@@ -115,6 +118,8 @@ func TestSoARepairMatchesFreshBuild(t *testing.T) {
 			check := func(ctx string) {
 				t.Helper()
 				ctx = fmt.Sprintf("config %d seed %d %s (size %d)", ci, seed, ctx, mt.Len())
+				checkEntriesMatchSummarize(t, ctx, mt)
+				checkQueryStateMatchesRebuild(t, ctx, mt)
 				mt.RefreshSoA()
 				checkMirrorIsFreshBuild(t, ctx, mt)
 				for _, opts := range []ClassifierOptions{{}, {Strategy: DescentBFT, Priority: PriorityGeometric}} {

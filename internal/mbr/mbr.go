@@ -179,9 +179,30 @@ func OverlapArea(a, b Rect) float64 {
 	return v
 }
 
-// Enlargement returns the increase in area of r needed to cover other.
+// Enlargement returns the increase in area of r needed to cover other:
+// Union(r, other).Area() − r.Area(), the union's sides taken on the fly
+// so a subtree choice allocates nothing.
 func Enlargement(r, other Rect) float64 {
-	return Union(r, other).Area() - r.Area()
+	if len(r.Lo) == 0 {
+		return 0
+	}
+	u := 1.0
+	for i := range r.Lo {
+		lo, hi := r.Lo[i], r.Hi[i]
+		if other.Lo[i] < lo {
+			lo = other.Lo[i]
+		}
+		if other.Hi[i] > hi {
+			hi = other.Hi[i]
+		}
+		side := hi - lo
+		if side < 0 {
+			u = 0
+			break
+		}
+		u *= side
+	}
+	return u - r.Area()
 }
 
 // MinDist2Obs returns the squared minimum distance from the point x to

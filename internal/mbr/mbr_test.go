@@ -130,6 +130,29 @@ func TestEnlargement(t *testing.T) {
 	}
 }
 
+// Enlargement takes the union's sides on the fly; it must stay, bit for
+// bit, the area of the materialised union less the rectangle's own —
+// subtree choice compares these values and trees are pinned by bytes.
+func TestEnlargementIsUnionAreaLessOwn(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 2000; i++ {
+		d := 1 + rng.Intn(6)
+		r, other := randomRect(rng, d), randomRect(rng, d)
+		switch i % 4 {
+		case 1:
+			r = Empty(d)
+		case 2:
+			other = Point(other.Lo)
+		case 3:
+			r.Lo[0], r.Hi[0] = r.Hi[0], r.Lo[0] // inverted in one dimension
+		}
+		want := Union(r, other).Area() - r.Area()
+		if got := Enlargement(r, other); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Enlargement(%v, %v) = %v, union area less own %v", r, other, got, want)
+		}
+	}
+}
+
 func TestMinDist(t *testing.T) {
 	r := rect(t, []float64{0, 0}, []float64{1, 1})
 	if got := r.MinDist2Obs([]float64{0.5, 0.5}, nil); got != 0 {

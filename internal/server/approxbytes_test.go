@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -35,8 +36,8 @@ func checkWithinTwofold(t *testing.T, what string, estimate, measured int64) {
 // resident-bytes cap pages against — to its stated accuracy against the
 // live heap a model really holds: the benchmark's classifier (8,000
 // Pendigits points, 16 dimensions, 10 classes, 4 shards, mirrors
-// published) and a clustering model (the snapshot store, which is not
-// part of the per-shard models, switched off).
+// published) and a clustering model, with the snapshot store that lives
+// beside its shards switched off and on.
 func TestApproxBytesWithinTwofold(t *testing.T) {
 	d, err := dataset.Pendigits(1)
 	if err != nil {
@@ -64,23 +65,31 @@ func TestApproxBytesWithinTwofold(t *testing.T) {
 		s.Close()
 	}
 
-	rng := rand.New(rand.NewSource(2))
-	cs, grew := heapGrowth(t, func() *ClusterServer {
-		cs, err := NewCluster(clustree.DefaultConfig(8), 4, Config{}, ClusterOptions{SnapshotEvery: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, 8)
-		for i := 0; i < 6000; i++ {
-			for k := range x {
-				x[k] = rng.Float64()
-			}
-			if _, err := cs.Insert(x, 32); err != nil {
+	// The clustering model, without and with its pyramidal snapshot
+	// store (a snapshot every 64 inserts, so the store is most of it).
+	for _, every := range []int{-1, 64} {
+		rng := rand.New(rand.NewSource(2))
+		cs, grew := heapGrowth(t, func() *ClusterServer {
+			cs, err := NewCluster(clustree.DefaultConfig(8), 4, Config{}, ClusterOptions{SnapshotEvery: every})
+			if err != nil {
 				t.Fatal(err)
 			}
+			x := make([]float64, 8)
+			for i := 0; i < 6000; i++ {
+				for k := range x {
+					x[k] = rng.Float64()
+				}
+				if _, err := cs.Insert(x, 32); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return cs
+		})
+		what := "cluster"
+		if every > 0 {
+			what = fmt.Sprintf("cluster + %d snapshots", cs.SnapshotsRetained())
 		}
-		return cs
-	})
-	checkWithinTwofold(t, "cluster", cs.ApproxBytes(), grew)
-	cs.Close()
+		checkWithinTwofold(t, what, cs.ApproxBytes(), grew)
+		cs.Close()
+	}
 }

@@ -162,3 +162,40 @@ func BenchmarkServerInsert(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkServerAlternate is the in-process twin of the repo
+// benchmark's mixed_durable workload: on 4 shards over a 2,000-point
+// Pendigits model, one insert then one classify at budget 32 in strict
+// alternation, so every read follows a write to the constants and the
+// mirror it reads. One op is the pair; allocs/op is the number to watch
+// (the read adds ≈ 20 to the insert's): a jump means an insert started
+// dropping the query constants or refilling whole mirror nodes again.
+func BenchmarkServerAlternate(b *testing.B) {
+	d, err := dataset.Pendigits(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Shuffle(1)
+	const preload = 2000
+	s, err := NewEmpty(4, core.DefaultConfig(d.Dim()), d.Classes(), core.MultiOptions{}, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	insert := func(i int) {
+		if err := s.Insert(d.X[i%d.Len()], d.Y[i%d.Len()]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < preload; i++ {
+		insert(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		insert(preload + i)
+		if _, err := s.Classify(d.X[(preload+i+1)%d.Len()], 32); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

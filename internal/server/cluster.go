@@ -407,6 +407,18 @@ func (s *ClusterServer) SnapshotsRetained() int {
 	return s.store.Len()
 }
 
+// ApproxBytes adds the pyramidal snapshot store, which lives beside the
+// shard models, to the engine's per-shard estimate.
+func (s *ClusterServer) ApproxBytes() int64 {
+	total := s.engine.ApproxBytes()
+	if s.store != nil {
+		s.snapMu.Lock()
+		total += s.store.ApproxBytes()
+		s.snapMu.Unlock()
+	}
+	return total
+}
+
 // ClassifyBatchBudgets implements stream.Engine for the clustering
 // workload. The anytime operation of a ClusTree is insertion, so the
 // batch path ingests: xs[i] descends with budget budgets[i] (literal,

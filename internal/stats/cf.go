@@ -96,6 +96,13 @@ func (cf *CF) Subtract(other CF) {
 	}
 }
 
+// Reset empties the cluster feature in place, keeping its vectors.
+func (cf *CF) Reset() {
+	cf.N = 0
+	clear(cf.LS)
+	clear(cf.SS)
+}
+
 // Scale multiplies the whole summary by factor w, implementing the
 // exponential decay of the clustering extension: decaying a CF by 2^(-λΔt)
 // is exactly Scale(2^(-λΔt)).
@@ -125,22 +132,25 @@ func (cf *CF) Mean() []float64 {
 // diagonal.
 func (cf *CF) Variance() []float64 {
 	out := make([]float64, len(cf.SS))
-	if cf.N <= 0 {
-		for i := range out {
-			out[i] = VarianceFloor
-		}
-		return out
-	}
 	inv := 1 / cf.N
-	for i := range cf.SS {
-		m := cf.LS[i] * inv
-		v := cf.SS[i]*inv - m*m
-		if v < VarianceFloor {
-			v = VarianceFloor
-		}
-		out[i] = v
+	for i := range out {
+		out[i] = cf.varianceAt(i, inv)
 	}
 	return out
+}
+
+// varianceAt is dimension i of Variance, given inv = 1/N (not read for
+// an empty feature, whose variance is the floor).
+func (cf *CF) varianceAt(i int, inv float64) float64 {
+	if cf.N <= 0 {
+		return VarianceFloor
+	}
+	m := cf.LS[i] * inv
+	v := cf.SS[i]*inv - m*m
+	if v < VarianceFloor {
+		v = VarianceFloor
+	}
+	return v
 }
 
 // Gaussian returns the Gaussian N(μ, σ²) summarised by the cluster

@@ -51,24 +51,80 @@ func FrozenFromMoments(mean, variance []float64) FrozenGaussian {
 		if v < VarianceFloor {
 			v = VarianceFloor
 		}
-		f.InvVar[i] = 1 / v
-		lv := math.Log(v)
-		f.LogVar[i] = lv
-		logDet += lv
+		logDet += f.setVar(i, v)
 	}
 	f.logNorm = -0.5 * (float64(len(variance))*log2Pi + logDet)
 	return f
+}
+
+// setVar freezes dimension i at the (floored) variance v and returns
+// ln v, the dimension's term of the log-determinant.
+func (f *FrozenGaussian) setVar(i int, v float64) float64 {
+	f.InvVar[i] = 1 / v
+	lv := math.Log(v)
+	f.LogVar[i] = lv
+	return lv
 }
 
 // Freeze returns the frozen form of the Gaussian summarised by the cluster
 // feature — the precomputed equivalent of cf.Gaussian() — with LogN set to
 // the log of the feature's count.
 func Freeze(cf *CF) FrozenGaussian {
-	f := FrozenFromMoments(cf.Mean(), cf.Variance())
-	if cf.N > 0 {
-		f.LogN = math.Log(cf.N)
-	}
+	var f FrozenGaussian
+	FreezeInto(&f, cf)
 	return f
+}
+
+// FreezeInto rewrites dst as Freeze(cf), reusing dst's vectors when they
+// have cf's dimension: an entry whose cluster feature an insert changed
+// refreezes in place, in Freeze's arithmetic (Freeze is this call on a
+// zero value), so the result is the same bits.
+func FreezeInto(dst *FrozenGaussian, cf *CF) {
+	dst.SetMean(cf)
+	dst.SetVariance(cf)
+}
+
+// SetMean rewrites the mean and LogN from cf and leaves the variance
+// terms alone — under variance pooling those come from another feature.
+func (f *FrozenGaussian) SetMean(cf *CF) {
+	f.Mean = sized(f.Mean, len(cf.LS))
+	f.LogN = 0
+	if cf.N <= 0 {
+		clear(f.Mean)
+		return
+	}
+	inv := 1 / cf.N
+	for i, v := range cf.LS {
+		f.Mean[i] = v * inv
+	}
+	f.LogN = math.Log(cf.N)
+}
+
+// SetVariance rewrites the inverse variances, log variances and the
+// log-normaliser from cf's floored variance (cf.Variance, term by term).
+func (f *FrozenGaussian) SetVariance(cf *CF) {
+	d := len(cf.SS)
+	f.InvVar, f.LogVar = sized(f.InvVar, d), sized(f.LogVar, d)
+	inv := 1 / cf.N
+	var logDet float64
+	for i := range cf.SS {
+		logDet += f.setVar(i, cf.varianceAt(i, inv))
+	}
+	f.logNorm = -0.5 * (float64(d)*log2Pi + logDet)
+}
+
+// ShareVariance makes f alias from's variance terms — variance pooling
+// keeps one inverse-variance vector per entry, shared by its classes.
+func (f *FrozenGaussian) ShareVariance(from *FrozenGaussian) {
+	f.InvVar, f.LogVar, f.logNorm = from.InvVar, from.LogVar, from.logNorm
+}
+
+// sized returns v when it already has n elements, else a new vector.
+func sized(v []float64, n int) []float64 {
+	if len(v) == n {
+		return v
+	}
+	return make([]float64, n)
 }
 
 // Freeze returns the frozen form of g.

@@ -95,6 +95,41 @@ func TestFreezeRoundTrip(t *testing.T) {
 	}
 }
 
+// FreezeInto must leave, in vectors it reuses, exactly the bits
+// FrozenFromMoments derives from the feature's Mean and Variance — what
+// Freeze was before it became FreezeInto on a zero value — whatever dst
+// held before: another feature's freeze, another dimension, an empty
+// feature's.
+func TestFreezeIntoMatchesMoments(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var dst FrozenGaussian
+	for i := 0; i < 500; i++ {
+		cf := randomCF(rng, 1+rng.Intn(3)*5, rng.Intn(4)) // 0–3 points: empty and floored variances too
+		mean := dst.Mean
+		FreezeInto(&dst, &cf)
+		if len(mean) == cf.Dim() && &mean[0] != &dst.Mean[0] {
+			t.Fatalf("FreezeInto replaced a mean vector of the right dimension")
+		}
+		want := FrozenFromMoments(cf.Mean(), cf.Variance())
+		if cf.N > 0 {
+			want.LogN = math.Log(cf.N)
+		}
+		for name, pair := range map[string][2][]float64{
+			"Mean": {dst.Mean, want.Mean}, "InvVar": {dst.InvVar, want.InvVar}, "LogVar": {dst.LogVar, want.LogVar},
+			"LogN, logNorm": {{dst.LogN, dst.logNorm}, {want.LogN, want.logNorm}},
+		} {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("%s: %d values, want %d", name, len(pair[0]), len(pair[1]))
+			}
+			for k := range pair[0] {
+				if math.Float64bits(pair[0][k]) != math.Float64bits(pair[1][k]) {
+					t.Fatalf("n=%v dim %d: %s[%d] = %v, from moments %v", cf.N, cf.Dim(), name, k, pair[0][k], pair[1][k])
+				}
+			}
+		}
+	}
+}
+
 func TestObservedDimsInto(t *testing.T) {
 	if obs, _ := ObservedDimsInto([]float64{1, 2, 3}, nil); obs != nil {
 		t.Fatalf("fully observed must return nil, got %v", obs)
