@@ -293,11 +293,7 @@ func BenchmarkAblationFanout(b *testing.B) {
 
 // BenchmarkAblationMultiTree compares the Section 4.1 single multi-class
 // tree against the per-class forest (both built incrementally, so the
-// comparison isolates the structural change). The multitree and
-// multitree-soa rows are the same tree descended through the pointer
-// loop and through the published structure-of-arrays mirror (the layout
-// the server serves): their acc@N metrics must match digit for digit,
-// so the pair isolates the layout's cost.
+// comparison isolates the structural change).
 func BenchmarkAblationMultiTree(b *testing.B) {
 	ds := benchDataset(b, "pendigits", benchScale)
 	b.Run("forest-iterative", func(b *testing.B) {
@@ -315,17 +311,15 @@ func BenchmarkAblationMultiTree(b *testing.B) {
 	for _, mo := range []struct {
 		name string
 		opts core.MultiOptions
-		soa  bool
 	}{
-		{"multitree", core.MultiOptions{}, false},
-		{"multitree-soa", core.MultiOptions{}, true},
-		{"multitree-pooled", core.MultiOptions{PooledVariance: true}, false},
-		{"multitree-entropy", core.MultiOptions{EntropyPriority: true}, false},
+		{"multitree", core.MultiOptions{}},
+		{"multitree-pooled", core.MultiOptions{PooledVariance: true}},
+		{"multitree-entropy", core.MultiOptions{EntropyPriority: true}},
 	} {
 		b.Run(mo.name, func(b *testing.B) {
 			var last *eval.Curve
 			for i := 0; i < b.N; i++ {
-				c, err := eval.MultiCurve(ds, mo.opts, eval.CurveOptions{Folds: 4, MaxNodes: 100, Seed: 42, SoA: mo.soa})
+				c, err := eval.MultiCurve(ds, mo.opts, eval.CurveOptions{Folds: 4, MaxNodes: 100, Seed: 42})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -21,15 +21,18 @@
 // # The frozen-Gaussian fast path
 //
 // Anytime refinement is the serving hot path, and it is specialised
-// accordingly. Every tree entry eagerly caches a frozen form of its
-// cluster feature's Gaussian (mean, inverse variances, precomputed
-// log-normaliser and log count), and each tree caches its query-time
-// constants (root summary, Silverman bandwidths, frozen leaf kernel).
-// The caches are invalidated by Insert — and only by Insert — and
-// entries whose cluster features change are always brought up to date
-// with them (rebuilt, or for a split-free insert into the multi-class
-// tree refreshed in place for the inserted class, to the same bits), so
-// a cursor created after an insert sees the new data exactly. Cursors and classification queries are pooled: calling
+// accordingly. Every entry's cluster feature has a frozen form of its
+// Gaussian (mean, inverse variances, precomputed log-normaliser and log
+// count) — cached in the entry by the per-class Tree, laid out per node
+// in the flat mirror the multi-class tree's queries descend through —
+// and each tree caches its query-time constants (root summary,
+// Silverman bandwidths, frozen leaf kernel). The frozen forms follow
+// Insert — and only Insert — exactly: entries whose cluster features
+// change are rebuilt with them, and the multi-class tree's mirror,
+// built by the first query, is repaired in place along the insert's
+// path (for a split-free insert the inserted class only, to the same
+// bits), so a cursor created after an insert sees the new data exactly.
+// Cursors and classification queries are pooled: calling
 // Close on them recycles their internal buffers, making steady-state
 // classification allocation-free. Do not interleave Learn/Insert with
 // in-flight queries on the same trees.

@@ -68,8 +68,7 @@ func (c *Classifier) classifyInto(xs [][]float64, budget func(int) int, workers 
 // ClassifyBatch classifies every object of xs against the multi-class tree
 // with the given node budget using a worker pool, in input order. The tree
 // must not be mutated while the batch is in flight. Built on ScoreBatch,
-// so same-chunk queries share node visits through the SoA mirror when one
-// is published.
+// so same-chunk queries share node visits through the SoA mirror.
 func (t *MultiTree) ClassifyBatch(xs [][]float64, opts ClassifierOptions, budget, workers int) ([]int, error) {
 	budgets := make([]int, len(xs))
 	for i := range budgets {
@@ -99,12 +98,12 @@ func (t *MultiTree) ClassifyBatch(xs [][]float64, opts ClassifierOptions, budget
 // The batch is cut into contiguous chunks, one per worker, and each
 // chunk's queries advance in lockstep rounds: every live query pops its
 // own next frontier element (so its pop sequence — and therefore its
-// scores — is bitwise identical to running it alone), and when the SoA
-// mirror is active the round's visits are sorted by mirror node index
-// before consumption, so queries landing on the same node block hit it
-// back-to-back while it is cache-hot — the fused-sweep amortisation of
-// the memory traffic that dominates solo descent. The tree must not be
-// mutated while the batch is in flight.
+// scores — is bitwise identical to running it alone), and the round's
+// visits are sorted by mirror node index before consumption, so queries
+// landing on the same node block hit it back-to-back while it is
+// cache-hot — the fused-sweep amortisation of the memory traffic that
+// dominates solo descent. The tree must not be mutated while the batch
+// is in flight.
 func (t *MultiTree) ScoreBatch(xs [][]float64, opts ClassifierOptions, budgets []int, workers int) ([][]float64, []int, error) {
 	if t.size == 0 {
 		return nil, nil, fmt.Errorf("core: batch against empty multi tree")
@@ -174,7 +173,6 @@ func (t *MultiTree) scoreChunk(xs [][]float64, opts ClassifierOptions, budgets [
 		live[i] = nil
 	}
 	round := make([]batchVisit, 0, len(xs))
-	fused := false
 	for {
 		round = round[:0]
 		remaining := false
@@ -192,9 +190,6 @@ func (t *MultiTree) scoreChunk(xs [][]float64, opts ClassifierOptions, budgets [
 				continue
 			}
 			remaining = true
-			if q.soa != nil {
-				fused = true
-			}
 			round = append(round, batchVisit{q: q, el: el})
 		}
 		if !remaining {
@@ -204,7 +199,7 @@ func (t *MultiTree) scoreChunk(xs [][]float64, opts ClassifierOptions, budgets [
 		// still cache-hot for the next. Each query's own pop order is
 		// untouched — only the interleaving across queries changes, which
 		// cannot affect any single query's arithmetic.
-		if fused && len(round) > 1 {
+		if len(round) > 1 {
 			sort.Slice(round, func(a, b int) bool { return round[a].el.node < round[b].el.node })
 		}
 		for _, v := range round {

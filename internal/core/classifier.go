@@ -349,7 +349,8 @@ func (c *Classifier) Classify(x []float64, budget int) int {
 // after every node read: trace[t] is the label predicted with t nodes
 // read, t = 0..budget. If the models exhaust early the last prediction is
 // repeated — exactly how the paper's "accuracy after each node" curves
-// are defined.
+// are defined. A trace needs a length, so a negative budget counts as 0
+// (not "until exhausted", as it does for Classify).
 func (c *Classifier) ClassifyTrace(x []float64, budget int) []int {
 	return c.ClassifyTraceInto(x, budget, nil)
 }
@@ -358,6 +359,7 @@ func (c *Classifier) ClassifyTrace(x []float64, budget int) []int {
 // (grown when too small), so curve runners can trace many objects without
 // re-allocating.
 func (c *Classifier) ClassifyTraceInto(x []float64, budget int, trace []int) []int {
+	budget = max(budget, 0)
 	if cap(trace) < budget+1 {
 		trace = make([]int, budget+1)
 	}

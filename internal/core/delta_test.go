@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"bayestree/internal/mbr"
 	"bayestree/internal/stats"
 )
 
@@ -18,25 +17,19 @@ import (
 // in-place update relies on: every live entry owns its vectors.
 
 // entryDiff names the first part of got that differs from want in any
-// bit ("" when none does): rectangle, cluster features, frozen
-// Gaussians including their log-normalisers.
+// bit ("" when none does): rectangle or cluster features.
 func entryDiff(got, want *MultiEntry) string {
 	switch {
 	case !bitsEqual(got.Rect.Lo, want.Rect.Lo) || !bitsEqual(got.Rect.Hi, want.Rect.Hi):
 		return "Rect"
 	case cfDiff(&got.Total, &want.Total):
 		return "Total"
-	case len(got.CFs) != len(want.CFs) || len(got.frozen) != len(want.frozen):
+	case len(got.CFs) != len(want.CFs):
 		return "class count"
 	}
 	for c := range want.CFs {
 		if cfDiff(&got.CFs[c], &want.CFs[c]) {
 			return fmt.Sprintf("CFs[%d]", c)
-		}
-		g, w := &got.frozen[c], &want.frozen[c]
-		if !bitsEqual(g.Mean, w.Mean) || !bitsEqual(g.InvVar, w.InvVar) || !bitsEqual(g.LogVar, w.LogVar) ||
-			!bitsEqual([]float64{g.LogN, g.LogNorm()}, []float64{w.LogN, w.LogNorm()}) {
-			return fmt.Sprintf("frozen[%d]", c)
 		}
 	}
 	return ""
@@ -79,17 +72,24 @@ func checkQueryStateMatchesRebuild(t *testing.T, ctx string, mt *MultiTree) {
 	if d := entryDiff(&got.root, &want.root); d != "" {
 		t.Fatalf("%s: cached root summary: %s differs from a rebuild", ctx, d)
 	}
-	if got.root.Child != want.root.Child || got.sweepOK != want.sweepOK {
-		t.Fatalf("%s: cached root child / sweepOK differ from a rebuild", ctx)
+	if got.root.Child != want.root.Child {
+		t.Fatalf("%s: cached root child differs from a rebuild", ctx)
 	}
 	if !bitsEqual(got.logNc, want.logNc) {
 		t.Fatalf("%s: cached logNc %v, rebuilt %v", ctx, got.logNc, want.logNc)
 	}
 	for c := range want.bw {
+		if want.root.CFs[c].N > 0 {
+			g, w := &got.frozen[c], &want.frozen[c]
+			if !bitsEqual(g.Mean, w.Mean) || !bitsEqual(g.InvVar, w.InvVar) || !bitsEqual(g.LogVar, w.LogVar) ||
+				!bitsEqual([]float64{g.LogN, g.LogNorm()}, []float64{w.LogN, w.LogNorm()}) {
+				t.Fatalf("%s: cached root Gaussian of class %d differs from a rebuild", ctx, c)
+			}
+		}
 		if !bitsEqual(got.bw[c], want.bw[c]) {
 			t.Fatalf("%s: cached bandwidths of class %d differ from a rebuild", ctx, c)
 		}
-		if !reflect.DeepEqual(got.kern[c], want.kern[c]) || !reflect.DeepEqual(got.sweep[c], want.sweep[c]) {
+		if !reflect.DeepEqual(got.kern[c], want.kern[c]) {
 			t.Fatalf("%s: cached kernel of class %d differs from a rebuild", ctx, c)
 		}
 	}
@@ -98,11 +98,10 @@ func checkQueryStateMatchesRebuild(t *testing.T, ctx string, mt *MultiTree) {
 // TestInsertDeltaMatchesSummarize is the delta's property: over seeded
 // runs — continuous and tie-heavy coordinates (both zeros among them),
 // PooledVariance × EntropyPriority × decay, three node capacities, two
-// to four classes, an epoch advance and a decay sweep in mid-run, and
-// refreshes skipped at random so deltas pile up in the dirty set — after
+// to four classes, an epoch advance and a decay sweep in mid-run — after
 // every insert each entry is bitwise summarize(child), the cached query
-// constants are bitwise a rebuild from nil, and a refreshed mirror is
-// block for block a fresh build.
+// constants are bitwise a rebuild from nil, and the mirror the insert
+// repaired is block for block a fresh build.
 func TestInsertDeltaMatchesSummarize(t *testing.T) {
 	narrow := smallConfig(3)
 	narrow.MinFanout, narrow.MaxFanout, narrow.MinLeaf, narrow.MaxLeaf = 1, 2, 1, 2
@@ -125,13 +124,21 @@ func TestInsertDeltaMatchesSummarize(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		mt.RefreshSoA()
 		for i := 0; i < 70; i++ {
 			ctx := fmt.Sprintf("seed %d insert %d", seed, i)
+			// What a query would find missing after a structural
+			// mutation, so that every insert repairs and patches.
+			mt.mirror()
+			if mt.size > 0 {
+				mt.queryConsts()
+			}
 			x := []float64{splitCoord(rng, tied), splitCoord(rng, tied), splitCoord(rng, tied)}
 			if err := mt.Insert(x, labels[rng.Intn(nc)]); err != nil {
 				t.Fatal(err)
 			}
+			checkEntriesMatchSummarize(t, ctx, mt)
+			checkQueryStateMatchesRebuild(t, ctx, mt)
+			checkMirrorIsFreshBuild(t, ctx, mt)
 			switch {
 			case decay && i == 25:
 				mt.AdvanceEpoch(2)
@@ -139,13 +146,6 @@ func TestInsertDeltaMatchesSummarize(t *testing.T) {
 				mt.AdvanceEpoch(10)
 				mt.DecaySweep()
 			}
-			checkEntriesMatchSummarize(t, ctx, mt)
-			checkQueryStateMatchesRebuild(t, ctx, mt)
-			if rng.Intn(3) != 0 {
-				mt.RefreshSoA()
-				checkMirrorIsFreshBuild(t, ctx, mt)
-			}
-			mt.queryConsts() // a structure change dropped it: the next insert patches again
 		}
 		if err := mt.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -198,9 +198,7 @@ func rebuiltCopy(t *testing.T, mt *MultiTree) *MultiTree {
 
 // checkEntriesOwnTheirVectors asserts no backing array is referenced by
 // two vectors of the tree's live entries or of the cached root summary
-// — what refreshClass's in-place writes rely on. The one documented
-// alias: under PooledVariance the classes of one entry share its
-// inverse-variance and log-variance vectors.
+// — what refreshClass's in-place writes rely on.
 func checkEntriesOwnTheirVectors(t *testing.T, ctx string, mt *MultiTree) {
 	t.Helper()
 	// A vector is named by its entry, its class (−1: the entry's own)
@@ -227,26 +225,9 @@ func checkEntriesOwnTheirVectors(t *testing.T, ctx string, mt *MultiTree) {
 		claim(e.Rect.Hi, name{id, -1, "Rect.Hi"})
 		claim(e.Total.LS, name{id, -1, "Total.LS"})
 		claim(e.Total.SS, name{id, -1, "Total.SS"})
-		var pooled *stats.FrozenGaussian
 		for c := range e.CFs {
 			claim(e.CFs[c].LS, name{id, c, "LS"})
 			claim(e.CFs[c].SS, name{id, c, "SS"})
-			f := &e.frozen[c]
-			claim(f.Mean, name{id, c, "Mean"})
-			if mt.mopts.PooledVariance && f.Mean != nil {
-				if pooled == nil {
-					pooled = f
-				} else if &f.InvVar[0] != &pooled.InvVar[0] || &f.LogVar[0] != &pooled.LogVar[0] || f.LogNorm() != pooled.LogNorm() {
-					t.Fatalf("%s: entry %d class %d does not alias the entry's pooled variance", ctx, id, c)
-				}
-				continue
-			}
-			claim(f.InvVar, name{id, c, "InvVar"})
-			claim(f.LogVar, name{id, c, "LogVar"})
-		}
-		if pooled != nil {
-			claim(pooled.InvVar, name{id, -1, "pooled InvVar"})
-			claim(pooled.LogVar, name{id, -1, "pooled LogVar"})
 		}
 	}
 	var walk func(n *MultiNode)
@@ -338,26 +319,18 @@ func deepTree(t *testing.T, nc, minDepth int, rng *rand.Rand) *MultiTree {
 
 // splitFreeInsert inserts random points — each into a tree whose query
 // constants are cached, as between two reads of a served model, and
-// each followed by a mirror refresh — until one split nothing (the node
-// count stayed), and returns that insert's allocations.
+// each repairing the published mirror — until one split nothing (the
+// node count stayed), and returns that insert's allocations.
 func splitFreeInsert(t *testing.T, mt *MultiTree, rng *rand.Rand) float64 {
 	t.Helper()
 	for {
-		// A class its leaf already holds: an entry's first sight of a
-		// class allocates that class's frozen Gaussian, once.
-		x := randPoints(rng, 1, 4)[0]
-		leaf := mt.root
-		for !leaf.leaf {
-			leaf = leaf.entries[mt.chooseSubtree(leaf, mbr.Rect{Lo: x, Hi: x})].Child
-		}
-		label := leaf.points[rng.Intn(len(leaf.points))].Label
+		x, label := randPoints(rng, 1, 4)[0], mt.labels[rng.Intn(len(mt.labels))]
 		nodes := mt.CountNodes()
 		mt.queryConsts()
 		n := mallocs(func() {
 			if err := mt.Insert(x, label); err != nil {
 				t.Fatal(err)
 			}
-			mt.RefreshSoA()
 		})
 		if mt.CountNodes() == nodes {
 			return n
@@ -391,9 +364,9 @@ func TestSplitFreeInsertAllocs(t *testing.T) {
 			total += splitFreeInsert(t, mt, rng)
 		}
 		got := total / rounds
-		t.Logf("%d classes, depth ≥ %d: %.1f allocations per split-free Insert+RefreshSoA", tc.nc, tc.depth, got)
+		t.Logf("%d classes, depth ≥ %d: %.1f allocations per split-free insert", tc.nc, tc.depth, got)
 		if got > limit {
-			t.Errorf("%d classes, depth ≥ %d: split-free Insert+RefreshSoA allocates %.1f times, want ≤ %d", tc.nc, tc.depth, got, limit)
+			t.Errorf("%d classes, depth ≥ %d: a split-free insert allocates %.1f times, want ≤ %d", tc.nc, tc.depth, got, limit)
 		}
 	}
 }

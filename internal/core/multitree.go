@@ -25,18 +25,13 @@ type LabeledPoint struct {
 
 // MultiEntry is the modified entry of Section 4.1: one MBR and pointer as
 // before, but a cluster feature per class (plus their pooled sum, used for
-// descent decisions and variance pooling).
+// descent decisions and variance pooling). The per-class Gaussians are
+// derived state and live in the descent mirror (soa.go), not here.
 type MultiEntry struct {
 	Rect  mbr.Rect
 	CFs   []stats.CF // indexed by class index; CFs[c].N == 0 when absent
 	Total stats.CF
 	Child *MultiNode
-
-	// frozen caches the precomputed per-class Gaussians (honouring the
-	// tree's variance-pooling option). summarize populates it eagerly, so
-	// concurrent queries never derive a Gaussian from the cluster features
-	// on the hot path. Entries for absent classes are left zero.
-	frozen []stats.FrozenGaussian
 }
 
 // MultiNode is a node of the multi-class Bayes tree.
@@ -100,37 +95,29 @@ type MultiTree struct {
 	decay    DecayOptions
 	epoch    int64
 	refEpoch int64
-	// soa publishes the structure-of-arrays mirror for vectorized
-	// descent (nil = unpublished; queries take the pointer loop). The
-	// remaining fields are the refresh bookkeeping, guarded by the same
-	// exclusive-access contract as mutation: the retained mirror, and
-	// either a whole build owed (soaStructural) or the nodes inserts
-	// left dirty (changed) and dead (replaced by a split). See soa.go.
-	soa           atomic.Pointer[multiSoA]
-	soaTrack      bool
-	soaStructural bool
-	soaDirty      map[*MultiNode]soaDelta
-	soaDead       []*MultiNode
-	soaRetained   *multiSoA
-	soaRebuilds   int64
-	soaPatches    int64
-	soaInvalid    int64
+	// soa is the structure-of-arrays mirror every query descends through
+	// (nil = none: the next query builds and publishes it), followed by
+	// its lifetime counters: whole builds, insert repairs, drops. See
+	// soa.go.
+	soa         atomic.Pointer[multiSoA]
+	soaRebuilds atomic.Int64
+	soaPatches  int64
+	soaDrops    int64
 }
 
 // multiQueryState holds what every MultiQuery needs but no query should
 // recompute: the root summary (a full tree walk), the per-class Silverman
 // bandwidths and the per-class log counts.
 type multiQueryState struct {
-	root  MultiEntry
-	bw    [][]float64
-	logNc []float64
+	root MultiEntry
+	// frozen holds the root summary's per-class Gaussians: a mirror node
+	// holds its children's entries, so the root's own entry is the one
+	// no mirror node holds.
+	frozen []stats.FrozenGaussian
+	bw     [][]float64
+	logNc  []float64
 	// kern holds the leaf kernel frozen at each class's bandwidths.
 	kern []kernels.FrozenKernel
-	// sweep holds the same frozen kernels viewed through their flat
-	// sweep interface; sweepOK is false when any class's kernel cannot
-	// sweep (the SoA fast path then stays off for this tree state).
-	sweep   []kernels.Sweeper
-	sweepOK bool
 }
 
 // NewMultiTree creates an empty multi-class tree over the given class
@@ -181,25 +168,20 @@ func (t *MultiTree) Root() *MultiNode { return t.root }
 
 // ApproxBytes estimates the tree's resident memory: per node, the
 // parent entry that summarises it — a rectangle, the pooled cluster
-// feature and, per class, a cluster feature and a frozen Gaussian, all
-// vectors of Dim float64s — and per observation its coordinates; plus
-// the descent mirror's blocks, counted exactly. It is an estimate (an
-// entry holds no frozen Gaussian for a class it has not seen, and the
-// allocator rounds sizes up), good to well within a factor of two.
+// feature and a cluster feature per class, all vectors of Dim float64s
+// — and per observation its coordinates; plus the descent mirror's
+// blocks, counted exactly, once a query has built it. It is an estimate
+// (the allocator rounds sizes up), good to well within a factor of two.
 func (t *MultiTree) ApproxBytes() int64 {
 	const word, slice int64 = 8, 24
 	vec := int64(t.cfg.Dim) * word
 	nc := int64(len(t.labels))
-	cf := word + 2*slice + 2*vec     // stats.CF and its LS, SS
-	frozen := 2*word + 3*slice + vec // stats.FrozenGaussian and its mean
-	if !t.mopts.PooledVariance {
-		frozen += 2 * vec // its own InvVar, LogVar
-	}
-	node := 4 * slice // MultiNode
-	entry := 5*slice + 2*vec + cf + nc*(cf+frozen)
+	cf := word + 2*slice + 2*vec // stats.CF and its LS, SS
+	node := 4 * slice            // MultiNode
+	entry := 3*slice + word + 2*vec + cf + nc*cf
 	point := slice + word + vec // LabeledPoint and its coordinates
 	total := int64(t.CountNodes())*(node+entry) + int64(t.size)*point
-	if s := t.soaRetained; s != nil {
+	if s := t.soa.Load(); s != nil {
 		total += s.bytes()
 	}
 	return total
@@ -242,41 +224,16 @@ func (t *MultiTree) summarize(n *MultiNode) MultiEntry {
 			e.Total.Merge(n.entries[i].Total)
 		}
 	}
-	t.freeze(&e)
 	return e
-}
-
-// freeze precomputes the per-class Gaussians of an entry, honouring the
-// variance-pooling option. With pooled variance all classes share one
-// inverse-variance vector (aliased — the one exception to an entry's
-// vectors being referenced once), so freezing stays cheap even for many
-// classes.
-func (t *MultiTree) freeze(e *MultiEntry) {
-	e.frozen = make([]stats.FrozenGaussian, len(e.CFs))
-	var shared stats.FrozenGaussian
-	if t.mopts.PooledVariance {
-		shared.SetVariance(&e.Total)
-	}
-	for c := range e.CFs {
-		if e.CFs[c].N <= 0 {
-			continue
-		}
-		if t.mopts.PooledVariance {
-			e.frozen[c].ShareVariance(&shared)
-			e.frozen[c].SetMean(&e.CFs[c])
-		} else {
-			stats.FreezeInto(&e.frozen[c], &e.CFs[c])
-		}
-	}
 }
 
 // refreshClass recomputes, in e's own vectors, the parts of
 // e = summarize(n) that an insert of class c below n changed: CFs[c],
-// Total, Rect and frozen[c]. It is summarize's arithmetic in summarize's
-// order, so those parts come out bitwise as summarize would return them,
-// and every other class keeps its bits because its inputs kept theirs.
-// (The rectangle is re-extended, not grown by the point: which of +0 and
-// −0 a bound keeps depends on the order of extension.)
+// Total and Rect. It is summarize's arithmetic in summarize's order, so
+// those parts come out bitwise as summarize would return them, and every
+// other class keeps its bits because its inputs kept theirs. (The
+// rectangle is re-extended, not grown by the point: which of +0 and −0 a
+// bound keeps depends on the order of extension.)
 func (t *MultiTree) refreshClass(e *MultiEntry, n *MultiNode, c int) {
 	cf := &e.CFs[c]
 	cf.Reset()
@@ -305,34 +262,6 @@ func (t *MultiTree) refreshClass(e *MultiEntry, n *MultiNode, c int) {
 			e.Total.Merge(n.entries[i].Total)
 		}
 	}
-	if !t.mopts.PooledVariance {
-		stats.FreezeInto(&e.frozen[c], cf)
-		return
-	}
-	// The pooled variance moved with Total: rewrite the shared vector
-	// once, through class c, and re-alias every class present.
-	f := &e.frozen[c]
-	f.SetVariance(&e.Total)
-	f.SetMean(cf)
-	for o := range e.CFs {
-		if e.CFs[o].N > 0 {
-			e.frozen[o].ShareVariance(f)
-		}
-	}
-}
-
-// classFrozen returns the cached per-class Gaussian of an entry, deriving
-// it on the fly (without storing) for hand-built entries.
-func (t *MultiTree) classFrozen(e *MultiEntry, c int) *stats.FrozenGaussian {
-	if c < len(e.frozen) && e.frozen[c].Mean != nil {
-		return &e.frozen[c]
-	}
-	g := t.classGaussian(e, c)
-	f := g.Freeze()
-	if e.CFs[c].N > 0 {
-		f.LogN = math.Log(e.CFs[c].N)
-	}
-	return &f
 }
 
 // Insert adds a labeled observation (R*-style, as in Tree.Insert but
@@ -436,12 +365,7 @@ func (t *MultiTree) fixOverflow(path []*MultiNode, c int) int {
 			break
 		}
 		parent := path[i-1]
-		for j := range parent.entries {
-			if parent.entries[j].Child == n {
-				parent.entries[j] = t.summarize(left)
-				break
-			}
-		}
+		parent.entries[parent.entryOver(n)] = t.summarize(left)
 		parent.entries = append(parent.entries, t.summarize(right))
 	}
 	return len(path)
@@ -475,18 +399,24 @@ const allClasses = -1
 func (t *MultiTree) refreshPath(path []*MultiNode, c int) {
 	for i := len(path) - 1; i >= 1; i-- {
 		child := path[i]
-		parent := path[i-1]
-		for j := range parent.entries {
-			if parent.entries[j].Child == child {
-				if c == allClasses {
-					parent.entries[j] = t.summarize(child)
-				} else {
-					t.refreshClass(&parent.entries[j], child, c)
-				}
-				break
-			}
+		e := &path[i-1].entries[path[i-1].entryOver(child)]
+		if c == allClasses {
+			*e = t.summarize(child)
+		} else {
+			t.refreshClass(e, child, c)
 		}
 	}
+}
+
+// entryOver returns the index of n's entry over child, one of n's
+// children.
+func (n *MultiNode) entryOver(child *MultiNode) int {
+	for j := range n.entries {
+		if n.entries[j].Child == child {
+			return j
+		}
+	}
+	panic("core: node is not a child of its path parent")
 }
 
 // queryConsts returns the cached query-time constants, rebuilding them on
@@ -498,12 +428,11 @@ func (t *MultiTree) queryConsts() *multiQueryState {
 	}
 	nc := len(t.labels)
 	st := &multiQueryState{
-		root:    t.summarize(t.root),
-		bw:      make([][]float64, nc),
-		logNc:   make([]float64, nc),
-		kern:    make([]kernels.FrozenKernel, nc),
-		sweep:   make([]kernels.Sweeper, nc),
-		sweepOK: true,
+		root:   t.summarize(t.root),
+		frozen: make([]stats.FrozenGaussian, nc),
+		bw:     make([][]float64, nc),
+		logNc:  make([]float64, nc),
+		kern:   make([]kernels.FrozenKernel, nc),
 	}
 	for c := 0; c < nc; c++ {
 		t.classConsts(st, c)
@@ -513,10 +442,23 @@ func (t *MultiTree) queryConsts() *multiQueryState {
 }
 
 // classConsts derives class c's query constants from the state's root
-// summary and the class count: the Silverman bandwidths, the log count
-// and the leaf kernel frozen at those bandwidths.
+// summary and the class count: the root's frozen Gaussian, the Silverman
+// bandwidths, the log count and the leaf kernel frozen at those
+// bandwidths.
 func (t *MultiTree) classConsts(st *multiQueryState, c int) {
-	cf := &st.root.CFs[c]
+	cf, f := &st.root.CFs[c], &st.frozen[c]
+	if t.mopts.PooledVariance {
+		// One variance, frozen from Total, serves every class: rewritten
+		// through class c and aliased by the rest (the state is private,
+		// so nothing else can write through the alias).
+		f.SetMean(cf)
+		f.SetVariance(&st.root.Total)
+		for o := range st.frozen {
+			st.frozen[o].ShareVariance(f)
+		}
+	} else {
+		stats.FreezeInto(f, cf)
+	}
 	sigma := cf.Variance()
 	for i, v := range sigma {
 		sigma[i] = math.Sqrt(v)
@@ -528,32 +470,16 @@ func (t *MultiTree) classConsts(st *multiQueryState, c int) {
 		st.logNc[c] = math.Inf(1) // class absent: densities stay zero
 	}
 	st.kern[c] = kernels.FreezeKernel(t.cfg.Kernel, st.bw[c])
-	if sw, ok := st.kern[c].(kernels.Sweeper); ok {
-		st.sweep[c] = sw
-	} else {
-		st.sweepOK = false
-	}
-}
-
-// classGaussian returns the Gaussian contributed by entry e for class c,
-// honouring the variance-pooling option.
-func (t *MultiTree) classGaussian(e *MultiEntry, c int) stats.Gaussian {
-	if t.mopts.PooledVariance {
-		return stats.Gaussian{Mean: e.CFs[c].Mean(), Var: e.Total.Variance()}
-	}
-	return e.CFs[c].Gaussian()
 }
 
 // mElem is a refinable element of the multi-class frontier. Its per-class
 // log terms live in the query's shared arena at [termOff, termOff+nc) —
 // one contiguous slice per query instead of one heap allocation per
-// element. child addresses the node on the pointer path; node is its
-// index in the SoA mirror when the fast path is active.
+// element. node is the index, in the query's mirror, of the node to read.
 type mElem struct {
 	prio    float64
 	termOff int32
 	node    int32
-	child   *MultiNode
 	seq     int
 }
 
@@ -588,10 +514,8 @@ type MultiQuery struct {
 	// terms is the arena backing every frontier element's per-class log
 	// terms (see mElem.termOff).
 	terms []float64
-	// soa/sweep are non-nil when this query descends through the
-	// structure-of-arrays mirror instead of the pointer tree.
+	// soa is the mirror this query descends through, as loaded at start.
 	soa       *multiSoA
-	sweep     []kernels.Sweeper
 	outBuf    []float64
 	finiteBuf []float64
 	scoreBuf  []float64
@@ -600,10 +524,10 @@ type MultiQuery struct {
 var multiQueryPool = sync.Pool{New: func() any { return new(MultiQuery) }}
 
 // NewQuery starts an anytime classification of x. It returns an error for
-// an empty tree or one with empty classes. When the tree has a published
-// SoA mirror and every class kernel can sweep, the query descends
-// through it; otherwise it takes the pointer loop. Both produce bitwise
-// identical scores. Call Close when done with the query.
+// an empty tree or one with empty classes. The query descends through the
+// tree's structure-of-arrays mirror, which the first query after a build
+// or a structural mutation builds (soa.go). Call Close when done with the
+// query.
 func (t *MultiTree) NewQuery(x []float64, opts ClassifierOptions) (*MultiQuery, error) {
 	if t.size == 0 {
 		return nil, fmt.Errorf("core: query against empty multi tree")
@@ -628,14 +552,19 @@ func (t *MultiTree) NewQuery(x []float64, opts ClassifierOptions) (*MultiQuery, 
 	q.kern = st.kern
 	q.logNc = st.logNc
 	q.obs, q.obsBuf = stats.ObservedDimsInto(x, q.obsBuf)
-	q.soa, q.sweep = nil, nil
-	if st.sweepOK {
-		if m := t.soa.Load(); m != nil {
-			q.soa = m
-			q.sweep = st.sweep
+	q.soa = t.mirror()
+	// The frontier starts as the root summary: its per-class terms, and
+	// mirror node 0 to read first.
+	for c := range st.frozen {
+		term := math.Inf(-1)
+		if st.root.CFs[c].N > 0 && !math.IsInf(q.logNc[c], 1) {
+			f := &st.frozen[c]
+			term = f.LogN - q.logNc[c] + f.LogPDFObs(q.x, q.obs)
 		}
+		q.terms = append(q.terms, term)
+		q.addTerm(c, term)
 	}
-	q.pushEntry(&st.root, 0)
+	q.push(mElem{})
 	return q, nil
 }
 
@@ -654,60 +583,24 @@ func (q *MultiQuery) Close() {
 	q.terms = q.terms[:0]
 	q.t, q.x, q.obs = nil, nil, nil
 	q.kern, q.logNc = nil, nil
-	q.soa, q.sweep = nil, nil
+	q.soa = nil
 	multiQueryPool.Put(q)
 }
 
 // UsedSoA reports whether this query descends through the
-// structure-of-arrays mirror (false = pointer loop). Ask before Close.
-func (q *MultiQuery) UsedSoA() bool { return q.soa != nil }
+// structure-of-arrays mirror: always, since it is the only descent.
+func (q *MultiQuery) UsedSoA() bool { return true }
 
-// pushEntry converts an entry into a frontier element, adds its per-class
-// terms and enqueues it for refinement. node is the entry's child index
-// in the SoA mirror (meaningful only on the fast path; the root entry's
-// child is always mirror node 0).
-func (q *MultiQuery) pushEntry(e *MultiEntry, node int32) {
-	nc := len(q.t.labels)
-	off := len(q.terms)
-	for c := 0; c < nc; c++ {
-		if e.CFs[c].N <= 0 || math.IsInf(q.logNc[c], 1) {
-			q.terms = append(q.terms, math.Inf(-1))
-			continue
-		}
-		f := q.t.classFrozen(e, c)
-		term := f.LogN - q.logNc[c] + f.LogPDFObs(q.x, q.obs)
-		q.terms = append(q.terms, term)
-		q.addTerm(c, term)
-	}
-	el := mElem{termOff: int32(off), node: node, child: e.Child, seq: q.seq}
+// push enqueues a frontier element, numbered in push order, for
+// refinement.
+func (q *MultiQuery) push(el mElem) {
+	el.seq = q.seq
 	q.seq++
-	el.prio = q.prioFor(e, q.terms[off:off+nc])
-	switch q.opts.Strategy {
-	case DescentGlobal:
+	if q.opts.Strategy == DescentGlobal {
 		q.heap.push(el)
-	default:
+	} else {
 		q.fifo = append(q.fifo, el)
 	}
-}
-
-// prioFor computes the descent priority for an entry: geometric MINDIST,
-// or the pooled weighted density, optionally weighted by class entropy.
-func (q *MultiQuery) prioFor(e *MultiEntry, terms []float64) float64 {
-	if q.opts.Priority == PriorityGeometric {
-		return -e.Rect.MinDist2Obs(q.x, q.obs)
-	}
-	finite := q.finiteBuf[:0]
-	for _, tm := range terms {
-		if !math.IsInf(tm, -1) {
-			finite = append(finite, tm)
-		}
-	}
-	q.finiteBuf = finite
-	prio := stats.LogSumExp(finite)
-	if q.t.mopts.EntropyPriority {
-		prio += math.Log1p(multiEntryEntropy(e))
-	}
-	return prio
 }
 
 func (q *MultiQuery) addTerm(c int, l float64) {
@@ -782,38 +675,14 @@ func (q *MultiQuery) Step() bool {
 	return true
 }
 
-// consume refines one popped frontier element — through the SoA mirror
-// when the fast path is active, else through the pointer tree.
+// consume refines one popped frontier element: its terms leave the
+// accumulators and its mirror node's contents enter them.
 func (q *MultiQuery) consume(e mElem) {
 	q.reads++
-	nc := len(q.t.labels)
-	for c := 0; c < nc; c++ {
+	for c := range q.accs {
 		q.removeTerm(c, q.terms[int(e.termOff)+c])
 	}
-	if q.soa != nil {
-		q.refineSoA(int(e.node))
-		return
-	}
-	n := e.child
-	if n.leaf {
-		for i, p := range n.points {
-			c := q.t.index[p.Label]
-			if math.IsInf(q.logNc[c], 1) {
-				continue
-			}
-			l := -q.logNc[c] + q.kern[c].LogDensityObs(q.x, p.X, q.obs)
-			if n.weights != nil {
-				// Decayed leaves weight each kernel by its observation's
-				// faded mass (same reference-epoch scale as logNc).
-				l += math.Log(n.weights[i])
-			}
-			q.addTerm(c, l)
-		}
-		return
-	}
-	for i := range n.entries {
-		q.pushEntry(&n.entries[i], 0)
-	}
+	q.refineSoA(int(e.node))
 }
 
 // scores returns per-class log posterior scores. Priors normalise by
@@ -883,7 +752,8 @@ func (t *MultiTree) Classify(x []float64, opts ClassifierOptions, budget int) (i
 }
 
 // ClassifyTrace records the prediction after every node read, as
-// Classifier.ClassifyTrace does for the per-class forest.
+// Classifier.ClassifyTrace does for the per-class forest (a negative
+// budget counts as 0 there too).
 func (t *MultiTree) ClassifyTrace(x []float64, opts ClassifierOptions, budget int) ([]int, error) {
 	trace, err := t.ClassifyTraceInto(x, opts, budget, nil)
 	return trace, err
@@ -896,6 +766,7 @@ func (t *MultiTree) ClassifyTraceInto(x []float64, opts ClassifierOptions, budge
 	if err != nil {
 		return nil, err
 	}
+	budget = max(budget, 0)
 	if cap(trace) < budget+1 {
 		trace = make([]int, budget+1)
 	}

@@ -125,6 +125,16 @@ func TestMultiTraceSemantics(t *testing.T) {
 	if pred != trace[30] {
 		t.Errorf("trace end %d != classify %d", trace[30], pred)
 	}
+	// A negative budget is a trace of the level-0 answer alone.
+	level0, err := mt.Classify(xs[0], ClassifierOptions{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int{-1, -2} {
+		if got, err := mt.ClassifyTraceInto(xs[0], ClassifierOptions{}, budget, trace); err != nil || len(got) != 1 || got[0] != level0 {
+			t.Errorf("budget %d: trace %v (%v), want the one level-0 prediction %d", budget, got, err, level0)
+		}
+	}
 }
 
 func TestMultiQueryOnEmptyTree(t *testing.T) {

@@ -11,11 +11,12 @@ import (
 // This file provides the constructors a snapshot decoder needs to
 // reassemble trees whose node and entry internals are unexported. The
 // contract is digit-identity: a rebuilt entry carries the exact cluster
-// feature that was stored, and its frozen cache is derived from that
-// feature by stats.Freeze — the same call summarize uses — so a decoded
-// tree answers every query with bit-identical log densities. See
-// internal/persist for the on-disk format and ARCHITECTURE.md for the
-// frozen-cache invalidation contract.
+// feature that was stored, and whatever is frozen from it — a Tree
+// entry's cache here, a MultiTree's mirror on first query — is derived
+// by the same stats.Freeze arithmetic as in the tree that was encoded,
+// so a decoded tree answers every query with bit-identical log
+// densities. See internal/persist for the on-disk format and
+// ARCHITECTURE.md for the frozen-cache invalidation contract.
 
 // RebuildLeaf returns a leaf node owning the given observations. The
 // slice is retained, not copied; callers hand over ownership.
@@ -105,19 +106,15 @@ func RebuildMultiLeafWeighted(points []LabeledPoint, weights []float64) (*MultiN
 }
 
 // RebuildMultiInner returns a multi-class inner node owning the given
-// entries. The entries' frozen caches are populated by RebuildMultiTree
-// (freezing needs the tree's variance-pooling option).
+// entries.
 func RebuildMultiInner(entries []MultiEntry) *MultiNode {
 	return &MultiNode{entries: entries}
 }
 
 // RebuildMultiTree reassembles a MultiTree from decoded parts: the
-// structural configuration, the multi-class options (which govern how
-// entry caches are frozen), the class labels in tree order, the root
-// node and the per-class observation counts. Every inner entry's frozen
-// per-class Gaussians are recomputed from its stored cluster features —
-// the same derivation summarize performs — and the leaf population is
-// checked against the counts.
+// structural configuration, the multi-class options, the class labels
+// in tree order, the root node and the per-class observation counts.
+// The leaf population is checked against the counts.
 func RebuildMultiTree(cfg Config, mopts MultiOptions, labels []int, root *MultiNode, counts []float64) (*MultiTree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -180,7 +177,6 @@ func RebuildMultiTree(cfg Config, mopts MultiOptions, labels []int, root *MultiN
 			if e.Child == nil {
 				return fmt.Errorf("core: rebuild inner entry with nil child")
 			}
-			t.freeze(e)
 			if err := walk(e.Child); err != nil {
 				return err
 			}

@@ -8,46 +8,44 @@ import (
 	"bayestree/internal/stats"
 )
 
-// This file implements the structure-of-arrays mirror behind vectorized
-// descent. The pointer-based tree scores one child entry at a time
-// through scattered heap objects and interface calls; the mirror keeps,
-// for every tree node, one contiguous block of float64s holding the
-// node's frozen per-class Gaussians (means, inverse variances, log
-// variances, log-normalisers, log counts) and MBR bounds, or a leaf's
-// kernel centres, so one refinement step scores all children of a
-// frontier node in a single cache-friendly sweep
-// (kernels.SweepFrozenLogPDFObs for inner entries, kernels.Sweeper for
-// leaves). Every sweep replicates the pointer path's floating-point
-// operations in the same order, so a query served from the mirror is
-// digit-identical to the pointer path — the equivalence property tests
-// in soa_equiv_test.go assert it bitwise.
+// This file implements the structure-of-arrays mirror, the one frozen
+// and the one read representation of a MultiTree. The tree's entries
+// hold only what is stored — rectangle, cluster features, pointer; the
+// mirror keeps, for every tree node, one contiguous block of float64s
+// holding what is derived from them — the node's frozen per-class
+// Gaussians (means, inverse variances, log variances, log-normalisers,
+// log counts) and MBR bounds, or a leaf's kernel centres — so one
+// refinement step scores all children of a frontier node in a single
+// cache-friendly sweep (kernels.SweepFrozenLogPDFObs for inner entries,
+// FrozenKernel.SweepLogDensityObs for leaves). Every sweep performs the
+// floating-point operations of the per-entry evaluation
+// (stats.FrozenGaussian.LogPDFObs, FrozenKernel.LogDensityObs) in the
+// same order; the pointer-loop oracle in soa_equiv_test.go, which
+// derives its Gaussians from the cluster features on its own, asserts
+// the scores equal bitwise.
 //
-// Staleness has one rule: every MultiTree mutation ends in
-// (*MultiTree).invalidate, which unpublishes the mirror (the atomic
-// pointer goes nil, so later queries take the pointer loop) and records
-// what went stale, in the mirror and in the cached query constants
-// alike. The rule has two cases. A split-free insert is a class-local
-// delta: along its path only the inserted class of one entry per node
-// changed (refreshClass rewrote it in place), so each inner node of the
-// path owes the mirror that entry's slot and bounds, the leaf its block,
-// and the query constants are patched for that class. A structure change
-// re-summarises and drops the query constants: after a split the nodes
-// it replaced are dead and the surviving path is dirty whole — RefreshSoA
-// releases the dead nodes' blocks, mirrors the new siblings (a new root
-// takes over index 0) and refills the dirty ancestors, work proportional
-// to the path and not the tree — while decay sweeps and epoch advances
-// touch every node and are whole builds, as is a pending set that
-// outgrew the mirror it would repair.
-// RefreshSoA must be called with exclusive access to the tree — the
-// serving layer calls it under the shard write lock right after the
-// mutation, and piggybacks whole builds on recovery replay and the
-// decay maintenance sweep.
+// The mirror's lifetime has one rule, and every MultiTree mutation
+// applies it by ending in (*MultiTree).invalidate:
 //
-// The pointer loop in MultiQuery.consume stays for two inputs: a leaf
-// kernel that does not implement kernels.Sweeper, and a tree nobody
-// called RefreshSoA on. It is also the reference the equivalence tests
-// compare the mirror against. The per-class Tree/Cursor/Classifier have
-// no mirror: they are the paper-faithful pointer implementation.
+//   - no mirror: a mutation does no mirror work;
+//   - a mirror: an insert repairs it in place along its own path before
+//     it returns — per level the inserted class's slot and the entry's
+//     bounds, the leaf's block, and after a split the replaced nodes'
+//     blocks released, the new siblings mirrored (a new root takes over
+//     index 0) and the surviving path refilled — work proportional to the
+//     path, not the tree;
+//   - a structural mutation (decay sweep, epoch or decay-state change)
+//     touches every node and drops the mirror;
+//   - a query that finds none builds it and publishes it with a
+//     compare-and-swap (concurrent first queries build identical mirrors
+//     and one wins, as with queryConsts).
+//
+// So a published mirror is always current, nothing is recorded for
+// later, and mutation needs what it always needed: exclusive access to
+// the tree. A caller that holds it anyway and wants the build off the
+// first reader (recovery, the decay maintenance sweep) calls RefreshSoA.
+// The per-class Tree/Cursor/Classifier have no mirror: they are the
+// paper-faithful pointer implementation.
 
 // ---------------------------------------------------------------------
 // MultiTree mirror
@@ -155,54 +153,41 @@ func (s *multiSoA) release(n *MultiNode) {
 	}
 }
 
-// soaDelta is what an insert left stale in a surviving inner node of its
-// path: class `class` of the entry over `child` (a split-free insert
-// changes nothing else there), or, with a nil child, the whole node — a
-// leaf, a node above a split, or one where two different deltas met
-// before a refresh.
-type soaDelta struct {
-	child *MultiNode
-	class int
-}
-
-// repair brings the mirror up to date after inserts: dead nodes were
-// replaced by splits, dirty ones lie on an insertion path and survived.
-// Refilling a dirty node mirrors the children a split gave it; a node
-// with a one-class delta gets that entry's slot and bounds rewritten.
-func (s *multiSoA) repair(t *MultiTree, dirty map[*MultiNode]soaDelta, dead []*MultiNode) {
-	for _, n := range dead {
-		s.release(n)
+// repair brings the mirror up to date with the insert that just ran
+// along path, of a point of the given class, whose splits replaced the
+// lowest `replaced` nodes of the path (fixOverflow's report).
+func (s *multiSoA) repair(t *MultiTree, path []*MultiNode, replaced, class int) {
+	alive := len(path) - replaced
+	if replaced > 0 {
+		// The replaced nodes are dead; refilling a survivor mirrors the
+		// children a split gave it. A split root leaves no survivor: the
+		// new root takes index 0 and mirrors both halves from there.
+		for _, n := range path[alive:] {
+			s.release(n)
+		}
+		if alive == 0 {
+			s.index[t.root] = 0
+			s.fill(t, t.root, 0)
+		}
+		for _, n := range path[:alive] {
+			s.fill(t, n, s.index[n])
+		}
+		return
 	}
-	if _, ok := s.index[t.root]; !ok {
-		s.index[t.root] = 0
-		s.fill(t, t.root, 0)
+	// Split-free: per inner level one entry's rectangle and the inserted
+	// class's sums moved — with them, under variance pooling, the
+	// variance all its classes share; the leaf gained a point.
+	lo, hi := class, class+1
+	if t.mopts.PooledVariance {
+		lo, hi = 0, s.nc
 	}
-	for n, delta := range dirty {
-		// A dirty node without a mirror node was itself created by a
-		// split since the last refresh; its parent's refill places it.
-		idx, ok := s.index[n]
-		if !ok {
-			continue
-		}
-		if delta.child == nil {
-			s.fill(t, n, idx)
-			continue
-		}
-		lo, hi := delta.class, delta.class+1
-		if t.mopts.PooledVariance {
-			lo, hi = 0, s.nc // every class of the entry shares the variance that moved
-		}
-		nd := &s.nodes[idx]
-		for e := range n.entries {
-			if en := &n.entries[e]; en.Child == delta.child {
-				s.fillBounds(nd, e, en)
-				for c := lo; c < hi; c++ {
-					s.fillSlot(t, nd, e, c, en)
-				}
-				break
-			}
-		}
+	for i, n := range path[:alive-1] {
+		nd := &s.nodes[s.index[n]]
+		e := n.entryOver(path[i+1])
+		s.fillBounds(nd, e, &n.entries[e])
+		s.fillSlots(t, nd, e, &n.entries[e], lo, hi)
 	}
+	s.fill(t, path[alive-1], s.index[path[alive-1]])
 }
 
 // carve cuts the next n values off a block.
@@ -247,9 +232,7 @@ func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode) {
 		en := &n.entries[e]
 		nd.child[e] = s.place(t, en.Child)
 		s.fillBounds(nd, e, en)
-		for c := 0; c < nc; c++ {
-			s.fillSlot(t, nd, e, c, en)
-		}
+		s.fillSlots(t, nd, e, en, 0, nc)
 	}
 }
 
@@ -262,27 +245,46 @@ func (s *multiSoA) fillBounds(nd *soaNode, e int, en *MultiEntry) {
 	nd.logEnt[e] = math.Log1p(multiEntryEntropy(en))
 }
 
-// fillSlot writes class c of entry e: its frozen Gaussian, or the −Inf
-// log count that marks the class absent.
-func (s *multiSoA) fillSlot(t *MultiTree, nd *soaNode, e, c int, en *MultiEntry) {
-	dim := s.dim
-	slot := c*len(nd.child) + e
-	if en.CFs[c].N <= 0 {
-		nd.logN[slot] = math.Inf(-1)
-		return
+// fillSlots writes classes [lo, hi) of entry e: each one's Gaussian,
+// frozen from its cluster feature straight into the slot's own vectors
+// (stats.Freeze's arithmetic, through a view of them), or the −Inf log
+// count that marks the class absent. Under variance pooling the variance
+// comes from the entry's Total, frozen once and copied to the other
+// classes' slots.
+func (s *multiSoA) fillSlots(t *MultiTree, nd *soaNode, e int, en *MultiEntry, lo, hi int) {
+	dim, k := s.dim, len(nd.child)
+	pooled := -1 // the slot already holding the entry's pooled variance
+	for c := lo; c < hi; c++ {
+		slot := c*k + e
+		cf := &en.CFs[c]
+		if cf.N <= 0 {
+			nd.logN[slot] = math.Inf(-1)
+			continue
+		}
+		at := slot * dim
+		f := stats.FrozenGaussian{Mean: nd.means[at : at+dim], InvVar: nd.invVar[at : at+dim], LogVar: nd.logVar[at : at+dim]}
+		f.SetMean(cf)
+		nd.logN[slot] = f.LogN
+		switch {
+		case !t.mopts.PooledVariance:
+			f.SetVariance(cf)
+		case pooled < 0:
+			f.SetVariance(&en.Total)
+			pooled = slot
+		default:
+			copy(f.InvVar, nd.invVar[pooled*dim:pooled*dim+dim])
+			copy(f.LogVar, nd.logVar[pooled*dim:pooled*dim+dim])
+			nd.logNorm[slot] = nd.logNorm[pooled]
+			continue
+		}
+		nd.logNorm[slot] = f.LogNorm()
 	}
-	f := t.classFrozen(en, c)
-	copy(nd.means[slot*dim:slot*dim+dim], f.Mean)
-	copy(nd.invVar[slot*dim:slot*dim+dim], f.InvVar)
-	copy(nd.logVar[slot*dim:slot*dim+dim], f.LogVar)
-	nd.logNorm[slot] = f.LogNorm()
-	nd.logN[slot] = f.LogN
 }
 
 // fillLeaf stable-partitions a leaf's observations by class into its
 // point block, so each class's kernel centres are one contiguous sweep
-// range. Within a class the tree's point order is preserved — the
-// accumulator folds per-class terms in the pointer path's order.
+// range. Within a class the tree's point order is preserved — the order
+// a walk of the leaf's points folds each class's terms in.
 func (s *multiSoA) fillLeaf(t *MultiTree, n *MultiNode, nd *soaNode) {
 	dim, nc := s.dim, s.nc
 	if k := len(n.points); !nd.leaf || len(nd.ptLogW) != k {
@@ -323,9 +325,7 @@ func (s *multiSoA) fillLeaf(t *MultiTree, n *MultiNode, nd *soaNode) {
 }
 
 // multiEntryEntropy returns the class-label entropy (nats) of an
-// entry's per-class counts — shared by the query path and the SoA
-// builder so the precomputed ln(1+H) matches the on-the-fly value
-// bitwise.
+// entry's per-class counts.
 func multiEntryEntropy(e *MultiEntry) float64 {
 	var total float64
 	for c := range e.CFs {
@@ -378,119 +378,76 @@ func minDist2Flat(lo, hi, x []float64, obs []int) float64 {
 // ---------------------------------------------------------------------
 // MultiTree maintenance
 
-// RefreshSoA brings the structure-of-arrays mirror up to date and
-// (re)publishes it, enabling the vectorized descent fast path for
-// subsequent queries. The first call turns mirror tracking on. It must
-// be called with exclusive access to the tree (the serving layer holds
-// the shard write lock); concurrent queries keep whatever mirror they
-// loaded at start. Inserts since the last refresh, splits included, are
-// repaired in the retained mirror along their paths; decay sweeps and
-// epoch advances build it anew.
-func (t *MultiTree) RefreshSoA() {
-	t.soaTrack = true
-	s := t.soaRetained
-	switch {
-	case t.size == 0:
-		s = nil
-	case s == nil || t.soaStructural:
-		s = buildMultiSoA(t)
-		t.soaRebuilds++
-	case len(t.soaDirty)+len(t.soaDead) > 0:
-		s.repair(t, t.soaDirty, t.soaDead)
-		t.soaPatches++
+// mirror returns the tree's mirror, building and publishing it when there
+// is none. Queries run concurrently under the caller's read lock, so
+// publication is a compare-and-swap: the loser of a first-query race
+// drops its identical copy.
+func (t *MultiTree) mirror() *multiSoA {
+	if s := t.soa.Load(); s != nil {
+		return s
 	}
-	t.soaRetained = s
-	t.soaStructural = false
-	t.dropPending()
-	t.soa.Store(s)
+	if t.soa.CompareAndSwap(nil, buildMultiSoA(t)) {
+		t.soaRebuilds.Add(1)
+	}
+	return t.soa.Load()
 }
 
-// dropPending forgets the recorded dirty and dead nodes.
-func (t *MultiTree) dropPending() {
-	clear(t.soaDirty)
-	clear(t.soaDead)
-	t.soaDead = t.soaDead[:0]
-}
+// RefreshSoA builds the mirror now if the tree has none — what the next
+// query would otherwise do. For a caller that holds exclusive access
+// anyway (recovery, the decay maintenance sweep) and wants the build off
+// the first reader; nothing requires it.
+func (t *MultiTree) RefreshSoA() { t.mirror() }
 
 // SoACounters reports the mirror's lifetime maintenance counters: whole
-// builds, path repairs (patches) and invalidation events (mutations
-// that unpublished the mirror). All zero until RefreshSoA first enables
-// tracking.
+// builds, insert repairs (patches) and invalidations (structural
+// mutations that dropped a mirror).
 func (t *MultiTree) SoACounters() (rebuilds, patches, invalidations int64) {
-	return t.soaRebuilds, t.soaPatches, t.soaInvalid
+	return t.soaRebuilds.Load(), t.soaPatches, t.soaDrops
 }
 
 // invalidate is the tree's single invalidation point: every mutation
 // calls it (mutation already requires exclusive access, so no version
 // stamp is needed). An insert passes its path, the number of levels,
 // counted from the leaf, that splits replaced, and the point's class; a
-// nil path is a decay or epoch change. The rule has two cases, applied
-// alike to the cached query constants and, once RefreshSoA has turned
-// tracking on, to the mirror (which is unpublished either way):
+// nil path is a decay or epoch change. It applies one rule to both
+// places that hold derived state, the cached query constants and the
+// mirror, when they exist:
 //
 //   - a split-free insert (replaced == 0) is a class-local delta: the
-//     query constants of that class are patched in place, and each inner
-//     node of the path owes the mirror one entry's slot of that class;
-//     the leaf owes its block.
-//   - a structure change drops the query constants. After a split the
-//     replaced nodes are dead and the rest of the path is dirty whole; a
-//     nil path makes the next RefreshSoA a whole build, and so does a
-//     pending set that outgrew the mirror's live nodes — many inserts
-//     with no refresh between them, as in a long replay.
+//     query constants of that class are patched in place, the mirror
+//     repaired along the path;
+//   - an insert that split drops the query constants and repairs the
+//     mirror along the path, replaced nodes and all;
+//   - a nil path drops both.
 func (t *MultiTree) invalidate(path []*MultiNode, replaced, class int) {
-	local := path != nil && replaced == 0
 	if st := t.queryState.Load(); st != nil {
-		if local {
+		if path != nil && replaced == 0 {
 			t.refreshClass(&st.root, t.root, class)
 			t.classConsts(st, class)
 		} else {
 			t.queryState.Store(nil)
 		}
 	}
-	if !t.soaTrack {
-		return
-	}
-	t.soa.Store(nil)
-	t.soaInvalid++
-	if t.soaStructural || t.soaRetained == nil {
+	s := t.soa.Load()
+	if s == nil {
 		return
 	}
 	if path == nil {
-		t.soaStructural = true
-		t.dropPending()
+		t.soa.Store(nil)
+		t.soaDrops++
 		return
 	}
-	if t.soaDirty == nil {
-		t.soaDirty = make(map[*MultiNode]soaDelta)
-	}
-	alive := len(path) - replaced
-	for i, n := range path[:alive] {
-		var delta soaDelta
-		if local && i+1 < len(path) {
-			delta = soaDelta{child: path[i+1], class: class}
-		}
-		if old, ok := t.soaDirty[n]; ok && old != delta {
-			delta = soaDelta{}
-		}
-		t.soaDirty[n] = delta
-	}
-	for _, n := range path[alive:] {
-		delete(t.soaDirty, n)
-		t.soaDead = append(t.soaDead, n)
-	}
-	if len(t.soaDirty)+len(t.soaDead) > len(t.soaRetained.index) {
-		t.soaStructural = true
-		t.dropPending()
-	}
+	s.repair(t, path, replaced, class)
+	t.soaPatches++
 }
 
 // ---------------------------------------------------------------------
-// MultiQuery fast path
+// MultiQuery descent
 
 // refineSoA expands one frontier node through the mirror: every class's
 // entry block is scored in one flat sweep, then per-entry terms are
-// folded into the accumulators entry-major/class-inner — the exact
-// order (and arithmetic) of the pointer loop's pushEntry calls.
+// folded into the accumulators entry-major/class-inner — the order (and
+// arithmetic) of scoring the node's entries one by one.
 func (q *MultiQuery) refineSoA(idx int) {
 	s := q.soa
 	nd := &s.nodes[idx]
@@ -521,20 +478,13 @@ func (q *MultiQuery) refineSoA(idx int) {
 			q.terms = append(q.terms, term)
 			q.addTerm(c, term)
 		}
-		el := mElem{termOff: int32(off), node: nd.child[e], seq: q.seq}
-		q.seq++
-		el.prio = q.prioSoA(nd, e, q.terms[off:off+nc])
-		switch q.opts.Strategy {
-		case DescentGlobal:
-			q.heap.push(el)
-		default:
-			q.fifo = append(q.fifo, el)
-		}
+		q.push(mElem{termOff: int32(off), node: nd.child[e], prio: q.prioSoA(nd, e, q.terms[off:off+nc])})
 	}
 }
 
-// prioSoA is prioFor over the mirror's flat bounds and precomputed
-// entropy term of entry e of node nd.
+// prioSoA computes the descent priority of entry e of node nd: geometric
+// MINDIST, or the pooled weighted density, optionally weighted by class
+// entropy.
 func (q *MultiQuery) prioSoA(nd *soaNode, e int, terms []float64) float64 {
 	if q.opts.Priority == PriorityGeometric {
 		d := q.soa.dim
@@ -555,7 +505,9 @@ func (q *MultiQuery) prioSoA(nd *soaNode, e int, terms []float64) float64 {
 }
 
 // refineSoALeaf scores a leaf's kernel centres one contiguous class
-// range at a time through the frozen kernel's sweep.
+// range at a time through the frozen kernel's sweep. Decayed leaves
+// weight each kernel by its observation's faded mass (same
+// reference-epoch scale as logNc).
 func (q *MultiQuery) refineSoALeaf(nd *soaNode) {
 	s := q.soa
 	dim, nc := s.dim, s.nc
@@ -566,7 +518,7 @@ func (q *MultiQuery) refineSoALeaf(nd *soaNode) {
 		}
 		cnt := end - start
 		out := q.ensureOut(cnt)
-		q.sweep[c].SweepLogDensityObs(q.x, nd.pts[start*dim:end*dim], cnt, dim, q.obs, out)
+		q.kern[c].SweepLogDensityObs(q.x, nd.pts[start*dim:end*dim], cnt, dim, q.obs, out)
 		if nd.weighted {
 			for j := 0; j < cnt; j++ {
 				q.addTerm(c, -q.logNc[c]+out[j]+nd.ptLogW[start+j])

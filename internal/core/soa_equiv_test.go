@@ -1,32 +1,124 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"bayestree/internal/kernels"
+	"bayestree/internal/stats"
 )
 
-// These are the digit-identity property tests of the vectorized-descent
-// contract (soa.go): a query served through the structure-of-arrays
-// mirror must produce bitwise the same scores, at every step, as the
-// pointer loop — across strategies, priorities, kernels, missing-value
+// These are the digit-identity property tests of the descent contract
+// (soa.go): a query served through the structure-of-arrays mirror must
+// produce bitwise the same scores, at every step, as the pointer loop it
+// replaced — across strategies, priorities, kernels, missing-value
 // queries, randomized insert/decay/classify interleavings and the fused
 // batch path. Run them under -race to also check the published mirror
 // is safe for concurrent readers.
 
-// pointerQuery is the suite's reference: a fresh query detached from
-// the mirror, so it refines through the pointer loop. The root element
-// NewQuery pushed carries both the node pointer and mirror index 0, so
-// nothing else depends on the layout.
-func pointerQuery(mt *MultiTree, x []float64, opts ClassifierOptions) (*MultiQuery, error) {
-	q, err := mt.NewQuery(x, opts)
-	if err == nil {
-		q.soa, q.sweep = nil, nil
+// oracleQuery is the suite's reference: the pointer loop, which lives
+// only here. It walks the tree's own nodes and entries, derives every
+// Gaussian from the entry's cluster features by the allocating route
+// (CF.Mean, CF.Variance, Gaussian.Freeze — not the mirror's in-place
+// SetMean / SetVariance), evaluates entries and kernel centres one at a
+// time (LogPDFObs, LogDensityObs — no sweep), and summarises the root
+// afresh. It shares with MultiQuery the per-class kernels and log counts
+// (checkQueryStateMatchesRebuild guards those) and the accumulator and
+// frontier bookkeeping: addTerm, removeTerm, push, pop, scores.
+type oracleQuery struct {
+	*MultiQuery
+	nodes []*MultiNode // what mElem.node indexes here, in place of the mirror
+}
+
+func newOracleQuery(mt *MultiTree, x []float64, opts ClassifierOptions) (*oracleQuery, error) {
+	if mt.size == 0 {
+		return nil, fmt.Errorf("oracle: query against empty multi tree")
 	}
-	return q, err
+	st := mt.queryConsts()
+	o := &oracleQuery{MultiQuery: &MultiQuery{
+		t: mt, x: x, opts: opts, kern: st.kern, logNc: st.logNc,
+		accs: make([]float64, len(mt.labels)), shifts: make([]float64, len(mt.labels)),
+	}}
+	for c := range o.shifts {
+		o.shifts[c] = math.Inf(-1)
+	}
+	o.obs, _ = stats.ObservedDimsInto(x, nil)
+	root := mt.summarize(mt.root)
+	o.pushEntry(&root)
+	return o, nil
+}
+
+// pushEntry adds an entry's per-class terms and enqueues its child.
+func (o *oracleQuery) pushEntry(e *MultiEntry) {
+	off := len(o.terms)
+	for c := range e.CFs {
+		term := math.Inf(-1)
+		if e.CFs[c].N > 0 && !math.IsInf(o.logNc[c], 1) {
+			g := e.CFs[c].Gaussian()
+			if o.t.mopts.PooledVariance {
+				g.Var = e.Total.Variance()
+			}
+			f := g.Freeze()
+			term = math.Log(e.CFs[c].N) - o.logNc[c] + f.LogPDFObs(o.x, o.obs)
+		}
+		o.terms = append(o.terms, term)
+		o.addTerm(c, term)
+	}
+	el := mElem{termOff: int32(off), node: int32(len(o.nodes))}
+	o.nodes = append(o.nodes, e.Child)
+	if o.opts.Priority == PriorityGeometric {
+		el.prio = -e.Rect.MinDist2Obs(o.x, o.obs)
+	} else {
+		var finite []float64
+		for _, tm := range o.terms[off:] {
+			if !math.IsInf(tm, -1) {
+				finite = append(finite, tm)
+			}
+		}
+		el.prio = stats.LogSumExp(finite)
+		if o.t.mopts.EntropyPriority {
+			el.prio += math.Log1p(multiEntryEntropy(e))
+		}
+	}
+	o.push(el)
+}
+
+// Step refines one node through the pointer tree.
+func (o *oracleQuery) Step() bool {
+	el, ok := o.pop()
+	if !ok {
+		return false
+	}
+	o.reads++
+	for c := range o.accs {
+		o.removeTerm(c, o.terms[int(el.termOff)+c])
+	}
+	n := o.nodes[el.node]
+	for i := range n.entries {
+		o.pushEntry(&n.entries[i])
+	}
+	for i, p := range n.points {
+		c := o.t.index[p.Label]
+		if math.IsInf(o.logNc[c], 1) {
+			continue
+		}
+		l := -o.logNc[c] + o.kern[c].LogDensityObs(o.x, p.X, o.obs)
+		if n.weights != nil {
+			l += math.Log(n.weights[i])
+		}
+		o.addTerm(c, l)
+	}
+	return true
+}
+
+// run steps the oracle through budget node reads (negative = until
+// exhausted).
+func (o *oracleQuery) run(budget int) {
+	for b := 0; (budget < 0 || b < budget) && o.Step(); b++ {
+	}
 }
 
 func bitsEqual(a, b []float64) bool {
@@ -41,45 +133,38 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// compareMultiQuery runs x through the pointer loop and the SoA mirror
-// in lockstep and fails on the first step whose scores differ in
-// any bit. budget < 0 means until exhaustion.
+// compareMultiQuery runs x through the oracle and the mirror in lockstep
+// and fails on the first step whose scores differ in any bit. budget < 0
+// means until exhaustion.
 func compareMultiQuery(t *testing.T, ctx string, mt *MultiTree, x []float64, opts ClassifierOptions, budget int) {
 	t.Helper()
-	qe, err := pointerQuery(mt, x, opts)
+	qe, err := newOracleQuery(mt, x, opts)
 	if err != nil {
-		t.Fatalf("%s: exact query: %v", ctx, err)
+		t.Fatalf("%s: oracle query: %v", ctx, err)
 	}
-	defer qe.Close()
 	qs, err := mt.NewQuery(x, opts)
 	if err != nil {
-		t.Fatalf("%s: soa query: %v", ctx, err)
+		t.Fatalf("%s: mirror query: %v", ctx, err)
 	}
 	defer qs.Close()
-	if qe.UsedSoA() {
-		t.Fatalf("%s: reference query took the SoA path", ctx)
-	}
-	if !qs.UsedSoA() {
-		t.Fatalf("%s: SoA query fell back to the pointer path", ctx)
-	}
 	for step := 0; budget < 0 || step <= budget; step++ {
 		se, ss := qe.Scores(), qs.Scores()
 		if !bitsEqual(se, ss) {
-			t.Fatalf("%s: step %d: soa scores %v != exact %v", ctx, step, ss, se)
+			t.Fatalf("%s: step %d: mirror scores %v != oracle %v", ctx, step, ss, se)
 		}
 		oke, oks := qe.Step(), qs.Step()
 		if oke != oks {
-			t.Fatalf("%s: step %d: exact Step=%v, soa Step=%v", ctx, step, oke, oks)
+			t.Fatalf("%s: step %d: oracle Step=%v, mirror Step=%v", ctx, step, oke, oks)
 		}
 		if qe.NodesRead() != qs.NodesRead() {
-			t.Fatalf("%s: step %d: exact reads %d, soa reads %d", ctx, step, qe.NodesRead(), qs.NodesRead())
+			t.Fatalf("%s: step %d: oracle reads %d, mirror reads %d", ctx, step, qe.NodesRead(), qs.NodesRead())
 		}
 		if !oke {
 			break
 		}
 	}
 	if qe.Predict() != qs.Predict() {
-		t.Fatalf("%s: predictions differ: exact %d, soa %d", ctx, qe.Predict(), qs.Predict())
+		t.Fatalf("%s: predictions differ: oracle %d, mirror %d", ctx, qe.Predict(), qs.Predict())
 	}
 }
 
@@ -93,7 +178,6 @@ func TestSoAEquivalenceMultiTree(t *testing.T) {
 	for _, mo := range []MultiOptions{{}, {PooledVariance: true}, {EntropyPriority: true}} {
 		xs, ys := twoClassData(400, 7)
 		mt := buildMultiTree(t, xs, ys, mo)
-		mt.RefreshSoA()
 		queries, _ := twoClassData(12, 8)
 		// Missing-value queries exercise the marginal (obs) sweeps.
 		queries = append(queries, []float64{math.NaN(), 0.5}, []float64{0.3, math.NaN()})
@@ -102,8 +186,7 @@ func TestSoAEquivalenceMultiTree(t *testing.T) {
 				opts := ClassifierOptions{Strategy: strat, Priority: prio}
 				for qi, x := range queries {
 					budget := []int{0, 1, 7, 64, -1}[qi%5]
-					ctx := "mo=" + map[bool]string{true: "pooled", false: "plain"}[mo.PooledVariance] +
-						"/strat=" + strat.String() + "/prio=" + prio.String()
+					ctx := fmt.Sprintf("mo=%+v/strat=%v/prio=%v", mo, strat, prio)
 					compareMultiQuery(t, ctx, mt, x, opts, budget)
 				}
 			}
@@ -111,9 +194,13 @@ func TestSoAEquivalenceMultiTree(t *testing.T) {
 	}
 }
 
-func TestSoAEquivalenceEpanechnikov(t *testing.T) {
+// checkKernelEquivalence grows a tree over leaf kernel k and compares
+// mirror and oracle to exhaustion, on in-range, far-away (outside a
+// compact kernel's support: the sweep's −Inf early-out) and missing-value
+// queries.
+func checkKernelEquivalence(t *testing.T, k kernels.Kernel) {
 	cfg := smallConfig(2)
-	cfg.Kernel = kernels.Epanechnikov{}
+	cfg.Kernel = k
 	xs, ys := twoClassData(300, 11)
 	mt, err := NewMultiTree(cfg, []int{0, 1}, MultiOptions{})
 	if err != nil {
@@ -124,158 +211,20 @@ func TestSoAEquivalenceEpanechnikov(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mt.RefreshSoA()
 	queries, _ := twoClassData(8, 12)
-	// Far-away queries land outside the Epanechnikov support, driving the
-	// sweep's −Inf early-out.
 	queries = append(queries, []float64{25, 25}, []float64{math.NaN(), 0.4})
 	for _, x := range queries {
-		compareMultiQuery(t, "epanechnikov", mt, x, ClassifierOptions{}, -1)
+		compareMultiQuery(t, k.Name(), mt, x, ClassifierOptions{}, -1)
 	}
 }
 
-// TestSoAEquivalenceUnderMutation is the randomized interleaving
-// property: inserts (patch trigger), epoch advances and decay sweeps
-// (structural triggers) interleaved with classifications, asserting at
-// every point that (a) a stale mirror is never served — post-mutation
-// queries fall back until RefreshSoA — and (b) a refreshed mirror is
-// digit-identical to the pointer path.
-func TestSoAEquivalenceUnderMutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	mt, err := NewMultiTree(smallConfig(3), []int{0, 1, 2}, MultiOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	insert := func(k int) {
-		for j := 0; j < k; j++ {
-			x := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-			if err := mt.Insert(x, rng.Intn(3)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	insert(120)
-	mt.RefreshSoA()
-	if err := mt.EnableDecay(DecayOptions{Lambda: 0.1, MinWeight: 1e-4}); err != nil {
-		t.Fatal(err)
-	}
-	check := func(ctx string) {
-		t.Helper()
-		x := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		compareMultiQuery(t, ctx, mt, x, ClassifierOptions{}, 1+rng.Intn(40))
-	}
-	for round := 0; round < 30; round++ {
-		switch rng.Intn(3) {
-		case 0:
-			insert(1 + rng.Intn(5))
-		case 1:
-			mt.AdvanceEpoch(1)
-		default:
-			mt.AdvanceEpoch(1)
-			mt.DecaySweep()
-		}
-		// A mutated tree must unpublish the mirror: queries fall back to
-		// the pointer path rather than read stale flat state.
-		q, err := mt.NewQuery([]float64{0, 0, 0}, ClassifierOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.UsedSoA() {
-			t.Fatalf("round %d: query used a mirror that a mutation should have unpublished", round)
-		}
-		q.Close()
-		mt.RefreshSoA()
-		check("after refresh")
-		if err := mt.Validate(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
-	rebuilds, patches, invalidations := mt.SoACounters()
-	if rebuilds == 0 || invalidations == 0 {
-		t.Fatalf("counters did not move: rebuilds=%d patches=%d invalidations=%d", rebuilds, patches, invalidations)
-	}
-	if patches == 0 {
-		t.Logf("note: no in-place patches this seed (every refresh rebuilt)")
-	}
+func TestSoAEquivalenceEpanechnikov(t *testing.T) {
+	checkKernelEquivalence(t, kernels.Epanechnikov{})
 }
 
-// TestSoAPatchPath pins the in-place patch: split-free inserts into a
-// stable structure must refresh via patch, not rebuild.
-func TestSoAPatchPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	mt, err := NewMultiTree(smallConfig(2), []int{0, 1}, MultiOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 200; j++ {
-		if err := mt.Insert([]float64{rng.Float64(), rng.Float64()}, j%2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mt.RefreshSoA()
-	var patched bool
-	for j := 0; j < 50; j++ {
-		_, p0, _ := mt.SoACounters()
-		if err := mt.Insert([]float64{rng.Float64(), rng.Float64()}, j%2); err != nil {
-			t.Fatal(err)
-		}
-		mt.RefreshSoA()
-		if _, p1, _ := mt.SoACounters(); p1 > p0 {
-			patched = true
-		}
-		compareMultiQuery(t, "patched", mt, []float64{rng.Float64(), rng.Float64()}, ClassifierOptions{}, -1)
-	}
-	if !patched {
-		t.Fatalf("no insert took the patch path in 50 split-prone rounds")
-	}
-}
-
-// TestScoreBatchMatchesSolo: the lockstep batch equals solo queries
-// bitwise on both paths — before RefreshSoA (pointer loop) and after
-// (fused mirror sweeps).
-func TestScoreBatchMatchesSolo(t *testing.T) {
-	xs, ys := twoClassData(500, 5)
-	mt := buildMultiTree(t, xs, ys, MultiOptions{})
-	queries, _ := twoClassData(40, 6)
-	budgets := make([]int, len(queries))
-	for i := range budgets {
-		budgets[i] = []int{0, 3, 17, 80, -1}[i%5]
-	}
-	for _, mirror := range []bool{false, true} {
-		if mirror {
-			mt.RefreshSoA()
-		}
-		scores, reads, err := mt.ScoreBatch(queries, ClassifierOptions{}, budgets, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range queries {
-			q, err := mt.NewQuery(x, ClassifierOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if q.UsedSoA() != mirror {
-				t.Fatalf("mirror=%v: solo query UsedSoA=%v", mirror, q.UsedSoA())
-			}
-			for s := 0; budgets[i] < 0 || s < budgets[i]; s++ {
-				if !q.Step() {
-					break
-				}
-			}
-			if !bitsEqual(scores[i], q.Scores()) {
-				t.Fatalf("mirror=%v: item %d: batch scores %v != solo %v", mirror, i, scores[i], q.Scores())
-			}
-			if reads[i] != q.NodesRead() {
-				t.Fatalf("mirror=%v: item %d: batch reads %d != solo %d", mirror, i, reads[i], q.NodesRead())
-			}
-			q.Close()
-		}
-	}
-}
-
-// slowGaussian is the Gaussian kernel stripped of kernels.Freezer (and
-// with it kernels.Sweeper): a MultiTree over it can publish a mirror
-// but no query can sweep its leaves.
+// slowGaussian is the Gaussian kernel stripped of kernels.Freezer, as a
+// kernel written outside this repository would come: FreezeKernel wraps
+// it in the pass-through adapter, whose sweep goes row by row.
 type slowGaussian struct{}
 
 func (slowGaussian) LogDensity(x, center, h []float64) float64 {
@@ -288,95 +237,182 @@ func (slowGaussian) LogDensityObs(x, center, h []float64, obs []int) float64 {
 
 func (slowGaussian) Name() string { return "slow-gaussian" }
 
-// TestNonSweepableKernelKeepsPointerLoop pins the input the pointer
-// loop is kept for: with a kernel that cannot sweep, RefreshSoA changes
-// neither the path a query takes nor one bit of its scores.
-func TestNonSweepableKernelKeepsPointerLoop(t *testing.T) {
-	cfg := smallConfig(2)
-	cfg.Kernel = slowGaussian{}
-	xs, ys := twoClassData(300, 23)
-	mt, err := NewMultiTree(cfg, []int{0, 1}, MultiOptions{})
+// TestSoAEquivalenceCustomKernel: a kernel that freezes nothing is served
+// through the mirror like any other, bitwise the oracle.
+func TestSoAEquivalenceCustomKernel(t *testing.T) {
+	checkKernelEquivalence(t, slowGaussian{})
+}
+
+// TestSoAEquivalenceUnderMutation is the randomized interleaving
+// property: inserts, epoch advances and decay sweeps interleaved with
+// classifications, with no refresh call anywhere. After every mutation
+// the mirror is either gone (a structural mutation dropped it, and the
+// next query builds it) or, after an insert, block for block a fresh
+// build; every query is bitwise the oracle's.
+func TestSoAEquivalenceUnderMutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	mt, err := NewMultiTree(smallConfig(3), []int{0, 1, 2}, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range xs {
-		if err := mt.Insert(xs[i], ys[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queries, _ := twoClassData(10, 24)
-	queries = append(queries, []float64{math.NaN(), 0.4})
-	run := func(x []float64) (trace [][]float64) {
-		q, err := mt.NewQuery(x, ClassifierOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer q.Close()
-		if q.UsedSoA() {
-			t.Fatalf("query over a non-sweepable kernel took the mirror")
-		}
-		for {
-			trace = append(trace, q.Scores())
-			if !q.Step() {
-				return trace
+	point := func() []float64 { return []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()} }
+	insert := func(k int) {
+		for j := 0; j < k; j++ {
+			live := mt.soa.Load() != nil
+			if err := mt.Insert(point(), rng.Intn(3)); err != nil {
+				t.Fatal(err)
+			}
+			if live {
+				checkMirrorIsFreshBuild(t, "after insert", mt)
+			} else if mt.soa.Load() != nil {
+				t.Fatalf("an insert into a tree without a mirror built one")
 			}
 		}
 	}
-	before := make([][][]float64, len(queries))
-	for i, x := range queries {
-		before[i] = run(x)
+	insert(120)
+	if err := mt.EnableDecay(DecayOptions{Lambda: 0.1, MinWeight: 1e-4}); err != nil {
+		t.Fatal(err)
 	}
-	mt.RefreshSoA()
-	for i, x := range queries {
-		after := run(x)
-		if len(after) != len(before[i]) {
-			t.Fatalf("query %d: %d steps after RefreshSoA, %d before", i, len(after), len(before[i]))
+	for round := 0; round < 40; round++ {
+		switch op := rng.Intn(4); op {
+		case 0, 1:
+			insert(1 + rng.Intn(5))
+		default:
+			mt.AdvanceEpoch(1)
+			if op == 3 {
+				mt.DecaySweep()
+			}
+			if mt.soa.Load() != nil {
+				t.Fatalf("round %d: a structural mutation left the mirror published", round)
+			}
 		}
-		for step := range after {
-			if !bitsEqual(after[step], before[i][step]) {
-				t.Fatalf("query %d step %d: scores %v after RefreshSoA != %v before", i, step, after[step], before[i][step])
+		if rng.Intn(4) != 0 { // sometimes mutate again first: no mirror, no mirror work
+			compareMultiQuery(t, fmt.Sprintf("round %d", round), mt, point(), ClassifierOptions{}, 1+rng.Intn(40))
+		}
+		if err := mt.Validate(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	rebuilds, patches, invalidations := mt.SoACounters()
+	if rebuilds == 0 || patches == 0 || invalidations == 0 {
+		t.Fatalf("counters did not move: rebuilds=%d patches=%d invalidations=%d", rebuilds, patches, invalidations)
+	}
+}
+
+// TestSoAPatchPath pins the repair's accounting: once a query has built
+// the mirror, every insert — split or not — is one patch and no build.
+func TestSoAPatchPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	mt, err := NewMultiTree(smallConfig(2), []int{0, 1}, MultiOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 250; j++ {
+		if j == 200 {
+			if r, p, _ := mt.SoACounters(); r != 0 || p != 0 {
+				t.Fatalf("inserts with no mirror made %d builds, %d patches", r, p)
+			}
+			compareMultiQuery(t, "first query", mt, []float64{rng.Float64(), rng.Float64()}, ClassifierOptions{}, -1)
+		}
+		if err := mt.Insert([]float64{rng.Float64(), rng.Float64()}, j%2); err != nil {
+			t.Fatal(err)
+		}
+		if j >= 200 {
+			compareMultiQuery(t, "patched", mt, []float64{rng.Float64(), rng.Float64()}, ClassifierOptions{}, -1)
+		}
+	}
+	if r, p, inv := mt.SoACounters(); r != 1 || p != 50 || inv != 0 {
+		t.Fatalf("50 inserts under a mirror: %d builds, %d patches, %d drops; want 1, 50, 0", r, p, inv)
+	}
+}
+
+// TestScoreBatchMatchesSolo: the lockstep batch, whatever the worker
+// count cuts it into, equals the oracle run alone on each item bitwise.
+func TestScoreBatchMatchesSolo(t *testing.T) {
+	xs, ys := twoClassData(500, 5)
+	mt := buildMultiTree(t, xs, ys, MultiOptions{})
+	queries, _ := twoClassData(40, 6)
+	budgets := make([]int, len(queries))
+	for i := range budgets {
+		budgets[i] = []int{0, 3, 17, 80, -1}[i%5]
+	}
+	for _, workers := range []int{1, 4} {
+		scores, reads, err := mt.ScoreBatch(queries, ClassifierOptions{}, budgets, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range queries {
+			q, err := newOracleQuery(mt, x, ClassifierOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.run(budgets[i])
+			if !bitsEqual(scores[i], q.Scores()) {
+				t.Fatalf("workers=%d: item %d: batch scores %v != solo %v", workers, i, scores[i], q.Scores())
+			}
+			if reads[i] != q.NodesRead() {
+				t.Fatalf("workers=%d: item %d: batch reads %d != solo %d", workers, i, reads[i], q.NodesRead())
 			}
 		}
 	}
 }
 
-// TestSoAConcurrentQueries exercises the published mirror from many
-// goroutines at once; run with -race to verify queries share it without
-// writes.
-func TestSoAConcurrentQueries(t *testing.T) {
+// TestFirstQueryBuildsMirror: goroutines racing to put the first query to
+// a tree nobody refreshed each build a mirror, exactly one is published
+// (one rebuild counted), every score is bitwise the oracle's, and the
+// insert that follows repairs that mirror instead of building another.
+// Run under -race.
+func TestFirstQueryBuildsMirror(t *testing.T) {
 	xs, ys := twoClassData(400, 17)
 	mt := buildMultiTree(t, xs, ys, MultiOptions{})
-	mt.RefreshSoA()
-	queries, _ := twoClassData(32, 18)
-	// The reference answers come from the pointer loop.
-	want := make([]int, len(queries))
+	queries, _ := twoClassData(16, 18)
+	const budget = 40
+	want := make([][]float64, len(queries))
 	for i, x := range queries {
-		q, err := pointerQuery(mt, x, ClassifierOptions{})
+		q, err := newOracleQuery(mt, x, ClassifierOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for b := 0; b < 40 && q.Step(); b++ {
-		}
-		want[i] = q.Predict()
-		q.Close()
+		q.run(budget)
+		want[i] = q.Scores()
 	}
+	if mt.soa.Load() != nil {
+		t.Fatalf("the oracle built a mirror")
+	}
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i, x := range queries {
-				pred, err := mt.Classify(x, ClassifierOptions{}, 40)
+			<-start
+			for i := range queries {
+				i = (i + g) % len(queries)
+				q, err := mt.NewQuery(queries[i], ClassifierOptions{})
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				if pred != want[i] {
-					t.Errorf("goroutine %d: pred %d want %d", g, pred, want[i])
-					return
+				for b := 0; b < budget && q.Step(); b++ {
 				}
+				if got := q.Scores(); !bitsEqual(got, want[i]) {
+					t.Errorf("goroutine %d: query %d: scores %v, oracle %v", g, i, got, want[i])
+				}
+				q.Close()
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
+	published := mt.soa.Load()
+	if r, p, _ := mt.SoACounters(); published == nil || r != 1 || p != 0 {
+		t.Fatalf("after the first queries: mirror %v, %d builds, %d patches; want one build", published != nil, r, p)
+	}
+	if err := mt.Insert(queries[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	if r, p, _ := mt.SoACounters(); mt.soa.Load() != published || r != 1 || p != 1 {
+		t.Fatalf("after an insert: same mirror %v, %d builds, %d patches; want the same mirror, 1, 1", mt.soa.Load() == published, r, p)
+	}
+	checkMirrorIsFreshBuild(t, "after an insert", mt)
 }

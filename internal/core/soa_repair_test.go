@@ -82,16 +82,15 @@ func checkMirrorIsFreshBuild(t *testing.T, ctx string, mt *MultiTree) {
 
 // TestSoARepairMatchesFreshBuild is the path-local repair property:
 // seeded interleavings of inserts from an empty tree — through root
-// splits and multi-level splits, with one or many inserts piled up
-// between refreshes, into decayed (weighted) leaves, and with a decay
-// sweep in the middle — leave, after every RefreshSoA, a mirror that
-// answers bitwise like the pointer loop at every budget up to
-// exhaustion and equals a fresh whole build block for block — and,
-// before it, entries that are bitwise summarize of their children and
-// cached query constants bitwise a rebuild's (the queries below cache
-// them, the next inserts patch them). Inserts repair (a patch); only
-// decay and epoch changes, or a pile larger than the mirror, build
-// whole.
+// splits and multi-level splits, into decayed (weighted) leaves, and
+// with a decay sweep in the middle — leave, after every single insert,
+// a mirror that equals a fresh whole build block for block and, when
+// queried, answers bitwise like the oracle at every budget up to
+// exhaustion — and entries that are bitwise summarize of their children
+// and cached query constants bitwise a rebuild's (the queries below
+// cache them, the next inserts patch them). Every insert is one repair
+// (a patch); only decay and epoch changes drop the mirror, and the
+// query after them builds it whole.
 func TestSoARepairMatchesFreshBuild(t *testing.T) {
 	// The narrow config splits on every other insert and cascades to
 	// the root often; the small one mixes split-free inserts in.
@@ -108,57 +107,47 @@ func TestSoARepairMatchesFreshBuild(t *testing.T) {
 			point := func() []float64 {
 				return []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 			}
-			insert := func(k int) {
-				for j := 0; j < k; j++ {
-					if err := mt.Insert(point(), rng.Intn(3)); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			check := func(ctx string) {
+			// query compares mirror and oracle, building the mirror if a
+			// structural mutation dropped it.
+			query := func(ctx string) {
 				t.Helper()
-				ctx = fmt.Sprintf("config %d seed %d %s (size %d)", ci, seed, ctx, mt.Len())
-				checkEntriesMatchSummarize(t, ctx, mt)
-				checkQueryStateMatchesRebuild(t, ctx, mt)
-				mt.RefreshSoA()
-				checkMirrorIsFreshBuild(t, ctx, mt)
 				for _, opts := range []ClassifierOptions{{}, {Strategy: DescentBFT, Priority: PriorityGeometric}} {
 					compareMultiQuery(t, ctx, mt, point(), opts, -1)
 				}
-				if err := mt.Validate(); err != nil {
-					t.Fatalf("%s: %v", ctx, err)
-				}
 			}
-			insertsOnly := func(ctx string, rounds, pile int) {
+			// inserts checks every insert on its own; a query follows one
+			// pile in two, so repairs also run over constants no query
+			// has re-cached.
+			inserts := func(ctx string, rounds, pile int) {
 				t.Helper()
 				r0, p0, _ := mt.SoACounters()
+				n := 0
 				for i := 0; i < rounds; i++ {
-					insert(1 + rng.Intn(pile))
-					check(ctx)
+					for j := 1 + rng.Intn(pile); j > 0; j-- {
+						if err := mt.Insert(point(), rng.Intn(3)); err != nil {
+							t.Fatal(err)
+						}
+						n++
+						ctx := fmt.Sprintf("config %d seed %d %s (size %d)", ci, seed, ctx, mt.Len())
+						checkEntriesMatchSummarize(t, ctx, mt)
+						checkQueryStateMatchesRebuild(t, ctx, mt)
+						checkMirrorIsFreshBuild(t, ctx, mt)
+						if err := mt.Validate(); err != nil {
+							t.Fatalf("%s: %v", ctx, err)
+						}
+					}
+					if i%2 == 0 {
+						query(ctx)
+					}
 				}
-				// One insert's path always fits the mirror it came from;
-				// only a pile can outgrow a mirror of a few nodes.
-				r1, p1, _ := mt.SoACounters()
-				if r1+p1 != r0+p0+int64(rounds) || p1 == p0 || (pile == 1 && r1 != r0) {
-					t.Fatalf("config %d seed %d %s: %d rounds of inserts made %d whole builds and %d repairs", ci, seed, ctx, rounds, r1-r0, p1-p0)
+				if r1, p1, _ := mt.SoACounters(); r1 != r0 || p1 != p0+int64(n) {
+					t.Fatalf("config %d seed %d %s: %d inserts made %d whole builds and %d repairs", ci, seed, ctx, n, r1-r0, p1-p0)
 				}
 			}
 
-			mt.RefreshSoA() // empty tree: tracking on, nothing to publish
-			insert(1)
-			check("first point")
-			insertsOnly("one insert per refresh", 40, 1)
-			insertsOnly("piled inserts", 12, 4)
-
-			// A pile that outgrows the mirror is built whole, not
-			// repaired: this many points need more new leaves than
-			// the mirror has nodes, and every new leaf leaves one dead.
-			r0, _, _ := mt.SoACounters()
-			insert(cfg.MaxLeaf * (2*mt.CountNodes() + 2))
-			check("oversized pile")
-			if r1, _, _ := mt.SoACounters(); r1 != r0+1 {
-				t.Fatalf("config %d seed %d: oversized pile made %d whole builds, want 1", ci, seed, r1-r0)
-			}
+			mt.RefreshSoA() // a mirror of the empty tree: repaired from the first point on
+			inserts("one insert per query", 40, 1)
+			inserts("piled inserts", 40, 4)
 
 			// Decay: later inserts carry weights ≠ 1, so leaves turn
 			// weighted and weighted leaves split.
@@ -166,12 +155,18 @@ func TestSoARepairMatchesFreshBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			mt.AdvanceEpoch(2)
-			check("epoch advance")
-			insertsOnly("weighted inserts", 20, 3)
+			query("epoch advance")
+			inserts("weighted inserts", 20, 3)
 			mt.AdvanceEpoch(12)
 			mt.DecaySweep()
-			check("decay sweep")
-			insertsOnly("after the sweep", 15, 3)
+			query("decay sweep")
+			inserts("after the sweep", 15, 3)
+			// Built over the empty tree, after EnableDecay and after the
+			// sweep; dropped by EnableDecay and the second epoch advance
+			// (the other structural mutations found no mirror).
+			if r, _, inv := mt.SoACounters(); r != 3 || inv != 2 {
+				t.Fatalf("config %d seed %d: %d whole builds, %d drops; want 3 and 2", ci, seed, r, inv)
+			}
 		}
 	}
 }

@@ -35,12 +35,6 @@ type CurveOptions struct {
 	Config func(dim int) core.Config
 	// Workers bounds classification parallelism (default GOMAXPROCS).
 	Workers int
-	// SoA makes MultiCurve publish the tree's structure-of-arrays mirror
-	// after building, so classification descends through the flat
-	// vectorized layout instead of the pointer loop (digit-identical
-	// scores, see internal/core). The per-class forest has no mirror;
-	// AnytimeCurve ignores it.
-	SoA bool
 }
 
 func (o *CurveOptions) defaults() {
@@ -228,9 +222,6 @@ func MultiCurve(ds *dataset.Dataset, mopts core.MultiOptions, opts CurveOptions)
 			}
 		}
 		buildTime += time.Since(start)
-		if opts.SoA {
-			mt.RefreshSoA()
-		}
 		workers := opts.Workers
 		if workers > test.Len() {
 			workers = test.Len()

@@ -25,6 +25,11 @@ type FrozenKernel interface {
 	// LogDensityObs is the marginal restricted to the observed dimensions
 	// (nil = all).
 	LogDensityObs(x, center []float64, obs []int) float64
+	// SweepLogDensityObs evaluates x against a flat block of centres —
+	// count rows of dim contiguous float64s — writing count log
+	// densities into out, each bitwise LogDensityObs(x, row, obs). See
+	// sweep.go.
+	SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64)
 }
 
 // Freezer is implemented by kernels that can precompute their
@@ -54,6 +59,15 @@ func (p passthroughKernel) LogDensity(x, center []float64) float64 {
 
 func (p passthroughKernel) LogDensityObs(x, center []float64, obs []int) float64 {
 	return p.k.LogDensityObs(x, center, p.h, obs)
+}
+
+// SweepLogDensityObs sweeps row by row through the wrapped kernel: a
+// kernel that precomputes nothing has no flat loop to offer, only the
+// block layout to honour.
+func (p passthroughKernel) SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64) {
+	for j := 0; j < count; j++ {
+		out[j] = p.k.LogDensityObs(x, centers[j*dim:j*dim+dim], p.h, obs)
+	}
 }
 
 // frozenGaussianKernel holds 1/h², ln h² and the full-dimensional

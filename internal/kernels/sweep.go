@@ -2,25 +2,17 @@ package kernels
 
 import "math"
 
-// This file is the vectorized-descent companion of frozen.go: where a
-// FrozenKernel evaluates one (query, centre) pair at a time through an
-// interface call, a Sweeper evaluates one query against a whole
-// contiguous block of centres laid out as a flat float64 slice — the
-// structure-of-arrays leaf layout of internal/core — in a single loop
-// with no per-centre pointer dereference or dynamic dispatch. Every
-// sweep reproduces the per-row arithmetic of the corresponding
-// FrozenKernel method operation for operation, so a swept density is
-// digit-identical to the pointer-path density.
+// This file is the vectorized-descent companion of frozen.go: where
+// FrozenKernel.LogDensityObs evaluates one (query, centre) pair through
+// an interface call, its SweepLogDensityObs evaluates one query against
+// a whole contiguous block of centres laid out as a flat float64 slice —
+// the structure-of-arrays leaf layout of internal/core — in a single
+// loop with no per-centre pointer dereference or dynamic dispatch. Every
+// sweep reproduces the per-row arithmetic of LogDensityObs operation for
+// operation, so a swept density is digit-identical to the per-row one
+// (sweep_test.go).
 
-// Sweeper is implemented by frozen kernels that can evaluate a query
-// against a flat block of kernel centres in one pass. centers holds
-// count rows of dim contiguous float64s; out receives count log
-// densities, each bitwise equal to LogDensityObs(x, row, obs).
-type Sweeper interface {
-	SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64)
-}
-
-// SweepLogDensityObs implements Sweeper for the frozen Gaussian kernel,
+// SweepLogDensityObs implements FrozenKernel for the Gaussian kernel,
 // replicating frozenGaussianKernel.LogDensity / LogDensityObs per row.
 func (f frozenGaussianKernel) SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64) {
 	if obs == nil {
@@ -55,7 +47,7 @@ func (f frozenGaussianKernel) SweepLogDensityObs(x, centers []float64, count, di
 	}
 }
 
-// SweepLogDensityObs implements Sweeper for the frozen Epanechnikov
+// SweepLogDensityObs implements FrozenKernel for the Epanechnikov
 // kernel, replicating frozenEpanechnikov.LogDensity / LogDensityObs per
 // row (including the −Inf early-out outside the kernel's support).
 func (f frozenEpanechnikov) SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64) {

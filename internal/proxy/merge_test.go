@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -231,6 +232,21 @@ func TestProxyClusterMergeExact(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s diverged from single-process run:\nproxy: %s\nref:   %s", path, got, want)
+		}
+	}
+
+	// Both tiers parse a float parameter alike: absent or a finite
+	// number is served, anything else is the client's error.
+	for eps, want := range map[string]int{
+		"": http.StatusOK, "1.5": http.StatusOK,
+		"1.5abc": http.StatusBadRequest, "NaN": http.StatusBadRequest,
+		"+Inf": http.StatusBadRequest, "1e400": http.StatusBadRequest,
+	} {
+		path := "/macroclusters?eps=" + url.QueryEscape(eps)
+		viaProxy, _ := getBytes(t, pts.URL+path)
+		direct, _ := getBytes(t, refTS.URL+path)
+		if viaProxy != want || direct != want {
+			t.Errorf("%s: status proxy=%d backend=%d, want %d", path, viaProxy, direct, want)
 		}
 	}
 }

@@ -716,8 +716,8 @@ func (p *Proxy) handleMacroClusters(w http.ResponseWriter, r *http.Request) {
 		writeUnavailable(w, "draining")
 		return
 	}
-	eps, err1 := queryFloat(r, "eps", 0.1)
-	minw, err2 := queryFloat(r, "minw", 1)
+	eps, err1 := server.QueryFloat(r, "eps", 0.1)
+	minw, err2 := server.QueryFloat(r, "minw", 1)
 	if err1 != nil || err2 != nil {
 		writeError(w, http.StatusBadRequest, "bad eps/minw: %v %v", err1, err2)
 		return
@@ -760,19 +760,6 @@ func (p *Proxy) writeReadError(w http.ResponseWriter, err error) {
 		return
 	}
 	writeUnavailable(w, "%v", err)
-}
-
-// queryFloat parses a float query parameter, using def when absent.
-func queryFloat(r *http.Request, name string, def float64) (float64, error) {
-	s := r.URL.Query().Get(name)
-	if s == "" {
-		return def, nil
-	}
-	var v float64
-	if _, err := fmt.Sscanf(s, "%g", &v); err != nil {
-		return 0, fmt.Errorf("bad %s=%q", name, s)
-	}
-	return v, nil
 }
 
 // ---------------------------------------------------------------------

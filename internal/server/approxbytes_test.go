@@ -36,7 +36,7 @@ func checkWithinTwofold(t *testing.T, what string, estimate, measured int64) {
 // resident-bytes cap pages against — to its stated accuracy against the
 // live heap a model really holds: the benchmark's classifier (8,000
 // Pendigits points, 16 dimensions, 10 classes, 4 shards, mirrors
-// published) and a clustering model, with the snapshot store that lives
+// built) and a clustering model, with the snapshot store that lives
 // beside its shards switched off and on.
 func TestApproxBytesWithinTwofold(t *testing.T) {
 	d, err := dataset.Pendigits(1)
@@ -58,6 +58,10 @@ func TestApproxBytesWithinTwofold(t *testing.T) {
 				if err := s.Insert(d.X[i], d.Y[i]); err != nil {
 					t.Fatal(err)
 				}
+			}
+			// The first read builds every shard's mirror.
+			if _, err := s.Classify(d.X[0], 8); err != nil {
+				t.Fatal(err)
 			}
 			return s
 		})

@@ -110,8 +110,8 @@ func BenchmarkServerMixed(b *testing.B) {
 }
 
 // BenchmarkServerInsert measures one served insert — route, log append
-// when durable, tree insert, mirror repair under the shard write lock —
-// on 4 shards over a 2,000-point Pendigits model (16 dimensions, 10
+// when durable, tree insert and its mirror repair under the shard write
+// lock — on 4 shards over a 2,000-point Pendigits model (16 dimensions, 10
 // classes, one insert in twelve splits a node), memory-only and behind
 // a group-commit WAL. allocs/op is the number to watch: the split and
 // the mirror repair are meant to stay a small constant.
@@ -153,6 +153,11 @@ func BenchmarkServerInsert(b *testing.B) {
 			}
 			for i := 0; i < preload; i++ {
 				insert(i)
+			}
+			// One read, so every shard has a mirror for the inserts to
+			// repair, as a server that answers queries does.
+			if _, err := s.Classify(d.X[0], 32); err != nil {
+				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -75,21 +76,23 @@ func (s *ClusterServer) Handler() http.Handler {
 	return mux
 }
 
-// queryFloat parses a float query parameter, using def when absent.
-func queryFloat(r *http.Request, name string, def float64) (float64, error) {
+// QueryFloat parses a finite float query parameter, using def when
+// absent. The proxy parses with it too, so both tiers reject the same
+// requests.
+func QueryFloat(r *http.Request, name string, def float64) (float64, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
 		return def, nil
 	}
 	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("bad %s %q", name, raw)
 	}
 	return v, nil
 }
 
 func (s *ClusterServer) handleMicroClusters(w http.ResponseWriter, r *http.Request) {
-	minw, err := queryFloat(r, "minw", 0)
+	minw, err := QueryFloat(r, "minw", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -105,8 +108,8 @@ func (s *ClusterServer) handleMicroClusters(w http.ResponseWriter, r *http.Reque
 }
 
 func (s *ClusterServer) handleMacroClusters(w http.ResponseWriter, r *http.Request) {
-	eps, err1 := queryFloat(r, "eps", 0.1)
-	minw, err2 := queryFloat(r, "minw", 1)
+	eps, err1 := QueryFloat(r, "eps", 0.1)
+	minw, err2 := QueryFloat(r, "minw", 1)
 	for _, err := range []error{err1, err2} {
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
@@ -123,11 +126,11 @@ func (s *ClusterServer) handleMacroClusters(w http.ResponseWriter, r *http.Reque
 // the data that arrived between the retained snapshots closest to t1
 // and t2 (CF subtractivity).
 func (s *ClusterServer) handleWindow(w http.ResponseWriter, r *http.Request) {
-	t1, err1 := queryFloat(r, "t1", 0)
-	t2, err2 := queryFloat(r, "t2", 0)
-	eps, err3 := queryFloat(r, "eps", 0.1)
-	minw, err4 := queryFloat(r, "minw", 1)
-	radius, err5 := queryFloat(r, "radius", 0.1)
+	t1, err1 := QueryFloat(r, "t1", 0)
+	t2, err2 := QueryFloat(r, "t2", 0)
+	eps, err3 := QueryFloat(r, "eps", 0.1)
+	minw, err4 := QueryFloat(r, "minw", 1)
+	radius, err5 := QueryFloat(r, "radius", 0.1)
 	for _, err := range []error{err1, err2, err3, err4, err5} {
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)

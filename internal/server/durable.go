@@ -216,9 +216,8 @@ func (e *engine[M]) Recover() error {
 	if err := e.openLogs(); err != nil {
 		return err
 	}
-	// Replay leaves the descent mirrors unpublished (every insert
-	// invalidates); one refresh per shard restores the fast path before
-	// the server starts answering.
+	// Replay ran without descent mirrors (so no record paid a repair);
+	// build them before the server starts answering.
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		e.refreshShardSoA(sh)

@@ -598,71 +598,3 @@ func TestDurableUnknownLabelRejectedBeforeLogging(t *testing.T) {
 	}
 	s2.CloseDurability()
 }
-
-// TestServedQueriesNeverFallBack pins the fact the engine's mirror
-// hooks exist for: across a seeded interleaving of inserts, solo and
-// batch classifications and decay maintenance, and again after a
-// durable close and recovery, every served shard query descends
-// through a published mirror — none takes the pointer loop.
-func TestServedQueriesNeverFallBack(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Decay: core.DecayOptions{Lambda: 0.05, MinWeight: 1e-3}}
-	open := func() *Server {
-		t.Helper()
-		s, err := OpenDurableServer(DurabilityOptions{Dir: dir}, cfg, func() (*Server, error) {
-			return NewEmpty(3, core.DefaultConfig(3), []int{0, 1, 2}, core.MultiOptions{}, cfg)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Recover(); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	xs, ys := classPoints(600)
-	rng := rand.New(rand.NewSource(3))
-	next := 0
-	drive := func(s *Server, steps int) {
-		t.Helper()
-		for i := 0; i < steps; i++ {
-			switch op := rng.Intn(10); {
-			case op < 5 || next < 30: // the model needs mass before it answers
-				if err := s.Insert(xs[next], ys[next]); err != nil {
-					t.Fatal(err)
-				}
-				next++
-			case op < 8:
-				if _, err := s.Classify(xs[rng.Intn(next)], 1+rng.Intn(40)); err != nil {
-					t.Fatal(err)
-				}
-			case op < 9:
-				batch := [][]float64{xs[rng.Intn(next)], xs[rng.Intn(next)], xs[rng.Intn(next)]}
-				if _, err := s.ClassifyBatchBudgets(batch, []int{5, 20, 40}, 2); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				s.AdvanceDecay()
-			}
-		}
-	}
-	check := func(s *Server, phase string) {
-		t.Helper()
-		st := s.Stats()
-		if st.SoAMisses != 0 || st.SoAHits == 0 {
-			t.Fatalf("%s: soa_hits=%d soa_misses=%d, want hits > 0 and no misses", phase, st.SoAHits, st.SoAMisses)
-		}
-	}
-	a := open()
-	drive(a, 250)
-	check(a, "before close")
-	if err := a.CloseDurability(); err != nil {
-		t.Fatal(err)
-	}
-	b := open()
-	drive(b, 250)
-	check(b, "after recovery")
-	if err := b.CloseDurability(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -67,10 +67,11 @@ type Model interface {
 }
 
 // soaShard is the optional model surface for the structure-of-arrays
-// descent mirror: models that implement it get their mirror refreshed
-// under the shard write lock after every mutation and report its
-// maintenance counters into /stats. *core.MultiTree implements it; the
-// clustering workload does not, so the engine hooks no-op there.
+// descent mirror: models that implement it keep the mirror current
+// themselves; the engine only builds it ahead of the first reader where
+// it holds the write lock anyway (recovery, the decay sweep) and reports
+// its maintenance counters into /stats. *core.MultiTree implements it;
+// the clustering workload does not, so the engine hooks no-op there.
 type soaShard interface {
 	RefreshSoA()
 	SoACounters() (rebuilds, patches, invalidations int64)
@@ -172,11 +173,6 @@ type engine[M Model] struct {
 	maintDone chan struct{}
 	closeOnce sync.Once
 
-	// soaHits/soaMisses count shard queries that did / did not descend
-	// through a published mirror.
-	soaHits   atomic.Int64
-	soaMisses atomic.Int64
-
 	requests       atomic.Int64
 	inserts        atomic.Int64
 	nodesRequested atomic.Int64
@@ -221,12 +217,6 @@ func (e *engine[M]) init(models []M, cfg Config, exclusive bool, wl workload[M])
 			e.decayEpoch.Store(ep)
 		}
 	}
-	// Publish the structure-of-arrays descent mirror on every shard that
-	// supports it, so serving starts on the fast path; the per-mutation
-	// hooks keep it fresh from here.
-	for _, sh := range e.shards {
-		e.refreshShardSoA(sh)
-	}
 	if e.decayOn && cfg.DecayEvery > 0 {
 		e.maintStop = make(chan struct{})
 		e.maintDone = make(chan struct{})
@@ -235,9 +225,9 @@ func (e *engine[M]) init(models []M, cfg Config, exclusive bool, wl workload[M])
 	return nil
 }
 
-// refreshShardSoA refreshes a shard model's structure-of-arrays mirror
-// if the workload has one. The caller must hold the shard's write lock
-// (or otherwise have exclusive access, as init and recovery do).
+// refreshShardSoA builds a shard model's structure-of-arrays mirror if
+// the workload has one and the model none — otherwise the shard's next
+// query would. The caller holds the shard's write lock.
 func (e *engine[M]) refreshShardSoA(sh *shard[M]) {
 	if m, ok := any(sh.tree).(soaShard); ok {
 		m.RefreshSoA()
@@ -296,9 +286,8 @@ func (e *engine[M]) AdvanceDecay() core.SweepStats {
 		sh.mu.Lock()
 		sh.tree.AdvanceEpoch(1)
 		st := sh.tree.DecaySweep()
-		// Epoch advance and sweep invalidate the descent mirror
-		// structurally; rebuild it while we still hold the write lock so
-		// no read falls back to the pointer loop.
+		// Epoch advance and sweep drop the descent mirror; rebuild it
+		// while we still hold the write lock, not under the first read.
 		e.refreshShardSoA(sh)
 		sh.mu.Unlock()
 		agg.PointsPruned += st.PointsPruned
@@ -487,8 +476,6 @@ func (e *engine[M]) baseStats() Stats {
 		PointsPruned:   e.pointsPruned.Load(),
 		SubtreesPruned: e.subtreesPruned.Load(),
 	}
-	st.SoAHits = e.soaHits.Load()
-	st.SoAMisses = e.soaMisses.Load()
 	for _, sh := range e.shards {
 		e.rlock(sh)
 		n := sh.tree.Len()

@@ -306,9 +306,7 @@ func (e *engine[M]) ApplyReplicated(shard int, payload []byte) error {
 		err = e.logAppend(shard, payload)
 	}
 	if err == nil {
-		if err = apply(sh); err == nil {
-			e.refreshShardSoA(sh)
-		}
+		err = apply(sh)
 	}
 	sh.mu.Unlock()
 	if err != nil {

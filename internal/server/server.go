@@ -308,11 +308,6 @@ func (s *Server) classifyResolved(x []float64, requested int) (Result, error) {
 		}
 		read += q.NodesRead()
 		scores := q.Scores()
-		if q.UsedSoA() {
-			s.soaHits.Add(1)
-		} else {
-			s.soaMisses.Add(1)
-		}
 		q.Close()
 		sh.mu.RUnlock()
 		logW := math.Log(weights[i] / totalW)
@@ -379,12 +374,6 @@ func (s *Server) Insert(x []float64, label int) error {
 		}
 	}
 	err := sh.tree.Insert(x, label)
-	if err == nil {
-		// Re-publish the descent mirror while the write lock still
-		// fences readers: the insert, split or not, is repaired along
-		// its path.
-		s.refreshShardSoA(sh)
-	}
 	sh.mu.Unlock()
 	if err != nil {
 		return err
@@ -424,8 +413,7 @@ func (s *Server) Learn(x []float64, label int) error { return s.Insert(x, label)
 // same-shard queries advance in lockstep and group their visits to the
 // same SoA node block, so the block's memory traffic is paid once per
 // round instead of once per query. Every item's scores stay bitwise
-// equal to its solo classification. (Fused queries are not counted in
-// the soa_hits/soa_misses stats — those track the solo path.)
+// equal to its solo classification.
 func (s *Server) ClassifyBatchBudgets(xs [][]float64, budgets []int, workers int) ([]int, error) {
 	if len(budgets) != len(xs) {
 		return nil, fmt.Errorf("server: %d budgets for %d objects", len(budgets), len(xs))
@@ -601,13 +589,9 @@ type Stats struct {
 	Weight         float64 `json:"weight"`
 	PointsPruned   int64   `json:"points_pruned"`
 	SubtreesPruned int64   `json:"subtrees_pruned"`
-	// SoA reports the vectorized-descent mirror's effectiveness: hits and
-	// misses count solo classifications' shard queries that did / did not
-	// descend through a published structure-of-arrays mirror, and the
-	// rebuild/patch/invalidation counters aggregate the shards' mirror
-	// maintenance. All zero for workloads without a mirror.
-	SoAHits          int64 `json:"soa_hits"`
-	SoAMisses        int64 `json:"soa_misses"`
+	// SoA aggregates the shards' descent-mirror maintenance: whole
+	// builds, insert repairs, and structural mutations that dropped a
+	// mirror. All zero for workloads without a mirror.
 	SoARebuilds      int64 `json:"soa_rebuilds"`
 	SoAPatches       int64 `json:"soa_patches"`
 	SoAInvalidations int64 `json:"soa_invalidations"`
