@@ -18,15 +18,10 @@ import (
 // densities. See internal/persist for the on-disk format and
 // ARCHITECTURE.md for the frozen-cache invalidation contract.
 
-// RebuildLeaf returns a leaf node owning the given observations. The
-// slice is retained, not copied; callers hand over ownership.
-func RebuildLeaf(points [][]float64) *Node {
-	return &Node{leaf: true, points: points}
-}
-
-// RebuildLeafWeighted is RebuildLeaf for decayed leaves: weights are
-// the per-observation decayed masses, parallel to points (nil means
-// unit weights). Both slices are retained, not copied.
+// RebuildLeafWeighted returns a leaf node owning the given observations;
+// weights are the per-observation decayed masses, parallel to points
+// (nil means unit weights). Both slices are retained, not copied;
+// callers hand over ownership.
 func RebuildLeafWeighted(points [][]float64, weights []float64) (*Node, error) {
 	if err := validateWeights(weights, len(points)); err != nil {
 		return nil, err
@@ -90,13 +85,8 @@ func RebuildTree(cfg Config, root *Node, size int, balanced bool) (*Tree, error)
 	return &Tree{cfg: cfg, root: root, size: size, balanced: balanced}, nil
 }
 
-// RebuildMultiLeaf returns a multi-class leaf owning the given labelled
-// observations. The slice is retained, not copied.
-func RebuildMultiLeaf(points []LabeledPoint) *MultiNode {
-	return &MultiNode{leaf: true, points: points}
-}
-
-// RebuildMultiLeafWeighted is RebuildMultiLeaf for decayed leaves (see
+// RebuildMultiLeafWeighted returns a multi-class leaf owning the given
+// labelled observations and their decayed masses (see
 // RebuildLeafWeighted).
 func RebuildMultiLeafWeighted(points []LabeledPoint, weights []float64) (*MultiNode, error) {
 	if err := validateWeights(weights, len(points)); err != nil {

@@ -15,9 +15,9 @@ import (
 // (soa.go): a query served through the structure-of-arrays mirror must
 // produce bitwise the same scores, at every step, as the pointer loop it
 // replaced — across strategies, priorities, kernels, missing-value
-// queries, randomized insert/decay/classify interleavings and the fused
-// batch path. Run them under -race to also check the published mirror
-// is safe for concurrent readers.
+// queries and randomized insert/decay/classify interleavings. Run them
+// under -race to also check the published mirror is safe for concurrent
+// readers.
 
 // oracleQuery is the suite's reference: the pointer loop, which lives
 // only here. It walks the tree's own nodes and entries, derives every
@@ -323,37 +323,6 @@ func TestSoAPatchPath(t *testing.T) {
 	}
 	if r, p, inv := mt.SoACounters(); r != 1 || p != 50 || inv != 0 {
 		t.Fatalf("50 inserts under a mirror: %d builds, %d patches, %d drops; want 1, 50, 0", r, p, inv)
-	}
-}
-
-// TestScoreBatchMatchesSolo: the lockstep batch, whatever the worker
-// count cuts it into, equals the oracle run alone on each item bitwise.
-func TestScoreBatchMatchesSolo(t *testing.T) {
-	xs, ys := twoClassData(500, 5)
-	mt := buildMultiTree(t, xs, ys, MultiOptions{})
-	queries, _ := twoClassData(40, 6)
-	budgets := make([]int, len(queries))
-	for i := range budgets {
-		budgets[i] = []int{0, 3, 17, 80, -1}[i%5]
-	}
-	for _, workers := range []int{1, 4} {
-		scores, reads, err := mt.ScoreBatch(queries, ClassifierOptions{}, budgets, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range queries {
-			q, err := newOracleQuery(mt, x, ClassifierOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			q.run(budgets[i])
-			if !bitsEqual(scores[i], q.Scores()) {
-				t.Fatalf("workers=%d: item %d: batch scores %v != solo %v", workers, i, scores[i], q.Scores())
-			}
-			if reads[i] != q.NodesRead() {
-				t.Fatalf("workers=%d: item %d: batch reads %d != solo %d", workers, i, reads[i], q.NodesRead())
-			}
-		}
 	}
 }
 

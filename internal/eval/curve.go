@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"bayestree/internal/bulkload"
@@ -111,7 +110,9 @@ func AnytimeCurve(ds *dataset.Dataset, loader bulkload.Loader, opts CurveOptions
 			return nil, err
 		}
 		buildTime += time.Since(start)
-		foldCorrect, err := traceCorrect(clf, test, opts.MaxNodes, opts.Workers)
+		foldCorrect, err := traceCorrect(test, opts.MaxNodes, opts.Workers, func(x []float64, trace []int) ([]int, error) {
+			return clf.ClassifyTraceInto(x, opts.MaxNodes, trace), nil
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -149,39 +150,35 @@ func TrainForest(train *dataset.Dataset, loader bulkload.Loader, cfgFn func(int)
 }
 
 // traceCorrect classifies every test object with a full trace and counts
-// correct predictions per node budget. Classification is read-only, so
-// test objects are processed in parallel.
-func traceCorrect(clf *core.Classifier, test *dataset.Dataset, maxNodes, workers int) ([]int64, error) {
-	if workers > test.Len() {
-		workers = test.Len()
-	}
-	if workers < 1 {
-		workers = 1
-	}
+// correct predictions per node budget. trace writes the predictions after
+// 0..maxNodes node reads of one object into the buffer it is handed
+// (growing it when too small). Classification is read-only, so workers
+// stride over the test objects in parallel, each with one trace buffer
+// of its own: with the pooled query path that keeps the per-object cost
+// allocation-free.
+func traceCorrect(test *dataset.Dataset, maxNodes, workers int, trace func(x []float64, buf []int) ([]int, error)) ([]int64, error) {
+	workers = max(1, min(workers, test.Len()))
 	partials := make([][]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	errs := make([]error, workers)
+	core.ForEach(workers, workers, func(w int) {
 		partials[w] = make([]int64, maxNodes+1)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// One trace buffer per worker: the pooled query path plus
-			// ClassifyTraceInto keep the per-object cost allocation-free.
-			var trace []int
-			for i := w; i < test.Len(); i += workers {
-				trace = clf.ClassifyTraceInto(test.X[i], maxNodes, trace)
-				y := test.Y[i]
-				for t, pred := range trace {
-					if pred == y {
-						partials[w][t]++
-					}
+		var buf []int
+		for i := w; i < test.Len(); i += workers {
+			if buf, errs[w] = trace(test.X[i], buf); errs[w] != nil {
+				return
+			}
+			for t, pred := range buf {
+				if pred == test.Y[i] {
+					partials[w][t]++
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	out := make([]int64, maxNodes+1)
-	for _, p := range partials {
+	for w, p := range partials {
+		if errs[w] != nil {
+			return nil, errs[w]
+		}
 		for t, v := range p {
 			out[t] += v
 		}
@@ -222,44 +219,14 @@ func MultiCurve(ds *dataset.Dataset, mopts core.MultiOptions, opts CurveOptions)
 			}
 		}
 		buildTime += time.Since(start)
-		workers := opts.Workers
-		if workers > test.Len() {
-			workers = test.Len()
+		foldCorrect, err := traceCorrect(test, opts.MaxNodes, opts.Workers, func(x []float64, trace []int) ([]int, error) {
+			return mt.ClassifyTraceInto(x, opts.Classifier, opts.MaxNodes, trace)
+		})
+		if err != nil {
+			return nil, err
 		}
-		partials := make([][]int64, workers)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			partials[w] = make([]int64, opts.MaxNodes+1)
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var trace []int
-				for i := w; i < test.Len(); i += workers {
-					var err error
-					trace, err = mt.ClassifyTraceInto(test.X[i], opts.Classifier, opts.MaxNodes, trace)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					for t, pred := range trace {
-						if pred == test.Y[i] {
-							partials[w][t]++
-						}
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, p := range partials {
-			for t, v := range p {
-				correct[t] += v
-			}
+		for t := range correct {
+			correct[t] += foldCorrect[t]
 		}
 		total += test.Len()
 	}

@@ -292,7 +292,9 @@ func (p *Proxy) fenceStale(g *group) {
 	}
 	for _, b := range g.backends {
 		if st := b.state(); st.ok && st.role == "primary" && !st.fenced && st.epoch < maxEpoch {
-			p.fenceProbe(b, maxEpoch)
+			ctx, cancel := context.WithTimeout(context.Background(), p.probeTimeout())
+			replica.FenceProbe(ctx, b.client, b.url, maxEpoch)
+			cancel()
 			p.probeBackend(b)
 		}
 	}
@@ -315,22 +317,4 @@ func (b *backend) probeFetch(ctx context.Context) (int, []byte, error) {
 		return 0, nil, err
 	}
 	return resp.StatusCode, data, nil
-}
-
-// fenceProbe tells b a primary at epoch exists, via the same header a
-// reconnecting follower would send.
-func (p *Proxy) fenceProbe(b *backend, epoch uint64) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.probeTimeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/replicate", nil)
-	if err != nil {
-		return
-	}
-	req.Header.Set(replica.EpochHeader, replica.FormatEpoch(epoch))
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
 }

@@ -156,6 +156,26 @@ func TestProxyClassifyMergeExact(t *testing.T) {
 		}
 	}
 
+	// The proxy takes the request a backend takes: whatever the budget
+	// and whether or not it is literal, the proxied answer is the flat
+	// server's answer to the same body, byte for byte.
+	refTS := httptest.NewServer(ref.Handler())
+	defer refTS.Close()
+	x, _ := genPoint(rng)
+	for _, budget := range []int{0, 5, -1, server.DefaultMaxBudget + 1} {
+		for _, literal := range []bool{false, true} {
+			body, _ := json.Marshal(server.ClassifyRequest{X: x, Budget: budget, Scores: true, Literal: literal})
+			st1, got := postJSON(t, pts.URL+"/classify", string(body))
+			st2, want := postJSON(t, refTS.URL+"/classify", string(body))
+			if st1 != http.StatusOK || st2 != http.StatusOK {
+				t.Fatalf("budget %d literal %v: status proxy=%d ref=%d", budget, literal, st1, st2)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("budget %d literal %v diverged from the flat server:\nproxy: %sref:   %s", budget, literal, got, want)
+			}
+		}
+	}
+
 	// Routing sanity: every group primary saw inserts, and the counts
 	// match the engine's own shard partition.
 	st := p.CurrentStats()
@@ -243,6 +263,21 @@ func TestProxyClusterMergeExact(t *testing.T) {
 		"+Inf": http.StatusBadRequest, "1e400": http.StatusBadRequest,
 	} {
 		path := "/macroclusters?eps=" + url.QueryEscape(eps)
+		viaProxy, _ := getBytes(t, pts.URL+path)
+		direct, _ := getBytes(t, refTS.URL+path)
+		if viaProxy != want || direct != want {
+			t.Errorf("%s: status proxy=%d backend=%d, want %d", path, viaProxy, direct, want)
+		}
+	}
+	// Likewise minw on /microclusters, which the proxy forwards: what
+	// reaches the backends is the number it parsed to, so text after the
+	// number cannot ride along as a fragment or a second parameter.
+	for minw, want := range map[string]int{
+		"": http.StatusOK, "2": http.StatusOK, "1e21": http.StatusOK,
+		"1#frag": http.StatusBadRequest, "1&minw=abc": http.StatusBadRequest,
+		"1&eps=2": http.StatusBadRequest,
+	} {
+		path := "/microclusters?minw=" + url.QueryEscape(minw)
 		viaProxy, _ := getBytes(t, pts.URL+path)
 		direct, _ := getBytes(t, refTS.URL+path)
 		if viaProxy != want || direct != want {

@@ -16,10 +16,13 @@
 // healthy followers whose staleness bound (staleness_ms from /stats)
 // is within the configured window, splitting the node-read budget
 // size-proportionally under the in-process contract
-// (server.SplitBudget) and merging exactly: per-class size-weighted
-// log-sum-exp for classify scores, CF-additive micro-cluster union in
-// group order for cluster reads (the offline macro step runs on the
-// union in the proxy). When a group has no fresh follower the read
+// (server.SplitBudget) and merging exactly: the engine's own per-class
+// size-weighted log-sum-exp (stats.MergeLogScores) for classify scores,
+// CF-additive micro-cluster union in group order for cluster reads (the
+// offline macro step runs on the union in the proxy). The proxy imports
+// the engine's vocabulary rather than restating it: the classify request
+// type, the budget rule, the cluster wire types and the JSON / error /
+// 503 response helpers are internal/server's. When a group has no fresh follower the read
 // degrades to its primary rather than erroring — the serving tier's
 // degrade-never-error contract extended across processes.
 //
@@ -38,8 +41,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
+	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -229,31 +234,6 @@ func (p *Proxy) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeUnavailable is the 503 + Retry-After shape the backends use for
-// transient conditions, kept identical so clients see one convention
-// through the proxy.
-func writeUnavailable(w http.ResponseWriter, format string, args ...interface{}) {
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, format, args...)
-}
-
-// isStream mirrors the server's NDJSON detection; the proxy refuses
-// streamed bodies with a targeted error instead of mis-parsing them.
-func isStream(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Content-Type"), "ndjson") ||
-		r.URL.Query().Get("stream") == "1"
-}
-
 func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if p.draining.Load() {
 		w.Header().Set("Retry-After", "1")
@@ -286,30 +266,30 @@ var errNoPrimary = errors.New("proxy: group has no routable primary")
 
 func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if p.draining.Load() {
-		writeUnavailable(w, "draining")
+		server.WriteUnavailable(w, "draining")
 		return
 	}
-	if isStream(r) {
-		writeError(w, http.StatusBadRequest,
+	if server.IsStream(r) {
+		server.WriteError(w, http.StatusBadRequest,
 			"NDJSON streaming is not proxied; send single JSON requests (the proxy hash-routes each point individually)")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	var wb writeBody
 	if err := json.Unmarshal(body, &wb); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(wb.X) == 0 {
-		writeError(w, http.StatusBadRequest, "request has no point x to route on")
+		server.WriteError(w, http.StatusBadRequest, "request has no point x to route on")
 		return
 	}
 	gi := 0
@@ -319,7 +299,7 @@ func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request) {
 	status, resp, err := p.routeWrite(r.Context(), p.groups[gi], r.URL.Path, body)
 	if err != nil {
 		p.writeErrors.Add(1)
-		writeUnavailable(w, "group %d: %v", gi, err)
+		server.WriteUnavailable(w, "group %d: %v", gi, err)
 		return
 	}
 	p.writes.Add(1)
@@ -390,56 +370,39 @@ func firstLine(b []byte) string {
 // ---------------------------------------------------------------------
 // Reads: scatter, budget split, exact merge
 
-// proxyClassifyRequest is the proxy's classify body — the server's
-// shape; Scores asks the proxy to attach the merged scores just like a
-// backend would.
-type proxyClassifyRequest struct {
-	X      []float64 `json:"x"`
-	Budget int       `json:"budget"`
-	Scores bool      `json:"scores"`
-}
-
-// groupSnapshot is the probe-derived view a read plans against.
-type groupSnapshot struct {
-	g    *group
-	size int
-}
-
 func (p *Proxy) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if p.draining.Load() {
-		writeUnavailable(w, "draining")
+		server.WriteUnavailable(w, "draining")
 		return
 	}
-	if isStream(r) {
-		writeError(w, http.StatusBadRequest,
+	if server.IsStream(r) {
+		server.WriteError(w, http.StatusBadRequest,
 			"NDJSON streaming is not proxied; send single JSON requests")
 		return
 	}
-	var req proxyClassifyRequest
+	// The body a backend takes, decoded into the backend's own type: a
+	// client reaches the same request — literal_budget included — at
+	// either tier.
+	var req server.ClassifyRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	res, err := p.classify(r.Context(), req)
 	if err != nil {
 		p.readErrors.Add(1)
-		var he *httpError
-		if errors.As(err, &he) {
-			writeError(w, he.status, "%s", he.msg)
-			return
-		}
-		writeUnavailable(w, "%v", err)
+		p.writeReadError(w, err)
 		return
 	}
 	p.reads.Add(1)
 	if !req.Scores {
 		res.Scores, res.Weight, res.Labels = nil, 0, nil
 	}
-	writeJSON(w, http.StatusOK, res)
+	server.WriteJSON(w, http.StatusOK, res)
 }
 
 // httpError carries a backend-determined status through the scatter
@@ -451,35 +414,22 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-// clampBudget mirrors the engine's HTTP budget convention at the proxy:
-// 0 means the default, negative or over-cap means the cap.
-func (p *Proxy) clampBudget(budget int) int {
-	if budget == 0 {
-		budget = p.cfg.DefaultBudget
-	}
-	if budget < 0 || budget > p.cfg.MaxBudget {
-		budget = p.cfg.MaxBudget
-	}
-	return budget
-}
-
-// classify scatters one classification: the requested budget is split
-// across groups in proportion to their observation counts (the
-// in-process shard contract), each group's share is served by a fresh
-// follower (hedged) with literal budgets and scores requested, and the
-// group answers are merged with the same size-weighted log-sum-exp the
-// engine applies across shards.
-func (p *Proxy) classify(ctx context.Context, req proxyClassifyRequest) (server.Result, error) {
+// classify scatters one classification — the engine's classify path
+// with groups for shards: the budget is resolved by the engine's rule
+// over the proxy's default and cap, split across groups in proportion
+// to their observation counts (server.SplitBudget), each non-empty
+// group's share is served by a fresh follower (hedged) as a literal
+// budget with scores requested, and the group answers go through the
+// engine's merge (mergeClassify).
+func (p *Proxy) classify(ctx context.Context, req server.ClassifyRequest) (server.Result, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.cfg.ReadTimeout)
 	defer cancel()
-	requested := p.clampBudget(req.Budget)
+	requested := req.ResolveBudget(server.Config{DefaultBudget: p.cfg.DefaultBudget, MaxBudget: p.cfg.MaxBudget})
 
-	snaps := make([]groupSnapshot, len(p.groups))
 	sizes := make([]int, len(p.groups))
 	total := 0
 	for i, g := range p.groups {
-		snaps[i] = groupSnapshot{g: g, size: g.observations()}
-		sizes[i] = snaps[i].size
+		sizes[i] = g.observations()
 		total += sizes[i]
 	}
 	if total == 0 {
@@ -497,10 +447,10 @@ func (p *Proxy) classify(ctx context.Context, req proxyClassifyRequest) (server.
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, _ := json.Marshal(classifyWireRequest{
+			body, _ := json.Marshal(server.ClassifyRequest{
 				X: req.X, Budget: budgets[i], Scores: true, Literal: true,
 			})
-			rr, err := p.hedgedRead(ctx, snaps[i].g, func(b *backend) readAttempt {
+			rr, err := p.hedgedRead(ctx, p.groups[i], func(b *backend) readAttempt {
 				return readAttempt{method: http.MethodPost, path: "/classify", body: body}
 			})
 			if err != nil {
@@ -534,15 +484,6 @@ func (p *Proxy) classify(ctx context.Context, req proxyClassifyRequest) (server.
 	return mergeClassify(ordered, requested)
 }
 
-// classifyWireRequest is the backend-facing classify body: literal
-// budgets (a split share of 0 means 0) with scores attached.
-type classifyWireRequest struct {
-	X       []float64 `json:"x"`
-	Budget  int       `json:"budget"`
-	Scores  bool      `json:"scores"`
-	Literal bool      `json:"literal_budget"`
-}
-
 // backendStatusError maps a backend's non-200 answer into an error that
 // preserves client-fault statuses.
 func backendStatusError(status int, body []byte) error {
@@ -559,29 +500,31 @@ func backendStatusError(status int, body []byte) error {
 	return fmt.Errorf("backend status %d: %s", status, msg)
 }
 
-// mergeClassify combines per-group answers (in group order) with the
-// engine's size-weighted log-sum-exp. Each answer's Scores are the
-// group's combined log scores and Weight its total mass; because
-// log-sum-exp of one element is exact, a single-shard group's scores
-// are its shard's raw scores and this merge is digit-identical to the
-// in-process merge over the same shards in the same order.
+// mergeClassify combines per-group answers (in group order) through
+// stats.MergeLogScores, the function the engine merges its shards with:
+// each answer's Scores are the group's merged log scores and Weight its
+// total mass, and merging a single part returns it bit for bit, so a
+// single-shard group's scores are its shard's raw scores and the proxied
+// answer is digit-identical to the in-process one over the same shards
+// in the same order.
 func mergeClassify(answers []*server.Result, requested int) (server.Result, error) {
 	if len(answers) == 0 {
 		return server.Result{}, &httpError{http.StatusBadRequest, "server: no observations yet"}
 	}
 	labels := answers[0].Labels
+	parts := make([][]float64, len(answers))
+	weights := make([]float64, len(answers))
 	totalW := 0.0
 	granted, read := 0, 0
 	degraded := false
-	for _, a := range answers {
-		if len(a.Labels) != len(labels) {
+	for i, a := range answers {
+		if !slices.Equal(a.Labels, labels) {
 			return server.Result{}, fmt.Errorf("merge: label sets differ across groups (%v vs %v)", labels, a.Labels)
 		}
-		for i := range labels {
-			if a.Labels[i] != labels[i] {
-				return server.Result{}, fmt.Errorf("merge: label sets differ across groups (%v vs %v)", labels, a.Labels)
-			}
+		if len(a.Scores) != len(labels) {
+			return server.Result{}, fmt.Errorf("merge: %d scores for %d labels", len(a.Scores), len(labels))
 		}
+		parts[i], weights[i] = a.Scores, a.Weight
 		totalW += a.Weight
 		granted += a.Granted
 		read += a.NodesRead
@@ -591,24 +534,7 @@ func mergeClassify(answers []*server.Result, requested int) (server.Result, erro
 		return server.Result{}, &httpError{http.StatusBadRequest, "server: no observations yet"}
 	}
 	combined := make([]float64, len(labels))
-	buf := make([]float64, 0, len(answers))
-	best := 0
-	for c := range labels {
-		buf = buf[:0]
-		for _, a := range answers {
-			if sc := a.Scores[c]; !math.IsInf(sc, -1) {
-				buf = append(buf, math.Log(a.Weight/totalW)+sc)
-			}
-		}
-		if len(buf) == 0 {
-			combined[c] = math.Inf(-1)
-		} else {
-			combined[c] = stats.LogSumExp(buf)
-		}
-		if combined[c] > combined[best] {
-			best = c
-		}
-	}
+	best := stats.MergeLogScores(combined, parts, weights, totalW)
 	return server.Result{
 		Label: labels[best], Requested: requested, Granted: granted,
 		NodesRead: read, Degraded: degraded || granted < requested,
@@ -619,31 +545,14 @@ func mergeClassify(answers []*server.Result, requested int) (server.Result, erro
 // ---------------------------------------------------------------------
 // Cluster reads: CF-additive union
 
-// microClusterWire mirrors the server's micro-cluster JSON shape.
-type microClusterWire struct {
-	Weight float64   `json:"weight"`
-	Mean   []float64 `json:"mean"`
-	Radius float64   `json:"radius"`
-}
-
-// microListWire is the /microclusters response body.
-type microListWire struct {
-	MicroClusters []microClusterWire `json:"micro_clusters"`
-	Count         int                `json:"count"`
-}
-
-// macroClusterWire mirrors the server's macro-cluster JSON shape.
-type macroClusterWire struct {
-	Weight float64   `json:"weight"`
-	Mean   []float64 `json:"mean"`
-	Size   int       `json:"size"`
-}
-
-// gatherMicro fans a /microclusters read across all groups and returns
-// the union set in group order — exact, because every group's
-// micro-clusters summarise a disjoint partition of the stream.
-func (p *Proxy) gatherMicro(ctx context.Context, query string) ([]microClusterWire, error) {
-	lists := make([][]microClusterWire, len(p.groups))
+// gatherMicro fans a /microclusters?minw= read across all groups and
+// returns the union set in group order — exact, because every group's
+// micro-clusters summarise a disjoint partition of the stream. The
+// backends are sent minw as the number it parsed to, never the client's
+// raw text.
+func (p *Proxy) gatherMicro(ctx context.Context, minw float64) ([]server.MicroClusterJSON, error) {
+	path := "/microclusters?minw=" + url.QueryEscape(strconv.FormatFloat(minw, 'g', -1, 64))
+	lists := make([][]server.MicroClusterJSON, len(p.groups))
 	errs := make([]error, len(p.groups))
 	var wg sync.WaitGroup
 	for i := range p.groups {
@@ -651,7 +560,7 @@ func (p *Proxy) gatherMicro(ctx context.Context, query string) ([]microClusterWi
 		go func(i int) {
 			defer wg.Done()
 			rr, err := p.hedgedRead(ctx, p.groups[i], func(b *backend) readAttempt {
-				return readAttempt{method: http.MethodGet, path: "/microclusters" + query}
+				return readAttempt{method: http.MethodGet, path: path}
 			})
 			if err != nil {
 				errs[i] = err
@@ -661,7 +570,7 @@ func (p *Proxy) gatherMicro(ctx context.Context, query string) ([]microClusterWi
 				errs[i] = backendStatusError(rr.status, rr.body)
 				return
 			}
-			var ml microListWire
+			var ml server.MicroClusterList
 			if err := json.Unmarshal(rr.body, &ml); err != nil {
 				errs[i] = fmt.Errorf("decode backend answer: %w", err)
 				return
@@ -675,59 +584,58 @@ func (p *Proxy) gatherMicro(ctx context.Context, query string) ([]microClusterWi
 			return nil, fmt.Errorf("group %d: %w", i, err)
 		}
 	}
-	var union []microClusterWire
+	union := []server.MicroClusterJSON{}
 	for _, l := range lists {
 		union = append(union, l...)
 	}
 	return union, nil
 }
 
+// handleMicroClusters parses minw with the backends' own parser, so
+// both tiers refuse the same requests, and answers the union under the
+// backends' own body type, so a proxied response is byte-identical to a
+// single-process one over the same data.
 func (p *Proxy) handleMicroClusters(w http.ResponseWriter, r *http.Request) {
 	if p.draining.Load() {
-		writeUnavailable(w, "draining")
+		server.WriteUnavailable(w, "draining")
 		return
 	}
-	minw := r.URL.Query().Get("minw")
-	query := ""
-	if minw != "" {
-		query = "?minw=" + minw
+	minw, err := server.QueryFloat(r, "minw", 0)
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.cfg.ReadTimeout)
 	defer cancel()
-	union, err := p.gatherMicro(ctx, query)
+	union, err := p.gatherMicro(ctx, minw)
 	if err != nil {
 		p.readErrors.Add(1)
 		p.writeReadError(w, err)
 		return
 	}
 	p.reads.Add(1)
-	if union == nil {
-		union = []microClusterWire{}
-	}
-	// The same map shape the backend uses, so a proxied response is
-	// byte-identical to a single-process one over the same data.
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"micro_clusters": union, "count": len(union),
-	})
+	server.WriteJSON(w, http.StatusOK, server.MicroClusterList{Count: len(union), MicroClusters: union})
 }
 
 func (p *Proxy) handleMacroClusters(w http.ResponseWriter, r *http.Request) {
 	if p.draining.Load() {
-		writeUnavailable(w, "draining")
+		server.WriteUnavailable(w, "draining")
 		return
 	}
 	eps, err1 := server.QueryFloat(r, "eps", 0.1)
 	minw, err2 := server.QueryFloat(r, "minw", 1)
-	if err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest, "bad eps/minw: %v %v", err1, err2)
-		return
+	for _, err := range []error{err1, err2} {
+		if err != nil {
+			server.WriteError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.cfg.ReadTimeout)
 	defer cancel()
 	// The offline macro step runs over the union micro-cluster set, so
-	// gather every group's full set (minw=0) and cluster locally —
+	// gather every group's full set (minw 0) and cluster locally —
 	// exactly what a single process does over its shard union.
-	union, err := p.gatherMicro(ctx, "?minw=0")
+	union, err := p.gatherMicro(ctx, 0)
 	if err != nil {
 		p.readErrors.Add(1)
 		p.writeReadError(w, err)
@@ -738,16 +646,9 @@ func (p *Proxy) handleMacroClusters(w http.ResponseWriter, r *http.Request) {
 	for i, m := range union {
 		mcs[i] = clustree.MicroCluster{Weight: m.Weight, Mean: m.Mean, Radius: m.Radius}
 	}
-	macros, noise := clustree.MacroClusters(mcs, clustree.MacroOptions{Eps: eps, MinWeight: minw})
-	out := make([]macroClusterWire, len(macros))
-	for i, m := range macros {
-		out[i] = macroClusterWire{Weight: m.Weight, Mean: m.Mean, Size: len(m.Members)}
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"macro_clusters": out,
-		"noise":          len(noise),
-		"eps":            eps,
-		"min_weight":     minw,
+	out, noise := server.MacroJSON(mcs, eps, minw)
+	server.WriteJSON(w, http.StatusOK, map[string]interface{}{
+		"macro_clusters": out, "noise": noise, "eps": eps, "min_weight": minw,
 	})
 }
 
@@ -756,10 +657,10 @@ func (p *Proxy) handleMacroClusters(w http.ResponseWriter, r *http.Request) {
 func (p *Proxy) writeReadError(w http.ResponseWriter, err error) {
 	var he *httpError
 	if errors.As(err, &he) {
-		writeError(w, he.status, "%s", he.msg)
+		server.WriteError(w, he.status, "%s", he.msg)
 		return
 	}
-	writeUnavailable(w, "%v", err)
+	server.WriteUnavailable(w, "%v", err)
 }
 
 // ---------------------------------------------------------------------

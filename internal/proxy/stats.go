@@ -3,6 +3,8 @@ package proxy
 import (
 	"net/http"
 	"time"
+
+	"bayestree/internal/server"
 )
 
 // Stats is the proxy's /stats document. The "proxy":true marker lets a
@@ -95,5 +97,5 @@ func (p *Proxy) CurrentStats() Stats {
 }
 
 func (p *Proxy) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, p.CurrentStats())
+	server.WriteJSON(w, http.StatusOK, p.CurrentStats())
 }

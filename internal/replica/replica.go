@@ -201,6 +201,38 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // FormatEpoch renders an epoch for the EpochHeader request header.
 func FormatEpoch(epoch uint64) string { return strconv.FormatUint(epoch, 10) }
 
+// replicateRequest builds the GET /replicate request to the server at
+// base that announces epoch in EpochHeader — what a tailing follower
+// connects with and what a fence probe sends.
+func replicateRequest(ctx context.Context, base string, epoch uint64) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/replicate", nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set(EpochHeader, FormatEpoch(epoch))
+	return req, nil
+}
+
+// FenceProbe tells the server at base that a primary at epoch exists,
+// with the request a reconnecting follower of that epoch would send: a
+// still-running primary of an older epoch fences itself on it and
+// answers 409. It is best effort — the target is usually dead, which is
+// why something was promoted — so failures are ignored; ctx bounds the
+// exchange, and the start of the answer is drained so a pooled client
+// can reuse the connection.
+func FenceProbe(ctx context.Context, client *http.Client, base string, epoch uint64) {
+	req, err := replicateRequest(ctx, base, epoch)
+	if err != nil {
+		return
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return
+	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+	resp.Body.Close()
+}
+
 // ErrStalePrimary reports that the primary refused to serve the stream
 // because the follower's epoch is newer than its own — the primary is a
 // stale resurrection of a superseded line of succession (it fenced
@@ -395,15 +427,14 @@ func (t *Tailer) tailOnce(ctx context.Context) (streamed bool, err error) {
 		}
 	}()
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.opts.PrimaryURL+"/replicate", nil)
-	if err != nil {
-		return false, err
-	}
 	var epoch uint64
 	if t.opts.Epoch != nil {
 		epoch = t.opts.Epoch()
 	}
-	req.Header.Set(EpochHeader, FormatEpoch(epoch))
+	req, err := replicateRequest(ctx, t.opts.PrimaryURL, epoch)
+	if err != nil {
+		return false, err
+	}
 	resp, err := t.opts.Client.Do(req)
 	if err != nil {
 		return false, err

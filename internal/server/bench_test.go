@@ -54,9 +54,9 @@ func BenchmarkServerClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkServerClassifyBatch measures the fused batch path: same-shard
-// queries advance in lockstep rounds sorted by node, so concurrent
-// descents share cache lines of the flat mirror.
+// BenchmarkServerClassifyBatch measures the in-process batch path: a
+// pool of 4 workers running each item's solo classification (admit,
+// split over 4 shards, one anytime query per shard, one merge).
 func BenchmarkServerClassifyBatch(b *testing.B) {
 	for _, batch := range []int{16, 128} {
 		b.Run(fmt.Sprintf("batch=%d/budget=50", batch), func(b *testing.B) {

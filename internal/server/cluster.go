@@ -287,7 +287,7 @@ type ClusterResult struct {
 // server default, negative means "as much as the cap and admission
 // allow".
 func (s *ClusterServer) Insert(x []float64, budget int) (ClusterResult, error) {
-	return s.insertResolved(x, s.clampBudget(budget))
+	return s.insertResolved(x, s.cfg.ClampBudget(budget))
 }
 
 // insertResolved is Insert after budget resolution; unspent grant is
@@ -436,8 +436,8 @@ func (s *ClusterServer) ClassifyBatchBudgets(xs [][]float64, budgets []int, work
 	if workers <= 0 {
 		workers = 1
 	}
-	runPool(len(xs), workers, func(i int) {
-		res, err := s.insertResolved(xs[i], s.capBudget(budgets[i]))
+	core.ForEach(len(xs), workers, func(i int) {
+		res, err := s.insertResolved(xs[i], s.cfg.CapBudget(budgets[i]))
 		if err != nil {
 			errs[i] = err
 			return

@@ -43,15 +43,22 @@ type clusterLineResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// microClusterJSON is the wire form of one micro-cluster.
-type microClusterJSON struct {
+// MicroClusterJSON is the wire form of one micro-cluster.
+type MicroClusterJSON struct {
 	Weight float64   `json:"weight"`
 	Mean   []float64 `json:"mean"`
 	Radius float64   `json:"radius"`
 }
 
-// macroClusterJSON is the wire form of one macro cluster.
-type macroClusterJSON struct {
+// MicroClusterList is the /microclusters response body, at a server and
+// through the proxy (fields in the key order the wire has always had).
+type MicroClusterList struct {
+	Count         int                `json:"count"`
+	MicroClusters []MicroClusterJSON `json:"micro_clusters"`
+}
+
+// MacroClusterJSON is the wire form of one macro cluster.
+type MacroClusterJSON struct {
 	Weight float64   `json:"weight"`
 	Mean   []float64 `json:"mean"`
 	Size   int       `json:"size"`
@@ -94,17 +101,15 @@ func QueryFloat(r *http.Request, name string, def float64) (float64, error) {
 func (s *ClusterServer) handleMicroClusters(w http.ResponseWriter, r *http.Request) {
 	minw, err := QueryFloat(r, "minw", 0)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	mcs := s.MicroClusters(minw)
-	out := make([]microClusterJSON, len(mcs))
+	out := make([]MicroClusterJSON, len(mcs))
 	for i, m := range mcs {
-		out[i] = microClusterJSON{Weight: m.Weight, Mean: m.Mean, Radius: m.Radius}
+		out[i] = MicroClusterJSON{Weight: m.Weight, Mean: m.Mean, Radius: m.Radius}
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"micro_clusters": out, "count": len(out),
-	})
+	WriteJSON(w, http.StatusOK, MicroClusterList{Count: len(out), MicroClusters: out})
 }
 
 func (s *ClusterServer) handleMacroClusters(w http.ResponseWriter, r *http.Request) {
@@ -112,12 +117,12 @@ func (s *ClusterServer) handleMacroClusters(w http.ResponseWriter, r *http.Reque
 	minw, err2 := QueryFloat(r, "minw", 1)
 	for _, err := range []error{err1, err2} {
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
-	out, noise := macroJSON(s.MicroClusters(0), eps, minw)
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	out, noise := MacroJSON(s.MicroClusters(0), eps, minw)
+	WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"macro_clusters": out, "noise": noise, "eps": eps, "min_weight": minw,
 	})
 }
@@ -133,29 +138,29 @@ func (s *ClusterServer) handleWindow(w http.ResponseWriter, r *http.Request) {
 	radius, err5 := QueryFloat(r, "radius", 0.1)
 	for _, err := range []error{err1, err2, err3, err4, err5} {
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
 	mcs, err := s.Window(t1, t2, radius)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	macros, noise := macroJSON(mcs, eps, minw)
-	writeJSON(w, http.StatusOK, map[string]interface{}{
+	macros, noise := MacroJSON(mcs, eps, minw)
+	WriteJSON(w, http.StatusOK, map[string]interface{}{
 		"macro_clusters": macros, "noise": noise,
 		"t1": t1, "t2": t2, "micro_clusters": len(mcs),
 	})
 }
 
-// macroJSON runs the offline macro step over a micro-cluster set and
+// MacroJSON runs the offline macro step over a micro-cluster set and
 // shapes the one wire form /macroclusters and /window share.
-func macroJSON(mcs []clustree.MicroCluster, eps, minw float64) ([]macroClusterJSON, int) {
+func MacroJSON(mcs []clustree.MicroCluster, eps, minw float64) ([]MacroClusterJSON, int) {
 	macros, noise := clustree.MacroClusters(mcs, clustree.MacroOptions{Eps: eps, MinWeight: minw})
-	out := make([]macroClusterJSON, len(macros))
+	out := make([]MacroClusterJSON, len(macros))
 	for i, m := range macros {
-		out[i] = macroClusterJSON{Weight: m.Weight, Mean: m.Mean, Size: len(m.Members)}
+		out[i] = MacroClusterJSON{Weight: m.Weight, Mean: m.Mean, Size: len(m.Members)}
 	}
 	return out, len(noise)
 }

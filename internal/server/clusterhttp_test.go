@@ -73,7 +73,7 @@ func TestClusterHTTPEndToEnd(t *testing.T) {
 
 	var micro struct {
 		Count int                `json:"count"`
-		MCs   []microClusterJSON `json:"micro_clusters"`
+		MCs   []MicroClusterJSON `json:"micro_clusters"`
 	}
 	getJSON(t, ts.URL+"/microclusters?minw=0.5", &micro)
 	if micro.Count == 0 || len(micro.MCs) != micro.Count {
@@ -81,7 +81,7 @@ func TestClusterHTTPEndToEnd(t *testing.T) {
 	}
 
 	var macro struct {
-		Macros []macroClusterJSON `json:"macro_clusters"`
+		Macros []MacroClusterJSON `json:"macro_clusters"`
 		Noise  int                `json:"noise"`
 	}
 	getJSON(t, ts.URL+"/macroclusters?eps=0.15&minw=5", &macro)

@@ -82,7 +82,7 @@ func httpInsertBatch(t *testing.T, url string, xs [][]float64, labels []int) {
 // httpClassify classifies one point through /classify.
 func httpClassify(t *testing.T, url string, x []float64, budget int) Result {
 	t.Helper()
-	body, err := json.Marshal(classifyRequest{X: x, Budget: budget})
+	body, err := json.Marshal(ClassifyRequest{X: x, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}

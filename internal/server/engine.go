@@ -351,26 +351,6 @@ func (e *engine[M]) SetDraining(v bool) { e.draining.Store(v) }
 // Draining reports whether the engine is draining.
 func (e *engine[M]) Draining() bool { return e.draining.Load() }
 
-// clampBudget resolves a request-level budget against the configured
-// default and cap: 0 means the server default, negative means "as much
-// as allowed". This is the HTTP-facing convention; the stream.Engine
-// path uses capBudget instead, where 0 is a literal zero.
-func (e *engine[M]) clampBudget(budget int) int {
-	if budget == 0 {
-		budget = e.cfg.DefaultBudget
-	}
-	return e.capBudget(budget)
-}
-
-// capBudget applies only the hard cap: negative and over-cap budgets
-// become MaxBudget, everything else — including 0 — is taken literally.
-func (e *engine[M]) capBudget(budget int) int {
-	if budget < 0 || budget > e.cfg.MaxBudget {
-		budget = e.cfg.MaxBudget
-	}
-	return budget
-}
-
 // grant passes a resolved budget through admission and the request
 // counters, returning what was granted and a finish func the caller
 // must invoke with the node reads actually spent — unspent grant flows

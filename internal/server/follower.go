@@ -274,7 +274,7 @@ func (f *Follower[S]) Handler() http.Handler {
 			writeNotReady(w, "bootstrapping")
 			return
 		}
-		writeUnavailable(w, "replica: awaiting first bootstrap from primary %s", f.primaryURL)
+		WriteUnavailable(w, "replica: awaiting first bootstrap from primary %s", f.primaryURL)
 	})
 }
 
@@ -298,25 +298,14 @@ func (f *Follower[S]) Promote() error {
 		f.promoted.Store(false)
 		return err
 	}
-	go fenceProbe(f.primaryURL, s.Epoch())
+	// Best effort, and usually met with silence: the primary is dead —
+	// that is why we promoted.
+	go func(epoch uint64) {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		replica.FenceProbe(ctx, http.DefaultClient, f.primaryURL, epoch)
+	}(s.Epoch())
 	return nil
-}
-
-// fenceProbe sends one best-effort /replicate probe carrying epoch so a
-// still-running old primary fences itself without waiting to be probed
-// by something else. Failures are expected (the primary is usually
-// dead — that is why we promoted) and ignored.
-func fenceProbe(primaryURL string, epoch uint64) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, primaryURL+"/replicate", nil)
-	if err != nil {
-		return
-	}
-	req.Header.Set(replica.EpochHeader, replica.FormatEpoch(epoch))
-	if resp, err := http.DefaultClient.Do(req); err == nil {
-		resp.Body.Close()
-	}
 }
 
 // SetDraining forwards draining state to the wrapped server (no-op

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"bayestree/internal/core"
 )
 
 // HTTP surface of the server:
@@ -39,10 +41,12 @@ import (
 // window; it bounds both latency-to-first-byte and per-window memory.
 const streamWindow = 64
 
-// classifyRequest is the JSON body of a classification request. Budget
-// semantics match Server.Classify: 0 means the server default, negative
-// means "as much as the cap and admission allow".
-type classifyRequest struct {
+// ClassifyRequest is the JSON body of a classification request — the
+// one a client sends to a server or to the proxy, and the one the proxy
+// sends to its backends. Budget semantics match Server.Classify: 0
+// means the server default, negative means "as much as the cap and
+// admission allow".
+type ClassifyRequest struct {
 	X      []float64 `json:"x"`
 	Budget int       `json:"budget"`
 	// Scores asks for the merged per-class log scores, their label order
@@ -54,6 +58,15 @@ type classifyRequest struct {
 	// so size-proportional splits that legitimately assign a group 0
 	// nodes keep meaning 0.
 	Literal bool `json:"literal_budget"`
+}
+
+// ResolveBudget is the node budget the request asks for under cfg's
+// default and cap: CapBudget of a literal budget, ClampBudget otherwise.
+func (r ClassifyRequest) ResolveBudget(cfg Config) int {
+	if r.Literal {
+		return cfg.CapBudget(r.Budget)
+	}
+	return cfg.ClampBudget(r.Budget)
 }
 
 // insertRequest is the JSON body of an insert request.
@@ -75,10 +88,10 @@ func (s *Server) Handler() http.Handler {
 	mux := s.mux()
 	// Windows of /classify lines are classified by a worker pool, each
 	// item admitted individually.
-	mux.HandleFunc("/classify", itemHandler(&s.engine, itemRoute[classifyRequest]{
+	mux.HandleFunc("/classify", itemHandler(&s.engine, itemRoute[ClassifyRequest]{
 		workers: 8,
 		badLine: "bad request line",
-		serve:   func(req classifyRequest, _ bool) (any, error) { return s.classifyWire(req) },
+		serve:   func(req ClassifyRequest, _ bool) (any, error) { return s.classifyWire(req) },
 		errLine: func(msg string) any { return lineResponse{Error: msg} },
 	}))
 	// Inserts stay sequential — each takes its shard's write lock — but
@@ -107,7 +120,7 @@ func (s *Server) Handler() http.Handler {
 func (e *engine[M]) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", getOnly(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, e.wl.stats())
+		WriteJSON(w, http.StatusOK, e.wl.stats())
 	}))
 	// Pure liveness: 200 as long as the process is up and listening, even
 	// mid-recovery — so orchestrators do not kill a process that is busy
@@ -134,35 +147,40 @@ func (e *engine[M]) mux() *http.ServeMux {
 func getOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			WriteError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
 		h(w, r)
 	}
 }
 
-// isStream reports whether the request carries an NDJSON batch body.
-func isStream(r *http.Request) bool {
+// IsStream reports whether the request carries an NDJSON batch body.
+func IsStream(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Content-Type"), "ndjson") ||
 		r.URL.Query().Get("stream") == "1"
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// WriteJSON answers status with v as one compact JSON document — with
+// WriteError and WriteUnavailable, the response shapes the servers and
+// the proxy in front of them share.
+func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError answers status with {"error": message}.
+func WriteError(w http.ResponseWriter, status int, format string, args ...interface{}) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeUnavailable is the 503 every transient condition (recovery,
-// draining) shares: Retry-After tells well-behaved clients and load
-// balancers to come back instead of giving up or killing the process.
-func writeUnavailable(w http.ResponseWriter, format string, args ...interface{}) {
+// WriteUnavailable is the 503 every transient condition (recovery,
+// draining, an unroutable group behind the proxy) shares: Retry-After
+// tells well-behaved clients and load balancers to come back instead of
+// giving up or killing the process.
+func WriteUnavailable(w http.ResponseWriter, format string, args ...interface{}) {
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, format, args...)
+	WriteError(w, http.StatusServiceUnavailable, format, args...)
 }
 
 // writeNotReady is the uniform not-ready /readyz answer: plain-text 503
@@ -179,19 +197,14 @@ func writeNotReady(w http.ResponseWriter, reason string) {
 // conforming clients, so a retried insert lands where it belongs.
 func redirectToPrimary(w http.ResponseWriter, r *http.Request, primary string) {
 	w.Header().Set("Location", primary+r.URL.Path)
-	writeError(w, http.StatusTemporaryRedirect, "read-only follower: writes go to the primary at %s", primary)
+	WriteError(w, http.StatusTemporaryRedirect, "read-only follower: writes go to the primary at %s", primary)
 }
 
-// classifyWire resolves one HTTP classify request: budget semantics per
-// the Literal flag (literal budgets take 0 at face value, the plain
-// form maps 0 to the server default), with the merge surface (scores,
-// weight, label order) attached only when the request asked for it.
-func (s *Server) classifyWire(req classifyRequest) (Result, error) {
-	budget := s.clampBudget(req.Budget)
-	if req.Literal {
-		budget = s.capBudget(req.Budget)
-	}
-	res, err := s.classifyResolved(req.X, budget)
+// classifyWire serves one HTTP classify request: the budget resolved
+// per the Literal flag, the merge surface (scores, weight, label order)
+// attached only when the request asked for it.
+func (s *Server) classifyWire(req ClassifyRequest) (Result, error) {
+	res, err := s.classifyResolved(req.X, req.ResolveBudget(s.cfg))
 	if err != nil {
 		return res, err
 	}
@@ -300,7 +313,7 @@ type itemRoute[R any] struct {
 func itemHandler[M Model, R any](e *engine[M], rt itemRoute[R]) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST only")
+			WriteError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		if rt.write {
@@ -309,22 +322,22 @@ func itemHandler[M Model, R any](e *engine[M], rt itemRoute[R]) http.HandlerFunc
 				return
 			}
 			if e.replFenced() {
-				writeError(w, http.StatusServiceUnavailable, "fenced: a newer primary (epoch %d) exists", e.repl.fencedBy.Load())
+				WriteError(w, http.StatusServiceUnavailable, "fenced: a newer primary (epoch %d) exists", e.repl.fencedBy.Load())
 				return
 			}
 			if e.Recovering() {
-				writeUnavailable(w, "recovering: WAL replay in progress")
+				WriteUnavailable(w, "recovering: WAL replay in progress")
 				return
 			}
 		}
 		if e.Draining() {
-			writeUnavailable(w, "draining")
+			WriteUnavailable(w, "draining")
 			return
 		}
-		if isStream(r) {
+		if IsStream(r) {
 			ndjsonStream(w, r, func(lines []string) []interface{} {
 				responses := make([]interface{}, len(lines))
-				runPool(len(lines), rt.workers, func(i int) {
+				core.ForEach(len(lines), rt.workers, func(i int) {
 					var req R
 					if err := json.Unmarshal([]byte(lines[i]), &req); err != nil {
 						responses[i] = rt.errLine(fmt.Sprintf("%s: %v", rt.badLine, err))
@@ -340,21 +353,21 @@ func itemHandler[M Model, R any](e *engine[M], rt itemRoute[R]) http.HandlerFunc
 		}
 		var req R
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+			WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
 		res, err := rt.serve(req, false)
 		switch {
 		case err == nil:
-			writeJSON(w, http.StatusOK, res)
+			WriteJSON(w, http.StatusOK, res)
 		case errors.Is(err, errRecovering), errors.Is(err, errFenced), errors.Is(err, errFollower):
 			// The state changed between the guard and the write: answer what
 			// the guard would have, so proxies re-probe instead of giving up.
-			writeUnavailable(w, "%v", err)
+			WriteUnavailable(w, "%v", err)
 		case errors.Is(err, errWAL):
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 	}
 }

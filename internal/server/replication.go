@@ -390,11 +390,11 @@ func clearFenced(dir string) { os.Remove(filepath.Join(dir, fencedName)) }
 // goes away or falls too far behind.
 func (e *engine[M]) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	if e.dur == nil {
-		writeError(w, http.StatusServiceUnavailable, "replication requires durability (-wal-dir)")
+		WriteError(w, http.StatusServiceUnavailable, "replication requires durability (-wal-dir)")
 		return
 	}
 	// A caller announcing a newer epoch is a promoted replica probing
@@ -402,27 +402,27 @@ func (e *engine[M]) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if raw := r.Header.Get(replica.EpochHeader); raw != "" {
 		if callerEpoch, err := strconv.ParseUint(raw, 10, 64); err == nil && callerEpoch > e.Epoch() {
 			e.fenceSelf(callerEpoch)
-			writeError(w, http.StatusConflict, "stale primary: fenced by epoch %d", callerEpoch)
+			WriteError(w, http.StatusConflict, "stale primary: fenced by epoch %d", callerEpoch)
 			return
 		}
 	}
 	if e.Recovering() {
-		writeUnavailable(w, "recovering")
+		WriteUnavailable(w, "recovering")
 		return
 	}
 	if e.replFenced() {
-		writeError(w, http.StatusServiceUnavailable, "fenced: a newer primary (epoch %d) exists", e.repl.fencedBy.Load())
+		WriteError(w, http.StatusServiceUnavailable, "fenced: a newer primary (epoch %d) exists", e.repl.fencedBy.Load())
 		return
 	}
 	if e.Draining() {
-		writeUnavailable(w, "draining")
+		WriteUnavailable(w, "draining")
 		return
 	}
 
 	sub := &replSub{ch: make(chan replFrame, replSubBuffer)}
 	m, snap, baseLSN, err := e.checkpointSubscribe(sub)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "checkpoint: %v", err)
+		WriteError(w, http.StatusInternalServerError, "checkpoint: %v", err)
 		return
 	}
 	defer snap.Close()
@@ -430,7 +430,7 @@ func (e *engine[M]) handleReplicate(w http.ResponseWriter, r *http.Request) {
 
 	info, err := snap.Stat()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
+		WriteError(w, http.StatusInternalServerError, "snapshot: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

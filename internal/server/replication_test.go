@@ -365,7 +365,7 @@ func TestFollowerStalenessAndRedirect(t *testing.T) {
 	}
 
 	// Follower reads work: classify against the replicated model.
-	body, _ := json.Marshal(classifyRequest{X: xs[0]})
+	body, _ := json.Marshal(ClassifyRequest{X: xs[0]})
 	resp, err = http.Post(fts.URL+"/classify", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -36,9 +36,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bayestree/internal/core"
@@ -100,6 +97,29 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	return c
+}
+
+// ClampBudget resolves a request-level budget against the default and
+// the cap: 0 means DefaultBudget, negative means "as much as allowed".
+// This is the HTTP-facing convention; the stream.Engine path and a
+// request that sets literal_budget use CapBudget instead, where 0 is a
+// literal zero. Both are the one budget rule every tier applies — the
+// engine, and the proxy over its own default and cap — and expect a
+// Config whose zero values are resolved.
+func (c Config) ClampBudget(budget int) int {
+	if budget == 0 {
+		budget = c.DefaultBudget
+	}
+	return c.CapBudget(budget)
+}
+
+// CapBudget applies only the hard cap: negative and over-cap budgets
+// become MaxBudget, everything else — including 0 — is taken literally.
+func (c Config) CapBudget(budget int) int {
+	if budget < 0 || budget > c.MaxBudget {
+		budget = c.MaxBudget
+	}
+	return budget
 }
 
 // Server is the sharded anytime classification instantiation of the
@@ -264,14 +284,19 @@ func (s *ScoreList) UnmarshalJSON(b []byte) error {
 // have produced. budget 0 means the server default, negative means "as
 // much as the cap and admission allow".
 func (s *Server) Classify(x []float64, budget int) (Result, error) {
-	return s.classifyResolved(x, s.clampBudget(budget))
+	return s.classifyResolved(x, s.cfg.ClampBudget(budget))
 }
 
-// classifyResolved is Classify after budget resolution: requested is
-// the final capped request, admission decides what of it is granted,
-// and whatever granted work the models could not absorb (exhaustion,
-// errors) is refunded to the bucket so unspent grants do not eat the
-// configured node-read capacity.
+// classifyResolved is Classify after budget resolution, and the one
+// place a classification is assembled above the trees — the solo call,
+// every NDJSON line, every item of an in-process batch and every
+// group's share of a proxied request run it: requested is the final
+// capped request, admission decides what of it is granted, the grant
+// is split over the shards, each non-empty shard answers one solo
+// anytime query under its read lock, and stats.MergeLogScores mixes
+// the shard scores. Whatever granted work the models could not absorb
+// (exhaustion, errors) is refunded to the bucket on return, so unspent
+// grants do not eat the configured node-read capacity.
 func (s *Server) classifyResolved(x []float64, requested int) (Result, error) {
 	if len(x) != s.dim {
 		return Result{}, fmt.Errorf("server: point dim %d != model dim %d", len(x), s.dim)
@@ -286,11 +311,7 @@ func (s *Server) classifyResolved(x []float64, requested int) (Result, error) {
 	}
 	budgets := splitBudget(granted, sizes, total)
 
-	combined := make([]float64, len(s.labels))
-	perClass := make([][]float64, len(s.labels))
-	for c := range perClass {
-		perClass[c] = make([]float64, 0, len(s.shards))
-	}
+	parts := make([][]float64, len(s.shards))
 	for i, sh := range s.shards {
 		if sizes[i] == 0 {
 			continue
@@ -307,27 +328,12 @@ func (s *Server) classifyResolved(x []float64, requested int) (Result, error) {
 			}
 		}
 		read += q.NodesRead()
-		scores := q.Scores()
+		parts[i] = q.Scores()
 		q.Close()
 		sh.mu.RUnlock()
-		logW := math.Log(weights[i] / totalW)
-		for c, sc := range scores {
-			if !math.IsInf(sc, -1) {
-				perClass[c] = append(perClass[c], logW+sc)
-			}
-		}
 	}
-	best := 0
-	for c := range combined {
-		if len(perClass[c]) == 0 {
-			combined[c] = math.Inf(-1)
-		} else {
-			combined[c] = stats.LogSumExp(perClass[c])
-		}
-		if combined[c] > combined[best] {
-			best = c
-		}
-	}
+	combined := make([]float64, len(s.labels))
+	best := stats.MergeLogScores(combined, parts, weights, totalW)
 	return Result{
 		Label: s.labels[best], Requested: requested, Granted: granted,
 		NodesRead: read, Degraded: granted < requested,
@@ -404,130 +410,27 @@ func (s *Server) Learn(x []float64, label int) error { return s.Insert(x, label)
 // Budgets are literal here — 0 means zero node reads, the level-0
 // answer — matching the stream.Engine contract, where each object's
 // budget is exactly what its inter-arrival gap allowed; only the hard
-// MaxBudget cap applies. Each item still passes the admission
-// controller individually, so a batch cannot starve single requests.
-// Together with Learn this implements stream.Engine.
-//
-// Unlike the solo path, which fans each request out over the shards on
-// its own, the batch runs one fused MultiTree.ScoreBatch per shard:
-// same-shard queries advance in lockstep and group their visits to the
-// same SoA node block, so the block's memory traffic is paid once per
-// round instead of once per query. Every item's scores stay bitwise
-// equal to its solo classification.
+// MaxBudget cap applies. A batch is a pool of solo classifications:
+// each item passes the admission controller on its own and hands back
+// what it did not spend when it finishes, so a batch cannot starve
+// single requests or its own later items. Together with Learn this
+// implements stream.Engine.
 func (s *Server) ClassifyBatchBudgets(xs [][]float64, budgets []int, workers int) ([]int, error) {
 	if len(budgets) != len(xs) {
 		return nil, fmt.Errorf("server: %d budgets for %d objects", len(budgets), len(xs))
 	}
-	if len(xs) == 0 {
-		return []int{}, nil
-	}
-	for i, x := range xs {
-		if len(x) != s.dim {
-			return nil, fmt.Errorf("server: object %d dim %d != model dim %d", i, len(x), s.dim)
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	reads := make([]int, len(xs))
-	finishers := make([]func(int), len(xs))
-	defer func() {
-		for i, fin := range finishers {
-			if fin != nil {
-				fin(reads[i])
-			}
-		}
-	}()
-	itemBudgets := make([][]int, len(xs))
-	sizes, weights, total, totalW := s.sizesAndWeights()
-	if total == 0 || totalW <= 0 {
-		return nil, fmt.Errorf("server: no observations yet")
-	}
-	for i := range xs {
-		granted, fin := s.grant(s.capBudget(budgets[i]))
-		finishers[i] = fin
-		itemBudgets[i] = splitBudget(granted, sizes, total)
-	}
-	// One fused batch per shard, every shard's results kept per item.
-	shardScores := make([][][]float64, len(s.shards))
-	shardBudgets := make([]int, len(xs))
-	for si, sh := range s.shards {
-		if sizes[si] == 0 {
-			continue
-		}
-		for i := range xs {
-			shardBudgets[i] = itemBudgets[i][si]
-		}
-		sh.mu.RLock()
-		scores, shardReads, err := sh.tree.ScoreBatch(xs, s.cfg.Query, shardBudgets, workers)
-		sh.mu.RUnlock()
-		if err != nil {
-			return nil, fmt.Errorf("server: shard %d: %w", si, err)
-		}
-		shardScores[si] = scores
-		for i, r := range shardReads {
-			reads[i] += r
-		}
-	}
-	// Size-weighted log-sum-exp merge per item — the same combination,
-	// in the same shard order, as the solo path.
 	preds := make([]int, len(xs))
-	buf := make([]float64, 0, len(s.shards))
-	for i := range xs {
-		best := 0
-		bestScore := math.Inf(-1)
-		for c := range s.labels {
-			buf = buf[:0]
-			for si := range s.shards {
-				if shardScores[si] == nil {
-					continue
-				}
-				if sc := shardScores[si][i][c]; !math.IsInf(sc, -1) {
-					buf = append(buf, math.Log(weights[si]/totalW)+sc)
-				}
-			}
-			combined := math.Inf(-1)
-			if len(buf) > 0 {
-				combined = stats.LogSumExp(buf)
-			}
-			if combined > bestScore {
-				best, bestScore = c, combined
-			}
+	errs := make([]error, len(xs))
+	core.ForEach(len(xs), workers, func(i int) {
+		res, err := s.classifyResolved(xs[i], s.cfg.CapBudget(budgets[i]))
+		preds[i], errs[i] = res.Label, err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		preds[i] = s.labels[best]
 	}
 	return preds, nil
-}
-
-// runPool runs fn(i) for i in [0, n) on up to workers goroutines fed by
-// an atomic counter — the one worker-pool shape every batch path here
-// shares.
-func runPool(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // shardIndex hashes an observation's float bits to a shard index — the

@@ -173,6 +173,80 @@ func TestBatchBudgetsAreLiteral(t *testing.T) {
 	}
 }
 
+// TestBatchIsSoloPool: a batch is nothing but its items' solo
+// classifications. Item i carries the label, and the batch leaves in
+// /stats the request and node totals, of the solo literal-budget
+// requests; and each item hands its unspent grant back when it
+// finishes, not when the batch does, so under admission a sequential
+// batch of exhausting items never starves its own tail.
+func TestBatchIsSoloPool(t *testing.T) {
+	s, rng := newTestServer(t, 3, 500, Config{})
+	xs := make([][]float64, 40)
+	budgets := make([]int, len(xs))
+	for i := range xs {
+		xs[i], _ = genPoint(rng)
+		budgets[i] = []int{0, 3, 17, 80, -1}[i%5]
+	}
+	totals := func() [3]int64 {
+		st := s.Stats()
+		return [3]int64{st.Requests, st.NodesGranted, st.NodesRead}
+	}
+	delta := func(run func()) [3]int64 {
+		before := totals()
+		run()
+		after := totals()
+		return [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
+	}
+	want := make([]int, len(xs))
+	solo := delta(func() {
+		for i, x := range xs {
+			res, err := s.classifyWire(ClassifyRequest{X: x, Budget: budgets[i], Literal: true})
+			if err != nil {
+				t.Fatalf("solo %d: %v", i, err)
+			}
+			want[i] = res.Label
+		}
+	})
+	for _, workers := range []int{1, 4} {
+		var got []int
+		batch := delta(func() {
+			var err error
+			if got, err = s.ClassifyBatchBudgets(xs, budgets, workers); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+		})
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: item %d (budget %d): batch label %d != solo %d", workers, i, budgets[i], got[i], want[i])
+			}
+		}
+		if batch != solo {
+			t.Fatalf("workers=%d: batch left requests/nodes_granted/nodes_read %v, the solo calls %v", workers, batch, solo)
+		}
+	}
+
+	// 60 observations exhaust after a few reads; the bucket holds two
+	// budgets and refills at nothing.
+	const budget, items = 500, 10
+	s, rng = newTestServer(t, 1, 60, Config{NodesPerSecond: 0.001, Burst: 2 * budget, MaxBudget: budget})
+	xs, budgets = xs[:items], budgets[:items]
+	for i := range xs {
+		xs[i], _ = genPoint(rng)
+		budgets[i] = budget
+	}
+	if _, err := s.ClassifyBatchBudgets(xs, budgets, 1); err != nil {
+		t.Fatalf("admitted batch: %v", err)
+	}
+	st := s.Stats()
+	if st.NodesRead > budget {
+		t.Fatalf("model did not exhaust early (%d reads over %d items); test premise broken", st.NodesRead, items)
+	}
+	if st.NodesGranted != items*budget || st.Degraded != 0 {
+		t.Fatalf("granted %d of %d node reads, %d of %d items degraded: an item's unspent grant must be back in the bucket before the next item asks",
+			st.NodesGranted, items*budget, st.Degraded, items)
+	}
+}
+
 // TestAdmissionRefund: budget granted beyond model exhaustion flows
 // back into the bucket instead of consuming capacity.
 func TestAdmissionRefund(t *testing.T) {

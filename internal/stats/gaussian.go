@@ -143,6 +143,44 @@ func LogSumExp(xs []float64) float64 {
 	return m + math.Log(s)
 }
 
+// MergeLogScores is the one place a classification is assembled from
+// partitions of a model: dst[c] becomes the log of the mixture
+// Σ_p (weights[p]/totalW)·exp(parts[p][c]) over the parts in order, and
+// the index of the highest merged score (the earliest on a tie) is
+// returned. parts[p] holds partition p's per-class log scores, as long
+// as dst; a nil part (a partition that was not queried) and a −Inf
+// score (a class the partition holds no mass for) contribute nothing,
+// and a class no part scores stays −Inf. CF additivity makes the union
+// model exactly this size-weighted mixture of its partitions, so shards
+// in a process and groups behind a proxy merge through this function
+// alone — which is what makes every merged answer digit-identical
+// across topologies: same terms, same order, and the log-sum-exp of a
+// single term is that term bit for bit, so merging one part returns it.
+func MergeLogScores(dst []float64, parts [][]float64, weights []float64, totalW float64) (best int) {
+	// One scratch allocation: the parts' log mixture weights, then the
+	// finite terms of the class being summed.
+	scratch := make([]float64, 2*len(parts))
+	logW, terms := scratch[:len(parts)], scratch[len(parts):]
+	for p := range parts {
+		if parts[p] != nil {
+			logW[p] = math.Log(weights[p] / totalW)
+		}
+	}
+	for c := range dst {
+		terms = terms[:0]
+		for p, scores := range parts {
+			if scores != nil && !math.IsInf(scores[c], -1) {
+				terms = append(terms, logW[p]+scores[c])
+			}
+		}
+		dst[c] = LogSumExp(terms)
+		if dst[c] > dst[best] {
+			best = c
+		}
+	}
+	return best
+}
+
 // SilvermanBandwidth returns the per-dimension kernel bandwidths (standard
 // deviations) of Silverman's data-independent rule of thumb for a sample of
 // size n in d dimensions with per-dimension standard deviations sigma:

@@ -150,6 +150,133 @@ func TestLogSumExpMatchesNaive(t *testing.T) {
 	}
 }
 
+// mergeByHand is the merge as the serving path spelled it before it
+// had one function: per class, the finite scores of the queried parts
+// shifted by their log mixture weight, then LogSumExp (−Inf for a class
+// no part scores).
+func mergeByHand(parts [][]float64, weights []float64, totalW float64, classes int) []float64 {
+	perClass := make([][]float64, classes)
+	for p, scores := range parts {
+		if scores == nil {
+			continue
+		}
+		logW := math.Log(weights[p] / totalW)
+		for c, sc := range scores {
+			if !math.IsInf(sc, -1) {
+				perClass[c] = append(perClass[c], logW+sc)
+			}
+		}
+	}
+	out := make([]float64, classes)
+	for c := range out {
+		if len(perClass[c]) == 0 {
+			out[c] = math.Inf(-1)
+		} else {
+			out[c] = LogSumExp(perClass[c])
+		}
+	}
+	return out
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMergeLogScores pins the one merge every tier answers through:
+// exact on a single part, blind to parts and classes without mass, and
+// bit for bit the expression it replaced.
+func TestMergeLogScores(t *testing.T) {
+	inf, unpinned := math.Inf(-1), math.NaN()
+	a := []float64{-3.25, -0.5, -41.125}
+	b := []float64{-1.5, -7.75, -2.0625}
+	for _, tc := range []struct {
+		name    string
+		parts   [][]float64
+		weights []float64
+		// want is the exact result, class by class (unpinned where only
+		// the by-hand merge says what it is); best the expected argmax.
+		want []float64
+		best int
+	}{
+		{name: "one part is returned bit for bit", parts: [][]float64{{-3.5818405382915546, inf, -287.0582759874238}},
+			weights: []float64{137}, want: []float64{-3.5818405382915546, inf, -287.0582759874238}, best: 0},
+		{name: "an unqueried part is skipped", parts: [][]float64{nil, a, nil}, weights: []float64{0, 9, 0}, want: a, best: 1},
+		{name: "a class one part has no mass for comes from the others", parts: [][]float64{{-3.25, inf, -41.125}, b},
+			weights: []float64{1, 3}, want: []float64{unpinned, math.Log(3.0/4) + -7.75, unpinned}, best: 0},
+		{name: "a class no part has mass for stays -Inf", parts: [][]float64{{-3.25, inf, -41.125}, {-1.5, inf, -2.0625}},
+			weights: []float64{1, 3}, want: []float64{unpinned, inf, unpinned}, best: 0},
+		{name: "a zero-mass part contributes nothing", parts: [][]float64{a, b}, weights: []float64{5, 0}, want: a, best: 1},
+		{name: "the earliest of tied classes wins", parts: [][]float64{{-2, -1, -1}, {-2, -1, -1}}, weights: []float64{2, 2},
+			want: []float64{-2, -1, -1}, best: 1},
+	} {
+		var totalW float64
+		for _, w := range tc.weights {
+			totalW += w
+		}
+		got := make([]float64, len(tc.want))
+		best := MergeLogScores(got, tc.parts, tc.weights, totalW)
+		byHand := mergeByHand(tc.parts, tc.weights, totalW, len(tc.want))
+		if !sameBits(got, byHand) {
+			t.Errorf("%s: merged %v, by hand %v", tc.name, got, byHand)
+		}
+		for c, w := range tc.want {
+			if !math.IsNaN(w) && math.Float64bits(got[c]) != math.Float64bits(w) {
+				t.Errorf("%s: class %d merged to %v, want exactly %v", tc.name, c, got[c], w)
+			}
+		}
+		if best != tc.best {
+			t.Errorf("%s: best class %d, want %d", tc.name, best, tc.best)
+		}
+	}
+
+	// Seeded inputs: any mix of parts, masses and empty classes merges to
+	// the bits of the by-hand expression, and to the same argmax.
+	rng := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 500; trial++ {
+		classes, n := 1+rng.Intn(10), 1+rng.Intn(6)
+		parts := make([][]float64, n)
+		weights := make([]float64, n)
+		var totalW float64
+		for p := range parts {
+			if rng.Intn(5) == 0 {
+				continue // an empty shard: not queried, no mass
+			}
+			weights[p] = float64(1+rng.Intn(4000)) * math.Exp2(-float64(rng.Intn(3)))
+			totalW += weights[p]
+			parts[p] = make([]float64, classes)
+			for c := range parts[p] {
+				parts[p][c] = -rng.ExpFloat64() * 300
+				if rng.Intn(6) == 0 {
+					parts[p][c] = inf
+				}
+			}
+		}
+		if totalW == 0 {
+			continue
+		}
+		got := make([]float64, classes)
+		best := MergeLogScores(got, parts, weights, totalW)
+		want := mergeByHand(parts, weights, totalW, classes)
+		if !sameBits(got, want) {
+			t.Fatalf("trial %d: merged %v, by hand %v", trial, got, want)
+		}
+		for c := range want {
+			if want[c] > want[best] || c < best && want[c] == want[best] {
+				t.Fatalf("trial %d: best class %d of %v", trial, best, want)
+			}
+		}
+	}
+}
+
 func TestSilvermanBandwidth(t *testing.T) {
 	// d=1: h = σ (4/3)^(1/5) n^(-1/5).
 	h := SilvermanBandwidth([]float64{2}, 100, 1)

@@ -128,49 +128,10 @@ type Result struct {
 // process: each object is classified with the node budget implied by the
 // gap to the next arrival; labelled objects are additionally learned
 // online. The classifier must already cover every label that occurs.
+// It is RunBatch at window 1, where every prediction has seen every
+// earlier label.
 func Run(clf *core.Classifier, items []Item, arrivals Arrivals, budgeter Budgeter, seed int64) (*Result, error) {
-	if clf == nil {
-		return nil, fmt.Errorf("stream: nil classifier")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	res := &Result{BudgetHist: make(map[int]int), MinBudget: math.MaxInt32}
-	var budgetSum float64
-	for _, it := range items {
-		gap := arrivals.Next(rng)
-		budget := budgeter.Budget(gap)
-		pred := clf.Classify(it.X, budget)
-		res.Predictions = append(res.Predictions, pred)
-		res.Processed++
-		res.Classified++
-		res.TotalNodes += budget
-		budgetSum += float64(budget)
-		res.BudgetHist[bucket(budget)]++
-		if budget < res.MinBudget {
-			res.MinBudget = budget
-		}
-		if budget > res.MaxBudget {
-			res.MaxBudget = budget
-		}
-		if it.Labeled {
-			if pred == it.Label {
-				res.Correct++
-			}
-			if err := clf.Learn(it.X, it.Label); err != nil {
-				return nil, fmt.Errorf("stream: online learning: %w", err)
-			}
-			res.Learned++
-		}
-	}
-	if res.Learned > 0 {
-		res.Accuracy = float64(res.Correct) / float64(res.Learned)
-	}
-	if res.MinBudget == math.MaxInt32 {
-		res.MinBudget = 0
-	}
-	if res.Processed > 0 {
-		res.MeanBudget = budgetSum / float64(res.Processed)
-	}
-	return res, nil
+	return RunBatch(clf, items, arrivals, budgeter, seed, 1, 1)
 }
 
 // Engine is the classification-and-learning surface RunBatch drives: a
@@ -239,22 +200,19 @@ func (d *decayEvery) Learn(x []float64, label int) error {
 	return nil
 }
 
-// RunBatch is the parallel window variant of Run for high-rate serving:
-// arrival gaps and node budgets are drawn exactly as in Run, but objects
-// are processed in windows of the given size — each window is classified
-// in parallel by the engine's batch path with per-object budgets, then
-// the window's labelled objects are learned sequentially in arrival
-// order. For a *core.Classifier, window ≤ 1 reproduces Run exactly (and
-// is delegated to it); larger windows trade label freshness within one
-// window for parallel throughput, since predictions inside a window do
-// not yet see that window's labels.
+// RunBatch feeds the items through the engine under the arrival process
+// in windows of the given size: every object draws the gap to the next
+// arrival and with it its node budget, each window is classified in
+// parallel by the engine's batch path with those per-object budgets,
+// then the window's labelled objects are learned sequentially in arrival
+// order. window ≤ 1 is the strictly sequential online run (Run); larger
+// windows trade label freshness within one window for parallel
+// throughput, since predictions inside a window do not yet see that
+// window's labels.
 func RunBatch(clf Engine, items []Item, arrivals Arrivals, budgeter Budgeter, seed int64, window, workers int) (*Result, error) {
-	// A typed-nil *core.Classifier would slip past the interface nil
-	// check below; routing it into Run yields its clean nil error.
-	if c, ok := clf.(*core.Classifier); ok && (c == nil || window <= 1) {
-		return Run(c, items, arrivals, budgeter, seed)
-	}
-	if clf == nil {
+	// A typed-nil *core.Classifier (what Run(nil, …) hands over) slips
+	// past the interface nil check.
+	if c, ok := clf.(*core.Classifier); clf == nil || ok && c == nil {
 		return nil, fmt.Errorf("stream: nil classifier")
 	}
 	if window < 1 {
