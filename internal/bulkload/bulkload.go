@@ -17,7 +17,6 @@ package bulkload
 
 import (
 	"fmt"
-	"sort"
 
 	"bayestree/internal/core"
 )
@@ -171,14 +170,4 @@ func orderedCopy(points [][]float64, idx []int) [][]float64 {
 		out[rank] = points[i]
 	}
 	return out
-}
-
-// sortIndicesBy returns indices sorted by the given less function, stably.
-func sortIndicesBy(n int, less func(a, b int) bool) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
-	return idx
 }

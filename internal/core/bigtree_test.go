@@ -6,40 +6,85 @@ import (
 	"testing"
 )
 
-// A tree large enough that a breadth-first cursor's FIFO exceeds the
-// prefix-compaction threshold (1024 consumed elements): exercises the
-// queue-release path and re-verifies exactness at scale.
+// Trees large enough that a breadth-first query's FIFO exceeds the
+// prefix-compaction threshold (1024 consumed elements), one per user of
+// the shared frontier: exercises the queue-release path and re-verifies
+// exactness at scale. Neither reference goes through the frontier's
+// queue: the direct kernel density for the Cursor, the heap-ordered
+// exhaustive query for the MultiQuery.
 func TestBFTQueueCompactionAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-tree test")
 	}
-	tree, err := NewTree(smallConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(41))
-	for _, p := range randPoints(rng, 12000, 2) {
-		if err := tree.Insert(p); err != nil {
-			t.Fatal(err)
+	points := randPoints(rand.New(rand.NewSource(41)), 12000, 2)
+	x := []float64{0.31, 0.62}
+	// An exhausted queue has consumed everything, so the compaction rule
+	// (more than 1024 consumed and more than half the queue) has emptied it
+	// unless it never held more than 1024 elements.
+	checkQueue := func(t *testing.T, nodes, reads, queued int) {
+		t.Helper()
+		if nodes < 2000 {
+			t.Fatalf("tree too small for compaction test: %d nodes", nodes)
+		}
+		if reads != nodes {
+			t.Fatalf("read %d nodes, tree has %d", reads, nodes)
+		}
+		if queued > 1024 {
+			t.Fatalf("exhausted queue still holds %d consumed elements", queued)
 		}
 	}
-	s := tree.Stats()
-	if s.Nodes < 2000 {
-		t.Fatalf("tree too small for compaction test: %d nodes", s.Nodes)
-	}
-	x := []float64{0.31, 0.62}
-	cur := tree.NewCursor(x, DescentBFT, PriorityProbabilistic)
-	reads := cur.RefineAll()
-	if reads != s.Nodes {
-		t.Fatalf("read %d nodes, tree has %d", reads, s.Nodes)
-	}
-	want := directKernelLogDensity(tree, x)
-	if got := cur.LogDensity(); math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
-		t.Fatalf("BFT at scale: %v, want %v", got, want)
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
+	t.Run("tree", func(t *testing.T) {
+		tree, err := NewTree(smallConfig(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range points {
+			if err := tree.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cur := tree.NewCursor(x, DescentBFT, PriorityProbabilistic)
+		reads := cur.RefineAll()
+		checkQueue(t, tree.Stats().Nodes, reads, len(cur.front.fifo))
+		want := directKernelLogDensity(tree, x)
+		if got := cur.LogDensity(); math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
+			t.Fatalf("BFT at scale: %v, want %v", got, want)
+		}
+		if err := tree.Validate(); err != nil {
+			t.Fatalf("invariants: %v", err)
+		}
+	})
+	t.Run("multitree", func(t *testing.T) {
+		tree, err := NewMultiTree(smallConfig(2), []int{0, 1}, MultiOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range points {
+			if err := tree.Insert(p, i%2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		exhaust := func(strategy Strategy) *MultiQuery {
+			q, err := tree.NewQuery(x, ClassifierOptions{Strategy: strategy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for q.Step() {
+			}
+			return q
+		}
+		bft, glo := exhaust(DescentBFT), exhaust(DescentGlobal)
+		checkQueue(t, tree.CountNodes(), bft.NodesRead(), len(bft.front.fifo))
+		got, want := bft.Scores(), glo.Scores()
+		for c := range want {
+			if math.Abs(got[c]-want[c]) > 1e-9*(1+math.Abs(want[c])) {
+				t.Fatalf("BFT at scale: scores %v, global descent's %v", got, want)
+			}
+		}
+		if err := tree.Validate(); err != nil {
+			t.Fatalf("invariants: %v", err)
+		}
+	})
 }
 
 // The same at scale for the heap-based global strategy, confirming the

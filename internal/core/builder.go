@@ -82,17 +82,6 @@ func (b *Builder) Finish(root *Node, balanced bool) (*Tree, error) {
 	return t, nil
 }
 
-func countPoints(n *Node) int {
-	if n.leaf {
-		return len(n.points)
-	}
-	total := 0
-	for i := range n.entries {
-		total += countPoints(n.entries[i].Child)
-	}
-	return total
-}
-
 func checkBalanced(root *Node) error {
 	depth := -1
 	var walk func(n *Node, d int) error

@@ -80,11 +80,196 @@ type SweepStats struct {
 	Reinserted int
 }
 
-func (s *SweepStats) add(o SweepStats) {
+// Add accumulates another sweep's statistics into s.
+func (s *SweepStats) Add(o SweepStats) {
 	s.PointsPruned += o.PointsPruned
 	s.SubtreesPruned += o.SubtreesPruned
 	s.SubtreesCollapsed += o.SubtreesCollapsed
 	s.Reinserted += o.Reinserted
+}
+
+// ---------------------------------------------------------------------
+// The clock and the sweep both trees share
+
+// decayClock is a tree's logical decay time, embedded in Tree and
+// MultiTree: decay configures exponential forgetting (zero value = off),
+// epoch is the current logical time and refEpoch the epoch the stored
+// weights are valued at.
+type decayClock struct {
+	decay    DecayOptions
+	epoch    int64
+	refEpoch int64
+}
+
+// DecayConfig returns the decay options in effect (zero value = off).
+func (d *decayClock) DecayConfig() DecayOptions { return d.decay }
+
+// Epoch returns the tree's current logical decay epoch.
+func (d *decayClock) Epoch() int64 { return d.epoch }
+
+// DecayState returns the decay options, the current epoch and the
+// reference epoch the stored weights are valued at — what a snapshot
+// must carry for a decayed tree to reload digit-identically.
+func (d *decayClock) DecayState() (opts DecayOptions, epoch, ref int64) {
+	return d.decay, d.epoch, d.refEpoch
+}
+
+// restore validates and installs decay options and epochs; the tree
+// then drops its cached query state.
+func (d *decayClock) restore(opts DecayOptions, epoch, ref int64) error {
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if epoch < ref {
+		return fmt.Errorf("core: decay epoch %d before reference %d", epoch, ref)
+	}
+	*d = decayClock{decay: opts, epoch: epoch, refEpoch: ref}
+	return nil
+}
+
+// advance moves logical time forward by n epochs and reports whether it
+// moved (the tree then drops its cached query state). Stored state is
+// untouched — decay is applied lazily: subsequent inserts carry larger
+// amplified weights and Weight() folds the larger outstanding decay
+// factor.
+func (d *decayClock) advance(n int64) bool {
+	if n <= 0 || !d.decay.Enabled() {
+		return false
+	}
+	d.epoch += n
+	return true
+}
+
+// insertWeight is the amplified weight of an observation inserted now:
+// 2^(λ·Δe) relative to the reference epoch the tree's weights are
+// stored at. 1 exactly when decay is disabled or no epoch has passed.
+func (d *decayClock) insertWeight() float64 {
+	return stats.GrowthFactor(d.decay.Lambda, d.epoch-d.refEpoch)
+}
+
+// treeWeight is Weight for a tree of size observations under root: the
+// stored root mass — one pass over the root node, whose summaries
+// insert and sweep keep fresh — times the decay outstanding since the
+// last sweep.
+func treeWeight[P any, E entry[P, E]](d *decayClock, size int, root *node[P, E]) float64 {
+	if !d.decay.Enabled() {
+		return float64(size)
+	}
+	if size == 0 {
+		return 0
+	}
+	var mass float64
+	switch {
+	case !root.leaf:
+		for i := range root.entries {
+			mass += root.entries[i].mass()
+		}
+	case root.weights == nil:
+		mass = float64(len(root.points))
+	default:
+		for _, w := range root.weights {
+			mass += w
+		}
+	}
+	return mass * stats.DecayFactor(d.decay.Lambda, d.epoch-d.refEpoch)
+}
+
+// sweeper is one maintenance sweep in progress: the rescale factor and
+// pruning floor, the owning tree's fill minimums and summarize, and what
+// the sweep has found so far — its statistics and the observations of
+// dissolved subtrees, with their weights, awaiting reinsertion.
+type sweeper[P any, E entry[P, E]] struct {
+	factor, floor float64
+	cfg           *Config
+	summarize     func(*node[P, E]) E
+	st            SweepStats
+	orphans       []P
+	orphanW       []float64
+}
+
+// decaySweep applies the decay outstanding on the clock to the tree
+// under root: every leaf weight and cluster feature is rescaled to the
+// current epoch, observations whose decayed weight falls below the
+// MinWeight floor are pruned (children emptied by that pruning are
+// dropped whole), children the pruning left underfull are dissolved into
+// orphans, single-entry root chains are collapsed and the reference
+// epoch is reset to the current epoch. It returns the new root and the
+// finished sweep — nil when there was nothing to do. The caller
+// reinserts the orphans (they carry already-decayed weights and the
+// reference is already current, so at face value), recounts and drops
+// its cached query state.
+func decaySweep[P any, E entry[P, E]](d *decayClock, cfg *Config, root *node[P, E], summarize func(*node[P, E]) E) (*node[P, E], *sweeper[P, E]) {
+	if !d.decay.Enabled() {
+		return root, nil
+	}
+	factor := stats.DecayFactor(d.decay.Lambda, d.epoch-d.refEpoch)
+	d.refEpoch = d.epoch
+	if factor == 1 && d.decay.MinWeight <= 0 {
+		return root, nil
+	}
+	s := &sweeper[P, E]{factor: factor, floor: d.decay.MinWeight, cfg: cfg, summarize: summarize}
+	s.sweep(root)
+	for !root.leaf && len(root.entries) == 1 {
+		root = root.entries[0].child()
+	}
+	if !root.leaf && len(root.entries) == 0 {
+		root = &node[P, E]{leaf: true}
+	}
+	return root, s
+}
+
+// sweep decays the subtree under n in place: leaf weights are scaled by
+// factor (materialising the weight vector on first need) and sub-floor
+// observations dropped; inner entries are re-summarised bottom-up, with
+// emptied children pruned whole and underfull survivors dissolved into
+// orphan observations for reinsertion.
+func (s *sweeper[P, E]) sweep(n *node[P, E]) {
+	if n.leaf {
+		if s.factor != 1 && n.weights == nil && len(n.points) > 0 {
+			n.weights = unitWeights(len(n.points))
+		}
+		if n.weights == nil {
+			return
+		}
+		kept := 0
+		for i := range n.points {
+			w := n.weights[i] * s.factor
+			if s.floor > 0 && w < s.floor {
+				continue
+			}
+			n.points[kept] = n.points[i]
+			n.weights[kept] = w
+			kept++
+		}
+		clear(n.points[kept:])
+		n.points = n.points[:kept]
+		n.weights = n.weights[:kept]
+		return
+	}
+	kept := 0
+	for i := range n.entries {
+		child := n.entries[i].child()
+		s.sweep(child)
+		// A non-empty child's mass is a sum of leaf weights the pass
+		// above already held to the floor, so no separate subtree mass
+		// check is needed: below-floor subtrees are exactly the emptied
+		// ones.
+		if len(child.points) == 0 && len(child.entries) == 0 {
+			s.st.SubtreesPruned++
+			continue
+		}
+		underfull := (child.leaf && len(child.points) < s.cfg.MinLeaf) ||
+			(!child.leaf && len(child.entries) < s.cfg.MinFanout)
+		if underfull {
+			s.orphans, s.orphanW = collectWeightedPoints(child, s.orphans, s.orphanW)
+			s.st.SubtreesCollapsed++
+			continue
+		}
+		n.entries[kept] = s.summarize(child)
+		kept++
+	}
+	clear(n.entries[kept:])
+	n.entries = n.entries[:kept]
 }
 
 // ---------------------------------------------------------------------
@@ -95,228 +280,59 @@ func (s *SweepStats) add(o SweepStats) {
 // DecaySweep do; already stored weights are untouched until the next
 // sweep.
 func (t *Tree) EnableDecay(opts DecayOptions) error {
-	if err := opts.Validate(); err != nil {
-		return err
-	}
-	t.decay = opts
-	t.queryState.Store(nil)
-	return nil
-}
-
-// DecayConfig returns the decay options in effect (zero value = off).
-func (t *Tree) DecayConfig() DecayOptions { return t.decay }
-
-// Epoch returns the tree's current logical decay epoch.
-func (t *Tree) Epoch() int64 { return t.epoch }
-
-// DecayState returns the decay options, the current epoch and the
-// reference epoch the stored weights are valued at — what a snapshot
-// must carry for a decayed tree to reload digit-identically.
-func (t *Tree) DecayState() (opts DecayOptions, epoch, ref int64) {
-	return t.decay, t.epoch, t.refEpoch
+	return t.RestoreDecayState(opts, t.epoch, t.refEpoch)
 }
 
 // RestoreDecayState reinstates decay state decoded from a snapshot.
 func (t *Tree) RestoreDecayState(opts DecayOptions, epoch, ref int64) error {
-	if err := opts.Validate(); err != nil {
+	if err := t.restore(opts, epoch, ref); err != nil {
 		return err
 	}
-	if epoch < ref {
-		return fmt.Errorf("core: decay epoch %d before reference %d", epoch, ref)
-	}
-	t.decay = opts
-	t.epoch = epoch
-	t.refEpoch = ref
 	t.queryState.Store(nil)
 	return nil
 }
 
 // AdvanceEpoch moves logical time forward by n epochs. Stored state is
-// untouched — decay is applied lazily: subsequent inserts carry larger
-// amplified weights and Weight() folds the larger outstanding decay
-// factor — but the cached query-time constants are dropped, so no
+// untouched, but the cached query-time constants are dropped, so no
 // query observes state from two epochs at once. A no-op when decay is
 // disabled.
 func (t *Tree) AdvanceEpoch(n int64) {
-	if n <= 0 || !t.decay.Enabled() {
-		return
+	if t.advance(n) {
+		t.queryState.Store(nil)
 	}
-	t.epoch += n
-	t.queryState.Store(nil)
-}
-
-// insertWeight is the amplified weight of an observation inserted now:
-// 2^(λ·Δe) relative to the reference epoch the tree's weights are
-// stored at. 1 exactly when decay is disabled or no epoch has passed.
-func (t *Tree) insertWeight() float64 {
-	return stats.GrowthFactor(t.decay.Lambda, t.epoch-t.refEpoch)
 }
 
 // Weight returns the tree's effective total mass: the stored root mass
 // with the decay outstanding since the last sweep folded in. With decay
 // disabled it equals float64(Len()) exactly. This — not the raw point
 // count — is what priors and shard mixing must weight by. Cost is one
-// pass over the root node (whose summaries insert and sweep keep
-// fresh), so per-Learn prior refreshes never rebuild query state.
-func (t *Tree) Weight() float64 {
-	if !t.decay.Enabled() {
-		return float64(t.size)
-	}
-	if t.size == 0 {
-		return 0
-	}
-	var mass float64
-	if t.root.leaf {
-		if t.root.weights == nil {
-			mass = float64(len(t.root.points))
-		} else {
-			for _, w := range t.root.weights {
-				mass += w
-			}
-		}
-	} else {
-		for i := range t.root.entries {
-			mass += t.root.entries[i].CF.N
-		}
-	}
-	return mass * stats.DecayFactor(t.decay.Lambda, t.epoch-t.refEpoch)
-}
+// pass over the root node, so per-Learn prior refreshes never rebuild
+// query state.
+func (t *Tree) Weight() float64 { return treeWeight(&t.decayClock, t.size, t.root) }
 
-// DecaySweep applies the decay accumulated since the last sweep: every
-// leaf weight and cluster feature is rescaled to the current epoch,
-// observations whose decayed weight falls below the MinWeight floor
-// are pruned (children emptied by that pruning are dropped whole),
-// children the pruning left underfull are dissolved and their
-// surviving observations reinserted, and single-entry root chains are
-// collapsed. The reference epoch is reset to the
-// current epoch and the cached query state invalidated. Cost is one
-// pass over the tree; call it from a maintenance loop, not per insert.
+// DecaySweep applies the decay accumulated since the last sweep
+// (decaySweep: rescale, prune below the floor, dissolve underfull
+// children, collapse root chains, reset the reference epoch), reinserts
+// the dissolved observations and invalidates the cached query state.
+// Cost is one pass over the tree; call it from a maintenance loop, not
+// per insert.
 func (t *Tree) DecaySweep() SweepStats {
-	var st SweepStats
-	if !t.decay.Enabled() {
-		return st
-	}
-	factor := stats.DecayFactor(t.decay.Lambda, t.epoch-t.refEpoch)
-	if factor == 1 && t.decay.MinWeight <= 0 {
-		t.refEpoch = t.epoch
-		return st
+	root, s := decaySweep(&t.decayClock, &t.cfg, t.root, t.summarize)
+	if s == nil {
+		return SweepStats{}
 	}
 	before := t.size
-	var orphanP [][]float64
-	var orphanW []float64
-	t.sweepNode(t.root, factor, t.decay.MinWeight, &st, &orphanP, &orphanW)
-	for !t.root.leaf && len(t.root.entries) == 1 {
-		t.root = t.root.entries[0].Child
+	t.root = root
+	t.size = countPoints(t.root)
+	reinserted := make(map[int]bool) // one per sweep, across all orphans
+	for k, p := range s.orphans {
+		t.insertPointW(p, s.orphanW[k], reinserted)
 	}
-	if !t.root.leaf && len(t.root.entries) == 0 {
-		t.root = &Node{leaf: true}
-	}
-	t.refEpoch = t.epoch
-	t.size = countTreePoints(t.root)
-	if len(orphanP) > 0 {
-		// Orphans carry already-decayed weights and the reference is
-		// already current, so reinsertion adds them at face value.
-		reinserted := make(map[int]bool)
-		for k, p := range orphanP {
-			t.insertPointW(p, orphanW[k], reinserted)
-		}
-		t.size += len(orphanP)
-		st.Reinserted = len(orphanP)
-	}
-	st.PointsPruned = before - t.size
+	t.size += len(s.orphans)
+	s.st.Reinserted = len(s.orphans)
+	s.st.PointsPruned = before - t.size
 	t.queryState.Store(nil)
-	return st
-}
-
-// sweepNode decays the subtree under n in place: leaf weights are
-// scaled by factor (materialising the weight vector on first need) and
-// sub-floor observations dropped; inner entries are re-summarised
-// bottom-up, with emptied children pruned whole and underfull
-// survivors dissolved into orphan observations for reinsertion.
-func (t *Tree) sweepNode(n *Node, factor, floor float64, st *SweepStats, orphanP *[][]float64, orphanW *[]float64) {
-	if n.leaf {
-		if factor != 1 && n.weights == nil && len(n.points) > 0 {
-			n.weights = make([]float64, len(n.points))
-			for i := range n.weights {
-				n.weights[i] = 1
-			}
-		}
-		if n.weights == nil {
-			return
-		}
-		kept := 0
-		for i := range n.points {
-			w := n.weights[i] * factor
-			if floor > 0 && w < floor {
-				continue
-			}
-			n.points[kept] = n.points[i]
-			n.weights[kept] = w
-			kept++
-		}
-		clear(n.points[kept:])
-		n.points = n.points[:kept]
-		n.weights = n.weights[:kept]
-		return
-	}
-	kept := 0
-	for i := range n.entries {
-		child := n.entries[i].Child
-		t.sweepNode(child, factor, floor, st, orphanP, orphanW)
-		// A non-empty child's mass is a sum of leaf weights the pass
-		// above already held to the floor, so no separate subtree mass
-		// check is needed: below-floor subtrees are exactly the emptied
-		// ones.
-		if childEmpty(child) {
-			st.SubtreesPruned++
-			continue
-		}
-		underfull := (child.leaf && len(child.points) < t.cfg.MinLeaf) ||
-			(!child.leaf && len(child.entries) < t.cfg.MinFanout)
-		if underfull {
-			collectWeightedPoints(child, orphanP, orphanW)
-			st.SubtreesCollapsed++
-			continue
-		}
-		n.entries[kept] = t.summarize(child)
-		kept++
-	}
-	clear(n.entries[kept:])
-	n.entries = n.entries[:kept]
-}
-
-func childEmpty(n *Node) bool {
-	return (n.leaf && len(n.points) == 0) || (!n.leaf && len(n.entries) == 0)
-}
-
-func countTreePoints(n *Node) int {
-	if n.leaf {
-		return len(n.points)
-	}
-	c := 0
-	for i := range n.entries {
-		c += countTreePoints(n.entries[i].Child)
-	}
-	return c
-}
-
-// collectWeightedPoints gathers every observation under n with its
-// weight (1 for unweighted leaves), for dissolving subtrees.
-func collectWeightedPoints(n *Node, pts *[][]float64, ws *[]float64) {
-	if n.leaf {
-		*pts = append(*pts, n.points...)
-		if n.weights != nil {
-			*ws = append(*ws, n.weights...)
-			return
-		}
-		for range n.points {
-			*ws = append(*ws, 1)
-		}
-		return
-	}
-	for i := range n.entries {
-		collectWeightedPoints(n.entries[i].Child, pts, ws)
-	}
+	return s.st
 }
 
 // ---------------------------------------------------------------------
@@ -325,37 +341,14 @@ func collectWeightedPoints(n *Node, pts *[][]float64, ws *[]float64) {
 // EnableDecay switches exponential forgetting on (or reconfigures it),
 // as Tree.EnableDecay does for a per-class tree.
 func (t *MultiTree) EnableDecay(opts DecayOptions) error {
-	if err := opts.Validate(); err != nil {
-		return err
-	}
-	t.decay = opts
-	t.invalidate(nil, 0, allClasses)
-	return nil
-}
-
-// DecayConfig returns the decay options in effect (zero value = off).
-func (t *MultiTree) DecayConfig() DecayOptions { return t.decay }
-
-// Epoch returns the tree's current logical decay epoch.
-func (t *MultiTree) Epoch() int64 { return t.epoch }
-
-// DecayState returns the decay options, current epoch and reference
-// epoch, for snapshotting.
-func (t *MultiTree) DecayState() (opts DecayOptions, epoch, ref int64) {
-	return t.decay, t.epoch, t.refEpoch
+	return t.RestoreDecayState(opts, t.epoch, t.refEpoch)
 }
 
 // RestoreDecayState reinstates decay state decoded from a snapshot.
 func (t *MultiTree) RestoreDecayState(opts DecayOptions, epoch, ref int64) error {
-	if err := opts.Validate(); err != nil {
+	if err := t.restore(opts, epoch, ref); err != nil {
 		return err
 	}
-	if epoch < ref {
-		return fmt.Errorf("core: decay epoch %d before reference %d", epoch, ref)
-	}
-	t.decay = opts
-	t.epoch = epoch
-	t.refEpoch = ref
 	t.invalidate(nil, 0, allClasses)
 	return nil
 }
@@ -363,181 +356,45 @@ func (t *MultiTree) RestoreDecayState(opts DecayOptions, epoch, ref int64) error
 // AdvanceEpoch moves logical time forward by n epochs, invalidating the
 // cached query-time constants (see Tree.AdvanceEpoch).
 func (t *MultiTree) AdvanceEpoch(n int64) {
-	if n <= 0 || !t.decay.Enabled() {
-		return
+	if t.advance(n) {
+		t.invalidate(nil, 0, allClasses)
 	}
-	t.epoch += n
-	t.invalidate(nil, 0, allClasses)
-}
-
-func (t *MultiTree) insertWeight() float64 {
-	return stats.GrowthFactor(t.decay.Lambda, t.epoch-t.refEpoch)
 }
 
 // Weight returns the tree's effective total mass (see Tree.Weight).
 // With decay disabled it equals float64(Len()) exactly. As there, the
 // mass is read from the root level directly — no query-state rebuild.
-func (t *MultiTree) Weight() float64 {
-	if !t.decay.Enabled() {
-		return float64(t.size)
-	}
-	if t.size == 0 {
-		return 0
-	}
-	var mass float64
-	if t.root.leaf {
-		if t.root.weights == nil {
-			mass = float64(len(t.root.points))
-		} else {
-			for _, w := range t.root.weights {
-				mass += w
-			}
-		}
-	} else {
-		for i := range t.root.entries {
-			mass += t.root.entries[i].Total.N
-		}
-	}
-	return mass * stats.DecayFactor(t.decay.Lambda, t.epoch-t.refEpoch)
-}
+func (t *MultiTree) Weight() float64 { return treeWeight(&t.decayClock, t.size, t.root) }
 
 // CountNodes returns the number of tree nodes (inner and leaf) — the
 // bounded-memory observable a drift-tracking server reports.
-func (t *MultiTree) CountNodes() int {
-	var walk func(n *MultiNode) int
-	walk = func(n *MultiNode) int {
-		if n.leaf {
-			return 1
-		}
-		c := 1
-		for i := range n.entries {
-			c += walk(n.entries[i].Child)
-		}
-		return c
-	}
-	return walk(t.root)
-}
+func (t *MultiTree) CountNodes() int { return countNodes(t.root) }
 
 // DecaySweep applies the decay accumulated since the last sweep (see
-// Tree.DecaySweep): rescale, prune below the floor, collapse underfull
-// children, reset the reference epoch, recompute the per-class masses
-// and invalidate the cached query state.
+// Tree.DecaySweep), reinserts the dissolved observations, recomputes
+// the per-class masses and invalidates the cached query state.
 func (t *MultiTree) DecaySweep() SweepStats {
-	var st SweepStats
-	if !t.decay.Enabled() {
-		return st
+	root, s := decaySweep(&t.decayClock, &t.cfg, t.root, t.summarize)
+	if s == nil {
+		return SweepStats{}
 	}
-	factor := stats.DecayFactor(t.decay.Lambda, t.epoch-t.refEpoch)
-	if factor == 1 && t.decay.MinWeight <= 0 {
-		t.refEpoch = t.epoch
-		return st
-	}
-	before := t.size
-	var orphans []LabeledPoint
-	var orphanW []float64
-	t.sweepMultiNode(t.root, factor, t.decay.MinWeight, &st, &orphans, &orphanW)
-	for !t.root.leaf && len(t.root.entries) == 1 {
-		t.root = t.root.entries[0].Child
-	}
-	if !t.root.leaf && len(t.root.entries) == 0 {
-		t.root = &MultiNode{leaf: true}
-	}
-	t.refEpoch = t.epoch
+	t.root = root
 	// Invalidated before the reinserts, so none of them patches query
 	// constants the sweep has already outdated; the class masses they
 	// would be patched from are only recomputed below.
 	t.invalidate(nil, 0, allClasses)
-	for k, p := range orphans {
-		t.insertPointW(p, orphanW[k], t.index[p.Label])
+	for k, p := range s.orphans {
+		t.insertPointW(p, s.orphanW[k], t.index[p.Label])
 	}
-	st.Reinserted = len(orphans)
-	t.size = countMultiPoints(t.root)
-	root := t.summarize(t.root)
+	s.st.Reinserted = len(s.orphans)
+	before := t.size
+	t.size = countPoints(t.root)
+	sum := t.summarize(t.root)
 	for c := range t.counts {
-		t.counts[c] = root.CFs[c].N
+		t.counts[c] = sum.CFs[c].N
 	}
-	st.PointsPruned = before - t.size
-	return st
-}
-
-// sweepMultiNode is sweepNode for the multi-class tree.
-func (t *MultiTree) sweepMultiNode(n *MultiNode, factor, floor float64, st *SweepStats, orphans *[]LabeledPoint, orphanW *[]float64) {
-	if n.leaf {
-		if factor != 1 && n.weights == nil && len(n.points) > 0 {
-			n.weights = make([]float64, len(n.points))
-			for i := range n.weights {
-				n.weights[i] = 1
-			}
-		}
-		if n.weights == nil {
-			return
-		}
-		kept := 0
-		for i := range n.points {
-			w := n.weights[i] * factor
-			if floor > 0 && w < floor {
-				continue
-			}
-			n.points[kept] = n.points[i]
-			n.weights[kept] = w
-			kept++
-		}
-		clear(n.points[kept:])
-		n.points = n.points[:kept]
-		n.weights = n.weights[:kept]
-		return
-	}
-	kept := 0
-	for i := range n.entries {
-		child := n.entries[i].Child
-		t.sweepMultiNode(child, factor, floor, st, orphans, orphanW)
-		// As in Tree.sweepNode: below-floor subtrees are exactly the
-		// children the leaf pass emptied.
-		empty := (child.leaf && len(child.points) == 0) || (!child.leaf && len(child.entries) == 0)
-		if empty {
-			st.SubtreesPruned++
-			continue
-		}
-		underfull := (child.leaf && len(child.points) < t.cfg.MinLeaf) ||
-			(!child.leaf && len(child.entries) < t.cfg.MinFanout)
-		if underfull {
-			collectWeightedMultiPoints(child, orphans, orphanW)
-			st.SubtreesCollapsed++
-			continue
-		}
-		n.entries[kept] = t.summarize(child)
-		kept++
-	}
-	clear(n.entries[kept:])
-	n.entries = n.entries[:kept]
-}
-
-func countMultiPoints(n *MultiNode) int {
-	if n.leaf {
-		return len(n.points)
-	}
-	c := 0
-	for i := range n.entries {
-		c += countMultiPoints(n.entries[i].Child)
-	}
-	return c
-}
-
-func collectWeightedMultiPoints(n *MultiNode, pts *[]LabeledPoint, ws *[]float64) {
-	if n.leaf {
-		*pts = append(*pts, n.points...)
-		if n.weights != nil {
-			*ws = append(*ws, n.weights...)
-			return
-		}
-		for range n.points {
-			*ws = append(*ws, 1)
-		}
-		return
-	}
-	for i := range n.entries {
-		collectWeightedMultiPoints(n.entries[i].Child, pts, ws)
-	}
+	s.st.PointsPruned = before - t.size
+	return s.st
 }
 
 // ---------------------------------------------------------------------
@@ -545,9 +402,6 @@ func collectWeightedMultiPoints(n *MultiNode, pts *[]LabeledPoint, ws *[]float64
 
 // EnableDecay switches exponential forgetting on for every class tree.
 func (c *Classifier) EnableDecay(opts DecayOptions) error {
-	if err := opts.Validate(); err != nil {
-		return err
-	}
 	for _, t := range c.trees {
 		if err := t.EnableDecay(opts); err != nil {
 			return err
@@ -570,7 +424,7 @@ func (c *Classifier) AdvanceEpoch(n int64) {
 func (c *Classifier) DecaySweep() SweepStats {
 	var st SweepStats
 	for _, t := range c.trees {
-		st.add(t.DecaySweep())
+		st.Add(t.DecaySweep())
 	}
 	c.refreshPriors()
 	return st

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"bayestree/internal/stats"
 )
 
 func decayTestConfig(dim int) Config {
@@ -35,100 +37,175 @@ func TestDecayOptionsValidate(t *testing.T) {
 	}
 }
 
+// decayTree is what the decay property tests below need of a tree, so
+// each runs over both users of the shared clock and sweep: the per-class
+// Tree and the MultiTree the server serves.
+type decayTree interface {
+	EnableDecay(DecayOptions) error
+	AdvanceEpoch(int64)
+	DecaySweep() SweepStats
+	Weight() float64
+	Epoch() int64
+	Len() int
+	Validate() error
+	insert(x []float64) error
+	// density is the fully refined log density at x; false when the tree
+	// is empty and starts no query.
+	density(x []float64) (float64, bool)
+	// sweepKeepsDensity reports whether renormalising the stored weights
+	// is invisible to densities.
+	sweepKeepsDensity() bool
+}
+
+type decaySingle struct{ *Tree }
+
+func (k decaySingle) insert(x []float64) error { return k.Insert(x) }
+
+func (k decaySingle) sweepKeepsDensity() bool { return true }
+
+func (k decaySingle) density(x []float64) (float64, bool) {
+	cur := k.NewCursor(x, DescentGlobal, PriorityProbabilistic)
+	if cur == nil {
+		return 0, false
+	}
+	defer cur.Close()
+	cur.RefineAll()
+	return cur.LogDensity(), true
+}
+
+// decayMulti alternates the labels of its inserts; its density is the
+// evidence Σ_c P(c)·p(x|c).
+type decayMulti struct {
+	*MultiTree
+	inserted int
+}
+
+func (k *decayMulti) insert(x []float64) error {
+	k.inserted++
+	return k.Insert(x, k.inserted%2)
+}
+
+// It does not: classConsts takes each class's Silverman bandwidth from
+// int(the class's stored mass), which a sweep rescales, where Tree takes
+// it from the point count. Found by running these tests over both trees;
+// recorded in ROADMAP.md, not changed here (it would move served answers).
+func (k *decayMulti) sweepKeepsDensity() bool { return false }
+
+func (k *decayMulti) density(x []float64) (float64, bool) {
+	q, err := k.NewQuery(x, ClassifierOptions{})
+	if err != nil {
+		return 0, false
+	}
+	defer q.Close()
+	for q.Step() {
+	}
+	return stats.LogSumExp(q.Scores()), true
+}
+
+// forEachDecayTree runs fn on a fresh tree of either kind.
+func forEachDecayTree(t *testing.T, fn func(t *testing.T, tree decayTree)) {
+	t.Run("tree", func(t *testing.T) {
+		tree, err := NewTree(decayTestConfig(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(t, decaySingle{tree})
+	})
+	t.Run("multitree", func(t *testing.T) {
+		tree, err := NewMultiTree(decayTestConfig(2), []int{0, 1}, MultiOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(t, &decayMulti{MultiTree: tree})
+	})
+}
+
+// mustDensity is density on a tree that must not be empty.
+func mustDensity(t *testing.T, tree decayTree, x []float64) float64 {
+	t.Helper()
+	d, ok := tree.density(x)
+	if !ok {
+		t.Fatal("no query on a live tree")
+	}
+	return d
+}
+
 // With λ = 0 the decay surface must be inert: epochs do not advance,
 // sweeps do nothing, weights stay nil and queries are untouched.
 func TestDecayDisabledIsInert(t *testing.T) {
-	tree, err := NewTree(decayTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 40; i++ {
-		if err := tree.Insert([]float64{rng.Float64(), rng.Float64()}); err != nil {
-			t.Fatal(err)
+	forEachDecayTree(t, func(t *testing.T, tree decayTree) {
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 40; i++ {
+			if err := tree.insert([]float64{rng.Float64(), rng.Float64()}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	x := []float64{0.4, 0.6}
-	cur := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	cur.RefineAll()
-	before := cur.LogDensity()
-	cur.Close()
+		x := []float64{0.4, 0.6}
+		before := mustDensity(t, tree, x)
 
-	tree.AdvanceEpoch(3)
-	if tree.Epoch() != 0 {
-		t.Fatalf("epoch advanced with decay disabled: %d", tree.Epoch())
-	}
-	st := tree.DecaySweep()
-	if st != (SweepStats{}) {
-		t.Fatalf("sweep did work with decay disabled: %+v", st)
-	}
-	if w := tree.Weight(); w != float64(tree.Len()) {
-		t.Fatalf("Weight %v != Len %d with decay disabled", w, tree.Len())
-	}
-	cur = tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	cur.RefineAll()
-	after := cur.LogDensity()
-	cur.Close()
-	if before != after {
-		t.Fatalf("λ=0 density changed: %v -> %v", before, after)
-	}
+		tree.AdvanceEpoch(3)
+		if tree.Epoch() != 0 {
+			t.Fatalf("epoch advanced with decay disabled: %d", tree.Epoch())
+		}
+		st := tree.DecaySweep()
+		if st != (SweepStats{}) {
+			t.Fatalf("sweep did work with decay disabled: %+v", st)
+		}
+		if w := tree.Weight(); w != float64(tree.Len()) {
+			t.Fatalf("Weight %v != Len %d with decay disabled", w, tree.Len())
+		}
+		if after := mustDensity(t, tree, x); before != after {
+			t.Fatalf("λ=0 density changed: %v -> %v", before, after)
+		}
+	})
 }
 
 // Advancing epochs halves the effective mass per epoch at λ = 1, both
 // before the sweep (folded factor) and after it (rescaled storage), and
 // the sweep itself must not change any query answer — renormalisation
-// is invisible to densities.
+// is invisible to densities (where the tree's bandwidths allow it: see
+// decayMulti.sweepKeepsDensity).
 func TestDecayWeightAndSweepInvariance(t *testing.T) {
-	tree, err := NewTree(decayTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.EnableDecay(DecayOptions{Lambda: 1}); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 60; i++ {
-		if err := tree.Insert([]float64{rng.Float64(), rng.Float64()}); err != nil {
+	forEachDecayTree(t, func(t *testing.T, tree decayTree) {
+		if err := tree.EnableDecay(DecayOptions{Lambda: 1}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	w0 := tree.Weight()
-	if math.Abs(w0-60) > 1e-9 {
-		t.Fatalf("fresh weight %v, want 60", w0)
-	}
-	tree.AdvanceEpoch(1)
-	if w := tree.Weight(); math.Abs(w-30) > 1e-9 {
-		t.Fatalf("weight after one epoch %v, want 30", w)
-	}
+		rng := rand.New(rand.NewSource(2))
+		for i := 0; i < 60; i++ {
+			if err := tree.insert([]float64{rng.Float64(), rng.Float64()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w0 := tree.Weight()
+		if math.Abs(w0-60) > 1e-9 {
+			t.Fatalf("fresh weight %v, want 60", w0)
+		}
+		tree.AdvanceEpoch(1)
+		if w := tree.Weight(); math.Abs(w-30) > 1e-9 {
+			t.Fatalf("weight after one epoch %v, want 30", w)
+		}
 
-	x := []float64{0.3, 0.7}
-	cur := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	cur.RefineAll()
-	before := cur.LogDensity()
-	cur.Close()
+		x := []float64{0.3, 0.7}
+		before := mustDensity(t, tree, x)
+		tree.DecaySweep()
+		if w := tree.Weight(); math.Abs(w-30) > 1e-9 {
+			t.Fatalf("weight after sweep %v, want 30", w)
+		}
+		if after := mustDensity(t, tree, x); tree.sweepKeepsDensity() && math.Abs(before-after) > 1e-9 {
+			t.Fatalf("sweep changed density: %v -> %v", before, after)
+		}
 
-	tree.DecaySweep()
-	if w := tree.Weight(); math.Abs(w-30) > 1e-9 {
-		t.Fatalf("weight after sweep %v, want 30", w)
-	}
-	cur = tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	cur.RefineAll()
-	after := cur.LogDensity()
-	cur.Close()
-	if math.Abs(before-after) > 1e-9 {
-		t.Fatalf("sweep changed density: %v -> %v", before, after)
-	}
-
-	// An insert after two more epochs weighs 4x the swept mass scale.
-	tree.AdvanceEpoch(2)
-	if err := tree.Insert([]float64{0.5, 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	// Effective: 60 points at 30/4 total plus the new point at 1.
-	want := 30.0/4 + 1
-	if w := tree.Weight(); math.Abs(w-want) > 1e-9 {
-		t.Fatalf("weight after amplified insert %v, want %v", w, want)
-	}
+		// An insert after two more epochs weighs 4x the swept mass scale.
+		tree.AdvanceEpoch(2)
+		if err := tree.insert([]float64{0.5, 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		// Effective: 60 points at 30/4 total plus the new point at 1.
+		want := 30.0/4 + 1
+		if w := tree.Weight(); math.Abs(w-want) > 1e-9 {
+			t.Fatalf("weight after amplified insert %v, want %v", w, want)
+		}
+	})
 }
 
 // A full anytime refinement of a decayed tree must equal the weighted
@@ -184,83 +261,80 @@ func TestDecayedDensityMatchesDirectComputation(t *testing.T) {
 // dropped, fresh mass survives, and the tree stays structurally sound
 // for further inserts and queries.
 func TestDecaySweepPrunesOldMass(t *testing.T) {
-	tree, err := NewTree(decayTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.EnableDecay(DecayOptions{Lambda: 1, MinWeight: 0.1}); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		if err := tree.Insert([]float64{0.2 + 0.1*rng.Float64(), 0.2 + 0.1*rng.Float64()}); err != nil {
+	forEachDecayTree(t, func(t *testing.T, tree decayTree) {
+		if err := tree.EnableDecay(DecayOptions{Lambda: 1, MinWeight: 0.1}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	tree.AdvanceEpoch(5) // factor 1/32 < 0.1: everything old must go
-	for i := 0; i < 30; i++ {
-		if err := tree.Insert([]float64{0.7 + 0.1*rng.Float64(), 0.7 + 0.1*rng.Float64()}); err != nil {
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 50; i++ {
+			if err := tree.insert([]float64{0.2 + 0.1*rng.Float64(), 0.2 + 0.1*rng.Float64()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tree.AdvanceEpoch(5) // factor 1/32 < 0.1: everything old must go
+		for i := 0; i < 30; i++ {
+			if err := tree.insert([]float64{0.7 + 0.1*rng.Float64(), 0.7 + 0.1*rng.Float64()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := tree.DecaySweep()
+		if st.PointsPruned != 50 {
+			t.Fatalf("pruned %d points, want 50 (stats %+v)", st.PointsPruned, st)
+		}
+		if tree.Len() != 30 {
+			t.Fatalf("size after sweep %d, want 30", tree.Len())
+		}
+		if w := tree.Weight(); math.Abs(w-30) > 1e-9 {
+			t.Fatalf("weight after sweep %v, want 30", w)
+		}
+		// The tree still inserts and answers queries.
+		if err := tree.insert([]float64{0.5, 0.5}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := tree.DecaySweep()
-	if st.PointsPruned != 50 {
-		t.Fatalf("pruned %d points, want 50 (stats %+v)", st.PointsPruned, st)
-	}
-	if tree.Len() != 30 {
-		t.Fatalf("size after sweep %d, want 30", tree.Len())
-	}
-	if w := tree.Weight(); math.Abs(w-30) > 1e-9 {
-		t.Fatalf("weight after sweep %v, want 30", w)
-	}
-	// The tree still inserts and answers queries.
-	if err := tree.Insert([]float64{0.5, 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	cur := tree.NewCursor([]float64{0.75, 0.75}, DescentGlobal, PriorityProbabilistic)
-	if cur == nil {
-		t.Fatal("nil cursor on live tree")
-	}
-	cur.RefineAll()
-	if d := cur.LogDensity(); math.IsInf(d, -1) || math.IsNaN(d) {
-		t.Fatalf("degenerate density %v after pruning sweep", d)
-	}
-	cur.Close()
+		if d := mustDensity(t, tree, []float64{0.75, 0.75}); math.IsInf(d, -1) || math.IsNaN(d) {
+			t.Fatalf("degenerate density %v after pruning sweep", d)
+		}
+		if err := tree.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // A decayed tree can fade away entirely; the empty tree must keep
-// working (no cursor, zero weight) and accept new observations.
+// working (no query, zero weight) and accept new observations.
 func TestDecaySweepToEmptyAndRecover(t *testing.T) {
-	tree, err := NewTree(decayTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.EnableDecay(DecayOptions{Lambda: 1, MinWeight: 0.2}); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 40; i++ {
-		if err := tree.Insert([]float64{rng.Float64(), rng.Float64()}); err != nil {
+	forEachDecayTree(t, func(t *testing.T, tree decayTree) {
+		if err := tree.EnableDecay(DecayOptions{Lambda: 1, MinWeight: 0.2}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	tree.AdvanceEpoch(10)
-	tree.DecaySweep()
-	if tree.Len() != 0 {
-		t.Fatalf("size %d after total decay, want 0", tree.Len())
-	}
-	if w := tree.Weight(); w != 0 {
-		t.Fatalf("weight %v after total decay, want 0", w)
-	}
-	if cur := tree.NewCursor([]float64{0.5, 0.5}, DescentGlobal, PriorityProbabilistic); cur != nil {
-		t.Fatal("cursor on empty tree should be nil")
-	}
-	if err := tree.Insert([]float64{0.5, 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if tree.Len() != 1 {
-		t.Fatalf("size %d after recovery insert, want 1", tree.Len())
-	}
+		rng := rand.New(rand.NewSource(4))
+		for i := 0; i < 40; i++ {
+			if err := tree.insert([]float64{rng.Float64(), rng.Float64()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tree.AdvanceEpoch(10)
+		tree.DecaySweep()
+		if tree.Len() != 0 {
+			t.Fatalf("size %d after total decay, want 0", tree.Len())
+		}
+		if w := tree.Weight(); w != 0 {
+			t.Fatalf("weight %v after total decay, want 0", w)
+		}
+		if _, ok := tree.density([]float64{0.5, 0.5}); ok {
+			t.Fatal("an empty tree started a query")
+		}
+		if err := tree.insert([]float64{0.5, 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		if tree.Len() != 1 {
+			t.Fatalf("size %d after recovery insert, want 1", tree.Len())
+		}
+		mustDensity(t, tree, []float64{0.5, 0.5})
+		if err := tree.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // Under a continuous drifting load with periodic maintenance the tree's

@@ -184,3 +184,43 @@ func TestQueryPoolNoStateLeak(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadyStateQueryAllocs: a warmed, pooled query allocates nothing —
+// start, 32 node reads, answer, Close — for either query type, every
+// descent strategy and both priorities. A frontier that boxes an element
+// or an accumulator slice that escapes shows here by name.
+func TestSteadyStateQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	tree := buildTree(t, 2000, 3, 31)
+	xs, ys := twoClassData(2000, 32)
+	mt := buildMultiTree(t, xs, ys, MultiOptions{})
+	x3, x2 := []float64{0.4, 0.5, 0.6}, []float64{0.4, 0.6}
+	var sink float64
+	for _, strat := range []Strategy{DescentGlobal, DescentBFT, DescentDFT} {
+		for _, prio := range []Priority{PriorityProbabilistic, PriorityGeometric} {
+			cursor := testing.AllocsPerRun(100, func() {
+				cur := tree.NewCursor(x3, strat, prio)
+				for i := 0; i < 32 && cur.Refine(); i++ {
+				}
+				sink += cur.LogDensity()
+				cur.Close()
+			})
+			query := testing.AllocsPerRun(100, func() {
+				q, err := mt.NewQuery(x2, ClassifierOptions{Strategy: strat, Priority: prio})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 32 && q.Step(); i++ {
+				}
+				sink += float64(q.Predict())
+				q.Close()
+			})
+			if cursor != 0 || query != 0 {
+				t.Errorf("%v/%v: a steady-state Cursor allocates %v times, a MultiQuery %v; want 0", strat, prio, cursor, query)
+			}
+		}
+	}
+	_ = sink
+}

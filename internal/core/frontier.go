@@ -58,24 +58,146 @@ func (p Priority) String() string {
 	return "unknown"
 }
 
-// refElem is a refinable frontier element: an entry whose subtree can be
-// expanded by one node read.
-type refElem struct {
-	logTerm float64 // log contribution to the mixture density at x
+// item is one refinable element of an anytime frontier: an entry whose
+// subtree can be expanded by one node read. The payload is what the
+// query needs to expand it.
+type item[T any] struct {
 	prio    float64 // refinement priority, higher first
-	child   *Node
-	seq     int // FIFO tie-break for determinism
+	seq     int     // push order: FIFO tie-break for determinism
+	payload T
 }
 
 // before orders the max-heap: highest prio first, FIFO seq as tie-break.
-func (e refElem) before(other refElem) bool {
+func (e *item[T]) before(other *item[T]) bool {
 	if e.prio != other.prio {
 		return e.prio > other.prio
 	}
 	return e.seq < other.seq
 }
 
-type refHeap = pheap[refElem]
+// frontier holds the refinable elements of one anytime query in the
+// order its descent strategy consumes them: a max-heap for
+// DescentGlobal, a queue for DescentBFT, a stack for DescentDFT. Cursor,
+// MultiQuery and the test oracle all descend through it.
+type frontier[T any] struct {
+	strategy Strategy
+	heap     pheap[T]
+	fifo     []item[T]
+	head     int // consumed prefix of fifo (DescentBFT)
+	seq      int
+}
+
+// reset empties the frontier for a query of the given strategy, keeping
+// the backing arrays.
+func (f *frontier[T]) reset(s Strategy) {
+	f.strategy = s
+	f.heap, f.fifo = f.heap[:0], f.fifo[:0]
+	f.head, f.seq = 0, 0
+}
+
+// push enqueues an element, numbered in push order, for refinement.
+func (f *frontier[T]) push(prio float64, payload T) {
+	e := item[T]{prio: prio, seq: f.seq, payload: payload}
+	f.seq++
+	if f.strategy == DescentGlobal {
+		f.heap.push(e)
+	} else {
+		f.fifo = append(f.fifo, e)
+	}
+}
+
+// pop removes and returns the next element to refine; false when the
+// frontier is exhausted.
+func (f *frontier[T]) pop() (payload T, ok bool) {
+	if f.exhausted() {
+		return payload, false
+	}
+	switch f.strategy {
+	case DescentGlobal:
+		return f.heap.pop().payload, true
+	case DescentBFT:
+		payload = f.fifo[f.head].payload
+		f.head++
+		// Periodically compact the consumed prefix in place: sliding the
+		// live tail down reuses the existing backing array instead of
+		// allocating a fresh slice on every compaction.
+		if f.head > 1024 && f.head*2 > len(f.fifo) {
+			n := copy(f.fifo, f.fifo[f.head:])
+			clear(f.fifo[n:]) // drop node pointers in the vacated tail
+			f.fifo = f.fifo[:n]
+			f.head = 0
+		}
+		return payload, true
+	default: // DescentDFT
+		payload = f.fifo[len(f.fifo)-1].payload
+		f.fifo = f.fifo[:len(f.fifo)-1]
+		return payload, true
+	}
+}
+
+// exhausted reports whether nothing is left to refine.
+func (f *frontier[T]) exhausted() bool {
+	if f.strategy == DescentGlobal {
+		return len(f.heap) == 0
+	}
+	return f.head >= len(f.fifo)
+}
+
+// release empties both queues through their full capacity before the
+// query goes back to its pool: consumed FIFO prefixes and popped DFT
+// suffixes linger in the backing arrays and would otherwise pin tree
+// nodes from the pool.
+func (f *frontier[T]) release() {
+	clear(f.heap[:cap(f.heap)])
+	clear(f.fifo[:cap(f.fifo)])
+}
+
+// accumulator is a running log-sum-exp: Σ exp(l) over the terms added
+// and not yet removed is sum·exp(shift). A Cursor keeps one, a
+// MultiQuery one per class.
+type accumulator struct {
+	sum, shift float64
+}
+
+// reset empties the accumulator: no terms, so no shift yet.
+func (a *accumulator) reset() { *a = accumulator{shift: math.Inf(-1)} }
+
+// add accumulates exp(l) into the shifted linear accumulator, rescaling
+// when a dominant new term arrives.
+func (a *accumulator) add(l float64) {
+	if math.IsInf(l, -1) {
+		return
+	}
+	if math.IsInf(a.shift, -1) {
+		a.shift = l
+		a.sum = 1
+		return
+	}
+	if l > a.shift+30 {
+		a.sum *= math.Exp(a.shift - l)
+		a.shift = l
+	}
+	a.sum += math.Exp(l - a.shift)
+}
+
+// remove removes exp(l) from the accumulator, clamping tiny negative
+// residues from floating-point cancellation.
+func (a *accumulator) remove(l float64) {
+	if math.IsInf(l, -1) || math.IsInf(a.shift, -1) {
+		return
+	}
+	a.sum -= math.Exp(l - a.shift)
+	if a.sum < 0 {
+		a.sum = 0
+	}
+}
+
+// cursorRef is the payload of a Cursor's frontier element: the entry's
+// log contribution to the mixture density at x and the node to read.
+type cursorRef struct {
+	logTerm float64
+	child   *Node
+}
 
 // Cursor is an in-progress anytime probability density query against one
 // Bayes tree (Definition 3 plus the time-step refinement of Section 2.2).
@@ -86,16 +208,10 @@ type refHeap = pheap[refElem]
 type Cursor struct {
 	tree     *Cursorable
 	x        []float64
-	strategy Strategy
 	priority Priority
 
-	heap refHeap
-	fifo []refElem
-	head int
-	seq  int
-
-	acc    float64 // Σ exp(logTerm − shift) over the current frontier
-	shift  float64
+	front  frontier[cursorRef]
+	acc    accumulator // Σ exp(logTerm) over the current frontier
 	reads  int
 	logN   float64
 	obs    []int // observed dims for missing-value queries (nil = all)
@@ -107,13 +223,10 @@ type Cursor struct {
 // one query per arrival would otherwise regrow these for every object.
 var cursorPool = sync.Pool{New: func() interface{} { return new(Cursor) }}
 
-// Cursorable carries what a cursor needs from a tree; it decouples the
-// cursor from Tree so MultiTree can reuse the machinery.
+// Cursorable is a Tree's cached query-time constants: what every cursor
+// needs from the tree but no cursor should recompute.
 type Cursorable struct {
-	cfg  Config
 	root Entry
-	n    float64
-	bw   []float64
 	// kern is the leaf kernel frozen at the tree's bandwidths, so leaf
 	// refinement performs no bandwidth-derived recomputation per point.
 	kern kernels.FrozenKernel
@@ -128,29 +241,20 @@ func (t *Tree) NewCursor(x []float64, strategy Strategy, priority Priority) *Cur
 	if ct == nil {
 		return nil
 	}
-	return newCursor(ct, x, strategy, priority)
-}
-
-func newCursor(ct *Cursorable, x []float64, strategy Strategy, priority Priority) *Cursor {
 	c := cursorPool.Get().(*Cursor)
 	c.tree = ct
 	c.x = x
-	c.strategy = strategy
 	c.priority = priority
-	c.heap = c.heap[:0]
-	c.fifo = c.fifo[:0]
-	c.head = 0
-	c.seq = 0
-	c.acc = 0
-	c.shift = math.Inf(-1)
+	c.front.reset(strategy)
+	c.acc.reset()
 	c.reads = 0
-	c.logN = math.Log(ct.n)
+	c.logN = math.Log(ct.root.CF.N)
 	c.obs, c.obsBuf = stats.ObservedDimsInto(x, c.obsBuf)
 	// The level-0 model: a single Gaussian over the entire population,
 	// available without reading any node.
 	logTerm := ct.root.Frozen().LogPDFObs(x, c.obs) // weight n/n = 1
-	c.push(refElem{logTerm: logTerm, prio: c.prioFor(&ct.root, logTerm), child: ct.root.Child})
-	c.addTerm(logTerm)
+	c.front.push(c.prioFor(&ct.root, logTerm), cursorRef{logTerm: logTerm, child: ct.root.Child})
+	c.acc.add(logTerm)
 	return c
 }
 
@@ -164,15 +268,7 @@ func (c *Cursor) Close() {
 		// cursor, or two later queries would share one pooled instance.
 		return
 	}
-	// Clear both queues through their full capacity: consumed FIFO
-	// prefixes and popped DFT suffixes linger in the backing arrays and
-	// would otherwise pin tree nodes from the pool.
-	h := c.heap[:cap(c.heap)]
-	clear(h)
-	c.heap = h[:0]
-	f := c.fifo[:cap(c.fifo)]
-	clear(f)
-	c.fifo = f[:0]
+	c.front.release()
 	c.tree = nil
 	c.x = nil
 	c.obs = nil
@@ -187,91 +283,8 @@ func (c *Cursor) prioFor(e *Entry, logTerm float64) float64 {
 	return logTerm
 }
 
-func (c *Cursor) push(e refElem) {
-	e.seq = c.seq
-	c.seq++
-	switch c.strategy {
-	case DescentGlobal:
-		c.heap.push(e)
-	default:
-		c.fifo = append(c.fifo, e)
-	}
-}
-
-func (c *Cursor) pop() (refElem, bool) {
-	switch c.strategy {
-	case DescentGlobal:
-		if len(c.heap) == 0 {
-			return refElem{}, false
-		}
-		return c.heap.pop(), true
-	case DescentBFT:
-		if c.head >= len(c.fifo) {
-			return refElem{}, false
-		}
-		e := c.fifo[c.head]
-		c.head++
-		// Periodically compact the consumed prefix in place: sliding the
-		// live tail down reuses the existing backing array instead of
-		// allocating a fresh slice on every compaction.
-		if c.head > 1024 && c.head*2 > len(c.fifo) {
-			n := copy(c.fifo, c.fifo[c.head:])
-			clear(c.fifo[n:]) // drop node pointers in the vacated tail
-			c.fifo = c.fifo[:n]
-			c.head = 0
-		}
-		return e, true
-	default: // DescentDFT
-		if len(c.fifo) <= c.head {
-			return refElem{}, false
-		}
-		e := c.fifo[len(c.fifo)-1]
-		c.fifo = c.fifo[:len(c.fifo)-1]
-		return e, true
-	}
-}
-
-// addTerm accumulates exp(l) into the shifted linear accumulator,
-// rescaling when a dominant new term arrives.
-func (c *Cursor) addTerm(l float64) {
-	if math.IsInf(l, -1) {
-		return
-	}
-	if math.IsInf(c.shift, -1) {
-		c.shift = l
-		c.acc = 1
-		return
-	}
-	if l > c.shift+30 {
-		c.acc *= math.Exp(c.shift - l)
-		c.shift = l
-	}
-	c.acc += math.Exp(l - c.shift)
-}
-
-// removeTerm removes exp(l) from the accumulator, clamping tiny negative
-// residues from floating-point cancellation.
-func (c *Cursor) removeTerm(l float64) {
-	if math.IsInf(l, -1) || math.IsInf(c.shift, -1) {
-		return
-	}
-	c.acc -= math.Exp(l - c.shift)
-	if c.acc < 0 {
-		c.acc = 0
-	}
-}
-
 // Exhausted reports whether the frontier is fully refined to kernels.
-func (c *Cursor) Exhausted() bool {
-	switch c.strategy {
-	case DescentGlobal:
-		return len(c.heap) == 0
-	case DescentBFT:
-		return c.head >= len(c.fifo)
-	default:
-		return len(c.fifo) <= c.head
-	}
-}
+func (c *Cursor) Exhausted() bool { return c.front.exhausted() }
 
 // NodesRead returns the number of nodes read so far.
 func (c *Cursor) NodesRead() int { return c.reads }
@@ -279,28 +292,28 @@ func (c *Cursor) NodesRead() int { return c.reads }
 // LogDensity returns the current log mixture density pdq(x, E) for the
 // frontier E (Definition 3).
 func (c *Cursor) LogDensity() float64 {
-	if c.acc <= 0 {
+	if c.acc.sum <= 0 {
 		return math.Inf(-1)
 	}
-	return c.shift + math.Log(c.acc)
+	return c.acc.shift + math.Log(c.acc.sum)
 }
 
 // Refine reads one more node, replacing the next frontier entry by its
 // children per the descent strategy. It reports whether a node was read
 // (false when the model is fully refined).
 func (c *Cursor) Refine() bool {
-	e, ok := c.pop()
+	e, ok := c.front.pop()
 	if !ok {
 		return false
 	}
 	c.reads++
-	c.removeTerm(e.logTerm)
+	c.acc.remove(e.logTerm)
 	n := e.child
 	if n.leaf {
 		if n.weights == nil {
 			for _, p := range n.points {
 				logTerm := -c.logN + c.tree.kern.LogDensityObs(c.x, p, c.obs)
-				c.addTerm(logTerm)
+				c.acc.add(logTerm)
 			}
 		} else {
 			// Decayed leaves weight each kernel by its observation's
@@ -308,7 +321,7 @@ func (c *Cursor) Refine() bool {
 			// scale, so the outstanding decay factor cancels).
 			for i, p := range n.points {
 				logTerm := math.Log(n.weights[i]) - c.logN + c.tree.kern.LogDensityObs(c.x, p, c.obs)
-				c.addTerm(logTerm)
+				c.acc.add(logTerm)
 			}
 		}
 		return true
@@ -317,8 +330,8 @@ func (c *Cursor) Refine() bool {
 		en := &n.entries[i]
 		f := en.Frozen()
 		logTerm := f.LogN - c.logN + f.LogPDFObs(c.x, c.obs)
-		c.push(refElem{logTerm: logTerm, prio: c.prioFor(en, logTerm), child: en.Child})
-		c.addTerm(logTerm)
+		c.front.push(c.prioFor(en, logTerm), cursorRef{logTerm: logTerm, child: en.Child})
+		c.acc.add(logTerm)
 	}
 	return true
 }

@@ -166,7 +166,7 @@ func TestGlobalDescentPopsHighestContribution(t *testing.T) {
 		// (replay with a fresh cursor bound to a tree whose winner is
 		// checked structurally instead: the heap top's child must be the
 		// winning entry's child).
-		top := cur.heap[0]
+		top := cur.front.heap[0].payload
 		if top.child != root.Entries()[bestIdx].Child {
 			t.Fatalf("query %d: glo would refine a non-maximal entry", q)
 		}

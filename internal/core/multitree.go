@@ -31,33 +31,16 @@ type MultiEntry struct {
 	Rect  mbr.Rect
 	CFs   []stats.CF // indexed by class index; CFs[c].N == 0 when absent
 	Total stats.CF
-	Child *MultiNode
+	Child *node[LabeledPoint, MultiEntry] // a *MultiNode, spelled out as Entry.Child is
 }
 
-// MultiNode is a node of the multi-class Bayes tree.
-type MultiNode struct {
-	leaf    bool
-	entries []MultiEntry
-	points  []LabeledPoint
-	// weights are the per-observation decayed weights of a leaf, parallel
-	// to points; nil means every observation weighs 1 exactly (the only
-	// state of an undecayed tree). See decay.go.
-	weights []float64
-}
+// MultiNode is a node of the multi-class Bayes tree: the shared node
+// skeleton (node.go) over labelled observations and MultiEntry.
+type MultiNode = node[LabeledPoint, MultiEntry]
 
-// IsLeaf reports whether the node is a leaf.
-func (n *MultiNode) IsLeaf() bool { return n.leaf }
-
-// Entries returns the entries of an inner node (nil for leaves).
-func (n *MultiNode) Entries() []MultiEntry { return n.entries }
-
-// Points returns the observations of a leaf (nil for inner nodes).
-func (n *MultiNode) Points() []LabeledPoint { return n.points }
-
-// Weights returns the per-observation decayed weights of a leaf,
-// parallel to Points; nil means every observation weighs 1. The
-// returned slice must not be modified.
-func (n *MultiNode) Weights() []float64 { return n.weights }
+func (e MultiEntry) child() *MultiNode          { return e.Child }
+func (e MultiEntry) mass() float64              { return e.Total.N }
+func (e MultiEntry) bounds() (lo, hi []float64) { return e.Rect.Lo, e.Rect.Hi }
 
 // MultiOptions configure the multi-class tree variant.
 type MultiOptions struct {
@@ -89,12 +72,7 @@ type MultiTree struct {
 	queryState atomic.Pointer[multiQueryState]
 	// path is insertPointW's descent path, kept for its capacity.
 	path []*MultiNode
-	// decay configures exponential forgetting (zero value = off); epoch
-	// is the current logical time and refEpoch the epoch the stored
-	// weights are valued at. See decay.go.
-	decay    DecayOptions
-	epoch    int64
-	refEpoch int64
+	decayClock
 	// soa is the structure-of-arrays mirror every query descends through
 	// (nil = none: the next query builds and publishes it), followed by
 	// its lifetime counters: whole builds, insert repairs, drops. See
@@ -306,23 +284,6 @@ func (t *MultiTree) insertPointW(p LabeledPoint, w float64, c int) {
 	t.invalidate(path, t.fixOverflow(path, c), c)
 }
 
-// appendPoint adds one observation with the given weight, materialising
-// the weight vector only when a non-unit weight first appears.
-func (n *MultiNode) appendPoint(p LabeledPoint, w float64) {
-	n.points = append(n.points, p)
-	if n.weights != nil {
-		n.weights = append(n.weights, w)
-		return
-	}
-	if w != 1 {
-		n.weights = make([]float64, len(n.points))
-		for i := range n.weights {
-			n.weights[i] = 1
-		}
-		n.weights[len(n.points)-1] = w
-	}
-}
-
 func (t *MultiTree) chooseSubtree(n *MultiNode, r mbr.Rect) int {
 	best := 0
 	bestEnl, bestArea := math.Inf(1), math.Inf(1)
@@ -365,28 +326,16 @@ func (t *MultiTree) fixOverflow(path []*MultiNode, c int) int {
 			break
 		}
 		parent := path[i-1]
-		parent.entries[parent.entryOver(n)] = t.summarize(left)
+		parent.entries[entryOver(parent, n)] = t.summarize(left)
 		parent.entries = append(parent.entries, t.summarize(right))
 	}
 	return len(path)
 }
 
-// splitNode performs the R* topological split on either node kind, as
-// Tree.splitNode does.
+// splitNode is the shared R* topological split over labelled
+// observations.
 func (t *MultiTree) splitNode(n *MultiNode) (left, right *MultiNode) {
-	if n.leaf {
-		order, cut := splitOrder(len(n.points), func(i int) (lo, hi []float64) { return n.points[i].X, n.points[i].X }, t.cfg.Dim, t.cfg.MinLeaf)
-		half := func(idx []int) *MultiNode {
-			h := &MultiNode{leaf: true, points: gather(n.points, idx)}
-			if n.weights != nil {
-				h.weights = gather(n.weights, idx)
-			}
-			return h
-		}
-		return half(order[:cut]), half(order[cut:])
-	}
-	order, cut := splitOrder(len(n.entries), func(i int) (lo, hi []float64) { return n.entries[i].Rect.Lo, n.entries[i].Rect.Hi }, t.cfg.Dim, t.cfg.MinFanout)
-	return &MultiNode{entries: gather(n.entries, order[:cut])}, &MultiNode{entries: gather(n.entries, order[cut:])}
+	return splitNode(n, &t.cfg, func(p LabeledPoint) []float64 { return p.X })
 }
 
 // allClasses asks refreshPath to re-summarise instead of refreshing one
@@ -399,7 +348,7 @@ const allClasses = -1
 func (t *MultiTree) refreshPath(path []*MultiNode, c int) {
 	for i := len(path) - 1; i >= 1; i-- {
 		child := path[i]
-		e := &path[i-1].entries[path[i-1].entryOver(child)]
+		e := &path[i-1].entries[entryOver(path[i-1], child)]
 		if c == allClasses {
 			*e = t.summarize(child)
 		} else {
@@ -410,7 +359,7 @@ func (t *MultiTree) refreshPath(path []*MultiNode, c int) {
 
 // entryOver returns the index of n's entry over child, one of n's
 // children.
-func (n *MultiNode) entryOver(child *MultiNode) int {
+func entryOver(n, child *MultiNode) int {
 	for j := range n.entries {
 		if n.entries[j].Child == child {
 			return j
@@ -472,26 +421,15 @@ func (t *MultiTree) classConsts(st *multiQueryState, c int) {
 	st.kern[c] = kernels.FreezeKernel(t.cfg.Kernel, st.bw[c])
 }
 
-// mElem is a refinable element of the multi-class frontier. Its per-class
-// log terms live in the query's shared arena at [termOff, termOff+nc) —
-// one contiguous slice per query instead of one heap allocation per
-// element. node is the index, in the query's mirror, of the node to read.
-type mElem struct {
-	prio    float64
+// multiRef is the payload of a MultiQuery's frontier element. Its
+// per-class log terms live in the query's shared arena at
+// [termOff, termOff+nc) — one contiguous slice per query instead of one
+// heap allocation per element. node is the index, in the query's mirror,
+// of the node to read.
+type multiRef struct {
 	termOff int32
 	node    int32
-	seq     int
 }
-
-// before orders the max-heap: highest prio first, FIFO seq as tie-break.
-func (e mElem) before(other mElem) bool {
-	if e.prio != other.prio {
-		return e.prio > other.prio
-	}
-	return e.seq < other.seq
-}
-
-type mHeap = pheap[mElem]
 
 // MultiQuery is an in-progress anytime classification against a
 // MultiTree. One Step refines all class models simultaneously. Queries
@@ -500,19 +438,15 @@ type MultiQuery struct {
 	t      *MultiTree
 	x      []float64
 	opts   ClassifierOptions
-	heap   mHeap
-	fifo   []mElem
-	head   int
-	seq    int
-	accs   []float64
-	shifts []float64
+	front  frontier[multiRef]
+	accs   []accumulator // one per class
 	kern   []kernels.FrozenKernel
 	logNc  []float64
 	obs    []int
 	obsBuf []int
 	reads  int
 	// terms is the arena backing every frontier element's per-class log
-	// terms (see mElem.termOff).
+	// terms (see multiRef.termOff).
 	terms []float64
 	// soa is the mirror this query descends through, as loaded at start.
 	soa       *multiSoA
@@ -538,16 +472,14 @@ func (t *MultiTree) NewQuery(x []float64, opts ClassifierOptions) (*MultiQuery, 
 	q.t = t
 	q.x = x
 	q.opts = opts
-	q.head, q.seq, q.reads = 0, 0, 0
+	q.reads = 0
+	q.front.reset(opts.Strategy)
 	if cap(q.accs) < nc {
-		q.accs = make([]float64, nc)
-		q.shifts = make([]float64, nc)
+		q.accs = make([]accumulator, nc)
 	}
 	q.accs = q.accs[:nc]
-	q.shifts = q.shifts[:nc]
-	for c := 0; c < nc; c++ {
-		q.accs[c] = 0
-		q.shifts[c] = math.Inf(-1)
+	for c := range q.accs {
+		q.accs[c].reset()
 	}
 	q.kern = st.kern
 	q.logNc = st.logNc
@@ -562,9 +494,9 @@ func (t *MultiTree) NewQuery(x []float64, opts ClassifierOptions) (*MultiQuery, 
 			term = f.LogN - q.logNc[c] + f.LogPDFObs(q.x, q.obs)
 		}
 		q.terms = append(q.terms, term)
-		q.addTerm(c, term)
+		q.accs[c].add(term)
 	}
-	q.push(mElem{})
+	q.front.push(0, multiRef{})
 	return q, nil
 }
 
@@ -574,12 +506,7 @@ func (q *MultiQuery) Close() {
 	if q == nil || q.t == nil {
 		return
 	}
-	q.heap = q.heap[:cap(q.heap)]
-	clear(q.heap)
-	q.heap = q.heap[:0]
-	q.fifo = q.fifo[:cap(q.fifo)]
-	clear(q.fifo)
-	q.fifo = q.fifo[:0]
+	q.front.release()
 	q.terms = q.terms[:0]
 	q.t, q.x, q.obs = nil, nil, nil
 	q.kern, q.logNc = nil, nil
@@ -591,107 +518,32 @@ func (q *MultiQuery) Close() {
 // structure-of-arrays mirror: always, since it is the only descent.
 func (q *MultiQuery) UsedSoA() bool { return true }
 
-// push enqueues a frontier element, numbered in push order, for
-// refinement.
-func (q *MultiQuery) push(el mElem) {
-	el.seq = q.seq
-	q.seq++
-	if q.opts.Strategy == DescentGlobal {
-		q.heap.push(el)
-	} else {
-		q.fifo = append(q.fifo, el)
-	}
-}
-
-func (q *MultiQuery) addTerm(c int, l float64) {
-	if math.IsInf(l, -1) {
-		return
-	}
-	if math.IsInf(q.shifts[c], -1) {
-		q.shifts[c] = l
-		q.accs[c] = 1
-		return
-	}
-	if l > q.shifts[c]+30 {
-		q.accs[c] *= math.Exp(q.shifts[c] - l)
-		q.shifts[c] = l
-	}
-	q.accs[c] += math.Exp(l - q.shifts[c])
-}
-
-func (q *MultiQuery) removeTerm(c int, l float64) {
-	if math.IsInf(l, -1) || math.IsInf(q.shifts[c], -1) {
-		return
-	}
-	q.accs[c] -= math.Exp(l - q.shifts[c])
-	if q.accs[c] < 0 {
-		q.accs[c] = 0
-	}
-}
-
-func (q *MultiQuery) pop() (mElem, bool) {
-	switch q.opts.Strategy {
-	case DescentGlobal:
-		if len(q.heap) == 0 {
-			return mElem{}, false
-		}
-		return q.heap.pop(), true
-	case DescentBFT:
-		if q.head >= len(q.fifo) {
-			return mElem{}, false
-		}
-		e := q.fifo[q.head]
-		q.head++
-		return e, true
-	default:
-		if len(q.fifo) <= q.head {
-			return mElem{}, false
-		}
-		e := q.fifo[len(q.fifo)-1]
-		q.fifo = q.fifo[:len(q.fifo)-1]
-		return e, true
-	}
-}
-
 // NodesRead returns the nodes read so far.
 func (q *MultiQuery) NodesRead() int { return q.reads }
 
 // Exhausted reports whether the model is fully refined.
-func (q *MultiQuery) Exhausted() bool {
-	if q.opts.Strategy == DescentGlobal {
-		return len(q.heap) == 0
-	}
-	return q.head >= len(q.fifo)
-}
+func (q *MultiQuery) Exhausted() bool { return q.front.exhausted() }
 
 // Step refines one node, updating every class model at once. It reports
 // whether a node was read.
 func (q *MultiQuery) Step() bool {
-	e, ok := q.pop()
+	e, ok := q.front.pop()
 	if !ok {
 		return false
 	}
-	q.consume(e)
+	q.reads++
+	for c := range q.accs {
+		q.accs[c].remove(q.terms[int(e.termOff)+c])
+	}
+	q.refineSoA(int(e.node))
 	return true
 }
 
-// consume refines one popped frontier element: its terms leave the
-// accumulators and its mirror node's contents enter them.
-func (q *MultiQuery) consume(e mElem) {
-	q.reads++
-	for c := range q.accs {
-		q.removeTerm(c, q.terms[int(e.termOff)+c])
-	}
-	q.refineSoA(int(e.node))
-}
-
-// scores returns per-class log posterior scores. Priors normalise by
-// the summed class masses, not the point count: for undecayed trees the
-// two are the same integral float64 value (digit-identical), while for
-// decayed trees only the mass sum keeps shard-combined scores on one
-// scale.
-func (q *MultiQuery) scores() []float64 { return q.scoresInto(nil) }
-
+// scoresInto writes the per-class log posterior scores into out (grown
+// when too small). Priors normalise by the summed class masses, not the
+// point count: for undecayed trees the two are the same integral float64
+// value (digit-identical), while for decayed trees only the mass sum
+// keeps shard-combined scores on one scale.
 func (q *MultiQuery) scoresInto(out []float64) []float64 {
 	nc := len(q.t.labels)
 	if cap(out) < nc {
@@ -703,12 +555,12 @@ func (q *MultiQuery) scoresInto(out []float64) []float64 {
 		total += c
 	}
 	for c := range out {
-		if q.t.counts[c] <= 0 || q.accs[c] <= 0 || total <= 0 {
+		if q.t.counts[c] <= 0 || q.accs[c].sum <= 0 || total <= 0 {
 			out[c] = math.Inf(-1)
 			continue
 		}
 		logPrior := math.Log(q.t.counts[c] / total)
-		out[c] = logPrior + q.shifts[c] + math.Log(q.accs[c])
+		out[c] = logPrior + q.accs[c].shift + math.Log(q.accs[c].sum)
 	}
 	return out
 }

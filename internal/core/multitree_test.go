@@ -92,11 +92,11 @@ func TestMultiParallelRefinement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := append([]float64(nil), q.scores()...)
+	before := q.Scores()
 	if !q.Step() {
 		t.Fatal("first step failed")
 	}
-	after := q.scores()
+	after := q.Scores()
 	changed := 0
 	for c := range after {
 		if math.Abs(after[c]-before[c]) > 1e-12 {

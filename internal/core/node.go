@@ -1,0 +1,135 @@
+package core
+
+// This file is the node skeleton the per-class Tree and the multi-class
+// MultiTree share. The paper's multi-class tree (Section 4.1) is the
+// Bayes tree of Section 2 with a different entry payload, so one generic
+// node serves both; each tree adds its entry type, its summarize, its
+// subtree choice and its overflow repair.
+
+// node is a Bayes tree node over observations P and entries E. Leaves
+// store the observations themselves (the kernel centres); inner nodes
+// store entries, each summarising one child subtree per Definition 1.
+type node[P, E any] struct {
+	leaf    bool
+	entries []E // inner nodes
+	points  []P // leaf nodes
+	// weights are the per-observation decayed weights of a leaf, parallel
+	// to points. nil means every observation has weight 1 exactly — the
+	// only state an undecayed tree ever has, keeping the λ = 0 paths
+	// digit-identical. The vector is materialised lazily by the first
+	// non-unit insert weight or maintenance sweep (see decay.go).
+	weights []float64
+}
+
+// entry is what the skeleton asks of a tree's entry type E: the subtree
+// it points to, the mass it summarises and its bounding rectangle. (The
+// constraint sits on the generic functions, not on node: Go rejects a
+// type whose own parameter list names it.)
+type entry[P, E any] interface {
+	child() *node[P, E]
+	mass() float64
+	bounds() (lo, hi []float64)
+}
+
+// IsLeaf reports whether the node is a leaf.
+func (n *node[P, E]) IsLeaf() bool { return n.leaf }
+
+// Entries returns the entries of an inner node (nil for leaves). The
+// returned slice must not be modified.
+func (n *node[P, E]) Entries() []E { return n.entries }
+
+// Points returns the observations of a leaf node (nil for inner nodes).
+// The returned slice must not be modified.
+func (n *node[P, E]) Points() []P { return n.points }
+
+// Weights returns the per-observation decayed weights of a leaf,
+// parallel to Points; nil means every observation weighs 1. The
+// returned slice must not be modified.
+func (n *node[P, E]) Weights() []float64 { return n.weights }
+
+// appendPoint adds one observation with the given weight, materialising
+// the per-point weight vector only when a non-unit weight first appears
+// so undecayed leaves stay weight-free.
+func (n *node[P, E]) appendPoint(p P, w float64) {
+	n.points = append(n.points, p)
+	if n.weights != nil {
+		n.weights = append(n.weights, w)
+		return
+	}
+	if w != 1 {
+		n.weights = unitWeights(len(n.points))
+		n.weights[len(n.points)-1] = w
+	}
+}
+
+// unitWeights returns a weight vector of n ones.
+func unitWeights(n int) []float64 {
+	ws := make([]float64, n)
+	for i := range ws {
+		ws[i] = 1
+	}
+	return ws
+}
+
+// splitNode performs the R* topological split on either node kind;
+// coords yields an observation's coordinates. A weighted leaf's weight
+// vector follows its points.
+func splitNode[P any, E entry[P, E]](n *node[P, E], cfg *Config, coords func(P) []float64) (left, right *node[P, E]) {
+	if n.leaf {
+		order, cut := splitOrder(len(n.points), func(i int) (lo, hi []float64) {
+			x := coords(n.points[i])
+			return x, x
+		}, cfg.Dim, cfg.MinLeaf)
+		half := func(idx []int) *node[P, E] {
+			h := &node[P, E]{leaf: true, points: gather(n.points, idx)}
+			if n.weights != nil {
+				h.weights = gather(n.weights, idx)
+			}
+			return h
+		}
+		return half(order[:cut]), half(order[cut:])
+	}
+	order, cut := splitOrder(len(n.entries), func(i int) (lo, hi []float64) { return n.entries[i].bounds() }, cfg.Dim, cfg.MinFanout)
+	return &node[P, E]{entries: gather(n.entries, order[:cut])}, &node[P, E]{entries: gather(n.entries, order[cut:])}
+}
+
+// countPoints returns the number of observations stored under n.
+func countPoints[P any, E entry[P, E]](n *node[P, E]) int {
+	if n.leaf {
+		return len(n.points)
+	}
+	total := 0
+	for i := range n.entries {
+		total += countPoints(n.entries[i].child())
+	}
+	return total
+}
+
+// countNodes returns the number of nodes, inner and leaf, under and
+// including n.
+func countNodes[P any, E entry[P, E]](n *node[P, E]) int {
+	total := 1
+	for i := range n.entries {
+		total += countNodes(n.entries[i].child())
+	}
+	return total
+}
+
+// collectWeightedPoints appends every observation under n to pts and its
+// weight (1 for unweighted leaves) to ws, for dissolving subtrees.
+func collectWeightedPoints[P any, E entry[P, E]](n *node[P, E], pts []P, ws []float64) ([]P, []float64) {
+	if n.leaf {
+		pts = append(pts, n.points...)
+		if n.weights != nil {
+			return pts, append(ws, n.weights...)
+		}
+		for range n.points {
+			ws = append(ws, 1)
+		}
+		return pts, ws
+	}
+	for i := range n.entries {
+		pts, ws = collectWeightedPoints(n.entries[i].child(), pts, ws)
+	}
+	return pts, ws
+}

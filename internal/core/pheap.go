@@ -1,21 +1,21 @@
 package core
 
-// pheap is a hand-inlined binary max-heap shared by the single-tree and
-// multi-class frontiers. It exists instead of container/heap because the
-// interface-based API boxes every pushed and popped element — one
-// allocation per frontier entry on the query hot path. The element type
-// provides the ordering via its before method (highest priority first,
-// FIFO seq tie-break, a total order); generic instantiation keeps the
-// comparisons direct calls.
-type pheap[T interface{ before(T) bool }] []T
+// pheap is a hand-inlined binary max-heap of frontier items. It exists
+// instead of container/heap because the interface-based API boxes every
+// pushed and popped element — one allocation per frontier entry on the
+// query hot path. Items order by item.before (highest priority first,
+// FIFO seq tie-break, a total order): one concrete method whatever the
+// payload, so the comparison inlines instead of going through a type
+// parameter's dictionary.
+type pheap[T any] []item[T]
 
-func (h *pheap[T]) push(e T) {
+func (h *pheap[T]) push(e item[T]) {
 	*h = append(*h, e)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s[i].before(s[parent]) {
+		if !s[i].before(&s[parent]) {
 			break
 		}
 		s[i], s[parent] = s[parent], s[i]
@@ -23,13 +23,12 @@ func (h *pheap[T]) push(e T) {
 	}
 }
 
-func (h *pheap[T]) pop() T {
+func (h *pheap[T]) pop() item[T] {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	var zero T
-	s[n] = zero // release node pointers held in the vacated slot
+	s[n] = item[T]{} // release node pointers held in the vacated slot
 	s = s[:n]
 	*h = s
 	i := 0
@@ -39,10 +38,10 @@ func (h *pheap[T]) pop() T {
 			break
 		}
 		best := l
-		if r := l + 1; r < n && s[r].before(s[l]) {
+		if r := l + 1; r < n && s[r].before(&s[l]) {
 			best = r
 		}
-		if !s[best].before(s[i]) {
+		if !s[best].before(&s[i]) {
 			break
 		}
 		s[i], s[best] = s[best], s[i]

@@ -72,8 +72,7 @@ func RebuildTree(cfg Config, root *Node, size int, balanced bool) (*Tree, error)
 	if root == nil {
 		return nil, fmt.Errorf("core: rebuild with nil root")
 	}
-	var points [][]float64
-	collectPoints(root, &points)
+	points, _ := collectWeightedPoints(root, nil, nil)
 	if len(points) != size {
 		return nil, fmt.Errorf("core: rebuild size %d but tree holds %d observations", size, len(points))
 	}

@@ -183,7 +183,7 @@ func (s *multiSoA) repair(t *MultiTree, path []*MultiNode, replaced, class int) 
 	}
 	for i, n := range path[:alive-1] {
 		nd := &s.nodes[s.index[n]]
-		e := n.entryOver(path[i+1])
+		e := entryOver(n, path[i+1])
 		s.fillBounds(nd, e, &n.entries[e])
 		s.fillSlots(t, nd, e, &n.entries[e], lo, hi)
 	}
@@ -476,9 +476,9 @@ func (q *MultiQuery) refineSoA(idx int) {
 			}
 			term := nd.logN[slot] - q.logNc[c] + out[slot]
 			q.terms = append(q.terms, term)
-			q.addTerm(c, term)
+			q.accs[c].add(term)
 		}
-		q.push(mElem{termOff: int32(off), node: nd.child[e], prio: q.prioSoA(nd, e, q.terms[off:off+nc])})
+		q.front.push(q.prioSoA(nd, e, q.terms[off:off+nc]), multiRef{termOff: int32(off), node: nd.child[e]})
 	}
 }
 
@@ -519,15 +519,19 @@ func (q *MultiQuery) refineSoALeaf(nd *soaNode) {
 		cnt := end - start
 		out := q.ensureOut(cnt)
 		q.kern[c].SweepLogDensityObs(q.x, nd.pts[start*dim:end*dim], cnt, dim, q.obs, out)
+		// Folded in a local and stored once: the accumulators of queries
+		// running on other cores can share a cache line with this one's.
+		acc := q.accs[c]
 		if nd.weighted {
 			for j := 0; j < cnt; j++ {
-				q.addTerm(c, -q.logNc[c]+out[j]+nd.ptLogW[start+j])
+				acc.add(-q.logNc[c] + out[j] + nd.ptLogW[start+j])
 			}
 		} else {
 			for j := 0; j < cnt; j++ {
-				q.addTerm(c, -q.logNc[c]+out[j])
+				acc.add(-q.logNc[c] + out[j])
 			}
 		}
+		q.accs[c] = acc
 	}
 }
 

@@ -26,11 +26,12 @@ import (
 // SetMean / SetVariance), evaluates entries and kernel centres one at a
 // time (LogPDFObs, LogDensityObs — no sweep), and summarises the root
 // afresh. It shares with MultiQuery the per-class kernels and log counts
-// (checkQueryStateMatchesRebuild guards those) and the accumulator and
-// frontier bookkeeping: addTerm, removeTerm, push, pop, scores.
+// (checkQueryStateMatchesRebuild guards those), the frontier and the
+// per-class accumulators — as Cursor does, whose independent check is the
+// direct kernel density in frontier_test.go — and scores.
 type oracleQuery struct {
 	*MultiQuery
-	nodes []*MultiNode // what mElem.node indexes here, in place of the mirror
+	nodes []*MultiNode // what multiRef.node indexes here, in place of the mirror
 }
 
 func newOracleQuery(mt *MultiTree, x []float64, opts ClassifierOptions) (*oracleQuery, error) {
@@ -40,10 +41,11 @@ func newOracleQuery(mt *MultiTree, x []float64, opts ClassifierOptions) (*oracle
 	st := mt.queryConsts()
 	o := &oracleQuery{MultiQuery: &MultiQuery{
 		t: mt, x: x, opts: opts, kern: st.kern, logNc: st.logNc,
-		accs: make([]float64, len(mt.labels)), shifts: make([]float64, len(mt.labels)),
+		accs: make([]accumulator, len(mt.labels)),
 	}}
-	for c := range o.shifts {
-		o.shifts[c] = math.Inf(-1)
+	o.front.reset(opts.Strategy)
+	for c := range o.accs {
+		o.accs[c].reset()
 	}
 	o.obs, _ = stats.ObservedDimsInto(x, nil)
 	root := mt.summarize(mt.root)
@@ -65,12 +67,13 @@ func (o *oracleQuery) pushEntry(e *MultiEntry) {
 			term = math.Log(e.CFs[c].N) - o.logNc[c] + f.LogPDFObs(o.x, o.obs)
 		}
 		o.terms = append(o.terms, term)
-		o.addTerm(c, term)
+		o.accs[c].add(term)
 	}
-	el := mElem{termOff: int32(off), node: int32(len(o.nodes))}
+	el := multiRef{termOff: int32(off), node: int32(len(o.nodes))}
 	o.nodes = append(o.nodes, e.Child)
+	var prio float64
 	if o.opts.Priority == PriorityGeometric {
-		el.prio = -e.Rect.MinDist2Obs(o.x, o.obs)
+		prio = -e.Rect.MinDist2Obs(o.x, o.obs)
 	} else {
 		var finite []float64
 		for _, tm := range o.terms[off:] {
@@ -78,23 +81,23 @@ func (o *oracleQuery) pushEntry(e *MultiEntry) {
 				finite = append(finite, tm)
 			}
 		}
-		el.prio = stats.LogSumExp(finite)
+		prio = stats.LogSumExp(finite)
 		if o.t.mopts.EntropyPriority {
-			el.prio += math.Log1p(multiEntryEntropy(e))
+			prio += math.Log1p(multiEntryEntropy(e))
 		}
 	}
-	o.push(el)
+	o.front.push(prio, el)
 }
 
 // Step refines one node through the pointer tree.
 func (o *oracleQuery) Step() bool {
-	el, ok := o.pop()
+	el, ok := o.front.pop()
 	if !ok {
 		return false
 	}
 	o.reads++
 	for c := range o.accs {
-		o.removeTerm(c, o.terms[int(el.termOff)+c])
+		o.accs[c].remove(o.terms[int(el.termOff)+c])
 	}
 	n := o.nodes[el.node]
 	for i := range n.entries {
@@ -109,7 +112,7 @@ func (o *oracleQuery) Step() bool {
 		if n.weights != nil {
 			l += math.Log(n.weights[i])
 		}
-		o.addTerm(c, l)
+		o.accs[c].add(l)
 	}
 	return true
 }

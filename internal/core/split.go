@@ -159,23 +159,3 @@ func gather[T any](items []T, idx []int) []T {
 	}
 	return out
 }
-
-func groupRect[T any](xs []T, rectOf func(T) mbr.Rect, dim int) mbr.Rect {
-	r := mbr.Empty(dim)
-	for _, x := range xs {
-		r.Extend(rectOf(x))
-	}
-	return r
-}
-
-func entriesMBR(es []Entry, dim int) mbr.Rect {
-	return groupRect(es, func(e Entry) mbr.Rect { return e.Rect }, dim)
-}
-
-func pointsMBR(ps [][]float64, dim int) mbr.Rect {
-	r := mbr.Empty(dim)
-	for _, p := range ps {
-		r.ExtendPoint(p)
-	}
-	return r
-}

@@ -53,6 +53,14 @@ func oracleSplitItems[T any](items []T, rectOf func(T) mbr.Rect, dim, minFill in
 	return left, right
 }
 
+func groupRect[T any](xs []T, rectOf func(T) mbr.Rect, dim int) mbr.Rect {
+	r := mbr.Empty(dim)
+	for _, x := range xs {
+		r.Extend(rectOf(x))
+	}
+	return r
+}
+
 func oracleSortByAxis[T any](xs []T, rectOf func(T) mbr.Rect, axis int, lower bool) {
 	sort.SliceStable(xs, func(a, b int) bool {
 		ra, rb := rectOf(xs[a]), rectOf(xs[b])

@@ -12,27 +12,21 @@ import (
 
 // Node is a Bayes tree node. Leaves store the observations themselves
 // (d-dimensional kernel centres); inner nodes store entries, each
-// summarising one child subtree per Definition 1.
-type Node struct {
-	leaf    bool
-	entries []Entry     // inner nodes
-	points  [][]float64 // leaf nodes
-	// weights are the per-observation decayed weights of a leaf, parallel
-	// to points. nil means every observation has weight 1 exactly — the
-	// only state an undecayed tree ever has, keeping the λ = 0 paths
-	// digit-identical. The vector is materialised lazily by the first
-	// non-unit insert weight or maintenance sweep (see decay.go).
-	weights []float64
-}
+// summarising one child subtree per Definition 1. It is the shared node
+// skeleton (node.go) over plain observations and Entry.
+type Node = node[[]float64, Entry]
 
 // Entry is a Bayes tree node entry (Definition 1): the minimum bounding
 // rectangle of the subtree's objects, a pointer to the subtree and the
 // cluster feature (n, LS, SS) from which the subtree's Gaussian N(μ, σ²)
 // is derived via μ = LS/n, σ² = SS/n − (LS/n)².
 type Entry struct {
-	Rect  mbr.Rect
-	CF    stats.CF
-	Child *Node
+	Rect mbr.Rect
+	CF   stats.CF
+	// Child is a *Node, spelled out: naming the alias here makes the
+	// declaration cycle Entry → Node → Entry run through an alias, which
+	// the type checker rejects depending on which it meets first.
+	Child *node[[]float64, Entry]
 
 	// frozen caches the precomputed form of CF's Gaussian. summarize
 	// populates it eagerly whenever an entry is (re)built, so concurrent
@@ -58,21 +52,9 @@ func (e *Entry) Frozen() *stats.FrozenGaussian {
 	return &f
 }
 
-// IsLeaf reports whether the node is a leaf.
-func (n *Node) IsLeaf() bool { return n.leaf }
-
-// Entries returns the entries of an inner node (nil for leaves). The
-// returned slice must not be modified.
-func (n *Node) Entries() []Entry { return n.entries }
-
-// Points returns the observations of a leaf node (nil for inner nodes).
-// The returned slice must not be modified.
-func (n *Node) Points() [][]float64 { return n.points }
-
-// Weights returns the per-observation decayed weights of a leaf,
-// parallel to Points; nil means every observation weighs 1. The
-// returned slice must not be modified.
-func (n *Node) Weights() []float64 { return n.weights }
+func (e Entry) child() *Node               { return e.Child }
+func (e Entry) mass() float64              { return e.CF.N }
+func (e Entry) bounds() (lo, hi []float64) { return e.Rect.Lo, e.Rect.Hi }
 
 // Tree is a Bayes tree over one data population (the classifier builds one
 // per class, Section 2.2; MultiTree is the single-tree variant). It is not
@@ -89,12 +71,7 @@ type Tree struct {
 	// by concurrent read-only queries and invalidated by Insert,
 	// AdvanceEpoch and DecaySweep.
 	queryState atomic.Pointer[Cursorable]
-	// decay configures exponential forgetting (zero value = off); epoch
-	// is the current logical time and refEpoch the epoch the stored
-	// weights are valued at. See decay.go.
-	decay    DecayOptions
-	epoch    int64
-	refEpoch int64
+	decayClock
 }
 
 // NewTree returns an empty Bayes tree.
@@ -161,13 +138,9 @@ func (t *Tree) cursorable() *Cursorable {
 	if !ok {
 		return nil
 	}
-	bw := t.bandwidthFrom(root)
 	ct := &Cursorable{
-		cfg:  t.cfg,
 		root: root,
-		n:    root.CF.N,
-		bw:   bw,
-		kern: kernels.FreezeKernel(t.cfg.Kernel, bw),
+		kern: kernels.FreezeKernel(t.cfg.Kernel, t.bandwidthFrom(root)),
 	}
 	t.queryState.Store(ct)
 	return ct
@@ -247,24 +220,6 @@ func (t *Tree) insertPointW(p []float64, w float64, reinserted map[int]bool) {
 	t.fixOverflow(path, reinserted)
 }
 
-// appendPoint adds one observation with the given weight, materialising
-// the per-point weight vector only when a non-unit weight first appears
-// so undecayed leaves stay weight-free.
-func (n *Node) appendPoint(p []float64, w float64) {
-	n.points = append(n.points, p)
-	if n.weights != nil {
-		n.weights = append(n.weights, w)
-		return
-	}
-	if w != 1 {
-		n.weights = make([]float64, len(n.points))
-		for i := range n.weights {
-			n.weights[i] = 1
-		}
-		n.weights[len(n.points)-1] = w
-	}
-}
-
 // insertSubtree reinserts a whole subtree entry at the level where nodes
 // have the given height (forced reinsertion of inner entries). If the
 // chosen branch is too short to host the subtree — possible in unbalanced
@@ -285,9 +240,7 @@ func (t *Tree) insertSubtree(e Entry, childHeight int, reinserted map[int]bool) 
 	}
 	if n.leaf {
 		// Branch too short for the subtree: dissolve it into points.
-		var points [][]float64
-		var ws []float64
-		collectWeightedPoints(e.Child, &points, &ws)
+		points, ws := collectWeightedPoints(e.Child, nil, nil)
 		for k, p := range points {
 			t.insertPointW(p, ws[k], reinserted)
 		}
@@ -295,16 +248,6 @@ func (t *Tree) insertSubtree(e Entry, childHeight int, reinserted map[int]bool) 
 	}
 	n.entries = append(n.entries, e)
 	t.fixOverflow(path, reinserted)
-}
-
-func collectPoints(n *Node, out *[][]float64) {
-	if n.leaf {
-		*out = append(*out, n.points...)
-		return
-	}
-	for i := range n.entries {
-		collectPoints(n.entries[i].Child, out)
-	}
 }
 
 // choosePath descends to the leaf best suited for p, returning the path
@@ -514,8 +457,7 @@ func sortedByDistDesc(n int, at func(int) []float64, center []float64) []int {
 		}
 		ds[i] = de{d: s, i: i}
 	}
-	// insertion-free sort via sort.Slice equivalent without importing sort
-	// twice; keep it simple:
+	// Insertion sort: at most MaxLeaf+1 or MaxFanout+1 items.
 	for a := 1; a < len(ds); a++ {
 		for b := a; b > 0 && ds[b].d > ds[b-1].d; b-- {
 			ds[b], ds[b-1] = ds[b-1], ds[b]
@@ -528,20 +470,7 @@ func sortedByDistDesc(n int, at func(int) []float64, center []float64) []int {
 	return out
 }
 
-// splitNode performs the R* topological split on either node kind. A
-// weighted leaf's weight vector follows its points.
+// splitNode is the shared R* topological split over plain observations.
 func (t *Tree) splitNode(n *Node) (left, right *Node) {
-	if n.leaf {
-		order, cut := splitOrder(len(n.points), func(i int) (lo, hi []float64) { return n.points[i], n.points[i] }, t.cfg.Dim, t.cfg.MinLeaf)
-		half := func(idx []int) *Node {
-			h := &Node{leaf: true, points: gather(n.points, idx)}
-			if n.weights != nil {
-				h.weights = gather(n.weights, idx)
-			}
-			return h
-		}
-		return half(order[:cut]), half(order[cut:])
-	}
-	order, cut := splitOrder(len(n.entries), func(i int) (lo, hi []float64) { return n.entries[i].Rect.Lo, n.entries[i].Rect.Hi }, t.cfg.Dim, t.cfg.MinFanout)
-	return &Node{entries: gather(n.entries, order[:cut])}, &Node{entries: gather(n.entries, order[cut:])}
+	return splitNode(n, &t.cfg, func(p []float64) []float64 { return p })
 }

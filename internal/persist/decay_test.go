@@ -2,6 +2,8 @@ package persist
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
@@ -114,12 +116,18 @@ func TestDecayedMultiTreeRoundTripDigitIdentical(t *testing.T) {
 }
 
 // A decayed per-class forest snapshot round-trips digit-identically
-// through the classifier encoder, including priors from decayed masses.
+// through the classifier encoder, including priors from decayed masses —
+// and its bytes are the ones the parent of the shared tree skeleton
+// produced: the forest lives through forced reinsertion, pruning
+// sweeps, collapsed subtrees and orphan reinsertion (one reinserted map
+// across all orphans of a sweep), so a change to the order of any of
+// them shows in the hash, as TestGoldenSnapshot shows it for MultiTree.
 func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
 	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 5,
-		Kernel: core.DefaultConfig(2).Kernel}
+		Kernel: core.DefaultConfig(2).Kernel, ForcedReinsert: true}
 	trees := make([]*core.Tree, 2)
 	rng := rand.New(rand.NewSource(13))
+	var swept core.SweepStats
 	for c := range trees {
 		tr, err := core.NewTree(cfg)
 		if err != nil {
@@ -128,20 +136,30 @@ func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
 		if err := tr.EnableDecay(core.DecayOptions{Lambda: 1, MinWeight: 0.1}); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 50; i++ {
-			if err := tr.Insert([]float64{float64(c)*0.5 + 0.3*rng.Float64(), rng.Float64()}); err != nil {
-				t.Fatal(err)
+		insert := func(n int) {
+			for i := 0; i < n; i++ {
+				if err := tr.Insert([]float64{float64(c)*0.5 + 0.3*rng.Float64(), rng.Float64()}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		insert(120)
 		tr.AdvanceEpoch(2)
-		for i := 0; i < 20+10*c; i++ {
-			if err := tr.Insert([]float64{float64(c)*0.5 + 0.3*rng.Float64(), rng.Float64()}); err != nil {
-				t.Fatal(err)
-			}
+		insert(20 + 10*c)
+		swept.Add(tr.DecaySweep())
+		for round := 0; round < 4; round++ {
+			tr.AdvanceEpoch(1)
+			insert(7 + 3*c)
+			swept.Add(tr.DecaySweep())
 		}
-		tr.DecaySweep()
 		tr.AdvanceEpoch(1)
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
 		trees[c] = tr
+	}
+	if swept.PointsPruned == 0 || swept.SubtreesPruned == 0 || swept.SubtreesCollapsed == 0 || swept.Reinserted == 0 {
+		t.Fatalf("the sweeps did not prune, collapse and reinsert: %+v", swept)
 	}
 	clf, err := core.NewClassifier([]int{0, 1}, trees, core.ClassifierOptions{})
 	if err != nil {
@@ -150,6 +168,11 @@ func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodeClassifier(&buf, clf); err != nil {
 		t.Fatal(err)
+	}
+	const wantSize, wantSum = 4531, "42b1fd991a7905635f39f4fb120bf06bbc9b85ac2e746e494f460c10ffdb0714"
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); buf.Len() != wantSize || got != wantSum {
+		t.Fatalf("snapshot is %d bytes, sha256 %s; the parent commit's was %d bytes, %s (sweeps: %+v)", buf.Len(), got, wantSize, wantSum, swept)
 	}
 	got, err := DecodeClassifier(bytes.NewReader(buf.Bytes()))
 	if err != nil {

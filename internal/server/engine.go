@@ -290,10 +290,7 @@ func (e *engine[M]) AdvanceDecay() core.SweepStats {
 		// while we still hold the write lock, not under the first read.
 		e.refreshShardSoA(sh)
 		sh.mu.Unlock()
-		agg.PointsPruned += st.PointsPruned
-		agg.SubtreesPruned += st.SubtreesPruned
-		agg.SubtreesCollapsed += st.SubtreesCollapsed
-		agg.Reinserted += st.Reinserted
+		agg.Add(st)
 	}
 	e.pointsPruned.Add(int64(agg.PointsPruned))
 	e.subtreesPruned.Add(int64(agg.SubtreesPruned))
