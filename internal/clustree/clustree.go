@@ -277,7 +277,7 @@ func (t *Tree) closestEntry(n *node, x []float64, ts float64) *entry {
 		if e.cf.N <= 0 && e.buffer.N <= 0 {
 			continue
 		}
-		d := sqDist(e.cf.Mean(), x)
+		d := sqDistToMean(&e.cf, x)
 		if d < bestD {
 			best, bestD = e, d
 		}
@@ -297,7 +297,7 @@ func (t *Tree) insertLeaf(n *node, path []*node, mass stats.CF, x []float64, ts 
 		if e.cf.N <= 0 {
 			continue
 		}
-		d := math.Sqrt(sqDist(e.cf.Mean(), x))
+		d := math.Sqrt(sqDistToMean(&e.cf, x))
 		if d < bestD {
 			best, bestD = e, d
 		}
@@ -555,6 +555,27 @@ func sqDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
+		s += d * d
+	}
+	return s
+}
+
+// sqDistToMean is sqDist(cf.Mean(), x), to the bit, without the mean
+// being built: a descent asks it of every entry of every node it
+// passes. Each coordinate of the mean is rounded as Mean stores it (the
+// conversion keeps a compiler from fusing it into the subtraction), and
+// an empty feature's mean is the zero vector.
+func sqDistToMean(cf *stats.CF, x []float64) float64 {
+	var s float64
+	if cf.N <= 0 {
+		for i := range cf.LS {
+			s += x[i] * x[i]
+		}
+		return s
+	}
+	inv := 1 / cf.N
+	for i, v := range cf.LS {
+		d := float64(v*inv) - x[i]
 		s += d * d
 	}
 	return s

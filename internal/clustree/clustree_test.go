@@ -3,7 +3,10 @@ package clustree
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"bayestree/internal/stats"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -311,3 +314,76 @@ func TestMicroClusterFiltering(t *testing.T) {
 }
 
 func clamp01(v float64) float64 { return math.Max(0, math.Min(1, v)) }
+
+// TestSqDistToMeanBits: the distance a descent compares entries by is
+// sqDist(cf.Mean(), x) to the bit — trees, snapshots and the failover
+// digit-identity tests rest on it — for decayed, single-object, huge,
+// tiny and empty features alike.
+func TestSqDistToMeanBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20000; trial++ {
+		dim := 1 + rng.Intn(6)
+		cf := stats.NewCF(dim)
+		x := make([]float64, dim)
+		for n := rng.Intn(4); n >= 0; n-- {
+			for i := range x {
+				x[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+			}
+			cf.Add(x)
+		}
+		switch trial % 4 {
+		case 1:
+			cf.Scale(math.Exp2(-rng.Float64() * 40))
+		case 2:
+			cf.Scale(1 / 3.0)
+		case 3:
+			cf.N = -cf.N * float64(rng.Intn(2)) // empty: zero or negative mass, sums left behind
+		}
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		got, want := sqDistToMean(&cf, x), sqDist(cf.Mean(), x)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: sqDistToMean %v (%x), sqDist(Mean) %v (%x) for %+v to %v",
+				trial, got, math.Float64bits(got), want, math.Float64bits(want), cf, x)
+		}
+	}
+}
+
+// TestInsertAllocs: an insert that splits nothing allocates the arriving
+// object's cluster feature and its descent path, not a mean per entry it
+// passes (that was twelve of the seventeen allocations an object cost).
+func TestInsertAllocs(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.Lambda = 0.001
+	tree, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	centres := [][]float64{{0.2, 0.2, 0.3, 0.7}, {0.8, 0.3, 0.6, 0.2}, {0.5, 0.8, 0.1, 0.5}}
+	ts := 0.0
+	insert := func() {
+		c := centres[rng.Intn(len(centres))]
+		x := [4]float64{c[0] + 0.02*rng.NormFloat64(), c[1] + 0.02*rng.NormFloat64(), c[2] + 0.02*rng.NormFloat64(), c[3] + 0.02*rng.NormFloat64()}
+		ts++
+		if err := tree.Insert(x[:], ts, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		insert()
+	}
+	// Splits are rare in the warm tree and cost more; the median of
+	// several short runs is the split-free insert.
+	runs := make([]float64, 9)
+	for i := range runs {
+		runs[i] = testing.AllocsPerRun(50, insert)
+	}
+	sort.Float64s(runs)
+	if got := runs[len(runs)/2]; got > 8 {
+		t.Errorf("a split-free insert allocates %.1f times (runs %v), want at most 8", got, runs)
+	} else {
+		t.Logf("%.1f allocations per split-free insert (runs %v)", got, runs)
+	}
+}

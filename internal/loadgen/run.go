@@ -24,6 +24,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"bayestree/internal/wire"
 )
 
 // This file is the driver: it turns a Scenario into HTTP traffic
@@ -143,17 +145,6 @@ type counters struct {
 	correct   atomic.Int64 // ... with the true label
 }
 
-// wireResult is the subset of a Result / ClusterResult answer the
-// harness reads back.
-type wireResult struct {
-	Label     int    `json:"label"`
-	Requested int    `json:"requested"`
-	Granted   int    `json:"granted"`
-	Degraded  bool   `json:"degraded"`
-	Parked    bool   `json:"parked"`
-	Error     string `json:"error"`
-}
-
 // runState is everything one in-flight run shares.
 type runState struct {
 	sc    Scenario
@@ -183,8 +174,17 @@ func (rs *runState) send(req request) error {
 	if req.kind == KindInsert {
 		return nil
 	}
-	var res wireResult
-	if err := json.Unmarshal(body, &res); err != nil || res.Error != "" {
+	// An ingest ack and a classification share the budget fields the
+	// harness scores; fold the ack's into res.
+	var res wire.Result
+	var ack wire.ClusterResult
+	if req.kind == KindIngest {
+		err = wire.DecodeLine(body, &ack)
+		res.Requested, res.Granted, res.Degraded = ack.Requested, ack.Granted, ack.Degraded
+	} else {
+		err = wire.DecodeLine(body, &res)
+	}
+	if err != nil {
 		rs.ctr.errors.Add(1)
 		return fmt.Errorf("loadgen: %s: bad answer", req.path)
 	}
@@ -193,7 +193,7 @@ func (rs *runState) send(req request) error {
 	if res.Degraded {
 		rs.ctr.degraded.Add(1)
 	}
-	if res.Parked {
+	if ack.Parked {
 		rs.ctr.parked.Add(1)
 	}
 	if req.wantLabel >= 0 {

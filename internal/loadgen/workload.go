@@ -1,11 +1,11 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 
 	"bayestree/internal/replica"
+	"bayestree/internal/wire"
 )
 
 // This file generates the request mix. The classification workload
@@ -114,14 +114,6 @@ type request struct {
 	wantLabel int
 }
 
-// reqBody is the one JSON shape all three endpoints accept: /classify
-// and /cluster read x+budget, /insert reads x+label.
-type reqBody struct {
-	X      []float64 `json:"x"`
-	Budget int       `json:"budget,omitempty"`
-	Label  int       `json:"label"`
-}
-
 // generator produces the request stream for one scenario. Not safe for
 // concurrent use; the runner gives each worker its own.
 type generator struct {
@@ -176,7 +168,7 @@ func (g *generator) tenantPrefix() string {
 	return "/t/" + TenantName(int(g.zipf.Uint64()))
 }
 
-// next generates one request.
+// next generates one request, its body the route's own wire type.
 func (g *generator) next() request {
 	pre := g.tenantPrefix()
 	hot := g.hot != nil && g.hot.Hot(g.rng)
@@ -185,7 +177,7 @@ func (g *generator) next() request {
 		if hot {
 			x = g.hotClust
 		}
-		body, _ := json.Marshal(reqBody{X: x, Budget: g.mix.Budget})
+		body := wire.ClusterRequest{X: x, Budget: g.mix.Budget}.AppendJSON(nil)
 		return request{kind: KindIngest, path: pre + "/cluster", body: body, wantLabel: -1}
 	}
 	if g.rng.Float64() < g.mix.InsertFraction {
@@ -193,7 +185,7 @@ func (g *generator) next() request {
 		if hot {
 			x, label = g.hotClass, 1
 		}
-		body, _ := json.Marshal(reqBody{X: x, Label: label})
+		body := wire.InsertRequest{X: x, Label: label}.AppendJSON(nil)
 		return request{kind: KindInsert, path: pre + "/insert", body: body, wantLabel: -1}
 	}
 	want := -1
@@ -205,6 +197,6 @@ func (g *generator) next() request {
 		g.cursor++
 		x, want = g.holdout.X[i], g.holdout.Y[i]
 	}
-	body, _ := json.Marshal(reqBody{X: x, Budget: g.mix.Budget})
+	body := wire.ClassifyRequest{X: x, Budget: g.mix.Budget}.AppendJSON(nil)
 	return request{kind: KindClassify, path: pre + "/classify", body: body, wantLabel: want}
 }

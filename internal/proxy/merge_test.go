@@ -16,6 +16,7 @@ import (
 	"bayestree/internal/clustree"
 	"bayestree/internal/core"
 	"bayestree/internal/server"
+	"bayestree/internal/wire"
 )
 
 // genPoint draws from three Gaussian blobs, one per class — the same
@@ -164,7 +165,7 @@ func TestProxyClassifyMergeExact(t *testing.T) {
 	x, _ := genPoint(rng)
 	for _, budget := range []int{0, 5, -1, server.DefaultMaxBudget + 1} {
 		for _, literal := range []bool{false, true} {
-			body, _ := json.Marshal(server.ClassifyRequest{X: x, Budget: budget, Scores: true, Literal: literal})
+			body, _ := json.Marshal(wire.ClassifyRequest{X: x, Budget: budget, Scores: true, Literal: literal})
 			st1, got := postJSON(t, pts.URL+"/classify", string(body))
 			st2, want := postJSON(t, refTS.URL+"/classify", string(body))
 			if st1 != http.StatusOK || st2 != http.StatusOK {
@@ -289,8 +290,8 @@ func TestProxyClusterMergeExact(t *testing.T) {
 // TestMergeClassifyRejectsMisalignedLabels pins the merge guard: groups
 // answering with different label sets must fail loudly, not mis-mix.
 func TestMergeClassifyRejectsMisalignedLabels(t *testing.T) {
-	a := &server.Result{Labels: []int{0, 1}, Scores: server.ScoreList{-1, -2}, Weight: 1}
-	b := &server.Result{Labels: []int{0, 2}, Scores: server.ScoreList{-1, -2}, Weight: 1}
+	a := &server.Result{Labels: []int{0, 1}, Scores: wire.ScoreList{-1, -2}, Weight: 1}
+	b := &server.Result{Labels: []int{0, 2}, Scores: wire.ScoreList{-1, -2}, Weight: 1}
 	if _, err := mergeClassify([]*server.Result{a, b}, 10); err == nil {
 		t.Fatal("misaligned label sets merged without error")
 	}

@@ -21,8 +21,9 @@
 // CF-additive micro-cluster union in group order for cluster reads (the
 // offline macro step runs on the union in the proxy). The proxy imports
 // the engine's vocabulary rather than restating it: the classify request
-// type, the budget rule, the cluster wire types and the JSON / error /
-// 503 response helpers are internal/server's. When a group has no fresh follower the read
+// types and their codec are internal/wire's, the budget rule and the
+// JSON / error / 503 response helpers internal/server's. When a group
+// has no fresh follower the read
 // degrades to its primary rather than erroring — the serving tier's
 // degrade-never-error contract extended across processes.
 //
@@ -37,7 +38,6 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -53,6 +53,7 @@ import (
 	"bayestree/internal/clustree"
 	"bayestree/internal/server"
 	"bayestree/internal/stats"
+	"bayestree/internal/wire"
 )
 
 // Group names one primary/replica group: the primary's base URL plus
@@ -222,8 +223,16 @@ func (p *Proxy) SetDraining(v bool) { p.draining.Store(v) }
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/classify", p.handleClassify)
-	mux.HandleFunc("/insert", p.handleWrite)
-	mux.HandleFunc("/cluster", p.handleWrite)
+	// A write is decoded as the request its backend route takes, so both
+	// tiers refuse the same bodies; the proxy needs only its point.
+	mux.HandleFunc("/insert", func(w http.ResponseWriter, r *http.Request) {
+		var req wire.InsertRequest
+		p.handleWrite(w, r, &req, &req.X)
+	})
+	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
+		var req wire.ClusterRequest
+		p.handleWrite(w, r, &req, &req.X)
+	})
 	mux.HandleFunc("/microclusters", p.handleMicroClusters)
 	mux.HandleFunc("/macroclusters", p.handleMacroClusters)
 	mux.HandleFunc("/stats", p.handleStats)
@@ -254,17 +263,13 @@ func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------
 // Writes: consistent-hash routing with 307-follow and failover
 
-// writeBody is the part of a write body the router needs: the point,
-// for the shard key.
-type writeBody struct {
-	X []float64 `json:"x"`
-}
-
 // errNoPrimary is the terminal routing error when a group has no
 // routable primary even after re-probes.
 var errNoPrimary = errors.New("proxy: group has no routable primary")
 
-func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request) {
+// handleWrite routes one write: the body is decoded into req, whose
+// point — the shard key — point points at.
+func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request, req wire.Value, point *[]float64) {
 	if r.Method != http.MethodPost {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
@@ -283,18 +288,18 @@ func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	var wb writeBody
-	if err := json.Unmarshal(body, &wb); err != nil {
+	if err := wire.DecodeLine(body, req); err != nil {
 		server.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if len(wb.X) == 0 {
+	x := *point
+	if len(x) == 0 {
 		server.WriteError(w, http.StatusBadRequest, "request has no point x to route on")
 		return
 	}
 	gi := 0
 	if len(p.groups) > 1 {
-		gi = server.RouteShard(wb.X, len(p.groups))
+		gi = server.RouteShard(x, len(p.groups))
 	}
 	status, resp, err := p.routeWrite(r.Context(), p.groups[gi], r.URL.Path, body)
 	if err != nil {
@@ -387,8 +392,8 @@ func (p *Proxy) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// The body a backend takes, decoded into the backend's own type: a
 	// client reaches the same request — literal_budget included — at
 	// either tier.
-	var req server.ClassifyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	var req wire.ClassifyRequest
+	if _, err := server.ReadItem(w, r, nil, &req); err != nil {
 		server.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -402,7 +407,7 @@ func (p *Proxy) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if !req.Scores {
 		res.Scores, res.Weight, res.Labels = nil, 0, nil
 	}
-	server.WriteJSON(w, http.StatusOK, res)
+	server.WriteWire(w, http.StatusOK, res)
 }
 
 // httpError carries a backend-determined status through the scatter
@@ -421,10 +426,10 @@ func (e *httpError) Error() string { return e.msg }
 // group's share is served by a fresh follower (hedged) as a literal
 // budget with scores requested, and the group answers go through the
 // engine's merge (mergeClassify).
-func (p *Proxy) classify(ctx context.Context, req server.ClassifyRequest) (server.Result, error) {
+func (p *Proxy) classify(ctx context.Context, req wire.ClassifyRequest) (server.Result, error) {
 	ctx, cancel := context.WithTimeout(ctx, p.cfg.ReadTimeout)
 	defer cancel()
-	requested := req.ResolveBudget(server.Config{DefaultBudget: p.cfg.DefaultBudget, MaxBudget: p.cfg.MaxBudget})
+	requested := server.Config{DefaultBudget: p.cfg.DefaultBudget, MaxBudget: p.cfg.MaxBudget}.ResolveBudget(req)
 
 	sizes := make([]int, len(p.groups))
 	total := 0
@@ -447,9 +452,7 @@ func (p *Proxy) classify(ctx context.Context, req server.ClassifyRequest) (serve
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, _ := json.Marshal(server.ClassifyRequest{
-				X: req.X, Budget: budgets[i], Scores: true, Literal: true,
-			})
+			body := wire.ClassifyRequest{X: req.X, Budget: budgets[i], Scores: true, Literal: true}.AppendJSON(nil)
 			rr, err := p.hedgedRead(ctx, p.groups[i], func(b *backend) readAttempt {
 				return readAttempt{method: http.MethodPost, path: "/classify", body: body}
 			})
@@ -462,7 +465,7 @@ func (p *Proxy) classify(ctx context.Context, req server.ClassifyRequest) (serve
 				return
 			}
 			var res server.Result
-			if err := json.Unmarshal(rr.body, &res); err != nil {
+			if err := wire.DecodeLine(rr.body, &res); err != nil {
 				errs[i] = fmt.Errorf("decode backend answer: %w", err)
 				return
 			}
@@ -487,11 +490,9 @@ func (p *Proxy) classify(ctx context.Context, req server.ClassifyRequest) (serve
 // backendStatusError maps a backend's non-200 answer into an error that
 // preserves client-fault statuses.
 func backendStatusError(status int, body []byte) error {
-	var e struct {
-		Error string `json:"error"`
-	}
+	var e wire.Error
 	msg := firstLine(body)
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
+	if wire.DecodeLine(body, &e) == nil && e.Error != "" {
 		msg = e.Error
 	}
 	if status >= 400 && status < 500 {
@@ -550,9 +551,9 @@ func mergeClassify(answers []*server.Result, requested int) (server.Result, erro
 // micro-clusters summarise a disjoint partition of the stream. The
 // backends are sent minw as the number it parsed to, never the client's
 // raw text.
-func (p *Proxy) gatherMicro(ctx context.Context, minw float64) ([]server.MicroClusterJSON, error) {
+func (p *Proxy) gatherMicro(ctx context.Context, minw float64) ([]wire.MicroClusterJSON, error) {
 	path := "/microclusters?minw=" + url.QueryEscape(strconv.FormatFloat(minw, 'g', -1, 64))
-	lists := make([][]server.MicroClusterJSON, len(p.groups))
+	lists := make([][]wire.MicroClusterJSON, len(p.groups))
 	errs := make([]error, len(p.groups))
 	var wg sync.WaitGroup
 	for i := range p.groups {
@@ -570,8 +571,8 @@ func (p *Proxy) gatherMicro(ctx context.Context, minw float64) ([]server.MicroCl
 				errs[i] = backendStatusError(rr.status, rr.body)
 				return
 			}
-			var ml server.MicroClusterList
-			if err := json.Unmarshal(rr.body, &ml); err != nil {
+			var ml wire.MicroClusterList
+			if err := wire.DecodeLine(rr.body, &ml); err != nil {
 				errs[i] = fmt.Errorf("decode backend answer: %w", err)
 				return
 			}
@@ -584,7 +585,7 @@ func (p *Proxy) gatherMicro(ctx context.Context, minw float64) ([]server.MicroCl
 			return nil, fmt.Errorf("group %d: %w", i, err)
 		}
 	}
-	union := []server.MicroClusterJSON{}
+	union := []wire.MicroClusterJSON{}
 	for _, l := range lists {
 		union = append(union, l...)
 	}
@@ -614,7 +615,7 @@ func (p *Proxy) handleMicroClusters(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.reads.Add(1)
-	server.WriteJSON(w, http.StatusOK, server.MicroClusterList{Count: len(union), MicroClusters: union})
+	server.WriteWire(w, http.StatusOK, wire.MicroClusterList{Count: len(union), MicroClusters: union})
 }
 
 func (p *Proxy) handleMacroClusters(w http.ResponseWriter, r *http.Request) {

@@ -11,6 +11,7 @@ import (
 	"bayestree/internal/core"
 	"bayestree/internal/persist"
 	"bayestree/internal/replica"
+	"bayestree/internal/wire"
 )
 
 // This file instantiates the engine for the paper's second anytime
@@ -255,30 +256,9 @@ func (s *ClusterServer) Dim() int { return s.ccfg.Dim }
 // Clock returns the global logical time (objects ingested so far).
 func (s *ClusterServer) Clock() int64 { return s.clock.Load() }
 
-// ClusterResult is the outcome of one served ingest.
-type ClusterResult struct {
-	// Shard is the shard the object was routed to.
-	Shard int `json:"shard"`
-	// Requested is the descent budget the request asked for (after
-	// capping).
-	Requested int `json:"requested"`
-	// Granted is what the admission controller allowed — under load
-	// this drops toward zero and objects park higher up instead of the
-	// stream backing up.
-	Granted int `json:"granted"`
-	// NodesRead is the descent work actually spent: inner nodes stepped
-	// through plus the terminal node (leaf or parking buffer) read at
-	// the end. It falls short of Granted when the leaf was reached
-	// early, and can exceed it by one for that terminal read — the
-	// overage is debited from the admission bucket.
-	NodesRead int `json:"nodes_read"`
-	// Parked reports whether the object was buffered in an inner node
-	// (to hitchhike leafward later) rather than reaching leaf level.
-	Parked bool `json:"parked"`
-	// Degraded reports that admission clipped this ingest's descent
-	// budget (Granted < Requested) — the per-response overload signal.
-	Degraded bool `json:"degraded"`
-}
+// ClusterResult is the outcome of one served ingest; its definition and
+// its wire form live in internal/wire.
+type ClusterResult = wire.ClusterResult
 
 // Insert serves one anytime ingest: the requested descent budget is
 // capped, passed through admission, and spent descending the owning

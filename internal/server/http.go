@@ -2,13 +2,16 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"bayestree/internal/core"
+	"bayestree/internal/wire"
 )
 
 // HTTP surface of the server:
@@ -36,50 +39,27 @@ import (
 // body-or-NDJSON item route are the engine's: written once below, the
 // same for every workload. A workload's Handler adds its model routes
 // to engine.mux.
+//
+// The bodies of /classify, /insert and /cluster in both forms, every
+// {"error":…} answer and /microclusters are internal/wire's: its types,
+// its codec, no reflection. /stats and the other operator surfaces stay
+// on encoding/json (operator.go).
 
 // streamWindow is how many NDJSON lines are classified per parallel
 // window; it bounds both latency-to-first-byte and per-window memory.
 const streamWindow = 64
 
-// ClassifyRequest is the JSON body of a classification request — the
-// one a client sends to a server or to the proxy, and the one the proxy
-// sends to its backends. Budget semantics match Server.Classify: 0
-// means the server default, negative means "as much as the cap and
-// admission allow".
-type ClassifyRequest struct {
-	X      []float64 `json:"x"`
-	Budget int       `json:"budget"`
-	// Scores asks for the merged per-class log scores, their label order
-	// and the total weight in the response — the merge surface a
-	// scatter-gather tier combines across groups.
-	Scores bool `json:"scores"`
-	// Literal makes Budget literal: 0 means zero refinement steps (the
-	// coarsest answer) instead of the server default. The proxy sets it
-	// so size-proportional splits that legitimately assign a group 0
-	// nodes keep meaning 0.
-	Literal bool `json:"literal_budget"`
-}
+// maxItem is the longest single-item body, and the longest NDJSON line,
+// a route reads.
+const maxItem = 1 << 20
 
-// ResolveBudget is the node budget the request asks for under cfg's
-// default and cap: CapBudget of a literal budget, ClampBudget otherwise.
-func (r ClassifyRequest) ResolveBudget(cfg Config) int {
-	if r.Literal {
-		return cfg.CapBudget(r.Budget)
+// ResolveBudget is the node budget req asks for under c's default and
+// cap: CapBudget of a literal budget, ClampBudget otherwise.
+func (c Config) ResolveBudget(req wire.ClassifyRequest) int {
+	if req.Literal {
+		return c.CapBudget(req.Budget)
 	}
-	return cfg.ClampBudget(r.Budget)
-}
-
-// insertRequest is the JSON body of an insert request.
-type insertRequest struct {
-	X     []float64 `json:"x"`
-	Label int       `json:"label"`
-}
-
-// lineResponse is one NDJSON response line: a Result on success, an
-// Error on per-line failure (the stream keeps going either way).
-type lineResponse struct {
-	Result
-	Error string `json:"error,omitempty"`
+	return c.ClampBudget(req.Budget)
 }
 
 // Handler returns the HTTP handler serving the six endpoints:
@@ -88,29 +68,29 @@ func (s *Server) Handler() http.Handler {
 	mux := s.mux()
 	// Windows of /classify lines are classified by a worker pool, each
 	// item admitted individually.
-	mux.HandleFunc("/classify", itemHandler(&s.engine, itemRoute[ClassifyRequest]{
+	mux.HandleFunc("/classify", itemHandler(&s.engine, itemRoute[wire.ClassifyRequest, wire.Result]{
 		workers: 8,
 		badLine: "bad request line",
-		serve:   func(req ClassifyRequest, _ bool) (any, error) { return s.classifyWire(req) },
-		errLine: func(msg string) any { return lineResponse{Error: msg} },
+		serve:   func(req wire.ClassifyRequest, _ bool) (wire.Result, error) { return s.classifyWire(req) },
+		errLine: func(dst []byte, msg string) []byte { return wire.ResultLine{Error: msg}.AppendJSON(dst) },
 	}))
 	// Inserts stay sequential — each takes its shard's write lock — but
 	// the single connection amortises transport overhead for bulk ingest
 	// while classifications keep flowing on other connections.
-	mux.HandleFunc("/insert", itemHandler(&s.engine, itemRoute[insertRequest]{
+	mux.HandleFunc("/insert", itemHandler(&s.engine, itemRoute[wire.InsertRequest, wire.InsertAck]{
 		write:   true,
 		workers: 1,
 		badLine: "bad insert line",
-		serve: func(req insertRequest, stream bool) (any, error) {
+		serve: func(req wire.InsertRequest, stream bool) (wire.InsertAck, error) {
 			if err := s.Insert(req.X, req.Label); err != nil {
-				return nil, err
+				return wire.InsertAck{}, err
 			}
 			if stream {
-				return map[string]interface{}{"ok": true}, nil
+				return wire.InsertAck{OK: true}, nil
 			}
-			return map[string]interface{}{"ok": true, "observations": s.Len()}, nil
+			return wire.InsertAck{Observations: s.Len(), OK: true}, nil
 		},
-		errLine: func(msg string) any { return map[string]interface{}{"error": msg} },
+		errLine: func(dst []byte, msg string) []byte { return wire.Error{Error: msg}.AppendJSON(dst) },
 	}))
 	return mux
 }
@@ -157,21 +137,39 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 // IsStream reports whether the request carries an NDJSON batch body.
 func IsStream(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Content-Type"), "ndjson") ||
-		r.URL.Query().Get("stream") == "1"
+		r.URL.RawQuery != "" && r.URL.Query().Get("stream") == "1"
 }
 
-// WriteJSON answers status with v as one compact JSON document — with
-// WriteError and WriteUnavailable, the response shapes the servers and
-// the proxy in front of them share.
-func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
+// bufPool recycles the buffers answers outside the item routes are
+// encoded into.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteWire answers status with v in its wire form — with WriteError
+// and WriteUnavailable, the response shapes the servers and the proxy
+// in front of them share.
+func WriteWire(w http.ResponseWriter, status int, v wire.Appender) {
+	writeAppended(w, status, v.AppendJSON)
+}
+
+// writeAppended answers status with the JSON document encode appends,
+// built in a pooled buffer.
+func writeAppended(w http.ResponseWriter, status int, encode func(dst []byte) []byte) {
+	buf := bufPool.Get().(*[]byte)
+	*buf = encode((*buf)[:0])
+	writeBody(w, status, *buf)
+	bufPool.Put(buf)
+}
+
+// writeBody answers status with body, one encoded JSON document.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body)
 }
 
 // WriteError answers status with {"error": message}.
 func WriteError(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	WriteWire(w, status, wire.Error{Error: fmt.Sprintf(format, args...)})
 }
 
 // WriteUnavailable is the 503 every transient condition (recovery,
@@ -203,8 +201,8 @@ func redirectToPrimary(w http.ResponseWriter, r *http.Request, primary string) {
 // classifyWire serves one HTTP classify request: the budget resolved
 // per the Literal flag, the merge surface (scores, weight, label order)
 // attached only when the request asked for it.
-func (s *Server) classifyWire(req ClassifyRequest) (Result, error) {
-	res, err := s.classifyResolved(req.X, req.ResolveBudget(s.cfg))
+func (s *Server) classifyWire(req wire.ClassifyRequest) (Result, error) {
+	res, err := s.classifyResolved(req.X, s.cfg.ResolveBudget(req))
 	if err != nil {
 		return res, err
 	}
@@ -230,69 +228,101 @@ func enableFullDuplex(w http.ResponseWriter) {
 	}
 }
 
+// exchange is the memory one request on an item route works in, pooled
+// per route: the stream's buffers (a single body is read into in and
+// answered from out too) and, a slot per line of an NDJSON window (a
+// single body uses the first), the request being decoded — here because
+// a request declared where it is decoded would be allocated per line —
+// and its answer or its failure.
+type exchange[Q any, A wire.Appender] struct {
+	streamBufs
+	reqs []Q
+	res  []A
+	errs []error
+}
+
+// streamBufs is what ndjsonStream works in, kept from one request to
+// the next: the scanner's buffer, a window's lines and the bytes they
+// are slices of, and the window's answer.
+type streamBufs struct {
+	scan, in, out []byte
+	lines         [][]byte
+}
+
 // ndjsonStream drives the windowed NDJSON form every bulk endpoint
-// shares: request lines are read and batched into windows of up to
-// streamWindow lines, each window is handed to process (which returns
-// exactly one JSON-encodable response per line, in order), and the
-// responses are written and flushed per window — so a client can pipe
-// an unbounded stream through a single connection and read answers
+// shares: request lines are read and gathered into windows of up to
+// streamWindow lines, each window is handed to process, which appends
+// exactly one response line per request line, in order, and the
+// window's responses are written and flushed at once — so a client can
+// pipe an unbounded stream through a single connection and read answers
 // while it is still sending. A scanner error (oversized line, broken
 // body) would otherwise end the stream silently with fewer response
-// lines than request lines; errLine builds the terminal error line that
+// lines than request lines; errLine appends the terminal error line that
 // lets the client tell truncation from completion.
-func ndjsonStream(w http.ResponseWriter, r *http.Request,
-	process func(lines []string) []interface{}, errLine func(msg string) any) {
+func ndjsonStream(w http.ResponseWriter, r *http.Request, b *streamBufs,
+	process func(lines [][]byte, out []byte) []byte, errLine func(dst []byte, msg string) []byte) {
 	enableFullDuplex(w)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	window := make([]string, 0, streamWindow)
-
-	emit := func() bool {
-		if len(window) == 0 {
-			return true
-		}
-		responses := process(window)
-		for i := range responses {
-			if err := enc.Encode(responses[i]); err != nil {
-				return false // client went away
-			}
-		}
+	write := func(out []byte) bool {
+		_, err := w.Write(out)
 		if flusher != nil {
 			flusher.Flush()
 		}
-		window = window[:0]
-		return true
+		return err == nil
 	}
-
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		window = append(window, line)
-		if len(window) >= streamWindow {
-			if !emit() {
-				return
+	sc := bufio.NewScanner(r.Body)
+	sc.Buffer(b.scan, maxItem)
+	b.in, b.lines = b.in[:0], b.lines[:0]
+	for more := true; more; {
+		// A line is copied out of the scanner, which moves on, to the end
+		// of in. Should that outgrow its array, the lines gathered so far
+		// keep the old one: it is not written to again.
+		if more = sc.Scan(); more {
+			if line := bytes.TrimSpace(sc.Bytes()); len(line) > 0 {
+				b.in = append(b.in, line...)
+				b.lines = append(b.lines, b.in[len(b.in)-len(line):])
 			}
 		}
-	}
-	if !emit() {
-		return
+		if len(b.lines) == streamWindow || !more && len(b.lines) > 0 {
+			b.out = process(b.lines, b.out[:0])
+			b.in, b.lines = b.in[:0], b.lines[:0]
+			if !write(b.out) {
+				return // the client went away
+			}
+		}
 	}
 	if err := sc.Err(); err != nil {
-		enc.Encode(errLine(fmt.Sprintf("request stream: %v", err)))
-		if flusher != nil {
-			flusher.Flush()
-		}
+		write(errLine(b.out[:0], fmt.Sprintf("request stream: %v", err)))
 	}
 }
 
+// ReadItem reads a single-item request body, of at most maxItem bytes,
+// into buf's array (grown as needed, and returned for the next request)
+// and decodes its first JSON value into v. Like a json.Decoder it takes
+// that value even if the rest of the body did not arrive, and blames the
+// reader only for a value it cut short.
+func ReadItem(w http.ResponseWriter, r *http.Request, buf []byte, v wire.Value) ([]byte, error) {
+	body, buf := http.MaxBytesReader(w, r.Body, maxItem), buf[:0]
+	var rerr error
+	for rerr == nil {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		var n int
+		n, rerr = body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+	}
+	if err := wire.DecodeBody(buf, v); err == nil || rerr == io.EOF {
+		return buf, err
+	}
+	return buf, rerr
+}
+
 // itemRoute describes one POST endpoint that takes one JSON item per
-// request body or, as NDJSON, one item per line.
-type itemRoute[R any] struct {
+// request body or, as NDJSON, one item per line: Q is the item's wire
+// type, which brings its decoder, A the answer's, which appends itself.
+type itemRoute[Q any, A wire.Appender] struct {
 	// write routes pass the write guard before anything is read.
 	write bool
 	// workers sizes the pool that serves one NDJSON window; 1 keeps a
@@ -301,16 +331,25 @@ type itemRoute[R any] struct {
 	// badLine prefixes the error of a line that does not decode.
 	badLine string
 	// serve answers one decoded item; stream reports the NDJSON form.
-	serve func(req R, stream bool) (any, error)
-	// errLine shapes a failed line's response (the stream keeps going).
-	errLine func(msg string) any
+	serve func(req Q, stream bool) (A, error)
+	// errLine appends a failed line's response (the stream keeps going).
+	errLine func(dst []byte, msg string) []byte
 }
 
 // itemHandler serves an itemRoute. A request is refused in fixed order:
 // 405 for a non-POST, then for write routes 307 to the primary on a
 // follower, 503 when fenced, 503 + Retry-After while recovering, and
 // for every route 503 + Retry-After while draining.
-func itemHandler[M Model, R any](e *engine[M], rt itemRoute[R]) http.HandlerFunc {
+func itemHandler[M Model, Q any, A wire.Appender, P interface {
+	*Q
+	wire.Value
+}](e *engine[M], rt itemRoute[Q, A]) http.HandlerFunc {
+	pool := &sync.Pool{New: func() any {
+		return &exchange[Q, A]{
+			streamBufs: streamBufs{scan: make([]byte, 0, 4096), lines: make([][]byte, 0, streamWindow)},
+			reqs:       make([]Q, streamWindow), res: make([]A, streamWindow), errs: make([]error, streamWindow),
+		}
+	}}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			WriteError(w, http.StatusMethodNotAllowed, "POST only")
@@ -334,32 +373,42 @@ func itemHandler[M Model, R any](e *engine[M], rt itemRoute[R]) http.HandlerFunc
 			WriteUnavailable(w, "draining")
 			return
 		}
+		x := pool.Get().(*exchange[Q, A])
+		defer pool.Put(x)
 		if IsStream(r) {
-			ndjsonStream(w, r, func(lines []string) []interface{} {
-				responses := make([]interface{}, len(lines))
+			ndjsonStream(w, r, &x.streamBufs, func(lines [][]byte, out []byte) []byte {
 				core.ForEach(len(lines), rt.workers, func(i int) {
-					var req R
-					if err := json.Unmarshal([]byte(lines[i]), &req); err != nil {
-						responses[i] = rt.errLine(fmt.Sprintf("%s: %v", rt.badLine, err))
-					} else if res, err := rt.serve(req, true); err != nil {
-						responses[i] = rt.errLine(err.Error())
+					var zero Q
+					x.reqs[i] = zero
+					if err := wire.DecodeLine(lines[i], P(&x.reqs[i])); err != nil {
+						x.errs[i] = fmt.Errorf("%s: %v", rt.badLine, err)
 					} else {
-						responses[i] = res
+						x.res[i], x.errs[i] = rt.serve(x.reqs[i], true)
 					}
 				})
-				return responses
+				for i := range lines {
+					if err := x.errs[i]; err != nil {
+						out = rt.errLine(out, err.Error())
+					} else {
+						out = x.res[i].AppendJSON(out)
+					}
+				}
+				return out
 			}, rt.errLine)
 			return
 		}
-		var req R
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+		var zero Q
+		x.reqs[0] = zero
+		var err error
+		if x.in, err = ReadItem(w, r, x.in, P(&x.reqs[0])); err != nil {
 			WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 			return
 		}
-		res, err := rt.serve(req, false)
+		res, err := rt.serve(x.reqs[0], false)
 		switch {
 		case err == nil:
-			WriteJSON(w, http.StatusOK, res)
+			x.out = res.AppendJSON(x.out[:0])
+			writeBody(w, http.StatusOK, x.out)
 		case errors.Is(err, errRecovering), errors.Is(err, errFenced), errors.Is(err, errFollower):
 			// The state changed between the guard and the write: answer what
 			// the guard would have, so proxies re-probe instead of giving up.

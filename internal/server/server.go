@@ -31,7 +31,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -42,6 +41,7 @@ import (
 	"bayestree/internal/persist"
 	"bayestree/internal/replica"
 	"bayestree/internal/stats"
+	"bayestree/internal/wire"
 )
 
 // DefaultMaxBudget caps per-request refinement budgets when Config
@@ -211,70 +211,9 @@ func (s *Server) Labels() []int { return append([]int(nil), s.labels...) }
 // Dim returns the dimensionality of served observations.
 func (s *Server) Dim() int { return s.dim }
 
-// Result is the outcome of one served classification.
-type Result struct {
-	// Label is the predicted class.
-	Label int `json:"label"`
-	// Requested is the node budget the request asked for (after capping).
-	Requested int `json:"requested"`
-	// Granted is what the admission controller allowed — under load this
-	// drops toward zero and answers coarsen instead of queueing.
-	Granted int `json:"granted"`
-	// NodesRead is the refinement work actually spent; it can fall short
-	// of Granted when the models exhaust early.
-	NodesRead int `json:"nodes_read"`
-	// Degraded reports that admission clipped this answer: Granted fell
-	// short of Requested, so the answer came from a coarser model level
-	// than asked for. This is the per-response load signal a client (or
-	// the load harness) reads without touching /stats.
-	Degraded bool `json:"degraded"`
-	// Scores, Weight and Labels are the merge surface a scatter-gather
-	// tier needs: Scores carries the combined per-class log scores
-	// aligned with Labels, and Weight the total effective mass they were
-	// mixed under. A size-weighted log-sum-exp over per-group (Scores,
-	// Weight) pairs reproduces the in-process shard merge digit for
-	// digit, because log-sum-exp of a single element is exact. Over HTTP
-	// they are attached only when the request asks (`"scores":true`), so
-	// existing wire responses are unchanged.
-	Scores ScoreList `json:"scores,omitempty"`
-	Weight float64   `json:"weight,omitempty"`
-	Labels []int     `json:"labels,omitempty"`
-}
-
-// ScoreList is a []float64 whose JSON form maps non-finite values to
-// null: class log scores are legitimately -Inf for classes a partition
-// holds no mass for, and JSON numbers cannot carry infinities.
-type ScoreList []float64
-
-// MarshalJSON implements json.Marshaler, encoding non-finite scores as
-// null.
-func (s ScoreList) MarshalJSON() ([]byte, error) {
-	out := make([]*float64, len(s))
-	for i := range s {
-		if v := s[i]; !math.IsInf(v, 0) && !math.IsNaN(v) {
-			out[i] = &s[i]
-		}
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler, decoding null back to
-// -Inf (the only non-finite value the score merge produces).
-func (s *ScoreList) UnmarshalJSON(b []byte) error {
-	var raw []*float64
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	*s = make(ScoreList, len(raw))
-	for i, p := range raw {
-		if p == nil {
-			(*s)[i] = math.Inf(-1)
-		} else {
-			(*s)[i] = *p
-		}
-	}
-	return nil
-}
+// Result is the outcome of one served classification; its definition
+// and its wire form live in internal/wire.
+type Result = wire.Result
 
 // Classify serves one anytime classification: the requested budget is
 // capped, passed through admission, split across shards in proportion
