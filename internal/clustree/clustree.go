@@ -6,7 +6,12 @@
 // The key mechanisms, all named in the paper:
 //
 //   - exponential decay — entry weights fade as 2^(−λ·Δt), keeping an
-//     up-to-date view of the evolving distribution in constant space;
+//     up-to-date view of the evolving distribution in constant space. An
+//     entry's CFs are valid as of its own timestamp; they are brought
+//     forward when mass is written into them or a weight is read.
+//     Comparisons of means and radii need no decay (scaling a CF moves
+//     neither, and decays compose), so a descent fades the one entry
+//     per level it writes to, not the ones it walks past;
 //   - CF additivity — entries aggregate, subtract and compare snapshots
 //     from arbitrary points in time;
 //   - parked insertions — when the stream leaves no time to reach a leaf,
@@ -114,6 +119,12 @@ type Tree struct {
 	parked  int
 	merges  int
 	splits  int
+
+	// Scratch of the insert in progress, kept so a split-free insert
+	// allocates nothing: the inner nodes of its descent and the mass it
+	// carries (the object plus the hitchhikers picked up so far).
+	path []*node
+	mass stats.CF
 }
 
 // New creates an empty clustering tree.
@@ -121,7 +132,7 @@ func New(cfg Config) (*Tree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Tree{cfg: cfg, root: &node{leaf: true}}, nil
+	return &Tree{cfg: cfg, root: &node{leaf: true}, mass: stats.NewCF(cfg.Dim)}, nil
 }
 
 // Now returns the tree's current time (the largest insertion timestamp).
@@ -151,7 +162,12 @@ func (t *Tree) SetLambda(lambda float64) error {
 	if lambda < 0 {
 		return fmt.Errorf("clustree: Lambda must be ≥ 0, got %v", lambda)
 	}
-	t.cfg.Lambda = lambda
+	if lambda != t.cfg.Lambda {
+		// Entries are as stale as their last write: reading the weight
+		// brings every one of them to now at the rate that applied so far.
+		t.Weight()
+		t.cfg.Lambda = lambda
+	}
 	return nil
 }
 
@@ -193,7 +209,9 @@ func (t *Tree) ApproxBytes() int64 {
 	return walk(t.root)
 }
 
-// decay brings an entry's CFs forward to time ts.
+// decay brings an entry's CFs forward to time ts. It is called where
+// mass is written into an entry or a weight is read from it; comparing
+// entries by mean or radius needs none.
 func (t *Tree) decay(e *entry, ts float64) {
 	if t.cfg.Lambda == 0 || ts <= e.ts {
 		e.ts = math.Max(e.ts, ts)
@@ -201,14 +219,18 @@ func (t *Tree) decay(e *entry, ts float64) {
 	}
 	w := math.Exp2(-t.cfg.Lambda * (ts - e.ts))
 	e.cf.Scale(w)
-	e.buffer.Scale(w)
+	if e.buffer.N != 0 {
+		e.buffer.Scale(w)
+	}
 	e.ts = ts
 }
 
 // Insert adds an object observed at timestamp ts with a budget of node
 // visits. A budget that runs out parks the object (plus any hitchhikers
 // collected on the way) in the deepest reached entry's buffer; a budget
-// < 0 means unlimited. Timestamps must be non-decreasing.
+// < 0 means unlimited. Timestamps must be non-decreasing and coordinates
+// finite: a NaN or ±Inf merged into a cluster feature would turn every
+// mean above it into NaN for good.
 func (t *Tree) Insert(x []float64, ts float64, budget int) error {
 	_, err := t.InsertCounted(x, ts, budget)
 	return err
@@ -224,36 +246,41 @@ func (t *Tree) InsertCounted(x []float64, ts float64, budget int) (visited int, 
 	if len(x) != t.cfg.Dim {
 		return 0, fmt.Errorf("clustree: point dim %d != %d", len(x), t.cfg.Dim)
 	}
+	for i, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("clustree: non-finite coordinate %d", i)
+		}
+	}
 	if ts < t.now {
 		return 0, fmt.Errorf("clustree: timestamp %v precedes current time %v", ts, t.now)
 	}
 	t.now = ts
 	t.inserts++
 
-	hitchhiker := stats.CFOf(x)
+	t.mass.Reset()
+	t.mass.Add(x)
+	t.path = t.path[:0]
 	n := t.root
-	var path []*node
 	for !n.leaf {
-		path = append(path, n)
+		t.path = append(t.path, n)
+		e := t.closestEntry(n, x, ts)
 		if budget == 0 {
 			// Out of time: park the object in the closest entry's buffer
 			// (finding that entry reads this node, hence the +1).
-			e := t.closestEntry(n, x, ts)
-			e.buffer.Merge(hitchhiker)
+			e.buffer.Merge(t.mass)
 			t.parked++
 			return visited + 1, nil
 		}
-		e := t.closestEntry(n, x, ts)
 		// The insertion mass (object + hitchhikers) joins the subtree
 		// summary on the way down.
-		e.cf.Merge(hitchhiker)
+		e.cf.Merge(t.mass)
 		// Take parked mass along (the hitchhiker mechanism): it travels
 		// with us toward leaf level. The mass moves from "at this entry"
 		// into the subtree below it, so it joins e.cf now.
 		if e.buffer.N > 0 {
 			e.cf.Merge(e.buffer)
-			hitchhiker.Merge(e.buffer)
-			e.buffer = stats.NewCF(t.cfg.Dim)
+			t.mass.Merge(e.buffer)
+			e.buffer.Reset()
 		}
 		n = e.child
 		visited++
@@ -262,18 +289,18 @@ func (t *Tree) InsertCounted(x []float64, ts float64, budget int) (visited int, 
 		}
 	}
 	// Leaf level: absorb into the closest micro-cluster or open a new one.
-	t.insertLeaf(n, path, hitchhiker, x, ts, budget)
+	t.insertLeaf(n, x, ts, budget)
 	visited++
 	return visited, nil
 }
 
-// closestEntry decays the node's entries to ts and returns the entry whose
-// mean is nearest to x (empty entries lose).
+// closestEntry returns the entry whose mean is nearest to x (empty
+// entries lose), brought forward to ts: it is the one the caller writes
+// to. The others are compared as stored.
 func (t *Tree) closestEntry(n *node, x []float64, ts float64) *entry {
 	var best *entry
 	bestD := math.Inf(1)
 	for _, e := range n.entries {
-		t.decay(e, ts)
 		if e.cf.N <= 0 && e.buffer.N <= 0 {
 			continue
 		}
@@ -285,15 +312,15 @@ func (t *Tree) closestEntry(n *node, x []float64, ts float64) *entry {
 	if best == nil {
 		best = n.entries[0]
 	}
+	t.decay(best, ts)
 	return best
 }
 
-// insertLeaf merges the arriving mass into a micro-cluster or creates one.
-func (t *Tree) insertLeaf(n *node, path []*node, mass stats.CF, x []float64, ts float64, budget int) {
+// insertLeaf merges the carried mass into a micro-cluster or creates one.
+func (t *Tree) insertLeaf(n *node, x []float64, ts float64, budget int) {
 	var best *entry
 	bestD := math.Inf(1)
 	for _, e := range n.entries {
-		t.decay(e, ts)
 		if e.cf.N <= 0 {
 			continue
 		}
@@ -308,12 +335,14 @@ func (t *Tree) insertLeaf(n *node, path []*node, mass stats.CF, x []float64, ts 
 			absorb = t.cfg.AbsorbDistance
 		}
 		if bestD <= absorb || (len(n.entries) >= t.cfg.MaxLeafEntries && budget == 0) {
-			best.cf.Merge(mass)
+			t.decay(best, ts)
+			best.cf.Merge(t.mass)
 			t.merges++
 			return
 		}
 	}
-	n.entries = append(n.entries, &entry{cf: mass, buffer: stats.NewCF(t.cfg.Dim), ts: ts})
+	// The new micro-cluster owns its vectors; the scratch is reused.
+	n.entries = append(n.entries, &entry{cf: t.mass.Clone(), buffer: stats.NewCF(t.cfg.Dim), ts: ts})
 	if len(n.entries) > t.cfg.MaxLeafEntries {
 		if budget == 0 {
 			// No time to split: merge the two closest micro-clusters —
@@ -322,11 +351,12 @@ func (t *Tree) insertLeaf(n *node, path []*node, mass stats.CF, x []float64, ts 
 			t.mergeClosest(n)
 			return
 		}
-		t.splitLeafUp(n, path, ts)
+		t.splitLeafUp(n, ts)
 	}
 }
 
-// mergeClosest merges the two closest entries of a leaf.
+// mergeClosest merges the two closest entries of a leaf, brought to a
+// common time first: stored CFs add only at equal timestamps.
 func (t *Tree) mergeClosest(n *node) {
 	bi, bj, bd := -1, -1, math.Inf(1)
 	for i := 0; i < len(n.entries); i++ {
@@ -340,19 +370,22 @@ func (t *Tree) mergeClosest(n *node) {
 	if bi < 0 {
 		return
 	}
+	t.decay(n.entries[bi], t.now)
+	t.decay(n.entries[bj], t.now)
 	n.entries[bi].cf.Merge(n.entries[bj].cf)
 	n.entries[bi].buffer.Merge(n.entries[bj].buffer)
 	n.entries = append(n.entries[:bj], n.entries[bj+1:]...)
 	t.merges++
 }
 
-// splitLeafUp splits an overflowing node and propagates upward, growing
-// the root if needed (balanced growth as in R-trees).
-func (t *Tree) splitLeafUp(n *node, path []*node, ts float64) {
+// splitLeafUp splits an overflowing leaf and propagates upward along
+// the descent path, growing the root if needed (balanced growth as in
+// R-trees).
+func (t *Tree) splitLeafUp(n *node, ts float64) {
 	t.splits++
 	left, right := t.splitNode(n)
-	for i := len(path) - 1; i >= 0; i-- {
-		parent := path[i]
+	for i := len(t.path) - 1; i >= 0; i-- {
+		parent := t.path[i]
 		// Replace the entry pointing at n with entries for the halves.
 		idx := -1
 		for j, e := range parent.entries {

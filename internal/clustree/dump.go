@@ -75,7 +75,7 @@ func Rebuild(cfg Config, root *DumpNode, now float64, inserts, parked, merges, s
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{cfg: cfg, root: rn, now: now,
+	return &Tree{cfg: cfg, root: rn, now: now, mass: stats.NewCF(cfg.Dim),
 		inserts: inserts, parked: parked, merges: merges, splits: splits}, nil
 }
 

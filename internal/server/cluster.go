@@ -200,6 +200,11 @@ func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.Snapsho
 		encode: s.encodeSet,
 		record: func(payload []byte) (int64, func(*shard[*ctree]) error, func(), error) {
 			head, x, err := decodeRecord(payload, 2, ccfg.Dim)
+			if err == nil {
+				// A record can frame what JSON cannot; refuse it before it
+				// is logged again or moves the clock.
+				err = checkFinite(x)
+			}
 			if err != nil {
 				return 0, nil, nil, err
 			}
@@ -279,10 +284,13 @@ func (s *ClusterServer) insertResolved(x []float64, requested int) (ClusterResul
 	if len(x) != s.ccfg.Dim {
 		return ClusterResult{}, fmt.Errorf("server: point dim %d != model dim %d", len(x), s.ccfg.Dim)
 	}
+	if err := checkFinite(x); err != nil {
+		return ClusterResult{}, err
+	}
 	if err := s.writeAllowed(); err != nil {
 		return ClusterResult{}, err
 	}
-	granted, finish := s.grant(requested)
+	granted := s.grant(requested)
 	idx := shardIndex(x, len(s.shards))
 	sh := s.shards[idx]
 	sh.mu.Lock()
@@ -292,7 +300,7 @@ func (s *ClusterServer) insertResolved(x []float64, requested int) (ClusterResul
 			// The clock tick is not rolled back: per-shard timestamps stay
 			// strictly increasing, a skipped tick is harmless.
 			sh.mu.Unlock()
-			finish(0)
+			s.settle(granted, 0)
 			return ClusterResult{}, err
 		}
 	}
@@ -300,7 +308,7 @@ func (s *ClusterServer) insertResolved(x []float64, requested int) (ClusterResul
 	visited, err := sh.tree.t.InsertCounted(x, float64(ts), granted)
 	parked := sh.tree.t.Parked() > parkedBefore
 	sh.mu.Unlock()
-	finish(visited)
+	s.settle(granted, visited)
 	if err != nil {
 		return ClusterResult{}, err
 	}

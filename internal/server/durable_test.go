@@ -598,3 +598,69 @@ func TestDurableUnknownLabelRejectedBeforeLogging(t *testing.T) {
 	}
 	s2.CloseDurability()
 }
+
+// TestClusterNonFiniteRejectedBeforeLogging: a NaN or ±Inf coordinate —
+// which JSON cannot carry but an in-process caller or a framed record
+// can — is refused before the clock ticks and before the log is
+// appended to, through every way in: Insert, the batch engine, and a
+// well-framed record offered for replay or replication. Merged into a
+// micro-cluster it would turn every mean above it into NaN for good.
+func TestClusterNonFiniteRejectedBeforeLogging(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurableCluster(t, dir, 2)
+	rng := rand.New(rand.NewSource(3))
+	const n = 100
+	for i := 0; i < n; i++ {
+		if _, err := s.Insert([]float64{rng.Float64(), rng.Float64()}, 1+i%5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type state struct {
+		weight      float64
+		inserts     int
+		clock       int64
+		walAppends  int64
+		engineCount int64
+	}
+	observe := func() state {
+		st := state{clock: s.Clock(), walAppends: s.Stats().WALAppends, engineCount: s.inserts.Load()}
+		for _, sh := range s.shards {
+			if err := sh.tree.t.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			st.weight += sh.tree.t.Weight()
+			st.inserts += sh.tree.t.Inserts()
+		}
+		return st
+	}
+	before := observe()
+	if before.inserts != n || before.clock != n || before.walAppends != n {
+		t.Fatalf("before: %+v", before)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x := []float64{0.5, bad}
+		if _, err := s.Insert(x, 4); err == nil {
+			t.Fatalf("Insert accepted %v", x)
+		}
+		if _, err := s.ClassifyBatchBudgets([][]float64{x}, []int{4}, 1); err == nil {
+			t.Fatalf("ClassifyBatchBudgets accepted %v", x)
+		}
+		payload := encodeRecord(x, s.Clock()+1, 4)
+		if _, _, _, err := s.wl.record(payload); err == nil {
+			t.Fatalf("a framed record of %v decoded to an apply", x)
+		}
+		if err := s.ApplyReplicated(0, payload); err == nil {
+			t.Fatalf("a replicated record of %v was applied", x)
+		}
+		if after := observe(); after != before {
+			t.Fatalf("rejected %v changed the server: %+v, was %+v", x, after, before)
+		}
+	}
+	s.CloseDurability()
+	// Nothing non-finite was logged: recovery replays the hundred.
+	s2 := newDurableCluster(t, dir, 2)
+	if s2.Clock() != n || s2.Stats().WALReplayed != n {
+		t.Fatalf("recovered clock %d after %d replayed records, want %d", s2.Clock(), s2.Stats().WALReplayed, n)
+	}
+	s2.CloseDurability()
+}

@@ -349,13 +349,9 @@ func (e *engine[M]) SetDraining(v bool) { e.draining.Store(v) }
 func (e *engine[M]) Draining() bool { return e.draining.Load() }
 
 // grant passes a resolved budget through admission and the request
-// counters, returning what was granted and a finish func the caller
-// must invoke with the node reads actually spent — unspent grant flows
-// back into the bucket so exhaustion does not eat configured capacity,
-// and reads beyond the grant (the clustering workload's terminal-node
-// visit) are debited best-effort so the long-run node-read rate still
-// tracks the configured capacity.
-func (e *engine[M]) grant(requested int) (granted int, finish func(read int)) {
+// counters and returns what was granted; the caller must settle the
+// grant with the node reads actually spent.
+func (e *engine[M]) grant(requested int) (granted int) {
 	granted = e.admit.take(requested)
 	e.requests.Add(1)
 	e.nodesRequested.Add(int64(requested))
@@ -363,14 +359,21 @@ func (e *engine[M]) grant(requested int) (granted int, finish func(read int)) {
 	if granted < requested {
 		e.degraded.Add(1)
 	}
-	return granted, func(read int) {
-		if granted > read {
-			e.admit.refund(granted - read)
-		} else if read > granted {
-			e.admit.take(read - granted)
-		}
-		e.nodesRead.Add(int64(read))
+	return granted
+}
+
+// settle closes a grant against the node reads actually spent: unspent
+// grant flows back into the bucket so exhaustion does not eat
+// configured capacity, and reads beyond the grant (the clustering
+// workload's terminal-node visit) are debited best-effort so the
+// long-run node-read rate still tracks the configured capacity.
+func (e *engine[M]) settle(granted, read int) {
+	if granted > read {
+		e.admit.refund(granted - read)
+	} else if read > granted {
+		e.admit.take(read - granted)
 	}
+	e.nodesRead.Add(int64(read))
 }
 
 // sizesAndWeights snapshots every shard's observation count and

@@ -240,9 +240,9 @@ func (s *Server) classifyResolved(x []float64, requested int) (Result, error) {
 	if len(x) != s.dim {
 		return Result{}, fmt.Errorf("server: point dim %d != model dim %d", len(x), s.dim)
 	}
-	granted, finish := s.grant(requested)
+	granted := s.grant(requested)
 	read := 0
-	defer func() { finish(read) }()
+	defer func() { s.settle(granted, read) }()
 
 	sizes, weights, total, totalW := s.sizesAndWeights()
 	if total == 0 || totalW <= 0 {
@@ -304,10 +304,8 @@ func (s *Server) Insert(x []float64, label int) error {
 		if !s.knownLabel(label) {
 			return fmt.Errorf("server: unknown class label %d", label)
 		}
-		for i, v := range x {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("server: non-finite coordinate %d", i)
-			}
+		if err := checkFinite(x); err != nil {
+			return err
 		}
 		rec = encodeRecord(x, int64(label))
 	}
@@ -324,6 +322,17 @@ func (s *Server) Insert(x []float64, label int) error {
 		return err
 	}
 	s.inserts.Add(1)
+	return nil
+}
+
+// checkFinite rejects a point no model accepts; a write path calls it
+// before logging, so no logged record can fail replay.
+func checkFinite(x []float64) error {
+	for i, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("server: non-finite coordinate %d", i)
+		}
+	}
 	return nil
 }
 

@@ -75,7 +75,11 @@ func serveRecorded(h http.Handler, path, ctype string, body []byte) *httptest.Re
 // allocation a line, and a fixed amount for the request (the recorder
 // and request built here, the window's worker pool): under two and a
 // half per line, where a line that went through encoding/json cost
-// twelve.
+// twelve. The ingest itself allocates only when it opens a micro-cluster
+// or splits, so what a whole body costs (499 measured) is the pyramidal
+// snapshot every 1,024th object records — MicroClusters clones the
+// model, ≈ 6 allocations per object amortised, the same 6.0 a lone
+// Insert shows — one decoded point a line, and the request.
 func TestClusterStreamAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -99,6 +103,9 @@ func TestClusterStreamAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per 64-line body, %.1f per in-process insert: %.2f per line above the ingest", perBody, perInsert, perLine)
 	if perLine > 2.5 {
 		t.Errorf("a /cluster line costs %.2f allocations above its ingest (body %.0f, insert %.1f), want at most 2.5", perLine, perBody, perInsert)
+	}
+	if perBody > 560 {
+		t.Errorf("a 64-line /cluster body allocates %.0f times, want at most 560", perBody)
 	}
 }
 
@@ -126,8 +133,12 @@ func TestClassifyHTTPAllocs(t *testing.T) {
 	// What is left is the recorder and request built above (≈ 20) and the
 	// request's own: its point, the body-size guard, the content type.
 	t.Logf("%.0f allocations per request, %.0f per in-process classification", perRequest, perClassify)
-	if over := perRequest - perClassify; over > 30 {
-		t.Errorf("a /classify request costs %.0f allocations above its classification (%.0f vs %.0f), want at most 30", over, perRequest, perClassify)
+	if over := perRequest - perClassify; over > 25 {
+		t.Errorf("a /classify request costs %.0f allocations above its classification (%.0f vs %.0f), want at most 25", over, perRequest, perClassify)
+	}
+	// Twelve while admission handed back a closure to settle the grant.
+	if perClassify > 10 {
+		t.Errorf("an in-process classification allocates %.0f times, want at most 10", perClassify)
 	}
 }
 
