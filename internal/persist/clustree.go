@@ -41,9 +41,8 @@ func EncodeClusTree(w io.Writer, t *clustree.Tree) error {
 	if t == nil {
 		return fmt.Errorf("persist: nil clustree")
 	}
-	e := newEncoder(kindClusTree)
-	e.clusTree(t)
-	return e.flush(w)
+	dump := t.Dump()
+	return encodeSized(w, kindClusTree, func(e *encoder) { e.clusTree(t, dump) })
 }
 
 // DecodeClusTree reads a clustering-tree snapshot written by
@@ -54,8 +53,8 @@ func DecodeClusTree(r io.Reader) (*clustree.Tree, error) {
 		return nil, err
 	}
 	t := d.clusTree()
-	if d.err != nil {
-		return nil, d.err
+	if err := d.done(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -66,20 +65,30 @@ func EncodeClusterSet(w io.Writer, set ClusterSet) error {
 	if len(set.Trees) == 0 {
 		return fmt.Errorf("persist: empty clustree set")
 	}
-	e := newEncoder(kindClusterSet)
-	e.u64(uint64(len(set.Trees)))
-	for _, t := range set.Trees {
+	// Dump and All copy what they export: taken once, outside the body
+	// encodeSized runs twice.
+	dumps := make([]*clustree.DumpNode, len(set.Trees))
+	for i, t := range set.Trees {
 		if t == nil {
 			return fmt.Errorf("persist: nil clustree in set")
 		}
-		e.clusTree(t)
+		dumps[i] = t.Dump()
 	}
-	e.boolv(set.Store != nil)
+	var snaps []clustree.Snapshot
 	if set.Store != nil {
-		e.clusStore(set.Store)
+		snaps = set.Store.All()
 	}
-	e.i64(set.Clock)
-	return e.flush(w)
+	return encodeSized(w, kindClusterSet, func(e *encoder) {
+		e.u64(uint64(len(set.Trees)))
+		for i, t := range set.Trees {
+			e.clusTree(t, dumps[i])
+		}
+		e.boolv(set.Store != nil)
+		if set.Store != nil {
+			e.clusStore(set.Store, snaps)
+		}
+		e.i64(set.Clock)
+	})
 }
 
 // DecodeClusterSet reads a sharded clustering snapshot written by
@@ -90,9 +99,9 @@ func DecodeClusterSet(r io.Reader) (ClusterSet, error) {
 	if err != nil {
 		return set, err
 	}
-	n := d.count(1)
-	if n == 0 {
-		return ClusterSet{}, fmt.Errorf("persist: empty clustree set")
+	n := d.count(8)
+	if d.err == nil && n == 0 {
+		d.fail("empty clustree set")
 	}
 	for i := 0; i < n; i++ {
 		t := d.clusTree()
@@ -105,8 +114,8 @@ func DecodeClusterSet(r io.Reader) (ClusterSet, error) {
 		set.Store = d.clusStore(set.Trees[0].Config().Dim)
 	}
 	set.Clock = d.i64()
-	if d.err != nil {
-		return ClusterSet{}, d.err
+	if err := d.done(); err != nil {
+		return ClusterSet{}, err
 	}
 	return set, nil
 }
@@ -124,7 +133,7 @@ func (e *encoder) clusConfig(c clustree.Config) {
 	e.f64(c.AbsorbDistance)
 }
 
-func (e *encoder) clusTree(t *clustree.Tree) {
+func (e *encoder) clusTree(t *clustree.Tree, dump *clustree.DumpNode) {
 	e.clusConfig(t.Config())
 	e.f64(t.Now())
 	inserts, parked, merges, splits := t.Counters()
@@ -132,7 +141,7 @@ func (e *encoder) clusTree(t *clustree.Tree) {
 	e.i64(int64(parked))
 	e.i64(int64(merges))
 	e.i64(int64(splits))
-	e.clusNode(t.Dump())
+	e.clusNode(dump)
 }
 
 func (e *encoder) clusNode(n *clustree.DumpNode) {
@@ -153,10 +162,9 @@ func (e *encoder) clusNode(n *clustree.DumpNode) {
 	}
 }
 
-func (e *encoder) clusStore(s *clustree.SnapshotStore) {
+func (e *encoder) clusStore(s *clustree.SnapshotStore, snaps []clustree.Snapshot) {
 	e.i64(int64(s.Alpha()))
 	e.i64(int64(s.Capacity()))
-	snaps := s.All()
 	e.u64(uint64(len(snaps)))
 	for _, sn := range snaps {
 		e.f64(sn.Time)
@@ -172,7 +180,7 @@ func (e *encoder) clusStore(s *clustree.SnapshotStore) {
 
 func (d *decoder) clusConfig() clustree.Config {
 	var c clustree.Config
-	c.Dim = int(d.i64())
+	c.Dim = d.dim()
 	c.MaxFanout = int(d.i64())
 	c.MinFanout = int(d.i64())
 	c.MaxLeafEntries = int(d.i64())
@@ -190,10 +198,6 @@ func (d *decoder) clusTree() *clustree.Tree {
 	merges := int(d.i64())
 	splits := int(d.i64())
 	if d.err != nil {
-		return nil
-	}
-	if cfg.Dim < 1 {
-		d.fail("clustree dim %d", cfg.Dim)
 		return nil
 	}
 	root := d.clusNode(cfg.Dim)
@@ -223,14 +227,11 @@ func (d *decoder) clusNode(dim int) *clustree.DumpNode {
 		ent := clustree.DumpEntry{CF: d.cf(dim), Buffer: d.cf(dim), TS: d.f64()}
 		if !n.Leaf {
 			ent.Child = d.clusNode(dim)
-			if d.err != nil {
-				return nil
-			}
+		}
+		if d.err != nil {
+			return nil
 		}
 		n.Entries = append(n.Entries, ent)
-	}
-	if d.err != nil {
-		return nil
 	}
 	return n
 }

@@ -12,7 +12,7 @@ import (
 // buildClusTree grows a decayed clustering tree under budget pressure:
 // parked objects, hitchhikers, splits and lazy decay all present, so a
 // round trip exercises every record field.
-func buildClusTree(t *testing.T, seed int64, lambda float64) *clustree.Tree {
+func buildClusTree(t testing.TB, seed int64, lambda float64) *clustree.Tree {
 	t.Helper()
 	cfg := clustree.DefaultConfig(3)
 	cfg.Lambda = lambda

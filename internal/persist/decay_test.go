@@ -15,7 +15,7 @@ import (
 // amplified new mass inserted, a pruning sweep, and one more epoch
 // advanced but not yet swept — so the snapshot must carry non-trivial
 // weights AND a non-zero outstanding epoch delta.
-func buildDecayedMultiTree(t *testing.T) *core.MultiTree {
+func buildDecayedMultiTree(t testing.TB) *core.MultiTree {
 	t.Helper()
 	cfg := core.Config{Dim: 3, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6,
 		Kernel: core.DefaultConfig(3).Kernel}

@@ -1,0 +1,630 @@
+package persist
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"bayestree/internal/clustree"
+	"bayestree/internal/core"
+)
+
+// codec is one snapshot kind as the differential test and the fuzz
+// target drive it: the decoder, the reader-based oracle it replaced
+// (oracle_test.go), the encoder and the model's own invariant check. A
+// rejected decode returns an untyped nil model.
+type codec struct {
+	name     string
+	kind     byte
+	decode   func(io.Reader) (any, error)
+	oracle   func(io.Reader) (any, error)
+	encode   func(io.Writer, any) error
+	validate func(any) error
+}
+
+// orNil hides a typed nil (or zero) model behind an untyped one, so
+// "reject ⇒ no model" is one comparison for every kind.
+func orNil[M any](m M, err error, isZero func(M) bool) (any, error) {
+	if isZero(m) {
+		return nil, err
+	}
+	return m, err
+}
+
+func nilPtr[T any](p *T) bool           { return p == nil }
+func noTrees(ts []*core.MultiTree) bool { return ts == nil }
+func emptySet(s ClusterSet) bool        { return s.Trees == nil && s.Store == nil && s.Clock == 0 }
+
+func validateAll[T interface{ Validate() error }](ts []T) error {
+	for i, t := range ts {
+		if err := t.Validate(); err != nil {
+			return fmt.Errorf("tree %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+var codecs = []codec{
+	{"classifier", kindClassifier,
+		func(r io.Reader) (any, error) { m, err := DecodeClassifier(r); return orNil(m, err, nilPtr) },
+		func(r io.Reader) (any, error) { m, err := oracleDecodeClassifier(r); return orNil(m, err, nilPtr) },
+		func(w io.Writer, m any) error { return EncodeClassifier(w, m.(*core.Classifier)) },
+		func(m any) error {
+			c := m.(*core.Classifier)
+			for _, l := range c.Labels() {
+				if err := c.Tree(l).Validate(); err != nil {
+					return fmt.Errorf("class %d: %w", l, err)
+				}
+			}
+			return nil
+		}},
+	{"multitree", kindMultiTree,
+		func(r io.Reader) (any, error) { m, err := DecodeMultiTree(r); return orNil(m, err, nilPtr) },
+		func(r io.Reader) (any, error) { m, err := oracleDecodeMultiTree(r); return orNil(m, err, nilPtr) },
+		func(w io.Writer, m any) error { return EncodeMultiTree(w, m.(*core.MultiTree)) },
+		func(m any) error { return m.(*core.MultiTree).Validate() }},
+	{"multiset", kindMultiSet,
+		func(r io.Reader) (any, error) { m, err := DecodeMultiTrees(r); return orNil(m, err, noTrees) },
+		func(r io.Reader) (any, error) { m, err := oracleDecodeMultiTrees(r); return orNil(m, err, noTrees) },
+		func(w io.Writer, m any) error { return EncodeMultiTrees(w, m.([]*core.MultiTree)) },
+		func(m any) error { return validateAll(m.([]*core.MultiTree)) }},
+	{"clustree", kindClusTree,
+		func(r io.Reader) (any, error) { m, err := DecodeClusTree(r); return orNil(m, err, nilPtr) },
+		func(r io.Reader) (any, error) { m, err := oracleDecodeClusTree(r); return orNil(m, err, nilPtr) },
+		func(w io.Writer, m any) error { return EncodeClusTree(w, m.(*clustree.Tree)) },
+		func(m any) error { return m.(*clustree.Tree).Validate() }},
+	{"clusterset", kindClusterSet,
+		func(r io.Reader) (any, error) { m, err := DecodeClusterSet(r); return orNil(m, err, emptySet) },
+		func(r io.Reader) (any, error) { m, err := oracleDecodeClusterSet(r); return orNil(m, err, emptySet) },
+		func(w io.Writer, m any) error { return EncodeClusterSet(w, m.(ClusterSet)) },
+		func(m any) error { return validateAll(m.(ClusterSet).Trees) }},
+}
+
+func codecOf(kind byte) *codec {
+	for i := range codecs {
+		if codecs[i].kind == kind {
+			return &codecs[i]
+		}
+	}
+	return nil
+}
+
+// sample is one valid snapshot of the corpus.
+type sample struct {
+	name string
+	snap []byte
+}
+
+// payloadOf is the payload of a framed snapshot.
+func payloadOf(snap []byte) []byte { return snap[headerBytes : len(snap)-sumBytes] }
+
+// frame wraps payload as a snapshot of the given version with a correct
+// length and checksum: how a mutation gets past the frame and reaches
+// the field parsers.
+func frame(version uint32, payload []byte) []byte {
+	out := make([]byte, headerBytes, headerBytes+len(payload)+sumBytes)
+	copy(out, magic[:])
+	binary.LittleEndian.PutUint32(out[4:], version)
+	binary.LittleEndian.PutUint64(out[8:], uint64(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+}
+
+// smallMultiTree is a model of a few nodes, decayed or not: small enough
+// that its snapshot can be cut at every byte and is a good fuzz seed.
+func smallMultiTree(tb testing.TB, decayed bool) *core.MultiTree {
+	tb.Helper()
+	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 4, Kernel: core.DefaultConfig(2).Kernel}
+	mt, err := core.NewMultiTree(cfg, []int{3, 7}, core.MultiOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if decayed {
+		if err := mt.EnableDecay(core.DecayOptions{Lambda: 0.25, MinWeight: 0.01}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 14; i++ {
+		if i == 8 && decayed {
+			mt.AdvanceEpoch(2)
+		}
+		if err := mt.Insert([]float64{rng.Float64(), rng.Float64()}, 3+4*(i%2)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return mt
+}
+
+// smallForest is a decayed two-class forest that has lived through
+// forced reinsertion and a pruning sweep.
+func smallForest(tb testing.TB) *core.Classifier {
+	tb.Helper()
+	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 5,
+		Kernel: core.DefaultConfig(2).Kernel, ForcedReinsert: true}
+	rng := rand.New(rand.NewSource(13))
+	trees := make([]*core.Tree, 2)
+	for c := range trees {
+		tr, err := core.NewTree(cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := tr.EnableDecay(core.DecayOptions{Lambda: 1, MinWeight: 0.1}); err != nil {
+			tb.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			if i == 25 {
+				tr.AdvanceEpoch(2)
+			}
+			if err := tr.Insert([]float64{float64(c)*0.5 + 0.3*rng.Float64(), rng.Float64()}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		tr.DecaySweep()
+		tr.AdvanceEpoch(1)
+		trees[c] = tr
+	}
+	clf, err := core.NewClassifier([]int{0, 1}, trees, core.ClassifierOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return clf
+}
+
+func smallClusTree(tb testing.TB, lambda float64) *clustree.Tree {
+	tb.Helper()
+	cfg := clustree.DefaultConfig(2)
+	cfg.Lambda = lambda
+	tree, err := clustree.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		if err := tree.Insert([]float64{float64(i%3) + 0.1*rng.NormFloat64(), rng.NormFloat64()}, float64(i+1), 1+i%3); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tree
+}
+
+// snapshotCorpus is every kind of snapshot the package's tests build —
+// per-class forest, multi-class tree and sharded set in both format
+// versions, decayed models with weighted leaves, a ClusTree under budget
+// pressure, a cluster set with and without its pyramidal store — plus a
+// model of a few nodes per kind.
+func snapshotCorpus(tb testing.TB) []sample {
+	tb.Helper()
+	var out []sample
+	add := func(name string, encode func(w io.Writer) error) {
+		tb.Helper()
+		var buf bytes.Buffer
+		if err := encode(&buf); err != nil {
+			tb.Fatalf("%s: %v", name, err)
+		}
+		out = append(out, sample{name, buf.Bytes()})
+	}
+	v1 := func(kind byte, body func(e *encoder)) func(io.Writer) error {
+		return func(w io.Writer) error {
+			e := newEncoderVersion(kind, 1)
+			body(e)
+			return e.flush(w)
+		}
+	}
+	clf, _ := trainClassifier(tb, 9, core.ClassifierOptions{Strategy: core.DescentBFT})
+	add("forest", func(w io.Writer) error { return EncodeClassifier(w, clf) })
+	add("forest-decayed-small", func(w io.Writer) error { return EncodeClassifier(w, smallForest(tb)) })
+	mt, _ := buildMultiTree(tb, 5, core.MultiOptions{PooledVariance: true, EntropyPriority: true})
+	add("multitree", func(w io.Writer) error { return EncodeMultiTree(w, mt) })
+	add("multitree-decayed", func(w io.Writer) error { return EncodeMultiTree(w, buildDecayedMultiTree(tb)) })
+	small, smallDecayed := smallMultiTree(tb, false), smallMultiTree(tb, true)
+	add("multitree-small", func(w io.Writer) error { return EncodeMultiTree(w, small) })
+	add("multitree-small-decayed", func(w io.Writer) error { return EncodeMultiTree(w, smallDecayed) })
+	add("multitree-small-v1", v1(kindMultiTree, func(e *encoder) { e.multiTree(small) }))
+	add("multiset-small", func(w io.Writer) error { return EncodeMultiTrees(w, []*core.MultiTree{small, smallDecayed}) })
+	add("multiset-v1", v1(kindMultiSet, func(e *encoder) { e.u64(2); e.multiTree(mt); e.multiTree(small) }))
+	pressed := buildClusTree(tb, 31, 0.003)
+	add("clustree", func(w io.Writer) error { return EncodeClusTree(w, pressed) })
+	tiny := smallClusTree(tb, 0.01)
+	add("clustree-small", func(w io.Writer) error { return EncodeClusTree(w, tiny) })
+	store, err := clustree.NewSnapshotStore(2, 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for ts := 8; ts <= 40; ts += 8 {
+		if err := store.Record(float64(ts), tiny.MicroClusters(0)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	add("clusterset-small", func(w io.Writer) error {
+		return EncodeClusterSet(w, ClusterSet{Trees: []*clustree.Tree{tiny, smallClusTree(tb, 0)}, Store: store, Clock: 40})
+	})
+	add("clusterset-storeless", func(w io.Writer) error {
+		return EncodeClusterSet(w, ClusterSet{Trees: []*clustree.Tree{pressed}, Clock: 7})
+	})
+	return out
+}
+
+var sentinels = []error{ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated}
+
+// declaredBeyondInput reports whether a frame's header declares more
+// payload than the input holds: the one input the oracle is not shown,
+// because it allocates the declaration (the hole readDeclared closes).
+func declaredBeyondInput(b []byte) bool {
+	return len(b) >= headerBytes && binary.LittleEndian.Uint64(b[8:16]) > uint64(len(b))
+}
+
+// checkAgainstOracle decodes b with the slice decoder and the oracle and
+// holds them to the same verdict: both accept or both reject, with the
+// same sentinel, and what they accept encodes to the same bytes. It
+// returns the slice decoder's model and the bytes it encodes to.
+func checkAgainstOracle(t *testing.T, c *codec, b []byte) (model any, again []byte) {
+	t.Helper()
+	got, err := c.decode(bytes.NewReader(b))
+	return holdToOracle(t, c, b, got, err)
+}
+
+// holdToOracle is checkAgainstOracle for a decode already made.
+func holdToOracle(t *testing.T, c *codec, b []byte, got any, err error) (model any, again []byte) {
+	t.Helper()
+	if (got == nil) != (err != nil) {
+		t.Fatalf("%s: decode returned model %v with error %v", c.name, got != nil, err)
+	}
+	if declaredBeyondInput(b) {
+		if !slices.ContainsFunc(sentinels, func(s error) bool { return errors.Is(err, s) }) {
+			t.Fatalf("%s: a header declaring more than the input holds: %v", c.name, err)
+		}
+		return nil, nil
+	}
+	want, werr := c.oracle(bytes.NewReader(b))
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("%s: slice decoder says %v, oracle says %v", c.name, err, werr)
+	}
+	for _, s := range sentinels {
+		if errors.Is(err, s) != errors.Is(werr, s) {
+			t.Fatalf("%s: slice decoder says %v, oracle says %v", c.name, err, werr)
+		}
+	}
+	if err != nil {
+		return nil, nil
+	}
+	var a, o bytes.Buffer
+	if err := c.encode(&a, got); err != nil {
+		t.Fatalf("%s: encode: %v", c.name, err)
+	}
+	if err := c.encode(&o, want); err != nil {
+		t.Fatalf("%s: encode oracle's model: %v", c.name, err)
+	}
+	if !bytes.Equal(a.Bytes(), o.Bytes()) {
+		t.Fatalf("%s: the two decoders' models encode differently", c.name)
+	}
+	return got, a.Bytes()
+}
+
+// mutate returns the i-th seeded mutation of a valid snapshot: flipped
+// payload bytes (checksum re-stamped, and not), payloads cut short and
+// re-framed, raw truncations, counts inflated, flag and tag bytes set
+// out of range, the kind and the version swapped, bytes appended inside
+// and after the frame, a header that declares more than follows.
+func mutate(rng *rand.Rand, snap []byte, i int) []byte {
+	version := binary.LittleEndian.Uint32(snap[4:])
+	payload := append([]byte(nil), payloadOf(snap)...)
+	at := rng.Intn(len(payload))
+	switch i % 10 {
+	case 0:
+		payload[at] ^= 1 << rng.Intn(8)
+		return frame(version, payload)
+	case 1:
+		bad := append([]byte(nil), snap...)
+		bad[rng.Intn(len(bad))] ^= 1 << rng.Intn(8)
+		return bad
+	case 2:
+		return frame(version, payload[:at])
+	case 3:
+		return snap[:rng.Intn(len(snap))]
+	case 4:
+		// Inflate a word that reads as a count, a label or a dimension.
+		for tries := 0; tries < 64 && at+8 <= len(payload); tries, at = tries+1, rng.Intn(len(payload)) {
+			if v := binary.LittleEndian.Uint64(payload[at:]); v > 0 && v < 1<<16 {
+				break
+			}
+		}
+		if at+8 > len(payload) {
+			at = len(payload) - 8
+		}
+		v := binary.LittleEndian.Uint64(payload[at:])
+		binary.LittleEndian.PutUint64(payload[at:], []uint64{v + 1, 2 * v, v << 32, 1 << 61, math.MaxUint64, 0}[rng.Intn(6)])
+		return frame(version, payload)
+	case 5:
+		payload[at] = byte(2 + rng.Intn(3))
+		return frame(version, payload)
+	case 6:
+		payload[0] = byte(rng.Intn(7))
+		return frame(version, payload)
+	case 7:
+		return frame(1+version%2, payload)
+	case 8:
+		if rng.Intn(2) == 0 {
+			return frame(version, append(payload, make([]byte, 1+rng.Intn(16))...))
+		}
+		return append(append([]byte(nil), snap...), 0xAB)
+	default:
+		bad := append([]byte(nil), snap...)
+		binary.LittleEndian.PutUint64(bad[8:], uint64(len(payload))+uint64(1)<<uint(rng.Intn(36)))
+		return bad
+	}
+}
+
+// TestSliceDecoderMatchesReaderOracle: the slice-cursor decoder and the
+// reader-based decoder it replaced give the same verdict on every
+// snapshot of the corpus, on its payload cut at every byte (small
+// snapshots) or at every one of its first 512 and 300 sampled ones, and
+// on 2,000 seeded mutations of each.
+func TestSliceDecoderMatchesReaderOracle(t *testing.T) {
+	mutations := 2000
+	if raceEnabled {
+		mutations = 250
+	}
+	for _, s := range snapshotCorpus(t) {
+		s := s
+		t.Run(s.name, func(t *testing.T) {
+			c := codecOf(payloadOf(s.snap)[0])
+			version := binary.LittleEndian.Uint32(s.snap[4:])
+			model, again := checkAgainstOracle(t, c, s.snap)
+			if model == nil {
+				t.Fatal("a valid snapshot was refused")
+			}
+			if version == Version && !bytes.Equal(again, s.snap) {
+				t.Fatal("a valid snapshot does not encode back to its bytes")
+			}
+			if err := c.validate(model); err != nil {
+				t.Fatalf("a valid snapshot decodes to an invalid model: %v", err)
+			}
+			payload := payloadOf(s.snap)
+			rng := rand.New(rand.NewSource(24))
+			cut := func(n int) {
+				if m, _ := checkAgainstOracle(t, c, frame(version, payload[:n])); m != nil {
+					t.Fatalf("payload cut to %d of %d bytes was accepted", n, len(payload))
+				}
+			}
+			if len(payload) <= 4096 {
+				for n := range payload {
+					cut(n)
+				}
+			} else {
+				for n := 0; n < 512; n++ {
+					cut(n)
+				}
+				for i := 0; i < 300; i++ {
+					cut(rng.Intn(len(payload)))
+				}
+			}
+			accepted := 0
+			for i := 0; i < mutations; i++ {
+				if m, _ := checkAgainstOracle(t, c, mutate(rng, s.snap, i)); m != nil {
+					accepted++
+				}
+			}
+			t.Logf("%d bytes: %d of %d mutations accepted by both", len(s.snap), accepted, mutations)
+		})
+	}
+}
+
+// fuzzSlack is what a decode may allocate beyond its 8 × input bound:
+// the fixed cost of a decoder, an error and the Rebuild* bookkeeping of
+// an empty model, which an input of a few bytes cannot amortise.
+const fuzzSlack = 16 << 10
+
+// FuzzDecodeSnapshot holds every Decode* to its contract on whatever the
+// fuzzer finds. The harness stamps the magic, the payload length and the
+// checksum over the input, so mutations reach the field parsers, and
+// shows the result to all five decoders: at most the one the kind byte
+// names may accept it. Rejected: no model, no goroutine left behind, and
+// no more allocated than 8 × the input — a declared count cannot reserve
+// what the input does not hold. Accepted: the oracle accepts it too, the
+// model encodes back to the input byte for byte (a version-1 input
+// encodes as version 2, which must decode and encode to itself), and the
+// model's Validate runs without panicking — it may fail: a payload whose
+// stored summaries disagree with their subtrees is well-formed, and
+// checking that costs a decode as much again as it takes.
+//
+// The seeds are the corpus's snapshots under 16 KiB (every kind) and
+// forty seeded mutations of each, so that `go test` alone catches a
+// decoder that drops a bound, skips the kind check or lets trailing
+// bytes through.
+func FuzzDecodeSnapshot(f *testing.F) {
+	rng := rand.New(rand.NewSource(24))
+	for _, s := range snapshotCorpus(f) {
+		if len(s.snap) > 16<<10 {
+			continue
+		}
+		f.Add(s.snap)
+		for i := 0; i < 40; i++ {
+			f.Add(mutate(rng, s.snap, i))
+		}
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < headerBytes+sumBytes+1 || len(in) > 1<<20 {
+			return
+		}
+		version := binary.LittleEndian.Uint32(in[4:])
+		b := frame(version, in[headerBytes:len(in)-sumBytes])
+		for i := range codecs {
+			c := &codecs[i]
+			goroutines := runtime.NumGoroutine()
+			m, err, grew := decodeMeasured(c, b)
+			if m == nil && err != nil {
+				// Both counters are the process's: a reading over the
+				// bound counts only if a second decode repeats it.
+				if limit := uint64(8*len(b) + fuzzSlack); grew > limit {
+					if _, _, again := decodeMeasured(c, b); again > limit {
+						t.Fatalf("%s: a rejected %d-byte input allocated %d bytes: %v", c.name, len(b), again, err)
+					}
+				}
+				if runtime.NumGoroutine() > goroutines {
+					if stacks := goroutinesStartedBy("bayestree/internal/"); stacks != "" {
+						t.Fatalf("%s: a rejected decode left goroutines behind:\n%s", c.name, stacks)
+					}
+				}
+			}
+			model, again := holdToOracle(t, c, b, m, err)
+			if model == nil {
+				continue
+			}
+			if c.kind != payloadOf(b)[0] {
+				t.Fatalf("%s: accepted a snapshot of kind %d", c.name, payloadOf(b)[0])
+			}
+			if version == Version {
+				if !bytes.Equal(again, b) {
+					t.Fatalf("%s: an accepted snapshot does not encode back to its bytes", c.name)
+				}
+			} else if _, third := checkAgainstOracle(t, c, again); !bytes.Equal(third, again) {
+				t.Fatalf("%s: a version-%d snapshot's re-encoding does not decode to the same model", c.name, version)
+			}
+			_ = c.validate(model)
+		}
+	})
+}
+
+// decodeMeasured decodes b and reports what the process allocated while
+// it did.
+func decodeMeasured(c *codec, b []byte) (m any, err error, grew uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err = c.decode(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	return m, err, after.TotalAlloc - before.TotalAlloc
+}
+
+// goroutinesStartedBy returns the stacks of the live goroutines that
+// code of the given package path prefix started; the fuzz engine's own
+// come and go, so a count of all goroutines says nothing.
+func goroutinesStartedBy(prefix string) string {
+	buf := make([]byte, 1<<20)
+	var out []string
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "created by "+prefix) {
+			out = append(out, g)
+		}
+	}
+	return strings.Join(out, "\n\n")
+}
+
+// TestDeclaredLengthCannotAllocate: a header may declare 32 GiB; what is
+// allocated is bounded by what follows it, whatever the source — one
+// that can say what it has left (a file, an in-memory reader) is refused
+// before the buffer is made, any other is read into a buffer that grows
+// with what arrives.
+func TestDeclaredLengthCannotAllocate(t *testing.T) {
+	hostile := make([]byte, headerBytes, headerBytes+4)
+	copy(hostile, magic[:])
+	binary.LittleEndian.PutUint32(hostile[4:], Version)
+	binary.LittleEndian.PutUint64(hostile[8:], 32<<30)
+	hostile = append(hostile, 1, 2, 3, 4)
+	path := filepath.Join(t.TempDir(), "hostile.btsn")
+	if err := os.WriteFile(path, hostile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]func() io.Reader{
+		"bytes.Reader": func() io.Reader { return bytes.NewReader(hostile) },
+		"stream":       func() io.Reader { return io.MultiReader(bytes.NewReader(hostile)) },
+		"file": func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		},
+	}
+	for name, open := range sources {
+		for i := range codecs {
+			c := &codecs[i]
+			r := open()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := c.decode(r)
+			runtime.ReadMemStats(&after)
+			if m != nil || !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%s from %s: model %v, error %v; want ErrTruncated", c.name, name, m != nil, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("%s from %s: a 20-byte input allocated %d bytes", c.name, name, grew)
+			}
+		}
+	}
+}
+
+// TestStreamedSnapshotDecodes: a source that cannot say what it has left
+// (a follower's snapshot stream) delivers a whole snapshot in small
+// reads, across several growths of the buffer, and decodes to the same
+// model as the file does.
+func TestStreamedSnapshotDecodes(t *testing.T) {
+	for _, s := range snapshotCorpus(t) {
+		c := codecOf(payloadOf(s.snap)[0])
+		m, err := c.decode(oneKiBReader{bytes.NewReader(s.snap)})
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		var streamed bytes.Buffer
+		if err := c.encode(&streamed, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, direct := checkAgainstOracle(t, c, s.snap); !bytes.Equal(streamed.Bytes(), direct) {
+			t.Fatalf("%s: streamed and in-memory decodes differ", s.name)
+		}
+	}
+}
+
+// oneKiBReader reads at most 1 KiB at a time and hides every other
+// method of the reader it wraps.
+type oneKiBReader struct{ r io.Reader }
+
+func (s oneKiBReader) Read(p []byte) (int, error) { return s.r.Read(p[:min(len(p), 1024)]) }
+
+// TestDecodeAllocs: a decode allocates what it builds — a vector per
+// stored vector, a node and its entry or point slice per node, a point —
+// and nothing per word: the reader-based decoder allocated sixteen
+// times this, an escaping [8]byte for every float64 it read.
+func TestDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	set, snap := benchSnapshot(t)
+	built := 0
+	var walk func(n *core.MultiNode, classes int)
+	walk = func(n *core.MultiNode, classes int) {
+		built += 2 // the node and its entry or point slice
+		if n.IsLeaf() {
+			built += len(n.Points()) // one coordinate vector a point
+			return
+		}
+		for _, e := range n.Entries() {
+			built += 2 + 1 + 2*(classes+1) // the MBR, the CF slice, LS and SS per class and total
+			walk(e.Child, classes)
+		}
+	}
+	for _, mt := range set {
+		walk(mt.Root(), len(mt.Labels()))
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := DecodeMultiTrees(bytes.NewReader(snap)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations to build %d vectors, nodes and points from %d bytes", allocs, built, len(snap))
+	if limit := 1.1 * float64(built); allocs > limit {
+		t.Fatalf("a decode of %d bytes allocates %.0f times, more than 1.1 × the %d things it builds", len(snap), allocs, built)
+	}
+}

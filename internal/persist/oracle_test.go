@@ -1,0 +1,562 @@
+package persist
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
+
+	"bayestree/internal/clustree"
+	"bayestree/internal/core"
+	"bayestree/internal/kernels"
+	"bayestree/internal/mbr"
+	"bayestree/internal/stats"
+)
+
+// This file is the snapshot decoder as it stood before the slice
+// cursor: the payload behind a bytes.Reader, every word through
+// io.ReadFull, the whole declared length allocated up front. It is kept
+// as the differential and fuzz oracle (TestSliceDecoderMatchesReaderOracle,
+// FuzzDecodeSnapshot) and changed only where FuzzDecodeSnapshot found the
+// old decoder itself wrong — each such place says so:
+//
+//   - a flag byte other than 0 or 1 is refused (it decoded as true and
+//     encoded back as 1);
+//   - payload bytes after the model are refused (they were dropped);
+//   - a stored dimensionality is checked before it sizes anything (0
+//     divided by zero in count, 2⁶¹ overflowed its argument);
+//   - an empty sharded set is refused (EncodeMultiTrees cannot write one
+//     and server.New cannot serve one), and an empty cluster set through
+//     the decoder's sticky error like every other rejection.
+
+func oracleDecodeClassifier(r io.Reader) (*core.Classifier, error) {
+	d, err := newOracleDecoder(r, kindClassifier)
+	if err != nil {
+		return nil, err
+	}
+	var opts core.ClassifierOptions
+	opts.Strategy = core.Strategy(d.u8())
+	opts.Priority = core.Priority(d.u8())
+	opts.K = int(d.i64())
+	n := d.count(1)
+	labels := make([]int, n)
+	trees := make([]*core.Tree, n)
+	for i := 0; i < n; i++ {
+		labels[i] = int(d.i64())
+		trees[i] = d.tree()
+	}
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return core.NewClassifier(labels, trees, opts)
+}
+
+func oracleDecodeMultiTree(r io.Reader) (*core.MultiTree, error) {
+	d, err := newOracleDecoder(r, kindMultiTree)
+	if err != nil {
+		return nil, err
+	}
+	t := d.multiTree()
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+func oracleDecodeMultiTrees(r io.Reader) ([]*core.MultiTree, error) {
+	d, err := newOracleDecoder(r, kindMultiSet)
+	if err != nil {
+		return nil, err
+	}
+	n := d.count(1)
+	if d.err == nil && n == 0 {
+		d.fail("empty multi tree set")
+	}
+	ts := make([]*core.MultiTree, 0, n)
+	for i := 0; i < n; i++ {
+		ts = append(ts, d.multiTree())
+		if d.err != nil {
+			return nil, d.err
+		}
+	}
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return ts, nil
+}
+
+func oracleDecodeClusTree(r io.Reader) (*clustree.Tree, error) {
+	d, err := newOracleDecoder(r, kindClusTree)
+	if err != nil {
+		return nil, err
+	}
+	t := d.clusTree()
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+func oracleDecodeClusterSet(r io.Reader) (ClusterSet, error) {
+	var set ClusterSet
+	d, err := newOracleDecoder(r, kindClusterSet)
+	if err != nil {
+		return set, err
+	}
+	n := d.count(1)
+	if d.err == nil && n == 0 {
+		d.fail("empty clustree set")
+	}
+	for i := 0; i < n; i++ {
+		t := d.clusTree()
+		if d.err != nil {
+			return ClusterSet{}, d.err
+		}
+		set.Trees = append(set.Trees, t)
+	}
+	if d.boolv() {
+		set.Store = d.clusStore(set.Trees[0].Config().Dim)
+	}
+	set.Clock = d.i64()
+	if err := d.done(); err != nil {
+		return ClusterSet{}, err
+	}
+	return set, nil
+}
+
+type oracleDecoder struct {
+	b       *bytes.Reader
+	err     error
+	version uint32
+}
+
+// newDecoder reads and verifies the frame (magic, version, length,
+// checksum) and the kind byte, returning a decoder positioned at the
+// kind-specific payload.
+func newOracleDecoder(r io.Reader, wantKind byte) (*oracleDecoder, error) {
+	var head [16]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrTruncated, err)
+	}
+	if !bytes.Equal(head[:4], magic[:]) {
+		return nil, ErrBadMagic
+	}
+	v := binary.LittleEndian.Uint32(head[4:8])
+	if v < MinVersion || v > Version {
+		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d..%d", ErrVersion, v, MinVersion, Version)
+	}
+	n := binary.LittleEndian.Uint64(head[8:16])
+	if n > maxPayload {
+		return nil, fmt.Errorf("%w: declared payload %d bytes", ErrChecksum, n)
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
+	}
+	var sum [4]byte
+	if _, err := io.ReadFull(r, sum[:]); err != nil {
+		return nil, fmt.Errorf("%w: checksum: %v", ErrTruncated, err)
+	}
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(sum[:]) {
+		return nil, ErrChecksum
+	}
+	d := &oracleDecoder{b: bytes.NewReader(payload), version: v}
+	if kind := d.u8(); d.err == nil && kind != wantKind {
+		return nil, fmt.Errorf("persist: snapshot kind %d, want %d", kind, wantKind)
+	}
+	return d, d.err
+}
+
+func (d *oracleDecoder) fail(format string, args ...interface{}) {
+	if d.err == nil {
+		d.err = fmt.Errorf("persist: "+format, args...)
+	}
+}
+
+func (d *oracleDecoder) u8() uint8 {
+	if d.err != nil {
+		return 0
+	}
+	v, err := d.b.ReadByte()
+	if err != nil {
+		d.fail("unexpected end of payload")
+	}
+	return v
+}
+
+// boolv: finding 1.
+func (d *oracleDecoder) boolv() bool {
+	v := d.u8()
+	if v > 1 {
+		d.fail("flag byte %d", v)
+	}
+	return v == 1
+}
+
+// done: finding 2.
+func (d *oracleDecoder) done() error {
+	if d.err == nil && d.b.Len() != 0 {
+		d.fail("%d bytes after the model", d.b.Len())
+	}
+	return d.err
+}
+
+// dim: finding 3.
+func (d *oracleDecoder) dim() int {
+	v := d.i64()
+	if d.err == nil && (v < 1 || v > maxDim) {
+		d.fail("dimensionality %d", v)
+		return 0
+	}
+	return int(v)
+}
+
+func (d *oracleDecoder) u64() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	var b [8]byte
+	if _, err := io.ReadFull(d.b, b[:]); err != nil {
+		d.fail("unexpected end of payload")
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+func (d *oracleDecoder) i64() int64   { return int64(d.u64()) }
+func (d *oracleDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
+
+// count reads a collection length and bounds it by what the remaining
+// payload could possibly hold (elemBytes per element), so a corrupt
+// length cannot force a huge allocation.
+func (d *oracleDecoder) count(elemBytes int) int {
+	n := d.u64()
+	if d.err != nil {
+		return 0
+	}
+	if max := uint64(d.b.Len()/elemBytes) + 1; n > max {
+		d.fail("declared count %d exceeds payload", n)
+		return 0
+	}
+	return int(n)
+}
+
+func (d *oracleDecoder) floats(n int) []float64 {
+	if d.err != nil || n < 0 || n > d.b.Len()/8+1 {
+		d.fail("bad vector length %d", n)
+		return nil
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = d.f64()
+	}
+	return out
+}
+
+func (d *oracleDecoder) str() string {
+	n := d.count(1)
+	if d.err != nil {
+		return ""
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(d.b, b); err != nil {
+		d.fail("unexpected end of payload")
+		return ""
+	}
+	return string(b)
+}
+
+func (d *oracleDecoder) config() core.Config {
+	var c core.Config
+	c.Dim = d.dim()
+	c.MinFanout = int(d.i64())
+	c.MaxFanout = int(d.i64())
+	c.MinLeaf = int(d.i64())
+	c.MaxLeaf = int(d.i64())
+	name := d.str()
+	c.ForcedReinsert = d.boolv()
+	c.ReinsertFraction = d.f64()
+	if d.err != nil {
+		return c
+	}
+	k, ok := kernels.ByName(name)
+	if !ok {
+		d.fail("unknown kernel %q", name)
+		return c
+	}
+	c.Kernel = k
+	return c
+}
+
+func (d *oracleDecoder) cf(dim int) stats.CF {
+	return stats.CF{N: d.f64(), LS: d.floats(dim), SS: d.floats(dim)}
+}
+
+func (d *oracleDecoder) rect(dim int) mbr.Rect {
+	return mbr.Rect{Lo: d.floats(dim), Hi: d.floats(dim)}
+}
+
+// decayState reads the v2 decay block; v1 snapshots yield the zero
+// (disabled) state.
+func (d *oracleDecoder) decayState() (opts core.DecayOptions, epoch, ref int64) {
+	if d.version < 2 {
+		return
+	}
+	opts.Lambda = d.f64()
+	opts.MinWeight = d.f64()
+	epoch = d.i64()
+	ref = d.i64()
+	return
+}
+
+// leafWeights reads the optional weight vector of a decayed leaf.
+func (d *oracleDecoder) leafWeights(points int) []float64 {
+	if d.version < 2 || !d.boolv() {
+		return nil
+	}
+	return d.floats(points)
+}
+
+func (d *oracleDecoder) tree() *core.Tree {
+	cfg := d.config()
+	dopts, epoch, ref := d.decayState()
+	size := int(d.u64())
+	balanced := d.boolv()
+	if d.err != nil {
+		return nil
+	}
+	root := d.node(cfg.Dim)
+	if d.err != nil {
+		return nil
+	}
+	t, err := core.RebuildTree(cfg, root, size, balanced)
+	if err != nil {
+		d.fail("rebuild tree: %v", err)
+		return nil
+	}
+	if err := t.RestoreDecayState(dopts, epoch, ref); err != nil {
+		d.fail("rebuild tree: %v", err)
+		return nil
+	}
+	return t
+}
+
+func (d *oracleDecoder) node(dim int) *core.Node {
+	tag := d.u8()
+	if d.err != nil {
+		return nil
+	}
+	switch tag {
+	case 0:
+		n := d.count(8 * dim)
+		pts := make([][]float64, 0, n)
+		for i := 0; i < n; i++ {
+			pts = append(pts, d.floats(dim))
+		}
+		ws := d.leafWeights(n)
+		if d.err != nil {
+			return nil
+		}
+		leaf, err := core.RebuildLeafWeighted(pts, ws)
+		if err != nil {
+			d.fail("rebuild leaf: %v", err)
+			return nil
+		}
+		return leaf
+	case 1:
+		n := d.count(8)
+		ents := make([]core.Entry, 0, n)
+		for i := 0; i < n; i++ {
+			rect := d.rect(dim)
+			cf := d.cf(dim)
+			child := d.node(dim)
+			if d.err != nil {
+				return nil
+			}
+			ents = append(ents, core.RebuildEntry(rect, cf, child))
+		}
+		return core.RebuildInner(ents)
+	default:
+		d.fail("unknown node tag %d", tag)
+		return nil
+	}
+}
+
+func (d *oracleDecoder) multiTree() *core.MultiTree {
+	cfg := d.config()
+	dopts, epoch, ref := d.decayState()
+	var mopts core.MultiOptions
+	mopts.PooledVariance = d.boolv()
+	mopts.EntropyPriority = d.boolv()
+	nl := d.count(8)
+	labels := make([]int, nl)
+	for i := range labels {
+		labels[i] = int(d.i64())
+	}
+	counts := d.floats(nl)
+	if d.err != nil {
+		return nil
+	}
+	root := d.multiNode(cfg.Dim, nl)
+	if d.err != nil {
+		return nil
+	}
+	t, err := core.RebuildMultiTree(cfg, mopts, labels, root, counts)
+	if err != nil {
+		d.fail("rebuild multi tree: %v", err)
+		return nil
+	}
+	if err := t.RestoreDecayState(dopts, epoch, ref); err != nil {
+		d.fail("rebuild multi tree: %v", err)
+		return nil
+	}
+	return t
+}
+
+func (d *oracleDecoder) multiNode(dim, numClasses int) *core.MultiNode {
+	tag := d.u8()
+	if d.err != nil {
+		return nil
+	}
+	switch tag {
+	case 0:
+		n := d.count(8 + 8*dim)
+		pts := make([]core.LabeledPoint, 0, n)
+		for i := 0; i < n; i++ {
+			label := int(d.i64())
+			pts = append(pts, core.LabeledPoint{X: d.floats(dim), Label: label})
+		}
+		ws := d.leafWeights(n)
+		if d.err != nil {
+			return nil
+		}
+		leaf, err := core.RebuildMultiLeafWeighted(pts, ws)
+		if err != nil {
+			d.fail("rebuild leaf: %v", err)
+			return nil
+		}
+		return leaf
+	case 1:
+		n := d.count(8)
+		ents := make([]core.MultiEntry, 0, n)
+		for i := 0; i < n; i++ {
+			e := core.MultiEntry{Rect: d.rect(dim), CFs: make([]stats.CF, numClasses)}
+			for c := 0; c < numClasses; c++ {
+				e.CFs[c] = d.cf(dim)
+			}
+			e.Total = d.cf(dim)
+			e.Child = d.multiNode(dim, numClasses)
+			if d.err != nil {
+				return nil
+			}
+			ents = append(ents, e)
+		}
+		return core.RebuildMultiInner(ents)
+	default:
+		d.fail("unknown node tag %d", tag)
+		return nil
+	}
+}
+
+func (d *oracleDecoder) clusConfig() clustree.Config {
+	var c clustree.Config
+	c.Dim = d.dim()
+	c.MaxFanout = int(d.i64())
+	c.MinFanout = int(d.i64())
+	c.MaxLeafEntries = int(d.i64())
+	c.Lambda = d.f64()
+	c.MergeThreshold = d.f64()
+	c.AbsorbDistance = d.f64()
+	return c
+}
+
+func (d *oracleDecoder) clusTree() *clustree.Tree {
+	cfg := d.clusConfig()
+	now := d.f64()
+	inserts := int(d.i64())
+	parked := int(d.i64())
+	merges := int(d.i64())
+	splits := int(d.i64())
+	if d.err != nil {
+		return nil
+	}
+	root := d.clusNode(cfg.Dim)
+	if d.err != nil {
+		return nil
+	}
+	t, err := clustree.Rebuild(cfg, root, now, inserts, parked, merges, splits)
+	if err != nil {
+		d.fail("rebuild clustree: %v", err)
+		return nil
+	}
+	return t
+}
+
+func (d *oracleDecoder) clusNode(dim int) *clustree.DumpNode {
+	tag := d.u8()
+	if d.err != nil {
+		return nil
+	}
+	if tag > 1 {
+		d.fail("unknown node tag %d", tag)
+		return nil
+	}
+	n := &clustree.DumpNode{Leaf: tag == 0}
+	count := d.count(8 * (2 + 4*dim))
+	for i := 0; i < count; i++ {
+		ent := clustree.DumpEntry{CF: d.cf(dim), Buffer: d.cf(dim), TS: d.f64()}
+		if !n.Leaf {
+			ent.Child = d.clusNode(dim)
+			if d.err != nil {
+				return nil
+			}
+		}
+		n.Entries = append(n.Entries, ent)
+	}
+	if d.err != nil {
+		return nil
+	}
+	return n
+}
+
+// clusStore rebuilds the pyramidal store by re-Recording the retained
+// snapshots in time order: no order bucket can exceed its capacity
+// (they were within capacity when saved), so no eviction fires and the
+// rebuilt store is identical.
+func (d *oracleDecoder) clusStore(dim int) *clustree.SnapshotStore {
+	alpha := int(d.i64())
+	capacity := int(d.i64())
+	count := d.count(8)
+	if d.err != nil {
+		return nil
+	}
+	store, err := clustree.NewSnapshotStore(alpha, capacity)
+	if err != nil {
+		d.fail("rebuild snapshot store: %v", err)
+		return nil
+	}
+	for i := 0; i < count; i++ {
+		time := d.f64()
+		mcCount := d.count(8 * (1 + 2*dim))
+		mcs := make([]clustree.MicroCluster, 0, mcCount)
+		for j := 0; j < mcCount; j++ {
+			cf := d.cf(dim)
+			if d.err != nil {
+				return nil
+			}
+			mcs = append(mcs, clustree.MicroCluster{
+				CF: cf, Weight: cf.N, Mean: cf.Mean(), Radius: cf.Radius(),
+			})
+		}
+		if d.err != nil {
+			return nil
+		}
+		if err := store.Record(time, mcs); err != nil {
+			d.fail("rebuild snapshot store: %v", err)
+			return nil
+		}
+	}
+	return store
+}

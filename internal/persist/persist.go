@@ -15,10 +15,16 @@
 // payload length, the payload, and a CRC32 (IEEE) of the payload.
 // Truncation, bit rot and future-version files are all rejected with
 // distinguishable errors before any model state is built.
+//
+// The decoder is a cursor over that verified payload as one slice: it
+// allocates what it builds (a vector, a node, a point), nothing per
+// word, and never more than the input held — a declared length or count
+// is checked against the bytes actually there before it sizes anything.
+// What decodes encodes back to the same bytes: a flag byte that is not
+// 0 or 1, an empty set and bytes after the model are refused.
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -73,17 +79,17 @@ func EncodeClassifier(w io.Writer, c *core.Classifier) error {
 	if c == nil {
 		return fmt.Errorf("persist: nil classifier")
 	}
-	e := newEncoder(kindClassifier)
-	e.u8(uint8(c.Options().Strategy))
-	e.u8(uint8(c.Options().Priority))
-	e.i64(int64(c.Options().K))
 	labels := c.Labels()
-	e.u64(uint64(len(labels)))
-	for _, l := range labels {
-		e.i64(int64(l))
-		e.tree(c.Tree(l))
-	}
-	return e.flush(w)
+	return encodeSized(w, kindClassifier, func(e *encoder) {
+		e.u8(uint8(c.Options().Strategy))
+		e.u8(uint8(c.Options().Priority))
+		e.i64(int64(c.Options().K))
+		e.u64(uint64(len(labels)))
+		for _, l := range labels {
+			e.i64(int64(l))
+			e.tree(c.Tree(l))
+		}
+	})
 }
 
 // DecodeClassifier reads a classifier snapshot written by
@@ -98,15 +104,15 @@ func DecodeClassifier(r io.Reader) (*core.Classifier, error) {
 	opts.Strategy = core.Strategy(d.u8())
 	opts.Priority = core.Priority(d.u8())
 	opts.K = int(d.i64())
-	n := d.count(1)
+	n := d.count(8)
 	labels := make([]int, n)
 	trees := make([]*core.Tree, n)
 	for i := 0; i < n; i++ {
 		labels[i] = int(d.i64())
 		trees[i] = d.tree()
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.done(); err != nil {
+		return nil, err
 	}
 	return core.NewClassifier(labels, trees, opts)
 }
@@ -116,9 +122,7 @@ func EncodeMultiTree(w io.Writer, t *core.MultiTree) error {
 	if t == nil {
 		return fmt.Errorf("persist: nil multi tree")
 	}
-	e := newEncoder(kindMultiTree)
-	e.multiTree(t)
-	return e.flush(w)
+	return encodeSized(w, kindMultiTree, func(e *encoder) { e.multiTree(t) })
 }
 
 // DecodeMultiTree reads a multi-class tree snapshot written by
@@ -129,8 +133,8 @@ func DecodeMultiTree(r io.Reader) (*core.MultiTree, error) {
 		return nil, err
 	}
 	t := d.multiTree()
-	if d.err != nil {
-		return nil, d.err
+	if err := d.done(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -141,15 +145,17 @@ func EncodeMultiTrees(w io.Writer, ts []*core.MultiTree) error {
 	if len(ts) == 0 {
 		return fmt.Errorf("persist: empty multi tree set")
 	}
-	e := newEncoder(kindMultiSet)
-	e.u64(uint64(len(ts)))
 	for _, t := range ts {
 		if t == nil {
 			return fmt.Errorf("persist: nil multi tree in set")
 		}
-		e.multiTree(t)
 	}
-	return e.flush(w)
+	return encodeSized(w, kindMultiSet, func(e *encoder) {
+		e.u64(uint64(len(ts)))
+		for _, t := range ts {
+			e.multiTree(t)
+		}
+	})
 }
 
 // DecodeMultiTrees reads a sharded-set snapshot written by
@@ -159,7 +165,10 @@ func DecodeMultiTrees(r io.Reader) ([]*core.MultiTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := d.count(1)
+	n := d.count(8)
+	if d.err == nil && n == 0 {
+		d.fail("empty multi tree set")
+	}
 	ts := make([]*core.MultiTree, 0, n)
 	for i := 0; i < n; i++ {
 		ts = append(ts, d.multiTree())
@@ -167,8 +176,8 @@ func DecodeMultiTrees(r io.Reader) ([]*core.MultiTree, error) {
 			return nil, d.err
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.done(); err != nil {
+		return nil, err
 	}
 	return ts, nil
 }
@@ -252,25 +261,50 @@ func RemoveStaleTemps(dir string) error {
 // ---------------------------------------------------------------------
 // encoder
 
+// encoder builds one framed snapshot in p: sixteen header bytes flush
+// fills in, the payload, the checksum flush appends. A sizing encoder
+// (p nil) runs the same walk and only counts, so encodeSized can hand
+// the real one a buffer of exactly the frame's size: a checkpoint
+// encodes under every shard lock, and growing a buffer by doubling
+// allocated three times the snapshot to produce it.
 type encoder struct {
-	buf     bytes.Buffer
-	err     error
+	p       []byte
+	n       int // payload bytes a sizing encoder has counted
 	version uint32
 }
 
-func newEncoder(kind byte) *encoder {
-	return newEncoderVersion(kind, Version)
-}
+const headerBytes, sumBytes = 16, 4
 
 // newEncoderVersion writes an older format version — kept for the
 // compatibility tests that prove current decoders still read v1 files.
+// Its buffer grows as it is written.
 func newEncoderVersion(kind byte, version uint32) *encoder {
-	e := &encoder{version: version}
+	e := &encoder{p: make([]byte, headerBytes), version: version}
 	e.u8(kind)
 	return e
 }
 
-func (e *encoder) u8(v uint8) { e.buf.WriteByte(v) }
+// encodeSized runs body twice — once to size the payload, once to fill
+// a buffer of exactly that size — and writes the frame. body must write
+// the same bytes both times (callers hold the model still).
+func encodeSized(w io.Writer, kind byte, body func(e *encoder)) error {
+	size := &encoder{version: Version}
+	size.u8(kind)
+	body(size)
+	e := &encoder{p: make([]byte, headerBytes, headerBytes+size.n+sumBytes), version: Version}
+	e.u8(kind)
+	body(e)
+	return e.flush(w)
+}
+
+func (e *encoder) u8(v uint8) {
+	if e.p == nil {
+		e.n++
+		return
+	}
+	e.p = append(e.p, v)
+}
+
 func (e *encoder) boolv(v bool) {
 	if v {
 		e.u8(1)
@@ -280,23 +314,33 @@ func (e *encoder) boolv(v bool) {
 }
 
 func (e *encoder) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.buf.Write(b[:])
+	if e.p == nil {
+		e.n += 8
+		return
+	}
+	e.p = binary.LittleEndian.AppendUint64(e.p, v)
 }
 
 func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
 func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
 
 func (e *encoder) floats(v []float64) {
+	if e.p == nil {
+		e.n += 8 * len(v)
+		return
+	}
 	for _, f := range v {
-		e.f64(f)
+		e.p = binary.LittleEndian.AppendUint64(e.p, math.Float64bits(f))
 	}
 }
 
 func (e *encoder) str(s string) {
 	e.u64(uint64(len(s)))
-	e.buf.WriteString(s)
+	if e.p == nil {
+		e.n += len(s)
+		return
+	}
+	e.p = append(e.p, s...)
 }
 
 func (e *encoder) config(c core.Config) {
@@ -413,26 +457,15 @@ func (e *encoder) multiNode(n *core.MultiNode, numClasses int) {
 }
 
 // flush frames the payload (magic, version, length, payload, CRC32) and
-// writes it out.
+// writes it out in one Write.
 func (e *encoder) flush(w io.Writer) error {
-	if e.err != nil {
-		return e.err
-	}
-	payload := e.buf.Bytes()
-	var head [16]byte
-	copy(head[:4], magic[:])
-	binary.LittleEndian.PutUint32(head[4:8], e.version)
-	binary.LittleEndian.PutUint64(head[8:16], uint64(len(payload)))
-	if _, err := w.Write(head[:]); err != nil {
-		return fmt.Errorf("persist: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("persist: write payload: %w", err)
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("persist: write checksum: %w", err)
+	payload := e.p[headerBytes:]
+	copy(e.p[:4], magic[:])
+	binary.LittleEndian.PutUint32(e.p[4:8], e.version)
+	binary.LittleEndian.PutUint64(e.p[8:16], uint64(len(payload)))
+	e.p = binary.LittleEndian.AppendUint32(e.p, crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(e.p); err != nil {
+		return fmt.Errorf("persist: write snapshot: %w", err)
 	}
 	return nil
 }
@@ -440,11 +473,21 @@ func (e *encoder) flush(w io.Writer) error {
 // ---------------------------------------------------------------------
 // decoder
 
+// decoder is a cursor over a payload newDecoder has already read whole,
+// length-checked and CRC-verified: every primitive slices p at off, so a
+// decode costs what it builds — one allocation per vector, node and
+// point, none per word — and nothing it allocates can exceed what the
+// input held. The first failure sticks in err; later reads return zero
+// values.
 type decoder struct {
-	b       *bytes.Reader
+	p       []byte
+	off     int
 	err     error
 	version uint32
 }
+
+// maxPayload rejects an absurd declared length before anything is read.
+const maxPayload = 1 << 36 // 64 GiB
 
 // newDecoder reads and verifies the frame (magic, version, length,
 // checksum) and the kind byte, returning a decoder positioned at the
@@ -454,7 +497,7 @@ func newDecoder(r io.Reader, wantKind byte) (*decoder, error) {
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrTruncated, err)
 	}
-	if !bytes.Equal(head[:4], magic[:]) {
+	if [4]byte(head[:4]) != magic {
 		return nil, ErrBadMagic
 	}
 	v := binary.LittleEndian.Uint32(head[4:8])
@@ -462,26 +505,61 @@ func newDecoder(r io.Reader, wantKind byte) (*decoder, error) {
 		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d..%d", ErrVersion, v, MinVersion, Version)
 	}
 	n := binary.LittleEndian.Uint64(head[8:16])
-	const maxPayload = 1 << 36 // 64 GiB: reject absurd declared lengths before allocating
 	if n > maxPayload {
 		return nil, fmt.Errorf("%w: declared payload %d bytes", ErrChecksum, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
+	body, err := readDeclared(r, int(n)+4)
+	if err != nil {
+		return nil, err
 	}
-	var sum [4]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, fmt.Errorf("%w: checksum: %v", ErrTruncated, err)
-	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(sum[:]) {
+	payload, sum := body[:n], body[n:]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(sum) {
 		return nil, ErrChecksum
 	}
-	d := &decoder{b: bytes.NewReader(payload), version: v}
+	d := &decoder{p: payload, version: v}
 	if kind := d.u8(); d.err == nil && kind != wantKind {
 		return nil, fmt.Errorf("persist: snapshot kind %d, want %d", kind, wantKind)
 	}
 	return d, d.err
+}
+
+// readDeclared reads the n bytes a header declared without trusting the
+// declaration: a source that knows what it has left (a file, an
+// in-memory reader) is asked first, so a short one is refused before
+// anything is allocated and a whole one is read into one exact buffer;
+// any other source is read into a buffer that grows with the bytes
+// actually delivered.
+func readDeclared(r io.Reader, n int) ([]byte, error) {
+	left := -1
+	switch src := r.(type) {
+	case interface{ Len() int }:
+		left = src.Len()
+	case *os.File:
+		if fi, err := src.Stat(); err == nil && fi.Mode().IsRegular() {
+			if at, err := src.Seek(0, io.SeekCurrent); err == nil {
+				left = int(max(fi.Size()-at, 0))
+			}
+		}
+	}
+	if left >= 0 && left < n {
+		return nil, fmt.Errorf("%w: %d bytes declared, %d left", ErrTruncated, n, left)
+	}
+	first := n
+	if left < 0 {
+		first = min(n, 64<<10)
+	}
+	b := make([]byte, 0, first)
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = append(make([]byte, 0, min(2*cap(b), n)), b...)
+		}
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err != nil && len(b) < n {
+			return nil, fmt.Errorf("%w: %d of %d bytes: %v", ErrTruncated, len(b), n, err)
+		}
+	}
+	return b, nil
 }
 
 func (d *decoder) fail(format string, args ...interface{}) {
@@ -490,58 +568,88 @@ func (d *decoder) fail(format string, args ...interface{}) {
 	}
 }
 
+// left is the number of payload bytes not yet consumed.
+func (d *decoder) left() int { return len(d.p) - d.off }
+
+// done fails a payload that was not consumed to its last byte: what a
+// snapshot holds beyond its model would be lost by the next encode.
+func (d *decoder) done() error {
+	if d.err == nil && d.left() != 0 {
+		d.fail("%d bytes after the model", d.left())
+	}
+	return d.err
+}
+
 func (d *decoder) u8() uint8 {
 	if d.err != nil {
 		return 0
 	}
-	v, err := d.b.ReadByte()
-	if err != nil {
+	if d.left() < 1 {
 		d.fail("unexpected end of payload")
+		return 0
 	}
+	v := d.p[d.off]
+	d.off++
 	return v
 }
 
-func (d *decoder) boolv() bool { return d.u8() != 0 }
+// boolv reads a flag; any byte but 0 and 1 is refused, so that what
+// decodes encodes back to the same bytes.
+func (d *decoder) boolv() bool {
+	v := d.u8()
+	if v > 1 {
+		d.fail("flag byte %d", v)
+	}
+	return v == 1
+}
 
 func (d *decoder) u64() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	var b [8]byte
-	if _, err := io.ReadFull(d.b, b[:]); err != nil {
+	if d.left() < 8 {
 		d.fail("unexpected end of payload")
 		return 0
 	}
-	return binary.LittleEndian.Uint64(b[:])
+	v := binary.LittleEndian.Uint64(d.p[d.off:])
+	d.off += 8
+	return v
 }
 
 func (d *decoder) i64() int64   { return int64(d.u64()) }
 func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
 // count reads a collection length and bounds it by what the remaining
-// payload could possibly hold (elemBytes per element), so a corrupt
+// payload could possibly hold (elemBytes ≥ 1 per element), so a corrupt
 // length cannot force a huge allocation.
 func (d *decoder) count(elemBytes int) int {
 	n := d.u64()
 	if d.err != nil {
 		return 0
 	}
-	if max := uint64(d.b.Len()/elemBytes) + 1; n > max {
+	if n > uint64(d.left()/elemBytes) {
 		d.fail("declared count %d exceeds payload", n)
 		return 0
 	}
 	return int(n)
 }
 
+// floats reads an n-vector: one bounds check against the payload, one
+// allocation, one loop.
 func (d *decoder) floats(n int) []float64 {
-	if d.err != nil || n < 0 || n > d.b.Len()/8+1 {
-		d.fail("bad vector length %d", n)
+	if d.err != nil {
+		return nil
+	}
+	if n < 0 || n > d.left()/8 {
+		d.fail("vector of %d exceeds payload", n)
 		return nil
 	}
 	out := make([]float64, n)
+	src := d.p[d.off : d.off+8*n]
 	for i := range out {
-		out[i] = d.f64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
+	d.off += 8 * n
 	return out
 }
 
@@ -550,17 +658,29 @@ func (d *decoder) str() string {
 	if d.err != nil {
 		return ""
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.b, b); err != nil {
-		d.fail("unexpected end of payload")
-		return ""
+	s := string(d.p[d.off : d.off+n])
+	d.off += n
+	return s
+}
+
+// maxDim bounds a stored dimensionality so that the per-element sizes
+// count is given cannot overflow; no model comes near it.
+const maxDim = 1 << 24
+
+// dim reads a dimensionality. It is checked here, before the first
+// vector is sized by it, not only by the Rebuild that sees it last.
+func (d *decoder) dim() int {
+	v := d.i64()
+	if d.err == nil && (v < 1 || v > maxDim) {
+		d.fail("dimensionality %d", v)
+		return 0
 	}
-	return string(b)
+	return int(v)
 }
 
 func (d *decoder) config() core.Config {
 	var c core.Config
-	c.Dim = int(d.i64())
+	c.Dim = d.dim()
 	c.MinFanout = int(d.i64())
 	c.MaxFanout = int(d.i64())
 	c.MinLeaf = int(d.i64())
@@ -609,6 +729,9 @@ func (d *decoder) leafWeights(points int) []float64 {
 	return d.floats(points)
 }
 
+// minNodeBytes is the smallest encoded node: a tag and an entry count.
+const minNodeBytes = 1 + 8
+
 func (d *decoder) tree() *core.Tree {
 	cfg := d.config()
 	dopts, epoch, ref := d.decayState()
@@ -656,7 +779,7 @@ func (d *decoder) node(dim int) *core.Node {
 		}
 		return leaf
 	case 1:
-		n := d.count(8)
+		n := d.count(16*dim + (8 + 16*dim) + minNodeBytes)
 		ents := make([]core.Entry, 0, n)
 		for i := 0; i < n; i++ {
 			rect := d.rect(dim)
@@ -729,7 +852,7 @@ func (d *decoder) multiNode(dim, numClasses int) *core.MultiNode {
 		}
 		return leaf
 	case 1:
-		n := d.count(8)
+		n := d.count(16*dim + (numClasses+1)*(8+16*dim) + minNodeBytes)
 		ents := make([]core.MultiEntry, 0, n)
 		for i := 0; i < n; i++ {
 			e := core.MultiEntry{Rect: d.rect(dim), CFs: make([]stats.CF, numClasses)}

@@ -14,7 +14,7 @@ import (
 
 // trainClassifier builds a small forest classifier on a seeded synthetic
 // data set.
-func trainClassifier(t *testing.T, seed int64, opts core.ClassifierOptions) (*core.Classifier, *dataset.Dataset) {
+func trainClassifier(t testing.TB, seed int64, opts core.ClassifierOptions) (*core.Classifier, *dataset.Dataset) {
 	t.Helper()
 	ds, err := dataset.Synthetic(dataset.SyntheticSpec{
 		Name: "persist", Size: 500, Classes: 3, Features: 4,
@@ -32,7 +32,7 @@ func trainClassifier(t *testing.T, seed int64, opts core.ClassifierOptions) (*co
 }
 
 // buildMultiTree inserts a seeded labelled sample into a MultiTree.
-func buildMultiTree(t *testing.T, seed int64, mopts core.MultiOptions) (*core.MultiTree, [][]float64) {
+func buildMultiTree(t testing.TB, seed int64, mopts core.MultiOptions) (*core.MultiTree, [][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := core.DefaultConfig(3)

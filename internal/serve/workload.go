@@ -106,8 +106,9 @@ func runPrimary[S server.Served](f *Flags, w Workload[S]) error {
 				return err
 			}
 			st := w.Stats(s)
-			log.Printf("recovery complete: %d WAL records replayed (%d torn dropped), generation %d, %d observations",
-				st.WALReplayed, st.WALDroppedRecords, st.SnapshotGeneration, st.Observations)
+			log.Printf("recovery complete: %d WAL records replayed (%d torn dropped), generation %d, %d observations; %.1f ms (snapshot decode %.1f, wal replay %.1f, mirror build %.1f, checkpoint %.1f)",
+				st.WALReplayed, st.WALDroppedRecords, st.SnapshotGeneration, st.Observations,
+				st.RecoverMs, st.SnapshotDecodeMs, st.WALReplayMs, st.MirrorBuildMs, st.CheckpointMs)
 			return nil
 		}
 	} else {

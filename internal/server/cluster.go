@@ -196,8 +196,9 @@ func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.Snapsho
 		s.store = store
 	}
 	err := s.init(models, cfg, true, workload[*ctree]{
-		name:   replica.WorkloadCluster,
-		encode: s.encodeSet,
+		name:    replica.WorkloadCluster,
+		encode:  s.encodeSet,
+		clocked: true,
 		record: func(payload []byte) (int64, func(*shard[*ctree]) error, func(), error) {
 			head, x, err := decodeRecord(payload, 2, ccfg.Dim)
 			if err == nil {

@@ -39,8 +39,11 @@ import (
 // carries (label, x) — shard routing is content-hashed, so per-shard
 // replay reproduces the exact insert sequence — and the clustering
 // record carries (timestamp, granted budget, x), because a ClusTree
-// descent is deterministic given those; cluster replay merges the
-// per-shard logs by timestamp to reproduce the global logical clock.
+// descent is deterministic given those. Replay follows one rule: shards
+// coupled by a clock replay merged by it (clustering: the global clock
+// and the pyramidal store's recording boundaries); shards that are not
+// replay side by side (classification); per-shard log order is apply
+// order either way.
 
 // DurabilityOptions configure the write-ahead log + checkpoint layer a
 // served workload can run over.
@@ -97,6 +100,11 @@ type durState struct {
 	// hub fans durable appends out to /replicate subscribers; see
 	// replication.go.
 	hub *replHub
+	// took is where the restart's wall time went, in nanoseconds: the
+	// snapshot decode (measured by openDurable), then Recover's replay,
+	// mirror builds and closing checkpoint, and the sum with what lies
+	// between them. /stats reads them while recovery writes them.
+	took struct{ decode, replay, mirror, checkpoint, recover atomic.Int64 }
 }
 
 // shardWALDir names shard i's segment directory under the durability
@@ -118,6 +126,9 @@ type durOpen struct {
 	lock        *os.File
 	fencedEpoch uint64
 	hadFenced   bool
+	// decodeTook is what decoding the checkpoint snapshot took (zero for
+	// a bootstrapped model).
+	decodeTook time.Duration
 }
 
 // attachDurability arms the engine's durability state: the server is
@@ -130,6 +141,7 @@ func (e *engine[M]) attachDurability(opts DurabilityOptions, do durOpen) {
 	e.dur = &durState{opts: opts, manifest: do.manifest, hadState: do.hadState, lock: do.lock}
 	e.dur.epoch = do.manifest.Epoch
 	e.dur.hub = newReplHub()
+	e.dur.took.decode.Store(int64(do.decodeTook))
 	e.dur.recovering.Store(true)
 	if do.hadFenced {
 		if do.manifest.Epoch >= do.fencedEpoch {
@@ -210,32 +222,36 @@ func (e *engine[M]) Recover() error {
 	if !d.recovering.Load() {
 		return nil
 	}
+	start := time.Now()
 	if err := e.replay(); err != nil {
 		return err
 	}
 	if err := e.openLogs(); err != nil {
 		return err
 	}
-	// Replay ran without descent mirrors (so no record paid a repair);
-	// build them before the server starts answering.
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		e.refreshShardSoA(sh)
-		sh.mu.Unlock()
-	}
 	d.recovering.Store(false)
+	var err error
 	if !d.hadState || d.replayed.Load() > 0 || d.dropped.Load() > 0 {
-		return e.Checkpoint()
+		ckpt := time.Now()
+		err = e.Checkpoint()
+		d.took.checkpoint.Store(int64(time.Since(ckpt)))
 	}
-	return nil
+	d.took.recover.Store(d.took.decode.Load() + int64(time.Since(start)))
+	return err
 }
 
-// replay applies the WAL tail, merging the per-shard logs by the
-// records' logical time (ties to the lower shard). A clustering record
-// carries the global clock, so the clock — and the pyramidal store's
-// recording boundaries — advance exactly as in the original run; a
-// classification record carries none, so the logs replay shard after
-// shard, which content-hashed routing makes the exact insert sequence.
+// replay applies the WAL tail, one replay group at a time on its own
+// goroutine. A group is a set of shards whose logs must be applied in
+// one order: its loop merges them by the records' logical time (ties to
+// the lower shard) and applies each record under its shard's lock. A
+// workload whose records carry a clock has one group of all shards — the
+// clock, and the pyramidal store's recording boundaries, advance exactly
+// as in the original run; one whose records carry none has a group per
+// shard, which content-hashed routing makes each shard's exact insert
+// sequence. Replay runs without descent mirrors (so no record pays a
+// repair); a group builds its shards' once its logs run dry, before the
+// server starts answering. Errors are joined after every group has
+// returned.
 func (e *engine[M]) replay() error {
 	d := e.dur
 	type head struct {
@@ -248,6 +264,7 @@ func (e *engine[M]) replay() error {
 	defer func() {
 		for _, r := range readers {
 			if r != nil {
+				d.dropped.Add(int64(r.Dropped()))
 				r.Close()
 			}
 		}
@@ -272,41 +289,77 @@ func (e *engine[M]) replay() error {
 			return fmt.Errorf("server: wal shard %d: %w", i, err)
 		}
 		readers[i] = r
-		if err := advance(i); err != nil {
-			return err
-		}
 	}
-	for {
-		best := -1
-		for i, h := range heads {
-			if h.apply != nil && (best < 0 || h.at < heads[best].at) {
-				best = i
+	// group replays the logs of shards[lo:hi]; it alone touches their
+	// heads and readers.
+	group := func(lo, hi int) (replayed, mirrored time.Duration, err error) {
+		start := time.Now()
+		for i := lo; i < hi; i++ {
+			if err := advance(i); err != nil {
+				return 0, 0, err
 			}
 		}
-		if best < 0 {
-			break
+		for {
+			best := -1
+			for i := lo; i < hi; i++ {
+				if heads[i].apply != nil && (best < 0 || heads[i].at < heads[best].at) {
+					best = i
+				}
+			}
+			if best < 0 {
+				break
+			}
+			h, sh := heads[best], e.shards[best]
+			// The shard lock keeps replay exclusive against a running decay-
+			// maintenance loop.
+			sh.mu.Lock()
+			err := h.apply(sh)
+			sh.mu.Unlock()
+			if err != nil {
+				return 0, 0, fmt.Errorf("server: replay shard %d: %w", best, err)
+			}
+			d.replayed.Add(1)
+			if h.after != nil {
+				h.after()
+			}
+			if err := advance(best); err != nil {
+				return 0, 0, err
+			}
 		}
-		h, sh := heads[best], e.shards[best]
-		// The shard lock keeps replay exclusive against a running decay-
-		// maintenance loop.
-		sh.mu.Lock()
-		err := h.apply(sh)
-		sh.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("server: replay shard %d: %w", best, err)
+		built := time.Now()
+		for _, sh := range e.shards[lo:hi] {
+			sh.mu.Lock()
+			e.refreshShardSoA(sh)
+			sh.mu.Unlock()
 		}
-		d.replayed.Add(1)
-		if h.after != nil {
-			h.after()
-		}
-		if err := advance(best); err != nil {
-			return err
+		return built.Sub(start), time.Since(built), nil
+	}
+	per := 1 // shards a group
+	if e.wl.clocked {
+		per = len(e.shards)
+	}
+	errs := make([]error, len(e.shards)/per)
+	took := make([][2]time.Duration, len(errs))
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			took[g][0], took[g][1], errs[g] = group(g*per, (g+1)*per)
+		}(g)
+	}
+	wg.Wait()
+	// The group that took longest is the one the restart waited for: its
+	// replay and mirror times are the ones that add up to wall time.
+	var last [2]time.Duration
+	for _, t := range took {
+		if t[0]+t[1] > last[0]+last[1] {
+			last = t
 		}
 	}
-	for _, r := range readers {
-		d.dropped.Add(int64(r.Dropped()))
-	}
-	return nil
+	d.took.replay.Store(int64(last[0]))
+	d.took.mirror.Store(int64(last[1]))
+	return errors.Join(errs...)
 }
 
 // Checkpoint writes a new snapshot generation and truncates the WAL
@@ -439,6 +492,9 @@ func (e *engine[M]) durStats(st *Stats) {
 	st.Recovering = d.recovering.Load()
 	st.WALReplayed = d.replayed.Load()
 	st.WALDroppedRecords = d.dropped.Load()
+	ms := func(ns *atomic.Int64) float64 { return float64(ns.Load()) / 1e6 }
+	st.RecoverMs, st.SnapshotDecodeMs = ms(&d.took.recover), ms(&d.took.decode)
+	st.WALReplayMs, st.MirrorBuildMs, st.CheckpointMs = ms(&d.took.replay), ms(&d.took.mirror), ms(&d.took.checkpoint)
 	// d.logs is assigned once, before recovering flips false; reading it
 	// only after observing !recovering rides that atomic's
 	// happens-before edge, so /stats during background replay cannot
@@ -530,7 +586,9 @@ func openDurable[S Served](dopts DurabilityOptions, decode func(io.Reader) (S, e
 		if err != nil {
 			return fail(fmt.Errorf("server: checkpoint snapshot: %w", err))
 		}
+		start := time.Now()
 		s, err = decode(f)
+		do.decodeTook = time.Since(start)
 		f.Close()
 		if err != nil {
 			return fail(fmt.Errorf("server: checkpoint snapshot %s: %w", do.manifest.Snapshot, err))

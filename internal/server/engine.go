@@ -133,6 +133,11 @@ type workload[M Model] struct {
 	// record that was validated before it was logged; after, when
 	// non-nil, runs once that lock is released.
 	record func(payload []byte) (at int64, apply func(sh *shard[M]) error, after func(), err error)
+	// clocked says the records' logical time orders them across shards,
+	// so recovery must replay all shard logs merged by it; records of a
+	// workload without a clock are ordered only within their shard, and
+	// the shard logs replay side by side.
+	clocked bool
 	// stats is the /stats value.
 	stats func() any
 }

@@ -459,6 +459,15 @@ type Stats struct {
 	WALReplayed        int64  `json:"wal_replayed"`
 	WALDroppedRecords  int64  `json:"wal_dropped_records"`
 	SnapshotGeneration uint64 `json:"snapshot_generation"`
+	// Where the last restart's wall time went, in milliseconds: the whole
+	// of it (snapshot decode through closing checkpoint) and its parts.
+	// Replay groups run side by side; WALReplayMs and MirrorBuildMs are
+	// those of the group that took longest. All zero when memory-only.
+	RecoverMs        float64 `json:"recover_ms,omitempty"`
+	SnapshotDecodeMs float64 `json:"snapshot_decode_ms,omitempty"`
+	WALReplayMs      float64 `json:"wal_replay_ms,omitempty"`
+	MirrorBuildMs    float64 `json:"mirror_build_ms,omitempty"`
+	CheckpointMs     float64 `json:"checkpoint_ms,omitempty"`
 	// Replication reports the primary/replica state: this process's role
 	// and fencing epoch, the shipped-LSN fan-out counters on a primary,
 	// and the applied-LSN / staleness bound on a follower. StalenessMs is
