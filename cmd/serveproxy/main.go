@@ -1,10 +1,10 @@
 // Command serveproxy runs the scatter-gather serving proxy: a
 // stateless L7 tier in front of one or more primary/replica groups
 // that consistent-hash-routes writes to the owning primary (following
-// 307s and failing over to a promoted replica on its own), scatters
+// 307s and failing over to a promoted replica on its own), and scatters
 // reads across fresh followers with size-proportional budget splits
-// and exact merges, and hedges slow reads against the next-least-stale
-// replica.
+// and exact merges, moving a group's read on to its next target when one
+// fails.
 //
 // One group, a primary with two followers:
 //
@@ -65,64 +65,70 @@ func (g *groupFlag) Set(v string) error {
 	return nil
 }
 
-func main() {
-	var groups groupFlag
-	var (
-		addr         = flag.String("addr", ":8090", "HTTP listen address")
-		budget       = flag.Int("budget", 32, "default classify node budget when a request sends 0")
-		maxBudget    = flag.Int("max-budget", 0, "per-request budget cap (0 = server default)")
-		probeEvery   = flag.Duration("probe-every", 250*time.Millisecond, "backend health/staleness probe period")
-		maxStaleness = flag.Duration("max-staleness", 5*time.Second, "follower freshness window; staler followers are skipped for reads")
-		readTimeout  = flag.Duration("read-timeout", 10*time.Second, "end-to-end bound on one proxied read")
-		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "end-to-end bound on one proxied write including failover retries")
-		hedge        = flag.Bool("hedge", true, "hedge slow reads against the next-least-stale replica")
-		hedgeMin     = flag.Duration("hedge-min", 2*time.Millisecond, "floor on the hedge trigger delay (tracked p95 otherwise)")
-		retries      = flag.Int("write-retries", 8, "write failover retries, each after a synchronous re-probe")
-		drain        = flag.Duration("drain", 10*time.Second, "graceful drain timeout on SIGTERM/SIGINT")
-	)
-	flag.Var(&groups, "group", "one primary/replica group as primary,replica,replica... (repeatable)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), `serveproxy — scatter-gather proxy over primary/replica groups
+// options are the command's flags: the proxy's configuration plus the
+// listener and its drain.
+type options struct {
+	proxy.Config
+	addr  string
+	drain time.Duration
+}
+
+// register declares every flag on fs and installs the usage text.
+func register(fs *flag.FlagSet) *options {
+	o := new(options)
+	fs.StringVar(&o.addr, "addr", ":8090", "HTTP listen address")
+	fs.IntVar(&o.DefaultBudget, "budget", 32, "default classify node budget when a request sends 0")
+	fs.IntVar(&o.MaxBudget, "max-budget", 0, "per-request budget cap (0 = server default)")
+	fs.DurationVar(&o.ProbeEvery, "probe-every", 250*time.Millisecond, "backend health/staleness probe period")
+	fs.DurationVar(&o.MaxStaleness, "max-staleness", 5*time.Second, "follower freshness window; staler followers are skipped for reads")
+	fs.DurationVar(&o.ReadTimeout, "read-timeout", 10*time.Second, "end-to-end bound on one proxied read")
+	fs.DurationVar(&o.WriteTimeout, "write-timeout", 10*time.Second, "end-to-end bound on one proxied write including failover retries")
+	fs.IntVar(&o.WriteRetries, "write-retries", 8, "write failover retries, each after a synchronous re-probe")
+	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful drain timeout on SIGTERM/SIGINT")
+	fs.Var((*groupFlag)(&o.Groups), "group", "one primary/replica group as primary,replica,replica... (repeatable)")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), `serveproxy — scatter-gather proxy over primary/replica groups
 
 Usage:
   serveproxy -group http://primary:8080,http://replica:8081 [-group ...] [flags]
 
 Examples:
   serveproxy -addr :8090 -group http://localhost:8080,http://localhost:8081,http://localhost:8082
-  serveproxy -group http://p0:8080,http://r0:8081 -group http://p1:8090,http://r1:8091 -hedge=false
+  serveproxy -group http://p0:8080,http://r0:8081 -group http://p1:8090,http://r1:8091
 
 Flags:
 `)
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() > 0 {
-		serve.Exit("serveproxy", serve.UsageErrorf("unexpected arguments %v", flag.Args()))
-	}
-	if len(groups) == 0 {
-		serve.Exit("serveproxy", serve.UsageErrorf("at least one -group is required"))
-	}
+	return o
+}
 
-	p, err := proxy.New(proxy.Config{
-		Groups:        groups,
-		DefaultBudget: *budget,
-		MaxBudget:     *maxBudget,
-		ProbeEvery:    *probeEvery,
-		MaxStaleness:  *maxStaleness,
-		ReadTimeout:   *readTimeout,
-		WriteTimeout:  *writeTimeout,
-		Hedge:         *hedge,
-		HedgeMin:      *hedgeMin,
-		WriteRetries:  *retries,
-	})
+// config checks the command line's remaining arguments and the groups,
+// and returns the proxy configuration; a mistake is a usage error.
+func (o *options) config(args []string) (proxy.Config, error) {
+	if len(args) > 0 {
+		return proxy.Config{}, serve.UsageErrorf("unexpected arguments %v", args)
+	}
+	if len(o.Groups) == 0 {
+		return proxy.Config{}, serve.UsageErrorf("at least one -group is required")
+	}
+	return o.Config, nil
+}
+
+func main() {
+	o := register(flag.CommandLine)
+	flag.Parse()
+	cfg, err := o.config(flag.Args())
+	serve.Exit("serveproxy", err)
+	p, err := proxy.New(cfg)
 	serve.Exit("serveproxy", err)
 	p.Start()
 
 	serve.Exit("serveproxy", serve.Run(serve.App{
 		Name:         "serveproxy",
-		Addr:         *addr,
+		Addr:         o.addr,
 		Handler:      p.Handler(),
-		DrainTimeout: *drain,
+		DrainTimeout: o.drain,
 		SetDraining:  p.SetDraining,
 		Close:        func() { p.Close() },
 	}))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -19,11 +20,8 @@ import (
 // transport (so one slow backend cannot starve another's connection
 // pool), request counters, and the last probe's view of it.
 type backend struct {
-	url       string
-	group     int
-	seedRole  bool // configured as the group's primary seed
-	client    *http.Client
-	transport *http.Transport
+	url    string
+	client *http.Client
 
 	requests  atomic.Int64
 	errors    atomic.Int64
@@ -46,7 +44,7 @@ type probeState struct {
 	observations int
 	weight       float64
 	hubBuffered  int
-	at           time.Time
+	decays       bool
 }
 
 // backendStats is the subset of a server's /stats the prober reads.
@@ -61,24 +59,28 @@ type backendStats struct {
 	Observations    int     `json:"observations"`
 	Weight          float64 `json:"weight"`
 	ReplSubBuffered []int   `json:"repl_sub_buffered"`
+	DecayEnabled    bool    `json:"decay_enabled"`
 }
+
+// maxProbeBody is the longest /stats body the prober accepts; a longer
+// one fails the probe rather than being cut to a prefix that may parse.
+const maxProbeBody = 1 << 20
 
 // newBackend builds a backend with its own pooled transport. The
 // client chases redirects (a follower's 307 to its primary, method and
 // body preserved) up to a small bound, counting them.
-func newBackend(url string, group int, seedRole bool) *backend {
-	tr := &http.Transport{
-		DialContext: (&net.Dialer{
-			Timeout:   2 * time.Second,
-			KeepAlive: 30 * time.Second,
-		}).DialContext,
-		MaxIdleConns:        64,
-		MaxIdleConnsPerHost: 64,
-		IdleConnTimeout:     90 * time.Second,
-	}
-	b := &backend{url: url, group: group, seedRole: seedRole, transport: tr}
+func newBackend(url string) *backend {
+	b := &backend{url: url}
 	b.client = &http.Client{
-		Transport: tr,
+		Transport: &http.Transport{
+			DialContext: (&net.Dialer{
+				Timeout:   2 * time.Second,
+				KeepAlive: 30 * time.Second,
+			}).DialContext,
+			MaxIdleConns:        64,
+			MaxIdleConnsPerHost: 64,
+			IdleConnTimeout:     90 * time.Second,
+		},
 		CheckRedirect: func(req *http.Request, via []*http.Request) error {
 			if len(via) >= 3 {
 				return fmt.Errorf("proxy: redirect chain exceeded 3 hops")
@@ -89,8 +91,6 @@ func newBackend(url string, group int, seedRole bool) *backend {
 	}
 	return b
 }
-
-func (b *backend) closeIdle() { b.transport.CloseIdleConnections() }
 
 // state returns the last probe's view.
 func (b *backend) state() probeState {
@@ -154,6 +154,17 @@ func (g *group) observations() int {
 	return 0
 }
 
+// decays reports whether any backend of g answered its last probe with
+// decay enabled.
+func (g *group) decays() bool {
+	for _, b := range g.backends {
+		if st := b.state(); st.ok && st.decays {
+			return true
+		}
+	}
+	return false
+}
+
 // readTargets plans one read: fresh followers (probed ok, staleness
 // within maxStale) ordered least-stale-first with the head rotated
 // round-robin so load spreads, and the primary appended as the
@@ -178,10 +189,7 @@ func (g *group) readTargets(maxStale time.Duration) (targets []*backend, viaPrim
 			return []*backend{pb}, true
 		}
 		// Cold start: nothing probed yet — try everything, seed first.
-		for _, b := range g.backends {
-			targets = append(targets, b)
-		}
-		return targets, true
+		return g.backends, true
 	}
 	sort.SliceStable(fresh, func(i, j int) bool { return fresh[i].stale < fresh[j].stale })
 	head := int(g.rr.Add(1)-1) % len(fresh)
@@ -231,41 +239,33 @@ func (p *Proxy) probeGroup(g *group) {
 	p.fenceStale(g)
 }
 
-// probeTimeout bounds one probe exchange.
+// probeTimeout bounds one probe exchange: the probe period, within
+// [100ms, 2s].
 func (p *Proxy) probeTimeout() time.Duration {
-	d := p.cfg.ProbeEvery
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	return d
+	return min(max(p.cfg.ProbeEvery, 100*time.Millisecond), 2*time.Second)
 }
 
 func (p *Proxy) probeBackend(b *backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), p.probeTimeout())
 	defer cancel()
 	status, data, err := b.probeFetch(ctx)
-	st := probeState{at: time.Now()}
-	if err == nil && status == http.StatusOK {
-		var bs backendStats
-		if json.Unmarshal(data, &bs) == nil {
-			st.ok = true
-			st.role = bs.Role
-			st.epoch = bs.Epoch
-			st.fenced = bs.Fenced
-			st.recovering = bs.Recovering
-			st.draining = bs.Draining
-			st.stalenessMs = bs.StalenessMs
-			st.appliedLSN = bs.AppliedLSN
-			st.observations = bs.Observations
-			st.weight = bs.Weight
-			for _, d := range bs.ReplSubBuffered {
-				if d > st.hubBuffered {
-					st.hubBuffered = d
-				}
-			}
+	var st probeState
+	var bs backendStats
+	// The observation count sizes the budget split, so a count it cannot
+	// hold fails the probe: a negative one would be sent on as a negative
+	// literal budget, which the backend caps up to MaxBudget, and one past
+	// this bound overflows the split's product with a budget of at most
+	// MaxBudget, or the sum over the groups.
+	if err == nil && status == http.StatusOK && json.Unmarshal(data, &bs) == nil &&
+		bs.Observations >= 0 && bs.Observations <= math.MaxInt/p.cfg.MaxBudget/len(p.groups) {
+		st = probeState{
+			ok: true, role: bs.Role, epoch: bs.Epoch, fenced: bs.Fenced,
+			recovering: bs.Recovering, draining: bs.Draining, stalenessMs: bs.StalenessMs,
+			appliedLSN: bs.AppliedLSN, observations: bs.Observations, weight: bs.Weight,
+			decays: bs.DecayEnabled,
+		}
+		for _, d := range bs.ReplSubBuffered {
+			st.hubBuffered = max(st.hubBuffered, d)
 		}
 	}
 	b.setState(st)
@@ -312,9 +312,12 @@ func (b *backend) probeFetch(ctx context.Context) (int, []byte, error) {
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxProbeBody+1))
 	if err != nil {
 		return 0, nil, err
+	}
+	if len(data) > maxProbeBody {
+		return 0, nil, fmt.Errorf("proxy: /stats body over %d bytes", maxProbeBody)
 	}
 	return resp.StatusCode, data, nil
 }

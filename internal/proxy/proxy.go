@@ -19,7 +19,9 @@
 // (server.SplitBudget) and merging exactly: the engine's own per-class
 // size-weighted log-sum-exp (stats.MergeLogScores) for classify scores,
 // CF-additive micro-cluster union in group order for cluster reads (the
-// offline macro step runs on the union in the proxy). The proxy imports
+// offline macro step runs on the union in the proxy). A union of decaying
+// groups is refused with 501 instead: each group fades its summaries on
+// its own clock, so they do not add. The proxy imports
 // the engine's vocabulary rather than restating it: the classify request
 // types and their codec are internal/wire's, the budget rule and the
 // JSON / error / 503 response helpers internal/server's. When a group
@@ -27,12 +29,10 @@
 // degrades to its primary rather than erroring — the serving tier's
 // degrade-never-error contract extended across processes.
 //
-// Tail latency: every backend gets its own pooled http.Transport,
-// request deadlines propagate, and reads hedge — after a delay tracked
-// at the observed p95, one hedge goes to the next-least-stale replica,
-// the first response wins and the loser's context is cancelled.
-// Replicas are digit-identical, so hedged answers are byte-identical
-// to unhedged ones.
+// Every backend gets its own pooled http.Transport and request deadlines
+// propagate. A group read tries its targets one at a time — the
+// least-stale fresh follower, the other fresh followers, the primary —
+// and moves on only after a transport error or a 5xx.
 package proxy
 
 import (
@@ -87,11 +87,6 @@ type Config struct {
 	// WriteTimeout bounds one proxied write including failover retries
 	// (default 10s).
 	WriteTimeout time.Duration
-	// Hedge enables hedged reads. HedgeMin floors the hedge delay
-	// (default 2ms); until the latency tracker has enough samples the
-	// delay is a fixed 25ms.
-	Hedge    bool
-	HedgeMin time.Duration
 	// WriteRetries is how many times a failed write is retried after a
 	// synchronous group re-probe (default 8).
 	WriteRetries int
@@ -117,9 +112,6 @@ func (c Config) withDefaults() Config {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
 	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 2 * time.Millisecond
-	}
 	if c.WriteRetries <= 0 {
 		c.WriteRetries = 8
 	}
@@ -132,7 +124,6 @@ type Proxy struct {
 	cfg    Config
 	groups []*group
 	start  time.Time
-	lat    *latencyTracker
 
 	draining atomic.Bool
 	stop     chan struct{}
@@ -144,8 +135,6 @@ type Proxy struct {
 	writes           atomic.Int64
 	writeErrors      atomic.Int64
 	writeRetries     atomic.Int64
-	hedges           atomic.Int64
-	hedgeWins        atomic.Int64
 	primaryFallbacks atomic.Int64
 }
 
@@ -160,7 +149,6 @@ func New(cfg Config) (*Proxy, error) {
 	p := &Proxy{
 		cfg:   cfg,
 		start: time.Now(),
-		lat:   newLatencyTracker(),
 		stop:  make(chan struct{}),
 	}
 	for gi, gc := range cfg.Groups {
@@ -168,12 +156,12 @@ func New(cfg Config) (*Proxy, error) {
 			return nil, fmt.Errorf("proxy: group %d has no primary URL", gi)
 		}
 		g := &group{index: gi}
-		g.backends = append(g.backends, newBackend(gc.Primary, gi, true))
+		g.backends = append(g.backends, newBackend(gc.Primary))
 		for _, r := range gc.Replicas {
 			if strings.TrimSpace(r) == "" {
 				return nil, fmt.Errorf("proxy: group %d has an empty replica URL", gi)
 			}
-			g.backends = append(g.backends, newBackend(r, gi, false))
+			g.backends = append(g.backends, newBackend(r))
 		}
 		p.groups = append(p.groups, g)
 	}
@@ -206,7 +194,7 @@ func (p *Proxy) Close() error {
 	p.probeWG.Wait()
 	for _, g := range p.groups {
 		for _, b := range g.backends {
-			b.closeIdle()
+			b.client.CloseIdleConnections()
 		}
 	}
 	return nil
@@ -222,19 +210,19 @@ func (p *Proxy) SetDraining(v bool) { p.draining.Store(v) }
 // /macroclusters) plus /stats, /healthz and /readyz of its own.
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/classify", p.handleClassify)
+	mux.HandleFunc("/classify", p.serving(p.handleClassify))
 	// A write is decoded as the request its backend route takes, so both
 	// tiers refuse the same bodies; the proxy needs only its point.
-	mux.HandleFunc("/insert", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/insert", p.serving(func(w http.ResponseWriter, r *http.Request) {
 		var req wire.InsertRequest
 		p.handleWrite(w, r, &req, &req.X)
-	})
-	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
+	}))
+	mux.HandleFunc("/cluster", p.serving(func(w http.ResponseWriter, r *http.Request) {
 		var req wire.ClusterRequest
 		p.handleWrite(w, r, &req, &req.X)
-	})
-	mux.HandleFunc("/microclusters", p.handleMicroClusters)
-	mux.HandleFunc("/macroclusters", p.handleMacroClusters)
+	}))
+	mux.HandleFunc("/microclusters", p.serving(p.handleMicroClusters))
+	mux.HandleFunc("/macroclusters", p.serving(p.handleMacroClusters))
 	mux.HandleFunc("/stats", p.handleStats)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -260,22 +248,25 @@ func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
+// serving answers 503 in place of h while the proxy drains.
+func (p *Proxy) serving(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if p.draining.Load() {
+			server.WriteUnavailable(w, "draining")
+			return
+		}
+		h(w, r)
+	}
+}
+
 // ---------------------------------------------------------------------
 // Writes: consistent-hash routing with 307-follow and failover
-
-// errNoPrimary is the terminal routing error when a group has no
-// routable primary even after re-probes.
-var errNoPrimary = errors.New("proxy: group has no routable primary")
 
 // handleWrite routes one write: the body is decoded into req, whose
 // point — the shard key — point points at.
 func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request, req wire.Value, point *[]float64) {
 	if r.Method != http.MethodPost {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	if p.draining.Load() {
-		server.WriteUnavailable(w, "draining")
 		return
 	}
 	if server.IsStream(r) {
@@ -292,15 +283,11 @@ func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request, req wire.Val
 		server.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	x := *point
-	if len(x) == 0 {
+	if len(*point) == 0 {
 		server.WriteError(w, http.StatusBadRequest, "request has no point x to route on")
 		return
 	}
-	gi := 0
-	if len(p.groups) > 1 {
-		gi = server.RouteShard(x, len(p.groups))
-	}
+	gi := server.RouteShard(*point, len(p.groups))
 	status, resp, err := p.routeWrite(r.Context(), p.groups[gi], r.URL.Path, body)
 	if err != nil {
 		p.writeErrors.Add(1)
@@ -354,9 +341,6 @@ func (p *Proxy) routeWrite(ctx context.Context, g *group, path string, body []by
 			return status, data, nil
 		}
 	}
-	if lastErr == nil {
-		lastErr = errNoPrimary
-	}
 	return 0, nil, lastErr
 }
 
@@ -380,10 +364,6 @@ func (p *Proxy) handleClassify(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	if p.draining.Load() {
-		server.WriteUnavailable(w, "draining")
-		return
-	}
 	if server.IsStream(r) {
 		server.WriteError(w, http.StatusBadRequest,
 			"NDJSON streaming is not proxied; send single JSON requests")
@@ -398,20 +378,17 @@ func (p *Proxy) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := p.classify(r.Context(), req)
-	if err != nil {
-		p.readErrors.Add(1)
-		p.writeReadError(w, err)
+	if !p.readDone(w, err) {
 		return
 	}
-	p.reads.Add(1)
 	if !req.Scores {
 		res.Scores, res.Weight, res.Labels = nil, 0, nil
 	}
 	server.WriteWire(w, http.StatusOK, res)
 }
 
-// httpError carries a backend-determined status through the scatter
-// path (a 400 for a bad point must stay a 400).
+// httpError carries the status a failed read is answered with: a
+// backend's client fault (a 400 for a bad point must stay a 400) or 501.
 type httpError struct {
 	status int
 	msg    string
@@ -422,69 +399,109 @@ func (e *httpError) Error() string { return e.msg }
 // classify scatters one classification — the engine's classify path
 // with groups for shards: the budget is resolved by the engine's rule
 // over the proxy's default and cap, split across groups in proportion
-// to their observation counts (server.SplitBudget), each non-empty
-// group's share is served by a fresh follower (hedged) as a literal
-// budget with scores requested, and the group answers go through the
-// engine's merge (mergeClassify).
+// to their observation counts (split), each non-empty group's share is
+// read as a literal budget with scores requested, and the group answers
+// go through the engine's merge (mergeClassify).
 func (p *Proxy) classify(ctx context.Context, req wire.ClassifyRequest) (server.Result, error) {
-	ctx, cancel := context.WithTimeout(ctx, p.cfg.ReadTimeout)
-	defer cancel()
 	requested := server.Config{DefaultBudget: p.cfg.DefaultBudget, MaxBudget: p.cfg.MaxBudget}.ResolveBudget(req)
+	sizes, budgets := p.split(requested)
+	answers, err := scatter[server.Result](ctx, p, "/classify",
+		func(i int) bool { return sizes[i] > 0 },
+		func(i int) []byte {
+			return wire.ClassifyRequest{X: req.X, Budget: budgets[i], Scores: true, Literal: true}.AppendJSON(nil)
+		})
+	if err != nil {
+		return server.Result{}, err
+	}
+	return mergeClassify(slices.DeleteFunc(answers, func(a *server.Result) bool { return a == nil }), requested)
+}
 
-	sizes := make([]int, len(p.groups))
+// split sizes every group by its probed observation count and divides
+// requested across the groups in proportion, under the engine's rule
+// (server.SplitBudget).
+func (p *Proxy) split(requested int) (sizes, budgets []int) {
+	sizes = make([]int, len(p.groups))
 	total := 0
 	for i, g := range p.groups {
 		sizes[i] = g.observations()
 		total += sizes[i]
 	}
-	if total == 0 {
-		return server.Result{}, &httpError{http.StatusBadRequest, "server: no observations yet"}
-	}
-	budgets := server.SplitBudget(requested, sizes, total)
+	return sizes, server.SplitBudget(requested, sizes, total)
+}
 
-	answers := make([]*server.Result, len(p.groups))
+// scatter reads path from every group want admits (every group when want
+// is nil), one goroutine per group, within ReadTimeout: a POST of body(i)
+// when body is set, a GET otherwise. Each group's 200 answer is decoded
+// into a T; the answers come back in group order, nil where want said no.
+// A failed read or any other status fails the scatter with the first
+// error in group order.
+func scatter[T any, PT interface {
+	*T
+	wire.Value
+}](ctx context.Context, p *Proxy, path string, want func(int) bool, body func(int) []byte) ([]*T, error) {
+	ctx, cancel := context.WithTimeout(ctx, p.cfg.ReadTimeout)
+	defer cancel()
+	answers := make([]*T, len(p.groups))
 	errs := make([]error, len(p.groups))
 	var wg sync.WaitGroup
-	for i := range p.groups {
-		if sizes[i] == 0 {
+	for i, g := range p.groups {
+		if want != nil && !want(i) {
 			continue
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			body := wire.ClassifyRequest{X: req.X, Budget: budgets[i], Scores: true, Literal: true}.AppendJSON(nil)
-			rr, err := p.hedgedRead(ctx, p.groups[i], func(b *backend) readAttempt {
-				return readAttempt{method: http.MethodPost, path: "/classify", body: body}
-			})
-			if err != nil {
-				errs[i] = err
-				return
+			method, b := http.MethodGet, []byte(nil)
+			if body != nil {
+				method, b = http.MethodPost, body(i)
 			}
-			if rr.status != http.StatusOK {
-				errs[i] = backendStatusError(rr.status, rr.body)
-				return
+			status, data, err := p.read(ctx, g, method, path, b)
+			if err == nil && status != http.StatusOK {
+				err = backendStatusError(status, data)
 			}
-			var res server.Result
-			if err := wire.DecodeLine(rr.body, &res); err != nil {
-				errs[i] = fmt.Errorf("decode backend answer: %w", err)
-				return
+			if err == nil {
+				answers[i] = new(T)
+				if err = wire.DecodeLine(data, PT(answers[i])); err != nil {
+					err = fmt.Errorf("decode backend answer: %w", err)
+				}
 			}
-			answers[i] = &res
-		}(i)
+			errs[i] = err
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return server.Result{}, fmt.Errorf("group %d: %w", i, err)
+			return nil, fmt.Errorf("group %d: %w", i, err)
 		}
 	}
-	ordered := make([]*server.Result, 0, len(answers))
-	for _, a := range answers {
-		if a != nil {
-			ordered = append(ordered, a)
+	return answers, nil
+}
+
+// read serves one read against g, trying readTargets' order one target
+// at a time: the least-stale fresh follower (rotating head), the other
+// fresh followers, then the primary. A transport error or a 5xx moves on
+// to the next target; any answer below 500 is the group's, returned as
+// is. The request context ends the walk.
+func (p *Proxy) read(ctx context.Context, g *group, method, path string, body []byte) (int, []byte, error) {
+	targets, viaPrimary := g.readTargets(p.cfg.MaxStaleness)
+	if viaPrimary {
+		p.primaryFallbacks.Add(1)
+	}
+	var lastErr error
+	for _, b := range targets {
+		status, data, err := b.fetch(ctx, method, path, body)
+		switch {
+		case err == nil && status < 500:
+			return status, data, nil
+		case err == nil:
+			lastErr = backendStatusError(status, data)
+		case ctx.Err() != nil:
+			return 0, nil, err
+		default:
+			lastErr = err
 		}
 	}
-	return mergeClassify(ordered, requested)
+	return 0, nil, lastErr
 }
 
 // backendStatusError maps a backend's non-200 answer into an error that
@@ -548,46 +565,28 @@ func mergeClassify(answers []*server.Result, requested int) (server.Result, erro
 
 // gatherMicro fans a /microclusters?minw= read across all groups and
 // returns the union set in group order — exact, because every group's
-// micro-clusters summarise a disjoint partition of the stream. The
+// micro-clusters summarise a disjoint partition of the stream, as long
+// as they are faded to one "now". Decaying groups fade on clocks of their
+// own (each ticks on its own inserts), so a union over more than one
+// group is refused with 501 when any of them decays; one group is served
+// at any λ, its followers being digit-identical to its primary. The
 // backends are sent minw as the number it parsed to, never the client's
 // raw text.
 func (p *Proxy) gatherMicro(ctx context.Context, minw float64) ([]wire.MicroClusterJSON, error) {
-	path := "/microclusters?minw=" + url.QueryEscape(strconv.FormatFloat(minw, 'g', -1, 64))
-	lists := make([][]wire.MicroClusterJSON, len(p.groups))
-	errs := make([]error, len(p.groups))
-	var wg sync.WaitGroup
-	for i := range p.groups {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rr, err := p.hedgedRead(ctx, p.groups[i], func(b *backend) readAttempt {
-				return readAttempt{method: http.MethodGet, path: path}
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if rr.status != http.StatusOK {
-				errs[i] = backendStatusError(rr.status, rr.body)
-				return
-			}
-			var ml wire.MicroClusterList
-			if err := wire.DecodeLine(rr.body, &ml); err != nil {
-				errs[i] = fmt.Errorf("decode backend answer: %w", err)
-				return
-			}
-			lists[i] = ml.MicroClusters
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("group %d: %w", i, err)
+	for _, g := range p.groups {
+		if len(p.groups) > 1 && g.decays() {
+			return nil, &httpError{http.StatusNotImplemented, fmt.Sprintf(
+				"group %d decays (decay_enabled): micro-clusters faded on separate clocks do not add; front decaying cluster groups one per proxy", g.index)}
 		}
+	}
+	path := "/microclusters?minw=" + url.QueryEscape(strconv.FormatFloat(minw, 'g', -1, 64))
+	lists, err := scatter[wire.MicroClusterList](ctx, p, path, nil, nil)
+	if err != nil {
+		return nil, err
 	}
 	union := []wire.MicroClusterJSON{}
 	for _, l := range lists {
-		union = append(union, l...)
+		union = append(union, l.MicroClusters...)
 	}
 	return union, nil
 }
@@ -597,32 +596,18 @@ func (p *Proxy) gatherMicro(ctx context.Context, minw float64) ([]wire.MicroClus
 // backends' own body type, so a proxied response is byte-identical to a
 // single-process one over the same data.
 func (p *Proxy) handleMicroClusters(w http.ResponseWriter, r *http.Request) {
-	if p.draining.Load() {
-		server.WriteUnavailable(w, "draining")
-		return
-	}
 	minw, err := server.QueryFloat(r, "minw", 0)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), p.cfg.ReadTimeout)
-	defer cancel()
-	union, err := p.gatherMicro(ctx, minw)
-	if err != nil {
-		p.readErrors.Add(1)
-		p.writeReadError(w, err)
-		return
+	union, err := p.gatherMicro(r.Context(), minw)
+	if p.readDone(w, err) {
+		server.WriteWire(w, http.StatusOK, wire.MicroClusterList{Count: len(union), MicroClusters: union})
 	}
-	p.reads.Add(1)
-	server.WriteWire(w, http.StatusOK, wire.MicroClusterList{Count: len(union), MicroClusters: union})
 }
 
 func (p *Proxy) handleMacroClusters(w http.ResponseWriter, r *http.Request) {
-	if p.draining.Load() {
-		server.WriteUnavailable(w, "draining")
-		return
-	}
 	eps, err1 := server.QueryFloat(r, "eps", 0.1)
 	minw, err2 := server.QueryFloat(r, "minw", 1)
 	for _, err := range []error{err1, err2} {
@@ -631,18 +616,13 @@ func (p *Proxy) handleMacroClusters(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), p.cfg.ReadTimeout)
-	defer cancel()
 	// The offline macro step runs over the union micro-cluster set, so
 	// gather every group's full set (minw 0) and cluster locally —
 	// exactly what a single process does over its shard union.
-	union, err := p.gatherMicro(ctx, 0)
-	if err != nil {
-		p.readErrors.Add(1)
-		p.writeReadError(w, err)
+	union, err := p.gatherMicro(r.Context(), 0)
+	if !p.readDone(w, err) {
 		return
 	}
-	p.reads.Add(1)
 	mcs := make([]clustree.MicroCluster, len(union))
 	for i, m := range union {
 		mcs[i] = clustree.MicroCluster{Weight: m.Weight, Mean: m.Mean, Radius: m.Radius}
@@ -653,25 +633,22 @@ func (p *Proxy) handleMacroClusters(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeReadError renders a scatter-read failure, preserving
-// client-fault statuses.
-func (p *Proxy) writeReadError(w http.ResponseWriter, err error) {
+// readDone counts one proxied read and reports whether it succeeded; a
+// failed one is answered here, with its client-fault or 501 status
+// preserved and 503 otherwise.
+func (p *Proxy) readDone(w http.ResponseWriter, err error) bool {
 	var he *httpError
-	if errors.As(err, &he) {
+	switch {
+	case err == nil:
+		p.reads.Add(1)
+		return true
+	case errors.As(err, &he):
 		server.WriteError(w, he.status, "%s", he.msg)
-		return
+	default:
+		server.WriteUnavailable(w, "%v", err)
 	}
-	server.WriteUnavailable(w, "%v", err)
-}
-
-// ---------------------------------------------------------------------
-// Read target selection
-
-// readAttempt is one backend exchange a hedged read issues.
-type readAttempt struct {
-	method string
-	path   string
-	body   []byte
+	p.readErrors.Add(1)
+	return false
 }
 
 // fetch runs one fully-read HTTP exchange against the backend's pooled

@@ -25,12 +25,6 @@ type Stats struct {
 	// WriteRetries counts failover retries (each preceded by a
 	// synchronous group re-probe).
 	WriteRetries int64 `json:"write_retries"`
-	// Hedges counts hedge requests issued, HedgeWins how many beat the
-	// original; HedgeDelayMs is the current trigger delay (tracked p95,
-	// floored).
-	Hedges       int64   `json:"hedges"`
-	HedgeWins    int64   `json:"hedge_wins"`
-	HedgeDelayMs float64 `json:"hedge_delay_ms"`
 	// PrimaryFallbacks counts reads that had no fresh follower and fell
 	// back to the primary — the degrade-never-error path taken.
 	PrimaryFallbacks int64 `json:"primary_fallbacks"`
@@ -75,9 +69,6 @@ func (p *Proxy) CurrentStats() Stats {
 		Writes:           p.writes.Load(),
 		WriteErrors:      p.writeErrors.Load(),
 		WriteRetries:     p.writeRetries.Load(),
-		Hedges:           p.hedges.Load(),
-		HedgeWins:        p.hedgeWins.Load(),
-		HedgeDelayMs:     float64(p.hedgeDelay().Milliseconds()),
 		PrimaryFallbacks: p.primaryFallbacks.Load(),
 	}
 	for _, g := range p.groups {
