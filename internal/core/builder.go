@@ -34,13 +34,8 @@ func (b *Builder) Leaf(points [][]float64) (*Node, error) {
 	}
 	n := &Node{leaf: true, points: make([][]float64, len(points))}
 	for i, p := range points {
-		if len(p) != b.cfg.Dim {
-			return nil, fmt.Errorf("core: observation dim %d != %d", len(p), b.cfg.Dim)
-		}
-		for k, v := range p {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("core: non-finite coordinate %d", k)
-			}
+		if err := checkPoint(p, b.cfg.Dim); err != nil {
+			return nil, err
 		}
 		cp := make([]float64, len(p))
 		copy(cp, p)
@@ -163,29 +158,10 @@ func (t *Tree) Validate() error {
 		return nil
 	}
 	const tol = 1e-6
-	// Minimum-fill invariants are only promised by balanced construction;
-	// the paper's EMTopDown loader explicitly trades them (and balance)
-	// for better-shaped clusters.
-	checkMin := t.balanced
 	var walk func(n *Node, isRoot bool) error
 	walk = func(n *Node, isRoot bool) error {
-		if n.leaf {
-			if checkMin && !isRoot && (len(n.points) < t.cfg.MinLeaf || len(n.points) > t.cfg.MaxLeaf) {
-				return fmt.Errorf("core: leaf occupancy %d outside [%d,%d]", len(n.points), t.cfg.MinLeaf, t.cfg.MaxLeaf)
-			}
-			if len(n.points) > t.cfg.MaxLeaf {
-				return fmt.Errorf("core: leaf occupancy %d exceeds %d", len(n.points), t.cfg.MaxLeaf)
-			}
-			return nil
-		}
-		if checkMin && !isRoot && (len(n.entries) < t.cfg.MinFanout || len(n.entries) > t.cfg.MaxFanout) {
-			return fmt.Errorf("core: fanout %d outside [%d,%d]", len(n.entries), t.cfg.MinFanout, t.cfg.MaxFanout)
-		}
-		if len(n.entries) > t.cfg.MaxFanout {
-			return fmt.Errorf("core: fanout %d exceeds %d", len(n.entries), t.cfg.MaxFanout)
-		}
-		if isRoot && !n.leaf && len(n.entries) < 1 {
-			return fmt.Errorf("core: inner root without entries")
+		if err := checkShape(n, &t.cfg, isRoot, t.balanced); err != nil {
+			return err
 		}
 		for i := range n.entries {
 			e := &n.entries[i]

@@ -154,21 +154,20 @@ func TestInsertDeltaMatchesSummarize(t *testing.T) {
 }
 
 // rebuiltCopy reassembles a deep copy of the tree through the Rebuild*
-// constructors, the way a snapshot decoder does.
+// constructors, the way a snapshot decoder does: leaves copied, inner
+// entries derived.
 func rebuiltCopy(t *testing.T, mt *MultiTree) *MultiTree {
 	t.Helper()
-	vec := func(v []float64) []float64 { return append([]float64(nil), v...) }
-	cf := func(c stats.CF) stats.CF { return stats.CF{N: c.N, LS: vec(c.LS), SS: vec(c.SS)} }
 	var copyNode func(n *MultiNode) *MultiNode
 	copyNode = func(n *MultiNode) *MultiNode {
 		if n.leaf {
 			pts := make([]LabeledPoint, len(n.points))
 			for i, p := range n.points {
-				pts[i] = LabeledPoint{X: vec(p.X), Label: p.Label}
+				pts[i] = LabeledPoint{X: append([]float64(nil), p.X...), Label: p.Label}
 			}
 			var ws []float64
 			if n.weights != nil {
-				ws = vec(n.weights)
+				ws = append([]float64(nil), n.weights...)
 			}
 			leaf, err := RebuildMultiLeafWeighted(pts, ws)
 			if err != nil {
@@ -178,18 +177,15 @@ func rebuiltCopy(t *testing.T, mt *MultiTree) *MultiTree {
 		}
 		ents := make([]MultiEntry, len(n.entries))
 		for i := range n.entries {
-			e := &n.entries[i]
-			ents[i] = MultiEntry{Rect: e.Rect.Clone(), CFs: make([]stats.CF, len(e.CFs)), Total: cf(e.Total), Child: copyNode(e.Child)}
-			for c := range e.CFs {
-				ents[i].CFs[c] = cf(e.CFs[c])
-			}
+			ents[i].Child = copyNode(n.entries[i].Child)
 		}
 		return RebuildMultiInner(ents)
 	}
-	out, err := RebuildMultiTree(mt.cfg, mt.mopts, mt.labels, copyNode(mt.root), mt.counts)
+	out, derive, err := RebuildMultiTree(mt.cfg, mt.mopts, mt.labels, copyNode(mt.root), mt.counts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	derive()
 	if err := out.RestoreDecayState(mt.decay, mt.epoch, mt.refEpoch); err != nil {
 		t.Fatal(err)
 	}

@@ -165,17 +165,22 @@ func (t *MultiTree) ApproxBytes() int64 {
 	return total
 }
 
-// summarize computes the MultiEntry describing node n.
+// summarize computes the MultiEntry describing node n. Its Rect, Total
+// and class CFs are carved out of one block, each vector cap-bounded so
+// that none can grow into the next.
 func (t *MultiTree) summarize(n *MultiNode) MultiEntry {
 	d := t.cfg.Dim
+	blk := make([]float64, (4+2*len(t.labels))*d)
+	vec := func(i int) []float64 { return blk[i*d : (i+1)*d : (i+1)*d] }
 	e := MultiEntry{
-		Rect:  mbr.Empty(d),
+		Rect:  mbr.Rect{Lo: vec(0), Hi: vec(1)},
 		CFs:   make([]stats.CF, len(t.labels)),
-		Total: stats.NewCF(d),
+		Total: stats.CF{LS: vec(2), SS: vec(3)},
 		Child: n,
 	}
+	fillEmpty(e.Rect)
 	for i := range e.CFs {
-		e.CFs[i] = stats.NewCF(d)
+		e.CFs[i] = stats.CF{LS: vec(4 + 2*i), SS: vec(5 + 2*i)}
 	}
 	if n.leaf {
 		if n.weights == nil {
@@ -252,10 +257,8 @@ func (t *MultiTree) Insert(x []float64, label int) error {
 	if !ok {
 		return fmt.Errorf("core: unknown class label %d", label)
 	}
-	for i, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: non-finite coordinate %d", i)
-		}
+	if err := checkPoint(x, t.cfg.Dim); err != nil {
+		return err
 	}
 	cp := make([]float64, len(x))
 	copy(cp, x)
@@ -635,24 +638,50 @@ func (t *MultiTree) ClassifyTraceInto(x []float64, opts ClassifierOptions, budge
 	return trace, nil
 }
 
+// addMasses adds the observation weights of leaf n to masses, by class
+// index, refusing a label the tree does not have.
+func (t *MultiTree) addMasses(masses []float64, n *MultiNode) error {
+	for i, p := range n.points {
+		c, ok := t.index[p.Label]
+		if !ok {
+			return fmt.Errorf("core: point with unknown label %d", p.Label)
+		}
+		if n.weights == nil {
+			masses[c]++
+		} else {
+			masses[c] += n.weights[i]
+		}
+	}
+	return nil
+}
+
+// checkCounts holds each class count to its leaves' class mass, within
+// 1e-6 (relative); a negative or non-finite count never passes.
+func (t *MultiTree) checkCounts(masses []float64) error {
+	for c, n := range t.counts {
+		if n < 0 || !(math.Abs(n-masses[c]) <= 1e-6*(1+masses[c])) {
+			return fmt.Errorf("core: class %d count %v but the tree holds %v", t.labels[c], n, masses[c])
+		}
+	}
+	return nil
+}
+
 // Validate checks structural invariants (MBR and per-class CF consistency,
-// capacities). Balanced depth is guaranteed by construction for
-// incremental inserts.
+// capacities, class counts). Balanced depth is guaranteed by
+// construction for incremental inserts.
 func (t *MultiTree) Validate() error {
 	if t.size == 0 {
 		return nil
 	}
 	const tol = 1e-6
+	masses := make([]float64, len(t.labels))
 	var walk func(n *MultiNode, isRoot bool) error
 	walk = func(n *MultiNode, isRoot bool) error {
-		if n.leaf {
-			if !isRoot && (len(n.points) < t.cfg.MinLeaf || len(n.points) > t.cfg.MaxLeaf) {
-				return fmt.Errorf("core: multi leaf occupancy %d outside [%d,%d]", len(n.points), t.cfg.MinLeaf, t.cfg.MaxLeaf)
-			}
-			return nil
+		if err := checkShape(n, &t.cfg, isRoot, true); err != nil {
+			return err
 		}
-		if !isRoot && (len(n.entries) < t.cfg.MinFanout || len(n.entries) > t.cfg.MaxFanout) {
-			return fmt.Errorf("core: multi fanout %d outside [%d,%d]", len(n.entries), t.cfg.MinFanout, t.cfg.MaxFanout)
+		if err := t.addMasses(masses, n); err != nil {
+			return err
 		}
 		for i := range n.entries {
 			e := &n.entries[i]
@@ -676,23 +705,5 @@ func (t *MultiTree) Validate() error {
 	if err := walk(t.root, true); err != nil {
 		return err
 	}
-	var total float64
-	for _, c := range t.counts {
-		total += c
-	}
-	if !t.decay.Enabled() {
-		if int(total) != t.size {
-			return fmt.Errorf("core: class counts sum %v != size %d", total, t.size)
-		}
-		return nil
-	}
-	// Decayed masses are fractional: check them against a fresh root
-	// summary instead of the point count.
-	root := t.summarize(t.root)
-	for c := range t.counts {
-		if math.Abs(t.counts[c]-root.CFs[c].N) > tol*(1+math.Abs(root.CFs[c].N)) {
-			return fmt.Errorf("core: stale decayed count %v for class %d (root has %v)", t.counts[c], t.labels[c], root.CFs[c].N)
-		}
-	}
-	return nil
+	return t.checkCounts(masses)
 }

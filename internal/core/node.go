@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // This file is the node skeleton the per-class Tree and the multi-class
 // MultiTree share. The paper's multi-class tree (Section 4.1) is the
 // Bayes tree of Section 2 with a different entry payload, so one generic
@@ -132,4 +134,26 @@ func collectWeightedPoints[P any, E entry[P, E]](n *node[P, E], pts []P, ws []fl
 		pts, ws = collectWeightedPoints(n.entries[i].child(), pts, ws)
 	}
 	return pts, ws
+}
+
+// checkShape checks a node's occupancy against cfg: at most the
+// capacity, and at least the minimum fill below the root when minFill —
+// only balanced construction promises it: the paper's EMTopDown loader
+// trades it (and balance) for better-shaped clusters — or else one,
+// but in a root leaf.
+func checkShape[P any, E entry[P, E]](n *node[P, E], cfg *Config, isRoot, minFill bool) error {
+	what, have, lo, hi := "leaf occupancy", len(n.points), cfg.MinLeaf, cfg.MaxLeaf
+	if !n.leaf {
+		what, have, lo, hi = "fanout", len(n.entries), cfg.MinFanout, cfg.MaxFanout
+	}
+	if isRoot || !minFill {
+		lo = 1
+		if isRoot && n.leaf {
+			lo = 0
+		}
+	}
+	if have < lo || have > hi {
+		return fmt.Errorf("core: %s %d outside [%d,%d]", what, have, lo, hi)
+	}
+	return nil
 }

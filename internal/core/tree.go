@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -179,13 +178,8 @@ func (t *Tree) summarize(n *Node) Entry {
 // the new observation; overflows trigger forced reinsertion (once per
 // level, if configured) and topological splits.
 func (t *Tree) Insert(x []float64) error {
-	if len(x) != t.cfg.Dim {
-		return fmt.Errorf("core: point dim %d != tree dim %d", len(x), t.cfg.Dim)
-	}
-	for i, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: non-finite coordinate %d", i)
-		}
+	if err := checkPoint(x, t.cfg.Dim); err != nil {
+		return err
 	}
 	p := make([]float64, len(x))
 	copy(p, x)

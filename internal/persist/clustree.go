@@ -10,9 +10,10 @@ import (
 // This file extends the snapshot format to the clustering workload:
 // the Section-4.2 ClusTree (tree topology, entry cluster features,
 // parked buffer CFs, decay timestamps, lifetime counters) and the
-// pyramidal snapshot store of micro-cluster history. As with the
-// classifier kinds, only the structural source of truth is stored —
-// float64 values bit-exact — so a reloaded tree reports MicroClusters
+// pyramidal snapshot store of micro-cluster history. Unlike the
+// classifier kinds' inner summaries, a ClusTree's inner CFs are stored:
+// with their own timestamps and parked buffers they are not a function
+// of their children. Float64 values are bit-exact, so a reloaded tree reports MicroClusters
 // and Weight digit-identically to the tree that was saved, including
 // outstanding lazy decay (timestamps round-trip, so fading resumes at
 // the exact point it stopped).

@@ -115,14 +115,11 @@ func TestDecayedMultiTreeRoundTripDigitIdentical(t *testing.T) {
 	}
 }
 
-// A decayed per-class forest snapshot round-trips digit-identically
-// through the classifier encoder, including priors from decayed masses —
-// and its bytes are the ones the parent of the shared tree skeleton
-// produced: the forest lives through forced reinsertion, pruning
-// sweeps, collapsed subtrees and orphan reinsertion (one reinserted map
-// across all orphans of a sweep), so a change to the order of any of
-// them shows in the hash, as TestGoldenSnapshot shows it for MultiTree.
-func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
+// decayedForest is a decayed two-class forest that has lived through
+// forced reinsertion, pruning sweeps, collapsed subtrees and orphan
+// reinsertion (one reinserted map across all orphans of a sweep).
+func decayedForest(t testing.TB) *core.Classifier {
+	t.Helper()
 	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 5,
 		Kernel: core.DefaultConfig(2).Kernel, ForcedReinsert: true}
 	trees := make([]*core.Tree, 2)
@@ -165,32 +162,57 @@ func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return clf
+}
+
+// A decayed per-class forest snapshot round-trips digit-identically
+// through the classifier encoder, including priors from decayed masses —
+// and its bytes are pinned in both formats: v3 (leaves only) and the v2
+// writer's, which hold every inner summary and are the bytes the parent
+// of the shared tree skeleton produced, so a change to the order of any
+// insert, reinsertion or sweep shows in a hash, as TestGoldenSnapshot
+// shows it for MultiTree.
+func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
+	clf := decayedForest(t)
 	var buf bytes.Buffer
 	if err := EncodeClassifier(&buf, clf); err != nil {
 		t.Fatal(err)
 	}
-	const wantSize, wantSum = 4531, "42b1fd991a7905635f39f4fb120bf06bbc9b85ac2e746e494f460c10ffdb0714"
-	sum := sha256.Sum256(buf.Bytes())
-	if got := hex.EncodeToString(sum[:]); buf.Len() != wantSize || got != wantSum {
-		t.Fatalf("snapshot is %d bytes, sha256 %s; the parent commit's was %d bytes, %s (sweeps: %+v)", buf.Len(), got, wantSize, wantSum, swept)
-	}
-	got, err := DecodeClassifier(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		x := []float64{rng.Float64(), rng.Float64()}
-		qa, qb := clf.NewQuery(x), got.NewQuery(x)
-		for qa.Step() && qb.Step() {
+	for _, row := range []struct {
+		version uint32
+		snap    []byte
+		size    int
+		sum     string
+	}{
+		{3, buf.Bytes(), 2227, "2db7344b0af5e52a250217bb2ff7e31de38ca5884aa6bc8996f3d7faf2d4f87e"},
+		{2, EncodeAt(2, clf), 4531, "42b1fd991a7905635f39f4fb120bf06bbc9b85ac2e746e494f460c10ffdb0714"},
+	} {
+		sum := sha256.Sum256(row.snap)
+		if got := hex.EncodeToString(sum[:]); len(row.snap) != row.size || got != row.sum {
+			t.Fatalf("v%d snapshot is %d bytes, sha256 %s; want %d bytes, %s", row.version, len(row.snap), got, row.size, row.sum)
 		}
-		pa, pb := qa.Posteriors(), qb.Posteriors()
-		for c := range pa {
-			if pa[c] != pb[c] {
-				t.Fatalf("probe %d class %d: posterior %v != %v", i, c, pb[c], pa[c])
+		got, err := DecodeClassifier(bytes.NewReader(row.snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(EncodeAt(2, got), EncodeAt(2, clf)) {
+			t.Fatalf("v%d decode derived inner summaries that differ from the stored ones", row.version)
+		}
+		rng := rand.New(rand.NewSource(13))
+		for i := 0; i < 60; i++ {
+			x := []float64{rng.Float64(), rng.Float64()}
+			qa, qb := clf.NewQuery(x), got.NewQuery(x)
+			for qa.Step() && qb.Step() {
 			}
+			pa, pb := qa.Posteriors(), qb.Posteriors()
+			for c := range pa {
+				if pa[c] != pb[c] {
+					t.Fatalf("v%d probe %d class %d: posterior %v != %v", row.version, i, c, pb[c], pa[c])
+				}
+			}
+			qa.Close()
+			qb.Close()
 		}
-		qa.Close()
-		qb.Close()
 	}
 }
 

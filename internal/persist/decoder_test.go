@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"bayestree/internal/clustree"
 	"bayestree/internal/core"
@@ -200,10 +201,11 @@ func smallClusTree(tb testing.TB, lambda float64) *clustree.Tree {
 }
 
 // snapshotCorpus is every kind of snapshot the package's tests build —
-// per-class forest, multi-class tree and sharded set in both format
-// versions, decayed models with weighted leaves, a ClusTree under budget
-// pressure, a cluster set with and without its pyramidal store — plus a
-// model of a few nodes per kind.
+// per-class forest, multi-class tree and sharded set in every format
+// version (a v2 one with a forged inner summary among them), decayed
+// models with weighted leaves, a ClusTree under budget pressure, a
+// cluster set with and without its pyramidal store — plus a model of a
+// few nodes per kind.
 func snapshotCorpus(tb testing.TB) []sample {
 	tb.Helper()
 	var out []sample
@@ -215,25 +217,24 @@ func snapshotCorpus(tb testing.TB) []sample {
 		}
 		out = append(out, sample{name, buf.Bytes()})
 	}
-	v1 := func(kind byte, body func(e *encoder)) func(io.Writer) error {
-		return func(w io.Writer) error {
-			e := newEncoderVersion(kind, 1)
-			body(e)
-			return e.flush(w)
-		}
-	}
 	clf, _ := trainClassifier(tb, 9, core.ClassifierOptions{Strategy: core.DescentBFT})
 	add("forest", func(w io.Writer) error { return EncodeClassifier(w, clf) })
-	add("forest-decayed-small", func(w io.Writer) error { return EncodeClassifier(w, smallForest(tb)) })
+	forest := smallForest(tb)
+	add("forest-decayed-small", func(w io.Writer) error { return EncodeClassifier(w, forest) })
+	out = append(out, sample{"forest-decayed-small-v2", EncodeAt(2, forest)})
 	mt, _ := buildMultiTree(tb, 5, core.MultiOptions{PooledVariance: true, EntropyPriority: true})
 	add("multitree", func(w io.Writer) error { return EncodeMultiTree(w, mt) })
 	add("multitree-decayed", func(w io.Writer) error { return EncodeMultiTree(w, buildDecayedMultiTree(tb)) })
 	small, smallDecayed := smallMultiTree(tb, false), smallMultiTree(tb, true)
 	add("multitree-small", func(w io.Writer) error { return EncodeMultiTree(w, small) })
 	add("multitree-small-decayed", func(w io.Writer) error { return EncodeMultiTree(w, smallDecayed) })
-	add("multitree-small-v1", v1(kindMultiTree, func(e *encoder) { e.multiTree(small) }))
 	add("multiset-small", func(w io.Writer) error { return EncodeMultiTrees(w, []*core.MultiTree{small, smallDecayed}) })
-	add("multiset-v1", v1(kindMultiSet, func(e *encoder) { e.u64(2); e.multiTree(mt); e.multiTree(small) }))
+	out = append(out,
+		sample{"multitree-small-v1", EncodeAt(1, small)},
+		sample{"multitree-small-v2", EncodeAt(2, smallDecayed)},
+		sample{"multitree-small-v2-forged", forgedV2(tb)},
+		sample{"multiset-v1", EncodeAt(1, []*core.MultiTree{mt, small})},
+		sample{"multiset-small-v2", EncodeAt(2, []*core.MultiTree{small, smallDecayed})})
 	pressed := buildClusTree(tb, 31, 0.003)
 	add("clustree", func(w io.Writer) error { return EncodeClusTree(w, pressed) })
 	tiny := smallClusTree(tb, 0.01)
@@ -353,7 +354,7 @@ func mutate(rng *rand.Rand, snap []byte, i int) []byte {
 		payload[0] = byte(rng.Intn(7))
 		return frame(version, payload)
 	case 7:
-		return frame(1+version%2, payload)
+		return frame(1+version%Version, payload)
 	case 8:
 		if rng.Intn(2) == 0 {
 			return frame(version, append(payload, make([]byte, 1+rng.Intn(16))...))
@@ -370,7 +371,8 @@ func mutate(rng *rand.Rand, snap []byte, i int) []byte {
 // reader-based decoder it replaced give the same verdict on every
 // snapshot of the corpus, on its payload cut at every byte (small
 // snapshots) or at every one of its first 512 and 300 sampled ones, and
-// on 2,000 seeded mutations of each.
+// on 2,000 seeded mutations of each. The inner summaries a v1/v2
+// snapshot stores, which the decoder skips, are the ones it derives.
 func TestSliceDecoderMatchesReaderOracle(t *testing.T) {
 	mutations := 2000
 	if raceEnabled {
@@ -390,6 +392,11 @@ func TestSliceDecoderMatchesReaderOracle(t *testing.T) {
 			}
 			if err := c.validate(model); err != nil {
 				t.Fatalf("a valid snapshot decodes to an invalid model: %v", err)
+			}
+			if version < 3 && c.kind <= kindMultiSet && !strings.HasSuffix(s.name, "-forged") {
+				if stale, err := oracleStale(s.snap); err != nil || stale != 0 {
+					t.Fatalf("%d stored inner summaries differ from the derived ones (%v)", stale, err)
+				}
 			}
 			payload := payloadOf(s.snap)
 			rng := rand.New(rand.NewSource(24))
@@ -421,7 +428,14 @@ func TestSliceDecoderMatchesReaderOracle(t *testing.T) {
 	}
 }
 
-// fuzzSlack is what a decode may allocate beyond its 8 × input bound:
+// fuzzRatio bounds what a rejected decode may allocate per input byte. A
+// v3 inner entry is its child's 9-byte tag and count, from which a
+// decode builds a 136-byte entry (144 as allocated) and an 80-byte node:
+// ≈ 25 ×, and 32 × with the children stack. A count that reserved by
+// its declaration, nested, would take the input's square.
+const fuzzRatio = 32
+
+// fuzzSlack is what a decode may allocate beyond its fuzzRatio bound:
 // the fixed cost of a decoder, an error and the Rebuild* bookkeeping of
 // an empty model, which an input of a few bytes cannot amortise.
 const fuzzSlack = 16 << 10
@@ -431,18 +445,20 @@ const fuzzSlack = 16 << 10
 // checksum over the input, so mutations reach the field parsers, and
 // shows the result to all five decoders: at most the one the kind byte
 // names may accept it. Rejected: no model, no goroutine left behind, and
-// no more allocated than 8 × the input — a declared count cannot reserve
-// what the input does not hold. Accepted: the oracle accepts it too, the
-// model encodes back to the input byte for byte (a version-1 input
-// encodes as version 2, which must decode and encode to itself), and the
-// model's Validate runs without panicking — it may fail: a payload whose
-// stored summaries disagree with their subtrees is well-formed, and
-// checking that costs a decode as much again as it takes.
+// no more allocated than fuzzRatio × the input — a declared count cannot
+// reserve what the input does not hold. Accepted: the oracle accepts it too, the
+// model encodes back to the input byte for byte (a version-1 or -2 input
+// encodes as version 3, which must decode and encode to itself), and the
+// model's Validate runs without panicking. For the classification kinds
+// it passes: their snapshots store no summary a subtree can disagree
+// with, and the rebuild checks the node shapes Validate does. A
+// ClusTree's stored CFs may disagree — they are not a function of their
+// children — and checking that costs a decode as much again.
 //
-// The seeds are the corpus's snapshots under 16 KiB (every kind) and
-// forty seeded mutations of each, so that `go test` alone catches a
-// decoder that drops a bound, skips the kind check or lets trailing
-// bytes through.
+// The seeds are the corpus's snapshots under 16 KiB (every kind and
+// version) and forty seeded mutations of each, so that `go test` alone
+// catches a decoder that drops a bound, skips the kind check, lets
+// trailing bytes through or leaves a derived entry unsummarised.
 func FuzzDecodeSnapshot(f *testing.F) {
 	rng := rand.New(rand.NewSource(24))
 	for _, s := range snapshotCorpus(f) {
@@ -467,7 +483,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if m == nil && err != nil {
 				// Both counters are the process's: a reading over the
 				// bound counts only if a second decode repeats it.
-				if limit := uint64(8*len(b) + fuzzSlack); grew > limit {
+				if limit := uint64(fuzzRatio*len(b) + fuzzSlack); grew > limit {
 					if _, _, again := decodeMeasured(c, b); again > limit {
 						t.Fatalf("%s: a rejected %d-byte input allocated %d bytes: %v", c.name, len(b), again, err)
 					}
@@ -492,7 +508,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			} else if _, third := checkAgainstOracle(t, c, again); !bytes.Equal(third, again) {
 				t.Fatalf("%s: a version-%d snapshot's re-encoding does not decode to the same model", c.name, version)
 			}
-			_ = c.validate(model)
+			if err := c.validate(model); err != nil && c.kind <= kindMultiSet {
+				t.Fatalf("%s: an accepted snapshot decodes to an invalid model: %v", c.name, err)
+			}
 		}
 	})
 }
@@ -509,16 +527,23 @@ func decodeMeasured(c *codec, b []byte) (m any, err error, grew uint64) {
 
 // goroutinesStartedBy returns the stacks of the live goroutines that
 // code of the given package path prefix started; the fuzz engine's own
-// come and go, so a count of all goroutines says nothing.
+// come and go, so a count of all goroutines says nothing. A goroutine
+// whose deferred Done released a join may still be on its way out when
+// the join returns, so only one still there after a second counts.
 func goroutinesStartedBy(prefix string) string {
 	buf := make([]byte, 1<<20)
 	var out []string
-	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if strings.Contains(g, "created by "+prefix) {
-			out = append(out, g)
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		out = out[:0]
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "created by "+prefix) {
+				out = append(out, g)
+			}
+		}
+		if len(out) == 0 || time.Now().After(deadline) {
+			return strings.Join(out, "\n\n")
 		}
 	}
-	return strings.Join(out, "\n\n")
 }
 
 // TestDeclaredLengthCannotAllocate: a header may declare 32 GiB; what is
@@ -593,8 +618,9 @@ type oneKiBReader struct{ r io.Reader }
 
 func (s oneKiBReader) Read(p []byte) (int, error) { return s.r.Read(p[:min(len(p), 1024)]) }
 
-// TestDecodeAllocs: a decode allocates what it builds — a vector per
-// stored vector, a node and its entry or point slice per node, a point —
+// TestDecodeAllocs: a decode allocates what it builds — a node and its
+// entry or point slice per node, a point, and per derived inner entry
+// one block for its MBR and cluster features plus its class CF slice —
 // and nothing per word: the reader-based decoder allocated sixteen
 // times this, an escaping [8]byte for every float64 it read.
 func TestDecodeAllocs(t *testing.T) {
@@ -611,7 +637,7 @@ func TestDecodeAllocs(t *testing.T) {
 			return
 		}
 		for _, e := range n.Entries() {
-			built += 2 + 1 + 2*(classes+1) // the MBR, the CF slice, LS and SS per class and total
+			built += 2 // the vector block and the class CF slice
 			walk(e.Child, classes)
 		}
 	}

@@ -29,62 +29,106 @@ import (
 //     divided by zero in count, 2⁶¹ overflowed its argument);
 //   - an empty sharded set is refused (EncodeMultiTrees cannot write one
 //     and server.New cannot serve one), and an empty cluster set through
-//     the decoder's sticky error like every other rejection.
+//     the decoder's sticky error like every other rejection;
+//   - a forest's K outside [1, classes] is refused (NewClassifier
+//     clamped it, so it encoded back as another K).
 
 func oracleDecodeClassifier(r io.Reader) (*core.Classifier, error) {
-	d, err := newOracleDecoder(r, kindClassifier)
-	if err != nil {
-		return nil, err
+	c, _, err := oracleDecode(r, kindClassifier, (*oracleDecoder).classifier)
+	return c, err
+}
+
+func oracleDecodeMultiTree(r io.Reader) (*core.MultiTree, error) {
+	t, _, err := oracleDecode(r, kindMultiTree, (*oracleDecoder).multiTree)
+	return t, err
+}
+
+func oracleDecodeMultiTrees(r io.Reader) ([]*core.MultiTree, error) {
+	ts, _, err := oracleDecode(r, kindMultiSet, (*oracleDecoder).multiSet)
+	return ts, err
+}
+
+// oracleStale decodes a classification snapshot with the oracle and
+// returns how many of its stored inner summaries (v1/v2) differ bitwise
+// from the ones the rebuild derived.
+func oracleStale(snap []byte) (int, error) {
+	var stale int
+	var err error
+	switch r := bytes.NewReader(snap); payloadOf(snap)[0] {
+	case kindClassifier:
+		_, stale, err = oracleDecode(r, kindClassifier, (*oracleDecoder).classifier)
+	case kindMultiTree:
+		_, stale, err = oracleDecode(r, kindMultiTree, (*oracleDecoder).multiTree)
+	default:
+		_, stale, err = oracleDecode(r, kindMultiSet, (*oracleDecoder).multiSet)
 	}
+	return stale, err
+}
+
+// oracleDecode runs body over the verified payload and requires it to be
+// consumed to its last byte.
+func oracleDecode[M any](r io.Reader, kind byte, body func(*oracleDecoder) M) (m M, stale int, err error) {
+	d, err := newOracleDecoder(r, kind)
+	if err != nil {
+		return m, 0, err
+	}
+	got := body(d)
+	if err := d.done(); err != nil {
+		return m, 0, err
+	}
+	return got, d.stale, nil
+}
+
+func (d *oracleDecoder) classifier() *core.Classifier {
 	var opts core.ClassifierOptions
 	opts.Strategy = core.Strategy(d.u8())
 	opts.Priority = core.Priority(d.u8())
 	opts.K = int(d.i64())
 	n := d.count(1)
+	if d.err == nil && (opts.K < 1 || opts.K > n) {
+		d.fail("K %d for %d classes", opts.K, n)
+	}
 	labels := make([]int, n)
 	trees := make([]*core.Tree, n)
 	for i := 0; i < n; i++ {
 		labels[i] = int(d.i64())
 		trees[i] = d.tree()
 	}
-	if err := d.done(); err != nil {
-		return nil, err
+	if d.err != nil {
+		return nil
 	}
-	return core.NewClassifier(labels, trees, opts)
+	c, err := core.NewClassifier(labels, trees, opts)
+	if err != nil {
+		d.fail("%v", err)
+	}
+	return c
 }
 
-func oracleDecodeMultiTree(r io.Reader) (*core.MultiTree, error) {
-	d, err := newOracleDecoder(r, kindMultiTree)
-	if err != nil {
-		return nil, err
-	}
-	t := d.multiTree()
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func oracleDecodeMultiTrees(r io.Reader) ([]*core.MultiTree, error) {
-	d, err := newOracleDecoder(r, kindMultiSet)
-	if err != nil {
-		return nil, err
-	}
+// multiSet reads a sharded set; a v3 set's section lengths must each
+// match the bytes its tree takes.
+func (d *oracleDecoder) multiSet() []*core.MultiTree {
 	n := d.count(1)
 	if d.err == nil && n == 0 {
 		d.fail("empty multi tree set")
 	}
-	ts := make([]*core.MultiTree, 0, n)
-	for i := 0; i < n; i++ {
-		ts = append(ts, d.multiTree())
-		if d.err != nil {
-			return nil, d.err
+	sizes := make([]int64, n)
+	for i := range sizes {
+		if d.version >= 3 {
+			sizes[i] = int64(d.u64())
 		}
 	}
-	if err := d.done(); err != nil {
-		return nil, err
+	ts := make([]*core.MultiTree, 0, n)
+	for i := 0; i < n; i++ {
+		at := d.b.Len()
+		ts = append(ts, d.multiTree())
+		if d.err == nil && d.version >= 3 && int64(at-d.b.Len()) != sizes[i] {
+			d.fail("shard section %d is %d bytes, declared %d", i, at-d.b.Len(), sizes[i])
+		}
+		if d.err != nil {
+			return nil
+		}
 	}
-	return ts, nil
+	return ts
 }
 
 func oracleDecodeClusTree(r io.Reader) (*clustree.Tree, error) {
@@ -130,6 +174,9 @@ type oracleDecoder struct {
 	b       *bytes.Reader
 	err     error
 	version uint32
+	// stale counts the v1/v2 inner summaries read that differ bitwise
+	// from the ones the rebuild derived.
+	stale int
 }
 
 // newDecoder reads and verifies the frame (magic, version, length,
@@ -298,6 +345,30 @@ func (d *oracleDecoder) rect(dim int) mbr.Rect {
 	return mbr.Rect{Lo: d.floats(dim), Hi: d.floats(dim)}
 }
 
+// sameBits reports whether two vectors are bitwise equal.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameCF(a, b *stats.CF) bool {
+	return math.Float64bits(a.N) == math.Float64bits(b.N) && sameBits(a.LS, b.LS) && sameBits(a.SS, b.SS)
+}
+
+// storedEntry is a v1/v2 inner summary as read, and the entry slot the
+// rebuild derives in its place.
+type storedEntry[E any] struct {
+	stored  E
+	derived *E
+}
+
 // decayState reads the v2 decay block; v1 snapshots yield the zero
 // (disabled) state.
 func (d *oracleDecoder) decayState() (opts core.DecayOptions, epoch, ref int64) {
@@ -327,14 +398,21 @@ func (d *oracleDecoder) tree() *core.Tree {
 	if d.err != nil {
 		return nil
 	}
-	root := d.node(cfg.Dim)
+	var stored []storedEntry[core.Entry]
+	root := d.node(cfg.Dim, &stored)
 	if d.err != nil {
 		return nil
 	}
-	t, err := core.RebuildTree(cfg, root, size, balanced)
+	t, derive, err := core.RebuildTree(cfg, root, size, balanced)
 	if err != nil {
 		d.fail("rebuild tree: %v", err)
 		return nil
+	}
+	derive()
+	for _, s := range stored {
+		if !sameBits(s.stored.Rect.Lo, s.derived.Rect.Lo) || !sameBits(s.stored.Rect.Hi, s.derived.Rect.Hi) || !sameCF(&s.stored.CF, &s.derived.CF) {
+			d.stale++
+		}
 	}
 	if err := t.RestoreDecayState(dopts, epoch, ref); err != nil {
 		d.fail("rebuild tree: %v", err)
@@ -343,7 +421,7 @@ func (d *oracleDecoder) tree() *core.Tree {
 	return t
 }
 
-func (d *oracleDecoder) node(dim int) *core.Node {
+func (d *oracleDecoder) node(dim int, stored *[]storedEntry[core.Entry]) *core.Node {
 	tag := d.u8()
 	if d.err != nil {
 		return nil
@@ -366,16 +444,16 @@ func (d *oracleDecoder) node(dim int) *core.Node {
 		}
 		return leaf
 	case 1:
-		n := d.count(8)
-		ents := make([]core.Entry, 0, n)
-		for i := 0; i < n; i++ {
-			rect := d.rect(dim)
-			cf := d.cf(dim)
-			child := d.node(dim)
+		n := d.count(minNodeBytes)
+		ents := make([]core.Entry, n)
+		for i := range ents {
+			if d.version < 3 {
+				*stored = append(*stored, storedEntry[core.Entry]{core.Entry{Rect: d.rect(dim), CF: d.cf(dim)}, &ents[i]})
+			}
+			ents[i].Child = d.node(dim, stored)
 			if d.err != nil {
 				return nil
 			}
-			ents = append(ents, core.RebuildEntry(rect, cf, child))
 		}
 		return core.RebuildInner(ents)
 	default:
@@ -399,14 +477,25 @@ func (d *oracleDecoder) multiTree() *core.MultiTree {
 	if d.err != nil {
 		return nil
 	}
-	root := d.multiNode(cfg.Dim, nl)
+	var stored []storedEntry[core.MultiEntry]
+	root := d.multiNode(cfg.Dim, nl, &stored)
 	if d.err != nil {
 		return nil
 	}
-	t, err := core.RebuildMultiTree(cfg, mopts, labels, root, counts)
+	t, derive, err := core.RebuildMultiTree(cfg, mopts, labels, root, counts)
 	if err != nil {
 		d.fail("rebuild multi tree: %v", err)
 		return nil
+	}
+	derive()
+	for _, s := range stored {
+		same := sameBits(s.stored.Rect.Lo, s.derived.Rect.Lo) && sameBits(s.stored.Rect.Hi, s.derived.Rect.Hi) && sameCF(&s.stored.Total, &s.derived.Total)
+		for c := range s.stored.CFs {
+			same = same && sameCF(&s.stored.CFs[c], &s.derived.CFs[c])
+		}
+		if !same {
+			d.stale++
+		}
 	}
 	if err := t.RestoreDecayState(dopts, epoch, ref); err != nil {
 		d.fail("rebuild multi tree: %v", err)
@@ -415,7 +504,7 @@ func (d *oracleDecoder) multiTree() *core.MultiTree {
 	return t
 }
 
-func (d *oracleDecoder) multiNode(dim, numClasses int) *core.MultiNode {
+func (d *oracleDecoder) multiNode(dim, numClasses int, stored *[]storedEntry[core.MultiEntry]) *core.MultiNode {
 	tag := d.u8()
 	if d.err != nil {
 		return nil
@@ -439,19 +528,21 @@ func (d *oracleDecoder) multiNode(dim, numClasses int) *core.MultiNode {
 		}
 		return leaf
 	case 1:
-		n := d.count(8)
-		ents := make([]core.MultiEntry, 0, n)
-		for i := 0; i < n; i++ {
-			e := core.MultiEntry{Rect: d.rect(dim), CFs: make([]stats.CF, numClasses)}
-			for c := 0; c < numClasses; c++ {
-				e.CFs[c] = d.cf(dim)
+		n := d.count(minNodeBytes)
+		ents := make([]core.MultiEntry, n)
+		for i := range ents {
+			if d.version < 3 {
+				e := core.MultiEntry{Rect: d.rect(dim), CFs: make([]stats.CF, numClasses)}
+				for c := 0; c < numClasses; c++ {
+					e.CFs[c] = d.cf(dim)
+				}
+				e.Total = d.cf(dim)
+				*stored = append(*stored, storedEntry[core.MultiEntry]{e, &ents[i]})
 			}
-			e.Total = d.cf(dim)
-			e.Child = d.multiNode(dim, numClasses)
+			ents[i].Child = d.multiNode(dim, numClasses, stored)
 			if d.err != nil {
 				return nil
 			}
-			ents = append(ents, e)
 		}
 		return core.RebuildMultiInner(ents)
 	default:

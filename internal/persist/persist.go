@@ -2,19 +2,23 @@
 // Bayes tree models, so a serving process can warm-start from disk
 // instead of re-running bulk loading (minutes of EM for large sets).
 //
-// The format stores the structural source of truth — configuration,
-// node topology, leaf observations and every entry's cluster feature —
-// with float64 values preserved bit-exactly, and omits all derived
-// state. On decode the frozen-Gaussian caches are rebuilt from the
-// stored cluster features through the same stats.Freeze path the tree
-// builder uses (see core.RebuildEntry / core.RebuildMultiTree), so a
-// reloaded model answers every query digit-identically to the model
-// that was saved; the round-trip property tests assert this.
+// The format stores only what cannot be derived — configuration,
+// topology and the leaves' observations, labels and weights — with
+// float64 values bit-exact. A Bayes tree's inner entry is, by
+// invariant, the summary of its child, so a classification snapshot
+// stores none (an inner node is its tag, child count and children):
+// core.RebuildTree / RebuildMultiTree derive them with the trees' own
+// summarize and stats.Freeze, so a reloaded model answers every query
+// digit-identically, and no payload can carry a summary that disagrees
+// with its subtree. The ClusTree kinds are exempt (clustree.go): their
+// inner CFs carry their own timestamps and parked buffers. v1/v2
+// snapshots, which stored every inner summary, are read, not written.
 //
 // Layout: a 4-byte magic "BTSN", a uint32 format version, a uint64
 // payload length, the payload, and a CRC32 (IEEE) of the payload.
 // Truncation, bit rot and future-version files are all rejected with
-// distinguishable errors before any model state is built.
+// distinguishable errors before any model state is built. A sharded set
+// names each shard section's length, so the sections decode side by side.
 //
 // The decoder is a cursor over that verified payload as one slice: it
 // allocates what it builds (a vector, a node, a point), nothing per
@@ -33,20 +37,22 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"syscall"
 
 	"bayestree/internal/core"
 	"bayestree/internal/kernels"
-	"bayestree/internal/mbr"
 	"bayestree/internal/stats"
 )
 
-// Version is the current snapshot format version. Version 2 added the
-// decay state (λ, pruning floor, epoch, reference epoch) per tree and
-// optional per-observation leaf weight vectors. Decoders accept any
-// version in [MinVersion, Version] — older snapshots load as undecayed
-// models — and refuse newer ones loudly.
-const Version = 2
+// Version is the snapshot format version the encoder writes. Version 2
+// added the decay state per tree and optional leaf weight vectors;
+// version 3 dropped the inner summaries of the classification kinds and
+// added the sharded set's section lengths. Decoders accept any version
+// in [MinVersion, Version] — v1 loads undecayed, v1/v2 inner summaries
+// are skipped and derived — and refuse newer ones loudly. Only tests
+// write v1 and v2.
+const Version = 3
 
 // MinVersion is the oldest snapshot format this build still decodes.
 const MinVersion = 1
@@ -79,17 +85,7 @@ func EncodeClassifier(w io.Writer, c *core.Classifier) error {
 	if c == nil {
 		return fmt.Errorf("persist: nil classifier")
 	}
-	labels := c.Labels()
-	return encodeSized(w, kindClassifier, func(e *encoder) {
-		e.u8(uint8(c.Options().Strategy))
-		e.u8(uint8(c.Options().Priority))
-		e.i64(int64(c.Options().K))
-		e.u64(uint64(len(labels)))
-		for _, l := range labels {
-			e.i64(int64(l))
-			e.tree(c.Tree(l))
-		}
-	})
+	return encodeSized(w, kindClassifier, func(e *encoder) { e.classifier(c) })
 }
 
 // DecodeClassifier reads a classifier snapshot written by
@@ -105,6 +101,9 @@ func DecodeClassifier(r io.Reader) (*core.Classifier, error) {
 	opts.Priority = core.Priority(d.u8())
 	opts.K = int(d.i64())
 	n := d.count(8)
+	if d.err == nil && (opts.K < 1 || opts.K > n) {
+		d.fail("K %d for %d classes", opts.K, n) // NewClassifier would change it
+	}
 	labels := make([]int, n)
 	trees := make([]*core.Tree, n)
 	for i := 0; i < n; i++ {
@@ -114,6 +113,12 @@ func DecodeClassifier(r io.Reader) (*core.Classifier, error) {
 	if err := d.done(); err != nil {
 		return nil, err
 	}
+	// NewClassifier's checks run before a summary is derived, the priors
+	// it takes from the trees' masses after.
+	if _, err := core.NewClassifier(labels, trees, opts); err != nil {
+		return nil, err
+	}
+	d.finish()
 	return core.NewClassifier(labels, trees, opts)
 }
 
@@ -133,7 +138,7 @@ func DecodeMultiTree(r io.Reader) (*core.MultiTree, error) {
 		return nil, err
 	}
 	t := d.multiTree()
-	if err := d.done(); err != nil {
+	if err := d.finish(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -150,16 +155,13 @@ func EncodeMultiTrees(w io.Writer, ts []*core.MultiTree) error {
 			return fmt.Errorf("persist: nil multi tree in set")
 		}
 	}
-	return encodeSized(w, kindMultiSet, func(e *encoder) {
-		e.u64(uint64(len(ts)))
-		for _, t := range ts {
-			e.multiTree(t)
-		}
-	})
+	return encodeSized(w, kindMultiSet, func(e *encoder) { e.multiSet(ts) })
 }
 
 // DecodeMultiTrees reads a sharded-set snapshot written by
-// EncodeMultiTrees.
+// EncodeMultiTrees. A v3 set's shard sections decode side by side, in
+// two joined rounds of a goroutine each — all are checked before any
+// derives a summary — and the first failure in shard order is reported.
 func DecodeMultiTrees(r io.Reader) ([]*core.MultiTree, error) {
 	d, err := newDecoder(r, kindMultiSet)
 	if err != nil {
@@ -169,16 +171,44 @@ func DecodeMultiTrees(r io.Reader) ([]*core.MultiTree, error) {
 	if d.err == nil && n == 0 {
 		d.fail("empty multi tree set")
 	}
-	ts := make([]*core.MultiTree, 0, n)
-	for i := 0; i < n; i++ {
-		ts = append(ts, d.multiTree())
-		if d.err != nil {
-			return nil, d.err
+	ts := make([]*core.MultiTree, n)
+	if d.version < 3 {
+		// v1/v2 sections carry no lengths: one after another.
+		for i := 0; i < n && d.err == nil; i++ {
+			ts[i] = d.multiTree()
+		}
+		if err := d.finish(); err != nil {
+			return nil, err
+		}
+		return ts, nil
+	}
+	sections, at := make([]decoder, n), d.off+8*n // count bounded 8n by the payload
+	for i := range sections {
+		if size := d.u64(); size <= uint64(len(d.p)-at) {
+			sections[i] = decoder{p: d.p[at : at+int(size)], version: d.version}
+			at += int(size)
+		} else {
+			d.fail("shard section of %d bytes exceeds payload", size)
 		}
 	}
-	if err := d.done(); err != nil {
-		return nil, err
+	if d.off = at; d.done() != nil {
+		return nil, d.err
 	}
+	inParallel := func(f func(s *decoder, i int)) {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for i := range sections {
+			go func() { defer wg.Done(); f(&sections[i], i) }()
+		}
+		wg.Wait()
+	}
+	inParallel(func(s *decoder, i int) { ts[i] = s.multiTree(); s.done() })
+	for i := range sections {
+		if err := sections[i].err; err != nil {
+			return nil, err
+		}
+	}
+	inParallel(func(s *decoder, _ int) { s.finish() })
 	return ts, nil
 }
 
@@ -360,11 +390,6 @@ func (e *encoder) cf(cf *stats.CF) {
 	e.floats(cf.SS)
 }
 
-func (e *encoder) rect(r mbr.Rect) {
-	e.floats(r.Lo)
-	e.floats(r.Hi)
-}
-
 // decayState writes the v2 decay block: options, current epoch and the
 // reference epoch the stored weights are valued at.
 func (e *encoder) decayState(opts core.DecayOptions, epoch, ref int64) {
@@ -385,6 +410,18 @@ func (e *encoder) leafWeights(ws []float64) {
 	}
 	e.boolv(ws != nil)
 	e.floats(ws)
+}
+
+func (e *encoder) classifier(c *core.Classifier) {
+	labels := c.Labels()
+	e.u8(uint8(c.Options().Strategy))
+	e.u8(uint8(c.Options().Priority))
+	e.i64(int64(c.Options().K))
+	e.u64(uint64(len(labels)))
+	for _, l := range labels {
+		e.i64(int64(l))
+		e.tree(c.Tree(l))
+	}
 }
 
 func (e *encoder) tree(t *core.Tree) {
@@ -410,8 +447,11 @@ func (e *encoder) node(n *core.Node) {
 	ents := n.Entries()
 	e.u64(uint64(len(ents)))
 	for i := range ents {
-		e.rect(ents[i].Rect)
-		e.cf(&ents[i].CF)
+		if e.version < 3 {
+			e.floats(ents[i].Rect.Lo)
+			e.floats(ents[i].Rect.Hi)
+			e.cf(&ents[i].CF)
+		}
 		e.node(ents[i].Child)
 	}
 }
@@ -447,12 +487,32 @@ func (e *encoder) multiNode(n *core.MultiNode, numClasses int) {
 	ents := n.Entries()
 	e.u64(uint64(len(ents)))
 	for i := range ents {
-		e.rect(ents[i].Rect)
-		for c := 0; c < numClasses; c++ {
-			e.cf(&ents[i].CFs[c])
+		if e.version < 3 {
+			e.floats(ents[i].Rect.Lo)
+			e.floats(ents[i].Rect.Hi)
+			for c := 0; c < numClasses; c++ {
+				e.cf(&ents[i].CFs[c])
+			}
+			e.cf(&ents[i].Total)
 		}
-		e.cf(&ents[i].Total)
 		e.multiNode(ents[i].Child, numClasses)
+	}
+}
+
+// multiSet writes a v3 sharded set: the shard count, each shard
+// section's length in bytes, then the sections.
+func (e *encoder) multiSet(ts []*core.MultiTree) {
+	e.u64(uint64(len(ts)))
+	lengths := len(e.p)
+	for range ts {
+		e.u64(0)
+	}
+	for i, t := range ts {
+		start := len(e.p)
+		e.multiTree(t)
+		if e.p != nil { // a sizing encoder has nothing to patch
+			binary.LittleEndian.PutUint64(e.p[lengths+8*i:], uint64(len(e.p)-start))
+		}
 	}
 }
 
@@ -484,6 +544,8 @@ type decoder struct {
 	off     int
 	err     error
 	version uint32
+	derive  []func() // the rebuilt trees' derivations, run by finish
+	kids    []any    // the children stack of the inner nodes being read
 }
 
 // maxPayload rejects an absurd declared length before anything is read.
@@ -578,6 +640,19 @@ func (d *decoder) done() error {
 		d.fail("%d bytes after the model", d.left())
 	}
 	return d.err
+}
+
+// finish is done, and then derives the inner entries of every tree the
+// decode rebuilt: a snapshot is checked whole before it pays for a
+// single summary, so a rejected one costs no more than its bytes.
+func (d *decoder) finish() error {
+	if err := d.done(); err != nil {
+		return err
+	}
+	for _, derive := range d.derive {
+		derive()
+	}
+	return nil
 }
 
 func (d *decoder) u8() uint8 {
@@ -704,8 +779,34 @@ func (d *decoder) cf(dim int) stats.CF {
 	return stats.CF{N: d.f64(), LS: d.floats(dim), SS: d.floats(dim)}
 }
 
-func (d *decoder) rect(dim int) mbr.Rect {
-	return mbr.Rect{Lo: d.floats(dim), Hi: d.floats(dim)}
+// children reads an inner node's children onto the decoder's stack and
+// returns them, valid until the next read: the caller sizes its entries
+// by the children that decoded, since a declared count reserving them
+// would reserve again at every level of a forged chain, against the same
+// remaining bytes. A v1/v2 entry stores ahead of its child an MBR and
+// cfs cluster features of dim dims, which are skipped: v3 derives them.
+func (d *decoder) children(dim, cfs int, child func() any) []any {
+	stored := 0
+	if d.version < 3 {
+		stored = 8 * (2*dim + cfs*(1+2*dim))
+	}
+	n, base := d.count(stored+minNodeBytes), len(d.kids)
+	for i := 0; i < n && d.err == nil; i++ {
+		d.skip(stored)
+		d.kids = append(d.kids, child())
+	}
+	kids := d.kids[base:]
+	d.kids = d.kids[:base]
+	return kids
+}
+
+// skip steps over n bytes.
+func (d *decoder) skip(n int) {
+	if d.err == nil && n > d.left() {
+		d.fail("unexpected end of payload")
+	} else if d.err == nil {
+		d.off += n
+	}
 }
 
 // decayState reads the v2 decay block; v1 snapshots yield the zero
@@ -744,15 +845,15 @@ func (d *decoder) tree() *core.Tree {
 	if d.err != nil {
 		return nil
 	}
-	t, err := core.RebuildTree(cfg, root, size, balanced)
+	t, derive, err := core.RebuildTree(cfg, root, size, balanced)
+	if err == nil {
+		err = t.RestoreDecayState(dopts, epoch, ref)
+	}
 	if err != nil {
 		d.fail("rebuild tree: %v", err)
 		return nil
 	}
-	if err := t.RestoreDecayState(dopts, epoch, ref); err != nil {
-		d.fail("rebuild tree: %v", err)
-		return nil
-	}
+	d.derive = append(d.derive, derive)
 	return t
 }
 
@@ -779,16 +880,13 @@ func (d *decoder) node(dim int) *core.Node {
 		}
 		return leaf
 	case 1:
-		n := d.count(16*dim + (8 + 16*dim) + minNodeBytes)
-		ents := make([]core.Entry, 0, n)
-		for i := 0; i < n; i++ {
-			rect := d.rect(dim)
-			cf := d.cf(dim)
-			child := d.node(dim)
-			if d.err != nil {
-				return nil
-			}
-			ents = append(ents, core.RebuildEntry(rect, cf, child))
+		kids := d.children(dim, 1, func() any { return d.node(dim) })
+		if d.err != nil {
+			return nil
+		}
+		ents := make([]core.Entry, len(kids))
+		for i, c := range kids {
+			ents[i].Child = c.(*core.Node)
 		}
 		return core.RebuildInner(ents)
 	default:
@@ -816,15 +914,15 @@ func (d *decoder) multiTree() *core.MultiTree {
 	if d.err != nil {
 		return nil
 	}
-	t, err := core.RebuildMultiTree(cfg, mopts, labels, root, counts)
+	t, derive, err := core.RebuildMultiTree(cfg, mopts, labels, root, counts)
+	if err == nil {
+		err = t.RestoreDecayState(dopts, epoch, ref)
+	}
 	if err != nil {
 		d.fail("rebuild multi tree: %v", err)
 		return nil
 	}
-	if err := t.RestoreDecayState(dopts, epoch, ref); err != nil {
-		d.fail("rebuild multi tree: %v", err)
-		return nil
-	}
+	d.derive = append(d.derive, derive)
 	return t
 }
 
@@ -852,19 +950,13 @@ func (d *decoder) multiNode(dim, numClasses int) *core.MultiNode {
 		}
 		return leaf
 	case 1:
-		n := d.count(16*dim + (numClasses+1)*(8+16*dim) + minNodeBytes)
-		ents := make([]core.MultiEntry, 0, n)
-		for i := 0; i < n; i++ {
-			e := core.MultiEntry{Rect: d.rect(dim), CFs: make([]stats.CF, numClasses)}
-			for c := 0; c < numClasses; c++ {
-				e.CFs[c] = d.cf(dim)
-			}
-			e.Total = d.cf(dim)
-			e.Child = d.multiNode(dim, numClasses)
-			if d.err != nil {
-				return nil
-			}
-			ents = append(ents, e)
+		kids := d.children(dim, numClasses+1, func() any { return d.multiNode(dim, numClasses) })
+		if d.err != nil {
+			return nil
+		}
+		ents := make([]core.MultiEntry, len(kids))
+		for i, c := range kids {
+			ents[i].Child = c.(*core.MultiNode)
 		}
 		return core.RebuildMultiInner(ents)
 	default:

@@ -182,8 +182,13 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		if n > maxFramePayload {
 			return Frame{}, fmt.Errorf("replica: record frame declares %d bytes", n)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		// Read into a buffer that grows with the bytes delivered, so a
+		// forged length costs no more than what follows it.
+		payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+		if err == nil && len(payload) < int(n) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return Frame{}, fmt.Errorf("replica: record frame: %w", err)
 		}
 		return Frame{Kind: frameRecord, Shard: int(shard), Payload: payload}, nil

@@ -3,7 +3,9 @@ package replica
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -92,4 +94,69 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 	if _, err := ReadFrame(&buf); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
+}
+
+// frameSlack is what a read may allocate beyond its 8 × input bound:
+// the fixed cost of a wrapped error, which an input of a few bytes
+// cannot amortise.
+const frameSlack = 16 << 10
+
+// FuzzReadFrame: whatever the bytes — a frame cut short, a length forged
+// up to the cap, an unknown kind — ReadFrame never panics and allocates
+// no more than 8 × the input (+ frameSlack): a declared length reserves
+// nothing the stream does not deliver. What it accepts is a whole
+// frame: written back, it is the bytes the read consumed.
+//
+// The seeds are one frame of each kind, each cut at every byte, and
+// forged lengths, so that `go test` alone catches a reader that accepts
+// a short frame or sizes its buffer by the declaration.
+func FuzzReadFrame(f *testing.F) {
+	var rec, beat bytes.Buffer
+	if err := WriteRecord(&rec, 3, bytes.Repeat([]byte{7}, 40)); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteHeartbeat(&beat, 99); err != nil {
+		f.Fatal(err)
+	}
+	for _, whole := range [][]byte{rec.Bytes(), beat.Bytes()} {
+		for n := 0; n <= len(whole); n++ {
+			f.Add(whole[:n])
+		}
+	}
+	for _, declared := range []uint32{41, 4 << 10, 1 << 20, maxFramePayload, maxFramePayload + 1} {
+		forged := append([]byte(nil), rec.Bytes()...)
+		binary.LittleEndian.PutUint32(forged[5:9], declared)
+		f.Add(forged)
+	}
+	f.Add([]byte{'x', 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		read := func() (Frame, error, int, uint64) {
+			var before, after runtime.MemStats
+			r := bytes.NewReader(in)
+			runtime.ReadMemStats(&before)
+			fr, err := ReadFrame(r)
+			runtime.ReadMemStats(&after)
+			return fr, err, len(in) - r.Len(), after.TotalAlloc - before.TotalAlloc
+		}
+		fr, err, consumed, grew := read()
+		// The counters are the process's: a reading over the bound counts
+		// only if a second read repeats it.
+		if limit := uint64(8*len(in) + frameSlack); grew > limit {
+			if _, _, _, again := read(); again > limit {
+				t.Fatalf("a %d-byte input allocated %d bytes (%v)", len(in), again, err)
+			}
+		}
+		if err != nil {
+			return
+		}
+		var back bytes.Buffer
+		if fr.Kind == frameRecord {
+			err = WriteRecord(&back, fr.Shard, fr.Payload)
+		} else {
+			err = WriteHeartbeat(&back, fr.LSN)
+		}
+		if err != nil || !bytes.Equal(back.Bytes(), in[:consumed]) {
+			t.Fatalf("accepted %+v from %x, which writes back as %x", fr, in[:consumed], back.Bytes())
+		}
+	})
 }

@@ -599,6 +599,45 @@ func TestDurableUnknownLabelRejectedBeforeLogging(t *testing.T) {
 	s2.CloseDurability()
 }
 
+// TestDurableRecordRejectedBeforeLogging: a well-framed classification
+// record carrying what JSON cannot — a label outside the class set, a
+// NaN or ±Inf coordinate — is refused when decoded for replay or
+// replication, before it is logged: the log and the model are
+// unchanged, and the next recovery replays cleanly. Logged, it would
+// fail its apply on every recovery from then on.
+func TestDurableRecordRejectedBeforeLogging(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurableClass(t, dir, 2)
+	rng := rand.New(rand.NewSource(5))
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := s.Insert([]float64{rng.Float64(), rng.Float64(), rng.Float64()}, i%3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rec := range [][]byte{
+		encodeRecord([]float64{1, 2, 3}, 99),
+		encodeRecord([]float64{1, math.NaN(), 3}, 1),
+		encodeRecord([]float64{math.Inf(-1), 2, 3}, 1),
+	} {
+		if _, _, _, err := s.wl.record(rec); err == nil {
+			t.Fatalf("record %x decoded to an apply", rec)
+		}
+		if err := s.ApplyReplicated(0, rec); err == nil {
+			t.Fatalf("replicated record %x was applied", rec)
+		}
+		if appends := s.Stats().WALAppends; appends != n || s.Len() != n {
+			t.Fatalf("a rejected record changed the server: %d appends, %d observations; want %d", appends, s.Len(), n)
+		}
+	}
+	s.CloseDurability()
+	s2 := newDurableClass(t, dir, 2)
+	if s2.Len() != n || s2.Stats().WALReplayed != n {
+		t.Fatalf("recovered %d observations from %d replayed records, want %d", s2.Len(), s2.Stats().WALReplayed, n)
+	}
+	s2.CloseDurability()
+}
+
 // TestClusterNonFiniteRejectedBeforeLogging: a NaN or ±Inf coordinate —
 // which JSON cannot carry but an in-process caller or a framed record
 // can — is refused before the clock ticks and before the log is

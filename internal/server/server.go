@@ -35,6 +35,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"bayestree/internal/core"
@@ -163,6 +164,11 @@ func New(trees []*core.MultiTree, cfg Config) (*Server, error) {
 		encode: persist.EncodeMultiTrees,
 		record: func(payload []byte) (int64, func(*shard[*core.MultiTree]) error, func(), error) {
 			head, x, err := decodeRecord(payload, 1, dim)
+			if err == nil {
+				// A record can frame what JSON cannot; refuse it before it
+				// is logged again, as Insert does.
+				err = s.checkWrite(x, int(head[0]))
+			}
 			if err != nil {
 				return 0, nil, nil, err
 			}
@@ -301,10 +307,7 @@ func (s *Server) Insert(x []float64, label int) error {
 		// Log-before-apply requires the apply to be total: reject here
 		// exactly what core.MultiTree.Insert would reject, so no logged
 		// record can fail replay.
-		if !s.knownLabel(label) {
-			return fmt.Errorf("server: unknown class label %d", label)
-		}
-		if err := checkFinite(x); err != nil {
+		if err := s.checkWrite(x, label); err != nil {
 			return err
 		}
 		rec = encodeRecord(x, int64(label))
@@ -336,16 +339,14 @@ func checkFinite(x []float64) error {
 	return nil
 }
 
-// knownLabel reports whether the server predicts this class — the
-// pre-validation that keeps the WAL free of records whose apply would
-// fail.
-func (s *Server) knownLabel(label int) bool {
-	for _, l := range s.labels {
-		if l == label {
-			return true
-		}
+// checkWrite refuses an observation whose apply would fail — an unknown
+// class label or a non-finite coordinate — the pre-validation that keeps
+// the WAL free of records replay cannot apply.
+func (s *Server) checkWrite(x []float64, label int) error {
+	if !slices.Contains(s.labels, label) {
+		return fmt.Errorf("server: unknown class label %d", label)
 	}
-	return false
+	return checkFinite(x)
 }
 
 // Learn is Insert under the name stream.Engine expects, so
