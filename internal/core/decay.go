@@ -372,7 +372,8 @@ func (t *MultiTree) CountNodes() int { return countNodes(t.root) }
 
 // DecaySweep applies the decay accumulated since the last sweep (see
 // Tree.DecaySweep), reinserts the dissolved observations, recomputes
-// the per-class masses and invalidates the cached query state.
+// the per-class masses and point counts and invalidates the cached query
+// state.
 func (t *MultiTree) DecaySweep() SweepStats {
 	root, s := decaySweep(&t.decayClock, &t.cfg, t.root, t.summarize)
 	if s == nil {
@@ -393,6 +394,9 @@ func (t *MultiTree) DecaySweep() SweepStats {
 	for c := range t.counts {
 		t.counts[c] = sum.CFs[c].N
 	}
+	clear(t.npoints)
+	masses := make([]float64, len(t.labels))
+	checkNodes(t.root, true, func(n *MultiNode, _ bool) error { return t.addMasses(masses, t.npoints, n) })
 	s.st.PointsPruned = before - t.size
 	return s.st
 }

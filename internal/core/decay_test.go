@@ -52,16 +52,11 @@ type decayTree interface {
 	// density is the fully refined log density at x; false when the tree
 	// is empty and starts no query.
 	density(x []float64) (float64, bool)
-	// sweepKeepsDensity reports whether renormalising the stored weights
-	// is invisible to densities.
-	sweepKeepsDensity() bool
 }
 
 type decaySingle struct{ *Tree }
 
 func (k decaySingle) insert(x []float64) error { return k.Insert(x) }
-
-func (k decaySingle) sweepKeepsDensity() bool { return true }
 
 func (k decaySingle) density(x []float64) (float64, bool) {
 	cur := k.NewCursor(x, DescentGlobal, PriorityProbabilistic)
@@ -84,12 +79,6 @@ func (k *decayMulti) insert(x []float64) error {
 	k.inserted++
 	return k.Insert(x, k.inserted%2)
 }
-
-// It does not: classConsts takes each class's Silverman bandwidth from
-// int(the class's stored mass), which a sweep rescales, where Tree takes
-// it from the point count. Found by running these tests over both trees;
-// recorded in ROADMAP.md, not changed here (it would move served answers).
-func (k *decayMulti) sweepKeepsDensity() bool { return false }
 
 func (k *decayMulti) density(x []float64) (float64, bool) {
 	q, err := k.NewQuery(x, ClassifierOptions{})
@@ -163,8 +152,8 @@ func TestDecayDisabledIsInert(t *testing.T) {
 // Advancing epochs halves the effective mass per epoch at λ = 1, both
 // before the sweep (folded factor) and after it (rescaled storage), and
 // the sweep itself must not change any query answer — renormalisation
-// is invisible to densities (where the tree's bandwidths allow it: see
-// decayMulti.sweepKeepsDensity).
+// is invisible to densities: both trees take Silverman's n from the
+// point count, not from the mass a sweep rescales.
 func TestDecayWeightAndSweepInvariance(t *testing.T) {
 	forEachDecayTree(t, func(t *testing.T, tree decayTree) {
 		if err := tree.EnableDecay(DecayOptions{Lambda: 1}); err != nil {
@@ -191,7 +180,7 @@ func TestDecayWeightAndSweepInvariance(t *testing.T) {
 		if w := tree.Weight(); math.Abs(w-30) > 1e-9 {
 			t.Fatalf("weight after sweep %v, want 30", w)
 		}
-		if after := mustDensity(t, tree, x); tree.sweepKeepsDensity() && math.Abs(before-after) > 1e-9 {
+		if after := mustDensity(t, tree, x); math.Abs(before-after) > 1e-9 {
 			t.Fatalf("sweep changed density: %v -> %v", before, after)
 		}
 

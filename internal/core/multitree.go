@@ -65,6 +65,9 @@ type MultiTree struct {
 	root   *MultiNode
 	size   int
 	counts []float64
+	// npoints are the per-class observation counts: Silverman's n, which
+	// is Tree's rule. counts are masses, which a decay sweep rescales.
+	npoints []int
 	// queryState caches the per-query constants (root summary, per-class
 	// bandwidths and log counts); built on first query, then kept by
 	// invalidate: patched for the class of a split-free insert, dropped
@@ -115,12 +118,13 @@ func NewMultiTree(cfg Config, labels []int, mopts MultiOptions) (*MultiTree, err
 		index[l] = i
 	}
 	return &MultiTree{
-		cfg:    cfg,
-		mopts:  mopts,
-		labels: append([]int(nil), labels...),
-		index:  index,
-		root:   &MultiNode{leaf: true},
-		counts: make([]float64, len(labels)),
+		cfg:     cfg,
+		mopts:   mopts,
+		labels:  append([]int(nil), labels...),
+		index:   index,
+		root:    &MultiNode{leaf: true},
+		counts:  make([]float64, len(labels)),
+		npoints: make([]int, len(labels)),
 	}, nil
 }
 
@@ -267,6 +271,7 @@ func (t *MultiTree) Insert(x []float64, label int) error {
 	// cached query constants of this class from its new count.
 	t.size++
 	t.counts[ci] += w
+	t.npoints[ci]++
 	t.insertPointW(LabeledPoint{X: cp, Label: label}, w, ci)
 	return nil
 }
@@ -394,8 +399,9 @@ func (t *MultiTree) queryConsts() *multiQueryState {
 }
 
 // classConsts derives class c's query constants from the state's root
-// summary and the class count: the root's frozen Gaussian, the Silverman
-// bandwidths, the log count and the leaf kernel frozen at those
+// summary and the class counts: the root's frozen Gaussian, the Silverman
+// bandwidths (from the point count, so a decay sweep's rescale cannot
+// move them), the log mass and the leaf kernel frozen at those
 // bandwidths.
 func (t *MultiTree) classConsts(st *multiQueryState, c int) {
 	cf, f := &st.root.CFs[c], &st.frozen[c]
@@ -415,7 +421,7 @@ func (t *MultiTree) classConsts(st *multiQueryState, c int) {
 	for i, v := range sigma {
 		sigma[i] = math.Sqrt(v)
 	}
-	st.bw[c] = stats.SilvermanBandwidth(sigma, int(cf.N), t.cfg.Dim)
+	st.bw[c] = stats.SilvermanBandwidth(sigma, t.npoints[c], t.cfg.Dim)
 	if t.counts[c] > 0 {
 		st.logNc[c] = math.Log(t.counts[c])
 	} else {
@@ -638,14 +644,16 @@ func (t *MultiTree) ClassifyTraceInto(x []float64, opts ClassifierOptions, budge
 	return trace, nil
 }
 
-// addMasses adds the observation weights of leaf n to masses, by class
-// index, refusing a label the tree does not have.
-func (t *MultiTree) addMasses(masses []float64, n *MultiNode) error {
+// addMasses adds the observation weights of leaf n to masses and their
+// number to points, by class index, refusing a label the tree does not
+// have.
+func (t *MultiTree) addMasses(masses []float64, points []int, n *MultiNode) error {
 	for i, p := range n.points {
 		c, ok := t.index[p.Label]
 		if !ok {
 			return fmt.Errorf("core: point with unknown label %d", p.Label)
 		}
+		points[c]++
 		if n.weights == nil {
 			masses[c]++
 		} else {
@@ -656,11 +664,15 @@ func (t *MultiTree) addMasses(masses []float64, n *MultiNode) error {
 }
 
 // checkCounts holds each class count to its leaves' class mass, within
-// 1e-6 (relative); a negative or non-finite count never passes.
-func (t *MultiTree) checkCounts(masses []float64) error {
+// 1e-6 (relative), and each class point count to theirs exactly; a
+// negative or non-finite count never passes.
+func (t *MultiTree) checkCounts(masses []float64, points []int) error {
 	for c, n := range t.counts {
 		if n < 0 || !(math.Abs(n-masses[c]) <= 1e-6*(1+masses[c])) {
 			return fmt.Errorf("core: class %d count %v but the tree holds %v", t.labels[c], n, masses[c])
+		}
+		if t.npoints[c] != points[c] {
+			return fmt.Errorf("core: class %d point count %d but the tree holds %d", t.labels[c], t.npoints[c], points[c])
 		}
 	}
 	return nil
@@ -674,13 +686,13 @@ func (t *MultiTree) Validate() error {
 		return nil
 	}
 	const tol = 1e-6
-	masses := make([]float64, len(t.labels))
+	masses, points := make([]float64, len(t.labels)), make([]int, len(t.labels))
 	var walk func(n *MultiNode, isRoot bool) error
 	walk = func(n *MultiNode, isRoot bool) error {
 		if err := checkShape(n, &t.cfg, isRoot, true); err != nil {
 			return err
 		}
-		if err := t.addMasses(masses, n); err != nil {
+		if err := t.addMasses(masses, points, n); err != nil {
 			return err
 		}
 		for i := range n.entries {
@@ -705,5 +717,5 @@ func (t *MultiTree) Validate() error {
 	if err := walk(t.root, true); err != nil {
 		return err
 	}
-	return t.checkCounts(masses)
+	return t.checkCounts(masses, points)
 }

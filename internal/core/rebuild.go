@@ -141,7 +141,8 @@ func RebuildMultiInner(entries []MultiEntry) *MultiNode {
 // RebuildMultiTree is RebuildTree for a MultiTree, given its class
 // labels in tree order and per-class counts, which are checked against
 // the leaves and kept as stored, so a reloaded model scores
-// digit-identically.
+// digit-identically. The per-class point counts are taken from the
+// leaves.
 func RebuildMultiTree(cfg Config, mopts MultiOptions, labels []int, root *MultiNode, counts []float64) (t *MultiTree, derive func(), err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -170,7 +171,7 @@ func RebuildMultiTree(cfg Config, mopts MultiOptions, labels []int, root *MultiN
 		root:   root,
 		counts: append([]float64(nil), counts...),
 	}
-	masses := make([]float64, len(labels))
+	masses, points := make([]float64, len(labels)), make([]int, len(labels))
 	err = checkNodes(root, true, func(n *MultiNode, isRoot bool) error {
 		for _, p := range n.points {
 			if err := checkPoint(p.X, cfg.Dim); err != nil {
@@ -178,13 +179,14 @@ func RebuildMultiTree(cfg Config, mopts MultiOptions, labels []int, root *MultiN
 			}
 		}
 		t.size += len(n.points)
-		if err := t.addMasses(masses, n); err != nil {
+		if err := t.addMasses(masses, points, n); err != nil {
 			return err
 		}
 		return checkShape(n, &cfg, isRoot, true)
 	})
 	if err == nil {
-		err = t.checkCounts(masses)
+		t.npoints = points // derived from the leaves: snapshots do not store them
+		err = t.checkCounts(masses, points)
 	}
 	if err != nil {
 		return nil, nil, err
