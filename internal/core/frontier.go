@@ -163,30 +163,39 @@ type accumulator struct {
 func (a *accumulator) reset() { *a = accumulator{shift: math.Inf(-1)} }
 
 // add accumulates exp(l) into the shifted linear accumulator, rescaling
-// when a dominant new term arrives.
-func (a *accumulator) add(l float64) {
+// when a dominant new term arrives, and returns the value it added to
+// sum: while shift stays where it is, the bits remove(l) would subtract.
+// shift only ever grows, so a caller sees it move by comparing.
+func (a *accumulator) add(l float64) float64 {
 	if math.IsInf(l, -1) {
-		return
+		return 0
 	}
 	if math.IsInf(a.shift, -1) {
 		a.shift = l
 		a.sum = 1
-		return
+		return 1
 	}
 	if l > a.shift+30 {
 		a.sum *= math.Exp(a.shift - l)
 		a.shift = l
 	}
-	a.sum += math.Exp(l - a.shift)
+	v := math.Exp(l - a.shift)
+	a.sum += v
+	return v
 }
 
-// remove removes exp(l) from the accumulator, clamping tiny negative
-// residues from floating-point cancellation.
+// remove removes exp(l) from the accumulator.
 func (a *accumulator) remove(l float64) {
 	if math.IsInf(l, -1) || math.IsInf(a.shift, -1) {
 		return
 	}
-	a.sum -= math.Exp(l - a.shift)
+	a.sub(math.Exp(l - a.shift))
+}
+
+// sub subtracts a value add returned, clamping tiny negative residues
+// from floating-point cancellation.
+func (a *accumulator) sub(v float64) {
+	a.sum -= v
 	if a.sum < 0 {
 		a.sum = 0
 	}

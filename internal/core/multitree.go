@@ -99,6 +99,9 @@ type multiQueryState struct {
 	logNc  []float64
 	// kern holds the leaf kernel frozen at each class's bandwidths.
 	kern []kernels.FrozenKernel
+	// ceilLn[n] ≥ Log(s) for every float s ≤ n (Log is within an ulp of
+	// ln, so two steps up from Log(n)); 0 for n ≤ 1. See MultiQuery.push.
+	ceilLn []float64
 }
 
 // NewMultiTree creates an empty multi-class tree over the given class
@@ -390,9 +393,13 @@ func (t *MultiTree) queryConsts() *multiQueryState {
 		bw:     make([][]float64, nc),
 		logNc:  make([]float64, nc),
 		kern:   make([]kernels.FrozenKernel, nc),
+		ceilLn: make([]float64, nc+1),
 	}
 	for c := 0; c < nc; c++ {
 		t.classConsts(st, c)
+	}
+	for n := 2; n <= nc; n++ {
+		st.ceilLn[n] = math.Nextafter(math.Nextafter(math.Log(float64(n)), math.Inf(1)), math.Inf(1))
 	}
 	t.queryState.Store(st)
 	return st
@@ -451,17 +458,22 @@ type MultiQuery struct {
 	accs   []accumulator // one per class
 	kern   []kernels.FrozenKernel
 	logNc  []float64
+	ceilLn []float64
 	obs    []int
 	obsBuf []int
 	reads  int
-	// terms is the arena backing every frontier element's per-class log
-	// terms (see multiRef.termOff).
+	// terms is the arena behind every frontier element (see
+	// multiRef.termOff): its nc per-class log terms, the nc values the
+	// accumulators summed for them, its entropy term and the lower bound
+	// of its priority (soa.go).
 	terms []float64
+	// fresh is the arena offset from which stored values are current: an
+	// element below it was pushed before some class's shift moved.
+	fresh int
 	// soa is the mirror this query descends through, as loaded at start.
-	soa       *multiSoA
-	outBuf    []float64
-	finiteBuf []float64
-	scoreBuf  []float64
+	soa      *multiSoA
+	outBuf   []float64
+	scoreBuf []float64
 }
 
 var multiQueryPool = sync.Pool{New: func() any { return new(MultiQuery) }}
@@ -484,7 +496,9 @@ func (t *MultiTree) NewQuery(x []float64, opts ClassifierOptions) (*MultiQuery, 
 	q.reads = 0
 	q.front.reset(opts.Strategy)
 	if cap(q.accs) < nc {
-		q.accs = make([]accumulator, nc)
+		// Whole 64-byte lines come from a size class of whole lines: no
+		// other core's query shares them (EXPERIMENTS.md "PR 19").
+		q.accs = make([]accumulator, nc, (nc+3)&^3)
 	}
 	q.accs = q.accs[:nc]
 	for c := range q.accs {
@@ -492,18 +506,21 @@ func (t *MultiTree) NewQuery(x []float64, opts ClassifierOptions) (*MultiQuery, 
 	}
 	q.kern = st.kern
 	q.logNc = st.logNc
+	q.ceilLn = st.ceilLn
 	q.obs, q.obsBuf = stats.ObservedDimsInto(x, q.obsBuf)
 	q.soa = t.mirror()
 	// The frontier starts as the root summary: its per-class terms, and
-	// mirror node 0 to read first.
+	// mirror node 0 to read first, keyed exactly.
+	q.fresh = 0
+	q.grow()
 	for c := range st.frozen {
-		term := math.Inf(-1)
+		term, v := math.Inf(-1), 0.0
 		if st.root.CFs[c].N > 0 && !math.IsInf(q.logNc[c], 1) {
 			f := &st.frozen[c]
 			term = f.LogN - q.logNc[c] + f.LogPDFObs(q.x, q.obs)
+			v = q.accs[c].add(term)
 		}
-		q.terms = append(q.terms, term)
-		q.accs[c].add(term)
+		q.terms[c], q.terms[nc+c] = term, v
 	}
 	q.front.push(0, multiRef{})
 	return q, nil
@@ -518,7 +535,7 @@ func (q *MultiQuery) Close() {
 	q.front.release()
 	q.terms = q.terms[:0]
 	q.t, q.x, q.obs = nil, nil, nil
-	q.kern, q.logNc = nil, nil
+	q.kern, q.logNc, q.ceilLn = nil, nil, nil
 	q.soa = nil
 	multiQueryPool.Put(q)
 }
@@ -534,15 +551,24 @@ func (q *MultiQuery) NodesRead() int { return q.reads }
 func (q *MultiQuery) Exhausted() bool { return q.front.exhausted() }
 
 // Step refines one node, updating every class model at once. It reports
-// whether a node was read.
+// whether a node was read. The element read leaves the accumulators by
+// the values they summed for it, unless a shift has moved since.
 func (q *MultiQuery) Step() bool {
+	q.settle()
 	e, ok := q.front.pop()
 	if !ok {
 		return false
 	}
 	q.reads++
-	for c := range q.accs {
-		q.accs[c].remove(q.terms[int(e.termOff)+c])
+	off, nc := int(e.termOff), len(q.accs)
+	if off >= q.fresh {
+		for c, v := range q.terms[off+nc : off+2*nc] {
+			q.accs[c].sub(v)
+		}
+	} else {
+		for c, l := range q.terms[off : off+nc] {
+			q.accs[c].remove(l)
+		}
 	}
 	q.refineSoA(int(e.node))
 	return true

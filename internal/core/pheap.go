@@ -31,6 +31,14 @@ func (h *pheap[T]) pop() item[T] {
 	s[n] = item[T]{} // release node pointers held in the vacated slot
 	s = s[:n]
 	*h = s
+	s.fixTop()
+	return top
+}
+
+// fixTop restores the heap order after the top item moved back in it:
+// it was replaced, or its priority fell.
+func (s pheap[T]) fixTop() {
+	n := len(s)
 	i := 0
 	for {
 		l := 2*i + 1
@@ -47,5 +55,4 @@ func (h *pheap[T]) pop() item[T] {
 		s[i], s[best] = s[best], s[i]
 		i = best
 	}
-	return top
 }

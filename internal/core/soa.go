@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"bayestree/internal/kernels"
+	"bayestree/internal/mbr"
 	"bayestree/internal/stats"
 )
 
@@ -23,6 +24,16 @@ import (
 // same order; the pointer-loop oracle in soa_equiv_test.go, which
 // derives its Gaussians from the cluster features on its own, asserts
 // the scores equal bitwise.
+//
+// A MultiQuery step does only the arithmetic its answer and its pop
+// order need: one sweep per inner node over all its class-major slots;
+// an element leaves the accumulators by the values they summed for it
+// (the bits remove would recompute) unless a shift has moved since; and
+// a probabilistic priority is lazy — keyed by an upper bound and made
+// exact only at the heap's top, when its lower bound cannot already
+// prove it the maximum. Keys never fall below exact priorities and ties
+// still break on push order, so every pop is the eager heap's (settle
+// has the proof) and every score bitwise the oracle's.
 //
 // The mirror's lifetime has one rule, and every MultiTree mutation
 // applies it by ending in (*MultiTree).invalidate:
@@ -345,36 +356,6 @@ func multiEntryEntropy(e *MultiEntry) float64 {
 	return h
 }
 
-// minDist2Flat is mbr.Rect.MinDist2Obs over flat bound slices — the
-// same switch per dimension, so geometric priorities match bitwise.
-func minDist2Flat(lo, hi, x []float64, obs []int) float64 {
-	var s float64
-	if obs == nil {
-		for i := range lo {
-			switch {
-			case x[i] < lo[i]:
-				d := lo[i] - x[i]
-				s += d * d
-			case x[i] > hi[i]:
-				d := x[i] - hi[i]
-				s += d * d
-			}
-		}
-		return s
-	}
-	for _, i := range obs {
-		switch {
-		case x[i] < lo[i]:
-			d := lo[i] - x[i]
-			s += d * d
-		case x[i] > hi[i]:
-			d := x[i] - hi[i]
-			s += d * d
-		}
-	}
-	return s
-}
-
 // ---------------------------------------------------------------------
 // MultiTree maintenance
 
@@ -444,10 +425,12 @@ func (t *MultiTree) invalidate(path []*MultiNode, replaced, class int) {
 // ---------------------------------------------------------------------
 // MultiQuery descent
 
-// refineSoA expands one frontier node through the mirror: every class's
-// entry block is scored in one flat sweep, then per-entry terms are
-// folded into the accumulators entry-major/class-inner — the order (and
-// arithmetic) of scoring the node's entries one by one.
+// refineSoA expands one frontier node through the mirror: the node's
+// class-major slots are scored in one flat sweep (an absent class's rows
+// too, and ignored), then per-entry terms are folded into the
+// accumulators entry-major/class-inner — the order (and arithmetic) of
+// scoring the node's entries one by one. Each entry keeps, in the arena,
+// its terms and the values the accumulators summed for them.
 func (q *MultiQuery) refineSoA(idx int) {
 	s := q.soa
 	nd := &s.nodes[idx]
@@ -455,53 +438,101 @@ func (q *MultiQuery) refineSoA(idx int) {
 		q.refineSoALeaf(nd)
 		return
 	}
-	dim, nc := s.dim, s.nc
+	nc := s.nc
 	k := len(nd.child)
 	out := q.ensureOut(nc * k)
-	for c := 0; c < nc; c++ {
-		if math.IsInf(q.logNc[c], 1) {
-			continue
-		}
-		base := c * k
-		kernels.SweepFrozenLogPDFObs(q.x, nd.means[base*dim:], nd.invVar[base*dim:], nd.logVar[base*dim:],
-			nd.logNorm[base:], k, dim, q.obs, out[c*k:(c+1)*k])
-	}
+	kernels.SweepFrozenLogPDFObs(q.x, nd.means, nd.invVar, nd.logVar, nd.logNorm, nc*k, s.dim, q.obs, out)
 	for e := 0; e < k; e++ {
-		off := len(q.terms)
+		off := q.grow()
+		el := q.terms[off : off+2*nc]
 		for c := 0; c < nc; c++ {
 			slot := c*k + e
 			if math.IsInf(q.logNc[c], 1) || math.IsInf(nd.logN[slot], -1) {
-				q.terms = append(q.terms, math.Inf(-1))
+				el[c] = math.Inf(-1)
 				continue
 			}
 			term := nd.logN[slot] - q.logNc[c] + out[slot]
-			q.terms = append(q.terms, term)
-			q.accs[c].add(term)
+			acc := &q.accs[c]
+			shift := acc.shift
+			el[c], el[nc+c] = term, acc.add(term)
+			if acc.shift != shift {
+				// The entries before this one hold values of the old shift;
+				// this one's were all summed at the shifts now in force.
+				q.fresh = off
+			}
 		}
-		q.front.push(q.prioSoA(nd, e, q.terms[off:off+nc]), multiRef{termOff: int32(off), node: nd.child[e]})
+		q.push(off, nd, e)
 	}
 }
 
-// prioSoA computes the descent priority of entry e of node nd: geometric
-// MINDIST, or the pooled weighted density, optionally weighted by class
-// entropy.
-func (q *MultiQuery) prioSoA(nd *soaNode, e int, terms []float64) float64 {
-	if q.opts.Priority == PriorityGeometric {
+// grow appends one zeroed frontier element to the arena and returns its
+// offset.
+func (q *MultiQuery) grow() int {
+	off := len(q.terms)
+	q.terms = append(q.terms, make([]float64, 2*len(q.accs)+2)...)
+	return off
+}
+
+// push enqueues entry e of nd, its terms and values at arena offset off,
+// keyed for the descent: no key for breadth- and depth-first, −MINDIST²
+// for geometric, and for probabilistic the upper bound m + ceilLn[n] of
+// the log-sum-exp of its n finite terms (m their largest, whose exp is 1
+// in the sum and every other ≤ 1), its lower bound m kept in the arena;
+// both plus the entropy term under EntropyPriority. n ≤ 1 is exact.
+func (q *MultiQuery) push(off int, nd *soaNode, e int) {
+	nc := len(q.accs)
+	var key, lo, ent float64
+	switch {
+	case q.opts.Strategy != DescentGlobal:
+	case q.opts.Priority == PriorityGeometric:
 		d := q.soa.dim
-		return -minDist2Flat(nd.rectLo[e*d:e*d+d], nd.rectHi[e*d:e*d+d], q.x, q.obs)
-	}
-	finite := q.finiteBuf[:0]
-	for _, tm := range terms {
-		if !math.IsInf(tm, -1) {
-			finite = append(finite, tm)
+		key = -mbr.Rect{Lo: nd.rectLo[e*d : e*d+d], Hi: nd.rectHi[e*d : e*d+d]}.MinDist2Obs(q.x, q.obs)
+		lo = key
+	default:
+		m, n := math.Inf(-1), 0
+		for _, tm := range q.terms[off : off+nc] {
+			if !math.IsInf(tm, -1) {
+				n++
+				m = max(m, tm)
+			}
 		}
+		if q.t.mopts.EntropyPriority {
+			ent = nd.logEnt[e]
+		}
+		key, lo = m+q.ceilLn[n]+ent, m+ent
 	}
-	q.finiteBuf = finite
-	prio := stats.LogSumExp(finite)
-	if q.t.mopts.EntropyPriority {
-		prio += nd.logEnt[e]
+	q.terms[off+2*nc], q.terms[off+2*nc+1] = ent, lo
+	q.front.push(key, multiRef{termOff: int32(off), node: nd.child[e]})
+}
+
+// settle readies the frontier's heap for a pop: its top becomes the
+// element a heap keyed by exact priorities would pop. Every key k is at
+// least its element's exact priority r, and equal to it once the key
+// is exact (its lower bound reached it). While the top is lazy it is
+// either proven the maximum — its lower bound beats both children's keys
+// strictly, and a child's key bounds every key below it — or given its
+// exact priority, the same stats.LogSumExp over the same terms the eager
+// key took (an absent class's −Inf adds exp(−Inf) = 0, leaving every
+// bit), and sifted down. Proof that the pop order is the eager one: the
+// top that pops has an exact priority p that comes before every other
+// element's key k in (priority, seq) order — p > k after the shortcut,
+// by the heap order after an evaluation — and k ≥ r; so p > r, or
+// p = k = r and the smaller seq wins, as in the eager heap. Only the
+// priorities that order needs are computed.
+func (q *MultiQuery) settle() {
+	h := q.front.heap
+	nc := len(q.accs)
+	for len(h) > 0 {
+		top := &h[0]
+		off := int(top.payload.termOff)
+		lo := q.terms[off+2*nc+1]
+		if lo == top.prio || ((len(h) < 2 || lo > h[1].prio) && (len(h) < 3 || lo > h[2].prio)) {
+			return
+		}
+		exact := stats.LogSumExp(q.terms[off:off+nc]) + q.terms[off+2*nc]
+		q.terms[off+2*nc+1], top.prio = exact, exact
+		h.fixTop()
 	}
-	return prio
 }
 
 // refineSoALeaf scores a leaf's kernel centres one contiguous class
@@ -519,8 +550,8 @@ func (q *MultiQuery) refineSoALeaf(nd *soaNode) {
 		cnt := end - start
 		out := q.ensureOut(cnt)
 		q.kern[c].SweepLogDensityObs(q.x, nd.pts[start*dim:end*dim], cnt, dim, q.obs, out)
-		// Folded in a local and stored once: the accumulators of queries
-		// running on other cores can share a cache line with this one's.
+		// Folded in a local and stored once: the loop writes no memory
+		// another core may own.
 		acc := q.accs[c]
 		if nd.weighted {
 			for j := 0; j < cnt; j++ {
@@ -530,6 +561,9 @@ func (q *MultiQuery) refineSoALeaf(nd *soaNode) {
 			for j := 0; j < cnt; j++ {
 				acc.add(-q.logNc[c] + out[j])
 			}
+		}
+		if acc.shift != q.accs[c].shift {
+			q.fresh = len(q.terms)
 		}
 		q.accs[c] = acc
 	}

@@ -136,10 +136,30 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
+// nextRef is the element the frontier's next pop returns (a lazy heap
+// must have been settled first).
+func nextRef(f *frontier[multiRef]) (multiRef, bool) {
+	switch {
+	case f.exhausted():
+		return multiRef{}, false
+	case f.strategy == DescentGlobal:
+		return f.heap[0].payload, true
+	case f.strategy == DescentBFT:
+		return f.fifo[f.head].payload, true
+	}
+	return f.fifo[len(f.fifo)-1].payload, true
+}
+
+// lockstep counts what a compareMultiQuery run exercised.
+type lockstep struct {
+	stale int // reads of an element pushed before a shift moved: removal recomputes
+	ties  int // reads whose exact priority tied another's: seq decided
+}
+
 // compareMultiQuery runs x through the oracle and the mirror in lockstep
-// and fails on the first step whose scores differ in any bit. budget < 0
-// means until exhaustion.
-func compareMultiQuery(t *testing.T, ctx string, mt *MultiTree, x []float64, opts ClassifierOptions, budget int) {
+// and fails on the first step whose scores differ in any bit or that
+// reads a different tree node. budget < 0 means until exhaustion.
+func compareMultiQuery(t *testing.T, ctx string, mt *MultiTree, x []float64, opts ClassifierOptions, budget int) (seen lockstep) {
 	t.Helper()
 	qe, err := newOracleQuery(mt, x, opts)
 	if err != nil {
@@ -150,11 +170,29 @@ func compareMultiQuery(t *testing.T, ctx string, mt *MultiTree, x []float64, opt
 		t.Fatalf("%s: mirror query: %v", ctx, err)
 	}
 	defer qs.Close()
+	treeNode := make(map[int32]*MultiNode, len(qs.soa.index))
+	for n, idx := range qs.soa.index {
+		treeNode[idx] = n
+	}
 	for step := 0; budget < 0 || step <= budget; step++ {
 		se, ss := qe.Scores(), qs.Scores()
 		if !bitsEqual(se, ss) {
 			t.Fatalf("%s: step %d: mirror scores %v != oracle %v", ctx, step, ss, se)
 		}
+		qs.settle()
+		re, _ := nextRef(&qe.front)
+		if rs, ok := nextRef(&qs.front); ok {
+			if treeNode[rs.node] != qe.nodes[re.node] {
+				t.Fatalf("%s: step %d: mirror reads another node than the oracle", ctx, step)
+			}
+			if int(rs.termOff) < qs.fresh {
+				seen.stale++
+			}
+		}
+		if h := qe.front.heap; len(h) > 1 && h[0].prio == h[1].prio || len(h) > 2 && h[0].prio == h[2].prio {
+			seen.ties++
+		}
+		checkLazyKeys(t, ctx, step, qe, qs, treeNode)
 		oke, oks := qe.Step(), qs.Step()
 		if oke != oks {
 			t.Fatalf("%s: step %d: oracle Step=%v, mirror Step=%v", ctx, step, oke, oks)
@@ -168,6 +206,30 @@ func compareMultiQuery(t *testing.T, ctx string, mt *MultiTree, x []float64, opt
 	}
 	if qe.Predict() != qs.Predict() {
 		t.Fatalf("%s: predictions differ: oracle %d, mirror %d", ctx, qe.Predict(), qs.Predict())
+	}
+	return seen
+}
+
+// checkLazyKeys holds every element of the mirror's heap to the oracle's
+// exact priority p for the same node: lower bound ≤ p ≤ key, and a key
+// equal to its lower bound is p. (The root, the first read, is alone in
+// the heap: the mirror keys it 0, the oracle exactly.)
+func checkLazyKeys(t *testing.T, ctx string, step int, qe *oracleQuery, qs *MultiQuery, treeNode map[int32]*MultiNode) {
+	t.Helper()
+	if len(qs.front.heap) < 2 {
+		return
+	}
+	exact := make(map[*MultiNode]float64, len(qe.front.heap))
+	for _, it := range qe.front.heap {
+		exact[qe.nodes[it.payload.node]] = it.prio
+	}
+	nc := len(qs.accs)
+	for _, it := range qs.front.heap {
+		p, ok := exact[treeNode[it.payload.node]]
+		lo := qs.terms[int(it.payload.termOff)+2*nc+1]
+		if !ok || !(lo <= p && p <= it.prio) || lo == it.prio && p != it.prio {
+			t.Fatalf("%s: step %d: element keyed %v, lower bound %v, exact priority %v (in the oracle's frontier: %v)", ctx, step, it.prio, lo, p, ok)
+		}
 	}
 }
 
@@ -194,6 +256,88 @@ func TestSoAEquivalenceMultiTree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// lazyOrderData draws the lazy-order tree's training set in dim 5 over
+// labels 0–6, of which 6 is never inserted. First grid positions, in
+// order, each inserted twice under every present label: leaves come out
+// as one position under all six labels, so every class term of an entry
+// over them is equal — its log-sum-exp sits exactly ln 6 above their max —
+// and twin leaves tie exactly. Then, shuffled, two tight clusters per
+// class far apart, so that a query at one finds terms far above the
+// root's and an accumulator rescales mid-descent.
+func lazyOrderData(rng *rand.Rand) (xs [][]float64, ys []int) {
+	const dim, present = 5, 6
+	for g := 0; g < 24; g++ {
+		p := make([]float64, dim)
+		for i := range p {
+			p[i] = float64(rng.Intn(3))
+		}
+		for copies := 0; copies < 2; copies++ {
+			for y := 0; y < present; y++ {
+				xs, ys = append(xs, p), append(ys, y)
+			}
+		}
+	}
+	grid := len(xs)
+	for y := 0; y < present; y++ {
+		for _, side := range []float64{-40, 40} {
+			for j := 0; j < 8; j++ {
+				p := make([]float64, dim)
+				for i := range p {
+					p[i] = side + float64(y) + 0.01*rng.NormFloat64()
+				}
+				xs, ys = append(xs, p), append(ys, y)
+			}
+		}
+	}
+	rng.Shuffle(len(xs)-grid, func(i, j int) {
+		i, j = i+grid, j+grid
+		xs[i], xs[j], ys[i], ys[j] = xs[j], xs[i], ys[j], ys[i]
+	})
+	return xs, ys
+}
+
+// TestSoAEquivalenceLazyOrder holds the lazy priority heap, the stored
+// removals and the one-sweep inner node to the eager oracle where they
+// can break: 6 of 7 classes present (sweeps of 14–35 rows, every
+// remainder of the sweep's four-row loop), exact priority ties, entries
+// whose log-sum-exp equals its upper or lower bound, accumulators that
+// rescale mid-descent, missing values, PooledVariance and
+// EntropyPriority. Every step is compared: scores bitwise and the node
+// read.
+func TestSoAEquivalenceLazyOrder(t *testing.T) {
+	var total lockstep
+	for _, mo := range []MultiOptions{{}, {PooledVariance: true}, {EntropyPriority: true}} {
+		rng := rand.New(rand.NewSource(5))
+		xs, ys := lazyOrderData(rng)
+		mt, err := NewMultiTree(smallConfig(5), []int{0, 1, 2, 3, 4, 5, 6}, mo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range xs {
+			if err := mt.Insert(xs[i], ys[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Grid positions and their midpoint, the clusters, far out; and
+		// the first four with two dimensions missing.
+		queries := [][]float64{xs[0], xs[12*7], {1, 1, 1, 1, 1}, {40, 40, 40, 40, 40}, {-38, -38, -38, -38, -38}, xs[len(xs)-1], {300, -300, 0, 7, 1}}
+		for _, x := range queries[:4] {
+			queries = append(queries, []float64{x[0], math.NaN(), x[2], math.NaN(), x[4]})
+		}
+		for _, strat := range []Strategy{DescentGlobal, DescentBFT, DescentDFT} {
+			for qi, x := range queries {
+				ctx := fmt.Sprintf("mo=%+v/strat=%v/query %d", mo, strat, qi)
+				seen := compareMultiQuery(t, ctx, mt, x, ClassifierOptions{Strategy: strat}, -1)
+				total.stale += seen.stale
+				total.ties += seen.ties
+			}
+		}
+	}
+	if total.stale == 0 || total.ties == 0 {
+		t.Fatalf("the data no longer exercise the lazy heap: %d stale reads, %d ties", total.stale, total.ties)
 	}
 }
 

@@ -100,33 +100,41 @@ func TestSweepLogDensityObsMatchesPerRow(t *testing.T) {
 	}
 }
 
+// TestSweepFrozenLogPDFObsMatchesPerRow runs row counts 0–9 and 24, so
+// the four-row loop meets every remainder.
 func TestSweepFrozenLogPDFObsMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, dim := range []int{1, 3, 16} {
-		const count = 24
-		x, means, masks := sweepCase(rng, dim, count)
-		invVar := make([]float64, count*dim)
-		logVar := make([]float64, count*dim)
-		logNorm := make([]float64, count)
-		rows := make([]stats.FrozenGaussian, count)
-		for j := range rows {
-			variance := make([]float64, dim)
-			for i := range variance {
-				variance[i] = 0.05 + rng.Float64()
-			}
-			variance[0] = 0 // floored at freeze time
-			rows[j] = stats.FrozenFromMoments(means[j*dim:j*dim+dim], variance)
-			copy(invVar[j*dim:], rows[j].InvVar)
-			copy(logVar[j*dim:], rows[j].LogVar)
-			logNorm[j] = rows[j].LogNorm()
+		for _, count := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 24} {
+			checkSweepFrozen(t, rng, dim, count)
 		}
-		for _, obs := range masks {
-			out := make([]float64, count)
-			SweepFrozenLogPDFObs(x, means, invVar, logVar, logNorm, count, dim, obs, out)
-			for j := range out {
-				if want := rows[j].LogPDFObs(x, obs); math.Float64bits(out[j]) != math.Float64bits(want) {
-					t.Fatalf("dim %d obs %v row %d: swept %v, per row %v", dim, obs, j, out[j], want)
-				}
+	}
+}
+
+func checkSweepFrozen(t *testing.T, rng *rand.Rand, dim, count int) {
+	t.Helper()
+	x, means, masks := sweepCase(rng, dim, count)
+	invVar := make([]float64, count*dim)
+	logVar := make([]float64, count*dim)
+	logNorm := make([]float64, count)
+	rows := make([]stats.FrozenGaussian, count)
+	for j := range rows {
+		variance := make([]float64, dim)
+		for i := range variance {
+			variance[i] = 0.05 + rng.Float64()
+		}
+		variance[0] = 0 // floored at freeze time
+		rows[j] = stats.FrozenFromMoments(means[j*dim:j*dim+dim], variance)
+		copy(invVar[j*dim:], rows[j].InvVar)
+		copy(logVar[j*dim:], rows[j].LogVar)
+		logNorm[j] = rows[j].LogNorm()
+	}
+	for _, obs := range masks {
+		out := make([]float64, count)
+		SweepFrozenLogPDFObs(x, means, invVar, logVar, logNorm, count, dim, obs, out)
+		for j := range out {
+			if want := rows[j].LogPDFObs(x, obs); math.Float64bits(out[j]) != math.Float64bits(want) {
+				t.Fatalf("dim %d count %d obs %v row %d: swept %v, per row %v", dim, count, obs, j, out[j], want)
 			}
 		}
 	}

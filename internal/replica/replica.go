@@ -108,11 +108,26 @@ func WriteHeader(w io.Writer, h Header) error {
 	return err
 }
 
+// maxHeaderLine caps the header line a follower reads, far above a real
+// one (under 200 bytes), so a peer that never sends '\n' cannot grow the
+// follower's memory without limit.
+const maxHeaderLine = 4 << 10
+
 // ReadHeader reads and validates the opening JSON header line.
 func ReadHeader(r *bufio.Reader) (Header, error) {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return Header{}, fmt.Errorf("replica: header: %w", err)
+	var line []byte
+	for {
+		chunk, err := r.ReadSlice('\n')
+		if len(line)+len(chunk) > maxHeaderLine {
+			return Header{}, fmt.Errorf("replica: header line over %d bytes", maxHeaderLine)
+		}
+		line = append(line, chunk...)
+		if err == nil {
+			break
+		}
+		if err != bufio.ErrBufferFull {
+			return Header{}, fmt.Errorf("replica: header: %w", err)
+		}
 	}
 	var h Header
 	if err := json.Unmarshal(line, &h); err != nil {

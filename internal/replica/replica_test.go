@@ -96,6 +96,67 @@ func TestReadFrameRejectsOversize(t *testing.T) {
 	}
 }
 
+// FuzzReadHeader: whatever the bytes, ReadHeader never panics, reads at
+// most maxHeaderLine bytes, and allocates no more than 8 × the part of
+// the input it may read (+ frameSlack): a peer that never sends '\n'
+// costs the follower a bounded line, not the stream. What it accepts,
+// WriteHeader writes back as a line that reads as the same header.
+//
+// The seeds are a real header cut at every byte, the checks' failures,
+// and lines padded past the cap with and without their '\n', so that
+// `go test` alone catches a reader with no cap.
+func FuzzReadHeader(f *testing.F) {
+	var real bytes.Buffer
+	h := Header{Proto: Proto, Workload: WorkloadClassify, Generation: 7, Epoch: 3, Shards: 4, SnapshotBytes: 4096, BaseLSN: 12}
+	if err := WriteHeader(&real, h); err != nil {
+		f.Fatal(err)
+	}
+	whole := real.Bytes()
+	for n := 0; n <= len(whole); n++ {
+		f.Add(whole[:n])
+	}
+	f.Add(append(append([]byte(nil), whole...), "snapshot bytes"...))
+	f.Add([]byte(`{"proto":2,"shards":1}` + "\n"))
+	f.Add([]byte(`{"proto":1,"shards":0}` + "\n"))
+	f.Add([]byte(`{"proto":1,"shards":1,"snapshot_bytes":-1}` + "\n"))
+	f.Add([]byte("[1]\n"))
+	for _, pad := range []int{maxHeaderLine - len(whole), maxHeaderLine, 64 << 10} {
+		padded := append(append([]byte(`{"proto":1,"shards":1`), bytes.Repeat([]byte{' '}, pad)...), "}\n"...)
+		f.Add(padded)
+		f.Add(padded[:len(padded)-1])
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		read := func() (Header, error, int, uint64) {
+			var before, after runtime.MemStats
+			r := bytes.NewReader(in)
+			br := bufio.NewReader(r)
+			runtime.ReadMemStats(&before)
+			h, err := ReadHeader(br)
+			runtime.ReadMemStats(&after)
+			return h, err, len(in) - r.Len() - br.Buffered(), after.TotalAlloc - before.TotalAlloc
+		}
+		h, err, consumed, grew := read()
+		if limit := uint64(8*min(len(in), maxHeaderLine) + frameSlack); grew > limit {
+			if _, _, _, again := read(); again > limit {
+				t.Fatalf("a %d-byte input allocated %d bytes (%v)", len(in), again, err)
+			}
+		}
+		if err != nil {
+			return
+		}
+		if consumed > maxHeaderLine {
+			t.Fatalf("accepted a %d-byte header line", consumed)
+		}
+		var back bytes.Buffer
+		if err := WriteHeader(&back, h); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := ReadHeader(bufio.NewReader(&back)); err != nil || again != h {
+			t.Fatalf("accepted %+v, which writes back as %q, read as %+v (%v)", h, back.Bytes(), again, err)
+		}
+	})
+}
+
 // frameSlack is what a read may allocate beyond its 8 × input bound:
 // the fixed cost of a wrapped error, which an input of a few bytes
 // cannot amortise.

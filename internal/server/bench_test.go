@@ -54,6 +54,49 @@ func BenchmarkServerClassify(b *testing.B) {
 	}
 }
 
+// BenchmarkServerClassifyPendigits is the repo benchmark's classify rows
+// in process: Pendigits shuffled with seed 1, its first 8,000 points
+// routed over 4 shards, then one classification per op of the 2,992
+// held-out points in turn, at classify_shallow's budget 4 and
+// classify_deep's 128. The model's descent is the whole op: no HTTP,
+// no JSON.
+func BenchmarkServerClassifyPendigits(b *testing.B) {
+	d, err := dataset.Pendigits(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Shuffle(1)
+	const train, shards = 8000, 4
+	trees := make([]*core.MultiTree, shards)
+	for i := range trees {
+		if trees[i], err = core.NewMultiTree(core.DefaultConfig(d.Dim()), d.Classes(), core.MultiOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < train; i++ {
+		if err := trees[RouteShard(d.X[i], shards)].Insert(d.X[i], d.Y[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s, err := New(trees, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	held := d.X[train:]
+	for _, budget := range []int{4, 128} {
+		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Classify(held[i%len(held)], budget); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkServerClassifyBatch measures the in-process batch path: a
 // pool of 4 workers running each item's solo classification (admit,
 // split over 4 shards, one anytime query per shard, one merge).
