@@ -396,7 +396,8 @@ func (t *MultiTree) DecaySweep() SweepStats {
 	}
 	clear(t.npoints)
 	masses := make([]float64, len(t.labels))
-	checkNodes(t.root, true, func(n *MultiNode, _ bool) error { return t.addMasses(masses, t.npoints, n) })
+	// Every label in the tree is one of its classes: the walk cannot fail.
+	_ = checkNodes(t.root, true, func(n *MultiNode, _ bool) error { return t.addMasses(masses, t.npoints, n) })
 	s.st.PointsPruned = before - t.size
 	return s.st
 }

@@ -261,10 +261,10 @@ func TestSoAEquivalenceMultiTree(t *testing.T) {
 
 // lazyOrderData draws the lazy-order tree's training set in dim 5 over
 // labels 0–6, of which 6 is never inserted. First grid positions, in
-// order, each inserted twice under every present label: leaves come out
-// as one position under all six labels, so every class term of an entry
-// over them is equal — its log-sum-exp sits exactly ln 6 above their max —
-// and twin leaves tie exactly. Then, shuffled, two tight clusters per
+// order, each inserted twice under every present label: a leaf tends to
+// hold one position under all six labels, so the class terms of an
+// entry over such leaves are all equal — its log-sum-exp sits exactly
+// ln n above their max — and twin leaves tie exactly. Then, shuffled, two tight clusters per
 // class far apart, so that a query at one finds terms far above the
 // root's and an accumulator rescales mid-descent.
 func lazyOrderData(rng *rand.Rand) (xs [][]float64, ys []int) {
@@ -305,8 +305,8 @@ func lazyOrderData(rng *rand.Rand) (xs [][]float64, ys []int) {
 // remainder of the sweep's four-row loop), exact priority ties, entries
 // whose log-sum-exp equals its upper or lower bound, accumulators that
 // rescale mid-descent, missing values, PooledVariance and
-// EntropyPriority. Every step is compared: scores bitwise and the node
-// read.
+// EntropyPriority. Every step is compared: scores bitwise, the node
+// read and every lazy key.
 func TestSoAEquivalenceLazyOrder(t *testing.T) {
 	var total lockstep
 	for _, mo := range []MultiOptions{{}, {PooledVariance: true}, {EntropyPriority: true}} {
