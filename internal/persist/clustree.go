@@ -3,6 +3,7 @@ package persist
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"bayestree/internal/clustree"
 )
@@ -240,7 +241,11 @@ func (d *decoder) clusNode(dim int) *clustree.DumpNode {
 // clusStore rebuilds the pyramidal store by re-Recording the retained
 // snapshots in time order: no order bucket can exceed its capacity
 // (they were within capacity when saved), so no eviction fires and the
-// rebuilt store is identical.
+// rebuilt store is identical. Record floors a non-integer time, replaces
+// a time it holds and evicts beyond an order's capacity, so a time that
+// is not an integer above the one before, or a store that keeps fewer
+// snapshots than it lists, would decode to a store that encodes
+// differently: both are refused.
 func (d *decoder) clusStore(dim int) *clustree.SnapshotStore {
 	alpha := int(d.i64())
 	capacity := int(d.i64())
@@ -253,8 +258,13 @@ func (d *decoder) clusStore(dim int) *clustree.SnapshotStore {
 		d.fail("rebuild snapshot store: %v", err)
 		return nil
 	}
+	prev := 0.0
 	for i := 0; i < count; i++ {
 		time := d.f64()
+		if d.err == nil && (time != math.Trunc(time) || time <= prev || time >= 1<<63) {
+			d.fail("snapshot time %v after %v", time, prev)
+		}
+		prev = time
 		mcCount := d.count(8 * (1 + 2*dim))
 		mcs := make([]clustree.MicroCluster, 0, mcCount)
 		for j := 0; j < mcCount; j++ {
@@ -273,6 +283,10 @@ func (d *decoder) clusStore(dim int) *clustree.SnapshotStore {
 			d.fail("rebuild snapshot store: %v", err)
 			return nil
 		}
+	}
+	if store.Len() != count {
+		d.fail("snapshot store lists %d snapshots and keeps %d", count, store.Len())
+		return nil
 	}
 	return store
 }

@@ -257,6 +257,56 @@ func snapshotCorpus(tb testing.TB) []sample {
 	return out
 }
 
+// forgedStoreTimes is cluster sets whose pyramidal store lists a last
+// snapshot time the store cannot hold as written: one ulp above an
+// integer, a half, a time it already holds, and a time of an order
+// already at capacity. Each re-Recorded store would encode differently.
+func forgedStoreTimes(tb testing.TB) []sample {
+	tb.Helper()
+	forge := func(capacity int, times []float64, last float64) []byte {
+		store, err := clustree.NewSnapshotStore(2, capacity)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, ts := range times {
+			if err := store.Record(ts, nil); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		set := ClusterSet{Trees: []*clustree.Tree{smallClusTree(tb, 0)}, Store: store, Clock: int64(times[len(times)-1])}
+		if err := EncodeClusterSet(&buf, set); err != nil {
+			tb.Fatal(err)
+		}
+		// The last snapshot lists no micro-clusters, so its time, its
+		// count and the clock are the payload's last 24 bytes.
+		payload := append([]byte(nil), payloadOf(buf.Bytes())...)
+		at := payload[len(payload)-24:]
+		if math.Float64frombits(binary.LittleEndian.Uint64(at)) != times[len(times)-1] {
+			tb.Fatal("the last snapshot time is not where the forgery writes")
+		}
+		binary.LittleEndian.PutUint64(at, math.Float64bits(last))
+		return frame(Version, payload)
+	}
+	return []sample{
+		{"clusterset-time-ulp", forge(3, []float64{8, 16}, math.Nextafter(16, 17))},
+		{"clusterset-time-half", forge(3, []float64{8, 16}, 16.5)},
+		{"clusterset-time-repeated", forge(3, []float64{8, 16}, 8)},
+		{"clusterset-over-capacity", forge(2, []float64{2, 6, 8}, 10)},
+	}
+}
+
+// TestForgedStoreTimesRefused: both decoders refuse a store whose times
+// the re-Recording would change.
+func TestForgedStoreTimesRefused(t *testing.T) {
+	c := codecOf(kindClusterSet)
+	for _, s := range forgedStoreTimes(t) {
+		if m, _ := checkAgainstOracle(t, c, s.snap); m != nil {
+			t.Errorf("%s: accepted", s.name)
+		}
+	}
+}
+
 var sentinels = []error{ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated}
 
 // declaredBeyondInput reports whether a frame's header declares more
@@ -456,9 +506,10 @@ const fuzzSlack = 16 << 10
 // children — and checking that costs a decode as much again.
 //
 // The seeds are the corpus's snapshots under 16 KiB (every kind and
-// version) and forty seeded mutations of each, so that `go test` alone
-// catches a decoder that drops a bound, skips the kind check, lets
-// trailing bytes through or leaves a derived entry unsummarised.
+// version), forty seeded mutations of each and the forged store times,
+// so that `go test` alone catches a decoder that drops a bound, skips
+// the kind check, lets trailing bytes through, leaves a derived entry
+// unsummarised or accepts a store its re-Recording would change.
 func FuzzDecodeSnapshot(f *testing.F) {
 	rng := rand.New(rand.NewSource(24))
 	for _, s := range snapshotCorpus(f) {
@@ -469,6 +520,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		for i := 0; i < 40; i++ {
 			f.Add(mutate(rng, s.snap, i))
 		}
+	}
+	for _, s := range forgedStoreTimes(f) {
+		f.Add(s.snap)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < headerBytes+sumBytes+1 || len(in) > 1<<20 {

@@ -6,57 +6,6 @@ import (
 	"testing"
 )
 
-func TestRegistryManifestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	m, ok, err := LoadRegistryManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatalf("fresh dir reported a manifest: %+v", m)
-	}
-	want := RegistryManifest{
-		Workload: "classify",
-		Tenants: []RegistryTenant{
-			{Name: "alpha", Generation: 3},
-			{Name: "beta", Generation: 0},
-		},
-	}
-	if err := SaveRegistryManifest(dir, want); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := LoadRegistryManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("saved manifest not found")
-	}
-	if got.Workload != want.Workload || len(got.Tenants) != len(want.Tenants) {
-		t.Fatalf("round trip mismatch: got %+v want %+v", got, want)
-	}
-	for i := range want.Tenants {
-		if got.Tenants[i] != want.Tenants[i] {
-			t.Fatalf("tenant %d: got %+v want %+v", i, got.Tenants[i], want.Tenants[i])
-		}
-	}
-}
-
-func TestRegistryManifestRejectsBadTenants(t *testing.T) {
-	dir := t.TempDir()
-	cases := []RegistryManifest{
-		{Workload: ""},
-		{Workload: "classify", Tenants: []RegistryTenant{{Name: ""}}},
-		{Workload: "classify", Tenants: []RegistryTenant{{Name: "a/b"}}},
-		{Workload: "classify", Tenants: []RegistryTenant{{Name: "a"}, {Name: "a"}}},
-	}
-	for i, m := range cases {
-		if err := SaveRegistryManifest(dir, m); err == nil {
-			t.Errorf("case %d: bad manifest %+v saved without error", i, m)
-		}
-	}
-}
-
 // TestRemoveStaleTempsTree is the crash-mid-eviction hygiene property:
 // temp files stranded inside per-tenant subdirectories — not just the
 // registry root — must be swept, because a cold tenant's directory may

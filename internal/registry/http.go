@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+
+	"bayestree/internal/persist"
 )
 
 // This file is the registry's HTTP surface. Tenant-scoped routes
@@ -59,7 +61,7 @@ func (r *Registry[T]) handleTenant(w http.ResponseWriter, req *http.Request) {
 func (r *Registry[T]) handleDefault(w http.ResponseWriter, req *http.Request) {
 	name := req.Header.Get("X-Tenant")
 	if name == "" {
-		name = r.opts.DefaultTenant
+		name = DefaultTenantName
 	}
 	r.serveTenant(w, req, name, req.URL.Path)
 }
@@ -114,21 +116,26 @@ func (r *Registry[T]) handlePut(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleInfo serves GET /t/{tenant}: paging state without loading the
-// tenant — cold tenants stay cold under inspection.
+// tenant — cold tenants stay cold under inspection. The generation is
+// the last checkpoint the tenant's own MANIFEST commits (0 before the
+// first).
 func (r *Registry[T]) handleInfo(w http.ResponseWriter, req *http.Request) {
 	name := req.PathValue("tenant")
 	r.mu.Lock()
-	gen, known := r.known[name]
-	resident := false
-	if h := r.tenants[name]; h != nil {
-		resident = h.state == stateResident || h.state == stateLoading
-	}
+	h := r.tenants[name]
+	known := h != nil && h.created
+	resident := known && (h.state == stateResident || h.state == stateLoading)
 	r.mu.Unlock()
 	if !known {
 		http.Error(w, "unknown tenant", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"tenant": name, "resident": resident, "generation": gen})
+	m, _, err := persist.LoadManifest(r.tenantDir(name))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"tenant": name, "resident": resident, "generation": m.Generation})
 }
 
 // handleStats serves the registry-level GET /stats.

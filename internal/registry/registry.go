@@ -25,12 +25,14 @@
 //     answers exactly as its never-evicted twin would; eviction is
 //     safe by construction.
 //
-// On disk a registry root holds a flock'd LOCK, a REGISTRY manifest
-// enumerating tenants and their checkpoint generations, and one
-// durability subdirectory per tenant under tenants/ — each with its
-// own MANIFEST, snapshot, WAL segments and LOCK, exactly the layout a
-// single-tenant server uses, so a tenant directory can be inspected
-// (or, offline, served) with the existing tools.
+// On disk a registry root holds a flock'd LOCK, a REGISTRY stamp naming
+// the workload it serves, and one durability subdirectory per tenant
+// under tenants/ — each with its TENANT.json beside its own MANIFEST,
+// snapshot, WAL segments and LOCK, exactly the layout a single-tenant
+// server uses, so a tenant directory can be inspected (or, offline,
+// served) with the existing tools. That directory is the only record of
+// the population: a tenant is a validly named subdirectory holding a
+// TENANT.json.
 package registry
 
 import (
@@ -40,10 +42,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"bayestree/internal/persist"
@@ -67,6 +67,10 @@ const tenantConfigName = "TENANT.json"
 // tenantsSubdir is the directory under the registry root that holds
 // one durability subdirectory per tenant.
 const tenantsSubdir = "tenants"
+
+// stampName is the root file naming the workload a registry root
+// serves, written once when the root is created.
+const stampName = "REGISTRY"
 
 // TenantConfig is a tenant's creation-time shape. The zero value of
 // any field means "use the registry default" (Options.Defaults); the
@@ -156,12 +160,12 @@ func (tc TenantConfig) ServerConfig(carvedNPS float64) server.Config {
 // ClusterBackend are the two engine instantiations. A tenant is a
 // server.Served: the registry delegates requests to its Handler, runs
 // Checkpoint + CloseDurability (after Close) to evict it, and reads
-// Len, ApproxBytes and Generation for the paging caps and the manifest.
+// Len and ApproxBytes for the paging caps and /stats.
 type Backend[T server.Served] struct {
 	// Workload names the backend (replica.WorkloadClassify or
-	// replica.WorkloadCluster); recorded in
-	// the registry manifest and checked at open, so a classification
-	// registry cannot silently decode clustering snapshots.
+	// replica.WorkloadCluster); stamped on the registry root and checked
+	// at open, so a classification registry cannot silently decode
+	// clustering snapshots.
 	Workload string
 	// CreatePaths lists the tenant-relative POST paths whose first hit
 	// auto-creates the tenant — "created on first write".
@@ -174,8 +178,8 @@ type Backend[T server.Served] struct {
 
 // Options configure a registry.
 type Options struct {
-	// Dir is the registry root: LOCK, REGISTRY manifest and one
-	// durability subdirectory per tenant under tenants/. Required.
+	// Dir is the registry root: LOCK, REGISTRY stamp and one durability
+	// subdirectory per tenant under tenants/. Required.
 	Dir string
 	// MaxResident caps how many tenants are resident in memory at once
 	// (0 = DefaultMaxResident); the LRU idle tenant beyond the cap is
@@ -191,22 +195,15 @@ type Options struct {
 	NodesPerSecond float64
 	// Defaults fills unset TenantConfig fields at tenant creation.
 	Defaults TenantConfig
-	// DefaultTenant is the tenant the legacy single-tenant routes alias
-	// ("" = DefaultTenantName).
-	DefaultTenant string
-	// FsyncEvery and SegmentBytes are passed to every tenant's WAL
-	// (see server.DurabilityOptions).
-	FsyncEvery   time.Duration
-	SegmentBytes int64
+	// FsyncEvery is passed to every tenant's WAL (see
+	// server.DurabilityOptions).
+	FsyncEvery time.Duration
 }
 
 // withDefaults resolves zero values.
 func (o Options) withDefaults() Options {
 	if o.MaxResident <= 0 {
 		o.MaxResident = DefaultMaxResident
-	}
-	if o.DefaultTenant == "" {
-		o.DefaultTenant = DefaultTenantName
 	}
 	if o.Defaults.Shards == 0 {
 		o.Defaults.Shards = 1
@@ -229,8 +226,11 @@ const (
 // handle is one tenant's in-memory lifecycle record. All fields are
 // guarded by the registry mutex; cond shares it.
 type handle[T server.Served] struct {
-	name    string
-	cfg     TenantConfig // resolved creation config (persisted copy wins at load)
+	name string
+	cfg  TenantConfig // resolved creation config (persisted copy wins at load)
+	// created is whether the tenant exists on disk: its directory holds
+	// a TENANT.json. A handle a failed create left behind stays false.
+	created bool
 	state   int
 	srv     T
 	handler http.Handler
@@ -251,21 +251,13 @@ type Registry[T server.Served] struct {
 	lock    *os.File
 
 	mu       sync.Mutex
-	tenants  map[string]*handle[T] // touched tenants (any state)
-	known    map[string]uint64     // every tenant ever created → last recorded generation
+	tenants  map[string]*handle[T] // every tenant on disk, and any being created
 	clock    int64                 // LRU touch counter
 	resident int
 	draining bool
 
-	// manifest flushing: writes coalesce through a background flusher
-	// (a crash before a flush is healed by directory adoption at the
-	// next Open), with a final synchronous save at Close.
-	manifestMu sync.Mutex
-	dirty      chan struct{}
-	stopFlush  chan struct{}
-	flushDone  chan struct{}
-	closeOnce  sync.Once
-	closeErr   error
+	closeOnce sync.Once
+	closeErr  error
 
 	coldLoads     atomic.Int64
 	creations     atomic.Int64
@@ -309,9 +301,15 @@ func ValidTenantName(name string) bool {
 // Open opens (or creates) a registry root: flock the root, sweep
 // stranded temp files from the whole tree (a crash mid-eviction
 // strands them inside tenant subdirectories, which a cold tenant might
-// not open for days), load the REGISTRY manifest and adopt any tenant
-// directory a crash left out of it. No tenant model is loaded — cold
-// tenants stay on disk until their first request.
+// not open for days), check the workload stamp and read the population
+// off the tenants directory. No tenant model is loaded — cold tenants
+// stay on disk until their first request.
+//
+// The root's flock is the single-writer guarantee for the whole tree.
+// Each tenant's own LOCK is additionally taken while that tenant is
+// resident (by the standard durable-open path), so even a process that
+// bypasses the root and points a single-tenant server at one tenant
+// subdirectory cannot become a second writer on a loaded tenant.
 func Open[T server.Served](opts Options, backend Backend[T]) (*Registry[T], error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("registry: root dir required")
@@ -320,10 +318,11 @@ func Open[T server.Served](opts Options, backend Backend[T]) (*Registry[T], erro
 		return nil, fmt.Errorf("registry: backend incomplete")
 	}
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(filepath.Join(opts.Dir, tenantsSubdir), 0o755); err != nil {
+	tenantsDir := filepath.Join(opts.Dir, tenantsSubdir)
+	if err := os.MkdirAll(tenantsDir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
-	lock, err := lockRoot(opts.Dir)
+	lock, err := persist.LockDir(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -336,90 +335,61 @@ func Open[T server.Served](opts Options, backend Backend[T]) (*Registry[T], erro
 	if err := persist.RemoveStaleTempsTree(opts.Dir); err != nil {
 		return fail(err)
 	}
-	m, had, err := persist.LoadRegistryManifest(opts.Dir)
-	if err != nil {
+	if err := checkStamp(opts.Dir, backend.Workload); err != nil {
 		return fail(err)
 	}
-	if had && m.Workload != backend.Workload {
-		return fail(fmt.Errorf("registry: root %s serves workload %q, not %q", opts.Dir, m.Workload, backend.Workload))
-	}
-	r := &Registry[T]{
-		opts:      opts,
-		backend:   backend,
-		lock:      lock,
-		tenants:   make(map[string]*handle[T]),
-		known:     make(map[string]uint64),
-		dirty:     make(chan struct{}, 1),
-		stopFlush: make(chan struct{}),
-		flushDone: make(chan struct{}),
-	}
-	for _, t := range m.Tenants {
-		r.known[t.Name] = t.Generation
-	}
-	adopted, err := r.adoptStrays()
+	entries, err := os.ReadDir(tenantsDir)
 	if err != nil {
-		return fail(err)
+		return fail(fmt.Errorf("registry: %w", err))
 	}
-	if !had || adopted {
-		if err := r.saveManifest(); err != nil {
-			return fail(err)
+	r := &Registry[T]{opts: opts, backend: backend, lock: lock, tenants: make(map[string]*handle[T])}
+	for _, e := range entries {
+		name := e.Name()
+		if !e.IsDir() || !ValidTenantName(name) {
+			continue
+		}
+		// A directory without TENANT.json is debris from a crash inside
+		// a create, before the config was written: not a tenant.
+		if _, err := os.Stat(filepath.Join(tenantsDir, name, tenantConfigName)); err == nil {
+			r.tenants[name] = r.newHandle(name, true)
 		}
 	}
-	go r.flushLoop()
 	return r, nil
 }
 
-// adoptStrays scans the tenants directory for subdirectories carrying
-// a TENANT.json that the manifest does not list — the crash window
-// between tenant creation and the next manifest flush — and adopts
-// them, reporting whether anything changed.
-func (r *Registry[T]) adoptStrays() (bool, error) {
-	entries, err := os.ReadDir(filepath.Join(r.opts.Dir, tenantsSubdir))
-	if err != nil {
-		return false, fmt.Errorf("registry: %w", err)
-	}
-	adopted := false
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		if _, ok := r.known[name]; ok || !ValidTenantName(name) {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(r.tenantDir(name), tenantConfigName)); err != nil {
-			continue // debris from a crash before TENANT.json: ignored
-		}
-		gm, had, err := persist.LoadManifest(r.tenantDir(name))
-		if err != nil {
-			return false, fmt.Errorf("registry: adopt %s: %w", name, err)
-		}
-		var gen uint64
-		if had {
-			gen = gm.Generation
-		}
-		r.known[name] = gen
-		adopted = true
-	}
-	return adopted, nil
+// stamp is the REGISTRY file. A root written before the population
+// moved to the tenants directory also lists its tenants there; the
+// list is ignored.
+type stamp struct {
+	Workload string `json:"workload"`
 }
 
-// lockRoot takes the registry root's non-blocking exclusive flock —
-// the single-writer guarantee for the whole tree. Each tenant's own
-// LOCK is additionally taken while that tenant is resident (by the
-// standard durable-open path), so even a process that bypasses the
-// root and points a single-tenant server at one tenant subdirectory
-// cannot become a second writer on a loaded tenant.
-func lockRoot(dir string) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)
+// checkStamp refuses a root stamped with another workload, and stamps a
+// root that has none.
+func checkStamp(dir, workload string) error {
+	path := filepath.Join(dir, stampName)
+	raw, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return writeJSONFile(path, stamp{Workload: workload})
+	}
 	if err != nil {
-		return nil, fmt.Errorf("registry: lock %s: %w", dir, err)
+		return fmt.Errorf("registry: %w", err)
 	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("registry: root %s is in use by another process: %w", dir, err)
+	var s stamp
+	if err := json.Unmarshal(raw, &s); err != nil {
+		return fmt.Errorf("registry: %s: %w", path, err)
 	}
-	return f, nil
+	if s.Workload != workload {
+		return fmt.Errorf("registry: root %s serves workload %q, not %q", dir, s.Workload, workload)
+	}
+	return nil
+}
+
+// newHandle makes a cold handle for the named tenant.
+func (r *Registry[T]) newHandle(name string, created bool) *handle[T] {
+	h := &handle[T]{name: name, created: created, state: stateCold}
+	h.cond = sync.NewCond(&r.mu)
+	return h
 }
 
 // tenantDir names a tenant's durability subdirectory.
@@ -456,7 +426,8 @@ func (r *Registry[T]) With(name string, create bool, fn func(T) error) error {
 // tenant keeps its creation-time config and tc is ignored.
 func (r *Registry[T]) Create(name string, tc TenantConfig) (bool, error) {
 	r.mu.Lock()
-	_, existed := r.known[name]
+	h := r.tenants[name]
+	existed := h != nil && h.created
 	r.mu.Unlock()
 	h, _, err := r.acquire(name, true, &tc)
 	if err != nil {
@@ -483,18 +454,14 @@ func (r *Registry[T]) acquire(name string, create bool, cfg *TenantConfig) (*han
 		}
 		h := r.tenants[name]
 		if h == nil {
-			_, exists := r.known[name]
-			if !exists && !create {
+			if !create {
 				return nil, zero, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
 			}
-			h = &handle[T]{name: name, state: stateCold}
-			h.cond = sync.NewCond(&r.mu)
+			h = r.newHandle(name, false)
 			r.tenants[name] = h
 		}
-		if cfg != nil && h.state == stateCold {
-			if _, exists := r.known[name]; !exists {
-				h.cfg = *cfg
-			}
+		if cfg != nil && h.state == stateCold && !h.created {
+			h.cfg = *cfg
 		}
 		switch h.state {
 		case stateResident:
@@ -505,7 +472,7 @@ func (r *Registry[T]) acquire(name string, create bool, cfg *TenantConfig) (*han
 		case stateLoading, stateEvicting:
 			h.cond.Wait()
 		case stateCold:
-			if _, exists := r.known[name]; !exists && !create {
+			if !h.created && !create {
 				// The handle can outlive a failed create; re-check.
 				return nil, zero, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
 			}
@@ -518,6 +485,7 @@ func (r *Registry[T]) acquire(name string, create bool, cfg *TenantConfig) (*han
 			}
 			h.srv = srv
 			h.handler = srv.Handler()
+			h.created = true
 			h.state = stateResident
 			r.resident++
 			h.inflight++
@@ -550,38 +518,43 @@ func (r *Registry[T]) release(h *handle[T]) {
 // load opens (or creates) a cold tenant's durable state. Called with
 // r.mu held and h.state == stateLoading; the lock is dropped for the
 // disk work — other tenants keep serving — and reacquired before
-// return.
-func (r *Registry[T]) load(h *handle[T]) (T, error) {
-	var zero T
-	_, exists := r.known[h.name]
+// return. A create writes the tenant's TENANT.json first, which makes
+// its directory a tenant, and removes it again if the open fails.
+func (r *Registry[T]) load(h *handle[T]) (srv T, err error) {
+	created := h.created
 	r.mu.Unlock()
 	defer r.mu.Lock()
 	start := time.Now()
 	dir := r.tenantDir(h.name)
-	var tc TenantConfig
-	if exists {
-		loaded, err := loadTenantConfig(dir)
+	config := filepath.Join(dir, tenantConfigName)
+	defer func() {
 		if err != nil {
 			r.loadErrors.Add(1)
-			return zero, err
+			if !created {
+				// Best effort: a TENANT.json left behind only makes a
+				// tenant whose loads fail as this create did.
+				os.Remove(config)
+			}
 		}
-		tc = loaded.withDefaults(r.opts.Defaults)
-	} else {
-		tc = h.cfg.withDefaults(r.opts.Defaults)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			r.loadErrors.Add(1)
-			return zero, fmt.Errorf("registry: create tenant %s: %w", h.name, err)
-		}
-		if err := saveTenantConfig(dir, tc); err != nil {
-			r.loadErrors.Add(1)
-			return zero, err
+	}()
+	tc := h.cfg
+	if created {
+		if tc, err = loadTenantConfig(config); err != nil {
+			return srv, err
 		}
 	}
-	dopts := server.DurabilityOptions{Dir: dir, FsyncEvery: r.opts.FsyncEvery, SegmentBytes: r.opts.SegmentBytes}
-	srv, err := r.backend.Open(dir, tc, r.carvedNPS(), dopts)
-	if err != nil {
-		r.loadErrors.Add(1)
-		return zero, fmt.Errorf("registry: tenant %s: %w", h.name, err)
+	tc = tc.withDefaults(r.opts.Defaults)
+	if !created {
+		if err = os.MkdirAll(dir, 0o755); err != nil {
+			return srv, fmt.Errorf("registry: create tenant %s: %w", h.name, err)
+		}
+		if err = writeJSONFile(config, tc); err != nil {
+			return srv, err
+		}
+	}
+	dopts := server.DurabilityOptions{Dir: dir, FsyncEvery: r.opts.FsyncEvery}
+	if srv, err = r.backend.Open(dir, tc, r.carvedNPS(), dopts); err != nil {
+		return srv, fmt.Errorf("registry: tenant %s: %w", h.name, err)
 	}
 	ns := time.Since(start).Nanoseconds()
 	r.coldLoads.Add(1)
@@ -592,12 +565,8 @@ func (r *Registry[T]) load(h *handle[T]) (T, error) {
 			break
 		}
 	}
-	if !exists {
+	if !created {
 		r.creations.Add(1)
-		r.mu.Lock()
-		r.known[h.name] = 0
-		r.mu.Unlock()
-		r.markDirty()
 	}
 	h.cfg = tc
 	return srv, nil
@@ -664,7 +633,7 @@ func (r *Registry[T]) pageOut(h *handle[T]) error {
 	r.resident--
 	srv := h.srv
 	r.mu.Unlock()
-	gen, err := r.checkpointClose(srv)
+	err := checkpointClose(srv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	defer h.cond.Broadcast()
@@ -680,25 +649,19 @@ func (r *Registry[T]) pageOut(h *handle[T]) error {
 	}
 	var zero T
 	h.srv, h.handler, h.state = zero, nil, stateCold
-	r.known[h.name] = gen
 	r.evictions.Add(1)
-	r.markDirty()
 	return nil
 }
 
 // checkpointClose runs the eviction write-out: stop maintenance, fold
 // the WAL into a fresh snapshot generation, close the WAL and release
 // the tenant directory lock.
-func (r *Registry[T]) checkpointClose(srv T) (uint64, error) {
+func checkpointClose[T server.Served](srv T) error {
 	srv.Close()
 	if err := srv.Checkpoint(); err != nil {
-		return 0, err
+		return err
 	}
-	gen := srv.Generation()
-	if err := srv.CloseDurability(); err != nil {
-		return gen, err
-	}
-	return gen, nil
+	return srv.CloseDurability()
 }
 
 // Evict pages out the named tenant now, waiting for its in-flight
@@ -734,53 +697,28 @@ func (r *Registry[T]) Draining() bool {
 	return r.draining
 }
 
-// Close drains the registry: new requests are rejected, every loaded
-// tenant is checkpointed and closed once its in-flight requests finish
-// ("drain = checkpoint-all"), the manifest gets a final synchronous
-// save and the root lock is released. Safe to call more than once; the
-// first error from a tenant checkpoint is returned.
+// Close drains the registry: new requests are rejected, and every
+// loaded tenant is paged out once its in-flight requests finish
+// ("drain = checkpoint-all"), then the root lock is released. A tenant
+// whose checkpoint fails stays resident. Safe to call more than once;
+// the first error from a tenant checkpoint is returned.
 func (r *Registry[T]) Close() error {
 	r.closeOnce.Do(func() {
+		// Draining stops every new load, so the loaded set can only
+		// shrink from here.
 		r.mu.Lock()
 		r.draining = true
-		for {
-			var h *handle[T]
-			for _, c := range r.tenants {
-				if c.state != stateCold {
-					h = c
-					break
-				}
+		var loaded []string
+		for name, h := range r.tenants {
+			if h.state != stateCold {
+				loaded = append(loaded, name)
 			}
-			if h == nil {
-				break
-			}
-			if h.state == stateLoading || h.state == stateEvicting || h.inflight > 0 {
-				h.cond.Wait()
-				continue
-			}
-			h.state = stateEvicting
-			r.resident--
-			srv := h.srv
-			r.mu.Unlock()
-			gen, err := r.checkpointClose(srv)
-			if err != nil && r.closeErr == nil {
-				r.closeErr = fmt.Errorf("registry: drain %s: %w", h.name, err)
-			}
-			r.mu.Lock()
-			var zero T
-			h.srv = zero
-			h.handler = nil
-			h.state = stateCold
-			if err == nil {
-				r.known[h.name] = gen
-			}
-			h.cond.Broadcast()
 		}
 		r.mu.Unlock()
-		close(r.stopFlush)
-		<-r.flushDone
-		if err := r.saveManifest(); err != nil && r.closeErr == nil {
-			r.closeErr = err
+		for _, name := range loaded {
+			if err := r.Evict(name); err != nil && r.closeErr == nil {
+				r.closeErr = fmt.Errorf("registry: drain %s: %w", name, err)
+			}
 		}
 		if err := r.lock.Close(); err != nil && r.closeErr == nil {
 			r.closeErr = err
@@ -789,53 +727,9 @@ func (r *Registry[T]) Close() error {
 	return r.closeErr
 }
 
-// markDirty schedules a coalesced manifest flush.
-func (r *Registry[T]) markDirty() {
-	select {
-	case r.dirty <- struct{}{}:
-	default:
-	}
-}
-
-// flushLoop writes the manifest at most every few tens of
-// milliseconds no matter how fast tenants churn — a tenant-creation
-// storm must not pay one fsync'd atomic write per tenant. A crash
-// before a pending flush is healed by adoptStrays at the next Open.
-func (r *Registry[T]) flushLoop() {
-	defer close(r.flushDone)
-	for {
-		select {
-		case <-r.stopFlush:
-			return
-		case <-r.dirty:
-			time.Sleep(50 * time.Millisecond)
-			select { // coalesce anything that arrived during the sleep
-			case <-r.dirty:
-			default:
-			}
-			r.saveManifest() // best-effort; Close saves synchronously
-		}
-	}
-}
-
-// saveManifest snapshots the known-tenant map and writes it
-// atomically.
-func (r *Registry[T]) saveManifest() error {
-	r.manifestMu.Lock()
-	defer r.manifestMu.Unlock()
-	r.mu.Lock()
-	m := persist.RegistryManifest{Workload: r.backend.Workload}
-	for name, gen := range r.known {
-		m.Tenants = append(m.Tenants, persist.RegistryTenant{Name: name, Generation: gen})
-	}
-	r.mu.Unlock()
-	sort.Slice(m.Tenants, func(i, j int) bool { return m.Tenants[i].Name < m.Tenants[j].Name })
-	return persist.SaveRegistryManifest(r.opts.Dir, m)
-}
-
 // loadTenantConfig reads a tenant's persisted TENANT.json.
-func loadTenantConfig(dir string) (TenantConfig, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, tenantConfigName))
+func loadTenantConfig(path string) (TenantConfig, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return TenantConfig{}, fmt.Errorf("registry: tenant config: %w", err)
 	}
@@ -846,21 +740,32 @@ func loadTenantConfig(dir string) (TenantConfig, error) {
 	return tc, nil
 }
 
-// saveTenantConfig writes a tenant's TENANT.json atomically.
-func saveTenantConfig(dir string, tc TenantConfig) error {
-	return persist.WriteFileAtomic(filepath.Join(dir, tenantConfigName), func(w io.Writer) error {
+// writeJSONFile writes v as indented JSON to path atomically.
+func writeJSONFile(path string, v any) error {
+	return persist.WriteFileAtomic(path, func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return enc.Encode(tc)
+		return enc.Encode(v)
 	})
 }
 
-// Tenants returns how many tenants the registry knows (resident or
+// Tenants returns how many tenants the registry holds (resident or
 // cold).
 func (r *Registry[T]) Tenants() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.known)
+	return r.tenantsLocked()
+}
+
+// tenantsLocked counts the tenants that exist on disk.
+func (r *Registry[T]) tenantsLocked() int {
+	n := 0
+	for _, h := range r.tenants {
+		if h.created {
+			n++
+		}
+	}
+	return n
 }
 
 // Resident returns how many tenants are currently loaded.
@@ -908,7 +813,7 @@ func (r *Registry[T]) Stats() Stats {
 	r.mu.Lock()
 	st := Stats{
 		Workload:         r.backend.Workload,
-		Tenants:          len(r.known),
+		Tenants:          r.tenantsLocked(),
 		Resident:         r.resident,
 		MaxResident:      r.opts.MaxResident,
 		MaxResidentBytes: r.opts.MaxResidentBytes,

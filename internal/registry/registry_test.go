@@ -3,14 +3,18 @@ package registry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"bayestree/internal/persist"
 	"bayestree/internal/server"
 )
 
@@ -298,9 +302,9 @@ func TestLRUPagingCap(t *testing.T) {
 }
 
 // TestRestartRecoversPopulation closes a populated registry and
-// reopens the root: the manifest (plus directory adoption) must
-// restore the full tenant population without loading any model, and a
-// touched tenant must come back with its data.
+// reopens the root: the tenants directory must restore the full tenant
+// population without loading any model, and a touched tenant must come
+// back with its data.
 func TestRestartRecoversPopulation(t *testing.T) {
 	dir := t.TempDir()
 	r := openTestRegistry(t, dir, nil)
@@ -404,5 +408,251 @@ func TestDrainingRejects(t *testing.T) {
 	code, _ = mustPost(t, ts.URL+"/t/a/insert", `{"x":[0,0,0],"label":0}`)
 	if code != http.StatusOK {
 		t.Fatalf("insert after undrain: %d", code)
+	}
+}
+
+// TestPopulationIsTheDirectory: the tenants directory is the only record
+// of the population. A tenant is a validly named subdirectory holding a
+// TENANT.json, whatever the REGISTRY file says; REGISTRY is a workload
+// stamp that tenant churn never rewrites; and GET /t/{tenant} reports
+// the generation the tenant's own MANIFEST commits.
+func TestPopulationIsTheDirectory(t *testing.T) {
+	dir := t.TempDir()
+	stampPath := filepath.Join(dir, stampName)
+	r := openTestRegistry(t, dir, nil)
+	stamp, err := os.ReadFile(stampPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(when string) {
+		t.Helper()
+		if now, err := os.ReadFile(stampPath); err != nil || !bytes.Equal(now, stamp) {
+			t.Fatalf("REGISTRY changed by %s: %q -> %q (%v)", when, stamp, now, err)
+		}
+	}
+	for _, name := range []string{"a", "b"} {
+		if err := r.With(name, true, func(s *server.Server) error { return s.Insert([]float64{1, 1, 1}, 1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unchanged("creating tenants")
+	if err := r.Evict("a"); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("an eviction")
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	unchanged("a close")
+
+	// A REGISTRY in the format that listed the population: a listed
+	// tenant with no directory is not a tenant, and a listed generation
+	// is not the one GET reports.
+	legacy := `{"workload":"classify","tenants":[{"name":"a","generation":99},{"name":"b","generation":0},{"name":"ghost","generation":0}]}`
+	if err := os.WriteFile(stampPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A directory holding a TENANT.json that no list names is a tenant;
+	// one without it, or with an invalid name, is not.
+	tenants := filepath.Join(dir, tenantsSubdir)
+	for _, d := range []string{"stray", "debris", ".hidden"} {
+		if err := os.MkdirAll(filepath.Join(tenants, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	config := []byte(`{"dim":3,"labels":[0,1,2],"shards":1}`)
+	for _, d := range []string{"stray", ".hidden"} {
+		if err := os.WriteFile(filepath.Join(tenants, d, tenantConfigName), config, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r2 := openTestRegistry(t, dir, nil)
+	if got := r2.Tenants(); got != 3 {
+		t.Fatalf("tenants after reopen: %d, want 3 (a, b, stray)", got)
+	}
+	for _, name := range []string{"ghost", "debris"} {
+		if err := r2.With(name, false, func(*server.Server) error { return nil }); !errors.Is(err, ErrUnknownTenant) {
+			t.Fatalf("%s: %v, want ErrUnknownTenant", name, err)
+		}
+	}
+	if err := r2.With("stray", false, func(s *server.Server) error { return s.Insert([]float64{0, 0, 0}, 0) }); err != nil {
+		t.Fatalf("the stray tenant does not serve: %v", err)
+	}
+
+	ts := httptest.NewServer(r2.Handler())
+	defer ts.Close()
+	info := func(name string) {
+		t.Helper()
+		m, _, err := persist.LoadManifest(filepath.Join(tenants, name))
+		if err != nil || m.Generation == 0 {
+			t.Fatalf("%s: manifest generation %d (%v)", name, m.Generation, err)
+		}
+		resp, err := http.Get(ts.URL + "/t/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Resident   bool   `json:"resident"`
+			Generation uint64 `json:"generation"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Resident || got.Generation != m.Generation {
+			t.Fatalf("GET /t/%s: %+v, want cold at the MANIFEST's generation %d", name, got, m.Generation)
+		}
+	}
+	info("a") // never loaded by this registry: the stale list said 99
+	if err := r2.Evict("stray"); err != nil {
+		t.Fatal(err)
+	}
+	info("stray")
+	resp, err := http.Get(ts.URL + "/t/ghost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /t/ghost: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestFailedCreateLeavesNoTenant: a create whose open fails removes the
+// TENANT.json it wrote, so the directory holds no tenant now or after a
+// restart, and a later create with a usable config succeeds.
+func TestFailedCreateLeavesNoTenant(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(Options{Dir: dir, Defaults: TenantConfig{Dim: 3}}, ClassifyBackend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Create("x", TenantConfig{}); err == nil {
+		t.Fatal("a tenant without labels was created")
+	}
+	if got := r.Tenants(); got != 0 {
+		t.Fatalf("tenants after a failed create: %d", got)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r2 := openTestRegistry(t, dir, nil)
+	if got := r2.Tenants(); got != 0 {
+		t.Fatalf("tenants after a failed create and a restart: %d", got)
+	}
+	if created, err := r2.Create("x", TenantConfig{Labels: []int{0, 1}}); err != nil || !created {
+		t.Fatalf("create after a failed one: %v, %v", created, err)
+	}
+}
+
+// TestDrainFailureKeepsTenantResident: Close pages tenants out through
+// the eviction path, so a tenant whose drain checkpoint fails keeps its
+// model in memory, and Close reports the failure.
+func TestDrainFailureKeepsTenantResident(t *testing.T) {
+	dir := t.TempDir()
+	r := openTestRegistry(t, dir, nil)
+	for _, name := range []string{"ok", "lost"} {
+		if err := r.With(name, true, func(s *server.Server) error { return s.Insert([]float64{2, 2, 2}, 2) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The checkpoint has nowhere to write.
+	if err := os.RemoveAll(r.tenantDir("lost")); err != nil {
+		t.Fatal(err)
+	}
+	err := r.Close()
+	if err == nil || !strings.Contains(err.Error(), "lost") {
+		t.Fatalf("close: %v, want the failed drain of tenant lost", err)
+	}
+	if st := r.Stats(); st.Resident != 1 || st.EvictErrors != 1 || st.Evictions != 1 {
+		t.Fatalf("after a failed drain: %+v, want the failed tenant resident", st)
+	}
+}
+
+// TestResidentBytesCap: with MaxResidentBytes between one and two large
+// tenants' footprints, the resident set is bounded by bytes, not by the
+// count cap — two large tenants are never resident together while small
+// ones share the budget — and eviction never leaves no tenant resident,
+// even under a cap smaller than one tenant.
+func TestResidentBytesCap(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(5))
+	feed := func(n int) func(*server.Server) error {
+		return func(s *server.Server) error {
+			for s.Len() < n {
+				x, label := testPoint(rng)
+				if err := s.Insert(x, label); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	bigs, smalls := []string{"big0", "big1", "big2"}, []string{"s0", "s1", "s2"}
+	r := openTestRegistry(t, dir, nil)
+	var big, small int64
+	for _, name := range append(append([]string(nil), bigs...), smalls...) {
+		n, size := 200, &big
+		if name[0] == 's' {
+			n, size = 10, &small
+		}
+		if err := r.With(name, true, feed(n)); err != nil {
+			t.Fatal(err)
+		}
+		// Measure the footprint a reload has, which is what the cap sees.
+		if err := r.Evict(name); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.With(name, false, func(s *server.Server) error {
+			*size = max(*size, s.ApproxBytes())
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	limit := 3 * big / 2
+	if big+int64(len(smalls))*small > limit {
+		t.Fatalf("sizes do not fit the test: large %d, small %d bytes", big, small)
+	}
+
+	r = openTestRegistry(t, dir, func(o *Options) { o.MaxResidentBytes = limit })
+	order := []string{"big0", "s0", "s1", "big1", "s2", "s0", "big2", "big0", "s1", "s2", "big1"}
+	most := 0
+	for _, name := range order {
+		if err := r.With(name, false, func(*server.Server) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		st := r.Stats()
+		if st.Resident < 1 || (st.Resident > 1 && st.ResidentBytes > limit) {
+			t.Fatalf("after touching %s: %d resident, %d bytes against a cap of %d", name, st.Resident, st.ResidentBytes, limit)
+		}
+		if st.ResidentBytes >= 2*big {
+			t.Fatalf("after touching %s: two large tenants resident (%d bytes)", name, st.ResidentBytes)
+		}
+		most = max(most, st.Resident)
+	}
+	// The count cap (DefaultMaxResident) exceeds the population, so
+	// every eviction here is the byte cap's.
+	if st := r.Stats(); most < 3 || st.Evictions == 0 {
+		t.Fatalf("the byte cap did not decide residency: at most %d resident, %+v", most, st)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Under a cap smaller than any large tenant, one stays resident.
+	r = openTestRegistry(t, dir, func(o *Options) { o.MaxResidentBytes = big / 2 })
+	for _, name := range bigs {
+		if err := r.With(name, false, func(*server.Server) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Resident(); got != 1 {
+			t.Fatalf("after touching %s under a cap below one tenant: %d resident, want 1", name, got)
+		}
 	}
 }

@@ -238,8 +238,8 @@ func runRegistry[S server.Served](f *Flags, w Workload[S]) error {
 		SetDraining:  r.SetDraining,
 		Persist: func() error {
 			// Drain = checkpoint-all: every loaded tenant is paged out
-			// through the eviction path, then the manifest gets its final
-			// save.
+			// through the eviction path. The population needs no save: it
+			// is the tenants directory.
 			if err := r.Close(); err != nil {
 				return err
 			}

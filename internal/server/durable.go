@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"bayestree/internal/persist"
@@ -56,8 +55,6 @@ type DurabilityOptions struct {
 	// background fsync (the interval bounds power-loss exposure; a
 	// process crash loses nothing either way).
 	FsyncEvery time.Duration
-	// SegmentBytes rotates WAL segments at this size (0 = wal default).
-	SegmentBytes int64
 }
 
 // The states in which a well-formed write is refused. The HTTP layer
@@ -195,9 +192,7 @@ func (e *engine[M]) openLogs() error {
 	d := e.dur
 	logs := make([]*wal.Log, len(e.shards))
 	for i := range e.shards {
-		lg, err := wal.Open(shardWALDir(d.opts.Dir, i), wal.Options{
-			SegmentBytes: d.opts.SegmentBytes, FsyncEvery: d.opts.FsyncEvery,
-		})
+		lg, err := wal.Open(shardWALDir(d.opts.Dir, i), wal.Options{FsyncEvery: d.opts.FsyncEvery})
 		if err != nil {
 			for _, open := range logs[:i] {
 				open.Close()
@@ -617,7 +612,7 @@ func openDurableDir(dopts DurabilityOptions) (durOpen, error) {
 	if err := os.MkdirAll(dopts.Dir, 0o755); err != nil {
 		return durOpen{}, fmt.Errorf("server: %w", err)
 	}
-	lock, err := lockDir(dopts.Dir)
+	lock, err := persist.LockDir(dopts.Dir)
 	if err != nil {
 		return durOpen{}, err
 	}
@@ -634,20 +629,4 @@ func openDurableDir(dopts DurabilityOptions) (durOpen, error) {
 	}
 	fe, hadFenced := readFenced(dopts.Dir)
 	return durOpen{manifest: m, hadState: had, lock: lock, fencedEpoch: fe, hadFenced: hadFenced}, nil
-}
-
-// lockDir takes a non-blocking exclusive flock on dir/LOCK — the
-// single-writer guarantee of a durability directory. The kernel drops
-// the lock whenever the holding process dies, so a crashed server
-// never wedges its own restart.
-func lockDir(dir string) (*os.File, error) {
-	f, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("server: lock %s: %w", dir, err)
-	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("server: durability dir %s is in use by another process: %w", dir, err)
-	}
-	return f, nil
 }
