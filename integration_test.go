@@ -68,8 +68,15 @@ func TestPaperClaimHilbertCheapAndComparable(t *testing.T) {
 	}
 	hi := gateCurve(t, "pendigits", "hilbert", core.DescentGlobal)
 	it := gateCurve(t, "pendigits", "iterative", core.DescentGlobal)
-	if hi.BuildTime > it.BuildTime/2 {
-		t.Errorf("Hilbert build %v not clearly cheaper than Iterativ %v", hi.BuildTime, it.BuildTime)
+	// Each loader's fastest of three interleaved builds, so that a burst
+	// of load from the tests running beside this one cannot decide it.
+	hiBuild, itBuild := hi.BuildTime, it.BuildTime
+	for i := 0; i < 2; i++ {
+		hiBuild = min(hiBuild, gateCurve(t, "pendigits", "hilbert", core.DescentGlobal).BuildTime)
+		itBuild = min(itBuild, gateCurve(t, "pendigits", "iterative", core.DescentGlobal).BuildTime)
+	}
+	if hiBuild > itBuild/2 {
+		t.Errorf("Hilbert build %v not clearly cheaper than Iterativ %v", hiBuild, itBuild)
 	}
 	if diff := it.Final() - hi.Final(); diff > 0.03 {
 		t.Errorf("Hilbert final accuracy %.4f trails Iterativ %.4f by more than 3%%", hi.Final(), it.Final())

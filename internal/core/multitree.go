@@ -189,6 +189,23 @@ func (t *MultiTree) summarize(n *MultiNode) MultiEntry {
 	for i := range e.CFs {
 		e.CFs[i] = stats.CF{LS: vec(4 + 2*i), SS: vec(5 + 2*i)}
 	}
+	t.accumulate(&e, n)
+	return e
+}
+
+// resummarize recomputes e = summarize(n) in e's own vectors.
+func (t *MultiTree) resummarize(e *MultiEntry, n *MultiNode) {
+	fillEmpty(e.Rect)
+	for i := range e.CFs {
+		e.CFs[i].Reset()
+	}
+	e.Total.Reset()
+	t.accumulate(e, n)
+}
+
+// accumulate adds n's points, or its entries, into the empty summary e,
+// in order.
+func (t *MultiTree) accumulate(e *MultiEntry, n *MultiNode) {
 	if n.leaf {
 		if n.weights == nil {
 			for _, p := range n.points {
@@ -214,43 +231,43 @@ func (t *MultiTree) summarize(n *MultiNode) MultiEntry {
 			e.Total.Merge(n.entries[i].Total)
 		}
 	}
-	return e
 }
 
-// refreshClass recomputes, in e's own vectors, the parts of
-// e = summarize(n) that an insert of class c below n changed: CFs[c],
-// Total and Rect. It is summarize's arithmetic in summarize's order, so
-// those parts come out bitwise as summarize would return them, and every
-// other class keeps its bits because its inputs kept theirs. (The
-// rectangle is re-extended, not grown by the point: which of +0 and −0 a
-// bound keeps depends on the order of extension.)
+// refreshClass brings e = summarize(n) up to date, in e's own vectors,
+// after an insert of class c below n changed its CFs[c], Total and Rect;
+// every other class keeps its bits because its inputs kept theirs.
+//
+// Precondition: e was summarize(n) before the insert, and at a leaf the
+// inserted point is n's last. A leaf entry is then summarize's in-order
+// sum with one step to go, so adding the new point into class c, Total
+// and Rect is that step — bit for bit, also when the leaf's first
+// non-unit weight has just arrived, since Add(x) and AddWeighted(x, 1)
+// produce the same bits. Above a leaf the changed child is not the last
+// one summed, so class c, Total and Rect are re-merged over every entry
+// in summarize's order: a sum is not re-associated, and which of +0 and
+// −0 a bound keeps depends on the order of extension.
 func (t *MultiTree) refreshClass(e *MultiEntry, n *MultiNode, c int) {
+	if n.leaf {
+		last := len(n.points) - 1
+		x := n.points[last].X
+		e.Rect.ExtendPoint(x)
+		if n.weights == nil {
+			e.CFs[c].Add(x)
+			e.Total.Add(x)
+		} else {
+			e.CFs[c].AddWeighted(x, n.weights[last])
+			e.Total.AddWeighted(x, n.weights[last])
+		}
+		return
+	}
 	cf := &e.CFs[c]
 	cf.Reset()
 	e.Total.Reset()
 	fillEmpty(e.Rect)
-	if n.leaf {
-		label := t.labels[c]
-		for i, p := range n.points {
-			e.Rect.ExtendPoint(p.X)
-			if n.weights == nil {
-				if p.Label == label {
-					cf.Add(p.X)
-				}
-				e.Total.Add(p.X)
-			} else {
-				if p.Label == label {
-					cf.AddWeighted(p.X, n.weights[i])
-				}
-				e.Total.AddWeighted(p.X, n.weights[i])
-			}
-		}
-	} else {
-		for i := range n.entries {
-			e.Rect.Extend(n.entries[i].Rect)
-			cf.Merge(n.entries[i].CFs[c])
-			e.Total.Merge(n.entries[i].Total)
-		}
+	for i := range n.entries {
+		e.Rect.Extend(n.entries[i].Rect)
+		cf.Merge(n.entries[i].CFs[c])
+		e.Total.Merge(n.entries[i].Total)
 	}
 }
 
@@ -299,8 +316,8 @@ func (t *MultiTree) chooseSubtree(n *MultiNode, r mbr.Rect) int {
 	best := 0
 	bestEnl, bestArea := math.Inf(1), math.Inf(1)
 	for i := range n.entries {
-		enl := mbr.Enlargement(n.entries[i].Rect, r)
 		area := n.entries[i].Rect.Area()
+		enl := mbr.UnionArea(n.entries[i].Rect, r) - area
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}
@@ -354,14 +371,14 @@ func (t *MultiTree) splitNode(n *MultiNode) (left, right *MultiNode) {
 const allClasses = -1
 
 // refreshPath brings the entries along path up to date with their
-// children, leaf to root: class c of each in place (refreshClass), or
-// the whole entry anew for allClasses.
+// children, leaf to root, in their own vectors: class c of each
+// (refreshClass), or the whole entry for allClasses.
 func (t *MultiTree) refreshPath(path []*MultiNode, c int) {
 	for i := len(path) - 1; i >= 1; i-- {
 		child := path[i]
 		e := &path[i-1].entries[entryOver(path[i-1], child)]
 		if c == allClasses {
-			*e = t.summarize(child)
+			t.resummarize(e, child)
 		} else {
 			t.refreshClass(e, child, c)
 		}

@@ -74,14 +74,15 @@ func unitWeights(n int) []float64 {
 }
 
 // splitNode performs the R* topological split on either node kind;
-// coords yields an observation's coordinates. A weighted leaf's weight
-// vector follows its points.
+// coords yields an observation's coordinates. A leaf splits points, one
+// sort per axis (splitOrderOf). A weighted leaf's weight vector follows
+// its points.
 func splitNode[P any, E entry[P, E]](n *node[P, E], cfg *Config, coords func(P) []float64) (left, right *node[P, E]) {
 	if n.leaf {
-		order, cut := splitOrder(len(n.points), func(i int) (lo, hi []float64) {
+		order, cut := splitOrderOf(len(n.points), func(i int) (lo, hi []float64) {
 			x := coords(n.points[i])
 			return x, x
-		}, cfg.Dim, cfg.MinLeaf)
+		}, cfg.Dim, cfg.MinLeaf, true)
 		half := func(idx []int) *node[P, E] {
 			h := &node[P, E]{leaf: true, points: gather(n.points, idx)}
 			if n.weights != nil {

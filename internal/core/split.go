@@ -20,6 +20,15 @@ import (
 // sequence — lower then upper bound per axis, then the winning one
 // again — so ties fall the way that sequence leaves them.
 func splitOrder(n int, bounds func(i int) (lo, hi []float64), dim, minFill int) (order []int, cut int) {
+	return splitOrderOf(n, bounds, dim, minFill, false)
+}
+
+// splitOrderOf is splitOrder, told by points that every item is a point
+// (lo == hi). A point's upper-bound pass would stable-sort the ordering
+// its lower-bound pass just left by the same keys — changing nothing —
+// and score the same margin, which the strict comparison never prefers;
+// so points are scored by the lower-bound pass alone, and split the same.
+func splitOrderOf(n int, bounds func(i int) (lo, hi []float64), dim, minFill int, points bool) (order []int, cut int) {
 	// One block: the items' bounds, read once, then a rectangle per cut.
 	block := make([]float64, (4*n+2)*dim)
 	s := splitter{n: n, dim: dim, minFill: minFill, order: make([]int, n)}
@@ -31,10 +40,14 @@ func splitOrder(n int, bounds func(i int) (lo, hi []float64), dim, minFill int) 
 		copy(s.hi[i*dim:(i+1)*dim], hi)
 		s.order[i] = i
 	}
+	passes := []bool{true, false} // lower bound first, then upper
+	if points {
+		passes = passes[:1]
+	}
 	bestAxis, bestLower := 0, true
 	bestMargin := math.Inf(1)
 	for axis := 0; axis < dim; axis++ {
-		for _, lower := range [2]bool{true, false} {
+		for _, lower := range passes {
 			s.sortBy(axis, lower)
 			s.suffixes()
 			var margin float64

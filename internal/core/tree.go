@@ -276,8 +276,8 @@ func (t *Tree) chooseSubtreeRect(n *Node, r mbr.Rect) int {
 				overlap += mbr.OverlapArea(u, n.entries[j].Rect) -
 					mbr.OverlapArea(n.entries[i].Rect, n.entries[j].Rect)
 			}
-			enl := u.Area() - n.entries[i].Rect.Area()
 			area := n.entries[i].Rect.Area()
+			enl := u.Area() - area
 			if overlap < bestOverlap ||
 				(overlap == bestOverlap && enl < bestEnl) ||
 				(overlap == bestOverlap && enl == bestEnl && area < bestArea) {
@@ -288,8 +288,8 @@ func (t *Tree) chooseSubtreeRect(n *Node, r mbr.Rect) int {
 	}
 	bestEnl, bestArea := math.Inf(1), math.Inf(1)
 	for i := range n.entries {
-		enl := mbr.Enlargement(n.entries[i].Rect, r)
 		area := n.entries[i].Rect.Area()
+		enl := mbr.UnionArea(n.entries[i].Rect, r) - area
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}

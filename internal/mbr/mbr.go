@@ -1,5 +1,5 @@
 // Package mbr implements minimum bounding rectangles and the rectangle
-// algebra used by R-tree-family indexes: area, margin, overlap, enlargement,
+// algebra used by R-tree-family indexes: area, margin, overlap, union area,
 // union and the MINDIST lower bound used by geometric descent priorities.
 // The Bayes tree stores an MBR in every entry (Definition 1) and the
 // standalone R*-tree substrate is built entirely on this package.
@@ -179,10 +179,10 @@ func OverlapArea(a, b Rect) float64 {
 	return v
 }
 
-// Enlargement returns the increase in area of r needed to cover other:
-// Union(r, other).Area() − r.Area(), the union's sides taken on the fly
-// so a subtree choice allocates nothing.
-func Enlargement(r, other Rect) float64 {
+// UnionArea returns Union(r, other).Area(), the union's sides taken on
+// the fly so a subtree choice allocates nothing; less r.Area() it is the
+// enlargement R-trees choose subtrees by.
+func UnionArea(r, other Rect) float64 {
 	if len(r.Lo) == 0 {
 		return 0
 	}
@@ -197,12 +197,11 @@ func Enlargement(r, other Rect) float64 {
 		}
 		side := hi - lo
 		if side < 0 {
-			u = 0
-			break
+			return 0
 		}
 		u *= side
 	}
-	return u - r.Area()
+	return u
 }
 
 // MinDist2Obs returns the squared minimum distance from the point x to

@@ -119,21 +119,21 @@ func TestOverlapArea(t *testing.T) {
 	}
 }
 
-func TestEnlargement(t *testing.T) {
+func TestUnionArea(t *testing.T) {
 	a := rect(t, []float64{0, 0}, []float64{1, 1})
 	b := rect(t, []float64{0, 0}, []float64{2, 1})
-	if got := Enlargement(a, b); math.Abs(got-1) > 1e-12 {
+	if got := UnionArea(a, b) - a.Area(); math.Abs(got-1) > 1e-12 {
 		t.Errorf("enlargement = %v, want 1", got)
 	}
-	if got := Enlargement(b, a); got != 0 {
+	if got := UnionArea(b, a) - b.Area(); got != 0 {
 		t.Errorf("enlargement of contained rect = %v, want 0", got)
 	}
 }
 
-// Enlargement takes the union's sides on the fly; it must stay, bit for
-// bit, the area of the materialised union less the rectangle's own —
-// subtree choice compares these values and trees are pinned by bytes.
-func TestEnlargementIsUnionAreaLessOwn(t *testing.T) {
+// UnionArea takes the union's sides on the fly; it must stay, bit for
+// bit, the area of the materialised union — subtree choice compares it
+// less the entry's own area, and trees are pinned by bytes.
+func TestUnionAreaIsAreaOfUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for i := 0; i < 2000; i++ {
 		d := 1 + rng.Intn(6)
@@ -146,9 +146,9 @@ func TestEnlargementIsUnionAreaLessOwn(t *testing.T) {
 		case 3:
 			r.Lo[0], r.Hi[0] = r.Hi[0], r.Lo[0] // inverted in one dimension
 		}
-		want := Union(r, other).Area() - r.Area()
-		if got := Enlargement(r, other); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Enlargement(%v, %v) = %v, union area less own %v", r, other, got, want)
+		want := Union(r, other).Area()
+		if got := UnionArea(r, other); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("UnionArea(%v, %v) = %v, area of the union %v", r, other, got, want)
 		}
 	}
 }

@@ -2,7 +2,10 @@ package server
 
 import (
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -209,6 +212,91 @@ func BenchmarkServerInsert(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServerRecover is the repo benchmark's mixed_durable restart
+// in process: a durable 4-shard Pendigits server checkpoints its empty
+// model, logs 7,100 inserts and is closed without another checkpoint.
+// Each op restores a copy of that parked directory (untimed), then opens
+// it and recovers: the snapshot decode, WAL replay, mirror builds and
+// the closing checkpoint. wal_replay_ms and checkpoint_ms are the
+// /stats timers of those two parts, averaged over the ops.
+func BenchmarkServerRecover(b *testing.B) {
+	d, err := dataset.Pendigits(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Shuffle(1)
+	const logged = 7100
+	dopts := DurabilityOptions{Dir: filepath.Join(b.TempDir(), "parked"), FsyncEvery: 100 * time.Millisecond}
+	s, err := OpenDurableServer(dopts, Config{}, func() (*Server, error) {
+		return NewEmpty(4, core.DefaultConfig(d.Dim()), d.Classes(), core.MultiOptions{}, Config{})
+	})
+	if err == nil {
+		err = s.Recover()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < logged; i++ {
+		if err := s.Insert(d.X[i], d.Y[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.Close()
+	if err := s.CloseDurability(); err != nil {
+		b.Fatal(err)
+	}
+	parked := map[string][]byte{}
+	err = filepath.WalkDir(dopts.Dir, func(path string, ent fs.DirEntry, err error) error {
+		if err != nil || ent.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(dopts.Dir, path) // path lies under the walk's root
+		parked[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var replayMs, checkpointMs float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		for rel, buf := range parked {
+			if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(rel)), 0o755); err != nil {
+				b.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, rel), buf, 0o644); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		r, err := OpenDurableServer(DurabilityOptions{Dir: dir, FsyncEvery: dopts.FsyncEvery}, Config{}, func() (*Server, error) {
+			return nil, fmt.Errorf("%s holds no manifest", dir)
+		})
+		if err == nil {
+			err = r.Recover()
+		}
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := r.Stats()
+		if st.WALReplayed != logged || st.WALDroppedRecords != 0 {
+			b.Fatalf("replayed %d records and dropped %d, want %d and 0", st.WALReplayed, st.WALDroppedRecords, logged)
+		}
+		replayMs += st.WALReplayMs
+		checkpointMs += st.CheckpointMs
+		r.Close()
+		if err := r.CloseDurability(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(replayMs/float64(b.N), "wal_replay_ms")
+	b.ReportMetric(checkpointMs/float64(b.N), "checkpoint_ms")
 }
 
 // BenchmarkServerAlternate is the in-process twin of the repo

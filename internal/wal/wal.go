@@ -11,7 +11,10 @@
 // the end of the final segment, the signature of a crash mid-append —
 // is dropped and counted, while a bad checksum in the middle of the log
 // (bit rot, segment truncation by an operator) fails loudly with
-// ErrCorrupt rather than silently replaying a prefix.
+// ErrCorrupt rather than silently replaying a prefix. A damaged frame
+// is a torn tail only if it is the final record: an intact record after
+// it in the segment makes it corruption, whatever its length field
+// claims.
 //
 // Durability is group-committed: every Append is one write syscall, so
 // an acked record always survives a process crash (it is in the OS page
@@ -276,13 +279,19 @@ func (l *Log) syncLocked() error {
 
 // Rotate syncs and closes the active segment and starts the next one,
 // returning the new segment's index — the first segment a replay after
-// this point must read. Checkpoints call it under the shard lock so the
-// rotation point is a consistent cut of the insert stream.
+// this point must read. An empty active segment is already that
+// segment: replay from it reads what replay from its successor would,
+// so Rotate returns its index and creates nothing. Checkpoints call it
+// under the shard lock so the rotation point is a consistent cut of the
+// insert stream.
 func (l *Log) Rotate() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, fmt.Errorf("wal: log closed")
+	}
+	if l.size == 0 {
+		return l.seg, nil
 	}
 	if err := l.rotateLocked(); err != nil {
 		return 0, err
@@ -484,7 +493,11 @@ func (r *Reader) Close() error {
 // parseRecord parses one frame from buf. torn reports a record whose
 // bytes stop at the end of buf when buf is the final segment — the
 // crash-mid-append signature replay drops; the same shape anywhere else
-// is ErrCorrupt.
+// is ErrCorrupt. A frame that runs to or past the end of the final
+// segment is torn only if it is the final record: a CRC-valid frame
+// starting after it (laterFrame) means its length field or checksum was
+// damaged mid-log, and dropping it would drop the acked records behind
+// it.
 func parseRecord(buf []byte, final bool) (payload []byte, n int, torn bool, err error) {
 	if len(buf) < frameHeader {
 		if final {
@@ -498,7 +511,7 @@ func parseRecord(buf []byte, final bool) (payload []byte, n int, torn bool, err 
 	}
 	end := frameHeader + int(length)
 	if end > len(buf) {
-		if final {
+		if final && !laterFrame(buf) {
 			return nil, 0, true, nil
 		}
 		return nil, 0, false, ErrCorrupt
@@ -507,12 +520,28 @@ func parseRecord(buf []byte, final bool) (payload []byte, n int, torn bool, err 
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[4:8]) {
 		// A bad CRC on the very last record of the final segment is a
 		// torn payload write; earlier it is corruption.
-		if final && end == len(buf) {
+		if final && end == len(buf) && !laterFrame(buf) {
 			return nil, 0, true, nil
 		}
 		return nil, 0, false, ErrCorrupt
 	}
 	return payload, end, false, nil
+}
+
+// laterFrame reports whether a CRC-valid frame with a non-empty payload
+// starts anywhere in buf after its first byte. Only a damaged tail pays
+// for the scan. An empty payload is no evidence: its checksum is zero,
+// so any eight zero bytes — inside a torn payload, say — read as one.
+func laterFrame(buf []byte) bool {
+	for off := 1; off+frameHeader < len(buf); off++ {
+		length := int(binary.LittleEndian.Uint32(buf[off:]))
+		body := buf[off+frameHeader:]
+		if length > 0 && length <= len(body) &&
+			crc32.ChecksumIEEE(body[:length]) == binary.LittleEndian.Uint32(buf[off+4:]) {
+			return true
+		}
+	}
+	return false
 }
 
 // repairTail truncates a torn record off the end of the segment at

@@ -255,6 +255,65 @@ func TestCorruptMidLogFatal(t *testing.T) {
 	}
 }
 
+// TestMidSegmentLengthFaultCorrupt: a damaged length field that claims
+// past the end of the final segment, on a record with intact records
+// behind it, is corruption — not a torn tail whose drop would take the
+// acked records after it, nor one a reopen would truncate away.
+func TestMidSegmentLengthFaultCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := l.Append([]byte(fmt.Sprintf("record-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg := l.Segment()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := segPath(dir, seg)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := frameHeader + len("record-00")
+	binary.LittleEndian.PutUint32(buf[3*frame:], 1000)
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for i := 0; ; i++ {
+		p, err := r.Next()
+		if err == nil {
+			if i >= 3 || string(p) != fmt.Sprintf("record-%02d", i) {
+				t.Fatalf("record %d = %q, want only records 0-2 before the fault", i, p)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("after %d records: %v (dropped %d), want ErrCorrupt", i, err, r.Dropped())
+		}
+		break
+	}
+	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over the faulted segment: %v, want ErrCorrupt", err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(len(buf)) {
+		t.Fatalf("faulted segment is %d bytes, want %d untouched", fi.Size(), len(buf))
+	}
+}
+
 // TestBadCRCAtExactTailDropped: a record whose bytes all made it to disk
 // but whose payload was half-written (CRC mismatch at the exact end of
 // the final segment) is a torn write, not corruption.
