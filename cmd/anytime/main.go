@@ -11,9 +11,11 @@
 //
 // The -dataset form runs a custom comparison outside the canned figures,
 // with -loaders, -nodes, -folds, -strategy, -priority and -k selecting
-// the comparison; see -h for every flag. Bad invocations (unknown
-// experiment, data set, loader, strategy or priority) exit with status
-// 2; runtime failures exit with status 1.
+// the comparison, and prints the log-loss, Brier score and calibration
+// error of the posteriors beside the accuracy; the loader "multitree" is
+// the Section 4.1 single multi-class tree. See -h for every flag. Bad
+// invocations (unknown experiment, data set, loader, strategy or
+// priority) exit with status 2; runtime failures exit with status 1.
 package main
 
 import (
@@ -34,7 +36,7 @@ func main() {
 		scale      = flag.Float64("scale", 0, "data set scale in (0,1]; 0 = experiment default, 1 = paper size")
 		seed       = flag.Int64("seed", 42, "cross-validation seed")
 		dsName     = flag.String("dataset", "", "custom run: data set (pendigits|letter|gender|covertype)")
-		loaders    = flag.String("loaders", "emtopdown,hilbert,goldberger,iterative", "custom run: comma-separated loaders")
+		loaders    = flag.String("loaders", "emtopdown,hilbert,goldberger,iterative", "custom run: comma-separated loaders (multitree: the single multi-class tree)")
 		nodes      = flag.Int("nodes", 100, "custom run: node budget (x-axis extent)")
 		folds      = flag.Int("folds", 4, "custom run: cross-validation folds")
 		strategy   = flag.String("strategy", "glo", "custom run: descent strategy glo|bft|dft")
@@ -101,23 +103,25 @@ func runCustom(dsName string, scale float64, seed int64, loaderList string, node
 	}
 	fmt.Printf("dataset %s: %d observations, %d classes, %d features\n",
 		ds.Name, ds.Len(), len(ds.Classes()), ds.Dim())
+	opts := eval.CurveOptions{
+		Folds:      folds,
+		MaxNodes:   nodes,
+		Seed:       seed,
+		Classifier: core.ClassifierOptions{Strategy: strat, Priority: prio, K: k},
+	}
 	var curves []*eval.Curve
 	for _, name := range strings.Split(loaderList, ",") {
 		name = strings.TrimSpace(name)
 		loader, ok := bulkload.ByName(name)
-		if !ok {
-			usagef("unknown loader %q (have %v)", name, bulkload.Names())
+		if !ok && name != "multitree" {
+			usagef("unknown loader %q (have %v and multitree)", name, bulkload.Names())
 		}
-		c, err := eval.AnytimeCurve(ds, loader, eval.CurveOptions{
-			Folds:    folds,
-			MaxNodes: nodes,
-			Seed:     seed,
-			Classifier: core.ClassifierOptions{
-				Strategy: strat,
-				Priority: prio,
-				K:        k,
-			},
-		})
+		var c *eval.Curve
+		if ok {
+			c, err = eval.AnytimeCurve(ds, loader, opts)
+		} else {
+			c, err = eval.MultiCurve(ds, core.MultiOptions{}, opts)
+		}
 		if err != nil {
 			fatalf("%s: %v", name, err)
 		}
@@ -128,6 +132,7 @@ func runCustom(dsName string, scale float64, seed int64, loaderList string, node
 		fatalf("%v", err)
 	}
 	eval.CurveTable(os.Stdout, curves, []int{0, 5, 10, 20, 50, nodes})
+	eval.QualityTable(os.Stdout, curves, []int{0, 5, 10, 20, 50, nodes})
 }
 
 func parseStrategy(s string) (core.Strategy, bool) {

@@ -217,8 +217,11 @@ func (q *Query) scores() []float64 {
 
 // Posteriors returns the current normalised posterior estimates P(c|x)
 // under the mixed-granularity models.
-func (q *Query) Posteriors() []float64 {
-	s := q.scores()
+func (q *Query) Posteriors() []float64 { return posteriors(q.scores()) }
+
+// posteriors normalises log posterior scores into a new slice of
+// probabilities: uniform when every class scores −Inf.
+func posteriors(s []float64) []float64 {
 	m := math.Inf(-1)
 	for _, v := range s {
 		if v > m {
@@ -352,21 +355,10 @@ func (c *Classifier) Classify(x []float64, budget int) int {
 // are defined. A trace needs a length, so a negative budget counts as 0
 // (not "until exhausted", as it does for Classify).
 func (c *Classifier) ClassifyTrace(x []float64, budget int) []int {
-	return c.ClassifyTraceInto(x, budget, nil)
-}
-
-// ClassifyTraceInto is ClassifyTrace writing into a caller-provided buffer
-// (grown when too small), so curve runners can trace many objects without
-// re-allocating.
-func (c *Classifier) ClassifyTraceInto(x []float64, budget int, trace []int) []int {
-	budget = max(budget, 0)
-	if cap(trace) < budget+1 {
-		trace = make([]int, budget+1)
-	}
-	trace = trace[:budget+1]
+	trace := make([]int, max(budget, 0)+1)
 	q := c.NewQuery(x)
 	trace[0] = q.Predict()
-	for t := 1; t <= budget; t++ {
+	for t := 1; t < len(trace); t++ {
 		if q.Step() {
 			trace[t] = q.Predict()
 		} else {

@@ -151,10 +151,9 @@ func TestClassifyTraceSemantics(t *testing.T) {
 	if clf.Classify(xs[0], -1) != last {
 		t.Errorf("exhausted trace tail disagrees with unlimited Classify")
 	}
-	// A negative budget is a trace of the level-0 answer alone, into a
-	// caller's buffer too.
+	// A negative budget is a trace of the level-0 answer alone.
 	for _, budget := range []int{-1, -2} {
-		if got := clf.ClassifyTraceInto(xs[0], budget, trace); len(got) != 1 || got[0] != clf.Classify(xs[0], 0) {
+		if got := clf.ClassifyTrace(xs[0], budget); len(got) != 1 || got[0] != clf.Classify(xs[0], 0) {
 			t.Errorf("budget %d: trace %v, want the one level-0 prediction %d", budget, got, clf.Classify(xs[0], 0))
 		}
 	}

@@ -625,6 +625,10 @@ func (q *MultiQuery) scoresInto(out []float64) []float64 {
 // the union model exactly the weighted mixture of the shard models.
 func (q *MultiQuery) Scores() []float64 { return q.scoresInto(make([]float64, len(q.t.labels))) }
 
+// Posteriors returns the current normalised posterior estimates P(c|x),
+// indexed in Labels order.
+func (q *MultiQuery) Posteriors() []float64 { return posteriors(q.scoresInto(q.scoreBuf)) }
+
 // Predict returns the currently most probable label.
 func (q *MultiQuery) Predict() int {
 	s := q.scoresInto(q.scoreBuf)
@@ -659,24 +663,13 @@ func (t *MultiTree) Classify(x []float64, opts ClassifierOptions, budget int) (i
 // Classifier.ClassifyTrace does for the per-class forest (a negative
 // budget counts as 0 there too).
 func (t *MultiTree) ClassifyTrace(x []float64, opts ClassifierOptions, budget int) ([]int, error) {
-	trace, err := t.ClassifyTraceInto(x, opts, budget, nil)
-	return trace, err
-}
-
-// ClassifyTraceInto is ClassifyTrace writing into a caller-provided buffer
-// (grown when too small).
-func (t *MultiTree) ClassifyTraceInto(x []float64, opts ClassifierOptions, budget int, trace []int) ([]int, error) {
 	q, err := t.NewQuery(x, opts)
 	if err != nil {
 		return nil, err
 	}
-	budget = max(budget, 0)
-	if cap(trace) < budget+1 {
-		trace = make([]int, budget+1)
-	}
-	trace = trace[:budget+1]
+	trace := make([]int, max(budget, 0)+1)
 	trace[0] = q.Predict()
-	for i := 1; i <= budget; i++ {
+	for i := 1; i < len(trace); i++ {
 		if q.Step() {
 			trace[i] = q.Predict()
 		} else {

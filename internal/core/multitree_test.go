@@ -131,7 +131,7 @@ func TestMultiTraceSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []int{-1, -2} {
-		if got, err := mt.ClassifyTraceInto(xs[0], ClassifierOptions{}, budget, trace); err != nil || len(got) != 1 || got[0] != level0 {
+		if got, err := mt.ClassifyTrace(xs[0], ClassifierOptions{}, budget); err != nil || len(got) != 1 || got[0] != level0 {
 			t.Errorf("budget %d: trace %v (%v), want the one level-0 prediction %d", budget, got, err, level0)
 		}
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -229,5 +230,86 @@ func TestFigureExperimentSmallScale(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "paper expectation") {
 		t.Errorf("run output missing expectation line")
+	}
+}
+
+// TestTallyByHand: two answers scored by hand. The first is right with
+// posterior (0.8, 0.2); the second wrong, giving its true class 0.4.
+func TestTallyByHand(t *testing.T) {
+	c := &tally{rows: make([][tallyRow]float64, 1)}
+	c.add(0, true, []float64{0.8, 0.2}, 0)
+	c.add(0, false, []float64{0.6, 0.4}, 1)
+	cv := c.curve("hand", 0)
+	want := []float64{0.5, -(math.Log(0.8) + math.Log(0.4)) / 2, (0.08 + 0.72) / 2, (0.2 + 0.6) / 2}
+	for i, got := range []float64{cv.Acc[0], cv.LogLoss[0], cv.Brier[0], cv.ECE[0]} {
+		if math.Abs(got-want[i]) > 1e-12 {
+			t.Fatalf("metric %d = %v, want %v", i, got, want[i])
+		}
+	}
+}
+
+// TestCurveQuality: under every descent strategy, for the forest and the
+// MultiTree, the accuracy is the one ClassifyTrace's answers give — the
+// quality metrics are read beside the answers, not instead of them —
+// and the log-loss, Brier score and calibration error are finite and in
+// range at every budget.
+func TestCurveQuality(t *testing.T) {
+	ds := tinyDataset(t)
+	loader, _ := bulkload.ByName("emtopdown")
+	for _, strategy := range []core.Strategy{core.DescentGlobal, core.DescentBFT, core.DescentDFT} {
+		opts := CurveOptions{Folds: 3, MaxNodes: 20, Seed: 1, Classifier: core.ClassifierOptions{Strategy: strategy}}
+		forest, err := AnytimeCurve(ds, loader, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		multi, err := MultiCurve(ds, core.MultiOptions{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		folds, err := ds.StratifiedKFold(opts.Folds, opts.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits := map[string][]int{"forest": make([]int, 21), "multi": make([]int, 21)}
+		for _, fold := range folds {
+			train, test := ds.Subset(fold.Train, "train"), ds.Subset(fold.Test, "test")
+			clf, err := TrainForest(train, loader, core.DefaultConfig, opts.Classifier)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mt, err := core.NewMultiTree(core.DefaultConfig(train.Dim()), train.Classes(), core.MultiOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range train.X {
+				if err := mt.Insert(train.X[i], train.Y[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, x := range test.X {
+				mtrace, err := mt.ClassifyTrace(x, opts.Classifier, 20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for b, pred := range clf.ClassifyTrace(x, 20) {
+					if pred == test.Y[i] {
+						hits["forest"][b]++
+					}
+					if mtrace[b] == test.Y[i] {
+						hits["multi"][b]++
+					}
+				}
+			}
+		}
+		for name, c := range map[string]*Curve{"forest": forest, "multi": multi} {
+			for b := range c.Acc {
+				if want := float64(hits[name][b]) / float64(ds.Len()); c.Acc[b] != want {
+					t.Fatalf("strategy %v %s: acc@%d = %v, ClassifyTrace gives %v", strategy, name, b, c.Acc[b], want)
+				}
+				if !(c.LogLoss[b] >= 0 && c.LogLoss[b] < -math.Log(probFloor)) || !(c.Brier[b] >= 0 && c.Brier[b] <= 2) || !(c.ECE[b] >= 0 && c.ECE[b] <= 1) {
+					t.Fatalf("strategy %v %s @%d: logloss %v brier %v ece %v", strategy, name, b, c.LogLoss[b], c.Brier[b], c.ECE[b])
+				}
+			}
+		}
 	}
 }

@@ -69,7 +69,7 @@ func PlotCurves(w io.Writer, title string, curves []*Curve) error {
 		fmt.Fprintf(w, "%6.3f |%s\n", y, string(grid[r]))
 	}
 	fmt.Fprintf(w, "       +%s\n", strings.Repeat("-", cols))
-	fmt.Fprintf(w, "        0%snodes=%d\n", strings.Repeat(" ", maxInt(1, cols-12)), width-1)
+	fmt.Fprintf(w, "        0%snodes=%d\n", strings.Repeat(" ", max(1, cols-12)), width-1)
 	legend := make([]string, len(curves))
 	for i, c := range curves {
 		legend[i] = fmt.Sprintf("%c=%s(final %.3f, mean %.3f)", glyphs[i%len(glyphs)], c.Name, c.Final(), c.Mean())
@@ -95,6 +95,19 @@ func CurveTable(w io.Writer, curves []*Curve, budgets []int) {
 	}
 }
 
+// QualityTable prints, for each curve at selected budgets, the accuracy
+// beside the log-loss, Brier score and calibration error of the
+// posteriors behind it.
+func QualityTable(w io.Writer, curves []*Curve, budgets []int) {
+	fmt.Fprintf(w, "%-12s  %5s  %7s  %7s  %7s  %7s\n", "loader", "nodes", "acc", "logloss", "brier", "ece")
+	for _, c := range curves {
+		for _, b := range budgets {
+			t := min(max(b, 0), len(c.Acc)-1)
+			fmt.Fprintf(w, "%-12s  %5d  %7.4f  %7.4f  %7.4f  %7.4f\n", c.Name, t, c.Acc[t], c.LogLoss[t], c.Brier[t], c.ECE[t])
+		}
+	}
+}
+
 // PrintConfusion renders a confusion matrix with its labels.
 func PrintConfusion(w io.Writer, m [][]int, labels []int) {
 	fmt.Fprintf(w, "%6s", "t\\p")
@@ -109,11 +122,4 @@ func PrintConfusion(w io.Writer, m [][]int, labels []int) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

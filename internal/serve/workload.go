@@ -106,8 +106,12 @@ func runPrimary[S server.Served](f *Flags, w Workload[S]) error {
 				return err
 			}
 			st := w.Stats(s)
-			log.Printf("recovery complete: %d WAL records replayed (%d torn dropped), generation %d, %d observations; %.1f ms (snapshot decode %.1f, wal replay %.1f, mirror build %.1f, checkpoint %.1f)",
-				st.WALReplayed, st.WALDroppedRecords, st.SnapshotGeneration, st.Observations,
+			ckpt := fmt.Sprintf("tail of %d bytes kept", st.WALBytesSinceCheckpoint)
+			if st.CheckpointMs > 0 {
+				ckpt = "checkpointed"
+			}
+			log.Printf("recovery complete: %d WAL records replayed (%d torn dropped), %s, generation %d, %d observations; %.1f ms (snapshot decode %.1f, wal replay %.1f, mirror build %.1f, checkpoint %.1f)",
+				st.WALReplayed, st.WALDroppedRecords, ckpt, st.SnapshotGeneration, st.Observations,
 				st.RecoverMs, st.SnapshotDecodeMs, st.WALReplayMs, st.MirrorBuildMs, st.CheckpointMs)
 			return nil
 		}

@@ -215,51 +215,31 @@ func BenchmarkServerInsert(b *testing.B) {
 }
 
 // BenchmarkServerRecover is the repo benchmark's mixed_durable restart
-// in process: a durable 4-shard Pendigits server checkpoints its empty
-// model, logs 7,100 inserts and is closed without another checkpoint.
-// Each op restores a copy of that parked directory (untimed), then opens
-// it and recovers: the snapshot decode, WAL replay, mirror builds and
-// the closing checkpoint. wal_replay_ms and checkpoint_ms are the
-// /stats timers of those two parts, averaged over the ops.
+// in process: a durable 4-shard Pendigits server logs 7,100 inserts —
+// checkpointing in the background whenever its log passes the limit —
+// and is closed without a checkpoint of its own (parkPendigits). Each
+// op restores a copy of that parked directory (untimed), then opens it
+// and recovers: the snapshot decode, the replay of the tail, mirror
+// builds and, only for a tail past the limit, a checkpoint.
+// replayed_records, wal_replay_ms and checkpoint_ms are what /stats
+// reports of those, averaged over the ops; every op asserts the bound:
+// the tail replayed was under the limit, so recovery did not checkpoint.
 func BenchmarkServerRecover(b *testing.B) {
-	d, err := dataset.Pendigits(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d.Shuffle(1)
-	const logged = 7100
-	dopts := DurabilityOptions{Dir: filepath.Join(b.TempDir(), "parked"), FsyncEvery: 100 * time.Millisecond}
-	s, err := OpenDurableServer(dopts, Config{}, func() (*Server, error) {
-		return NewEmpty(4, core.DefaultConfig(d.Dim()), d.Classes(), core.MultiOptions{}, Config{})
-	})
-	if err == nil {
-		err = s.Recover()
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < logged; i++ {
-		if err := s.Insert(d.X[i], d.Y[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	s.Close()
-	if err := s.CloseDurability(); err != nil {
-		b.Fatal(err)
-	}
+	src := filepath.Join(b.TempDir(), "parked")
+	parkPendigits(b, src, 7100)
 	parked := map[string][]byte{}
-	err = filepath.WalkDir(dopts.Dir, func(path string, ent fs.DirEntry, err error) error {
+	err := filepath.WalkDir(src, func(path string, ent fs.DirEntry, err error) error {
 		if err != nil || ent.IsDir() {
 			return err
 		}
-		rel, _ := filepath.Rel(dopts.Dir, path) // path lies under the walk's root
+		rel, _ := filepath.Rel(src, path) // path lies under the walk's root
 		parked[rel], err = os.ReadFile(path)
 		return err
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	var replayMs, checkpointMs float64
+	var replayed, replayMs, checkpointMs float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -273,20 +253,14 @@ func BenchmarkServerRecover(b *testing.B) {
 			}
 		}
 		b.StartTimer()
-		r, err := OpenDurableServer(DurabilityOptions{Dir: dir, FsyncEvery: dopts.FsyncEvery}, Config{}, func() (*Server, error) {
-			return nil, fmt.Errorf("%s holds no manifest", dir)
-		})
-		if err == nil {
-			err = r.Recover()
-		}
+		r := openParked(b, dir)
 		b.StopTimer()
-		if err != nil {
-			b.Fatal(err)
-		}
 		st := r.Stats()
-		if st.WALReplayed != logged || st.WALDroppedRecords != 0 {
-			b.Fatalf("replayed %d records and dropped %d, want %d and 0", st.WALReplayed, st.WALDroppedRecords, logged)
+		if st.CheckpointMs != 0 || st.WALBytesSinceCheckpoint >= r.dur.limit() || st.WALDroppedRecords != 0 {
+			b.Fatalf("replayed %d records (%d bytes, limit %d), dropped %d, checkpointed in %.1f ms",
+				st.WALReplayed, st.WALBytesSinceCheckpoint, r.dur.limit(), st.WALDroppedRecords, st.CheckpointMs)
 		}
+		replayed += float64(st.WALReplayed)
 		replayMs += st.WALReplayMs
 		checkpointMs += st.CheckpointMs
 		r.Close()
@@ -295,8 +269,80 @@ func BenchmarkServerRecover(b *testing.B) {
 		}
 		b.StartTimer()
 	}
+	b.ReportMetric(replayed/float64(b.N), "replayed_records")
 	b.ReportMetric(replayMs/float64(b.N), "wal_replay_ms")
 	b.ReportMetric(checkpointMs/float64(b.N), "checkpoint_ms")
+}
+
+// BenchmarkServerCheckpointStall measures what a checkpoint costs the
+// requests it overlaps, on the mixed_durable shape: a durable 4-shard
+// Pendigits server with 2,000 logged inserts, and one client that
+// inserts and classifies at budget 32 in strict alternation without
+// pause while each op runs one Checkpoint. insert_max_us and
+// classify_max_us are the longest single insert and classify seen over
+// all ops — the wait of a request that arrives as a checkpoint takes
+// every shard lock — and lock_max_ms the longest such hold itself.
+func BenchmarkServerCheckpointStall(b *testing.B) {
+	d, err := dataset.Pendigits(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Shuffle(1)
+	const preload = 2000
+	s, err := OpenDurableServer(DurabilityOptions{Dir: b.TempDir(), FsyncEvery: 100 * time.Millisecond}, Config{}, func() (*Server, error) {
+		return NewEmpty(4, core.DefaultConfig(d.Dim()), d.Classes(), core.MultiOptions{}, Config{})
+	})
+	if err == nil {
+		err = s.Recover()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.CloseDurability()
+	defer s.Close()
+	for i := 0; i < preload; i++ {
+		if err := s.Insert(d.X[i], d.Y[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var insertMax, classifyMax time.Duration
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for i := preload; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			x := d.X[i%d.Len()]
+			t0 := time.Now()
+			err := s.Insert(x, d.Y[i%d.Len()])
+			t1 := time.Now()
+			if err == nil {
+				_, err = s.Classify(d.X[(i+1)%d.Len()], 32)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+			insertMax, classifyMax = max(insertMax, t1.Sub(t0)), max(classifyMax, time.Since(t1))
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(insertMax.Microseconds()), "insert_max_us")
+	b.ReportMetric(float64(classifyMax.Microseconds()), "classify_max_us")
+	b.ReportMetric(s.Stats().CheckpointLockMs, "lock_max_ms")
 }
 
 // BenchmarkServerAlternate is the in-process twin of the repo

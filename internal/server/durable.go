@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,18 +22,32 @@ import (
 // machinery. The write path appends a workload-encoded record to the
 // owning shard's write-ahead log under the shard write lock (log
 // before apply, pre-validated so the apply cannot fail), recovery is
-// load-latest-snapshot + replay-WAL-tail, and a checkpoint is
-// rotate-all-logs + snapshot + manifest + truncate — each step ordered
-// so that a crash at any instant leaves the manifest naming a complete
-// (snapshot, WAL-start) pair:
+// load-latest-snapshot + replay-WAL-tail, and a checkpoint is a cut
+// taken under every shard lock and a commit made after they are
+// released — each step ordered so that a crash at any instant leaves the
+// manifest naming a complete (snapshot, WAL-start) pair:
 //
-//	rotate (under all shard locks)   — new segments begin
-//	snapshot (same consistent cut)   — atomic via WriteFileAtomic
-//	manifest                         — atomic; the commit point
-//	truncate + old-snapshot removal  — pure garbage collection
+//	cut (all shard locks)  — rotate every log (no fsync, no file create),
+//	                         attach a /replicate subscriber, encode the
+//	                         snapshot into memory
+//	sync                   — fsync the sealed segments' unsynced tails
+//	snapshot               — the encoded bytes, atomic via WriteFileAtomic
+//	manifest               — atomic; the commit point
+//	truncate + old-snapshot removal — pure garbage collection
 //
-// A crash before the manifest write replays from the previous pair
-// (the rotated segments are still listed); after it, from the new one.
+// A crash before the manifest write replays from the previous pair, which
+// still lists the sealed segments; a log fsyncs those before anything
+// appended after them, so no record after the cut is durable while one
+// before it is not. A segment created after the cut has its directory
+// entry fsynced by its own first sync, so none of its records is acked
+// as fsynced first. Writers wait for the cut only.
+//
+// Drain, bootstrap, eviction, promotion and /replicate checkpoint, and so
+// does the log: the append that brings the bytes since the last cut to
+// max(snapshot bytes / ckptShare, ckptFloor) starts one in the
+// background. A record replays in about eight times an equal-sized
+// observation's decode, so a restart replays for at most about twice the
+// decode of its snapshot, plus the floor's ≈ 1,800 Pendigits records.
 //
 // Records are replayed digit-identically: the classification record
 // carries (label, x) — shard routing is content-hashed, so per-shard
@@ -43,6 +58,12 @@ import (
 // and the pyramidal store's recording boundaries); shards that are not
 // replay side by side (classification); per-shard log order is apply
 // order either way.
+
+// ckptShare and ckptFloor set the log-size trigger (see above);
+// ckptFloor is a variable only so that tests can lower it.
+const ckptShare = 4
+
+var ckptFloor int64 = 256 << 10
 
 // DurabilityOptions configure the write-ahead log + checkpoint layer a
 // served workload can run over.
@@ -97,6 +118,17 @@ type durState struct {
 	// hub fans durable appends out to /replicate subscribers; see
 	// replication.go.
 	hub *replHub
+	// sinceCut is the framed WAL bytes logged since the last cut (a
+	// replayed tail's included) and snapBytes the last snapshot's size.
+	// bgMu guards bgBusy (a background checkpoint is in flight) and
+	// bgClosed (CloseDurability refuses new ones); bg waits for it.
+	sinceCut, snapBytes atomic.Int64
+	bgMu                sync.Mutex
+	bgBusy, bgClosed    bool
+	bg                  sync.WaitGroup
+	// checkpoints counts the checkpoints cut; lockHold is the longest any
+	// of them held every shard lock, in nanoseconds.
+	checkpoints, lockHold atomic.Int64
 	// took is where the restart's wall time went, in nanoseconds: the
 	// snapshot decode (measured by openDurable), then Recover's replay,
 	// mirror builds and closing checkpoint, and the sum with what lies
@@ -123,9 +155,10 @@ type durOpen struct {
 	lock        *os.File
 	fencedEpoch uint64
 	hadFenced   bool
-	// decodeTook is what decoding the checkpoint snapshot took (zero for
-	// a bootstrapped model).
+	// decodeTook is what decoding the checkpoint snapshot took and
+	// snapBytes its size (both zero for a bootstrapped model).
 	decodeTook time.Duration
+	snapBytes  int64
 }
 
 // attachDurability arms the engine's durability state: the server is
@@ -139,6 +172,7 @@ func (e *engine[M]) attachDurability(opts DurabilityOptions, do durOpen) {
 	e.dur.epoch = do.manifest.Epoch
 	e.dur.hub = newReplHub()
 	e.dur.took.decode.Store(int64(do.decodeTook))
+	e.dur.snapBytes.Store(do.snapBytes)
 	e.dur.recovering.Store(true)
 	if do.hadFenced {
 		if do.manifest.Epoch >= do.fencedEpoch {
@@ -168,13 +202,44 @@ func (e *engine[M]) durableOn() bool {
 // the publish happens under the same lock, the hub's shipped counter
 // is a consistent global LSN: a checkpoint's withAllRead (all shard
 // locks held) excludes every append, so a subscriber attached inside
-// it sees precisely the records after its snapshot.
+// it sees precisely the records after its snapshot. The append that
+// brings the log past the checkpoint limit starts a background
+// checkpoint.
 func (e *engine[M]) logAppend(idx int, payload []byte) error {
-	if err := e.dur.logs[idx].Append(payload); err != nil {
+	d := e.dur
+	if err := d.logs[idx].Append(payload); err != nil {
 		return fmt.Errorf("%w: %w", errWAL, err)
 	}
-	e.dur.hub.publish(idx, payload)
+	d.hub.publish(idx, payload)
+	if d.sinceCut.Add(wal.FrameBytes(len(payload))) >= d.limit() {
+		e.checkpointBehind()
+	}
 	return nil
+}
+
+// limit is how many framed bytes the log may take since the last cut
+// before a checkpoint folds them into a snapshot.
+func (d *durState) limit() int64 { return max(d.snapBytes.Load()/ckptShare, ckptFloor) }
+
+// checkpointBehind starts a background checkpoint unless one is in
+// flight or CloseDurability has begun. Its error is dropped: a cut that
+// fails adds its bytes back, so the next append starts another.
+func (e *engine[M]) checkpointBehind() {
+	d := e.dur
+	d.bgMu.Lock()
+	defer d.bgMu.Unlock()
+	if d.bgBusy || d.bgClosed {
+		return
+	}
+	d.bgBusy = true
+	d.bg.Add(1)
+	go func() {
+		defer d.bg.Done()
+		e.Checkpoint()
+		d.bgMu.Lock()
+		d.bgBusy = false
+		d.bgMu.Unlock()
+	}()
 }
 
 // shardLogStart is the first WAL segment shard i's replay must read.
@@ -205,10 +270,12 @@ func (e *engine[M]) openLogs() error {
 	return nil
 }
 
-// Recover replays the WAL tail into the shard models, opens the logs
-// for appending and, when anything was replayed or this is a fresh
-// directory, folds the result into a new checkpoint, so the next
-// restart replays from a short log. Idempotent once recovered.
+// Recover replays the WAL tail into the shard models and opens the logs
+// for appending. It checkpoints only a fresh directory, or a tail that
+// already reaches the checkpoint limit: a shorter tail stays listed in
+// the manifest and counts toward the next checkpoint, and the next
+// restart replays the same records to the same model. Idempotent once
+// recovered.
 func (e *engine[M]) Recover() error {
 	d := e.dur
 	if d == nil {
@@ -226,7 +293,7 @@ func (e *engine[M]) Recover() error {
 	}
 	d.recovering.Store(false)
 	var err error
-	if !d.hadState || d.replayed.Load() > 0 || d.dropped.Load() > 0 {
+	if !d.hadState || d.sinceCut.Load() >= d.limit() {
 		ckpt := time.Now()
 		err = e.Checkpoint()
 		d.took.checkpoint.Store(int64(time.Since(ckpt)))
@@ -272,6 +339,7 @@ func (e *engine[M]) replay() error {
 		}
 		if err == nil {
 			heads[i].at, heads[i].apply, heads[i].after, err = e.wl.record(payload)
+			d.sinceCut.Add(wal.FrameBytes(len(payload)))
 		}
 		if err != nil {
 			return fmt.Errorf("server: wal shard %d: %w", i, err)
@@ -358,13 +426,12 @@ func (e *engine[M]) replay() error {
 }
 
 // Checkpoint writes a new snapshot generation and truncates the WAL
-// behind it — the durable form of WriteSnapshot: rotate every shard's
-// log under all shard locks (the same consistent cut the snapshot
-// sees), write the snapshot atomically, commit the new manifest, then
-// garbage-collect the old segments and snapshot. Crash-safe at every
-// step — the manifest write is the commit point. The serving commands
-// run it on drain; long-lived deployments can also call it periodically
-// to bound replay time.
+// behind it — the durable form of WriteSnapshot: under all shard locks,
+// rotate every shard's log and encode the snapshot of that same cut into
+// memory; then, with the locks released, sync the sealed segments, write
+// the snapshot atomically, commit the new manifest and garbage-collect
+// the old segments and snapshot. Crash-safe at every step — the manifest
+// write is the commit point (see the ordering at the top of this file).
 func (e *engine[M]) Checkpoint() error {
 	_, _, _, err := e.checkpointSubscribe(nil)
 	return err
@@ -391,47 +458,44 @@ func (e *engine[M]) checkpointSubscribe(sub *replSub) (persist.Manifest, *os.Fil
 	defer d.ckptMu.Unlock()
 	gen := d.manifest.Generation + 1
 	name := snapshotName(gen)
-	starts := make([]uint64, len(d.logs))
-	var baseLSN uint64
-	err := e.withAllRead(func(models []M) error {
-		for i, lg := range d.logs {
-			seg, err := lg.Rotate()
-			if err != nil {
-				return fmt.Errorf("server: wal rotate shard %d: %w", i, err)
-			}
-			starts[i] = seg
-		}
-		if sub != nil {
-			baseLSN = d.hub.attach(sub)
-		}
-		return persist.WriteFileAtomic(filepath.Join(d.opts.Dir, name), func(w io.Writer) error {
-			return e.wl.encode(w, models)
-		})
-	})
-	if err != nil {
+	starts, cut, baseLSN, snap, err := e.cut(sub)
+	fail := func(err error) (persist.Manifest, *os.File, uint64, error) {
+		d.sinceCut.Add(cut)
 		if sub != nil {
 			d.hub.detach(sub)
 		}
 		return persist.Manifest{}, nil, 0, err
+	}
+	if err != nil {
+		return fail(err)
+	}
+	for i, lg := range d.logs {
+		if err := lg.Sync(); err != nil {
+			return fail(fmt.Errorf("server: wal sync shard %d: %w", i, err))
+		}
+	}
+	size := int64(snap.Len())
+	if err := persist.WriteFileAtomic(filepath.Join(d.opts.Dir, name), func(w io.Writer) error {
+		_, err := snap.WriteTo(w)
+		return err
+	}); err != nil {
+		return fail(err)
 	}
 	prev := d.manifest
 	m := persist.Manifest{Generation: gen, Epoch: d.epoch, Snapshot: name, Shards: len(d.logs), ShardStart: starts}
 	if err := persist.SaveManifest(d.opts.Dir, m); err != nil {
-		if sub != nil {
-			d.hub.detach(sub)
-		}
-		return persist.Manifest{}, nil, 0, err
+		return fail(err)
 	}
 	d.manifest = m
 	d.hadState = true
-	var snap *os.File
+	d.snapBytes.Store(size)
+	d.checkpoints.Add(1)
+	var f *os.File
 	if sub != nil {
-		f, err := os.Open(filepath.Join(d.opts.Dir, name))
-		if err != nil {
+		if f, err = os.Open(filepath.Join(d.opts.Dir, name)); err != nil {
 			d.hub.detach(sub)
 			return persist.Manifest{}, nil, 0, fmt.Errorf("server: reopen snapshot: %w", err)
 		}
-		snap = f
 	}
 	// Everything below the new starts is folded into the snapshot;
 	// removal is garbage collection, best-effort by design.
@@ -441,7 +505,37 @@ func (e *engine[M]) checkpointSubscribe(sub *replSub) (persist.Manifest, *os.Fil
 	if prev.Snapshot != "" && prev.Snapshot != name {
 		os.Remove(filepath.Join(d.opts.Dir, prev.Snapshot))
 	}
-	return m, snap, baseLSN, nil
+	return m, f, baseLSN, nil
+}
+
+// cut is the part of a checkpoint that holds every shard lock: it
+// rotates each log (the segments replay will start from), takes the
+// bytes logged since the last cut, attaches sub, and encodes the
+// snapshot of the cut into memory. It runs no fsync and writes no
+// file. The caller holds ckptMu.
+func (e *engine[M]) cut(sub *replSub) (starts []uint64, cut int64, baseLSN uint64, snap *bytes.Buffer, err error) {
+	d := e.dur
+	starts = make([]uint64, len(d.logs))
+	snap = bytes.NewBuffer(make([]byte, 0, d.snapBytes.Load()))
+	held := time.Now()
+	err = e.withAllRead(func(models []M) error {
+		for i, lg := range d.logs {
+			seg, err := lg.Rotate()
+			if err != nil {
+				return fmt.Errorf("server: wal rotate shard %d: %w", i, err)
+			}
+			starts[i] = seg
+		}
+		cut = d.sinceCut.Swap(0)
+		if sub != nil {
+			baseLSN = d.hub.attach(sub)
+		}
+		return e.wl.encode(snap, models)
+	})
+	if h := int64(time.Since(held)); h > d.lockHold.Load() {
+		d.lockHold.Store(h)
+	}
+	return starts, cut, baseLSN, snap, err
 }
 
 // Generation returns the current snapshot generation (0 before the
@@ -456,13 +550,19 @@ func (e *engine[M]) Generation() uint64 {
 	return d.manifest.Generation
 }
 
-// CloseDurability syncs and closes every shard's WAL and releases the
-// directory lock. Inserts after it fail; call it after the final drain
-// checkpoint.
+// CloseDurability waits for a background checkpoint in flight and
+// refuses new ones, then syncs and closes every shard's WAL and releases
+// the directory lock. Inserts after it fail; call it after the final
+// drain checkpoint.
 func (e *engine[M]) CloseDurability() error {
 	if e.dur == nil {
 		return nil
 	}
+	d := e.dur
+	d.bgMu.Lock()
+	d.bgClosed = true
+	d.bgMu.Unlock()
+	d.bg.Wait()
 	var first error
 	for _, lg := range e.dur.logs {
 		if err := lg.Close(); err != nil && first == nil {
@@ -490,6 +590,7 @@ func (e *engine[M]) durStats(st *Stats) {
 	ms := func(ns *atomic.Int64) float64 { return float64(ns.Load()) / 1e6 }
 	st.RecoverMs, st.SnapshotDecodeMs = ms(&d.took.recover), ms(&d.took.decode)
 	st.WALReplayMs, st.MirrorBuildMs, st.CheckpointMs = ms(&d.took.replay), ms(&d.took.mirror), ms(&d.took.checkpoint)
+	st.Checkpoints, st.WALBytesSinceCheckpoint, st.CheckpointLockMs = d.checkpoints.Load(), d.sinceCut.Load(), ms(&d.lockHold)
 	// d.logs is assigned once, before recovering flips false; reading it
 	// only after observing !recovering rides that atomic's
 	// happens-before edge, so /stats during background replay cannot
@@ -580,6 +681,9 @@ func openDurable[S Served](dopts DurabilityOptions, decode func(io.Reader) (S, e
 		f, err := os.Open(filepath.Join(dopts.Dir, do.manifest.Snapshot))
 		if err != nil {
 			return fail(fmt.Errorf("server: checkpoint snapshot: %w", err))
+		}
+		if info, err := f.Stat(); err == nil {
+			do.snapBytes = info.Size()
 		}
 		start := time.Now()
 		s, err = decode(f)

@@ -145,12 +145,17 @@ func TestReplayOneProc(t *testing.T) {
 }
 
 // TestRecoveryTimersInStats: a durable restart reports where its time
-// went — the parts are measured, and no larger than the whole — and a
-// memory-only server's /stats does not mention recovery at all.
+// went — the parts are measured, and no larger than the whole; the
+// checkpoint part only when recovery checkpoints (a fresh directory, or
+// a tail past the limit) and 0 otherwise — and a memory-only server's
+// /stats does not mention recovery or checkpoints at all.
 func TestRecoveryTimersInStats(t *testing.T) {
 	xs, ys := classPoints(300)
 	dir := t.TempDir()
 	a := newDurableClass(t, dir, 2)
+	if st := a.Stats(); st.CheckpointMs <= 0 || st.Checkpoints != 1 {
+		t.Fatalf("a fresh directory's recovery did not checkpoint: %+v", st)
+	}
 	for i := range xs[:150] {
 		if err := a.Insert(xs[i], ys[i]); err != nil {
 			t.Fatal(err)
@@ -165,20 +170,34 @@ func TestRecoveryTimersInStats(t *testing.T) {
 		}
 	}
 	crash(t, a.dur)
-	b := newDurableClass(t, dir, 2)
-	defer b.CloseDurability()
-	st := b.Stats()
-	parts := []float64{st.SnapshotDecodeMs, st.WALReplayMs, st.MirrorBuildMs, st.CheckpointMs}
-	sum := 0.0
-	for i, p := range parts {
-		if p <= 0 {
-			t.Fatalf("part %d of the recovery was not timed: %+v", i, parts)
+	check := func(s *Server, checkpointed bool) {
+		t.Helper()
+		st := s.Stats()
+		parts := []float64{st.SnapshotDecodeMs, st.WALReplayMs, st.MirrorBuildMs, st.CheckpointMs}
+		sum := 0.0
+		for i, p := range parts {
+			if p <= 0 && (i < 3 || checkpointed) {
+				t.Fatalf("part %d of the recovery was not timed: %+v", i, parts)
+			}
+			sum += p
 		}
-		sum += p
+		if !checkpointed && (st.CheckpointMs != 0 || st.Checkpoints != 0) {
+			t.Fatalf("a short tail's recovery checkpointed: %+v", parts)
+		}
+		if st.RecoverMs < sum {
+			t.Fatalf("recover_ms %.3f is less than its parts %v", st.RecoverMs, parts)
+		}
 	}
-	if st.RecoverMs < sum {
-		t.Fatalf("recover_ms %.3f is less than its parts %v", st.RecoverMs, parts)
+	b := newDurableClass(t, dir, 2)
+	check(b, false)
+	if st := b.Stats(); st.WALBytesSinceCheckpoint != 150*wal.FrameBytes(8*4) {
+		t.Fatalf("wal_bytes_since_checkpoint %d after replaying 150 records", st.WALBytesSinceCheckpoint)
 	}
+	crash(t, b.dur)
+	setCheckpointFloor(t, 1)
+	c := newDurableClass(t, dir, 2)
+	defer c.CloseDurability()
+	check(c, true)
 
 	mem, err := NewEmpty(2, core.DefaultConfig(3), []int{0, 1, 2}, core.MultiOptions{}, Config{})
 	if err != nil {
@@ -189,7 +208,8 @@ func TestRecoveryTimersInStats(t *testing.T) {
 	if body.Code != 200 || !strings.Contains(body.Body.String(), "wal_replayed") {
 		t.Fatalf("/stats answered %d: %s", body.Code, body.Body.String())
 	}
-	for _, key := range []string{"recover_ms", "snapshot_decode_ms", "wal_replay_ms", "mirror_build_ms", "checkpoint_ms"} {
+	for _, key := range []string{"recover_ms", "snapshot_decode_ms", "wal_replay_ms", "mirror_build_ms", "checkpoint",
+		"wal_bytes_since_checkpoint"} {
 		if strings.Contains(body.Body.String(), key) {
 			t.Fatalf("a memory-only /stats mentions %s: %s", key, body.Body.String())
 		}

@@ -328,12 +328,18 @@ func (s *Server) Insert(x []float64, label int) error {
 	return nil
 }
 
-// checkFinite rejects a point no model accepts; a write path calls it
-// before logging, so no logged record can fail replay.
+// maxCoord bounds a coordinate's magnitude: its square, and the sum of
+// squares a cluster feature keeps over some 10⁸ observations, stay
+// finite.
+const maxCoord = 1e150
+
+// checkFinite rejects a point no model accepts: a NaN or ±Inf coordinate,
+// or one beyond maxCoord. A write path calls it before logging, so no
+// logged record can fail replay or leave an infinite feature behind.
 func checkFinite(x []float64) error {
 	for i, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("server: non-finite coordinate %d", i)
+		if !(math.Abs(v) <= maxCoord) {
+			return fmt.Errorf("server: coordinate %d is %v, outside ±%g", i, v, maxCoord)
 		}
 	}
 	return nil
@@ -469,6 +475,13 @@ type Stats struct {
 	WALReplayMs      float64 `json:"wal_replay_ms,omitempty"`
 	MirrorBuildMs    float64 `json:"mirror_build_ms,omitempty"`
 	CheckpointMs     float64 `json:"checkpoint_ms,omitempty"`
+	// Checkpoints counts the checkpoints this process cut, background
+	// ones included; WALBytesSinceCheckpoint is the framed log bytes a
+	// restart would replay now; CheckpointLockMs is the longest any
+	// checkpoint held every shard lock. All omitted when memory-only.
+	Checkpoints             int64   `json:"checkpoints,omitempty"`
+	WALBytesSinceCheckpoint int64   `json:"wal_bytes_since_checkpoint,omitempty"`
+	CheckpointLockMs        float64 `json:"checkpoint_lock_ms,omitempty"`
 	// Replication reports the primary/replica state: this process's role
 	// and fencing epoch, the shipped-LSN fan-out counters on a primary,
 	// and the applied-LSN / staleness bound on a follower. StalenessMs is

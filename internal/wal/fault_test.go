@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -24,9 +25,10 @@ type faultInjector struct {
 	mu         sync.Mutex
 	writes     int
 	syncs      int
-	failWrite  int  // fail the Nth write (1-based); 0 = never
-	failSync   int  // fail the Nth fsync (1-based); 0 = never
-	breakTrunc bool // make Truncate fail too (rollback impossible)
+	failWrite  int      // fail the Nth write (1-based); 0 = never
+	failSync   int      // fail the Nth fsync (1-based); 0 = never
+	breakTrunc bool     // make Truncate fail too (rollback impossible)
+	synced     []string // the segment names fsynced, in order
 }
 
 var errInjected = errors.New("injected I/O error")
@@ -57,6 +59,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 func (ff *faultFile) Sync() error {
 	ff.inj.mu.Lock()
 	ff.inj.syncs++
+	ff.inj.synced = append(ff.inj.synced, filepath.Base(ff.f.Name()))
 	fail := ff.inj.failSync != 0 && ff.inj.syncs == ff.inj.failSync
 	ff.inj.mu.Unlock()
 	if fail {
@@ -297,5 +300,47 @@ func TestFaultTornWriteThenCrashReplay(t *testing.T) {
 		if string(got[i]) != want[i] {
 			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
 		}
+	}
+}
+
+// TestRotateSyncsNothing: Rotate seals a segment holding unsynced
+// group-commit appends without an fsync and without creating its
+// successor — a checkpoint rotates under every shard lock. The next Sync
+// commits the sealed segment before the one appended after it.
+func TestRotateSyncsNothing(t *testing.T) {
+	inj := &faultInjector{}
+	defer inj.install()()
+	dir := t.TempDir()
+	l, err := Open(dir, Options{FsyncEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := l.Append([]byte("before the cut")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := listSegments(dir); inj.syncs != 0 || len(segs) != 1 || start != 2 {
+		t.Fatalf("Rotate fsynced %d times and left segments %v, starting replay at %d", inj.syncs, segs, start)
+	}
+	if err := l.Append([]byte("after the cut")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"0000000000000001.wal", "0000000000000002.wal"}
+	if strings.Join(inj.synced, " ") != strings.Join(want, " ") {
+		t.Fatalf("Sync fsynced %v, want %v in that order", inj.synced, want)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := readAll(t, dir, start); len(got) != 1 {
+		t.Fatalf("replay from the cut read %d records, want 1", len(got))
 	}
 }

@@ -50,6 +50,9 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // bytes CRC32.
 const frameHeader = 8
 
+// FrameBytes is what a record of n payload bytes occupies in a segment.
+func FrameBytes(n int) int64 { return int64(frameHeader + n) }
+
 // maxRecord bounds a single record's payload, rejecting absurd declared
 // lengths before any allocation when a frame header is itself corrupt.
 const maxRecord = 16 << 20
@@ -110,17 +113,23 @@ type segmentFile interface {
 var openSegmentFile = func(f *os.File) segmentFile { return f }
 
 // Log is one shard's append log, safe for concurrent use. Open it with
-// Open, append with Append, and bracket checkpoints with Rotate +
-// RemoveBefore.
+// Open, append with Append, and bracket checkpoints with Rotate, Sync
+// and RemoveBefore.
 type Log struct {
 	dir  string
 	opts Options
 
-	mu      sync.Mutex
-	f       segmentFile
-	seg     uint64
-	size    int64
+	mu   sync.Mutex
+	f    segmentFile // nil until the active segment's first append creates it
+	seg  uint64
+	size int64
+	// dirty marks unsynced appends in f; sealed holds the segments
+	// rotated away with unsynced appends, which the next sync commits
+	// before f; dirOwed marks a created segment whose directory entry no
+	// sync has made durable yet.
 	dirty   bool
+	sealed  []segmentFile
+	dirOwed bool
 	closed  bool
 	syncErr error // first background fsync failure, surfaced on the next Append/Sync
 
@@ -136,8 +145,9 @@ type Log struct {
 // segment exists its torn tail (the signature of a crash mid-append) is
 // truncated away first, and appends then start in a fresh segment — so
 // an Open after replay never interleaves new records with a dropped
-// partial one. Mid-log corruption in the last segment fails with
-// ErrCorrupt.
+// partial one. The fresh segment's file is created by the first Append,
+// so a process that opens and exits without writing leaves no file.
+// Mid-log corruption in the last segment fails with ErrCorrupt.
 func Open(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -155,15 +165,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		}
 		next = last + 1
 	}
-	f, err := os.OpenFile(segPath(dir, next), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l := &Log{dir: dir, opts: opts, f: openSegmentFile(f), seg: next}
+	l := &Log{dir: dir, opts: opts, seg: next}
 	if opts.FsyncEvery > 0 {
 		l.stop = make(chan struct{})
 		l.done = make(chan struct{})
@@ -191,9 +193,11 @@ func (l *Log) commit(every time.Duration, stop, done chan struct{}) {
 
 // Append frames and writes one record. With FsyncEvery 0 the record is
 // fsynced before Append returns; otherwise it is committed by the next
-// group-commit tick (call Sync to force it). The payload is written
-// with a single write syscall, so an acked record survives a process
-// crash even before its fsync.
+// group-commit tick (call Sync to force it). Either way the sync that
+// first commits a new segment also fsyncs the directory, so no record is
+// acknowledged as fsynced before its segment's directory entry is
+// durable. The payload is written with a single write syscall, so an
+// acked record survives a process crash even before its fsync.
 func (l *Log) Append(payload []byte) error {
 	if len(payload) > maxRecord {
 		return fmt.Errorf("wal: record %d bytes exceeds max %d", len(payload), maxRecord)
@@ -210,6 +214,13 @@ func (l *Log) Append(payload []byte) error {
 	}
 	if l.syncErr != nil {
 		return fmt.Errorf("wal: background sync: %w", l.syncErr)
+	}
+	if l.f == nil {
+		f, err := os.OpenFile(segPath(l.dir, l.seg), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+		if err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		l.f, l.dirOwed = openSegmentFile(f), true
 	}
 	if _, err := l.f.Write(frame); err != nil {
 		// A partial frame is only recoverable while it is the segment's
@@ -230,13 +241,17 @@ func (l *Log) Append(payload []byte) error {
 			return fmt.Errorf("wal: sync: %w", err)
 		}
 		l.syncs.Add(1)
+		if l.dirOwed {
+			if err := syncDir(l.dir); err != nil {
+				return err
+			}
+			l.dirOwed = false
+		}
 	} else {
 		l.dirty = true
 	}
 	if l.size >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return err
-		}
+		return l.sealLocked()
 	}
 	return nil
 }
@@ -254,8 +269,11 @@ func (l *Log) truncateTailLocked() error {
 	return nil
 }
 
-// Sync forces an fsync of the active segment if it has unsynced
-// appends. Safe to call concurrently with Append.
+// Sync fsyncs what is not yet durable: the segments Rotate sealed with
+// unsynced appends, then the active segment's unsynced appends, then the
+// directory if a segment was created since it was last synced — in that
+// order, so nothing becomes durable before what was appended ahead of
+// it. Safe to call concurrently with Append.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -263,27 +281,47 @@ func (l *Log) Sync() error {
 }
 
 func (l *Log) syncLocked() error {
-	if l.closed || l.f == nil || !l.dirty {
+	if l.closed || (!l.dirty && len(l.sealed) == 0 && !l.dirOwed) {
 		return l.syncErr
 	}
-	if err := l.f.Sync(); err != nil {
+	poison := func(err error) error {
 		if l.syncErr == nil {
 			l.syncErr = err
 		}
 		return fmt.Errorf("wal: sync: %w", err)
 	}
-	l.dirty = false
-	l.syncs.Add(1)
+	for len(l.sealed) > 0 {
+		if err := l.sealed[0].Sync(); err != nil {
+			return poison(err)
+		}
+		l.syncs.Add(1)
+		l.sealed[0].Close()
+		l.sealed = l.sealed[1:]
+	}
+	if l.dirty {
+		if err := l.f.Sync(); err != nil {
+			return poison(err)
+		}
+		l.dirty = false
+		l.syncs.Add(1)
+	}
+	if l.dirOwed {
+		if err := syncDir(l.dir); err != nil {
+			return poison(err)
+		}
+		l.dirOwed = false
+	}
 	return nil
 }
 
-// Rotate syncs and closes the active segment and starts the next one,
-// returning the new segment's index — the first segment a replay after
-// this point must read. An empty active segment is already that
-// segment: replay from it reads what replay from its successor would,
-// so Rotate returns its index and creates nothing. Checkpoints call it
-// under the shard lock so the rotation point is a consistent cut of the
-// insert stream.
+// Rotate ends the active segment and returns the index of the next one —
+// the first segment a replay after this point must read. It runs no
+// fsync and creates no file: the next Append creates the segment, and
+// the next Sync commits the sealed one's unsynced tail, so a checkpoint
+// can rotate under the shard locks and sync after releasing them. An
+// empty or never-written active segment is already that segment: replay
+// from it reads what replay from its successor would, so Rotate returns
+// its index.
 func (l *Log) Rotate() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -293,33 +331,22 @@ func (l *Log) Rotate() (uint64, error) {
 	if l.size == 0 {
 		return l.seg, nil
 	}
-	if err := l.rotateLocked(); err != nil {
+	if err := l.sealLocked(); err != nil {
 		return 0, err
 	}
 	return l.seg, nil
 }
 
-func (l *Log) rotateLocked() error {
+// sealLocked moves appends on to the next segment. A sealed segment with
+// unsynced appends waits in sealed for the next sync; a clean one is
+// closed now.
+func (l *Log) sealLocked() error {
 	if l.dirty {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-		l.dirty = false
-		l.syncs.Add(1)
-	}
-	if err := l.f.Close(); err != nil {
+		l.sealed = append(l.sealed, l.f)
+	} else if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: close segment: %w", err)
 	}
-	next := l.seg + 1
-	f, err := os.OpenFile(segPath(l.dir, next), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		f.Close()
-		return err
-	}
-	l.f, l.seg, l.size = openSegmentFile(f), next, 0
+	l.f, l.seg, l.size, l.dirty = nil, l.seg+1, 0, false
 	return nil
 }
 
@@ -348,9 +375,10 @@ func (l *Log) RemoveBefore(seg uint64) error {
 
 // NextSegment reports the segment index a future Open of dir would
 // start appending into: one past the highest existing segment, or 1
-// for a missing or empty directory. Replication bootstrap uses it to
-// point a freshly written manifest's ShardStart at segments that do
-// not exist yet, so replay after the shipped snapshot reads nothing
+// for a missing or empty directory — an Open never appended to created
+// nothing, so it leaves the answer unchanged. Replication bootstrap uses
+// it to point a freshly written manifest's ShardStart at segments that
+// do not exist yet, so replay after the shipped snapshot reads nothing
 // stale.
 func NextSegment(dir string) (uint64, error) {
 	segs, err := listSegments(dir)
@@ -398,8 +426,14 @@ func (l *Log) Close() error {
 	}
 	err := l.syncLocked()
 	l.closed = true
-	if cerr := l.f.Close(); cerr != nil && err == nil {
-		err = fmt.Errorf("wal: close: %w", cerr)
+	for _, f := range l.sealed {
+		f.Close() // only after a failed sync, which err reports
+	}
+	l.sealed = nil
+	if l.f != nil {
+		if cerr := l.f.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("wal: close: %w", cerr)
+		}
 	}
 	l.f = nil
 	return err

@@ -473,3 +473,42 @@ func TestConcurrentClose(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestOpenCreatesNoSegment: an Open that is never appended to leaves no
+// file, so a crash-looping process piles up no empty segments. Rotate of
+// such a log returns the index NextSegment names without creating it,
+// and the first Append creates exactly that segment.
+func TestOpenCreatesNoSegment(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 5; i++ {
+		l, err := Open(dir, Options{FsyncEvery: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg, err := l.Rotate(); err != nil || seg != 1 {
+			t.Fatalf("Rotate of a never-written log = %d, %v; want 1", seg, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segs, _ := listSegments(dir); len(segs) != 0 {
+		t.Fatalf("five Opens without an append left segments %v", segs)
+	}
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if next, err := NextSegment(dir); err != nil || next != 2 {
+		t.Fatalf("NextSegment after one written segment = %d, %v; want 2", next, err)
+	}
+	if segs, _ := listSegments(dir); len(segs) != 1 || segs[0] != 1 {
+		t.Fatalf("segments %v, want [1]", segs)
+	}
+}
