@@ -159,6 +159,98 @@ func TestCheckpointCrashBeforeManifest(t *testing.T) {
 	}
 }
 
+// TestCheckpointDrainRestartCrash: a drain checkpoint seals the written
+// segments and removes them, leaving no segment file at all. The next
+// incarnation must append at or past the manifest's ShardStart, or a
+// crash after it would replay none of its acknowledged records.
+func TestCheckpointDrainRestartCrash(t *testing.T) {
+	const n = 120
+	xs, ys := classPoints(n)
+	dir := t.TempDir()
+	a := newDurableClass(t, dir, 2)
+	for i := 0; i < n/2; i++ {
+		if err := a.Insert(xs[i], ys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	if err := a.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	if got := segmentFiles(t, dir); got != 0 {
+		t.Fatalf("the drain left %d segment files, want none", got)
+	}
+	b := newDurableClass(t, dir, 2)
+	for i := n / 2; i < n; i++ {
+		if err := b.Insert(xs[i], ys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash(t, b.dur)
+	c := newDurableClass(t, dir, 2)
+	defer c.CloseDurability()
+	if st := c.Stats(); st.WALReplayed != n/2 || st.Observations != n {
+		t.Fatalf("replayed %d records to %d observations, want %d and %d", st.WALReplayed, st.Observations, n/2, n)
+	}
+}
+
+// TestCheckpointFailureBacksOff: a background checkpoint that fails — its
+// manifest rename meets a directory — is reported in /stats, and the
+// next try waits for another limit's worth of log instead of starting on
+// the next append. Once the way is clear, that try commits and clears
+// the report.
+func TestCheckpointFailureBacksOff(t *testing.T) {
+	setCheckpointFloor(t, 4<<10)
+	xs, ys := classPoints(400)
+	dir := t.TempDir()
+	s := newDurableClass(t, dir, 2)
+	defer s.CloseDurability()
+	next := 0
+	insert := func(k int) {
+		t.Helper()
+		for ; k > 0; k-- {
+			if err := s.Insert(xs[next], ys[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	mpath := filepath.Join(dir, persist.ManifestName)
+	saved, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(mpath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(mpath, "in-the-way"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	limit := s.dur.limit()
+	insert(int(limit/classFrame) + 10)
+	waitFor(t, 10*time.Second, "a background checkpoint to fail", func() bool { return s.Stats().CheckpointError != "" })
+	s.dur.bg.Wait()
+	if err := os.RemoveAll(mpath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mpath, saved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	insert(20)
+	s.dur.bg.Wait()
+	if st := s.Stats(); st.Checkpoints != 1 || st.CheckpointError == "" {
+		t.Fatalf("%d checkpoints, error %q: the failed one was retried before another limit of log", st.Checkpoints, st.CheckpointError)
+	}
+	insert(int(limit/classFrame) + 10)
+	waitFor(t, 10*time.Second, "the retry to commit", func() bool {
+		st := s.Stats()
+		return st.Checkpoints == 2 && st.CheckpointError == ""
+	})
+}
+
 // TestCheckpointRacesFollowerBootstrap: with a floor low enough that the
 // log-size trigger fires every few dozen inserts, a follower bootstraps
 // over /replicate while the primary ingests. Background checkpoints and

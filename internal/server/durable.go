@@ -119,13 +119,16 @@ type durState struct {
 	// replication.go.
 	hub *replHub
 	// sinceCut is the framed WAL bytes logged since the last cut (a
-	// replayed tail's included) and snapBytes the last snapshot's size.
-	// bgMu guards bgBusy (a background checkpoint is in flight) and
-	// bgClosed (CloseDurability refuses new ones); bg waits for it.
-	sinceCut, snapBytes atomic.Int64
-	bgMu                sync.Mutex
-	bgBusy, bgClosed    bool
-	bg                  sync.WaitGroup
+	// replayed tail's included) and snapBytes the last snapshot's size;
+	// backoff is what a failed background checkpoint adds to the trigger.
+	// bgMu guards bgBusy (a background checkpoint is in flight), bgClosed
+	// (CloseDurability refuses new ones) and bgErr (the last background
+	// checkpoint's failure, nil once one succeeds); bg waits for it.
+	sinceCut, snapBytes, backoff atomic.Int64
+	bgMu                         sync.Mutex
+	bgBusy, bgClosed             bool
+	bgErr                        error
+	bg                           sync.WaitGroup
 	// checkpoints counts the checkpoints cut; lockHold is the longest any
 	// of them held every shard lock, in nanoseconds.
 	checkpoints, lockHold atomic.Int64
@@ -211,7 +214,7 @@ func (e *engine[M]) logAppend(idx int, payload []byte) error {
 		return fmt.Errorf("%w: %w", errWAL, err)
 	}
 	d.hub.publish(idx, payload)
-	if d.sinceCut.Add(wal.FrameBytes(len(payload))) >= d.limit() {
+	if d.sinceCut.Add(wal.FrameBytes(len(payload))) >= d.limit()+d.backoff.Load() {
 		e.checkpointBehind()
 	}
 	return nil
@@ -222,8 +225,10 @@ func (e *engine[M]) logAppend(idx int, payload []byte) error {
 func (d *durState) limit() int64 { return max(d.snapBytes.Load()/ckptShare, ckptFloor) }
 
 // checkpointBehind starts a background checkpoint unless one is in
-// flight or CloseDurability has begun. Its error is dropped: a cut that
-// fails adds its bytes back, so the next append starts another.
+// flight or CloseDurability has begun. A failed one is reported in
+// /stats, and since its cut adds its bytes back, the next try waits for
+// another limit's worth of log: a persistent failure (a full disk) must
+// not make every append start another all-shard-lock encode.
 func (e *engine[M]) checkpointBehind() {
 	d := e.dur
 	d.bgMu.Lock()
@@ -235,9 +240,12 @@ func (e *engine[M]) checkpointBehind() {
 	d.bg.Add(1)
 	go func() {
 		defer d.bg.Done()
-		e.Checkpoint()
+		err := e.Checkpoint()
 		d.bgMu.Lock()
-		d.bgBusy = false
+		d.bgBusy, d.bgErr = false, err
+		if err != nil {
+			d.backoff.Store(d.sinceCut.Load())
+		}
 		d.bgMu.Unlock()
 	}()
 }
@@ -252,12 +260,15 @@ func (e *engine[M]) shardLogStart(i int) uint64 {
 }
 
 // openLogs opens every shard's WAL for appending (repairing torn tails,
-// starting fresh segments) — the hand-off from replay to serving.
+// starting fresh segments) — the hand-off from replay to serving. Appends
+// start no lower than the manifest's ShardStart: a checkpoint can leave a
+// shard directory with no segment file at all, and records appended below
+// ShardStart would be skipped by the next replay.
 func (e *engine[M]) openLogs() error {
 	d := e.dur
 	logs := make([]*wal.Log, len(e.shards))
 	for i := range e.shards {
-		lg, err := wal.Open(shardWALDir(d.opts.Dir, i), wal.Options{FsyncEvery: d.opts.FsyncEvery})
+		lg, err := wal.Open(shardWALDir(d.opts.Dir, i), wal.Options{FsyncEvery: d.opts.FsyncEvery, Start: e.shardLogStart(i)})
 		if err != nil {
 			for _, open := range logs[:i] {
 				open.Close()
@@ -489,6 +500,7 @@ func (e *engine[M]) checkpointSubscribe(sub *replSub) (persist.Manifest, *os.Fil
 	d.manifest = m
 	d.hadState = true
 	d.snapBytes.Store(size)
+	d.backoff.Store(0)
 	d.checkpoints.Add(1)
 	var f *os.File
 	if sub != nil {
@@ -591,6 +603,11 @@ func (e *engine[M]) durStats(st *Stats) {
 	st.RecoverMs, st.SnapshotDecodeMs = ms(&d.took.recover), ms(&d.took.decode)
 	st.WALReplayMs, st.MirrorBuildMs, st.CheckpointMs = ms(&d.took.replay), ms(&d.took.mirror), ms(&d.took.checkpoint)
 	st.Checkpoints, st.WALBytesSinceCheckpoint, st.CheckpointLockMs = d.checkpoints.Load(), d.sinceCut.Load(), ms(&d.lockHold)
+	d.bgMu.Lock()
+	if d.bgErr != nil {
+		st.CheckpointError = d.bgErr.Error()
+	}
+	d.bgMu.Unlock()
 	// d.logs is assigned once, before recovering flips false; reading it
 	// only after observing !recovering rides that atomic's
 	// happens-before edge, so /stats during background replay cannot

@@ -478,10 +478,13 @@ type Stats struct {
 	// Checkpoints counts the checkpoints this process cut, background
 	// ones included; WALBytesSinceCheckpoint is the framed log bytes a
 	// restart would replay now; CheckpointLockMs is the longest any
-	// checkpoint held every shard lock. All omitted when memory-only.
+	// checkpoint held every shard lock; CheckpointError is the last
+	// background checkpoint's failure, empty once one succeeds. All
+	// omitted when memory-only.
 	Checkpoints             int64   `json:"checkpoints,omitempty"`
 	WALBytesSinceCheckpoint int64   `json:"wal_bytes_since_checkpoint,omitempty"`
 	CheckpointLockMs        float64 `json:"checkpoint_lock_ms,omitempty"`
+	CheckpointError         string  `json:"checkpoint_error,omitempty"`
 	// Replication reports the primary/replica state: this process's role
 	// and fencing epoch, the shipped-LSN fan-out counters on a primary,
 	// and the applied-LSN / staleness bound on a follower. StalenessMs is

@@ -74,6 +74,12 @@ type Options struct {
 	// acked data a power loss can take (a mere process crash loses
 	// nothing either way).
 	FsyncEvery time.Duration
+	// Start is the lowest segment index appends may use (0 means 1): the
+	// first segment a replay of this log reads. A checkpoint that seals
+	// the active segment and removes the ones below its successor leaves
+	// no file behind, so only Start keeps the next append from landing
+	// in a segment below where replay begins.
+	Start uint64
 }
 
 // withDefaults resolves zero values.
@@ -81,6 +87,7 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
 	}
+	o.Start = max(o.Start, 1)
 	return o
 }
 
@@ -145,9 +152,10 @@ type Log struct {
 // segment exists its torn tail (the signature of a crash mid-append) is
 // truncated away first, and appends then start in a fresh segment — so
 // an Open after replay never interleaves new records with a dropped
-// partial one. The fresh segment's file is created by the first Append,
-// so a process that opens and exits without writing leaves no file.
-// Mid-log corruption in the last segment fails with ErrCorrupt.
+// partial one. The fresh segment — one past the last, and at least
+// opts.Start — has its file created by the first Append, so a process
+// that opens and exits without writing leaves no file. Mid-log
+// corruption in the last segment fails with ErrCorrupt.
 func Open(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -157,13 +165,13 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	next := uint64(1)
+	next := opts.Start
 	if len(segs) > 0 {
 		last := segs[len(segs)-1]
 		if err := repairTail(segPath(dir, last)); err != nil {
 			return nil, err
 		}
-		next = last + 1
+		next = max(next, last+1)
 	}
 	l := &Log{dir: dir, opts: opts, seg: next}
 	if opts.FsyncEvery > 0 {
@@ -236,19 +244,13 @@ func (l *Log) Append(payload []byte) error {
 	l.size += int64(len(frame))
 	l.appends.Add(1)
 	l.bytes.Add(int64(len(frame)))
+	l.dirty = true
 	if l.opts.FsyncEvery == 0 {
-		if err := l.f.Sync(); err != nil {
+		// An inline fsync failure fails this append only: the frame is
+		// intact, and the next append's sync retries it.
+		if err := l.commitLocked(); err != nil {
 			return fmt.Errorf("wal: sync: %w", err)
 		}
-		l.syncs.Add(1)
-		if l.dirOwed {
-			if err := syncDir(l.dir); err != nil {
-				return err
-			}
-			l.dirOwed = false
-		}
-	} else {
-		l.dirty = true
 	}
 	if l.size >= l.opts.SegmentBytes {
 		return l.sealLocked()
@@ -280,19 +282,27 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
+// syncLocked is Sync under l.mu: a failure poisons the log, so every
+// later Append reports it.
 func (l *Log) syncLocked() error {
 	if l.closed || (!l.dirty && len(l.sealed) == 0 && !l.dirOwed) {
 		return l.syncErr
 	}
-	poison := func(err error) error {
+	if err := l.commitLocked(); err != nil {
 		if l.syncErr == nil {
 			l.syncErr = err
 		}
 		return fmt.Errorf("wal: sync: %w", err)
 	}
+	return nil
+}
+
+// commitLocked runs the fsyncs Sync orders — sealed segments, the active
+// segment, the directory — and is the only place that orders them.
+func (l *Log) commitLocked() error {
 	for len(l.sealed) > 0 {
 		if err := l.sealed[0].Sync(); err != nil {
-			return poison(err)
+			return err
 		}
 		l.syncs.Add(1)
 		l.sealed[0].Close()
@@ -300,14 +310,14 @@ func (l *Log) syncLocked() error {
 	}
 	if l.dirty {
 		if err := l.f.Sync(); err != nil {
-			return poison(err)
+			return err
 		}
 		l.dirty = false
 		l.syncs.Add(1)
 	}
 	if l.dirOwed {
 		if err := syncDir(l.dir); err != nil {
-			return poison(err)
+			return err
 		}
 		l.dirOwed = false
 	}
@@ -373,10 +383,11 @@ func (l *Log) RemoveBefore(seg uint64) error {
 	return first
 }
 
-// NextSegment reports the segment index a future Open of dir would
-// start appending into: one past the highest existing segment, or 1
-// for a missing or empty directory — an Open never appended to created
-// nothing, so it leaves the answer unchanged. Replication bootstrap uses
+// NextSegment reports the segment index a future Open of dir without a
+// Start would begin appending into: one past the highest existing
+// segment, or 1 for a missing or empty directory — an Open never
+// appended to created nothing, so it leaves the answer unchanged. An
+// Open given this index as its Start begins there. Replication bootstrap uses
 // it to point a freshly written manifest's ShardStart at segments that
 // do not exist yet, so replay after the shipped snapshot reads nothing
 // stale.

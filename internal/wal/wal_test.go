@@ -512,3 +512,35 @@ func TestOpenCreatesNoSegment(t *testing.T) {
 		t.Fatalf("segments %v, want [1]", segs)
 	}
 }
+
+// TestOpenAppendsFromStart: a checkpoint can remove every segment of a
+// log, so Open appends from Options.Start when nothing on disk is past
+// it — never below where the manifest starts replay — and from one past
+// the last segment when that is higher.
+func TestOpenAppendsFromStart(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Start: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg, err := l.Rotate(); err != nil || seg != 5 {
+		t.Fatalf("Rotate of a never-written log = %d, %v; want 5", seg, err)
+	}
+	if err := l.Append([]byte("past the cut")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := readAll(t, dir, 5); len(got) != 1 {
+		t.Fatalf("replay from segment 5 read %d records, want 1", len(got))
+	}
+	l, err = Open(dir, Options{Start: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if seg := l.Segment(); seg != 6 {
+		t.Fatalf("Open with Start 3 over segment 5 appends into %d, want 6", seg)
+	}
+}
