@@ -1,18 +1,21 @@
 // Package bulkload implements the bulk-loading strategies of Section 3 of
 // the paper, all producing Bayes trees over one training population:
 //
-//   - Iterative — the baseline ("Iterativ" in the figures): R*-style
+//   - iterative — the baseline ("Iterativ" in the figures): R*-style
 //     incremental insertion, one observation at a time, as in [16].
-//   - Hilbert, ZCurve — traditional R-tree bottom-up packing in
-//     space-filling-curve order.
-//   - STR — sort-tile-recursive packing [14].
-//   - Goldberger — statistical bottom-up construction that reduces the
+//   - hilbert, zcurve — traditional R-tree bottom-up packing in
+//     space-filling-curve order (curve.go).
+//   - str — sort-tile-recursive packing [14].
+//   - goldberger — statistical bottom-up construction that reduces the
 //     mixture of one level to the next coarser level by regroup/refit
-//     under the KL-based mixture distance [10].
-//   - VirtualSampling — the alternative statistical reduction of [21],
-//     which the paper also adapted (and found weaker).
-//   - EMTopDown — recursive top-down EM clustering of the observations,
-//     the strategy the paper found best throughout.
+//     under the KL-based mixture distance [10] (mixture.go, reduce.go).
+//   - vsample — the alternative statistical reduction of [21], which the
+//     paper also adapted (and found weaker) (vsample.go).
+//   - emtopdown — recursive top-down EM clustering of the observations,
+//     the strategy the paper found best throughout (em.go).
+//
+// Every parameter of the strategies and the algorithms under them is a
+// constant; only the tree configuration varies per build.
 package bulkload
 
 import (
@@ -31,52 +34,77 @@ type Loader interface {
 	Build(points [][]float64, cfg core.Config) (*core.Tree, error)
 }
 
-// ByName returns the loader registered under name, using default options.
+// loader is a registered strategy: its report name and its build.
+type loader struct {
+	name  string
+	build func(points [][]float64, cfg core.Config) (*core.Tree, error)
+}
+
+// Name implements Loader.
+func (l loader) Name() string { return l.name }
+
+// Build implements Loader.
+func (l loader) Build(points [][]float64, cfg core.Config) (*core.Tree, error) {
+	return l.build(points, cfg)
+}
+
+// loaders is the registry, in canonical report order.
+var loaders = []loader{
+	{"emtopdown", buildEMTopDown},
+	{"hilbert", func(points [][]float64, cfg core.Config) (*core.Tree, error) {
+		return curveBuild(points, cfg, hilbertKey)
+	}},
+	{"goldberger", func(points [][]float64, cfg core.Config) (*core.Tree, error) {
+		return statisticalBuild(points, cfg, reduce)
+	}},
+	{"iterative", buildIterative},
+	{"zcurve", func(points [][]float64, cfg core.Config) (*core.Tree, error) {
+		return curveBuild(points, cfg, zKey)
+	}},
+	{"str", buildSTR},
+	{"vsample", func(points [][]float64, cfg core.Config) (*core.Tree, error) {
+		return statisticalBuild(points, cfg, virtualSample)
+	}},
+}
+
+// aliases are the other spellings ByName accepts: the paper's
+// "Iterativ", and short or long forms.
+var aliases = map[string]string{"iterativ": "iterative", "z": "zcurve", "virtualsampling": "vsample", "em": "emtopdown"}
+
+// ByName returns the loader registered under name.
 func ByName(name string) (Loader, bool) {
-	switch name {
-	case "iterative", "iterativ":
-		return Iterative{}, true
-	case "hilbert":
-		return Hilbert{}, true
-	case "zcurve", "z":
-		return ZCurve{}, true
-	case "str":
-		return STR{}, true
-	case "goldberger":
-		return Goldberger{}, true
-	case "vsample", "virtualsampling":
-		return VirtualSampling{}, true
-	case "emtopdown", "em":
-		return EMTopDown{}, true
+	if canonical, ok := aliases[name]; ok {
+		name = canonical
+	}
+	for _, l := range loaders {
+		if l.name == name {
+			return l, true
+		}
 	}
 	return nil, false
 }
 
 // Names lists the registered loader names in canonical report order.
 func Names() []string {
-	return []string{"emtopdown", "hilbert", "goldberger", "iterative", "zcurve", "str", "vsample"}
-}
-
-// All returns one default-configured loader per strategy, in Names order.
-func All() []Loader {
-	names := Names()
-	out := make([]Loader, 0, len(names))
-	for _, n := range names {
-		l, _ := ByName(n)
-		out = append(out, l)
+	out := make([]string, len(loaders))
+	for i, l := range loaders {
+		out[i] = l.name
 	}
 	return out
 }
 
-// Iterative is the paper's baseline: build by repeated incremental
+// All returns one loader per strategy, in Names order.
+func All() []Loader {
+	out := make([]Loader, len(loaders))
+	for i, l := range loaders {
+		out[i] = l
+	}
+	return out
+}
+
+// buildIterative is the paper's baseline: build by repeated incremental
 // insertion (Section 2.2 / [16]).
-type Iterative struct{}
-
-// Name implements Loader.
-func (Iterative) Name() string { return "iterative" }
-
-// Build implements Loader.
-func (Iterative) Build(points [][]float64, cfg core.Config) (*core.Tree, error) {
+func buildIterative(points [][]float64, cfg core.Config) (*core.Tree, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("bulkload: no observations")
 	}

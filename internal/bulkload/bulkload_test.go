@@ -215,7 +215,7 @@ func TestEMTopDownMayBeUnbalanced(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		points = append(points, []float64{5 + rng.NormFloat64()*0.01, 5 + rng.NormFloat64()*0.01})
 	}
-	tree, err := (EMTopDown{}).Build(points, testConfig(2))
+	tree, err := mustLoader("emtopdown").Build(points, testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestChunkSizes(t *testing.T) {
 func TestHilbertPackingLocality(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	points := randomPoints(rng, 512, 2)
-	tree, err := (Hilbert{}).Build(points, testConfig(2))
+	tree, err := mustLoader("hilbert").Build(points, testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestHilbertPackingLocality(t *testing.T) {
 func TestGoldbergerFanoutBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	points := randomPoints(rng, 600, 3)
-	tree, err := (Goldberger{}).Build(points, testConfig(3))
+	tree, err := mustLoader("goldberger").Build(points, testConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,4 +304,12 @@ func TestGoldbergerFanoutBounds(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
+}
+
+func mustLoader(name string) Loader {
+	l, ok := ByName(name)
+	if !ok {
+		panic("unknown loader " + name)
+	}
+	return l
 }

@@ -1,4 +1,4 @@
-package em
+package bulkload
 
 import (
 	"math"
@@ -22,30 +22,30 @@ func threeBlobs(n int, seed int64) (points [][]float64, truth []int) {
 }
 
 func TestFitValidation(t *testing.T) {
-	if _, err := Fit(nil, Options{K: 2}); err == nil {
+	if _, err := emFit(nil, 2, 1); err == nil {
 		t.Errorf("empty input accepted")
 	}
-	if _, err := Fit([][]float64{{}}, Options{K: 1}); err == nil {
+	if _, err := emFit([][]float64{{}}, 1, 1); err == nil {
 		t.Errorf("zero-dim input accepted")
 	}
-	if _, err := Fit([][]float64{{1}}, Options{K: 0}); err == nil {
+	if _, err := emFit([][]float64{{1}}, 0, 1); err == nil {
 		t.Errorf("K=0 accepted")
 	}
 }
 
 func TestFitRecoversSeparatedClusters(t *testing.T) {
 	points, truth := threeBlobs(300, 1)
-	res, err := Fit(points, Options{K: 3, Seed: 1})
+	res, err := emFit(points, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.K() != 3 {
-		t.Fatalf("K = %d, want 3", res.K())
+	if len(res.comps) != 3 {
+		t.Fatalf("K = %d, want 3", len(res.comps))
 	}
 	// Assignment must be consistent with the truth up to relabeling:
 	// within each true cluster, all points share one EM label.
 	labelOf := map[int]int{}
-	for i, a := range res.Assign {
+	for i, a := range res.assign {
 		c := truth[i]
 		if prev, ok := labelOf[c]; ok {
 			if prev != a {
@@ -67,34 +67,34 @@ func TestFitLogLikelihoodMonotone(t *testing.T) {
 	for i := range points {
 		points[i] = []float64{rng.NormFloat64(), rng.NormFloat64() * 2, rng.Float64()}
 	}
-	res, err := Fit(points, Options{K: 5, Seed: 7, MaxIters: 40, Tol: 1e-12})
+	res, err := emFit(points, 5, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(res.LogLikPath); i++ {
-		if res.LogLikPath[i] < res.LogLikPath[i-1]-1e-6*math.Abs(res.LogLikPath[i-1]) {
+	for i := 1; i < len(res.path); i++ {
+		if res.path[i] < res.path[i-1]-1e-6*math.Abs(res.path[i-1]) {
 			t.Fatalf("log-likelihood decreased at iter %d: %v → %v",
-				i, res.LogLikPath[i-1], res.LogLikPath[i])
+				i, res.path[i-1], res.path[i])
 		}
 	}
 }
 
 func TestFitDeterministic(t *testing.T) {
 	points, _ := threeBlobs(150, 3)
-	a, err := Fit(points, Options{K: 3, Seed: 42})
+	a, err := emFit(points, 3, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fit(points, Options{K: 3, Seed: 42})
+	b, err := emFit(points, 3, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Assign {
-		if a.Assign[i] != b.Assign[i] {
+	for i := range a.assign {
+		if a.assign[i] != b.assign[i] {
 			t.Fatalf("same seed, different assignment at %d", i)
 		}
 	}
-	c, err := Fit(points, Options{K: 3, Seed: 43})
+	c, err := emFit(points, 3, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +103,12 @@ func TestFitDeterministic(t *testing.T) {
 
 func TestFitWeightsNormalised(t *testing.T) {
 	points, _ := threeBlobs(120, 4)
-	res, err := Fit(points, Options{K: 4, Seed: 1})
+	res, err := emFit(points, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum float64
-	for _, w := range res.Weights {
+	for _, w := range res.weights {
 		if w <= 0 {
 			t.Errorf("non-positive surviving weight %v", w)
 		}
@@ -121,12 +121,12 @@ func TestFitWeightsNormalised(t *testing.T) {
 
 func TestFitKGreaterThanN(t *testing.T) {
 	points := [][]float64{{0}, {1}, {2}}
-	res, err := Fit(points, Options{K: 10, Seed: 1})
+	res, err := emFit(points, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.K() > 3 {
-		t.Errorf("more components than points: %d", res.K())
+	if len(res.comps) > 3 {
+		t.Errorf("more components than points: %d", len(res.comps))
 	}
 }
 
@@ -135,13 +135,13 @@ func TestFitIdenticalPoints(t *testing.T) {
 	for i := range points {
 		points[i] = []float64{3, 3}
 	}
-	res, err := Fit(points, Options{K: 4, Seed: 1})
+	res, err := emFit(points, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// All mass should collapse into few (typically 1) components with
 	// floored variance — and never NaN.
-	for _, c := range res.Comps {
+	for _, c := range res.comps {
 		for k := range c.Mean {
 			if math.IsNaN(c.Mean[k]) || math.IsNaN(c.Var[k]) || c.Var[k] <= 0 {
 				t.Fatalf("degenerate component: %+v", c)
@@ -152,12 +152,12 @@ func TestFitIdenticalPoints(t *testing.T) {
 
 func TestClustersPartition(t *testing.T) {
 	points, _ := threeBlobs(90, 5)
-	res, err := Fit(points, Options{K: 3, Seed: 2})
+	res, err := emFit(points, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := make([]bool, len(points))
-	for _, cl := range res.Clusters() {
+	for _, cl := range res.clusters() {
 		if len(cl) == 0 {
 			t.Fatalf("empty cluster returned")
 		}
@@ -172,26 +172,5 @@ func TestClustersPartition(t *testing.T) {
 		if !s {
 			t.Fatalf("index %d unassigned", i)
 		}
-	}
-}
-
-func TestKMeans(t *testing.T) {
-	points, truth := threeBlobs(300, 6)
-	assign, centers := KMeans(points, 3, 50, 1)
-	if len(centers) != 3 {
-		t.Fatalf("centers = %d", len(centers))
-	}
-	labelOf := map[int]int{}
-	for i, a := range assign {
-		c := truth[i]
-		if prev, ok := labelOf[c]; ok && prev != a {
-			t.Fatalf("k-means split true cluster %d", c)
-		}
-		labelOf[c] = a
-	}
-	// Degenerate inputs.
-	assign, centers = KMeans(points[:2], 5, 10, 1)
-	if len(assign) != 2 || len(centers) != 2 {
-		t.Fatalf("k>n handling wrong: %d assigns, %d centers", len(assign), len(centers))
 	}
 }

@@ -5,58 +5,40 @@ import (
 	"math"
 
 	"bayestree/internal/core"
-	"bayestree/internal/em"
 )
 
-// EMTopDown is the machine-learning bulk loader of Section 3.1 that the
-// paper found best on every data set: recursively split the training set
-// with the EM algorithm into at most M (the fanout) clusters, fix up
+// buildEMTopDown is the machine-learning bulk loader of Section 3.1 that
+// the paper found best on every data set: recursively split the training
+// set with the EM algorithm into at most M (the fanout) clusters, fix up
 // degenerate outcomes (fewer than m clusters → split the biggest again;
 // a single cluster → split at the two farthest elements), store clusters
 // of at most L observations as leaves and recurse into larger ones. The
 // resulting tree may be unbalanced, which the paper explicitly accepts:
 // "the results show that this is not a drawback but even leads to better
 // anytime classification performance".
-type EMTopDown struct {
-	// Seed makes the EM runs reproducible (default 1).
-	Seed int64
-	// MaxIters bounds each EM run (default 25, plenty for splitting).
-	MaxIters int
-}
-
-// Name implements Loader.
-func (EMTopDown) Name() string { return "emtopdown" }
-
-// Build implements Loader.
-func (e EMTopDown) Build(points [][]float64, cfg core.Config) (*core.Tree, error) {
+func buildEMTopDown(points [][]float64, cfg core.Config) (*core.Tree, error) {
 	if err := validatePoints(points, cfg); err != nil {
 		return nil, err
-	}
-	seed := e.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	iters := e.MaxIters
-	if iters <= 0 {
-		iters = 25
 	}
 	b, err := core.NewBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	builder := &emBuilder{b: b, cfg: cfg, seed: seed, iters: iters}
-	root, err := builder.build(points, 0)
+	root, err := (&emBuilder{b: b, cfg: cfg}).build(points, 0)
 	if err != nil {
 		return nil, err
 	}
 	return b.Finish(root, false)
 }
 
+// emSeed seeds the first EM run of a build; each later run adds the
+// number of runs before it, so runs vary and the build stays
+// deterministic.
+const emSeed = 1
+
 type emBuilder struct {
 	b     *core.Builder
 	cfg   core.Config
-	seed  int64
-	iters int
 	calls int64
 }
 
@@ -87,16 +69,12 @@ func (eb *emBuilder) build(points [][]float64, depth int) (*core.Node, error) {
 // EM with the paper's fix-ups.
 func (eb *emBuilder) cluster(points [][]float64) ([][][]float64, error) {
 	eb.calls++
-	res, err := em.Fit(points, em.Options{
-		K:        eb.cfg.MaxFanout,
-		MaxIters: eb.iters,
-		Seed:     eb.seed + eb.calls, // vary per call, deterministic overall
-	})
+	res, err := emFit(points, eb.cfg.MaxFanout, emSeed+eb.calls)
 	if err != nil {
 		return nil, err
 	}
-	groups := make([][][]float64, 0, res.K())
-	for _, idxs := range res.Clusters() {
+	groups := make([][][]float64, 0, len(res.comps))
+	for _, idxs := range res.clusters() {
 		g := make([][]float64, len(idxs))
 		for i, idx := range idxs {
 			g[i] = points[idx]
@@ -147,17 +125,7 @@ func (eb *emBuilder) cluster(points [][]float64) ([][][]float64, error) {
 // for a splitting heuristic and O(n)) and assigns the rest to the closer
 // representative.
 func farthestPairSplit(points [][]float64) (a, b [][]float64) {
-	d := len(points[0])
-	centroid := make([]float64, d)
-	for _, p := range points {
-		for k, v := range p {
-			centroid[k] += v
-		}
-	}
-	for k := range centroid {
-		centroid[k] /= float64(len(points))
-	}
-	p1 := farthestFrom(points, centroid)
+	p1 := farthestFrom(points, centroidOf(points))
 	p2 := farthestFrom(points, p1)
 	for _, p := range points {
 		if sq(p, p1) <= sq(p, p2) {
@@ -189,6 +157,7 @@ func farthestFrom(points [][]float64, from []float64) []float64 {
 	return best
 }
 
+// sq is the squared Euclidean distance.
 func sq(a, b []float64) float64 {
 	var s float64
 	for i := range a {
@@ -227,9 +196,9 @@ func mergeTiny(groups [][][]float64, minSize int) [][][]float64 {
 	}
 }
 
+// centroidOf is the mean of the points.
 func centroidOf(points [][]float64) []float64 {
-	d := len(points[0])
-	c := make([]float64, d)
+	c := make([]float64, len(points[0]))
 	for _, p := range points {
 		for k, v := range p {
 			c[k] += v

@@ -3,82 +3,38 @@ package bulkload
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"bayestree/internal/core"
-	"bayestree/internal/mixture"
-	"bayestree/internal/sfc"
 	"bayestree/internal/stats"
 )
 
-// Goldberger is the statistical bottom-up bulk loader of Section 3.1 based
-// on Goldberger & Roweis [10]: starting from a mixture with one kernel per
-// training item, each tree level is the coarser mixture obtained by
-// regroup/refit under the KL mixture distance (Definition 4), initialised
-// by grouping ⌈0.75·M⌉ components in z-curve order. Groups that end up
-// holding too many members for a node are split by moving the group mean
-// ±ε along its highest-variance dimension and re-assigning members as in
-// the regroup step; groups with too few members are merged with their
-// KL-closest neighbour — exactly the post-processing the paper chose after
-// rejecting the integer-linear-program formulation as too slow.
-type Goldberger struct {
-	// MaxIters bounds each level's regroup/refit loop (default 8; the
-	// loop usually converges much earlier).
-	MaxIters int
-	// Epsilon scales the representative displacement of the oversize
-	// split, in units of the group's standard deviation (default 0.5).
-	Epsilon float64
-}
+// The statistical bottom-up loaders of Section 3.1. Goldberger, after
+// Goldberger & Roweis [10], starts from a mixture with one kernel per
+// training item and builds each tree level as the coarser mixture obtained
+// by regroup/refit under the KL mixture distance (Definition 4),
+// initialised by grouping ⌈0.75·M⌉ components in z-curve order. Virtual
+// sampling, after Vasconcelos & Lippman [21], reduces each level by EM
+// instead. Groups that end up holding too many members for a node are
+// split by moving the group mean ±ε along its highest-variance dimension
+// and re-assigning members as in the regroup step; groups with too few
+// members are merged with their KL-closest neighbour — exactly the
+// post-processing the paper chose after rejecting the
+// integer-linear-program formulation as too slow.
 
-// Name implements Loader.
-func (Goldberger) Name() string { return "goldberger" }
+// splitEpsilon scales the representative displacement of the oversize
+// split, in units of the group's standard deviation.
+const splitEpsilon = 0.5
 
-// Build implements Loader.
-func (g Goldberger) Build(points [][]float64, cfg core.Config) (*core.Tree, error) {
-	reducer := func(f *mixture.Model, s, group int) (*mixture.ReduceResult, error) {
-		iters := g.MaxIters
-		if iters <= 0 {
-			iters = 8
-		}
-		return mixture.Reduce(f, s, mixture.ReduceOptions{MaxIters: iters, GroupSize: group})
-	}
-	return statisticalBuild(points, cfg, reducer, g.Epsilon)
-}
-
-// VirtualSampling is the second statistical approach the paper adapted
-// (Vasconcelos & Lippman [21]); the paper reports it was outperformed by
-// Goldberger, which the ablation benches let you confirm.
-type VirtualSampling struct {
-	// MaxIters bounds each level's EM loop (default 8).
-	MaxIters int
-	// Epsilon as for Goldberger (default 0.5).
-	Epsilon float64
-}
-
-// Name implements Loader.
-func (VirtualSampling) Name() string { return "vsample" }
-
-// Build implements Loader.
-func (v VirtualSampling) Build(points [][]float64, cfg core.Config) (*core.Tree, error) {
-	reducer := func(f *mixture.Model, s, group int) (*mixture.ReduceResult, error) {
-		iters := v.MaxIters
-		if iters <= 0 {
-			iters = 8
-		}
-		return mixture.VirtualSample(f, s, mixture.VirtualSampleOptions{MaxIters: iters})
-	}
-	return statisticalBuild(points, cfg, reducer, v.Epsilon)
-}
-
-type reduceFn func(f *mixture.Model, s, group int) (*mixture.ReduceResult, error)
+// reduceFn reduces a level's mixture f to s groups of about group members
+// and returns the mapping of f's components to groups.
+type reduceFn func(f *mixture, s, group int) ([]int, error)
 
 // statisticalBuild stacks tree levels bottom-up, each produced by reducing
 // the previous level's mixture.
-func statisticalBuild(points [][]float64, cfg core.Config, reduce reduceFn, epsilon float64) (*core.Tree, error) {
+func statisticalBuild(points [][]float64, cfg core.Config, reduce reduceFn) (*core.Tree, error) {
 	if err := validatePoints(points, cfg); err != nil {
 		return nil, err
-	}
-	if epsilon <= 0 {
-		epsilon = 0.5
 	}
 	b, err := core.NewBuilder(cfg)
 	if err != nil {
@@ -106,13 +62,13 @@ func statisticalBuild(points [][]float64, cfg core.Config, reduce reduceFn, epsi
 		comps[i] = stats.Gaussian{Mean: p, Var: kernelVar}
 		weights[i] = 1
 	}
-	fine, err := mixture.New(weights, comps)
+	fine, err := newMixture(weights, comps)
 	if err != nil {
 		return nil, err
 	}
 
 	// Reduce kernels to leaves.
-	leafGroups, err := reduceToGroups(fine, len(points), cfg.MinLeaf, cfg.MaxLeaf, reduce, epsilon)
+	leafGroups, err := reduceToGroups(fine, len(points), cfg.MinLeaf, cfg.MaxLeaf, reduce)
 	if err != nil {
 		return nil, fmt.Errorf("bulkload: leaf level: %w", err)
 	}
@@ -135,7 +91,7 @@ func statisticalBuild(points [][]float64, cfg core.Config, reduce reduceFn, epsi
 		if err != nil {
 			return nil, err
 		}
-		groups, err := reduceToGroups(level, len(nodes), cfg.MinFanout, cfg.MaxFanout, reduce, epsilon)
+		groups, err := reduceToGroups(level, len(nodes), cfg.MinFanout, cfg.MaxFanout, reduce)
 		if err != nil {
 			return nil, fmt.Errorf("bulkload: inner level (%d nodes): %w", len(nodes), err)
 		}
@@ -172,7 +128,7 @@ func statisticalBuild(points [][]float64, cfg core.Config, reduce reduceFn, epsi
 
 // levelMixture builds the mixture of a node level: one component per node
 // from its cluster feature, weighted by its count.
-func levelMixture(nodes []*core.Node, dim int) (*mixture.Model, error) {
+func levelMixture(nodes []*core.Node, dim int) (*mixture, error) {
 	weights := make([]float64, len(nodes))
 	comps := make([]stats.Gaussian, len(nodes))
 	for i, n := range nodes {
@@ -180,7 +136,7 @@ func levelMixture(nodes []*core.Node, dim int) (*mixture.Model, error) {
 		weights[i] = cf.N
 		comps[i] = cf.Gaussian()
 	}
-	return mixture.New(weights, comps)
+	return newMixture(weights, comps)
 }
 
 func nodeCF(n *core.Node, dim int) stats.CF {
@@ -199,7 +155,7 @@ func nodeCF(n *core.Node, dim int) stats.CF {
 
 // reduceToGroups reduces the fine mixture to ~count/⌈0.75·max⌉ groups and
 // post-processes them into the legal size range [min, max].
-func reduceToGroups(fine *mixture.Model, count, minSize, maxSize int, reduce reduceFn, epsilon float64) ([][]int, error) {
+func reduceToGroups(fine *mixture, count, minSize, maxSize int, reduce reduceFn) ([][]int, error) {
 	group := (3*maxSize + 3) / 4 // ⌈0.75·M⌉
 	if group < minSize {
 		group = minSize
@@ -215,12 +171,12 @@ func reduceToGroups(fine *mixture.Model, count, minSize, maxSize int, reduce red
 	if s < 2 {
 		s = 2
 	}
-	res, err := reduce(fine, s, group)
+	pi, err := reduce(fine, s, group)
 	if err != nil {
 		return nil, err
 	}
 	groups := make([][]int, s)
-	for i, j := range res.Pi {
+	for i, j := range pi {
 		groups[j] = append(groups[j], i)
 	}
 	nonEmpty := groups[:0]
@@ -229,7 +185,7 @@ func reduceToGroups(fine *mixture.Model, count, minSize, maxSize int, reduce red
 			nonEmpty = append(nonEmpty, g)
 		}
 	}
-	return enforceGroupBounds(nonEmpty, fine, minSize, maxSize, epsilon)
+	return enforceGroupBounds(nonEmpty, fine, minSize, maxSize), nil
 }
 
 // enforceGroupBounds applies the paper's post-processing: split oversize
@@ -237,7 +193,7 @@ func reduceToGroups(fine *mixture.Model, count, minSize, maxSize int, reduce red
 // KL-closest neighbour. A bounded number of passes resolves interactions;
 // any residual illegality falls back to z-curve chunking, which is always
 // legal.
-func enforceGroupBounds(groups [][]int, fine *mixture.Model, minSize, maxSize int, epsilon float64) ([][]int, error) {
+func enforceGroupBounds(groups [][]int, fine *mixture, minSize, maxSize int) [][]int {
 	for pass := 0; pass < 12; pass++ {
 		changed := false
 		// Split oversize groups.
@@ -247,7 +203,7 @@ func enforceGroupBounds(groups [][]int, fine *mixture.Model, minSize, maxSize in
 				next = append(next, g)
 				continue
 			}
-			a, b := splitGroup(g, fine, epsilon)
+			a, b := splitGroup(g, fine)
 			next = append(next, a, b)
 			changed = true
 		}
@@ -286,7 +242,7 @@ func enforceGroupBounds(groups [][]int, fine *mixture.Model, minSize, maxSize in
 			}
 		}
 		if legal {
-			return groups, nil
+			return groups
 		}
 		if !changed {
 			break
@@ -300,12 +256,9 @@ func enforceGroupBounds(groups [][]int, fine *mixture.Model, minSize, maxSize in
 	}
 	means := make([][]float64, len(all))
 	for i, idx := range all {
-		means[i] = fine.Comps[idx].Mean
+		means[i] = fine.comps[idx].Mean
 	}
-	order, err := sfc.SortByCurve(means, fine.Dim(), 10, sfc.ZOrder)
-	if err != nil {
-		return nil, err
-	}
+	order := sortByCurve(means, fine.dim(), zKey)
 	sizes := chunkSizes(len(all), minSize, maxSize, (3*maxSize+3)/4)
 	out := make([][]int, 0, len(sizes))
 	pos := 0
@@ -317,7 +270,7 @@ func enforceGroupBounds(groups [][]int, fine *mixture.Model, minSize, maxSize in
 		out = append(out, g)
 		pos += sz
 	}
-	return out, nil
+	return out
 }
 
 // splitGroup implements the paper's oversize split: compute the group's
@@ -325,7 +278,7 @@ func enforceGroupBounds(groups [][]int, fine *mixture.Model, minSize, maxSize in
 // variance, place a Gaussian over each representative and re-assign the
 // members by KL as in the regroup step. Degenerate assignments fall back
 // to a median split along the same dimension.
-func splitGroup(g []int, fine *mixture.Model, epsilon float64) (a, b []int) {
+func splitGroup(g []int, fine *mixture) (a, b []int) {
 	gg := groupGaussian(g, fine)
 	dim := 0
 	for k := range gg.Var {
@@ -333,7 +286,7 @@ func splitGroup(g []int, fine *mixture.Model, epsilon float64) (a, b []int) {
 			dim = k
 		}
 	}
-	delta := epsilon * math.Sqrt(gg.Var[dim])
+	delta := splitEpsilon * math.Sqrt(gg.Var[dim])
 	if delta <= 0 {
 		delta = 1e-6
 	}
@@ -342,7 +295,7 @@ func splitGroup(g []int, fine *mixture.Model, epsilon float64) (a, b []int) {
 	repA.Mean[dim] -= delta
 	repB.Mean[dim] += delta
 	for _, idx := range g {
-		if stats.KL(fine.Comps[idx], repA) <= stats.KL(fine.Comps[idx], repB) {
+		if stats.KL(fine.comps[idx], repA) <= stats.KL(fine.comps[idx], repB) {
 			a = append(a, idx)
 		} else {
 			b = append(b, idx)
@@ -351,8 +304,8 @@ func splitGroup(g []int, fine *mixture.Model, epsilon float64) (a, b []int) {
 	if len(a) == 0 || len(b) == 0 {
 		// Median split along the chosen dimension.
 		sorted := append([]int(nil), g...)
-		sortSlice(sorted, func(x, y int) bool {
-			return fine.Comps[x].Mean[dim] < fine.Comps[y].Mean[dim]
+		sort.SliceStable(sorted, func(x, y int) bool {
+			return fine.comps[sorted[x]].Mean[dim] < fine.comps[sorted[y]].Mean[dim]
 		})
 		mid := len(sorted) / 2
 		return sorted[:mid], sorted[mid:]
@@ -361,25 +314,16 @@ func splitGroup(g []int, fine *mixture.Model, epsilon float64) (a, b []int) {
 }
 
 // groupGaussian is the moment-preserving merge of a group's components.
-func groupGaussian(g []int, fine *mixture.Model) stats.Gaussian {
+func groupGaussian(g []int, fine *mixture) stats.Gaussian {
 	w, acc := 0.0, stats.Gaussian{}
 	first := true
 	for _, idx := range g {
 		if first {
-			w, acc = fine.Weights[idx], fine.Comps[idx]
+			w, acc = fine.weights[idx], fine.comps[idx]
 			first = false
 			continue
 		}
-		w, acc = mixture.MergeGaussians(w, acc, fine.Weights[idx], fine.Comps[idx])
+		w, acc = mergeGaussians(w, acc, fine.weights[idx], fine.comps[idx])
 	}
 	return acc
-}
-
-func sortSlice(ids []int, less func(a, b int) bool) {
-	// insertion sort is sufficient for group-size slices
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && less(ids[j], ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

@@ -58,7 +58,7 @@ func TestGoldbergerAdversarialSizes(t *testing.T) {
 	for i := 0; i < 17; i++ {
 		points = append(points, []float64{rng.Float64() * 20, rng.Float64() * 20})
 	}
-	tree, err := (Goldberger{}).Build(points, testConfig(2))
+	tree, err := mustLoader("goldberger").Build(points, testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}

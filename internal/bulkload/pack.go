@@ -6,82 +6,33 @@ import (
 	"sort"
 
 	"bayestree/internal/core"
-	"bayestree/internal/sfc"
 )
 
-// Hilbert packs observations bottom-up in Hilbert-curve order: compute the
-// Hilbert value of every observation, sort, fill leaf nodes, then repeat on
-// the node mean vectors level by level until a single root remains —
-// exactly the procedure described in Section 3.1.
-type Hilbert struct {
-	// Bits is the curve quantisation precision per dimension (default 10).
-	Bits int
-	// Fill is the target node occupancy as a fraction of capacity
-	// (default 1.0 — classical full packing "w.r.t. the page size").
-	Fill float64
-}
-
-// Name implements Loader.
-func (Hilbert) Name() string { return "hilbert" }
-
-// Build implements Loader.
-func (h Hilbert) Build(points [][]float64, cfg core.Config) (*core.Tree, error) {
-	return curveBuild(points, cfg, sfc.Hilbert, h.Bits, h.Fill)
-}
-
-// ZCurve packs observations bottom-up in z-order (Morton order), the other
-// space-filling curve named in Section 3.1.
-type ZCurve struct {
-	// Bits is the curve quantisation precision per dimension (default 10).
-	Bits int
-	// Fill is the target occupancy fraction (default 1.0).
-	Fill float64
-}
-
-// Name implements Loader.
-func (ZCurve) Name() string { return "zcurve" }
-
-// Build implements Loader.
-func (z ZCurve) Build(points [][]float64, cfg core.Config) (*core.Tree, error) {
-	return curveBuild(points, cfg, sfc.ZOrder, z.Bits, z.Fill)
-}
-
-func curveBuild(points [][]float64, cfg core.Config, curve sfc.Curve, bits int, fill float64) (*core.Tree, error) {
+// curveBuild packs observations bottom-up in the order of a
+// space-filling curve — the Hilbert curve or the z-curve (Morton order) of
+// Section 3.1: compute the curve key of every observation, sort, fill leaf
+// nodes, then repeat on the node mean vectors level by level until a
+// single root remains. Nodes are packed full ("w.r.t. the page size").
+func curveBuild(points [][]float64, cfg core.Config, key curveKey) (*core.Tree, error) {
 	if err := validatePoints(points, cfg); err != nil {
 		return nil, err
-	}
-	if bits <= 0 {
-		bits = 10
-	}
-	if fill <= 0 || fill > 1 {
-		fill = 1
 	}
 	b, err := core.NewBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	order, err := sfc.SortByCurve(points, cfg.Dim, bits, curve)
-	if err != nil {
-		return nil, err
-	}
-	ordered := orderedCopy(points, order)
-	leafTarget := int(fill * float64(cfg.MaxLeaf))
-	nodes, err := packLeaves(b, ordered, cfg, leafTarget)
+	ordered := orderedCopy(points, sortByCurve(points, cfg.Dim, key))
+	nodes, err := packLeaves(b, ordered, cfg, cfg.MaxLeaf)
 	if err != nil {
 		return nil, err
 	}
 	for len(nodes) > 1 {
-		means := nodeMeans(b, nodes)
-		order, err := sfc.SortByCurve(means, cfg.Dim, bits, curve)
-		if err != nil {
-			return nil, err
-		}
+		order := sortByCurve(nodeMeans(b, nodes), cfg.Dim, key)
 		sorted := make([]*core.Node, len(nodes))
 		for rank, i := range order {
 			sorted[rank] = nodes[i]
 		}
-		innerTarget := int(fill * float64(cfg.MaxFanout))
-		nodes, err = packInner(b, sorted, cfg, innerTarget)
+		nodes, err = packInner(b, sorted, cfg, cfg.MaxFanout)
 		if err != nil {
 			return nil, err
 		}
@@ -168,52 +119,30 @@ func nodeMean(n *core.Node, dim int) []float64 {
 	return sum
 }
 
-// STR is the sort-tile-recursive packing of Leutenegger et al. [14]: sort
-// by the first dimension, cut into vertical slabs, recurse within each
-// slab on the remaining dimensions, pack runs into nodes; repeat on node
-// centres for the upper levels.
-type STR struct {
-	// Fill is the target occupancy fraction (default 1.0).
-	Fill float64
-}
-
-// Name implements Loader.
-func (STR) Name() string { return "str" }
-
-// Build implements Loader.
-func (s STR) Build(points [][]float64, cfg core.Config) (*core.Tree, error) {
+// buildSTR is the sort-tile-recursive packing of Leutenegger et al. [14]:
+// sort by the first dimension, cut into vertical slabs, recurse within
+// each slab on the remaining dimensions, pack full runs into nodes; repeat
+// on node centres for the upper levels.
+func buildSTR(points [][]float64, cfg core.Config) (*core.Tree, error) {
 	if err := validatePoints(points, cfg); err != nil {
 		return nil, err
-	}
-	fill := s.Fill
-	if fill <= 0 || fill > 1 {
-		fill = 1
 	}
 	b, err := core.NewBuilder(cfg)
 	if err != nil {
 		return nil, err
 	}
-	leafTarget := int(fill * float64(cfg.MaxLeaf))
-	if leafTarget < cfg.MinLeaf {
-		leafTarget = cfg.MinLeaf
-	}
-	ordered := strOrder(points, cfg.Dim, leafTarget)
-	nodes, err := packLeaves(b, ordered, cfg, leafTarget)
+	ordered := strOrder(points, cfg.Dim, cfg.MaxLeaf)
+	nodes, err := packLeaves(b, ordered, cfg, cfg.MaxLeaf)
 	if err != nil {
 		return nil, err
 	}
 	for len(nodes) > 1 {
-		innerTarget := int(fill * float64(cfg.MaxFanout))
-		if innerTarget < cfg.MinFanout {
-			innerTarget = cfg.MinFanout
-		}
-		means := nodeMeans(b, nodes)
-		perm := strPermutation(means, cfg.Dim, innerTarget)
+		perm := strPermutation(nodeMeans(b, nodes), cfg.Dim, cfg.MaxFanout)
 		sorted := make([]*core.Node, len(nodes))
 		for rank, i := range perm {
 			sorted[rank] = nodes[i]
 		}
-		nodes, err = packInner(b, sorted, cfg, innerTarget)
+		nodes, err = packInner(b, sorted, cfg, cfg.MaxFanout)
 		if err != nil {
 			return nil, err
 		}
