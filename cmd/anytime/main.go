@@ -1,171 +1,142 @@
-// Command anytime regenerates the paper's evaluation artefacts: Table 1
-// and the anytime-accuracy figures 2, 3 and 4 (see EXPERIMENTS.md for the
-// paper-vs-measured record).
+// Command anytime is the offline half of the repository: it regenerates
+// the paper's evaluation artefacts, compares the bulk loaders, writes the
+// synthetic data sets and simulates the paper's streams.
 //
 // Usage:
 //
-//	anytime -experiment all                  # everything, default scales
-//	anytime -experiment fig3 -scale 0.2      # letter at 20% size
-//	anytime -experiment fig2 -scale 1        # paper-size pendigits
-//	anytime -dataset letter -loaders emtopdown,iterative -nodes 60
+//	anytime figures -experiment all              # Table 1 and Figures 2–4
+//	anytime figures -dataset letter -loaders emtopdown,multitree
+//	anytime bulkload -dataset pendigits -dump    # tree shapes per loader
+//	anytime datagen -dataset gender -scale 0.1   # synthetic data to CSV
+//	anytime streamclass -dataset covertype -window 64
+//	anytime streamcluster -sources 6 -burst 3
 //
-// The -dataset form runs a custom comparison outside the canned figures,
-// with -loaders, -nodes, -folds, -strategy, -priority and -k selecting
-// the comparison, and prints the log-loss, Brier score and calibration
-// error of the posteriors beside the accuracy; the loader "multitree" is
-// the Section 4.1 single multi-class tree. See -h for every flag. Bad
-// invocations (unknown experiment, data set, loader, strategy or
-// priority) exit with status 2; runtime failures exit with status 1.
+// Each subcommand takes its own flags; `anytime <subcommand> -h` lists
+// them. Bad invocations (an unknown subcommand, data set, loader,
+// strategy or priority, a malformed flag or a stray argument) exit with
+// status 2; runtime failures exit with status 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"bayestree/internal/bulkload"
-	"bayestree/internal/core"
 	"bayestree/internal/dataset"
-	"bayestree/internal/eval"
+	"bayestree/internal/serve"
 )
 
+// command is one subcommand: its name, a line for the list, and its run.
+type command struct {
+	name, summary string
+	run           func(args []string, stdout io.Writer) error
+}
+
+var commands = []command{
+	{"figures", "regenerate Table 1 and Figures 2–4, or run a custom anytime-quality comparison", runFigures},
+	{"bulkload", "compare the bulk loaders' tree shapes, build times and invariants", runBulkload},
+	{"datagen", "write a synthetic data set to CSV", runDatagen},
+	{"streamclass", "classify a simulated Poisson stream with gap-sized budgets", runStreamclass},
+	{"streamcluster", "cluster a drifting stream with the Section 4.2 ClusTree", runStreamcluster},
+}
+
 func main() {
-	var (
-		experiment = flag.String("experiment", "", "paper artefact to regenerate: table1|fig2|fig3|fig4a|fig4b|all")
-		scale      = flag.Float64("scale", 0, "data set scale in (0,1]; 0 = experiment default, 1 = paper size")
-		seed       = flag.Int64("seed", 42, "cross-validation seed")
-		dsName     = flag.String("dataset", "", "custom run: data set (pendigits|letter|gender|covertype)")
-		loaders    = flag.String("loaders", "emtopdown,hilbert,goldberger,iterative", "custom run: comma-separated loaders (multitree: the single multi-class tree)")
-		nodes      = flag.Int("nodes", 100, "custom run: node budget (x-axis extent)")
-		folds      = flag.Int("folds", 4, "custom run: cross-validation folds")
-		strategy   = flag.String("strategy", "glo", "custom run: descent strategy glo|bft|dft")
-		priority   = flag.String("priority", "prob", "custom run: descent priority prob|geom")
-		k          = flag.Int("k", 0, "custom run: qbk parameter (0 = paper default)")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"Usage: anytime [flags]\n\n"+
-				"Regenerate the paper's evaluation artefacts (-experiment table1|fig2|fig3|\n"+
-				"fig4a|fig4b|all) or run a custom anytime-accuracy comparison (-dataset with\n"+
-				"-loaders/-nodes/-folds/-strategy/-priority/-k).\n\nFlags:\n")
-		flag.PrintDefaults()
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		err = nil
 	}
-	flag.Parse()
-	if flag.NArg() > 0 {
-		usagef("unexpected arguments %v", flag.Args())
-	}
-
-	if *experiment == "" && *dsName == "" {
-		*experiment = "all"
-	}
-	if *experiment != "" {
-		runExperiments(*experiment, *scale, *seed)
-		return
-	}
-	runCustom(*dsName, *scale, *seed, *loaders, *nodes, *folds, *strategy, *priority, *k)
+	serve.Exit("anytime", err)
 }
 
-func runExperiments(which string, scale float64, seed int64) {
-	var exps []eval.Experiment
-	if which == "all" {
-		exps = eval.Experiments()
-	} else {
-		e, ok := eval.ExperimentByID(which)
-		if !ok {
-			usagef("unknown experiment %q (want table1|fig2|fig3|fig4a|fig4b|all)", which)
-		}
-		exps = []eval.Experiment{e}
+// run dispatches to the subcommand args name. With none, or an unknown
+// one, it is a usage error and the usage is the subcommand list.
+func run(args []string, stdout io.Writer) error {
+	flag.CommandLine.Usage = usage
+	if len(args) == 0 {
+		return serve.UsageErrorf("missing subcommand")
 	}
-	for _, e := range exps {
-		if _, err := e.Run(os.Stdout, scale, seed); err != nil {
-			fatalf("experiment %s: %v", e.ID, err)
+	for _, c := range commands {
+		if c.name == args[0] {
+			return c.run(args[1:], stdout)
 		}
-		fmt.Println()
 	}
+	if args[0] == "-h" || args[0] == "-help" || args[0] == "--help" {
+		usage()
+		return flag.ErrHelp
+	}
+	return serve.UsageErrorf("unknown subcommand %q", args[0])
 }
 
-func runCustom(dsName string, scale float64, seed int64, loaderList string, nodes, folds int, strategy, priority string, k int) {
-	if scale <= 0 {
-		scale = 0.2
+func usage() {
+	fmt.Fprintf(os.Stderr, "Usage: anytime <subcommand> [flags]\n\nSubcommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-14s %s\n", c.name, c.summary)
 	}
-	ds, err := dataset.ByName(dsName, scale)
+	fmt.Fprintf(os.Stderr, "\nRun 'anytime <subcommand> -h' for its flags.\n")
+}
+
+// newFlagSet returns subcommand name's flag set with its usage text. A
+// usage error the subcommand returns prints this usage (serve.Exit prints
+// flag.CommandLine's).
+func newFlagSet(name, about string) *flag.FlagSet {
+	fs := flag.NewFlagSet("anytime "+name, flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "Usage: anytime %s [flags]\n\n%s\nFlags:\n", name, about)
+		fs.PrintDefaults()
+	}
+	flag.CommandLine.Usage = fs.Usage
+	return fs
+}
+
+// parse parses args into fs. -h prints the usage and returns
+// flag.ErrHelp; a malformed flag or a stray argument is a usage error.
+func parse(fs *flag.FlagSet, args []string) error {
+	out := fs.Output()
+	fs.SetOutput(io.Discard)
+	err := fs.Parse(args)
+	fs.SetOutput(out)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		fs.Usage()
+		return err
+	case err != nil:
+		return serve.UsageErrorf("%v", err)
+	case fs.NArg() > 0:
+		return serve.UsageErrorf("unexpected arguments %v", fs.Args())
+	}
+	return nil
+}
+
+// loadDataset generates the named data set; an unknown name is a usage
+// error.
+func loadDataset(name string, scale float64) (*dataset.Dataset, error) {
+	ds, err := dataset.ByName(name, scale)
 	if err != nil {
-		usagef("%v", err)
+		return nil, serve.UsageErrorf("%v", err)
 	}
-	strat, ok := parseStrategy(strategy)
-	if !ok {
-		usagef("unknown strategy %q (want glo|bft|dft)", strategy)
-	}
-	prio, ok := parsePriority(priority)
-	if !ok {
-		usagef("unknown priority %q (want prob|geom)", priority)
-	}
-	fmt.Printf("dataset %s: %d observations, %d classes, %d features\n",
-		ds.Name, ds.Len(), len(ds.Classes()), ds.Dim())
-	opts := eval.CurveOptions{
-		Folds:      folds,
-		MaxNodes:   nodes,
-		Seed:       seed,
-		Classifier: core.ClassifierOptions{Strategy: strat, Priority: prio, K: k},
-	}
-	var curves []*eval.Curve
-	for _, name := range strings.Split(loaderList, ",") {
+	return ds, nil
+}
+
+// parseLoaders resolves a comma-separated loader list. Where multitree is
+// allowed, the name "multitree" (the Section 4.1 single multi-class tree)
+// resolves to a nil Loader. An unknown name is a usage error.
+func parseLoaders(list string, multitree bool) ([]bulkload.Loader, error) {
+	var out []bulkload.Loader
+	for _, name := range strings.Split(list, ",") {
 		name = strings.TrimSpace(name)
-		loader, ok := bulkload.ByName(name)
-		if !ok && name != "multitree" {
-			usagef("unknown loader %q (have %v and multitree)", name, bulkload.Names())
+		l, ok := bulkload.ByName(name)
+		switch {
+		case !ok && multitree && name == "multitree":
+		case !ok && multitree:
+			return nil, serve.UsageErrorf("unknown loader %q (have %v and multitree)", name, bulkload.Names())
+		case !ok:
+			return nil, serve.UsageErrorf("unknown loader %q (have %v)", name, bulkload.Names())
 		}
-		var c *eval.Curve
-		if ok {
-			c, err = eval.AnytimeCurve(ds, loader, opts)
-		} else {
-			c, err = eval.MultiCurve(ds, core.MultiOptions{}, opts)
-		}
-		if err != nil {
-			fatalf("%s: %v", name, err)
-		}
-		curves = append(curves, c)
-		fmt.Printf("  %-12s final=%.4f mean=%.4f build=%s\n", c.Name, c.Final(), c.Mean(), c.BuildTime.Round(1e6))
+		out = append(out, l)
 	}
-	if err := eval.PlotCurves(os.Stdout, fmt.Sprintf("%s (%s/%s)", ds.Name, strategy, priority), curves); err != nil {
-		fatalf("%v", err)
-	}
-	eval.CurveTable(os.Stdout, curves, []int{0, 5, 10, 20, 50, nodes})
-	eval.QualityTable(os.Stdout, curves, []int{0, 5, 10, 20, 50, nodes})
-}
-
-func parseStrategy(s string) (core.Strategy, bool) {
-	switch s {
-	case "glo", "global":
-		return core.DescentGlobal, true
-	case "bft", "breadth":
-		return core.DescentBFT, true
-	case "dft", "depth":
-		return core.DescentDFT, true
-	}
-	return 0, false
-}
-
-func parsePriority(s string) (core.Priority, bool) {
-	switch s {
-	case "prob", "probabilistic":
-		return core.PriorityProbabilistic, true
-	case "geom", "geometric":
-		return core.PriorityGeometric, true
-	}
-	return 0, false
-}
-
-// fatalf reports a runtime failure and exits with status 1.
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "anytime: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-// usagef reports a bad invocation, prints usage and exits with status 2.
-func usagef(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "anytime: "+format+"\n\n", args...)
-	flag.Usage()
-	os.Exit(2)
+	return out, nil
 }

@@ -131,13 +131,9 @@ func (o *options) workload(args []string) (serve.Workload[*server.Server], error
 	if len(args) > 0 {
 		return w, serve.UsageErrorf("unexpected arguments %v", args)
 	}
-	strat, ok := parseStrategy(o.strategy)
-	if !ok {
-		return w, serve.UsageErrorf("unknown strategy %q (want glo|bft|dft)", o.strategy)
-	}
-	prio, ok := parsePriority(o.priority)
-	if !ok {
-		return w, serve.UsageErrorf("unknown priority %q (want prob|geom)", o.priority)
+	strat, prio, err := serve.ParseDescent(o.strategy, o.priority)
+	if err != nil {
+		return w, err
 	}
 	cfg, err := o.Config("decay-lambda", o.decayLambda)
 	if err != nil {
@@ -226,26 +222,4 @@ func (o *options) buildServer(cfg server.Config) (*server.Server, error) {
 	log.Printf("bootstrapped %s: %d observations, %d classes, %d dims into %d shards in %v",
 		ds.Name, ds.Len(), len(ds.Classes()), ds.Dim(), o.Shards, time.Since(start).Round(time.Millisecond))
 	return s, nil
-}
-
-func parseStrategy(s string) (core.Strategy, bool) {
-	switch s {
-	case "glo", "global":
-		return core.DescentGlobal, true
-	case "bft", "breadth":
-		return core.DescentBFT, true
-	case "dft", "depth":
-		return core.DescentDFT, true
-	}
-	return 0, false
-}
-
-func parsePriority(s string) (core.Priority, bool) {
-	switch s {
-	case "prob", "probabilistic":
-		return core.PriorityProbabilistic, true
-	case "geom", "geometric":
-		return core.PriorityGeometric, true
-	}
-	return 0, false
 }

@@ -143,6 +143,30 @@ func (f *Flags) Config(rate string, lambda float64) (server.Config, error) {
 	return cfg, nil
 }
 
+// ParseDescent resolves the descent flags shared by the commands that
+// classify: -strategy glo|bft|dft and -priority prob|geom (long forms
+// accepted). An unknown value is a usage error.
+func ParseDescent(strategy, priority string) (core.Strategy, core.Priority, error) {
+	strategies := map[string]core.Strategy{
+		"glo": core.DescentGlobal, "global": core.DescentGlobal,
+		"bft": core.DescentBFT, "breadth": core.DescentBFT,
+		"dft": core.DescentDFT, "depth": core.DescentDFT,
+	}
+	priorities := map[string]core.Priority{
+		"prob": core.PriorityProbabilistic, "probabilistic": core.PriorityProbabilistic,
+		"geom": core.PriorityGeometric, "geometric": core.PriorityGeometric,
+	}
+	strat, ok := strategies[strategy]
+	if !ok {
+		return 0, 0, UsageErrorf("unknown strategy %q (want glo|bft|dft)", strategy)
+	}
+	prio, ok := priorities[priority]
+	if !ok {
+		return 0, 0, UsageErrorf("unknown priority %q (want prob|geom)", priority)
+	}
+	return strat, prio, nil
+}
+
 // usageError marks a command-line mistake: the command prints its usage
 // and exits with status 2 rather than 1.
 type usageError string
