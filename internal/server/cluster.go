@@ -199,6 +199,12 @@ func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.Snapsho
 		name:    replica.WorkloadCluster,
 		encode:  s.encodeSet,
 		clocked: true,
+		stale: func(m *ctree, at int64) error {
+			if now := m.t.Now(); float64(at) < now {
+				return fmt.Errorf("server: replicated record at time %d precedes the shard's time %v", at, now)
+			}
+			return nil
+		},
 		record: func(payload []byte) (int64, func(*shard[*ctree]) error, func(), error) {
 			head, x, err := decodeRecord(payload, 2, ccfg.Dim)
 			if err == nil {

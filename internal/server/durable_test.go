@@ -703,3 +703,40 @@ func TestClusterNonFiniteRejectedBeforeLogging(t *testing.T) {
 	}
 	s2.CloseDurability()
 }
+
+// TestClusterStaleRecordRefusedBeforeLogging: a shipped clustering
+// record whose timestamp precedes its shard's time decodes cleanly, and
+// only the shard's clock can refuse it. ApplyReplicated refuses it under
+// the shard lock before the log sees it, so the follower's log holds
+// only records that apply and the next recovery replays cleanly.
+func TestClusterStaleRecordRefusedBeforeLogging(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurableCluster(t, dir, 2)
+	const n = 50
+	for i := 0; i < n; i++ {
+		if _, err := s.Insert([]float64{float64(i%7) / 7, float64(i%5) / 5}, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := s.shards[0].tree.t.Now()
+	if now < 2 {
+		t.Fatalf("shard 0 time %v: no earlier timestamp to replay", now)
+	}
+	appends := s.Stats().WALAppends
+	stale := encodeRecord([]float64{0.5, 0.5}, 1, 3)
+	if _, _, _, err := s.wl.record(stale); err != nil {
+		t.Fatalf("the stale record should decode: %v", err)
+	}
+	if err := s.ApplyReplicated(0, stale); err == nil {
+		t.Fatal("a record older than its shard's time was applied")
+	}
+	if got := s.Stats().WALAppends; got != appends {
+		t.Fatalf("the refused record reached the WAL: %d appends, was %d", got, appends)
+	}
+	s.CloseDurability()
+	s2 := newDurableCluster(t, dir, 2)
+	if s2.Clock() != n || s2.Stats().WALReplayed != n {
+		t.Fatalf("recovered clock %d after %d replayed records, want %d", s2.Clock(), s2.Stats().WALReplayed, n)
+	}
+	s2.CloseDurability()
+}

@@ -138,6 +138,11 @@ type workload[M Model] struct {
 	// workload without a clock are ordered only within their shard, and
 	// the shard logs replay side by side.
 	clocked bool
+	// stale, when non-nil, refuses a shipped record whose logical time at
+	// precedes its shard model's own: the one apply failure decode cannot
+	// see. ApplyReplicated runs it under the shard's write lock before
+	// the record is logged.
+	stale func(m M, at int64) error
 	// stats is the /stats value.
 	stats func() any
 }

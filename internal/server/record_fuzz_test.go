@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"bayestree/internal/clustree"
@@ -16,10 +15,10 @@ import (
 // both record kinds, each offered to a small model. A record is either
 // refused by its decode, leaving the model unchanged, or applied without
 // error, leaving finite cluster features and bounding rectangles, the
-// mass grown by exactly one observation and Validate clean. The one
-// refusal left to a clustering record's apply is a timestamp before its
-// shard's time, the one check that needs the shard; it too must leave
-// the model unchanged.
+// mass grown by exactly one observation and Validate clean. A clustering
+// record is first offered to the shard-time check ApplyReplicated makes
+// before logging; a refusal there must leave the model unchanged too, and
+// a record that passes it must apply.
 func FuzzRecordApply(f *testing.F) {
 	for _, seed := range []struct {
 		kind byte
@@ -54,7 +53,7 @@ func FuzzRecordApply(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			fuzzApply(t, &s.engine, payload, classMass, nil)
+			fuzzApply(t, &s.engine, payload, classMass)
 			return
 		}
 		ccfg := clustree.DefaultConfig(2)
@@ -69,17 +68,14 @@ func FuzzRecordApply(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		fuzzApply(t, &s.engine, payload, clusterMass, func(err error) bool {
-			return strings.Contains(err.Error(), "precedes current time")
-		})
+		fuzzApply(t, &s.engine, payload, clusterMass)
 	})
 }
 
-// fuzzApply offers payload to e's record path on shard 0, as replay
-// does, and checks the outcome: mass reports the model's observation
-// mass and fails the test on a broken invariant; stale, when non-nil,
-// names the apply errors the workload may return.
-func fuzzApply[M Model](t *testing.T, e *engine[M], payload []byte, mass func(*testing.T, M) float64, stale func(error) bool) {
+// fuzzApply offers payload to e's record path on shard 0, as
+// ApplyReplicated does, and checks the outcome: mass reports the model's
+// observation mass and fails the test on a broken invariant.
+func fuzzApply[M Model](t *testing.T, e *engine[M], payload []byte, mass func(*testing.T, M) float64) {
 	sh := e.shards[0]
 	// A ClusTree's reads decay entries to now in place, so the mass is
 	// read before the snapshot it is compared with.
@@ -88,23 +84,24 @@ func fuzzApply[M Model](t *testing.T, e *engine[M], payload []byte, mass func(*t
 	if err := e.WriteSnapshot(&before); err != nil {
 		t.Fatal(err)
 	}
-	_, apply, after, err := e.wl.record(payload)
+	at, apply, after, err := e.wl.record(payload)
+	if err == nil && e.wl.stale != nil {
+		err = e.wl.stale(sh.tree, at)
+	}
 	if err == nil {
 		sh.mu.Lock()
 		err = apply(sh)
 		sh.mu.Unlock()
-		if err == nil {
-			if after != nil {
-				after()
-			}
-			if now := mass(t, sh.tree); now != was+1 {
-				t.Fatalf("an applied record moved the mass %v → %v", was, now)
-			}
-			return
-		}
-		if stale == nil || !stale(err) {
+		if err != nil {
 			t.Fatalf("a decoded record failed its apply: %v", err)
 		}
+		if after != nil {
+			after()
+		}
+		if now := mass(t, sh.tree); now != was+1 {
+			t.Fatalf("an applied record moved the mass %v → %v", was, now)
+		}
+		return
 	}
 	var now bytes.Buffer
 	if err := e.WriteSnapshot(&now); err != nil {

@@ -287,8 +287,9 @@ func (e *engine[M]) Promote() error {
 // replica's on-disk state is itself durable and byte-identical to what
 // the primary logged, and because a record carries every input that
 // makes its apply deterministic, the model is digit-identical to the
-// primary's at the same applied LSN. Used by the replication tailer;
-// not a client API.
+// primary's at the same applied LSN. A record older than its shard's
+// time is refused before it is logged, so every logged record applies.
+// Used by the replication tailer; not a client API.
 func (e *engine[M]) ApplyReplicated(shard int, payload []byte) error {
 	if e.Recovering() {
 		return errRecovering
@@ -296,13 +297,16 @@ func (e *engine[M]) ApplyReplicated(shard int, payload []byte) error {
 	if shard < 0 || shard >= len(e.shards) {
 		return fmt.Errorf("server: replicated record for shard %d of %d", shard, len(e.shards))
 	}
-	_, apply, after, err := e.wl.record(payload)
+	at, apply, after, err := e.wl.record(payload)
 	if err != nil {
 		return err
 	}
 	sh := e.shards[shard]
 	sh.mu.Lock()
-	if e.durableOn() {
+	if e.wl.stale != nil {
+		err = e.wl.stale(sh.tree, at)
+	}
+	if err == nil && e.durableOn() {
 		err = e.logAppend(shard, payload)
 	}
 	if err == nil {
