@@ -16,8 +16,8 @@ package bayestree
 // Accuracy results are attached as custom benchmark metrics
 // (acc@N = anytime accuracy after N node reads, mean-acc = area under the
 // anytime curve). Benchmarks use reduced data set scales so the full
-// suite completes in minutes; `go run ./cmd/anytime` reproduces the
-// figures at larger scale.
+// suite completes in minutes; `go run ./cmd/anytime figures` reproduces
+// the figures at larger scale.
 
 import (
 	"fmt"
@@ -90,7 +90,8 @@ func runFigure(b *testing.B, dsName string, scale float64, loaders []string, str
 
 // BenchmarkTable1Datasets regenerates Table 1: the four data sets with
 // their sizes, class and feature counts (generation throughput is the
-// measured cost; the inventory itself is printed by cmd/anytime).
+// measured cost; the inventory itself is printed by `anytime figures
+// -experiment table1`).
 func BenchmarkTable1Datasets(b *testing.B) {
 	for _, row := range dataset.Table1() {
 		b.Run(row.Name, func(b *testing.B) {

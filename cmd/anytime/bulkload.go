@@ -60,9 +60,9 @@ func runBulkload(args []string, stdout io.Writer) error {
 		elapsed := time.Since(start)
 		agg := aggregateStats(trees)
 		valid := "ok"
-		for i, t := range trees {
+		for c, t := range trees {
 			if err := t.Validate(); err != nil {
-				valid = fmt.Sprintf("class %d: %v", labels[i], err)
+				valid = fmt.Sprintf("class %d: %v", labels[c], err)
 				break
 			}
 		}

@@ -3,7 +3,7 @@ package bayestree
 // Integration tests asserting the paper's qualitative claims end to end
 // at reduced scale — the "reproduction gate" that must stay green. The
 // full-scale numbers live in EXPERIMENTS.md and are regenerated by
-// cmd/anytime and the Figure benchmarks.
+// `anytime figures` (cmd/anytime) and the Figure benchmarks.
 
 import (
 	"testing"

@@ -32,7 +32,7 @@ type reduceFn func(f *mixture, s, group int) ([]int, error)
 
 // statisticalBuild stacks tree levels bottom-up, each produced by reducing
 // the previous level's mixture.
-func statisticalBuild(points [][]float64, cfg core.Config, reduce reduceFn) (*core.Tree, error) {
+func statisticalBuild(points [][]float64, cfg core.Config, reducer reduceFn) (*core.Tree, error) {
 	if err := validatePoints(points, cfg); err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func statisticalBuild(points [][]float64, cfg core.Config, reduce reduceFn) (*co
 	}
 
 	// Reduce kernels to leaves.
-	leafGroups, err := reduceToGroups(fine, len(points), cfg.MinLeaf, cfg.MaxLeaf, reduce)
+	leafGroups, err := reduceToGroups(fine, len(points), cfg.MinLeaf, cfg.MaxLeaf, reducer)
 	if err != nil {
 		return nil, fmt.Errorf("bulkload: leaf level: %w", err)
 	}
@@ -91,7 +91,7 @@ func statisticalBuild(points [][]float64, cfg core.Config, reduce reduceFn) (*co
 		if err != nil {
 			return nil, err
 		}
-		groups, err := reduceToGroups(level, len(nodes), cfg.MinFanout, cfg.MaxFanout, reduce)
+		groups, err := reduceToGroups(level, len(nodes), cfg.MinFanout, cfg.MaxFanout, reducer)
 		if err != nil {
 			return nil, fmt.Errorf("bulkload: inner level (%d nodes): %w", len(nodes), err)
 		}
@@ -155,7 +155,7 @@ func nodeCF(n *core.Node, dim int) stats.CF {
 
 // reduceToGroups reduces the fine mixture to ~count/⌈0.75·max⌉ groups and
 // post-processes them into the legal size range [min, max].
-func reduceToGroups(fine *mixture, count, minSize, maxSize int, reduce reduceFn) ([][]int, error) {
+func reduceToGroups(fine *mixture, count, minSize, maxSize int, reducer reduceFn) ([][]int, error) {
 	group := (3*maxSize + 3) / 4 // ⌈0.75·M⌉
 	if group < minSize {
 		group = minSize
@@ -171,7 +171,7 @@ func reduceToGroups(fine *mixture, count, minSize, maxSize int, reduce reduceFn)
 	if s < 2 {
 		s = 2
 	}
-	pi, err := reduce(fine, s, group)
+	pi, err := reducer(fine, s, group)
 	if err != nil {
 		return nil, err
 	}
