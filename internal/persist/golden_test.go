@@ -3,6 +3,7 @@ package persist_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"testing"
@@ -11,7 +12,46 @@ import (
 	"bayestree/internal/dataset"
 	"bayestree/internal/persist"
 	"bayestree/internal/server"
+	"bayestree/internal/stats"
 )
+
+// summaryDigest is a sha256 over every inner entry a set of multi-class
+// trees holds, in pre-order: the float64 bits of its MBR's Lo and Hi,
+// of each class CF's N, LS and SS, and of its Total's.
+func summaryDigest(ts []*core.MultiTree) string {
+	h := sha256.New()
+	var word [8]byte
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+			h.Write(word[:])
+		}
+	}
+	putCF := func(cf *stats.CF) {
+		put(cf.N)
+		put(cf.LS...)
+		put(cf.SS...)
+	}
+	var walk func(n *core.MultiNode)
+	walk = func(n *core.MultiNode) {
+		if n.IsLeaf() {
+			return
+		}
+		for _, e := range n.Entries() {
+			put(e.Rect.Lo...)
+			put(e.Rect.Hi...)
+			for c := range e.CFs {
+				putCF(&e.CFs[c])
+			}
+			putCF(&e.Total)
+			walk(e.Child)
+		}
+	}
+	for _, t := range ts {
+		walk(t.Root())
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // TestGoldenDerivedSummariesMatchStored holds the v3 format to the bytes
 // pinned before it, on the served golden models of internal/server's
@@ -20,6 +60,8 @@ import (
 // by the v2 writer, is the v2 snapshot the source model wrote — every
 // derived inner summary bitwise the stored one — and servers restored
 // from the v2 and the v3 bytes answer every probe as the source does.
+// The digest of the decoded model's inner summaries is pinned beside
+// the v2 bytes, so it is the digest of the summaries the source stored.
 func TestGoldenDerivedSummariesMatchStored(t *testing.T) {
 	d, err := dataset.Pendigits(1)
 	if err != nil {
@@ -27,14 +69,17 @@ func TestGoldenDerivedSummariesMatchStored(t *testing.T) {
 	}
 	d.Shuffle(1)
 	for _, tc := range []struct {
-		name  string
-		decay core.DecayOptions
-		size  int
-		sum   string
+		name    string
+		decay   core.DecayOptions
+		size    int
+		sum     string
+		summary string
 	}{
-		{name: "plain", size: 4635717, sum: "d94bfd760ced479e505804c94e79d15e2043e416979e07986da616369a94a504"},
+		{name: "plain", size: 4635717, sum: "d94bfd760ced479e505804c94e79d15e2043e416979e07986da616369a94a504",
+			summary: "24f84616de1c8a5578e910f7ce6ed8154169c4ddceff3216dced903ac09ffbce"},
 		{name: "decay", decay: core.DecayOptions{Lambda: 0.3, MinWeight: 0.05}, size: 3994968,
-			sum: "a11dc8549edd6ce826f821eca1247f71b0edf5ec935989ea146f899885755052"},
+			sum:     "a11dc8549edd6ce826f821eca1247f71b0edf5ec935989ea146f899885755052",
+			summary: "32071d384d1b6ac00a928b90008423ebb33fc628cdabc65f3d2b5272154160c9"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := server.Config{Decay: tc.decay}
@@ -63,6 +108,9 @@ func TestGoldenDerivedSummariesMatchStored(t *testing.T) {
 			trees, err := persist.DecodeMultiTrees(bytes.NewReader(v3.Bytes()))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := summaryDigest(trees); got != tc.summary {
+				t.Fatalf("the decoded model's inner summaries have sha256 %s, want %s", got, tc.summary)
 			}
 			v2 := persist.EncodeAt(2, trees)
 			sum := sha256.Sum256(v2)
