@@ -183,11 +183,11 @@ func main() {
 
 	all := rep.Latency["all"]
 	fmt.Fprintf(os.Stderr,
-		"loadgen: %s/%s %d reqs %.0f rps | p50 %.2fms p99 %.2fms p999 %.2fms max %.2fms | granted %.3f degraded %.3f acc %.3f err %.5f\n",
+		"loadgen: %s/%s %d reqs %.0f rps | p50 %.2fms p99 %.2fms p999 %.2fms max %.2fms | granted %.3f degraded %.3f acc %.3f logloss %.3f err %.5f\n",
 		rep.Workload, rep.Process, rep.Requests, rep.AchievedRPS,
 		all.P50Ms, all.P99Ms, all.P999Ms, all.MaxMs,
 		rep.Quality.GrantedFraction, rep.Quality.DegradedFraction,
-		rep.Quality.Accuracy, rep.ErrorRate)
+		rep.Quality.Accuracy, rep.Quality.LogLoss, rep.ErrorRate)
 	if len(breaches) > 0 {
 		for _, b := range breaches {
 			fmt.Fprintf(os.Stderr, "loadgen: SLO breach: %s\n", b)

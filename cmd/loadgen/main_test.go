@@ -19,7 +19,9 @@ import (
 // the server -selfserve starts, for both workloads. Every body must
 // decode through internal/wire as the request its route takes — a
 // finite point of the workload's dimension, the budget the scenario
-// asked for, a label the self-served model knows — and encode back to
+// asked for, a label the self-served model knows, on a holdout classify
+// (every classify of this run) the scores its log-loss is read from —
+// and encode back to
 // the very bytes that were sent, so nothing the body was built from is
 // lost or invented on the way; and the server must answer every one of
 // them (the report's error rate is the harness's own decode of the
@@ -56,8 +58,8 @@ func TestGeneratedBodiesAreWire(t *testing.T) {
 				var q wire.ClassifyRequest
 				err = wire.DecodeBody(body, &q)
 				x, again = q.X, q.AppendJSON(nil)
-				if q.Budget != budget || q.Scores || q.Literal {
-					t.Errorf("/classify body %s: budget %d scores %v literal %v, want budget %d alone", body, q.Budget, q.Scores, q.Literal, budget)
+				if q.Budget != budget || !q.Scores || q.Literal {
+					t.Errorf("/classify body %s: budget %d scores %v literal %v, want budget %d with scores", body, q.Budget, q.Scores, q.Literal, budget)
 				}
 			case "/insert":
 				var q wire.InsertRequest

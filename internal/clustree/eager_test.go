@@ -266,7 +266,7 @@ func TestMergeClosestBringsPairForward(t *testing.T) {
 	}
 	leaf := tree.root
 	for i, x := range []float64{0.10, 0.11, 0.9} {
-		leaf.entries = append(leaf.entries, &entry{cf: stats.CFOf([]float64{x}), buffer: stats.NewCF(1), ts: float64(10 * i)})
+		leaf.entries = append(leaf.entries, &entry{cf: stats.CFOfAll([][]float64{{x}}, 1), buffer: stats.NewCF(1), ts: float64(10 * i)})
 	}
 	tree.now = 30
 	tree.mergeClosest(leaf)

@@ -184,14 +184,3 @@ func (s *SnapshotStore) Window(t1, t2 float64, matchRadius float64) ([]MicroClus
 	}
 	return out, nil
 }
-
-// The store never needs more than O(alpha·capacity·log_alpha(T))
-// snapshots; MaxRetained bounds it for a horizon T, exposed for tests and
-// capacity planning.
-func MaxRetained(alpha, capacity int, horizon float64) int {
-	if horizon < float64(alpha) {
-		return capacity
-	}
-	orders := int(math.Log(horizon)/math.Log(float64(alpha))) + 1
-	return orders * capacity
-}

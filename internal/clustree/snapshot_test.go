@@ -35,6 +35,16 @@ func TestSnapshotStoreValidation(t *testing.T) {
 	}
 }
 
+// maxRetained bounds the snapshots the store keeps for a horizon T:
+// O(alpha·capacity·log_alpha(T)).
+func maxRetained(alpha, capacity int, horizon float64) int {
+	if horizon < float64(alpha) {
+		return capacity
+	}
+	orders := int(math.Log(horizon)/math.Log(float64(alpha))) + 1
+	return orders * capacity
+}
+
 // The pyramidal property: memory stays logarithmic in the horizon while
 // recent times are retained densely.
 func TestSnapshotStorePyramidal(t *testing.T) {
@@ -48,8 +58,8 @@ func TestSnapshotStorePyramidal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Len() > MaxRetained(2, 3, horizon) {
-		t.Fatalf("retained %d snapshots, cap %d", s.Len(), MaxRetained(2, 3, horizon))
+	if s.Len() > maxRetained(2, 3, horizon) {
+		t.Fatalf("retained %d snapshots, cap %d", s.Len(), maxRetained(2, 3, horizon))
 	}
 	// The most recent timestamps survive exactly.
 	for _, want := range []float64{4096, 4095, 4094} {

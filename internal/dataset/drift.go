@@ -105,61 +105,3 @@ func DriftStream(spec DriftSpec) (*Dataset, error) {
 	}
 	return ds, nil
 }
-
-// OneHot encodes categorical attribute values (given as integer codes per
-// column) into a dense feature block, the standard bridge for running the
-// Bayes tree on data sets "containing (or consisting of) categorical
-// data" (Section 4.1 names native categorical support as future work;
-// one-hot encoding makes such data usable today). cardinalities[j] is the
-// number of distinct values of column j; values outside [0, cardinality)
-// are rejected.
-func OneHot(rows [][]int, cardinalities []int) ([][]float64, error) {
-	if len(cardinalities) == 0 {
-		return nil, fmt.Errorf("dataset: no cardinalities")
-	}
-	width := 0
-	for j, c := range cardinalities {
-		if c < 2 {
-			return nil, fmt.Errorf("dataset: column %d has cardinality %d (< 2)", j, c)
-		}
-		width += c
-	}
-	out := make([][]float64, len(rows))
-	for i, row := range rows {
-		if len(row) != len(cardinalities) {
-			return nil, fmt.Errorf("dataset: row %d has %d columns, want %d", i, len(row), len(cardinalities))
-		}
-		x := make([]float64, width)
-		off := 0
-		for j, v := range row {
-			if v < 0 || v >= cardinalities[j] {
-				return nil, fmt.Errorf("dataset: row %d column %d value %d outside [0,%d)", i, j, v, cardinalities[j])
-			}
-			x[off+v] = 1
-			off += cardinalities[j]
-		}
-		out[i] = x
-	}
-	return out, nil
-}
-
-// AppendOneHot concatenates numeric features with a one-hot block, for
-// mixed numeric/categorical data sets (covertype's real schema is of this
-// kind).
-func AppendOneHot(numeric [][]float64, rows [][]int, cardinalities []int) ([][]float64, error) {
-	if len(numeric) != len(rows) {
-		return nil, fmt.Errorf("dataset: %d numeric rows vs %d categorical rows", len(numeric), len(rows))
-	}
-	oh, err := OneHot(rows, cardinalities)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(numeric))
-	for i := range numeric {
-		x := make([]float64, 0, len(numeric[i])+len(oh[i]))
-		x = append(x, numeric[i]...)
-		x = append(x, oh[i]...)
-		out[i] = x
-	}
-	return out, nil
-}

@@ -85,46 +85,3 @@ func dist(a, b []float64) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-func TestOneHot(t *testing.T) {
-	rows := [][]int{{0, 2}, {1, 0}}
-	out, err := OneHot(rows, []int{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{1, 0, 0, 0, 1}, {0, 1, 1, 0, 0}}
-	for i := range want {
-		for k := range want[i] {
-			if out[i][k] != want[i][k] {
-				t.Fatalf("OneHot[%d] = %v, want %v", i, out[i], want[i])
-			}
-		}
-	}
-	if _, err := OneHot(rows, []int{2}); err == nil {
-		t.Errorf("column count mismatch accepted")
-	}
-	if _, err := OneHot([][]int{{5, 0}}, []int{2, 3}); err == nil {
-		t.Errorf("out-of-range value accepted")
-	}
-	if _, err := OneHot(rows, []int{2, 1}); err == nil {
-		t.Errorf("cardinality 1 accepted")
-	}
-	if _, err := OneHot(rows, nil); err == nil {
-		t.Errorf("empty cardinalities accepted")
-	}
-}
-
-func TestAppendOneHot(t *testing.T) {
-	numeric := [][]float64{{0.5}, {0.7}}
-	rows := [][]int{{1}, {0}}
-	out, err := AppendOneHot(numeric, rows, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out[0]) != 3 || out[0][0] != 0.5 || out[0][2] != 1 {
-		t.Fatalf("AppendOneHot = %v", out)
-	}
-	if _, err := AppendOneHot(numeric[:1], rows, []int{2}); err == nil {
-		t.Errorf("row count mismatch accepted")
-	}
-}

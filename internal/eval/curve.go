@@ -2,7 +2,7 @@
 // classification accuracy measured after every node read, averaged over
 // stratified 4-fold cross validation (Section 3.2) — with the log-loss,
 // Brier score and calibration error of the posterior behind each answer
-// — plus confusion matrices, result tables and ASCII curve plots. The canned experiments in
+// — plus result tables and ASCII curve plots. The canned experiments in
 // experiments.go regenerate Table 1 and Figures 2–4.
 package eval
 
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"time"
 
 	"bayestree/internal/bulkload"
@@ -316,44 +315,4 @@ func (c *tally) curve(name string, build time.Duration) *Curve {
 		cv.ECE = append(cv.ECE, ece/n)
 	}
 	return cv
-}
-
-// ConfusionMatrix counts test predictions at a fixed node budget: the
-// entry [i][j] is the number of objects of the i-th label predicted as the
-// j-th label (labels in ascending order).
-func ConfusionMatrix(clf *core.Classifier, test *dataset.Dataset, budget int) ([][]int, []int) {
-	labels := test.Classes()
-	index := make(map[int]int, len(labels))
-	for i, l := range labels {
-		index[l] = i
-	}
-	m := make([][]int, len(labels))
-	for i := range m {
-		m[i] = make([]int, len(labels))
-	}
-	for i := range test.X {
-		pred := clf.Classify(test.X[i], budget)
-		pi, ok := index[pred]
-		if !ok {
-			// Prediction for a label absent from the test fold: count it
-			// in the nearest existing slot to keep the matrix square.
-			pi = sort.SearchInts(labels, pred)
-			if pi >= len(labels) {
-				pi = len(labels) - 1
-			}
-		}
-		m[index[test.Y[i]]][pi]++
-	}
-	return m, labels
-}
-
-// Accuracy computes the fraction of correct predictions at a fixed budget.
-func Accuracy(clf *core.Classifier, test *dataset.Dataset, budget int) float64 {
-	correct := 0
-	for i := range test.X {
-		if clf.Classify(test.X[i], budget) == test.Y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(test.Len())
 }

@@ -92,41 +92,6 @@ func TestTrainForestCoversClasses(t *testing.T) {
 	}
 }
 
-func TestAccuracyAndConfusion(t *testing.T) {
-	ds := tinyDataset(t)
-	loader, _ := bulkload.ByName("emtopdown")
-	folds, err := ds.StratifiedKFold(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train := ds.Subset(folds[0].Train, "train")
-	test := ds.Subset(folds[0].Test, "test")
-	clf, err := TrainForest(train, loader, core.DefaultConfig, core.ClassifierOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := Accuracy(clf, test, 20)
-	m, labels := ConfusionMatrix(clf, test, 20)
-	if len(labels) != 3 || len(m) != 3 {
-		t.Fatalf("matrix shape %dx%d", len(m), len(labels))
-	}
-	total, diag := 0, 0
-	for i := range m {
-		for j := range m[i] {
-			total += m[i][j]
-			if i == j {
-				diag += m[i][j]
-			}
-		}
-	}
-	if total != test.Len() {
-		t.Errorf("matrix total %d, want %d", total, test.Len())
-	}
-	if got := float64(diag) / float64(total); got != acc {
-		t.Errorf("diagonal accuracy %v != Accuracy %v", got, acc)
-	}
-}
-
 func TestMultiCurve(t *testing.T) {
 	ds := tinyDataset(t)
 	c, err := MultiCurve(ds, core.MultiOptions{}, CurveOptions{Folds: 2, MaxNodes: 15, Seed: 1})
@@ -168,12 +133,6 @@ func TestPlotAndTableRender(t *testing.T) {
 	short := &Curve{Name: "short", Acc: []float64{1}}
 	if err := PlotCurves(&buf, "bad", []*Curve{c, short}); err == nil {
 		t.Errorf("mismatched curves accepted")
-	}
-	buf.Reset()
-	m, labels := [][]int{{5, 1}, {0, 4}}, []int{0, 1}
-	PrintConfusion(&buf, m, labels)
-	if !strings.Contains(buf.String(), "5") {
-		t.Errorf("confusion print empty")
 	}
 }
 

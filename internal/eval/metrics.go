@@ -1,108 +1,6 @@
 package eval
 
-import (
-	"fmt"
-	"math"
-)
-
-// Metrics are aggregate classification quality measures derived from a
-// confusion matrix, complementing the plain accuracy the paper plots:
-// Cohen's kappa corrects for chance agreement (important on skewed data
-// like covertype) and macro precision/recall/F1 weight classes equally
-// (important on letter's 26 classes).
-type Metrics struct {
-	Accuracy       float64
-	Kappa          float64
-	MacroPrecision float64
-	MacroRecall    float64
-	MacroF1        float64
-	PerClass       []ClassMetrics
-}
-
-// ClassMetrics are one class's precision/recall/F1 and support.
-type ClassMetrics struct {
-	Label     int
-	Precision float64
-	Recall    float64
-	F1        float64
-	Support   int
-}
-
-// ComputeMetrics derives Metrics from a confusion matrix m (rows = true
-// labels, columns = predictions, label order as given).
-func ComputeMetrics(m [][]int, labels []int) (*Metrics, error) {
-	k := len(labels)
-	if len(m) != k {
-		return nil, fmt.Errorf("eval: matrix has %d rows for %d labels", len(m), k)
-	}
-	var total, diag float64
-	rowSum := make([]float64, k)
-	colSum := make([]float64, k)
-	for i := range m {
-		if len(m[i]) != k {
-			return nil, fmt.Errorf("eval: matrix row %d has %d columns, want %d", i, len(m[i]), k)
-		}
-		for j, v := range m[i] {
-			if v < 0 {
-				return nil, fmt.Errorf("eval: negative count at [%d][%d]", i, j)
-			}
-			total += float64(v)
-			rowSum[i] += float64(v)
-			colSum[j] += float64(v)
-			if i == j {
-				diag += float64(v)
-			}
-		}
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("eval: empty confusion matrix")
-	}
-	out := &Metrics{Accuracy: diag / total}
-
-	// Cohen's kappa: (p_o − p_e) / (1 − p_e) with chance agreement p_e
-	// from the marginals.
-	var pe float64
-	for i := 0; i < k; i++ {
-		pe += (rowSum[i] / total) * (colSum[i] / total)
-	}
-	if pe < 1 {
-		out.Kappa = (out.Accuracy - pe) / (1 - pe)
-	} else {
-		out.Kappa = 0
-	}
-
-	var sumP, sumR, sumF float64
-	counted := 0
-	for i := 0; i < k; i++ {
-		tp := float64(m[i][i])
-		var p, r float64
-		if colSum[i] > 0 {
-			p = tp / colSum[i]
-		}
-		if rowSum[i] > 0 {
-			r = tp / rowSum[i]
-		}
-		var f float64
-		if p+r > 0 {
-			f = 2 * p * r / (p + r)
-		}
-		out.PerClass = append(out.PerClass, ClassMetrics{
-			Label: labels[i], Precision: p, Recall: r, F1: f, Support: int(rowSum[i]),
-		})
-		if rowSum[i] > 0 { // macro-average over classes that occur
-			sumP += p
-			sumR += r
-			sumF += f
-			counted++
-		}
-	}
-	if counted > 0 {
-		out.MacroPrecision = sumP / float64(counted)
-		out.MacroRecall = sumR / float64(counted)
-		out.MacroF1 = sumF / float64(counted)
-	}
-	return out, nil
-}
+import "fmt"
 
 // CurveArea returns the normalised area between two anytime curves —
 // positive when a dominates b — a single number for "who wins and by how
@@ -119,26 +17,6 @@ func CurveArea(a, b *Curve) (float64, error) {
 	return s / float64(len(a.Acc)), nil
 }
 
-// Crossover returns the first budget at which curve a falls behind curve
-// b after having been ahead, or -1 if no such crossover exists — the
-// "where crossovers fall" question for figure comparisons.
-func Crossover(a, b *Curve) int {
-	if len(a.Acc) != len(b.Acc) {
-		return -1
-	}
-	wasAhead := false
-	for t := range a.Acc {
-		diff := a.Acc[t] - b.Acc[t]
-		if diff > 1e-12 {
-			wasAhead = true
-		}
-		if wasAhead && diff < -1e-12 {
-			return t
-		}
-	}
-	return -1
-}
-
 // Oscillation quantifies the non-monotonicity of an anytime curve: the
 // summed magnitude of accuracy *drops* between consecutive budgets. The
 // paper observed oscillating glo curves on gender/covertype; this makes
@@ -151,28 +29,4 @@ func Oscillation(c *Curve) float64 {
 		}
 	}
 	return s
-}
-
-// MeanSquaredSlope measures curve smoothness (lower = smoother).
-func MeanSquaredSlope(c *Curve) float64 {
-	if len(c.Acc) < 2 {
-		return 0
-	}
-	var s float64
-	for i := 1; i < len(c.Acc); i++ {
-		d := c.Acc[i] - c.Acc[i-1]
-		s += d * d
-	}
-	return s / float64(len(c.Acc)-1)
-}
-
-// NormalizedAUC rescales the curve mean into [0,1] relative to the given
-// floor (e.g. chance accuracy) — useful to compare anytime quality across
-// data sets with different class counts.
-func NormalizedAUC(c *Curve, chance float64) float64 {
-	if chance >= 1 {
-		return 0
-	}
-	v := (c.Mean() - chance) / (1 - chance)
-	return math.Max(0, math.Min(1, v))
 }

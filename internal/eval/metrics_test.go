@@ -5,69 +5,6 @@ import (
 	"testing"
 )
 
-func TestComputeMetricsPerfect(t *testing.T) {
-	m := [][]int{{10, 0}, {0, 20}}
-	got, err := ComputeMetrics(m, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Accuracy != 1 || got.Kappa != 1 || got.MacroF1 != 1 {
-		t.Errorf("perfect matrix: %+v", got)
-	}
-}
-
-func TestComputeMetricsKnownValues(t *testing.T) {
-	// Classic worked example: acc = 0.7, marginals give pe = 0.5,
-	// kappa = 0.4.
-	m := [][]int{{25, 25}, {5, 45}}
-	got, err := ComputeMetrics(m, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.Accuracy-0.7) > 1e-12 {
-		t.Errorf("accuracy %v", got.Accuracy)
-	}
-	// pe = (50/100)(30/100) + (50/100)(70/100) = 0.15 + 0.35 = 0.5
-	if math.Abs(got.Kappa-0.4) > 1e-12 {
-		t.Errorf("kappa %v, want 0.4", got.Kappa)
-	}
-	// Class 0: precision 25/30, recall 25/50.
-	c0 := got.PerClass[0]
-	if math.Abs(c0.Precision-25.0/30) > 1e-12 || math.Abs(c0.Recall-0.5) > 1e-12 {
-		t.Errorf("class 0 metrics %+v", c0)
-	}
-	if c0.Support != 50 {
-		t.Errorf("support %d", c0.Support)
-	}
-}
-
-func TestComputeMetricsChanceLevel(t *testing.T) {
-	// Predictions independent of truth → kappa ≈ 0.
-	m := [][]int{{25, 25}, {25, 25}}
-	got, err := ComputeMetrics(m, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.Kappa) > 1e-12 {
-		t.Errorf("chance kappa %v", got.Kappa)
-	}
-}
-
-func TestComputeMetricsValidation(t *testing.T) {
-	if _, err := ComputeMetrics([][]int{{1}}, []int{0, 1}); err == nil {
-		t.Errorf("row mismatch accepted")
-	}
-	if _, err := ComputeMetrics([][]int{{1, 2}, {3}}, []int{0, 1}); err == nil {
-		t.Errorf("ragged matrix accepted")
-	}
-	if _, err := ComputeMetrics([][]int{{0, 0}, {0, 0}}, []int{0, 1}); err == nil {
-		t.Errorf("empty matrix accepted")
-	}
-	if _, err := ComputeMetrics([][]int{{-1, 0}, {0, 1}}, []int{0, 1}); err == nil {
-		t.Errorf("negative count accepted")
-	}
-}
-
 func TestCurveComparators(t *testing.T) {
 	a := &Curve{Name: "a", Acc: []float64{0.5, 0.7, 0.9, 0.8}}
 	b := &Curve{Name: "b", Acc: []float64{0.5, 0.6, 0.7, 0.9}}
@@ -78,13 +15,6 @@ func TestCurveComparators(t *testing.T) {
 	want := (0.0 + 0.1 + 0.2 - 0.1) / 4
 	if math.Abs(area-want) > 1e-12 {
 		t.Errorf("area %v, want %v", area, want)
-	}
-	if got := Crossover(a, b); got != 3 {
-		t.Errorf("crossover at %d, want 3", got)
-	}
-	if got := Crossover(b, a); got != -1 {
-		// b is never ahead before falling behind at t=1? b ahead never → -1.
-		t.Errorf("reverse crossover %d, want -1", got)
 	}
 	if _, err := CurveArea(a, &Curve{Acc: []float64{1}}); err == nil {
 		t.Errorf("length mismatch accepted")
@@ -99,24 +29,5 @@ func TestOscillationAndSmoothness(t *testing.T) {
 	}
 	if got := Oscillation(rough); math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("oscillation %v, want 0.2", got)
-	}
-	if MeanSquaredSlope(rough) <= MeanSquaredSlope(smooth) {
-		t.Errorf("smoothness ordering wrong")
-	}
-	if MeanSquaredSlope(&Curve{Acc: []float64{1}}) != 0 {
-		t.Errorf("single-point slope nonzero")
-	}
-}
-
-func TestNormalizedAUC(t *testing.T) {
-	c := &Curve{Acc: []float64{0.55, 0.55, 0.55, 0.55}}
-	if got := NormalizedAUC(c, 0.1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("normalised AUC %v, want 0.5", got)
-	}
-	if NormalizedAUC(c, 1) != 0 {
-		t.Errorf("degenerate chance should give 0")
-	}
-	if NormalizedAUC(&Curve{Acc: []float64{0.05}}, 0.1) != 0 {
-		t.Errorf("below-chance should clamp to 0")
 	}
 }

@@ -107,19 +107,3 @@ func QualityTable(w io.Writer, curves []*Curve, budgets []int) {
 		}
 	}
 }
-
-// PrintConfusion renders a confusion matrix with its labels.
-func PrintConfusion(w io.Writer, m [][]int, labels []int) {
-	fmt.Fprintf(w, "%6s", "t\\p")
-	for _, l := range labels {
-		fmt.Fprintf(w, "%6d", l)
-	}
-	fmt.Fprintln(w)
-	for i, row := range m {
-		fmt.Fprintf(w, "%6d", labels[i])
-		for _, v := range row {
-			fmt.Fprintf(w, "%6d", v)
-		}
-		fmt.Fprintln(w)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 )
@@ -11,8 +12,8 @@ import (
 // This file shapes what a run measured: per-kind latency percentiles,
 // achieved vs offered throughput, and the quality-under-load block —
 // the granted-budget fraction, the degraded-answer fraction and the
-// holdout accuracy that together are the paper's "degrade, never
-// error" story as numbers. SLO turns a report into a pass/fail, the
+// holdout accuracy and log-loss that together are the paper's
+// "degrade, never error" story as numbers. SLO turns a report into a pass/fail, the
 // regression gate CI runs.
 
 // Quality is the answer-quality-under-load block of a report.
@@ -32,10 +33,13 @@ type Quality struct {
 	Parked         int64   `json:"parked"`
 	ParkedFraction float64 `json:"parked_fraction"`
 	// Evaluated and Correct score holdout classifies against ground
-	// truth; Accuracy is their ratio (0 when nothing was evaluated).
+	// truth; Accuracy is their ratio and LogLoss the mean over the same
+	// answers of −ln p(true label), p the softmax of the answer's log
+	// scores clipped at 1e-15 (both 0 when nothing was evaluated).
 	Evaluated int64   `json:"evaluated"`
 	Correct   int64   `json:"correct"`
 	Accuracy  float64 `json:"accuracy"`
+	LogLoss   float64 `json:"log_loss"`
 }
 
 // Report is the result of one scenario run.
@@ -124,6 +128,9 @@ func (rs *runState) report(elapsed time.Duration) *Report {
 	q.Evaluated = rs.ctr.evaluated.Load()
 	q.Correct = rs.ctr.correct.Load()
 	q.Accuracy = ratio(q.Correct, q.Evaluated)
+	if q.Evaluated > 0 {
+		q.LogLoss = math.Float64frombits(rs.ctr.logLoss.Load()) / float64(q.Evaluated)
+	}
 	return rep
 }
 

@@ -5,8 +5,8 @@
 // concurrency closed loop), records per-request latency in a lock-free
 // sharded HDR-style histogram (p50/p90/p99/p999, max), and scores
 // answer quality against load: the granted-budget fraction, the
-// degraded-answer fraction, and classification accuracy on a labelled
-// holdout replayed through /classify. SLO objectives turn a run into a
+// degraded-answer fraction, and classification accuracy and log-loss on
+// a labelled holdout replayed through /classify. SLO objectives turn a run into a
 // pass/fail — the regression gate behind every future perf claim.
 //
 // The paper's premise is that an anytime system under overload keeps
@@ -20,11 +20,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"bayestree/internal/stats"
 	"bayestree/internal/wire"
 )
 
@@ -137,12 +139,39 @@ type counters struct {
 	scheduled atomic.Int64 // open loop: requests the process offered
 	done      atomic.Int64
 	errors    atomic.Int64
-	requested atomic.Int64 // sum of requested budgets
-	granted   atomic.Int64 // sum of granted budgets
-	degraded  atomic.Int64 // answers with granted < requested
-	parked    atomic.Int64 // clustering ingests parked short of a leaf
-	evaluated atomic.Int64 // holdout classifies answered
-	correct   atomic.Int64 // ... with the true label
+	requested atomic.Int64  // sum of requested budgets
+	granted   atomic.Int64  // sum of granted budgets
+	degraded  atomic.Int64  // answers with granted < requested
+	parked    atomic.Int64  // clustering ingests parked short of a leaf
+	evaluated atomic.Int64  // holdout classifies answered
+	correct   atomic.Int64  // ... with the true label
+	logLoss   atomic.Uint64 // float64 bits: their summed −ln p(true label)
+}
+
+// probFloor is the probability a log-loss term is clipped at, as
+// internal/eval clips it: one answer without mass for the true label
+// adds −ln 1e-15 ≈ 34.5, not an infinite mean.
+const probFloor = 1e-15
+
+// trueLabelLoss is −ln p(label) under the softmax of res's log scores.
+func trueLabelLoss(res *wire.Result, label int) float64 {
+	for i, l := range res.Labels {
+		if l == label && i < len(res.Scores) {
+			p := math.Exp(res.Scores[i] - stats.LogSumExp(res.Scores))
+			return -math.Log(max(p, probFloor))
+		}
+	}
+	return -math.Log(probFloor)
+}
+
+// addFloat adds v to the float64 whose bits a holds.
+func addFloat(a *atomic.Uint64, v float64) {
+	for {
+		old := a.Load()
+		if a.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
 }
 
 // runState is everything one in-flight run shares.
@@ -201,6 +230,7 @@ func (rs *runState) send(req request) error {
 		if res.Label == req.wantLabel {
 			rs.ctr.correct.Add(1)
 		}
+		addFloat(&rs.ctr.logLoss, trueLabelLoss(&res, req.wantLabel))
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -93,12 +95,50 @@ func TestRunAllProcessesClassify(t *testing.T) {
 			if rep.Quality.Accuracy < 0.8 {
 				t.Fatalf("holdout accuracy %.3f < 0.8 on the separated three-blob model", rep.Quality.Accuracy)
 			}
+			if ll := rep.Quality.LogLoss; !(ll >= 0) || math.IsInf(ll, 0) {
+				t.Fatalf("holdout log-loss %v, want finite and non-negative", ll)
+			}
 			if rep.Quality.RequestedBudget == 0 || rep.Quality.GrantedBudget == 0 {
 				t.Fatalf("budgets not tracked: requested=%d granted=%d",
 					rep.Quality.RequestedBudget, rep.Quality.GrantedBudget)
 			}
 		})
 	}
+}
+
+// TestRunReportsLogLoss: a closed-loop run against a model that learned
+// the holdout's distribution under random labels — every answer's
+// posterior spread over the classes — reports a finite, positive mean
+// log-loss over the answers it scored, short of the clip value one
+// answer without the true label's mass would give.
+func TestRunReportsLogLoss(t *testing.T) {
+	s, err := server.NewEmpty(2, core.DefaultConfig(classDim), []int{0, 1, 2}, core.MultiOptions{}, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		x, _ := classPoint(rng)
+		if err := s.Insert(x, rng.Intn(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	sc := shortScenario(ts.URL, WorkloadClassify, nil)
+	sc.Warmup, sc.Mix.InsertFraction = -1, 0
+	rep, err := Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := rep.Quality
+	if q.Evaluated == 0 || rep.Errors != 0 {
+		t.Fatalf("%d answers scored, %d errors", q.Evaluated, rep.Errors)
+	}
+	if !(q.LogLoss > 0) || q.LogLoss >= -math.Log(probFloor) {
+		t.Fatalf("log-loss %v over %d answers (accuracy %.3f), want in (0, %.1f)", q.LogLoss, q.Evaluated, q.Accuracy, -math.Log(probFloor))
+	}
+	t.Logf("log-loss %.3f, accuracy %.3f over %d answers", q.LogLoss, q.Accuracy, q.Evaluated)
 }
 
 // TestRunAllProcessesCluster drives the clustering server the same way:

@@ -197,6 +197,7 @@ func (g *generator) next() request {
 		g.cursor++
 		x, want = g.holdout.X[i], g.holdout.Y[i]
 	}
-	body := wire.ClassifyRequest{X: x, Budget: g.mix.Budget}.AppendJSON(nil)
+	// A scored classify asks for the log scores its log-loss is read from.
+	body := wire.ClassifyRequest{X: x, Budget: g.mix.Budget, Scores: want >= 0}.AppendJSON(nil)
 	return request{kind: KindClassify, path: pre + "/classify", body: body, wantLabel: want}
 }

@@ -8,23 +8,20 @@ import (
 	"bayestree/internal/clustree"
 )
 
-// This file extends the snapshot format to the clustering workload:
-// the Section-4.2 ClusTree (tree topology, entry cluster features,
-// parked buffer CFs, decay timestamps, lifetime counters) and the
-// pyramidal snapshot store of micro-cluster history. Unlike the
-// classifier kinds' inner summaries, a ClusTree's inner CFs are stored:
-// with their own timestamps and parked buffers they are not a function
-// of their children. Float64 values are bit-exact, so a reloaded tree reports MicroClusters
-// and Weight digit-identically to the tree that was saved, including
-// outstanding lazy decay (timestamps round-trip, so fading resumes at
-// the exact point it stopped).
+// This file extends the snapshot format to the clustering workload: a
+// cluster set holds per shard a Section-4.2 ClusTree (tree topology,
+// entry cluster features, parked buffer CFs, decay timestamps, lifetime
+// counters), then the pyramidal snapshot store of micro-cluster history.
+// Unlike the classifier kinds' inner summaries, a ClusTree's inner CFs
+// are stored: with their own timestamps and parked buffers they are not
+// a function of their children. Float64 values are bit-exact, so a
+// reloaded tree reports MicroClusters and Weight digit-identically to
+// the tree that was saved, including outstanding lazy decay (timestamps
+// round-trip, so fading resumes at the exact point it stopped).
 
-// Clustering snapshot kinds, continuing the kind namespace of
-// persist.go.
-const (
-	kindClusTree   byte = 4 // single clustering tree
-	kindClusterSet byte = 5 // sharded clustering server state
-)
+// kindClusterSet is the clustering snapshot kind, continuing the kind
+// namespace of persist.go (kind 4, a single clustering tree, is retired).
+const kindClusterSet byte = 5 // sharded clustering server state
 
 // ClusterSet is the whole state of a sharded clustering server: the
 // per-shard trees, the pyramidal micro-cluster history (nil when the
@@ -36,29 +33,6 @@ type ClusterSet struct {
 	Store *clustree.SnapshotStore
 	// Clock is the global logical time (objects ingested so far).
 	Clock int64
-}
-
-// EncodeClusTree writes a snapshot of a single clustering tree.
-func EncodeClusTree(w io.Writer, t *clustree.Tree) error {
-	if t == nil {
-		return fmt.Errorf("persist: nil clustree")
-	}
-	dump := t.Dump()
-	return encodeSized(w, kindClusTree, func(e *encoder) { e.clusTree(t, dump) })
-}
-
-// DecodeClusTree reads a clustering-tree snapshot written by
-// EncodeClusTree.
-func DecodeClusTree(r io.Reader) (*clustree.Tree, error) {
-	d, err := newDecoder(r, kindClusTree)
-	if err != nil {
-		return nil, err
-	}
-	t := d.clusTree()
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // EncodeClusterSet writes a snapshot of a sharded clustering server's

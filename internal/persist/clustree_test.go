@@ -61,21 +61,22 @@ func mustEqualMicro(t *testing.T, want, got []clustree.MicroCluster) {
 }
 
 // TestClusTreeRoundTripDigitIdentical is the clustering snapshot
-// property test: encode→decode must reproduce micro-clusters, weight,
-// counters and configuration bit for bit, for both decayed and
-// undecayed trees — including outstanding lazy decay, which resumes at
-// the exact stored timestamps.
+// property test: encode→decode of a one-tree set must reproduce
+// micro-clusters, weight, counters and configuration bit for bit, for
+// both decayed and undecayed trees — including outstanding lazy decay,
+// which resumes at the exact stored timestamps.
 func TestClusTreeRoundTripDigitIdentical(t *testing.T) {
 	for _, lambda := range []float64{0, 0.003} {
 		tree := buildClusTree(t, 31, lambda)
 		var buf bytes.Buffer
-		if err := EncodeClusTree(&buf, tree); err != nil {
+		if err := EncodeClusterSet(&buf, ClusterSet{Trees: []*clustree.Tree{tree}}); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		got, err := DecodeClusTree(&buf)
+		set, err := DecodeClusterSet(&buf)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
+		got := set.Trees[0]
 		if got.Config() != tree.Config() {
 			t.Fatalf("config %+v != %+v", got.Config(), tree.Config())
 		}
@@ -164,39 +165,48 @@ func TestClusterSetRoundTrip(t *testing.T) {
 }
 
 // TestClusTreeDecodeRejectsCorruption exercises the error paths of the
-// clustering record types with the same table the classifier snapshots
-// get: bit rot, truncation, foreign files, future versions and kind
-// confusion must all fail loudly before any tree state is built.
+// cluster set — of one tree, and of two with a pyramidal store — with
+// the same table the classifier snapshots get: bit rot, truncation,
+// foreign files, future versions and kind confusion must all fail
+// loudly before any tree state is built.
 func TestClusTreeDecodeRejectsCorruption(t *testing.T) {
 	tree := buildClusTree(t, 77, 0.001)
+	store, err := clustree.NewSnapshotStore(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Record(600, tree.MicroClusters(0)); err != nil {
+		t.Fatal(err)
+	}
 	var single, set bytes.Buffer
-	if err := EncodeClusTree(&single, tree); err != nil {
+	if err := EncodeClusterSet(&single, ClusterSet{Trees: []*clustree.Tree{tree}, Clock: 5}); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if err := EncodeClusterSet(&set, ClusterSet{Trees: []*clustree.Tree{tree}, Clock: 5}); err != nil {
+	pair := ClusterSet{Trees: []*clustree.Tree{tree, buildClusTree(t, 78, 0)}, Store: store, Clock: 2400}
+	if err := EncodeClusterSet(&set, pair); err != nil {
 		t.Fatalf("encode set: %v", err)
 	}
 
+	decode := func(r *bytes.Reader) error { _, err := DecodeClusterSet(r); return err }
 	for _, tc := range []struct {
-		name   string
-		decode func(r *bytes.Reader) error
-		good   []byte
+		name string
+		good []byte
 	}{
-		{"tree", func(r *bytes.Reader) error { _, err := DecodeClusTree(r); return err }, single.Bytes()},
-		{"set", func(r *bytes.Reader) error { _, err := DecodeClusterSet(r); return err }, set.Bytes()},
+		{"tree", single.Bytes()},
+		{"set", set.Bytes()},
 	} {
 		t.Run(tc.name+"/bit rot", func(t *testing.T) {
 			for _, off := range []int{17, 60, len(tc.good) - 6} {
 				bad := append([]byte(nil), tc.good...)
 				bad[off] ^= 0x20
-				if err := tc.decode(bytes.NewReader(bad)); !errors.Is(err, ErrChecksum) {
+				if err := decode(bytes.NewReader(bad)); !errors.Is(err, ErrChecksum) {
 					t.Fatalf("flip at %d: got %v, want ErrChecksum", off, err)
 				}
 			}
 		})
 		t.Run(tc.name+"/truncated", func(t *testing.T) {
 			for _, n := range []int{0, 3, 15, 60, len(tc.good) - 1} {
-				if err := tc.decode(bytes.NewReader(tc.good[:n])); !errors.Is(err, ErrTruncated) {
+				if err := decode(bytes.NewReader(tc.good[:n])); !errors.Is(err, ErrTruncated) {
 					t.Fatalf("truncate to %d: got %v, want ErrTruncated", n, err)
 				}
 			}
@@ -204,35 +214,29 @@ func TestClusTreeDecodeRejectsCorruption(t *testing.T) {
 		t.Run(tc.name+"/bad magic", func(t *testing.T) {
 			bad := append([]byte(nil), tc.good...)
 			copy(bad, "NOPE")
-			if err := tc.decode(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
+			if err := decode(bytes.NewReader(bad)); !errors.Is(err, ErrBadMagic) {
 				t.Fatalf("got %v, want ErrBadMagic", err)
 			}
 		})
 		t.Run(tc.name+"/future version", func(t *testing.T) {
 			bad := append([]byte(nil), tc.good...)
 			bad[4] = Version + 1
-			if err := tc.decode(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
+			if err := decode(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
 				t.Fatalf("got %v, want ErrVersion", err)
 			}
 		})
 	}
 
 	t.Run("wrong kind", func(t *testing.T) {
-		if _, err := DecodeClusterSet(bytes.NewReader(single.Bytes())); err == nil {
-			t.Fatal("decoding a tree snapshot as a set succeeded")
-		}
-		if _, err := DecodeClusTree(bytes.NewReader(set.Bytes())); err == nil {
-			t.Fatal("decoding a set snapshot as a tree succeeded")
-		}
 		if _, err := DecodeMultiTrees(bytes.NewReader(set.Bytes())); err == nil {
 			t.Fatal("decoding a cluster set as a multi-tree set succeeded")
+		}
+		if _, err := DecodeClassifier(bytes.NewReader(single.Bytes())); err == nil {
+			t.Fatal("decoding a cluster set as a classifier succeeded")
 		}
 	})
 	t.Run("encode validation", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := EncodeClusTree(&buf, nil); err == nil {
-			t.Fatal("encoding a nil tree succeeded")
-		}
 		if err := EncodeClusterSet(&buf, ClusterSet{}); err == nil {
 			t.Fatal("encoding an empty set succeeded")
 		}

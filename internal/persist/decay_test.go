@@ -65,14 +65,7 @@ func probeScores(t *testing.T, mt *core.MultiTree, probes [][]float64) [][]float
 // effective weight, and bit-equal query scores.
 func TestDecayedMultiTreeRoundTripDigitIdentical(t *testing.T) {
 	mt := buildDecayedMultiTree(t)
-	var buf bytes.Buffer
-	if err := EncodeMultiTree(&buf, mt); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeMultiTree(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := roundTripMultiTree(t, mt)
 
 	wantOpts, wantEpoch, wantRef := mt.DecayState()
 	gotOpts, gotEpoch, gotRef := got.DecayState()
@@ -166,10 +159,9 @@ func decayedForest(t testing.TB) *core.Classifier {
 }
 
 // A decayed per-class forest snapshot round-trips digit-identically
-// through the classifier encoder, including priors from decayed masses —
-// and its bytes are pinned in both formats: v3 (leaves only) and the v2
-// writer's, which hold every inner summary and are the bytes the parent
-// of the shared tree skeleton produced, so a change to the order of any
+// through the classifier encoder, including priors from decayed masses
+// and every inner summary the decode derives (bitwise the source
+// forest's) — and its bytes are pinned, so a change to the order of any
 // insert, reinsertion or sweep shows in a hash, as TestGoldenSnapshot
 // shows it for MultiTree.
 func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
@@ -185,7 +177,6 @@ func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
 		sum     string
 	}{
 		{3, buf.Bytes(), 2227, "2db7344b0af5e52a250217bb2ff7e31de38ca5884aa6bc8996f3d7faf2d4f87e"},
-		{2, EncodeAt(2, clf), 4531, "42b1fd991a7905635f39f4fb120bf06bbc9b85ac2e746e494f460c10ffdb0714"},
 	} {
 		sum := sha256.Sum256(row.snap)
 		if got := hex.EncodeToString(sum[:]); len(row.snap) != row.size || got != row.sum {
@@ -195,8 +186,8 @@ func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(EncodeAt(2, got), EncodeAt(2, clf)) {
-			t.Fatalf("v%d decode derived inner summaries that differ from the stored ones", row.version)
+		if at := summaryDiff(clf, got); at != "" {
+			t.Fatalf("v%d decode derived an inner summary that differs from the source's at %s", row.version, at)
 		}
 		rng := rand.New(rand.NewSource(13))
 		for i := 0; i < 60; i++ {
@@ -213,66 +204,6 @@ func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
 			qa.Close()
 			qb.Close()
 		}
-	}
-}
-
-// Version-1 snapshots (written before the decay format) must keep
-// decoding: same bytes a v1 build produced, loaded as an undecayed
-// model answering digit-identically.
-func TestVersion1SnapshotStillDecodes(t *testing.T) {
-	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 5,
-		Kernel: core.DefaultConfig(2).Kernel}
-	mt, err := core.NewMultiTree(cfg, []int{0, 1}, core.MultiOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(14))
-	for i := 0; i < 70; i++ {
-		if err := mt.Insert([]float64{rng.Float64(), rng.Float64()}, i%2); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Write the exact v1 byte layout (no decay block, no weight flags).
-	e := newEncoderVersion(kindMultiTree, 1)
-	e.multiTree(mt)
-	var buf bytes.Buffer
-	if err := e.flush(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := DecodeMultiTree(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 snapshot no longer decodes: %v", err)
-	}
-	if opts, epoch, ref := got.DecayState(); opts.Enabled() || epoch != 0 || ref != 0 {
-		t.Fatalf("v1 snapshot decoded with decay state %+v e%d r%d", opts, epoch, ref)
-	}
-	probes := make([][]float64, 25)
-	for i := range probes {
-		probes[i] = []float64{rng.Float64(), rng.Float64()}
-	}
-	want := probeScores(t, mt, probes)
-	have := probeScores(t, got, probes)
-	for i := range probes {
-		for c := range want[i] {
-			if want[i][c] != have[i][c] {
-				t.Fatalf("probe %d class %d: v1 reload not digit-identical (%v != %v)",
-					i, c, have[i][c], want[i][c])
-			}
-		}
-	}
-
-	// The v1 set form decodes too (what a pre-decay serveclass wrote).
-	es := newEncoderVersion(kindMultiSet, 1)
-	es.u64(1)
-	es.multiTree(mt)
-	var setBuf bytes.Buffer
-	if err := es.flush(&setBuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeMultiTrees(bytes.NewReader(setBuf.Bytes())); err != nil {
-		t.Fatalf("v1 sharded-set snapshot no longer decodes: %v", err)
 	}
 }
 

@@ -70,21 +70,11 @@ var codecs = []codec{
 			}
 			return nil
 		}},
-	{"multitree", kindMultiTree,
-		func(r io.Reader) (any, error) { m, err := DecodeMultiTree(r); return orNil(m, err, nilPtr) },
-		func(r io.Reader) (any, error) { m, err := oracleDecodeMultiTree(r); return orNil(m, err, nilPtr) },
-		func(w io.Writer, m any) error { return EncodeMultiTree(w, m.(*core.MultiTree)) },
-		func(m any) error { return m.(*core.MultiTree).Validate() }},
 	{"multiset", kindMultiSet,
 		func(r io.Reader) (any, error) { m, err := DecodeMultiTrees(r); return orNil(m, err, noTrees) },
 		func(r io.Reader) (any, error) { m, err := oracleDecodeMultiTrees(r); return orNil(m, err, noTrees) },
 		func(w io.Writer, m any) error { return EncodeMultiTrees(w, m.([]*core.MultiTree)) },
 		func(m any) error { return validateAll(m.([]*core.MultiTree)) }},
-	{"clustree", kindClusTree,
-		func(r io.Reader) (any, error) { m, err := DecodeClusTree(r); return orNil(m, err, nilPtr) },
-		func(r io.Reader) (any, error) { m, err := oracleDecodeClusTree(r); return orNil(m, err, nilPtr) },
-		func(w io.Writer, m any) error { return EncodeClusTree(w, m.(*clustree.Tree)) },
-		func(m any) error { return m.(*clustree.Tree).Validate() }},
 	{"clusterset", kindClusterSet,
 		func(r io.Reader) (any, error) { m, err := DecodeClusterSet(r); return orNil(m, err, emptySet) },
 		func(r io.Reader) (any, error) { m, err := oracleDecodeClusterSet(r); return orNil(m, err, emptySet) },
@@ -109,6 +99,26 @@ type sample struct {
 
 // payloadOf is the payload of a framed snapshot.
 func payloadOf(snap []byte) []byte { return snap[headerBytes : len(snap)-sumBytes] }
+
+// encodeAny is the snapshot of a *core.Classifier, a []*core.MultiTree
+// or a ClusterSet.
+func encodeAny(tb testing.TB, m any) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	var err error
+	switch m := m.(type) {
+	case *core.Classifier:
+		err = EncodeClassifier(&buf, m)
+	case []*core.MultiTree:
+		err = EncodeMultiTrees(&buf, m)
+	default:
+		err = EncodeClusterSet(&buf, m.(ClusterSet))
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // frame wraps payload as a snapshot of the given version with a correct
 // length and checksum: how a mutation gets past the frame and reaches
@@ -201,60 +211,72 @@ func smallClusTree(tb testing.TB, lambda float64) *clustree.Tree {
 }
 
 // snapshotCorpus is every kind of snapshot the package's tests build —
-// per-class forest, multi-class tree and sharded set in every format
-// version (a v2 one with a forged inner summary among them), decayed
-// models with weighted leaves, a ClusTree under budget pressure, a
-// cluster set with and without its pyramidal store — plus a model of a
-// few nodes per kind.
+// per-class forest, sharded multi-class set and cluster set — over
+// decayed models with weighted leaves, a multi-class tree under every
+// option at once, a ClusTree under budget pressure, a cluster set with
+// and without its pyramidal store, and models of a few nodes. A sample
+// named after one tree is the set of that tree alone (with its history
+// for a ClusTree under pressure).
 func snapshotCorpus(tb testing.TB) []sample {
 	tb.Helper()
-	var out []sample
-	add := func(name string, encode func(w io.Writer) error) {
-		tb.Helper()
-		var buf bytes.Buffer
-		if err := encode(&buf); err != nil {
-			tb.Fatalf("%s: %v", name, err)
-		}
-		out = append(out, sample{name, buf.Bytes()})
-	}
 	clf, _ := trainClassifier(tb, 9, core.ClassifierOptions{Strategy: core.DescentBFT})
-	add("forest", func(w io.Writer) error { return EncodeClassifier(w, clf) })
-	forest := smallForest(tb)
-	add("forest-decayed-small", func(w io.Writer) error { return EncodeClassifier(w, forest) })
-	out = append(out, sample{"forest-decayed-small-v2", EncodeAt(2, forest)})
 	mt, _ := buildMultiTree(tb, 5, core.MultiOptions{PooledVariance: true, EntropyPriority: true})
-	add("multitree", func(w io.Writer) error { return EncodeMultiTree(w, mt) })
-	add("multitree-decayed", func(w io.Writer) error { return EncodeMultiTree(w, buildDecayedMultiTree(tb)) })
 	small, smallDecayed := smallMultiTree(tb, false), smallMultiTree(tb, true)
-	add("multitree-small", func(w io.Writer) error { return EncodeMultiTree(w, small) })
-	add("multitree-small-decayed", func(w io.Writer) error { return EncodeMultiTree(w, smallDecayed) })
-	add("multiset-small", func(w io.Writer) error { return EncodeMultiTrees(w, []*core.MultiTree{small, smallDecayed}) })
-	out = append(out,
-		sample{"multitree-small-v1", EncodeAt(1, small)},
-		sample{"multitree-small-v2", EncodeAt(2, smallDecayed)},
-		sample{"multitree-small-v2-forged", forgedV2(tb)},
-		sample{"multiset-v1", EncodeAt(1, []*core.MultiTree{mt, small})},
-		sample{"multiset-small-v2", EncodeAt(2, []*core.MultiTree{small, smallDecayed})})
-	pressed := buildClusTree(tb, 31, 0.003)
-	add("clustree", func(w io.Writer) error { return EncodeClusTree(w, pressed) })
-	tiny := smallClusTree(tb, 0.01)
-	add("clustree-small", func(w io.Writer) error { return EncodeClusTree(w, tiny) })
-	store, err := clustree.NewSnapshotStore(2, 3)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for ts := 8; ts <= 40; ts += 8 {
-		if err := store.Record(float64(ts), tiny.MicroClusters(0)); err != nil {
+	pressed, tiny := buildClusTree(tb, 31, 0.003), smallClusTree(tb, 0.01)
+	history := func(tree *clustree.Tree, every int) *clustree.SnapshotStore {
+		store, err := clustree.NewSnapshotStore(2, 3)
+		if err != nil {
 			tb.Fatal(err)
 		}
+		for ts := every; ts <= int(tree.Now()); ts += every {
+			if err := store.Record(float64(ts), tree.MicroClusters(0)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		return store
 	}
-	add("clusterset-small", func(w io.Writer) error {
-		return EncodeClusterSet(w, ClusterSet{Trees: []*clustree.Tree{tiny, smallClusTree(tb, 0)}, Store: store, Clock: 40})
-	})
-	add("clusterset-storeless", func(w io.Writer) error {
-		return EncodeClusterSet(w, ClusterSet{Trees: []*clustree.Tree{pressed}, Clock: 7})
-	})
+	var out []sample
+	for _, m := range []struct {
+		name  string
+		model any
+	}{
+		{"forest", clf},
+		{"forest-decayed-small", smallForest(tb)},
+		{"multitree", []*core.MultiTree{mt}},
+		{"multitree-decayed", []*core.MultiTree{buildDecayedMultiTree(tb)}},
+		{"multitree-small", []*core.MultiTree{small}},
+		{"multitree-small-decayed", []*core.MultiTree{smallDecayed}},
+		{"multiset-small", []*core.MultiTree{small, smallDecayed}},
+		{"clustree", ClusterSet{Trees: []*clustree.Tree{pressed}, Store: history(pressed, 300), Clock: 1200}},
+		{"clustree-small", ClusterSet{Trees: []*clustree.Tree{tiny}, Clock: 40}},
+		{"clusterset-small", ClusterSet{Trees: []*clustree.Tree{tiny, smallClusTree(tb, 0)}, Store: history(tiny, 8), Clock: 40}},
+		{"clusterset-storeless", ClusterSet{Trees: []*clustree.Tree{pressed}, Clock: 7}},
+	} {
+		out = append(out, sample{m.name, encodeAny(tb, m.model)})
+	}
 	return out
+}
+
+// retiredSnapshots is what this build no longer reads: a snapshot of
+// each kind framed as version 1 and as version 2, and well-formed
+// version-3 frames of the retired kinds 2 (one multi-class tree) and 4
+// (one ClusTree).
+func retiredSnapshots(tb testing.TB) []sample {
+	tb.Helper()
+	small, tiny := smallMultiTree(tb, true), smallClusTree(tb, 0.01)
+	var out []sample
+	for _, m := range []any{smallForest(tb), []*core.MultiTree{small}, ClusterSet{Trees: []*clustree.Tree{tiny}, Clock: 40}} {
+		payload := payloadOf(encodeAny(tb, m))
+		for _, v := range []uint32{1, 2} {
+			out = append(out, sample{fmt.Sprintf("kind-%d-v%d", payload[0], v), frame(v, payload)})
+		}
+	}
+	one := &encoder{p: []byte{2}}
+	one.multiTree(small)
+	out = append(out, sample{"kind-2", frame(Version, one.p)})
+	one = &encoder{p: []byte{4}}
+	one.clusTree(tiny, tiny.Dump())
+	return append(out, sample{"kind-4", frame(Version, one.p)})
 }
 
 // forgedStoreTimes is cluster sets whose pyramidal store lists a last
@@ -421,8 +443,7 @@ func mutate(rng *rand.Rand, snap []byte, i int) []byte {
 // reader-based decoder it replaced give the same verdict on every
 // snapshot of the corpus, on its payload cut at every byte (small
 // snapshots) or at every one of its first 512 and 300 sampled ones, and
-// on 2,000 seeded mutations of each. The inner summaries a v1/v2
-// snapshot stores, which the decoder skips, are the ones it derives.
+// on 2,000 seeded mutations of each.
 func TestSliceDecoderMatchesReaderOracle(t *testing.T) {
 	mutations := 2000
 	if raceEnabled {
@@ -432,26 +453,20 @@ func TestSliceDecoderMatchesReaderOracle(t *testing.T) {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
 			c := codecOf(payloadOf(s.snap)[0])
-			version := binary.LittleEndian.Uint32(s.snap[4:])
 			model, again := checkAgainstOracle(t, c, s.snap)
 			if model == nil {
 				t.Fatal("a valid snapshot was refused")
 			}
-			if version == Version && !bytes.Equal(again, s.snap) {
+			if !bytes.Equal(again, s.snap) {
 				t.Fatal("a valid snapshot does not encode back to its bytes")
 			}
 			if err := c.validate(model); err != nil {
 				t.Fatalf("a valid snapshot decodes to an invalid model: %v", err)
 			}
-			if version < 3 && c.kind <= kindMultiSet && !strings.HasSuffix(s.name, "-forged") {
-				if stale, err := oracleStale(s.snap); err != nil || stale != 0 {
-					t.Fatalf("%d stored inner summaries differ from the derived ones (%v)", stale, err)
-				}
-			}
 			payload := payloadOf(s.snap)
 			rng := rand.New(rand.NewSource(24))
 			cut := func(n int) {
-				if m, _ := checkAgainstOracle(t, c, frame(version, payload[:n])); m != nil {
+				if m, _ := checkAgainstOracle(t, c, frame(Version, payload[:n])); m != nil {
 					t.Fatalf("payload cut to %d of %d bytes was accepted", n, len(payload))
 				}
 			}
@@ -490,26 +505,31 @@ const fuzzRatio = 32
 // an empty model, which an input of a few bytes cannot amortise.
 const fuzzSlack = 16 << 10
 
+// fuzzSeedMutations is how many seeded mutations of each small corpus
+// snapshot FuzzDecodeSnapshot seeds: eight snapshots of three kinds get
+// as many seeds between them as thirteen of five kinds got at forty.
+const fuzzSeedMutations = 65
+
 // FuzzDecodeSnapshot holds every Decode* to its contract on whatever the
 // fuzzer finds. The harness stamps the magic, the payload length and the
 // checksum over the input, so mutations reach the field parsers, and
-// shows the result to all five decoders: at most the one the kind byte
+// shows the result to all three decoders: at most the one the kind byte
 // names may accept it. Rejected: no model, no goroutine left behind, and
 // no more allocated than fuzzRatio × the input — a declared count cannot
-// reserve what the input does not hold. Accepted: the oracle accepts it too, the
-// model encodes back to the input byte for byte (a version-1 or -2 input
-// encodes as version 3, which must decode and encode to itself), and the
+// reserve what the input does not hold. Accepted: the oracle accepts it
+// too, the model encodes back to the input byte for byte, and the
 // model's Validate runs without panicking. For the classification kinds
 // it passes: their snapshots store no summary a subtree can disagree
 // with, and the rebuild checks the node shapes Validate does. A
 // ClusTree's stored CFs may disagree — they are not a function of their
 // children — and checking that costs a decode as much again.
 //
-// The seeds are the corpus's snapshots under 16 KiB (every kind and
-// version), forty seeded mutations of each and the forged store times,
-// so that `go test` alone catches a decoder that drops a bound, skips
-// the kind check, lets trailing bytes through, leaves a derived entry
-// unsummarised or accepts a store its re-Recording would change.
+// The seeds are the corpus's snapshots under 16 KiB (every kind),
+// fuzzSeedMutations seeded mutations of each, the forged store times and
+// the retired snapshots, so that `go test` alone catches a decoder that
+// drops a bound, skips the kind or version check, lets trailing bytes
+// through, leaves a derived entry unsummarised or accepts a store its
+// re-Recording would change.
 func FuzzDecodeSnapshot(f *testing.F) {
 	rng := rand.New(rand.NewSource(24))
 	for _, s := range snapshotCorpus(f) {
@@ -517,11 +537,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			continue
 		}
 		f.Add(s.snap)
-		for i := 0; i < 40; i++ {
+		for i := 0; i < fuzzSeedMutations; i++ {
 			f.Add(mutate(rng, s.snap, i))
 		}
 	}
-	for _, s := range forgedStoreTimes(f) {
+	for _, s := range append(forgedStoreTimes(f), retiredSnapshots(f)...) {
 		f.Add(s.snap)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -555,12 +575,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if c.kind != payloadOf(b)[0] {
 				t.Fatalf("%s: accepted a snapshot of kind %d", c.name, payloadOf(b)[0])
 			}
-			if version == Version {
-				if !bytes.Equal(again, b) {
-					t.Fatalf("%s: an accepted snapshot does not encode back to its bytes", c.name)
-				}
-			} else if _, third := checkAgainstOracle(t, c, again); !bytes.Equal(third, again) {
-				t.Fatalf("%s: a version-%d snapshot's re-encoding does not decode to the same model", c.name, version)
+			if !bytes.Equal(again, b) {
+				t.Fatalf("%s: an accepted snapshot does not encode back to its bytes", c.name)
 			}
 			if err := c.validate(model); err != nil && c.kind <= kindMultiSet {
 				t.Fatalf("%s: an accepted snapshot decodes to an invalid model: %v", c.name, err)

@@ -14,11 +14,13 @@ import (
 	"bayestree/internal/core"
 	"bayestree/internal/dataset"
 	"bayestree/internal/eval"
+	"bayestree/internal/mbr"
+	"bayestree/internal/stats"
 )
 
 // answers is every answer a model gives to the probes (cut to its
 // dimensionality): each probe's class posteriors (forest) or scores
-// (multi-class tree, per shard) after 0, 1, 4 and all node reads, as
+// (multi-class set, per shard) after 0, 1, 4 and all node reads, as
 // float64 bits.
 func answers(tb testing.TB, m any, probes [][]float64) []uint64 {
 	tb.Helper()
@@ -42,8 +44,6 @@ func answers(tb testing.TB, m any, probes [][]float64) []uint64 {
 			}
 			record(q.Posteriors())
 			q.Close()
-		case *core.MultiTree:
-			out = append(out, answers(tb, []*core.MultiTree{m}, [][]float64{x})...)
 		case []*core.MultiTree:
 			for _, t := range m {
 				q, err := t.NewQuery(x[:t.Config().Dim], core.ClassifierOptions{})
@@ -71,11 +71,90 @@ func decodeAny(snap []byte) (any, error) {
 	return codecOf(payloadOf(snap)[0]).decode(bytes.NewReader(snap))
 }
 
-// derivedCorpus is one model of every shape whose inner summaries v3
-// stops storing: forests bulk-loaded by every loader (all but
+// sameBits reports whether two vectors are bitwise equal.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameCF(a, b *stats.CF) bool {
+	return math.Float64bits(a.N) == math.Float64bits(b.N) && sameBits(a.LS, b.LS) && sameBits(a.SS, b.SS)
+}
+
+func sameRect(a, b *mbr.Rect) bool { return sameBits(a.Lo, b.Lo) && sameBits(a.Hi, b.Hi) }
+
+// summaryDiff walks two models of the same shape — a *core.Classifier or
+// a []*core.MultiTree — in pre-order and names the first inner entry at
+// which they differ in a bit of the MBR or of a cluster feature (a class
+// CF or the Total of a multi-class entry); "" when none does.
+func summaryDiff(want, got any) string {
+	switch want := want.(type) {
+	case *core.Classifier:
+		for _, l := range want.Labels() {
+			if at := entryDiff(fmt.Sprint("class ", l), want.Tree(l).Root(), got.(*core.Classifier).Tree(l).Root(),
+				func(e *core.Entry) *core.Node { return e.Child },
+				func(a, b *core.Entry) bool { return sameRect(&a.Rect, &b.Rect) && sameCF(&a.CF, &b.CF) }); at != "" {
+				return at
+			}
+		}
+	case []*core.MultiTree:
+		for i, t := range want {
+			if at := entryDiff(fmt.Sprint("shard ", i), t.Root(), got.([]*core.MultiTree)[i].Root(),
+				func(e *core.MultiEntry) *core.MultiNode { return e.Child },
+				func(a, b *core.MultiEntry) bool {
+					same := sameRect(&a.Rect, &b.Rect) && sameCF(&a.Total, &b.Total) && len(a.CFs) == len(b.CFs)
+					for c := 0; same && c < len(a.CFs); c++ {
+						same = sameCF(&a.CFs[c], &b.CFs[c])
+					}
+					return same
+				}); at != "" {
+				return at
+			}
+		}
+	}
+	return ""
+}
+
+// entryDiff is summaryDiff over one tree of *core.Node or
+// *core.MultiNode; child steps down an entry, same compares two.
+func entryDiff[N interface {
+	IsLeaf() bool
+	Entries() []E
+}, E any](at string, a, b N, child func(*E) N, same func(a, b *E) bool) string {
+	if a.IsLeaf() != b.IsLeaf() {
+		return at + ": a leaf against an inner node"
+	}
+	if a.IsLeaf() {
+		return ""
+	}
+	ea, eb := a.Entries(), b.Entries()
+	if len(ea) != len(eb) {
+		return at + ": entry counts differ"
+	}
+	for i := range ea {
+		here := fmt.Sprintf("%s/%d", at, i)
+		if !same(&ea[i], &eb[i]) {
+			return here
+		}
+		if d := entryDiff(here, child(&ea[i]), child(&eb[i]), child, same); d != "" {
+			return d
+		}
+	}
+	return ""
+}
+
+// derivedCorpus is one model of every shape whose inner summaries a
+// snapshot does not store: forests bulk-loaded by every loader (all but
 // "iterative" through core.Builder), decayed forests that lived through
 // forced reinsertion and sweeps, multi-class trees under every
-// MultiOptions, a decayed one, and a sharded set.
+// MultiOptions, a decayed one, and sharded sets.
 func derivedCorpus(tb testing.TB) []struct {
 	name string
 	m    any
@@ -103,18 +182,17 @@ func derivedCorpus(tb testing.TB) []struct {
 	out = append(out, named{"forest-decayed", decayedForest(tb)}, named{"forest-decayed-small", smallForest(tb)})
 	for _, mo := range []core.MultiOptions{{}, {PooledVariance: true}, {EntropyPriority: true}, {PooledVariance: true, EntropyPriority: true}} {
 		mt, _ := buildMultiTree(tb, 5, mo)
-		out = append(out, named{fmt.Sprintf("multitree-%+v", mo), mt})
+		out = append(out, named{fmt.Sprintf("multitree-%+v", mo), []*core.MultiTree{mt}})
 	}
-	return append(out, named{"multitree-decayed", buildDecayedMultiTree(tb)},
+	return append(out, named{"multitree-decayed", []*core.MultiTree{buildDecayedMultiTree(tb)}},
 		named{"multiset", benchShards(tb, 3, 150, 3, 4)},
 		named{"multiset-small", []*core.MultiTree{smallMultiTree(tb, false), smallMultiTree(tb, true)}})
 }
 
 // TestDerivedSummariesMatchStored: on every model of derivedCorpus each
-// inner summary the v2 writer stores is bitwise the one a decode derives
-// from the leaves (the oracle reads the stored words and compares), and
-// the v3 and v2 decodes answer every probe bit-identically to the model
-// that was saved; a v3 decode encodes back to its own bytes.
+// inner summary a decode derives from the leaves is bitwise the one the
+// source model holds, the decode answers every probe bit-identically to
+// the model that was saved, and it encodes back to its own bytes.
 func TestDerivedSummariesMatchStored(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	probes := make([][]float64, 20)
@@ -122,61 +200,20 @@ func TestDerivedSummariesMatchStored(t *testing.T) {
 		probes[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 	}
 	for _, c := range derivedCorpus(t) {
-		v2, v3 := EncodeAt(2, c.m), EncodeAt(3, c.m)
-		stale, err := oracleStale(v2)
-		if err != nil || stale != 0 {
-			t.Fatalf("%s: %d stored inner summaries differ from the derived ones (%v)", c.name, stale, err)
+		snap := encodeAny(t, c.m)
+		got, err := decodeAny(snap)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		want := answers(t, c.m, probes)
-		for _, snap := range [][]byte{v3, v2} {
-			got, err := decodeAny(snap)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			if !slices.Equal(answers(t, got, probes), want) {
-				t.Fatalf("%s: the v%d decode answers differently", c.name, binary.LittleEndian.Uint32(snap[4:]))
-			}
-			if !bytes.Equal(EncodeAt(3, got), v3) {
-				t.Fatalf("%s: the v%d decode does not encode to the v3 bytes", c.name, binary.LittleEndian.Uint32(snap[4:]))
-			}
+		if at := summaryDiff(c.m, got); at != "" {
+			t.Fatalf("%s: the derived inner summary at %s differs from the source's", c.name, at)
 		}
-	}
-}
-
-// forgedV2 is the v2 snapshot of smallMultiTree with one inner entry's
-// stored class CF forged, checksum and all: a well-formed payload whose
-// summary disagrees with its subtree.
-func forgedV2(tb testing.TB) []byte {
-	tb.Helper()
-	mt := smallMultiTree(tb, false)
-	if mt.Root().IsLeaf() {
-		tb.Fatal("smallMultiTree has no inner entry to forge")
-	}
-	e := mt.Root().Entries()[0]
-	e.CFs[0].N += 3
-	e.CFs[0].LS[1] = -1e9
-	return EncodeAt(2, mt)
-}
-
-// TestDerivedIgnoresForgedSummaries: a v2 payload whose stored inner CF
-// disagrees with its subtree decodes to the derived values — the model
-// smallMultiTree is, encoding to its v3 bytes and passing Validate —
-// while the oracle, which still reads the stored words, sees the forgery.
-func TestDerivedIgnoresForgedSummaries(t *testing.T) {
-	forged := forgedV2(t)
-	if stale, err := oracleStale(forged); err != nil || stale != 1 {
-		t.Fatalf("the oracle found %d forged summaries (%v), want 1", stale, err)
-	}
-	got, err := DecodeMultiTree(bytes.NewReader(forged))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(EncodeAt(3, got), EncodeAt(3, smallMultiTree(t, false))) ||
-		!bytes.Equal(EncodeAt(2, got), EncodeAt(2, smallMultiTree(t, false))) {
-		t.Fatal("a forged v2 summary reached the decoded model")
+		if !slices.Equal(answers(t, got, probes), answers(t, c.m, probes)) {
+			t.Fatalf("%s: the decode answers differently", c.name)
+		}
+		if !bytes.Equal(encodeAny(t, got), snap) {
+			t.Fatalf("%s: the decode does not encode to its bytes", c.name)
+		}
 	}
 }
 
@@ -217,15 +254,15 @@ func TestDerivedDecodeOneProc(t *testing.T) {
 	}
 }
 
-// TestDerivedChainCannotAllocate: a v3 inner node is 9 bytes, a tag and
-// a child count, so a forged chain of them — each declaring as many
+// TestDerivedChainCannotAllocate: an inner node is 9 bytes, a tag and a
+// child count, so a forged chain of them — each declaring as many
 // children as the bytes after it could hold — nests its counts 800 deep
-// in 7 KB. Reserved by declaration, every level would reserve against
-// the same remaining bytes (46 MB); read children-first, the decode
-// allocates what the input holds.
+// in 7 KB, the one shard of a set. Reserved by declaration, every level
+// would reserve against the same remaining bytes (46 MB); read
+// children-first, the decode allocates what the input holds.
 func TestDerivedChainCannotAllocate(t *testing.T) {
 	small := smallMultiTree(t, false)
-	e := newEncoderVersion(kindMultiTree, Version)
+	e := &encoder{p: []byte{}}
 	e.config(small.Config())
 	e.decayState(small.DecayState())
 	e.boolv(false)
@@ -242,8 +279,11 @@ func TestDerivedChainCannotAllocate(t *testing.T) {
 		e.u8(1)
 		e.u64(uint64(depth - i - 1))
 	}
-	snap := frame(Version, e.p[headerBytes:])
-	m, err, grew := decodeMeasured(codecOf(kindMultiTree), snap)
+	set := &encoder{p: []byte{kindMultiSet}}
+	set.u64(1)
+	set.u64(uint64(len(e.p)))
+	snap := frame(Version, append(set.p, e.p...))
+	m, err, grew := decodeMeasured(codecOf(kindMultiSet), snap)
 	if m != nil || err == nil {
 		t.Fatal("a chain of inner nodes without leaves was accepted")
 	}

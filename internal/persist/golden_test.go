@@ -53,15 +53,13 @@ func summaryDigest(ts []*core.MultiTree) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenDerivedSummariesMatchStored holds the v3 format to the bytes
-// pinned before it, on the served golden models of internal/server's
-// TestGoldenSnapshot (9,000 shuffled Pendigits points into 4 shards,
-// with and without decay): their v3 snapshot, decoded and written again
-// by the v2 writer, is the v2 snapshot the source model wrote — every
-// derived inner summary bitwise the stored one — and servers restored
-// from the v2 and the v3 bytes answer every probe as the source does.
-// The digest of the decoded model's inner summaries is pinned beside
-// the v2 bytes, so it is the digest of the summaries the source stored.
+// TestGoldenDerivedSummariesMatchStored holds the summaries a decode
+// derives to the ones the source stored, on the served golden models of
+// internal/server's TestGoldenSnapshot (9,000 shuffled Pendigits points
+// into 4 shards, with and without decay): the digest of the decoded
+// model's inner summaries was pinned while a writer of the format that
+// stored them (v2) still ran, and matched its bytes there; a server
+// restored from the snapshot answers every probe as the source does.
 func TestGoldenDerivedSummariesMatchStored(t *testing.T) {
 	d, err := dataset.Pendigits(1)
 	if err != nil {
@@ -71,14 +69,10 @@ func TestGoldenDerivedSummariesMatchStored(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		decay   core.DecayOptions
-		size    int
-		sum     string
 		summary string
 	}{
-		{name: "plain", size: 4635717, sum: "d94bfd760ced479e505804c94e79d15e2043e416979e07986da616369a94a504",
-			summary: "24f84616de1c8a5578e910f7ce6ed8154169c4ddceff3216dced903ac09ffbce"},
-		{name: "decay", decay: core.DecayOptions{Lambda: 0.3, MinWeight: 0.05}, size: 3994968,
-			sum:     "a11dc8549edd6ce826f821eca1247f71b0edf5ec935989ea146f899885755052",
+		{name: "plain", summary: "24f84616de1c8a5578e910f7ce6ed8154169c4ddceff3216dced903ac09ffbce"},
+		{name: "decay", decay: core.DecayOptions{Lambda: 0.3, MinWeight: 0.05},
 			summary: "32071d384d1b6ac00a928b90008423ebb33fc628cdabc65f3d2b5272154160c9"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,48 +95,41 @@ func TestGoldenDerivedSummariesMatchStored(t *testing.T) {
 					src.AdvanceDecay()
 				}
 			}
-			var v3 bytes.Buffer
-			if err := src.WriteSnapshot(&v3); err != nil {
+			var snap bytes.Buffer
+			if err := src.WriteSnapshot(&snap); err != nil {
 				t.Fatal(err)
 			}
-			trees, err := persist.DecodeMultiTrees(bytes.NewReader(v3.Bytes()))
+			trees, err := persist.DecodeMultiTrees(bytes.NewReader(snap.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := summaryDigest(trees); got != tc.summary {
 				t.Fatalf("the decoded model's inner summaries have sha256 %s, want %s", got, tc.summary)
 			}
-			v2 := persist.EncodeAt(2, trees)
-			sum := sha256.Sum256(v2)
-			if got := hex.EncodeToString(sum[:]); len(v2) != tc.size || got != tc.sum {
-				t.Fatalf("the v2 writer's bytes of the decoded model are %d, sha256 %s; the source's were %d, %s", len(v2), got, tc.size, tc.sum)
+			restored, err := server.FromSnapshot(bytes.NewReader(snap.Bytes()), cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, snap := range [][]byte{v3.Bytes(), v2} {
-				restored, err := server.FromSnapshot(bytes.NewReader(snap), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 9000; i < 9100; i++ {
-					for _, budget := range []int{0, 32, -1} {
-						want, err := src.Classify(d.X[i], budget)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := restored.Classify(d.X[i], budget)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got.Label != want.Label || len(got.Scores) != len(want.Scores) {
-							t.Fatalf("probe %d budget %d: label %d, want %d", i, budget, got.Label, want.Label)
-						}
-						for c := range want.Scores {
-							if math.Float64bits(got.Scores[c]) != math.Float64bits(want.Scores[c]) {
-								t.Fatalf("probe %d budget %d class %d: score %v, want %v", i, budget, c, got.Scores[c], want.Scores[c])
-							}
+			defer restored.Close()
+			for i := 9000; i < 9100; i++ {
+				for _, budget := range []int{0, 32, -1} {
+					want, err := src.Classify(d.X[i], budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := restored.Classify(d.X[i], budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Label != want.Label || len(got.Scores) != len(want.Scores) {
+						t.Fatalf("probe %d budget %d: label %d, want %d", i, budget, got.Label, want.Label)
+					}
+					for c := range want.Scores {
+						if math.Float64bits(got.Scores[c]) != math.Float64bits(want.Scores[c]) {
+							t.Fatalf("probe %d budget %d class %d: score %v, want %v", i, budget, c, got.Scores[c], want.Scores[c])
 						}
 					}
 				}
-				restored.Close()
 			}
 		})
 	}

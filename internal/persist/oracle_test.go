@@ -11,7 +11,6 @@ import (
 	"bayestree/internal/clustree"
 	"bayestree/internal/core"
 	"bayestree/internal/kernels"
-	"bayestree/internal/mbr"
 	"bayestree/internal/stats"
 )
 
@@ -19,8 +18,9 @@ import (
 // cursor: the payload behind a bytes.Reader, every word through
 // io.ReadFull, the whole declared length allocated up front. It is kept
 // as the differential and fuzz oracle (TestSliceDecoderMatchesReaderOracle,
-// FuzzDecodeSnapshot) and changed only where FuzzDecodeSnapshot found the
-// old decoder itself wrong — each such place says so:
+// FuzzDecodeSnapshot), reading what the decoder reads — version 3 of the
+// three kinds — and changed only where FuzzDecodeSnapshot found the old
+// decoder itself wrong — each such place says so:
 //
 //   - a flag byte other than 0 or 1 is refused (it decoded as true and
 //     encoded back as 1);
@@ -34,49 +34,25 @@ import (
 //     clamped it, so it encoded back as another K).
 
 func oracleDecodeClassifier(r io.Reader) (*core.Classifier, error) {
-	c, _, err := oracleDecode(r, kindClassifier, (*oracleDecoder).classifier)
-	return c, err
-}
-
-func oracleDecodeMultiTree(r io.Reader) (*core.MultiTree, error) {
-	t, _, err := oracleDecode(r, kindMultiTree, (*oracleDecoder).multiTree)
-	return t, err
+	return oracleDecode(r, kindClassifier, (*oracleDecoder).classifier)
 }
 
 func oracleDecodeMultiTrees(r io.Reader) ([]*core.MultiTree, error) {
-	ts, _, err := oracleDecode(r, kindMultiSet, (*oracleDecoder).multiSet)
-	return ts, err
-}
-
-// oracleStale decodes a classification snapshot with the oracle and
-// returns how many of its stored inner summaries (v1/v2) differ bitwise
-// from the ones the rebuild derived.
-func oracleStale(snap []byte) (int, error) {
-	var stale int
-	var err error
-	switch r := bytes.NewReader(snap); payloadOf(snap)[0] {
-	case kindClassifier:
-		_, stale, err = oracleDecode(r, kindClassifier, (*oracleDecoder).classifier)
-	case kindMultiTree:
-		_, stale, err = oracleDecode(r, kindMultiTree, (*oracleDecoder).multiTree)
-	default:
-		_, stale, err = oracleDecode(r, kindMultiSet, (*oracleDecoder).multiSet)
-	}
-	return stale, err
+	return oracleDecode(r, kindMultiSet, (*oracleDecoder).multiSet)
 }
 
 // oracleDecode runs body over the verified payload and requires it to be
 // consumed to its last byte.
-func oracleDecode[M any](r io.Reader, kind byte, body func(*oracleDecoder) M) (m M, stale int, err error) {
+func oracleDecode[M any](r io.Reader, kind byte, body func(*oracleDecoder) M) (m M, err error) {
 	d, err := newOracleDecoder(r, kind)
 	if err != nil {
-		return m, 0, err
+		return m, err
 	}
 	got := body(d)
 	if err := d.done(); err != nil {
-		return m, 0, err
+		return m, err
 	}
-	return got, d.stale, nil
+	return got, nil
 }
 
 func (d *oracleDecoder) classifier() *core.Classifier {
@@ -104,8 +80,8 @@ func (d *oracleDecoder) classifier() *core.Classifier {
 	return c
 }
 
-// multiSet reads a sharded set; a v3 set's section lengths must each
-// match the bytes its tree takes.
+// multiSet reads a sharded set; the section lengths must each match the
+// bytes its tree takes.
 func (d *oracleDecoder) multiSet() []*core.MultiTree {
 	n := d.count(1)
 	if d.err == nil && n == 0 {
@@ -113,15 +89,13 @@ func (d *oracleDecoder) multiSet() []*core.MultiTree {
 	}
 	sizes := make([]int64, n)
 	for i := range sizes {
-		if d.version >= 3 {
-			sizes[i] = int64(d.u64())
-		}
+		sizes[i] = int64(d.u64())
 	}
 	ts := make([]*core.MultiTree, 0, n)
 	for i := 0; i < n; i++ {
 		at := d.b.Len()
 		ts = append(ts, d.multiTree())
-		if d.err == nil && d.version >= 3 && int64(at-d.b.Len()) != sizes[i] {
+		if d.err == nil && int64(at-d.b.Len()) != sizes[i] {
 			d.fail("shard section %d is %d bytes, declared %d", i, at-d.b.Len(), sizes[i])
 		}
 		if d.err != nil {
@@ -129,18 +103,6 @@ func (d *oracleDecoder) multiSet() []*core.MultiTree {
 		}
 	}
 	return ts
-}
-
-func oracleDecodeClusTree(r io.Reader) (*clustree.Tree, error) {
-	d, err := newOracleDecoder(r, kindClusTree)
-	if err != nil {
-		return nil, err
-	}
-	t := d.clusTree()
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 func oracleDecodeClusterSet(r io.Reader) (ClusterSet, error) {
@@ -171,15 +133,11 @@ func oracleDecodeClusterSet(r io.Reader) (ClusterSet, error) {
 }
 
 type oracleDecoder struct {
-	b       *bytes.Reader
-	err     error
-	version uint32
-	// stale counts the v1/v2 inner summaries read that differ bitwise
-	// from the ones the rebuild derived.
-	stale int
+	b   *bytes.Reader
+	err error
 }
 
-// newDecoder reads and verifies the frame (magic, version, length,
+// newOracleDecoder reads and verifies the frame (magic, version, length,
 // checksum) and the kind byte, returning a decoder positioned at the
 // kind-specific payload.
 func newOracleDecoder(r io.Reader, wantKind byte) (*oracleDecoder, error) {
@@ -191,8 +149,8 @@ func newOracleDecoder(r io.Reader, wantKind byte) (*oracleDecoder, error) {
 		return nil, ErrBadMagic
 	}
 	v := binary.LittleEndian.Uint32(head[4:8])
-	if v < MinVersion || v > Version {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d..%d", ErrVersion, v, MinVersion, Version)
+	if v != Version {
+		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrVersion, v, Version)
 	}
 	n := binary.LittleEndian.Uint64(head[8:16])
 	if n > maxPayload {
@@ -209,7 +167,7 @@ func newOracleDecoder(r io.Reader, wantKind byte) (*oracleDecoder, error) {
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(sum[:]) {
 		return nil, ErrChecksum
 	}
-	d := &oracleDecoder{b: bytes.NewReader(payload), version: v}
+	d := &oracleDecoder{b: bytes.NewReader(payload)}
 	if kind := d.u8(); d.err == nil && kind != wantKind {
 		return nil, fmt.Errorf("persist: snapshot kind %d, want %d", kind, wantKind)
 	}
@@ -341,40 +299,8 @@ func (d *oracleDecoder) cf(dim int) stats.CF {
 	return stats.CF{N: d.f64(), LS: d.floats(dim), SS: d.floats(dim)}
 }
 
-func (d *oracleDecoder) rect(dim int) mbr.Rect {
-	return mbr.Rect{Lo: d.floats(dim), Hi: d.floats(dim)}
-}
-
-// sameBits reports whether two vectors are bitwise equal.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func sameCF(a, b *stats.CF) bool {
-	return math.Float64bits(a.N) == math.Float64bits(b.N) && sameBits(a.LS, b.LS) && sameBits(a.SS, b.SS)
-}
-
-// storedEntry is a v1/v2 inner summary as read, and the entry slot the
-// rebuild derives in its place.
-type storedEntry[E any] struct {
-	stored  E
-	derived *E
-}
-
-// decayState reads the v2 decay block; v1 snapshots yield the zero
-// (disabled) state.
+// decayState reads the decay block.
 func (d *oracleDecoder) decayState() (opts core.DecayOptions, epoch, ref int64) {
-	if d.version < 2 {
-		return
-	}
 	opts.Lambda = d.f64()
 	opts.MinWeight = d.f64()
 	epoch = d.i64()
@@ -384,7 +310,7 @@ func (d *oracleDecoder) decayState() (opts core.DecayOptions, epoch, ref int64) 
 
 // leafWeights reads the optional weight vector of a decayed leaf.
 func (d *oracleDecoder) leafWeights(points int) []float64 {
-	if d.version < 2 || !d.boolv() {
+	if !d.boolv() {
 		return nil
 	}
 	return d.floats(points)
@@ -398,8 +324,7 @@ func (d *oracleDecoder) tree() *core.Tree {
 	if d.err != nil {
 		return nil
 	}
-	var stored []storedEntry[core.Entry]
-	root := d.node(cfg.Dim, &stored)
+	root := d.node(cfg.Dim)
 	if d.err != nil {
 		return nil
 	}
@@ -409,11 +334,6 @@ func (d *oracleDecoder) tree() *core.Tree {
 		return nil
 	}
 	derive()
-	for _, s := range stored {
-		if !sameBits(s.stored.Rect.Lo, s.derived.Rect.Lo) || !sameBits(s.stored.Rect.Hi, s.derived.Rect.Hi) || !sameCF(&s.stored.CF, &s.derived.CF) {
-			d.stale++
-		}
-	}
 	if err := t.RestoreDecayState(dopts, epoch, ref); err != nil {
 		d.fail("rebuild tree: %v", err)
 		return nil
@@ -421,7 +341,7 @@ func (d *oracleDecoder) tree() *core.Tree {
 	return t
 }
 
-func (d *oracleDecoder) node(dim int, stored *[]storedEntry[core.Entry]) *core.Node {
+func (d *oracleDecoder) node(dim int) *core.Node {
 	tag := d.u8()
 	if d.err != nil {
 		return nil
@@ -447,10 +367,7 @@ func (d *oracleDecoder) node(dim int, stored *[]storedEntry[core.Entry]) *core.N
 		n := d.count(minNodeBytes)
 		ents := make([]core.Entry, n)
 		for i := range ents {
-			if d.version < 3 {
-				*stored = append(*stored, storedEntry[core.Entry]{core.Entry{Rect: d.rect(dim), CF: d.cf(dim)}, &ents[i]})
-			}
-			ents[i].Child = d.node(dim, stored)
+			ents[i].Child = d.node(dim)
 			if d.err != nil {
 				return nil
 			}
@@ -477,8 +394,7 @@ func (d *oracleDecoder) multiTree() *core.MultiTree {
 	if d.err != nil {
 		return nil
 	}
-	var stored []storedEntry[core.MultiEntry]
-	root := d.multiNode(cfg.Dim, nl, &stored)
+	root := d.multiNode(cfg.Dim)
 	if d.err != nil {
 		return nil
 	}
@@ -488,15 +404,6 @@ func (d *oracleDecoder) multiTree() *core.MultiTree {
 		return nil
 	}
 	derive()
-	for _, s := range stored {
-		same := sameBits(s.stored.Rect.Lo, s.derived.Rect.Lo) && sameBits(s.stored.Rect.Hi, s.derived.Rect.Hi) && sameCF(&s.stored.Total, &s.derived.Total)
-		for c := range s.stored.CFs {
-			same = same && sameCF(&s.stored.CFs[c], &s.derived.CFs[c])
-		}
-		if !same {
-			d.stale++
-		}
-	}
 	if err := t.RestoreDecayState(dopts, epoch, ref); err != nil {
 		d.fail("rebuild multi tree: %v", err)
 		return nil
@@ -504,7 +411,7 @@ func (d *oracleDecoder) multiTree() *core.MultiTree {
 	return t
 }
 
-func (d *oracleDecoder) multiNode(dim, numClasses int, stored *[]storedEntry[core.MultiEntry]) *core.MultiNode {
+func (d *oracleDecoder) multiNode(dim int) *core.MultiNode {
 	tag := d.u8()
 	if d.err != nil {
 		return nil
@@ -531,15 +438,7 @@ func (d *oracleDecoder) multiNode(dim, numClasses int, stored *[]storedEntry[cor
 		n := d.count(minNodeBytes)
 		ents := make([]core.MultiEntry, n)
 		for i := range ents {
-			if d.version < 3 {
-				e := core.MultiEntry{Rect: d.rect(dim), CFs: make([]stats.CF, numClasses)}
-				for c := 0; c < numClasses; c++ {
-					e.CFs[c] = d.cf(dim)
-				}
-				e.Total = d.cf(dim)
-				*stored = append(*stored, storedEntry[core.MultiEntry]{e, &ents[i]})
-			}
-			ents[i].Child = d.multiNode(dim, numClasses, stored)
+			ents[i].Child = d.multiNode(dim)
 			if d.err != nil {
 				return nil
 			}

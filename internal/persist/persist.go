@@ -10,9 +10,13 @@
 // core.RebuildTree / RebuildMultiTree derive them with the trees' own
 // summarize and stats.Freeze, so a reloaded model answers every query
 // digit-identically, and no payload can carry a summary that disagrees
-// with its subtree. The ClusTree kinds are exempt (clustree.go): their
-// inner CFs carry their own timestamps and parked buffers. v1/v2
-// snapshots, which stored every inner summary, are read, not written.
+// with its subtree. The cluster set is exempt (clustree.go): its inner
+// CFs carry their own timestamps and parked buffers.
+//
+// There is one format, version 3, and three kinds: the per-class forest,
+// the sharded set of multi-class trees and the cluster set. A file of
+// any other version — the v1/v2 files that stored every inner summary
+// as much as one from a future build — is refused with ErrVersion.
 //
 // Layout: a 4-byte magic "BTSN", a uint32 format version, a uint64
 // payload length, the payload, and a CRC32 (IEEE) of the payload.
@@ -45,24 +49,20 @@ import (
 	"bayestree/internal/stats"
 )
 
-// Version is the snapshot format version the encoder writes. Version 2
-// added the decay state per tree and optional leaf weight vectors;
-// version 3 dropped the inner summaries of the classification kinds and
-// added the sharded set's section lengths. Decoders accept any version
-// in [MinVersion, Version] — v1 loads undecayed, v1/v2 inner summaries
-// are skipped and derived — and refuse newer ones loudly. Only tests
-// write v1 and v2.
+// Version is the snapshot format version the encoder writes and the
+// only one the decoders read: a decay state per tree, optional leaf
+// weight vectors, no inner summaries in the classification kinds, and
+// the sharded set's section lengths. Any other version, older or newer,
+// is refused with ErrVersion.
 const Version = 3
-
-// MinVersion is the oldest snapshot format this build still decodes.
-const MinVersion = 1
 
 var magic = [4]byte{'B', 'T', 'S', 'N'}
 
-// Snapshot kinds, the first payload byte.
+// Snapshot kinds, the first payload byte. Kinds 2 and 4 (a single
+// multi-class tree and a single clustering tree) are retired: their
+// numbers stay unused, so such a file is refused as the wrong kind.
 const (
 	kindClassifier byte = 1 // per-class forest (core.Classifier)
-	kindMultiTree  byte = 2 // single multi-class tree
 	kindMultiSet   byte = 3 // sharded set of multi-class trees
 )
 
@@ -71,8 +71,8 @@ const (
 var (
 	// ErrBadMagic means the input is not a Bayes tree snapshot at all.
 	ErrBadMagic = errors.New("persist: not a bayestree snapshot")
-	// ErrVersion means the snapshot was written by an incompatible
-	// (usually newer) format version.
+	// ErrVersion means the snapshot was written in a format version
+	// other than Version.
 	ErrVersion = errors.New("persist: unsupported snapshot version")
 	// ErrChecksum means the payload failed its integrity check.
 	ErrChecksum = errors.New("persist: snapshot checksum mismatch")
@@ -122,28 +122,6 @@ func DecodeClassifier(r io.Reader) (*core.Classifier, error) {
 	return core.NewClassifier(labels, trees, opts)
 }
 
-// EncodeMultiTree writes a snapshot of a single multi-class tree.
-func EncodeMultiTree(w io.Writer, t *core.MultiTree) error {
-	if t == nil {
-		return fmt.Errorf("persist: nil multi tree")
-	}
-	return encodeSized(w, kindMultiTree, func(e *encoder) { e.multiTree(t) })
-}
-
-// DecodeMultiTree reads a multi-class tree snapshot written by
-// EncodeMultiTree.
-func DecodeMultiTree(r io.Reader) (*core.MultiTree, error) {
-	d, err := newDecoder(r, kindMultiTree)
-	if err != nil {
-		return nil, err
-	}
-	t := d.multiTree()
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // EncodeMultiTrees writes a snapshot of a sharded set of multi-class
 // trees — the serving subsystem's whole model state in one file.
 func EncodeMultiTrees(w io.Writer, ts []*core.MultiTree) error {
@@ -159,8 +137,8 @@ func EncodeMultiTrees(w io.Writer, ts []*core.MultiTree) error {
 }
 
 // DecodeMultiTrees reads a sharded-set snapshot written by
-// EncodeMultiTrees. A v3 set's shard sections decode side by side, in
-// two joined rounds of a goroutine each — all are checked before any
+// EncodeMultiTrees. The shard sections decode side by side, in two
+// joined rounds of a goroutine each — all are checked before any
 // derives a summary — and the first failure in shard order is reported.
 func DecodeMultiTrees(r io.Reader) ([]*core.MultiTree, error) {
 	d, err := newDecoder(r, kindMultiSet)
@@ -172,20 +150,10 @@ func DecodeMultiTrees(r io.Reader) ([]*core.MultiTree, error) {
 		d.fail("empty multi tree set")
 	}
 	ts := make([]*core.MultiTree, n)
-	if d.version < 3 {
-		// v1/v2 sections carry no lengths: one after another.
-		for i := 0; i < n && d.err == nil; i++ {
-			ts[i] = d.multiTree()
-		}
-		if err := d.finish(); err != nil {
-			return nil, err
-		}
-		return ts, nil
-	}
 	sections, at := make([]decoder, n), d.off+8*n // count bounded 8n by the payload
 	for i := range sections {
 		if size := d.u64(); size <= uint64(len(d.p)-at) {
-			sections[i] = decoder{p: d.p[at : at+int(size)], version: d.version}
+			sections[i] = decoder{p: d.p[at : at+int(size)]}
 			at += int(size)
 		} else {
 			d.fail("shard section of %d bytes exceeds payload", size)
@@ -298,30 +266,20 @@ func RemoveStaleTemps(dir string) error {
 // encodes under every shard lock, and growing a buffer by doubling
 // allocated three times the snapshot to produce it.
 type encoder struct {
-	p       []byte
-	n       int // payload bytes a sizing encoder has counted
-	version uint32
+	p []byte
+	n int // payload bytes a sizing encoder has counted
 }
 
 const headerBytes, sumBytes = 16, 4
-
-// newEncoderVersion writes an older format version — kept for the
-// compatibility tests that prove current decoders still read v1 files.
-// Its buffer grows as it is written.
-func newEncoderVersion(kind byte, version uint32) *encoder {
-	e := &encoder{p: make([]byte, headerBytes), version: version}
-	e.u8(kind)
-	return e
-}
 
 // encodeSized runs body twice — once to size the payload, once to fill
 // a buffer of exactly that size — and writes the frame. body must write
 // the same bytes both times (callers hold the model still).
 func encodeSized(w io.Writer, kind byte, body func(e *encoder)) error {
-	size := &encoder{version: Version}
+	size := &encoder{}
 	size.u8(kind)
 	body(size)
-	e := &encoder{p: make([]byte, headerBytes, headerBytes+size.n+sumBytes), version: Version}
+	e := &encoder{p: make([]byte, headerBytes, headerBytes+size.n+sumBytes)}
 	e.u8(kind)
 	body(e)
 	return e.flush(w)
@@ -390,12 +348,9 @@ func (e *encoder) cf(cf *stats.CF) {
 	e.floats(cf.SS)
 }
 
-// decayState writes the v2 decay block: options, current epoch and the
+// decayState writes the decay block: options, current epoch and the
 // reference epoch the stored weights are valued at.
 func (e *encoder) decayState(opts core.DecayOptions, epoch, ref int64) {
-	if e.version < 2 {
-		return
-	}
 	e.f64(opts.Lambda)
 	e.f64(opts.MinWeight)
 	e.i64(epoch)
@@ -405,9 +360,6 @@ func (e *encoder) decayState(opts core.DecayOptions, epoch, ref int64) {
 // leafWeights writes the optional per-observation weight vector of a
 // decayed leaf (nil = unit weights, stored as a single absence flag).
 func (e *encoder) leafWeights(ws []float64) {
-	if e.version < 2 {
-		return
-	}
 	e.boolv(ws != nil)
 	e.floats(ws)
 }
@@ -447,11 +399,6 @@ func (e *encoder) node(n *core.Node) {
 	ents := n.Entries()
 	e.u64(uint64(len(ents)))
 	for i := range ents {
-		if e.version < 3 {
-			e.floats(ents[i].Rect.Lo)
-			e.floats(ents[i].Rect.Hi)
-			e.cf(&ents[i].CF)
-		}
 		e.node(ents[i].Child)
 	}
 }
@@ -468,10 +415,10 @@ func (e *encoder) multiTree(t *core.MultiTree) {
 		e.i64(int64(l))
 	}
 	e.floats(t.Counts())
-	e.multiNode(t.Root(), len(labels))
+	e.multiNode(t.Root())
 }
 
-func (e *encoder) multiNode(n *core.MultiNode, numClasses int) {
+func (e *encoder) multiNode(n *core.MultiNode) {
 	if n.IsLeaf() {
 		e.u8(0)
 		pts := n.Points()
@@ -487,19 +434,11 @@ func (e *encoder) multiNode(n *core.MultiNode, numClasses int) {
 	ents := n.Entries()
 	e.u64(uint64(len(ents)))
 	for i := range ents {
-		if e.version < 3 {
-			e.floats(ents[i].Rect.Lo)
-			e.floats(ents[i].Rect.Hi)
-			for c := 0; c < numClasses; c++ {
-				e.cf(&ents[i].CFs[c])
-			}
-			e.cf(&ents[i].Total)
-		}
-		e.multiNode(ents[i].Child, numClasses)
+		e.multiNode(ents[i].Child)
 	}
 }
 
-// multiSet writes a v3 sharded set: the shard count, each shard
+// multiSet writes a sharded set: the shard count, each shard
 // section's length in bytes, then the sections.
 func (e *encoder) multiSet(ts []*core.MultiTree) {
 	e.u64(uint64(len(ts)))
@@ -521,7 +460,7 @@ func (e *encoder) multiSet(ts []*core.MultiTree) {
 func (e *encoder) flush(w io.Writer) error {
 	payload := e.p[headerBytes:]
 	copy(e.p[:4], magic[:])
-	binary.LittleEndian.PutUint32(e.p[4:8], e.version)
+	binary.LittleEndian.PutUint32(e.p[4:8], Version)
 	binary.LittleEndian.PutUint64(e.p[8:16], uint64(len(payload)))
 	e.p = binary.LittleEndian.AppendUint32(e.p, crc32.ChecksumIEEE(payload))
 	if _, err := w.Write(e.p); err != nil {
@@ -540,12 +479,11 @@ func (e *encoder) flush(w io.Writer) error {
 // input held. The first failure sticks in err; later reads return zero
 // values.
 type decoder struct {
-	p       []byte
-	off     int
-	err     error
-	version uint32
-	derive  []func() // the rebuilt trees' derivations, run by finish
-	kids    []any    // the children stack of the inner nodes being read
+	p      []byte
+	off    int
+	err    error
+	derive []func() // the rebuilt trees' derivations, run by finish
+	kids   []any    // the children stack of the inner nodes being read
 }
 
 // maxPayload rejects an absurd declared length before anything is read.
@@ -563,8 +501,8 @@ func newDecoder(r io.Reader, wantKind byte) (*decoder, error) {
 		return nil, ErrBadMagic
 	}
 	v := binary.LittleEndian.Uint32(head[4:8])
-	if v < MinVersion || v > Version {
-		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d..%d", ErrVersion, v, MinVersion, Version)
+	if v != Version {
+		return nil, fmt.Errorf("%w: snapshot version %d, this build reads %d", ErrVersion, v, Version)
 	}
 	n := binary.LittleEndian.Uint64(head[8:16])
 	if n > maxPayload {
@@ -578,7 +516,7 @@ func newDecoder(r io.Reader, wantKind byte) (*decoder, error) {
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(sum) {
 		return nil, ErrChecksum
 	}
-	d := &decoder{p: payload, version: v}
+	d := &decoder{p: payload}
 	if kind := d.u8(); d.err == nil && kind != wantKind {
 		return nil, fmt.Errorf("persist: snapshot kind %d, want %d", kind, wantKind)
 	}
@@ -783,16 +721,10 @@ func (d *decoder) cf(dim int) stats.CF {
 // returns them, valid until the next read: the caller sizes its entries
 // by the children that decoded, since a declared count reserving them
 // would reserve again at every level of a forged chain, against the same
-// remaining bytes. A v1/v2 entry stores ahead of its child an MBR and
-// cfs cluster features of dim dims, which are skipped: v3 derives them.
-func (d *decoder) children(dim, cfs int, child func() any) []any {
-	stored := 0
-	if d.version < 3 {
-		stored = 8 * (2*dim + cfs*(1+2*dim))
-	}
-	n, base := d.count(stored+minNodeBytes), len(d.kids)
+// remaining bytes.
+func (d *decoder) children(child func() any) []any {
+	n, base := d.count(minNodeBytes), len(d.kids)
 	for i := 0; i < n && d.err == nil; i++ {
-		d.skip(stored)
 		d.kids = append(d.kids, child())
 	}
 	kids := d.kids[base:]
@@ -800,21 +732,8 @@ func (d *decoder) children(dim, cfs int, child func() any) []any {
 	return kids
 }
 
-// skip steps over n bytes.
-func (d *decoder) skip(n int) {
-	if d.err == nil && n > d.left() {
-		d.fail("unexpected end of payload")
-	} else if d.err == nil {
-		d.off += n
-	}
-}
-
-// decayState reads the v2 decay block; v1 snapshots yield the zero
-// (disabled) state.
+// decayState reads the decay block.
 func (d *decoder) decayState() (opts core.DecayOptions, epoch, ref int64) {
-	if d.version < 2 {
-		return
-	}
 	opts.Lambda = d.f64()
 	opts.MinWeight = d.f64()
 	epoch = d.i64()
@@ -824,7 +743,7 @@ func (d *decoder) decayState() (opts core.DecayOptions, epoch, ref int64) {
 
 // leafWeights reads the optional weight vector of a decayed leaf.
 func (d *decoder) leafWeights(points int) []float64 {
-	if d.version < 2 || !d.boolv() {
+	if !d.boolv() {
 		return nil
 	}
 	return d.floats(points)
@@ -880,7 +799,7 @@ func (d *decoder) node(dim int) *core.Node {
 		}
 		return leaf
 	case 1:
-		kids := d.children(dim, 1, func() any { return d.node(dim) })
+		kids := d.children(func() any { return d.node(dim) })
 		if d.err != nil {
 			return nil
 		}
@@ -910,7 +829,7 @@ func (d *decoder) multiTree() *core.MultiTree {
 	if d.err != nil {
 		return nil
 	}
-	root := d.multiNode(cfg.Dim, nl)
+	root := d.multiNode(cfg.Dim)
 	if d.err != nil {
 		return nil
 	}
@@ -926,7 +845,7 @@ func (d *decoder) multiTree() *core.MultiTree {
 	return t
 }
 
-func (d *decoder) multiNode(dim, numClasses int) *core.MultiNode {
+func (d *decoder) multiNode(dim int) *core.MultiNode {
 	tag := d.u8()
 	if d.err != nil {
 		return nil
@@ -950,7 +869,7 @@ func (d *decoder) multiNode(dim, numClasses int) *core.MultiNode {
 		}
 		return leaf
 	case 1:
-		kids := d.children(dim, numClasses+1, func() any { return d.multiNode(dim, numClasses) })
+		kids := d.children(func() any { return d.multiNode(dim) })
 		if d.err != nil {
 			return nil
 		}

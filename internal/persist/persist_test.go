@@ -2,8 +2,11 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bayestree/internal/bulkload"
@@ -125,6 +128,21 @@ func TestClassifierRoundTripThenLearn(t *testing.T) {
 	}
 }
 
+// roundTripMultiTree encodes and decodes a multi-class tree as the set
+// of it alone, failing the test on any error.
+func roundTripMultiTree(t *testing.T, mt *core.MultiTree) *core.MultiTree {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeMultiTrees(&buf, []*core.MultiTree{mt}); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	got, err := DecodeMultiTrees(&buf)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return got[0]
+}
+
 // TestMultiTreeRoundTripDigitIdentical is the same property for the
 // single-tree multi-class variant, across both variance-pooling modes.
 func TestMultiTreeRoundTripDigitIdentical(t *testing.T) {
@@ -133,14 +151,7 @@ func TestMultiTreeRoundTripDigitIdentical(t *testing.T) {
 		{PooledVariance: true, EntropyPriority: true},
 	} {
 		mt, xs := buildMultiTree(t, 5, mopts)
-		var buf bytes.Buffer
-		if err := EncodeMultiTree(&buf, mt); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		got, err := DecodeMultiTree(&buf)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
+		got := roundTripMultiTree(t, mt)
 		opts := core.ClassifierOptions{}
 		for i := 0; i < 80; i++ {
 			x := xs[i*5%len(xs)]
@@ -206,8 +217,8 @@ func TestMultiTreesSetRoundTrip(t *testing.T) {
 }
 
 // TestDecodeRejectsCorruption exercises the error paths: bit rot in the
-// payload, truncation, a foreign file and a future format version must
-// all be rejected with their sentinel errors before any model state is
+// payload, truncation, a foreign file, a future format version and the
+// wrong kind must all be rejected with their sentinel errors before any model state is
 // built.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	clf, _ := trainClassifier(t, 9, core.ClassifierOptions{})
@@ -248,8 +259,32 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("wrong kind", func(t *testing.T) {
-		if _, err := DecodeMultiTree(bytes.NewReader(good)); err == nil {
-			t.Fatal("decoding a classifier snapshot as a multi tree succeeded")
+		if _, err := DecodeMultiTrees(bytes.NewReader(good)); err == nil {
+			t.Fatal("decoding a classifier snapshot as a multi-tree set succeeded")
 		}
 	})
+}
+
+// TestRetiredSnapshotsRefused: a snapshot framed as version 1 or 2 is
+// refused by all three decoders — and the oracle — with ErrVersion, and a
+// well-formed version-3 frame of a retired kind (2, one multi-class
+// tree; 4, one ClusTree) with the wrong-kind error.
+func TestRetiredSnapshotsRefused(t *testing.T) {
+	for _, s := range retiredSnapshots(t) {
+		version, kind := binary.LittleEndian.Uint32(s.snap[4:]), payloadOf(s.snap)[0]
+		for i := range codecs {
+			c := &codecs[i]
+			m, err := c.decode(bytes.NewReader(s.snap))
+			if m != nil {
+				t.Fatalf("%s: accepted by the %s decoder", s.name, c.name)
+			}
+			switch wrongKind := fmt.Sprintf("snapshot kind %d, want %d", kind, c.kind); {
+			case version != Version && !errors.Is(err, ErrVersion):
+				t.Fatalf("%s: the %s decoder says %v, want ErrVersion", s.name, c.name, err)
+			case version == Version && (err == nil || !strings.Contains(err.Error(), wrongKind)):
+				t.Fatalf("%s: the %s decoder says %v, want %q", s.name, c.name, err, wrongKind)
+			}
+			checkAgainstOracle(t, c, s.snap)
+		}
+	}
 }

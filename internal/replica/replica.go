@@ -39,7 +39,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -275,9 +274,11 @@ type Sink interface {
 	// as of now, so a replica that has applied that many knows it is
 	// current and can reset its staleness clock.
 	CaughtUp(lsn uint64)
-	// Connected reports tail connectivity transitions (true after a
-	// successful bootstrap, false when the stream drops).
-	Connected(ok bool)
+	// Connected reports tail connectivity transitions: nil after a
+	// successful bootstrap, and the error that dropped the stream or
+	// refused the connection otherwise. A Tailer being stopped reports
+	// nothing.
+	Connected(err error)
 }
 
 // Options parameterise a Tailer.
@@ -290,26 +291,21 @@ type Options struct {
 	// Epoch returns the follower's current fencing epoch, sent with
 	// every connect so a stale primary fences itself. Nil means epoch 0.
 	Epoch func() uint64
-	// Client is the HTTP client to dial with (nil means a dedicated
-	// client with no overall timeout — the stream is unbounded).
-	Client *http.Client
-	// SilenceTimeout drops a connection that has delivered no frame for
-	// this long — heartbeats make silence abnormal (0 means 15s).
-	SilenceTimeout time.Duration
 	// BackoffMin and BackoffMax bound the jittered exponential
 	// reconnect backoff (0 means 100ms and 5s).
 	BackoffMin time.Duration
 	BackoffMax time.Duration
 }
 
+// silenceTimeout drops a connection that has delivered no frame for
+// this long: heartbeats make silence abnormal.
+const silenceTimeout = 15 * time.Second
+
+// errSilent is the error a connection dropped for silence reports.
+var errSilent = fmt.Errorf("replica: no frame from the primary for %v", silenceTimeout)
+
 // withDefaults resolves zero values.
 func (o Options) withDefaults() Options {
-	if o.Client == nil {
-		o.Client = &http.Client{}
-	}
-	if o.SilenceTimeout <= 0 {
-		o.SilenceTimeout = 15 * time.Second
-	}
 	if o.BackoffMin <= 0 {
 		o.BackoffMin = 100 * time.Millisecond
 	}
@@ -325,16 +321,10 @@ type Tailer struct {
 	sink Sink
 	opts Options
 
-	mu      sync.Mutex
-	cancel  context.CancelFunc
-	done    chan struct{}
-	lastErr atomic.Value // errBox: concrete error types vary per failure
+	mu     sync.Mutex
+	cancel context.CancelFunc
+	done   chan struct{}
 }
-
-// errBox gives lastErr a single concrete type — atomic.Value panics if
-// successive Stores carry different dynamic types, and connection
-// errors come in many.
-type errBox struct{ err error }
 
 // New builds a Tailer over a sink. Start it with Start (or drive it
 // directly with Run) and stop it with Stop.
@@ -372,28 +362,17 @@ func (t *Tailer) Stop() {
 	}
 }
 
-// LastErr returns the most recent connection error, nil before any.
-func (t *Tailer) LastErr() error {
-	if b, ok := t.lastErr.Load().(errBox); ok {
-		return b.err
-	}
-	return nil
-}
-
 // Run drives the connect/bootstrap/apply loop until ctx is cancelled.
-// Every connection failure is recorded (LastErr), reported to the sink
-// (Connected(false)) and retried after a jittered exponential backoff.
+// Every connection failure is reported to the sink (Connected(err)) and
+// retried after a jittered exponential backoff.
 func (t *Tailer) Run(ctx context.Context) {
 	backoff := t.opts.BackoffMin
 	for ctx.Err() == nil {
 		streamed, err := t.tailOnce(ctx)
-		t.sink.Connected(false)
 		if ctx.Err() != nil {
 			return
 		}
-		if err != nil {
-			t.lastErr.Store(errBox{err})
-		}
+		t.sink.Connected(err)
 		if streamed {
 			// A connection that got as far as applying frames earns a
 			// fresh backoff; only repeated connect failures escalate.
@@ -414,13 +393,19 @@ func (t *Tailer) Run(ctx context.Context) {
 }
 
 // tailOnce runs one connection to completion: bootstrap from the
-// shipped checkpoint, then apply frames until the stream breaks.
-// streamed reports whether the bootstrap succeeded (for backoff reset).
+// shipped checkpoint, then apply frames until the stream breaks, which
+// err says why. streamed reports whether the bootstrap succeeded (for
+// backoff reset).
 func (t *Tailer) tailOnce(ctx context.Context) (streamed bool, err error) {
 	// The watchdog cancels the request context — aborting any blocked
-	// body read — when no frame has arrived for SilenceTimeout.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// body read — when no frame has arrived for silenceTimeout.
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	defer func() {
+		if context.Cause(ctx) == errSilent {
+			err = errSilent
+		}
+	}()
 	activity := make(chan struct{}, 1)
 	poke := func() {
 		select {
@@ -429,7 +414,7 @@ func (t *Tailer) tailOnce(ctx context.Context) (streamed bool, err error) {
 		}
 	}
 	go func() {
-		timer := time.NewTimer(t.opts.SilenceTimeout)
+		timer := time.NewTimer(silenceTimeout)
 		defer timer.Stop()
 		for {
 			select {
@@ -439,9 +424,9 @@ func (t *Tailer) tailOnce(ctx context.Context) (streamed bool, err error) {
 				if !timer.Stop() {
 					<-timer.C
 				}
-				timer.Reset(t.opts.SilenceTimeout)
+				timer.Reset(silenceTimeout)
 			case <-timer.C:
-				cancel()
+				cancel(errSilent)
 				return
 			}
 		}
@@ -455,7 +440,7 @@ func (t *Tailer) tailOnce(ctx context.Context) (streamed bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	resp, err := t.opts.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false, err
 	}
@@ -493,7 +478,7 @@ func (t *Tailer) tailOnce(ctx context.Context) (streamed bool, err error) {
 	if _, err := io.Copy(io.Discard, snap); err != nil {
 		return true, err
 	}
-	t.sink.Connected(true)
+	t.sink.Connected(nil)
 	poke()
 
 	for {

@@ -112,9 +112,6 @@ type ClusterOptions struct {
 	// store every N ingested objects (0 means 1024; < 0 disables the
 	// store and the /window endpoint).
 	SnapshotEvery int
-	// SnapshotMinWeight drops micro-clusters lighter than this from
-	// recorded snapshots (0 keeps everything).
-	SnapshotMinWeight float64
 }
 
 // withDefaults resolves zero values.
@@ -344,7 +341,7 @@ func (s *ClusterServer) maybeRecord(ts int64) {
 	s.withAllRead(func(models []*ctree) error {
 		at = s.clock.Load()
 		for _, m := range models {
-			mcs = append(mcs, m.t.MicroClusters(s.copts.SnapshotMinWeight)...)
+			mcs = append(mcs, m.t.MicroClusters(0)...) // every one, however light
 		}
 		return nil
 	})

@@ -49,6 +49,7 @@ type Follower[S replicaModel] struct {
 	mu       sync.RWMutex
 	cur      S // zero until the first bootstrap (or warm start) lands
 	promoted atomic.Bool
+	tailErr  atomic.Value // string: the last Connected error, "" if none
 }
 
 // NewFollowerServer opens a classification follower over the durability
@@ -232,10 +233,12 @@ func (f *Follower[S]) CaughtUp(lsn uint64) {
 	f.ifLive(func(s S) { s.role().markCaughtUp(lsn) })
 }
 
-// Connected implements replica.Sink, recording tail connectivity for
-// /stats.
-func (f *Follower[S]) Connected(ok bool) {
-	f.ifLive(func(s S) { s.role().connected.Store(ok) })
+// Connected implements replica.Sink, recording tail connectivity and
+// the error that last dropped the tail for /stats — and, before the
+// first bootstrap, for the 503 reads answer.
+func (f *Follower[S]) Connected(err error) {
+	f.tailErr.Store(errText(err))
+	f.ifLive(func(s S) { s.role().setTail(err) })
 }
 
 // Epoch returns the follower's current fencing epoch — what its tailer
@@ -272,6 +275,10 @@ func (f *Follower[S]) Handler() http.Handler {
 			// primaries use during recovery, so probers back off the same
 			// way whatever the reason.
 			writeNotReady(w, "bootstrapping")
+			return
+		}
+		if msg, _ := f.tailErr.Load().(string); msg != "" {
+			WriteUnavailable(w, "replica: awaiting first bootstrap from primary %s (last tail error: %s)", f.primaryURL, msg)
 			return
 		}
 		WriteUnavailable(w, "replica: awaiting first bootstrap from primary %s", f.primaryURL)

@@ -167,9 +167,25 @@ type replState struct {
 	// staleness clock's zero.
 	applied      atomic.Uint64
 	lastCaughtUp atomic.Int64
-	// connected reports tail connectivity; followers gauges attached
-	// /replicate subscribers on a primary.
+	// connected reports tail connectivity, and tailErr (a string) the
+	// error that last dropped or refused the tail, "" while connected;
+	// followers gauges attached /replicate subscribers on a primary.
 	connected atomic.Bool
+	tailErr   atomic.Value
+}
+
+// setTail records a tail transition Follower.Connected reports.
+func (r *replState) setTail(err error) {
+	r.connected.Store(err == nil)
+	r.tailErr.Store(errText(err))
+}
+
+// errText is err's message, "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // setFollower marks the engine as a follower of the primary at url.
@@ -335,6 +351,7 @@ func (e *engine[M]) replStats(st *Stats) {
 			st.StalenessMs = -1
 		}
 		st.ReplConnected = e.repl.connected.Load()
+		st.ReplTailError, _ = e.repl.tailErr.Load().(string)
 	} else {
 		st.Role = "primary"
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -101,10 +102,15 @@ func TestFailoverClassKillPrimary(t *testing.T) {
 			st.ReplShippedLSN, st.ReplFollowers, kill)
 	}
 
-	// SIGKILL the primary: stream cut, flock released, WAL left as-is.
-	tail.Stop()
+	// SIGKILL the primary: listener gone, flock released, stream cut,
+	// WAL left as-is. The tail, still running, reports what dropped it.
+	ts.Listener.Close()
 	crash(t, prim.dur)
 	killServer(ts)
+	waitFor(t, 10*time.Second, "the follower to report its tail error", func() bool {
+		return foll.Current().Stats().ReplTailError != ""
+	})
+	tail.Stop()
 
 	if err := foll.Promote(); err != nil {
 		t.Fatal(err)
@@ -404,6 +410,35 @@ func TestFollowerStalenessAndRedirect(t *testing.T) {
 
 	if err := foll.Persist(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFollowerNamesTailError: before its first bootstrap, a follower
+// whose primary refuses connections names the dial error in the 503 its
+// reads answer.
+func TestFollowerNamesTailError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + ln.Addr().String()
+	ln.Close()
+	foll, err := NewFollowerServer(DurabilityOptions{Dir: t.TempDir()}, Config{}, url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := replica.New(foll, tailOpts(url, replica.WorkloadClassify, foll.Epoch))
+	tail.Start()
+	defer tail.Stop()
+	var body string
+	waitFor(t, 10*time.Second, "the 503 to name the dial error", func() bool {
+		rec := httptest.NewRecorder()
+		foll.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		body = rec.Body.String()
+		return rec.Code == http.StatusServiceUnavailable && strings.Contains(body, "dial tcp")
+	})
+	if !strings.Contains(body, "connection refused") {
+		t.Fatalf("503 body %q does not name the refused connection", body)
 	}
 }
 

@@ -508,6 +508,9 @@ type Stats struct {
 	AppliedLSN       uint64 `json:"applied_lsn"`
 	StalenessMs      int64  `json:"staleness_ms"`
 	ReplConnected    bool   `json:"repl_connected"`
+	// ReplTailError is why a follower's tail last dropped or failed to
+	// connect, cleared when it reconnects.
+	ReplTailError string `json:"repl_tail_error,omitempty"`
 }
 
 // Stats returns a point-in-time summary of shard sizes and the

@@ -26,13 +26,6 @@ func NewCF(d int) CF {
 	return CF{LS: make([]float64, d), SS: make([]float64, d)}
 }
 
-// CFOf returns the cluster feature of a single object x (n = 1).
-func CFOf(x []float64) CF {
-	cf := NewCF(len(x))
-	cf.Add(x)
-	return cf
-}
-
 // CFOfAll returns the cluster feature summarising all given objects, which
 // must share the dimension d.
 func CFOfAll(xs [][]float64, d int) CF {

@@ -6,10 +6,7 @@
 // at leaf level (Section 2.1).
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // VarianceFloor is the smallest variance admitted per dimension. Cluster
 // features of few or identical points can yield zero (or, through floating
@@ -29,33 +26,6 @@ type Gaussian struct {
 
 // Dim returns the dimensionality of the Gaussian.
 func (g Gaussian) Dim() int { return len(g.Mean) }
-
-// NewGaussian builds a Gaussian from mean and variance vectors, clamping
-// variances to the floor. It returns an error if the dimensions disagree
-// or any component is not finite.
-func NewGaussian(mean, variance []float64) (Gaussian, error) {
-	if len(mean) != len(variance) {
-		return Gaussian{}, fmt.Errorf("stats: mean dim %d != variance dim %d", len(mean), len(variance))
-	}
-	v := make([]float64, len(variance))
-	for i, x := range variance {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return Gaussian{}, fmt.Errorf("stats: non-finite variance component %d", i)
-		}
-		if x < VarianceFloor {
-			x = VarianceFloor
-		}
-		v[i] = x
-	}
-	for i, x := range mean {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return Gaussian{}, fmt.Errorf("stats: non-finite mean component %d", i)
-		}
-	}
-	m := make([]float64, len(mean))
-	copy(m, mean)
-	return Gaussian{Mean: m, Var: v}, nil
-}
 
 // LogPDF returns the log density of x under g. Variances are clamped to
 // the floor on the fly so that Gaussians built directly from cluster
@@ -116,10 +86,6 @@ func KL(g, h Gaussian) float64 {
 	}
 	return 0.5 * s
 }
-
-// SymKL returns the symmetrised divergence KL(g||h)+KL(h||g), occasionally
-// useful as a merge criterion.
-func SymKL(g, h Gaussian) float64 { return KL(g, h) + KL(h, g) }
 
 // LogSumExp returns ln(Σ exp(xs_i)) computed stably. An empty input yields
 // -Inf (the log of zero).
@@ -207,18 +173,4 @@ func SilvermanBandwidth(sigma []float64, n int, d int) []float64 {
 		out[i] = s * factor
 	}
 	return out
-}
-
-// ScalarSilverman returns the Silverman factor alone (the bandwidth for a
-// unit-variance dimension), convenient when a single pooled bandwidth is
-// wanted.
-func ScalarSilverman(n, d int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	if d < 1 {
-		d = 1
-	}
-	exp := 1.0 / (float64(d) + 4.0)
-	return math.Pow(4.0/(float64(d)+2.0), exp) * math.Pow(float64(n), -exp)
 }

@@ -32,25 +32,6 @@ func TestGaussianPDFFactorsOverDims(t *testing.T) {
 	}
 }
 
-func TestNewGaussianValidation(t *testing.T) {
-	if _, err := NewGaussian([]float64{0}, []float64{1, 2}); err == nil {
-		t.Errorf("dimension mismatch accepted")
-	}
-	if _, err := NewGaussian([]float64{math.NaN()}, []float64{1}); err == nil {
-		t.Errorf("NaN mean accepted")
-	}
-	if _, err := NewGaussian([]float64{0}, []float64{math.Inf(1)}); err == nil {
-		t.Errorf("Inf variance accepted")
-	}
-	g, err := NewGaussian([]float64{0}, []float64{0})
-	if err != nil {
-		t.Fatalf("zero variance rejected: %v", err)
-	}
-	if g.Var[0] < VarianceFloor {
-		t.Errorf("zero variance not clamped: %v", g.Var[0])
-	}
-}
-
 func TestMahalanobis(t *testing.T) {
 	g := Gaussian{Mean: []float64{0, 0}, Var: []float64{1, 4}}
 	if got := g.Mahalanobis2([]float64{1, 2}); math.Abs(got-2) > 1e-12 {
@@ -83,18 +64,6 @@ func TestKLNonNegativeProperty(t *testing.T) {
 		h := randomGaussian(rng, d)
 		if kl := KL(g, h); kl < -1e-9 {
 			t.Fatalf("KL negative: %v for %v vs %v", kl, g, h)
-		}
-	}
-}
-
-// Property: symmetrised KL is symmetric.
-func TestSymKLSymmetric(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 200; i++ {
-		g := randomGaussian(rng, 3)
-		h := randomGaussian(rng, 3)
-		if math.Abs(SymKL(g, h)-SymKL(h, g)) > 1e-9 {
-			t.Fatalf("SymKL asymmetric")
 		}
 	}
 }
@@ -294,8 +263,5 @@ func TestSilvermanBandwidth(t *testing.T) {
 	h = SilvermanBandwidth([]float64{0}, 0, 1)
 	if h[0] <= 0 {
 		t.Errorf("degenerate bandwidth %v", h[0])
-	}
-	if ScalarSilverman(0, 0) <= 0 {
-		t.Errorf("ScalarSilverman degenerate")
 	}
 }

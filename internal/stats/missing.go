@@ -9,31 +9,11 @@ import "math"
 // dimensions, so evaluation restricted to an index set is exact
 // marginalisation.
 
-// ObservedDims returns the indices of non-NaN coordinates of x, or nil if
-// every coordinate is observed (the common fast path).
-func ObservedDims(x []float64) []int {
-	missing := 0
-	for _, v := range x {
-		if math.IsNaN(v) {
-			missing++
-		}
-	}
-	if missing == 0 {
-		return nil
-	}
-	obs := make([]int, 0, len(x)-missing)
-	for i, v := range x {
-		if !math.IsNaN(v) {
-			obs = append(obs, i)
-		}
-	}
-	return obs
-}
-
-// ObservedDimsInto is ObservedDims with a caller-provided scratch buffer,
-// for allocation-free reuse across queries (e.g. by pooled cursors). It
-// returns the observed index slice — nil when every coordinate is observed
-// — together with the (possibly grown) buffer to keep for the next call.
+// ObservedDimsInto returns the indices of the non-NaN coordinates of x —
+// nil when every coordinate is observed (the common fast path), empty but
+// non-nil when none is — built in a caller-provided scratch buffer, for
+// allocation-free reuse across queries (e.g. by pooled cursors), together
+// with the (possibly grown) buffer to keep for the next call.
 func ObservedDimsInto(x []float64, buf []int) (obs, scratch []int) {
 	buf = buf[:0]
 	missing := false

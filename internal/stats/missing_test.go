@@ -6,15 +6,18 @@ import (
 )
 
 func TestObservedDims(t *testing.T) {
-	if got := ObservedDims([]float64{1, 2, 3}); got != nil {
+	if got, _ := ObservedDimsInto([]float64{1, 2, 3}, nil); got != nil {
 		t.Errorf("complete vector should give nil, got %v", got)
 	}
-	got := ObservedDims([]float64{1, math.NaN(), 3, math.NaN()})
+	got, buf := ObservedDimsInto([]float64{1, math.NaN(), 3, math.NaN()}, nil)
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("ObservedDims = %v, want [0 2]", got)
+		t.Errorf("ObservedDimsInto = %v, want [0 2]", got)
 	}
-	if got := ObservedDims([]float64{math.NaN()}); len(got) != 0 || got == nil {
+	if got, _ := ObservedDimsInto([]float64{math.NaN()}, buf); len(got) != 0 || got == nil {
 		t.Errorf("all-missing should give empty non-nil slice, got %v", got)
+	}
+	if got, _ := ObservedDimsInto([]float64{math.NaN()}, nil); len(got) != 0 || got == nil {
+		t.Errorf("all-missing with no scratch should give empty non-nil slice, got %v", got)
 	}
 }
 
