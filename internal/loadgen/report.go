@@ -13,8 +13,8 @@ import (
 // achieved vs offered throughput, and the quality-under-load block —
 // the granted-budget fraction, the degraded-answer fraction and the
 // holdout accuracy and log-loss that together are the paper's
-// "degrade, never error" story as numbers. SLO turns a report into a pass/fail, the
-// regression gate CI runs.
+// "degrade, never error" story as numbers. SLO turns a report into a
+// pass/fail, the regression gate CI runs.
 
 // Quality is the answer-quality-under-load block of a report.
 type Quality struct {

@@ -6,8 +6,9 @@
 // sharded HDR-style histogram (p50/p90/p99/p999, max), and scores
 // answer quality against load: the granted-budget fraction, the
 // degraded-answer fraction, and classification accuracy and log-loss on
-// a labelled holdout replayed through /classify. SLO objectives turn a run into a
-// pass/fail — the regression gate behind every future perf claim.
+// a labelled holdout replayed through /classify. SLO objectives turn a
+// run into a pass/fail — the regression gate behind every future perf
+// claim.
 //
 // The paper's premise is that an anytime system under overload keeps
 // latency bounded and degrades answer granularity instead; this
