@@ -18,6 +18,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"strings"
 )
@@ -29,7 +30,7 @@ func main() {
 	}
 	missing := 0
 	for _, dir := range os.Args[1:] {
-		n, err := lintDir(dir)
+		n, err := lintDir(os.Stdout, dir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
 			os.Exit(2)
@@ -43,8 +44,8 @@ func main() {
 }
 
 // lintDir parses one directory (skipping tests) and reports every
-// exported symbol without a doc comment, returning the count.
-func lintDir(dir string) (int, error) {
+// exported symbol without a doc comment to w, returning the count.
+func lintDir(w io.Writer, dir string) (int, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -54,7 +55,7 @@ func lintDir(dir string) (int, error) {
 	}
 	missing := 0
 	report := func(pos token.Pos, kind, name string) {
-		fmt.Printf("%s: %s %s has no doc comment\n", fset.Position(pos), kind, name)
+		fmt.Fprintf(w, "%s: %s %s has no doc comment\n", fset.Position(pos), kind, name)
 		missing++
 	}
 	for _, pkg := range pkgs {
@@ -93,33 +94,36 @@ func lintDir(dir string) (int, error) {
 // exportedRecv reports whether a function's receiver (if any) is an
 // exported type — methods on unexported types are internal API.
 func exportedRecv(d *ast.FuncDecl) bool {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return true
-	}
-	t := d.Recv.List[0].Type
-	if st, ok := t.(*ast.StarExpr); ok {
-		t = st.X
-	}
-	if ix, ok := t.(*ast.IndexExpr); ok { // generic receiver
-		t = ix.X
-	}
-	id, ok := t.(*ast.Ident)
-	return !ok || id.IsExported()
+	id := recvType(d)
+	return id == nil || id.IsExported()
 }
 
 // funcName renders Recv.Name for methods, Name for functions.
 func funcName(d *ast.FuncDecl) string {
+	if id := recvType(d); id != nil {
+		return id.Name + "." + d.Name.Name
+	}
+	return d.Name.Name
+}
+
+// recvType is the name of a method's receiver type, behind a pointer
+// and type parameters (T, *T, T[P], *T[P, Q]); nil for a function.
+func recvType(d *ast.FuncDecl) *ast.Ident {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return d.Name.Name
+		return nil
 	}
 	t := d.Recv.List[0].Type
 	if st, ok := t.(*ast.StarExpr); ok {
 		t = st.X
 	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + d.Name.Name
+	switch ix := t.(type) {
+	case *ast.IndexExpr:
+		t = ix.X
+	case *ast.IndexListExpr:
+		t = ix.X
 	}
-	return d.Name.Name
+	id, _ := t.(*ast.Ident)
+	return id
 }
 
 // declKind names a value declaration for the report.

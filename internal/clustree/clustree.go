@@ -30,6 +30,7 @@ package clustree
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bayestree/internal/stats"
 )
@@ -491,25 +492,46 @@ type MicroCluster struct {
 // which is folded into its entry) decayed to the tree's current time,
 // dropping those whose weight fell below minWeight.
 func (t *Tree) MicroClusters(minWeight float64) []MicroCluster {
-	var out []MicroCluster
+	return t.AppendMicroClusters(nil, minWeight)
+}
+
+// AppendMicroClusters appends what MicroClusters returns to dst. An
+// element of dst's spare capacity lends its CF and Mean vectors to the
+// micro-cluster written over it, so a reader that keeps one buffer
+// allocates only when the count or the dimension grows.
+func (t *Tree) AppendMicroClusters(dst []MicroCluster, minWeight float64) []MicroCluster {
 	var walk func(n *node)
 	walk = func(n *node) {
 		for _, e := range n.entries {
 			t.decay(e, t.now)
-			if n.leaf {
-				cf := e.cf.Clone()
-				cf.Merge(e.buffer)
-				if cf.N < minWeight {
-					continue
-				}
-				out = append(out, MicroCluster{CF: cf, Weight: cf.N, Mean: cf.Mean(), Radius: cf.Radius()})
+			if !n.leaf {
+				walk(e.child)
 				continue
 			}
-			walk(e.child)
+			if e.cf.N+e.buffer.N < minWeight {
+				continue
+			}
+			dst = slices.Grow(dst, 1)[:len(dst)+1]
+			mc := &dst[len(dst)-1]
+			cf := &mc.CF
+			cf.N, cf.LS, cf.SS = e.cf.N+e.buffer.N, resize(cf.LS, t.cfg.Dim), resize(cf.SS, t.cfg.Dim)
+			for i := range cf.LS {
+				cf.LS[i] = e.cf.LS[i] + e.buffer.LS[i]
+				cf.SS[i] = e.cf.SS[i] + e.buffer.SS[i]
+			}
+			mc.Weight, mc.Mean, mc.Radius = cf.N, cf.MeanInto(resize(mc.Mean, t.cfg.Dim)), cf.Radius()
 		}
 	}
 	walk(t.root)
-	return out
+	return dst
+}
+
+// resize returns v at length n, reusing its array when it is big enough.
+func resize(v []float64, n int) []float64 {
+	if cap(v) < n {
+		return make([]float64, n)
+	}
+	return v[:n]
 }
 
 // MicroClusterCount returns how many micro-clusters MicroClusters

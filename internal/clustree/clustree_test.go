@@ -3,6 +3,7 @@ package clustree
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -393,5 +394,77 @@ func TestInsertAllocs(t *testing.T) {
 		t.Errorf("a split-free insert allocates %.1f times (runs %v), want 0", got, runs)
 	} else {
 		t.Logf("%.1f allocations per split-free insert (runs %v)", got, runs)
+	}
+}
+
+// microClustersOracle is the export AppendMicroClusters replaced: a
+// clone of each leaf entry's CF, merged with its buffer, and a fresh
+// mean — the arithmetic the export must keep to the bit.
+func microClustersOracle(t *Tree, minWeight float64) []MicroCluster {
+	var out []MicroCluster
+	var walk func(n *node)
+	walk = func(n *node) {
+		for _, e := range n.entries {
+			t.decay(e, t.now)
+			if !n.leaf {
+				walk(e.child)
+				continue
+			}
+			cf := e.cf.Clone()
+			cf.Merge(e.buffer)
+			if cf.N >= minWeight {
+				out = append(out, MicroCluster{CF: cf, Weight: cf.N, Mean: cf.Mean(), Radius: cf.Radius()})
+			}
+		}
+	}
+	walk(t.root)
+	return out
+}
+
+// TestAppendMicroClustersReuses: the export into a used buffer — spare
+// elements of another dimension, some too short — writes what the
+// oracle builds, keeps what dst held, lends its spare vectors, and
+// allocates nothing once the buffer has held a set as large.
+func TestAppendMicroClustersReuses(t *testing.T) {
+	cfg := DefaultConfig(3)
+	cfg.Lambda = 0.002
+	tree, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(36))
+	for i := 1; i <= 4000; i++ {
+		x := []float64{rng.Float64(), rng.Float64(), 0.5 + 0.01*rng.NormFloat64()}
+		if err := tree.Insert(x, float64(i), 1+rng.Intn(4)); err != nil { // small budgets park objects
+			t.Fatal(err)
+		}
+	}
+	if tree.Parked() == 0 {
+		t.Fatal("no object parked: the buffers are not exercised")
+	}
+	for _, floor := range []float64{0, 0.5, 2} {
+		want := microClustersOracle(tree, floor)
+		if len(want) == 0 {
+			t.Fatalf("floor %v: no micro-cluster", floor)
+		}
+		all := make([]MicroCluster, len(want)+1)
+		for i := range all {
+			d := 1 + i%5 // spare vectors shorter and longer than the tree's
+			all[i] = MicroCluster{CF: stats.NewCF(d), Mean: make([]float64, d), Weight: -1}
+		}
+		dst, first := all[:1], all[0]
+		got := tree.AppendMicroClusters(dst, floor)
+		if !reflect.DeepEqual(got[0], first) || !reflect.DeepEqual(got[1:], want) {
+			t.Fatalf("floor %v: AppendMicroClusters differs from the oracle", floor)
+		}
+		if &got[0] != &dst[0] || &got[4].Mean[0] != &all[4].Mean[0] {
+			t.Fatalf("floor %v: the spare capacity or its vectors were not reused", floor)
+		}
+		if n := testing.AllocsPerRun(10, func() { got = tree.AppendMicroClusters(got[:0], floor) }); n != 0 {
+			t.Errorf("floor %v: a warm export allocates %.0f times, want 0", floor, n)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("floor %v: a warm export differs from the oracle", floor)
+		}
 	}
 }

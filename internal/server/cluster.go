@@ -141,6 +141,11 @@ type ClusterServer struct {
 
 	snapMu sync.Mutex
 	store  *clustree.SnapshotStore
+
+	// spare is the micro-cluster set the last /microclusters read
+	// answered from, kept so the next one refills its vectors (one set,
+	// not one per P as a sync.Pool would keep).
+	spare atomic.Pointer[[]clustree.MicroCluster]
 }
 
 // NewCluster builds a clustering server of empty shards over the given
@@ -356,13 +361,18 @@ func (s *ClusterServer) maybeRecord(ts int64) {
 // minWeight. CF additivity makes the concatenation exact: each shard
 // summarises a disjoint hash partition of the stream.
 func (s *ClusterServer) MicroClusters(minWeight float64) []clustree.MicroCluster {
-	var out []clustree.MicroCluster
+	return s.appendMicroClusters(nil, minWeight)
+}
+
+// appendMicroClusters appends the union set to dst shard by shard, each
+// under its shard's lock, reusing the vectors of dst's spare elements.
+func (s *ClusterServer) appendMicroClusters(dst []clustree.MicroCluster, minWeight float64) []clustree.MicroCluster {
 	for _, sh := range s.shards {
 		s.rlock(sh)
-		out = append(out, sh.tree.t.MicroClusters(minWeight)...)
+		dst = sh.tree.t.AppendMicroClusters(dst, minWeight)
 		s.runlock(sh)
 	}
-	return out
+	return dst
 }
 
 // MacroClusters runs the density-based offline step over the union

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"bayestree/internal/clustree"
 	"bayestree/internal/wire"
 )
 
@@ -68,11 +69,19 @@ func (s *ClusterServer) handleMicroClusters(w http.ResponseWriter, r *http.Reque
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Straight from the model's clusters, no []MicroClusterJSON between.
-	mcs := s.MicroClusters(minw)
+	// Straight from the model's clusters, no []MicroClusterJSON between,
+	// copied into the server's spare set; a read that finds it taken by
+	// another builds its own, and the last one done keeps its set.
+	spare := s.spare.Swap(nil)
+	if spare == nil {
+		spare = new([]clustree.MicroCluster)
+	}
+	mcs := s.appendMicroClusters((*spare)[:0], minw)
 	writeAppended(w, http.StatusOK, func(dst []byte) []byte {
 		return wire.AppendMicroClusters(dst, len(mcs), func(i int) wire.MicroClusterJSON {
 			return wire.MicroClusterJSON{Weight: mcs[i].Weight, Mean: mcs[i].Mean, Radius: mcs[i].Radius}
 		})
 	})
+	*spare = mcs
+	s.spare.Store(spare)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,10 +19,11 @@ import (
 
 // clusterStream is the shape the repo benchmark's cluster_stream row
 // serves, in process: a 4-shard clustering server over four dimensions
-// with λ = 0.001 and a pruning floor of 0.5, warm with 20,000 objects
-// from eight Gaussian sources, and NDJSON bodies of 64 objects at
-// budget 8 drawn from the same sources.
-func clusterStream(tb testing.TB, bodies int) (*ClusterServer, [][]byte) {
+// with λ = 0.001 and a pruning floor of 0.5, warm with the given number
+// of objects from eight Gaussian sources whose centres drift 2e-6 an
+// object, and NDJSON bodies of 64 objects at budget 8 drawn from the
+// same sources.
+func clusterStream(tb testing.TB, objects, bodies int) (*ClusterServer, [][]byte) {
 	tb.Helper()
 	ccfg := clustree.DefaultConfig(4)
 	ccfg.Lambda = 0.001
@@ -31,10 +33,15 @@ func clusterStream(tb testing.TB, bodies int) (*ClusterServer, [][]byte) {
 	}
 	tb.Cleanup(cs.Close)
 	rng := rand.New(rand.NewSource(1))
-	centres := make([][4]float64, 8)
+	centres, steps := make([][4]float64, 8), make([][4]float64, 8)
 	for s := range centres {
+		norm := 0.0
 		for d := range centres[s] {
-			centres[s][d] = 0.2 + 0.6*rng.Float64()
+			centres[s][d], steps[s][d] = 0.2+0.6*rng.Float64(), rng.NormFloat64()
+			norm += steps[s][d] * steps[s][d]
+		}
+		for d := range steps[s] {
+			steps[s][d] *= 2e-6 / math.Sqrt(norm)
 		}
 	}
 	object := func() []float64 {
@@ -42,9 +49,14 @@ func clusterStream(tb testing.TB, bodies int) (*ClusterServer, [][]byte) {
 		for d, c := range centres[rng.Intn(len(centres))] {
 			x[d] = c + 0.02*rng.NormFloat64()
 		}
+		for s := range centres {
+			for d := range centres[s] {
+				centres[s][d] += steps[s][d]
+			}
+		}
 		return x
 	}
-	for i := 0; i < 20000; i++ {
+	for i := 0; i < objects; i++ {
 		if _, err := cs.Insert(object(), 8); err != nil {
 			tb.Fatal(err)
 		}
@@ -76,15 +88,15 @@ func serveRecorded(h http.Handler, path, ctype string, body []byte) *httptest.Re
 // and request built here, the window's worker pool): under two and a
 // half per line, where a line that went through encoding/json cost
 // twelve. The ingest itself allocates only when it opens a micro-cluster
-// or splits, so what a whole body costs (499 measured) is the pyramidal
-// snapshot every 1,024th object records — MicroClusters clones the
+// or splits, so what a whole body costs (491 measured) is the pyramidal
+// snapshot every 1,024th object records — MicroClusters copies the
 // model, ≈ 6 allocations per object amortised, the same 6.0 a lone
 // Insert shows — one decoded point a line, and the request.
 func TestClusterStreamAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	cs, bodies := clusterStream(t, 200)
+	cs, bodies := clusterStream(t, 20000, 200)
 	h := cs.Handler()
 	next := 0
 	perBody := testing.AllocsPerRun(len(bodies)-1, func() {
@@ -106,6 +118,57 @@ func TestClusterStreamAllocs(t *testing.T) {
 	}
 	if perBody > 560 {
 		t.Errorf("a 64-line /cluster body allocates %.0f times, want at most 560", perBody)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps only the status and the
+// body's length, so an allocation count sees the handler and not a
+// recorder's buffer growing with the answer.
+type discardWriter struct {
+	header  http.Header
+	code, n int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// serveDiscarded drives h with req into w, emptied first.
+func serveDiscarded(h http.Handler, w *discardWriter, req *http.Request) {
+	*w = discardWriter{header: w.header}
+	h.ServeHTTP(w, req)
+}
+
+// TestMicroClustersRouteAllocs pins what a /microclusters read costs: the
+// micro-clusters are copied into the server's spare set, whose vectors
+// the next read reuses, and encoded into a pooled buffer, so the count
+// is the request's own — the same at 5,000 as at 20,000 objects, and
+// small — where a set built afresh cost some six allocations a
+// micro-cluster.
+func TestMicroClustersRouteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	var counts, sizes [2]float64
+	for i, objects := range []int{5000, 20000} {
+		cs, _ := clusterStream(t, objects, 0)
+		h := cs.Handler()
+		w := &discardWriter{header: make(http.Header)}
+		req := httptest.NewRequest("GET", "/microclusters?minw=0.5", nil)
+		counts[i] = testing.AllocsPerRun(100, func() {
+			if serveDiscarded(h, w, req); w.code != http.StatusOK || w.n == 0 {
+				t.Fatalf("status %d, %d bytes", w.code, w.n)
+			}
+		})
+		sizes[i] = float64(len(cs.MicroClusters(0.5)))
+	}
+	t.Logf("%.0f and %.0f allocations a read over %.0f and %.0f micro-clusters", counts[0], counts[1], sizes[0], sizes[1])
+	if sizes[1] <= sizes[0] {
+		t.Fatalf("the larger model holds %.0f micro-clusters, the smaller %.0f: the two sizes do not differ", sizes[1], sizes[0])
+	}
+	if counts[0] != counts[1] || counts[1] > 10 {
+		t.Errorf("a /microclusters read allocates %.0f times at %.0f micro-clusters and %.0f at %.0f, want one count of at most 10",
+			counts[0], sizes[0], counts[1], sizes[1])
 	}
 }
 
@@ -240,7 +303,7 @@ func TestNDJSONWindows(t *testing.T) {
 // every 32 bodies. allocs/op over 64 is the per-object cost of serving:
 // the ingest's own plus whatever the HTTP and wire layer adds per line.
 func BenchmarkServerClusterNDJSON(b *testing.B) {
-	cs, bodies := clusterStream(b, 256)
+	cs, bodies := clusterStream(b, 20000, 256)
 	h := cs.Handler()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -252,4 +315,25 @@ func BenchmarkServerClusterNDJSON(b *testing.B) {
 			cs.AdvanceDecay()
 		}
 	}
+}
+
+// BenchmarkServerMicroClusters is the in-process twin of the repo
+// benchmark's cluster_stream read: one op is GET /microclusters?minw=0.5
+// through Handler().ServeHTTP over the 20,000-object model, answered
+// into a writer that discards the body. body-bytes/op is the answer's
+// length.
+func BenchmarkServerMicroClusters(b *testing.B) {
+	cs, _ := clusterStream(b, 20000, 0)
+	h := cs.Handler()
+	w := &discardWriter{header: make(http.Header)}
+	req := httptest.NewRequest("GET", "/microclusters?minw=0.5", nil)
+	serveDiscarded(h, w, req) // the first read builds the spare set
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if serveDiscarded(h, w, req); w.code != http.StatusOK {
+			b.Fatalf("status %d", w.code)
+		}
+	}
+	b.ReportMetric(float64(w.n), "body-bytes/op")
 }

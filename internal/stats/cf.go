@@ -108,16 +108,20 @@ func (cf *CF) Scale(w float64) {
 }
 
 // Mean returns μ = LS/n. It returns a zero vector for an empty feature.
-func (cf *CF) Mean() []float64 {
-	out := make([]float64, len(cf.LS))
+func (cf *CF) Mean() []float64 { return cf.MeanInto(make([]float64, len(cf.LS))) }
+
+// MeanInto writes μ = LS/n into dst, which must have the feature's
+// dimension, and returns it; dst is zeroed for an empty feature.
+func (cf *CF) MeanInto(dst []float64) []float64 {
 	if cf.N <= 0 {
-		return out
+		clear(dst)
+		return dst
 	}
 	inv := 1 / cf.N
 	for i, v := range cf.LS {
-		out[i] = v * inv
+		dst[i] = v * inv
 	}
-	return out
+	return dst
 }
 
 // Variance returns σ² = SS/n − (LS/n)² per dimension, clamped to the

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"math"
 	"strconv"
 	"unicode/utf8"
 )
@@ -119,26 +118,6 @@ func appendList(dst []byte, n int, isNil bool, elem func(dst []byte, i int) []by
 
 func appendFloats(dst []byte, v []float64) []byte {
 	return appendList(dst, len(v), v == nil, func(dst []byte, i int) []byte { return appendFloat(dst, v[i]) })
-}
-
-// appendFloat appends f in encoding/json's format, which is ES6's:
-// shortest round-trip digits, positional unless the exponent is below
-// -6 or at least 21, and no padding of a one-digit negative exponent.
-// JSON has no non-finite numbers: those become null.
-func appendFloat(dst []byte, f float64) []byte {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return append(dst, "null"...)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst
 }
 
 // appendString appends s quoted as encoding/json quotes it with HTML
