@@ -19,8 +19,6 @@ type (
 	// Config holds the Bayes tree structural parameters (fanout and leaf
 	// capacities, kernel, reinsertion policy).
 	Config = core.Config
-	// Tree is a Bayes tree over one class population.
-	Tree = core.Tree
 	// Classifier is the per-class-forest anytime classifier with the qbk
 	// refinement strategy.
 	Classifier = core.Classifier
@@ -29,14 +27,13 @@ type (
 	ClassifierOptions = core.ClassifierOptions
 	// Query is an in-progress anytime classification.
 	Query = core.Query
-	// Cursor is an in-progress anytime density query on a single tree.
-	Cursor = core.Cursor
 	// Strategy is the tree descent order (global best, breadth- or
 	// depth-first).
 	Strategy = core.Strategy
 	// Priority is the global-descent ordering measure.
 	Priority = core.Priority
-	// MultiTree is the single-tree multi-class variant of Section 4.1.
+	// MultiTree is the Bayes tree: the single-tree multi-class variant
+	// of Section 4.1, and with one class a class tree of the Classifier.
 	MultiTree = core.MultiTree
 	// MultiOptions configure the multi-class tree.
 	MultiOptions = core.MultiOptions

@@ -344,7 +344,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 			loader, _ := bulkload.ByName(name)
 			b.ReportMetric(float64(len(pts)), "points")
 			for i := 0; i < b.N; i++ {
-				if _, err := loader.Build(pts, cfg); err != nil {
+				if _, err := loader.Build(pts, cfg, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -352,21 +352,22 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkInsert measures incremental insertion throughput.
+// BenchmarkInsert measures incremental insertion throughput into a class
+// tree: what Classifier.Learn does per object.
 func BenchmarkInsert(b *testing.B) {
 	ds := benchDataset(b, "pendigits", benchScale)
 	cfg := core.DefaultConfig(ds.Dim())
 	b.ResetTimer()
-	var tree *core.Tree
+	var tree *core.MultiTree
 	for i := 0; i < b.N; i++ {
 		if i%ds.Len() == 0 {
 			var err error
-			tree, err = core.NewTree(cfg)
+			tree, err = core.NewMultiTree(cfg, []int{0}, core.MultiOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := tree.Insert(ds.X[i%ds.Len()]); err != nil {
+		if err := tree.Insert(ds.X[i%ds.Len()], 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -389,48 +390,31 @@ func BenchmarkClassify(b *testing.B) {
 	}
 }
 
-// BenchmarkDensityQuery measures pure frontier refinement throughput.
-func BenchmarkDensityQuery(b *testing.B) {
-	ds := benchDataset(b, "pendigits", benchScale)
-	loader, _ := bulkload.ByName("hilbert")
-	tree, err := loader.Build(ds.ByClass()[0], core.DefaultConfig(ds.Dim()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cur := tree.NewCursor(ds.X[i%ds.Len()], core.DescentGlobal, core.PriorityProbabilistic)
-		for s := 0; s < 20; s++ {
-			cur.Refine()
-		}
-		_ = cur.LogDensity()
-		cur.Close()
-	}
-}
-
-// BenchmarkRefine measures the steady-state anytime refine loop per
-// descent strategy: one pooled cursor per query, 20 node reads, frozen
-// Gaussians on the hot path. The seed path (CF.Gaussian per entry per
-// query, boxing container/heap, uncached root summary and bandwidths) ran
-// this at ~35-37 µs with 45-73 allocs per query; the frozen fast path must
-// hold 0 allocs/op (see EXPERIMENTS.md for recorded numbers).
+// BenchmarkRefine measures the steady-state anytime refine loop of one
+// class tree per descent strategy: one pooled one-class MultiQuery per
+// query, 20 node reads through the descent mirror, the answer read. It
+// must hold 0 allocs/op (see EXPERIMENTS.md for recorded numbers).
 func BenchmarkRefine(b *testing.B) {
 	ds := benchDataset(b, "pendigits", benchScale)
 	loader, _ := bulkload.ByName("hilbert")
-	tree, err := loader.Build(ds.ByClass()[0], core.DefaultConfig(ds.Dim()))
+	tree, err := loader.Build(ds.ByClass()[0], core.DefaultConfig(ds.Dim()), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, strat := range []core.Strategy{core.DescentGlobal, core.DescentBFT, core.DescentDFT} {
 		b.Run(strat.String(), func(b *testing.B) {
 			b.ReportAllocs()
+			opts := core.ClassifierOptions{Strategy: strat}
 			for i := 0; i < b.N; i++ {
-				cur := tree.NewCursor(ds.X[i%ds.Len()], strat, core.PriorityProbabilistic)
-				for s := 0; s < 20; s++ {
-					cur.Refine()
+				q, err := tree.NewQuery(ds.X[i%ds.Len()], opts)
+				if err != nil {
+					b.Fatal(err)
 				}
-				_ = cur.LogDensity()
-				cur.Close()
+				for s := 0; s < 20; s++ {
+					q.Step()
+				}
+				_ = q.Predict()
+				q.Close()
 			}
 		})
 	}

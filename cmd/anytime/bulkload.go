@@ -9,6 +9,8 @@ import (
 
 	"bayestree/internal/bulkload"
 	"bayestree/internal/core"
+	"bayestree/internal/mbr"
+	"bayestree/internal/stats"
 )
 
 // runBulkload compares the bulk-loading strategies structurally: build
@@ -49,9 +51,9 @@ func runBulkload(args []string, stdout io.Writer) error {
 
 	for i, loader := range ls {
 		start := time.Now()
-		var trees []*core.Tree
+		var trees []*core.MultiTree
 		for _, y := range labels {
-			t, err := loader.Build(byClass[y], cfg)
+			t, err := loader.Build(byClass[y], cfg, y)
 			if err != nil {
 				return fmt.Errorf("%s class %d: %w", loader.Name(), y, err)
 			}
@@ -82,7 +84,7 @@ type agg struct {
 	avgFanout, avgLeafOcc float64
 }
 
-func aggregateStats(trees []*core.Tree) agg {
+func aggregateStats(trees []*core.MultiTree) agg {
 	var a agg
 	var fanoutSum, occSum float64
 	var fanoutN, occN int
@@ -109,14 +111,14 @@ func aggregateStats(trees []*core.Tree) agg {
 }
 
 // dumpTree prints node counts per depth and a sample of entry summaries.
-func dumpTree(w io.Writer, t *core.Tree, label int) {
+func dumpTree(w io.Writer, t *core.MultiTree, label int) {
 	fmt.Fprintf(w, "\nclass %d tree (%d observations):\n", label, t.Len())
 	type lvl struct {
 		nodes, entries, points int
 	}
 	levels := map[int]*lvl{}
-	var walk func(n *core.Node, d int)
-	walk = func(n *core.Node, d int) {
+	var walk func(n *core.MultiNode, d int)
+	walk = func(n *core.MultiNode, d int) {
 		l := levels[d]
 		if l == nil {
 			l = &lvl{}
@@ -142,11 +144,16 @@ func dumpTree(w io.Writer, t *core.Tree, label int) {
 		l := levels[d]
 		fmt.Fprintf(w, "  depth %d: %d nodes, %d entries, %d observations\n", d, l.nodes, l.entries, l.points)
 	}
-	if e, ok := t.RootEntry(); ok {
-		g := e.Gaussian()
-		rect := e.Rect.String()
+	if root := t.Root(); !root.IsLeaf() {
+		// The level-0 model: the merge of the root's entries.
+		cf, rect := stats.NewCF(t.Config().Dim), mbr.Empty(t.Config().Dim)
+		for _, e := range root.Entries() {
+			cf.Merge(e.Total)
+			rect.Extend(e.Rect)
+		}
+		g, r := cf.Gaussian(), rect.String()
 		fmt.Fprintf(w, "  root model: n=%.0f mean[0]=%.3f var[0]=%.4f mbr=%s...\n",
-			e.CF.N, g.Mean[0], g.Var[0], rect[:min(40, len(rect))])
+			cf.N, g.Mean[0], g.Var[0], r[:min(40, len(r))])
 	}
 	fmt.Fprintln(w)
 }

@@ -29,41 +29,41 @@ type Loader interface {
 	// Name identifies the strategy in reports and flags ("emtopdown",
 	// "hilbert", "zcurve", "str", "goldberger", "vsample", "iterative").
 	Name() string
-	// Build constructs a tree over the observations with the given
-	// structural configuration.
-	Build(points [][]float64, cfg core.Config) (*core.Tree, error)
+	// Build constructs the one-class tree of the given class label over
+	// the observations with the given structural configuration.
+	Build(points [][]float64, cfg core.Config, label int) (*core.MultiTree, error)
 }
 
 // loader is a registered strategy: its report name and its build.
 type loader struct {
 	name  string
-	build func(points [][]float64, cfg core.Config) (*core.Tree, error)
+	build func(points [][]float64, cfg core.Config, label int) (*core.MultiTree, error)
 }
 
 // Name implements Loader.
 func (l loader) Name() string { return l.name }
 
 // Build implements Loader.
-func (l loader) Build(points [][]float64, cfg core.Config) (*core.Tree, error) {
-	return l.build(points, cfg)
+func (l loader) Build(points [][]float64, cfg core.Config, label int) (*core.MultiTree, error) {
+	return l.build(points, cfg, label)
 }
 
 // loaders is the registry, in canonical report order.
 var loaders = []loader{
 	{"emtopdown", buildEMTopDown},
-	{"hilbert", func(points [][]float64, cfg core.Config) (*core.Tree, error) {
-		return curveBuild(points, cfg, hilbertKey)
+	{"hilbert", func(points [][]float64, cfg core.Config, label int) (*core.MultiTree, error) {
+		return curveBuild(points, cfg, label, hilbertKey)
 	}},
-	{"goldberger", func(points [][]float64, cfg core.Config) (*core.Tree, error) {
-		return statisticalBuild(points, cfg, reduce)
+	{"goldberger", func(points [][]float64, cfg core.Config, label int) (*core.MultiTree, error) {
+		return statisticalBuild(points, cfg, label, reduce)
 	}},
 	{"iterative", buildIterative},
-	{"zcurve", func(points [][]float64, cfg core.Config) (*core.Tree, error) {
-		return curveBuild(points, cfg, zKey)
+	{"zcurve", func(points [][]float64, cfg core.Config, label int) (*core.MultiTree, error) {
+		return curveBuild(points, cfg, label, zKey)
 	}},
 	{"str", buildSTR},
-	{"vsample", func(points [][]float64, cfg core.Config) (*core.Tree, error) {
-		return statisticalBuild(points, cfg, virtualSample)
+	{"vsample", func(points [][]float64, cfg core.Config, label int) (*core.MultiTree, error) {
+		return statisticalBuild(points, cfg, label, virtualSample)
 	}},
 }
 
@@ -102,22 +102,13 @@ func All() []Loader {
 	return out
 }
 
-// buildIterative is the paper's baseline: build by repeated incremental
+// buildIterative is the paper's baseline: build by repeated R*
 // insertion (Section 2.2 / [16]).
-func buildIterative(points [][]float64, cfg core.Config) (*core.Tree, error) {
+func buildIterative(points [][]float64, cfg core.Config, label int) (*core.MultiTree, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("bulkload: no observations")
 	}
-	t, err := core.NewTree(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range points {
-		if err := t.Insert(p); err != nil {
-			return nil, fmt.Errorf("bulkload: inserting observation %d: %w", i, err)
-		}
-	}
-	return t, nil
+	return core.BuildRStar(cfg, label, points)
 }
 
 // validatePoints performs the shared input checks.

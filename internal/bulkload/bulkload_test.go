@@ -31,14 +31,30 @@ func randomPoints(rng *rand.Rand, n, d int) [][]float64 {
 	return out
 }
 
+// fullDensity is the fully refined log density of x under a one-class
+// tree: its one class's score, whose prior is log 1 = 0.
+func fullDensity(t *testing.T, tree *core.MultiTree, x []float64) float64 {
+	t.Helper()
+	q, err := tree.NewQuery(x, core.ClassifierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	for q.Step() {
+	}
+	return q.Scores()[0]
+}
+
 // collectPoints gathers all observations stored in a tree, for membership
 // checks against the input.
-func collectPoints(tree *core.Tree) [][]float64 {
+func collectPoints(tree *core.MultiTree) [][]float64 {
 	var out [][]float64
-	var walk func(n *core.Node)
-	walk = func(n *core.Node) {
+	var walk func(n *core.MultiNode)
+	walk = func(n *core.MultiNode) {
 		if n.IsLeaf() {
-			out = append(out, n.Points()...)
+			for _, p := range n.Points() {
+				out = append(out, p.X)
+			}
 			return
 		}
 		for _, e := range n.Entries() {
@@ -83,7 +99,7 @@ func TestAllLoadersPreserveData(t *testing.T) {
 		want[p[0]]++
 	}
 	for _, loader := range All() {
-		tree, err := loader.Build(points, testConfig(3))
+		tree, err := loader.Build(points, testConfig(3), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", loader.Name(), err)
 		}
@@ -112,7 +128,7 @@ func TestLoadersEdgeSizes(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 8, 9, 16, 17, 40, 41, 65} {
 		points := randomPoints(rng, n, 2)
 		for _, loader := range All() {
-			tree, err := loader.Build(points, testConfig(2))
+			tree, err := loader.Build(points, testConfig(2), 0)
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", loader.Name(), n, err)
 			}
@@ -128,15 +144,15 @@ func TestLoadersEdgeSizes(t *testing.T) {
 
 func TestLoadersRejectBadInput(t *testing.T) {
 	for _, loader := range All() {
-		if _, err := loader.Build(nil, testConfig(2)); err == nil {
+		if _, err := loader.Build(nil, testConfig(2), 0); err == nil {
 			t.Errorf("%s: empty input accepted", loader.Name())
 		}
-		if _, err := loader.Build([][]float64{{1}}, testConfig(2)); err == nil {
+		if _, err := loader.Build([][]float64{{1}}, testConfig(2), 0); err == nil {
 			t.Errorf("%s: wrong-dim input accepted", loader.Name())
 		}
 		bad := testConfig(2)
 		bad.Dim = 0
-		if _, err := loader.Build([][]float64{{1, 2}}, bad); err == nil {
+		if _, err := loader.Build([][]float64{{1, 2}}, bad, 0); err == nil {
 			t.Errorf("%s: invalid config accepted", loader.Name())
 		}
 	}
@@ -146,11 +162,11 @@ func TestLoadersDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	points := randomPoints(rng, 200, 2)
 	for _, loader := range All() {
-		t1, err := loader.Build(points, testConfig(2))
+		t1, err := loader.Build(points, testConfig(2), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", loader.Name(), err)
 		}
-		t2, err := loader.Build(points, testConfig(2))
+		t2, err := loader.Build(points, testConfig(2), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", loader.Name(), err)
 		}
@@ -160,11 +176,7 @@ func TestLoadersDeterministic(t *testing.T) {
 		}
 		// Density queries agree exactly.
 		x := []float64{0.5, 0.5}
-		c1 := t1.NewCursor(x, core.DescentGlobal, core.PriorityProbabilistic)
-		c2 := t2.NewCursor(x, core.DescentGlobal, core.PriorityProbabilistic)
-		c1.RefineAll()
-		c2.RefineAll()
-		if math.Abs(c1.LogDensity()-c2.LogDensity()) > 1e-12 {
+		if math.Abs(fullDensity(t, t1, x)-fullDensity(t, t2, x)) > 1e-12 {
 			t.Errorf("%s: nondeterministic densities", loader.Name())
 		}
 	}
@@ -179,7 +191,7 @@ func TestLoadersDuplicateHeavy(t *testing.T) {
 		points = append(points, []float64{float64(i % 3), float64(i % 2)})
 	}
 	for _, loader := range All() {
-		tree, err := loader.Build(points, testConfig(2))
+		tree, err := loader.Build(points, testConfig(2), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", loader.Name(), err)
 		}
@@ -194,7 +206,7 @@ func TestCurveLoadersAreBalanced(t *testing.T) {
 	points := randomPoints(rng, 300, 2)
 	for _, name := range []string{"hilbert", "zcurve", "str", "goldberger", "vsample", "iterative"} {
 		loader, _ := ByName(name)
-		tree, err := loader.Build(points, testConfig(2))
+		tree, err := loader.Build(points, testConfig(2), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -215,7 +227,7 @@ func TestEMTopDownMayBeUnbalanced(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		points = append(points, []float64{5 + rng.NormFloat64()*0.01, 5 + rng.NormFloat64()*0.01})
 	}
-	tree, err := mustLoader("emtopdown").Build(points, testConfig(2))
+	tree, err := mustLoader("emtopdown").Build(points, testConfig(2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,22 +267,22 @@ func TestChunkSizes(t *testing.T) {
 func TestHilbertPackingLocality(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	points := randomPoints(rng, 512, 2)
-	tree, err := mustLoader("hilbert").Build(points, testConfig(2))
+	tree, err := mustLoader("hilbert").Build(points, testConfig(2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var leafArea float64
 	var leaves int
-	var walk func(n *core.Node)
-	walk = func(n *core.Node) {
+	var walk func(n *core.MultiNode)
+	walk = func(n *core.MultiNode) {
 		if n.IsLeaf() {
 			leaves++
 			lo := []float64{math.Inf(1), math.Inf(1)}
 			hi := []float64{math.Inf(-1), math.Inf(-1)}
 			for _, p := range n.Points() {
 				for k := 0; k < 2; k++ {
-					lo[k] = math.Min(lo[k], p[k])
-					hi[k] = math.Max(hi[k], p[k])
+					lo[k] = math.Min(lo[k], p.X[k])
+					hi[k] = math.Max(hi[k], p.X[k])
 				}
 			}
 			leafArea += (hi[0] - lo[0]) * (hi[1] - lo[1])
@@ -292,7 +304,7 @@ func TestHilbertPackingLocality(t *testing.T) {
 func TestGoldbergerFanoutBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	points := randomPoints(rng, 600, 3)
-	tree, err := mustLoader("goldberger").Build(points, testConfig(3))
+	tree, err := mustLoader("goldberger").Build(points, testConfig(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,11 @@ import (
 // resulting tree may be unbalanced, which the paper explicitly accepts:
 // "the results show that this is not a drawback but even leads to better
 // anytime classification performance".
-func buildEMTopDown(points [][]float64, cfg core.Config) (*core.Tree, error) {
+func buildEMTopDown(points [][]float64, cfg core.Config, label int) (*core.MultiTree, error) {
 	if err := validatePoints(points, cfg); err != nil {
 		return nil, err
 	}
-	b, err := core.NewBuilder(cfg)
+	b, err := core.NewBuilder(cfg, label)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +43,7 @@ type emBuilder struct {
 }
 
 // build constructs the subtree over the given observations.
-func (eb *emBuilder) build(points [][]float64, depth int) (*core.Node, error) {
+func (eb *emBuilder) build(points [][]float64, depth int) (*core.MultiNode, error) {
 	if len(points) <= eb.cfg.MaxLeaf {
 		return eb.b.Leaf(points)
 	}
@@ -54,7 +54,7 @@ func (eb *emBuilder) build(points [][]float64, depth int) (*core.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	children := make([]*core.Node, 0, len(clusters))
+	children := make([]*core.MultiNode, 0, len(clusters))
 	for _, cl := range clusters {
 		child, err := eb.build(cl, depth+1)
 		if err != nil {

@@ -32,11 +32,11 @@ type reduceFn func(f *mixture, s, group int) ([]int, error)
 
 // statisticalBuild stacks tree levels bottom-up, each produced by reducing
 // the previous level's mixture.
-func statisticalBuild(points [][]float64, cfg core.Config, reducer reduceFn) (*core.Tree, error) {
+func statisticalBuild(points [][]float64, cfg core.Config, label int, reducer reduceFn) (*core.MultiTree, error) {
 	if err := validatePoints(points, cfg); err != nil {
 		return nil, err
 	}
-	b, err := core.NewBuilder(cfg)
+	b, err := core.NewBuilder(cfg, label)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +72,7 @@ func statisticalBuild(points [][]float64, cfg core.Config, reducer reduceFn) (*c
 	if err != nil {
 		return nil, fmt.Errorf("bulkload: leaf level: %w", err)
 	}
-	nodes := make([]*core.Node, 0, len(leafGroups))
+	nodes := make([]*core.MultiNode, 0, len(leafGroups))
 	for _, grp := range leafGroups {
 		pts := make([][]float64, len(grp))
 		for i, idx := range grp {
@@ -95,9 +95,9 @@ func statisticalBuild(points [][]float64, cfg core.Config, reducer reduceFn) (*c
 		if err != nil {
 			return nil, fmt.Errorf("bulkload: inner level (%d nodes): %w", len(nodes), err)
 		}
-		next := make([]*core.Node, 0, len(groups))
+		next := make([]*core.MultiNode, 0, len(groups))
 		for _, grp := range groups {
-			children := make([]*core.Node, len(grp))
+			children := make([]*core.MultiNode, len(grp))
 			for i, idx := range grp {
 				children[i] = nodes[idx]
 			}
@@ -112,7 +112,7 @@ func statisticalBuild(points [][]float64, cfg core.Config, reducer reduceFn) (*c
 		}
 		nodes = next
 	}
-	var root *core.Node
+	var root *core.MultiNode
 	if len(nodes) == 1 {
 		root = nodes[0]
 	} else {
@@ -128,7 +128,7 @@ func statisticalBuild(points [][]float64, cfg core.Config, reducer reduceFn) (*c
 
 // levelMixture builds the mixture of a node level: one component per node
 // from its cluster feature, weighted by its count.
-func levelMixture(nodes []*core.Node, dim int) (*mixture, error) {
+func levelMixture(nodes []*core.MultiNode, dim int) (*mixture, error) {
 	weights := make([]float64, len(nodes))
 	comps := make([]stats.Gaussian, len(nodes))
 	for i, n := range nodes {
@@ -139,16 +139,16 @@ func levelMixture(nodes []*core.Node, dim int) (*mixture, error) {
 	return newMixture(weights, comps)
 }
 
-func nodeCF(n *core.Node, dim int) stats.CF {
+func nodeCF(n *core.MultiNode, dim int) stats.CF {
 	cf := stats.NewCF(dim)
 	if n.IsLeaf() {
 		for _, p := range n.Points() {
-			cf.Add(p)
+			cf.Add(p.X)
 		}
 		return cf
 	}
 	for _, e := range n.Entries() {
-		cf.Merge(e.CF)
+		cf.Merge(e.Total)
 	}
 	return cf
 }

@@ -52,34 +52,34 @@ func goldenInputs(t *testing.T) map[string]struct {
 // loaders or the algorithms under them must leave these unchanged.
 func TestLoaderGolden(t *testing.T) {
 	want := map[string]string{
-		"pendigits/emtopdown":  "e74515429cd3a6565d958995e6c447e2968b18a476023ec50816e7225d49b165",
-		"pendigits/hilbert":    "a1e62a00903a8992d5aa06b6308f51814b39f3415700bbd3eb9d00ca9d35f1d9",
-		"pendigits/goldberger": "a676a7de1f77fa4915ada70a30a551899f6edf5a855b8908cc5e55eeb720fb05",
-		"pendigits/iterative":  "3a2f580d28bdcbba4782970115235f58520c7e13766e518ce1fcf08d7d863c1a",
-		"pendigits/zcurve":     "4f75ee4e51577e741144da0ded1721d56c758503fc87415e65181fd6ac2ea630",
-		"pendigits/str":        "f7966fc46d9b2f3fe09dc1d3ae7f33c09e78e374ec7e3faa41fe28c2cc9f17f7",
-		"pendigits/vsample":    "de0d36e26aeb3a41ff071ffd2948614d18d443f707f7de29b098772cd9a08335",
-		"dup/emtopdown":        "9c7907a1deb4f3230d12b6e380210713dac247ec44422387090aa825c3e7e9de",
-		"dup/hilbert":          "6dc538457c8c2b8c9a3e372e0c7467616db266a2d4fbfe808307d5bf99dd0ef1",
-		"dup/goldberger":       "ed685fc31f6ad955ddf9ffb43fbd40fdc13d31f3ea04bdeb2987ec05a87baaab",
-		"dup/iterative":        "e7545e1c951af5359ccfacd60ca76209c54cb64f986745f4442cc0e6328b5fd8",
-		"dup/zcurve":           "dff8b037c292aaa965b96cead14427eae5a97953453c912926929a6c1453a763",
-		"dup/str":              "5c383029edfb45e49add847df25d537b4311c34d17020d48d598d6fb1a62096a",
-		"dup/vsample":          "d99af07ab673405d91d0928760143eb858b34dc6a97bc34f5aa4844921a8a74e",
+		"pendigits/emtopdown":  "cefc0593e0be7f83d4d0d5324a36a046e3bebc4784edcfbc00226ba6c94b2079",
+		"pendigits/hilbert":    "a794bfb9ea3db1f0ccf23948d8603e748cbabd434adde23137ee9cfb201c28df",
+		"pendigits/goldberger": "edaaa9be7a3897f2f8badcc876863f7307df644129c5a0745b9780154e3b9281",
+		"pendigits/iterative":  "d8962be097579fc3d8aa5dbeeae791745d7f6f815b8f711d16e85965b0591604",
+		"pendigits/zcurve":     "122fa5c12f0fa67af2e40f5624c71662b3d43a0d29ebb88f9384af7da710ef4e",
+		"pendigits/str":        "696126cc2878dc34c8ca94b5212b087c61ec1cea602d0eed730de2048cd19ce2",
+		"pendigits/vsample":    "68fc2245cc6cefd43f0ec6b992e1a641e238c8aeee2a0c7a9911e0c2b22459aa",
+		"dup/emtopdown":        "c3f7075c5a5a4b952168126d6f919468cb17462b2181f35114eaeddfa02d7a11",
+		"dup/hilbert":          "14be7edf94d7c95ae644d9c27c9e8730f00b07bbe6a811e39102213a637e23f2",
+		"dup/goldberger":       "9f394f1248bb3401a1fc630d671922afb6c21d6fdf93ac8f713aaf6ac14f3b86",
+		"dup/iterative":        "e8edd79fb5e5e5fe97313f1b6da1623b635e56409fc3dcb745e43aec6729bd99",
+		"dup/zcurve":           "c6e8c8bc4ad54bb43de071ca3468b60f9423e021f63455c921cd68a54a20f741",
+		"dup/str":              "d3e72dcfe96317bf107eb2b0c44f8d7d5e84de0dab2feadbeabb6224261a1dc9",
+		"dup/vsample":          "344924bd8234cf6370e448c83ad1f5c1df20f0aa2fd6711796d59c62cb752648",
 	}
 	for name, in := range goldenInputs(t) {
 		byClass := in.ds.ByClass()
 		labels := in.ds.Classes()
 		for _, loader := range All() {
-			trees := make([]*core.Tree, len(labels))
+			trees := make([]*core.MultiTree, len(labels))
 			for i, y := range labels {
-				tree, err := loader.Build(byClass[y], in.cfg)
+				tree, err := loader.Build(byClass[y], in.cfg, y)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", name, loader.Name(), err)
 				}
 				trees[i] = tree
 			}
-			clf, err := core.NewClassifier(labels, trees, core.ClassifierOptions{})
+			clf, err := core.NewClassifier(trees, core.ClassifierOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,12 +17,12 @@ func TestBulkLoadThenIncrementalInserts(t *testing.T) {
 	initial := randomPoints(rng, 200, 3)
 	stream := randomPoints(rng, 300, 3)
 	for _, loader := range All() {
-		tree, err := loader.Build(initial, testConfig(3))
+		tree, err := loader.Build(initial, testConfig(3), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", loader.Name(), err)
 		}
 		for i, p := range stream {
-			if err := tree.Insert(p); err != nil {
+			if err := tree.Insert(p, 0); err != nil {
 				t.Fatalf("%s: stream insert %d: %v", loader.Name(), i, err)
 			}
 		}
@@ -33,9 +33,7 @@ func TestBulkLoadThenIncrementalInserts(t *testing.T) {
 			t.Fatalf("%s: invariants after mixed construction: %v", loader.Name(), err)
 		}
 		// Queries over the mixed tree remain exact.
-		cur := tree.NewCursor(stream[0], core.DescentGlobal, core.PriorityProbabilistic)
-		cur.RefineAll()
-		if ld := cur.LogDensity(); math.IsNaN(ld) || math.IsInf(ld, 1) {
+		if ld := fullDensity(t, tree, stream[0]); math.IsNaN(ld) || math.IsInf(ld, 1) {
 			t.Fatalf("%s: degenerate density %v", loader.Name(), ld)
 		}
 	}
@@ -58,7 +56,7 @@ func TestGoldbergerAdversarialSizes(t *testing.T) {
 	for i := 0; i < 17; i++ {
 		points = append(points, []float64{rng.Float64() * 20, rng.Float64() * 20})
 	}
-	tree, err := mustLoader("goldberger").Build(points, testConfig(2))
+	tree, err := mustLoader("goldberger").Build(points, testConfig(2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +73,7 @@ func TestLoadersCopyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	points := randomPoints(rng, 60, 2)
 	for _, loader := range All() {
-		tree, err := loader.Build(points, testConfig(2))
+		tree, err := loader.Build(points, testConfig(2), 0)
 		if err != nil {
 			t.Fatalf("%s: %v", loader.Name(), err)
 		}
@@ -96,13 +94,13 @@ func TestLoadersCopyInput(t *testing.T) {
 	}
 }
 
-func sumFirstCoord(tree *core.Tree) float64 {
+func sumFirstCoord(tree *core.MultiTree) float64 {
 	var s float64
-	var walk func(n *core.Node)
-	walk = func(n *core.Node) {
+	var walk func(n *core.MultiNode)
+	walk = func(n *core.MultiNode) {
 		if n.IsLeaf() {
 			for _, p := range n.Points() {
-				s += p[0]
+				s += p.X[0]
 			}
 			return
 		}

@@ -13,11 +13,11 @@ import (
 // Section 3.1: compute the curve key of every observation, sort, fill leaf
 // nodes, then repeat on the node mean vectors level by level until a
 // single root remains. Nodes are packed full ("w.r.t. the page size").
-func curveBuild(points [][]float64, cfg core.Config, key curveKey) (*core.Tree, error) {
+func curveBuild(points [][]float64, cfg core.Config, label int, key curveKey) (*core.MultiTree, error) {
 	if err := validatePoints(points, cfg); err != nil {
 		return nil, err
 	}
-	b, err := core.NewBuilder(cfg)
+	b, err := core.NewBuilder(cfg, label)
 	if err != nil {
 		return nil, err
 	}
@@ -28,7 +28,7 @@ func curveBuild(points [][]float64, cfg core.Config, key curveKey) (*core.Tree, 
 	}
 	for len(nodes) > 1 {
 		order := sortByCurve(nodeMeans(b, nodes), cfg.Dim, key)
-		sorted := make([]*core.Node, len(nodes))
+		sorted := make([]*core.MultiNode, len(nodes))
 		for rank, i := range order {
 			sorted[rank] = nodes[i]
 		}
@@ -41,9 +41,9 @@ func curveBuild(points [][]float64, cfg core.Config, key curveKey) (*core.Tree, 
 }
 
 // packLeaves cuts the ordered observations into legal leaf nodes.
-func packLeaves(b *core.Builder, ordered [][]float64, cfg core.Config, target int) ([]*core.Node, error) {
+func packLeaves(b *core.Builder, ordered [][]float64, cfg core.Config, target int) ([]*core.MultiNode, error) {
 	sizes := chunkSizes(len(ordered), cfg.MinLeaf, cfg.MaxLeaf, target)
-	nodes := make([]*core.Node, 0, len(sizes))
+	nodes := make([]*core.MultiNode, 0, len(sizes))
 	pos := 0
 	for _, s := range sizes {
 		leaf, err := b.Leaf(ordered[pos : pos+s])
@@ -60,12 +60,12 @@ func packLeaves(b *core.Builder, ordered [][]float64, cfg core.Config, target in
 }
 
 // packInner cuts an ordered node sequence into legal parent nodes.
-func packInner(b *core.Builder, ordered []*core.Node, cfg core.Config, target int) ([]*core.Node, error) {
+func packInner(b *core.Builder, ordered []*core.MultiNode, cfg core.Config, target int) ([]*core.MultiNode, error) {
 	if len(ordered) == 1 {
 		return ordered, nil
 	}
 	sizes := chunkSizes(len(ordered), cfg.MinFanout, cfg.MaxFanout, target)
-	parents := make([]*core.Node, 0, len(sizes))
+	parents := make([]*core.MultiNode, 0, len(sizes))
 	pos := 0
 	for _, s := range sizes {
 		inner, err := b.Inner(ordered[pos : pos+s])
@@ -80,7 +80,7 @@ func packInner(b *core.Builder, ordered []*core.Node, cfg core.Config, target in
 
 // nodeMeans returns the CF mean of each node, the representatives the
 // paper re-orders at every packing level.
-func nodeMeans(b *core.Builder, nodes []*core.Node) [][]float64 {
+func nodeMeans(b *core.Builder, nodes []*core.MultiNode) [][]float64 {
 	out := make([][]float64, len(nodes))
 	for i, n := range nodes {
 		out[i] = nodeMean(n, b.Config().Dim)
@@ -88,14 +88,14 @@ func nodeMeans(b *core.Builder, nodes []*core.Node) [][]float64 {
 	return out
 }
 
-func nodeMean(n *core.Node, dim int) []float64 {
+func nodeMean(n *core.MultiNode, dim int) []float64 {
 	sum := make([]float64, dim)
 	var count float64
-	var walk func(n *core.Node)
-	walk = func(n *core.Node) {
+	var walk func(n *core.MultiNode)
+	walk = func(n *core.MultiNode) {
 		if n.IsLeaf() {
 			for _, p := range n.Points() {
-				for k, v := range p {
+				for k, v := range p.X {
 					sum[k] += v
 				}
 				count++
@@ -105,9 +105,9 @@ func nodeMean(n *core.Node, dim int) []float64 {
 		for _, e := range n.Entries() {
 			// Entries already carry the subtree CF; use it directly.
 			for k := range sum {
-				sum[k] += e.CF.LS[k]
+				sum[k] += e.Total.LS[k]
 			}
-			count += e.CF.N
+			count += e.Total.N
 		}
 	}
 	walk(n)
@@ -123,11 +123,11 @@ func nodeMean(n *core.Node, dim int) []float64 {
 // sort by the first dimension, cut into vertical slabs, recurse within
 // each slab on the remaining dimensions, pack full runs into nodes; repeat
 // on node centres for the upper levels.
-func buildSTR(points [][]float64, cfg core.Config) (*core.Tree, error) {
+func buildSTR(points [][]float64, cfg core.Config, label int) (*core.MultiTree, error) {
 	if err := validatePoints(points, cfg); err != nil {
 		return nil, err
 	}
-	b, err := core.NewBuilder(cfg)
+	b, err := core.NewBuilder(cfg, label)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func buildSTR(points [][]float64, cfg core.Config) (*core.Tree, error) {
 	}
 	for len(nodes) > 1 {
 		perm := strPermutation(nodeMeans(b, nodes), cfg.Dim, cfg.MaxFanout)
-		sorted := make([]*core.Node, len(nodes))
+		sorted := make([]*core.MultiNode, len(nodes))
 		for rank, i := range perm {
 			sorted[rank] = nodes[i]
 		}

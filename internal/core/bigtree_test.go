@@ -10,8 +10,8 @@ import (
 // prefix-compaction threshold (1024 consumed elements), one per user of
 // the shared frontier: exercises the queue-release path and re-verifies
 // exactness at scale. Neither reference goes through the frontier's
-// queue: the direct kernel density for the Cursor, the heap-ordered
-// exhaustive query for the MultiQuery.
+// queue: the direct kernel density for the one-class tree, the
+// heap-ordered exhaustive query for the multi-class tree.
 func TestBFTQueueCompactionAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-tree test")
@@ -34,20 +34,12 @@ func TestBFTQueueCompactionAtScale(t *testing.T) {
 		}
 	}
 	t.Run("tree", func(t *testing.T) {
-		tree, err := NewTree(smallConfig(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range points {
-			if err := tree.Insert(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cur := tree.NewCursor(x, DescentBFT, PriorityProbabilistic)
-		reads := cur.RefineAll()
+		tree := rstarTree(t, smallConfig(2), points)
+		cur := densityQuery(t, tree, x, DescentBFT, PriorityProbabilistic)
+		reads := refineAll(cur)
 		checkQueue(t, tree.Stats().Nodes, reads, len(cur.front.fifo))
 		want := directKernelLogDensity(tree, x)
-		if got := cur.LogDensity(); math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
+		if got := logDensity(cur); math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 			t.Fatalf("BFT at scale: %v, want %v", got, want)
 		}
 		if err := tree.Validate(); err != nil {
@@ -93,29 +85,24 @@ func TestGlobalCursorAccumulatorAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-tree test")
 	}
-	tree, err := NewTree(smallConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(42))
 	// Clustered data creates extreme density ratios between terms, the
 	// stress case for the shifted accumulator.
-	for i := 0; i < 8000; i++ {
+	points := make([][]float64, 8000)
+	for i := range points {
 		c := float64(i%4) * 0.25
-		p := []float64{
+		points[i] = []float64{
 			math.Mod(math.Abs(c+rng.NormFloat64()*0.01), 1),
 			math.Mod(math.Abs(c+rng.NormFloat64()*0.01), 1),
 			rng.Float64(),
 		}
-		if err := tree.Insert(p); err != nil {
-			t.Fatal(err)
-		}
 	}
+	tree := rstarTree(t, smallConfig(3), points)
 	x := []float64{0.25, 0.25, 0.5}
-	cur := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	cur.RefineAll()
+	cur := densityQuery(t, tree, x, DescentGlobal, PriorityProbabilistic)
+	refineAll(cur)
 	want := directKernelLogDensity(tree, x)
-	if got := cur.LogDensity(); math.Abs(got-want) > 1e-5*(1+math.Abs(want)) {
+	if got := logDensity(cur); math.Abs(got-want) > 1e-5*(1+math.Abs(want)) {
 		t.Fatalf("accumulator drift at scale: %v, want %v", got, want)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBuilderLeafValidation(t *testing.T) {
-	b, err := NewBuilder(smallConfig(2))
+	b, err := NewBuilder(smallConfig(2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,24 +29,24 @@ func TestBuilderLeafValidation(t *testing.T) {
 }
 
 func TestBuilderLeafCopies(t *testing.T) {
-	b, _ := NewBuilder(smallConfig(2))
+	b, _ := NewBuilder(smallConfig(2), 7)
 	p := []float64{1, 2}
 	leaf, err := b.Leaf([][]float64{p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p[0] = 99
-	if leaf.Points()[0][0] != 1 {
-		t.Errorf("builder aliases caller's data")
+	if got := leaf.Points()[0]; got.X[0] != 1 || got.Label != 7 {
+		t.Errorf("builder leaf holds %+v, want a copy of the point labelled 7", got)
 	}
 }
 
 func TestBuilderInnerValidation(t *testing.T) {
-	b, _ := NewBuilder(smallConfig(2))
+	b, _ := NewBuilder(smallConfig(2), 0)
 	if _, err := b.Inner(nil); err == nil {
 		t.Errorf("inner without children accepted")
 	}
-	leaves := make([]*Node, 6) // MaxFanout = 5
+	leaves := make([]*MultiNode, 6) // MaxFanout = 5
 	for i := range leaves {
 		l, err := b.Leaf([][]float64{{float64(i), 0}, {float64(i), 1}})
 		if err != nil {
@@ -66,8 +66,8 @@ func TestBuilderInnerValidation(t *testing.T) {
 	}
 	// Entries summarise the children exactly.
 	e := inner.Entries()[0]
-	if e.CF.N != 2 {
-		t.Errorf("entry CF.N = %v", e.CF.N)
+	if e.CFs[0].N != 2 || e.Total.N != 2 {
+		t.Errorf("entry CF.N = %v, Total.N = %v", e.CFs[0].N, e.Total.N)
 	}
 	if !e.Rect.ContainsPoint([]float64{0, 0}) || !e.Rect.ContainsPoint([]float64{0, 1}) {
 		t.Errorf("entry MBR misses child points")
@@ -75,13 +75,13 @@ func TestBuilderInnerValidation(t *testing.T) {
 }
 
 func TestBuilderFinishBalanceCheck(t *testing.T) {
-	b, _ := NewBuilder(smallConfig(2))
+	b, _ := NewBuilder(smallConfig(2), 0)
 	l1, _ := b.Leaf([][]float64{{0, 0}, {0, 1}})
 	l2, _ := b.Leaf([][]float64{{1, 0}, {1, 1}})
-	inner, _ := b.Inner([]*Node{l1, l2})
+	inner, _ := b.Inner([]*MultiNode{l1, l2})
 	l3, _ := b.Leaf([][]float64{{2, 0}, {2, 1}})
 	// root over an inner and a leaf → unbalanced.
-	root, err := b.Inner([]*Node{inner, l3})
+	root, err := b.Inner([]*MultiNode{inner, l3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,8 @@ func TestBuilderFinishBalanceCheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unbalanced finish: %v", err)
 	}
-	if tree.Len() != 6 {
-		t.Errorf("Len = %d", tree.Len())
+	if tree.Len() != 6 || tree.Counts()[0] != 6 {
+		t.Errorf("Len = %d, counts %v", tree.Len(), tree.Counts())
 	}
 	if tree.Balanced() {
 		t.Errorf("tree should report unbalanced")
@@ -107,8 +107,8 @@ func TestBuilderFinishBalanceCheck(t *testing.T) {
 }
 
 func TestBuiltTreeQueriesWork(t *testing.T) {
-	b, _ := NewBuilder(smallConfig(2))
-	var leaves []*Node
+	b, _ := NewBuilder(smallConfig(2), 0)
+	var leaves []*MultiNode
 	for i := 0; i < 4; i++ {
 		l, err := b.Leaf([][]float64{
 			{float64(i) * 0.2, 0.1}, {float64(i) * 0.2, 0.2}, {float64(i) * 0.2, 0.3},
@@ -126,9 +126,9 @@ func TestBuiltTreeQueriesWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := tree.NewCursor([]float64{0.2, 0.2}, DescentGlobal, PriorityProbabilistic)
-	cur.RefineAll()
-	if got := cur.LogDensity(); math.IsNaN(got) || math.IsInf(got, 0) {
+	q := densityQuery(t, tree, []float64{0.2, 0.2}, DescentGlobal, PriorityProbabilistic)
+	refineAll(q)
+	if got := logDensity(q); math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("density %v", got)
 	}
 	if err := tree.Validate(); err != nil {

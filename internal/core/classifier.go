@@ -37,37 +37,41 @@ type ClassifierOptions struct {
 // the qbk improvement strategy deciding which class may refine its model
 // at each time step (Section 2.2). Classification at any interruption
 // point returns argmax P(c)·p(x|c) over the classes' current mixed-
-// granularity models.
+// granularity models. Each class tree is a one-class MultiTree, and a
+// class model's refinement step is that tree's MultiQuery step.
 type Classifier struct {
 	labels    []int
-	trees     []*Tree
+	trees     []*MultiTree
 	logPriors []float64
 	opts      ClassifierOptions
 	// queryPool recycles Query objects (and, through them, the per-class
-	// cursors) so a stream of classifications allocates nothing per object.
+	// query slots) so a stream of classifications allocates nothing per
+	// object.
 	queryPool sync.Pool
 	// priorBuf is reusable scratch for refreshPriors, keeping the
 	// per-Learn prior refresh allocation-free.
 	priorBuf []float64
 }
 
-// NewClassifier builds a classifier from per-class trees. labels[i] is the
-// class label served by trees[i]; priors are the trees' relative sizes.
-// Every tree must be non-empty and share one dimensionality.
-func NewClassifier(labels []int, trees []*Tree, opts ClassifierOptions) (*Classifier, error) {
-	if len(labels) == 0 || len(labels) != len(trees) {
-		return nil, fmt.Errorf("core: %d labels for %d trees", len(labels), len(trees))
+// NewClassifier builds a classifier from one-class trees, one per class;
+// the class order is the trees' order and the priors are their relative
+// masses. Every tree must be non-empty and share one dimensionality.
+func NewClassifier(trees []*MultiTree, opts ClassifierOptions) (*Classifier, error) {
+	if len(trees) == 0 {
+		return nil, fmt.Errorf("core: classifier without class trees")
 	}
-	dim := -1
-	seen := make(map[int]bool, len(labels))
+	labels := make([]int, len(trees))
+	seen := make(map[int]bool, len(trees))
 	for i, t := range trees {
-		if t == nil || t.Len() == 0 {
+		if t == nil || len(t.labels) != 1 {
+			return nil, fmt.Errorf("core: class tree %d must hold exactly one class", i)
+		}
+		labels[i] = t.labels[0]
+		if t.Len() == 0 {
 			return nil, fmt.Errorf("core: empty tree for class %d", labels[i])
 		}
-		if dim == -1 {
-			dim = t.cfg.Dim
-		} else if t.cfg.Dim != dim {
-			return nil, fmt.Errorf("core: tree for class %d has dim %d, want %d", labels[i], t.cfg.Dim, dim)
+		if t.cfg.Dim != trees[0].cfg.Dim {
+			return nil, fmt.Errorf("core: tree for class %d has dim %d, want %d", labels[i], t.cfg.Dim, trees[0].cfg.Dim)
 		}
 		if seen[labels[i]] {
 			return nil, fmt.Errorf("core: duplicate class label %d", labels[i])
@@ -81,8 +85,8 @@ func NewClassifier(labels []int, trees []*Tree, opts ClassifierOptions) (*Classi
 		opts.K = len(labels)
 	}
 	c := &Classifier{
-		labels:    append([]int(nil), labels...),
-		trees:     append([]*Tree(nil), trees...),
+		labels:    labels,
+		trees:     append([]*MultiTree(nil), trees...),
 		logPriors: make([]float64, len(trees)),
 		opts:      opts,
 	}
@@ -97,11 +101,11 @@ func NewClassifier(labels []int, trees []*Tree, opts ClassifierOptions) (*Classi
 // Labels returns the class labels in classifier order.
 func (c *Classifier) Labels() []int { return append([]int(nil), c.labels...) }
 
-// Tree returns the Bayes tree serving the given label, or nil if the
-// label is unknown. Exposed for multi-step deployments that use the upper
-// levels of the per-class trees for pre-classification (as in the
-// HealthNet application [13]).
-func (c *Classifier) Tree(label int) *Tree {
+// Tree returns the one-class Bayes tree serving the given label, or nil
+// if the label is unknown. Exposed for multi-step deployments that use
+// the upper levels of the per-class trees for pre-classification (as in
+// the HealthNet application [13]).
+func (c *Classifier) Tree(label int) *MultiTree {
 	for i, l := range c.labels {
 		if l == label {
 			return c.trees[i]
@@ -111,22 +115,16 @@ func (c *Classifier) Tree(label int) *Tree {
 }
 
 // Learn inserts a labelled observation into its class tree incrementally
-// (R*-style insertion) and refreshes the prior estimates — the online
+// (MultiTree.Insert) and refreshes the prior estimates — the online
 // learning capability of the Bayes tree ([16], Section 1). Learning while
 // queries on the same classifier are in flight is not synchronised; in a
 // stream loop, learn between classifications.
 func (c *Classifier) Learn(x []float64, label int) error {
-	idx := -1
-	for i, l := range c.labels {
-		if l == label {
-			idx = i
-			break
-		}
-	}
-	if idx == -1 {
+	t := c.Tree(label)
+	if t == nil {
 		return fmt.Errorf("core: unknown class label %d", label)
 	}
-	if err := c.trees[idx].Insert(x); err != nil {
+	if err := t.Insert(x, label); err != nil {
 		return err
 	}
 	c.refreshPriors()
@@ -139,17 +137,20 @@ func (c *Classifier) NumClasses() int { return len(c.labels) }
 // Options returns the classifier options in effect (after defaulting).
 func (c *Classifier) Options() ClassifierOptions { return c.opts }
 
-// Query is an in-progress anytime classification of one object: a cursor
-// per class plus the qbk turn state. It lets callers interleave refinement
-// with their own deadline checks — the essence of anytime operation on a
-// varying stream.
+// Query is an in-progress anytime classification of one object: a
+// MultiQuery per class tree plus the qbk turn state. It lets callers
+// interleave refinement with their own deadline checks — the essence of
+// anytime operation on a varying stream.
 type Query struct {
-	c       *Classifier
-	cursors []*Cursor
+	c *Classifier
+	// queries holds one query per class tree, nil for a tree that was
+	// empty when the query started (possible after decay pruned it).
+	queries []*MultiQuery
 	turn    int
 	reads   int
-	// scoreBuf and rankBuf are reusable scratch for scores() and Step(),
-	// keeping the per-step qbk bookkeeping allocation-free.
+	// density, scoreBuf and rankBuf are reusable scratch for scores()
+	// and Step(), keeping the per-step qbk bookkeeping allocation-free.
+	density  [1]float64
 	scoreBuf []float64
 	rankBuf  []ranked
 }
@@ -161,31 +162,32 @@ type ranked struct {
 
 // NewQuery starts an anytime classification of x. Queries are drawn from a
 // per-classifier pool; call Close when done to recycle the query and its
-// cursors (optional, but it makes steady-state classification
+// class queries (optional, but it makes steady-state classification
 // allocation-free).
 func (c *Classifier) NewQuery(x []float64) *Query {
 	q, _ := c.queryPool.Get().(*Query)
 	if q == nil {
-		q = &Query{cursors: make([]*Cursor, len(c.trees))}
+		q = &Query{queries: make([]*MultiQuery, len(c.trees))}
 	}
 	q.c = c
 	q.turn = 0
 	q.reads = 0
 	for i, t := range c.trees {
-		q.cursors[i] = t.NewCursor(x, c.opts.Strategy, c.opts.Priority)
+		// The one error is an empty tree: no model, no query.
+		q.queries[i], _ = t.NewQuery(x, c.opts)
 	}
 	return q
 }
 
-// Close releases the query and its per-class cursors back to their pools.
+// Close releases the query and its class queries back to their pools.
 // The query must not be used afterwards.
 func (q *Query) Close() {
 	if q == nil || q.c == nil {
 		return
 	}
-	for i, cur := range q.cursors {
-		cur.Close()
-		q.cursors[i] = nil
+	for i, mq := range q.queries {
+		mq.Close()
+		q.queries[i] = nil
 	}
 	c := q.c
 	q.c = nil
@@ -196,21 +198,21 @@ func (q *Query) Close() {
 func (q *Query) NodesRead() int { return q.reads }
 
 // scores returns the current log posteriors (up to the shared evidence
-// constant). The returned slice is the query's scratch buffer and is
-// overwritten by the next call.
+// constant): a class's prior plus its tree's log density, which is the
+// one-class tree's score — its own prior is log 1 = 0 exactly. The
+// returned slice is the query's scratch buffer and is overwritten by the
+// next call.
 func (q *Query) scores() []float64 {
-	if cap(q.scoreBuf) < len(q.cursors) {
-		q.scoreBuf = make([]float64, len(q.cursors))
+	if cap(q.scoreBuf) < len(q.queries) {
+		q.scoreBuf = make([]float64, len(q.queries))
 	}
-	s := q.scoreBuf[:len(q.cursors)]
-	for i, cur := range q.cursors {
-		if cur == nil {
-			// The class tree was empty when the query started (possible
-			// after decay pruned it): no model, no mass.
+	s := q.scoreBuf[:len(q.queries)]
+	for i, mq := range q.queries {
+		if mq == nil {
 			s[i] = math.Inf(-1)
 			continue
 		}
-		s[i] = q.c.logPriors[i] + cur.LogDensity()
+		s[i] = q.c.logPriors[i] + mq.scoresInto(q.density[:])[0]
 	}
 	return s
 }
@@ -262,8 +264,8 @@ func (q *Query) Predict() int {
 // Exhausted reports whether every class model is fully refined (an
 // empty class tree counts as exhausted).
 func (q *Query) Exhausted() bool {
-	for _, cur := range q.cursors {
-		if cur != nil && !cur.Exhausted() {
+	for _, mq := range q.queries {
+		if mq != nil && !mq.Exhausted() {
 			return false
 		}
 	}
@@ -274,13 +276,13 @@ func (q *Query) Exhausted() bool {
 // current posterior, then give the next of the top-k (in turns) the right
 // to refine. It reports whether a node was read.
 func (q *Query) Step() bool {
-	if cap(q.rankBuf) < len(q.cursors) {
-		q.rankBuf = make([]ranked, 0, len(q.cursors))
+	if cap(q.rankBuf) < len(q.queries) {
+		q.rankBuf = make([]ranked, 0, len(q.queries))
 	}
 	rs := q.rankBuf[:0]
 	ss := q.scores()
-	for i, cur := range q.cursors {
-		if cur != nil && !cur.Exhausted() {
+	for i, mq := range q.queries {
+		if mq != nil && !mq.Exhausted() {
 			rs = append(rs, ranked{idx: i, score: ss[i]})
 		}
 	}
@@ -301,7 +303,7 @@ func (q *Query) Step() bool {
 	}
 	pick := rs[q.turn%k].idx
 	q.turn++
-	if !q.cursors[pick].Refine() {
+	if !q.queries[pick].Step() {
 		return false
 	}
 	q.reads++

@@ -34,26 +34,19 @@ func buildClassifier(t *testing.T, xs [][]float64, ys []int, opts ClassifierOpti
 	for i := range xs {
 		byClass[ys[i]] = append(byClass[ys[i]], xs[i])
 	}
-	var labels []int
-	var trees []*Tree
+	var trees []*MultiTree
 	for y := 0; y < 10; y++ {
 		pts, ok := byClass[y]
 		if !ok {
 			continue
 		}
-		tree, err := NewTree(smallConfig(len(xs[0])))
+		tree, err := BuildRStar(smallConfig(len(xs[0])), y, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range pts {
-			if err := tree.Insert(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		labels = append(labels, y)
 		trees = append(trees, tree)
 	}
-	clf, err := NewClassifier(labels, trees, opts)
+	clf, err := NewClassifier(trees, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,23 +54,32 @@ func buildClassifier(t *testing.T, xs [][]float64, ys []int, opts ClassifierOpti
 }
 
 func TestNewClassifierValidation(t *testing.T) {
-	tree, _ := NewTree(smallConfig(2))
-	_ = tree.Insert([]float64{0, 0})
-	empty, _ := NewTree(smallConfig(2))
-	tree3, _ := NewTree(smallConfig(3))
-	_ = tree3.Insert([]float64{0, 0, 0})
+	tree := rstarTree(t, smallConfig(2), [][]float64{{0, 0}})
+	empty := emptyClassTree(t, smallConfig(2))
+	tree3, err := BuildRStar(smallConfig(3), 1, [][]float64{{0, 0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, ys := twoClassData(20, 1)
+	multi := buildMultiTree(t, xs, ys, MultiOptions{})
 
-	if _, err := NewClassifier(nil, nil, ClassifierOptions{}); err == nil {
+	if _, err := NewClassifier(nil, ClassifierOptions{}); err == nil {
 		t.Errorf("empty classifier accepted")
 	}
-	if _, err := NewClassifier([]int{0}, []*Tree{empty}, ClassifierOptions{}); err == nil {
+	if _, err := NewClassifier([]*MultiTree{empty}, ClassifierOptions{}); err == nil {
 		t.Errorf("empty class tree accepted")
 	}
-	if _, err := NewClassifier([]int{0, 1}, []*Tree{tree, tree3}, ClassifierOptions{}); err == nil {
+	if _, err := NewClassifier([]*MultiTree{tree, tree3}, ClassifierOptions{}); err == nil {
 		t.Errorf("mixed dims accepted")
 	}
-	if _, err := NewClassifier([]int{0, 0}, []*Tree{tree, tree}, ClassifierOptions{}); err == nil {
+	if _, err := NewClassifier([]*MultiTree{tree, tree}, ClassifierOptions{}); err == nil {
 		t.Errorf("duplicate labels accepted")
+	}
+	if _, err := NewClassifier([]*MultiTree{tree, nil}, ClassifierOptions{}); err == nil {
+		t.Errorf("nil class tree accepted")
+	}
+	if _, err := NewClassifier([]*MultiTree{multi}, ClassifierOptions{}); err == nil {
+		t.Errorf("a two-class tree accepted as a class tree")
 	}
 }
 
@@ -215,6 +217,32 @@ func TestQueryStepAccounting(t *testing.T) {
 	}
 }
 
+// The forest query's node count is the sum of its class queries' reads
+// at every budget, under every strategy and priority: each qbk turn
+// steps one class query, which reads one node.
+func TestForestNodesReadIsClassReads(t *testing.T) {
+	xs, ys := twoClassData(300, 5)
+	for _, strat := range []Strategy{DescentGlobal, DescentBFT, DescentDFT} {
+		for _, prio := range []Priority{PriorityProbabilistic, PriorityGeometric} {
+			clf := buildClassifier(t, xs, ys, ClassifierOptions{Strategy: strat, Priority: prio})
+			q := clf.NewQuery(xs[7])
+			for step := 0; ; step++ {
+				sum := 0
+				for _, mq := range q.queries {
+					sum += mq.NodesRead()
+				}
+				if q.NodesRead() != sum || q.NodesRead() != step {
+					t.Fatalf("%v/%v after %d steps: NodesRead %d, class queries read %d", strat, prio, step, q.NodesRead(), sum)
+				}
+				if !q.Step() {
+					break
+				}
+			}
+			q.Close()
+		}
+	}
+}
+
 func TestPosteriorsNormalised(t *testing.T) {
 	xs, ys := twoClassData(300, 6)
 	clf := buildClassifier(t, xs, ys, ClassifierOptions{})
@@ -258,10 +286,10 @@ func TestQBKSkipsImprobableClasses(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		q.Step()
 	}
-	if got := q.cursors[2].NodesRead(); got != 0 {
+	if got := q.queries[2].NodesRead(); got != 0 {
 		t.Errorf("improbable class refined %d times within the first 8 steps", got)
 	}
-	reads01 := q.cursors[0].NodesRead() + q.cursors[1].NodesRead()
+	reads01 := q.queries[0].NodesRead() + q.queries[1].NodesRead()
 	if reads01 != 8 {
 		t.Errorf("top-2 classes read %d nodes, want all 8", reads01)
 	}

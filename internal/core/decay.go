@@ -26,9 +26,9 @@ import (
 // Weight(), which folds the outstanding decay factor into the stored
 // root mass.
 //
-// Both AdvanceEpoch and DecaySweep drop the cached query state (Tree
-// stores nil into its query-state pointer; MultiTree calls invalidate
-// with no path), so no query ever mixes state from two decay epochs. With
+// Both AdvanceEpoch and DecaySweep drop the cached query state (they
+// call invalidate with no path), so no query ever mixes state from two
+// decay epochs. With
 // decay disabled (λ = 0) every path below is bypassed and behaviour is
 // digit-identical to an undecayed tree.
 
@@ -89,10 +89,10 @@ func (s *SweepStats) Add(o SweepStats) {
 }
 
 // ---------------------------------------------------------------------
-// The clock and the sweep both trees share
+// The clock and the sweep
 
-// decayClock is a tree's logical decay time, embedded in Tree and
-// MultiTree: decay configures exponential forgetting (zero value = off),
+// decayClock is a tree's logical decay time, embedded in MultiTree:
+// decay configures exponential forgetting (zero value = off),
 // epoch is the current logical time and refEpoch the epoch the stored
 // weights are valued at.
 type decayClock struct {
@@ -273,73 +273,12 @@ func (s *sweeper[P, E]) sweep(n *node[P, E]) {
 }
 
 // ---------------------------------------------------------------------
-// Tree
+// MultiTree
 
 // EnableDecay switches exponential forgetting on (or reconfigures it).
 // It affects how future inserts are weighted and what AdvanceEpoch and
 // DecaySweep do; already stored weights are untouched until the next
 // sweep.
-func (t *Tree) EnableDecay(opts DecayOptions) error {
-	return t.RestoreDecayState(opts, t.epoch, t.refEpoch)
-}
-
-// RestoreDecayState reinstates decay state decoded from a snapshot.
-func (t *Tree) RestoreDecayState(opts DecayOptions, epoch, ref int64) error {
-	if err := t.restore(opts, epoch, ref); err != nil {
-		return err
-	}
-	t.queryState.Store(nil)
-	return nil
-}
-
-// AdvanceEpoch moves logical time forward by n epochs. Stored state is
-// untouched, but the cached query-time constants are dropped, so no
-// query observes state from two epochs at once. A no-op when decay is
-// disabled.
-func (t *Tree) AdvanceEpoch(n int64) {
-	if t.advance(n) {
-		t.queryState.Store(nil)
-	}
-}
-
-// Weight returns the tree's effective total mass: the stored root mass
-// with the decay outstanding since the last sweep folded in. With decay
-// disabled it equals float64(Len()) exactly. This — not the raw point
-// count — is what priors and shard mixing must weight by. Cost is one
-// pass over the root node, so per-Learn prior refreshes never rebuild
-// query state.
-func (t *Tree) Weight() float64 { return treeWeight(&t.decayClock, t.size, t.root) }
-
-// DecaySweep applies the decay accumulated since the last sweep
-// (decaySweep: rescale, prune below the floor, dissolve underfull
-// children, collapse root chains, reset the reference epoch), reinserts
-// the dissolved observations and invalidates the cached query state.
-// Cost is one pass over the tree; call it from a maintenance loop, not
-// per insert.
-func (t *Tree) DecaySweep() SweepStats {
-	root, s := decaySweep(&t.decayClock, &t.cfg, t.root, t.summarize)
-	if s == nil {
-		return SweepStats{}
-	}
-	before := t.size
-	t.root = root
-	t.size = countPoints(t.root)
-	reinserted := make(map[int]bool) // one per sweep, across all orphans
-	for k, p := range s.orphans {
-		t.insertPointW(p, s.orphanW[k], reinserted)
-	}
-	t.size += len(s.orphans)
-	s.st.Reinserted = len(s.orphans)
-	s.st.PointsPruned = before - t.size
-	t.queryState.Store(nil)
-	return s.st
-}
-
-// ---------------------------------------------------------------------
-// MultiTree
-
-// EnableDecay switches exponential forgetting on (or reconfigures it),
-// as Tree.EnableDecay does for a per-class tree.
 func (t *MultiTree) EnableDecay(opts DecayOptions) error {
 	return t.RestoreDecayState(opts, t.epoch, t.refEpoch)
 }
@@ -353,27 +292,33 @@ func (t *MultiTree) RestoreDecayState(opts DecayOptions, epoch, ref int64) error
 	return nil
 }
 
-// AdvanceEpoch moves logical time forward by n epochs, invalidating the
-// cached query-time constants (see Tree.AdvanceEpoch).
+// AdvanceEpoch moves logical time forward by n epochs. Stored state is
+// untouched, but the cached query-time constants and the mirror are
+// dropped, so no query observes state from two epochs at once. A no-op
+// when decay is disabled.
 func (t *MultiTree) AdvanceEpoch(n int64) {
 	if t.advance(n) {
 		t.invalidate(nil, 0, allClasses)
 	}
 }
 
-// Weight returns the tree's effective total mass (see Tree.Weight).
-// With decay disabled it equals float64(Len()) exactly. As there, the
-// mass is read from the root level directly — no query-state rebuild.
+// Weight returns the tree's effective total mass: the stored root mass
+// with the decay outstanding since the last sweep folded in. With decay
+// disabled it equals float64(Len()) exactly. This — not the raw point
+// count — is what priors and shard mixing must weight by. The mass is
+// read from the root level directly — no query-state rebuild.
 func (t *MultiTree) Weight() float64 { return treeWeight(&t.decayClock, t.size, t.root) }
 
 // CountNodes returns the number of tree nodes (inner and leaf) — the
 // bounded-memory observable a drift-tracking server reports.
 func (t *MultiTree) CountNodes() int { return countNodes(t.root) }
 
-// DecaySweep applies the decay accumulated since the last sweep (see
-// Tree.DecaySweep), reinserts the dissolved observations, recomputes
-// the per-class masses and point counts and invalidates the cached query
-// state.
+// DecaySweep applies the decay accumulated since the last sweep
+// (decaySweep: rescale, prune below the floor, dissolve underfull
+// children, collapse root chains, reset the reference epoch), reinserts
+// the dissolved observations, recomputes the per-class masses and point
+// counts and invalidates the cached query state. Cost is one pass over
+// the tree; call it from a maintenance loop, not per insert.
 func (t *MultiTree) DecaySweep() SweepStats {
 	root, s := decaySweep(&t.decayClock, &t.cfg, t.root, t.summarize)
 	if s == nil {

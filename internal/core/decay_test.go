@@ -38,8 +38,8 @@ func TestDecayOptionsValidate(t *testing.T) {
 }
 
 // decayTree is what the decay property tests below need of a tree, so
-// each runs over both users of the shared clock and sweep: the per-class
-// Tree and the MultiTree the server serves.
+// each runs over both shapes the tree takes: a one-class tree of the
+// per-class forest and the multi-class tree the server serves.
 type decayTree interface {
 	EnableDecay(DecayOptions) error
 	AdvanceEpoch(int64)
@@ -54,18 +54,18 @@ type decayTree interface {
 	density(x []float64) (float64, bool)
 }
 
-type decaySingle struct{ *Tree }
+type decaySingle struct{ *MultiTree }
 
-func (k decaySingle) insert(x []float64) error { return k.Insert(x) }
+func (k decaySingle) insert(x []float64) error { return k.Insert(x, 0) }
 
 func (k decaySingle) density(x []float64) (float64, bool) {
-	cur := k.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	if cur == nil {
+	q, err := k.NewQuery(x, ClassifierOptions{})
+	if err != nil {
 		return 0, false
 	}
-	defer cur.Close()
-	cur.RefineAll()
-	return cur.LogDensity(), true
+	defer q.Close()
+	refineAll(q)
+	return logDensity(q), true
 }
 
 // decayMulti alternates the labels of its inserts; its density is the
@@ -94,11 +94,7 @@ func (k *decayMulti) density(x []float64) (float64, bool) {
 // forEachDecayTree runs fn on a fresh tree of either kind.
 func forEachDecayTree(t *testing.T, fn func(t *testing.T, tree decayTree)) {
 	t.Run("tree", func(t *testing.T) {
-		tree, err := NewTree(decayTestConfig(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fn(t, decaySingle{tree})
+		fn(t, decaySingle{emptyClassTree(t, decayTestConfig(2))})
 	})
 	t.Run("multitree", func(t *testing.T) {
 		tree, err := NewMultiTree(decayTestConfig(2), []int{0, 1}, MultiOptions{})
@@ -200,38 +196,35 @@ func TestDecayWeightAndSweepInvariance(t *testing.T) {
 // A full anytime refinement of a decayed tree must equal the weighted
 // kernel density computed directly from the stored points and weights.
 func TestDecayedDensityMatchesDirectComputation(t *testing.T) {
-	tree, err := NewTree(decayTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := emptyClassTree(t, decayTestConfig(2))
 	if err := tree.EnableDecay(DecayOptions{Lambda: 1}); err != nil {
 		t.Fatal(err)
 	}
 	old := [][]float64{{0.1, 0.2}, {0.15, 0.25}, {0.2, 0.1}}
 	for _, p := range old {
-		if err := tree.Insert(p); err != nil {
+		if err := tree.Insert(p, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	tree.AdvanceEpoch(2) // old points now weigh 1/4 of new ones
 	fresh := [][]float64{{0.8, 0.9}, {0.85, 0.8}}
 	for _, p := range fresh {
-		if err := tree.Insert(p); err != nil {
+		if err := tree.Insert(p, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	x := []float64{0.5, 0.5}
-	cur := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	cur.RefineAll()
-	got := cur.LogDensity()
+	cur := densityQuery(t, tree, x, DescentGlobal, PriorityProbabilistic)
+	refineAll(cur)
+	got := logDensity(cur)
 	cur.Close()
 
 	// Direct: weights 1,1,1,4,4 on the stored scale; density is
 	// Σ w_i K(x, p_i) / Σ w_i with the tree's own frozen kernel.
-	ct := tree.cursorable()
+	kern := tree.queryConsts().kern[0]
 	var num, den float64
 	add := func(p []float64, w float64) {
-		num += w * math.Exp(ct.kern.LogDensityObs(x, p, nil))
+		num += w * math.Exp(kern.LogDensityObs(x, p, nil))
 		den += w
 	}
 	for _, p := range old {
@@ -377,9 +370,9 @@ func TestDecayBoundsTreeSize(t *testing.T) {
 // contradictory concepts.
 func TestClassifierDecayTracksConceptSwap(t *testing.T) {
 	build := func(decay bool) *Classifier {
-		trees := make([]*Tree, 2)
+		trees := make([]*MultiTree, 2)
 		for c := range trees {
-			tr, err := NewTree(decayTestConfig(2))
+			tr, err := NewMultiTree(decayTestConfig(2), []int{c}, MultiOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -396,11 +389,11 @@ func TestClassifierDecayTracksConceptSwap(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			c := i % 2
 			x := []float64{centers[c][0] + 0.05*rng.NormFloat64(), centers[c][1] + 0.05*rng.NormFloat64()}
-			if err := trees[c].Insert(x); err != nil {
+			if err := trees[c].Insert(x, c); err != nil {
 				t.Fatal(err)
 			}
 		}
-		clf, err := NewClassifier([]int{0, 1}, trees, ClassifierOptions{})
+		clf, err := NewClassifier(trees, ClassifierOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,27 +442,8 @@ func TestClassifierDecayTracksConceptSwap(t *testing.T) {
 // object to the pool twice — two later queries would then share one
 // instance.
 func TestQueryCloseIdempotent(t *testing.T) {
-	tr, err := NewTree(decayTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := NewTree(decayTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 20; i++ {
-		if err := tr.Insert([]float64{rng.Float64(), rng.Float64()}); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr2.Insert([]float64{rng.Float64(), rng.Float64()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	clf, err := NewClassifier([]int{0, 1}, []*Tree{tr, tr2}, ClassifierOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	xs, ys := twoClassData(40, 8)
+	clf := buildClassifier(t, xs, ys, ClassifierOptions{})
 	x := []float64{0.5, 0.5}
 	q := clf.NewQuery(x)
 	q.Step()
@@ -487,32 +461,23 @@ func TestQueryCloseIdempotent(t *testing.T) {
 	nilQ.Close() // nil receiver must not panic
 }
 
-// Cursor.Close has the same idempotency contract against the package
-// cursor pool.
+// MultiQuery.Close, which a forest query's Close calls per class, has
+// the same idempotency contract against the package query pool.
 func TestCursorCloseIdempotent(t *testing.T) {
-	tr, err := NewTree(decayTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 20; i++ {
-		if err := tr.Insert([]float64{rng.Float64(), rng.Float64()}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tr := rstarTree(t, decayTestConfig(2), randPoints(rand.New(rand.NewSource(9)), 20, 2))
 	x := []float64{0.5, 0.5}
-	cur := tr.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	cur.Refine()
+	cur := densityQuery(t, tr, x, DescentGlobal, PriorityProbabilistic)
+	cur.Step()
 	cur.Close()
 	cur.Close()
-	a := tr.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	b := tr.NewCursor(x, DescentGlobal, PriorityProbabilistic)
+	a := densityQuery(t, tr, x, DescentGlobal, PriorityProbabilistic)
+	b := densityQuery(t, tr, x, DescentGlobal, PriorityProbabilistic)
 	if a == b {
-		t.Fatal("double Close returned one cursor to the pool twice")
+		t.Fatal("double Close returned one query to the pool twice")
 	}
 	a.Close()
 	b.Close()
 
-	var nilC *Cursor
-	nilC.Close() // nil receiver must not panic
+	var nilQ *MultiQuery
+	nilQ.Close() // nil receiver must not panic
 }

@@ -181,7 +181,7 @@ func rebuiltCopy(t *testing.T, mt *MultiTree) *MultiTree {
 		}
 		return RebuildMultiInner(ents)
 	}
-	out, derive, err := RebuildMultiTree(mt.cfg, mt.mopts, mt.labels, copyNode(mt.root), mt.counts)
+	out, derive, err := RebuildMultiTree(mt.cfg, mt.mopts, mt.labels, copyNode(mt.root), mt.counts, mt.balanced)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,34 +5,36 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"bayestree/internal/kernels"
 )
 
-// A pooled (reused) cursor must produce bit-identical densities to a fresh
+// A pooled (reused) query must produce bit-identical densities to a fresh
 // one at every refinement step: pooling is a pure memory optimisation.
 func TestPooledCursorBitIdentical(t *testing.T) {
 	tree := buildTree(t, 400, 3, 11)
 	rng := rand.New(rand.NewSource(12))
 	for _, strat := range []Strategy{DescentGlobal, DescentBFT, DescentDFT} {
 		x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		// Record the reference trajectory with a cursor that is never
+		// Record the reference trajectory with a query that is never
 		// recycled (left unclosed).
-		ref := tree.NewCursor(x, strat, PriorityProbabilistic)
+		ref := densityQuery(t, tree, x, strat, PriorityProbabilistic)
 		var want []float64
 		for {
-			want = append(want, ref.LogDensity())
-			if !ref.Refine() {
+			want = append(want, logDensity(ref))
+			if !ref.Step() {
 				break
 			}
 		}
-		// Now run several generations of pooled cursors over the same
-		// query; each Close feeds the next NewCursor's reuse.
+		// Now run several generations of pooled queries over the same
+		// object; each Close feeds the next NewQuery's reuse.
 		for gen := 0; gen < 3; gen++ {
-			cur := tree.NewCursor(x, strat, PriorityProbabilistic)
+			cur := densityQuery(t, tree, x, strat, PriorityProbabilistic)
 			for step := 0; ; step++ {
-				if got := cur.LogDensity(); got != want[step] {
+				if got := logDensity(cur); got != want[step] {
 					t.Fatalf("%v gen %d step %d: pooled %v != fresh %v", strat, gen, step, got, want[step])
 				}
-				if !cur.Refine() {
+				if !cur.Step() {
 					break
 				}
 			}
@@ -41,26 +43,26 @@ func TestPooledCursorBitIdentical(t *testing.T) {
 	}
 }
 
-// Inserting into a tree must invalidate the cached query state: a cursor
+// Inserting into a tree must invalidate the cached query state: a query
 // created afterwards sees the new observations exactly (full refinement
 // equals the direct kernel density over the grown population).
 func TestInsertInvalidatesCursorCache(t *testing.T) {
 	tree := buildTree(t, 150, 2, 13)
 	x := []float64{0.4, 0.6}
-	// Prime the cache (and the cursor pool).
-	warm := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	warm.RefineAll()
-	before := warm.LogDensity()
+	// Prime the cache (and the query pool).
+	warm := densityQuery(t, tree, x, DescentGlobal, PriorityProbabilistic)
+	refineAll(warm)
+	before := logDensity(warm)
 	warm.Close()
 	rng := rand.New(rand.NewSource(14))
 	for i := 0; i < 60; i++ {
-		if err := tree.Insert([]float64{rng.Float64(), rng.Float64()}); err != nil {
+		if err := tree.Insert([]float64{rng.Float64(), rng.Float64()}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cur := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	cur.RefineAll()
-	got := cur.LogDensity()
+	cur := densityQuery(t, tree, x, DescentGlobal, PriorityProbabilistic)
+	refineAll(cur)
+	got := logDensity(cur)
 	cur.Close()
 	want := directKernelLogDensity(tree, x)
 	if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
@@ -70,34 +72,34 @@ func TestInsertInvalidatesCursorCache(t *testing.T) {
 		t.Fatalf("density unchanged by 60 inserts — cache not invalidated")
 	}
 	// The level-0 model must also reflect the new root summary.
-	lvl0 := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	e, _ := tree.RootEntry()
-	if want0 := e.Gaussian().LogPDF(x); math.Abs(lvl0.LogDensity()-want0) > 1e-9 {
-		t.Fatalf("level-0 density %v, want %v", lvl0.LogDensity(), want0)
+	lvl0 := densityQuery(t, tree, x, DescentGlobal, PriorityProbabilistic)
+	if want0 := rootEntry(tree).CFs[0].Gaussian().LogPDF(x); math.Abs(logDensity(lvl0)-want0) > 1e-9 {
+		t.Fatalf("level-0 density %v, want %v", logDensity(lvl0), want0)
 	}
 	lvl0.Close()
 }
 
-// The eagerly frozen entry cache must agree with the Gaussians derived
-// from the cluster features everywhere in the tree.
+// The mirror's frozen Gaussians must agree with the Gaussians derived
+// from the cluster features everywhere in a class tree.
 func TestFrozenEntriesMatchCF(t *testing.T) {
 	tree := buildTree(t, 500, 3, 15)
 	rng := rand.New(rand.NewSource(16))
 	x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-	var walk func(n *Node)
-	walk = func(n *Node) {
+	s := tree.mirror()
+	var walk func(n *MultiNode)
+	walk = func(n *MultiNode) {
 		if n.IsLeaf() {
 			return
 		}
+		nd := &s.nodes[s.index[n]]
+		k := len(n.entries)
+		out := make([]float64, k)
+		kernels.SweepFrozenLogPDFObs(x, nd.means, nd.invVar, nd.logVar, nd.logNorm, k, s.dim, nil, out)
 		for i := range n.entries {
 			e := &n.entries[i]
-			if e.frozen == nil {
-				t.Fatalf("entry without eager frozen cache")
-			}
-			want := e.CF.Gaussian().LogPDF(x)
-			got := e.Frozen().LogPDF(x)
-			if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-				t.Fatalf("frozen %v vs CF %v", got, want)
+			want := e.CFs[0].Gaussian().LogPDF(x)
+			if math.Abs(out[i]-want) > 1e-12*(1+math.Abs(want)) {
+				t.Fatalf("frozen %v vs CF %v", out[i], want)
 			}
 			walk(e.Child)
 		}
@@ -186,26 +188,27 @@ func TestQueryPoolNoStateLeak(t *testing.T) {
 }
 
 // TestSteadyStateQueryAllocs: a warmed, pooled query allocates nothing —
-// start, 32 node reads, answer, Close — for either query type, every
-// descent strategy and both priorities. A frontier that boxes an element
-// or an accumulator slice that escapes shows here by name.
+// start, 32 node reads, answer, Close — for either query type, the
+// forest's and the multi-class tree's, every descent strategy and both
+// priorities. A frontier that boxes an element or an accumulator slice
+// that escapes shows here by name.
 func TestSteadyStateQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
-	tree := buildTree(t, 2000, 3, 31)
 	xs, ys := twoClassData(2000, 32)
 	mt := buildMultiTree(t, xs, ys, MultiOptions{})
-	x3, x2 := []float64{0.4, 0.5, 0.6}, []float64{0.4, 0.6}
+	x2 := []float64{0.4, 0.6}
 	var sink float64
 	for _, strat := range []Strategy{DescentGlobal, DescentBFT, DescentDFT} {
 		for _, prio := range []Priority{PriorityProbabilistic, PriorityGeometric} {
-			cursor := testing.AllocsPerRun(100, func() {
-				cur := tree.NewCursor(x3, strat, prio)
-				for i := 0; i < 32 && cur.Refine(); i++ {
+			clf := buildClassifier(t, xs, ys, ClassifierOptions{Strategy: strat, Priority: prio})
+			forest := testing.AllocsPerRun(100, func() {
+				q := clf.NewQuery(x2)
+				for i := 0; i < 32 && q.Step(); i++ {
 				}
-				sink += cur.LogDensity()
-				cur.Close()
+				sink += float64(q.Predict())
+				q.Close()
 			})
 			query := testing.AllocsPerRun(100, func() {
 				q, err := mt.NewQuery(x2, ClassifierOptions{Strategy: strat, Priority: prio})
@@ -217,8 +220,8 @@ func TestSteadyStateQueryAllocs(t *testing.T) {
 				sink += float64(q.Predict())
 				q.Close()
 			})
-			if cursor != 0 || query != 0 {
-				t.Errorf("%v/%v: a steady-state Cursor allocates %v times, a MultiQuery %v; want 0", strat, prio, cursor, query)
+			if forest != 0 || query != 0 {
+				t.Errorf("%v/%v: a steady-state forest Query allocates %v times, a MultiQuery %v; want 0", strat, prio, forest, query)
 			}
 		}
 	}

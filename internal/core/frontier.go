@@ -1,12 +1,6 @@
 package core
 
-import (
-	"math"
-	"sync"
-
-	"bayestree/internal/kernels"
-	"bayestree/internal/stats"
-)
+import "math"
 
 // Strategy selects the tree traversal order of Section 2.2.
 type Strategy int
@@ -77,8 +71,8 @@ func (e *item[T]) before(other *item[T]) bool {
 
 // frontier holds the refinable elements of one anytime query in the
 // order its descent strategy consumes them: a max-heap for
-// DescentGlobal, a queue for DescentBFT, a stack for DescentDFT. Cursor,
-// MultiQuery and the test oracle all descend through it.
+// DescentGlobal, a queue for DescentBFT, a stack for DescentDFT.
+// MultiQuery and the test oracle both descend through it.
 type frontier[T any] struct {
 	strategy Strategy
 	heap     pheap[T]
@@ -153,8 +147,8 @@ func (f *frontier[T]) release() {
 }
 
 // accumulator is a running log-sum-exp: Σ exp(l) over the terms added
-// and not yet removed is sum·exp(shift). A Cursor keeps one, a
-// MultiQuery one per class.
+// and not yet removed is sum·exp(shift). A MultiQuery keeps one per
+// class.
 type accumulator struct {
 	sum, shift float64
 }
@@ -199,158 +193,4 @@ func (a *accumulator) sub(v float64) {
 	if a.sum < 0 {
 		a.sum = 0
 	}
-}
-
-// cursorRef is the payload of a Cursor's frontier element: the entry's
-// log contribution to the mixture density at x and the node to read.
-type cursorRef struct {
-	logTerm float64
-	child   *Node
-}
-
-// Cursor is an in-progress anytime probability density query against one
-// Bayes tree (Definition 3 plus the time-step refinement of Section 2.2).
-// It starts from the frontier {root entry} — the coarsest complete model —
-// and each Refine call reads one node, replacing a frontier entry by its
-// children (or, at leaf level, by the kernel estimators of its
-// observations) and updating the mixture density incrementally.
-type Cursor struct {
-	tree     *Cursorable
-	x        []float64
-	priority Priority
-
-	front  frontier[cursorRef]
-	acc    accumulator // Σ exp(logTerm) over the current frontier
-	reads  int
-	logN   float64
-	obs    []int // observed dims for missing-value queries (nil = all)
-	obsBuf []int // retained backing array for obs across pooled reuses
-}
-
-// cursorPool recycles cursors — and, crucially, their heap/FIFO backing
-// arrays and observed-dimension scratch — across queries. A stream serving
-// one query per arrival would otherwise regrow these for every object.
-var cursorPool = sync.Pool{New: func() interface{} { return new(Cursor) }}
-
-// Cursorable is a Tree's cached query-time constants: what every cursor
-// needs from the tree but no cursor should recompute.
-type Cursorable struct {
-	root Entry
-	// kern is the leaf kernel frozen at the tree's bandwidths, so leaf
-	// refinement performs no bandwidth-derived recomputation per point.
-	kern kernels.FrozenKernel
-}
-
-// NewCursor starts an anytime density query for x against the tree.
-// NaN coordinates in x mark missing values; the density is then the
-// marginal over the observed dimensions (Section 4.2 extension). It
-// returns nil for an empty tree.
-func (t *Tree) NewCursor(x []float64, strategy Strategy, priority Priority) *Cursor {
-	ct := t.cursorable()
-	if ct == nil {
-		return nil
-	}
-	c := cursorPool.Get().(*Cursor)
-	c.tree = ct
-	c.x = x
-	c.priority = priority
-	c.front.reset(strategy)
-	c.acc.reset()
-	c.reads = 0
-	c.logN = math.Log(ct.root.CF.N)
-	c.obs, c.obsBuf = stats.ObservedDimsInto(x, c.obsBuf)
-	// The level-0 model: a single Gaussian over the entire population,
-	// available without reading any node.
-	logTerm := ct.root.Frozen().LogPDFObs(x, c.obs) // weight n/n = 1
-	c.front.push(c.prioFor(&ct.root, logTerm), cursorRef{logTerm: logTerm, child: ct.root.Child})
-	c.acc.add(logTerm)
-	return c
-}
-
-// Close returns the cursor to the package pool so later queries can reuse
-// its backing arrays. The cursor must not be used afterwards. Calling
-// Close is optional — an unclosed cursor is simply garbage collected — but
-// closing is what makes the steady-state query path allocation-free.
-func (c *Cursor) Close() {
-	if c == nil || c.tree == nil {
-		// Nil or already closed: a double Close must not double-Put the
-		// cursor, or two later queries would share one pooled instance.
-		return
-	}
-	c.front.release()
-	c.tree = nil
-	c.x = nil
-	c.obs = nil
-	cursorPool.Put(c)
-}
-
-// prioFor computes the refinement priority of an entry.
-func (c *Cursor) prioFor(e *Entry, logTerm float64) float64 {
-	if c.priority == PriorityGeometric {
-		return -e.Rect.MinDist2Obs(c.x, c.obs)
-	}
-	return logTerm
-}
-
-// Exhausted reports whether the frontier is fully refined to kernels.
-func (c *Cursor) Exhausted() bool { return c.front.exhausted() }
-
-// NodesRead returns the number of nodes read so far.
-func (c *Cursor) NodesRead() int { return c.reads }
-
-// LogDensity returns the current log mixture density pdq(x, E) for the
-// frontier E (Definition 3).
-func (c *Cursor) LogDensity() float64 {
-	if c.acc.sum <= 0 {
-		return math.Inf(-1)
-	}
-	return c.acc.shift + math.Log(c.acc.sum)
-}
-
-// Refine reads one more node, replacing the next frontier entry by its
-// children per the descent strategy. It reports whether a node was read
-// (false when the model is fully refined).
-func (c *Cursor) Refine() bool {
-	e, ok := c.front.pop()
-	if !ok {
-		return false
-	}
-	c.reads++
-	c.acc.remove(e.logTerm)
-	n := e.child
-	if n.leaf {
-		if n.weights == nil {
-			for _, p := range n.points {
-				logTerm := -c.logN + c.tree.kern.LogDensityObs(c.x, p, c.obs)
-				c.acc.add(logTerm)
-			}
-		} else {
-			// Decayed leaves weight each kernel by its observation's
-			// faded mass (weights and logN share the reference-epoch
-			// scale, so the outstanding decay factor cancels).
-			for i, p := range n.points {
-				logTerm := math.Log(n.weights[i]) - c.logN + c.tree.kern.LogDensityObs(c.x, p, c.obs)
-				c.acc.add(logTerm)
-			}
-		}
-		return true
-	}
-	for i := range n.entries {
-		en := &n.entries[i]
-		f := en.Frozen()
-		logTerm := f.LogN - c.logN + f.LogPDFObs(c.x, c.obs)
-		c.front.push(c.prioFor(en, logTerm), cursorRef{logTerm: logTerm, child: en.Child})
-		c.acc.add(logTerm)
-	}
-	return true
-}
-
-// RefineAll fully refines the model (down to the kernel level) and returns
-// the number of nodes read. Useful for exact (non-anytime) classification
-// and for tests comparing against direct kernel density computation.
-func (c *Cursor) RefineAll() int {
-	start := c.reads
-	for c.Refine() {
-	}
-	return c.reads - start
 }

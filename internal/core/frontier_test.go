@@ -6,33 +6,49 @@ import (
 	"testing"
 )
 
-// buildTree constructs a tree over n random points.
-func buildTree(t *testing.T, n, d int, seed int64) *Tree {
+// buildTree constructs a one-class tree over n random points by R*
+// insertion.
+func buildTree(t *testing.T, n, d int, seed int64) *MultiTree {
 	t.Helper()
-	tree, err := NewTree(smallConfig(d))
+	return rstarTree(t, smallConfig(d), randPoints(rand.New(rand.NewSource(seed)), n, d))
+}
+
+// densityQuery starts an anytime density query of x against a one-class
+// tree: its one class's query.
+func densityQuery(tb testing.TB, tree *MultiTree, x []float64, s Strategy, p Priority) *MultiQuery {
+	tb.Helper()
+	q, err := tree.NewQuery(x, ClassifierOptions{Strategy: s, Priority: p})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	for _, p := range randPoints(rng, n, d) {
-		if err := tree.Insert(p); err != nil {
-			t.Fatal(err)
-		}
+	return q
+}
+
+// logDensity is a one-class query's current log mixture density
+// pdq(x, E) for its frontier E (Definition 3): its class's score, whose
+// prior is log 1 = 0.
+func logDensity(q *MultiQuery) float64 { return q.scoresInto(nil)[0] }
+
+// refineAll steps the query to exhaustion and returns the nodes read.
+func refineAll(q *MultiQuery) int {
+	start := q.NodesRead()
+	for q.Step() {
 	}
-	return tree
+	return q.NodesRead() - start
 }
 
 // directKernelLogDensity computes log p(x) = log( (1/n) Σ K(x; xi, h) )
-// directly over all stored points — the ground truth the fully refined
-// frontier must reproduce (Definition 3 at kernel level).
-func directKernelLogDensity(tree *Tree, x []float64) float64 {
-	h := tree.Bandwidth()
+// directly over all stored points of a one-class tree — the ground truth
+// the fully refined frontier must reproduce (Definition 3 at kernel
+// level).
+func directKernelLogDensity(tree *MultiTree, x []float64) float64 {
+	h := tree.queryConsts().bw[0]
 	var logs []float64
-	var collect func(n *Node)
-	collect = func(n *Node) {
+	var collect func(n *MultiNode)
+	collect = func(n *MultiNode) {
 		if n.IsLeaf() {
 			for _, p := range n.Points() {
-				logs = append(logs, tree.Config().Kernel.LogDensity(x, p, h))
+				logs = append(logs, tree.Config().Kernel.LogDensity(x, p.X, h))
 			}
 			return
 		}
@@ -55,7 +71,7 @@ func directKernelLogDensity(tree *Tree, x []float64) float64 {
 	return m + math.Log(s) - math.Log(float64(len(logs)))
 }
 
-// The central correctness test: a fully refined anytime cursor computes
+// The central correctness test: a fully refined anytime query computes
 // exactly the kernel density estimate, for every descent strategy.
 func TestFullRefinementMatchesDirectKDE(t *testing.T) {
 	tree := buildTree(t, 300, 3, 1)
@@ -64,9 +80,9 @@ func TestFullRefinementMatchesDirectKDE(t *testing.T) {
 		for _, prio := range []Priority{PriorityProbabilistic, PriorityGeometric} {
 			for q := 0; q < 10; q++ {
 				x := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-				cur := tree.NewCursor(x, strat, prio)
-				cur.RefineAll()
-				got := cur.LogDensity()
+				cur := densityQuery(t, tree, x, strat, prio)
+				refineAll(cur)
+				got := logDensity(cur)
 				want := directKernelLogDensity(tree, x)
 				if math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 					t.Fatalf("%v/%v query %d: got %v, want %v", strat, prio, q, got, want)
@@ -81,42 +97,41 @@ func TestFullRefinementMatchesDirectKDE(t *testing.T) {
 func TestIncrementalDensityConsistentAtEveryStep(t *testing.T) {
 	tree := buildTree(t, 200, 2, 3)
 	x := []float64{0.4, 0.6}
-	cur := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	ref := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	_ = ref
+	cur := densityQuery(t, tree, x, DescentGlobal, PriorityProbabilistic)
 	for step := 0; ; step++ {
-		// Recompute the same frontier state with a fresh cursor replaying
+		// Recompute the same frontier state with a fresh query replaying
 		// the same number of refinements (deterministic strategies make
 		// the frontiers identical).
-		fresh := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
+		fresh := densityQuery(t, tree, x, DescentGlobal, PriorityProbabilistic)
 		for i := 0; i < step; i++ {
-			fresh.Refine()
+			fresh.Step()
 		}
-		a, b := cur.LogDensity(), fresh.LogDensity()
+		a, b := logDensity(cur), logDensity(fresh)
+		fresh.Close()
 		if math.Abs(a-b) > 1e-6*(1+math.Abs(b)) {
 			t.Fatalf("step %d: incremental %v vs replay %v", step, a, b)
 		}
-		if !cur.Refine() {
+		if !cur.Step() {
 			break
 		}
 	}
 }
 
-// Node accounting: each Refine reads exactly one node, and the total
+// Node accounting: each Step reads exactly one node, and the total
 // number of reads to exhaustion equals the node count of the tree.
 func TestNodesReadCount(t *testing.T) {
 	tree := buildTree(t, 250, 2, 4)
 	s := tree.Stats()
-	cur := tree.NewCursor([]float64{0.5, 0.5}, DescentBFT, PriorityProbabilistic)
-	reads := cur.RefineAll()
+	cur := densityQuery(t, tree, []float64{0.5, 0.5}, DescentBFT, PriorityProbabilistic)
+	reads := refineAll(cur)
 	if reads != s.Nodes {
 		t.Fatalf("read %d nodes to exhaustion, tree has %d", reads, s.Nodes)
 	}
 	if !cur.Exhausted() {
-		t.Fatalf("cursor not exhausted after RefineAll")
+		t.Fatalf("query not exhausted after refining all")
 	}
-	if cur.Refine() {
-		t.Fatalf("refine after exhaustion succeeded")
+	if cur.Step() {
+		t.Fatalf("step after exhaustion succeeded")
 	}
 }
 
@@ -125,10 +140,10 @@ func TestNodesReadCount(t *testing.T) {
 func TestLevelZeroModel(t *testing.T) {
 	tree := buildTree(t, 150, 2, 5)
 	x := []float64{0.3, 0.3}
-	cur := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	e, _ := tree.RootEntry()
-	want := e.Gaussian().LogPDF(x)
-	if got := cur.LogDensity(); math.Abs(got-want) > 1e-9 {
+	cur := densityQuery(t, tree, x, DescentGlobal, PriorityProbabilistic)
+	e := rootEntry(tree)
+	want := e.CFs[0].Gaussian().LogPDF(x)
+	if got := logDensity(cur); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("level-0 density %v, want %v", got, want)
 	}
 	if cur.NodesRead() != 0 {
@@ -146,8 +161,8 @@ func TestGlobalDescentPopsHighestContribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for q := 0; q < 20; q++ {
 		x := []float64{rng.Float64(), rng.Float64()}
-		cur := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-		cur.Refine() // read the root: frontier = root's entries
+		cur := densityQuery(t, tree, x, DescentGlobal, PriorityProbabilistic)
+		cur.Step() // read the root: frontier = root's entries
 		// Compute the expected winner among root entries.
 		root := tree.Root()
 		if root.IsLeaf() {
@@ -155,49 +170,76 @@ func TestGlobalDescentPopsHighestContribution(t *testing.T) {
 		}
 		bestIdx, best := -1, math.Inf(-1)
 		for i, e := range root.Entries() {
-			g := e.CF.Gaussian()
-			term := math.Log(e.CF.N) + g.LogPDF(x)
+			g := e.CFs[0].Gaussian()
+			term := math.Log(e.CFs[0].N) + g.LogPDF(x)
 			if term > best {
 				bestIdx, best = i, term
 			}
 		}
 		// Drop the expected winner's contribution by refining once more
 		// and verify the density change matches replacing that entry
-		// (replay with a fresh cursor bound to a tree whose winner is
-		// checked structurally instead: the heap top's child must be the
-		// winning entry's child).
+		// (replay with a fresh query bound to a tree whose winner is
+		// checked structurally instead: once settled, the heap top's node
+		// must mirror the winning entry's child).
+		cur.settle()
 		top := cur.front.heap[0].payload
-		if top.child != root.Entries()[bestIdx].Child {
+		if top.node != cur.soa.index[root.Entries()[bestIdx].Child] {
 			t.Fatalf("query %d: glo would refine a non-maximal entry", q)
 		}
 	}
 }
 
-// Empty tree yields no cursor.
+// An empty class tree starts no query, and a forest over a class tree
+// that decayed empty scores that class −Inf.
 func TestCursorOnEmptyTree(t *testing.T) {
-	tree, _ := NewTree(smallConfig(2))
-	if cur := tree.NewCursor([]float64{0, 0}, DescentGlobal, PriorityProbabilistic); cur != nil {
-		t.Fatalf("cursor on empty tree")
+	tree := emptyClassTree(t, smallConfig(2))
+	if q, err := tree.NewQuery([]float64{0, 0}, ClassifierOptions{}); q != nil || err == nil {
+		t.Fatalf("query on empty tree")
 	}
+	trees := make([]*MultiTree, 2)
+	for c := range trees {
+		var err error
+		if trees[c], err = NewMultiTree(decayTestConfig(2), []int{c}, MultiOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := trees[c].EnableDecay(DecayOptions{Lambda: 1, MinWeight: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		if err := trees[c].Insert([]float64{float64(c), 0}, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clf, err := NewClassifier(trees, ClassifierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees[0].AdvanceEpoch(2)
+	clf.DecaySweep()
+	if trees[0].Len() != 0 {
+		t.Fatalf("class 0 holds %d points after decaying away", trees[0].Len())
+	}
+	q := clf.NewQuery([]float64{0, 0})
+	if s := q.scores(); !math.IsInf(s[0], -1) || math.IsInf(s[1], 0) {
+		t.Fatalf("scores %v, want class 0 at −Inf and class 1 finite", s)
+	}
+	if q.Predict() != 1 || !q.Step() || q.Step() || !q.Exhausted() {
+		t.Fatal("the forest must answer from class 1 alone and read its one node")
+	}
+	q.Close()
 }
 
 // A tree whose root is still a leaf refines in exactly one step.
 func TestTinyTreeCursor(t *testing.T) {
-	tree, _ := NewTree(smallConfig(2))
-	for i := 0; i < 3; i++ {
-		if err := tree.Insert([]float64{float64(i) * 0.1, 0.5}); err != nil {
-			t.Fatal(err)
-		}
+	tree := rstarTree(t, smallConfig(2), [][]float64{{0, 0.5}, {0.1, 0.5}, {0.2, 0.5}})
+	cur := densityQuery(t, tree, []float64{0.1, 0.5}, DescentGlobal, PriorityProbabilistic)
+	if !cur.Step() {
+		t.Fatal("first step failed")
 	}
-	cur := tree.NewCursor([]float64{0.1, 0.5}, DescentGlobal, PriorityProbabilistic)
-	if !cur.Refine() {
-		t.Fatal("first refine failed")
-	}
-	if cur.Refine() {
-		t.Fatal("second refine on leaf-root tree succeeded")
+	if cur.Step() {
+		t.Fatal("second step on leaf-root tree succeeded")
 	}
 	want := directKernelLogDensity(tree, []float64{0.1, 0.5})
-	if got := cur.LogDensity(); math.Abs(got-want) > 1e-9 {
+	if got := logDensity(cur); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("tiny tree density %v, want %v", got, want)
 	}
 }
@@ -207,10 +249,9 @@ func TestTinyTreeCursor(t *testing.T) {
 func TestFarQueryNumericallySane(t *testing.T) {
 	tree := buildTree(t, 200, 2, 8)
 	x := []float64{1e6, -1e6}
-	cur := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	for cur.Refine() {
-	}
-	ld := cur.LogDensity()
+	cur := densityQuery(t, tree, x, DescentGlobal, PriorityProbabilistic)
+	refineAll(cur)
+	ld := logDensity(cur)
 	if math.IsNaN(ld) {
 		t.Fatalf("far query produced NaN")
 	}

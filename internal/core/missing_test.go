@@ -14,24 +14,21 @@ import (
 // direct masked kernel sum instead).
 func TestMissingValueDensityIsMarginal(t *testing.T) {
 	tree := buildTree(t, 250, 3, 21)
-	h := tree.Bandwidth()
+	h := tree.queryConsts().bw[0]
 	x := []float64{0.4, math.NaN(), 0.7}
 	obs := []int{0, 2}
 
-	cur := tree.NewCursor(x, DescentGlobal, PriorityProbabilistic)
-	if cur == nil {
-		t.Fatal("no cursor")
-	}
-	cur.RefineAll()
-	got := cur.LogDensity()
+	cur := densityQuery(t, tree, x, DescentGlobal, PriorityProbabilistic)
+	refineAll(cur)
+	got := logDensity(cur)
 
 	// Direct masked kernel sum.
 	var logs []float64
-	var collect func(n *Node)
-	collect = func(n *Node) {
+	var collect func(n *MultiNode)
+	collect = func(n *MultiNode) {
 		if n.IsLeaf() {
 			for _, p := range n.Points() {
-				logs = append(logs, tree.Config().Kernel.LogDensityObs(x, p, h, obs))
+				logs = append(logs, tree.Config().Kernel.LogDensityObs(x, p.X, h, obs))
 			}
 			return
 		}
@@ -103,13 +100,13 @@ func TestClassifyWithMissingValues(t *testing.T) {
 func TestMissingValueGeometricDescent(t *testing.T) {
 	tree := buildTree(t, 200, 3, 23)
 	x := []float64{math.NaN(), 0.5, math.NaN()}
-	cur := tree.NewCursor(x, DescentGlobal, PriorityGeometric)
+	cur := densityQuery(t, tree, x, DescentGlobal, PriorityGeometric)
 	for i := 0; i < 10; i++ {
-		if !cur.Refine() {
+		if !cur.Step() {
 			break
 		}
 	}
-	if ld := cur.LogDensity(); math.IsNaN(ld) {
+	if ld := logDensity(cur); math.IsNaN(ld) {
 		t.Fatalf("NaN density under geometric descent with missing dims")
 	}
 }

@@ -65,9 +65,13 @@ type MultiTree struct {
 	root   *MultiNode
 	size   int
 	counts []float64
-	// npoints are the per-class observation counts: Silverman's n, which
-	// is Tree's rule. counts are masses, which a decay sweep rescales.
+	// npoints are the per-class observation counts: Silverman's n.
+	// counts are masses, which a decay sweep rescales.
 	npoints []int
+	// balanced is false for trees built by loaders that give up balance
+	// (the paper's EMTopDown "may result in an unbalanced tree"): they
+	// promise neither equal leaf depths nor the minimum fill.
+	balanced bool
 	// queryState caches the per-query constants (root summary, per-class
 	// bandwidths and log counts); built on first query, then kept by
 	// invalidate: patched for the class of a split-free insert, dropped
@@ -104,14 +108,15 @@ type multiQueryState struct {
 	ceilLn []float64
 }
 
-// NewMultiTree creates an empty multi-class tree over the given class
-// labels (which fix the per-entry CF layout).
+// NewMultiTree creates an empty tree over the given class labels (which
+// fix the per-entry CF layout). One label makes one class tree of the
+// per-class forest (Classifier).
 func NewMultiTree(cfg Config, labels []int, mopts MultiOptions) (*MultiTree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(labels) < 2 {
-		return nil, fmt.Errorf("core: multi tree needs ≥ 2 classes, got %d", len(labels))
+	if len(labels) == 0 {
+		return nil, fmt.Errorf("core: tree without classes")
 	}
 	index := make(map[int]int, len(labels))
 	for i, l := range labels {
@@ -121,13 +126,14 @@ func NewMultiTree(cfg Config, labels []int, mopts MultiOptions) (*MultiTree, err
 		index[l] = i
 	}
 	return &MultiTree{
-		cfg:     cfg,
-		mopts:   mopts,
-		labels:  append([]int(nil), labels...),
-		index:   index,
-		root:    &MultiNode{leaf: true},
-		counts:  make([]float64, len(labels)),
-		npoints: make([]int, len(labels)),
+		cfg:      cfg,
+		mopts:    mopts,
+		labels:   append([]int(nil), labels...),
+		index:    index,
+		root:     &MultiNode{leaf: true},
+		counts:   make([]float64, len(labels)),
+		npoints:  make([]int, len(labels)),
+		balanced: true,
 	}, nil
 }
 
@@ -150,6 +156,12 @@ func (t *MultiTree) Counts() []float64 { return append([]float64(nil), t.counts.
 
 // Root returns the root node for read-only traversal.
 func (t *MultiTree) Root() *MultiNode { return t.root }
+
+// Balanced reports whether the construction guaranteed equal leaf depths.
+func (t *MultiTree) Balanced() bool { return t.balanced }
+
+// Stats walks the tree and reports its shape.
+func (t *MultiTree) Stats() Stats { return shapeStats(t.root) }
 
 // ApproxBytes estimates the tree's resident memory: per node, the
 // parent entry that summarises it — a rectangle, the pooled cluster
@@ -271,8 +283,10 @@ func (t *MultiTree) refreshClass(e *MultiEntry, n *MultiNode, c int) {
 	}
 }
 
-// Insert adds a labeled observation (R*-style, as in Tree.Insert but
-// maintaining per-class cluster features).
+// Insert adds a labeled observation: a descent by least area
+// enlargement, the point appended to its leaf, overflows split (R*'s
+// topological split) and the per-class cluster features, query constants
+// and mirror along the path brought up to date.
 func (t *MultiTree) Insert(x []float64, label int) error {
 	if len(x) != t.cfg.Dim {
 		return fmt.Errorf("core: point dim %d != tree dim %d", len(x), t.cfg.Dim)
@@ -337,8 +351,8 @@ func (t *MultiTree) fixOverflow(path []*MultiNode, c int) int {
 		n := path[i]
 		over := (n.leaf && len(n.points) > t.cfg.MaxLeaf) || (!n.leaf && len(n.entries) > t.cfg.MaxFanout)
 		if !over {
-			// As in Tree.fixOverflow: one refresh of this prefix covers
-			// all remaining levels (they gained no entries). Above a
+			// One refresh of this prefix covers all remaining levels
+			// (they gained no entries). Above a
 			// split it re-summarises: the split reordered the entries
 			// every class's sums run over.
 			replaced := len(path) - 1 - i
@@ -714,9 +728,13 @@ func (t *MultiTree) checkCounts(masses []float64, points []int) error {
 	return nil
 }
 
-// Validate checks structural invariants (MBR and per-class CF consistency,
-// capacities, class counts). Balanced depth is guaranteed by
-// construction for incremental inserts.
+// Validate checks the Bayes tree invariants: every inner entry has a
+// child and a valid rectangle that bounds its subtree, and cluster
+// features — per class and pooled — that sum it, within floating-point
+// tolerance; capacities are respected (the minimum fill below the root
+// only in a balanced tree), the class counts and the size match the
+// leaves, and a balanced tree's leaves share one depth. It returns the
+// first violation.
 func (t *MultiTree) Validate() error {
 	if t.size == 0 {
 		return nil
@@ -725,7 +743,7 @@ func (t *MultiTree) Validate() error {
 	masses, points := make([]float64, len(t.labels)), make([]int, len(t.labels))
 	var walk func(n *MultiNode, isRoot bool) error
 	walk = func(n *MultiNode, isRoot bool) error {
-		if err := checkShape(n, &t.cfg, isRoot, true); err != nil {
+		if err := checkShape(n, &t.cfg, isRoot, t.balanced); err != nil {
 			return err
 		}
 		if err := t.addMasses(masses, points, n); err != nil {
@@ -733,16 +751,26 @@ func (t *MultiTree) Validate() error {
 		}
 		for i := range n.entries {
 			e := &n.entries[i]
+			if e.Child == nil {
+				return fmt.Errorf("core: entry %d has no child", i)
+			}
+			if err := e.Rect.Validate(); err != nil {
+				return fmt.Errorf("core: invalid entry rect: %w", err)
+			}
 			want := t.summarize(e.Child)
 			for k := 0; k < t.cfg.Dim; k++ {
 				if math.Abs(e.Rect.Lo[k]-want.Rect.Lo[k]) > tol || math.Abs(e.Rect.Hi[k]-want.Rect.Hi[k]) > tol {
-					return fmt.Errorf("core: multi stale MBR in dim %d", k)
+					return fmt.Errorf("core: stale MBR in dim %d: have [%v,%v], want [%v,%v]",
+						k, e.Rect.Lo[k], e.Rect.Hi[k], want.Rect.Lo[k], want.Rect.Hi[k])
 				}
 			}
 			for c := range e.CFs {
-				if math.Abs(e.CFs[c].N-want.CFs[c].N) > tol {
-					return fmt.Errorf("core: multi stale CF count for class %d", t.labels[c])
+				if err := checkCF(&e.CFs[c], &want.CFs[c], tol); err != nil {
+					return fmt.Errorf("core: class %d: %w", t.labels[c], err)
 				}
+			}
+			if err := checkCF(&e.Total, &want.Total, tol); err != nil {
+				return fmt.Errorf("core: pooled: %w", err)
 			}
 			if err := walk(e.Child, false); err != nil {
 				return err
@@ -753,5 +781,32 @@ func (t *MultiTree) Validate() error {
 	if err := walk(t.root, true); err != nil {
 		return err
 	}
+	if got := countPoints(t.root); got != t.size {
+		return fmt.Errorf("core: counted %d observations, size says %d", got, t.size)
+	}
+	if t.balanced {
+		if err := checkBalanced(t.root); err != nil {
+			return err
+		}
+	}
 	return t.checkCounts(masses, points)
+}
+
+// checkCF holds a stored cluster feature to the one its subtree sums
+// to: the count within tol, the linear and square sums within tol
+// scaled by the count (×10 and ×100).
+func checkCF(have, want *stats.CF, tol float64) error {
+	if math.Abs(have.N-want.N) > tol {
+		return fmt.Errorf("stale CF count: have %v, want %v", have.N, want.N)
+	}
+	scale := math.Max(1, math.Abs(want.N))
+	for k := range want.LS {
+		if math.Abs(have.LS[k]-want.LS[k]) > tol*scale*10 {
+			return fmt.Errorf("stale CF LS[%d]: have %v, want %v", k, have.LS[k], want.LS[k])
+		}
+		if math.Abs(have.SS[k]-want.SS[k]) > tol*scale*100 {
+			return fmt.Errorf("stale CF SS[%d]: have %v, want %v", k, have.SS[k], want.SS[k])
+		}
+	}
+	return nil
 }

@@ -31,8 +31,11 @@ func buildMultiTree(t *testing.T, xs [][]float64, ys []int, mopts MultiOptions) 
 }
 
 func TestNewMultiTreeValidation(t *testing.T) {
-	if _, err := NewMultiTree(smallConfig(2), []int{1}, MultiOptions{}); err == nil {
-		t.Errorf("single class accepted")
+	if _, err := NewMultiTree(smallConfig(2), nil, MultiOptions{}); err == nil {
+		t.Errorf("tree without classes accepted")
+	}
+	if _, err := NewMultiTree(smallConfig(2), []int{1}, MultiOptions{}); err != nil {
+		t.Errorf("a class tree of one class refused: %v", err)
 	}
 	if _, err := NewMultiTree(smallConfig(2), []int{1, 1}, MultiOptions{}); err == nil {
 		t.Errorf("duplicate labels accepted")

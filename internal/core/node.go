@@ -1,12 +1,14 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// This file is the node skeleton the per-class Tree and the multi-class
-// MultiTree share. The paper's multi-class tree (Section 4.1) is the
-// Bayes tree of Section 2 with a different entry payload, so one generic
-// node serves both; each tree adds its entry type, its summarize, its
-// subtree choice and its overflow repair.
+// This file is the node skeleton of the Bayes tree, generic over the
+// observation and entry types: the MultiTree is its one instance, and
+// what here is generic — shape, balance, counting, statistics and the
+// decay sweep (decay.go) — is written once against the skeleton.
 
 // node is a Bayes tree node over observations P and entries E. Leaves
 // store the observations themselves (the kernel centres); inner nodes
@@ -157,4 +159,73 @@ func checkShape[P any, E entry[P, E]](n *node[P, E], cfg *Config, isRoot, minFil
 		return fmt.Errorf("core: %s %d outside [%d,%d]", what, have, lo, hi)
 	}
 	return nil
+}
+
+// checkBalanced reports the first pair of leaves at different depths
+// under root.
+func checkBalanced[P any, E entry[P, E]](root *node[P, E]) error {
+	depth := -1
+	var walk func(n *node[P, E], d int) error
+	walk = func(n *node[P, E], d int) error {
+		if n.leaf {
+			if depth == -1 {
+				depth = d
+			} else if depth != d {
+				return fmt.Errorf("core: leaves at depths %d and %d in a tree declared balanced", depth, d)
+			}
+			return nil
+		}
+		for i := range n.entries {
+			if err := walk(n.entries[i].child(), d+1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return walk(root, 0)
+}
+
+// Stats summarises a tree's shape.
+type Stats struct {
+	Observations int
+	Nodes        int
+	InnerNodes   int
+	Leaves       int
+	Height       int
+	MinLeafDepth int
+	AvgFanout    float64
+	AvgLeafOcc   float64
+}
+
+// shapeStats walks the tree under root and reports its shape.
+func shapeStats[P any, E entry[P, E]](root *node[P, E]) Stats {
+	s := Stats{MinLeafDepth: math.MaxInt32}
+	var fanoutSum int
+	var walk func(n *node[P, E], depth int)
+	walk = func(n *node[P, E], depth int) {
+		s.Nodes++
+		s.Height = max(s.Height, depth+1)
+		if n.leaf {
+			s.Leaves++
+			s.Observations += len(n.points)
+			s.MinLeafDepth = min(s.MinLeafDepth, depth)
+			return
+		}
+		s.InnerNodes++
+		fanoutSum += len(n.entries)
+		for i := range n.entries {
+			walk(n.entries[i].child(), depth+1)
+		}
+	}
+	walk(root, 0)
+	if s.InnerNodes > 0 {
+		s.AvgFanout = float64(fanoutSum) / float64(s.InnerNodes)
+	}
+	if s.Leaves > 0 {
+		s.AvgLeafOcc = float64(s.Observations) / float64(s.Leaves)
+	}
+	if s.MinLeafDepth == math.MaxInt32 {
+		s.MinLeafDepth = 0
+	}
+	return s
 }

@@ -17,12 +17,12 @@ func TestInsertionOrderPreservesContent(t *testing.T) {
 	f := func(seed int64, permSeed int64) bool {
 		points := base(seed)
 		perm := rand.New(rand.NewSource(permSeed)).Perm(len(points))
-		tree, err := NewTree(smallConfig(2))
+		tree, err := NewMultiTree(smallConfig(2), []int{0}, MultiOptions{})
 		if err != nil {
 			return false
 		}
 		for _, i := range perm {
-			if err := tree.Insert(points[i]); err != nil {
+			if err := tree.insertRStar(points[i]); err != nil {
 				return false
 			}
 		}
@@ -33,11 +33,11 @@ func TestInsertionOrderPreservesContent(t *testing.T) {
 		// of identical values summed in different orders? No — float sums
 		// reorder. Compare sorted first coordinates instead).
 		var stored []float64
-		var walk func(n *Node)
-		walk = func(n *Node) {
+		var walk func(n *MultiNode)
+		walk = func(n *MultiNode) {
 			if n.leaf {
 				for _, p := range n.points {
-					stored = append(stored, p[0])
+					stored = append(stored, p.X[0])
 				}
 				return
 			}

@@ -9,21 +9,9 @@ import (
 // reassemble trees whose node and entry internals are unexported. A
 // snapshot stores leaves only. A rebuild first checks what Validate
 // holds, allocating nothing, then derives every inner entry bottom-up
-// with the tree's own summarize (a forest's frozen caches with the same
-// stats.Freeze), so a decoded tree answers every query with
-// bit-identical log densities. See internal/persist for the on-disk
-// format and ARCHITECTURE.md for the frozen-cache invalidation contract.
-
-// RebuildLeafWeighted returns a leaf node owning the given observations;
-// weights are the per-observation decayed masses, parallel to points
-// (nil means unit weights). Both slices are retained, not copied;
-// callers hand over ownership.
-func RebuildLeafWeighted(points [][]float64, weights []float64) (*Node, error) {
-	if err := validateWeights(weights, len(points)); err != nil {
-		return nil, err
-	}
-	return &Node{leaf: true, points: points, weights: weights}, nil
-}
+// with the tree's own summarize, so a decoded tree answers every query
+// with bit-identical log densities. See internal/persist for the on-disk
+// format.
 
 // validateWeights checks a decoded leaf weight vector: parallel to the
 // points and strictly positive finite masses.
@@ -40,13 +28,6 @@ func validateWeights(weights []float64, points int) error {
 		}
 	}
 	return nil
-}
-
-// RebuildInner returns an inner node owning the given entries, of which
-// only Child is read: the rebuild derives the rest. The slice is
-// retained, not copied; callers hand over ownership.
-func RebuildInner(entries []Entry) *Node {
-	return &Node{entries: entries}
 }
 
 // checkNodes runs check on every node under n.
@@ -89,42 +70,10 @@ func checkPoint(x []float64, dim int) error {
 	return nil
 }
 
-// RebuildTree reassembles a Tree from decoded parts, checking its
-// configuration, node shapes, points, size and, if balanced, balance,
-// and returns it with the derive that fills its inner entries; the tree
-// must not be used before derive has run.
-func RebuildTree(cfg Config, root *Node, size int, balanced bool) (t *Tree, derive func(), err error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if root == nil {
-		return nil, nil, fmt.Errorf("core: rebuild with nil root")
-	}
-	t = &Tree{cfg: cfg, root: root, balanced: balanced}
-	err = checkNodes(root, true, func(n *Node, isRoot bool) error {
-		for _, p := range n.points {
-			if err := checkPoint(p, cfg.Dim); err != nil {
-				return err
-			}
-		}
-		t.size += len(n.points)
-		return checkShape(n, &cfg, isRoot, balanced)
-	})
-	if err == nil && t.size != size {
-		err = fmt.Errorf("core: rebuild size %d but tree holds %d observations", size, t.size)
-	}
-	if err == nil && balanced {
-		err = checkBalanced(root)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, func() { deriveEntries(root, t.summarize) }, nil
-}
-
-// RebuildMultiLeafWeighted returns a multi-class leaf owning the given
-// labelled observations and their decayed masses (see
-// RebuildLeafWeighted).
+// RebuildMultiLeafWeighted returns a leaf owning the given labelled
+// observations; weights are their decayed masses, parallel to points
+// (nil means unit weights). Both slices are retained, not copied;
+// callers hand over ownership.
 func RebuildMultiLeafWeighted(points []LabeledPoint, weights []float64) (*MultiNode, error) {
 	if err := validateWeights(weights, len(points)); err != nil {
 		return nil, err
@@ -132,26 +81,30 @@ func RebuildMultiLeafWeighted(points []LabeledPoint, weights []float64) (*MultiN
 	return &MultiNode{leaf: true, points: points, weights: weights}, nil
 }
 
-// RebuildMultiInner returns a multi-class inner node owning the given
-// entries, of which only Child is read (see RebuildInner).
+// RebuildMultiInner returns an inner node owning the given entries, of
+// which only Child is read: the rebuild derives the rest. The slice is
+// retained, not copied; callers hand over ownership.
 func RebuildMultiInner(entries []MultiEntry) *MultiNode {
 	return &MultiNode{entries: entries}
 }
 
-// RebuildMultiTree is RebuildTree for a MultiTree, given its class
-// labels in tree order and per-class counts, which are checked against
-// the leaves and kept as stored, so a reloaded model scores
-// digit-identically. The per-class point counts are taken from the
-// leaves.
-func RebuildMultiTree(cfg Config, mopts MultiOptions, labels []int, root *MultiNode, counts []float64) (t *MultiTree, derive func(), err error) {
+// RebuildMultiTree reassembles a MultiTree from decoded parts, given its
+// class labels in tree order and per-class counts, which are checked
+// against the leaves and kept as stored, so a reloaded model scores
+// digit-identically. It checks the configuration, node shapes (the
+// minimum fill only when balanced), points and, if balanced, balance,
+// and returns the tree with the derive that fills its inner entries; the
+// tree must not be used before derive has run. The per-class point
+// counts are taken from the leaves.
+func RebuildMultiTree(cfg Config, mopts MultiOptions, labels []int, root *MultiNode, counts []float64, balanced bool) (t *MultiTree, derive func(), err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	if root == nil {
 		return nil, nil, fmt.Errorf("core: rebuild with nil root")
 	}
-	if len(labels) < 2 {
-		return nil, nil, fmt.Errorf("core: multi tree needs ≥ 2 classes, got %d", len(labels))
+	if len(labels) == 0 {
+		return nil, nil, fmt.Errorf("core: tree without classes")
 	}
 	if len(counts) != len(labels) {
 		return nil, nil, fmt.Errorf("core: %d counts for %d labels", len(counts), len(labels))
@@ -164,12 +117,13 @@ func RebuildMultiTree(cfg Config, mopts MultiOptions, labels []int, root *MultiN
 		index[l] = i
 	}
 	t = &MultiTree{
-		cfg:    cfg,
-		mopts:  mopts,
-		labels: append([]int(nil), labels...),
-		index:  index,
-		root:   root,
-		counts: append([]float64(nil), counts...),
+		cfg:      cfg,
+		mopts:    mopts,
+		labels:   append([]int(nil), labels...),
+		index:    index,
+		root:     root,
+		counts:   append([]float64(nil), counts...),
+		balanced: balanced,
 	}
 	masses, points := make([]float64, len(labels)), make([]int, len(labels))
 	err = checkNodes(root, true, func(n *MultiNode, isRoot bool) error {
@@ -182,11 +136,14 @@ func RebuildMultiTree(cfg Config, mopts MultiOptions, labels []int, root *MultiN
 		if err := t.addMasses(masses, points, n); err != nil {
 			return err
 		}
-		return checkShape(n, &cfg, isRoot, true)
+		return checkShape(n, &cfg, isRoot, balanced)
 	})
 	if err == nil {
 		t.npoints = points // derived from the leaves: snapshots do not store them
 		err = t.checkCounts(masses, points)
+	}
+	if err == nil && balanced {
+		err = checkBalanced(root)
 	}
 	if err != nil {
 		return nil, nil, err

@@ -55,8 +55,8 @@ import (
 // later, and mutation needs what it always needed: exclusive access to
 // the tree. A caller that holds it anyway and wants the build off the
 // first reader (recovery, the decay maintenance sweep) calls RefreshSoA.
-// The per-class Tree/Cursor/Classifier have no mirror: they are the
-// paper-faithful pointer implementation.
+// Every tree has one, the per-class forest's one-class trees included:
+// the MultiTree is the only tree type.
 
 // ---------------------------------------------------------------------
 // MultiTree mirror

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"bayestree/internal/mbr"
-	"bayestree/internal/stats"
 )
 
 // oracleSplitItems is the split routine splitOrder replaced, kept
@@ -135,18 +134,14 @@ func TestSplitOrderMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSplitNodeMatchesOracle drives the six call sites — plain leaf,
-// weighted leaf and inner node of both tree kinds — and checks each
-// half holds the oracle's items (by identity) in the oracle's order,
-// weights following their points.
+// TestSplitNodeMatchesOracle drives the three call sites — plain leaf,
+// weighted leaf and inner node — and checks each half holds the oracle's
+// items (by identity) in the oracle's order, weights following their
+// points.
 func TestSplitNodeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	const dim = 3
 	cfg := smallConfig(dim)
-	tree, err := NewTree(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	multi, err := NewMultiTree(cfg, []int{0, 1}, MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -195,9 +190,6 @@ func TestSplitNodeMatchesOracle(t *testing.T) {
 			if weighted {
 				ws = weights
 			}
-			l, r := tree.splitNode(&Node{leaf: true, points: points, weights: ws})
-			samePoints(ctx+" tree left", l.points, wantL)
-			samePoints(ctx+" tree right", r.points, wantR)
 			ml, mr := multi.splitNode(&MultiNode{leaf: true, points: labeled, weights: ws})
 			unlabel := func(ps []LabeledPoint) [][]float64 {
 				out := make([][]float64, len(ps))
@@ -211,7 +203,7 @@ func TestSplitNodeMatchesOracle(t *testing.T) {
 			for _, half := range []struct {
 				got  []float64
 				want []float64
-			}{{l.weights, wantWL}, {r.weights, wantWR}, {ml.weights, wantWL}, {mr.weights, wantWR}} {
+			}{{ml.weights, wantWL}, {mr.weights, wantWR}} {
 				if !weighted {
 					if half.got != nil {
 						t.Fatalf("%s: unweighted leaf split grew weights", ctx)
@@ -224,27 +216,22 @@ func TestSplitNodeMatchesOracle(t *testing.T) {
 		// Inner nodes: the entries are told apart by their child.
 		n = cfg.MaxFanout + 1
 		rects = randomRects(rng, n, dim, false, tied)
-		entries := make([]Entry, n)
 		mentries := make([]MultiEntry, n)
 		for i := range rects {
-			entries[i] = Entry{Rect: rects[i], CF: stats.NewCF(dim), Child: &Node{}}
 			mentries[i] = MultiEntry{Rect: rects[i], Child: &MultiNode{}}
 		}
-		wantEL, wantER := oracleSplitItems(entries, func(e Entry) mbr.Rect { return e.Rect }, dim, cfg.MinFanout)
-		el, er := tree.splitNode(&Node{entries: entries})
 		wantML, wantMR := oracleSplitItems(mentries, func(e MultiEntry) mbr.Rect { return e.Rect }, dim, cfg.MinFanout)
 		mel, mer := multi.splitNode(&MultiNode{entries: mentries})
-		if len(el.entries) != len(wantEL) || len(er.entries) != len(wantER) ||
-			len(mel.entries) != len(wantML) || len(mer.entries) != len(wantMR) {
+		if len(mel.entries) != len(wantML) || len(mer.entries) != len(wantMR) {
 			t.Fatalf("round %d: inner split sizes differ from the oracle's", round)
 		}
-		for i := range wantEL {
-			if el.entries[i].Child != wantEL[i].Child || mel.entries[i].Child != wantML[i].Child {
+		for i := range wantML {
+			if mel.entries[i].Child != wantML[i].Child {
 				t.Fatalf("round %d: left entry %d differs from the oracle's", round, i)
 			}
 		}
-		for i := range wantER {
-			if er.entries[i].Child != wantER[i].Child || mer.entries[i].Child != wantMR[i].Child {
+		for i := range wantMR {
+			if mer.entries[i].Child != wantMR[i].Child {
 				t.Fatalf("round %d: right entry %d differs from the oracle's", round, i)
 			}
 		}

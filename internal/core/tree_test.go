@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"bayestree/internal/kernels"
@@ -17,6 +18,30 @@ func smallConfig(dim int) Config {
 		ForcedReinsert: true,
 	}
 }
+
+// rstarTree builds a one-class tree of label 0 over pts by R*
+// insertion (BuildRStar).
+func rstarTree(tb testing.TB, cfg Config, pts [][]float64) *MultiTree {
+	tb.Helper()
+	tree, err := BuildRStar(cfg, 0, pts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tree
+}
+
+// emptyClassTree is an empty one-class tree of label 0.
+func emptyClassTree(tb testing.TB, cfg Config) *MultiTree {
+	tb.Helper()
+	tree, err := NewMultiTree(cfg, []int{0}, MultiOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tree
+}
+
+// rootEntry is the summary of the whole tree: the level-0 model.
+func rootEntry(t *MultiTree) MultiEntry { return t.summarize(t.root) }
 
 func randPoints(rng *rand.Rand, n, d int) [][]float64 {
 	out := make([][]float64, n)
@@ -68,13 +93,10 @@ func TestInsertMaintainsInvariants(t *testing.T) {
 	for _, reinsert := range []bool{true, false} {
 		cfg := smallConfig(3)
 		cfg.ForcedReinsert = reinsert
-		tree, err := NewTree(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tree := emptyClassTree(t, cfg)
 		rng := rand.New(rand.NewSource(1))
 		for i, p := range randPoints(rng, 500, 3) {
-			if err := tree.Insert(p); err != nil {
+			if err := tree.insertRStar(p); err != nil {
 				t.Fatalf("insert %d: %v", i, err)
 			}
 			if i%37 == 0 {
@@ -96,57 +118,45 @@ func TestInsertMaintainsInvariants(t *testing.T) {
 }
 
 func TestInsertRejectsBadInput(t *testing.T) {
-	tree, _ := NewTree(smallConfig(2))
-	if err := tree.Insert([]float64{1}); err == nil {
-		t.Errorf("wrong dim accepted")
-	}
-	if err := tree.Insert([]float64{1, math.NaN()}); err == nil {
-		t.Errorf("NaN accepted")
-	}
-	if err := tree.Insert([]float64{1, math.Inf(1)}); err == nil {
-		t.Errorf("Inf accepted")
+	for _, bad := range [][]float64{{1}, {1, math.NaN()}, {1, math.Inf(1)}} {
+		if _, err := BuildRStar(smallConfig(2), 0, [][]float64{bad}); err == nil {
+			t.Errorf("R* build accepted %v", bad)
+		}
+		if err := emptyClassTree(t, smallConfig(2)).Insert(bad, 0); err == nil {
+			t.Errorf("insert accepted %v", bad)
+		}
 	}
 }
 
 func TestInsertCopiesInput(t *testing.T) {
-	tree, _ := NewTree(smallConfig(2))
 	p := []float64{0.5, 0.5}
-	if err := tree.Insert(p); err != nil {
+	tree := rstarTree(t, smallConfig(2), [][]float64{p})
+	learned := emptyClassTree(t, smallConfig(2))
+	if err := learned.Insert(p, 0); err != nil {
 		t.Fatal(err)
 	}
 	p[0] = 99
-	e, ok := tree.RootEntry()
-	if !ok {
-		t.Fatal("no root entry")
-	}
-	if e.CF.Mean()[0] == 99 {
-		t.Errorf("tree aliases caller's slice")
+	for _, tr := range []*MultiTree{tree, learned} {
+		if e := rootEntry(tr); e.CFs[0].Mean()[0] == 99 {
+			t.Errorf("tree aliases caller's slice")
+		}
 	}
 }
 
 func TestRootEntrySummarisesEverything(t *testing.T) {
-	tree, _ := NewTree(smallConfig(2))
-	if _, ok := tree.RootEntry(); ok {
-		t.Errorf("empty tree has a root entry")
-	}
 	rng := rand.New(rand.NewSource(2))
 	pts := randPoints(rng, 300, 2)
 	var sum0 float64
 	for _, p := range pts {
-		if err := tree.Insert(p); err != nil {
-			t.Fatal(err)
-		}
 		sum0 += p[0]
 	}
-	e, ok := tree.RootEntry()
-	if !ok {
-		t.Fatal("no root entry")
+	tree := rstarTree(t, smallConfig(2), pts)
+	e := rootEntry(tree)
+	if e.CFs[0].N != 300 {
+		t.Errorf("root CF.N = %v", e.CFs[0].N)
 	}
-	if e.CF.N != 300 {
-		t.Errorf("root CF.N = %v", e.CF.N)
-	}
-	if math.Abs(e.CF.LS[0]-sum0) > 1e-6 {
-		t.Errorf("root LS[0] = %v, want %v", e.CF.LS[0], sum0)
+	if math.Abs(e.CFs[0].LS[0]-sum0) > 1e-6 {
+		t.Errorf("root LS[0] = %v, want %v", e.CFs[0].LS[0], sum0)
 	}
 	// MBR covers all points.
 	for _, p := range pts {
@@ -157,31 +167,18 @@ func TestRootEntrySummarisesEverything(t *testing.T) {
 }
 
 func TestBandwidthShrinksWithN(t *testing.T) {
-	mk := func(n int) *Tree {
-		tree, _ := NewTree(smallConfig(2))
-		rng := rand.New(rand.NewSource(3))
-		for _, p := range randPoints(rng, n, 2) {
-			if err := tree.Insert(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tree
+	mk := func(n int) *MultiTree {
+		return rstarTree(t, smallConfig(2), randPoints(rand.New(rand.NewSource(3)), n, 2))
 	}
-	small := mk(50).Bandwidth()
-	large := mk(5000).Bandwidth()
+	small := mk(50).queryConsts().bw[0]
+	large := mk(5000).queryConsts().bw[0]
 	if large[0] >= small[0] {
 		t.Errorf("bandwidth did not shrink: %v vs %v", small[0], large[0])
 	}
 }
 
 func TestStatsShape(t *testing.T) {
-	tree, _ := NewTree(smallConfig(2))
-	rng := rand.New(rand.NewSource(4))
-	for _, p := range randPoints(rng, 400, 2) {
-		if err := tree.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tree := rstarTree(t, smallConfig(2), randPoints(rand.New(rand.NewSource(4)), 400, 2))
 	s := tree.Stats()
 	if s.Observations != 400 {
 		t.Errorf("Observations = %d", s.Observations)
@@ -195,20 +192,21 @@ func TestStatsShape(t *testing.T) {
 	if s.AvgFanout < 2 || s.AvgFanout > 5 {
 		t.Errorf("fanout out of bounds: %+v", s)
 	}
+	if s.Nodes != tree.CountNodes() || s.MinLeafDepth != s.Height-1 {
+		t.Errorf("node count or leaf depth inconsistent: %+v, %d nodes", s, tree.CountNodes())
+	}
 }
 
 func TestDuplicatePointsTree(t *testing.T) {
-	tree, _ := NewTree(smallConfig(2))
-	for i := 0; i < 100; i++ {
-		if err := tree.Insert([]float64{0.3, 0.3}); err != nil {
-			t.Fatalf("duplicate insert %d: %v", i, err)
-		}
+	pts := make([][]float64, 100)
+	for i := range pts {
+		pts[i] = []float64{0.3, 0.3}
 	}
+	tree := rstarTree(t, smallConfig(2), pts)
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	e, _ := tree.RootEntry()
-	g := e.Gaussian()
+	g := rootEntry(tree).CFs[0].Gaussian()
 	if math.IsNaN(g.Var[0]) || g.Var[0] <= 0 {
 		t.Errorf("degenerate variance: %v", g.Var)
 	}
@@ -218,13 +216,9 @@ func TestDuplicatePointsTree(t *testing.T) {
 // foundation of Definition 1 (checked densely here, beyond Validate's
 // spot use elsewhere).
 func TestCFExactnessUnderChurn(t *testing.T) {
-	cfg := smallConfig(4)
-	tree, err := NewTree(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 2000; i++ {
+	pts := make([][]float64, 2000)
+	for i := range pts {
 		p := make([]float64, 4)
 		for k := range p {
 			// Clustered inserts to force deep, uneven structure.
@@ -233,11 +227,63 @@ func TestCFExactnessUnderChurn(t *testing.T) {
 				p[k] += 1
 			}
 		}
-		if err := tree.Insert(p); err != nil {
-			t.Fatal(err)
-		}
+		pts[i] = p
 	}
+	tree := rstarTree(t, smallConfig(4), pts)
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("invariants: %v", err)
+	}
+}
+
+// Validate keeps every check of an entry: a planted change to one inner
+// entry's linear sum of 1e-3 — to a class's CF or to the pooled Total —
+// is reported, as are a nil child, an inverted rectangle and unequal
+// leaf depths in a tree built balanced.
+func TestValidateCatchesPlantedDamage(t *testing.T) {
+	xs, ys := twoClassData(300, 61)
+	for _, damage := range []struct {
+		name  string
+		plant func(e *MultiEntry)
+	}{
+		{"class LS", func(e *MultiEntry) { e.CFs[1].LS[0] += 1e-3 }},
+		{"pooled LS", func(e *MultiEntry) { e.Total.LS[1] += 1e-3 }},
+		{"class SS", func(e *MultiEntry) { e.CFs[0].SS[0] += 1 }},
+		{"nil child", func(e *MultiEntry) { e.Child = nil }},
+		{"inverted rect", func(e *MultiEntry) { e.Rect.Lo[0], e.Rect.Hi[0] = e.Rect.Hi[0]+1, e.Rect.Lo[0] }},
+	} {
+		mt := buildMultiTree(t, xs, ys, MultiOptions{})
+		if err := mt.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		// An entry over a leaf: few points, so a tolerance scaled by the
+		// count stays far below the planted change.
+		n := mt.root
+		for !n.entries[0].Child.leaf {
+			n = n.entries[0].Child
+		}
+		damage.plant(&n.entries[0])
+		if err := mt.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted a damaged entry", damage.name)
+		}
+	}
+	b, err := NewBuilder(smallConfig(2), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1, _ := b.Leaf([][]float64{{0, 0}, {0, 1}})
+	l2, _ := b.Leaf([][]float64{{1, 0}, {1, 1}})
+	l3, _ := b.Leaf([][]float64{{2, 0}, {2, 1}})
+	inner, _ := b.Inner([]*MultiNode{l1, l2})
+	root, _ := b.Inner([]*MultiNode{inner, l3})
+	tree, err := b.Finish(root, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatalf("unbalanced tree built unbalanced: %v", err)
+	}
+	tree.balanced = true
+	if err := tree.Validate(); err == nil || !strings.Contains(err.Error(), "depths") {
+		t.Errorf("Validate says %v of unequal leaf depths in a tree declared balanced", err)
 	}
 }

@@ -116,20 +116,20 @@ func AnytimeCurve(ds *dataset.Dataset, loader bulkload.Loader, opts CurveOptions
 func TrainForest(train *dataset.Dataset, loader bulkload.Loader, cfgFn func(int) core.Config, copts core.ClassifierOptions) (*core.Classifier, error) {
 	byClass := train.ByClass()
 	labels := train.Classes()
-	trees := make([]*core.Tree, len(labels))
+	trees := make([]*core.MultiTree, len(labels))
 	cfg := cfgFn(train.Dim())
 	for i, y := range labels {
 		pts := byClass[y]
 		if len(pts) == 0 {
 			return nil, fmt.Errorf("eval: class %d has no training data", y)
 		}
-		t, err := loader.Build(pts, cfg)
+		t, err := loader.Build(pts, cfg, y)
 		if err != nil {
 			return nil, fmt.Errorf("eval: building tree for class %d with %s: %w", y, loader.Name(), err)
 		}
 		trees[i] = t
 	}
-	return core.NewClassifier(labels, trees, copts)
+	return core.NewClassifier(trees, copts)
 }
 
 // MultiCurve measures the anytime quality of the Section 4.1 single

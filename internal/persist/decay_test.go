@@ -109,17 +109,16 @@ func TestDecayedMultiTreeRoundTripDigitIdentical(t *testing.T) {
 }
 
 // decayedForest is a decayed two-class forest that has lived through
-// forced reinsertion, pruning sweeps, collapsed subtrees and orphan
-// reinsertion (one reinserted map across all orphans of a sweep).
+// pruning sweeps, collapsed subtrees and orphan reinsertion.
 func decayedForest(t testing.TB) *core.Classifier {
 	t.Helper()
 	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 5,
 		Kernel: core.DefaultConfig(2).Kernel, ForcedReinsert: true}
-	trees := make([]*core.Tree, 2)
+	trees := make([]*core.MultiTree, 2)
 	rng := rand.New(rand.NewSource(13))
 	var swept core.SweepStats
 	for c := range trees {
-		tr, err := core.NewTree(cfg)
+		tr, err := core.NewMultiTree(cfg, []int{c}, core.MultiOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +127,7 @@ func decayedForest(t testing.TB) *core.Classifier {
 		}
 		insert := func(n int) {
 			for i := 0; i < n; i++ {
-				if err := tr.Insert([]float64{float64(c)*0.5 + 0.3*rng.Float64(), rng.Float64()}); err != nil {
+				if err := tr.Insert([]float64{float64(c)*0.5 + 0.3*rng.Float64(), rng.Float64()}, c); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -151,9 +150,25 @@ func decayedForest(t testing.TB) *core.Classifier {
 	if swept.PointsPruned == 0 || swept.SubtreesPruned == 0 || swept.SubtreesCollapsed == 0 || swept.Reinserted == 0 {
 		t.Fatalf("the sweeps did not prune, collapse and reinsert: %+v", swept)
 	}
-	clf, err := core.NewClassifier([]int{0, 1}, trees, core.ClassifierOptions{})
+	clf, err := core.NewClassifier(trees, core.ClassifierOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return clf
+}
+
+// learnedAfterSweep is decayedForest swept once more and then taught 5
+// objects: its class counts are masses the sweep rescaled plus the
+// weights learned since, which no walk of the leaves reproduces bit for
+// bit — the snapshot must carry them.
+func learnedAfterSweep(t testing.TB) *core.Classifier {
+	clf := decayedForest(t)
+	clf.DecaySweep()
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 5; i++ {
+		if err := clf.Learn([]float64{rng.Float64(), rng.Float64()}, i%2); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return clf
 }
@@ -161,44 +176,51 @@ func decayedForest(t testing.TB) *core.Classifier {
 // A decayed per-class forest snapshot round-trips digit-identically
 // through the classifier encoder, including priors from decayed masses
 // and every inner summary the decode derives (bitwise the source
-// forest's) — and its bytes are pinned, so a change to the order of any
-// insert, reinsertion or sweep shows in a hash, as TestGoldenSnapshot
-// shows it for MultiTree.
+// forest's): the decoded forest's posteriors equal the live one's after
+// every step. Its bytes are pinned, so a change to the order of any
+// insert or sweep shows in a hash, as TestGoldenSnapshot shows it for
+// MultiTree.
 func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
-	clf := decayedForest(t)
-	var buf bytes.Buffer
-	if err := EncodeClassifier(&buf, clf); err != nil {
-		t.Fatal(err)
-	}
 	for _, row := range []struct {
-		version uint32
-		snap    []byte
-		size    int
-		sum     string
+		name string
+		clf  *core.Classifier
+		size int
+		sum  string
 	}{
-		{3, buf.Bytes(), 2227, "2db7344b0af5e52a250217bb2ff7e31de38ca5884aa6bc8996f3d7faf2d4f87e"},
+		{"decayed", decayedForest(t), 2854, "40c8bdc5f57219ac97b9d977f87bc6cc4c29c812b71ff44333d20c968686225f"},
+		{"learned-after-sweep", learnedAfterSweep(t), 2384, "b870b00ccb546ebbf94bd55ebb0def9ef31781453dde3c1ba8e0de9afb624406"},
 	} {
-		sum := sha256.Sum256(row.snap)
-		if got := hex.EncodeToString(sum[:]); len(row.snap) != row.size || got != row.sum {
-			t.Fatalf("v%d snapshot is %d bytes, sha256 %s; want %d bytes, %s", row.version, len(row.snap), got, row.size, row.sum)
+		var buf bytes.Buffer
+		if err := EncodeClassifier(&buf, row.clf); err != nil {
+			t.Fatal(err)
 		}
-		got, err := DecodeClassifier(bytes.NewReader(row.snap))
+		snap := buf.Bytes()
+		sum := sha256.Sum256(snap)
+		if got := hex.EncodeToString(sum[:]); len(snap) != row.size || got != row.sum {
+			t.Errorf("%s: snapshot is %d bytes, sha256 %s; want %d bytes, %s", row.name, len(snap), got, row.size, row.sum)
+		}
+		got, err := DecodeClassifier(bytes.NewReader(snap))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if at := summaryDiff(clf, got); at != "" {
-			t.Fatalf("v%d decode derived an inner summary that differs from the source's at %s", row.version, at)
+		if at := summaryDiff(row.clf, got); at != "" {
+			t.Fatalf("%s: decode derived an inner summary that differs from the source's at %s", row.name, at)
 		}
 		rng := rand.New(rand.NewSource(13))
 		for i := 0; i < 60; i++ {
 			x := []float64{rng.Float64(), rng.Float64()}
-			qa, qb := clf.NewQuery(x), got.NewQuery(x)
-			for qa.Step() && qb.Step() {
-			}
-			pa, pb := qa.Posteriors(), qb.Posteriors()
-			for c := range pa {
-				if pa[c] != pb[c] {
-					t.Fatalf("v%d probe %d class %d: posterior %v != %v", row.version, i, c, pb[c], pa[c])
+			qa, qb := row.clf.NewQuery(x), got.NewQuery(x)
+			for step := 0; ; step++ {
+				pa, pb := qa.Posteriors(), qb.Posteriors()
+				for c := range pa {
+					if pa[c] != pb[c] {
+						t.Fatalf("%s probe %d step %d class %d: posterior %v != %v", row.name, i, step, c, pb[c], pa[c])
+					}
+				}
+				if a, b := qa.Step(), qb.Step(); a != b {
+					t.Fatalf("%s probe %d step %d: one query exhausted before the other", row.name, i, step)
+				} else if !a {
+					break
 				}
 			}
 			qa.Close()
@@ -210,10 +232,10 @@ func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
 // Corrupt leaf weights (non-positive) must be rejected at rebuild, not
 // silently loaded.
 func TestCorruptLeafWeightRejected(t *testing.T) {
-	if _, err := core.RebuildLeafWeighted([][]float64{{1, 2}}, []float64{-0.5}); err == nil {
+	if _, err := core.RebuildMultiLeafWeighted([]core.LabeledPoint{{X: []float64{1, 2}}}, []float64{-0.5}); err == nil {
 		t.Fatal("negative leaf weight accepted")
 	}
-	if _, err := core.RebuildLeafWeighted([][]float64{{1, 2}}, []float64{1, 1}); err == nil {
+	if _, err := core.RebuildMultiLeafWeighted([]core.LabeledPoint{{X: []float64{1, 2}}}, []float64{1, 1}); err == nil {
 		t.Fatal("mismatched weight vector length accepted")
 	}
 	if _, err := core.RebuildMultiLeafWeighted([]core.LabeledPoint{{X: []float64{1}, Label: 0}}, []float64{0}); err == nil {

@@ -57,7 +57,7 @@ func validateAll[T interface{ Validate() error }](ts []T) error {
 }
 
 var codecs = []codec{
-	{"classifier", kindClassifier,
+	{"classifier", kindForest,
 		func(r io.Reader) (any, error) { m, err := DecodeClassifier(r); return orNil(m, err, nilPtr) },
 		func(r io.Reader) (any, error) { m, err := oracleDecodeClassifier(r); return orNil(m, err, nilPtr) },
 		func(w io.Writer, m any) error { return EncodeClassifier(w, m.(*core.Classifier)) },
@@ -158,16 +158,16 @@ func smallMultiTree(tb testing.TB, decayed bool) *core.MultiTree {
 	return mt
 }
 
-// smallForest is a decayed two-class forest that has lived through
-// forced reinsertion and a pruning sweep.
+// smallForest is a decayed two-class forest that has lived through a
+// pruning sweep and learned after it.
 func smallForest(tb testing.TB) *core.Classifier {
 	tb.Helper()
 	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 5,
 		Kernel: core.DefaultConfig(2).Kernel, ForcedReinsert: true}
 	rng := rand.New(rand.NewSource(13))
-	trees := make([]*core.Tree, 2)
+	trees := make([]*core.MultiTree, 2)
 	for c := range trees {
-		tr, err := core.NewTree(cfg)
+		tr, err := core.NewMultiTree(cfg, []int{c}, core.MultiOptions{})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -178,15 +178,18 @@ func smallForest(tb testing.TB) *core.Classifier {
 			if i == 25 {
 				tr.AdvanceEpoch(2)
 			}
-			if err := tr.Insert([]float64{float64(c)*0.5 + 0.3*rng.Float64(), rng.Float64()}); err != nil {
+			if err := tr.Insert([]float64{float64(c)*0.5 + 0.3*rng.Float64(), rng.Float64()}, c); err != nil {
 				tb.Fatal(err)
 			}
 		}
 		tr.DecaySweep()
 		tr.AdvanceEpoch(1)
+		if err := tr.Insert([]float64{float64(c) * 0.5, 0.5}, c); err != nil {
+			tb.Fatal(err)
+		}
 		trees[c] = tr
 	}
-	clf, err := core.NewClassifier([]int{0, 1}, trees, core.ClassifierOptions{})
+	clf, err := core.NewClassifier(trees, core.ClassifierOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -259,8 +262,9 @@ func snapshotCorpus(tb testing.TB) []sample {
 
 // retiredSnapshots is what this build no longer reads: a snapshot of
 // each kind framed as version 1 and as version 2, and well-formed
-// version-3 frames of the retired kinds 2 (one multi-class tree) and 4
-// (one ClusTree).
+// version-3 frames of the retired kinds 1 (a forest of the retired
+// per-class tree type, written by the last build that had it:
+// testdata/kind-1.snap), 2 (one multi-class tree) and 4 (one ClusTree).
 func retiredSnapshots(tb testing.TB) []sample {
 	tb.Helper()
 	small, tiny := smallMultiTree(tb, true), smallClusTree(tb, 0.01)
@@ -276,7 +280,12 @@ func retiredSnapshots(tb testing.TB) []sample {
 	out = append(out, sample{"kind-2", frame(Version, one.p)})
 	one = &encoder{p: []byte{4}}
 	one.clusTree(tiny, tiny.Dump())
-	return append(out, sample{"kind-4", frame(Version, one.p)})
+	out = append(out, sample{"kind-4", frame(Version, one.p)})
+	kind1, err := os.ReadFile(filepath.Join("testdata", "kind-1.snap"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(out, sample{"kind-1", kind1})
 }
 
 // forgedStoreTimes is cluster sets whose pyramidal store lists a last

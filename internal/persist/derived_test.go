@@ -93,41 +93,27 @@ func sameRect(a, b *mbr.Rect) bool { return sameBits(a.Lo, b.Lo) && sameBits(a.H
 // summaryDiff walks two models of the same shape — a *core.Classifier or
 // a []*core.MultiTree — in pre-order and names the first inner entry at
 // which they differ in a bit of the MBR or of a cluster feature (a class
-// CF or the Total of a multi-class entry); "" when none does.
+// CF or the Total); "" when none does.
 func summaryDiff(want, got any) string {
+	var a, b []*core.MultiTree
 	switch want := want.(type) {
 	case *core.Classifier:
 		for _, l := range want.Labels() {
-			if at := entryDiff(fmt.Sprint("class ", l), want.Tree(l).Root(), got.(*core.Classifier).Tree(l).Root(),
-				func(e *core.Entry) *core.Node { return e.Child },
-				func(a, b *core.Entry) bool { return sameRect(&a.Rect, &b.Rect) && sameCF(&a.CF, &b.CF) }); at != "" {
-				return at
-			}
+			a, b = append(a, want.Tree(l)), append(b, got.(*core.Classifier).Tree(l))
 		}
 	case []*core.MultiTree:
-		for i, t := range want {
-			if at := entryDiff(fmt.Sprint("shard ", i), t.Root(), got.([]*core.MultiTree)[i].Root(),
-				func(e *core.MultiEntry) *core.MultiNode { return e.Child },
-				func(a, b *core.MultiEntry) bool {
-					same := sameRect(&a.Rect, &b.Rect) && sameCF(&a.Total, &b.Total) && len(a.CFs) == len(b.CFs)
-					for c := 0; same && c < len(a.CFs); c++ {
-						same = sameCF(&a.CFs[c], &b.CFs[c])
-					}
-					return same
-				}); at != "" {
-				return at
-			}
+		a, b = want, got.([]*core.MultiTree)
+	}
+	for i := range a {
+		if at := entryDiff(fmt.Sprint("tree ", i), a[i].Root(), b[i].Root()); at != "" {
+			return at
 		}
 	}
 	return ""
 }
 
-// entryDiff is summaryDiff over one tree of *core.Node or
-// *core.MultiNode; child steps down an entry, same compares two.
-func entryDiff[N interface {
-	IsLeaf() bool
-	Entries() []E
-}, E any](at string, a, b N, child func(*E) N, same func(a, b *E) bool) string {
+// entryDiff is summaryDiff over one tree.
+func entryDiff(at string, a, b *core.MultiNode) string {
 	if a.IsLeaf() != b.IsLeaf() {
 		return at + ": a leaf against an inner node"
 	}
@@ -140,10 +126,14 @@ func entryDiff[N interface {
 	}
 	for i := range ea {
 		here := fmt.Sprintf("%s/%d", at, i)
-		if !same(&ea[i], &eb[i]) {
+		same := sameRect(&ea[i].Rect, &eb[i].Rect) && sameCF(&ea[i].Total, &eb[i].Total) && len(ea[i].CFs) == len(eb[i].CFs)
+		for c := 0; same && c < len(ea[i].CFs); c++ {
+			same = sameCF(&ea[i].CFs[c], &eb[i].CFs[c])
+		}
+		if !same {
 			return here
 		}
-		if d := entryDiff(here, child(&ea[i]), child(&eb[i]), child, same); d != "" {
+		if d := entryDiff(here, ea[i].Child, eb[i].Child); d != "" {
 			return d
 		}
 	}
@@ -153,7 +143,7 @@ func entryDiff[N interface {
 // derivedCorpus is one model of every shape whose inner summaries a
 // snapshot does not store: forests bulk-loaded by every loader (all but
 // "iterative" through core.Builder), decayed forests that lived through
-// forced reinsertion and sweeps, multi-class trees under every
+// sweeps and learned after them, multi-class trees under every
 // MultiOptions, a decayed one, and sharded sets.
 func derivedCorpus(tb testing.TB) []struct {
 	name string

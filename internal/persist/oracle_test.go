@@ -34,7 +34,7 @@ import (
 //     clamped it, so it encoded back as another K).
 
 func oracleDecodeClassifier(r io.Reader) (*core.Classifier, error) {
-	return oracleDecode(r, kindClassifier, (*oracleDecoder).classifier)
+	return oracleDecode(r, kindForest, (*oracleDecoder).classifier)
 }
 
 func oracleDecodeMultiTrees(r io.Reader) ([]*core.MultiTree, error) {
@@ -64,16 +64,19 @@ func (d *oracleDecoder) classifier() *core.Classifier {
 	if d.err == nil && (opts.K < 1 || opts.K > n) {
 		d.fail("K %d for %d classes", opts.K, n)
 	}
-	labels := make([]int, n)
-	trees := make([]*core.Tree, n)
+	trees := make([]*core.MultiTree, n)
 	for i := 0; i < n; i++ {
-		labels[i] = int(d.i64())
-		trees[i] = d.tree()
+		label := d.i64()
+		trees[i] = d.multiTree(d.boolv())
+		if d.err != nil {
+			return nil
+		}
+		if ls := trees[i].Labels(); len(ls) != 1 || int64(ls[0]) != label {
+			d.fail("class %d section holds classes %v", label, ls)
+			return nil
+		}
 	}
-	if d.err != nil {
-		return nil
-	}
-	c, err := core.NewClassifier(labels, trees, opts)
+	c, err := core.NewClassifier(trees, opts)
 	if err != nil {
 		d.fail("%v", err)
 	}
@@ -94,7 +97,7 @@ func (d *oracleDecoder) multiSet() []*core.MultiTree {
 	ts := make([]*core.MultiTree, 0, n)
 	for i := 0; i < n; i++ {
 		at := d.b.Len()
-		ts = append(ts, d.multiTree())
+		ts = append(ts, d.multiTree(true))
 		if d.err == nil && int64(at-d.b.Len()) != sizes[i] {
 			d.fail("shard section %d is %d bytes, declared %d", i, at-d.b.Len(), sizes[i])
 		}
@@ -316,70 +319,7 @@ func (d *oracleDecoder) leafWeights(points int) []float64 {
 	return d.floats(points)
 }
 
-func (d *oracleDecoder) tree() *core.Tree {
-	cfg := d.config()
-	dopts, epoch, ref := d.decayState()
-	size := int(d.u64())
-	balanced := d.boolv()
-	if d.err != nil {
-		return nil
-	}
-	root := d.node(cfg.Dim)
-	if d.err != nil {
-		return nil
-	}
-	t, derive, err := core.RebuildTree(cfg, root, size, balanced)
-	if err != nil {
-		d.fail("rebuild tree: %v", err)
-		return nil
-	}
-	derive()
-	if err := t.RestoreDecayState(dopts, epoch, ref); err != nil {
-		d.fail("rebuild tree: %v", err)
-		return nil
-	}
-	return t
-}
-
-func (d *oracleDecoder) node(dim int) *core.Node {
-	tag := d.u8()
-	if d.err != nil {
-		return nil
-	}
-	switch tag {
-	case 0:
-		n := d.count(8 * dim)
-		pts := make([][]float64, 0, n)
-		for i := 0; i < n; i++ {
-			pts = append(pts, d.floats(dim))
-		}
-		ws := d.leafWeights(n)
-		if d.err != nil {
-			return nil
-		}
-		leaf, err := core.RebuildLeafWeighted(pts, ws)
-		if err != nil {
-			d.fail("rebuild leaf: %v", err)
-			return nil
-		}
-		return leaf
-	case 1:
-		n := d.count(minNodeBytes)
-		ents := make([]core.Entry, n)
-		for i := range ents {
-			ents[i].Child = d.node(dim)
-			if d.err != nil {
-				return nil
-			}
-		}
-		return core.RebuildInner(ents)
-	default:
-		d.fail("unknown node tag %d", tag)
-		return nil
-	}
-}
-
-func (d *oracleDecoder) multiTree() *core.MultiTree {
+func (d *oracleDecoder) multiTree(balanced bool) *core.MultiTree {
 	cfg := d.config()
 	dopts, epoch, ref := d.decayState()
 	var mopts core.MultiOptions
@@ -398,7 +338,7 @@ func (d *oracleDecoder) multiTree() *core.MultiTree {
 	if d.err != nil {
 		return nil
 	}
-	t, derive, err := core.RebuildMultiTree(cfg, mopts, labels, root, counts)
+	t, derive, err := core.RebuildMultiTree(cfg, mopts, labels, root, counts, balanced)
 	if err != nil {
 		d.fail("rebuild multi tree: %v", err)
 		return nil

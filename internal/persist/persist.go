@@ -7,16 +7,17 @@
 // float64 values bit-exact. A Bayes tree's inner entry is, by
 // invariant, the summary of its child, so a classification snapshot
 // stores none (an inner node is its tag, child count and children):
-// core.RebuildTree / RebuildMultiTree derive them with the trees' own
-// summarize and stats.Freeze, so a reloaded model answers every query
-// digit-identically, and no payload can carry a summary that disagrees
-// with its subtree. The cluster set is exempt (clustree.go): its inner
+// core.RebuildMultiTree derives them with the tree's own summarize, so a
+// reloaded model answers every query digit-identically, and no payload
+// can carry a summary that disagrees with its subtree. The cluster set is exempt (clustree.go): its inner
 // CFs carry their own timestamps and parked buffers.
 //
-// There is one format, version 3, and three kinds: the per-class forest,
-// the sharded set of multi-class trees and the cluster set. A file of
-// any other version — the v1/v2 files that stored every inner summary
-// as much as one from a future build — is refused with ErrVersion.
+// There is one format, version 3, and three kinds: the sharded set of
+// multi-class trees, the cluster set and the per-class forest, whose
+// class trees are written by the set's tree codec. A file of any other
+// version — the v1/v2 files that stored every inner summary as much as
+// one from a future build — is refused with ErrVersion, and a retired
+// kind as the wrong kind.
 //
 // Layout: a 4-byte magic "BTSN", a uint32 format version, a uint64
 // payload length, the payload, and a CRC32 (IEEE) of the payload.
@@ -58,12 +59,13 @@ const Version = 3
 
 var magic = [4]byte{'B', 'T', 'S', 'N'}
 
-// Snapshot kinds, the first payload byte. Kinds 2 and 4 (a single
-// multi-class tree and a single clustering tree) are retired: their
-// numbers stay unused, so such a file is refused as the wrong kind.
+// Snapshot kinds, the first payload byte. Kinds 1, 2 and 4 (the forest
+// of the retired per-class tree type, a single multi-class tree and a
+// single clustering tree) are retired: their numbers stay unused, so
+// such a file is refused as the wrong kind.
 const (
-	kindClassifier byte = 1 // per-class forest (core.Classifier)
-	kindMultiSet   byte = 3 // sharded set of multi-class trees
+	kindMultiSet byte = 3 // sharded set of multi-class trees
+	kindForest   byte = 6 // per-class forest of one-class trees (core.Classifier)
 )
 
 // Sentinel errors for the distinguishable failure modes of Decode*.
@@ -85,14 +87,14 @@ func EncodeClassifier(w io.Writer, c *core.Classifier) error {
 	if c == nil {
 		return fmt.Errorf("persist: nil classifier")
 	}
-	return encodeSized(w, kindClassifier, func(e *encoder) { e.classifier(c) })
+	return encodeSized(w, kindForest, func(e *encoder) { e.classifier(c) })
 }
 
 // DecodeClassifier reads a classifier snapshot written by
-// EncodeClassifier, rebuilding the per-entry frozen caches and the class
-// priors so the result classifies digit-identically to the saved model.
+// EncodeClassifier, deriving the inner entries and the class priors so
+// the result classifies digit-identically to the saved model.
 func DecodeClassifier(r io.Reader) (*core.Classifier, error) {
-	d, err := newDecoder(r, kindClassifier)
+	d, err := newDecoder(r, kindForest)
 	if err != nil {
 		return nil, err
 	}
@@ -104,22 +106,24 @@ func DecodeClassifier(r io.Reader) (*core.Classifier, error) {
 	if d.err == nil && (opts.K < 1 || opts.K > n) {
 		d.fail("K %d for %d classes", opts.K, n) // NewClassifier would change it
 	}
-	labels := make([]int, n)
-	trees := make([]*core.Tree, n)
-	for i := 0; i < n; i++ {
-		labels[i] = int(d.i64())
-		trees[i] = d.tree()
+	trees := make([]*core.MultiTree, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		label := d.i64()
+		trees[i] = d.multiTree(d.boolv())
+		if d.err == nil && (len(trees[i].Labels()) != 1 || int64(trees[i].Labels()[0]) != label) {
+			d.fail("class %d section holds classes %v", label, trees[i].Labels())
+		}
 	}
 	if err := d.done(); err != nil {
 		return nil, err
 	}
 	// NewClassifier's checks run before a summary is derived, the priors
 	// it takes from the trees' masses after.
-	if _, err := core.NewClassifier(labels, trees, opts); err != nil {
+	if _, err := core.NewClassifier(trees, opts); err != nil {
 		return nil, err
 	}
 	d.finish()
-	return core.NewClassifier(labels, trees, opts)
+	return core.NewClassifier(trees, opts)
 }
 
 // EncodeMultiTrees writes a snapshot of a sharded set of multi-class
@@ -170,7 +174,7 @@ func DecodeMultiTrees(r io.Reader) ([]*core.MultiTree, error) {
 		}
 		wg.Wait()
 	}
-	inParallel(func(s *decoder, i int) { ts[i] = s.multiTree(); s.done() })
+	inParallel(func(s *decoder, i int) { ts[i] = s.multiTree(true); s.done() })
 	for i := range sections {
 		if err := sections[i].err; err != nil {
 			return nil, err
@@ -364,6 +368,8 @@ func (e *encoder) leafWeights(ws []float64) {
 	e.floats(ws)
 }
 
+// classifier writes the forest: its options, then per class its label,
+// its tree's balanced flag and the tree itself.
 func (e *encoder) classifier(c *core.Classifier) {
 	labels := c.Labels()
 	e.u8(uint8(c.Options().Strategy))
@@ -371,35 +377,10 @@ func (e *encoder) classifier(c *core.Classifier) {
 	e.i64(int64(c.Options().K))
 	e.u64(uint64(len(labels)))
 	for _, l := range labels {
+		t := c.Tree(l)
 		e.i64(int64(l))
-		e.tree(c.Tree(l))
-	}
-}
-
-func (e *encoder) tree(t *core.Tree) {
-	e.config(t.Config())
-	e.decayState(t.DecayState())
-	e.u64(uint64(t.Len()))
-	e.boolv(t.Balanced())
-	e.node(t.Root())
-}
-
-func (e *encoder) node(n *core.Node) {
-	if n.IsLeaf() {
-		e.u8(0)
-		pts := n.Points()
-		e.u64(uint64(len(pts)))
-		for _, p := range pts {
-			e.floats(p)
-		}
-		e.leafWeights(n.Weights())
-		return
-	}
-	e.u8(1)
-	ents := n.Entries()
-	e.u64(uint64(len(ents)))
-	for i := range ents {
-		e.node(ents[i].Child)
+		e.boolv(t.Balanced())
+		e.multiTree(t)
 	}
 }
 
@@ -752,69 +733,9 @@ func (d *decoder) leafWeights(points int) []float64 {
 // minNodeBytes is the smallest encoded node: a tag and an entry count.
 const minNodeBytes = 1 + 8
 
-func (d *decoder) tree() *core.Tree {
-	cfg := d.config()
-	dopts, epoch, ref := d.decayState()
-	size := int(d.u64())
-	balanced := d.boolv()
-	if d.err != nil {
-		return nil
-	}
-	root := d.node(cfg.Dim)
-	if d.err != nil {
-		return nil
-	}
-	t, derive, err := core.RebuildTree(cfg, root, size, balanced)
-	if err == nil {
-		err = t.RestoreDecayState(dopts, epoch, ref)
-	}
-	if err != nil {
-		d.fail("rebuild tree: %v", err)
-		return nil
-	}
-	d.derive = append(d.derive, derive)
-	return t
-}
-
-func (d *decoder) node(dim int) *core.Node {
-	tag := d.u8()
-	if d.err != nil {
-		return nil
-	}
-	switch tag {
-	case 0:
-		n := d.count(8 * dim)
-		pts := make([][]float64, 0, n)
-		for i := 0; i < n; i++ {
-			pts = append(pts, d.floats(dim))
-		}
-		ws := d.leafWeights(n)
-		if d.err != nil {
-			return nil
-		}
-		leaf, err := core.RebuildLeafWeighted(pts, ws)
-		if err != nil {
-			d.fail("rebuild leaf: %v", err)
-			return nil
-		}
-		return leaf
-	case 1:
-		kids := d.children(func() any { return d.node(dim) })
-		if d.err != nil {
-			return nil
-		}
-		ents := make([]core.Entry, len(kids))
-		for i, c := range kids {
-			ents[i].Child = c.(*core.Node)
-		}
-		return core.RebuildInner(ents)
-	default:
-		d.fail("unknown node tag %d", tag)
-		return nil
-	}
-}
-
-func (d *decoder) multiTree() *core.MultiTree {
+// multiTree reads one tree; balanced is the flag a forest stores per
+// class tree (a set's trees are balanced).
+func (d *decoder) multiTree(balanced bool) *core.MultiTree {
 	cfg := d.config()
 	dopts, epoch, ref := d.decayState()
 	var mopts core.MultiOptions
@@ -833,7 +754,7 @@ func (d *decoder) multiTree() *core.MultiTree {
 	if d.err != nil {
 		return nil
 	}
-	t, derive, err := core.RebuildMultiTree(cfg, mopts, labels, root, counts)
+	t, derive, err := core.RebuildMultiTree(cfg, mopts, labels, root, counts, balanced)
 	if err == nil {
 		err = t.RestoreDecayState(dopts, epoch, ref)
 	}

@@ -267,8 +267,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 // TestRetiredSnapshotsRefused: a snapshot framed as version 1 or 2 is
 // refused by all three decoders — and the oracle — with ErrVersion, and a
-// well-formed version-3 frame of a retired kind (2, one multi-class
-// tree; 4, one ClusTree) with the wrong-kind error.
+// well-formed version-3 frame of a retired kind (1, a forest of the
+// retired per-class tree type; 2, one multi-class tree; 4, one ClusTree)
+// with the wrong-kind error.
 func TestRetiredSnapshotsRefused(t *testing.T) {
 	for _, s := range retiredSnapshots(t) {
 		version, kind := binary.LittleEndian.Uint32(s.snap[4:]), payloadOf(s.snap)[0]

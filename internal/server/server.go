@@ -133,18 +133,24 @@ type Server struct {
 
 // New builds a server over pre-built per-shard trees. All shards must
 // share one dimensionality and one class-label ordering (score
-// combination relies on positional alignment); shards may be empty and
-// fill up through Insert.
+// combination relies on positional alignment) of at least two classes;
+// shards may be empty and fill up through Insert.
 func New(trees []*core.MultiTree, cfg Config) (*Server, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("server: no shards")
 	}
-	labels := trees[0].Labels()
-	dim := trees[0].Config().Dim
 	for i, t := range trees {
 		if t == nil {
 			return nil, fmt.Errorf("server: nil shard %d", i)
 		}
+	}
+	labels := trees[0].Labels()
+	if len(labels) < 2 {
+		// A one-class tree is a class tree of a forest: it decides nothing.
+		return nil, fmt.Errorf("server: a model needs ≥ 2 classes, got %d", len(labels))
+	}
+	dim := trees[0].Config().Dim
+	for i, t := range trees {
 		if t.Config().Dim != dim {
 			return nil, fmt.Errorf("server: shard %d dim %d != shard 0 dim %d", i, t.Config().Dim, dim)
 		}

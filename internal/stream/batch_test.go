@@ -11,21 +11,19 @@ func batchTestClassifier(t *testing.T, n int, seed int64) (*core.Classifier, []I
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := core.DefaultConfig(2)
-	trees := make([]*core.Tree, 2)
+	trees := make([]*core.MultiTree, 2)
 	for c := range trees {
-		tree, err := core.NewTree(cfg)
+		pts := make([][]float64, 80)
+		for i := range pts {
+			pts[i] = []float64{rng.NormFloat64() + float64(c)*3, rng.NormFloat64()}
+		}
+		tree, err := core.BuildRStar(cfg, c, pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 80; i++ {
-			x := []float64{rng.NormFloat64() + float64(c)*3, rng.NormFloat64()}
-			if err := tree.Insert(x); err != nil {
-				t.Fatal(err)
-			}
-		}
 		trees[c] = tree
 	}
-	clf, err := core.NewClassifier([]int{0, 1}, trees, core.ClassifierOptions{})
+	clf, err := core.NewClassifier(trees, core.ClassifierOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,22 +27,15 @@ func TestOnlineLearningTracksDrift(t *testing.T) {
 		for i := 0; i < head; i++ {
 			byClass[ds.Y[i]] = append(byClass[ds.Y[i]], ds.X[i])
 		}
-		var labels []int
-		var trees []*core.Tree
+		var trees []*core.MultiTree
 		for y := 0; y <= 1; y++ {
-			tree, err := core.NewTree(testConfig(3))
+			tree, err := core.BuildRStar(testConfig(3), y, byClass[y])
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range byClass[y] {
-				if err := tree.Insert(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			labels = append(labels, y)
 			trees = append(trees, tree)
 		}
-		clf, err := core.NewClassifier(labels, trees, core.ClassifierOptions{})
+		clf, err := core.NewClassifier(trees, core.ClassifierOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,22 +92,15 @@ func TestWithDecayEveryAdvancesEpochsOnStream(t *testing.T) {
 		for i := 0; i < head; i++ {
 			byClass[ds.Y[i]] = append(byClass[ds.Y[i]], ds.X[i])
 		}
-		var labels []int
-		var trees []*core.Tree
+		var trees []*core.MultiTree
 		for y := 0; y <= 1; y++ {
-			tree, err := core.NewTree(testConfig(3))
+			tree, err := core.BuildRStar(testConfig(3), y, byClass[y])
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range byClass[y] {
-				if err := tree.Insert(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			labels = append(labels, y)
 			trees = append(trees, tree)
 		}
-		clf, err := core.NewClassifier(labels, trees, core.ClassifierOptions{})
+		clf, err := core.NewClassifier(trees, core.ClassifierOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,26 +21,23 @@ func testConfig(dim int) core.Config {
 func buildClassifier(t *testing.T, seed int64) (*core.Classifier, []Item) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	var trees []*core.Tree
-	labels := []int{0, 1}
+	var trees []*core.MultiTree
 	centers := [][]float64{{0.2, 0.2}, {0.8, 0.8}}
-	for _, y := range labels {
-		tree, err := core.NewTree(testConfig(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 200; i++ {
-			p := []float64{
+	for _, y := range []int{0, 1} {
+		pts := make([][]float64, 200)
+		for i := range pts {
+			pts[i] = []float64{
 				centers[y][0] + rng.NormFloat64()*0.08,
 				centers[y][1] + rng.NormFloat64()*0.08,
 			}
-			if err := tree.Insert(p); err != nil {
-				t.Fatal(err)
-			}
+		}
+		tree, err := core.BuildRStar(testConfig(2), y, pts)
+		if err != nil {
+			t.Fatal(err)
 		}
 		trees = append(trees, tree)
 	}
-	clf, err := core.NewClassifier(labels, trees, core.ClassifierOptions{})
+	clf, err := core.NewClassifier(trees, core.ClassifierOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
