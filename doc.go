@@ -8,7 +8,9 @@
 // frontier of entries — is a complete Gaussian mixture model of the data.
 // An anytime Bayesian classifier descends one tree per class, refining the
 // mixture one node read at a time, and can return the current best
-// prediction at any interruption point. Bulk-loading strategies
+// prediction at any interruption point. There is one tree type: a class
+// tree is a MultiTree of one class, and the same tree over all classes is
+// the single-tree multi-class variant the server shards. Bulk-loading strategies
 // (EM top-down, Hilbert/Z-curve/STR packing, Goldberger and
 // virtual-sampling mixture reduction) shape the hierarchy for better
 // anytime accuracy than iterative insertion.
@@ -16,26 +18,23 @@
 // This package is the public facade: it re-exports the core types and
 // provides one-call training. The implementation lives in internal/
 // packages (core, bulkload, dataset, eval, stream, clustree, and the
-// substrates em, mixture, stats, kernels, mbr, sfc).
+// substrates stats, kernels, mbr).
 //
 // # The frozen-Gaussian fast path
 //
 // Anytime refinement is the serving hot path, and it is specialised
 // accordingly. Every entry's cluster feature has a frozen form of its
 // Gaussian (mean, inverse variances, precomputed log-normaliser and log
-// count) — cached in the entry by the per-class Tree, laid out per node
-// in the flat mirror the multi-class tree's queries descend through —
-// and each tree caches its query-time constants (root summary,
-// Silverman bandwidths, frozen leaf kernel). The frozen forms follow
-// Insert — and only Insert — exactly: entries whose cluster features
-// change are rebuilt with them, and the multi-class tree's mirror,
-// built by the first query, is repaired in place along the insert's
-// path (for a split-free insert the inserted class only, to the same
-// bits), so a cursor created after an insert sees the new data exactly.
-// Cursors and classification queries are pooled: calling
-// Close on them recycles their internal buffers, making steady-state
-// classification allocation-free. Do not interleave Learn/Insert with
-// in-flight queries on the same trees.
+// count), laid out per node in the flat mirror every query descends
+// through, and each tree caches its query-time constants (root summary,
+// Silverman bandwidths, frozen leaf kernel). The mirror, built by the
+// first query, follows Insert exactly: it is repaired in place along the
+// insert's path (for a split-free insert the inserted class only, to the
+// same bits), so a query started after an insert sees the new data
+// exactly. Classification queries are pooled: calling Close on them
+// recycles their internal buffers, making steady-state classification
+// allocation-free. Do not interleave Learn/Insert with in-flight queries
+// on the same trees.
 //
 // # Batch classification
 //
@@ -53,9 +52,8 @@
 // classifier to a versioned, checksummed binary format that stores the
 // model's source of truth — configuration, topology, observations and
 // cluster features — with float64 values preserved bit-exactly. The
-// derived frozen caches are rebuilt on load through the same freeze
-// path the tree builder uses, so a reloaded model classifies
-// digit-identically to the saved one; corrupted, truncated and
+// inner entries are derived on load by the trees' own summarize, so a
+// reloaded model classifies digit-identically to the saved one; corrupted, truncated and
 // incompatible-version snapshots are rejected before any model state
 // is built. Snapshots are written atomically (temp file + rename).
 //

@@ -146,11 +146,15 @@ type Query struct {
 	// queries holds one query per class tree, nil for a tree that was
 	// empty when the query started (possible after decay pruned it).
 	queries []*MultiQuery
+	// density[i] is class i's current log density, its one-class tree's
+	// score (whose own prior is log 1 = 0 exactly); −Inf without a query.
+	// A step refines one class, so only that class's is recomputed.
+	density []float64
 	turn    int
 	reads   int
-	// density, scoreBuf and rankBuf are reusable scratch for scores()
-	// and Step(), keeping the per-step qbk bookkeeping allocation-free.
-	density  [1]float64
+	// one, scoreBuf and rankBuf are reusable scratch for scores() and
+	// Step(), keeping the per-step qbk bookkeeping allocation-free.
+	one      [1]float64
 	scoreBuf []float64
 	rankBuf  []ranked
 }
@@ -167,7 +171,7 @@ type ranked struct {
 func (c *Classifier) NewQuery(x []float64) *Query {
 	q, _ := c.queryPool.Get().(*Query)
 	if q == nil {
-		q = &Query{queries: make([]*MultiQuery, len(c.trees))}
+		q = &Query{queries: make([]*MultiQuery, len(c.trees)), density: make([]float64, len(c.trees))}
 	}
 	q.c = c
 	q.turn = 0
@@ -175,8 +179,17 @@ func (c *Classifier) NewQuery(x []float64) *Query {
 	for i, t := range c.trees {
 		// The one error is an empty tree: no model, no query.
 		q.queries[i], _ = t.NewQuery(x, c.opts)
+		q.refresh(i)
 	}
 	return q
+}
+
+// refresh recomputes class i's log density from its query.
+func (q *Query) refresh(i int) {
+	q.density[i] = math.Inf(-1)
+	if mq := q.queries[i]; mq != nil {
+		q.density[i] = mq.scoresInto(q.one[:])[0]
+	}
 }
 
 // Close releases the query and its class queries back to their pools.
@@ -198,21 +211,16 @@ func (q *Query) Close() {
 func (q *Query) NodesRead() int { return q.reads }
 
 // scores returns the current log posteriors (up to the shared evidence
-// constant): a class's prior plus its tree's log density, which is the
-// one-class tree's score — its own prior is log 1 = 0 exactly. The
-// returned slice is the query's scratch buffer and is overwritten by the
-// next call.
+// constant): a class's prior plus its tree's log density. The returned
+// slice is the query's scratch buffer and is overwritten by the next
+// call.
 func (q *Query) scores() []float64 {
 	if cap(q.scoreBuf) < len(q.queries) {
 		q.scoreBuf = make([]float64, len(q.queries))
 	}
 	s := q.scoreBuf[:len(q.queries)]
-	for i, mq := range q.queries {
-		if mq == nil {
-			s[i] = math.Inf(-1)
-			continue
-		}
-		s[i] = q.c.logPriors[i] + mq.scoresInto(q.density[:])[0]
+	for i, d := range q.density {
+		s[i] = q.c.logPriors[i] + d
 	}
 	return s
 }
@@ -306,6 +314,7 @@ func (q *Query) Step() bool {
 	if !q.queries[pick].Step() {
 		return false
 	}
+	q.refresh(pick)
 	q.reads++
 	return true
 }

@@ -7,8 +7,10 @@
 // one node per time step under interruptible budgets, the three descent
 // strategies evaluated in the paper (breadth-first, depth-first, global
 // best-first with geometric or probabilistic priorities) and the qbk
-// class-refinement strategy for per-class tree ensembles, plus the
-// single-tree multi-class variant sketched in Section 4.1.
+// class-refinement strategy for per-class tree ensembles. There is one
+// tree type, the MultiTree: with one class it is a class tree of the
+// per-class forest (Classifier), with all classes the single-tree
+// multi-class variant sketched in Section 4.1.
 package core
 
 import (

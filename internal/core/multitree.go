@@ -56,7 +56,9 @@ type MultiOptions struct {
 	EntropyPriority bool
 }
 
-// MultiTree is the single-tree multi-class Bayes tree.
+// MultiTree is the Bayes tree: over several classes the single-tree
+// multi-class variant, over one class a class tree of the per-class
+// forest (Classifier).
 type MultiTree struct {
 	cfg    Config
 	mopts  MultiOptions
@@ -625,7 +627,10 @@ func (q *MultiQuery) scoresInto(out []float64) []float64 {
 			out[c] = math.Inf(-1)
 			continue
 		}
-		logPrior := math.Log(q.t.counts[c] / total)
+		logPrior := 0.0 // log 1: the class holds all of the tree's mass
+		if q.t.counts[c] != total {
+			logPrior = math.Log(q.t.counts[c] / total)
+		}
 		out[c] = logPrior + q.accs[c].shift + math.Log(q.accs[c].sum)
 	}
 	return out

@@ -27,8 +27,8 @@ import (
 // time (LogPDFObs, LogDensityObs — no sweep), and summarises the root
 // afresh. It shares with MultiQuery the per-class kernels and log counts
 // (checkQueryStateMatchesRebuild guards those), the frontier and the
-// per-class accumulators — as Cursor does, whose independent check is the
-// direct kernel density in frontier_test.go — and scores.
+// per-class accumulators — whose independent check is the direct kernel
+// density in frontier_test.go — and scores.
 type oracleQuery struct {
 	*MultiQuery
 	nodes []*MultiNode // what multiRef.node indexes here, in place of the mirror

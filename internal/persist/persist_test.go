@@ -78,7 +78,7 @@ func roundTripClassifier(t *testing.T, clf *core.Classifier) *core.Classifier {
 // for random models across descent strategies, encode→decode→Classify
 // must agree with the original digit for digit — predictions at every
 // budget and the full float64 anytime density (OutlierScore), which is
-// only possible if the rebuilt frozen caches are bit-identical.
+// only possible if the derived inner entries are bit-identical.
 func TestClassifierRoundTripDigitIdentical(t *testing.T) {
 	strategies := []core.Strategy{core.DescentGlobal, core.DescentBFT, core.DescentDFT}
 	budgets := []int{0, 3, 10, 40, -1}
@@ -97,7 +97,7 @@ func TestClassifierRoundTripDigitIdentical(t *testing.T) {
 					}
 				}
 				if w, h := clf.OutlierScore(x, 25), got.OutlierScore(x, 25); w != h {
-					t.Fatalf("seed %d %v: outlier score %v != %v (frozen caches differ)", seed, strat, h, w)
+					t.Fatalf("seed %d %v: outlier score %v != %v (derived entries differ)", seed, strat, h, w)
 				}
 			}
 		}

@@ -208,7 +208,7 @@ func NewEmpty(shards int, treeCfg core.Config, labels []int, mopts core.MultiOpt
 
 // FromSnapshot builds a server from a sharded-set snapshot written by
 // WriteSnapshot (or persist.EncodeMultiTrees), warm-starting with the
-// saved trees' frozen caches rebuilt.
+// saved trees' inner entries derived.
 func FromSnapshot(r io.Reader, cfg Config) (*Server, error) {
 	trees, err := persist.DecodeMultiTrees(r)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bayestree/internal/core"
+	"bayestree/internal/persist"
 	"bayestree/internal/stream"
 )
 
@@ -426,5 +427,28 @@ func TestEmptyAndValidation(t *testing.T) {
 	}
 	if _, err := s.Classify([]float64{1, 1}, 5); err != nil {
 		t.Fatalf("classify after first inserts: %v", err)
+	}
+}
+
+// TestOneClassModelRefused: a one-class tree is a class tree of the
+// per-class forest, not a model that decides anything; the server
+// refuses it however it arrives — built empty or read from a snapshot.
+func TestOneClassModelRefused(t *testing.T) {
+	if _, err := NewEmpty(2, core.DefaultConfig(2), []int{7}, core.MultiOptions{}, Config{}); err == nil {
+		t.Fatal("NewEmpty served a one-class model")
+	}
+	one, err := core.NewMultiTree(core.DefaultConfig(2), []int{7}, core.MultiOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := one.Insert([]float64{1, 1}, 7); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := persist.EncodeMultiTrees(&snap, []*core.MultiTree{one}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromSnapshot(&snap, Config{}); err == nil {
+		t.Fatal("FromSnapshot served a one-class model")
 	}
 }
