@@ -143,9 +143,11 @@ func (c *Classifier) Options() ClassifierOptions { return c.opts }
 // anytime operation on a varying stream.
 type Query struct {
 	c *Classifier
-	// queries holds one query per class tree, nil for a tree that was
-	// empty when the query started (possible after decay pruned it).
+	// queries holds one query per class tree, in own, or nil for a tree
+	// that was empty when the query started (possible after decay
+	// pruned it). own is pooled with the Query, not per class query.
 	queries []*MultiQuery
+	own     []MultiQuery
 	// density[i] is class i's current log density, its one-class tree's
 	// score (whose own prior is log 1 = 0 exactly); −Inf without a query.
 	// A step refines one class, so only that class's is recomputed.
@@ -171,14 +173,17 @@ type ranked struct {
 func (c *Classifier) NewQuery(x []float64) *Query {
 	q, _ := c.queryPool.Get().(*Query)
 	if q == nil {
-		q = &Query{queries: make([]*MultiQuery, len(c.trees)), density: make([]float64, len(c.trees))}
+		n := len(c.trees)
+		q = &Query{queries: make([]*MultiQuery, n), own: make([]MultiQuery, n), density: make([]float64, n)}
 	}
 	q.c = c
 	q.turn = 0
 	q.reads = 0
 	for i, t := range c.trees {
-		// The one error is an empty tree: no model, no query.
-		q.queries[i], _ = t.NewQuery(x, c.opts)
+		if t.Len() > 0 {
+			t.start(&q.own[i], x, c.opts)
+			q.queries[i] = &q.own[i]
+		}
 		q.refresh(i)
 	}
 	return q
@@ -192,15 +197,17 @@ func (q *Query) refresh(i int) {
 	}
 }
 
-// Close releases the query and its class queries back to their pools.
-// The query must not be used afterwards.
+// Close releases the query, and with it its class queries, back to the
+// classifier's pool. The query must not be used afterwards.
 func (q *Query) Close() {
 	if q == nil || q.c == nil {
 		return
 	}
 	for i, mq := range q.queries {
-		mq.Close()
-		q.queries[i] = nil
+		if mq != nil {
+			mq.release()
+			q.queries[i] = nil
+		}
 	}
 	c := q.c
 	q.c = nil

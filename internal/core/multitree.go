@@ -354,9 +354,9 @@ func (t *MultiTree) fixOverflow(path []*MultiNode, c int) int {
 		over := (n.leaf && len(n.points) > t.cfg.MaxLeaf) || (!n.leaf && len(n.entries) > t.cfg.MaxFanout)
 		if !over {
 			// One refresh of this prefix covers all remaining levels
-			// (they gained no entries). Above a
-			// split it re-summarises: the split reordered the entries
-			// every class's sums run over.
+			// (they gained no entries). Above a split it re-summarises:
+			// the split reordered the entries every class's sums run
+			// over.
 			replaced := len(path) - 1 - i
 			if replaced > 0 {
 				c = allClasses
@@ -520,9 +520,16 @@ func (t *MultiTree) NewQuery(x []float64, opts ClassifierOptions) (*MultiQuery, 
 	if t.size == 0 {
 		return nil, fmt.Errorf("core: query against empty multi tree")
 	}
+	q := multiQueryPool.Get().(*MultiQuery)
+	t.start(q, x, opts)
+	return q, nil
+}
+
+// start begins an anytime classification of x in q, reusing its
+// buffers; the tree must not be empty.
+func (t *MultiTree) start(q *MultiQuery, x []float64, opts ClassifierOptions) {
 	st := t.queryConsts()
 	nc := len(t.labels)
-	q := multiQueryPool.Get().(*MultiQuery)
 	q.t = t
 	q.x = x
 	q.opts = opts
@@ -556,7 +563,6 @@ func (t *MultiTree) NewQuery(x []float64, opts ClassifierOptions) (*MultiQuery, 
 		q.terms[c], q.terms[nc+c] = term, v
 	}
 	q.front.push(0, multiRef{})
-	return q, nil
 }
 
 // Close releases the query's buffers back to the pool. The query must
@@ -565,12 +571,18 @@ func (q *MultiQuery) Close() {
 	if q == nil || q.t == nil {
 		return
 	}
+	q.release()
+	multiQueryPool.Put(q)
+}
+
+// release ends the query, dropping what it references and keeping its
+// buffers for the next start.
+func (q *MultiQuery) release() {
 	q.front.release()
 	q.terms = q.terms[:0]
 	q.t, q.x, q.obs = nil, nil, nil
 	q.kern, q.logNc, q.ceilLn = nil, nil, nil
 	q.soa = nil
-	multiQueryPool.Put(q)
 }
 
 // UsedSoA reports whether this query descends through the

@@ -9,8 +9,9 @@
 // stores none (an inner node is its tag, child count and children):
 // core.RebuildMultiTree derives them with the tree's own summarize, so a
 // reloaded model answers every query digit-identically, and no payload
-// can carry a summary that disagrees with its subtree. The cluster set is exempt (clustree.go): its inner
-// CFs carry their own timestamps and parked buffers.
+// can carry a summary that disagrees with its subtree. The cluster set
+// is exempt (clustree.go): its inner CFs carry their own timestamps and
+// parked buffers.
 //
 // There is one format, version 3, and three kinds: the sharded set of
 // multi-class trees, the cluster set and the per-class forest, whose
@@ -109,9 +110,10 @@ func DecodeClassifier(r io.Reader) (*core.Classifier, error) {
 	trees := make([]*core.MultiTree, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		label := d.i64()
-		trees[i] = d.multiTree(d.boolv())
-		if d.err == nil && (len(trees[i].Labels()) != 1 || int64(trees[i].Labels()[0]) != label) {
-			d.fail("class %d section holds classes %v", label, trees[i].Labels())
+		if trees[i] = d.multiTree(d.boolv()); d.err == nil {
+			if ls := trees[i].Labels(); len(ls) != 1 || int64(ls[0]) != label {
+				d.fail("class %d section holds classes %v", label, ls)
+			}
 		}
 	}
 	if err := d.done(); err != nil {
