@@ -150,8 +150,8 @@ func RunStreamBatch(clf *Classifier, items []StreamItem, rate float64, budgeter 
 // BatchClassify classifies every object of xs with the given node budget
 // using a pool of workers (workers ≤ 0 = GOMAXPROCS) and returns the
 // predictions in input order. Classification is read-only, so any number
-// of workers may share one classifier; per-worker query and cursor state
-// is pooled, making steady-state batch serving allocation-free. Use
+// of workers may share one classifier; per-worker query state is
+// pooled, making steady-state batch serving allocation-free. Use
 // Classifier.Classify for single objects and this for throughput-bound
 // batches. Do not Learn on the classifier while a batch is in flight.
 func BatchClassify(clf *Classifier, xs [][]float64, budget, workers int) []int {

@@ -144,12 +144,16 @@ func dumpTree(w io.Writer, t *core.MultiTree, label int) {
 		l := levels[d]
 		fmt.Fprintf(w, "  depth %d: %d nodes, %d entries, %d observations\n", d, l.nodes, l.entries, l.points)
 	}
-	if root := t.Root(); !root.IsLeaf() {
-		// The level-0 model: the merge of the root's entries.
+	if t.Len() > 0 {
+		// The level-0 model: the merge of the root's entries or points.
 		cf, rect := stats.NewCF(t.Config().Dim), mbr.Empty(t.Config().Dim)
-		for _, e := range root.Entries() {
+		for _, e := range t.Root().Entries() {
 			cf.Merge(e.Total)
 			rect.Extend(e.Rect)
+		}
+		for _, p := range t.Root().Points() {
+			cf.Add(p.X)
+			rect.ExtendPoint(p.X)
 		}
 		g, r := cf.Gaussian(), rect.String()
 		fmt.Fprintf(w, "  root model: n=%.0f mean[0]=%.3f var[0]=%.4f mbr=%s...\n",

@@ -10,7 +10,7 @@ import (
 
 // The paper's deployment combines both construction modes: bulk load the
 // initial training window, then learn incrementally from the stream.
-// Every loader's tree must accept subsequent R*-style insertions without
+// Every loader's tree must accept subsequent insertions without
 // violating invariants — including the unbalanced EMTopDown trees.
 func TestBulkLoadThenIncrementalInserts(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

@@ -11,8 +11,8 @@ import (
 // classification is read-only against the trees and the anytime contract
 // is per object — one budget, one descent, an answer after any node
 // read — so a batch is a pool of solo classifications sharing one
-// model: each worker reuses pooled queries and cursors, so steady-state
-// batch serving allocates only the result slice. (Advancing a batch's
+// model: each worker reuses pooled queries, so steady-state batch
+// serving allocates only the result slice. (Advancing a batch's
 // queries together to share cache lines was measured slower than this
 // pool: ARCHITECTURE.md, "A batch is a pool of solo queries".)
 

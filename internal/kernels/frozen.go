@@ -11,7 +11,7 @@ import (
 // recomputes every bandwidth-derived factor — h², 1/h², ln h², the √5
 // Epanechnikov rescaling — for every training object of every leaf read,
 // for every query. A FrozenKernel precomputes those factors once per
-// (kernel, bandwidth) pair; the anytime cursor freezes the kernel when the
+// (kernel, bandwidth) pair; the anytime query freezes the kernel when the
 // per-tree query constants are built, so the leaf-level hot loop performs
 // only subtract-multiply-accumulate work.
 

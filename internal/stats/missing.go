@@ -12,7 +12,7 @@ import "math"
 // ObservedDimsInto returns the indices of the non-NaN coordinates of x —
 // nil when every coordinate is observed (the common fast path), empty but
 // non-nil when none is — built in a caller-provided scratch buffer, for
-// allocation-free reuse across queries (e.g. by pooled cursors), together
+// allocation-free reuse across queries (e.g. by pooled queries), together
 // with the (possibly grown) buffer to keep for the next call.
 func ObservedDimsInto(x []float64, buf []int) (obs, scratch []int) {
 	buf = buf[:0]
