@@ -315,7 +315,6 @@ func BenchmarkAblationMultiTree(b *testing.B) {
 	}{
 		{"multitree", core.MultiOptions{}},
 		{"multitree-pooled", core.MultiOptions{PooledVariance: true}},
-		{"multitree-entropy", core.MultiOptions{EntropyPriority: true}},
 	} {
 		b.Run(mo.name, func(b *testing.B) {
 			var last *eval.Curve

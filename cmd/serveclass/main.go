@@ -62,7 +62,6 @@ type options struct {
 	strategy     string
 	priority     string
 	pooled       bool
-	entropy      bool
 	decayLambda  float64
 	tenantLabels string
 }
@@ -80,7 +79,6 @@ func register(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.strategy, "strategy", "glo", "descent strategy glo|bft|dft")
 	fs.StringVar(&o.priority, "priority", "prob", "descent priority prob|geom")
 	fs.BoolVar(&o.pooled, "pooled", false, "bootstrap trees with pooled per-entry variance")
-	fs.BoolVar(&o.entropy, "entropy", false, "bootstrap trees with entropy-weighted descent priority")
 	fs.Float64Var(&o.decayLambda, "decay-lambda", 0, "concept-drift forgetting rate λ: weights fade 2^(-λ) per decay epoch (0 = append-only, never forget)")
 	fs.StringVar(&o.tenantLabels, "tenant-default-labels", "0,1,2", "multi-tenant: comma-separated label set of tenants created on first write")
 	fs.Usage = func() {
@@ -89,6 +87,8 @@ func register(fs *flag.FlagSet) *options {
 				"Serve anytime classification over HTTP from a sharded Bayes tree model.\n"+
 				"Model source: -snapshot (warm start), -dataset (bootstrap), or -empty-dim\n"+
 				"(start empty and let ingest traffic build the model); one is required.\n"+
+				"-strategy and -priority set the descent, one key per strategy; -pooled\n"+
+				"bootstraps trees that share one variance per entry across classes.\n"+
 				"-decay-lambda enables exponential forgetting (concept-drift tracking with\n"+
 				"bounded memory); -decay-every sets the epoch length and -min-weight the\n"+
 				"maintenance sweep's pruning floor.\n"+
@@ -105,6 +105,7 @@ func register(fs *flag.FlagSet) *options {
 				"Endpoints:\n"+
 				"  POST /classify   {\"x\":[...],\"budget\":25}; NDJSON body streams a batch\n"+
 				"  POST /insert     {\"x\":[...],\"label\":2}; NDJSON body bulk-ingests\n"+
+				"                   (coordinates finite, |x| ≤ 1e150; else 400)\n"+
 				"  GET  /stats      shard sizes, admission, WAL and replication counters\n"+
 				"  GET  /healthz    liveness: 200 once listening\n"+
 				"  GET  /readyz     readiness: 503 while recovering or draining\n"+
@@ -188,7 +189,7 @@ func parseLabelList(s string) ([]int, error) {
 // shards by the same hash online inserts use, or empty shards that
 // ingest traffic fills.
 func (o *options) buildServer(cfg server.Config) (*server.Server, error) {
-	mopts := core.MultiOptions{PooledVariance: o.pooled, EntropyPriority: o.entropy}
+	mopts := core.MultiOptions{PooledVariance: o.pooled}
 	if o.dataset == "" {
 		if o.emptyDim <= 0 {
 			return nil, serve.UsageErrorf("need -snapshot (existing), -dataset or -empty-dim to build a model")

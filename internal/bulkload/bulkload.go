@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"bayestree/internal/core"
+	"bayestree/internal/stats"
 )
 
 // Loader builds a Bayes tree from a training population.
@@ -122,6 +123,9 @@ func validatePoints(points [][]float64, cfg core.Config) error {
 	for i, p := range points {
 		if len(p) != cfg.Dim {
 			return fmt.Errorf("bulkload: observation %d has dim %d, want %d", i, len(p), cfg.Dim)
+		}
+		if err := stats.CheckPoint(p); err != nil {
+			return fmt.Errorf("bulkload: observation %d: %w", i, err)
 		}
 	}
 	return nil

@@ -247,10 +247,8 @@ func (t *Tree) InsertCounted(x []float64, ts float64, budget int) (visited int, 
 	if len(x) != t.cfg.Dim {
 		return 0, fmt.Errorf("clustree: point dim %d != %d", len(x), t.cfg.Dim)
 	}
-	for i, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, fmt.Errorf("clustree: non-finite coordinate %d", i)
-		}
+	if err := stats.CheckPoint(x); err != nil {
+		return 0, fmt.Errorf("clustree: %w", err)
 	}
 	if ts < t.now {
 		return 0, fmt.Errorf("clustree: timestamp %v precedes current time %v", ts, t.now)

@@ -74,18 +74,3 @@ func (c *Classifier) ClassifyBatchBudgets(xs [][]float64, budgets []int, workers
 	ForEach(len(xs), workers, func(i int) { preds[i] = c.Classify(xs[i], budgets[i]) })
 	return preds, nil
 }
-
-// ClassifyBatch classifies every object of xs against the multi-class tree
-// with the given node budget using a worker pool of Classify calls, in
-// input order. The tree must not be mutated while the batch is in flight.
-func (t *MultiTree) ClassifyBatch(xs [][]float64, opts ClassifierOptions, budget, workers int) ([]int, error) {
-	preds := make([]int, len(xs))
-	errs := make([]error, len(xs))
-	ForEach(len(xs), workers, func(i int) { preds[i], errs[i] = t.Classify(xs[i], opts, budget) })
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return preds, nil
-}

@@ -147,58 +147,31 @@ func (d *decayClock) insertWeight() float64 {
 	return stats.GrowthFactor(d.decay.Lambda, d.epoch-d.refEpoch)
 }
 
-// treeWeight is Weight for a tree of size observations under root: the
-// stored root mass — one pass over the root node, whose summaries
-// insert and sweep keep fresh — times the decay outstanding since the
-// last sweep.
-func treeWeight[P any, E entry[P, E]](d *decayClock, size int, root *node[P, E]) float64 {
-	if !d.decay.Enabled() {
-		return float64(size)
-	}
-	if size == 0 {
-		return 0
-	}
-	var mass float64
-	switch {
-	case !root.leaf:
-		for i := range root.entries {
-			mass += root.entries[i].mass()
-		}
-	case root.weights == nil:
-		mass = float64(len(root.points))
-	default:
-		for _, w := range root.weights {
-			mass += w
-		}
-	}
-	return mass * stats.DecayFactor(d.decay.Lambda, d.epoch-d.refEpoch)
-}
-
 // sweeper is one maintenance sweep in progress: the rescale factor and
-// pruning floor, the owning tree's fill minimums and summarize, and what
-// the sweep has found so far — its statistics and the observations of
-// dissolved subtrees, with their weights, awaiting reinsertion.
-type sweeper[P any, E entry[P, E]] struct {
+// pruning floor, the tree swept, and what the sweep has found so far —
+// its statistics and the observations of dissolved subtrees, with their
+// weights, awaiting reinsertion.
+type sweeper struct {
 	factor, floor float64
-	cfg           *Config
-	summarize     func(*node[P, E]) E
+	t             *MultiTree
 	st            SweepStats
-	orphans       []P
+	orphans       []LabeledPoint
 	orphanW       []float64
 }
 
-// decaySweep applies the decay outstanding on the clock to the tree
-// under root: every leaf weight and cluster feature is rescaled to the
-// current epoch, observations whose decayed weight falls below the
-// MinWeight floor are pruned (children emptied by that pruning are
-// dropped whole), children the pruning left underfull are dissolved into
-// orphans, single-entry root chains are collapsed and the reference
-// epoch is reset to the current epoch. It returns the new root and the
-// finished sweep — nil when there was nothing to do. The caller
-// reinserts the orphans (they carry already-decayed weights and the
-// reference is already current, so at face value), recounts and drops
-// its cached query state.
-func decaySweep[P any, E entry[P, E]](d *decayClock, cfg *Config, root *node[P, E], summarize func(*node[P, E]) E) (*node[P, E], *sweeper[P, E]) {
+// decaySweep applies the decay outstanding on the clock to the tree:
+// every leaf weight and cluster feature is rescaled to the current
+// epoch, observations whose decayed weight falls below the MinWeight
+// floor are pruned (children emptied by that pruning are dropped whole),
+// children the pruning left underfull are dissolved into orphans,
+// single-entry root chains are collapsed and the reference epoch is
+// reset to the current epoch. It returns the new root and the finished
+// sweep — nil when there was nothing to do. The caller reinserts the
+// orphans (they carry already-decayed weights and the reference is
+// already current, so at face value), recounts and drops its cached
+// query state.
+func (t *MultiTree) decaySweep() (*MultiNode, *sweeper) {
+	root, d := t.root, &t.decayClock
 	if !d.decay.Enabled() {
 		return root, nil
 	}
@@ -207,13 +180,13 @@ func decaySweep[P any, E entry[P, E]](d *decayClock, cfg *Config, root *node[P, 
 	if factor == 1 && d.decay.MinWeight <= 0 {
 		return root, nil
 	}
-	s := &sweeper[P, E]{factor: factor, floor: d.decay.MinWeight, cfg: cfg, summarize: summarize}
+	s := &sweeper{factor: factor, floor: d.decay.MinWeight, t: t}
 	s.sweep(root)
 	for !root.leaf && len(root.entries) == 1 {
-		root = root.entries[0].child()
+		root = root.entries[0].Child
 	}
 	if !root.leaf && len(root.entries) == 0 {
-		root = &node[P, E]{leaf: true}
+		root = &MultiNode{leaf: true}
 	}
 	return root, s
 }
@@ -223,7 +196,7 @@ func decaySweep[P any, E entry[P, E]](d *decayClock, cfg *Config, root *node[P, 
 // observations dropped; inner entries are re-summarised bottom-up, with
 // emptied children pruned whole and underfull survivors dissolved into
 // orphan observations for reinsertion.
-func (s *sweeper[P, E]) sweep(n *node[P, E]) {
+func (s *sweeper) sweep(n *MultiNode) {
 	if n.leaf {
 		if s.factor != 1 && n.weights == nil && len(n.points) > 0 {
 			n.weights = unitWeights(len(n.points))
@@ -248,7 +221,7 @@ func (s *sweeper[P, E]) sweep(n *node[P, E]) {
 	}
 	kept := 0
 	for i := range n.entries {
-		child := n.entries[i].child()
+		child := n.entries[i].Child
 		s.sweep(child)
 		// A non-empty child's mass is a sum of leaf weights the pass
 		// above already held to the floor, so no separate subtree mass
@@ -258,14 +231,14 @@ func (s *sweeper[P, E]) sweep(n *node[P, E]) {
 			s.st.SubtreesPruned++
 			continue
 		}
-		underfull := (child.leaf && len(child.points) < s.cfg.MinLeaf) ||
-			(!child.leaf && len(child.entries) < s.cfg.MinFanout)
+		underfull := (child.leaf && len(child.points) < s.t.cfg.MinLeaf) ||
+			(!child.leaf && len(child.entries) < s.t.cfg.MinFanout)
 		if underfull {
 			s.orphans, s.orphanW = collectWeightedPoints(child, s.orphans, s.orphanW)
 			s.st.SubtreesCollapsed++
 			continue
 		}
-		n.entries[kept] = s.summarize(child)
+		n.entries[kept] = s.t.summarize(child)
 		kept++
 	}
 	clear(n.entries[kept:])
@@ -306,8 +279,30 @@ func (t *MultiTree) AdvanceEpoch(n int64) {
 // with the decay outstanding since the last sweep folded in. With decay
 // disabled it equals float64(Len()) exactly. This — not the raw point
 // count — is what priors and shard mixing must weight by. The mass is
-// read from the root level directly — no query-state rebuild.
-func (t *MultiTree) Weight() float64 { return treeWeight(&t.decayClock, t.size, t.root) }
+// read from the root level directly — one pass over the root node, whose
+// summaries insert and sweep keep fresh; no query-state rebuild.
+func (t *MultiTree) Weight() float64 {
+	if !t.decay.Enabled() {
+		return float64(t.size)
+	}
+	if t.size == 0 {
+		return 0
+	}
+	var mass float64
+	switch root := t.root; {
+	case !root.leaf:
+		for i := range root.entries {
+			mass += root.entries[i].Total.N
+		}
+	case root.weights == nil:
+		mass = float64(len(root.points))
+	default:
+		for _, w := range root.weights {
+			mass += w
+		}
+	}
+	return mass * stats.DecayFactor(t.decay.Lambda, t.epoch-t.refEpoch)
+}
 
 // CountNodes returns the number of tree nodes (inner and leaf) — the
 // bounded-memory observable a drift-tracking server reports.
@@ -320,7 +315,7 @@ func (t *MultiTree) CountNodes() int { return countNodes(t.root) }
 // counts and invalidates the cached query state. Cost is one pass over
 // the tree; call it from a maintenance loop, not per insert.
 func (t *MultiTree) DecaySweep() SweepStats {
-	root, s := decaySweep(&t.decayClock, &t.cfg, t.root, t.summarize)
+	root, s := t.decaySweep()
 	if s == nil {
 		return SweepStats{}
 	}

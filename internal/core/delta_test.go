@@ -97,7 +97,7 @@ func checkQueryStateMatchesRebuild(t *testing.T, ctx string, mt *MultiTree) {
 
 // TestInsertDeltaMatchesSummarize is the delta's property: over seeded
 // runs — continuous and tie-heavy coordinates (both zeros among them),
-// PooledVariance × EntropyPriority × decay, three node capacities, two
+// PooledVariance × decay, three node capacities, two
 // to four classes, an epoch advance and a decay sweep in mid-run — after
 // every insert each entry is bitwise summarize(child), the cached query
 // constants are bitwise a rebuild from nil, and the mirror the insert
@@ -108,7 +108,7 @@ func TestInsertDeltaMatchesSummarize(t *testing.T) {
 	configs := []Config{narrow, smallConfig(3), DefaultConfig(3)}
 	for seed := 1; seed <= 240; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		mo := MultiOptions{PooledVariance: seed&1 != 0, EntropyPriority: seed&2 != 0}
+		mo := MultiOptions{PooledVariance: seed&1 != 0}
 		decay, tied := seed&4 != 0, seed&8 != 0
 		nc := 2 + seed%3
 		labels := make([]int, nc)

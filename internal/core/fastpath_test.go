@@ -150,26 +150,6 @@ func TestClassifyBatchBudgets(t *testing.T) {
 	}
 }
 
-// The multi-class tree batch API must match its sequential Classify.
-func TestMultiTreeClassifyBatch(t *testing.T) {
-	xs, ys := twoClassData(300, 24)
-	mt := buildMultiTree(t, xs, ys, MultiOptions{})
-	opts := ClassifierOptions{}
-	got, err := mt.ClassifyBatch(xs, opts, 12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		want, err := mt.Classify(x, opts, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != want {
-			t.Fatalf("object %d: batch %d != sequential %d", i, got[i], want)
-		}
-	}
-}
-
 // Pooled queries must not leak state between classifications: a query
 // closed mid-refinement followed by a different object must classify the
 // new object as a never-pooled classifier would.

@@ -55,14 +55,14 @@ func (p Priority) String() string {
 // item is one refinable element of an anytime frontier: an entry whose
 // subtree can be expanded by one node read. The payload is what the
 // query needs to expand it.
-type item[T any] struct {
+type item struct {
 	prio    float64 // refinement priority, higher first
 	seq     int     // push order: FIFO tie-break for determinism
-	payload T
+	payload multiRef
 }
 
 // before orders the max-heap: highest prio first, FIFO seq as tie-break.
-func (e *item[T]) before(other *item[T]) bool {
+func (e *item) before(other *item) bool {
 	if e.prio != other.prio {
 		return e.prio > other.prio
 	}
@@ -73,25 +73,25 @@ func (e *item[T]) before(other *item[T]) bool {
 // order its descent strategy consumes them: a max-heap for
 // DescentGlobal, a queue for DescentBFT, a stack for DescentDFT.
 // MultiQuery and the test oracle both descend through it.
-type frontier[T any] struct {
+type frontier struct {
 	strategy Strategy
-	heap     pheap[T]
-	fifo     []item[T]
+	heap     pheap
+	fifo     []item
 	head     int // consumed prefix of fifo (DescentBFT)
 	seq      int
 }
 
 // reset empties the frontier for a query of the given strategy, keeping
 // the backing arrays.
-func (f *frontier[T]) reset(s Strategy) {
+func (f *frontier) reset(s Strategy) {
 	f.strategy = s
 	f.heap, f.fifo = f.heap[:0], f.fifo[:0]
 	f.head, f.seq = 0, 0
 }
 
 // push enqueues an element, numbered in push order, for refinement.
-func (f *frontier[T]) push(prio float64, payload T) {
-	e := item[T]{prio: prio, seq: f.seq, payload: payload}
+func (f *frontier) push(prio float64, payload multiRef) {
+	e := item{prio: prio, seq: f.seq, payload: payload}
 	f.seq++
 	if f.strategy == DescentGlobal {
 		f.heap.push(e)
@@ -102,7 +102,7 @@ func (f *frontier[T]) push(prio float64, payload T) {
 
 // pop removes and returns the next element to refine; false when the
 // frontier is exhausted.
-func (f *frontier[T]) pop() (payload T, ok bool) {
+func (f *frontier) pop() (payload multiRef, ok bool) {
 	if f.exhausted() {
 		return payload, false
 	}
@@ -117,7 +117,6 @@ func (f *frontier[T]) pop() (payload T, ok bool) {
 		// allocating a fresh slice on every compaction.
 		if f.head > 1024 && f.head*2 > len(f.fifo) {
 			n := copy(f.fifo, f.fifo[f.head:])
-			clear(f.fifo[n:]) // drop node pointers in the vacated tail
 			f.fifo = f.fifo[:n]
 			f.head = 0
 		}
@@ -130,20 +129,11 @@ func (f *frontier[T]) pop() (payload T, ok bool) {
 }
 
 // exhausted reports whether nothing is left to refine.
-func (f *frontier[T]) exhausted() bool {
+func (f *frontier) exhausted() bool {
 	if f.strategy == DescentGlobal {
 		return len(f.heap) == 0
 	}
 	return f.head >= len(f.fifo)
-}
-
-// release empties both queues through their full capacity before the
-// query goes back to its pool: consumed FIFO prefixes and popped DFT
-// suffixes linger in the backing arrays and would otherwise pin tree
-// nodes from the pool.
-func (f *frontier[T]) release() {
-	clear(f.heap[:cap(f.heap)])
-	clear(f.fifo[:cap(f.fifo)])
 }
 
 // accumulator is a running log-sum-exp: Σ exp(l) over the terms added

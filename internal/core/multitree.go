@@ -31,16 +31,8 @@ type MultiEntry struct {
 	Rect  mbr.Rect
 	CFs   []stats.CF // indexed by class index; CFs[c].N == 0 when absent
 	Total stats.CF
-	Child *node[LabeledPoint, MultiEntry] // a *MultiNode, spelled out as Entry.Child is
+	Child *MultiNode
 }
-
-// MultiNode is a node of the multi-class Bayes tree: the shared node
-// skeleton (node.go) over labelled observations and MultiEntry.
-type MultiNode = node[LabeledPoint, MultiEntry]
-
-func (e MultiEntry) child() *MultiNode          { return e.Child }
-func (e MultiEntry) mass() float64              { return e.Total.N }
-func (e MultiEntry) bounds() (lo, hi []float64) { return e.Rect.Lo, e.Rect.Hi }
 
 // MultiOptions configure the multi-class tree variant.
 type MultiOptions struct {
@@ -49,11 +41,6 @@ type MultiOptions struct {
 	// the paper poses as an open question. Class means and counts remain
 	// per class.
 	PooledVariance bool
-	// EntropyPriority weights the descent priority by the class-label
-	// entropy of the entry, so descents prefer regions where the class
-	// decision is still uncertain (the paper's suggestion to "include the
-	// class distribution into the decision").
-	EntropyPriority bool
 }
 
 // MultiTree is the Bayes tree: over several classes the single-tree
@@ -290,15 +277,12 @@ func (t *MultiTree) refreshClass(e *MultiEntry, n *MultiNode, c int) {
 // topological split) and the per-class cluster features, query constants
 // and mirror along the path brought up to date.
 func (t *MultiTree) Insert(x []float64, label int) error {
-	if len(x) != t.cfg.Dim {
-		return fmt.Errorf("core: point dim %d != tree dim %d", len(x), t.cfg.Dim)
+	if err := checkPoint(x, t.cfg.Dim); err != nil {
+		return err
 	}
 	ci, ok := t.index[label]
 	if !ok {
 		return fmt.Errorf("core: unknown class label %d", label)
-	}
-	if err := checkPoint(x, t.cfg.Dim); err != nil {
-		return err
 	}
 	cp := make([]float64, len(x))
 	copy(cp, x)
@@ -374,12 +358,6 @@ func (t *MultiTree) fixOverflow(path []*MultiNode, c int) int {
 		parent.entries = append(parent.entries, t.summarize(right))
 	}
 	return len(path)
-}
-
-// splitNode is the shared R* topological split over labelled
-// observations.
-func (t *MultiTree) splitNode(n *MultiNode) (left, right *MultiNode) {
-	return splitNode(n, &t.cfg, func(p LabeledPoint) []float64 { return p.X })
 }
 
 // allClasses asks refreshPath to re-summarise instead of refreshing one
@@ -467,7 +445,7 @@ func (t *MultiTree) classConsts(st *multiQueryState, c int) {
 	} else {
 		st.logNc[c] = math.Inf(1) // class absent: densities stay zero
 	}
-	st.kern[c] = kernels.FreezeKernel(t.cfg.Kernel, st.bw[c])
+	st.kern[c] = t.cfg.Kernel.FreezeBandwidth(st.bw[c])
 }
 
 // multiRef is the payload of a MultiQuery's frontier element. Its
@@ -487,7 +465,7 @@ type MultiQuery struct {
 	t      *MultiTree
 	x      []float64
 	opts   ClassifierOptions
-	front  frontier[multiRef]
+	front  frontier
 	accs   []accumulator // one per class
 	kern   []kernels.FrozenKernel
 	logNc  []float64
@@ -497,8 +475,8 @@ type MultiQuery struct {
 	reads  int
 	// terms is the arena behind every frontier element (see
 	// multiRef.termOff): its nc per-class log terms, the nc values the
-	// accumulators summed for them, its entropy term and the lower bound
-	// of its priority (soa.go).
+	// accumulators summed for them and the lower bound of its priority
+	// (soa.go).
 	terms []float64
 	// fresh is the arena offset from which stored values are current: an
 	// element below it was pushed before some class's shift moved.
@@ -578,7 +556,6 @@ func (q *MultiQuery) Close() {
 // release ends the query, dropping what it references and keeping its
 // buffers for the next start.
 func (q *MultiQuery) release() {
-	q.front.release()
 	q.terms = q.terms[:0]
 	q.t, q.x, q.obs = nil, nil, nil
 	q.kern, q.logNc, q.ceilLn = nil, nil, nil
@@ -810,9 +787,13 @@ func (t *MultiTree) Validate() error {
 }
 
 // checkCF holds a stored cluster feature to the one its subtree sums
-// to: the count within tol, the linear and square sums within tol
-// scaled by the count (×10 and ×100).
+// to: a valid feature (finite, so no comparison below meets a NaN), the
+// count within tol, the linear and square sums within tol scaled by the
+// count (×10 and ×100).
 func checkCF(have, want *stats.CF, tol float64) error {
+	if err := have.Validate(); err != nil {
+		return err
+	}
 	if math.Abs(have.N-want.N) > tol {
 		return fmt.Errorf("stale CF count: have %v, want %v", have.N, want.N)
 	}

@@ -182,24 +182,6 @@ func TestMultiPooledVarianceOption(t *testing.T) {
 	}
 }
 
-func TestMultiEntropyPriority(t *testing.T) {
-	xs, ys := twoClassData(400, 6)
-	mt := buildMultiTree(t, xs, ys, MultiOptions{EntropyPriority: true})
-	correct := 0
-	for i := 0; i < 100; i++ {
-		pred, err := mt.Classify(xs[i], ClassifierOptions{}, 15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred == ys[i] {
-			correct++
-		}
-	}
-	if correct < 70 {
-		t.Errorf("entropy-priority accuracy %d/100 too low", correct)
-	}
-}
-
 func TestMultiGeometricPriorityAndBFT(t *testing.T) {
 	xs, ys := twoClassData(400, 7)
 	mt := buildMultiTree(t, xs, ys, MultiOptions{})

@@ -5,18 +5,16 @@ import (
 	"math"
 )
 
-// This file is the node skeleton of the Bayes tree, generic over the
-// observation and entry types: the MultiTree is its one instance, and
-// what here is generic — shape, balance, counting, statistics and the
-// decay sweep (decay.go) — is written once against the skeleton.
+// This file is the node skeleton of the Bayes tree — shape, balance,
+// counting and statistics; the decay sweep is in decay.go.
 
-// node is a Bayes tree node over observations P and entries E. Leaves
-// store the observations themselves (the kernel centres); inner nodes
-// store entries, each summarising one child subtree per Definition 1.
-type node[P, E any] struct {
+// MultiNode is a Bayes tree node. Leaves store the labelled
+// observations themselves (the kernel centres); inner nodes store
+// entries, each summarising one child subtree per Definition 1.
+type MultiNode struct {
 	leaf    bool
-	entries []E // inner nodes
-	points  []P // leaf nodes
+	entries []MultiEntry   // inner nodes
+	points  []LabeledPoint // leaf nodes
 	// weights are the per-observation decayed weights of a leaf, parallel
 	// to points. nil means every observation has weight 1 exactly — the
 	// only state an undecayed tree ever has, keeping the λ = 0 paths
@@ -25,36 +23,26 @@ type node[P, E any] struct {
 	weights []float64
 }
 
-// entry is what the skeleton asks of a tree's entry type E: the subtree
-// it points to, the mass it summarises and its bounding rectangle. (The
-// constraint sits on the generic functions, not on node: Go rejects a
-// type whose own parameter list names it.)
-type entry[P, E any] interface {
-	child() *node[P, E]
-	mass() float64
-	bounds() (lo, hi []float64)
-}
-
 // IsLeaf reports whether the node is a leaf.
-func (n *node[P, E]) IsLeaf() bool { return n.leaf }
+func (n *MultiNode) IsLeaf() bool { return n.leaf }
 
 // Entries returns the entries of an inner node (nil for leaves). The
 // returned slice must not be modified.
-func (n *node[P, E]) Entries() []E { return n.entries }
+func (n *MultiNode) Entries() []MultiEntry { return n.entries }
 
 // Points returns the observations of a leaf node (nil for inner nodes).
 // The returned slice must not be modified.
-func (n *node[P, E]) Points() []P { return n.points }
+func (n *MultiNode) Points() []LabeledPoint { return n.points }
 
 // Weights returns the per-observation decayed weights of a leaf,
 // parallel to Points; nil means every observation weighs 1. The
 // returned slice must not be modified.
-func (n *node[P, E]) Weights() []float64 { return n.weights }
+func (n *MultiNode) Weights() []float64 { return n.weights }
 
 // appendPoint adds one observation with the given weight, materialising
 // the per-point weight vector only when a non-unit weight first appears
 // so undecayed leaves stay weight-free.
-func (n *node[P, E]) appendPoint(p P, w float64) {
+func (n *MultiNode) appendPoint(p LabeledPoint, w float64) {
 	n.points = append(n.points, p)
 	if n.weights != nil {
 		n.weights = append(n.weights, w)
@@ -75,18 +63,18 @@ func unitWeights(n int) []float64 {
 	return ws
 }
 
-// splitNode performs the R* topological split on either node kind;
-// coords yields an observation's coordinates. A leaf splits points, one
-// sort per axis (splitOrderOf). A weighted leaf's weight vector follows
-// its points.
-func splitNode[P any, E entry[P, E]](n *node[P, E], cfg *Config, coords func(P) []float64) (left, right *node[P, E]) {
+// splitNode performs the R* topological split on either node kind. A
+// leaf splits points, one sort per axis (splitOrderOf). A weighted
+// leaf's weight vector follows its points.
+func (t *MultiTree) splitNode(n *MultiNode) (left, right *MultiNode) {
+	cfg := &t.cfg
 	if n.leaf {
 		order, cut := splitOrderOf(len(n.points), func(i int) (lo, hi []float64) {
-			x := coords(n.points[i])
+			x := n.points[i].X
 			return x, x
 		}, cfg.Dim, cfg.MinLeaf, true)
-		half := func(idx []int) *node[P, E] {
-			h := &node[P, E]{leaf: true, points: gather(n.points, idx)}
+		half := func(idx []int) *MultiNode {
+			h := &MultiNode{leaf: true, points: gather(n.points, idx)}
 			if n.weights != nil {
 				h.weights = gather(n.weights, idx)
 			}
@@ -94,35 +82,35 @@ func splitNode[P any, E entry[P, E]](n *node[P, E], cfg *Config, coords func(P) 
 		}
 		return half(order[:cut]), half(order[cut:])
 	}
-	order, cut := splitOrder(len(n.entries), func(i int) (lo, hi []float64) { return n.entries[i].bounds() }, cfg.Dim, cfg.MinFanout)
-	return &node[P, E]{entries: gather(n.entries, order[:cut])}, &node[P, E]{entries: gather(n.entries, order[cut:])}
+	order, cut := splitOrder(len(n.entries), func(i int) (lo, hi []float64) { return n.entries[i].Rect.Lo, n.entries[i].Rect.Hi }, cfg.Dim, cfg.MinFanout)
+	return &MultiNode{entries: gather(n.entries, order[:cut])}, &MultiNode{entries: gather(n.entries, order[cut:])}
 }
 
 // countPoints returns the number of observations stored under n.
-func countPoints[P any, E entry[P, E]](n *node[P, E]) int {
+func countPoints(n *MultiNode) int {
 	if n.leaf {
 		return len(n.points)
 	}
 	total := 0
 	for i := range n.entries {
-		total += countPoints(n.entries[i].child())
+		total += countPoints(n.entries[i].Child)
 	}
 	return total
 }
 
 // countNodes returns the number of nodes, inner and leaf, under and
 // including n.
-func countNodes[P any, E entry[P, E]](n *node[P, E]) int {
+func countNodes(n *MultiNode) int {
 	total := 1
 	for i := range n.entries {
-		total += countNodes(n.entries[i].child())
+		total += countNodes(n.entries[i].Child)
 	}
 	return total
 }
 
 // collectWeightedPoints appends every observation under n to pts and its
 // weight (1 for unweighted leaves) to ws, for dissolving subtrees.
-func collectWeightedPoints[P any, E entry[P, E]](n *node[P, E], pts []P, ws []float64) ([]P, []float64) {
+func collectWeightedPoints(n *MultiNode, pts []LabeledPoint, ws []float64) ([]LabeledPoint, []float64) {
 	if n.leaf {
 		pts = append(pts, n.points...)
 		if n.weights != nil {
@@ -134,7 +122,7 @@ func collectWeightedPoints[P any, E entry[P, E]](n *node[P, E], pts []P, ws []fl
 		return pts, ws
 	}
 	for i := range n.entries {
-		pts, ws = collectWeightedPoints(n.entries[i].child(), pts, ws)
+		pts, ws = collectWeightedPoints(n.entries[i].Child, pts, ws)
 	}
 	return pts, ws
 }
@@ -144,7 +132,7 @@ func collectWeightedPoints[P any, E entry[P, E]](n *node[P, E], pts []P, ws []fl
 // only balanced construction promises it: the paper's EMTopDown loader
 // trades it (and balance) for better-shaped clusters — or else one,
 // but in a root leaf.
-func checkShape[P any, E entry[P, E]](n *node[P, E], cfg *Config, isRoot, minFill bool) error {
+func checkShape(n *MultiNode, cfg *Config, isRoot, minFill bool) error {
 	what, have, lo, hi := "leaf occupancy", len(n.points), cfg.MinLeaf, cfg.MaxLeaf
 	if !n.leaf {
 		what, have, lo, hi = "fanout", len(n.entries), cfg.MinFanout, cfg.MaxFanout
@@ -163,10 +151,10 @@ func checkShape[P any, E entry[P, E]](n *node[P, E], cfg *Config, isRoot, minFil
 
 // checkBalanced reports the first pair of leaves at different depths
 // under root.
-func checkBalanced[P any, E entry[P, E]](root *node[P, E]) error {
+func checkBalanced(root *MultiNode) error {
 	depth := -1
-	var walk func(n *node[P, E], d int) error
-	walk = func(n *node[P, E], d int) error {
+	var walk func(n *MultiNode, d int) error
+	walk = func(n *MultiNode, d int) error {
 		if n.leaf {
 			if depth == -1 {
 				depth = d
@@ -176,7 +164,7 @@ func checkBalanced[P any, E entry[P, E]](root *node[P, E]) error {
 			return nil
 		}
 		for i := range n.entries {
-			if err := walk(n.entries[i].child(), d+1); err != nil {
+			if err := walk(n.entries[i].Child, d+1); err != nil {
 				return err
 			}
 		}
@@ -198,11 +186,11 @@ type Stats struct {
 }
 
 // shapeStats walks the tree under root and reports its shape.
-func shapeStats[P any, E entry[P, E]](root *node[P, E]) Stats {
+func shapeStats(root *MultiNode) Stats {
 	s := Stats{MinLeafDepth: math.MaxInt32}
 	var fanoutSum int
-	var walk func(n *node[P, E], depth int)
-	walk = func(n *node[P, E], depth int) {
+	var walk func(n *MultiNode, depth int)
+	walk = func(n *MultiNode, depth int) {
 		s.Nodes++
 		s.Height = max(s.Height, depth+1)
 		if n.leaf {
@@ -214,7 +202,7 @@ func shapeStats[P any, E entry[P, E]](root *node[P, E]) Stats {
 		s.InnerNodes++
 		fanoutSum += len(n.entries)
 		for i := range n.entries {
-			walk(n.entries[i].child(), depth+1)
+			walk(n.entries[i].Child, depth+1)
 		}
 	}
 	walk(root, 0)

@@ -4,12 +4,10 @@ package core
 // instead of container/heap because the interface-based API boxes every
 // pushed and popped element — one allocation per frontier entry on the
 // query hot path. Items order by item.before (highest priority first,
-// FIFO seq tie-break, a total order): one concrete method whatever the
-// payload, so the comparison inlines instead of going through a type
-// parameter's dictionary.
-type pheap[T any] []item[T]
+// FIFO seq tie-break, a total order).
+type pheap []item
 
-func (h *pheap[T]) push(e item[T]) {
+func (h *pheap) push(e item) {
 	*h = append(*h, e)
 	s := *h
 	i := len(s) - 1
@@ -23,12 +21,11 @@ func (h *pheap[T]) push(e item[T]) {
 	}
 }
 
-func (h *pheap[T]) pop() item[T] {
+func (h *pheap) pop() item {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n] = item[T]{} // release node pointers held in the vacated slot
 	s = s[:n]
 	*h = s
 	s.fixTop()
@@ -37,7 +34,7 @@ func (h *pheap[T]) pop() item[T] {
 
 // fixTop restores the heap order after the top item moved back in it:
 // it was replaced, or its priority fell.
-func (s pheap[T]) fixTop() {
+func (s pheap) fixTop() {
 	n := len(s)
 	i := 0
 	for {

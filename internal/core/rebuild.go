@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"bayestree/internal/stats"
 )
 
 // This file provides the constructors a snapshot decoder needs to
@@ -31,12 +33,12 @@ func validateWeights(weights []float64, points int) error {
 }
 
 // checkNodes runs check on every node under n.
-func checkNodes[P any, E entry[P, E]](n *node[P, E], isRoot bool, check func(*node[P, E], bool) error) error {
+func checkNodes(n *MultiNode, isRoot bool, check func(*MultiNode, bool) error) error {
 	if err := check(n, isRoot); err != nil {
 		return err
 	}
 	for i := range n.entries {
-		child := n.entries[i].child()
+		child := n.entries[i].Child
 		if child == nil {
 			return fmt.Errorf("core: rebuild inner entry with nil child")
 		}
@@ -50,10 +52,11 @@ func checkNodes[P any, E entry[P, E]](n *node[P, E], isRoot bool, check func(*no
 // deriveEntries overwrites every inner entry under n with
 // summarize(child), bottom-up; checkShape has held every subtree
 // non-empty, so no derived MBR is.
-func deriveEntries[P any, E entry[P, E]](n *node[P, E], summarize func(*node[P, E]) E) {
+func (t *MultiTree) deriveEntries(n *MultiNode) {
 	for i := range n.entries {
-		deriveEntries(n.entries[i].child(), summarize)
-		n.entries[i] = summarize(n.entries[i].child())
+		child := n.entries[i].Child
+		t.deriveEntries(child)
+		n.entries[i] = t.summarize(child)
 	}
 }
 
@@ -62,10 +65,8 @@ func checkPoint(x []float64, dim int) error {
 	if len(x) != dim {
 		return fmt.Errorf("core: point dim %d != tree dim %d", len(x), dim)
 	}
-	for i, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("core: non-finite coordinate %d", i)
-		}
+	if err := stats.CheckPoint(x); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }
@@ -148,5 +149,5 @@ func RebuildMultiTree(cfg Config, mopts MultiOptions, labels []int, root *MultiN
 	if err != nil {
 		return nil, nil, err
 	}
-	return t, func() { deriveEntries(root, t.summarize) }, nil
+	return t, func() { t.deriveEntries(root) }, nil
 }

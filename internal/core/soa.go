@@ -87,7 +87,6 @@ type soaNode struct {
 	child  []int32 // mirror index of the entry's child
 	rectLo []float64
 	rectHi []float64
-	logEnt []float64 // ln(1 + class entropy), for EntropyPriority
 
 	// Leaf, per point slot (slot*dim+d for the centres).
 	pts      []float64
@@ -125,7 +124,7 @@ func (s *multiSoA) bytes() int64 {
 	floats, ints := 0, cap(s.free)
 	for i := range s.nodes {
 		nd := &s.nodes[i]
-		floats += 3*len(nd.means) + 2*len(nd.logN) + 2*len(nd.rectLo) + len(nd.logEnt) + len(nd.pts) + len(nd.ptLogW)
+		floats += 3*len(nd.means) + 2*len(nd.logN) + 2*len(nd.rectLo) + len(nd.pts) + len(nd.ptLogW)
 		ints += len(nd.child) + len(nd.classOff)
 	}
 	const indexEntry = 16 // a map slot: key pointer, int32 value, bucket overhead
@@ -226,7 +225,7 @@ func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode) {
 	k := len(n.entries)
 	if nd.leaf || len(nd.child) != k {
 		slots := nc * k
-		block := make([]float64, slots*(3*dim+2)+k*(2*dim+1))
+		block := make([]float64, slots*(3*dim+2)+k*2*dim)
 		*nd = soaNode{
 			means:   carve(&block, slots*dim),
 			invVar:  carve(&block, slots*dim),
@@ -236,7 +235,6 @@ func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode) {
 			child:   make([]int32, k),
 			rectLo:  carve(&block, k*dim),
 			rectHi:  carve(&block, k*dim),
-			logEnt:  carve(&block, k),
 		}
 	}
 	for e := range n.entries {
@@ -247,13 +245,11 @@ func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode) {
 	}
 }
 
-// fillBounds writes entry e's per-entry values: its rectangle and the
-// entropy term of its class counts.
+// fillBounds writes entry e's rectangle.
 func (s *multiSoA) fillBounds(nd *soaNode, e int, en *MultiEntry) {
 	dim := s.dim
 	copy(nd.rectLo[e*dim:e*dim+dim], en.Rect.Lo)
 	copy(nd.rectHi[e*dim:e*dim+dim], en.Rect.Hi)
-	nd.logEnt[e] = math.Log1p(multiEntryEntropy(en))
 }
 
 // fillSlots writes classes [lo, hi) of entry e: each one's Gaussian,
@@ -333,27 +329,6 @@ func (s *multiSoA) fillLeaf(t *MultiTree, n *MultiNode, nd *soaNode) {
 			nd.ptLogW[slot] = 0
 		}
 	}
-}
-
-// multiEntryEntropy returns the class-label entropy (nats) of an
-// entry's per-class counts.
-func multiEntryEntropy(e *MultiEntry) float64 {
-	var total float64
-	for c := range e.CFs {
-		total += e.CFs[c].N
-	}
-	if total <= 0 {
-		return 0
-	}
-	var h float64
-	for c := range e.CFs {
-		if e.CFs[c].N <= 0 {
-			continue
-		}
-		p := e.CFs[c].N / total
-		h -= p * math.Log(p)
-	}
-	return h
 }
 
 // ---------------------------------------------------------------------
@@ -469,7 +444,7 @@ func (q *MultiQuery) refineSoA(idx int) {
 // offset.
 func (q *MultiQuery) grow() int {
 	off := len(q.terms)
-	q.terms = append(q.terms, make([]float64, 2*len(q.accs)+2)...)
+	q.terms = append(q.terms, make([]float64, 2*len(q.accs)+1)...)
 	return off
 }
 
@@ -477,11 +452,11 @@ func (q *MultiQuery) grow() int {
 // keyed for the descent: no key for breadth- and depth-first, −MINDIST²
 // for geometric, and for probabilistic the upper bound m + ceilLn[n] of
 // the log-sum-exp of its n finite terms (m their largest, whose exp is 1
-// in the sum and every other ≤ 1), its lower bound m kept in the arena;
-// both plus the entropy term under EntropyPriority. n ≤ 1 is exact.
+// in the sum and every other ≤ 1), its lower bound m kept in the arena.
+// n ≤ 1 is exact.
 func (q *MultiQuery) push(off int, nd *soaNode, e int) {
 	nc := len(q.accs)
-	var key, lo, ent float64
+	var key, lo float64
 	switch {
 	case q.opts.Strategy != DescentGlobal:
 	case q.opts.Priority == PriorityGeometric:
@@ -496,12 +471,9 @@ func (q *MultiQuery) push(off int, nd *soaNode, e int) {
 				m = max(m, tm)
 			}
 		}
-		if q.t.mopts.EntropyPriority {
-			ent = nd.logEnt[e]
-		}
-		key, lo = m+q.ceilLn[n]+ent, m+ent
+		key, lo = m+q.ceilLn[n], m
 	}
-	q.terms[off+2*nc], q.terms[off+2*nc+1] = ent, lo
+	q.terms[off+2*nc] = lo
 	q.front.push(key, multiRef{termOff: int32(off), node: nd.child[e]})
 }
 
@@ -525,12 +497,12 @@ func (q *MultiQuery) settle() {
 	for len(h) > 0 {
 		top := &h[0]
 		off := int(top.payload.termOff)
-		lo := q.terms[off+2*nc+1]
+		lo := q.terms[off+2*nc]
 		if lo == top.prio || ((len(h) < 2 || lo > h[1].prio) && (len(h) < 3 || lo > h[2].prio)) {
 			return
 		}
-		exact := stats.LogSumExp(q.terms[off:off+nc]) + q.terms[off+2*nc]
-		q.terms[off+2*nc+1], top.prio = exact, exact
+		exact := stats.LogSumExp(q.terms[off : off+nc])
+		q.terms[off+2*nc], top.prio = exact, exact
 		h.fixTop()
 	}
 }

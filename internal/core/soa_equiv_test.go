@@ -82,9 +82,6 @@ func (o *oracleQuery) pushEntry(e *MultiEntry) {
 			}
 		}
 		prio = stats.LogSumExp(finite)
-		if o.t.mopts.EntropyPriority {
-			prio += math.Log1p(multiEntryEntropy(e))
-		}
 	}
 	o.front.push(prio, el)
 }
@@ -138,7 +135,7 @@ func bitsEqual(a, b []float64) bool {
 
 // nextRef is the element the frontier's next pop returns (a lazy heap
 // must have been settled first).
-func nextRef(f *frontier[multiRef]) (multiRef, bool) {
+func nextRef(f *frontier) (multiRef, bool) {
 	switch {
 	case f.exhausted():
 		return multiRef{}, false
@@ -226,7 +223,7 @@ func checkLazyKeys(t *testing.T, ctx string, step int, qe *oracleQuery, qs *Mult
 	nc := len(qs.accs)
 	for _, it := range qs.front.heap {
 		p, ok := exact[treeNode[it.payload.node]]
-		lo := qs.terms[int(it.payload.termOff)+2*nc+1]
+		lo := qs.terms[int(it.payload.termOff)+2*nc]
 		if !ok || !(lo <= p && p <= it.prio) || lo == it.prio && p != it.prio {
 			t.Fatalf("%s: step %d: element keyed %v, lower bound %v, exact priority %v (in the oracle's frontier: %v)", ctx, step, it.prio, lo, p, ok)
 		}
@@ -240,7 +237,7 @@ func soaVariants() (strategies []Strategy, priorities []Priority) {
 
 func TestSoAEquivalenceMultiTree(t *testing.T) {
 	strategies, priorities := soaVariants()
-	for _, mo := range []MultiOptions{{}, {PooledVariance: true}, {EntropyPriority: true}} {
+	for _, mo := range []MultiOptions{{}, {PooledVariance: true}} {
 		xs, ys := twoClassData(400, 7)
 		mt := buildMultiTree(t, xs, ys, mo)
 		queries, _ := twoClassData(12, 8)
@@ -304,12 +301,11 @@ func lazyOrderData(rng *rand.Rand) (xs [][]float64, ys []int) {
 // can break: 6 of 7 classes present (sweeps of 14–35 rows, every
 // remainder of the sweep's four-row loop), exact priority ties, entries
 // whose log-sum-exp equals its upper or lower bound, accumulators that
-// rescale mid-descent, missing values, PooledVariance and
-// EntropyPriority. Every step is compared: scores bitwise, the node
-// read and every lazy key.
+// rescale mid-descent, missing values and PooledVariance. Every step is
+// compared: scores bitwise, the node read and every lazy key.
 func TestSoAEquivalenceLazyOrder(t *testing.T) {
 	var total lockstep
-	for _, mo := range []MultiOptions{{}, {PooledVariance: true}, {EntropyPriority: true}} {
+	for _, mo := range []MultiOptions{{}, {PooledVariance: true}} {
 		rng := rand.New(rand.NewSource(5))
 		xs, ys := lazyOrderData(rng)
 		mt, err := NewMultiTree(smallConfig(5), []int{0, 1, 2, 3, 4, 5, 6}, mo)
@@ -367,27 +363,6 @@ func checkKernelEquivalence(t *testing.T, k kernels.Kernel) {
 
 func TestSoAEquivalenceEpanechnikov(t *testing.T) {
 	checkKernelEquivalence(t, kernels.Epanechnikov{})
-}
-
-// slowGaussian is the Gaussian kernel stripped of kernels.Freezer, as a
-// kernel written outside this repository would come: FreezeKernel wraps
-// it in the pass-through adapter, whose sweep goes row by row.
-type slowGaussian struct{}
-
-func (slowGaussian) LogDensity(x, center, h []float64) float64 {
-	return kernels.Gaussian{}.LogDensity(x, center, h)
-}
-
-func (slowGaussian) LogDensityObs(x, center, h []float64, obs []int) float64 {
-	return kernels.Gaussian{}.LogDensityObs(x, center, h, obs)
-}
-
-func (slowGaussian) Name() string { return "slow-gaussian" }
-
-// TestSoAEquivalenceCustomKernel: a kernel that freezes nothing is served
-// through the mirror like any other, bitwise the oracle.
-func TestSoAEquivalenceCustomKernel(t *testing.T) {
-	checkKernelEquivalence(t, slowGaussian{})
 }
 
 // TestSoAEquivalenceUnderMutation is the randomized interleaving

@@ -63,7 +63,7 @@ func checkMirrorIsFreshBuild(t *testing.T, ctx string, mt *MultiTree) {
 		for name, pair := range map[string][2][]float64{
 			"means": {got.means, want.means}, "invVar": {got.invVar, want.invVar}, "logVar": {got.logVar, want.logVar},
 			"logNorm": {got.logNorm, want.logNorm}, "logN": {got.logN, want.logN},
-			"rectLo": {got.rectLo, want.rectLo}, "rectHi": {got.rectHi, want.rectHi}, "logEnt": {got.logEnt, want.logEnt},
+			"rectLo": {got.rectLo, want.rectLo}, "rectHi": {got.rectHi, want.rectHi},
 		} {
 			if !bitsEqual(pair[0], pair[1]) {
 				t.Fatalf("%s: inner node %d: %s differs from the fresh build's", ctx, idx, name)
@@ -99,7 +99,7 @@ func TestSoARepairMatchesFreshBuild(t *testing.T) {
 	for ci, cfg := range []Config{narrow, smallConfig(3), DefaultConfig(3)} {
 		for seed := int64(1); seed <= 2; seed++ {
 			rng := rand.New(rand.NewSource(100*int64(ci) + seed))
-			mo := []MultiOptions{{}, {PooledVariance: true}, {EntropyPriority: true}}[(ci+int(seed))%3]
+			mo := MultiOptions{PooledVariance: (ci+int(seed))%2 == 1}
 			mt, err := NewMultiTree(cfg, []int{0, 1, 2}, mo)
 			if err != nil {
 				t.Fatal(err)

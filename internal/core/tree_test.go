@@ -248,6 +248,7 @@ func TestValidateCatchesPlantedDamage(t *testing.T) {
 		{"class LS", func(e *MultiEntry) { e.CFs[1].LS[0] += 1e-3 }},
 		{"pooled LS", func(e *MultiEntry) { e.Total.LS[1] += 1e-3 }},
 		{"class SS", func(e *MultiEntry) { e.CFs[0].SS[0] += 1 }},
+		{"infinite class SS", func(e *MultiEntry) { e.CFs[0].SS[1] = math.Inf(1) }},
 		{"nil child", func(e *MultiEntry) { e.Child = nil }},
 		{"inverted rect", func(e *MultiEntry) { e.Rect.Lo[0], e.Rect.Hi[0] = e.Rect.Hi[0]+1, e.Rect.Lo[0] }},
 	} {
@@ -265,6 +266,18 @@ func TestValidateCatchesPlantedDamage(t *testing.T) {
 		if err := mt.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a damaged entry", damage.name)
 		}
+	}
+	// A stored coordinate whose square overflows: every entry is the sum
+	// of its subtree, and the sums along its path are infinite.
+	mt := buildMultiTree(t, xs, ys, MultiOptions{})
+	leaf := mt.root
+	for !leaf.leaf {
+		leaf = leaf.entries[0].Child
+	}
+	leaf.points[0].X[0] = 1e200
+	mt.deriveEntries(mt.root)
+	if err := mt.Validate(); err == nil {
+		t.Error("Validate accepted a tree whose features are infinite")
 	}
 	b, err := NewBuilder(smallConfig(2), 0)
 	if err != nil {

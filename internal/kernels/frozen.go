@@ -32,44 +32,6 @@ type FrozenKernel interface {
 	SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64)
 }
 
-// Freezer is implemented by kernels that can precompute their
-// bandwidth-derived factors.
-type Freezer interface {
-	FreezeBandwidth(h []float64) FrozenKernel
-}
-
-// FreezeKernel returns a frozen evaluator for the kernel at bandwidths h.
-// Kernels that do not implement Freezer are wrapped in a pass-through
-// adapter, so callers can freeze unconditionally.
-func FreezeKernel(k Kernel, h []float64) FrozenKernel {
-	if f, ok := k.(Freezer); ok {
-		return f.FreezeBandwidth(h)
-	}
-	return passthroughKernel{k: k, h: h}
-}
-
-type passthroughKernel struct {
-	k Kernel
-	h []float64
-}
-
-func (p passthroughKernel) LogDensity(x, center []float64) float64 {
-	return p.k.LogDensity(x, center, p.h)
-}
-
-func (p passthroughKernel) LogDensityObs(x, center []float64, obs []int) float64 {
-	return p.k.LogDensityObs(x, center, p.h, obs)
-}
-
-// SweepLogDensityObs sweeps row by row through the wrapped kernel: a
-// kernel that precomputes nothing has no flat loop to offer, only the
-// block layout to honour.
-func (p passthroughKernel) SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64) {
-	for j := 0; j < count; j++ {
-		out[j] = p.k.LogDensityObs(x, centers[j*dim:j*dim+dim], p.h, obs)
-	}
-}
-
 // frozenGaussianKernel holds 1/h², ln h² and the full-dimensional
 // log-normaliser −½(D·ln 2π + Σ ln h²).
 type frozenGaussianKernel struct {
@@ -78,7 +40,7 @@ type frozenGaussianKernel struct {
 	logNorm float64
 }
 
-// FreezeBandwidth implements Freezer.
+// FreezeBandwidth implements Kernel.
 func (Gaussian) FreezeBandwidth(h []float64) FrozenKernel {
 	f := frozenGaussianKernel{
 		invVar: make([]float64, len(h)),
@@ -130,7 +92,7 @@ type frozenEpanechnikov struct {
 	sumLQ float64
 }
 
-// FreezeBandwidth implements Freezer.
+// FreezeBandwidth implements Kernel.
 func (Epanechnikov) FreezeBandwidth(h []float64) FrozenKernel {
 	f := frozenEpanechnikov{
 		invS: make([]float64, len(h)),

@@ -16,6 +16,9 @@ import (
 )
 
 // Kernel evaluates the density contribution of a single training object.
+// LogDensity and LogDensityObs are the unfrozen references; a query
+// scores its leaves through the kernel frozen at its bandwidths
+// (frozen.go), which agrees with them to rounding.
 type Kernel interface {
 	// LogDensity returns the log of the kernel density at x for a kernel
 	// centred at center with per-dimension bandwidths h (standard
@@ -26,6 +29,9 @@ type Kernel interface {
 	// missing-value support of Section 4.2. Product kernels marginalise
 	// by dropping dimensions.
 	LogDensityObs(x, center, h []float64, obs []int) float64
+	// FreezeBandwidth returns the kernel with its bandwidth-derived
+	// factors for bandwidths h precomputed (frozen.go).
+	FreezeBandwidth(h []float64) FrozenKernel
 	// Name identifies the kernel in reports and flags.
 	Name() string
 }
@@ -77,19 +83,6 @@ func (g Gaussian) LogDensityObs(x, center, h []float64, obs []int) float64 {
 		logDet += math.Log(v)
 	}
 	return -0.5 * (float64(len(obs))*log2Pi + logDet + quad)
-}
-
-// Variance returns the kernel's covariance diagonal h², letting the tree
-// treat a Gaussian kernel exactly like a tiny cluster-feature Gaussian.
-func (Gaussian) Variance(h []float64) []float64 {
-	out := make([]float64, len(h))
-	for i, hv := range h {
-		if hv <= 0 {
-			hv = math.Sqrt(stats.VarianceFloor)
-		}
-		out[i] = hv * hv
-	}
-	return out
 }
 
 // Epanechnikov is the product Epanechnikov kernel

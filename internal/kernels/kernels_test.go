@@ -75,16 +75,6 @@ func TestGaussianSymmetry(t *testing.T) {
 	}
 }
 
-func TestGaussianVarianceHelper(t *testing.T) {
-	v := Gaussian{}.Variance([]float64{2, 0})
-	if v[0] != 4 {
-		t.Errorf("Variance[0] = %v, want 4", v[0])
-	}
-	if v[1] <= 0 {
-		t.Errorf("degenerate bandwidth not floored: %v", v[1])
-	}
-}
-
 func TestZeroBandwidthSafe(t *testing.T) {
 	for _, k := range []Kernel{Gaussian{}, Epanechnikov{}} {
 		ld := k.LogDensity([]float64{0}, []float64{0}, []float64{0})

@@ -12,35 +12,6 @@ import (
 // bitwise what the per-row method returns, with all dimensions observed
 // (nil obs), some, or none (empty obs).
 
-// triangle is a product kernel that implements neither Freezer nor a
-// sweep of its own: FreezeKernel serves it through the pass-through
-// adapter.
-type triangle struct{}
-
-func (triangle) Name() string { return "triangle" }
-
-func (k triangle) LogDensity(x, center, h []float64) float64 {
-	return k.LogDensityObs(x, center, h, nil)
-}
-
-func (triangle) LogDensityObs(x, center, h []float64, obs []int) float64 {
-	if obs == nil {
-		for i := range x {
-			obs = append(obs, i)
-		}
-	}
-	var logp float64
-	for _, i := range obs {
-		s := h[i] * math.Sqrt(6)
-		u := math.Abs(x[i]-center[i]) / s
-		if u >= 1 {
-			return math.Inf(-1)
-		}
-		logp += math.Log((1 - u) / s)
-	}
-	return logp
-}
-
 // sweepCase draws a query, a flat block of centres around it — a few of
 // them far outside any compact kernel's support — and the obs masks.
 func sweepCase(rng *rand.Rand, dim, count int) (x, centers []float64, masks [][]int) {
@@ -67,7 +38,7 @@ func sweepCase(rng *rand.Rand, dim, count int) (x, centers []float64, masks [][]
 
 func TestSweepLogDensityObsMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, k := range []Kernel{Gaussian{}, Epanechnikov{}, triangle{}} {
+	for _, k := range []Kernel{Gaussian{}, Epanechnikov{}} {
 		for _, dim := range []int{1, 3, 16} {
 			const count = 24
 			x, centers, masks := sweepCase(rng, dim, count)
@@ -75,7 +46,7 @@ func TestSweepLogDensityObsMatchesPerRow(t *testing.T) {
 			for i := range h {
 				h[i] = 0.2 + rng.Float64()
 			}
-			f := FreezeKernel(k, h)
+			f := k.FreezeBandwidth(h)
 			for _, obs := range masks {
 				out := make([]float64, count)
 				f.SweepLogDensityObs(x, centers, count, dim, obs, out)

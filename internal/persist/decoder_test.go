@@ -223,7 +223,7 @@ func smallClusTree(tb testing.TB, lambda float64) *clustree.Tree {
 func snapshotCorpus(tb testing.TB) []sample {
 	tb.Helper()
 	clf, _ := trainClassifier(tb, 9, core.ClassifierOptions{Strategy: core.DescentBFT})
-	mt, _ := buildMultiTree(tb, 5, core.MultiOptions{PooledVariance: true, EntropyPriority: true})
+	mt, _ := buildMultiTree(tb, 5, core.MultiOptions{PooledVariance: true})
 	small, smallDecayed := smallMultiTree(tb, false), smallMultiTree(tb, true)
 	pressed, tiny := buildClusTree(tb, 31, 0.003), smallClusTree(tb, 0.01)
 	history := func(tree *clustree.Tree, every int) *clustree.SnapshotStore {
@@ -264,7 +264,10 @@ func snapshotCorpus(tb testing.TB) []sample {
 // each kind framed as version 1 and as version 2, and well-formed
 // version-3 frames of the retired kinds 1 (a forest of the retired
 // per-class tree type, written by the last build that had it:
-// testdata/kind-1.snap), 2 (one multi-class tree) and 4 (one ClusTree).
+// testdata/kind-1.snap), 2 (one multi-class tree) and 4 (one ClusTree),
+// and a set of kind 3 whose tree has the retired entropy-priority flag
+// set (written by the last build that had the option:
+// testdata/kind-3-entropy.snap).
 func retiredSnapshots(tb testing.TB) []sample {
 	tb.Helper()
 	small, tiny := smallMultiTree(tb, true), smallClusTree(tb, 0.01)
@@ -281,11 +284,14 @@ func retiredSnapshots(tb testing.TB) []sample {
 	one = &encoder{p: []byte{4}}
 	one.clusTree(tiny, tiny.Dump())
 	out = append(out, sample{"kind-4", frame(Version, one.p)})
-	kind1, err := os.ReadFile(filepath.Join("testdata", "kind-1.snap"))
-	if err != nil {
-		tb.Fatal(err)
+	for _, name := range []string{"kind-1", "kind-3-entropy"} {
+		snap, err := os.ReadFile(filepath.Join("testdata", name+".snap"))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, sample{name, snap})
 	}
-	return append(out, sample{"kind-1", kind1})
+	return out
 }
 
 // forgedStoreTimes is cluster sets whose pyramidal store lists a last

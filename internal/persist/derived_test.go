@@ -170,7 +170,7 @@ func derivedCorpus(tb testing.TB) []struct {
 		out = append(out, named{"forest-" + loader.Name(), clf})
 	}
 	out = append(out, named{"forest-decayed", decayedForest(tb)}, named{"forest-decayed-small", smallForest(tb)})
-	for _, mo := range []core.MultiOptions{{}, {PooledVariance: true}, {EntropyPriority: true}, {PooledVariance: true, EntropyPriority: true}} {
+	for _, mo := range []core.MultiOptions{{}, {PooledVariance: true}} {
 		mt, _ := buildMultiTree(tb, 5, mo)
 		out = append(out, named{fmt.Sprintf("multitree-%+v", mo), []*core.MultiTree{mt}})
 	}

@@ -324,7 +324,9 @@ func (d *oracleDecoder) multiTree(balanced bool) *core.MultiTree {
 	dopts, epoch, ref := d.decayState()
 	var mopts core.MultiOptions
 	mopts.PooledVariance = d.boolv()
-	mopts.EntropyPriority = d.boolv()
+	if d.boolv() {
+		d.fail("entropy-weighted descent priority is retired")
+	}
 	nl := d.count(8)
 	labels := make([]int, nl)
 	for i := range labels {

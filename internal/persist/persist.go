@@ -391,7 +391,7 @@ func (e *encoder) multiTree(t *core.MultiTree) {
 	e.decayState(t.DecayState())
 	mopts := t.Options()
 	e.boolv(mopts.PooledVariance)
-	e.boolv(mopts.EntropyPriority)
+	e.boolv(false) // the retired entropy-priority flag
 	labels := t.Labels()
 	e.u64(uint64(len(labels)))
 	for _, l := range labels {
@@ -742,7 +742,9 @@ func (d *decoder) multiTree(balanced bool) *core.MultiTree {
 	dopts, epoch, ref := d.decayState()
 	var mopts core.MultiOptions
 	mopts.PooledVariance = d.boolv()
-	mopts.EntropyPriority = d.boolv()
+	if d.boolv() {
+		d.fail("entropy-weighted descent priority is retired")
+	}
 	nl := d.count(8)
 	labels := make([]int, nl)
 	for i := range labels {

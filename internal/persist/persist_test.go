@@ -148,7 +148,7 @@ func roundTripMultiTree(t *testing.T, mt *core.MultiTree) *core.MultiTree {
 func TestMultiTreeRoundTripDigitIdentical(t *testing.T) {
 	for _, mopts := range []core.MultiOptions{
 		{},
-		{PooledVariance: true, EntropyPriority: true},
+		{PooledVariance: true},
 	} {
 		mt, xs := buildMultiTree(t, 5, mopts)
 		got := roundTripMultiTree(t, mt)
@@ -266,10 +266,12 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestRetiredSnapshotsRefused: a snapshot framed as version 1 or 2 is
-// refused by all three decoders — and the oracle — with ErrVersion, and a
+// refused by all three decoders — and the oracle — with ErrVersion, a
 // well-formed version-3 frame of a retired kind (1, a forest of the
 // retired per-class tree type; 2, one multi-class tree; 4, one ClusTree)
-// with the wrong-kind error.
+// with the wrong-kind error, and a set whose tree asks for the retired
+// entropy-weighted descent priority by its decoder with that option's
+// error.
 func TestRetiredSnapshotsRefused(t *testing.T) {
 	for _, s := range retiredSnapshots(t) {
 		version, kind := binary.LittleEndian.Uint32(s.snap[4:]), payloadOf(s.snap)[0]
@@ -279,11 +281,15 @@ func TestRetiredSnapshotsRefused(t *testing.T) {
 			if m != nil {
 				t.Fatalf("%s: accepted by the %s decoder", s.name, c.name)
 			}
-			switch wrongKind := fmt.Sprintf("snapshot kind %d, want %d", kind, c.kind); {
+			want := fmt.Sprintf("snapshot kind %d, want %d", kind, c.kind)
+			if kind == c.kind {
+				want = "entropy-weighted descent priority is retired"
+			}
+			switch {
 			case version != Version && !errors.Is(err, ErrVersion):
 				t.Fatalf("%s: the %s decoder says %v, want ErrVersion", s.name, c.name, err)
-			case version == Version && (err == nil || !strings.Contains(err.Error(), wrongKind)):
-				t.Fatalf("%s: the %s decoder says %v, want %q", s.name, c.name, err, wrongKind)
+			case version == Version && (err == nil || !strings.Contains(err.Error(), want)):
+				t.Fatalf("%s: the %s decoder says %v, want %q", s.name, c.name, err, want)
 			}
 			checkAgainstOracle(t, c, s.snap)
 		}

@@ -11,6 +11,7 @@ import (
 	"bayestree/internal/core"
 	"bayestree/internal/persist"
 	"bayestree/internal/replica"
+	"bayestree/internal/stats"
 	"bayestree/internal/wire"
 )
 
@@ -212,7 +213,7 @@ func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.Snapsho
 			if err == nil {
 				// A record can frame what JSON cannot; refuse it before it
 				// is logged again or moves the clock.
-				err = checkFinite(x)
+				err = stats.CheckPoint(x)
 			}
 			if err != nil {
 				return 0, nil, nil, err
@@ -293,7 +294,7 @@ func (s *ClusterServer) insertResolved(x []float64, requested int) (ClusterResul
 	if len(x) != s.ccfg.Dim {
 		return ClusterResult{}, fmt.Errorf("server: point dim %d != model dim %d", len(x), s.ccfg.Dim)
 	}
-	if err := checkFinite(x); err != nil {
+	if err := stats.CheckPoint(x); err != nil {
 		return ClusterResult{}, err
 	}
 	if err := s.writeAllowed(); err != nil {
@@ -375,17 +376,6 @@ func (s *ClusterServer) appendMicroClusters(dst []clustree.MicroCluster, minWeig
 	return dst
 }
 
-// MacroClusters runs the density-based offline step over the union
-// micro-clusters: cores (weight ≥ minWeight) within eps connect,
-// lighter micro-clusters join the nearest core, the rest are noise.
-// It returns the macro clusters, the noise indices and the
-// micro-cluster set they index into.
-func (s *ClusterServer) MacroClusters(eps, minWeight float64) ([]clustree.MacroCluster, []int, []clustree.MicroCluster) {
-	mcs := s.MicroClusters(0)
-	macros, noise := clustree.MacroClusters(mcs, clustree.MacroOptions{Eps: eps, MinWeight: minWeight})
-	return macros, noise, mcs
-}
-
 // Window returns the micro-clusters of the data that arrived between
 // the retained pyramidal snapshots closest to t1 and t2 (CF
 // subtractivity), or an error when the store is disabled or empty.
@@ -420,45 +410,6 @@ func (s *ClusterServer) ApproxBytes() int64 {
 	}
 	return total
 }
-
-// ClassifyBatchBudgets implements stream.Engine for the clustering
-// workload. The anytime operation of a ClusTree is insertion, so the
-// batch path ingests: xs[i] descends with budget budgets[i] (literal,
-// as the Engine contract requires — 0 parks at the root), each object
-// passing the admission controller individually. The returned
-// "prediction" is the shard each object was routed to. Together with
-// Learn this lets stream.RunBatch drive clustering ingest with budgets
-// drawn from the arrival process, exactly as it drives classification.
-func (s *ClusterServer) ClassifyBatchBudgets(xs [][]float64, budgets []int, workers int) ([]int, error) {
-	if len(budgets) != len(xs) {
-		return nil, fmt.Errorf("server: %d budgets for %d objects", len(budgets), len(xs))
-	}
-	shards := make([]int, len(xs))
-	errs := make([]error, len(xs))
-	if workers <= 0 {
-		workers = 1
-	}
-	core.ForEach(len(xs), workers, func(i int) {
-		res, err := s.insertResolved(xs[i], s.cfg.CapBudget(budgets[i]))
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		shards[i] = res.Shard
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return shards, nil
-}
-
-// Learn implements stream.Engine as a no-op: clustering is unsupervised
-// and the object was already ingested by the batch pass above. It
-// exists so stream.WithDecayEvery can tick the maintenance sweep once
-// per n labelled objects, adapting decay pruning to stream position.
-func (s *ClusterServer) Learn(x []float64, label int) error { return nil }
 
 // ClusterStats extends the shared engine Stats with the clustering
 // workload's own observables.

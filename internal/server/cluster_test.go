@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"bayestree/internal/clustree"
-	"bayestree/internal/core"
-	"bayestree/internal/stream"
 )
 
 // clusterPoint draws an observation from one of two well-separated
@@ -46,7 +44,8 @@ func TestClusterIngestAndMacro(t *testing.T) {
 				t.Fatalf("insert: %v", err)
 			}
 		}
-		macros, _, mcs := cs.MacroClusters(0.15, 5)
+		mcs := cs.MicroClusters(0)
+		macros, _ := clustree.MacroClusters(mcs, clustree.MacroOptions{Eps: 0.15, MinWeight: 5})
 		if len(mcs) == 0 {
 			t.Fatalf("%d shards: no micro-clusters after 2000 inserts", shards)
 		}
@@ -191,60 +190,6 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 	// The reloaded server must be live: further ingest works.
 	if _, err := re.Insert([]float64{0.5, 0.5}, -1); err != nil {
 		t.Fatalf("insert after reload: %v", err)
-	}
-}
-
-// TestClusterStreamEngine drives clustering ingest through
-// stream.RunBatch with budgets drawn from a bursty arrival process, and
-// WithDecayEvery ticking the maintenance sweep — the drifting-stream
-// regime: after the source moves, the decayed model must follow it.
-func TestClusterStreamEngine(t *testing.T) {
-	ccfg := clustree.DefaultConfig(2)
-	ccfg.Lambda = 0.004
-	cs, err := NewCluster(ccfg, 2, Config{
-		DefaultBudget: 8,
-		Decay:         core.DecayOptions{Lambda: 0.004, MinWeight: 0.2},
-	}, ClusterOptions{SnapshotEvery: -1})
-	if err != nil {
-		t.Fatalf("new cluster server: %v", err)
-	}
-	var _ stream.Engine = cs        // compile-time interface checks
-	var _ stream.DecayAdvancer = cs //
-
-	rng := rand.New(rand.NewSource(9))
-	items := make([]stream.Item, 3000)
-	for i := range items {
-		src := 0
-		if i >= 1500 {
-			src = 1 // the concept moves half-way through
-		}
-		items[i] = stream.Item{X: clusterPoint(rng, src), Labeled: true}
-	}
-	eng := stream.WithDecayEvery(cs, 200)
-	res, err := stream.RunBatch(eng, items, stream.Poisson{Rate: 100},
-		stream.Budgeter{NodesPerSecond: 400, MaxNodes: 16}, 13, 64, 4)
-	if err != nil {
-		t.Fatalf("run batch: %v", err)
-	}
-	if res.Processed != 3000 || cs.Len() != 3000 {
-		t.Fatalf("processed %d, server ingested %d, want 3000", res.Processed, cs.Len())
-	}
-	if cs.Stats().DecayEpoch == 0 {
-		t.Fatal("WithDecayEvery never ticked the maintenance sweep")
-	}
-	// After drift + decay the dominant mass must sit at the new source.
-	macros, _, _ := cs.MacroClusters(0.15, 3)
-	if len(macros) == 0 {
-		t.Fatal("no macro clusters after drift run")
-	}
-	best := macros[0]
-	for _, m := range macros {
-		if m.Weight > best.Weight {
-			best = m
-		}
-	}
-	if math.Hypot(best.Mean[0]-0.8, best.Mean[1]-0.7) > 0.1 {
-		t.Fatalf("dominant macro cluster at %v; decayed model did not follow the drift to (0.8, 0.7)", best.Mean)
 	}
 }
 

@@ -641,8 +641,8 @@ func TestDurableRecordRejectedBeforeLogging(t *testing.T) {
 // TestClusterNonFiniteRejectedBeforeLogging: a NaN or ±Inf coordinate —
 // which JSON cannot carry but an in-process caller or a framed record
 // can — is refused before the clock ticks and before the log is
-// appended to, through every way in: Insert, the batch engine, and a
-// well-framed record offered for replay or replication. Merged into a
+// appended to, through every way in: Insert and a well-framed record
+// offered for replay or replication. Merged into a
 // micro-cluster it would turn every mean above it into NaN for good.
 func TestClusterNonFiniteRejectedBeforeLogging(t *testing.T) {
 	dir := t.TempDir()
@@ -680,9 +680,6 @@ func TestClusterNonFiniteRejectedBeforeLogging(t *testing.T) {
 		x := []float64{0.5, bad}
 		if _, err := s.Insert(x, 4); err == nil {
 			t.Fatalf("Insert accepted %v", x)
-		}
-		if _, err := s.ClassifyBatchBudgets([][]float64{x}, []int{4}, 1); err == nil {
-			t.Fatalf("ClassifyBatchBudgets accepted %v", x)
 		}
 		payload := encodeRecord(x, s.Clock()+1, 4)
 		if _, _, _, err := s.wl.record(payload); err == nil {

@@ -6,12 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"bayestree/internal/bulkload"
+	"bayestree/internal/core"
 )
 
 // startHTTP spins up an httptest server over a pre-filled Server.
@@ -73,6 +77,77 @@ func TestHTTPBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /classify: status %d, want 405", resp.StatusCode)
 	}
+}
+
+// TestMemoryInsertRefusesOverflowingCoordinate: a coordinate whose
+// square overflows a cluster feature is refused on every write path,
+// not only the logged ones. A memory-only server's /insert answers 400
+// and leaves the model as it was, still scoring every class finitely;
+// Learn, the forest's Learn and every loader refuse the same point.
+func TestMemoryInsertRefusesOverflowingCoordinate(t *testing.T) {
+	s, err := NewEmpty(1, core.DefaultConfig(2), []int{0, 1}, core.MultiOptions{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(50))
+	var pts [][]float64
+	for i := 0; i < 50; i++ {
+		x := []float64{rng.Float64(), rng.Float64()}
+		pts = append(pts, x)
+		if err := s.Insert(x, i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := func() []byte {
+		var buf bytes.Buffer
+		if err := s.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	before := snapshot()
+	bad := []float64{1e200, 0.5}
+	rec := serveRecorded(s.Handler(), "/insert", "application/json", []byte(`{"x":[1e200,0.5],"label":0}`))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("/insert of %v: status %d, want 400: %s", bad, rec.Code, rec.Body)
+	}
+	if err := s.Learn(bad, 0); err == nil {
+		t.Fatalf("Learn accepted %v", bad)
+	}
+	if !bytes.Equal(snapshot(), before) {
+		t.Fatal("a refused insert changed the model")
+	}
+	res, err := s.Classify([]float64{0.5, 0.5}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, v := range res.Scores {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("class %d scores %v after a refused insert", c, v)
+		}
+	}
+	clf, err := core.NewClassifier([]*core.MultiTree{mustRStar(t, 0, pts[:25]), mustRStar(t, 1, pts[25:])}, core.ClassifierOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := clf.Learn(bad, 0); err == nil {
+		t.Fatalf("the forest's Learn accepted %v", bad)
+	}
+	for _, l := range bulkload.All() {
+		if _, err := l.Build(append(pts[:25:25], bad), core.DefaultConfig(2), 0); err == nil {
+			t.Fatalf("loader %s accepted %v", l.Name(), bad)
+		}
+	}
+}
+
+// mustRStar builds a one-class tree of label over pts.
+func mustRStar(t *testing.T, label int, pts [][]float64) *core.MultiTree {
+	t.Helper()
+	tree, err := core.BuildRStar(core.DefaultConfig(2), label, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }
 
 // TestHTTPNDJSONBatch is the acceptance-criterion test: several clients

@@ -334,31 +334,14 @@ func (s *Server) Insert(x []float64, label int) error {
 	return nil
 }
 
-// maxCoord bounds a coordinate's magnitude: its square, and the sum of
-// squares a cluster feature keeps over some 10⁸ observations, stay
-// finite.
-const maxCoord = 1e150
-
-// checkFinite rejects a point no model accepts: a NaN or ±Inf coordinate,
-// or one beyond maxCoord. A write path calls it before logging, so no
-// logged record can fail replay or leave an infinite feature behind.
-func checkFinite(x []float64) error {
-	for i, v := range x {
-		if !(math.Abs(v) <= maxCoord) {
-			return fmt.Errorf("server: coordinate %d is %v, outside ±%g", i, v, maxCoord)
-		}
-	}
-	return nil
-}
-
 // checkWrite refuses an observation whose apply would fail — an unknown
-// class label or a non-finite coordinate — the pre-validation that keeps
-// the WAL free of records replay cannot apply.
+// class label or a coordinate stats.CheckPoint refuses — the
+// pre-validation that keeps the WAL free of records replay cannot apply.
 func (s *Server) checkWrite(x []float64, label int) error {
 	if !slices.Contains(s.labels, label) {
 		return fmt.Errorf("server: unknown class label %d", label)
 	}
-	return checkFinite(x)
+	return stats.CheckPoint(x)
 }
 
 // Learn is Insert under the name stream.Engine expects, so

@@ -21,6 +21,24 @@ type CF struct {
 	SS []float64
 }
 
+// maxCoord bounds a coordinate's magnitude: its square, and the sum of
+// squares a cluster feature keeps over some 10⁸ observations, stay
+// finite.
+const maxCoord = 1e150
+
+// CheckPoint refuses an observation no model stores: a NaN or ±Inf
+// coordinate, or one beyond ±1e150, whose square would overflow a
+// cluster feature's SS. Every path that stores a point calls it before
+// the point touches a model — or a log a replay must apply.
+func CheckPoint(x []float64) error {
+	for i, v := range x {
+		if !(math.Abs(v) <= maxCoord) {
+			return fmt.Errorf("coordinate %d is %v, outside ±%g", i, v, maxCoord)
+		}
+	}
+	return nil
+}
+
 // NewCF returns an empty cluster feature of dimension d.
 func NewCF(d int) CF {
 	return CF{LS: make([]float64, d), SS: make([]float64, d)}
