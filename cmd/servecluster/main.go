@@ -47,8 +47,6 @@ type options struct {
 	dim       int
 	lambda    float64
 	snapEvery int
-	snapAlpha int
-	snapCap   int
 }
 
 // register declares every flag on fs and installs the usage text.
@@ -59,8 +57,6 @@ func register(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.dim, "dim", 0, "observation dimensionality when no snapshot exists")
 	fs.Float64Var(&o.lambda, "lambda", 0.004, "decay rate: a weight halves every 1/λ stream objects (0 = never forget)")
 	fs.IntVar(&o.snapEvery, "snap-every", 1024, "record a pyramidal micro-cluster snapshot every N ingested objects (< 0 disables /window)")
-	fs.IntVar(&o.snapAlpha, "snap-alpha", 2, "pyramidal store base (granularity coarsens by this factor per order)")
-	fs.IntVar(&o.snapCap, "snap-cap", 0, "pyramidal store per-order capacity (0 = alpha+1)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(),
 			"Usage: servecluster [flags]\n\n"+
@@ -115,11 +111,7 @@ func (o *options) workload(args []string) (serve.Workload[*server.ClusterServer]
 	if err != nil {
 		return w, err
 	}
-	copts := server.ClusterOptions{
-		SnapshotAlpha:    o.snapAlpha,
-		SnapshotCapacity: o.snapCap,
-		SnapshotEvery:    o.snapEvery,
-	}
+	copts := server.ClusterOptions{SnapshotEvery: o.snapEvery}
 	return serve.Workload[*server.ClusterServer]{
 		Name:   "servecluster",
 		Config: cfg,

@@ -14,8 +14,7 @@ func testConfig(dim int) core.Config {
 		Dim:       dim,
 		MinFanout: 2, MaxFanout: 5,
 		MinLeaf: 2, MaxLeaf: 8,
-		Kernel:         kernels.Gaussian{},
-		ForcedReinsert: true,
+		Kernel: kernels.Gaussian{},
 	}
 }
 

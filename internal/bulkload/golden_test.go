@@ -59,13 +59,13 @@ func TestLoaderGolden(t *testing.T) {
 		"pendigits/zcurve":     "122fa5c12f0fa67af2e40f5624c71662b3d43a0d29ebb88f9384af7da710ef4e",
 		"pendigits/str":        "696126cc2878dc34c8ca94b5212b087c61ec1cea602d0eed730de2048cd19ce2",
 		"pendigits/vsample":    "68fc2245cc6cefd43f0ec6b992e1a641e238c8aeee2a0c7a9911e0c2b22459aa",
-		"dup/emtopdown":        "c3f7075c5a5a4b952168126d6f919468cb17462b2181f35114eaeddfa02d7a11",
-		"dup/hilbert":          "14be7edf94d7c95ae644d9c27c9e8730f00b07bbe6a811e39102213a637e23f2",
-		"dup/goldberger":       "9f394f1248bb3401a1fc630d671922afb6c21d6fdf93ac8f713aaf6ac14f3b86",
-		"dup/iterative":        "e8edd79fb5e5e5fe97313f1b6da1623b635e56409fc3dcb745e43aec6729bd99",
-		"dup/zcurve":           "c6e8c8bc4ad54bb43de071ca3468b60f9423e021f63455c921cd68a54a20f741",
-		"dup/str":              "d3e72dcfe96317bf107eb2b0c44f8d7d5e84de0dab2feadbeabb6224261a1dc9",
-		"dup/vsample":          "344924bd8234cf6370e448c83ad1f5c1df20f0aa2fd6711796d59c62cb752648",
+		"dup/emtopdown":        "e895c7c1248e83c64003a088e18413fd51240241ce86ab26574262cabd9bb6b6",
+		"dup/hilbert":          "4bb2460978c792e80199b3d3890f55000df4106a641a498511e5c3063713d71d",
+		"dup/goldberger":       "680b146144895bbffbd1bd725ce85eb525bba883248f5ba22fab229c262de2fb",
+		"dup/iterative":        "9e5cb9ca1cc357af5ef2a17ff4011389f2ffef2446f0c0ffa61c2c37e36f3424",
+		"dup/zcurve":           "99bc6f59a887ebe5ae45829c3c748f969d88d9df32c936864f18a62050685e87",
+		"dup/str":              "5873d62939a7a9ab9f491a58b0bb231f43e3f9c1b83fb4bbd96dfcc46f8a289f",
+		"dup/vsample":          "4a1d43d4b86200cf28530bb137919b0ae4c03598d741e4bcde97ac4831819ebd",
 	}
 	for name, in := range goldenInputs(t) {
 		byClass := in.ds.ByClass()

@@ -35,39 +35,33 @@ import (
 	"bayestree/internal/stats"
 )
 
+// The leaf shape and the absorption rule, fixed as the paper's
+// Section 4.2 parameterises them. A leaf holds at most MaxLeafEntries
+// micro-clusters. An arriving object is absorbed into its nearest
+// micro-cluster when it lies within MergeThreshold radii of its mean,
+// or within AbsorbDistance of it whatever the radius: that floor keeps
+// tight sources from fragmenting into swarms of near-zero-radius
+// micro-clusters, and suits unit-cube data.
+const (
+	MaxLeafEntries = 8
+	MergeThreshold = 3
+	AbsorbDistance = 0.03
+)
+
 // Config parameterises the clustering tree.
 type Config struct {
 	// Dim is the observation dimensionality.
 	Dim int
-	// MaxFanout (M) and MinFanout (m) bound inner-node entry counts.
-	MaxFanout, MinFanout int
-	// MaxLeafEntries bounds the micro-clusters per leaf.
-	MaxLeafEntries int
+	// MaxFanout (M) bounds inner-node entry counts.
+	MaxFanout int
 	// Lambda is the decay rate: a weight halves every 1/Lambda time units.
 	// Zero disables decay.
 	Lambda float64
-	// MergeThreshold is the distance (relative to micro-cluster radius)
-	// under which an arriving object is absorbed into an existing
-	// micro-cluster instead of creating a new one (default 3).
-	MergeThreshold float64
-	// AbsorbDistance is an absolute absorption distance: objects within
-	// it of a micro-cluster mean always merge, preventing tight sources
-	// from fragmenting into swarms of near-zero-radius micro-clusters
-	// (default 0.03, suited to unit-cube data).
-	AbsorbDistance float64
 }
 
 // DefaultConfig mirrors the Bayes tree's emulated page fanout.
 func DefaultConfig(dim int) Config {
-	return Config{
-		Dim:            dim,
-		MaxFanout:      4,
-		MinFanout:      2,
-		MaxLeafEntries: 8,
-		Lambda:         0.01,
-		MergeThreshold: 3,
-		AbsorbDistance: 0.03,
-	}
+	return Config{Dim: dim, MaxFanout: 4, Lambda: 0.01}
 }
 
 // Validate reports configuration errors.
@@ -78,20 +72,8 @@ func (c Config) Validate() error {
 	if c.MaxFanout < 2 {
 		return fmt.Errorf("clustree: MaxFanout must be ≥ 2, got %d", c.MaxFanout)
 	}
-	if c.MinFanout < 1 || c.MinFanout > c.MaxFanout/2 {
-		return fmt.Errorf("clustree: MinFanout must be in [1, MaxFanout/2], got %d", c.MinFanout)
-	}
-	if c.MaxLeafEntries < 2 {
-		return fmt.Errorf("clustree: MaxLeafEntries must be ≥ 2, got %d", c.MaxLeafEntries)
-	}
 	if c.Lambda < 0 {
 		return fmt.Errorf("clustree: Lambda must be ≥ 0, got %v", c.Lambda)
-	}
-	if c.MergeThreshold < 0 {
-		return fmt.Errorf("clustree: MergeThreshold must be ≥ 0, got %v", c.MergeThreshold)
-	}
-	if c.AbsorbDistance < 0 {
-		return fmt.Errorf("clustree: AbsorbDistance must be ≥ 0, got %v", c.AbsorbDistance)
 	}
 	return nil
 }
@@ -329,11 +311,8 @@ func (t *Tree) insertLeaf(n *node, x []float64, ts float64, budget int) {
 		}
 	}
 	if best != nil {
-		absorb := t.cfg.MergeThreshold * best.cf.Radius()
-		if absorb < t.cfg.AbsorbDistance {
-			absorb = t.cfg.AbsorbDistance
-		}
-		if bestD <= absorb || (len(n.entries) >= t.cfg.MaxLeafEntries && budget == 0) {
+		absorb := max(MergeThreshold*best.cf.Radius(), AbsorbDistance)
+		if bestD <= absorb || (len(n.entries) >= MaxLeafEntries && budget == 0) {
 			t.decay(best, ts)
 			best.cf.Merge(t.mass)
 			t.merges++
@@ -342,7 +321,7 @@ func (t *Tree) insertLeaf(n *node, x []float64, ts float64, budget int) {
 	}
 	// The new micro-cluster owns its vectors; the scratch is reused.
 	n.entries = append(n.entries, &entry{cf: t.mass.Clone(), buffer: stats.NewCF(t.cfg.Dim), ts: ts})
-	if len(n.entries) > t.cfg.MaxLeafEntries {
+	if len(n.entries) > MaxLeafEntries {
 		if budget == 0 {
 			// No time to split: merge the two closest micro-clusters —
 			// the self-adaptation that keeps the tree size matched to the

@@ -15,12 +15,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("default config invalid: %v", err)
 	}
 	bad := []Config{
-		{Dim: 0, MaxFanout: 4, MinFanout: 2, MaxLeafEntries: 4},
-		{Dim: 2, MaxFanout: 1, MinFanout: 1, MaxLeafEntries: 4},
-		{Dim: 2, MaxFanout: 4, MinFanout: 3, MaxLeafEntries: 4},
-		{Dim: 2, MaxFanout: 4, MinFanout: 2, MaxLeafEntries: 1},
-		{Dim: 2, MaxFanout: 4, MinFanout: 2, MaxLeafEntries: 4, Lambda: -1},
-		{Dim: 2, MaxFanout: 4, MinFanout: 2, MaxLeafEntries: 4, MergeThreshold: -1},
+		{Dim: 0, MaxFanout: 4},
+		{Dim: 2, MaxFanout: 1},
+		{Dim: 2, MaxFanout: 4, Lambda: -1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

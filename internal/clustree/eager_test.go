@@ -82,18 +82,18 @@ func (t *Tree) eagerInsertLeaf(n *node, x []float64, ts float64, budget int) {
 		}
 	}
 	if best != nil {
-		absorb := t.cfg.MergeThreshold * best.cf.Radius()
-		if absorb < t.cfg.AbsorbDistance {
-			absorb = t.cfg.AbsorbDistance
+		absorb := MergeThreshold * best.cf.Radius()
+		if absorb < AbsorbDistance {
+			absorb = AbsorbDistance
 		}
-		if bestD <= absorb || (len(n.entries) >= t.cfg.MaxLeafEntries && budget == 0) {
+		if bestD <= absorb || (len(n.entries) >= MaxLeafEntries && budget == 0) {
 			best.cf.Merge(t.mass)
 			t.merges++
 			return
 		}
 	}
 	n.entries = append(n.entries, &entry{cf: t.mass.Clone(), buffer: stats.NewCF(t.cfg.Dim), ts: ts})
-	if len(n.entries) > t.cfg.MaxLeafEntries {
+	if len(n.entries) > MaxLeafEntries {
 		if budget == 0 {
 			t.mergeClosest(n)
 			return

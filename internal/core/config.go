@@ -34,12 +34,6 @@ type Config struct {
 	// Kernel is the leaf-level kernel estimator (Gaussian in the paper,
 	// Epanechnikov as the Section 4.1 alternative).
 	Kernel kernels.Kernel
-	// ForcedReinsert enables the R* forced-reinsertion heuristic during
-	// incremental (Iterativ) insertion.
-	ForcedReinsert bool
-	// ReinsertFraction is the share of entries reinserted on the first
-	// overflow per level; zero means 0.3 when ForcedReinsert is set.
-	ReinsertFraction float64
 }
 
 // DefaultConfig returns the parameterisation used by the experiments: an
@@ -64,14 +58,12 @@ func DefaultConfig(dim int) Config {
 		l = 64
 	}
 	return Config{
-		Dim:              dim,
-		MinFanout:        max(2, (m*2)/5),
-		MaxFanout:        m,
-		MinLeaf:          max(2, (l*2)/5),
-		MaxLeaf:          l,
-		Kernel:           kernels.Gaussian{},
-		ForcedReinsert:   true,
-		ReinsertFraction: 0.3,
+		Dim:       dim,
+		MinFanout: max(2, (m*2)/5),
+		MaxFanout: m,
+		MinLeaf:   max(2, (l*2)/5),
+		MaxLeaf:   l,
+		Kernel:    kernels.Gaussian{},
 	}
 }
 
@@ -95,20 +87,5 @@ func (c Config) Validate() error {
 	if c.Kernel == nil {
 		return fmt.Errorf("core: Kernel must be set")
 	}
-	if c.ReinsertFraction < 0 || c.ReinsertFraction > 0.5 {
-		return fmt.Errorf("core: ReinsertFraction must be in [0, 0.5], got %v", c.ReinsertFraction)
-	}
 	return nil
-}
-
-func (c Config) reinsertCount() int {
-	frac := c.ReinsertFraction
-	if frac == 0 {
-		frac = 0.3
-	}
-	p := int(frac * float64(c.MaxFanout))
-	if p < 1 {
-		p = 1
-	}
-	return p
 }

@@ -19,6 +19,11 @@ import (
 // every reinsertion finds a branch tall enough for its subtree, and the
 // tree stays balanced.
 
+// ReinsertFraction is the share of a node's capacity (MaxLeaf points or
+// MaxFanout entries) that forced reinsertion takes out, the R*-tree's
+// 30 %; it always takes at least one.
+const ReinsertFraction = 0.3
+
 // BuildRStar builds a one-class tree of the given label over points by
 // R* insertion, in order. The points are copied.
 func BuildRStar(cfg Config, label int, points [][]float64) (*MultiTree, error) {
@@ -124,7 +129,7 @@ func (t *MultiTree) rstarFix(path []*MultiNode, reinserted map[int]bool) {
 			t.refreshPath(path[:i+1], allClasses)
 			return
 		}
-		if level := len(path) - 1 - i; i > 0 && t.cfg.ForcedReinsert && !reinserted[level] {
+		if level := len(path) - 1 - i; i > 0 && !reinserted[level] {
 			reinserted[level] = true
 			if n.leaf {
 				removed := t.pickReinsertPoints(n)
@@ -153,15 +158,15 @@ func (t *MultiTree) rstarFix(path []*MultiNode, reinserted map[int]bool) {
 	}
 }
 
+// reinsertCount is how many of a node of the given capacity forced
+// reinsertion takes out.
+func reinsertCount(capacity int) int { return max(1, int(ReinsertFraction*float64(capacity))) }
+
 // pickReinsertPoints removes from leaf n the ReinsertFraction of MaxLeaf
 // points farthest from its centroid and returns them, farthest first;
 // the rest stay in order of decreasing distance.
 func (t *MultiTree) pickReinsertPoints(n *MultiNode) []LabeledPoint {
-	p := int(0.3 * float64(t.cfg.MaxLeaf))
-	if t.cfg.ReinsertFraction > 0 {
-		p = int(t.cfg.ReinsertFraction * float64(t.cfg.MaxLeaf))
-	}
-	p = max(p, 1)
+	p := reinsertCount(t.cfg.MaxLeaf)
 	sum := t.summarize(n)
 	center := sum.Total.Mean()
 	idx := sortedByDistDesc(len(n.points), func(i int) []float64 { return n.points[i].X }, center)
@@ -174,7 +179,7 @@ func (t *MultiTree) pickReinsertPoints(n *MultiNode) []LabeledPoint {
 // centres lie farthest from its rectangle's centre and returns them,
 // farthest first, as pickReinsertPoints does.
 func (t *MultiTree) pickReinsertEntries(n *MultiNode) []MultiEntry {
-	p := t.cfg.reinsertCount()
+	p := reinsertCount(t.cfg.MaxFanout)
 	center := t.summarize(n).Rect.Center()
 	idx := sortedByDistDesc(len(n.entries), func(i int) []float64 { return n.entries[i].Rect.Center() }, center)
 	removed := gather(n.entries, idx[:p])

@@ -14,8 +14,7 @@ func smallConfig(dim int) Config {
 		Dim:       dim,
 		MinFanout: 2, MaxFanout: 5,
 		MinLeaf: 2, MaxLeaf: 6,
-		Kernel:         kernels.Gaussian{},
-		ForcedReinsert: true,
+		Kernel: kernels.Gaussian{},
 	}
 }
 
@@ -64,7 +63,6 @@ func TestConfigValidate(t *testing.T) {
 		{Dim: 2, MinFanout: 3, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6, Kernel: kernels.Gaussian{}},
 		{Dim: 2, MinFanout: 2, MaxFanout: 5, MinLeaf: 4, MaxLeaf: 6, Kernel: kernels.Gaussian{}},
 		{Dim: 2, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6},
-		{Dim: 2, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6, Kernel: kernels.Gaussian{}, ReinsertFraction: 0.8},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -90,30 +88,26 @@ func TestDefaultConfigPageDerivation(t *testing.T) {
 }
 
 func TestInsertMaintainsInvariants(t *testing.T) {
-	for _, reinsert := range []bool{true, false} {
-		cfg := smallConfig(3)
-		cfg.ForcedReinsert = reinsert
-		tree := emptyClassTree(t, cfg)
-		rng := rand.New(rand.NewSource(1))
-		for i, p := range randPoints(rng, 500, 3) {
-			if err := tree.insertRStar(p); err != nil {
-				t.Fatalf("insert %d: %v", i, err)
-			}
-			if i%37 == 0 {
-				if err := tree.Validate(); err != nil {
-					t.Fatalf("reinsert=%v, invariants after %d inserts: %v", reinsert, i+1, err)
-				}
+	tree := emptyClassTree(t, smallConfig(3))
+	rng := rand.New(rand.NewSource(1))
+	for i, p := range randPoints(rng, 500, 3) {
+		if err := tree.insertRStar(p); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		if i%37 == 0 {
+			if err := tree.Validate(); err != nil {
+				t.Fatalf("invariants after %d inserts: %v", i+1, err)
 			}
 		}
-		if err := tree.Validate(); err != nil {
-			t.Fatalf("reinsert=%v, final: %v", reinsert, err)
-		}
-		if tree.Len() != 500 {
-			t.Fatalf("Len = %d", tree.Len())
-		}
-		if !tree.Balanced() {
-			t.Fatalf("iterative tree must be balanced")
-		}
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatalf("final: %v", err)
+	}
+	if tree.Len() != 500 {
+		t.Fatalf("Len = %d", tree.Len())
+	}
+	if !tree.Balanced() {
+		t.Fatalf("iterative tree must be balanced")
 	}
 }
 

@@ -99,14 +99,18 @@ func DecodeClusterSet(r io.Reader) (ClusterSet, error) {
 // ---------------------------------------------------------------------
 // encoder
 
+// clusMinFanout is what the retired ClusTree MinFanout slot holds; the
+// tree never read the setting.
+const clusMinFanout = 2
+
 func (e *encoder) clusConfig(c clustree.Config) {
 	e.i64(int64(c.Dim))
 	e.i64(int64(c.MaxFanout))
-	e.i64(int64(c.MinFanout))
-	e.i64(int64(c.MaxLeafEntries))
+	e.i64(clusMinFanout)
+	e.i64(clustree.MaxLeafEntries)
 	e.f64(c.Lambda)
-	e.f64(c.MergeThreshold)
-	e.f64(c.AbsorbDistance)
+	e.f64(clustree.MergeThreshold)
+	e.f64(clustree.AbsorbDistance)
 }
 
 func (e *encoder) clusTree(t *clustree.Tree, dump *clustree.DumpNode) {
@@ -158,11 +162,11 @@ func (d *decoder) clusConfig() clustree.Config {
 	var c clustree.Config
 	c.Dim = d.dim()
 	c.MaxFanout = int(d.i64())
-	c.MinFanout = int(d.i64())
-	c.MaxLeafEntries = int(d.i64())
+	d.fixed("MinFanout", d.i64(), int64(clusMinFanout))
+	d.fixed("MaxLeafEntries", d.i64(), int64(clustree.MaxLeafEntries))
 	c.Lambda = d.f64()
-	c.MergeThreshold = d.f64()
-	c.AbsorbDistance = d.f64()
+	d.fixed("MergeThreshold", d.f64(), float64(clustree.MergeThreshold))
+	d.fixed("AbsorbDistance", d.f64(), float64(clustree.AbsorbDistance))
 	return c
 }
 

@@ -113,7 +113,7 @@ func TestDecayedMultiTreeRoundTripDigitIdentical(t *testing.T) {
 func decayedForest(t testing.TB) *core.Classifier {
 	t.Helper()
 	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 5,
-		Kernel: core.DefaultConfig(2).Kernel, ForcedReinsert: true}
+		Kernel: core.DefaultConfig(2).Kernel}
 	trees := make([]*core.MultiTree, 2)
 	rng := rand.New(rand.NewSource(13))
 	var swept core.SweepStats
@@ -187,8 +187,8 @@ func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
 		size int
 		sum  string
 	}{
-		{"decayed", decayedForest(t), 2854, "40c8bdc5f57219ac97b9d977f87bc6cc4c29c812b71ff44333d20c968686225f"},
-		{"learned-after-sweep", learnedAfterSweep(t), 2384, "b870b00ccb546ebbf94bd55ebb0def9ef31781453dde3c1ba8e0de9afb624406"},
+		{"decayed", decayedForest(t), 2854, "e6aaf996da4cbdefd331029fff88e3f85ce0fbffb9648e4c9b782734917d9f86"},
+		{"learned-after-sweep", learnedAfterSweep(t), 2384, "95ce6f5ff46fbba9bf5cca8bb52cc7df3b3f333fa6caee4bd69b5cacff79e8f2"},
 	} {
 		var buf bytes.Buffer
 		if err := EncodeClassifier(&buf, row.clf); err != nil {

@@ -163,7 +163,7 @@ func smallMultiTree(tb testing.TB, decayed bool) *core.MultiTree {
 func smallForest(tb testing.TB) *core.Classifier {
 	tb.Helper()
 	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 5,
-		Kernel: core.DefaultConfig(2).Kernel, ForcedReinsert: true}
+		Kernel: core.DefaultConfig(2).Kernel}
 	rng := rand.New(rand.NewSource(13))
 	trees := make([]*core.MultiTree, 2)
 	for c := range trees {
@@ -265,9 +265,12 @@ func snapshotCorpus(tb testing.TB) []sample {
 // version-3 frames of the retired kinds 1 (a forest of the retired
 // per-class tree type, written by the last build that had it:
 // testdata/kind-1.snap), 2 (one multi-class tree) and 4 (one ClusTree),
-// and a set of kind 3 whose tree has the retired entropy-priority flag
-// set (written by the last build that had the option:
-// testdata/kind-3-entropy.snap).
+// and three sets that a build which had the setting wrote with a value
+// the setting is no longer allowed: a kind-3 set whose tree has the
+// retired entropy-priority flag set (testdata/kind-3-entropy.snap) or
+// forced reinsertion off (testdata/kind-3-no-reinsert.snap), and a
+// cluster set whose tree's leaves hold six micro-clusters
+// (testdata/clusterset-leaf-6.snap).
 func retiredSnapshots(tb testing.TB) []sample {
 	tb.Helper()
 	small, tiny := smallMultiTree(tb, true), smallClusTree(tb, 0.01)
@@ -284,7 +287,7 @@ func retiredSnapshots(tb testing.TB) []sample {
 	one = &encoder{p: []byte{4}}
 	one.clusTree(tiny, tiny.Dump())
 	out = append(out, sample{"kind-4", frame(Version, one.p)})
-	for _, name := range []string{"kind-1", "kind-3-entropy"} {
+	for _, name := range []string{"kind-1", "kind-3-entropy", "kind-3-no-reinsert", "clusterset-leaf-6"} {
 		snap, err := os.ReadFile(filepath.Join("testdata", name+".snap"))
 		if err != nil {
 			tb.Fatal(err)

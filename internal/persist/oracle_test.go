@@ -276,26 +276,24 @@ func (d *oracleDecoder) str() string {
 	return string(b)
 }
 
-func (d *oracleDecoder) config() core.Config {
-	var c core.Config
+func (d *oracleDecoder) config() (c core.Config, forced bool, frac float64) {
 	c.Dim = d.dim()
 	c.MinFanout = int(d.i64())
 	c.MaxFanout = int(d.i64())
 	c.MinLeaf = int(d.i64())
 	c.MaxLeaf = int(d.i64())
 	name := d.str()
-	c.ForcedReinsert = d.boolv()
-	c.ReinsertFraction = d.f64()
+	forced, frac = d.boolv(), d.f64()
 	if d.err != nil {
-		return c
+		return
 	}
 	k, ok := kernels.ByName(name)
 	if !ok {
 		d.fail("unknown kernel %q", name)
-		return c
+		return
 	}
 	c.Kernel = k
-	return c
+	return
 }
 
 func (d *oracleDecoder) cf(dim int) stats.CF {
@@ -320,12 +318,18 @@ func (d *oracleDecoder) leafWeights(points int) []float64 {
 }
 
 func (d *oracleDecoder) multiTree(balanced bool) *core.MultiTree {
-	cfg := d.config()
+	cfg, forced, frac := d.config()
 	dopts, epoch, ref := d.decayState()
 	var mopts core.MultiOptions
 	mopts.PooledVariance = d.boolv()
 	if d.boolv() {
 		d.fail("entropy-weighted descent priority is retired")
+	}
+	if !forced {
+		d.fail("ForcedReinsert false is retired, want true")
+	}
+	if frac != 0.3 {
+		d.fail("ReinsertFraction %v is retired, want 0.3", frac)
 	}
 	nl := d.count(8)
 	labels := make([]int, nl)
@@ -396,11 +400,19 @@ func (d *oracleDecoder) clusConfig() clustree.Config {
 	var c clustree.Config
 	c.Dim = d.dim()
 	c.MaxFanout = int(d.i64())
-	c.MinFanout = int(d.i64())
-	c.MaxLeafEntries = int(d.i64())
+	if v := d.i64(); v != 2 {
+		d.fail("MinFanout %d is retired, want 2", v)
+	}
+	if v := d.i64(); v != 8 {
+		d.fail("MaxLeafEntries %d is retired, want 8", v)
+	}
 	c.Lambda = d.f64()
-	c.MergeThreshold = d.f64()
-	c.AbsorbDistance = d.f64()
+	if v := d.f64(); v != 3 {
+		d.fail("MergeThreshold %v is retired, want 3", v)
+	}
+	if v := d.f64(); v != 0.03 {
+		d.fail("AbsorbDistance %v is retired, want 0.03", v)
+	}
 	return c
 }
 

@@ -344,8 +344,8 @@ func (e *encoder) config(c core.Config) {
 	e.i64(int64(c.MinLeaf))
 	e.i64(int64(c.MaxLeaf))
 	e.str(c.Kernel.Name())
-	e.boolv(c.ForcedReinsert)
-	e.f64(c.ReinsertFraction)
+	e.boolv(true) // the retired ForcedReinsert: always on
+	e.f64(core.ReinsertFraction)
 }
 
 func (e *encoder) cf(cf *stats.CF) {
@@ -674,26 +674,35 @@ func (d *decoder) dim() int {
 	return int(v)
 }
 
-func (d *decoder) config() core.Config {
-	var c core.Config
+// config reads a tree's configuration and the retired reinsertion
+// slots, which the caller checks with fixed only after the retired
+// entropy byte, the older of the two refusals.
+func (d *decoder) config() (c core.Config, forced bool, frac float64) {
 	c.Dim = d.dim()
 	c.MinFanout = int(d.i64())
 	c.MaxFanout = int(d.i64())
 	c.MinLeaf = int(d.i64())
 	c.MaxLeaf = int(d.i64())
 	name := d.str()
-	c.ForcedReinsert = d.boolv()
-	c.ReinsertFraction = d.f64()
+	forced, frac = d.boolv(), d.f64()
 	if d.err != nil {
-		return c
+		return
 	}
 	k, ok := kernels.ByName(name)
 	if !ok {
 		d.fail("unknown kernel %q", name)
-		return c
+		return
 	}
 	c.Kernel = k
-	return c
+	return
+}
+
+// fixed refuses a slot of a retired setting that holds anything but
+// the value the setting is fixed at.
+func (d *decoder) fixed(setting string, got, want any) {
+	if d.err == nil && got != want {
+		d.fail("%s %v is retired, want %v", setting, got, want)
+	}
 }
 
 func (d *decoder) cf(dim int) stats.CF {
@@ -738,13 +747,15 @@ const minNodeBytes = 1 + 8
 // multiTree reads one tree; balanced is the flag a forest stores per
 // class tree (a set's trees are balanced).
 func (d *decoder) multiTree(balanced bool) *core.MultiTree {
-	cfg := d.config()
+	cfg, forced, frac := d.config()
 	dopts, epoch, ref := d.decayState()
 	var mopts core.MultiOptions
 	mopts.PooledVariance = d.boolv()
 	if d.boolv() {
 		d.fail("entropy-weighted descent priority is retired")
 	}
+	d.fixed("ForcedReinsert", forced, true)
+	d.fixed("ReinsertFraction", frac, core.ReinsertFraction)
 	nl := d.count(8)
 	labels := make([]int, nl)
 	for i := range labels {

@@ -269,10 +269,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // refused by all three decoders — and the oracle — with ErrVersion, a
 // well-formed version-3 frame of a retired kind (1, a forest of the
 // retired per-class tree type; 2, one multi-class tree; 4, one ClusTree)
-// with the wrong-kind error, and a set whose tree asks for the retired
-// entropy-weighted descent priority by its decoder with that option's
-// error.
+// with the wrong-kind error, and a set whose tree holds a retired
+// setting at a value other than the one it is fixed at by its decoder
+// with an error naming the setting.
 func TestRetiredSnapshotsRefused(t *testing.T) {
+	retired := map[string]string{
+		"kind-3-entropy":     "entropy-weighted descent priority is retired",
+		"kind-3-no-reinsert": "ForcedReinsert false is retired",
+		"clusterset-leaf-6":  "MaxLeafEntries 6 is retired",
+	}
 	for _, s := range retiredSnapshots(t) {
 		version, kind := binary.LittleEndian.Uint32(s.snap[4:]), payloadOf(s.snap)[0]
 		for i := range codecs {
@@ -283,7 +288,7 @@ func TestRetiredSnapshotsRefused(t *testing.T) {
 			}
 			want := fmt.Sprintf("snapshot kind %d, want %d", kind, c.kind)
 			if kind == c.kind {
-				want = "entropy-weighted descent priority is retired"
+				want = retired[s.name]
 			}
 			switch {
 			case version != Version && !errors.Is(err, ErrVersion):

@@ -23,7 +23,7 @@ type Flags struct {
 	Drain    time.Duration
 
 	Budget, MaxBudget int
-	NPS, Burst        float64
+	NPS               float64
 
 	MinWeight  float64
 	DecayEvery time.Duration
@@ -57,8 +57,7 @@ func RegisterFlags(fs *flag.FlagSet, d FlagDefaults) *Flags {
 	fs.DurationVar(&f.Drain, "drain", 10*time.Second, "graceful drain timeout on SIGTERM/SIGINT")
 	fs.IntVar(&f.Budget, "budget", d.Budget, "default node budget when a request sets none")
 	fs.IntVar(&f.MaxBudget, "max-budget", d.MaxBudget, "hard cap on any request's node budget")
-	fs.Float64Var(&f.NPS, "nps", 0, "admission capacity in node reads/second across all requests (0 = unlimited)")
-	fs.Float64Var(&f.Burst, "burst", 0, "admission bucket capacity in node reads (0 = max(nps, max-budget))")
+	fs.Float64Var(&f.NPS, "nps", 0, "admission capacity in node reads/second across all requests, in a bucket of max(nps, max-budget) (0 = unlimited)")
 	fs.Float64Var(&f.MinWeight, "min-weight", 0.05, "maintenance pruning floor: mass whose decayed weight falls below it is forgotten (with decay on)")
 	fs.DurationVar(&f.DecayEvery, "decay-every", time.Minute, "wall-clock interval between background decay-maintenance sweeps (with decay on)")
 	fs.StringVar(&f.WALDir, "wal-dir", "", "durability directory: per-shard write-ahead log + checkpoint snapshots; writes survive crashes via snapshot+replay recovery")
@@ -125,7 +124,6 @@ func (f *Flags) Config(rate string, lambda float64) (server.Config, error) {
 		DefaultBudget:  f.Budget,
 		MaxBudget:      f.MaxBudget,
 		NodesPerSecond: f.NPS,
-		Burst:          f.Burst,
 	}
 	switch {
 	case lambda < 0:

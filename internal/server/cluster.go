@@ -100,15 +100,15 @@ func (c *ctree) EnableDecay(opts core.DecayOptions) error {
 	return nil
 }
 
+// The pyramidal store's shape: granularity coarsens by a factor of
+// snapshotAlpha per order, and each order keeps snapshotAlpha + 1
+// snapshots, the classical choice.
+const snapshotAlpha, snapshotCapacity = 2, 3
+
 // ClusterOptions parameterise the parts of a ClusterServer beyond the
 // shared engine Config: the pyramidal snapshot store that retains
 // micro-cluster history at exponentially coarsening granularity.
 type ClusterOptions struct {
-	// SnapshotAlpha is the pyramidal base (0 means 2, minimum 2).
-	SnapshotAlpha int
-	// SnapshotCapacity is the per-order snapshot capacity (0 means
-	// alpha + 1, the classical choice).
-	SnapshotCapacity int
 	// SnapshotEvery records a union micro-cluster snapshot into the
 	// store every N ingested objects (0 means 1024; < 0 disables the
 	// store and the /window endpoint).
@@ -117,12 +117,6 @@ type ClusterOptions struct {
 
 // withDefaults resolves zero values.
 func (o ClusterOptions) withDefaults() ClusterOptions {
-	if o.SnapshotAlpha == 0 {
-		o.SnapshotAlpha = 2
-	}
-	if o.SnapshotCapacity == 0 {
-		o.SnapshotCapacity = o.SnapshotAlpha + 1
-	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 1024
 	}
@@ -191,7 +185,7 @@ func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.Snapsho
 	if copts.SnapshotEvery > 0 {
 		if store == nil {
 			var err error
-			store, err = clustree.NewSnapshotStore(copts.SnapshotAlpha, copts.SnapshotCapacity)
+			store, err = clustree.NewSnapshotStore(snapshotAlpha, snapshotCapacity)
 			if err != nil {
 				return nil, err
 			}
@@ -301,7 +295,7 @@ func (s *ClusterServer) insertResolved(x []float64, requested int) (ClusterResul
 		return ClusterResult{}, err
 	}
 	granted := s.grant(requested)
-	idx := shardIndex(x, len(s.shards))
+	idx := RouteShard(x, len(s.shards))
 	sh := s.shards[idx]
 	sh.mu.Lock()
 	ts := s.clock.Add(1)

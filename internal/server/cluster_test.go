@@ -121,7 +121,8 @@ func TestClusterBudgetStarvation(t *testing.T) {
 // TestClusterAdmissionDegrades: a tiny node capacity must shallow the
 // descents (parking objects) rather than erroring or blocking.
 func TestClusterAdmissionDegrades(t *testing.T) {
-	cs := newTestCluster(t, 2, 0, Config{NodesPerSecond: 100, Burst: 50, DefaultBudget: 8})
+	cs := newTestCluster(t, 2, 0, Config{NodesPerSecond: 100, DefaultBudget: 8})
+	cs.admit = newTokenBucket(100, 50)
 	rng := rand.New(rand.NewSource(11))
 	granted := 0
 	for i := 0; i < 800; i++ {

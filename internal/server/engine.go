@@ -210,7 +210,7 @@ func (e *engine[M]) init(models []M, cfg Config, exclusive bool, wl workload[M])
 		e.shards = append(e.shards, &shard[M]{tree: m})
 	}
 	if cfg.NodesPerSecond > 0 {
-		e.admit = newTokenBucket(cfg.NodesPerSecond, cfg.Burst)
+		e.admit = newTokenBucket(cfg.NodesPerSecond, max(cfg.NodesPerSecond, float64(cfg.MaxBudget)))
 	}
 	if cfg.Decay.Enabled() {
 		for _, sh := range e.shards {
@@ -406,10 +406,11 @@ func (e *engine[M]) sizesAndWeights() (sizes []int, weights []float64, total int
 	return sizes, weights, total, totalW
 }
 
-// splitBudget divides a granted budget across shards in proportion to
+// SplitBudget divides a granted budget across shards in proportion to
 // their sizes, remainder to the earliest non-empty shards — the exact
-// split the union model would spend on each partition.
-func splitBudget(granted int, sizes []int, total int) []int {
+// split the union model would spend on each partition, and the one a
+// scatter-gather proxy applies across its partitions.
+func SplitBudget(granted int, sizes []int, total int) []int {
 	budgets := make([]int, len(sizes))
 	if total == 0 {
 		return budgets

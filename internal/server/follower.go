@@ -33,14 +33,11 @@ import (
 // error, just "wait for the primary to ship one".
 var errNoLocalState = errors.New("server: follower has no local state yet")
 
-// replicaModel is the constraint on a Follower's server type.
-type replicaModel = Served
-
 // Follower is a replica of a primary serving process: it implements
 // replica.Sink over a durable workload server, serving follower reads
 // (writes answer 307 to the primary) and staying byte-identical to the
 // primary's logged state. S is *Server or *ClusterServer.
-type Follower[S replicaModel] struct {
+type Follower[S Served] struct {
 	dopts      DurabilityOptions
 	workload   string
 	primaryURL string
@@ -68,7 +65,7 @@ func NewFollowerCluster(dopts DurabilityOptions, cfg Config, copts ClusterOption
 
 // newFollower builds a follower of the named workload, whose snapshots
 // decode decodes, and warm-starts it.
-func newFollower[S replicaModel](workload string, dopts DurabilityOptions, primaryURL string, decode func(io.Reader) (S, error)) (*Follower[S], error) {
+func newFollower[S Served](workload string, dopts DurabilityOptions, primaryURL string, decode func(io.Reader) (S, error)) (*Follower[S], error) {
 	f := &Follower[S]{dopts: dopts, workload: workload, primaryURL: primaryURL, decode: decode}
 	return f, f.warmStart()
 }

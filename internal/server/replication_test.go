@@ -39,7 +39,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // appliedLSN reads a follower's applied LSN without touching tree
 // state — a ClusTree decays lazily on reads, so polling Stats() mid
 // stream would perturb the digit-identity comparison.
-func appliedLSN[S replicaModel](f *Follower[S]) uint64 {
+func appliedLSN[S Served](f *Follower[S]) uint64 {
 	var zero S
 	s := f.Current()
 	if s == zero {

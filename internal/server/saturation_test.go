@@ -28,11 +28,12 @@ func TestAdmissionSaturationDegradesNeverErrors(t *testing.T) {
 		budget = 8
 	)
 	s, err := NewEmpty(2, core.DefaultConfig(3), []int{0, 1, 2}, core.MultiOptions{},
-		Config{NodesPerSecond: rate, Burst: burst})
+		Config{NodesPerSecond: rate})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.admit = newTokenBucket(rate, burst)
 	xs, ys := classPoints(90)
 	for i := range xs {
 		if err := s.Insert(xs[i], ys[i]); err != nil {
@@ -137,11 +138,12 @@ func TestHTTPClassifyCarriesBudgetFields(t *testing.T) {
 	// Saturated: a one-token bucket that never visibly refills, so the
 	// second request is clipped and must say so on the wire.
 	tight, err := NewEmpty(2, core.DefaultConfig(3), []int{0, 1, 2}, core.MultiOptions{},
-		Config{NodesPerSecond: 0.001, Burst: 1})
+		Config{NodesPerSecond: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tight.Close()
+	tight.admit = newTokenBucket(0.001, 1)
 	for i := range xs {
 		if err := tight.Insert(xs[i], ys[i]); err != nil {
 			t.Fatal(err)
@@ -177,11 +179,12 @@ func TestHTTPClusterCarriesBudgetFields(t *testing.T) {
 	}
 
 	tight, err := NewCluster(clustree.DefaultConfig(2), 2,
-		Config{NodesPerSecond: 0.001, Burst: 1}, ClusterOptions{SnapshotEvery: -1})
+		Config{NodesPerSecond: 0.001}, ClusterOptions{SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tight.Close()
+	tight.admit = newTokenBucket(0.001, 1)
 	ts := httptest.NewServer(tight.Handler())
 	postJSON(t, ts, "/cluster", `{"x":[0.3,0.7],"budget":4}`) // drains the single token
 	raw = postJSON(t, ts, "/cluster", `{"x":[0.4,0.6],"budget":4}`)

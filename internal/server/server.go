@@ -59,11 +59,10 @@ type Config struct {
 	// refinement" requests (≤ 0 means DefaultMaxBudget).
 	MaxBudget int
 	// NodesPerSecond is the global admission capacity in node reads per
-	// second across all requests; 0 disables admission control.
+	// second across all requests; 0 disables admission control. The
+	// bucket holds max(NodesPerSecond, MaxBudget) node reads: a second's
+	// refill, and never less than one full request.
 	NodesPerSecond float64
-	// Burst is the admission bucket capacity in node reads (≤ 0 means
-	// max(NodesPerSecond, MaxBudget)).
-	Burst float64
 	// Query selects the descent strategy and priority used for every
 	// classification query (zero value = the paper's best: global
 	// probabilistic). The clustering workload ignores it.
@@ -90,12 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBudget <= 0 {
 		c.MaxBudget = DefaultMaxBudget
-	}
-	if c.Burst <= 0 {
-		c.Burst = c.NodesPerSecond
-		if float64(c.MaxBudget) > c.Burst {
-			c.Burst = float64(c.MaxBudget)
-		}
 	}
 	return c
 }
@@ -260,7 +253,7 @@ func (s *Server) classifyResolved(x []float64, requested int) (Result, error) {
 	if total == 0 || totalW <= 0 {
 		return Result{}, fmt.Errorf("server: no observations yet")
 	}
-	budgets := splitBudget(granted, sizes, total)
+	budgets := SplitBudget(granted, sizes, total)
 
 	parts := make([][]float64, len(s.shards))
 	for i, sh := range s.shards {
@@ -306,7 +299,7 @@ func (s *Server) Insert(x []float64, label int) error {
 	if err := s.writeAllowed(); err != nil {
 		return err
 	}
-	idx := shardIndex(x, len(s.shards))
+	idx := RouteShard(x, len(s.shards))
 	sh := s.shards[idx]
 	var rec []byte
 	if s.durableOn() {
@@ -377,10 +370,12 @@ func (s *Server) ClassifyBatchBudgets(xs [][]float64, budgets []int, workers int
 	return preds, nil
 }
 
-// shardIndex hashes an observation's float bits to a shard index — the
-// content-hash routing every workload shares, so a snapshot reloaded
-// into the same shard count routes identically.
-func shardIndex(x []float64, shards int) int {
+// RouteShard hashes an observation's float bits to one of n shards —
+// the content-hash routing every workload shares, so a snapshot
+// reloaded into the same shard count routes identically, and a
+// scatter-gather proxy over n single-shard groups partitions the stream
+// exactly as an n-shard single process would.
+func RouteShard(x []float64, n int) int {
 	h := fnv.New64a()
 	var b [8]byte
 	for _, v := range x {
@@ -390,22 +385,7 @@ func shardIndex(x []float64, shards int) int {
 		}
 		h.Write(b[:])
 	}
-	return int(h.Sum64() % uint64(shards))
-}
-
-// RouteShard is shardIndex exported for the scatter-gather proxy: it
-// consistent-hash-routes an observation across n partitions with the
-// same function the engine uses across shards, so a proxy over n
-// single-shard groups partitions the stream exactly as an n-shard
-// single process would.
-func RouteShard(x []float64, n int) int { return shardIndex(x, n) }
-
-// SplitBudget is splitBudget exported for the scatter-gather proxy: it
-// divides a granted node-read budget across partitions in proportion to
-// their sizes under exactly the in-process contract (floor of the
-// proportional share, remainder to the earliest non-empty partitions).
-func SplitBudget(granted int, sizes []int, total int) []int {
-	return splitBudget(granted, sizes, total)
+	return int(h.Sum64() % uint64(n))
 }
 
 // Stats is a point-in-time summary of a served workload, served by

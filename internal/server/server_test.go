@@ -229,7 +229,8 @@ func TestBatchIsSoloPool(t *testing.T) {
 	// 60 observations exhaust after a few reads; the bucket holds two
 	// budgets and refills at nothing.
 	const budget, items = 500, 10
-	s, rng = newTestServer(t, 1, 60, Config{NodesPerSecond: 0.001, Burst: 2 * budget, MaxBudget: budget})
+	s, rng = newTestServer(t, 1, 60, Config{NodesPerSecond: 0.001, MaxBudget: budget})
+	s.admit = newTokenBucket(0.001, 2*budget)
 	xs, budgets = xs[:items], budgets[:items]
 	for i := range xs {
 		xs[i], _ = genPoint(rng)
@@ -252,7 +253,7 @@ func TestBatchIsSoloPool(t *testing.T) {
 // back into the bucket instead of consuming capacity.
 func TestAdmissionRefund(t *testing.T) {
 	// 60 observations exhaust after well under 500 reads; burst 1000.
-	s, rng := newTestServer(t, 1, 60, Config{NodesPerSecond: 0.001, Burst: 1000, MaxBudget: 500})
+	s, rng := newTestServer(t, 1, 60, Config{NodesPerSecond: 0.001, MaxBudget: 500})
 	s.admit = newTokenBucket(0.001, 1000) // effectively no refill during the test
 	for i := 0; i < 20; i++ {
 		x, _ := genPoint(rng)
@@ -276,7 +277,8 @@ func TestAdmissionRefund(t *testing.T) {
 // burst of requests must still all be answered, with grants summing to
 // at most the bucket capacity plus refill — not requests × budget.
 func TestAdmissionDegradesUnderLoad(t *testing.T) {
-	s, rng := newTestServer(t, 2, 300, Config{NodesPerSecond: 1000, Burst: 200, DefaultBudget: 50})
+	s, rng := newTestServer(t, 2, 300, Config{NodesPerSecond: 1000, DefaultBudget: 50})
+	s.admit = newTokenBucket(1000, 200)
 	var granted int64
 	for i := 0; i < 100; i++ {
 		x, _ := genPoint(rng)

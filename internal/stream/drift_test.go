@@ -115,7 +115,7 @@ func TestWithDecayEveryAdvancesEpochsOnStream(t *testing.T) {
 	for i := head; i < ds.Len(); i++ {
 		items = append(items, Item{X: ds.X[i], Label: ds.Y[i], Labeled: true})
 	}
-	budgeter := Budgeter{NodesPerSecond: 3000, MaxNodes: 30, MinNodes: 30}
+	budgeter := Budgeter{NodesPerSecond: 6000, MaxNodes: 30}
 	tailAcc := func(res *Result) float64 {
 		correct, scored := 0, 0
 		tail := len(items) * 3 / 4

@@ -76,13 +76,10 @@ type Budgeter struct {
 	NodesPerSecond float64
 	// MaxNodes caps the budget (0 = no cap).
 	MaxNodes int
-	// MinNodes floors the budget (an object always gets at least this
-	// many reads; 0 is allowed and means the level-0 model may be all
-	// that is used).
-	MinNodes int
 }
 
-// Budget returns the node budget for a gap of the given length.
+// Budget returns the node budget for a gap of the given length. A gap
+// too short for one read gets 0: the level-0 model answers.
 func (b Budgeter) Budget(gap float64) int {
 	if math.IsInf(gap, 1) {
 		if b.MaxNodes > 0 {
@@ -90,10 +87,7 @@ func (b Budgeter) Budget(gap float64) int {
 		}
 		return 1 << 20
 	}
-	n := int(gap * b.NodesPerSecond)
-	if n < b.MinNodes {
-		n = b.MinNodes
-	}
+	n := max(0, int(gap*b.NodesPerSecond))
 	if b.MaxNodes > 0 && n > b.MaxNodes {
 		n = b.MaxNodes
 	}

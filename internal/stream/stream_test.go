@@ -57,15 +57,15 @@ func buildClassifier(t *testing.T, seed int64) (*core.Classifier, []Item) {
 }
 
 func TestBudgeter(t *testing.T) {
-	b := Budgeter{NodesPerSecond: 100, MaxNodes: 50, MinNodes: 2}
+	b := Budgeter{NodesPerSecond: 100, MaxNodes: 50}
 	if got := b.Budget(0.1); got != 10 {
 		t.Errorf("Budget(0.1) = %d, want 10", got)
 	}
 	if got := b.Budget(10); got != 50 {
 		t.Errorf("cap not applied: %d", got)
 	}
-	if got := b.Budget(0); got != 2 {
-		t.Errorf("floor not applied: %d", got)
+	if got := b.Budget(0.001); got != 0 {
+		t.Errorf("a gap under one read = %d, want 0", got)
 	}
 	if got := b.Budget(math.Inf(1)); got != 50 {
 		t.Errorf("Inf gap = %d", got)

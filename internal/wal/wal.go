@@ -57,16 +57,14 @@ func FrameBytes(n int) int64 { return int64(frameHeader + n) }
 // lengths before any allocation when a frame header is itself corrupt.
 const maxRecord = 16 << 20
 
-// DefaultSegmentBytes is the segment rotation threshold when Options
-// leaves SegmentBytes zero.
-const DefaultSegmentBytes = 4 << 20
+// segmentBytes rotates the active segment once it holds this many
+// bytes. Segments are the unit of truncation: a checkpoint rotates and
+// then deletes whole segments. It is a variable only so that tests can
+// lower it.
+var segmentBytes int64 = 4 << 20
 
 // Options parameterise a log.
 type Options struct {
-	// SegmentBytes rotates the active segment once it exceeds this many
-	// bytes (0 means DefaultSegmentBytes). Segments are the unit of
-	// truncation: a checkpoint rotates and then deletes whole segments.
-	SegmentBytes int64
 	// FsyncEvery is the group-commit interval: 0 fsyncs inline on every
 	// append (synchronous durability), > 0 runs a background committer
 	// that fsyncs the segment at most once per interval, amortising the
@@ -84,9 +82,6 @@ type Options struct {
 
 // withDefaults resolves zero values.
 func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = DefaultSegmentBytes
-	}
 	o.Start = max(o.Start, 1)
 	return o
 }
@@ -252,7 +247,7 @@ func (l *Log) Append(payload []byte) error {
 			return fmt.Errorf("wal: sync: %w", err)
 		}
 	}
-	if l.size >= l.opts.SegmentBytes {
+	if l.size >= segmentBytes {
 		return l.sealLocked()
 	}
 	return nil

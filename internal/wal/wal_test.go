@@ -13,6 +13,13 @@ import (
 	"time"
 )
 
+// setSegmentBytes lowers the segment rotation threshold for one test.
+func setSegmentBytes(t *testing.T, n int64) {
+	prev := segmentBytes
+	segmentBytes = n
+	t.Cleanup(func() { segmentBytes = prev })
+}
+
 // readAll drains a reader into a slice of copied payloads.
 func readAll(t *testing.T, dir string, start uint64) ([][]byte, int) {
 	t.Helper()
@@ -72,7 +79,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestSegmentRotationAndStart(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation every few records.
-	l, err := Open(dir, Options{SegmentBytes: 64})
+	setSegmentBytes(t, 64)
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +204,10 @@ func TestCorruptMidLogFatal(t *testing.T) {
 	for _, where := range []string{"mid_segment", "non_final_segment"} {
 		t.Run(where, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := Options{}
 			if where == "non_final_segment" {
-				opts.SegmentBytes = 64
+				setSegmentBytes(t, 64)
 			}
-			l, err := Open(dir, opts)
+			l, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -393,7 +400,8 @@ func TestGroupCommit(t *testing.T) {
 // goroutines with a fast background committer all land intact.
 func TestConcurrentAppend(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{FsyncEvery: time.Millisecond, SegmentBytes: 512})
+	setSegmentBytes(t, 512)
+	l, err := Open(dir, Options{FsyncEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
