@@ -99,14 +99,10 @@ func DecodeClusterSet(r io.Reader) (ClusterSet, error) {
 // ---------------------------------------------------------------------
 // encoder
 
-// clusMinFanout is what the retired ClusTree MinFanout slot holds; the
-// tree never read the setting.
-const clusMinFanout = 2
-
 func (e *encoder) clusConfig(c clustree.Config) {
 	e.i64(int64(c.Dim))
 	e.i64(int64(c.MaxFanout))
-	e.i64(clusMinFanout)
+	e.i64(2) // the retired MinFanout, which the tree never read
 	e.i64(clustree.MaxLeafEntries)
 	e.f64(c.Lambda)
 	e.f64(clustree.MergeThreshold)
@@ -162,7 +158,7 @@ func (d *decoder) clusConfig() clustree.Config {
 	var c clustree.Config
 	c.Dim = d.dim()
 	c.MaxFanout = int(d.i64())
-	d.fixed("MinFanout", d.i64(), int64(clusMinFanout))
+	d.fixed("MinFanout", d.i64(), int64(2))
 	d.fixed("MaxLeafEntries", d.i64(), int64(clustree.MaxLeafEntries))
 	c.Lambda = d.f64()
 	d.fixed("MergeThreshold", d.f64(), float64(clustree.MergeThreshold))

@@ -224,28 +224,22 @@ func (p *Proxy) Handler() http.Handler {
 	mux.HandleFunc("/microclusters", p.serving(p.handleMicroClusters))
 	mux.HandleFunc("/macroclusters", p.serving(p.handleMacroClusters))
 	mux.HandleFunc("/stats", p.handleStats)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", p.handleReadyz)
+	server.HandleHealth(mux, p.notReady)
 	return mux
 }
 
-func (p *Proxy) handleReadyz(w http.ResponseWriter, r *http.Request) {
+// notReady is the proxy's reason not to take traffic: it drains, or a
+// group has no healthy backend.
+func (p *Proxy) notReady() string {
 	if p.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
+		return "draining"
 	}
 	for _, g := range p.groups {
 		if !g.anyHealthy() {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, fmt.Sprintf("group %d has no healthy backend", g.index),
-				http.StatusServiceUnavailable)
-			return
+			return fmt.Sprintf("group %d has no healthy backend", g.index)
 		}
 	}
-	fmt.Fprintln(w, "ok")
+	return ""
 }
 
 // serving answers 503 in place of h while the proxy drains.

@@ -1,8 +1,6 @@
 package registry
 
 import (
-	"fmt"
-
 	"bayestree/internal/clustree"
 	"bayestree/internal/core"
 	"bayestree/internal/replica"
@@ -23,9 +21,6 @@ import (
 func ClassifyBackend() Backend[*server.Server] {
 	return backend(replica.WorkloadClassify, "/insert", func(dopts server.DurabilityOptions, cfg server.Config, tc TenantConfig) (*server.Server, error) {
 		return server.OpenDurableServer(dopts, cfg, func() (*server.Server, error) {
-			if len(tc.Labels) < 2 {
-				return nil, fmt.Errorf("tenant needs at least two labels (configure registry defaults or PUT the tenant)")
-			}
 			return server.NewEmpty(tc.Shards, core.DefaultConfig(tc.Dim), tc.Labels, core.MultiOptions{}, cfg)
 		})
 	})
@@ -52,9 +47,6 @@ func backend[T server.Served](workload, createPath string, open func(server.Dura
 		CreatePaths: map[string]bool{createPath: true},
 		Open: func(dir string, tc TenantConfig, carvedNPS float64, dopts server.DurabilityOptions) (T, error) {
 			var zero T
-			if tc.Dim <= 0 {
-				return zero, fmt.Errorf("tenant dim unset (configure registry defaults or PUT the tenant)")
-			}
 			s, err := open(dopts, tc.ServerConfig(carvedNPS), tc)
 			if err != nil {
 				return zero, err

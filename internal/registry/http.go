@@ -8,6 +8,7 @@ import (
 	"net/http"
 
 	"bayestree/internal/persist"
+	"bayestree/internal/server"
 )
 
 // This file is the registry's HTTP surface. Tenant-scoped routes
@@ -31,20 +32,11 @@ func (r *Registry[T]) Handler() http.Handler {
 	mux.HandleFunc("GET /t/{tenant}", r.handleInfo)
 	mux.HandleFunc("/t/{tenant}/{rest...}", r.handleTenant)
 	mux.HandleFunc("GET /stats", r.handleStats)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
+	server.HandleHealth(mux, func() string {
 		if r.Draining() {
-			// The uniform not-ready shape: probers back off the same way
-			// whichever tier answers.
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
+			return "draining"
 		}
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ok\n")
+		return ""
 	})
 	mux.HandleFunc("/", r.handleDefault)
 	return mux
@@ -143,12 +135,12 @@ func (r *Registry[T]) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, r.Stats())
 }
 
-// writeErr maps registry errors onto HTTP statuses: bad names 400,
-// unknown tenants 404, draining and load failures 503 + Retry-After
+// writeErr maps registry errors onto HTTP statuses: bad names and
+// tenant configs that cannot open 400, unknown tenants 404, draining and load failures 503 + Retry-After
 // (retryable: the loader's disk may heal, the drain may be a failover).
 func (r *Registry[T]) writeErr(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrInvalidName):
+	case errors.Is(err, ErrInvalidName), errors.Is(err, ErrInvalidConfig):
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	case errors.Is(err, ErrUnknownTenant):
 		http.Error(w, err.Error(), http.StatusNotFound)

@@ -42,11 +42,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bayestree/internal/persist"
+	"bayestree/internal/replica"
 	"bayestree/internal/server"
 )
 
@@ -134,6 +136,30 @@ func (tc TenantConfig) withDefaults(d TenantConfig) TenantConfig {
 		tc.DecayEveryMS = d.DecayEveryMS
 	}
 	return tc
+}
+
+// check refuses a resolved config that no tenant of the workload can be
+// opened with. The fault is the request's or the registry defaults', so
+// retrying cannot help: the HTTP layer answers 400.
+func (tc TenantConfig) check(workload string) error {
+	switch {
+	case tc.Dim == 0:
+		return fmt.Errorf("%w: tenant dim unset (configure registry defaults or PUT the tenant)", ErrInvalidConfig)
+	case tc.Dim < 0:
+		return fmt.Errorf("%w: tenant dim %d, want ≥ 1", ErrInvalidConfig, tc.Dim)
+	case tc.Shards < 1:
+		return fmt.Errorf("%w: tenant shards %d, want ≥ 1", ErrInvalidConfig, tc.Shards)
+	case workload != replica.WorkloadClassify:
+		return nil
+	case len(tc.Labels) < 2:
+		return fmt.Errorf("%w: tenant needs at least two labels (configure registry defaults or PUT the tenant)", ErrInvalidConfig)
+	case len(slices.Compact(slices.Sorted(slices.Values(tc.Labels)))) < len(tc.Labels):
+		return fmt.Errorf("%w: tenant labels %v hold a duplicate", ErrInvalidConfig, tc.Labels)
+	}
+	if err := tc.ServerConfig(0).Decay.Validate(); err != nil {
+		return fmt.Errorf("%w: tenant %v", ErrInvalidConfig, err)
+	}
+	return nil
 }
 
 // ServerConfig shapes the tenant's server.Config from its resolved
@@ -279,6 +305,10 @@ var ErrDraining = fmt.Errorf("registry: draining")
 // ErrInvalidName rejects tenant names outside ValidTenantName; the
 // HTTP layer maps it to 400.
 var ErrInvalidName = fmt.Errorf("registry: invalid tenant name")
+
+// ErrInvalidConfig rejects a tenant creation whose resolved
+// TenantConfig cannot be opened; the HTTP layer maps it to 400.
+var ErrInvalidConfig = fmt.Errorf("registry: invalid tenant config")
 
 // ValidTenantName reports whether name is usable as a tenant name (and
 // therefore a directory name): 1–64 characters from [A-Za-z0-9._-],
@@ -545,6 +575,9 @@ func (r *Registry[T]) load(h *handle[T]) (srv T, err error) {
 	}
 	tc = tc.withDefaults(r.opts.Defaults)
 	if !created {
+		if err = tc.check(r.backend.Workload); err != nil {
+			return srv, err
+		}
 		if err = os.MkdirAll(dir, 0o755); err != nil {
 			return srv, fmt.Errorf("registry: create tenant %s: %w", h.name, err)
 		}

@@ -377,7 +377,7 @@ func TestValidTenantName(t *testing.T) {
 }
 
 // TestDrainingRejects: a draining registry answers 503 and fails
-// readiness; /healthz stays alive.
+// readiness in the uniform not-ready shape; /healthz stays alive.
 func TestDrainingRejects(t *testing.T) {
 	r := openTestRegistry(t, t.TempDir(), nil)
 	ts := httptest.NewServer(r.Handler())
@@ -392,9 +392,15 @@ func TestDrainingRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var body bytes.Buffer
+	body.ReadFrom(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("draining readyz: %d (Retry-After %q), want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	// The uniform not-ready shape every tier answers: plain text naming
+	// the reason, with Retry-After.
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" ||
+		resp.Header.Get("Content-Type") != "text/plain; charset=utf-8" || body.String() != "draining\n" {
+		t.Fatalf("draining readyz: %d (Retry-After %q, Content-Type %q) %q, want the plain-text 503 \"draining\" with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), resp.Header.Get("Content-Type"), body.String())
 	}
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -520,22 +526,33 @@ func TestPopulationIsTheDirectory(t *testing.T) {
 	}
 }
 
-// TestFailedCreateLeavesNoTenant: a create whose open fails removes the
+// TestFailedCreateLeavesNoTenant: a create whose open fails — here on
+// a damaged MANIFEST already in the tenant's directory — removes the
 // TENANT.json it wrote, so the directory holds no tenant now or after a
-// restart, and a later create with a usable config succeeds.
+// restart, and a later create over a clean directory succeeds.
 func TestFailedCreateLeavesNoTenant(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(Options{Dir: dir, Defaults: TenantConfig{Dim: 3}}, ClassifyBackend())
+	r, err := Open(Options{Dir: dir, Defaults: testDefaults()}, ClassifyBackend())
 	if err != nil {
 		t.Fatal(err)
 	}
+	manifest := filepath.Join(dir, tenantsSubdir, "x", persist.ManifestName)
+	if err := os.MkdirAll(filepath.Dir(manifest), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, []byte("not a manifest"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := r.Create("x", TenantConfig{}); err == nil {
-		t.Fatal("a tenant without labels was created")
+		t.Fatal("a tenant over a damaged MANIFEST was created")
 	}
 	if got := r.Tenants(); got != 0 {
 		t.Fatalf("tenants after a failed create: %d", got)
 	}
 	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(manifest); err != nil {
 		t.Fatal(err)
 	}
 	r2 := openTestRegistry(t, dir, nil)
@@ -544,6 +561,59 @@ func TestFailedCreateLeavesNoTenant(t *testing.T) {
 	}
 	if created, err := r2.Create("x", TenantConfig{Labels: []int{0, 1}}); err != nil || !created {
 		t.Fatalf("create after a failed one: %v, %v", created, err)
+	}
+}
+
+// TestUnopenableConfigIsClientError: a create whose resolved config no
+// tenant can be opened with answers 400 without Retry-After — a retry
+// cannot succeed — writes no TENANT.json, and names the fault; a first
+// write under registry defaults without a dimensionality is refused the
+// same way.
+func TestUnopenableConfigIsClientError(t *testing.T) {
+	dir := t.TempDir()
+	r := openTestRegistry(t, dir, nil)
+	ts := httptest.NewServer(r.Handler())
+	defer ts.Close()
+	for body, want := range map[string]string{
+		`{"shards":-1}`:    "tenant shards -1",
+		`{"dim":-2}`:       "tenant dim -2",
+		`{"labels":[1,1]}`: "tenant labels [1 1] hold a duplicate",
+		`{"labels":[1]}`:   "at least two labels",
+		`{"decay_lambda":1,"decay_min_weight":2}`: "MinWeight",
+	} {
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/t/bad", strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg bytes.Buffer
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Retry-After") != "" || !strings.Contains(msg.String(), want) {
+			t.Errorf("PUT %s: %d (Retry-After %q) %q, want 400 without Retry-After naming %q",
+				body, resp.StatusCode, resp.Header.Get("Retry-After"), msg.String(), want)
+		}
+		if _, err := os.Stat(filepath.Join(dir, tenantsSubdir, "bad", tenantConfigName)); !os.IsNotExist(err) {
+			t.Errorf("PUT %s left a TENANT.json (%v)", body, err)
+		}
+	}
+	if got := r.Tenants(); got != 0 {
+		t.Fatalf("tenants after refused creates: %d", got)
+	}
+
+	undimmed := openTestRegistry(t, t.TempDir(), func(o *Options) { o.Defaults.Dim = 0 })
+	ts2 := httptest.NewServer(undimmed.Handler())
+	defer ts2.Close()
+	resp, err := http.Post(ts2.URL+"/t/a/insert", "application/json", strings.NewReader(`{"x":[0,0,0],"label":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg bytes.Buffer
+	msg.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Retry-After") != "" || !strings.Contains(msg.String(), "tenant dim unset") {
+		t.Fatalf("first write without a default dim: %d (Retry-After %q) %q, want 400 naming the unset dim",
+			resp.StatusCode, resp.Header.Get("Retry-After"), msg.String())
 	}
 }
 

@@ -115,14 +115,6 @@ type ClusterOptions struct {
 	SnapshotEvery int
 }
 
-// withDefaults resolves zero values.
-func (o ClusterOptions) withDefaults() ClusterOptions {
-	if o.SnapshotEvery == 0 {
-		o.SnapshotEvery = 1024
-	}
-	return o
-}
-
 // ClusterServer is the sharded anytime clustering instantiation of the
 // engine. All methods are safe for concurrent use.
 type ClusterServer struct {
@@ -179,7 +171,9 @@ func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.Snapsho
 		}
 		models[i] = &ctree{t: t, floor: cfg.Decay.MinWeight}
 	}
-	copts = copts.withDefaults()
+	if copts.SnapshotEvery == 0 {
+		copts.SnapshotEvery = 1024
+	}
 	s := &ClusterServer{ccfg: ccfg, copts: copts}
 	s.clock.Store(clock)
 	if copts.SnapshotEvery > 0 {

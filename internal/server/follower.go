@@ -257,28 +257,22 @@ func (f *Follower[S]) Epoch() uint64 {
 // primary), and 503 + Retry-After (with a live /healthz) before the
 // first bootstrap.
 func (f *Follower[S]) Handler() http.Handler {
+	waiting := http.NewServeMux()
+	HandleHealth(waiting, func() string { return "bootstrapping" })
+	waiting.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if msg, _ := f.tailErr.Load().(string); msg != "" {
+			WriteUnavailable(w, "replica: awaiting first bootstrap from primary %s (last tail error: %s)", f.primaryURL, msg)
+			return
+		}
+		WriteUnavailable(w, "replica: awaiting first bootstrap from primary %s", f.primaryURL)
+	})
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var zero S
 		if s := f.Current(); s != zero {
 			s.Handler().ServeHTTP(w, r)
 			return
 		}
-		if r.URL.Path == "/healthz" {
-			fmt.Fprintln(w, "ok")
-			return
-		}
-		if r.URL.Path == "/readyz" {
-			// The uniform not-ready shape (plain text, Retry-After) that
-			// primaries use during recovery, so probers back off the same
-			// way whatever the reason.
-			writeNotReady(w, "bootstrapping")
-			return
-		}
-		if msg, _ := f.tailErr.Load().(string); msg != "" {
-			WriteUnavailable(w, "replica: awaiting first bootstrap from primary %s (last tail error: %s)", f.primaryURL, msg)
-			return
-		}
-		WriteUnavailable(w, "replica: awaiting first bootstrap from primary %s", f.primaryURL)
+		waiting.ServeHTTP(w, r)
 	})
 }
 

@@ -102,22 +102,14 @@ func (e *engine[M]) mux() *http.ServeMux {
 	mux.HandleFunc("/stats", getOnly(func(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusOK, e.wl.stats())
 	}))
-	// Pure liveness: 200 as long as the process is up and listening, even
-	// mid-recovery — so orchestrators do not kill a process that is busy
-	// replaying its WAL. Routability is /readyz's job.
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
-	// Readiness: 503 + Retry-After while WAL replay is rebuilding the
-	// model or the process is draining, 200 otherwise — the endpoint load
-	// balancers should route on.
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+	HandleHealth(mux, func() string {
 		switch {
 		case e.Recovering():
-			writeNotReady(w, "recovering")
+			return "recovering"
 		case e.Draining():
-			writeNotReady(w, "draining")
-		default:
-			fmt.Fprintln(w, "ok")
+			return "draining"
 		}
+		return ""
 	})
 	mux.HandleFunc("/replicate", e.handleReplicate)
 	return mux
@@ -181,13 +173,25 @@ func WriteUnavailable(w http.ResponseWriter, format string, args ...interface{})
 	WriteError(w, http.StatusServiceUnavailable, format, args...)
 }
 
-// writeNotReady is the uniform not-ready /readyz answer: plain-text 503
-// with Retry-After, the same shape whatever the reason (recovering,
-// draining, a follower awaiting bootstrap) — so probers and load
-// balancers back off uniformly.
-func writeNotReady(w http.ResponseWriter, reason string) {
-	w.Header().Set("Retry-After", "1")
-	http.Error(w, reason, http.StatusServiceUnavailable)
+// HandleHealth serves every tier's /healthz and /readyz on mux.
+// /healthz is pure liveness: 200 as long as the process is up and
+// listening, even mid-recovery — so orchestrators do not kill a process
+// that is busy replaying its WAL. /readyz is what load balancers route
+// on: 200 when notReady returns "", otherwise the uniform not-ready
+// answer — plain-text 503 with Retry-After and the reason as its body,
+// the same shape whatever the reason (recovering, draining, a follower
+// awaiting bootstrap, a proxy group without a healthy backend) — so
+// probers back off uniformly.
+func HandleHealth(mux *http.ServeMux, notReady func() string) {
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		if reason := notReady(); reason != "" {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, reason, http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprintln(w, "ok")
+	})
 }
 
 // redirectToPrimary answers a write sent to a follower with a 307 to

@@ -80,12 +80,6 @@ type Options struct {
 	Start uint64
 }
 
-// withDefaults resolves zero values.
-func (o Options) withDefaults() Options {
-	o.Start = max(o.Start, 1)
-	return o
-}
-
 // Stats is a point-in-time summary of a log's lifetime counters.
 type Stats struct {
 	// Appends is the number of records appended.
@@ -152,7 +146,7 @@ type Log struct {
 // that opens and exits without writing leaves no file. Mid-log
 // corruption in the last segment fails with ErrCorrupt.
 func Open(dir string, opts Options) (*Log, error) {
-	opts = opts.withDefaults()
+	opts.Start = max(opts.Start, 1)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
