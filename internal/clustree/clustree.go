@@ -35,13 +35,12 @@ import (
 	"bayestree/internal/stats"
 )
 
-// The leaf shape and the absorption rule, fixed as the paper's
-// Section 4.2 parameterises them. A leaf holds at most MaxLeafEntries
-// micro-clusters. An arriving object is absorbed into its nearest
-// micro-cluster when it lies within MergeThreshold radii of its mean,
-// or within AbsorbDistance of it whatever the radius: that floor keeps
-// tight sources from fragmenting into swarms of near-zero-radius
-// micro-clusters, and suits unit-cube data.
+// The leaf shape and the absorption rule. A leaf holds at most
+// MaxLeafEntries micro-clusters. An arriving object joins its nearest
+// micro-cluster when within MergeThreshold radii of its mean, or within
+// AbsorbDistance whatever the radius — the floor that keeps tight
+// sources from fragmenting into near-zero-radius swarms on unit-cube
+// data.
 const (
 	MaxLeafEntries = 8
 	MergeThreshold = 3

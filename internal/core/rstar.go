@@ -158,15 +158,11 @@ func (t *MultiTree) rstarFix(path []*MultiNode, reinserted map[int]bool) {
 	}
 }
 
-// reinsertCount is how many of a node of the given capacity forced
-// reinsertion takes out.
-func reinsertCount(capacity int) int { return max(1, int(ReinsertFraction*float64(capacity))) }
-
 // pickReinsertPoints removes from leaf n the ReinsertFraction of MaxLeaf
 // points farthest from its centroid and returns them, farthest first;
 // the rest stay in order of decreasing distance.
 func (t *MultiTree) pickReinsertPoints(n *MultiNode) []LabeledPoint {
-	p := reinsertCount(t.cfg.MaxLeaf)
+	p := max(1, int(ReinsertFraction*float64(t.cfg.MaxLeaf)))
 	sum := t.summarize(n)
 	center := sum.Total.Mean()
 	idx := sortedByDistDesc(len(n.points), func(i int) []float64 { return n.points[i].X }, center)
@@ -179,7 +175,7 @@ func (t *MultiTree) pickReinsertPoints(n *MultiNode) []LabeledPoint {
 // centres lie farthest from its rectangle's centre and returns them,
 // farthest first, as pickReinsertPoints does.
 func (t *MultiTree) pickReinsertEntries(n *MultiNode) []MultiEntry {
-	p := reinsertCount(t.cfg.MaxFanout)
+	p := max(1, int(ReinsertFraction*float64(t.cfg.MaxFanout)))
 	center := t.summarize(n).Rect.Center()
 	idx := sortedByDistDesc(len(n.entries), func(i int) []float64 { return n.entries[i].Rect.Center() }, center)
 	removed := gather(n.entries, idx[:p])

@@ -153,8 +153,11 @@ func (tc TenantConfig) check(workload string) error {
 		return nil
 	case len(tc.Labels) < 2:
 		return fmt.Errorf("%w: tenant needs at least two labels (configure registry defaults or PUT the tenant)", ErrInvalidConfig)
-	case len(slices.Compact(slices.Sorted(slices.Values(tc.Labels)))) < len(tc.Labels):
-		return fmt.Errorf("%w: tenant labels %v hold a duplicate", ErrInvalidConfig, tc.Labels)
+	}
+	for i, l := range tc.Labels {
+		if slices.Contains(tc.Labels[:i], l) {
+			return fmt.Errorf("%w: tenant label %d repeated", ErrInvalidConfig, l)
+		}
 	}
 	if err := tc.ServerConfig(0).Decay.Validate(); err != nil {
 		return fmt.Errorf("%w: tenant %v", ErrInvalidConfig, err)

@@ -577,7 +577,7 @@ func TestUnopenableConfigIsClientError(t *testing.T) {
 	for body, want := range map[string]string{
 		`{"shards":-1}`:    "tenant shards -1",
 		`{"dim":-2}`:       "tenant dim -2",
-		`{"labels":[1,1]}`: "tenant labels [1 1] hold a duplicate",
+		`{"labels":[1,1]}`: "tenant label 1 repeated",
 		`{"labels":[1]}`:   "at least two labels",
 		`{"decay_lambda":1,"decay_min_weight":2}`: "MinWeight",
 	} {
