@@ -66,10 +66,11 @@ func register(fs *flag.FlagSet) *options {
 				"under overload objects park in inner-node buffers and hitchhike leafward\n"+
 				"later, so the stream never backs up. -lambda sets exponential forgetting\n"+
 				"per stream object; the background sweep prunes micro-clusters below\n"+
-				"-min-weight every -decay-every. -wal-dir makes ingest durable: objects are\n"+
-				"appended to a per-shard write-ahead log (group-committed every\n"+
-				"-fsync-every) and recovery replays the log tail over the latest\n"+
-				"checkpoint.\n\n"+
+				"-min-weight every -decay-every. /window reads the pyramidal store, fed\n"+
+				"every -snap-every objects (base 2, three snapshots per order). -wal-dir\n"+
+				"makes ingest durable: objects are appended to a per-shard write-ahead\n"+
+				"log (group-committed every -fsync-every) and recovery replays the log\n"+
+				"tail over the latest checkpoint.\n\n"+
 				"Examples:\n"+
 				"  servecluster -dim 2 -shards 4 -lambda 0.004\n"+
 				"  servecluster -snapshot clusters.btsn -nps 50000\n\n"+
