@@ -136,8 +136,9 @@ func (r *Registry[T]) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // writeErr maps registry errors onto HTTP statuses: bad names and
-// tenant configs that cannot open 400, unknown tenants 404, draining and load failures 503 + Retry-After
-// (retryable: the loader's disk may heal, the drain may be a failover).
+// tenant configs that cannot open 400, unknown tenants 404, draining
+// and load failures 503 + Retry-After (retryable: the loader's disk
+// may heal, the drain may be a failover).
 func (r *Registry[T]) writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrInvalidName), errors.Is(err, ErrInvalidConfig):
