@@ -71,7 +71,11 @@ func (s *SnapshotStore) Record(t float64, mcs []MicroCluster) error {
 	snaps = append(snaps, Snapshot{Time: float64(it), MicroClusters: mcs})
 	sort.Slice(snaps, func(a, b int) bool { return snaps[a].Time < snaps[b].Time })
 	if len(snaps) > s.capacity {
-		snaps = snaps[len(snaps)-s.capacity:]
+		// Copy the survivors down and clear the tail: a reslice would keep
+		// the evicted snapshots, and their vectors, in the backing array.
+		n := copy(snaps, snaps[len(snaps)-s.capacity:])
+		clear(snaps[n:])
+		snaps = snaps[:n]
 	}
 	s.orders[o] = snaps
 	return nil

@@ -3,7 +3,10 @@ package clustree
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"bayestree/internal/stats"
 )
@@ -82,6 +85,42 @@ func TestSnapshotStorePyramidal(t *testing.T) {
 			t.Errorf("snapshot age %v too far from query age %v", ageS, ageQ)
 		}
 	}
+}
+
+// TestSnapshotEvictionReleases: an evicted snapshot is not held past
+// its order's length, and nothing else in the store keeps it and its
+// micro-cluster vectors reachable either: every evicted snapshot's set
+// is collected while the store lives on.
+func TestSnapshotEvictionReleases(t *testing.T) {
+	s, err := NewSnapshotStore(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1000
+	var collected atomic.Int64
+	for ts := 1; ts <= n; ts++ {
+		mcs := []MicroCluster{mcAt([]float64{float64(ts)}, 1)}
+		runtime.SetFinalizer(&mcs[0], func(*MicroCluster) { collected.Add(1) })
+		if err := s.Record(float64(ts), mcs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for o, snaps := range s.orders {
+		for i, sn := range snaps[len(snaps):cap(snaps)] {
+			if sn.MicroClusters != nil || sn.Time != 0 {
+				t.Errorf("order %d holds the snapshot at %v beyond its length, at %d", o, sn.Time, len(snaps)+i)
+			}
+		}
+	}
+	evicted := int64(n - s.Len())
+	for try := 0; try < 100 && collected.Load() < evicted; try++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != evicted {
+		t.Errorf("%d of %d evicted snapshots collected; the store still reaches the rest", got, evicted)
+	}
+	runtime.KeepAlive(s)
 }
 
 func TestSnapshotClosestEmpty(t *testing.T) {

@@ -268,54 +268,103 @@ type ClusterResult = wire.ClusterResult
 // shard's tree — running out parks the object in an inner-node buffer,
 // to hitchhike toward leaf level on a later descent. budget 0 means the
 // server default, negative means "as much as the cap and admission
-// allow".
+// allow". It is the one-line case of a window's ingest.
 func (s *ClusterServer) Insert(x []float64, budget int) (ClusterResult, error) {
-	return s.insertResolved(x, s.cfg.ClampBudget(budget))
-}
-
-// insertResolved is Insert after budget resolution; unspent grant is
-// refunded so early leaf arrival does not eat configured capacity. On
-// a durable server the record — timestamp, granted budget, point: the
-// inputs that make the descent deterministic — is appended to the
-// shard's write-ahead log under the same lock before the apply.
-func (s *ClusterServer) insertResolved(x []float64, requested int) (ClusterResult, error) {
-	if len(x) != s.ccfg.Dim {
-		return ClusterResult{}, fmt.Errorf("server: point dim %d != model dim %d", len(x), s.ccfg.Dim)
-	}
-	if err := stats.CheckPoint(x); err != nil {
-		return ClusterResult{}, err
-	}
-	if err := s.writeAllowed(); err != nil {
-		return ClusterResult{}, err
-	}
-	granted := s.grant(requested)
-	idx := RouteShard(x, len(s.shards))
-	sh := s.shards[idx]
-	sh.mu.Lock()
-	ts := s.clock.Add(1)
-	if s.durableOn() {
-		if err := s.logAppend(idx, encodeRecord(x, ts, int64(granted))); err != nil {
-			// The clock tick is not rolled back: per-shard timestamps stay
-			// strictly increasing, a skipped tick is harmless.
-			sh.mu.Unlock()
-			s.settle(granted, 0)
-			return ClusterResult{}, err
-		}
-	}
-	parkedBefore := sh.tree.t.Parked()
-	visited, err := sh.tree.t.InsertCounted(x, float64(ts), granted)
-	parked := sh.tree.t.Parked() > parkedBefore
-	sh.mu.Unlock()
-	s.settle(granted, visited)
+	shard, err := s.route(x)
 	if err != nil {
 		return ClusterResult{}, err
 	}
-	s.inserts.Add(1)
-	s.maybeRecord(ts)
-	return ClusterResult{
-		Shard: idx, Requested: requested, Granted: granted,
-		NodesRead: visited, Parked: parked, Degraded: granted < requested,
-	}, nil
+	reqs, res, errs := [1]wire.ClusterRequest{{X: x}}, [1]ClusterResult{{Shard: shard, Requested: s.cfg.ClampBudget(budget)}}, [1]error{}
+	if s.ingest([]int{0}, reqs[:], res[:], errs[:]); errs[0] != nil {
+		return ClusterResult{}, errs[0]
+	}
+	return res[0], nil
+}
+
+// route names the shard of x, or refuses it: a wrong dimension, a
+// coordinate CheckPoint refuses, a server that takes no writes.
+func (s *ClusterServer) route(x []float64) (int, error) {
+	if len(x) != s.ccfg.Dim {
+		return 0, fmt.Errorf("server: point dim %d != model dim %d", len(x), s.ccfg.Dim)
+	}
+	if err := stats.CheckPoint(x); err != nil {
+		return 0, err
+	}
+	if err := s.writeAllowed(); err != nil {
+		return 0, err
+	}
+	return RouteShard(x, len(s.shards)), nil
+}
+
+// ingestWindow answers a /cluster NDJSON window's decoded lines shard by
+// shard: each line is routed as Insert routes it, into its shard's list
+// of line indices, and then one task a shard ingests its list, the
+// shards side by side.
+func (s *ClusterServer) ingestWindow(x *exchange[wire.ClusterRequest, wire.ClusterResult], n int) {
+	if len(x.groups) != len(s.shards) {
+		x.groups = make([][]int, len(s.shards))
+	}
+	for g := range x.groups {
+		x.groups[g] = x.groups[g][:0]
+	}
+	for i := 0; i < n; i++ {
+		if x.errs[i] != nil {
+			continue
+		}
+		var shard int
+		if shard, x.errs[i] = s.route(x.reqs[i].X); x.errs[i] == nil {
+			x.res[i] = ClusterResult{Shard: shard, Requested: s.cfg.ClampBudget(x.reqs[i].Budget)}
+			x.groups[shard] = append(x.groups[shard], i)
+		}
+	}
+	core.ForEach(len(x.groups), 0, func(g int) {
+		if len(x.groups[g]) > 0 {
+			s.ingest(x.groups[g], x.reqs, x.res, x.errs)
+		}
+	})
+}
+
+// ingest inserts the objects of the lines at group, each routed to
+// res[i].Shard (one shard) with res[i].Requested resolved, in line
+// order: all are admitted, then under one hold of the shard's write lock
+// each ticks the clock and, on a durable server, logs its record —
+// timestamp, granted budget, point: the inputs that make the descent
+// deterministic — before it descends. After the unlock the grants are
+// settled, unspent grant refunded, and each recording boundary crossed
+// is recorded, which takes every shard lock.
+func (s *ClusterServer) ingest(group []int, reqs []wire.ClusterRequest, res []ClusterResult, errs []error) {
+	for _, i := range group {
+		res[i].Granted = s.grant(res[i].Requested)
+	}
+	sh, boundary, crossed := s.shards[res[group[0]].Shard], int64(0), 0
+	sh.mu.Lock()
+	for _, i := range group {
+		r := &res[i]
+		ts := s.clock.Add(1)
+		if s.durableOn() {
+			// A failed append does not roll the tick back: per-shard
+			// timestamps stay strictly increasing, a skipped tick is harmless.
+			if errs[i] = s.logAppend(r.Shard, encodeRecord(reqs[i].X, ts, int64(r.Granted))); errs[i] != nil {
+				continue
+			}
+		}
+		parked := sh.tree.t.Parked()
+		r.NodesRead, errs[i] = sh.tree.t.InsertCounted(reqs[i].X, float64(ts), r.Granted)
+		r.Parked, r.Degraded = sh.tree.t.Parked() > parked, r.Granted < r.Requested
+		if errs[i] == nil && ts%int64(s.copts.SnapshotEvery) == 0 {
+			boundary, crossed = ts, crossed+1
+		}
+	}
+	sh.mu.Unlock()
+	for _, i := range group {
+		s.settle(res[i].Granted, res[i].NodesRead)
+		if errs[i] == nil {
+			s.inserts.Add(1)
+		}
+	}
+	for ; crossed > 0; crossed-- {
+		s.maybeRecord(boundary)
+	}
 }
 
 // maybeRecord stores a pyramidal snapshot of the union micro-clusters

@@ -32,12 +32,12 @@ import (
 // Handler returns the HTTP handler serving the clustering endpoints.
 func (s *ClusterServer) Handler() http.Handler {
 	mux := s.mux()
-	// Objects in one /cluster window are ingested by a small worker pool —
-	// inserts to distinct shards proceed in parallel, each admitted
-	// individually.
+	// The objects of one /cluster window are ingested shard by shard
+	// (ingestWindow): each shard's lines in line order under one hold of
+	// its lock, the shards side by side, each object admitted individually.
 	mux.HandleFunc("/cluster", itemHandler(&s.engine, itemRoute[wire.ClusterRequest, wire.ClusterResult]{
 		write:   true,
-		workers: 8,
+		window:  s.ingestWindow,
 		badLine: "bad request line",
 		serve:   func(req wire.ClusterRequest, _ bool) (wire.ClusterResult, error) { return s.Insert(req.X, req.Budget) },
 		errLine: func(dst []byte, msg string) []byte { return wire.ClusterLine{Error: msg}.AppendJSON(dst) },

@@ -29,11 +29,11 @@ import (
 // primary; a fenced ex-primary answers 503.
 //
 // A body whose Content-Type mentions "ndjson" (or a ?stream=1 query) is
-// treated as a streamed batch: requests are read line by line, windows
-// of lines are classified in parallel, and one response line is written
-// per request line in order, flushed per window — so a client can pipe
-// an unbounded stream through a single connection and read predictions
-// while it is still sending.
+// treated as a streamed batch: requests are read line by line, a window
+// of lines is decoded in parallel and answered by its route, and one
+// response line is written per request line in order, flushed per
+// window — so a client can pipe an unbounded stream through a single
+// connection and read predictions while it is still sending.
 //
 // /stats, /healthz, /readyz and /replicate, the write guard and the
 // body-or-NDJSON item route are the engine's: written once below, the
@@ -68,28 +68,30 @@ func (s *Server) Handler() http.Handler {
 	mux := s.mux()
 	// Windows of /classify lines are classified by a worker pool, each
 	// item admitted individually.
+	classify := func(req wire.ClassifyRequest, _ bool) (wire.Result, error) { return s.classifyWire(req) }
 	mux.HandleFunc("/classify", itemHandler(&s.engine, itemRoute[wire.ClassifyRequest, wire.Result]{
-		workers: 8,
 		badLine: "bad request line",
-		serve:   func(req wire.ClassifyRequest, _ bool) (wire.Result, error) { return s.classifyWire(req) },
+		serve:   classify,
+		window:  perLine(8, classify),
 		errLine: func(dst []byte, msg string) []byte { return wire.ResultLine{Error: msg}.AppendJSON(dst) },
 	}))
 	// Inserts stay sequential — each takes its shard's write lock — but
 	// the single connection amortises transport overhead for bulk ingest
 	// while classifications keep flowing on other connections.
+	insert := func(req wire.InsertRequest, stream bool) (wire.InsertAck, error) {
+		if err := s.Insert(req.X, req.Label); err != nil {
+			return wire.InsertAck{}, err
+		}
+		if stream {
+			return wire.InsertAck{OK: true}, nil
+		}
+		return wire.InsertAck{Observations: s.Len(), OK: true}, nil
+	}
 	mux.HandleFunc("/insert", itemHandler(&s.engine, itemRoute[wire.InsertRequest, wire.InsertAck]{
 		write:   true,
-		workers: 1,
 		badLine: "bad insert line",
-		serve: func(req wire.InsertRequest, stream bool) (wire.InsertAck, error) {
-			if err := s.Insert(req.X, req.Label); err != nil {
-				return wire.InsertAck{}, err
-			}
-			if stream {
-				return wire.InsertAck{OK: true}, nil
-			}
-			return wire.InsertAck{Observations: s.Len(), OK: true}, nil
-		},
+		serve:   insert,
+		window:  perLine(1, insert),
 		errLine: func(dst []byte, msg string) []byte { return wire.Error{Error: msg}.AppendJSON(dst) },
 	}))
 	return mux
@@ -237,12 +239,14 @@ func enableFullDuplex(w http.ResponseWriter) {
 // answered from out too) and, a slot per line of an NDJSON window (a
 // single body uses the first), the request being decoded — here because
 // a request declared where it is decoded would be allocated per line —
-// and its answer or its failure.
+// and its answer or its failure; and, for a route that ingests a window
+// shard by shard, each shard's list of line indices.
 type exchange[Q any, A wire.Appender] struct {
 	streamBufs
-	reqs []Q
-	res  []A
-	errs []error
+	reqs   []Q
+	res    []A
+	errs   []error
+	groups [][]int
 }
 
 // streamBufs is what ndjsonStream works in, kept from one request to
@@ -329,15 +333,27 @@ func ReadItem(w http.ResponseWriter, r *http.Request, buf []byte, v wire.Value) 
 type itemRoute[Q any, A wire.Appender] struct {
 	// write routes pass the write guard before anything is read.
 	write bool
-	// workers sizes the pool that serves one NDJSON window; 1 keeps a
-	// stream's items strictly sequential.
-	workers int
 	// badLine prefixes the error of a line that does not decode.
 	badLine string
 	// serve answers one decoded item; stream reports the NDJSON form.
 	serve func(req Q, stream bool) (A, error)
+	// window answers an NDJSON window of n decoded lines: x.res[i] and
+	// x.errs[i] for each i < n whose x.errs[i] is nil (the line decoded).
+	window func(x *exchange[Q, A], n int)
 	// errLine appends a failed line's response (the stream keeps going).
 	errLine func(dst []byte, msg string) []byte
+}
+
+// perLine is the window of a route that answers each line with serve,
+// on a pool of up to workers goroutines; one keeps the lines in order.
+func perLine[Q any, A wire.Appender](workers int, serve func(Q, bool) (A, error)) func(*exchange[Q, A], int) {
+	return func(x *exchange[Q, A], n int) {
+		core.ForEach(n, workers, func(i int) {
+			if x.errs[i] == nil {
+				x.res[i], x.errs[i] = serve(x.reqs[i], true)
+			}
+		})
+	}
 }
 
 // itemHandler serves an itemRoute. A request is refused in fixed order:
@@ -381,15 +397,15 @@ func itemHandler[M Model, Q any, A wire.Appender, P interface {
 		defer pool.Put(x)
 		if IsStream(r) {
 			ndjsonStream(w, r, &x.streamBufs, func(lines [][]byte, out []byte) []byte {
-				core.ForEach(len(lines), rt.workers, func(i int) {
+				// Decode every line, taking no lock; the route answers those that decoded.
+				core.ForEach(len(lines), 0, func(i int) {
 					var zero Q
-					x.reqs[i] = zero
+					x.reqs[i], x.errs[i] = zero, nil
 					if err := wire.DecodeLine(lines[i], P(&x.reqs[i])); err != nil {
 						x.errs[i] = fmt.Errorf("%s: %v", rt.badLine, err)
-					} else {
-						x.res[i], x.errs[i] = rt.serve(x.reqs[i], true)
 					}
 				})
+				rt.window(x, len(lines))
 				for i := range lines {
 					if err := x.errs[i]; err != nil {
 						out = rt.errLine(out, err.Error())

@@ -3,12 +3,17 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"bayestree/internal/wal"
 	"bayestree/internal/wire"
 )
 
@@ -147,5 +152,150 @@ func TestClusterWindowContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// windowBodies draws windows of objects in [0,1)² at budgets 1–5, one
+// NDJSON body a window, and the objects line by line.
+func windowBodies(rng *rand.Rand, windows int) ([][]byte, [][]float64) {
+	bodies, xs := make([][]byte, windows), make([][]float64, 0, windows*streamWindow)
+	for w := range bodies {
+		for i := 0; i < streamWindow; i++ {
+			x := []float64{rng.Float64(), rng.Float64()}
+			xs = append(xs, x)
+			bodies[w] = append(wire.ClusterRequest{X: x, Budget: 1 + i%5}.AppendJSON(bodies[w]), '\n')
+		}
+	}
+	return bodies, xs
+}
+
+// TestClusterWindowShardLineOrder: the lines of one window that go to
+// one shard apply in line order. On a durable server each shard's log
+// holds them in the order they stood in their bodies, with strictly
+// increasing timestamps — the log order is the apply order.
+func TestClusterWindowShardLineOrder(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurableCluster(t, dir, 4)
+	bodies, xs := windowBodies(rand.New(rand.NewSource(5)), 8)
+	line := make(map[[2]float64]int, len(xs))
+	for i, x := range xs {
+		line[[2]float64{x[0], x[1]}] = i
+	}
+	h := s.Handler()
+	for _, body := range bodies {
+		for i, l := range clusterLines(t, h, body) {
+			if l.Error != "" {
+				t.Fatalf("line %d: %s", i, l.Error)
+			}
+		}
+	}
+	if err := s.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	logged := 0
+	for shard := 0; shard < 4; shard++ {
+		r, err := wal.OpenReader(filepath.Join(dir, fmt.Sprintf("shard-%03d", shard)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastLine, lastTS := -1, int64(0)
+		for {
+			p, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			head, x, err := decodeRecord(p, 2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i, ok := line[[2]float64{x[0], x[1]}]
+			if !ok || RouteShard(x, 4) != shard {
+				t.Fatalf("shard %d logged %v, no line of its own", shard, x)
+			}
+			if i <= lastLine || head[0] <= lastTS {
+				t.Fatalf("shard %d logged line %d at time %d after line %d at time %d", shard, i, head[0], lastLine, lastTS)
+			}
+			lastLine, lastTS = i, head[0]
+			logged++
+		}
+		r.Close()
+	}
+	if logged != len(xs) {
+		t.Fatalf("%d records logged for %d lines", logged, len(xs))
+	}
+}
+
+// TestClusterWindowConcurrent: windows ingested side by side, while the
+// log checkpoints in the background, /microclusters reads and decay
+// sweeps run, all finish — a window's tasks each hold one shard lock and
+// record snapshots (every shard lock) only after letting it go, so
+// nothing waits in a cycle — and every line is ingested once.
+func TestClusterWindowConcurrent(t *testing.T) {
+	setCheckpointFloor(t, 4<<10)
+	s := newDurableCluster(t, t.TempDir(), 4)
+	defer s.CloseDurability()
+	h, cut := s.Handler(), s.Stats().Checkpoints
+	const clients, windows = 4, 12
+	done := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		bodies, _ := windowBodies(rand.New(rand.NewSource(int64(c))), windows)
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for _, body := range bodies {
+				for i, l := range clusterLines(t, h, body) {
+					if l.Error != "" {
+						t.Errorf("line %d: %s", i, l.Error)
+					}
+				}
+			}
+		}()
+	}
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/microclusters?minw=0.5", nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("/microclusters: %d %s", rec.Code, rec.Body)
+			}
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+				s.AdvanceDecay()
+			}
+		}
+	}()
+	finished := make(chan struct{})
+	go func() { writers.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("concurrent windows did not finish: a lock cycle")
+	}
+	close(done)
+	readers.Wait()
+	st := s.Stats()
+	if want := int64(clients * windows * streamWindow); st.Clock != want || st.Inserts != want {
+		t.Fatalf("clock %d, inserts %d after %d lines", st.Clock, st.Inserts, want)
+	}
+	if st.Checkpoints == cut {
+		t.Fatal("no background checkpoint ran beside the windows")
 	}
 }
