@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 
@@ -298,8 +299,8 @@ func (s *ClusterServer) route(x []float64) (int, error) {
 
 // ingestWindow answers a /cluster NDJSON window's decoded lines shard by
 // shard: each line is routed as Insert routes it, into its shard's list
-// of line indices, and then one task a shard ingests its list, the
-// shards side by side.
+// of line indices; then one task a shard, starting at a random one so
+// that windows ingested at once do not queue on one lock, ingests its list.
 func (s *ClusterServer) ingestWindow(x *exchange[wire.ClusterRequest, wire.ClusterResult], n int) {
 	if len(x.groups) != len(s.shards) {
 		x.groups = make([][]int, len(s.shards))
@@ -317,21 +318,21 @@ func (s *ClusterServer) ingestWindow(x *exchange[wire.ClusterRequest, wire.Clust
 			x.groups[shard] = append(x.groups[shard], i)
 		}
 	}
+	start := rand.IntN(len(x.groups))
 	core.ForEach(len(x.groups), 0, func(g int) {
-		if len(x.groups[g]) > 0 {
+		if g = (g + start) % len(x.groups); len(x.groups[g]) > 0 {
 			s.ingest(x.groups[g], x.reqs, x.res, x.errs)
 		}
 	})
 }
 
-// ingest inserts the objects of the lines at group, each routed to
-// res[i].Shard (one shard) with res[i].Requested resolved, in line
-// order: all are admitted, then under one hold of the shard's write lock
-// each ticks the clock and, on a durable server, logs its record —
-// timestamp, granted budget, point: the inputs that make the descent
-// deterministic — before it descends. After the unlock the grants are
-// settled, unspent grant refunded, and each recording boundary crossed
-// is recorded, which takes every shard lock.
+// ingest inserts the lines at group, all routed to one shard
+// (res[i].Shard, res[i].Requested resolved), in line order: all are
+// admitted, then under one hold of the shard's write lock each ticks the
+// clock, is logged on a durable server — timestamp, granted budget,
+// point: the inputs that make the descent deterministic — and descends.
+// After the unlock the grants are settled and each recording boundary
+// crossed is recorded, which takes every shard lock.
 func (s *ClusterServer) ingest(group []int, reqs []wire.ClusterRequest, res []ClusterResult, errs []error) {
 	for _, i := range group {
 		res[i].Granted = s.grant(res[i].Requested)
