@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 
@@ -129,6 +128,13 @@ type ClusterServer struct {
 
 	snapMu sync.Mutex
 	store  *clustree.SnapshotStore
+	// A snapshot's capture holds gate, which every ingest hold shares,
+	// and raises recording while it waits for it, which ends each hold
+	// after its current line: the clock stops within a line a shard of
+	// the boundary, so the label stays there and the pyramid keeps its
+	// shape.
+	gate      sync.RWMutex
+	recording atomic.Int32
 
 	// spare is the micro-cluster set the last /microclusters read
 	// answered from, kept so the next one refills its vectors (one set,
@@ -299,8 +305,8 @@ func (s *ClusterServer) route(x []float64) (int, error) {
 
 // ingestWindow answers a /cluster NDJSON window's decoded lines shard by
 // shard: each line is routed as Insert routes it, into its shard's list
-// of line indices; then one task a shard, starting at a random one so
-// that windows ingested at once do not queue on one lock, ingests its list.
+// of line indices, and then one task a shard ingests its list, the
+// shards side by side.
 func (s *ClusterServer) ingestWindow(x *exchange[wire.ClusterRequest, wire.ClusterResult], n int) {
 	if len(x.groups) != len(s.shards) {
 		x.groups = make([][]int, len(s.shards))
@@ -318,9 +324,8 @@ func (s *ClusterServer) ingestWindow(x *exchange[wire.ClusterRequest, wire.Clust
 			x.groups[shard] = append(x.groups[shard], i)
 		}
 	}
-	start := rand.IntN(len(x.groups))
 	core.ForEach(len(x.groups), 0, func(g int) {
-		if g = (g + start) % len(x.groups); len(x.groups[g]) > 0 {
+		if len(x.groups[g]) > 0 {
 			s.ingest(x.groups[g], x.reqs, x.res, x.errs)
 		}
 	})
@@ -331,41 +336,53 @@ func (s *ClusterServer) ingestWindow(x *exchange[wire.ClusterRequest, wire.Clust
 // admitted, then under one hold of the shard's write lock each ticks the
 // clock, is logged on a durable server — timestamp, granted budget,
 // point: the inputs that make the descent deterministic — and descends.
-// After the unlock the grants are settled and each recording boundary
-// crossed is recorded, which takes every shard lock.
+// The grants are settled after the unlock. A hold ends early at a line
+// that crosses a recording boundary, whose snapshot is taken before the
+// next hold, and after any line while a snapshot waits for the gate.
 func (s *ClusterServer) ingest(group []int, reqs []wire.ClusterRequest, res []ClusterResult, errs []error) {
 	for _, i := range group {
 		res[i].Granted = s.grant(res[i].Requested)
 	}
-	sh, boundary, crossed := s.shards[res[group[0]].Shard], int64(0), 0
-	sh.mu.Lock()
-	for _, i := range group {
-		r := &res[i]
-		ts := s.clock.Add(1)
-		if s.durableOn() {
-			// A failed append does not roll the tick back: per-shard
-			// timestamps stay strictly increasing, a skipped tick is harmless.
-			if errs[i] = s.logAppend(r.Shard, encodeRecord(reqs[i].X, ts, int64(r.Granted))); errs[i] != nil {
-				continue
+	sh := s.shards[res[group[0]].Shard]
+	for len(group) > 0 {
+		n, boundary := 0, int64(0)
+		s.gate.RLock()
+		sh.mu.Lock()
+		for ; n == 0 || n < len(group) && boundary == 0 && s.recording.Load() == 0; n++ {
+			i, r := group[n], &res[group[n]]
+			ts := s.clock.Add(1)
+			if s.durableOn() {
+				// A failed append does not roll the tick back: per-shard
+				// timestamps stay strictly increasing, a skipped tick is harmless.
+				if errs[i] = s.logAppend(r.Shard, encodeRecord(reqs[i].X, ts, int64(r.Granted))); errs[i] != nil {
+					continue
+				}
+			}
+			parked := sh.tree.t.Parked()
+			r.NodesRead, errs[i] = sh.tree.t.InsertCounted(reqs[i].X, float64(ts), r.Granted)
+			r.Parked, r.Degraded = sh.tree.t.Parked() > parked, r.Granted < r.Requested
+			if errs[i] == nil && s.recordsAt(ts) {
+				boundary = ts
 			}
 		}
-		parked := sh.tree.t.Parked()
-		r.NodesRead, errs[i] = sh.tree.t.InsertCounted(reqs[i].X, float64(ts), r.Granted)
-		r.Parked, r.Degraded = sh.tree.t.Parked() > parked, r.Granted < r.Requested
-		if errs[i] == nil && ts%int64(s.copts.SnapshotEvery) == 0 {
-			boundary, crossed = ts, crossed+1
+		sh.mu.Unlock()
+		s.gate.RUnlock()
+		for _, i := range group[:n] {
+			s.settle(res[i].Granted, res[i].NodesRead)
+			if errs[i] == nil {
+				s.inserts.Add(1)
+			}
 		}
-	}
-	sh.mu.Unlock()
-	for _, i := range group {
-		s.settle(res[i].Granted, res[i].NodesRead)
-		if errs[i] == nil {
-			s.inserts.Add(1)
+		if boundary != 0 {
+			s.maybeRecord(boundary)
 		}
+		group = group[n:]
 	}
-	for ; crossed > 0; crossed-- {
-		s.maybeRecord(boundary)
-	}
+}
+
+// recordsAt reports whether tick ts is a recording boundary.
+func (s *ClusterServer) recordsAt(ts int64) bool {
+	return s.store != nil && ts%int64(s.copts.SnapshotEvery) == 0
 }
 
 // maybeRecord stores a pyramidal snapshot of the union micro-clusters
@@ -377,11 +394,14 @@ func (s *ClusterServer) ingest(group []int, reqs []wire.ClusterRequest, res []Cl
 // subtraction against a mislabelled snapshot would leak those objects
 // out of their window.
 func (s *ClusterServer) maybeRecord(ts int64) {
-	if s.store == nil || ts%int64(s.copts.SnapshotEvery) != 0 {
+	if !s.recordsAt(ts) {
 		return
 	}
 	var mcs []clustree.MicroCluster
 	var at int64
+	s.recording.Add(1)
+	s.gate.Lock()
+	s.recording.Add(-1)
 	s.withAllRead(func(models []*ctree) error {
 		at = s.clock.Load()
 		for _, m := range models {
@@ -389,6 +409,7 @@ func (s *ClusterServer) maybeRecord(ts int64) {
 		}
 		return nil
 	})
+	s.gate.Unlock()
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	// Record rejects non-positive times only; at ≥ ts ≥ SnapshotEvery.
