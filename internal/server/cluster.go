@@ -128,11 +128,10 @@ type ClusterServer struct {
 
 	snapMu sync.Mutex
 	store  *clustree.SnapshotStore
-	// A snapshot's capture holds gate, which every ingest hold shares,
-	// and raises recording while it waits for it, which ends each hold
-	// after its current line: the clock stops within a line a shard of
-	// the boundary, so the label stays there and the pyramid keeps its
-	// shape.
+	// A snapshot's capture takes gate, which every ingest hold shares,
+	// alone, and raises recording while it waits, which ends each hold
+	// after its current line: the clock stops a line or so per shard past
+	// the boundary, so the label stays where the pyramid expects it.
 	gate      sync.RWMutex
 	recording atomic.Int32
 
