@@ -235,41 +235,64 @@ func (d *decoder) literal(word string) error {
 	return nil
 }
 
-// number passes a number in JSON's grammar and returns its text.
-func (d *decoder) number() ([]byte, error) {
-	data, start, i := d.data, d.pos, d.pos
+// number passes a number in JSON's grammar and, in the same pass, reads
+// its decimal form.
+func (d *decoder) number() (n decimal, err error) {
+	data, i := d.data, d.pos
 	if i < len(data) && data[i] == '-' {
+		n.neg = true
 		i++
 	}
 	from := i
 	if i < len(data) && data[i] == '0' {
 		i++
 	} else {
-		i = digits(data, i)
+		i = n.digits(data, i, 0)
 	}
+	n.integer = true
 	if i > from && i < len(data) && data[i] == '.' {
-		from = i + 1
-		i = digits(data, from)
+		from, n.integer = i+1, false
+		i = n.digits(data, from, -1)
 	}
 	if i > from && i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		sign := 1
 		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
+			if data[i] == '-' {
+				sign = -1
+			}
 			i++
 		}
-		from = i
-		i = digits(data, from)
+		e := 0
+		for from = i; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+			if e < 10000 { // past that the exponent only has to stay huge, as in strconv
+				e = e*10 + int(data[i]-'0')
+			}
+		}
+		n.exp, n.integer = n.exp+sign*e, false
 	}
-	if d.pos = i; i == from {
-		return nil, d.fail("expected a number")
+	if n.lit, d.pos = data[d.pos:i], i; i == from {
+		return n, d.fail("expected a number")
 	}
-	return data[start:i], nil
+	return n, nil
 }
 
-// digits returns the index of the first byte of data at or after i that
-// is not a decimal digit.
-func digits(data []byte, i int) int {
-	for i < len(data) && '0' <= data[i] && data[i] <= '9' {
-		i++
+// digits reads the decimal digits of data from i on into n and returns
+// the index of the first byte that is not one. A digit n.man takes
+// moves the exponent by step: 0 in the integer part, −1 in the fraction.
+func (n *decimal) digits(data []byte, i, step int) int {
+	man, exp, more := n.man, n.exp, n.more
+	for ; i < len(data); i++ {
+		c := data[i] - '0'
+		if c > 9 {
+			break
+		}
+		if man < 1e18 { // fewer than 19 significant digits so far
+			man, exp = man*10+uint64(c), exp+step
+		} else {
+			exp, more = exp+step+1, more || c != 0
+		}
 	}
+	n.man, n.exp, n.more = man, exp, more
 	return i
 }
 
@@ -416,16 +439,21 @@ func foldEqual(key []byte, name string) bool {
 }
 
 // float stores a number, a number out of float64's range being an error.
+// What n.float cannot decide, strconv does.
 func (d *decoder) float(p *float64) error {
 	if d.peek() == 'n' {
 		return d.literal("null")
 	}
-	lit, err := d.number()
+	n, err := d.number()
 	if err != nil {
 		return err
 	}
-	if *p, err = strconv.ParseFloat(string(lit), 64); err != nil {
-		return fmt.Errorf("wire: number %s does not fit a float64", lit)
+	if f, ok := n.float(); ok {
+		*p = f
+		return nil
+	}
+	if *p, err = strconv.ParseFloat(string(n.lit), 64); err != nil {
+		return fmt.Errorf("wire: number %s does not fit a float64", n.lit)
 	}
 	return nil
 }
@@ -435,15 +463,20 @@ func (d *decoder) int(p *int) error {
 	if d.peek() == 'n' {
 		return d.literal("null")
 	}
-	lit, err := d.number()
+	n, err := d.number()
 	if err != nil {
 		return err
 	}
-	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-	if err != nil {
-		return fmt.Errorf("wire: number %s is not an integer that fits", lit)
+	limit := uint64(math.MaxInt)
+	if n.neg {
+		limit++
 	}
-	*p = int(n)
+	if !n.integer || n.exp != 0 || n.man > limit { // a dropped digit moved exp
+		return fmt.Errorf("wire: number %s is not an integer that fits", n.lit)
+	}
+	if *p = int(n.man); n.neg {
+		*p = -*p
+	}
 	return nil
 }
 
