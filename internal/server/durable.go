@@ -748,6 +748,10 @@ func openDurableDir(dopts DurabilityOptions) (durOpen, error) {
 		lock.Close()
 		return durOpen{}, err
 	}
-	fe, hadFenced := readFenced(dopts.Dir)
+	fe, hadFenced, err := readFenced(dopts.Dir)
+	if err != nil {
+		lock.Close()
+		return durOpen{}, err
+	}
 	return durOpen{manifest: m, hadState: had, lock: lock, fencedEpoch: fe, hadFenced: hadFenced}, nil
 }

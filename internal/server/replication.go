@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -379,17 +380,34 @@ type fencedMarker struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// readFenced loads the FENCED marker, ok=false when none exists.
-func readFenced(dir string) (epoch uint64, ok bool) {
+// readFenced loads the FENCED marker, ok=false when none exists. A
+// marker that exists but cannot be read, or whose epoch does not parse,
+// is an error: taking it for absent would let a stale primary ack writes.
+func readFenced(dir string) (epoch uint64, ok bool, err error) {
 	raw, err := os.ReadFile(filepath.Join(dir, fencedName))
+	if os.IsNotExist(err) {
+		return 0, false, nil
+	}
+	if err == nil {
+		epoch, err = decodeFenced(raw)
+	}
 	if err != nil {
-		return 0, false
+		return 0, false, fmt.Errorf("server: %s marker: %w", fencedName, err)
 	}
+	return epoch, true, nil
+}
+
+// decodeFenced reads a FENCED marker's epoch, which writeFenced never
+// writes as 0.
+func decodeFenced(raw []byte) (uint64, error) {
 	var m fencedMarker
-	if json.Unmarshal(raw, &m) != nil {
-		return 0, false
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return 0, err
 	}
-	return m.Epoch, true
+	if m.Epoch == 0 {
+		return 0, errors.New("no epoch")
+	}
+	return m.Epoch, nil
 }
 
 // writeFenced persists the FENCED marker atomically, best-effort.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -299,6 +300,102 @@ func TestFailoverClusterKillPrimary(t *testing.T) {
 		t.Fatalf("restarted stale cluster primary accepted an insert (err = %v)", err)
 	}
 	old2.CloseDurability()
+}
+
+// TestFailoverDamagedFenceFailsClosed is TestFailoverClassKillPrimary's
+// last restart with the FENCED marker damaged first: a stale primary,
+// fenced by a probe with the newer epoch and crashed, must refuse to
+// open on a marker that no longer parses — not come back unfenced and
+// ack writes. Made whole again, the marker re-arms the fence.
+func TestFailoverDamagedFenceFailsClosed(t *testing.T) {
+	xs, ys := classPoints(20)
+	dir := t.TempDir()
+	prim := newDurableClass(t, dir, 3)
+	for i := range xs {
+		if err := prim.Insert(xs[i], ys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(prim.Handler())
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/replicate", nil)
+	req.Header.Set(replica.EpochHeader, replica.FormatEpoch(1))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("stale primary probed with epoch 1 answered %d, want 409", resp.StatusCode)
+	}
+	crash(t, prim.dur)
+	killServer(ts)
+
+	path := filepath.Join(dir, fencedName)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, damaged := range []string{`{"epo`, "", "{}", `{"epoch":0}`, `{"epoch":"1"}`, `{"epoch":1}x`} {
+		if err := os.WriteFile(path, []byte(damaged), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenDurableServer(DurabilityOptions{Dir: dir}, Config{}, func() (*Server, error) {
+			return NewEmpty(3, core.DefaultConfig(3), []int{0, 1, 2}, core.MultiOptions{}, Config{})
+		})
+		if err == nil {
+			ierr := s.Recover()
+			if ierr == nil {
+				ierr = s.Insert(xs[0], ys[0])
+			}
+			s.CloseDurability()
+			t.Fatalf("a FENCED marker reading %q let the stale primary open (insert: %v), want the open refused", damaged, ierr)
+		}
+		if !strings.Contains(err.Error(), fencedName) {
+			t.Fatalf("a FENCED marker reading %q: open refused with %v, which does not name the marker", damaged, err)
+		}
+	}
+	if err := os.WriteFile(path, whole, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := newDurableClass(t, dir, 3)
+	if err := old.Insert(xs[0], ys[0]); err == nil || !strings.Contains(err.Error(), "fenced") {
+		t.Fatalf("restarted stale primary accepted a write (err = %v)", err)
+	}
+	old.CloseDurability()
+}
+
+// FuzzFencedMarker: what decodeFenced accepts carries a nonzero epoch,
+// and every cut of a marker writeFenced wrote reads as that marker's
+// epoch or is refused — a torn marker never reads as a different fence
+// or as none.
+func FuzzFencedMarker(f *testing.F) {
+	f.Add([]byte(`{"epoch":1}`), uint64(1), 5)
+	f.Add([]byte(`{"epo`), uint64(7), 0)
+	f.Add([]byte(`{}`), uint64(math.MaxUint64), 12)
+	f.Add([]byte(`{"epoch":0}`), uint64(12), 100)
+	f.Add([]byte(`{"epoch":18446744073709551616}`), uint64(10), -3)
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, raw []byte, epoch uint64, cut int) {
+		if e, err := decodeFenced(raw); err == nil && e == 0 {
+			t.Fatalf("%q read as epoch 0", raw)
+		}
+		if epoch == 0 {
+			return
+		}
+		if err := writeFenced(dir, epoch); err != nil {
+			t.Fatal(err)
+		}
+		whole, err := os.ReadFile(filepath.Join(dir, fencedName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut = int(uint(cut) % uint(len(whole)+1))
+		if e, err := decodeFenced(whole[:cut]); err == nil && e != epoch {
+			t.Fatalf("%q, cut from a marker for epoch %d, read as epoch %d", whole[:cut], epoch, e)
+		} else if err != nil && cut == len(whole) {
+			t.Fatalf("the marker writeFenced wrote, %q, is refused: %v", whole, err)
+		}
+	})
 }
 
 // statsOver fetches and decodes /stats from a follower's HTTP surface.
