@@ -10,10 +10,11 @@ import (
 // The float parser. number reads a JSON number's decimal form as it
 // checks its grammar; float turns that form into the nearest double by
 // Clinger's exact path or by Eisel–Lemire (D. Lemire, "Number Parsing
-// at a Gigabyte per Second", 2021) and says when neither decides: a
-// nonzero digit past the 19th, an exponent outside the table, or a
-// product too close to a halfway point. decoder.float hands those to
-// strconv, the parser the package's tests hold this one to.
+// at a Gigabyte per Second", 2021), backed by exact integer arithmetic
+// for a value that is a double or a halfway point itself, and says when
+// none decides: a nonzero digit past the 19th, an exponent outside the
+// table, a product too close to a halfway point. decoder.float hands
+// those to strconv, the parser the package's tests hold this one to.
 
 // decimal is a JSON number as its text spells it: ±man·10^exp, man
 // holding its first 19 significant digits.
@@ -28,9 +29,8 @@ type decimal struct {
 
 // exact10 holds 10^0 … 10^22: each is a double exactly.
 var exact10 = func() (p [23]float64) {
-	p[0] = 1
-	for k := 1; k < len(p); k++ {
-		p[k] = p[k-1] * 10
+	for k := range p {
+		p[k] = math.Pow10(k)
 	}
 	return p
 }()

@@ -61,14 +61,19 @@ func digitString(rng *rand.Rand, n int) string {
 // exact halfway points between a double and the next, and what reads
 // them to 17, 19 and 20 digits either side; 19-, 20- and 30-digit
 // mantissas; leading zeros; the edges of the range; integers either
-// side of int's.
+// side of int's. Under the race detector a sixteenth of the random
+// literals are drawn.
 func TestParseNumberMatchesStrconv(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	scale := 0 // log2 of the share of the random literals drawn
+	if raceEnabled {
+		scale = -4
+	}
 	check := func(lit string) {
 		checkParse(t, lit)
 		checkParse(t, "-"+lit)
 	}
-	for i := range 1 << 20 {
+	for i := range 1 << (20 + scale) {
 		f := math.Float64frombits(rng.Uint64())
 		if math.IsInf(f, 0) || math.IsNaN(f) {
 			continue
@@ -95,7 +100,7 @@ func TestParseNumberMatchesStrconv(t *testing.T) {
 	}
 	// Halfway points: the exact one is strconv's to decide (it ties to
 	// even), the ones a digit past it the fast path's, or not.
-	for i := range 1 << 12 {
+	for i := range 1 << (12 + scale) {
 		f := math.Abs(math.Float64frombits(rng.Uint64()))
 		if i%2 == 1 { // a binade whose halfway points have few digits
 			f = math.Ldexp(1+rng.Float64(), 30+rng.Intn(40))
@@ -119,7 +124,7 @@ func TestParseNumberMatchesStrconv(t *testing.T) {
 			}
 		}
 	}
-	for range 1 << 12 {
+	for range 1 << (12 + scale) {
 		for _, n := range []int{19, 20, 30} {
 			m, e := digitString(rng, n), strconv.Itoa(rng.Intn(720)-370)
 			check(m + "e" + e)
@@ -181,6 +186,33 @@ func TestParseScales(t *testing.T) {
 	for k, p := range exact10 {
 		if want := new(big.Float).SetInt(new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(k)), nil)); want.Cmp(big.NewFloat(p)) != 0 {
 			t.Fatalf("exact10[%d] = %v", k, p)
+		}
+	}
+}
+
+// TestDyadic: the exact step after a refused product reads man·10^q
+// only when it is m·2^q with m in 64 bits, rounding m once, to even on
+// a tie; anything else stays undecided.
+func TestDyadic(t *testing.T) {
+	for _, c := range []struct {
+		man uint64
+		q   int
+		f   float64
+		ok  bool
+	}{
+		{10310158152570145, -1, 1031015815257014.5, true},
+		{45035996273704965, -1, 4503599627370496, true}, // a halfway point, to even
+		{45035996273704975, -1, 4503599627370498, true}, // and the next, to even upwards
+		{10310158152570146, -1, 0, false},
+		{9007199254740993, 0, 9007199254740992, true},
+		{3, 20, 3e20, true},
+		{1, 27, 1e27, true},
+		{3, 27, 0, false}, // 3·5^27 needs 65 bits
+		{1 << 63, 1, 0, false},
+		{5, -28, 0, false},
+	} {
+		if f, ok := dyadic(c.man, c.q); ok != c.ok || ok && f != c.f {
+			t.Errorf("dyadic(%d, %d) = %v, %v; want %v, %v", c.man, c.q, f, ok, c.f, c.ok)
 		}
 	}
 }
@@ -299,6 +331,7 @@ func BenchmarkDecodeClusterWindow(b *testing.B) {
 	reqs := make([]ClusterRequest, len(lines))
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, line := range lines {
 			reqs[j] = ClusterRequest{}
