@@ -68,8 +68,8 @@ var pow128 = func() (t [pow128Max - pow128Min + 1][2]uint64) {
 	return t
 }()
 
-// float returns the double nearest n, or false where neither exact
-// step decides.
+// float returns the double nearest n, or false where none of the exact
+// path, Eisel–Lemire and dyadic decides.
 func (n *decimal) float() (float64, bool) {
 	f, ok := 0.0, true
 	switch {
