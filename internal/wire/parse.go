@@ -27,14 +27,6 @@ type decimal struct {
 	integer bool // no fraction and no exponent
 }
 
-// exact10 holds 10^0 … 10^22: each is a double exactly.
-var exact10 = func() (p [23]float64) {
-	for k := range p {
-		p[k] = math.Pow10(k)
-	}
-	return p
-}()
-
 // The range of q the table of powers of ten covers.
 const (
 	pow128Min = -348
@@ -78,9 +70,9 @@ func (n *decimal) float() (float64, bool) {
 		return 0, false
 	case n.man < 1<<53 && -22 <= n.exp && n.exp <= 22: // both exact, so one rounding
 		if f = float64(n.man); n.exp < 0 {
-			f /= exact10[-n.exp]
+			f /= math.Pow10(-n.exp)
 		} else {
-			f *= exact10[n.exp]
+			f *= math.Pow10(n.exp)
 		}
 	default:
 		if f, ok = eiselLemire(n.man, n.exp); !ok {
