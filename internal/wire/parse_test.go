@@ -98,8 +98,8 @@ func TestParseNumberMatchesStrconv(t *testing.T) {
 		check("1e" + strconv.Itoa(k))
 		check("9.999999999999999999e" + strconv.Itoa(k))
 	}
-	// Halfway points: the exact one is strconv's to decide (it ties to
-	// even), the ones a digit past it the fast path's, or not.
+	// Halfway points, exact (a tie, to even), and cut to 17, 19 and 20
+	// digits with one unit added or not: just below it and just above.
 	for i := range 1 << (12 + scale) {
 		f := math.Abs(math.Float64frombits(rng.Uint64()))
 		if i%2 == 1 { // a binade whose halfway points have few digits
