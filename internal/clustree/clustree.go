@@ -7,8 +7,8 @@
 //
 //   - exponential decay — entry weights fade as 2^(−λ·Δt), keeping an
 //     up-to-date view of the evolving distribution in constant space. An
-//     entry's CFs are valid as of its own timestamp; they are brought
-//     forward when mass is written into them or a weight is read.
+//     entry's CFs are valid as of its own timestamp; a write brings them
+//     forward, a read computes their faded values and stores none.
 //     Comparisons of means and radii need no decay (scaling a CF moves
 //     neither, and decays compose), so a descent fades the one entry
 //     per level it writes to, not the ones it walks past;
@@ -92,7 +92,8 @@ type node struct {
 	entries []*entry
 }
 
-// Tree is the anytime clustering index. It is not safe for concurrent use.
+// Tree is the anytime clustering index. Its reads write nothing and may
+// run at once; a write (Insert, Prune, SetLambda) needs it to itself.
 type Tree struct {
 	cfg     Config
 	root    *node
@@ -145,12 +146,22 @@ func (t *Tree) SetLambda(lambda float64) error {
 		return fmt.Errorf("clustree: Lambda must be ≥ 0, got %v", lambda)
 	}
 	if lambda != t.cfg.Lambda {
-		// Entries are as stale as their last write: reading the weight
-		// brings every one of them to now at the rate that applied so far.
-		t.Weight()
+		// Entries are as stale as their last write: bring every one of
+		// them to now at the rate that applied so far.
+		t.fadeAll(t.root)
 		t.cfg.Lambda = lambda
 	}
 	return nil
+}
+
+// fadeAll decays every entry below n to the tree's current time.
+func (t *Tree) fadeAll(n *node) {
+	for _, e := range n.entries {
+		t.decay(e, t.now)
+		if !n.leaf {
+			t.fadeAll(e.child)
+		}
+	}
 }
 
 // CountNodes returns the number of tree nodes (inner and leaf), the
@@ -191,20 +202,29 @@ func (t *Tree) ApproxBytes() int64 {
 	return walk(t.root)
 }
 
-// decay brings an entry's CFs forward to time ts. It is called where
-// mass is written into an entry or a weight is read from it; comparing
-// entries by mean or radius needs none.
-func (t *Tree) decay(e *entry, ts float64) {
-	if t.cfg.Lambda == 0 || ts <= e.ts {
-		e.ts = math.Max(e.ts, ts)
-		return
+// fade returns the factors that bring an entry's CF and buffer forward
+// to time ts: 2^(−λ·(ts − e.ts)), but 1 for an empty buffer. decay
+// scales by them; a read multiplies as it sums, to the same bits.
+func (t *Tree) fade(e *entry, ts float64) (w, wb float64) {
+	w, wb = 1, 1
+	if t.cfg.Lambda != 0 && ts > e.ts {
+		w = math.Exp2(-t.cfg.Lambda * (ts - e.ts))
 	}
-	w := math.Exp2(-t.cfg.Lambda * (ts - e.ts))
-	e.cf.Scale(w)
 	if e.buffer.N != 0 {
-		e.buffer.Scale(w)
+		wb = w
 	}
-	e.ts = ts
+	return w, wb
+}
+
+// decay brings an entry's CFs forward to time ts. It is called where
+// mass is written into an entry; comparing entries by mean or radius
+// needs none.
+func (t *Tree) decay(e *entry, ts float64) {
+	if w, wb := t.fade(e, ts); w != 1 {
+		e.cf.Scale(w)
+		e.buffer.Scale(wb)
+	}
+	e.ts = math.Max(e.ts, ts)
 }
 
 // Insert adds an object observed at timestamp ts with a budget of node
@@ -465,7 +485,7 @@ type MicroCluster struct {
 }
 
 // MicroClusters returns all micro-clusters (including parked buffer mass,
-// which is folded into its entry) decayed to the tree's current time,
+// which is folded into its entry) faded to the tree's current time,
 // dropping those whose weight fell below minWeight.
 func (t *Tree) MicroClusters(minWeight float64) []MicroCluster {
 	return t.AppendMicroClusters(nil, minWeight)
@@ -479,27 +499,34 @@ func (t *Tree) AppendMicroClusters(dst []MicroCluster, minWeight float64) []Micr
 	var walk func(n *node)
 	walk = func(n *node) {
 		for _, e := range n.entries {
-			t.decay(e, t.now)
 			if !n.leaf {
 				walk(e.child)
 				continue
 			}
-			if e.cf.N+e.buffer.N < minWeight {
+			w, wb := t.fade(e, t.now)
+			weight := e.weight(w, wb)
+			if weight < minWeight {
 				continue
 			}
 			dst = slices.Grow(dst, 1)[:len(dst)+1]
 			mc := &dst[len(dst)-1]
 			cf := &mc.CF
-			cf.N, cf.LS, cf.SS = e.cf.N+e.buffer.N, resize(cf.LS, t.cfg.Dim), resize(cf.SS, t.cfg.Dim)
+			cf.N, cf.LS, cf.SS = weight, resize(cf.LS, t.cfg.Dim), resize(cf.SS, t.cfg.Dim)
 			for i := range cf.LS {
-				cf.LS[i] = e.cf.LS[i] + e.buffer.LS[i]
-				cf.SS[i] = e.cf.SS[i] + e.buffer.SS[i]
+				cf.LS[i] = float64(e.cf.LS[i]*w) + float64(e.buffer.LS[i]*wb)
+				cf.SS[i] = float64(e.cf.SS[i]*w) + float64(e.buffer.SS[i]*wb)
 			}
 			mc.Weight, mc.Mean, mc.Radius = cf.N, cf.MeanInto(resize(mc.Mean, t.cfg.Dim)), cf.Radius()
 		}
 	}
 	walk(t.root)
 	return dst
+}
+
+// weight is the entry's CF and buffer weight scaled by fade's factors
+// and summed, rounded as decay and then a sum would round them.
+func (e *entry) weight(w, wb float64) float64 {
+	return float64(e.cf.N*w) + float64(e.buffer.N*wb)
 }
 
 // resize returns v at length n, reusing its array when it is big enough.
@@ -518,9 +545,8 @@ func (t *Tree) MicroClusterCount(minWeight float64) int {
 	var walk func(n *node)
 	walk = func(n *node) {
 		for _, e := range n.entries {
-			t.decay(e, t.now)
 			if n.leaf {
-				if e.cf.N+e.buffer.N >= minWeight {
+				if e.weight(t.fade(e, t.now)) >= minWeight {
 					count++
 				}
 				continue
@@ -532,17 +558,17 @@ func (t *Tree) MicroClusterCount(minWeight float64) int {
 	return count
 }
 
-// Weight returns the total (decayed) weight stored in the tree, parked
+// Weight returns the total (faded) weight stored in the tree, parked
 // mass included. With λ > 0 this is less than Inserts().
 func (t *Tree) Weight() float64 {
 	var total float64
 	var walk func(n *node)
 	walk = func(n *node) {
 		for _, e := range n.entries {
-			t.decay(e, t.now)
-			total += e.buffer.N
+			w, wb := t.fade(e, t.now)
+			total += float64(e.buffer.N * wb)
 			if n.leaf {
-				total += e.cf.N
+				total += float64(e.cf.N * w)
 			} else {
 				walk(e.child)
 			}
@@ -555,24 +581,24 @@ func (t *Tree) Weight() float64 {
 // Validate checks the decayed-CF consistency invariant: each inner entry's
 // CF weight is at least the sum of its subtree's leaf and buffer weights
 // below it (decay makes exact equality hold only at a common timestamp, so
-// the check decays everything to now first and allows small tolerance).
+// the check fades everything to now and allows small tolerance).
 func (t *Tree) Validate() error {
 	var walk func(n *node) (float64, error)
 	walk = func(n *node) (float64, error) {
 		var total float64
 		for _, e := range n.entries {
-			t.decay(e, t.now)
+			w, wb := t.fade(e, t.now)
 			if n.leaf {
-				total += e.cf.N + e.buffer.N
+				total += e.weight(w, wb)
 				continue
 			}
 			below, err := walk(e.child)
 			if err != nil {
 				return 0, err
 			}
-			below += e.buffer.N
-			if e.cf.N+e.buffer.N+1e-6 < below {
-				return 0, fmt.Errorf("clustree: entry weight %v below subtree weight %v", e.cf.N+e.buffer.N, below)
+			below += float64(e.buffer.N * wb)
+			if weight := e.weight(w, wb); weight+1e-6 < below {
+				return 0, fmt.Errorf("clustree: entry weight %v below subtree weight %v", weight, below)
 			}
 			total += below
 		}

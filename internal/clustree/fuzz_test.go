@@ -17,7 +17,7 @@ import (
 //	     2^-10), a time gap, a budget (mod 6, −1 … 4)
 //	5    insert of a non-finite coordinate (NaN, +Inf, −Inf by operand),
 //	     which must be an error that changes nothing
-//	6    MicroClusters read, then every property is checked
+//	6    every read method, then every property is checked
 //	7    SetLambda (0, 0.001, 0.01, 0.1, 1 by operand)
 //
 // A gap byte below 200 is that many eighths of a time unit; above, it is
@@ -48,8 +48,8 @@ type fuzzObject struct {
 // weight equal to what is stored beneath it (no prune ran, so nothing
 // was forgotten below an entry without the entry hearing of it), adds
 // the mass parked above leaf level to parked and returns the node's
-// weight. All entries must be at a common time: call it after a weight
-// read.
+// weight. All entries must be at a common time: call it after the
+// tree's own fadeAll.
 func subtreeMass(t *testing.T, n *node, parked *stats.CF) float64 {
 	t.Helper()
 	var total float64
@@ -91,17 +91,27 @@ func checkSchedule(t *testing.T, tree *Tree, objects []fuzzObject) {
 	}
 	// Below 1e-290 the weights are denormal and carry no nine digits.
 	const floor = 1e-290
+	// A read writes nothing: the tree dumps the same before and after
+	// every read method.
+	before := tree.Dump()
 	mcs := tree.MicroClusters(0)
+	if got := tree.MicroClusterCount(0); got != len(mcs) {
+		t.Fatalf("MicroClusterCount(0) %d, MicroClusters(0) %d", got, len(mcs))
+	}
 	if got := tree.Weight(); !near(got, wantN, wantN+floor) {
 		t.Fatalf("Weight() %v, closed form %v over %d objects", got, wantN, len(objects))
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(tree.Dump(), before) {
+		t.Fatal("a read changed the tree")
+	}
 	// The exported micro-clusters and the mass parked above leaf level
 	// are the whole model: their weighted mean is the decayed mean of
 	// the objects (CF additivity), to nine digits of Σ w·|x|.
 	model := stats.NewCF(2)
+	tree.fadeAll(tree.root)
 	if stored := subtreeMass(t, tree.root, &model); !near(stored, wantN, wantN+floor) {
 		t.Fatalf("stored mass %v, closed form %v", stored, wantN)
 	}
@@ -185,8 +195,9 @@ func runSchedule(t *testing.T, data []byte) {
 // the stored LS and SS are the same sum weighted by xᵢ and xᵢ², to 1e-9
 // relative: CF additivity plus composable decay, with no second tree to
 // compare against. Beside that, Validate passes, every inner entry
-// weighs what lies beneath it, every CF is finite, and a non-finite
-// coordinate is an error that changes nothing. No prune: forgetting is
+// weighs what lies beneath it, every CF is finite, no read changes the
+// tree's Dump, and a non-finite coordinate is an error that changes
+// nothing. No prune: forgetting is
 // the one operation that is allowed to lose mass.
 func FuzzInsertSchedule(f *testing.F) {
 	// Budget 0 on an empty tree, then a read.

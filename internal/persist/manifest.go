@@ -54,7 +54,7 @@ func (m Manifest) validate() error {
 	if m.Generation > 0 && m.Snapshot == "" {
 		return fmt.Errorf("persist: manifest generation %d without snapshot", m.Generation)
 	}
-	if m.Snapshot != "" && filepath.Base(m.Snapshot) != m.Snapshot {
+	if m.Snapshot != "" && (filepath.Base(m.Snapshot) != m.Snapshot || m.Snapshot == "." || m.Snapshot == "..") {
 		return fmt.Errorf("persist: manifest snapshot %q is not a bare filename", m.Snapshot)
 	}
 	if m.Shards <= 0 {

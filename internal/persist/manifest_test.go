@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -130,4 +131,60 @@ func TestRemoveStaleTemps(t *testing.T) {
 	if err := RemoveStaleTemps(filepath.Join(dir, "nope")); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzManifest: whatever bytes stand in MANIFEST, LoadManifest refuses
+// them or returns a manifest that validates, names a snapshot inside
+// the directory and round-trips through SaveManifest; and every cut of
+// a manifest SaveManifest wrote reads as that manifest or is refused.
+func FuzzManifest(f *testing.F) {
+	whole := Manifest{Generation: 7, Epoch: 2, Snapshot: "snapshot-00000007.btsn", Shards: 3, ShardStart: []uint64{4, 9, 2}}
+	f.Add([]byte(`{"generation":7,"epoch":2,"snapshot":"snapshot-00000007.btsn","shards":3,"shard_start":[4,9,2]}`), 0)
+	f.Add([]byte(`{"generation":0,"snapshot":"","shards":1,"shard_start":[0]}`), 40)
+	f.Add([]byte(`{"generation":1,"snapshot":"..","shards":1,"shard_start":[1]}`), 1000)
+	f.Add([]byte(`{"generation":1,"snapshot":"a/../b","shards":1,"shard_start":[1]}`), -1)
+	f.Add([]byte(`{"generation":1,"snapshot":"s","shards":2,"shard_start":[1]}`), 17)
+	f.Add([]byte(`{"generation":-1,"shards":1e3,"shard_start":null}`), 3)
+	f.Add([]byte(`null`), 60)
+	dir, again := f.TempDir(), f.TempDir()
+	if err := SaveManifest(dir, whole); err != nil {
+		f.Fatal(err)
+	}
+	saved, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	load := func(t *testing.T, raw []byte) (Manifest, bool) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, ok, err := LoadManifest(dir)
+		if err != nil && ok {
+			t.Fatalf("%q: refused (%v) yet reported present", raw, err)
+		}
+		return m, err == nil
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, cut int) {
+		if m, ok := load(t, raw); ok {
+			if err := m.validate(); err != nil {
+				t.Fatalf("%q: accepted but %v", raw, err)
+			}
+			if m.Snapshot != "" && filepath.Dir(filepath.Join(dir, m.Snapshot)) != dir {
+				t.Fatalf("%q: snapshot %q is not a file of the directory", raw, m.Snapshot)
+			}
+			if err := SaveManifest(again, m); err != nil {
+				t.Fatalf("%q: accepted but not saved: %v", raw, err)
+			}
+			if back, ok, err := LoadManifest(again); err != nil || !ok || !reflect.DeepEqual(back, m) {
+				t.Fatalf("%q: %+v saved reads back as %+v (%v)", raw, m, back, err)
+			}
+		}
+		cut = int(uint(cut) % uint(len(saved)+1))
+		if m, ok := load(t, saved[:cut]); ok && !reflect.DeepEqual(m, whole) {
+			t.Fatalf("%q, cut from a saved manifest, read as %+v", saved[:cut], m)
+		} else if !ok && cut == len(saved) {
+			t.Fatalf("the manifest SaveManifest wrote, %q, is refused", saved)
+		}
+	})
 }

@@ -576,11 +576,12 @@ func (r *Registry[T]) load(h *handle[T]) (srv T, err error) {
 			return srv, err
 		}
 	}
+	// A damaged TENANT.json read back refuses the load here.
 	tc = tc.withDefaults(r.opts.Defaults)
+	if err = tc.check(r.backend.Workload); err != nil {
+		return srv, err
+	}
 	if !created {
-		if err = tc.check(r.backend.Workload); err != nil {
-			return srv, err
-		}
 		if err = os.MkdirAll(dir, 0o755); err != nil {
 			return srv, fmt.Errorf("registry: create tenant %s: %w", h.name, err)
 		}

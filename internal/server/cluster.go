@@ -33,10 +33,7 @@ import (
 // subset of the stream — so reads fan out and concatenate with no loss,
 // mirroring the classifier's exact log-sum-exp score merge.
 
-// ctree adapts one shard's clustering tree to the engine's Model
-// contract. Decay in a ClusTree is lazy — reading a weight fades it to
-// the current time in place — so the cluster engine runs in exclusive-
-// read mode and every access happens under the shard write lock.
+// ctree adapts one shard's clustering tree to the engine's Model contract.
 type ctree struct {
 	t *clustree.Tree
 	// epoch counts maintenance ticks; the ClusTree's real decay clock
@@ -192,7 +189,7 @@ func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.Snapsho
 		}
 		s.store = store
 	}
-	err := s.init(models, cfg, true, workload[*ctree]{
+	err := s.init(models, cfg, workload[*ctree]{
 		name:    replica.WorkloadCluster,
 		encode:  s.encodeSet,
 		clocked: true,
@@ -427,9 +424,9 @@ func (s *ClusterServer) MicroClusters(minWeight float64) []clustree.MicroCluster
 // under its shard's lock, reusing the vectors of dst's spare elements.
 func (s *ClusterServer) appendMicroClusters(dst []clustree.MicroCluster, minWeight float64) []clustree.MicroCluster {
 	for _, sh := range s.shards {
-		s.rlock(sh)
+		sh.mu.RLock()
 		dst = sh.tree.t.AppendMicroClusters(dst, minWeight)
-		s.runlock(sh)
+		sh.mu.RUnlock()
 	}
 	return dst
 }
@@ -497,13 +494,13 @@ type ClusterStats struct {
 func (s *ClusterServer) Stats() ClusterStats {
 	st := ClusterStats{Stats: s.baseStats(), Clock: s.clock.Load()}
 	for _, sh := range s.shards {
-		s.rlock(sh)
+		sh.mu.RLock()
 		_, parked, merges, splits := sh.tree.t.Counters()
 		st.MicroClusters += sh.tree.t.MicroClusterCount(0)
 		if d := sh.tree.t.Depth(); d > st.Depth {
 			st.Depth = d
 		}
-		s.runlock(sh)
+		sh.mu.RUnlock()
 		st.Parked += int64(parked)
 		st.Merges += int64(merges)
 		st.Splits += int64(splits)

@@ -195,8 +195,8 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestClusterConcurrent hammers ingest against micro-cluster reads and
-// stats; under -race this is the exclusive-lock proof for the lazily
-// decaying workload.
+// stats; under -race it shows the reads, which share each shard's read
+// lock, write nothing to the tree.
 func TestClusterConcurrent(t *testing.T) {
 	cs := newTestCluster(t, 4, 0.001, Config{})
 	var wg sync.WaitGroup

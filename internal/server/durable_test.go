@@ -185,10 +185,6 @@ func TestDurableClusterKillRestartDigitIdentical(t *testing.T) {
 	crash(t, a.dur)
 
 	a2 := newDurableCluster(t, dir, 3)
-	// No reads before the stream finishes: a ClusTree decays lazily, so
-	// reading weights fades them in place — an extra observation on one
-	// run would perturb float rounding versus the other. Stats are
-	// compared at the symmetric end-of-stream position below.
 	if a2.Clock() != kill {
 		t.Fatalf("recovered clock %d, want %d", a2.Clock(), kill)
 	}

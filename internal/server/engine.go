@@ -163,10 +163,6 @@ type engine[M Model] struct {
 	start    time.Time
 	draining atomic.Bool
 
-	// exclusive marks workloads whose reads mutate the model (lazily
-	// applied decay): their "read" paths take the shard write lock.
-	exclusive bool
-
 	// dur is the durability layer (write-ahead log + checkpoints), nil
 	// when the workload runs memory-only. See durable.go.
 	dur *durState
@@ -195,16 +191,14 @@ type engine[M Model] struct {
 }
 
 // init wires the engine over pre-built per-shard models: admission,
-// decay override and the background maintenance loop. exclusive marks
-// workloads whose reads mutate the model.
-func (e *engine[M]) init(models []M, cfg Config, exclusive bool, wl workload[M]) error {
+// decay override and the background maintenance loop.
+func (e *engine[M]) init(models []M, cfg Config, wl workload[M]) error {
 	if len(models) == 0 {
 		return fmt.Errorf("server: no shards")
 	}
 	cfg = cfg.withDefaults()
 	e.cfg = cfg
 	e.wl = wl
-	e.exclusive = exclusive
 	e.start = time.Now()
 	for _, m := range models {
 		e.shards = append(e.shards, &shard[M]{tree: m})
@@ -241,25 +235,6 @@ func (e *engine[M]) init(models []M, cfg Config, exclusive bool, wl workload[M])
 func (e *engine[M]) refreshShardSoA(sh *shard[M]) {
 	if m, ok := any(sh.tree).(soaShard); ok {
 		m.RefreshSoA()
-	}
-}
-
-// rlock takes the read side of a shard's lock — the write side instead
-// for exclusive workloads, whose reads apply decay in place.
-func (e *engine[M]) rlock(sh *shard[M]) {
-	if e.exclusive {
-		sh.mu.Lock()
-	} else {
-		sh.mu.RLock()
-	}
-}
-
-// runlock releases what rlock took.
-func (e *engine[M]) runlock(sh *shard[M]) {
-	if e.exclusive {
-		sh.mu.Unlock()
-	} else {
-		sh.mu.RUnlock()
 	}
 }
 
@@ -330,9 +305,9 @@ func (e *engine[M]) NumShards() int { return len(e.shards) }
 func (e *engine[M]) ApproxBytes() int64 {
 	var total int64
 	for _, sh := range e.shards {
-		e.rlock(sh)
+		sh.mu.RLock()
 		total += sh.tree.ApproxBytes()
-		e.runlock(sh)
+		sh.mu.RUnlock()
 	}
 	return total
 }
@@ -341,9 +316,9 @@ func (e *engine[M]) ApproxBytes() int64 {
 func (e *engine[M]) Len() int {
 	total := 0
 	for _, sh := range e.shards {
-		e.rlock(sh)
+		sh.mu.RLock()
 		total += sh.tree.Len()
-		e.runlock(sh)
+		sh.mu.RUnlock()
 	}
 	return total
 }
@@ -393,13 +368,13 @@ func (e *engine[M]) sizesAndWeights() (sizes []int, weights []float64, total int
 	sizes = make([]int, len(e.shards))
 	weights = make([]float64, len(e.shards))
 	for i, sh := range e.shards {
-		e.rlock(sh)
+		sh.mu.RLock()
 		sizes[i] = sh.tree.Len()
 		// Effective decayed mass; exactly float64(Len) for undecayed
 		// shards, so the λ = 0 mixture weights are digit-identical to
 		// the count-based ones.
 		weights[i] = sh.tree.Weight()
-		e.runlock(sh)
+		sh.mu.RUnlock()
 		total += sizes[i]
 		totalW += weights[i]
 	}
@@ -430,13 +405,13 @@ func SplitBudget(granted int, sizes []int, total int) []int {
 }
 
 // withAllRead runs fn over every shard's model while holding all shard
-// read locks (write locks for exclusive workloads), so fn sees one
-// consistent cut across the whole sharded model — the snapshot path.
+// read locks, so fn sees one consistent cut across the whole sharded
+// model — the snapshot path.
 func (e *engine[M]) withAllRead(fn func(models []M) error) error {
 	models := make([]M, len(e.shards))
 	for i, sh := range e.shards {
-		e.rlock(sh)
-		defer e.runlock(sh)
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
 		models[i] = sh.tree
 	}
 	return fn(models)
@@ -445,7 +420,7 @@ func (e *engine[M]) withAllRead(fn func(models []M) error) error {
 // WriteSnapshot encodes the whole model — every shard, plus whatever
 // else the workload keeps beside them — into one versioned snapshot. It
 // holds all shard locks for the duration, so the snapshot is a
-// consistent cut: writes wait, and so do reads of exclusive workloads.
+// consistent cut: writes wait, reads do not.
 func (e *engine[M]) WriteSnapshot(w io.Writer) error {
 	return e.withAllRead(func(models []M) error { return e.wl.encode(w, models) })
 }
@@ -468,7 +443,7 @@ func (e *engine[M]) baseStats() Stats {
 		SubtreesPruned: e.subtreesPruned.Load(),
 	}
 	for _, sh := range e.shards {
-		e.rlock(sh)
+		sh.mu.RLock()
 		n := sh.tree.Len()
 		st.Nodes += sh.tree.CountNodes()
 		st.Weight += sh.tree.Weight()
@@ -478,7 +453,7 @@ func (e *engine[M]) baseStats() Stats {
 			st.SoAPatches += p
 			st.SoAInvalidations += inv
 		}
-		e.runlock(sh)
+		sh.mu.RUnlock()
 		st.ShardSizes = append(st.ShardSizes, n)
 		st.Observations += n
 	}

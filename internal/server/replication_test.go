@@ -37,9 +37,8 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
-// appliedLSN reads a follower's applied LSN without touching tree
-// state — a ClusTree decays lazily on reads, so polling Stats() mid
-// stream would perturb the digit-identity comparison.
+// appliedLSN reads a follower's applied LSN without taking a shard
+// lock.
 func appliedLSN[S Served](f *Follower[S]) uint64 {
 	var zero S
 	s := f.Current()

@@ -158,7 +158,7 @@ func New(trees []*core.MultiTree, cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{labels: labels, dim: dim}
-	err := s.init(trees, cfg, false, workload[*core.MultiTree]{
+	err := s.init(trees, cfg, workload[*core.MultiTree]{
 		name:   replica.WorkloadClassify,
 		encode: persist.EncodeMultiTrees,
 		record: func(payload []byte) (int64, func(*shard[*core.MultiTree]) error, func(), error) {
