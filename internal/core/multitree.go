@@ -66,8 +66,10 @@ type MultiTree struct {
 	// invalidate: patched for the class of a split-free insert, dropped
 	// on any other mutation.
 	queryState atomic.Pointer[multiQueryState]
-	// path is insertPointW's descent path, kept for its capacity.
-	path []*MultiNode
+	// path is insertPointW's descent path, kept for its capacity, and
+	// split the working state of every node split.
+	path  []*MultiNode
+	split splitter
 	decayClock
 	// soa is the structure-of-arrays mirror every query descends through
 	// (nil = none: the next query builds and publishes it), followed by
@@ -348,16 +350,26 @@ func (t *MultiTree) fixOverflow(path []*MultiNode, c int) int {
 			t.refreshPath(path[:i+1], c)
 			return replaced
 		}
-		left, right := t.splitNode(n)
-		if i == 0 {
-			t.root = &MultiNode{entries: []MultiEntry{t.summarize(left), t.summarize(right)}}
-			break
-		}
-		parent := path[i-1]
-		parent.entries[entryOver(parent, n)] = t.summarize(left)
-		parent.entries = append(parent.entries, t.summarize(right))
+		t.splitAt(path, i)
 	}
 	return len(path)
+}
+
+// splitAt splits path[i] into two halves. A split root leaves a new
+// root over both; otherwise the entry over path[i] in its parent is
+// re-summarised over the left half in its own vectors, and only the
+// right half's entry is new.
+func (t *MultiTree) splitAt(path []*MultiNode, i int) {
+	left, right := t.splitNode(path[i])
+	if i == 0 {
+		t.root = &MultiNode{entries: []MultiEntry{t.summarize(left), t.summarize(right)}}
+		return
+	}
+	parent := path[i-1]
+	e := &parent.entries[entryOver(parent, path[i])]
+	e.Child = left
+	t.resummarize(e, left)
+	parent.entries = append(parent.entries, t.summarize(right))
 }
 
 // allClasses asks refreshPath to re-summarise instead of refreshing one

@@ -63,13 +63,13 @@ func unitWeights(n int) []float64 {
 	return ws
 }
 
-// splitNode performs the R* topological split on either node kind. A
-// leaf splits points, one sort per axis (splitOrderOf). A weighted
-// leaf's weight vector follows its points.
+// splitNode performs the R* topological split on either node kind, in
+// the tree's splitter. A leaf splits points, one sort per axis. A
+// weighted leaf's weight vector follows its points.
 func (t *MultiTree) splitNode(n *MultiNode) (left, right *MultiNode) {
 	cfg := &t.cfg
 	if n.leaf {
-		order, cut := splitOrderOf(len(n.points), func(i int) (lo, hi []float64) {
+		order, cut := t.split.split(len(n.points), func(i int) (lo, hi []float64) {
 			x := n.points[i].X
 			return x, x
 		}, cfg.Dim, cfg.MinLeaf, true)
@@ -82,7 +82,7 @@ func (t *MultiTree) splitNode(n *MultiNode) (left, right *MultiNode) {
 		}
 		return half(order[:cut]), half(order[cut:])
 	}
-	order, cut := splitOrder(len(n.entries), func(i int) (lo, hi []float64) { return n.entries[i].Rect.Lo, n.entries[i].Rect.Hi }, cfg.Dim, cfg.MinFanout)
+	order, cut := t.split.split(len(n.entries), func(i int) (lo, hi []float64) { return n.entries[i].Rect.Lo, n.entries[i].Rect.Hi }, cfg.Dim, cfg.MinFanout, false)
 	return &MultiNode{entries: gather(n.entries, order[:cut])}, &MultiNode{entries: gather(n.entries, order[cut:])}
 }
 

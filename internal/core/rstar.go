@@ -147,14 +147,7 @@ func (t *MultiTree) rstarFix(path []*MultiNode, reinserted map[int]bool) {
 			}
 			return
 		}
-		left, right := t.splitNode(n)
-		if i == 0 {
-			t.root = &MultiNode{entries: []MultiEntry{t.summarize(left), t.summarize(right)}}
-			return
-		}
-		parent := path[i-1]
-		parent.entries[entryOver(parent, n)] = t.summarize(left)
-		parent.entries = append(parent.entries, t.summarize(right))
+		t.splitAt(path, i)
 	}
 }
 

@@ -105,6 +105,7 @@ type multiSoA struct {
 	free  []int32
 
 	fillCur []int32 // partition scratch for fillLeaf (exclusive access)
+	frozen  int     // class slots fillSlots has written
 }
 
 // buildMultiSoA mirrors the whole tree.
@@ -260,6 +261,7 @@ func (s *multiSoA) fillBounds(nd *soaNode, e int, en *MultiEntry) {
 // classes' slots.
 func (s *multiSoA) fillSlots(t *MultiTree, nd *soaNode, e int, en *MultiEntry, lo, hi int) {
 	dim, k := s.dim, len(nd.child)
+	s.frozen += hi - lo
 	pooled := -1 // the slot already holding the entry's pooled variance
 	for c := lo; c < hi; c++ {
 		slot := c*k + e

@@ -12,28 +12,37 @@ import (
 // split axis minimises the summed margins over all legal distributions,
 // the split index minimises overlap (area breaks ties). It returns the
 // items in the chosen ordering and the cut; order[:cut] is the left
-// group, order[cut:] the right. The per-class MultiTree and the per-class
-// forest both split leaves (plain and weighted) and inner nodes through
-// it.
+// group, order[cut:] the right. It works in a splitter of its own; a
+// tree splits its nodes — leaves (plain and weighted) and inner nodes
+// alike — in the one it keeps (splitNode).
 //
 // The orderings are stable sorts of one index permutation applied in
 // sequence — lower then upper bound per axis, then the winning one
 // again — so ties fall the way that sequence leaves them.
 func splitOrder(n int, bounds func(i int) (lo, hi []float64), dim, minFill int) (order []int, cut int) {
-	return splitOrderOf(n, bounds, dim, minFill, false)
+	return new(splitter).split(n, bounds, dim, minFill, false)
 }
 
-// splitOrderOf is splitOrder, told by points that every item is a point
-// (lo == hi). A point's upper-bound pass would stable-sort the ordering
-// its lower-bound pass just left by the same keys — changing nothing —
-// and score the same margin, which the strict comparison never prefers;
-// so points are scored by the lower-bound pass alone, and split the same.
-func splitOrderOf(n int, bounds func(i int) (lo, hi []float64), dim, minFill int, points bool) (order []int, cut int) {
-	// One block: the items' bounds, read once, then a rectangle per cut.
-	block := make([]float64, (4*n+2)*dim)
-	s := splitter{n: n, dim: dim, minFill: minFill, order: make([]int, n)}
+// split is splitOrder in s's working state, told by points that every
+// item is a point (lo == hi). A point's upper-bound pass would
+// stable-sort the ordering its lower-bound pass just left by the same
+// keys — changing nothing — and score the same margin, which the strict
+// comparison never prefers; so points are scored by the lower-bound
+// pass alone, and split the same. The returned order is s's and valid
+// until its next split.
+func (s *splitter) split(n int, bounds func(i int) (lo, hi []float64), dim, minFill int, points bool) (order []int, cut int) {
+	// One block: the items' bounds, read once, a margin per cut and a
+	// rectangle per cut.
+	size := (4*n+2)*dim + n + 1
+	if cap(s.block) < size {
+		s.block = make([]float64, size)
+	}
+	block := s.block[:size]
+	s.n, s.dim, s.minFill = n, dim, minFill
 	s.lo, s.hi = carve(&block, n*dim), carve(&block, n*dim)
+	s.sufMargin = carve(&block, n+1)
 	s.sufLo, s.sufHi = carve(&block, (n+1)*dim), carve(&block, (n+1)*dim)
+	s.order = slices.Grow(s.order[:0], n)[:n]
 	for i := 0; i < n; i++ {
 		lo, hi := bounds(i)
 		copy(s.lo[i*dim:(i+1)*dim], lo)
@@ -49,11 +58,11 @@ func splitOrderOf(n int, bounds func(i int) (lo, hi []float64), dim, minFill int
 	for axis := 0; axis < dim; axis++ {
 		for _, lower := range passes {
 			s.sortBy(axis, lower)
-			s.suffixes()
+			s.suffixes(false)
 			var margin float64
 			for k := 1; k <= n-minFill; k++ {
 				if left := s.growPrefix(k); k >= minFill {
-					margin += left.Margin() + s.suffix(k).Margin()
+					margin += left.Margin() + s.sufMargin[k]
 				}
 			}
 			if margin < bestMargin {
@@ -62,7 +71,7 @@ func splitOrderOf(n int, bounds func(i int) (lo, hi []float64), dim, minFill int
 		}
 	}
 	s.sortBy(bestAxis, bestLower)
-	s.suffixes()
+	s.suffixes(true)
 	cut = minFill
 	bestOverlap, bestArea := math.Inf(1), math.Inf(1)
 	for k := 1; k <= n-minFill; k++ {
@@ -80,39 +89,48 @@ func splitOrderOf(n int, bounds func(i int) (lo, hi []float64), dim, minFill int
 	return s.order, cut
 }
 
-// splitter is splitOrder's working state: the items' bounds as flat
-// item-major keys, the current ordering, and a table of bounding
-// rectangles so that scoring every cut of an ordering takes one
-// backward and one forward pass over the items.
+// splitter is split's working state: the items' bounds as flat
+// item-major keys, the current ordering, and per cut the right-hand
+// group's margin and rectangle, so that scoring every cut of an
+// ordering takes one backward and one forward pass over the items. A
+// tree keeps one and reuses its storage for every split.
 type splitter struct {
 	n, dim, minFill int
+	block           []float64 // backs lo, hi, sufMargin, sufLo, sufHi
 	lo, hi          []float64
 	order           []int
-	// Row k (minFill ≤ k ≤ n−minFill) bounds order[k:], the right-hand
-	// group of cut k. Row n is the running rectangle of either pass.
+	// sufMargin[k] (minFill ≤ k ≤ n−minFill) is the margin of order[k:],
+	// the right-hand group of cut k. Rows k of sufLo/sufHi bound that
+	// group, filled for the winning ordering only; row n is the running
+	// rectangle of either pass.
+	sufMargin    []float64
 	sufLo, sufHi []float64
+	sorts        int // sort passes so far
 }
 
 // sortBy stable-sorts the ordering by the items' lower (else upper)
-// bound on axis, the other bound breaking ties.
+// bound on axis, the other bound breaking ties: an insertion sort, since
+// a node holds a few dozen items at most.
 func (s *splitter) sortBy(axis int, lower bool) {
+	s.sorts++
 	k1, k2, dim := s.lo[axis:], s.hi[axis:], s.dim
 	if !lower {
 		k1, k2 = k2, k1
 	}
-	slices.SortStableFunc(s.order, func(a, b int) int {
-		switch a, b := a*dim, b*dim; {
-		case k1[a] < k1[b]:
-			return -1
-		case k1[a] > k1[b]:
-			return 1
-		case k2[a] < k2[b]:
-			return -1
-		case k2[a] > k2[b]:
-			return 1
+	o := s.order
+	for i := 1; i < len(o); i++ {
+		v := o[i]
+		a, b := k1[v*dim], k2[v*dim]
+		j := i
+		for ; j > 0; j-- {
+			u := o[j-1] * dim
+			if k1[u] < a || k1[u] == a && k2[u] <= b {
+				break
+			}
+			o[j] = o[j-1]
 		}
-		return 0
-	})
+		o[j] = v
+	}
 }
 
 func (s *splitter) suffix(k int) mbr.Rect {
@@ -131,18 +149,22 @@ func (s *splitter) extend(run mbr.Rect, i int) {
 	}
 }
 
-// suffixes fills the right-hand rectangle of every legal cut of the
-// current ordering, then empties the running rectangle for the prefix
-// pass.
-func (s *splitter) suffixes() {
+// suffixes records the right-hand group of every legal cut of the
+// current ordering — its margin, or with rows its rectangle — then
+// empties the running rectangle for the prefix pass.
+func (s *splitter) suffixes(rows bool) {
 	run := s.suffix(s.n)
 	fillEmpty(run)
 	for k := s.n - 1; k >= s.minFill; k-- {
 		s.extend(run, s.order[k])
-		if k <= s.n-s.minFill {
+		switch {
+		case k > s.n-s.minFill:
+		case rows:
 			row := s.suffix(k)
 			copy(row.Lo, run.Lo)
 			copy(row.Hi, run.Hi)
+		default:
+			s.sufMargin[k] = run.Margin()
 		}
 	}
 	fillEmpty(run)
