@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"unsafe"
 
 	"bayestree/internal/kernels"
@@ -41,10 +42,12 @@ import (
 //   - no mirror: a mutation does no mirror work;
 //   - a mirror: an insert repairs it in place along its own path before
 //     it returns — per level the inserted class's slot and the entry's
-//     bounds, the leaf's block, and after a split the replaced nodes'
-//     blocks released, the new siblings mirrored (a new root takes over
-//     index 0) and the surviving path refilled — work proportional to the
-//     path, not the tree;
+//     bounds, the leaf's block; after a split the replaced nodes' blocks
+//     are released and the new siblings mirrored (a new root takes over
+//     index 0), each entry a split left alone copied out of the old
+//     block it sat in and only the entries over new halves frozen, and
+//     each surviving level's entry over the path frozen anew, every
+//     class — work proportional to the path, not the tree;
 //   - a structural mutation (decay sweep, epoch or decay-state change)
 //     touches every node and drops the mirror;
 //   - a query that finds none builds it and publishes it with a
@@ -104,8 +107,9 @@ type multiSoA struct {
 	index map[*MultiNode]int32
 	free  []int32
 
-	fillCur []int32 // partition scratch for fillLeaf (exclusive access)
-	frozen  int     // class slots fillSlots has written
+	fillCur []int32   // partition scratch for fillLeaf (exclusive access)
+	donors  []soaNode // repair scratch: the split path's old mirror nodes
+	frozen  int       // class slots fillSlots has written
 }
 
 // buildMultiSoA mirrors the whole tree.
@@ -116,7 +120,7 @@ func buildMultiSoA(t *MultiTree) *multiSoA {
 		index:   make(map[*MultiNode]int32),
 		fillCur: make([]int32, len(t.labels)),
 	}
-	s.place(t, t.root)
+	s.place(t, t.root, nil)
 	return s
 }
 
@@ -133,8 +137,9 @@ func (s *multiSoA) bytes() int64 {
 }
 
 // place returns n's mirror index, mirroring n — and through it every
-// descendant that has no mirror node yet — when it has none.
-func (s *multiSoA) place(t *MultiTree, n *MultiNode) int32 {
+// descendant that has no mirror node yet — when it has none (see fill
+// for donors).
+func (s *multiSoA) place(t *MultiTree, n *MultiNode, donors []soaNode) int32 {
 	if idx, ok := s.index[n]; ok {
 		return idx
 	}
@@ -146,7 +151,7 @@ func (s *multiSoA) place(t *MultiTree, n *MultiNode) int32 {
 		s.nodes = append(s.nodes, soaNode{})
 	}
 	s.index[n] = idx
-	s.fill(t, n, idx)
+	s.fill(t, n, idx, donors)
 	return idx
 }
 
@@ -167,38 +172,50 @@ func (s *multiSoA) release(n *MultiNode) {
 // repair brings the mirror up to date with the insert that just ran
 // along path, of a point of the given class, whose splits replaced the
 // lowest `replaced` nodes of the path (fixOverflow's report).
+//
+// Per surviving inner level above the lowest, one entry changed: the
+// one over the path — its rectangle and the inserted class's sums (with
+// them, under variance pooling, the variance all its classes share),
+// or after a split every class. The lowest survivor is refilled: a leaf
+// gained a point; an inner node gained the entries over a split's two
+// halves, which mirror the rest of the split from there. Everything a
+// split left alone keeps its frozen slots, copied out of the old mirror
+// node it sat in (fill's donors).
 func (s *multiSoA) repair(t *MultiTree, path []*MultiNode, replaced, class int) {
 	alive := len(path) - replaced
-	if replaced > 0 {
-		// The replaced nodes are dead; refilling a survivor mirrors the
-		// children a split gave it. A split root leaves no survivor: the
-		// new root takes index 0 and mirrors both halves from there.
-		for _, n := range path[alive:] {
-			s.release(n)
-		}
-		if alive == 0 {
-			s.index[t.root] = 0
-			s.fill(t, t.root, 0)
-		}
-		for _, n := range path[:alive] {
-			s.fill(t, n, s.index[n])
-		}
-		return
-	}
-	// Split-free: per inner level one entry's rectangle and the inserted
-	// class's sums moved — with them, under variance pooling, the
-	// variance all its classes share; the leaf gained a point.
 	lo, hi := class, class+1
-	if t.mopts.PooledVariance {
+	if replaced > 0 || t.mopts.PooledVariance {
 		lo, hi = 0, s.nc
 	}
-	for i, n := range path[:alive-1] {
+	for i, n := range path[:max(alive-1, 0)] {
 		nd := &s.nodes[s.index[n]]
 		e := entryOver(n, path[i+1])
 		s.fillBounds(nd, e, &n.entries[e])
 		s.fillSlots(t, nd, e, &n.entries[e], lo, hi)
 	}
-	s.fill(t, path[alive-1], s.index[path[alive-1]])
+	if replaced == 0 {
+		s.fill(t, path[alive-1], s.index[path[alive-1]], nil)
+		return
+	}
+	// donors[j+1] is path[j]'s old mirror node, donor to the node filled
+	// at its depth (itself or a half of it); a new root has none. The
+	// replaced nodes are released first, so a split root's new root can
+	// take index 0.
+	donors := append(s.donors[:0], soaNode{})
+	for _, n := range path {
+		donors = append(donors, s.nodes[s.index[n]])
+	}
+	for _, n := range path[alive:] {
+		s.release(n)
+	}
+	if alive == 0 {
+		s.index[t.root] = 0
+		s.fill(t, t.root, 0, donors)
+	} else {
+		s.fill(t, path[alive-1], s.index[path[alive-1]], donors[alive:])
+	}
+	clear(donors) // the old blocks are garbage now
+	s.donors = donors
 }
 
 // carve cuts the next n values off a block.
@@ -211,17 +228,22 @@ func carve(block *[]float64, n int) []float64 {
 // fill (re)fills mirror node idx from the live tree node, reusing its
 // block when the node still has as many entries or points. It works on
 // a copy of the table row because placing children can grow the table.
-func (s *multiSoA) fill(t *MultiTree, n *MultiNode, idx int32) {
+//
+// donors[0], when given, is an old mirror node holding the frozen slots
+// of this node's entries over children that already have mirror nodes —
+// entries a split moved but did not change — and donors[1:] serve the
+// children placed from here the same way.
+func (s *multiSoA) fill(t *MultiTree, n *MultiNode, idx int32, donors []soaNode) {
 	nd := s.nodes[idx]
 	if n.leaf {
 		s.fillLeaf(t, n, &nd)
 	} else {
-		s.fillInner(t, n, &nd)
+		s.fillInner(t, n, &nd, donors)
 	}
 	s.nodes[idx] = nd
 }
 
-func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode) {
+func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode, donors []soaNode) {
 	dim, nc := s.dim, s.nc
 	k := len(n.entries)
 	if nd.leaf || len(nd.child) != k {
@@ -238,11 +260,36 @@ func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode) {
 			rectHi:  carve(&block, k*dim),
 		}
 	}
+	var donor soaNode
+	if len(donors) > 0 {
+		donor, donors = donors[0], donors[1:]
+	}
 	for e := range n.entries {
 		en := &n.entries[e]
-		nd.child[e] = s.place(t, en.Child)
+		old, known := s.index[en.Child]
+		nd.child[e] = s.place(t, en.Child, donors)
 		s.fillBounds(nd, e, en)
-		s.fillSlots(t, nd, e, en, 0, nc)
+		if d := slices.Index(donor.child, old); known && d >= 0 {
+			s.copySlots(nd, e, &donor, d)
+		} else {
+			s.fillSlots(t, nd, e, en, 0, nc)
+		}
+	}
+}
+
+// copySlots copies entry d's class slots of donor into entry e of nd:
+// what fillSlots would write, frozen from the same cluster features.
+func (s *multiSoA) copySlots(nd *soaNode, e int, donor *soaNode, d int) {
+	dim, k, kd := s.dim, len(nd.child), len(donor.child)
+	for c := 0; c < s.nc; c++ {
+		to, from := c*k+e, c*kd+d
+		if nd.logN[to] = donor.logN[from]; math.IsInf(nd.logN[to], -1) {
+			continue
+		}
+		nd.logNorm[to] = donor.logNorm[from]
+		copy(nd.means[to*dim:to*dim+dim], donor.means[from*dim:])
+		copy(nd.invVar[to*dim:to*dim+dim], donor.invVar[from*dim:])
+		copy(nd.logVar[to*dim:to*dim+dim], donor.logVar[from*dim:])
 	}
 }
 

@@ -22,8 +22,8 @@ func TestSplitWorkPinned(t *testing.T) {
 		splits, splitInserts     int
 		maxFrozen, maxBuildBytes uint64
 	}{
-		{seed: 1, splits: 950, splitInserts: 88, maxFrozen: 13730, maxBuildBytes: 7_200_000},
-		{seed: 2, splits: 941, splitInserts: 79, maxFrozen: 12270, maxBuildBytes: 7_200_000},
+		{seed: 1, splits: 950, splitInserts: 88, maxFrozen: 5730, maxBuildBytes: 7_200_000},
+		{seed: 2, splits: 941, splitInserts: 79, maxFrozen: 5210, maxBuildBytes: 7_200_000},
 	} {
 		d, err := dataset.Pendigits(1)
 		if err != nil {
