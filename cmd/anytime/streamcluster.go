@@ -98,7 +98,7 @@ func runStreamcluster(args []string, stdout io.Writer) error {
 	// Windowed view over the last quarter of the stream via snapshots.
 	t2 := float64(ds.Len())
 	t1 := t2 * 0.75
-	window, err := store.Window(t1, t2, 0.1)
+	window, err := store.Window(t1, t2, 0.1, *lambda)
 	if err != nil {
 		fmt.Fprintf(stdout, "\n(windowed view unavailable: %v)\n", err)
 		return nil

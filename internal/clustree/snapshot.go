@@ -150,9 +150,12 @@ func (s *SnapshotStore) Closest(t float64) (Snapshot, bool) {
 // the later snapshot, the CF of the nearest earlier micro-cluster (within
 // matchRadius of its mean) is subtracted — the CF subtractivity trick of
 // [1] and Section 4.2 that recovers the clustering of the data arriving
-// in (t1, t2]. Unmatched later clusters are returned whole; results with
-// non-positive weight are dropped.
-func (s *SnapshotStore) Window(t1, t2 float64, matchRadius float64) ([]MicroCluster, error) {
+// in (t1, t2]. Under decay at rate lambda the later snapshot holds the
+// earlier one's objects faded by 2^(−λ·(t_b − t_a)), t_a and t_b the
+// snapshots' times, so that is what is subtracted: CF(t_b) −
+// 2^(−λ·(t_b − t_a))·CF(t_a). Unmatched later clusters are returned
+// whole; results with non-positive weight are dropped.
+func (s *SnapshotStore) Window(t1, t2, matchRadius, lambda float64) ([]MicroCluster, error) {
 	if t2 <= t1 {
 		return nil, fmt.Errorf("clustree: window (%v, %v] is empty", t1, t2)
 	}
@@ -164,6 +167,7 @@ func (s *SnapshotStore) Window(t1, t2 float64, matchRadius float64) ([]MicroClus
 	if a.Time >= b.Time {
 		return b.MicroClusters, nil
 	}
+	fade := math.Exp2(-lambda * (b.Time - a.Time))
 	used := make([]bool, len(a.MicroClusters))
 	var out []MicroCluster
 	for _, late := range b.MicroClusters {
@@ -180,7 +184,9 @@ func (s *SnapshotStore) Window(t1, t2 float64, matchRadius float64) ([]MicroClus
 		}
 		if best >= 0 && bestD <= matchRadius*matchRadius {
 			used[best] = true
-			cf.Subtract(a.MicroClusters[best].CF)
+			early := a.MicroClusters[best].CF.Clone()
+			early.Scale(fade)
+			cf.Subtract(early)
 		}
 		if cf.N > 1e-9 {
 			out = append(out, MicroCluster{CF: cf, Weight: cf.N, Mean: cf.Mean(), Radius: cf.Radius()})

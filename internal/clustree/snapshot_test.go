@@ -162,7 +162,7 @@ func TestSnapshotWindow(t *testing.T) {
 	if err := s.Record(16, []MicroCluster{a16, b16}); err != nil {
 		t.Fatal(err)
 	}
-	window, err := s.Window(8, 16, 0.1)
+	window, err := s.Window(8, 16, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSnapshotWindow(t *testing.T) {
 	if math.Abs(wB-7) > 1e-9 {
 		t.Errorf("windowed weight of B = %v, want 7", wB)
 	}
-	if _, err := s.Window(16, 8, 0.1); err == nil {
+	if _, err := s.Window(16, 8, 0.1, 0); err == nil {
 		t.Errorf("inverted window accepted")
 	}
 }
@@ -223,7 +223,7 @@ func TestSnapshotWindowOnLiveTree(t *testing.T) {
 		}
 		record()
 	}
-	window, err := store.Window(mid, ts, 0.2)
+	window, err := store.Window(mid, ts, 0.2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

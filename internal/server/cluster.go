@@ -433,14 +433,19 @@ func (s *ClusterServer) appendMicroClusters(dst []clustree.MicroCluster, minWeig
 
 // Window returns the micro-clusters of the data that arrived between
 // the retained pyramidal snapshots closest to t1 and t2 (CF
-// subtractivity), or an error when the store is disabled or empty.
+// subtractivity, the earlier snapshot faded at the shards' decay rate),
+// or an error when the store is disabled or empty.
 func (s *ClusterServer) Window(t1, t2, matchRadius float64) ([]clustree.MicroCluster, error) {
 	if s.store == nil {
 		return nil, fmt.Errorf("server: snapshot store disabled")
 	}
+	sh := s.shards[0]
+	sh.mu.RLock()
+	lambda := sh.tree.DecayConfig().Lambda
+	sh.mu.RUnlock()
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	return s.store.Window(t1, t2, matchRadius)
+	return s.store.Window(t1, t2, matchRadius, lambda)
 }
 
 // SnapshotsRetained returns how many pyramidal snapshots the store
