@@ -171,16 +171,10 @@ func (s *multiSoA) release(n *MultiNode) {
 
 // repair brings the mirror up to date with the insert that just ran
 // along path, of a point of the given class, whose splits replaced the
-// lowest `replaced` nodes of the path (fixOverflow's report).
-//
-// Per surviving inner level above the lowest, one entry changed: the
-// one over the path — its rectangle and the inserted class's sums (with
-// them, under variance pooling, the variance all its classes share),
-// or after a split every class. The lowest survivor is refilled: a leaf
-// gained a point; an inner node gained the entries over a split's two
-// halves, which mirror the rest of the split from there. Everything a
-// split left alone keeps its frozen slots, copied out of the old mirror
-// node it sat in (fill's donors).
+// lowest `replaced` nodes of the path (fixOverflow's report). Above the
+// lowest survivor one entry per level changed, the one over the path:
+// its rectangle and class (with pooled variance, or after a split, every
+// class). The lowest survivor is refilled, mirroring a split's halves.
 func (s *multiSoA) repair(t *MultiTree, path []*MultiNode, replaced, class int) {
 	alive := len(path) - replaced
 	lo, hi := class, class+1
@@ -198,9 +192,7 @@ func (s *multiSoA) repair(t *MultiTree, path []*MultiNode, replaced, class int) 
 		return
 	}
 	// donors[j+1] is path[j]'s old mirror node, donor to the node filled
-	// at its depth (itself or a half of it); a new root has none. The
-	// replaced nodes are released first, so a split root's new root can
-	// take index 0.
+	// at its depth; a new root has none and takes index 0 once released.
 	donors := append(s.donors[:0], soaNode{})
 	for _, n := range path {
 		donors = append(donors, s.nodes[s.index[n]])
@@ -228,11 +220,9 @@ func carve(block *[]float64, n int) []float64 {
 // fill (re)fills mirror node idx from the live tree node, reusing its
 // block when the node still has as many entries or points. It works on
 // a copy of the table row because placing children can grow the table.
-//
-// donors[0], when given, is an old mirror node holding the frozen slots
-// of this node's entries over children that already have mirror nodes —
-// entries a split moved but did not change — and donors[1:] serve the
-// children placed from here the same way.
+// An entry a split moved but did not change — its child has a mirror
+// node — copies its slots out of donors[0], the old mirror node it sat
+// in; donors[1:] serve the children placed from here.
 func (s *multiSoA) fill(t *MultiTree, n *MultiNode, idx int32, donors []soaNode) {
 	nd := s.nodes[idx]
 	if n.leaf {

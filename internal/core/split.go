@@ -34,10 +34,8 @@ func (s *splitter) split(n int, bounds func(i int) (lo, hi []float64), dim, minF
 	// One block: the items' bounds, read once, a margin per cut and a
 	// rectangle per cut.
 	size := (4*n+2)*dim + n + 1
-	if cap(s.block) < size {
-		s.block = make([]float64, size)
-	}
-	block := s.block[:size]
+	s.block = slices.Grow(s.block[:0], size)[:size]
+	block := s.block
 	s.n, s.dim, s.minFill = n, dim, minFill
 	s.lo, s.hi = carve(&block, n*dim), carve(&block, n*dim)
 	s.sufMargin = carve(&block, n+1)

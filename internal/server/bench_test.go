@@ -100,6 +100,38 @@ func BenchmarkServerClassifyPendigits(b *testing.B) {
 	}
 }
 
+// BenchmarkServerBuildPendigits is the classify rows' set-up in process:
+// one op inserts the first 8,000 Pendigits points shuffled with seed 1
+// into an empty 4-shard DefaultConfig(16) server — the model
+// BenchmarkServerClassifyPendigits reads — and serves its first read,
+// which builds each shard's mirror. No HTTP, no JSON; run it with
+// -benchmem, the build's bytes are most of what a split costs.
+func BenchmarkServerBuildPendigits(b *testing.B) {
+	d, err := dataset.Pendigits(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Shuffle(1)
+	const train, shards = 8000, 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := NewEmpty(shards, core.DefaultConfig(d.Dim()), d.Classes(), core.MultiOptions{}, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < train; j++ {
+			if err := s.Insert(d.X[j], d.Y[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := s.Classify(d.X[train], 4); err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+}
+
 // BenchmarkServerClassifyBatch measures the in-process batch path: a
 // pool of 4 workers running each item's solo classification (admit,
 // split over 4 shards, one anytime query per shard, one merge).
