@@ -7,29 +7,23 @@ import (
 	"bayestree/internal/mbr"
 )
 
-// splitOrder performs the R* topological split on n items whose
-// rectangles bounds(i) yields (a point passes itself for both): the
-// split axis minimises the summed margins over all legal distributions,
-// the split index minimises overlap (area breaks ties). It returns the
-// items in the chosen ordering and the cut; order[:cut] is the left
-// group, order[cut:] the right. It works in a splitter of its own; a
+// split performs the R* topological split on n items whose rectangles
+// bounds(i) yields (a point passes itself for both): the split axis
+// minimises the summed margins over all legal distributions, the split
+// index minimises overlap (area breaks ties). It returns the items in
+// the chosen ordering and the cut; order[:cut] is the left group,
+// order[cut:] the right. The order is s's, valid until its next split: a
 // tree splits its nodes — leaves (plain and weighted) and inner nodes
-// alike — in the one it keeps (splitNode).
+// alike — in the splitter it keeps (splitNode).
 //
 // The orderings are stable sorts of one index permutation applied in
 // sequence — lower then upper bound per axis, then the winning one
-// again — so ties fall the way that sequence leaves them.
-func splitOrder(n int, bounds func(i int) (lo, hi []float64), dim, minFill int) (order []int, cut int) {
-	return new(splitter).split(n, bounds, dim, minFill, false)
-}
-
-// split is splitOrder in s's working state, told by points that every
-// item is a point (lo == hi). A point's upper-bound pass would
+// again — so ties fall the way that sequence leaves them. With points
+// every item is a point (lo == hi): a point's upper-bound pass would
 // stable-sort the ordering its lower-bound pass just left by the same
 // keys — changing nothing — and score the same margin, which the strict
 // comparison never prefers; so points are scored by the lower-bound
-// pass alone, and split the same. The returned order is s's and valid
-// until its next split.
+// pass alone, and split the same.
 func (s *splitter) split(n int, bounds func(i int) (lo, hi []float64), dim, minFill int, points bool) (order []int, cut int) {
 	// One block: the items' bounds, read once, a margin per cut and a
 	// rectangle per cut.

@@ -89,3 +89,9 @@ func TestSplitWorkPinned(t *testing.T) {
 		}
 	}
 }
+
+// splitOrder is split over boxes in a splitter of its own: the form the
+// split oracle tests call.
+func splitOrder(n int, bounds func(i int) (lo, hi []float64), dim, minFill int) (order []int, cut int) {
+	return new(splitter).split(n, bounds, dim, minFill, false)
+}
