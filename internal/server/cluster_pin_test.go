@@ -91,3 +91,78 @@ func TestClusterWriteHistoryPinned(t *testing.T) {
 		t.Errorf("warm restart at another λ: sha256 %s, want %s", got2, want2)
 	}
 }
+
+// TestDurableClusterReplayPinned pins what recovery rebuilds from a
+// cluster server's logs alone: a durable 4-shard server takes a seeded
+// serial history of inserts at budgets 0–4 (so objects park), is
+// abandoned without a checkpoint and reopened. A sha256 over the
+// snapshot bytes, every micro-cluster's weight, LS and SS bits and the
+// clock must match the live server's and the constant: however the
+// shard logs are replayed, each shard's records apply in log order and
+// the clock ends at the last logged timestamp.
+func TestDurableClusterReplayPinned(t *testing.T) {
+	const n, want = 5000, "be9a1d7704e816236cf7e5660bd837de850f37cb62b21d4d69679caad64a7b11"
+	copts := ClusterOptions{SnapshotEvery: -1}
+	ccfg := clustree.Config{Dim: 2, MaxFanout: 4, Lambda: 0.002}
+	open := func(dir string) *ClusterServer {
+		t.Helper()
+		s, err := OpenDurableCluster(DurabilityOptions{Dir: dir}, Config{}, copts, func() (*ClusterServer, error) {
+			return NewCluster(ccfg, 4, Config{}, copts)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	digest := func(s *ClusterServer) string {
+		t.Helper()
+		h := sha256.New()
+		h.Write(snapshotBytes(t, s))
+		var word [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(word[:], v)
+			h.Write(word[:])
+		}
+		for _, mc := range s.MicroClusters(0) {
+			put(math.Float64bits(mc.Weight))
+			for i := range mc.CF.LS {
+				put(math.Float64bits(mc.CF.LS[i]))
+				put(math.Float64bits(mc.CF.SS[i]))
+			}
+		}
+		put(uint64(s.Clock()))
+		return hex.EncodeToString(h.Sum(nil))
+	}
+
+	dir := t.TempDir()
+	a := open(dir)
+	rng := rand.New(rand.NewSource(45))
+	for i := 0; i < n; i++ {
+		src := float64(rng.Intn(5))
+		x := []float64{0.15*src + 0.04*rng.NormFloat64(), 0.8 - 0.1*src + 0.2*float64(i)/n + 0.04*rng.NormFloat64()}
+		if _, err := a.Insert(x, i%5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := a.Stats(); st.Parked == 0 {
+		t.Fatal("the history parks no object")
+	}
+	live := digest(a)
+	crash(t, a.dur)
+
+	b := open(dir)
+	defer b.CloseDurability()
+	if got := b.Stats().WALReplayed; got != n {
+		t.Fatalf("replayed %d records, want %d", got, n)
+	}
+	got := digest(b)
+	if got != live {
+		t.Errorf("recovered sha256 %s, live %s", got, live)
+	}
+	if got != want {
+		t.Errorf("recovered sha256 %s, want %s", got, want)
+	}
+}
