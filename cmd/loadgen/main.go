@@ -229,7 +229,7 @@ func startSelfServe(kind string, shards int, nps float64, tenants, maxResident i
 			handler, closeSrv = r.Handler(), func() { r.Close(); os.RemoveAll(dir) }
 		case "cluster":
 			opts.Defaults = registry.TenantConfig{Dim: 2, Shards: shards}
-			r, err := registry.Open(opts, registry.ClusterBackend(server.ClusterOptions{SnapshotEvery: -1}))
+			r, err := registry.Open(opts, registry.ClusterBackend(server.ClusterOptions{}))
 			if err != nil {
 				os.RemoveAll(dir)
 				return "", nil, err
@@ -260,7 +260,7 @@ func startSelfServe(kind string, shards int, nps float64, tenants, maxResident i
 		}
 		handler, closeSrv = s.Handler(), s.Close
 	case "cluster":
-		s, err := server.NewCluster(clustree.DefaultConfig(2), shards, cfg, server.ClusterOptions{SnapshotEvery: -1})
+		s, err := server.NewCluster(clustree.DefaultConfig(2), shards, cfg, server.ClusterOptions{})
 		if err != nil {
 			return "", nil, err
 		}

@@ -1,9 +1,8 @@
 // Command servecluster runs the anytime clustering server: a sharded
 // set of Section-4.2 clustering trees (ClusTrees) served over HTTP with
 // per-object anytime descent budgets, a global node-visit admission
-// controller, a pyramidal micro-cluster history and snapshot-based warm
-// starts — the clustering counterpart of serveclass, running on the
-// same engine.
+// controller and snapshot-based warm starts — the clustering
+// counterpart of serveclass, running on the same engine.
 //
 // Start an empty two-dimensional server, sharded four ways, forgetting
 // with half-life 1/0.004 stream objects:
@@ -21,11 +20,11 @@
 //
 // Endpoints: POST /cluster ({"x":[...],"budget":3}; NDJSON body for
 // bulk ingest), GET /microclusters?minw=, GET /macroclusters?eps=&minw=,
-// GET /window?t1=&t2=, GET /stats, GET /healthz (liveness), GET /readyz
-// (readiness), GET /replicate (replication stream). On SIGTERM or
-// SIGINT the server drains gracefully: /readyz flips to 503, in-flight
-// requests finish within the -drain timeout, and the model is
-// snapshotted back to -snapshot if set.
+// GET /stats, GET /healthz (liveness), GET /readyz (readiness), GET
+// /replicate (replication stream). On SIGTERM or SIGINT the server
+// drains gracefully: /readyz flips to 503, in-flight requests finish
+// within the -drain timeout, and the model is snapshotted back to
+// -snapshot if set.
 package main
 
 import (
@@ -40,13 +39,11 @@ import (
 )
 
 // options are the command's flags: the shared serving set plus the
-// clustering workload's own — its bootstrap, decay rate and pyramidal
-// snapshot store.
+// clustering workload's own — its bootstrap and decay rate.
 type options struct {
 	*serve.Flags
-	dim       int
-	lambda    float64
-	snapEvery int
+	dim    int
+	lambda float64
 }
 
 // register declares every flag on fs and installs the usage text.
@@ -56,7 +53,6 @@ func register(fs *flag.FlagSet) *options {
 	})}
 	fs.IntVar(&o.dim, "dim", 0, "observation dimensionality when no snapshot exists")
 	fs.Float64Var(&o.lambda, "lambda", 0.004, "decay rate: a weight halves every 1/λ stream objects (0 = never forget)")
-	fs.IntVar(&o.snapEvery, "snap-every", 1024, "record a pyramidal micro-cluster snapshot every N ingested objects (< 0 disables /window)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(),
 			"Usage: servecluster [flags]\n\n"+
@@ -66,11 +62,10 @@ func register(fs *flag.FlagSet) *options {
 				"under overload objects park in inner-node buffers and hitchhike leafward\n"+
 				"later, so the stream never backs up. -lambda sets exponential forgetting\n"+
 				"per stream object; the background sweep prunes micro-clusters below\n"+
-				"-min-weight every -decay-every. /window reads the pyramidal store, fed\n"+
-				"every -snap-every objects (base 2, three snapshots per order). -wal-dir\n"+
-				"makes ingest durable: objects are appended to a per-shard write-ahead\n"+
-				"log (group-committed every -fsync-every) and recovery replays the log\n"+
-				"tail over the latest checkpoint.\n\n"+
+				"-min-weight every -decay-every. -wal-dir makes ingest durable: objects\n"+
+				"are appended to a per-shard write-ahead log (group-committed every\n"+
+				"-fsync-every) and recovery replays the log tail over the latest\n"+
+				"checkpoint.\n\n"+
 				"Examples:\n"+
 				"  servecluster -dim 2 -shards 4 -lambda 0.004\n"+
 				"  servecluster -snapshot clusters.btsn -nps 50000\n\n"+
@@ -78,7 +73,6 @@ func register(fs *flag.FlagSet) *options {
 				"  POST /cluster        {\"x\":[...],\"budget\":3}; NDJSON body bulk-ingests\n"+
 				"  GET  /microclusters  ?minw=0.5    current micro-clusters\n"+
 				"  GET  /macroclusters  ?eps=&minw=  density-based offline clustering\n"+
-				"  GET  /window         ?t1=&t2=     historical view via pyramidal snapshots\n"+
 				"  GET  /stats          shard sizes, parked/merge/split, admission and replication counters\n"+
 				"  GET  /healthz        liveness: 200 once listening\n"+
 				"  GET  /readyz         readiness: 503 while recovering or draining\n"+
@@ -112,7 +106,7 @@ func (o *options) workload(args []string) (serve.Workload[*server.ClusterServer]
 	if err != nil {
 		return w, err
 	}
-	copts := server.ClusterOptions{SnapshotEvery: o.snapEvery}
+	var copts server.ClusterOptions
 	return serve.Workload[*server.ClusterServer]{
 		Name:   "servecluster",
 		Config: cfg,

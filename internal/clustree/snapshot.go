@@ -81,50 +81,11 @@ func (s *SnapshotStore) Record(t float64, mcs []MicroCluster) error {
 	return nil
 }
 
-// Alpha returns the pyramidal base.
-func (s *SnapshotStore) Alpha() int { return s.alpha }
-
-// Capacity returns the per-order snapshot capacity.
-func (s *SnapshotStore) Capacity() int { return s.capacity }
-
-// All returns every retained snapshot sorted by time — the persistence
-// view of the store. Re-Recording them in this order into an empty
-// store with the same alpha and capacity reproduces the store exactly
-// (no order can exceed its capacity, so no eviction fires), which is
-// how snapshots of the store itself round-trip.
-func (s *SnapshotStore) All() []Snapshot {
-	out := make([]Snapshot, 0, s.Len())
-	for _, snaps := range s.orders {
-		out = append(out, snaps...)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Time < out[b].Time })
-	return out
-}
-
 // Len returns the total number of retained snapshots.
 func (s *SnapshotStore) Len() int {
 	total := 0
 	for _, snaps := range s.orders {
 		total += len(snaps)
-	}
-	return total
-}
-
-// ApproxBytes estimates the store's resident memory from its shape:
-// retained snapshots × their micro-clusters × a micro-cluster's size (the
-// struct, counted over the slice's capacity, and its three Dim-vectors:
-// the cluster feature's LS and SS and the mean).
-func (s *SnapshotStore) ApproxBytes() int64 {
-	const word, slice int64 = 8, 24
-	var total int64
-	for _, snaps := range s.orders {
-		for i := range snaps {
-			mcs := snaps[i].MicroClusters
-			total += word + slice // the Snapshot
-			if len(mcs) > 0 {
-				total += int64(cap(mcs))*(3*word+3*slice) + int64(len(mcs))*3*word*int64(len(mcs[0].Mean))
-			}
-		}
 	}
 	return total
 }

@@ -38,7 +38,7 @@ func startClassServer(t *testing.T) string {
 // returns its base URL.
 func startClusterServer(t *testing.T) string {
 	t.Helper()
-	s, err := server.NewCluster(clustree.DefaultConfig(clusterDim), 2, server.Config{}, server.ClusterOptions{SnapshotEvery: -1})
+	s, err := server.NewCluster(clustree.DefaultConfig(clusterDim), 2, server.Config{}, server.ClusterOptions{})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}

@@ -110,79 +110,40 @@ func TestClusTreeRoundTripDigitIdentical(t *testing.T) {
 }
 
 // TestClusterSetRoundTrip covers the sharded clustering snapshot: trees
-// plus the pyramidal store plus the logical clock.
+// plus the logical clock.
 func TestClusterSetRoundTrip(t *testing.T) {
 	var trees []*clustree.Tree
 	for seed := int64(1); seed <= 3; seed++ {
 		trees = append(trees, buildClusTree(t, seed, 0.002))
 	}
-	store, err := clustree.NewSnapshotStore(2, 3)
-	if err != nil {
-		t.Fatalf("new store: %v", err)
-	}
-	for ts := int64(64); ts <= 1024; ts += 64 {
-		if err := store.Record(float64(ts), trees[0].MicroClusters(0.5)); err != nil {
-			t.Fatalf("record: %v", err)
-		}
-	}
-	set := ClusterSet{Trees: trees, Store: store, Clock: 3600}
 	var buf bytes.Buffer
-	if err := EncodeClusterSet(&buf, set); err != nil {
+	if err := EncodeClusterSet(&buf, ClusterSet{Trees: trees, Clock: 3600}); err != nil {
 		t.Fatalf("encode set: %v", err)
 	}
 	got, err := DecodeClusterSet(&buf)
 	if err != nil {
 		t.Fatalf("decode set: %v", err)
 	}
-	if len(got.Trees) != 3 || got.Clock != 3600 || got.Store == nil {
-		t.Fatalf("decoded %d trees clock %d store %v", len(got.Trees), got.Clock, got.Store != nil)
+	if len(got.Trees) != 3 || got.Clock != 3600 {
+		t.Fatalf("decoded %d trees clock %d", len(got.Trees), got.Clock)
 	}
 	for i := range trees {
 		mustEqualMicro(t, trees[i].MicroClusters(0), got.Trees[i].MicroClusters(0))
 	}
-	if store.Len() != got.Store.Len() {
-		t.Fatalf("store retained %d != %d", got.Store.Len(), store.Len())
-	}
-	a, _ := store.Closest(512)
-	b, ok := got.Store.Closest(512)
-	if !ok || a.Time != b.Time {
-		t.Fatalf("store closest(512) %v vs %v (ok=%v)", b.Time, a.Time, ok)
-	}
-	mustEqualMicro(t, a.MicroClusters, b.MicroClusters)
-
-	// A store-less set round-trips too (SnapshotEvery < 0 servers).
-	var buf2 bytes.Buffer
-	if err := EncodeClusterSet(&buf2, ClusterSet{Trees: trees[:1], Clock: 7}); err != nil {
-		t.Fatalf("encode storeless: %v", err)
-	}
-	got2, err := DecodeClusterSet(&buf2)
-	if err != nil {
-		t.Fatalf("decode storeless: %v", err)
-	}
-	if got2.Store != nil || got2.Clock != 7 {
-		t.Fatalf("storeless set decoded store=%v clock=%d", got2.Store != nil, got2.Clock)
-	}
 }
 
 // TestClusTreeDecodeRejectsCorruption exercises the error paths of the
-// cluster set — of one tree, and of two with a pyramidal store — with
+// cluster set — of one tree, and of two — with
 // the same table the classifier snapshots get: bit rot, truncation,
 // foreign files, future versions and kind confusion must all fail
 // loudly before any tree state is built.
 func TestClusTreeDecodeRejectsCorruption(t *testing.T) {
 	tree := buildClusTree(t, 77, 0.001)
-	store, err := clustree.NewSnapshotStore(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Record(600, tree.MicroClusters(0)); err != nil {
-		t.Fatal(err)
-	}
 	var single, set bytes.Buffer
 	if err := EncodeClusterSet(&single, ClusterSet{Trees: []*clustree.Tree{tree}, Clock: 5}); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	pair := ClusterSet{Trees: []*clustree.Tree{tree, buildClusTree(t, 78, 0)}, Store: store, Clock: 2400}
+	pair := ClusterSet{Trees: []*clustree.Tree{tree, buildClusTree(t, 78, 0)}, Clock: 2400}
 	if err := EncodeClusterSet(&set, pair); err != nil {
 		t.Fatalf("encode set: %v", err)
 	}

@@ -45,7 +45,7 @@ func orNil[M any](m M, err error, isZero func(M) bool) (any, error) {
 
 func nilPtr[T any](p *T) bool           { return p == nil }
 func noTrees(ts []*core.MultiTree) bool { return ts == nil }
-func emptySet(s ClusterSet) bool        { return s.Trees == nil && s.Store == nil && s.Clock == 0 }
+func emptySet(s ClusterSet) bool        { return s.Trees == nil && s.Clock == 0 }
 
 func validateAll[T interface{ Validate() error }](ts []T) error {
 	for i, t := range ts {
@@ -216,28 +216,15 @@ func smallClusTree(tb testing.TB, lambda float64) *clustree.Tree {
 // snapshotCorpus is every kind of snapshot the package's tests build —
 // per-class forest, sharded multi-class set and cluster set — over
 // decayed models with weighted leaves, a multi-class tree under every
-// option at once, a ClusTree under budget pressure, a cluster set with
-// and without its pyramidal store, and models of a few nodes. A sample
-// named after one tree is the set of that tree alone (with its history
-// for a ClusTree under pressure).
+// option at once, a ClusTree under budget pressure (at two clocks), a
+// cluster set of two trees, and models of a few nodes. A sample named
+// after one tree is the set of that tree alone.
 func snapshotCorpus(tb testing.TB) []sample {
 	tb.Helper()
 	clf, _ := trainClassifier(tb, 9, core.ClassifierOptions{Strategy: core.DescentBFT})
 	mt, _ := buildMultiTree(tb, 5, core.MultiOptions{PooledVariance: true})
 	small, smallDecayed := smallMultiTree(tb, false), smallMultiTree(tb, true)
 	pressed, tiny := buildClusTree(tb, 31, 0.003), smallClusTree(tb, 0.01)
-	history := func(tree *clustree.Tree, every int) *clustree.SnapshotStore {
-		store, err := clustree.NewSnapshotStore(2, 3)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for ts := every; ts <= int(tree.Now()); ts += every {
-			if err := store.Record(float64(ts), tree.MicroClusters(0)); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		return store
-	}
 	var out []sample
 	for _, m := range []struct {
 		name  string
@@ -250,9 +237,9 @@ func snapshotCorpus(tb testing.TB) []sample {
 		{"multitree-small", []*core.MultiTree{small}},
 		{"multitree-small-decayed", []*core.MultiTree{smallDecayed}},
 		{"multiset-small", []*core.MultiTree{small, smallDecayed}},
-		{"clustree", ClusterSet{Trees: []*clustree.Tree{pressed}, Store: history(pressed, 300), Clock: 1200}},
+		{"clustree", ClusterSet{Trees: []*clustree.Tree{pressed}, Clock: 1200}},
 		{"clustree-small", ClusterSet{Trees: []*clustree.Tree{tiny}, Clock: 40}},
-		{"clusterset-small", ClusterSet{Trees: []*clustree.Tree{tiny, smallClusTree(tb, 0)}, Store: history(tiny, 8), Clock: 40}},
+		{"clusterset-small", ClusterSet{Trees: []*clustree.Tree{tiny, smallClusTree(tb, 0)}, Clock: 40}},
 		{"clusterset-storeless", ClusterSet{Trees: []*clustree.Tree{pressed}, Clock: 7}},
 	} {
 		out = append(out, sample{m.name, encodeAny(tb, m.model)})
@@ -270,7 +257,10 @@ func snapshotCorpus(tb testing.TB) []sample {
 // retired entropy-priority flag set (testdata/kind-3-entropy.snap) or
 // forced reinsertion off (testdata/kind-3-no-reinsert.snap), and a
 // cluster set whose tree's leaves hold six micro-clusters
-// (testdata/clusterset-leaf-6.snap).
+// (testdata/clusterset-leaf-6.snap); and a cluster set whose retired
+// pyramidal store slot holds five snapshots
+// (testdata/clusterset-store.snap), and every cluster set of the corpus
+// with that slot's flag set.
 func retiredSnapshots(tb testing.TB) []sample {
 	tb.Helper()
 	small, tiny := smallMultiTree(tb, true), smallClusTree(tb, 0.01)
@@ -287,64 +277,22 @@ func retiredSnapshots(tb testing.TB) []sample {
 	one = &encoder{p: []byte{4}}
 	one.clusTree(tiny, tiny.Dump())
 	out = append(out, sample{"kind-4", frame(Version, one.p)})
-	for _, name := range []string{"kind-1", "kind-3-entropy", "kind-3-no-reinsert", "clusterset-leaf-6"} {
+	for _, name := range []string{"kind-1", "kind-3-entropy", "kind-3-no-reinsert", "clusterset-leaf-6", "clusterset-store"} {
 		snap, err := os.ReadFile(filepath.Join("testdata", name+".snap"))
 		if err != nil {
 			tb.Fatal(err)
 		}
 		out = append(out, sample{name, snap})
 	}
+	for _, s := range snapshotCorpus(tb) {
+		if payload := payloadOf(s.snap); payload[0] == kindClusterSet {
+			// The slot's flag is the byte before the clock.
+			filled := append([]byte(nil), payload...)
+			filled[len(filled)-9] = 1
+			out = append(out, sample{"clusterset-store", frame(Version, filled)})
+		}
+	}
 	return out
-}
-
-// forgedStoreTimes is cluster sets whose pyramidal store lists a last
-// snapshot time the store cannot hold as written: one ulp above an
-// integer, a half, a time it already holds, and a time of an order
-// already at capacity. Each re-Recorded store would encode differently.
-func forgedStoreTimes(tb testing.TB) []sample {
-	tb.Helper()
-	forge := func(capacity int, times []float64, last float64) []byte {
-		store, err := clustree.NewSnapshotStore(2, capacity)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for _, ts := range times {
-			if err := store.Record(ts, nil); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		var buf bytes.Buffer
-		set := ClusterSet{Trees: []*clustree.Tree{smallClusTree(tb, 0)}, Store: store, Clock: int64(times[len(times)-1])}
-		if err := EncodeClusterSet(&buf, set); err != nil {
-			tb.Fatal(err)
-		}
-		// The last snapshot lists no micro-clusters, so its time, its
-		// count and the clock are the payload's last 24 bytes.
-		payload := append([]byte(nil), payloadOf(buf.Bytes())...)
-		at := payload[len(payload)-24:]
-		if math.Float64frombits(binary.LittleEndian.Uint64(at)) != times[len(times)-1] {
-			tb.Fatal("the last snapshot time is not where the forgery writes")
-		}
-		binary.LittleEndian.PutUint64(at, math.Float64bits(last))
-		return frame(Version, payload)
-	}
-	return []sample{
-		{"clusterset-time-ulp", forge(3, []float64{8, 16}, math.Nextafter(16, 17))},
-		{"clusterset-time-half", forge(3, []float64{8, 16}, 16.5)},
-		{"clusterset-time-repeated", forge(3, []float64{8, 16}, 8)},
-		{"clusterset-over-capacity", forge(2, []float64{2, 6, 8}, 10)},
-	}
-}
-
-// TestForgedStoreTimesRefused: both decoders refuse a store whose times
-// the re-Recording would change.
-func TestForgedStoreTimesRefused(t *testing.T) {
-	c := codecOf(kindClusterSet)
-	for _, s := range forgedStoreTimes(t) {
-		if m, _ := checkAgainstOracle(t, c, s.snap); m != nil {
-			t.Errorf("%s: accepted", s.name)
-		}
-	}
 }
 
 var sentinels = []error{ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated}
@@ -543,11 +491,10 @@ const fuzzSeedMutations = 65
 // children — and checking that costs a decode as much again.
 //
 // The seeds are the corpus's snapshots under 16 KiB (every kind),
-// fuzzSeedMutations seeded mutations of each, the forged store times and
-// the retired snapshots, so that `go test` alone catches a decoder that
-// drops a bound, skips the kind or version check, lets trailing bytes
-// through, leaves a derived entry unsummarised or accepts a store its
-// re-Recording would change.
+// fuzzSeedMutations seeded mutations of each and the retired snapshots,
+// so that `go test` alone catches a decoder that drops a bound, skips
+// the kind or version check, lets trailing bytes through, leaves a
+// derived entry unsummarised or accepts a retired slot.
 func FuzzDecodeSnapshot(f *testing.F) {
 	rng := rand.New(rand.NewSource(24))
 	for _, s := range snapshotCorpus(f) {
@@ -559,7 +506,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			f.Add(mutate(rng, s.snap, i))
 		}
 	}
-	for _, s := range append(forgedStoreTimes(f), retiredSnapshots(f)...) {
+	for _, s := range retiredSnapshots(f) {
 		f.Add(s.snap)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {

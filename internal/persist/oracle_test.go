@@ -126,7 +126,7 @@ func oracleDecodeClusterSet(r io.Reader) (ClusterSet, error) {
 		set.Trees = append(set.Trees, t)
 	}
 	if d.boolv() {
-		set.Store = d.clusStore(set.Trees[0].Config().Dim)
+		d.fail("the pyramidal store slot is retired")
 	}
 	set.Clock = d.i64()
 	if err := d.done(); err != nil {
@@ -463,57 +463,4 @@ func (d *oracleDecoder) clusNode(dim int) *clustree.DumpNode {
 		return nil
 	}
 	return n
-}
-
-// clusStore rebuilds the pyramidal store by re-Recording the retained
-// snapshots in time order: no order bucket can exceed its capacity
-// (they were within capacity when saved), so no eviction fires and the
-// rebuilt store is identical. Record floors a non-integer time, replaces
-// a time it holds and evicts beyond an order's capacity, so a time that
-// is not an integer above the one before, or a store that keeps fewer
-// snapshots than it lists, would decode to a store that encodes
-// differently: both are refused.
-func (d *oracleDecoder) clusStore(dim int) *clustree.SnapshotStore {
-	alpha := int(d.i64())
-	capacity := int(d.i64())
-	count := d.count(8)
-	if d.err != nil {
-		return nil
-	}
-	store, err := clustree.NewSnapshotStore(alpha, capacity)
-	if err != nil {
-		d.fail("rebuild snapshot store: %v", err)
-		return nil
-	}
-	prev := 0.0
-	for i := 0; i < count; i++ {
-		time := d.f64()
-		if d.err == nil && (time != math.Trunc(time) || time <= prev || time >= 1<<63) {
-			d.fail("snapshot time %v after %v", time, prev)
-		}
-		prev = time
-		mcCount := d.count(8 * (1 + 2*dim))
-		mcs := make([]clustree.MicroCluster, 0, mcCount)
-		for j := 0; j < mcCount; j++ {
-			cf := d.cf(dim)
-			if d.err != nil {
-				return nil
-			}
-			mcs = append(mcs, clustree.MicroCluster{
-				CF: cf, Weight: cf.N, Mean: cf.Mean(), Radius: cf.Radius(),
-			})
-		}
-		if d.err != nil {
-			return nil
-		}
-		if err := store.Record(time, mcs); err != nil {
-			d.fail("rebuild snapshot store: %v", err)
-			return nil
-		}
-	}
-	if store.Len() != count {
-		d.fail("snapshot store lists %d snapshots and keeps %d", count, store.Len())
-		return nil
-	}
-	return store
 }

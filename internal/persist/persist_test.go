@@ -269,14 +269,16 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // refused by all three decoders — and the oracle — with ErrVersion, a
 // well-formed version-3 frame of a retired kind (1, a forest of the
 // retired per-class tree type; 2, one multi-class tree; 4, one ClusTree)
-// with the wrong-kind error, and a set whose tree holds a retired
-// setting at a value other than the one it is fixed at by its decoder
-// with an error naming the setting.
+// with the wrong-kind error, a set whose tree holds a retired setting
+// at a value other than the one it is fixed at by its decoder with an
+// error naming the setting, and a cluster set whose retired pyramidal
+// store slot is filled with an error naming the slot.
 func TestRetiredSnapshotsRefused(t *testing.T) {
 	retired := map[string]string{
 		"kind-3-entropy":     "entropy-weighted descent priority is retired",
 		"kind-3-no-reinsert": "ForcedReinsert false is retired",
 		"clusterset-leaf-6":  "MaxLeafEntries 6 is retired",
+		"clusterset-store":   "pyramidal store slot is retired",
 	}
 	for _, s := range retiredSnapshots(t) {
 		version, kind := binary.LittleEndian.Uint32(s.snap[4:]), payloadOf(s.snap)[0]

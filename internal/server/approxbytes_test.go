@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -36,8 +35,7 @@ func checkWithinTwofold(t *testing.T, what string, estimate, measured int64) {
 // resident-bytes cap pages against — to its stated accuracy against the
 // live heap a model really holds: the benchmark's classifier (8,000
 // Pendigits points, 16 dimensions, 10 classes, 4 shards, mirrors
-// built) and a clustering model, with the snapshot store that lives
-// beside its shards switched off and on.
+// built) and a clustering model.
 func TestApproxBytesWithinTwofold(t *testing.T) {
 	d, err := dataset.Pendigits(1)
 	if err != nil {
@@ -69,31 +67,24 @@ func TestApproxBytesWithinTwofold(t *testing.T) {
 		s.Close()
 	}
 
-	// The clustering model, without and with its pyramidal snapshot
-	// store (a snapshot every 64 inserts, so the store is most of it).
-	for _, every := range []int{-1, 64} {
-		rng := rand.New(rand.NewSource(2))
-		cs, grew := heapGrowth(t, func() *ClusterServer {
-			cs, err := NewCluster(clustree.DefaultConfig(8), 4, Config{}, ClusterOptions{SnapshotEvery: every})
-			if err != nil {
+	// The clustering model.
+	rng := rand.New(rand.NewSource(2))
+	cs, grew := heapGrowth(t, func() *ClusterServer {
+		cs, err := NewCluster(clustree.DefaultConfig(8), 4, Config{}, ClusterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, 8)
+		for i := 0; i < 6000; i++ {
+			for k := range x {
+				x[k] = rng.Float64()
+			}
+			if _, err := cs.Insert(x, 32); err != nil {
 				t.Fatal(err)
 			}
-			x := make([]float64, 8)
-			for i := 0; i < 6000; i++ {
-				for k := range x {
-					x[k] = rng.Float64()
-				}
-				if _, err := cs.Insert(x, 32); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return cs
-		})
-		what := "cluster"
-		if every > 0 {
-			what = fmt.Sprintf("cluster + %d snapshots", cs.SnapshotsRetained())
 		}
-		checkWithinTwofold(t, what, cs.ApproxBytes(), grew)
-		cs.Close()
-	}
+		return cs
+	})
+	checkWithinTwofold(t, "cluster", cs.ApproxBytes(), grew)
+	cs.Close()
 }

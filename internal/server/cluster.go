@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"bayestree/internal/clustree"
@@ -97,40 +96,19 @@ func (c *ctree) EnableDecay(opts core.DecayOptions) error {
 	return nil
 }
 
-// The pyramidal store's shape: granularity coarsens by a factor of
-// snapshotAlpha per order, and each order keeps snapshotAlpha + 1
-// snapshots, the classical choice.
-const snapshotAlpha, snapshotCapacity = 2, 3
-
-// ClusterOptions parameterise the parts of a ClusterServer beyond the
-// shared engine Config: the pyramidal snapshot store that retains
-// micro-cluster history at exponentially coarsening granularity.
-type ClusterOptions struct {
-	// SnapshotEvery records a union micro-cluster snapshot into the
-	// store every N ingested objects (0 means 1024; < 0 disables the
-	// store and the /window endpoint).
-	SnapshotEvery int
-}
+// ClusterOptions has no field. It is kept so that the constructors keep
+// the signatures the API list in bench/sut.go names.
+type ClusterOptions struct{}
 
 // ClusterServer is the sharded anytime clustering instantiation of the
 // engine. All methods are safe for concurrent use.
 type ClusterServer struct {
 	engine[*ctree]
-	ccfg  clustree.Config
-	copts ClusterOptions
+	ccfg clustree.Config
 	// clock is the global logical time: one tick per ingested object,
 	// assigned under the owning shard's write lock so per-shard
 	// timestamps are strictly increasing.
 	clock atomic.Int64
-
-	snapMu sync.Mutex
-	store  *clustree.SnapshotStore
-	// A snapshot's capture takes gate, which every ingest hold shares,
-	// alone, and raises recording while it waits, which ends each hold
-	// after its current line: the clock stops a line or so per shard past
-	// the boundary, so the label stays where the pyramid expects it.
-	gate      sync.RWMutex
-	recording atomic.Int32
 
 	// spare is the micro-cluster set the last /microclusters read
 	// answered from, kept so the next one refills its vectors (one set,
@@ -154,12 +132,12 @@ func NewCluster(ccfg clustree.Config, shards int, cfg Config, copts ClusterOptio
 		}
 		trees[i] = t
 	}
-	return newClusterOver(trees, 0, nil, cfg, copts)
+	return newClusterOver(trees, 0, cfg)
 }
 
 // newClusterOver wires a ClusterServer over existing trees (empty or
-// warm-started), a restored clock and an optional restored store.
-func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.SnapshotStore, cfg Config, copts ClusterOptions) (*ClusterServer, error) {
+// warm-started) and a restored clock.
+func newClusterOver(trees []*clustree.Tree, clock int64, cfg Config) (*ClusterServer, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("server: no shards")
 	}
@@ -174,32 +152,18 @@ func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.Snapsho
 		}
 		models[i] = &ctree{t: t, floor: cfg.Decay.MinWeight}
 	}
-	if copts.SnapshotEvery == 0 {
-		copts.SnapshotEvery = 1024
-	}
-	s := &ClusterServer{ccfg: ccfg, copts: copts}
+	s := &ClusterServer{ccfg: ccfg}
 	s.clock.Store(clock)
-	if copts.SnapshotEvery > 0 {
-		if store == nil {
-			var err error
-			store, err = clustree.NewSnapshotStore(snapshotAlpha, snapshotCapacity)
-			if err != nil {
-				return nil, err
-			}
-		}
-		s.store = store
-	}
 	err := s.init(models, cfg, workload[*ctree]{
-		name:    replica.WorkloadCluster,
-		encode:  s.encodeSet,
-		clocked: true,
+		name:   replica.WorkloadCluster,
+		encode: s.encodeSet,
 		stale: func(m *ctree, at int64) error {
 			if now := m.t.Now(); float64(at) < now {
 				return fmt.Errorf("server: replicated record at time %d precedes the shard's time %v", at, now)
 			}
 			return nil
 		},
-		record: func(payload []byte) (int64, func(*shard[*ctree]) error, func(), error) {
+		record: func(payload []byte) (int64, func(*shard[*ctree]) error, error) {
 			head, x, err := decodeRecord(payload, 2, ccfg.Dim)
 			if err == nil {
 				// A record can frame what JSON cannot; refuse it before it
@@ -207,20 +171,21 @@ func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.Snapsho
 				err = stats.CheckPoint(x)
 			}
 			if err != nil {
-				return 0, nil, nil, err
+				return 0, nil, err
 			}
 			ts, granted := head[0], int(head[1])
 			return ts, func(sh *shard[*ctree]) error {
-				// The clock mirrors the one that logged the record: advance
-				// to its timestamp (per-shard order is apply order, so this is
-				// monotone per shard; across shards the max keeps the global
-				// clock consistent).
-				if ts > s.clock.Load() {
-					s.clock.Store(ts)
+				// The clock mirrors the one that logged the record: raise it
+				// to the record's timestamp. Shards replay side by side, so
+				// the raise is an atomic max.
+				for now := s.clock.Load(); ts > now; now = s.clock.Load() {
+					if s.clock.CompareAndSwap(now, ts) {
+						break
+					}
 				}
 				_, err := sh.tree.t.InsertCounted(x, float64(ts), granted)
 				return err
-			}, func() { s.maybeRecord(ts) }, nil
+			}, nil
 		},
 		stats: func() any { return s.Stats() },
 	})
@@ -231,29 +196,25 @@ func newClusterOver(trees []*clustree.Tree, clock int64, store *clustree.Snapsho
 }
 
 // ClusterFromSnapshot builds a clustering server from a snapshot
-// written by WriteSnapshot, warm-starting the shard trees, the
-// pyramidal store and the logical clock.
+// written by WriteSnapshot, warm-starting the shard trees and the
+// logical clock.
 func ClusterFromSnapshot(r io.Reader, cfg Config, copts ClusterOptions) (*ClusterServer, error) {
 	set, err := persist.DecodeClusterSet(r)
 	if err != nil {
 		return nil, err
 	}
-	return newClusterOver(set.Trees, set.Clock, set.Store, cfg, copts)
+	return newClusterOver(set.Trees, set.Clock, cfg)
 }
 
-// encodeSet encodes the full server state — every shard's tree, the
-// pyramidal store and the logical clock; callers hold all shard locks
-// (WriteSnapshot's cut, or the checkpoint path's).
+// encodeSet encodes the full server state — every shard's tree and the
+// logical clock; callers hold all shard locks (WriteSnapshot's cut, or
+// the checkpoint path's).
 func (s *ClusterServer) encodeSet(w io.Writer, models []*ctree) error {
 	trees := make([]*clustree.Tree, len(models))
 	for i, m := range models {
 		trees[i] = m.t
 	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return persist.EncodeClusterSet(w, persist.ClusterSet{
-		Trees: trees, Store: s.store, Clock: s.clock.Load(),
-	})
+	return persist.EncodeClusterSet(w, persist.ClusterSet{Trees: trees, Clock: s.clock.Load()})
 }
 
 // Dim returns the dimensionality of served observations.
@@ -332,84 +293,34 @@ func (s *ClusterServer) ingestWindow(x *exchange[wire.ClusterRequest, wire.Clust
 // admitted, then under one hold of the shard's write lock each ticks the
 // clock, is logged on a durable server — timestamp, granted budget,
 // point: the inputs that make the descent deterministic — and descends.
-// The grants are settled after the unlock. A hold ends early at a line
-// that crosses a recording boundary, whose snapshot is taken before the
-// next hold, and after any line while a snapshot waits for the gate.
+// The grants are settled after the unlock.
 func (s *ClusterServer) ingest(group []int, reqs []wire.ClusterRequest, res []ClusterResult, errs []error) {
 	for _, i := range group {
 		res[i].Granted = s.grant(res[i].Requested)
 	}
 	sh := s.shards[res[group[0]].Shard]
-	for len(group) > 0 {
-		n, boundary := 0, int64(0)
-		s.gate.RLock()
-		sh.mu.Lock()
-		for ; n == 0 || n < len(group) && boundary == 0 && s.recording.Load() == 0; n++ {
-			i, r := group[n], &res[group[n]]
-			ts := s.clock.Add(1)
-			if s.durableOn() {
-				// A failed append does not roll the tick back: per-shard
-				// timestamps stay strictly increasing, a skipped tick is harmless.
-				if errs[i] = s.logAppend(r.Shard, encodeRecord(reqs[i].X, ts, int64(r.Granted))); errs[i] != nil {
-					continue
-				}
-			}
-			parked := sh.tree.t.Parked()
-			r.NodesRead, errs[i] = sh.tree.t.InsertCounted(reqs[i].X, float64(ts), r.Granted)
-			r.Parked, r.Degraded = sh.tree.t.Parked() > parked, r.Granted < r.Requested
-			if errs[i] == nil && s.recordsAt(ts) {
-				boundary = ts
+	sh.mu.Lock()
+	for _, i := range group {
+		r := &res[i]
+		ts := s.clock.Add(1)
+		if s.durableOn() {
+			// A failed append does not roll the tick back: per-shard
+			// timestamps stay strictly increasing, a skipped tick is harmless.
+			if errs[i] = s.logAppend(r.Shard, encodeRecord(reqs[i].X, ts, int64(r.Granted))); errs[i] != nil {
+				continue
 			}
 		}
-		sh.mu.Unlock()
-		s.gate.RUnlock()
-		for _, i := range group[:n] {
-			s.settle(res[i].Granted, res[i].NodesRead)
-			if errs[i] == nil {
-				s.inserts.Add(1)
-			}
-		}
-		if boundary != 0 {
-			s.maybeRecord(boundary)
-		}
-		group = group[n:]
+		parked := sh.tree.t.Parked()
+		r.NodesRead, errs[i] = sh.tree.t.InsertCounted(reqs[i].X, float64(ts), r.Granted)
+		r.Parked, r.Degraded = sh.tree.t.Parked() > parked, r.Granted < r.Requested
 	}
-}
-
-// recordsAt reports whether tick ts is a recording boundary.
-func (s *ClusterServer) recordsAt(ts int64) bool {
-	return s.store != nil && ts%int64(s.copts.SnapshotEvery) == 0
-}
-
-// maybeRecord stores a pyramidal snapshot of the union micro-clusters
-// when the logical clock crosses a recording boundary. The capture
-// holds all shard locks so it is one consistent cut, and it is
-// labelled with the clock value read under those locks — not the
-// boundary tick that triggered it — because concurrent ingest may have
-// advanced the stream between the tick and the capture, and a /window
-// subtraction against a mislabelled snapshot would leak those objects
-// out of their window.
-func (s *ClusterServer) maybeRecord(ts int64) {
-	if !s.recordsAt(ts) {
-		return
-	}
-	var mcs []clustree.MicroCluster
-	var at int64
-	s.recording.Add(1)
-	s.gate.Lock()
-	s.recording.Add(-1)
-	s.withAllRead(func(models []*ctree) error {
-		at = s.clock.Load()
-		for _, m := range models {
-			mcs = append(mcs, m.t.MicroClusters(0)...) // every one, however light
+	sh.mu.Unlock()
+	for _, i := range group {
+		s.settle(res[i].Granted, res[i].NodesRead)
+		if errs[i] == nil {
+			s.inserts.Add(1)
 		}
-		return nil
-	})
-	s.gate.Unlock()
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	// Record rejects non-positive times only; at ≥ ts ≥ SnapshotEvery.
-	s.store.Record(float64(at), mcs)
+	}
 }
 
 // MicroClusters returns the union micro-cluster set across all shards,
@@ -431,46 +342,6 @@ func (s *ClusterServer) appendMicroClusters(dst []clustree.MicroCluster, minWeig
 	return dst
 }
 
-// Window returns the micro-clusters of the data that arrived between
-// the retained pyramidal snapshots closest to t1 and t2 (CF
-// subtractivity, the earlier snapshot faded at the shards' decay rate),
-// or an error when the store is disabled or empty.
-func (s *ClusterServer) Window(t1, t2, matchRadius float64) ([]clustree.MicroCluster, error) {
-	if s.store == nil {
-		return nil, fmt.Errorf("server: snapshot store disabled")
-	}
-	sh := s.shards[0]
-	sh.mu.RLock()
-	lambda := sh.tree.DecayConfig().Lambda
-	sh.mu.RUnlock()
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return s.store.Window(t1, t2, matchRadius, lambda)
-}
-
-// SnapshotsRetained returns how many pyramidal snapshots the store
-// currently holds (0 when disabled).
-func (s *ClusterServer) SnapshotsRetained() int {
-	if s.store == nil {
-		return 0
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return s.store.Len()
-}
-
-// ApproxBytes adds the pyramidal snapshot store, which lives beside the
-// shard models, to the engine's per-shard estimate.
-func (s *ClusterServer) ApproxBytes() int64 {
-	total := s.engine.ApproxBytes()
-	if s.store != nil {
-		s.snapMu.Lock()
-		total += s.store.ApproxBytes()
-		s.snapMu.Unlock()
-	}
-	return total
-}
-
 // ClusterStats extends the shared engine Stats with the clustering
 // workload's own observables.
 type ClusterStats struct {
@@ -490,8 +361,6 @@ type ClusterStats struct {
 	// budget pressure objects park high and no splits occur, so this is
 	// the self-adaptation observable (it stays small on fast streams).
 	Depth int `json:"depth"`
-	// SnapshotsRetained is the pyramidal store's current size.
-	SnapshotsRetained int `json:"snapshots_retained"`
 }
 
 // Stats returns a point-in-time summary: the shared engine counters
@@ -510,6 +379,5 @@ func (s *ClusterServer) Stats() ClusterStats {
 		st.Merges += int64(merges)
 		st.Splits += int64(splits)
 	}
-	st.SnapshotsRetained = s.SnapshotsRetained()
 	return st
 }

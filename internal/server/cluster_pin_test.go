@@ -25,7 +25,7 @@ import (
 func TestClusterWriteHistoryPinned(t *testing.T) {
 	const want1 = "1f330cebb116cd754c0bed7aae66fbd6215d2a73011d964c5ba508f4347f8c2b"
 	const want2 = "106d708d5ca6dc2254a1701b4f8533de35f01ee7afef16d1ce5d396647d0f43d"
-	copts := ClusterOptions{SnapshotEvery: -1}
+	copts := ClusterOptions{}
 	ccfg := clustree.Config{Dim: 3, MaxFanout: 4, Lambda: 0.004}
 	cfg := Config{Decay: core.DecayOptions{Lambda: 0.004, MinWeight: 0.3}}
 	rng := rand.New(rand.NewSource(42))
@@ -102,7 +102,7 @@ func TestClusterWriteHistoryPinned(t *testing.T) {
 // the clock ends at the last logged timestamp.
 func TestDurableClusterReplayPinned(t *testing.T) {
 	const n, want = 5000, "be9a1d7704e816236cf7e5660bd837de850f37cb62b21d4d69679caad64a7b11"
-	copts := ClusterOptions{SnapshotEvery: -1}
+	copts := ClusterOptions{}
 	ccfg := clustree.Config{Dim: 2, MaxFanout: 4, Lambda: 0.002}
 	open := func(dir string) *ClusterServer {
 		t.Helper()

@@ -26,7 +26,7 @@ func newTestCluster(t *testing.T, shards int, lambda float64, cfg Config) *Clust
 	t.Helper()
 	ccfg := clustree.DefaultConfig(2)
 	ccfg.Lambda = lambda
-	cs, err := NewCluster(ccfg, shards, cfg, ClusterOptions{SnapshotEvery: 256})
+	cs, err := NewCluster(ccfg, shards, cfg, ClusterOptions{})
 	if err != nil {
 		t.Fatalf("new cluster server: %v", err)
 	}
@@ -78,9 +78,6 @@ func TestClusterIngestAndMacro(t *testing.T) {
 			if nonEmpty < 2 {
 				t.Fatalf("hash routing left only %d non-empty shards", nonEmpty)
 			}
-		}
-		if st.SnapshotsRetained == 0 {
-			t.Fatal("pyramidal store retained no snapshots")
 		}
 	}
 }
@@ -143,8 +140,7 @@ func TestClusterAdmissionDegrades(t *testing.T) {
 
 // TestClusterSnapshotRoundTrip: a decayed, budget-starved clustering
 // server saved and reloaded must report micro-clusters digit-identical
-// to the original — CF floats bit for bit — and keep the clock and the
-// pyramidal store.
+// to the original — CF floats bit for bit — and keep the clock.
 func TestClusterSnapshotRoundTrip(t *testing.T) {
 	cs := newTestCluster(t, 3, 0.002, Config{})
 	rng := rand.New(rand.NewSource(5))
@@ -161,7 +157,7 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 	if err := cs.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("write snapshot: %v", err)
 	}
-	re, err := ClusterFromSnapshot(bytes.NewReader(buf.Bytes()), Config{}, ClusterOptions{SnapshotEvery: 256})
+	re, err := ClusterFromSnapshot(bytes.NewReader(buf.Bytes()), Config{}, ClusterOptions{})
 	if err != nil {
 		t.Fatalf("from snapshot: %v", err)
 	}
@@ -184,9 +180,6 @@ func TestClusterSnapshotRoundTrip(t *testing.T) {
 	}
 	if w1, w2 := cs.Stats().Weight, re.Stats().Weight; w1 != w2 {
 		t.Fatalf("weight %v != %v after round trip", w2, w1)
-	}
-	if s1, s2 := cs.SnapshotsRetained(), re.SnapshotsRetained(); s1 != s2 {
-		t.Fatalf("store retained %d != %d after round trip", s2, s1)
 	}
 	// The reloaded server must be live: further ingest works.
 	if _, err := re.Insert([]float64{0.5, 0.5}, -1); err != nil {
@@ -240,8 +233,5 @@ func TestClusterValidation(t *testing.T) {
 	}
 	if d := cs.Dim(); d != 2 {
 		t.Fatalf("dim %d, want 2", d)
-	}
-	if _, err := cs.Window(10, 20, 0.1); err == nil {
-		t.Fatal("window on empty store succeeded")
 	}
 }

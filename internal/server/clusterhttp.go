@@ -16,7 +16,6 @@ import (
 //	POST /cluster        (NDJSON body, one object/line)   → NDJSON results
 //	GET  /microclusters?minw=0.5                          → micro-cluster JSON
 //	GET  /macroclusters?eps=0.12&minw=5                   → macro-cluster JSON
-//	GET  /window?t1=100&t2=400&eps=0.12&minw=2&radius=0.1 → windowed macro clusters
 //	GET  /stats                                           → ClusterStats JSON
 //	GET  /healthz                                         → liveness: 200 once listening
 //	GET  /readyz                                          → readiness: 503 + Retry-After until replay done / while draining
@@ -44,7 +43,6 @@ func (s *ClusterServer) Handler() http.Handler {
 	}))
 	mux.HandleFunc("/microclusters", getOnly(s.handleMicroClusters))
 	mux.HandleFunc("/macroclusters", getOnly(s.handleMacroClusters))
-	mux.HandleFunc("/window", getOnly(s.handleWindow))
 	return mux
 }
 

@@ -24,8 +24,8 @@ func newClusterHTTP(t *testing.T, cs *ClusterServer) *httptest.Server {
 
 // TestClusterHTTPEndToEnd is the serving acceptance path: NDJSON bulk
 // ingest of a drifting two-source stream through one connection, then
-// /macroclusters must report sensible clusters, /microclusters and
-// /stats must be consistent, and /window must serve the pyramidal view.
+// /macroclusters must report sensible clusters, and /microclusters and
+// /stats must be consistent.
 func TestClusterHTTPEndToEnd(t *testing.T) {
 	cs := newTestCluster(t, 2, 0.001, Config{})
 	ts := newClusterHTTP(t, cs)
@@ -100,14 +100,6 @@ func TestClusterHTTPEndToEnd(t *testing.T) {
 	if found != 2 {
 		t.Fatalf("macro means %v do not match the sources", macro.Macros)
 	}
-
-	var window struct {
-		Micro int `json:"micro_clusters"`
-	}
-	getJSON(t, fmt.Sprintf("%s/window?t1=%d&t2=%d&eps=0.15&minw=1", ts.URL, n/2, n), &window)
-	if window.Micro == 0 {
-		t.Fatal("windowed view returned no micro-clusters")
-	}
 }
 
 // getJSON GETs a URL and decodes the JSON body, failing on non-200.
@@ -156,7 +148,6 @@ func TestClusterHTTPSingleAndErrors(t *testing.T) {
 		{"POST", "/microclusters", "", http.StatusMethodNotAllowed},
 		{"POST", "/macroclusters", "", http.StatusMethodNotAllowed},
 		{"GET", "/macroclusters?eps=bogus", "", http.StatusBadRequest},
-		{"GET", "/window?t1=9&t2=3", "", http.StatusBadRequest},
 	} {
 		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
 		resp, err := http.DefaultClient.Do(req)

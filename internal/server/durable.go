@@ -53,11 +53,8 @@ import (
 // carries (label, x) — shard routing is content-hashed, so per-shard
 // replay reproduces the exact insert sequence — and the clustering
 // record carries (timestamp, granted budget, x), because a ClusTree
-// descent is deterministic given those. Replay follows one rule: shards
-// coupled by a clock replay merged by it (clustering: the global clock
-// and the pyramidal store's recording boundaries); shards that are not
-// replay side by side (classification); per-shard log order is apply
-// order either way.
+// descent is deterministic given those. The shard logs replay side by
+// side, each in its own order, which is its apply order.
 
 // ckptShare and ckptFloor set the log-size trigger (see above);
 // ckptFloor is a variable only so that tests can lower it.
@@ -313,27 +310,19 @@ func (e *engine[M]) Recover() error {
 	return err
 }
 
-// replay applies the WAL tail, one replay group at a time on its own
-// goroutine. A group is a set of shards whose logs must be applied in
-// one order: its loop merges them by the records' logical time (ties to
-// the lower shard) and applies each record under its shard's lock. A
-// workload whose records carry a clock has one group of all shards — the
-// clock, and the pyramidal store's recording boundaries, advance exactly
-// as in the original run; one whose records carry none has a group per
-// shard, which content-hashed routing makes each shard's exact insert
-// sequence. Replay runs without descent mirrors (so no record pays a
-// repair); a group builds its shards' once its logs run dry, before the
-// server starts answering. Errors are joined after every group has
-// returned.
+// replay applies the WAL tail, each shard's log on its own goroutine.
+// A record's apply depends on nothing outside its shard's model (a
+// clustering record carries its own timestamp and only raises the shared
+// clock), so a shard's log order, which is its apply order, reproduces
+// its exact insert sequence. Each record
+// applies under its shard's lock, which keeps replay exclusive against a
+// running decay-maintenance loop. Replay runs without descent mirrors
+// (so no record pays a repair); a shard builds its mirror once its log
+// runs dry, before the server starts answering. Errors are joined after
+// every shard has returned.
 func (e *engine[M]) replay() error {
 	d := e.dur
-	type head struct {
-		at    int64
-		apply func(*shard[M]) error // nil: the shard's log is exhausted
-		after func()
-	}
 	readers := make([]*wal.Reader, len(e.shards))
-	heads := make([]head, len(e.shards))
 	defer func() {
 		for _, r := range readers {
 			if r != nil {
@@ -342,21 +331,6 @@ func (e *engine[M]) replay() error {
 			}
 		}
 	}()
-	advance := func(i int) error {
-		heads[i] = head{}
-		payload, err := readers[i].Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err == nil {
-			heads[i].at, heads[i].apply, heads[i].after, err = e.wl.record(payload)
-			d.sinceCut.Add(wal.FrameBytes(len(payload)))
-		}
-		if err != nil {
-			return fmt.Errorf("server: wal shard %d: %w", i, err)
-		}
-		return nil
-	}
 	for i := range e.shards {
 		r, err := wal.OpenReader(shardWALDir(d.opts.Dir, i), e.shardLogStart(i))
 		if err != nil {
@@ -364,66 +338,48 @@ func (e *engine[M]) replay() error {
 		}
 		readers[i] = r
 	}
-	// group replays the logs of shards[lo:hi]; it alone touches their
-	// heads and readers.
-	group := func(lo, hi int) (replayed, mirrored time.Duration, err error) {
-		start := time.Now()
-		for i := lo; i < hi; i++ {
-			if err := advance(i); err != nil {
-				return 0, 0, err
-			}
-		}
+	// one replays shard i's log; it alone touches readers[i].
+	one := func(i int) (replayed, mirrored time.Duration, err error) {
+		start, sh := time.Now(), e.shards[i]
 		for {
-			best := -1
-			for i := lo; i < hi; i++ {
-				if heads[i].apply != nil && (best < 0 || heads[i].at < heads[best].at) {
-					best = i
-				}
-			}
-			if best < 0 {
+			payload, err := readers[i].Next()
+			if err == io.EOF {
 				break
 			}
-			h, sh := heads[best], e.shards[best]
-			// The shard lock keeps replay exclusive against a running decay-
-			// maintenance loop.
+			var apply func(*shard[M]) error
+			if err == nil {
+				_, apply, err = e.wl.record(payload)
+				d.sinceCut.Add(wal.FrameBytes(len(payload)))
+			}
+			if err != nil {
+				return 0, 0, fmt.Errorf("server: wal shard %d: %w", i, err)
+			}
 			sh.mu.Lock()
-			err := h.apply(sh)
+			err = apply(sh)
 			sh.mu.Unlock()
 			if err != nil {
-				return 0, 0, fmt.Errorf("server: replay shard %d: %w", best, err)
+				return 0, 0, fmt.Errorf("server: replay shard %d: %w", i, err)
 			}
 			d.replayed.Add(1)
-			if h.after != nil {
-				h.after()
-			}
-			if err := advance(best); err != nil {
-				return 0, 0, err
-			}
 		}
 		built := time.Now()
-		for _, sh := range e.shards[lo:hi] {
-			sh.mu.Lock()
-			e.refreshShardSoA(sh)
-			sh.mu.Unlock()
-		}
+		sh.mu.Lock()
+		e.refreshShardSoA(sh)
+		sh.mu.Unlock()
 		return built.Sub(start), time.Since(built), nil
 	}
-	per := 1 // shards a group
-	if e.wl.clocked {
-		per = len(e.shards)
-	}
-	errs := make([]error, len(e.shards)/per)
-	took := make([][2]time.Duration, len(errs))
+	errs := make([]error, len(e.shards))
+	took := make([][2]time.Duration, len(e.shards))
 	var wg sync.WaitGroup
-	for g := range errs {
+	for i := range e.shards {
 		wg.Add(1)
-		go func(g int) {
+		go func(i int) {
 			defer wg.Done()
-			took[g][0], took[g][1], errs[g] = group(g*per, (g+1)*per)
-		}(g)
+			took[i][0], took[i][1], errs[i] = one(i)
+		}(i)
 	}
 	wg.Wait()
-	// The group that took longest is the one the restart waited for: its
+	// The shard that took longest is the one the restart waited for: its
 	// replay and mirror times are the ones that add up to wall time.
 	var last [2]time.Duration
 	for _, t := range took {

@@ -146,12 +146,11 @@ func TestDurableClassKillRestartDigitIdentical(t *testing.T) {
 	a2.CloseDurability()
 }
 
-// newDurableCluster opens a durable clustering server (pyramidal store
-// on, so recording boundaries are part of the replayed state) and
-// finishes recovery.
+// newDurableCluster opens a durable clustering server and finishes
+// recovery.
 func newDurableCluster(t *testing.T, dir string, shards int) *ClusterServer {
 	t.Helper()
-	copts := ClusterOptions{SnapshotEvery: 64}
+	copts := ClusterOptions{}
 	s, err := OpenDurableCluster(DurabilityOptions{Dir: dir}, Config{}, copts, func() (*ClusterServer, error) {
 		return NewCluster(clustree.DefaultConfig(2), shards, Config{}, copts)
 	})
@@ -194,7 +193,7 @@ func TestDurableClusterKillRestartDigitIdentical(t *testing.T) {
 		}
 	}
 
-	b, err := NewCluster(clustree.DefaultConfig(2), 3, Config{}, ClusterOptions{SnapshotEvery: 64})
+	b, err := NewCluster(clustree.DefaultConfig(2), 3, Config{}, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +208,7 @@ func TestDurableClusterKillRestartDigitIdentical(t *testing.T) {
 	}
 	sta, stb := a2.Stats(), b.Stats()
 	if sta.Clock != stb.Clock || sta.MicroClusters != stb.MicroClusters ||
-		sta.Parked != stb.Parked || sta.SnapshotsRetained != stb.SnapshotsRetained ||
-		sta.Weight != stb.Weight {
+		sta.Parked != stb.Parked || sta.Weight != stb.Weight {
 		t.Fatalf("cluster stats diverge: %+v vs %+v", sta, stb)
 	}
 	if sta.WALReplayed != kill {
@@ -616,7 +614,7 @@ func TestDurableRecordRejectedBeforeLogging(t *testing.T) {
 		encodeRecord([]float64{1, math.NaN(), 3}, 1),
 		encodeRecord([]float64{math.Inf(-1), 2, 3}, 1),
 	} {
-		if _, _, _, err := s.wl.record(rec); err == nil {
+		if _, _, err := s.wl.record(rec); err == nil {
 			t.Fatalf("record %x decoded to an apply", rec)
 		}
 		if err := s.ApplyReplicated(0, rec); err == nil {
@@ -678,7 +676,7 @@ func TestClusterNonFiniteRejectedBeforeLogging(t *testing.T) {
 			t.Fatalf("Insert accepted %v", x)
 		}
 		payload := encodeRecord(x, s.Clock()+1, 4)
-		if _, _, _, err := s.wl.record(payload); err == nil {
+		if _, _, err := s.wl.record(payload); err == nil {
 			t.Fatalf("a framed record of %v decoded to an apply", x)
 		}
 		if err := s.ApplyReplicated(0, payload); err == nil {
@@ -717,7 +715,7 @@ func TestClusterStaleRecordRefusedBeforeLogging(t *testing.T) {
 	}
 	appends := s.Stats().WALAppends
 	stale := encodeRecord([]float64{0.5, 0.5}, 1, 3)
-	if _, _, _, err := s.wl.record(stale); err != nil {
+	if _, _, err := s.wl.record(stale); err != nil {
 		t.Fatalf("the stale record should decode: %v", err)
 	}
 	if err := s.ApplyReplicated(0, stale); err == nil {

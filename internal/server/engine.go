@@ -130,14 +130,8 @@ type workload[M Model] struct {
 	// record decodes one WAL record, on replay or shipped by a primary.
 	// at is its logical time (0 when the workload has no clock); apply
 	// runs under the owning shard's write lock and cannot fail for a
-	// record that was validated before it was logged; after, when
-	// non-nil, runs once that lock is released.
-	record func(payload []byte) (at int64, apply func(sh *shard[M]) error, after func(), err error)
-	// clocked says the records' logical time orders them across shards,
-	// so recovery must replay all shard logs merged by it; records of a
-	// workload without a clock are ordered only within their shard, and
-	// the shard logs replay side by side.
-	clocked bool
+	// record that was validated before it was logged.
+	record func(payload []byte) (at int64, apply func(sh *shard[M]) error, err error)
 	// stale, when non-nil, refuses a shipped record whose logical time at
 	// precedes its shard model's own: the one apply failure decode cannot
 	// see. ApplyReplicated runs it under the shard's write lock before

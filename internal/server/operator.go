@@ -7,8 +7,8 @@ import (
 	"bayestree/internal/clustree"
 )
 
-// The operator surfaces — /stats here and at the proxy, /macroclusters
-// and /window — are what a person or a prober reads now and then, not
+// The operator surfaces — /stats here and at the proxy, and
+// /macroclusters — are what a person or a prober reads now and then, not
 // what a stream of objects passes through: no BENCHMARK.json row and no
 // load harness reaches them, so they stay on encoding/json and its
 // reflection, and their types stay out of internal/wire. A type has one
@@ -44,35 +44,8 @@ func (s *ClusterServer) handleMacroClusters(w http.ResponseWriter, r *http.Reque
 	})
 }
 
-// handleWindow serves the pyramidal-store view: the macro clusters of
-// the data that arrived between the retained snapshots closest to t1
-// and t2 (CF subtractivity).
-func (s *ClusterServer) handleWindow(w http.ResponseWriter, r *http.Request) {
-	t1, err1 := QueryFloat(r, "t1", 0)
-	t2, err2 := QueryFloat(r, "t2", 0)
-	eps, err3 := QueryFloat(r, "eps", 0.1)
-	minw, err4 := QueryFloat(r, "minw", 1)
-	radius, err5 := QueryFloat(r, "radius", 0.1)
-	for _, err := range []error{err1, err2, err3, err4, err5} {
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	mcs, err := s.Window(t1, t2, radius)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	macros, noise := MacroJSON(mcs, eps, minw)
-	WriteJSON(w, http.StatusOK, map[string]interface{}{
-		"macro_clusters": macros, "noise": noise,
-		"t1": t1, "t2": t2, "micro_clusters": len(mcs),
-	})
-}
-
 // MacroJSON runs the offline macro step over a micro-cluster set and
-// shapes the one wire form /macroclusters and /window share.
+// shapes the wire form /macroclusters answers.
 func MacroJSON(mcs []clustree.MicroCluster, eps, minw float64) ([]MacroClusterJSON, int) {
 	macros, noise := clustree.MacroClusters(mcs, clustree.MacroOptions{Eps: eps, MinWeight: minw})
 	out := make([]MacroClusterJSON, len(macros))

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,20 +16,19 @@ import (
 )
 
 // A ClusTree read computes faded weights and stores nothing, so no read
-// of a clustering server — /stats, /microclusters, /macroclusters,
-// /window, the pyramidal capture — can move a bit of a later write.
+// of a clustering server — /stats, /microclusters, /macroclusters — can
+// move a bit of a later write.
 // These tests hold the served model to that: read it, and it is still
 // byte for byte the model of the same writes never read.
 
-// readCluster serves every read route of s once through h; each must
-// answer 200, but /window, which answers 400 until the store holds a
-// snapshot.
-func readCluster(t *testing.T, s *ClusterServer, h http.Handler) {
+// readCluster serves every read route of a clustering server once
+// through h; each must answer 200.
+func readCluster(t *testing.T, h http.Handler) {
 	t.Helper()
-	for _, path := range []string{"/stats", "/microclusters", "/macroclusters?eps=0.2&minw=0.5", "/window?t1=1&t2=1e9&minw=0.5"} {
+	for _, path := range []string{"/stats", "/microclusters", "/macroclusters?eps=0.2&minw=0.5"} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != http.StatusOK && !(strings.HasPrefix(path, "/window") && s.SnapshotsRetained() == 0) {
+		if rec.Code != http.StatusOK {
 			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
 		}
 	}
@@ -66,7 +64,7 @@ func TestDurableClusterReadsInvisible(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%5 == 0 {
-			readCluster(t, a, ha)
+			readCluster(t, ha)
 		}
 		if i == cut {
 			if err := a.Checkpoint(); err != nil {
@@ -82,13 +80,13 @@ func TestDurableClusterReadsInvisible(t *testing.T) {
 	}
 	ha2 := a2.Handler()
 	for i := kill; i < n; i++ {
-		readCluster(t, a2, ha2)
+		readCluster(t, ha2)
 		if _, err := a2.Insert(xs[i], budgets[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	b, err := NewCluster(clustree.DefaultConfig(2), 3, Config{}, ClusterOptions{SnapshotEvery: 64})
+	b, err := NewCluster(clustree.DefaultConfig(2), 3, Config{}, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +112,7 @@ func TestDurableClusterReadsInvisible(t *testing.T) {
 func TestFollowerClusterReadsInvisible(t *testing.T) {
 	const n = 300
 	xs, budgets := killRestartStream(n)
-	copts := ClusterOptions{SnapshotEvery: 64}
+	copts := ClusterOptions{}
 
 	prim := newDurableCluster(t, t.TempDir(), 3)
 	defer prim.CloseDurability()
@@ -190,7 +188,7 @@ func TestFollowerClusterReadsInvisible(t *testing.T) {
 func TestConcurrentClusterReaders(t *testing.T) {
 	setCheckpointFloor(t, 4<<10)
 	cfg := Config{Decay: core.DecayOptions{Lambda: 0.01, MinWeight: 0.3}}
-	copts := ClusterOptions{SnapshotEvery: 64}
+	copts := ClusterOptions{}
 	s, err := OpenDurableCluster(DurabilityOptions{Dir: t.TempDir()}, cfg, copts, func() (*ClusterServer, error) {
 		return NewCluster(clustree.DefaultConfig(2), 4, cfg, copts)
 	})

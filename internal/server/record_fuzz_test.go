@@ -84,7 +84,7 @@ func fuzzApply[M Model](t *testing.T, e *engine[M], payload []byte, mass func(*t
 	if err := e.WriteSnapshot(&before); err != nil {
 		t.Fatal(err)
 	}
-	at, apply, after, err := e.wl.record(payload)
+	at, apply, err := e.wl.record(payload)
 	if err == nil && e.wl.stale != nil {
 		err = e.wl.stale(sh.tree, at)
 	}
@@ -94,9 +94,6 @@ func fuzzApply[M Model](t *testing.T, e *engine[M], payload []byte, mass func(*t
 		sh.mu.Unlock()
 		if err != nil {
 			t.Fatalf("a decoded record failed its apply: %v", err)
-		}
-		if after != nil {
-			after()
 		}
 		if now := mass(t, sh.tree); now != was+1 {
 			t.Fatalf("an applied record moved the mass %v → %v", was, now)

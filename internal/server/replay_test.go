@@ -28,8 +28,8 @@ func openFDs(t *testing.T) int {
 // TestReplayGroupsErrorAndCleanup: one shard's log ends in a record no
 // write path could have logged — a well-framed insert of a label the
 // model does not predict, which only a hand-written log can hold. The
-// groups of the other shards replay their logs to the end all the same;
-// Recover returns once every group has, names the shard that failed,
+// other shards replay their logs to the end all the same; Recover
+// returns once every shard has, names the shard that failed,
 // leaves no goroutine and no descriptor behind, and the server stays
 // recovering.
 func TestReplayGroupsErrorAndCleanup(t *testing.T) {

@@ -314,7 +314,7 @@ func (e *engine[M]) ApplyReplicated(shard int, payload []byte) error {
 	if shard < 0 || shard >= len(e.shards) {
 		return fmt.Errorf("server: replicated record for shard %d of %d", shard, len(e.shards))
 	}
-	at, apply, after, err := e.wl.record(payload)
+	at, apply, err := e.wl.record(payload)
 	if err != nil {
 		return err
 	}
@@ -335,9 +335,6 @@ func (e *engine[M]) ApplyReplicated(shard int, payload []byte) error {
 	}
 	e.inserts.Add(1)
 	e.repl.applied.Add(1)
-	if after != nil {
-		after()
-	}
 	return nil
 }
 

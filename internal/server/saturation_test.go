@@ -164,7 +164,7 @@ func TestHTTPClassifyCarriesBudgetFields(t *testing.T) {
 // /cluster ingest answers carry "requested", "granted", "degraded" and
 // "parked".
 func TestHTTPClusterCarriesBudgetFields(t *testing.T) {
-	free, err := NewCluster(clustree.DefaultConfig(2), 2, Config{}, ClusterOptions{SnapshotEvery: -1})
+	free, err := NewCluster(clustree.DefaultConfig(2), 2, Config{}, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestHTTPClusterCarriesBudgetFields(t *testing.T) {
 	}
 
 	tight, err := NewCluster(clustree.DefaultConfig(2), 2,
-		Config{NodesPerSecond: 0.001}, ClusterOptions{SnapshotEvery: -1})
+		Config{NodesPerSecond: 0.001}, ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

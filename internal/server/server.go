@@ -7,8 +7,7 @@
 // multi-class Bayes tree classification over HTTP (/classify with
 // single and NDJSON streaming forms, /insert, /stats, /healthz);
 // ClusterServer serves the Section-4.2 anytime clustering extension
-// (/cluster, /microclusters, /macroclusters, /window, /stats,
-// /healthz). Both support snapshot save/load for warm starts.
+// (/cluster, /microclusters, /macroclusters, /stats, /healthz). Both support snapshot save/load for warm starts.
 //
 // With decay configured (Config.Decay) the engine also forgets: a
 // background maintenance loop advances the decay epoch and sweeps the
@@ -161,7 +160,7 @@ func New(trees []*core.MultiTree, cfg Config) (*Server, error) {
 	err := s.init(trees, cfg, workload[*core.MultiTree]{
 		name:   replica.WorkloadClassify,
 		encode: persist.EncodeMultiTrees,
-		record: func(payload []byte) (int64, func(*shard[*core.MultiTree]) error, func(), error) {
+		record: func(payload []byte) (int64, func(*shard[*core.MultiTree]) error, error) {
 			head, x, err := decodeRecord(payload, 1, dim)
 			if err == nil {
 				// A record can frame what JSON cannot; refuse it before it
@@ -169,9 +168,9 @@ func New(trees []*core.MultiTree, cfg Config) (*Server, error) {
 				err = s.checkWrite(x, int(head[0]))
 			}
 			if err != nil {
-				return 0, nil, nil, err
+				return 0, nil, err
 			}
-			return 0, func(sh *shard[*core.MultiTree]) error { return sh.tree.Insert(x, int(head[0])) }, nil, nil
+			return 0, func(sh *shard[*core.MultiTree]) error { return sh.tree.Insert(x, int(head[0])) }, nil
 		},
 		stats: func() any { return s.Stats() },
 	})

@@ -88,10 +88,8 @@ func serveRecorded(h http.Handler, path, ctype string, body []byte) *httptest.Re
 // and request built here, the window's worker pool): under two and a
 // half per line, where a line that went through encoding/json cost
 // twelve. The ingest itself allocates only when it opens a micro-cluster
-// or splits, so what a whole body costs (491 measured) is the pyramidal
-// snapshot every 1,024th object records — MicroClusters copies the
-// model, ≈ 6 allocations per object amortised, the same 6.0 a lone
-// Insert shows — one decoded point a line, and the request.
+// or splits, so what a whole body costs (133 measured) is one decoded
+// point a line and the request.
 func TestClusterStreamAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"bayestree/internal/clustree"
 	"bayestree/internal/wal"
 	"bayestree/internal/wire"
 )
@@ -229,37 +228,10 @@ func TestClusterWindowShardLineOrder(t *testing.T) {
 	}
 }
 
-// TestClusterWindowSnapshotAtBoundary: a shard's hold ends at the line
-// that crosses a recording boundary, so the pyramidal snapshot it
-// triggers is taken before the window's next line ticks the clock and
-// is labelled with the boundary itself — on one shard, where nothing
-// else ticks, exactly.
-func TestClusterWindowSnapshotAtBoundary(t *testing.T) {
-	const every = 10 // no divisor of a window's 64 lines
-	cs, err := NewCluster(clustree.DefaultConfig(2), 1, Config{}, ClusterOptions{SnapshotEvery: every})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bodies, _ := windowBodies(rand.New(rand.NewSource(9)), 4)
-	for _, body := range bodies {
-		clusterLines(t, cs.Handler(), body)
-	}
-	snaps := cs.store.All()
-	if len(snaps) == 0 {
-		t.Fatal("no snapshot recorded")
-	}
-	for _, sn := range snaps {
-		if int64(sn.Time)%every != 0 {
-			t.Errorf("snapshot labelled %v, not a multiple of %d", sn.Time, every)
-		}
-	}
-}
-
 // TestClusterWindowConcurrent: windows ingested side by side, while the
 // log checkpoints in the background, /microclusters reads and decay
-// sweeps run, all finish — a window's tasks each hold one shard lock and
-// record snapshots (every shard lock) only after letting it go, so
-// nothing waits in a cycle — and every line is ingested once.
+// sweeps run, all finish — a window's tasks each hold one shard lock at
+// a time, so nothing waits in a cycle — and every line is ingested once.
 func TestClusterWindowConcurrent(t *testing.T) {
 	setCheckpointFloor(t, 4<<10)
 	s := newDurableCluster(t, t.TempDir(), 4)

@@ -1,6 +1,6 @@
 // Package stream simulates the data-stream environments that motivate
 // anytime classification (Section 1): constant streams with fixed
-// inter-arrival times and varying streams (Poisson or bursty arrivals)
+// inter-arrival times and varying streams (Poisson arrivals)
 // where the time available per object — and hence the node budget of the
 // anytime classifier — fluctuates. It also provides an online runner that
 // interleaves classification with incremental learning from labelled
@@ -46,29 +46,6 @@ func (p Poisson) Next(rng *rand.Rand) float64 {
 
 // Name implements Arrivals.
 func (Poisson) Name() string { return "poisson" }
-
-// Bursty alternates between a fast phase and a slow phase, each of
-// geometric length — a crude model of the varying load produced by the
-// multi-step health-monitoring setup of [13], where mobile devices send
-// more or less data depending on pre-classification.
-type Bursty struct {
-	FastInterval, SlowInterval float64
-	// SwitchProb is the per-object probability of toggling phases.
-	SwitchProb float64
-}
-
-// Name implements Arrivals.
-func (Bursty) Name() string { return "bursty" }
-
-// Next implements Arrivals. Bursty keeps no state; the runner tracks the
-// phase via the returned closure from NewBurstySource instead.
-func (b Bursty) Next(rng *rand.Rand) float64 {
-	// Stateless fallback: pick a phase at random.
-	if rng.Float64() < 0.5 {
-		return b.FastInterval
-	}
-	return b.SlowInterval
-}
 
 // Budgeter converts the time available for an object into a node budget.
 type Budgeter struct {

@@ -110,25 +110,6 @@ func TestPoissonArrivals(t *testing.T) {
 	}
 }
 
-func TestBurstyArrivals(t *testing.T) {
-	b := Bursty{FastInterval: 0.001, SlowInterval: 0.1, SwitchProb: 0.1}
-	rng := rand.New(rand.NewSource(3))
-	fast, slow := 0, 0
-	for i := 0; i < 1000; i++ {
-		switch b.Next(rng) {
-		case 0.001:
-			fast++
-		case 0.1:
-			slow++
-		default:
-			t.Fatalf("unexpected gap")
-		}
-	}
-	if fast == 0 || slow == 0 {
-		t.Errorf("bursty produced only one phase: %d/%d", fast, slow)
-	}
-}
-
 func TestRunBasics(t *testing.T) {
 	clf, items := buildClassifier(t, 1)
 	res, err := Run(clf, items, Constant{Interval: 0.01}, Budgeter{NodesPerSecond: 1000, MaxNodes: 100}, 1)
