@@ -347,11 +347,15 @@ func mallocs(f func()) float64 {
 }
 
 // TestSplitFreeInsertAllocs: a split-free insert and its mirror repair
-// allocate a small constant — the stored copy of the point, the leaf's
-// refitted mirror block, the patched class's bandwidths and kernel —
-// whatever the number of classes (2 → 26) and the depth of the tree.
+// allocate a small constant — the stored copy of the point and the
+// leaf's refitted mirror block, and, where its class first appears in
+// an entry, that class's vectors and mirror row; the patched class's
+// query constants are rewritten in place — whatever the number of
+// classes (2 → 26) and the depth of the tree. 26 classes, where classes
+// appear most often, measure 4.9; the limit leaves one allocation of
+// margin.
 func TestSplitFreeInsertAllocs(t *testing.T) {
-	const rounds, limit = 50, 8
+	const rounds, limit = 50, 6
 	for _, tc := range []struct{ nc, depth int }{{2, 2}, {26, 2}, {2, 5}, {26, 5}} {
 		rng := rand.New(rand.NewSource(int64(100*tc.nc + tc.depth)))
 		mt := deepTree(t, tc.nc, tc.depth, rng)

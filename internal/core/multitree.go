@@ -28,8 +28,10 @@ type LabeledPoint struct {
 // descent decisions and variance pooling). The per-class Gaussians are
 // derived state and live in the descent mirror (soa.go), not here.
 type MultiEntry struct {
-	Rect  mbr.Rect
-	CFs   []stats.CF // indexed by class index; CFs[c].N == 0 when absent
+	Rect mbr.Rect
+	// CFs is indexed by class index; a class has LS and SS vectors if
+	// and only if it has mass below the entry (N > 0).
+	CFs   []stats.CF
 	Total stats.CF
 	Child *MultiNode
 }
@@ -156,19 +158,20 @@ func (t *MultiTree) Stats() Stats { return shapeStats(t.root) }
 
 // ApproxBytes estimates the tree's resident memory: per node, the
 // parent entry that summarises it — a rectangle, the pooled cluster
-// feature and a cluster feature per class, all vectors of Dim float64s
-// — and per observation its coordinates; plus the descent mirror's
-// blocks, counted exactly, once a query has built it. It is an estimate
-// (the allocator rounds sizes up), good to well within a factor of two.
+// feature and a cluster feature per class, all vectors of Dim float64s,
+// of which an absent class has none — and per observation its
+// coordinates; plus the descent mirror's blocks, counted exactly, once a
+// query has built it. It is an estimate (the allocator rounds sizes up),
+// good to well within a factor of two.
 func (t *MultiTree) ApproxBytes() int64 {
 	const word, slice int64 = 8, 24
 	vec := int64(t.cfg.Dim) * word
 	nc := int64(len(t.labels))
-	cf := word + 2*slice + 2*vec // stats.CF and its LS, SS
-	node := 4 * slice            // MultiNode
-	entry := 3*slice + word + 2*vec + cf + nc*cf
+	cf := word + 2*slice // stats.CF without its LS, SS
+	node := 4 * slice    // MultiNode
+	entry := 3*slice + word + 2*vec + cf + 2*vec + nc*cf
 	point := slice + word + vec // LabeledPoint and its coordinates
-	total := int64(t.CountNodes())*(node+entry) + int64(t.size)*point
+	total := int64(t.CountNodes())*(node+entry) + int64(heldClasses(t.root))*2*vec + int64(t.size)*point
 	if s := t.soa.Load(); s != nil {
 		total += s.bytes()
 	}
@@ -176,38 +179,90 @@ func (t *MultiTree) ApproxBytes() int64 {
 }
 
 // summarize computes the MultiEntry describing node n. Its Rect, Total
-// and class CFs are carved out of one block, each vector cap-bounded so
-// that none can grow into the next.
+// and the vectors of every class with mass below n are carved out of one
+// block, each vector cap-bounded so that none can grow into the next; an
+// absent class keeps a zero CF without vectors.
 func (t *MultiTree) summarize(n *MultiNode) MultiEntry {
 	d := t.cfg.Dim
-	blk := make([]float64, (4+2*len(t.labels))*d)
-	vec := func(i int) []float64 { return blk[i*d : (i+1)*d : (i+1)*d] }
-	e := MultiEntry{
-		Rect:  mbr.Rect{Lo: vec(0), Hi: vec(1)},
-		CFs:   make([]stats.CF, len(t.labels)),
-		Total: stats.CF{LS: vec(2), SS: vec(3)},
-		Child: n,
+	cfs := make([]stats.CF, len(t.labels))
+	blk := make([]float64, (4+2*t.markClasses(cfs, n))*d)
+	vec := func() []float64 {
+		v := blk[:d:d]
+		blk = blk[d:]
+		return v
 	}
+	e := MultiEntry{Rect: mbr.Rect{Lo: vec(), Hi: vec()}, CFs: cfs, Total: stats.CF{LS: vec(), SS: vec()}, Child: n}
 	fillEmpty(e.Rect)
-	for i := range e.CFs {
-		e.CFs[i] = stats.CF{LS: vec(4 + 2*i), SS: vec(5 + 2*i)}
+	for i := range cfs {
+		if cfs[i].N > 0 {
+			cfs[i] = stats.CF{LS: vec(), SS: vec()}
+		}
 	}
 	t.accumulate(&e, n)
 	return e
 }
 
-// resummarize recomputes e = summarize(n) in e's own vectors.
-func (t *MultiTree) resummarize(e *MultiEntry, n *MultiNode) {
-	fillEmpty(e.Rect)
-	for i := range e.CFs {
-		e.CFs[i].Reset()
+// markClasses sets cfs[c].N to 1 for every class c with mass below n —
+// a point of c with a positive weight, or, above a leaf, a child's entry
+// with mass of c — and returns how many classes it marked.
+func (t *MultiTree) markClasses(cfs []stats.CF, n *MultiNode) int {
+	held := 0
+	mark := func(c int) {
+		if cfs[c].N == 0 {
+			cfs[c].N = 1
+			held++
+		}
 	}
+	for i, p := range n.points {
+		if n.weights == nil || n.weights[i] > 0 {
+			mark(t.index[p.Label])
+		}
+	}
+	for i := range n.entries {
+		for c := range cfs {
+			if n.entries[i].CFs[c].N > 0 {
+				mark(c)
+			}
+		}
+	}
+	return held
+}
+
+// classVectors gives cf, a class CF without vectors, its own zero ones.
+func (t *MultiTree) classVectors(cf *stats.CF) {
+	d := t.cfg.Dim
+	blk := make([]float64, 2*d)
+	*cf = stats.CF{LS: blk[:d:d], SS: blk[d:]}
+}
+
+// resummarize recomputes e = summarize(n) in e's own vectors: a class
+// that lost its mass below n drops its vectors, one that gained mass
+// gets new ones.
+func (t *MultiTree) resummarize(e *MultiEntry, n *MultiNode) {
+	for c := range e.CFs {
+		e.CFs[c].N = 0
+	}
+	t.markClasses(e.CFs, n)
+	for c := range e.CFs {
+		switch cf := &e.CFs[c]; {
+		case cf.N <= 0:
+			*cf = stats.CF{}
+		case cf.LS == nil:
+			t.classVectors(cf)
+		default:
+			cf.Reset()
+		}
+	}
+	fillEmpty(e.Rect)
 	e.Total.Reset()
 	t.accumulate(e, n)
 }
 
 // accumulate adds n's points, or its entries, into the empty summary e,
-// in order.
+// in order. e holds vectors for every class with mass below n, and a
+// child's absent class merges its zero count only: adding the zero
+// vectors it has not would leave every bit, as a sum that starts at +0
+// never becomes −0.
 func (t *MultiTree) accumulate(e *MultiEntry, n *MultiNode) {
 	if n.leaf {
 		if n.weights == nil {
@@ -220,8 +275,9 @@ func (t *MultiTree) accumulate(e *MultiEntry, n *MultiNode) {
 		} else {
 			for i, p := range n.points {
 				e.Rect.ExtendPoint(p.X)
-				ci := t.index[p.Label]
-				e.CFs[ci].AddWeighted(p.X, n.weights[i])
+				if cf := &e.CFs[t.index[p.Label]]; cf.LS != nil {
+					cf.AddWeighted(p.X, n.weights[i])
+				}
 				e.Total.AddWeighted(p.X, n.weights[i])
 			}
 		}
@@ -238,7 +294,8 @@ func (t *MultiTree) accumulate(e *MultiEntry, n *MultiNode) {
 
 // refreshClass brings e = summarize(n) up to date, in e's own vectors,
 // after an insert of class c below n changed its CFs[c], Total and Rect;
-// every other class keeps its bits because its inputs kept theirs.
+// every other class keeps its bits because its inputs kept theirs. A
+// class new to e gets its vectors here.
 //
 // Precondition: e was summarize(n) before the insert, and at a leaf the
 // inserted point is n's last. A leaf entry is then summarize's in-order
@@ -250,20 +307,23 @@ func (t *MultiTree) accumulate(e *MultiEntry, n *MultiNode) {
 // in summarize's order: a sum is not re-associated, and which of +0 and
 // −0 a bound keeps depends on the order of extension.
 func (t *MultiTree) refreshClass(e *MultiEntry, n *MultiNode, c int) {
+	cf := &e.CFs[c]
+	if cf.LS == nil {
+		t.classVectors(cf)
+	}
 	if n.leaf {
 		last := len(n.points) - 1
 		x := n.points[last].X
 		e.Rect.ExtendPoint(x)
 		if n.weights == nil {
-			e.CFs[c].Add(x)
+			cf.Add(x)
 			e.Total.Add(x)
 		} else {
-			e.CFs[c].AddWeighted(x, n.weights[last])
+			cf.AddWeighted(x, n.weights[last])
 			e.Total.AddWeighted(x, n.weights[last])
 		}
 		return
 	}
-	cf := &e.CFs[c]
 	cf.Reset()
 	e.Total.Reset()
 	fillEmpty(e.Rect)
@@ -432,9 +492,19 @@ func (t *MultiTree) queryConsts() *multiQueryState {
 // summary and the class counts: the root's frozen Gaussian, the Silverman
 // bandwidths (from the point count, so a decay sweep's rescale cannot
 // move them), the log mass and the leaf kernel frozen at those
-// bandwidths.
+// bandwidths. It rewrites the class's earlier constants in place, so
+// patching a class after an insert allocates nothing; a class with no
+// mass at the root gets a log mass only (its densities stay zero).
 func (t *MultiTree) classConsts(st *multiQueryState, c int) {
 	cf, f := &st.root.CFs[c], &st.frozen[c]
+	if t.counts[c] > 0 {
+		st.logNc[c] = math.Log(t.counts[c])
+	} else {
+		st.logNc[c] = math.Inf(1)
+	}
+	if cf.N <= 0 {
+		return
+	}
 	if t.mopts.PooledVariance {
 		// One variance, frozen from Total, serves every class: rewritten
 		// through class c and aliased by the rest (the state is private,
@@ -447,17 +517,15 @@ func (t *MultiTree) classConsts(st *multiQueryState, c int) {
 	} else {
 		stats.FreezeInto(f, cf)
 	}
-	sigma := cf.Variance()
-	for i, v := range sigma {
-		sigma[i] = math.Sqrt(v)
+	bw := st.bw[c] // the standard deviations, then the bandwidths
+	if len(bw) != t.cfg.Dim {
+		bw = make([]float64, t.cfg.Dim)
 	}
-	st.bw[c] = stats.SilvermanBandwidth(sigma, t.npoints[c], t.cfg.Dim)
-	if t.counts[c] > 0 {
-		st.logNc[c] = math.Log(t.counts[c])
-	} else {
-		st.logNc[c] = math.Inf(1) // class absent: densities stay zero
+	for i, v := range cf.VarianceInto(bw) {
+		bw[i] = math.Sqrt(v)
 	}
-	st.kern[c] = t.cfg.Kernel.FreezeBandwidth(st.bw[c])
+	st.bw[c] = stats.SilvermanBandwidth(bw, t.npoints[c], t.cfg.Dim)
+	st.kern[c] = t.cfg.Kernel.FreezeBandwidth(st.kern[c], st.bw[c])
 }
 
 // multiRef is the payload of a MultiQuery's frontier element. Its
@@ -485,6 +553,7 @@ type MultiQuery struct {
 	obs    []int
 	obsBuf []int
 	reads  int
+	swept  int // inner rows swept, for the count pins
 	// terms is the arena behind every frontier element (see
 	// multiRef.termOff): its nc per-class log terms, the nc values the
 	// accumulators summed for them and the lower bound of its priority
@@ -523,7 +592,7 @@ func (t *MultiTree) start(q *MultiQuery, x []float64, opts ClassifierOptions) {
 	q.t = t
 	q.x = x
 	q.opts = opts
-	q.reads = 0
+	q.reads, q.swept = 0, 0
 	q.front.reset(opts.Strategy)
 	if cap(q.accs) < nc {
 		// Whole 64-byte lines come from a size class of whole lines: no
@@ -771,6 +840,9 @@ func (t *MultiTree) Validate() error {
 				}
 			}
 			for c := range e.CFs {
+				if (e.CFs[c].LS == nil) != (want.CFs[c].LS == nil) {
+					return fmt.Errorf("core: class %d: entry holds vectors %v, its subtree has mass %v", t.labels[c], e.CFs[c].LS != nil, want.CFs[c].N)
+				}
 				if err := checkCF(&e.CFs[c], &want.CFs[c], tol); err != nil {
 					return fmt.Errorf("core: class %d: %w", t.labels[c], err)
 				}

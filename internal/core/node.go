@@ -108,6 +108,20 @@ func countNodes(n *MultiNode) int {
 	return total
 }
 
+// heldClasses returns the number of (entry, class) pairs with mass, the
+// class cluster features with vectors, under n.
+func heldClasses(n *MultiNode) (held int) {
+	for i := range n.entries {
+		for _, cf := range n.entries[i].CFs {
+			if cf.LS != nil {
+				held++
+			}
+		}
+		held += heldClasses(n.entries[i].Child)
+	}
+	return held
+}
+
 // collectWeightedPoints appends every observation under n to pts and its
 // weight (1 for unweighted leaves) to ws, for dissolving subtrees.
 func collectWeightedPoints(n *MultiNode, pts []LabeledPoint, ws []float64) ([]LabeledPoint, []float64) {

@@ -27,7 +27,8 @@ import (
 // the scores equal bitwise.
 //
 // A MultiQuery step does only the arithmetic its answer and its pop
-// order need: one sweep per inner node over all its class-major slots;
+// order need: one sweep per inner node over its class-major rows, one
+// per (entry, class) pair with mass;
 // an element leaves the accumulators by the values they summed for it
 // (the bits remove would recompute) unless a shift has moved since; and
 // a probabilistic priority is lazy — keyed by an upper bound and made
@@ -41,9 +42,10 @@ import (
 //
 //   - no mirror: a mutation does no mirror work;
 //   - a mirror: an insert repairs it in place along its own path before
-//     it returns — per level the inserted class's slot and the entry's
-//     bounds, the leaf's block; after a split the replaced nodes' blocks
-//     are released and the new siblings mirrored (a new root takes over
+//     it returns — per level the inserted class's row (addRow makes one
+//     for a class new to the entry) and the entry's bounds, the leaf's
+//     block; after a split the replaced nodes' blocks are released and
+//     the new siblings mirrored (a new root takes over
 //     index 0), each entry a split left alone copied out of the old
 //     block it sat in and only the entries over new halves frozen, and
 //     each surviving level's entry over the path frozen anew, every
@@ -70,22 +72,24 @@ import (
 // shared between nodes — a node's blocks can be replaced or dropped
 // without moving any other's.
 //
-// An inner node of k entries keeps its entry-class data in slots laid
-// out class-major (slot = c*k + e), so one class's entries form a
-// contiguous run a single sweep can score. A leaf keeps its points
-// stable-partitioned by class, so each class's kernel centres are
-// contiguous too. A block is exactly as large as its node's entry or
-// point count needs; fill replaces it when that count changed.
+// An inner node of k entries keeps a frozen Gaussian per (entry, class)
+// pair with mass, one row each, laid out class-major in the order of
+// its slot table (slot[c*k+e] is the row, −1 for an absent class), so
+// one class's entries form a contiguous run a single sweep can score.
+// Its block is sized to its allocation class (innerBlock). A leaf keeps
+// its points stable-partitioned by class, so each class's kernel centres
+// are contiguous too, in a block as large as its point count needs.
 type soaNode struct {
 	leaf     bool
 	weighted bool
 
-	// Inner node, per slot (slot*dim+d for the vectors).
+	// Inner node, per row (row*dim+d for the vectors).
 	means   []float64
 	invVar  []float64
 	logVar  []float64
 	logNorm []float64
-	logN    []float64 // −Inf marks an absent class
+	logN    []float64
+	slot    []int32 // per (class, entry): the row, or −1
 	// Inner node, per entry (e*dim+d for the bounds).
 	child  []int32 // mirror index of the entry's child
 	rectLo []float64
@@ -109,7 +113,7 @@ type multiSoA struct {
 
 	fillCur []int32   // partition scratch for fillLeaf (exclusive access)
 	donors  []soaNode // repair scratch: the split path's old mirror nodes
-	frozen  int       // class slots fillSlots has written
+	frozen  int       // class rows fillSlots has frozen
 }
 
 // buildMultiSoA mirrors the whole tree.
@@ -124,13 +128,14 @@ func buildMultiSoA(t *MultiTree) *multiSoA {
 	return s
 }
 
-// bytes is the size of the mirror's blocks and tables.
+// bytes is the size of the mirror's blocks, spare rows included, and
+// tables.
 func (s *multiSoA) bytes() int64 {
 	floats, ints := 0, cap(s.free)
 	for i := range s.nodes {
 		nd := &s.nodes[i]
-		floats += 3*len(nd.means) + 2*len(nd.logN) + 2*len(nd.rectLo) + len(nd.pts) + len(nd.ptLogW)
-		ints += len(nd.child) + len(nd.classOff)
+		floats += 3*cap(nd.means) + 2*cap(nd.logN) + 2*len(nd.rectLo) + len(nd.pts) + len(nd.ptLogW)
+		ints += len(nd.child) + len(nd.slot) + len(nd.classOff)
 	}
 	const indexEntry = 16 // a map slot: key pointer, int32 value, bucket overhead
 	return int64(8*floats+4*ints) + int64(cap(s.nodes))*int64(unsafe.Sizeof(soaNode{})) + int64(len(s.index))*indexEntry
@@ -217,12 +222,12 @@ func carve(block *[]float64, n int) []float64 {
 	return out
 }
 
-// fill (re)fills mirror node idx from the live tree node, reusing its
-// block when the node still has as many entries or points. It works on
-// a copy of the table row because placing children can grow the table.
-// An entry a split moved but did not change — its child has a mirror
-// node — copies its slots out of donors[0], the old mirror node it sat
-// in; donors[1:] serve the children placed from here.
+// fill (re)fills mirror node idx from the live tree node: an inner node
+// in a new block, a leaf in its own when it still has as many points. It
+// works on a copy of the table row because placing children can grow
+// the table. An entry a split moved but did not change — its child has
+// a mirror node — copies its rows out of donors[0], the old mirror node
+// it sat in; donors[1:] serve the children placed from here.
 func (s *multiSoA) fill(t *MultiTree, n *MultiNode, idx int32, donors []soaNode) {
 	nd := s.nodes[idx]
 	if n.leaf {
@@ -234,22 +239,20 @@ func (s *multiSoA) fill(t *MultiTree, n *MultiNode, idx int32, donors []soaNode)
 }
 
 func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode, donors []soaNode) {
-	dim, nc := s.dim, s.nc
-	k := len(n.entries)
-	if nd.leaf || len(nd.child) != k {
-		slots := nc * k
-		block := make([]float64, slots*(3*dim+2)+k*2*dim)
-		*nd = soaNode{
-			means:   carve(&block, slots*dim),
-			invVar:  carve(&block, slots*dim),
-			logVar:  carve(&block, slots*dim),
-			logNorm: carve(&block, slots),
-			logN:    carve(&block, slots),
-			child:   make([]int32, k),
-			rectLo:  carve(&block, k*dim),
-			rectHi:  carve(&block, k*dim),
+	nc, k := s.nc, len(n.entries)
+	ints := make([]int32, k+nc*k)
+	*nd = soaNode{child: ints[:k:k], slot: ints[k:]}
+	rows := int32(0)
+	for c := 0; c < nc; c++ {
+		for e := range n.entries {
+			nd.slot[c*k+e] = -1
+			if n.entries[e].CFs[c].N > 0 {
+				nd.slot[c*k+e] = rows
+				rows++
+			}
 		}
 	}
+	s.innerBlock(nd, int(rows), int(rows))
 	var donor soaNode
 	if len(donors) > 0 {
 		donor, donors = donors[0], donors[1:]
@@ -267,16 +270,77 @@ func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode, donors []s
 	}
 }
 
-// copySlots copies entry d's class slots of donor into entry e of nd:
-// what fillSlots would write, frozen from the same cluster features.
+// innerBlock gives inner node nd a block for at least minRows rows and
+// its entries' bounds, keeping its bounds and its first rows rows. The
+// block is as large as its allocation class: the rows that leaves are
+// spare.
+func (s *multiSoA) innerBlock(nd *soaNode, rows, minRows int) {
+	dim, k := s.dim, len(nd.child)
+	block := slices.Grow([]float64(nil), minRows*(3*dim+2)+2*k*dim)
+	block = block[:cap(block)]
+	spare := (len(block) - 2*k*dim) / (3*dim + 2)
+	lo, hi := nd.rectLo, nd.rectHi
+	nd.rectLo, nd.rectHi = carve(&block, k*dim), carve(&block, k*dim)
+	copy(nd.rectLo, lo)
+	copy(nd.rectHi, hi)
+	for _, a := range nd.rowArrays(dim) {
+		was := *a.v
+		*a.v, block = block[:rows*a.w:spare*a.w], block[spare*a.w:]
+		copy(*a.v, was)
+	}
+}
+
+// addRow gives class c of entry e, which had no row, the row its slot
+// orders it to, moving every later row up by one — in place when the
+// block has a spare row, else into a block with a quarter more rows, as
+// append grows a slice — and returns it.
+func (s *multiSoA) addRow(nd *soaNode, c, e int) int32 {
+	at := c*len(nd.child) + e
+	row := int32(0)
+	for i, r := range nd.slot {
+		switch {
+		case r < 0:
+		case i < at:
+			row = r + 1
+		default:
+			nd.slot[i] = r + 1
+		}
+	}
+	nd.slot[at] = row
+	rows, r := len(nd.logN), int(row)
+	if rows == cap(nd.logN) {
+		s.innerBlock(nd, rows, rows+1+rows/4)
+	}
+	for _, a := range nd.rowArrays(s.dim) {
+		*a.v = (*a.v)[:(rows+1)*a.w]
+		copy((*a.v)[(r+1)*a.w:], (*a.v)[r*a.w:rows*a.w])
+	}
+	return row
+}
+
+// rowArray is one of an inner node's per-row arrays, w float64s a row.
+type rowArray struct {
+	v *[]float64
+	w int
+}
+
+// rowArrays lists an inner node's per-row arrays in block order.
+func (nd *soaNode) rowArrays(dim int) [5]rowArray {
+	return [5]rowArray{{&nd.means, dim}, {&nd.invVar, dim}, {&nd.logVar, dim}, {&nd.logNorm, 1}, {&nd.logN, 1}}
+}
+
+// copySlots copies the rows of entry d of donor into entry e of nd: what
+// fillSlots would write, frozen from the same cluster features, so the
+// two entries hold the same classes.
 func (s *multiSoA) copySlots(nd *soaNode, e int, donor *soaNode, d int) {
 	dim, k, kd := s.dim, len(nd.child), len(donor.child)
 	for c := 0; c < s.nc; c++ {
-		to, from := c*k+e, c*kd+d
-		if nd.logN[to] = donor.logN[from]; math.IsInf(nd.logN[to], -1) {
+		from := int(donor.slot[c*kd+d])
+		if from < 0 {
 			continue
 		}
-		nd.logNorm[to] = donor.logNorm[from]
+		to := int(nd.slot[c*k+e])
+		nd.logN[to], nd.logNorm[to] = donor.logN[from], donor.logNorm[from]
 		copy(nd.means[to*dim:to*dim+dim], donor.means[from*dim:])
 		copy(nd.invVar[to*dim:to*dim+dim], donor.invVar[from*dim:])
 		copy(nd.logVar[to*dim:to*dim+dim], donor.logVar[from*dim:])
@@ -290,40 +354,46 @@ func (s *multiSoA) fillBounds(nd *soaNode, e int, en *MultiEntry) {
 	copy(nd.rectHi[e*dim:e*dim+dim], en.Rect.Hi)
 }
 
-// fillSlots writes classes [lo, hi) of entry e: each one's Gaussian,
-// frozen from its cluster feature straight into the slot's own vectors
-// (stats.Freeze's arithmetic, through a view of them), or the −Inf log
-// count that marks the class absent. Under variance pooling the variance
-// comes from the entry's Total, frozen once and copied to the other
-// classes' slots.
+// fillSlots writes the rows of classes [lo, hi) of entry e: each one's
+// Gaussian, frozen from its cluster feature straight into the row's own
+// vectors (stats.Freeze's arithmetic, through a view of them); a class
+// the entry holds for the first time gets its row first. Under variance
+// pooling the variance comes from the entry's Total, frozen once and
+// copied to the other classes' rows.
 func (s *multiSoA) fillSlots(t *MultiTree, nd *soaNode, e int, en *MultiEntry, lo, hi int) {
 	dim, k := s.dim, len(nd.child)
-	s.frozen += hi - lo
-	pooled := -1 // the slot already holding the entry's pooled variance
+	pooled := int32(-1) // the row already holding the entry's pooled variance
 	for c := lo; c < hi; c++ {
-		slot := c*k + e
 		cf := &en.CFs[c]
 		if cf.N <= 0 {
-			nd.logN[slot] = math.Inf(-1)
 			continue
 		}
-		at := slot * dim
+		s.frozen++
+		row := nd.slot[c*k+e]
+		if row < 0 {
+			row = s.addRow(nd, c, e)
+			if pooled >= row {
+				pooled++
+			}
+		}
+		at := int(row) * dim
 		f := stats.FrozenGaussian{Mean: nd.means[at : at+dim], InvVar: nd.invVar[at : at+dim], LogVar: nd.logVar[at : at+dim]}
 		f.SetMean(cf)
-		nd.logN[slot] = f.LogN
+		nd.logN[row] = f.LogN
 		switch {
 		case !t.mopts.PooledVariance:
 			f.SetVariance(cf)
 		case pooled < 0:
 			f.SetVariance(&en.Total)
-			pooled = slot
+			pooled = row
 		default:
-			copy(f.InvVar, nd.invVar[pooled*dim:pooled*dim+dim])
-			copy(f.LogVar, nd.logVar[pooled*dim:pooled*dim+dim])
-			nd.logNorm[slot] = nd.logNorm[pooled]
+			p := int(pooled) * dim
+			copy(f.InvVar, nd.invVar[p:p+dim])
+			copy(f.LogVar, nd.logVar[p:p+dim])
+			nd.logNorm[row] = nd.logNorm[pooled]
 			continue
 		}
-		nd.logNorm[slot] = f.LogNorm()
+		nd.logNorm[row] = f.LogNorm()
 	}
 }
 
@@ -440,11 +510,11 @@ func (t *MultiTree) invalidate(path []*MultiNode, replaced, class int) {
 // MultiQuery descent
 
 // refineSoA expands one frontier node through the mirror: the node's
-// class-major slots are scored in one flat sweep (an absent class's rows
-// too, and ignored), then per-entry terms are folded into the
-// accumulators entry-major/class-inner — the order (and arithmetic) of
-// scoring the node's entries one by one. Each entry keeps, in the arena,
-// its terms and the values the accumulators summed for them.
+// class-major rows are scored in one flat sweep, then per-entry terms
+// are folded into the accumulators entry-major/class-inner through the
+// slot table — the order (and arithmetic) of scoring the node's entries
+// one by one, an absent class's term −Inf. Each entry keeps, in the
+// arena, its terms and the values the accumulators summed for them.
 func (q *MultiQuery) refineSoA(idx int) {
 	s := q.soa
 	nd := &s.nodes[idx]
@@ -453,19 +523,20 @@ func (q *MultiQuery) refineSoA(idx int) {
 		return
 	}
 	nc := s.nc
-	k := len(nd.child)
-	out := q.ensureOut(nc * k)
-	kernels.SweepFrozenLogPDFObs(q.x, nd.means, nd.invVar, nd.logVar, nd.logNorm, nc*k, s.dim, q.obs, out)
+	k, rows := len(nd.child), len(nd.logN)
+	out := q.ensureOut(rows)
+	kernels.SweepFrozenLogPDFObs(q.x, nd.means, nd.invVar, nd.logVar, nd.logNorm, rows, s.dim, q.obs, out)
+	q.swept += rows
 	for e := 0; e < k; e++ {
 		off := q.grow()
 		el := q.terms[off : off+2*nc]
 		for c := 0; c < nc; c++ {
-			slot := c*k + e
-			if math.IsInf(q.logNc[c], 1) || math.IsInf(nd.logN[slot], -1) {
+			row := nd.slot[c*k+e]
+			if row < 0 || math.IsInf(q.logNc[c], 1) {
 				el[c] = math.Inf(-1)
 				continue
 			}
-			term := nd.logN[slot] - q.logNc[c] + out[slot]
+			term := nd.logN[row] - q.logNc[c] + out[row]
 			acc := &q.accs[c]
 			shift := acc.shift
 			el[c], el[nc+c] = term, acc.add(term)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bayestree/internal/kernels"
+	"bayestree/internal/stats"
 )
 
 func smallConfig(dim int) Config {
@@ -231,18 +232,29 @@ func TestCFExactnessUnderChurn(t *testing.T) {
 
 // Validate keeps every check of an entry: a planted change to one inner
 // entry's linear sum of 1e-3 — to a class's CF or to the pooled Total —
-// is reported, as are a nil child, an inverted rectangle and unequal
-// leaf depths in a tree built balanced.
+// is reported, as are a class with mass but no vectors, a nil child, an
+// inverted rectangle and unequal leaf depths in a tree built balanced.
 func TestValidateCatchesPlantedDamage(t *testing.T) {
 	xs, ys := twoClassData(300, 61)
+	// held is the entry's first class with mass (an entry over a leaf of
+	// these separated classes may hold only one).
+	held := func(e *MultiEntry) *stats.CF {
+		for c := range e.CFs {
+			if e.CFs[c].N > 0 {
+				return &e.CFs[c]
+			}
+		}
+		panic("an entry without mass")
+	}
 	for _, damage := range []struct {
 		name  string
 		plant func(e *MultiEntry)
 	}{
-		{"class LS", func(e *MultiEntry) { e.CFs[1].LS[0] += 1e-3 }},
+		{"class LS", func(e *MultiEntry) { held(e).LS[0] += 1e-3 }},
 		{"pooled LS", func(e *MultiEntry) { e.Total.LS[1] += 1e-3 }},
-		{"class SS", func(e *MultiEntry) { e.CFs[0].SS[0] += 1 }},
-		{"infinite class SS", func(e *MultiEntry) { e.CFs[0].SS[1] = math.Inf(1) }},
+		{"class SS", func(e *MultiEntry) { held(e).SS[0] += 1 }},
+		{"infinite class SS", func(e *MultiEntry) { held(e).SS[1] = math.Inf(1) }},
+		{"class without vectors", func(e *MultiEntry) { cf := held(e); *cf = stats.CF{N: cf.N} }},
 		{"nil child", func(e *MultiEntry) { e.Child = nil }},
 		{"inverted rect", func(e *MultiEntry) { e.Rect.Lo[0], e.Rect.Hi[0] = e.Rect.Hi[0]+1, e.Rect.Lo[0] }},
 	} {

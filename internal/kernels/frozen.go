@@ -41,10 +41,11 @@ type frozenGaussianKernel struct {
 }
 
 // FreezeBandwidth implements Kernel.
-func (Gaussian) FreezeBandwidth(h []float64) FrozenKernel {
-	f := frozenGaussianKernel{
-		invVar: make([]float64, len(h)),
-		logVar: make([]float64, len(h)),
+func (Gaussian) FreezeBandwidth(dst FrozenKernel, h []float64) FrozenKernel {
+	f, ok := dst.(*frozenGaussianKernel)
+	if !ok || len(f.invVar) != len(h) {
+		blk := make([]float64, 2*len(h))
+		f = &frozenGaussianKernel{invVar: blk[:len(h):len(h)], logVar: blk[len(h):]}
 	}
 	var logDet float64
 	for i, hv := range h {
@@ -61,7 +62,7 @@ func (Gaussian) FreezeBandwidth(h []float64) FrozenKernel {
 	return f
 }
 
-func (f frozenGaussianKernel) LogDensity(x, center []float64) float64 {
+func (f *frozenGaussianKernel) LogDensity(x, center []float64) float64 {
 	var quad float64
 	inv := f.invVar
 	for i, c := range center {
@@ -71,7 +72,7 @@ func (f frozenGaussianKernel) LogDensity(x, center []float64) float64 {
 	return f.logNorm - 0.5*quad
 }
 
-func (f frozenGaussianKernel) LogDensityObs(x, center []float64, obs []int) float64 {
+func (f *frozenGaussianKernel) LogDensityObs(x, center []float64, obs []int) float64 {
 	if obs == nil {
 		return f.LogDensity(x, center)
 	}
@@ -93,11 +94,13 @@ type frozenEpanechnikov struct {
 }
 
 // FreezeBandwidth implements Kernel.
-func (Epanechnikov) FreezeBandwidth(h []float64) FrozenKernel {
-	f := frozenEpanechnikov{
-		invS: make([]float64, len(h)),
-		logQ: make([]float64, len(h)),
+func (Epanechnikov) FreezeBandwidth(dst FrozenKernel, h []float64) FrozenKernel {
+	f, ok := dst.(*frozenEpanechnikov)
+	if !ok || len(f.invS) != len(h) {
+		blk := make([]float64, 2*len(h))
+		f = &frozenEpanechnikov{invS: blk[:len(h):len(h)], logQ: blk[len(h):]}
 	}
+	f.sumLQ = 0
 	for i, hv := range h {
 		if hv <= 0 {
 			hv = math.Sqrt(stats.VarianceFloor)
@@ -111,7 +114,7 @@ func (Epanechnikov) FreezeBandwidth(h []float64) FrozenKernel {
 	return f
 }
 
-func (f frozenEpanechnikov) LogDensity(x, center []float64) float64 {
+func (f *frozenEpanechnikov) LogDensity(x, center []float64) float64 {
 	logp := f.sumLQ
 	for i, c := range center {
 		u := (x[i] - c) * f.invS[i]
@@ -123,7 +126,7 @@ func (f frozenEpanechnikov) LogDensity(x, center []float64) float64 {
 	return logp
 }
 
-func (f frozenEpanechnikov) LogDensityObs(x, center []float64, obs []int) float64 {
+func (f *frozenEpanechnikov) LogDensityObs(x, center []float64, obs []int) float64 {
 	if obs == nil {
 		return f.LogDensity(x, center)
 	}

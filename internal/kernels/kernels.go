@@ -30,8 +30,9 @@ type Kernel interface {
 	// by dropping dimensions.
 	LogDensityObs(x, center, h []float64, obs []int) float64
 	// FreezeBandwidth returns the kernel with its bandwidth-derived
-	// factors for bandwidths h precomputed (frozen.go).
-	FreezeBandwidth(h []float64) FrozenKernel
+	// factors for bandwidths h precomputed (frozen.go), rewriting dst in
+	// place when dst is this kernel frozen at as many bandwidths.
+	FreezeBandwidth(dst FrozenKernel, h []float64) FrozenKernel
 	// Name identifies the kernel in reports and flags.
 	Name() string
 }

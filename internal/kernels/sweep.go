@@ -14,7 +14,7 @@ import "math"
 
 // SweepLogDensityObs implements FrozenKernel for the Gaussian kernel,
 // replicating frozenGaussianKernel.LogDensity / LogDensityObs per row.
-func (f frozenGaussianKernel) SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64) {
+func (f *frozenGaussianKernel) SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64) {
 	if obs == nil {
 		inv := f.invVar
 		for j := 0; j < count; j++ {
@@ -50,7 +50,7 @@ func (f frozenGaussianKernel) SweepLogDensityObs(x, centers []float64, count, di
 // SweepLogDensityObs implements FrozenKernel for the Epanechnikov
 // kernel, replicating frozenEpanechnikov.LogDensity / LogDensityObs per
 // row (including the −Inf early-out outside the kernel's support).
-func (f frozenEpanechnikov) SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64) {
+func (f *frozenEpanechnikov) SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64) {
 	if obs == nil {
 	rows:
 		for j := 0; j < count; j++ {

@@ -46,7 +46,7 @@ func TestSweepLogDensityObsMatchesPerRow(t *testing.T) {
 			for i := range h {
 				h[i] = 0.2 + rng.Float64()
 			}
-			f := k.FreezeBandwidth(h)
+			f := k.FreezeBandwidth(nil, h)
 			for _, obs := range masks {
 				out := make([]float64, count)
 				f.SweepLogDensityObs(x, centers, count, dim, obs, out)

@@ -87,10 +87,11 @@ func (cf *CF) AddWeighted(x []float64, w float64) {
 	}
 }
 
-// Merge absorbs another cluster feature (the CF additivity property).
+// Merge absorbs another cluster feature (the CF additivity property);
+// one without vectors adds only its count.
 func (cf *CF) Merge(other CF) {
 	cf.N += other.N
-	for i := range cf.LS {
+	for i := range other.LS {
 		cf.LS[i] += other.LS[i]
 		cf.SS[i] += other.SS[i]
 	}
@@ -145,13 +146,16 @@ func (cf *CF) MeanInto(dst []float64) []float64 {
 // Variance returns σ² = SS/n − (LS/n)² per dimension, clamped to the
 // variance floor so the result is always usable as a Gaussian covariance
 // diagonal.
-func (cf *CF) Variance() []float64 {
-	out := make([]float64, len(cf.SS))
+func (cf *CF) Variance() []float64 { return cf.VarianceInto(make([]float64, len(cf.SS))) }
+
+// VarianceInto writes Variance into dst, which must have the feature's
+// dimension, and returns it.
+func (cf *CF) VarianceInto(dst []float64) []float64 {
 	inv := 1 / cf.N
-	for i := range out {
-		out[i] = cf.varianceAt(i, inv)
+	for i := range dst {
+		dst[i] = cf.varianceAt(i, inv)
 	}
-	return out
+	return dst
 }
 
 // varianceAt is dimension i of Variance, given inv = 1/N (not read for

@@ -155,7 +155,8 @@ func MergeLogScores(dst []float64, parts [][]float64, weights []float64, totalW 
 //
 // This is the "common data independent method according to [18]" of
 // Section 2.1. The returned vector contains bandwidths h_i, not variances;
-// square them for use as Gaussian kernel variances.
+// square them for use as Gaussian kernel variances. They are written over
+// sigma, which is returned.
 func SilvermanBandwidth(sigma []float64, n int, d int) []float64 {
 	if n < 1 {
 		n = 1
@@ -165,12 +166,11 @@ func SilvermanBandwidth(sigma []float64, n int, d int) []float64 {
 	}
 	exp := 1.0 / (float64(d) + 4.0)
 	factor := math.Pow(4.0/(float64(d)+2.0), exp) * math.Pow(float64(n), -exp)
-	out := make([]float64, len(sigma))
 	for i, s := range sigma {
 		if s <= 0 {
 			s = math.Sqrt(VarianceFloor)
 		}
-		out[i] = s * factor
+		sigma[i] = s * factor
 	}
-	return out
+	return sigma
 }
