@@ -13,9 +13,10 @@ import (
 // class cluster features holding vectors — both one per (entry, class)
 // pair with mass, 6,649 of the 9,700 pairs — and the inner rows that
 // classifying the 2,992 held-out points sweeps at budgets 4, 32 and 128,
-// split evenly over the trees; the mirrors' bytes are a ceiling. A
-// mirror or a tree that allocates, freezes or sweeps an absent class
-// moves every count.
+// split evenly over the trees, and the exact priorities settle computes
+// for them; the mirrors' bytes are a ceiling. A mirror or a tree that
+// allocates, freezes or sweeps an absent class moves every count, and a
+// descent that computes priorities eagerly moves the last.
 func TestMirrorSlotsPinned(t *testing.T) {
 	const (
 		train, pairs, held = 8000, 6649, 2992
@@ -59,8 +60,8 @@ func TestMirrorSlotsPinned(t *testing.T) {
 	if len(xs) != held {
 		t.Fatalf("%d held-out points, want %d", len(xs), held)
 	}
-	for _, tc := range []struct{ budget, swept int }{{4, 239360}, {32, 2552696}, {128, 9231727}} {
-		swept := 0
+	for _, tc := range []struct{ budget, swept, exact int }{{4, 239360, 0}, {32, 2552696, 110388}, {128, 9231727, 382807}} {
+		swept, exact := 0, 0
 		for _, x := range xs {
 			for _, mt := range trees {
 				q, err := mt.NewQuery(x, ClassifierOptions{})
@@ -70,12 +71,17 @@ func TestMirrorSlotsPinned(t *testing.T) {
 				for b := 0; b < tc.budget/len(trees) && q.Step(); b++ {
 				}
 				swept += q.swept
+				exact += q.exact
 				q.Close()
 			}
 		}
-		t.Logf("budget %d: %d inner rows swept, %.1f per classification", tc.budget, swept, float64(swept)/held)
+		t.Logf("budget %d: %d inner rows swept, %.1f per classification; %d exact priorities, %.1f per classification",
+			tc.budget, swept, float64(swept)/held, exact, float64(exact)/held)
 		if swept != tc.swept {
 			t.Errorf("budget %d: %d inner rows swept, want %d", tc.budget, swept, tc.swept)
+		}
+		if exact != tc.exact {
+			t.Errorf("budget %d: %d exact priorities, want %d", tc.budget, exact, tc.exact)
 		}
 	}
 }

@@ -554,6 +554,7 @@ type MultiQuery struct {
 	obsBuf []int
 	reads  int
 	swept  int // inner rows swept, for the count pins
+	exact  int // exact priorities settle computed, for the count pins
 	// terms is the arena behind every frontier element (see
 	// multiRef.termOff): its nc per-class log terms, the nc values the
 	// accumulators summed for them and the lower bound of its priority
@@ -592,7 +593,7 @@ func (t *MultiTree) start(q *MultiQuery, x []float64, opts ClassifierOptions) {
 	q.t = t
 	q.x = x
 	q.opts = opts
-	q.reads, q.swept = 0, 0
+	q.reads, q.swept, q.exact = 0, 0, 0
 	q.front.reset(opts.Strategy)
 	if cap(q.accs) < nc {
 		// Whole 64-byte lines come from a size class of whole lines: no

@@ -613,6 +613,7 @@ func (q *MultiQuery) settle() {
 		}
 		exact := stats.LogSumExp(q.terms[off : off+nc])
 		q.terms[off+2*nc], top.prio = exact, exact
+		q.exact++
 		h.fixTop()
 	}
 }
