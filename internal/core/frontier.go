@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"bayestree/internal/stats"
+)
 
 // Strategy selects the tree traversal order of Section 2.2.
 type Strategy int
@@ -160,10 +164,10 @@ func (a *accumulator) add(l float64) float64 {
 		return 1
 	}
 	if l > a.shift+30 {
-		a.sum *= math.Exp(a.shift - l)
+		a.sum *= stats.Exp(a.shift - l)
 		a.shift = l
 	}
-	v := math.Exp(l - a.shift)
+	v := stats.Exp(l - a.shift)
 	a.sum += v
 	return v
 }
@@ -173,7 +177,7 @@ func (a *accumulator) remove(l float64) {
 	if math.IsInf(l, -1) || math.IsInf(a.shift, -1) {
 		return
 	}
-	a.sub(math.Exp(l - a.shift))
+	a.sub(stats.Exp(l - a.shift))
 }
 
 // sub subtracts a value add returned, clamping tiny negative residues

@@ -271,3 +271,85 @@ func TestStrategyPriorityStrings(t *testing.T) {
 		t.Errorf("unknown names wrong")
 	}
 }
+
+// accumulatorOracle is the accumulator calling math.Exp on every term.
+type accumulatorOracle struct{ sum, shift float64 }
+
+func (a *accumulatorOracle) add(l float64) float64 {
+	if math.IsInf(l, -1) {
+		return 0
+	}
+	if math.IsInf(a.shift, -1) {
+		a.shift, a.sum = l, 1
+		return 1
+	}
+	if l > a.shift+30 {
+		a.sum *= math.Exp(a.shift - l)
+		a.shift = l
+	}
+	v := math.Exp(l - a.shift)
+	a.sum += v
+	return v
+}
+
+func (a *accumulatorOracle) remove(l float64) {
+	if math.IsInf(l, -1) || math.IsInf(a.shift, -1) {
+		return
+	}
+	a.sum -= math.Exp(l - a.shift)
+	if a.sum < 0 {
+		a.sum = 0
+	}
+}
+
+// TestAccumulatorExpSkipMatchesOracle holds the accumulator, which
+// skips math.Exp where it returns exactly 0, to the always-call form bit
+// for bit over random add and remove sequences whose terms fall on both
+// sides of −746 below the shift, jump above it by more than 746, or are
+// −Inf or NaN.
+func TestAccumulatorExpSkipMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	term := func(shift float64) float64 {
+		if math.IsInf(shift, -1) {
+			shift = 0
+		}
+		switch rng.Intn(8) {
+		case 0:
+			return math.Inf(-1)
+		case 1:
+			if rng.Intn(50) == 0 {
+				return math.NaN()
+			}
+			return shift + 800*rng.Float64()
+		case 2, 3:
+			return shift - 744.9 - 1.3*rng.Float64()
+		case 4:
+			return shift - 745.1332191019412 + 1e-12*rng.NormFloat64()
+		default:
+			return shift - 40*rng.Float64()
+		}
+	}
+	bits := math.Float64bits
+	for run := 0; run < 2000; run++ {
+		var a accumulator
+		a.reset()
+		o := accumulatorOracle{shift: math.Inf(-1)}
+		var added []float64
+		for step := 0; step < 40; step++ {
+			if len(added) > 0 && rng.Intn(3) == 0 {
+				l := added[rng.Intn(len(added))]
+				a.remove(l)
+				o.remove(l)
+			} else {
+				l := term(o.shift)
+				added = append(added, l)
+				if got, want := a.add(l), o.add(l); bits(got) != bits(want) {
+					t.Fatalf("run %d step %d: add(%v) = %v, the oracle adds %v", run, step, l, got, want)
+				}
+			}
+			if bits(a.sum) != bits(o.sum) || bits(a.shift) != bits(o.shift) {
+				t.Fatalf("run %d step %d: (sum %v, shift %v), the oracle (%v, %v)", run, step, a.sum, a.shift, o.sum, o.shift)
+			}
+		}
+	}
+}

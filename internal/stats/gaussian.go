@@ -87,6 +87,17 @@ func KL(g, h Gaussian) float64 {
 	return 0.5 * s
 }
 
+// Exp is math.Exp without the call where it returns exactly 0: below
+// −746, −Inf included (math.Exp is 0 at and below −745.1332191019412, in
+// the assembly and the pure Go implementation alike). NaN still reaches
+// math.Exp.
+func Exp(x float64) float64 {
+	if x < -746 {
+		return 0
+	}
+	return math.Exp(x)
+}
+
 // LogSumExp returns ln(Σ exp(xs_i)) computed stably. An empty input yields
 // -Inf (the log of zero).
 func LogSumExp(xs []float64) float64 {
@@ -104,7 +115,7 @@ func LogSumExp(xs []float64) float64 {
 	}
 	var s float64
 	for _, x := range xs {
-		s += math.Exp(x - m)
+		s += Exp(x - m)
 	}
 	return m + math.Log(s)
 }

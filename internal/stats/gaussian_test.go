@@ -265,3 +265,71 @@ func TestSilvermanBandwidth(t *testing.T) {
 		t.Errorf("degenerate bandwidth %v", h[0])
 	}
 }
+
+// expArgs draws arguments for the Exp oracle tests: the special values,
+// both sides of −746 and of −745.1332191019412, where math.Exp's last
+// subnormal gives way to exact 0, and a wide spread of ordinary ones.
+func expArgs(rng *rand.Rand, n int) []float64 {
+	const last = -745.1332191019412
+	xs := []float64{
+		math.Inf(-1), math.Inf(1), math.NaN(), 0, math.Copysign(0, -1), 1, -1, 709.78, -math.MaxFloat64,
+		-746, math.Nextafter(-746, 0), math.Nextafter(-746, math.Inf(-1)),
+		last, math.Nextafter(last, 0), math.Nextafter(last, math.Inf(-1)), -745.0, -745.5,
+	}
+	for len(xs) < n {
+		switch rng.Intn(3) {
+		case 0:
+			xs = append(xs, -744.9-1.3*rng.Float64())
+		case 1:
+			xs = append(xs, last+1e-12*rng.NormFloat64())
+		default:
+			xs = append(xs, -800+820*rng.Float64())
+		}
+	}
+	return xs
+}
+
+// logSumExpOracle is LogSumExp calling math.Exp on every term.
+func logSumExpOracle(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.Inf(-1)
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	if math.IsInf(m, -1) {
+		return m
+	}
+	var s float64
+	for _, x := range xs {
+		s += math.Exp(x - m)
+	}
+	return m + math.Log(s)
+}
+
+// TestExpSkipMatchesMathExp holds Exp and LogSumExp, which skip
+// math.Exp below −746, to the always-call forms bit for bit: on −Inf,
+// NaN and the arguments on both sides of where math.Exp reaches 0, and
+// on sums whose terms lie that far below their maximum.
+func TestExpSkipMatchesMathExp(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	args := expArgs(rng, 200_000)
+	for _, x := range args {
+		if got, want := Exp(x), math.Exp(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Exp(%v) = %v, math.Exp gives %v", x, got, want)
+		}
+	}
+	for i := 0; i < 20_000; i++ {
+		m := 50 * rng.NormFloat64()
+		xs := make([]float64, 1+rng.Intn(8))
+		for k := range xs {
+			xs[k] = m + args[rng.Intn(len(args))]
+		}
+		if got, want := LogSumExp(xs), logSumExpOracle(xs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("LogSumExp(%v) = %v, the oracle gives %v", xs, got, want)
+		}
+	}
+}
