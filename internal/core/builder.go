@@ -77,5 +77,6 @@ func (b *Builder) Finish(root *MultiNode, balanced bool) (*MultiTree, error) {
 	t.root, t.balanced = root, balanced
 	t.size = countPoints(root)
 	t.counts[0], t.npoints[0] = float64(t.size), t.size
+	t.publish()
 	return t, nil
 }

@@ -262,6 +262,7 @@ func (t *MultiTree) RestoreDecayState(opts DecayOptions, epoch, ref int64) error
 		return err
 	}
 	t.invalidate(nil, 0, allClasses)
+	t.publish()
 	return nil
 }
 
@@ -272,6 +273,7 @@ func (t *MultiTree) RestoreDecayState(opts DecayOptions, epoch, ref int64) error
 func (t *MultiTree) AdvanceEpoch(n int64) {
 	if t.advance(n) {
 		t.invalidate(nil, 0, allClasses)
+		t.publish()
 	}
 }
 
@@ -339,6 +341,7 @@ func (t *MultiTree) DecaySweep() SweepStats {
 	// Every label in the tree is one of its classes: the walk cannot fail.
 	_ = checkNodes(t.root, true, func(n *MultiNode, _ bool) error { return t.addMasses(masses, t.npoints, n) })
 	s.st.PointsPruned = before - t.size
+	t.publish()
 	return s.st
 }
 

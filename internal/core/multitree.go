@@ -81,6 +81,10 @@ type MultiTree struct {
 	soaRebuilds atomic.Int64
 	soaPatches  int64
 	soaDrops    int64
+	// pubLen and pubWeight are Len() and Weight() (its bits) as of the
+	// end of the last mutation or constructor: see Published.
+	pubLen    atomic.Int64
+	pubWeight atomic.Uint64
 }
 
 // multiQueryState holds what every MultiQuery needs but no query should
@@ -135,6 +139,22 @@ func (t *MultiTree) Labels() []int { return append([]int(nil), t.labels...) }
 
 // Len returns the number of stored observations.
 func (t *MultiTree) Len() int { return t.size }
+
+// Published returns Len() and Weight() as of the end of the last
+// mutation or constructor, without the caller holding the tree's lock:
+// what a server reads to split a budget and weigh shard scores. A
+// concurrent mutation may publish one of the two before the other.
+func (t *MultiTree) Published() (n int, weight float64) {
+	return int(t.pubLen.Load()), math.Float64frombits(t.pubWeight.Load())
+}
+
+// publish stores the pair Published reads. Every mutation and
+// constructor ends with it but NewMultiTree, whose zero values are the
+// empty tree's pair.
+func (t *MultiTree) publish() {
+	t.pubLen.Store(int64(t.size))
+	t.pubWeight.Store(math.Float64bits(t.Weight()))
+}
 
 // Config returns the tree's structural parameters.
 func (t *MultiTree) Config() Config { return t.cfg }
@@ -355,6 +375,7 @@ func (t *MultiTree) Insert(x []float64, label int) error {
 	t.counts[ci] += w
 	t.npoints[ci]++
 	t.insertPointW(LabeledPoint{X: cp, Label: label}, w, ci)
+	t.publish()
 	return nil
 }
 
@@ -812,6 +833,9 @@ func (t *MultiTree) checkCounts(masses []float64, points []int) error {
 // leaves, and a balanced tree's leaves share one depth. It returns the
 // first violation.
 func (t *MultiTree) Validate() error {
+	if n, w := t.Published(); n != t.size || math.Float64bits(w) != math.Float64bits(t.Weight()) {
+		return fmt.Errorf("core: published (%d, %v), the tree holds (%d, %v)", n, w, t.size, t.Weight())
+	}
 	if t.size == 0 {
 		return nil
 	}

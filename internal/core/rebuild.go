@@ -149,5 +149,6 @@ func RebuildMultiTree(cfg Config, mopts MultiOptions, labels []int, root *MultiN
 	if err != nil {
 		return nil, nil, err
 	}
-	return t, func() { t.deriveEntries(root) }, nil
+	t.publish()
+	return t, func() { t.deriveEntries(root); t.publish() }, nil
 }

@@ -48,6 +48,7 @@ func (t *MultiTree) insertRStar(x []float64) error {
 	t.counts[0]++
 	t.npoints[0]++
 	t.rstarInsertPoint(LabeledPoint{X: append([]float64(nil), x...), Label: t.labels[0]}, make(map[int]bool))
+	t.publish()
 	return nil
 }
 

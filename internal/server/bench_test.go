@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -412,4 +413,79 @@ func BenchmarkServerAlternate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServerContended is the in-process twin of mixed_durable's
+// contention: a durable group-commit 4-shard Pendigits server with
+// 2,000 logged inserts, then one goroutine inserting held-out points
+// and another classifying them at budget 32, side by side without
+// pause. One op is one classify; insert_p50_us and classify_p50_us are
+// each side's median latency, the numbers a classify that queues behind
+// an insert, or an insert behind a classify, raises.
+func BenchmarkServerContended(b *testing.B) {
+	d, err := dataset.Pendigits(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d.Shuffle(1)
+	const preload = 2000
+	s, err := OpenDurableServer(DurabilityOptions{Dir: b.TempDir(), FsyncEvery: 100 * time.Millisecond}, Config{}, func() (*Server, error) {
+		return NewEmpty(4, core.DefaultConfig(d.Dim()), d.Classes(), core.MultiOptions{}, Config{})
+	})
+	if err == nil {
+		err = s.Recover()
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.CloseDurability()
+	defer s.Close()
+	for i := 0; i < preload; i++ {
+		if err := s.Insert(d.X[i], d.Y[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	held := d.Len() - preload
+	var inserts []time.Duration
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			j := preload + i%held
+			t0 := time.Now()
+			if err := s.Insert(d.X[j], d.Y[j]); err != nil {
+				done <- err
+				return
+			}
+			inserts = append(inserts, time.Since(t0))
+		}
+	}()
+	classifies := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		if _, err := s.Classify(d.X[preload+i%held], 32); err != nil {
+			b.Fatal(err)
+		}
+		classifies = append(classifies, time.Since(t0))
+	}
+	b.StopTimer()
+	close(stop)
+	if err := <-done; err != nil {
+		b.Fatal(err)
+	}
+	median := func(ds []time.Duration) float64 {
+		if len(ds) == 0 {
+			return 0
+		}
+		slices.Sort(ds)
+		return float64(ds[len(ds)/2].Nanoseconds()) / 1e3
+	}
+	b.ReportMetric(median(inserts), "insert_p50_us")
+	b.ReportMetric(median(classifies), "classify_p50_us")
 }

@@ -355,26 +355,6 @@ func (e *engine[M]) settle(granted, read int) {
 	e.nodesRead.Add(int64(read))
 }
 
-// sizesAndWeights snapshots every shard's observation count and
-// effective mass — the inputs to proportional budget splitting and
-// size-weighted score merging.
-func (e *engine[M]) sizesAndWeights() (sizes []int, weights []float64, total int, totalW float64) {
-	sizes = make([]int, len(e.shards))
-	weights = make([]float64, len(e.shards))
-	for i, sh := range e.shards {
-		sh.mu.RLock()
-		sizes[i] = sh.tree.Len()
-		// Effective decayed mass; exactly float64(Len) for undecayed
-		// shards, so the λ = 0 mixture weights are digit-identical to
-		// the count-based ones.
-		weights[i] = sh.tree.Weight()
-		sh.mu.RUnlock()
-		total += sizes[i]
-		totalW += weights[i]
-	}
-	return sizes, weights, total, totalW
-}
-
 // SplitBudget divides a granted budget across shards in proportion to
 // their sizes, remainder to the earliest non-empty shards — the exact
 // split the union model would spend on each partition, and the one a

@@ -235,11 +235,15 @@ func (s *Server) Classify(x []float64, budget int) (Result, error) {
 // every NDJSON line, every item of an in-process batch and every
 // group's share of a proxied request run it: requested is the final
 // capped request, admission decides what of it is granted, the grant
-// is split over the shards, each non-empty shard answers one solo
-// anytime query under its read lock, and stats.MergeLogScores mixes
-// the shard scores. Whatever granted work the models could not absorb
-// (exhaustion, errors) is refunded to the bucket on return, so unspent
-// grants do not eat the configured node-read capacity.
+// is split over the shards by the sizes each tree published, each
+// non-empty shard answers one solo anytime query under its read lock,
+// and stats.MergeLogScores mixes the shard scores in index order.
+// Each shard's lock is taken once: first every shard whose read lock
+// is free, then the ones a writer held, each pass in index order, so a
+// classify reads other shards while an insert finishes. Whatever
+// granted work the models could not absorb (exhaustion, errors) is
+// refunded to the bucket on return, so unspent grants do not eat the
+// configured node-read capacity.
 func (s *Server) classifyResolved(x []float64, requested int) (Result, error) {
 	if len(x) != s.dim {
 		return Result{}, fmt.Errorf("server: point dim %d != model dim %d", len(x), s.dim)
@@ -248,32 +252,42 @@ func (s *Server) classifyResolved(x []float64, requested int) (Result, error) {
 	read := 0
 	defer func() { s.settle(granted, read) }()
 
-	sizes, weights, total, totalW := s.sizesAndWeights()
+	sizes, weights := make([]int, len(s.shards)), make([]float64, len(s.shards))
+	total, totalW := 0, 0.0
+	for i, sh := range s.shards {
+		sizes[i], weights[i] = sh.tree.Published()
+		total += sizes[i]
+		totalW += weights[i]
+	}
 	if total == 0 || totalW <= 0 {
 		return Result{}, fmt.Errorf("server: no observations yet")
 	}
 	budgets := SplitBudget(granted, sizes, total)
 
 	parts := make([][]float64, len(s.shards))
-	for i, sh := range s.shards {
-		if sizes[i] == 0 {
-			continue
-		}
-		sh.mu.RLock()
-		q, err := sh.tree.NewQuery(x, s.cfg.Query)
-		if err != nil {
+	for _, wait := range [2]bool{false, true} {
+		for i, sh := range s.shards {
+			if sizes[i] == 0 || parts[i] != nil {
+				continue
+			}
+			if wait {
+				sh.mu.RLock()
+			} else if !sh.mu.TryRLock() {
+				continue
+			}
+			q, err := sh.tree.NewQuery(x, s.cfg.Query)
+			if err == nil {
+				for b := 0; b < budgets[i] && q.Step(); b++ {
+				}
+				read += q.NodesRead()
+				parts[i] = q.Scores()
+				q.Close()
+			}
 			sh.mu.RUnlock()
-			return Result{}, fmt.Errorf("server: shard %d: %w", i, err)
-		}
-		for b := 0; b < budgets[i]; b++ {
-			if !q.Step() {
-				break
+			if err != nil {
+				return Result{}, fmt.Errorf("server: shard %d: %w", i, err)
 			}
 		}
-		read += q.NodesRead()
-		parts[i] = q.Scores()
-		q.Close()
-		sh.mu.RUnlock()
 	}
 	combined := make([]float64, len(s.labels))
 	best := stats.MergeLogScores(combined, parts, weights, totalW)
