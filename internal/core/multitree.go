@@ -278,12 +278,21 @@ func (t *MultiTree) resummarize(e *MultiEntry, n *MultiNode) {
 	t.accumulate(e, n)
 }
 
+// SummaryHook, when set, is told how many observations or child entries
+// each cluster-feature summary folds in: a test's count of a build's
+// work. It is nil outside such a test, which sets it only while nothing
+// else runs a tree.
+var SummaryHook func(items int)
+
 // accumulate adds n's points, or its entries, into the empty summary e,
 // in order. e holds vectors for every class with mass below n, and a
 // child's absent class merges its zero count only: adding the zero
 // vectors it has not would leave every bit, as a sum that starts at +0
 // never becomes −0.
 func (t *MultiTree) accumulate(e *MultiEntry, n *MultiNode) {
+	if SummaryHook != nil {
+		SummaryHook(len(n.points) + len(n.entries))
+	}
 	if n.leaf {
 		if n.weights == nil {
 			for _, p := range n.points {
