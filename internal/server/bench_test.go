@@ -470,6 +470,8 @@ func BenchmarkServerContended(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
 		if _, err := s.Classify(d.X[preload+i%held], 32); err != nil {
+			close(stop)
+			<-done
 			b.Fatal(err)
 		}
 		classifies = append(classifies, time.Since(t0))

@@ -37,8 +37,8 @@ import (
 // reaches the outer types by method promotion.
 
 // Model is the per-shard contract a workload implements to be served by
-// the engine: size and mass accounting for budget splitting and stats,
-// plus the decay-maintenance surface. *core.MultiTree implements it
+// the engine: size and mass accounting for stats, plus the
+// decay-maintenance surface. *core.MultiTree implements it
 // directly; the clustering workload wraps *clustree.Tree.
 type Model interface {
 	// Len is the number of observations the model holds (for models
