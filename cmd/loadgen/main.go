@@ -204,7 +204,7 @@ func main() {
 func startSelfServe(kind string, shards int, nps float64, tenants, maxResident int) (string, func(), error) {
 	cfg := server.Config{NodesPerSecond: nps}
 	var handler http.Handler
-	var closeSrv func()
+	closeSrv := func() {}
 	if tenants > 0 {
 		dir, err := os.MkdirTemp("", "loadgen-registry-*")
 		if err != nil {
@@ -239,44 +239,30 @@ func startSelfServe(kind string, shards int, nps float64, tenants, maxResident i
 			os.RemoveAll(dir)
 			return "", nil, fmt.Errorf("unknown kind %q", kind)
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			closeSrv()
-			return "", nil, err
+	} else {
+		switch kind {
+		case "class":
+			s, err := server.NewEmpty(shards, core.DefaultConfig(3), []int{0, 1, 2}, core.MultiOptions{}, cfg)
+			if err != nil {
+				return "", nil, err
+			}
+			handler = s.Handler()
+		case "cluster":
+			s, err := server.NewCluster(clustree.DefaultConfig(2), shards, cfg, server.ClusterOptions{})
+			if err != nil {
+				return "", nil, err
+			}
+			handler = s.Handler()
+		default:
+			return "", nil, fmt.Errorf("unknown kind %q", kind)
 		}
-		hs := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-		go hs.Serve(ln)
-		stop := func() {
-			hs.Close()
-			closeSrv()
-		}
-		return "http://" + ln.Addr().String(), stop, nil
-	}
-	switch kind {
-	case "class":
-		s, err := server.NewEmpty(shards, core.DefaultConfig(3), []int{0, 1, 2}, core.MultiOptions{}, cfg)
-		if err != nil {
-			return "", nil, err
-		}
-		handler, closeSrv = s.Handler(), s.Close
-	case "cluster":
-		s, err := server.NewCluster(clustree.DefaultConfig(2), shards, cfg, server.ClusterOptions{})
-		if err != nil {
-			return "", nil, err
-		}
-		handler, closeSrv = s.Handler(), s.Close
-	default:
-		return "", nil, fmt.Errorf("unknown kind %q", kind)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
+		closeSrv()
 		return "", nil, err
 	}
 	hs := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
 	go hs.Serve(ln)
-	stop := func() {
-		hs.Close()
-		closeSrv()
-	}
-	return "http://" + ln.Addr().String(), stop, nil
+	return "http://" + ln.Addr().String(), func() { hs.Close(); closeSrv() }, nil
 }

@@ -13,11 +13,12 @@
 //	serveclass -snapshot model.btsn -addr :8080
 //
 // Track concept drift with exponential forgetting: weights fade by
-// 2^(-λ) per decay epoch (-decay-every wall-clock time each), and a
-// background maintenance sweep prunes observations and subtrees whose
-// decayed weight falls below -min-weight, bounding the model:
+// 2^(-λ) per decay epoch, one epoch per -decay-every writes to a shard,
+// and the write that ends an epoch sweeps its shard, pruning
+// observations and subtrees whose decayed weight fell below
+// -min-weight, bounding the model:
 //
-//	serveclass -dataset covertype -decay-lambda 0.1 -decay-every 30s -min-weight 0.05
+//	serveclass -dataset covertype -decay-lambda 0.1 -decay-every 500 -min-weight 0.05
 //
 // Run a read-only replica that tails a primary's WAL stream, serves
 // follower reads with a reported staleness bound, and can be promoted
@@ -90,8 +91,8 @@ func register(fs *flag.FlagSet) *options {
 				"-strategy and -priority set the descent, one key per strategy; -pooled\n"+
 				"bootstraps trees that share one variance per entry across classes.\n"+
 				"-decay-lambda enables exponential forgetting (concept-drift tracking with\n"+
-				"bounded memory); -decay-every sets the epoch length and -min-weight the\n"+
-				"maintenance sweep's pruning floor.\n"+
+				"bounded memory); -decay-every sets the epoch length in writes to a shard,\n"+
+				"and -min-weight the pruning floor of the sweep that ends each epoch.\n"+
 				"-wal-dir makes ingest durable: every insert is appended to a per-shard\n"+
 				"write-ahead log (group-committed every -fsync-every), recovery replays the\n"+
 				"log tail over the latest checkpoint, and a drain checkpoints + truncates.\n"+

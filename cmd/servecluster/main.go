@@ -61,11 +61,11 @@ func register(fs *flag.FlagSet) *options {
 				"one is required. Each ingested object descends with an anytime budget —\n"+
 				"under overload objects park in inner-node buffers and hitchhike leafward\n"+
 				"later, so the stream never backs up. -lambda sets exponential forgetting\n"+
-				"per stream object; the background sweep prunes micro-clusters below\n"+
-				"-min-weight every -decay-every. -wal-dir makes ingest durable: objects\n"+
-				"are appended to a per-shard write-ahead log (group-committed every\n"+
-				"-fsync-every) and recovery replays the log tail over the latest\n"+
-				"checkpoint.\n\n"+
+				"per stream object; every -decay-every writes to a shard, the write that\n"+
+				"ends the epoch sweeps its shard of micro-clusters below -min-weight.\n"+
+				"-wal-dir makes ingest durable: objects are appended to a per-shard\n"+
+				"write-ahead log (group-committed every -fsync-every) and recovery\n"+
+				"replays the log tail over the latest checkpoint.\n\n"+
 				"Examples:\n"+
 				"  servecluster -dim 2 -shards 4 -lambda 0.004\n"+
 				"  servecluster -snapshot clusters.btsn -nps 50000\n\n"+

@@ -123,6 +123,7 @@ func main() {
 	p, err := proxy.New(cfg)
 	serve.Exit("serveproxy", err)
 	p.Start()
+	defer p.Close()
 
 	serve.Exit("serveproxy", serve.Run(serve.App{
 		Name:         "serveproxy",
@@ -130,6 +131,5 @@ func main() {
 		Handler:      p.Handler(),
 		DrainTimeout: o.drain,
 		SetDraining:  p.SetDraining,
-		Close:        func() { p.Close() },
 	}))
 }

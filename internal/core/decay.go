@@ -315,7 +315,7 @@ func (t *MultiTree) CountNodes() int { return countNodes(t.root) }
 // children, collapse root chains, reset the reference epoch), reinserts
 // the dissolved observations, recomputes the per-class masses and point
 // counts and invalidates the cached query state. Cost is one pass over
-// the tree; call it from a maintenance loop, not per insert.
+// the tree; call it once an epoch, not per insert.
 func (t *MultiTree) DecaySweep() SweepStats {
 	root, s := t.decaySweep()
 	if s == nil {

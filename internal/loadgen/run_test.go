@@ -30,7 +30,7 @@ func startClassServer(t *testing.T) string {
 		t.Fatalf("NewEmpty: %v", err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
+	t.Cleanup(ts.Close)
 	return ts.URL
 }
 
@@ -43,7 +43,7 @@ func startClusterServer(t *testing.T) string {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
+	t.Cleanup(ts.Close)
 	return ts.URL
 }
 
@@ -124,7 +124,7 @@ func TestRunReportsLogLoss(t *testing.T) {
 		}
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.Close() })
+	t.Cleanup(ts.Close)
 	sc := shortScenario(ts.URL, WorkloadClassify, nil)
 	sc.Warmup, sc.Mix.InsertFraction = -1, 0
 	rep, err := Run(context.Background(), sc)

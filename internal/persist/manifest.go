@@ -46,6 +46,10 @@ type Manifest struct {
 	// ShardStart is, per shard, the first WAL segment to replay —
 	// segments below it were already folded into the snapshot.
 	ShardStart []uint64 `json:"shard_start"`
+	// ShardWrites is, per shard, the lifetime write count at the cut,
+	// which replay continues, so decay boundaries fall where they fell
+	// before the restart. Absent (an older manifest), it means 0 each.
+	ShardWrites []uint64 `json:"shard_writes,omitempty"`
 }
 
 // validate rejects internally inconsistent manifests before any model
@@ -62,6 +66,9 @@ func (m Manifest) validate() error {
 	}
 	if len(m.ShardStart) != m.Shards {
 		return fmt.Errorf("persist: manifest has %d shard starts for %d shards", len(m.ShardStart), m.Shards)
+	}
+	if m.ShardWrites != nil && len(m.ShardWrites) != m.Shards {
+		return fmt.Errorf("persist: manifest has %d shard write counts for %d shards", len(m.ShardWrites), m.Shards)
 	}
 	return nil
 }

@@ -30,6 +30,23 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestWithoutShardWrites: a manifest written before the write
+// counts existed loads with none, which recovery reads as counts of 0.
+func TestManifestWithoutShardWrites(t *testing.T) {
+	dir := t.TempDir()
+	raw := `{"generation":3,"snapshot":"snapshot-00000003.btsn","shards":2,"shard_start":[5,6]}`
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, ok, err := LoadManifest(dir)
+	if err != nil || !ok {
+		t.Fatalf("LoadManifest = %v, ok=%v", err, ok)
+	}
+	if m.ShardWrites != nil {
+		t.Fatalf("shard writes %v, want none", m.ShardWrites)
+	}
+}
+
 func TestManifestAbsent(t *testing.T) {
 	_, ok, err := LoadManifest(t.TempDir())
 	if err != nil {
@@ -53,6 +70,8 @@ func TestManifestCorruptAndInvalid(t *testing.T) {
 		"path_snapshot":        {Generation: 1, Snapshot: "../evil.btsn", Shards: 1, ShardStart: []uint64{1}},
 		"zero_shards":          {Generation: 1, Snapshot: "s.btsn"},
 		"start_mismatch":       {Generation: 1, Snapshot: "s.btsn", Shards: 2, ShardStart: []uint64{1}},
+		"writes_mismatch":      {Generation: 1, Snapshot: "s.btsn", Shards: 2, ShardStart: []uint64{1, 1}, ShardWrites: []uint64{3}},
+		"writes_empty":         {Generation: 1, Snapshot: "s.btsn", Shards: 1, ShardStart: []uint64{1}, ShardWrites: []uint64{}},
 	} {
 		if err := SaveManifest(dir, m); err == nil {
 			t.Errorf("%s: invalid manifest saved", name)
@@ -138,8 +157,12 @@ func TestRemoveStaleTemps(t *testing.T) {
 // the directory and round-trips through SaveManifest; and every cut of
 // a manifest SaveManifest wrote reads as that manifest or is refused.
 func FuzzManifest(f *testing.F) {
-	whole := Manifest{Generation: 7, Epoch: 2, Snapshot: "snapshot-00000007.btsn", Shards: 3, ShardStart: []uint64{4, 9, 2}}
+	whole := Manifest{Generation: 7, Epoch: 2, Snapshot: "snapshot-00000007.btsn", Shards: 3, ShardStart: []uint64{4, 9, 2}, ShardWrites: []uint64{640, 0, 1281}}
 	f.Add([]byte(`{"generation":7,"epoch":2,"snapshot":"snapshot-00000007.btsn","shards":3,"shard_start":[4,9,2]}`), 0)
+	f.Add([]byte(`{"generation":7,"snapshot":"snapshot-00000007.btsn","shards":3,"shard_start":[4,9,2],"shard_writes":[640,0,1281]}`), 90)
+	f.Add([]byte(`{"generation":7,"snapshot":"snapshot-00000007.btsn","shards":3,"shard_start":[4,9,2],"shard_writes":[640,0]}`), 12)
+	f.Add([]byte(`{"generation":7,"snapshot":"snapshot-00000007.btsn","shards":1,"shard_start":[4],"shard_writes":[]}`), 5)
+	f.Add([]byte(`{"generation":7,"snapshot":"snapshot-00000007.btsn","shards":1,"shard_start":[4],"shard_writes":[-1]}`), 8)
 	f.Add([]byte(`{"generation":0,"snapshot":"","shards":1,"shard_start":[0]}`), 40)
 	f.Add([]byte(`{"generation":1,"snapshot":"..","shards":1,"shard_start":[1]}`), 1000)
 	f.Add([]byte(`{"generation":1,"snapshot":"a/../b","shards":1,"shard_start":[1]}`), -1)

@@ -53,7 +53,6 @@ func backend[T server.Served](workload, createPath string, open func(server.Dura
 			}
 			if err := s.Recover(); err != nil {
 				s.CloseDurability()
-				s.Close()
 				return zero, err
 			}
 			return s, nil

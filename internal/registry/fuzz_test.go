@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bayestree/internal/replica"
@@ -16,10 +20,14 @@ import (
 // FuzzTenantConfig: whatever bytes stand in TENANT.json, the load path
 // — loadTenantConfig, the registry defaults, check — refuses them or
 // resolves a config that is its own defaults' fixed point, round-trips
-// through the file the registry writes, and passes check again.
+// through the file the registry writes, and passes check again. Among
+// the seeds, the retired decay_every_ms key is one that must be refused.
 func FuzzTenantConfig(f *testing.F) {
 	f.Add([]byte(`{"dim":3,"labels":[0,1,2],"shards":1}`))
 	f.Add([]byte(`{"dim":3,"labels":[0,1,2],"shards":2,"nodes_per_second":1500.5,"default_budget":8,"max_budget":64,"decay_lambda":0.01,"decay_min_weight":0.2,"decay_every_ms":50}`))
+	f.Add([]byte(`{"dim":3,"labels":[0,1,2],"shards":2,"nodes_per_second":1500.5,"default_budget":8,"max_budget":64,"decay_lambda":0.01,"decay_min_weight":0.2,"decay_every":50}`))
+	f.Add([]byte(`{"dim":3,"labels":[0,1,2],"decay_lambda":0.01,"decay_every":-1}`))
+	f.Add([]byte(`{"dim":3,"labels":[0,1,2]} {"dim":4}`))
 	f.Add([]byte(`{"dim":-3}`))
 	f.Add([]byte(`{"labels":[1,1]}`))
 	f.Add([]byte(`{"shards":-1,"decay_min_weight":2}`))
@@ -114,6 +122,61 @@ func FuzzRegistryStamp(f *testing.F) {
 			t.Fatalf("%q was rewritten as %q (%v)", raw, now, err)
 		}
 	})
+}
+
+// TestTenantConfigStrict: TENANT.json and a PUT /t/{tenant} body are
+// read strictly. The retired decay_every_ms, a misspelt key, a negative
+// decay_every and a second JSON value are refused, naming what is wrong,
+// where a lenient decode would have left the field at its default.
+func TestTenantConfigStrict(t *testing.T) {
+	dir := t.TempDir()
+	r := openTestRegistry(t, dir, nil)
+	ts := httptest.NewServer(r.Handler())
+	defer ts.Close()
+	path := filepath.Join(dir, "probe.json")
+	for body, want := range map[string]string{
+		`{"dim":3,"decay_lambda":0.1,"decay_every_ms":50}`: "decay_every_ms",
+		`{"dim":3,"decay_lamda":0.1}`:                      "decay_lamda",
+		`{"dim":3,"decay_lambda":0.1,"decay_every":-5}`:    "decay_every -5",
+		`{"dim":3} {"dim":4}`:                              "after the tenant config",
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tc, err := loadTenantConfig(path)
+		if err == nil {
+			err = tc.withDefaults(testDefaults()).check(replica.WorkloadClassify)
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("TENANT.json %s: %v, want a refusal naming %q", body, err, want)
+		}
+		code, answer := mustPut(t, ts.URL+"/t/strict", body)
+		if code != http.StatusBadRequest || !strings.Contains(answer, want) {
+			t.Errorf("PUT %s: %d %q, want 400 naming %q", body, code, answer, want)
+		}
+	}
+	if code, answer := mustPut(t, ts.URL+"/t/strict", `{"dim":3,"decay_lambda":0.1,"decay_every":50}`); code != http.StatusCreated {
+		t.Fatalf("PUT with decay_every: %d %q", code, answer)
+	}
+}
+
+// mustPut sends body as a PUT to url and returns the status and answer.
+func mustPut(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPut, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	answer, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(answer)
 }
 
 // TestDamagedTenantConfigRefusesLoad: a cold tenant whose TENANT.json no

@@ -90,7 +90,7 @@ func (r *Registry[T]) handlePut(w http.ResponseWriter, req *http.Request) {
 	}
 	var tc TenantConfig
 	if len(bytes.TrimSpace(body)) > 0 {
-		if err := json.Unmarshal(body, &tc); err != nil {
+		if tc, err = decodeTenantConfig(body); err != nil {
 			http.Error(w, "tenant config: "+err.Error(), http.StatusBadRequest)
 			return
 		}

@@ -1,7 +1,7 @@
 // Package registry is the multi-tenant model registry: thousands of
 // named models served from one process, each tenant a full instance of
-// the serving engine — its own shards, admission bucket, decay
-// maintenance loop, durability directory and replication hub — created
+// the serving engine — its own shards, admission bucket, decay state,
+// durability directory and replication hub — created
 // on first write and addressed by URL path (/t/{tenant}/classify) or
 // X-Tenant header. The heavy-traffic premise of the roadmap is many
 // small models (per-user, per-sensor, per-topic), not one big one;
@@ -36,6 +36,7 @@
 package registry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -94,13 +95,13 @@ type TenantConfig struct {
 	// DefaultBudget and MaxBudget mirror server.Config.
 	DefaultBudget int `json:"default_budget,omitempty"`
 	MaxBudget     int `json:"max_budget,omitempty"`
-	// DecayLambda, DecayMinWeight and DecayEveryMS configure the
-	// tenant's exponential forgetting (0 lambda = append-only). The
-	// decay epoch is logical and stored in the tenant's snapshot, so a
-	// paged-out tenant's clock pauses while it is cold.
+	// DecayLambda, DecayMinWeight and DecayEvery configure the tenant's
+	// forgetting (0 lambda = append-only) as server.Config's Decay and
+	// DecayEvery do: its clock is the write count, so a cold tenant
+	// does not fade.
 	DecayLambda    float64 `json:"decay_lambda,omitempty"`
 	DecayMinWeight float64 `json:"decay_min_weight,omitempty"`
-	DecayEveryMS   int64   `json:"decay_every_ms,omitempty"`
+	DecayEvery     int     `json:"decay_every,omitempty"`
 }
 
 // withDefaults fills zero fields from d.
@@ -132,8 +133,8 @@ func (tc TenantConfig) withDefaults(d TenantConfig) TenantConfig {
 	if tc.DecayMinWeight == 0 {
 		tc.DecayMinWeight = d.DecayMinWeight
 	}
-	if tc.DecayEveryMS == 0 {
-		tc.DecayEveryMS = d.DecayEveryMS
+	if tc.DecayEvery == 0 {
+		tc.DecayEvery = d.DecayEvery
 	}
 	return tc
 }
@@ -149,6 +150,8 @@ func (tc TenantConfig) check(workload string) error {
 		return fmt.Errorf("%w: tenant dim %d, want ≥ 1", ErrInvalidConfig, tc.Dim)
 	case tc.Shards < 1:
 		return fmt.Errorf("%w: tenant shards %d, want ≥ 1", ErrInvalidConfig, tc.Shards)
+	case tc.DecayEvery < 0:
+		return fmt.Errorf("%w: tenant decay_every %d, want ≥ 0", ErrInvalidConfig, tc.DecayEvery)
 	case workload != replica.WorkloadClassify:
 		return nil
 	case len(tc.Labels) < 2:
@@ -180,7 +183,7 @@ func (tc TenantConfig) ServerConfig(carvedNPS float64) server.Config {
 	if tc.DecayLambda > 0 {
 		cfg.Decay.Lambda = tc.DecayLambda
 		cfg.Decay.MinWeight = tc.DecayMinWeight
-		cfg.DecayEvery = time.Duration(tc.DecayEveryMS) * time.Millisecond
+		cfg.DecayEvery = tc.DecayEvery
 	}
 	return cfg
 }
@@ -676,9 +679,7 @@ func (r *Registry[T]) pageOut(h *handle[T]) error {
 	defer h.cond.Broadcast()
 	if err != nil {
 		// The checkpoint failed; the model is intact in memory, so the
-		// tenant reverts to resident (its maintenance loop is stopped —
-		// the next successful eviction/reload restores it) rather than
-		// losing unflushed writes.
+		// tenant reverts to resident rather than losing unflushed writes.
 		h.state = stateResident
 		r.resident++
 		r.evictErrors.Add(1)
@@ -690,11 +691,10 @@ func (r *Registry[T]) pageOut(h *handle[T]) error {
 	return nil
 }
 
-// checkpointClose runs the eviction write-out: stop maintenance, fold
-// the WAL into a fresh snapshot generation, close the WAL and release
-// the tenant directory lock.
+// checkpointClose runs the eviction write-out: fold the WAL into a
+// fresh snapshot generation, close the WAL and release the tenant
+// directory lock.
 func checkpointClose[T server.Served](srv T) error {
-	srv.Close()
 	if err := srv.Checkpoint(); err != nil {
 		return err
 	}
@@ -765,14 +765,29 @@ func (r *Registry[T]) Close() error {
 }
 
 // loadTenantConfig reads a tenant's persisted TENANT.json.
-func loadTenantConfig(path string) (TenantConfig, error) {
+func loadTenantConfig(path string) (tc TenantConfig, err error) {
 	raw, err := os.ReadFile(path)
+	if err == nil {
+		tc, err = decodeTenantConfig(raw)
+	}
 	if err != nil {
 		return TenantConfig{}, fmt.Errorf("registry: tenant config: %w", err)
 	}
+	return tc, nil
+}
+
+// decodeTenantConfig reads a TENANT.json or a PUT body strictly: an
+// unknown key (a misspelt one, the retired decay_every_ms) is refused by
+// name rather than left at the default, as is anything after the value.
+func decodeTenantConfig(raw []byte) (TenantConfig, error) {
 	var tc TenantConfig
-	if err := json.Unmarshal(raw, &tc); err != nil {
-		return TenantConfig{}, fmt.Errorf("registry: tenant config: %w", err)
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&tc); err != nil {
+		return TenantConfig{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return TenantConfig{}, fmt.Errorf("data after the tenant config")
 	}
 	return tc, nil
 }

@@ -262,6 +262,61 @@ func TestEvictReloadDigitIdentical(t *testing.T) {
 	}
 }
 
+// TestEvictReloadDecayDigitIdentical: with decay on, a tenant evicted
+// mid-stream and reloaded keeps its shards' write counts in its
+// manifest, so it crosses every later decay boundary at the write its
+// never-evicted twin does, and the two end byte for byte alike.
+func TestEvictReloadDecayDigitIdentical(t *testing.T) {
+	r := openTestRegistry(t, t.TempDir(), func(o *Options) {
+		o.Defaults.Shards = 2
+		o.Defaults.DecayLambda = 0.5
+		o.Defaults.DecayMinWeight = 0.05
+		o.Defaults.DecayEvery = 32
+	})
+	rng := rand.New(rand.NewSource(43))
+	xs, labels := make([][]float64, 900), make([]int, 900)
+	for i := range xs {
+		xs[i], labels[i] = testPoint(rng)
+	}
+	feed := func(name string, from, to int) {
+		t.Helper()
+		if err := r.With(name, true, func(s *server.Server) error {
+			for i := from; i < to; i++ {
+				if err := s.Insert(xs[i], labels[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed("twin", 0, len(xs))
+	for _, cut := range [][2]int{{0, 333}, {333, 700}, {700, len(xs)}} {
+		feed("evicted", cut[0], cut[1])
+		if err := r.Evict("evicted"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snaps [2]bytes.Buffer
+	var epochs [2]int64
+	for i, name := range []string{"evicted", "twin"} {
+		if err := r.With(name, false, func(s *server.Server) error {
+			epochs[i] = s.Stats().DecayEpoch
+			return s.WriteSnapshot(&snaps[i])
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if epochs[1] < 10 {
+		t.Fatalf("the twin reached epoch %d, want ≥ 10", epochs[1])
+	}
+	if !bytes.Equal(snaps[0].Bytes(), snaps[1].Bytes()) {
+		t.Fatalf("a decaying tenant evicted twice diverged from its twin: %d vs %d snapshot bytes (epochs %d vs %d)",
+			snaps[0].Len(), snaps[1].Len(), epochs[0], epochs[1])
+	}
+}
+
 // TestLRUPagingCap drives more tenants than the resident cap allows
 // and checks the registry pages the cold tail out, reloading on touch.
 func TestLRUPagingCap(t *testing.T) {

@@ -84,6 +84,10 @@ type Header struct {
 	// consistent cut: the snapshot contains exactly the records with
 	// LSN ≤ BaseLSN, and the first record frame after it is BaseLSN+1.
 	BaseLSN uint64 `json:"base_lsn"`
+	// ShardWrites is, per shard, the lifetime write count at the cut,
+	// which the follower's decay boundaries continue; absent (or empty),
+	// 0 each.
+	ShardWrites []uint64 `json:"shard_writes,omitempty"`
 }
 
 // frame kind bytes on the wire.
@@ -108,9 +112,9 @@ func WriteHeader(w io.Writer, h Header) error {
 }
 
 // maxHeaderLine caps the header line a follower reads, far above a real
-// one (under 200 bytes), so a peer that never sends '\n' cannot grow the
-// follower's memory without limit.
-const maxHeaderLine = 4 << 10
+// one (about 200 bytes plus ten or so per shard), so a peer that never
+// sends '\n' cannot grow the follower's memory without limit.
+const maxHeaderLine = 64 << 10
 
 // ReadHeader reads and validates the opening JSON header line.
 func ReadHeader(r *bufio.Reader) (Header, error) {
@@ -128,15 +132,23 @@ func ReadHeader(r *bufio.Reader) (Header, error) {
 			return Header{}, fmt.Errorf("replica: header: %w", err)
 		}
 	}
-	var h Header
+	// Presized from the line's length, the write counts decode without
+	// the several-fold growth of a slice appended to element by element.
+	h := Header{ShardWrites: make([]uint64, 0, len(line)/2)}
 	if err := json.Unmarshal(line, &h); err != nil {
 		return Header{}, fmt.Errorf("replica: header: %w", err)
+	}
+	if len(h.ShardWrites) == 0 {
+		h.ShardWrites = nil
 	}
 	if h.Proto != Proto {
 		return Header{}, fmt.Errorf("replica: protocol version %d, want %d", h.Proto, Proto)
 	}
 	if h.Shards <= 0 || h.SnapshotBytes < 0 {
-		return Header{}, fmt.Errorf("replica: malformed header %+v", h)
+		return Header{}, fmt.Errorf("replica: malformed header: %d shards, %d snapshot bytes", h.Shards, h.SnapshotBytes)
+	}
+	if h.ShardWrites != nil && len(h.ShardWrites) != h.Shards {
+		return Header{}, fmt.Errorf("replica: header has %d shard write counts for %d shards", len(h.ShardWrites), h.Shards)
 	}
 	return h, nil
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -22,6 +23,7 @@ func TestWireRoundTrip(t *testing.T) {
 		Shards:        4,
 		SnapshotBytes: 5,
 		BaseLSN:       9,
+		ShardWrites:   []uint64{64, 0, 7, 1 << 40},
 	}
 	if err := WriteHeader(&buf, h); err != nil {
 		t.Fatal(err)
@@ -39,7 +41,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != h {
+	if !reflect.DeepEqual(got, h) {
 		t.Fatalf("header = %+v, want %+v", got, h)
 	}
 	snap := make([]byte, got.SnapshotBytes)
@@ -75,6 +77,8 @@ func TestReadHeaderRejects(t *testing.T) {
 		`{"proto":99,"workload":"classify","generation":1,"shards":1,"snapshot_bytes":0,"base_lsn":0}` + "\n",
 		`{"proto":1,"workload":"classify","generation":1,"shards":0,"snapshot_bytes":0,"base_lsn":0}` + "\n",
 		`{"proto":1,"workload":"classify","generation":1,"shards":1,"snapshot_bytes":-4,"base_lsn":0}` + "\n",
+		`{"proto":1,"workload":"classify","generation":1,"shards":2,"snapshot_bytes":0,"base_lsn":0,"shard_writes":[5]}` + "\n",
+		`{"proto":1,"workload":"classify","generation":1,"shards":1,"snapshot_bytes":0,"base_lsn":0,"shard_writes":[-5]}` + "\n",
 		"not json\n",
 	}
 	for i, raw := range cases {
@@ -120,6 +124,10 @@ func FuzzReadHeader(f *testing.F) {
 	f.Add([]byte(`{"proto":1,"shards":0}` + "\n"))
 	f.Add([]byte(`{"proto":1,"shards":1,"snapshot_bytes":-1}` + "\n"))
 	f.Add([]byte("[1]\n"))
+	f.Add([]byte(`{"proto":1,"shards":2,"shard_writes":[64,1]}` + "\n"))
+	f.Add([]byte(`{"proto":1,"shards":3,"shard_writes":[64,1]}` + "\n"))
+	f.Add([]byte(`{"proto":1,"shards":1000000000,"shard_writes":[` + strings.Repeat("0,", 2000) + "0]}\n"))
+	f.Add([]byte(`{"proto":1,"shards":0,"shard_writes":[` + strings.Repeat("0,", 2000) + "0]}\n"))
 	for _, pad := range []int{maxHeaderLine - len(whole), maxHeaderLine, 64 << 10} {
 		padded := append(append([]byte(`{"proto":1,"shards":1`), bytes.Repeat([]byte{' '}, pad)...), "}\n"...)
 		f.Add(padded)
@@ -151,7 +159,7 @@ func FuzzReadHeader(f *testing.F) {
 		if err := WriteHeader(&back, h); err != nil {
 			t.Fatal(err)
 		}
-		if again, err := ReadHeader(bufio.NewReader(&back)); err != nil || again != h {
+		if again, err := ReadHeader(bufio.NewReader(&back)); err != nil || !reflect.DeepEqual(again, h) {
 			t.Fatalf("accepted %+v, which writes back as %q, read as %+v (%v)", h, back.Bytes(), again, err)
 		}
 	})

@@ -12,10 +12,9 @@ import (
 )
 
 // Flags holds the command-line flags serveclass and servecluster share:
-// the listener, the engine's budgets and admission, decay maintenance,
-// durability, replication and the multi-tenant registry. A command
-// registers them with RegisterFlags next to its own (its bootstrap and
-// its decay rate).
+// the listener, the engine's budgets and admission, decay, durability,
+// replication and the multi-tenant registry. A command registers them
+// with RegisterFlags next to its own (its bootstrap and its decay rate).
 type Flags struct {
 	Addr     string
 	Shards   int
@@ -26,7 +25,7 @@ type Flags struct {
 	NPS               float64
 
 	MinWeight  float64
-	DecayEvery time.Duration
+	DecayEvery int
 
 	WALDir        string
 	FsyncEvery    time.Duration
@@ -59,7 +58,7 @@ func RegisterFlags(fs *flag.FlagSet, d FlagDefaults) *Flags {
 	fs.IntVar(&f.MaxBudget, "max-budget", d.MaxBudget, "hard cap on any request's node budget")
 	fs.Float64Var(&f.NPS, "nps", 0, "admission capacity in node reads/second across all requests, in a bucket of max(nps, max-budget) (0 = unlimited)")
 	fs.Float64Var(&f.MinWeight, "min-weight", 0.05, "maintenance pruning floor: mass whose decayed weight falls below it is forgotten (with decay on)")
-	fs.DurationVar(&f.DecayEvery, "decay-every", time.Minute, "wall-clock interval between background decay-maintenance sweeps (with decay on)")
+	fs.IntVar(&f.DecayEvery, "decay-every", 1000, "writes to a shard per decay epoch: every that many, the shard's epoch advances and its faded mass is swept (with decay on)")
 	fs.StringVar(&f.WALDir, "wal-dir", "", "durability directory: per-shard write-ahead log + checkpoint snapshots; writes survive crashes via snapshot+replay recovery")
 	fs.DurationVar(&f.FsyncEvery, "fsync-every", 100*time.Millisecond, "WAL group-commit fsync interval; 0 fsyncs every write (with -wal-dir)")
 	fs.StringVar(&f.Follow, "follow", "", "run as a read-only replica of the primary at this base URL, e.g. http://host:8080 (requires -wal-dir; writes answer 307 to the primary)")
@@ -133,7 +132,7 @@ func (f *Flags) Config(rate string, lambda float64) (server.Config, error) {
 			return cfg, UsageErrorf("-min-weight must be ≥ 0, got %v", f.MinWeight)
 		}
 		if f.DecayEvery <= 0 {
-			return cfg, UsageErrorf("-decay-every must be > 0 with -%s set, got %v", rate, f.DecayEvery)
+			return cfg, UsageErrorf("-decay-every must be > 0 with -%s set, got %d", rate, f.DecayEvery)
 		}
 		cfg.Decay = core.DecayOptions{Lambda: lambda, MinWeight: f.MinWeight}
 		cfg.DecayEvery = f.DecayEvery

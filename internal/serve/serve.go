@@ -1,11 +1,11 @@
 // Package serve is what the serving commands share. Run is the
 // lifecycle runner: start the HTTP server(s), run WAL recovery in the
 // background while /readyz reports 503, wait for SIGTERM/SIGINT, drain
-// gracefully (fail readiness, let in-flight requests finish, stop
-// maintenance) and persist the model on the way out; it also owns the
-// promote triggers of a replica — SIGHUP and the promote-file poller
-// both invoke the app's Promote hook in place, so a follower can be
-// flipped to primary without restarting. On top of it, Flags and Main
+// gracefully (fail readiness, let in-flight requests finish) and persist
+// the model on the way out; it also owns the promote triggers of a
+// replica — SIGHUP and the promote-file poller both invoke the app's
+// Promote hook in place, so a follower can be flipped to primary without
+// restarting. On top of it, Flags and Main
 // (flags.go, workload.go) hold the flag set, its validation and the
 // primary / replica / registry wiring that serveclass and servecluster
 // have in common, behind one Workload descriptor each command fills in.
@@ -44,8 +44,6 @@ type App struct {
 	// SetDraining flips the workload's draining state so readiness
 	// checks fail before in-flight requests are cut off.
 	SetDraining func(bool)
-	// Close stops background maintenance once the listener has drained.
-	Close func()
 	// Persist writes the model back out after the drain — the final
 	// checkpoint (WAL truncation) and/or the legacy snapshot file.
 	Persist func() error
@@ -152,8 +150,8 @@ func Run(a App) error {
 	}
 
 	// Graceful drain: fail readiness checks first so load balancers
-	// stop routing here, then let in-flight requests finish, stop
-	// background maintenance, then persist.
+	// stop routing here, then let in-flight requests finish, then
+	// persist.
 	if a.SetDraining != nil {
 		a.SetDraining(true)
 	}
@@ -174,9 +172,6 @@ func Run(a App) error {
 		if err := <-recc; err != nil {
 			return fmt.Errorf("recovery: %w", err)
 		}
-	}
-	if a.Close != nil {
-		a.Close()
 	}
 	if a.Persist != nil {
 		return a.Persist()

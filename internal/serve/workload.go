@@ -131,7 +131,6 @@ func runPrimary[S server.Served](f *Flags, w Workload[S]) error {
 		DrainTimeout: f.Drain,
 		Recover:      recoverFn,
 		SetDraining:  s.SetDraining,
-		Close:        s.Close,
 		Persist: func() error {
 			if f.WALDir != "" {
 				if err := s.Checkpoint(); err != nil {
@@ -182,7 +181,6 @@ func runFollower[S server.Served](f *Flags, w Workload[S]) error {
 		Handler:      fo.Handler(),
 		DrainTimeout: f.Drain,
 		SetDraining:  fo.SetDraining,
-		Close:        fo.Close,
 		Persist: func() error {
 			t.Stop()
 			return fo.Persist()
@@ -219,7 +217,7 @@ func runRegistry[S server.Served](f *Flags, w Workload[S]) error {
 	if w.Config.Decay.Enabled() {
 		defaults.DecayLambda = w.Config.Decay.Lambda
 		defaults.DecayMinWeight = w.Config.Decay.MinWeight
-		defaults.DecayEveryMS = w.Config.DecayEvery.Milliseconds()
+		defaults.DecayEvery = w.Config.DecayEvery
 	}
 	r, err := registry.Open(registry.Options{
 		Dir:              f.TenantsDir,
@@ -275,13 +273,13 @@ func walDesc(dir string, fsyncEvery time.Duration) string {
 // decayDesc describes the decay state the server actually runs with —
 // which may come from a warm-started snapshot rather than the flags. A
 // decayed snapshot loaded without a decay rate keeps fading scores but
-// advances no epochs, which deserves a loud hint, not "off".
+// crosses no epoch boundary, which deserves a loud hint, not "off".
 func decayDesc(st server.Stats, cfg server.Config) string {
 	if !st.DecayEnabled {
 		return "off"
 	}
 	if !cfg.Decay.Enabled() {
-		return fmt.Sprintf("snapshot state at epoch %d — no maintenance loop; set the decay rate and -decay-every to resume forgetting", st.DecayEpoch)
+		return fmt.Sprintf("snapshot state at epoch %d — no epoch boundaries; set the decay rate and -decay-every to resume forgetting", st.DecayEpoch)
 	}
-	return fmt.Sprintf("λ=%g floor=%g epoch=%v", cfg.Decay.Lambda, cfg.Decay.MinWeight, cfg.DecayEvery)
+	return fmt.Sprintf("λ=%g floor=%g, one epoch per %d writes to a shard", cfg.Decay.Lambda, cfg.Decay.MinWeight, cfg.DecayEvery)
 }

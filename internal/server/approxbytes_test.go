@@ -64,7 +64,6 @@ func TestApproxBytesWithinTwofold(t *testing.T) {
 			return s
 		})
 		checkWithinTwofold(t, "classifier", s.ApproxBytes(), grew)
-		s.Close()
 	}
 
 	// The clustering model.
@@ -86,5 +85,4 @@ func TestApproxBytesWithinTwofold(t *testing.T) {
 		return cs
 	})
 	checkWithinTwofold(t, "cluster", cs.ApproxBytes(), grew)
-	cs.Close()
 }

@@ -86,7 +86,6 @@ func BenchmarkServerClassifyPendigits(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	held := d.X[train:]
 	for _, budget := range []int{4, 128} {
 		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
@@ -129,7 +128,6 @@ func BenchmarkServerBuildPendigits(b *testing.B) {
 		if _, err := s.Classify(d.X[train], 4); err != nil {
 			b.Fatal(err)
 		}
-		s.Close()
 	}
 }
 
@@ -193,7 +191,12 @@ func BenchmarkServerMixed(b *testing.B) {
 // lock — on 4 shards over a 2,000-point Pendigits model (16 dimensions, 10
 // classes, one insert in twelve splits a node), memory-only and behind
 // a group-commit WAL. allocs/op is the number to watch: the split and
-// the mirror repair are meant to stay a small constant.
+// the mirror repair are meant to stay a small constant. The decay row
+// forgets with DecayEvery 1000: the insert that brings its shard's
+// write count to a multiple of 1,000 advances the shard's epoch and
+// sweeps the whole shard, so it reports the median insert and the
+// longest, which is a sweep's (with 4,000 ops, each shard crosses one
+// boundary), and the sweeps run.
 func BenchmarkServerInsert(b *testing.B) {
 	d, err := dataset.Pendigits(1)
 	if err != nil {
@@ -201,30 +204,35 @@ func BenchmarkServerInsert(b *testing.B) {
 	}
 	d.Shuffle(1)
 	const preload = 2000
-	empty := func() (*Server, error) {
-		return NewEmpty(4, core.DefaultConfig(d.Dim()), d.Classes(), core.MultiOptions{}, Config{})
-	}
-	for _, durable := range []bool{false, true} {
-		name := "memory"
-		if durable {
-			name = "durable"
+	empty := func(cfg Config) func() (*Server, error) {
+		return func() (*Server, error) {
+			return NewEmpty(4, core.DefaultConfig(d.Dim()), d.Classes(), core.MultiOptions{}, cfg)
 		}
-		b.Run(name, func(b *testing.B) {
+	}
+	for _, row := range []struct {
+		name    string
+		durable bool
+		cfg     Config
+	}{
+		{"memory", false, Config{}},
+		{"durable", true, Config{}},
+		{"decay", false, Config{Decay: core.DecayOptions{Lambda: 0.1, MinWeight: 0.05}, DecayEvery: 1000}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
 			var s *Server
 			var err error
-			if durable {
-				s, err = OpenDurableServer(DurabilityOptions{Dir: b.TempDir(), FsyncEvery: 100 * time.Millisecond}, Config{}, empty)
+			if row.durable {
+				s, err = OpenDurableServer(DurabilityOptions{Dir: b.TempDir(), FsyncEvery: 100 * time.Millisecond}, row.cfg, empty(row.cfg))
 				if err == nil {
 					defer s.CloseDurability()
 					err = s.Recover()
 				}
 			} else {
-				s, err = empty()
+				s, err = empty(row.cfg)()
 			}
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer s.Close()
 			insert := func(i int) {
 				if err := s.Insert(d.X[i%d.Len()], d.Y[i%d.Len()]); err != nil {
 					b.Fatal(err)
@@ -239,10 +247,29 @@ func BenchmarkServerInsert(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				insert(preload + i)
+			if row.cfg.DecayEvery == 0 {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					insert(preload + i)
+				}
+				return
 			}
+			took := make([]time.Duration, b.N)
+			b.ResetTimer()
+			for i := range took {
+				t0 := time.Now()
+				insert(preload + i)
+				took[i] = time.Since(t0)
+			}
+			b.StopTimer()
+			slices.Sort(took)
+			var sweeps int64
+			for _, sh := range s.shards {
+				sweeps += sh.tree.Epoch()
+			}
+			b.ReportMetric(float64(took[len(took)/2].Nanoseconds())/1e3, "insert_p50_us")
+			b.ReportMetric(float64(took[len(took)-1].Nanoseconds())/1e3, "insert_max_us")
+			b.ReportMetric(float64(sweeps), "sweeps")
 		})
 	}
 }
@@ -296,7 +323,6 @@ func BenchmarkServerRecover(b *testing.B) {
 		replayed += float64(st.WALReplayed)
 		replayMs += st.WALReplayMs
 		checkpointMs += st.CheckpointMs
-		r.Close()
 		if err := r.CloseDurability(); err != nil {
 			b.Fatal(err)
 		}
@@ -332,7 +358,6 @@ func BenchmarkServerCheckpointStall(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.CloseDurability()
-	defer s.Close()
 	for i := 0; i < preload; i++ {
 		if err := s.Insert(d.X[i], d.Y[i]); err != nil {
 			b.Fatal(err)
@@ -396,7 +421,6 @@ func BenchmarkServerAlternate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer s.Close()
 	insert := func(i int) {
 		if err := s.Insert(d.X[i%d.Len()], d.Y[i%d.Len()]); err != nil {
 			b.Fatal(err)
@@ -439,7 +463,6 @@ func BenchmarkServerContended(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.CloseDurability()
-	defer s.Close()
 	for i := 0; i < preload; i++ {
 		if err := s.Insert(d.X[i], d.Y[i]); err != nil {
 			b.Fatal(err)

@@ -61,7 +61,7 @@ func TestCheckpointCutSyncsNothing(t *testing.T) {
 	syncs := func() int64 { return s.Stats().WALSyncs }
 	before, files := syncs(), segmentFiles(t, dir)
 	s.dur.ckptMu.Lock()
-	starts, cut, _, snap, err := s.cut(nil)
+	starts, writes, cut, _, snap, err := s.cut(nil)
 	s.dur.ckptMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +71,13 @@ func TestCheckpointCutSyncsNothing(t *testing.T) {
 	}
 	if got := segmentFiles(t, dir); got != files {
 		t.Fatalf("the locked section created %d segment files", got-files)
+	}
+	var counted uint64
+	for _, n := range writes {
+		counted += n
+	}
+	if counted != uint64(len(xs)) {
+		t.Fatalf("the cut counted %d writes over its shards, want %d", counted, len(xs))
 	}
 	if cut != int64(len(xs))*classFrame || snap.Len() == 0 {
 		t.Fatalf("cut took %d bytes and encoded %d, want %d and a snapshot", cut, snap.Len(), int64(len(xs))*classFrame)
@@ -176,7 +183,6 @@ func TestCheckpointDrainRestartCrash(t *testing.T) {
 	if err := a.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	a.Close()
 	if err := a.CloseDurability(); err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +356,6 @@ func TestRestartLoopReplayBounded(t *testing.T) {
 				t.Fatal("the model after twenty restarts is not the uninterrupted run's")
 			}
 		}
-		s.Close()
 		if err := s.CloseDurability(); err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +412,6 @@ func TestFollowerBootstrapOverEmptySegment(t *testing.T) {
 			t.Fatalf("shard %d replays from segment %d, want 3: past the empty one", i, start)
 		}
 	}
-	s.Close()
 	if err := s.CloseDurability(); err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +452,6 @@ func parkPendigits(tb testing.TB, dir string, logged int) {
 			tb.Fatal(err)
 		}
 	}
-	s.Close()
 	if err := s.CloseDurability(); err != nil {
 		tb.Fatal(err)
 	}

@@ -35,8 +35,8 @@ import (
 // ctree adapts one shard's clustering tree to the engine's Model contract.
 type ctree struct {
 	t *clustree.Tree
-	// epoch counts maintenance ticks; the ClusTree's real decay clock
-	// is the logical insert timestamp, so this is reporting only.
+	// epoch counts the sweeps this process ran, for reporting only: the
+	// ClusTree's decay clock is the logical insert timestamp.
 	epoch int64
 	// floor is the maintenance sweep's pruning threshold (0 = keep
 	// everything; weights still fade).
@@ -313,6 +313,7 @@ func (s *ClusterServer) ingest(group []int, reqs []wire.ClusterRequest, res []Cl
 		parked := sh.tree.t.Parked()
 		r.NodesRead, errs[i] = sh.tree.t.InsertCounted(reqs[i].X, float64(ts), r.Granted)
 		r.Parked, r.Degraded = sh.tree.t.Parked() > parked, r.Granted < r.Requested
+		errs[i] = s.countWrite(sh, errs[i], true)
 	}
 	sh.mu.Unlock()
 	for _, i := range group {

@@ -7,11 +7,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
+	"bayestree/internal/clustree"
 	"bayestree/internal/core"
 )
 
@@ -202,19 +203,20 @@ func TestServerTracksDriftOverHTTP(t *testing.T) {
 		baseStats.Observations, baseStats.Nodes)
 }
 
-// The background maintenance loop must coexist with concurrent HTTP
-// classify and insert traffic (run under -race in CI) and stop cleanly
-// on Close.
-func TestServerMaintenanceLoopConcurrentTraffic(t *testing.T) {
+// TestServerDecayBoundariesUnderConcurrentTraffic: concurrent HTTP
+// inserts cross decay boundaries — each sweeping its shard under the
+// write lock it holds — while /classify and /stats read the same shards
+// (run under -race in CI). However the writes interleave, each shard
+// ends at exactly one epoch per DecayEvery of its writes.
+func TestServerDecayBoundariesUnderConcurrentTraffic(t *testing.T) {
 	treeCfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6,
 		Kernel: core.DefaultConfig(2).Kernel}
 	cfg := decayServerConfig(true)
-	cfg.DecayEvery = 2 * time.Millisecond
+	cfg.DecayEvery = 16
 	s, err := NewEmpty(2, treeCfg, []int{0, 1}, core.MultiOptions{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -225,63 +227,137 @@ func TestServerMaintenanceLoopConcurrentTraffic(t *testing.T) {
 		}
 	}
 
+	const writers, perWriter = 2, 200
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(2)
-		go func(seed int64) { // writer
-			defer wg.Done()
+	var writing, reading sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(seed int64) {
+			defer writing.Done()
 			rng := rand.New(rand.NewSource(seed))
-			var body bytes.Buffer
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				body.Reset()
+			for i := 0; i < perWriter; i++ {
 				label := rng.Intn(2)
-				fmt.Fprintf(&body, `{"x":[%f,%f],"label":%d}`+"\n",
+				body := fmt.Sprintf(`{"x":[%f,%f],"label":%d}`,
 					0.25+0.5*float64(label)+0.05*rng.NormFloat64(),
 					0.25+0.5*float64(label)+0.05*rng.NormFloat64(), label)
-				resp, err := http.Post(ts.URL+"/insert", "application/json", strings.NewReader(body.String()))
+				resp, err := http.Post(ts.URL+"/insert", "application/json", strings.NewReader(body))
 				if err != nil {
+					t.Error(err)
 					return
 				}
 				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("insert status %d", resp.StatusCode)
+					return
+				}
 			}
 		}(int64(40 + w))
-		go func(seed int64) { // reader
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
+	}
+	for r := 0; r < 3; r++ {
+		reading.Add(1)
+		go func(r int) {
+			defer reading.Done()
+			rng := rand.New(rand.NewSource(int64(50 + r)))
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				body := fmt.Sprintf(`{"x":[%f,%f],"budget":20}`, rng.Float64(), rng.Float64())
-				resp, err := http.Post(ts.URL+"/classify", "application/json", strings.NewReader(body))
+				path, body := "/classify", fmt.Sprintf(`{"x":[%f,%f],"budget":20}`, rng.Float64(), rng.Float64())
+				if r == 2 {
+					path, body = "/stats", ""
+				}
+				var resp *http.Response
+				var err error
+				if body == "" {
+					resp, err = http.Get(ts.URL + path)
+				} else {
+					resp, err = http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+				}
 				if err != nil {
 					return
 				}
 				resp.Body.Close()
 			}
-		}(int64(50 + w))
+		}(r)
 	}
-	time.Sleep(80 * time.Millisecond)
+	writing.Wait()
 	close(stop)
-	wg.Wait()
+	reading.Wait()
 
-	if e := s.Stats().DecayEpoch; e == 0 {
-		t.Error("maintenance loop never advanced the decay epoch")
+	var writes uint64
+	for i, sh := range s.shards {
+		writes += sh.writes
+		if want := int64(sh.writes / 16); sh.tree.Epoch() != want {
+			t.Errorf("shard %d: epoch %d after %d writes, want %d", i, sh.tree.Epoch(), sh.writes, want)
+		}
 	}
-	s.Close()
-	s.Close() // idempotent
-	// The server still serves after maintenance stops.
-	if _, err := s.Classify([]float64{0.3, 0.3}, 10); err != nil {
-		t.Fatalf("classify after Close: %v", err)
+	if writes != 100+writers*perWriter {
+		t.Fatalf("shards counted %d writes, want %d", writes, 100+writers*perWriter)
 	}
+	if st := s.Stats(); st.DecayEpoch == 0 || st.PointsPruned == 0 {
+		t.Errorf("after %d writes: epoch %d, %d points pruned; want boundaries that prune", writes, st.DecayEpoch, st.PointsPruned)
+	}
+}
+
+// TestDecayEveryZeroWaitsForAdvanceDecay is the shape the benchmark's
+// cluster_stream row runs: decay set, DecayEvery 0. Neither workload
+// then advances an epoch or sweeps on its own, however many writes it
+// takes, while AdvanceDecay still does both.
+func TestDecayEveryZeroWaitsForAdvanceDecay(t *testing.T) {
+	cs, err := NewCluster(clustree.DefaultConfig(2), 2, Config{Decay: core.DecayOptions{Lambda: 0.01, MinWeight: 0.5}}, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newDecayTestServer(t, true)
+	rng := rand.New(rand.NewSource(71))
+	for i := 0; i < 2000; i++ {
+		if _, err := cs.Insert([]float64{rng.Float64(), rng.Float64()}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Insert(conceptPoint(rng, i%2, false), i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, st := range map[string]Stats{"classify": s.Stats(), "cluster": cs.Stats().Stats} {
+		if st.DecayEpoch != 0 || st.PointsPruned != 0 || st.SubtreesPruned != 0 {
+			t.Fatalf("%s: epoch %d, %d points and %d subtrees pruned after 2,000 writes with DecayEvery 0",
+				name, st.DecayEpoch, st.PointsPruned, st.SubtreesPruned)
+		}
+	}
+	if swept := cs.AdvanceDecay(); swept.PointsPruned == 0 || cs.Stats().DecayEpoch != 1 {
+		t.Fatalf("cluster AdvanceDecay: %+v, epoch %d", swept, cs.Stats().DecayEpoch)
+	}
+	s.AdvanceDecay()
+	if ep := s.Stats().DecayEpoch; ep != 1 {
+		t.Fatalf("classify AdvanceDecay: epoch %d, want 1", ep)
+	}
+}
+
+// TestDecayingServerStartsNoGoroutine: forgetting runs inside the
+// writes, so opening a decaying server — of either workload — starts no
+// goroutine.
+func TestDecayingServerStartsNoGoroutine(t *testing.T) {
+	cfg := Config{Decay: core.DecayOptions{Lambda: 0.1, MinWeight: 0.05}, DecayEvery: 1}
+	const n = 8
+	before := runtime.NumGoroutine()
+	var keep []any
+	for i := 0; i < n; i++ {
+		s, err := NewEmpty(2, core.DefaultConfig(2), []int{0, 1}, core.MultiOptions{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := NewCluster(clustree.DefaultConfig(2), 2, cfg, ClusterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep = append(keep, s, cs)
+	}
+	if after := runtime.NumGoroutine(); after-before >= n {
+		t.Fatalf("opening %d decaying servers of each workload took the goroutine count from %d to %d", n, before, after)
+	}
+	runtime.KeepAlive(keep)
 }
 
 // A decayed server's model must survive the snapshot round trip: decay

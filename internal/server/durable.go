@@ -170,6 +170,9 @@ type durOpen struct {
 func (e *engine[M]) attachDurability(opts DurabilityOptions, do durOpen) {
 	e.dur = &durState{opts: opts, manifest: do.manifest, hadState: do.hadState, lock: do.lock}
 	e.dur.epoch = do.manifest.Epoch
+	for i, n := range do.manifest.ShardWrites {
+		e.shards[i].writes = n
+	}
 	e.dur.hub = newReplHub()
 	e.dur.took.decode.Store(int64(do.decodeTook))
 	e.dur.snapBytes.Store(do.snapBytes)
@@ -314,12 +317,10 @@ func (e *engine[M]) Recover() error {
 // A record's apply depends on nothing outside its shard's model (a
 // clustering record carries its own timestamp and only raises the shared
 // clock), so a shard's log order, which is its apply order, reproduces
-// its exact insert sequence. Each record
-// applies under its shard's lock, which keeps replay exclusive against a
-// running decay-maintenance loop. Replay runs without descent mirrors
-// (so no record pays a repair); a shard builds its mirror once its log
-// runs dry, before the server starts answering. Errors are joined after
-// every shard has returned.
+// its exact insert sequence and, counting on from the manifest, its
+// decay boundaries. Replay runs without descent mirrors (so no record
+// or sweep pays a repair); a shard builds its mirror once its log runs
+// dry. Errors are joined after every shard has returned.
 func (e *engine[M]) replay() error {
 	d := e.dur
 	readers := make([]*wal.Reader, len(e.shards))
@@ -355,7 +356,7 @@ func (e *engine[M]) replay() error {
 				return 0, 0, fmt.Errorf("server: wal shard %d: %w", i, err)
 			}
 			sh.mu.Lock()
-			err = apply(sh)
+			err = e.countWrite(sh, apply(sh), false)
 			sh.mu.Unlock()
 			if err != nil {
 				return 0, 0, fmt.Errorf("server: replay shard %d: %w", i, err)
@@ -425,7 +426,7 @@ func (e *engine[M]) checkpointSubscribe(sub *replSub) (persist.Manifest, *os.Fil
 	defer d.ckptMu.Unlock()
 	gen := d.manifest.Generation + 1
 	name := snapshotName(gen)
-	starts, cut, baseLSN, snap, err := e.cut(sub)
+	starts, writes, cut, baseLSN, snap, err := e.cut(sub)
 	fail := func(err error) (persist.Manifest, *os.File, uint64, error) {
 		d.sinceCut.Add(cut)
 		if sub != nil {
@@ -449,7 +450,7 @@ func (e *engine[M]) checkpointSubscribe(sub *replSub) (persist.Manifest, *os.Fil
 		return fail(err)
 	}
 	prev := d.manifest
-	m := persist.Manifest{Generation: gen, Epoch: d.epoch, Snapshot: name, Shards: len(d.logs), ShardStart: starts}
+	m := persist.Manifest{Generation: gen, Epoch: d.epoch, Snapshot: name, Shards: len(d.logs), ShardStart: starts, ShardWrites: writes}
 	if err := persist.SaveManifest(d.opts.Dir, m); err != nil {
 		return fail(err)
 	}
@@ -477,13 +478,13 @@ func (e *engine[M]) checkpointSubscribe(sub *replSub) (persist.Manifest, *os.Fil
 }
 
 // cut is the part of a checkpoint that holds every shard lock: it
-// rotates each log (the segments replay will start from), takes the
-// bytes logged since the last cut, attaches sub, and encodes the
-// snapshot of the cut into memory. It runs no fsync and writes no
-// file. The caller holds ckptMu.
-func (e *engine[M]) cut(sub *replSub) (starts []uint64, cut int64, baseLSN uint64, snap *bytes.Buffer, err error) {
+// rotates each log (the segments replay will start from), reads each
+// shard's write count, takes the bytes logged since the last cut,
+// attaches sub, and encodes the snapshot of the cut into memory. It
+// runs no fsync and writes no file. The caller holds ckptMu.
+func (e *engine[M]) cut(sub *replSub) (starts, writes []uint64, cut int64, baseLSN uint64, snap *bytes.Buffer, err error) {
 	d := e.dur
-	starts = make([]uint64, len(d.logs))
+	starts, writes = make([]uint64, len(d.logs)), make([]uint64, len(d.logs))
 	snap = bytes.NewBuffer(make([]byte, 0, d.snapBytes.Load()))
 	held := time.Now()
 	err = e.withAllRead(func(models []M) error {
@@ -492,7 +493,7 @@ func (e *engine[M]) cut(sub *replSub) (starts []uint64, cut int64, baseLSN uint6
 			if err != nil {
 				return fmt.Errorf("server: wal rotate shard %d: %w", i, err)
 			}
-			starts[i] = seg
+			starts[i], writes[i] = seg, e.shards[i].writes
 		}
 		cut = d.sinceCut.Swap(0)
 		if sub != nil {
@@ -503,7 +504,7 @@ func (e *engine[M]) cut(sub *replSub) (starts []uint64, cut int64, baseLSN uint6
 	if h := int64(time.Since(held)); h > d.lockHold.Load() {
 		d.lockHold.Store(h)
 	}
-	return starts, cut, baseLSN, snap, err
+	return starts, writes, cut, baseLSN, snap, err
 }
 
 // Generation returns the current snapshot generation (0 before the

@@ -24,8 +24,9 @@ import (
 //     aggregate refinement work tracks a configured node capacity and
 //     overload coarsens answers instead of queueing them;
 //   - size-proportional budget splitting across shards;
-//   - a background decay-maintenance loop that advances the epoch and
-//     sweeps faded mass one short write-lock slice at a time;
+//   - forgetting on the write count: every Config.DecayEvery writes a
+//     shard advances its decay epoch and sweeps its faded mass, under the
+//     write lock the crossing write already holds;
 //   - draining state for graceful shutdown behind a load balancer.
 //
 // A workload plugs in by implementing Model for its per-shard type,
@@ -101,8 +102,6 @@ type Served interface {
 	ApplyReplicated(shard int, payload []byte) error
 	// CloseDurability closes the WAL and releases the directory lock.
 	CloseDurability() error
-	// Close stops background maintenance.
-	Close()
 	// SetDraining flips the draining state /readyz reports.
 	SetDraining(v bool)
 	// Len is the observation count, NumShards the shard count and
@@ -141,10 +140,12 @@ type workload[M Model] struct {
 	stats func() any
 }
 
-// shard is one partition of a served model behind a reader/writer lock.
+// shard is one partition of a served model behind a reader/writer lock;
+// writes, its lifetime count of applied writes, is its decay clock.
 type shard[M Model] struct {
-	mu   sync.RWMutex
-	tree M
+	mu     sync.RWMutex
+	tree   M
+	writes uint64
 }
 
 // engine is the generic serving core a workload embeds. All methods are
@@ -166,12 +167,8 @@ type engine[M Model] struct {
 	repl replState
 
 	// decayOn is set when any shard forgets (via Config.Decay or a
-	// warm-started snapshot's own decay state); maintStop/maintDone
-	// bracket the background maintenance loop.
-	decayOn   bool
-	maintStop chan struct{}
-	maintDone chan struct{}
-	closeOnce sync.Once
+	// warm-started snapshot's own decay state).
+	decayOn bool
 
 	requests       atomic.Int64
 	inserts        atomic.Int64
@@ -179,13 +176,12 @@ type engine[M Model] struct {
 	nodesGranted   atomic.Int64
 	nodesRead      atomic.Int64
 	degraded       atomic.Int64
-	decayEpoch     atomic.Int64
 	pointsPruned   atomic.Int64
 	subtreesPruned atomic.Int64
 }
 
-// init wires the engine over pre-built per-shard models: admission,
-// decay override and the background maintenance loop.
+// init wires the engine over pre-built per-shard models: admission and
+// the decay override.
 func (e *engine[M]) init(models []M, cfg Config, wl workload[M]) error {
 	if len(models) == 0 {
 		return fmt.Errorf("server: no shards")
@@ -211,14 +207,6 @@ func (e *engine[M]) init(models []M, cfg Config, wl workload[M]) error {
 		if sh.tree.DecayConfig().Enabled() {
 			e.decayOn = true
 		}
-		if ep := sh.tree.Epoch(); ep > e.decayEpoch.Load() {
-			e.decayEpoch.Store(ep)
-		}
-	}
-	if e.decayOn && cfg.DecayEvery > 0 {
-		e.maintStop = make(chan struct{})
-		e.maintDone = make(chan struct{})
-		go e.maintain(cfg.DecayEvery)
 	}
 	return nil
 }
@@ -232,61 +220,57 @@ func (e *engine[M]) refreshShardSoA(sh *shard[M]) {
 	}
 }
 
-// maintain is the background maintenance loop: one decay epoch per
-// tick. Each tick takes the per-shard write locks one at a time in
-// short slices, so reads on the other shards keep flowing and reads on
-// the swept shard wait only for that shard's sweep.
-func (e *engine[M]) maintain(every time.Duration) {
-	defer close(e.maintDone)
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.maintStop:
-			return
-		case <-tick.C:
-			e.AdvanceDecay()
-		}
+// countWrite follows every write to sh, under its write lock, and
+// returns the write's error: a write that applied (err nil) is counted,
+// and the one that brings the count to a multiple of DecayEvery sweeps
+// the shard. A primary, its replay and its followers apply a shard's
+// writes in one order, so all cross every boundary at the same write.
+// Replay passes mirror false and builds each mirror once at its end.
+func (e *engine[M]) countWrite(sh *shard[M], err error, mirror bool) error {
+	if err != nil {
+		return err
 	}
+	sh.writes++
+	if e.decayOn && e.cfg.DecayEvery > 0 && sh.writes%uint64(e.cfg.DecayEvery) == 0 {
+		e.decayShard(sh, mirror)
+	}
+	return nil
 }
 
-// AdvanceDecay advances the decay epoch by one on every shard and runs
-// the maintenance sweep — rescale, prune below the weight floor,
-// collapse underfull subtrees. It locks one shard at a time so reads
-// never wait on more than one shard's sweep. A no-op (zero stats) when
-// no shard decays.
+// decayShard advances sh's epoch by one and runs the maintenance sweep
+// (rescale, prune below the floor, collapse underfull subtrees) under
+// the caller's write lock; with mirror set it rebuilds the descent
+// mirror both dropped, rather than leave it to the shard's first read.
+func (e *engine[M]) decayShard(sh *shard[M], mirror bool) core.SweepStats {
+	sh.tree.AdvanceEpoch(1)
+	st := sh.tree.DecaySweep()
+	if mirror {
+		e.refreshShardSoA(sh)
+	}
+	e.pointsPruned.Add(int64(st.PointsPruned))
+	e.subtreesPruned.Add(int64(st.SubtreesPruned))
+	return st
+}
+
+// AdvanceDecay sweeps every shard, one write lock at a time, whatever
+// their write counts. No log record names it, so a replica does not
+// repeat it: it is for a caller that keeps its own clock (DecayEvery
+// 0). A no-op (zero stats) when no shard decays.
 func (e *engine[M]) AdvanceDecay() core.SweepStats {
 	var agg core.SweepStats
 	if !e.decayOn {
 		return agg
 	}
-	e.decayEpoch.Add(1)
 	for _, sh := range e.shards {
 		sh.mu.Lock()
-		sh.tree.AdvanceEpoch(1)
-		st := sh.tree.DecaySweep()
-		// Epoch advance and sweep drop the descent mirror; rebuild it
-		// while we still hold the write lock, not under the first read.
-		e.refreshShardSoA(sh)
+		agg.Add(e.decayShard(sh, true))
 		sh.mu.Unlock()
-		agg.Add(st)
 	}
-	e.pointsPruned.Add(int64(agg.PointsPruned))
-	e.subtreesPruned.Add(int64(agg.SubtreesPruned))
 	return agg
 }
 
-// Close stops the background maintenance loop, if one is running. Safe
-// to call multiple times; the engine still serves afterwards (only
-// maintenance stops).
-func (e *engine[M]) Close() {
-	e.closeOnce.Do(func() {
-		if e.maintStop != nil {
-			close(e.maintStop)
-			<-e.maintDone
-		}
-	})
-}
+// Close does nothing; the benchmark's API list names it.
+func (e *engine[M]) Close() {}
 
 // NumShards returns the number of shards.
 func (e *engine[M]) NumShards() int { return len(e.shards) }
@@ -412,7 +396,6 @@ func (e *engine[M]) baseStats() Stats {
 		Degraded:       e.degraded.Load(),
 		Draining:       e.draining.Load(),
 		DecayEnabled:   e.decayOn,
-		DecayEpoch:     e.decayEpoch.Load(),
 		PointsPruned:   e.pointsPruned.Load(),
 		SubtreesPruned: e.subtreesPruned.Load(),
 	}
@@ -421,6 +404,7 @@ func (e *engine[M]) baseStats() Stats {
 		n := sh.tree.Len()
 		st.Nodes += sh.tree.CountNodes()
 		st.Weight += sh.tree.Weight()
+		st.DecayEpoch = max(st.DecayEpoch, sh.tree.Epoch())
 		if m, ok := any(sh.tree).(soaShard); ok {
 			r, p, inv := m.SoACounters()
 			st.SoARebuilds += r

@@ -143,7 +143,6 @@ func (f *Follower[S]) Bootstrap(h replica.Header, snapshot io.Reader) error {
 	// released before the reopen below can take them. Reads hitting the
 	// old handler mid-swap still answer from its in-memory trees.
 	if f.cur != zero {
-		f.cur.Close()
 		if err := f.cur.CloseDurability(); err != nil {
 			return fmt.Errorf("server: retire previous state: %w", err)
 		}
@@ -171,11 +170,12 @@ func (f *Follower[S]) Bootstrap(h replica.Header, snapshot io.Reader) error {
 		starts[i] = seg
 	}
 	m := persist.Manifest{
-		Generation: h.Generation,
-		Epoch:      h.Epoch,
-		Snapshot:   name,
-		Shards:     h.Shards,
-		ShardStart: starts,
+		Generation:  h.Generation,
+		Epoch:       h.Epoch,
+		Snapshot:    name,
+		Shards:      h.Shards,
+		ShardStart:  starts,
+		ShardWrites: h.ShardWrites,
 	}
 	if err := persist.SaveManifest(f.dopts.Dir, m); err != nil {
 		return err
@@ -202,7 +202,6 @@ func (f *Follower[S]) Bootstrap(h replica.Header, snapshot io.Reader) error {
 		return err
 	}
 	if s.NumShards() != h.Shards {
-		s.Close()
 		s.CloseDurability()
 		return fmt.Errorf("server: bootstrapped model has %d shards, header promised %d", s.NumShards(), h.Shards)
 	}
@@ -311,10 +310,6 @@ func (f *Follower[S]) Promote() error {
 func (f *Follower[S]) SetDraining(v bool) {
 	f.ifLive(func(s S) { s.SetDraining(v) })
 }
-
-// Close stops the wrapped server's background maintenance (no-op before
-// the first bootstrap).
-func (f *Follower[S]) Close() { f.ifLive(S.Close) }
 
 // Persist cuts a final checkpoint and closes the durability layer — the
 // follower's shutdown path. Stop the tailer first.

@@ -327,7 +327,7 @@ func (e *engine[M]) ApplyReplicated(shard int, payload []byte) error {
 		err = e.logAppend(shard, payload)
 	}
 	if err == nil {
-		err = apply(sh)
+		err = e.countWrite(sh, apply(sh), true)
 	}
 	sh.mu.Unlock()
 	if err != nil {
@@ -478,6 +478,7 @@ func (e *engine[M]) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		Shards:        len(e.shards),
 		SnapshotBytes: info.Size(),
 		BaseLSN:       baseLSN,
+		ShardWrites:   m.ShardWrites,
 	}
 	rc := http.NewResponseController(w)
 	if err := replica.WriteHeader(w, h); err != nil {

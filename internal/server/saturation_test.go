@@ -32,7 +32,6 @@ func TestAdmissionSaturationDegradesNeverErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.admit = newTokenBucket(rate, burst)
 	xs, ys := classPoints(90)
 	for i := range xs {
@@ -123,7 +122,6 @@ func TestHTTPClassifyCarriesBudgetFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer free.Close()
 	for i := range xs {
 		if err := free.Insert(xs[i], ys[i]); err != nil {
 			t.Fatal(err)
@@ -142,7 +140,6 @@ func TestHTTPClassifyCarriesBudgetFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tight.Close()
 	tight.admit = newTokenBucket(0.001, 1)
 	for i := range xs {
 		if err := tight.Insert(xs[i], ys[i]); err != nil {
@@ -168,7 +165,6 @@ func TestHTTPClusterCarriesBudgetFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer free.Close()
 	raw := postJSON(t, httptest.NewServer(free.Handler()), "/cluster",
 		`{"x":[0.3,0.7],"budget":4}`)
 	requireField(t, raw, "requested", float64(4))
@@ -183,7 +179,6 @@ func TestHTTPClusterCarriesBudgetFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tight.Close()
 	tight.admit = newTokenBucket(0.001, 1)
 	ts := httptest.NewServer(tight.Handler())
 	postJSON(t, ts, "/cluster", `{"x":[0.3,0.7],"budget":4}`) // drains the single token

@@ -2,19 +2,18 @@
 // engine (per-shard reader/writer locks, a global token-bucket
 // admission controller that makes aggregate refinement work track a
 // configured node-read capacity, size-proportional budget splitting,
-// background decay maintenance and graceful draining — see engine.go)
+// decay on the write count and graceful draining — see engine.go)
 // instantiated for the paper's two anytime workloads. Server serves
 // multi-class Bayes tree classification over HTTP (/classify with
 // single and NDJSON streaming forms, /insert, /stats, /healthz);
 // ClusterServer serves the Section-4.2 anytime clustering extension
 // (/cluster, /microclusters, /macroclusters, /stats, /healthz). Both support snapshot save/load for warm starts.
 //
-// With decay configured (Config.Decay) the engine also forgets: a
-// background maintenance loop advances the decay epoch and sweeps the
-// shards — fading old mass by 2^(−λ·Δe), pruning what falls below the
-// weight floor — one short per-shard write-lock slice at a time, so a
-// long-running server stays bounded and tracks concept drift instead
-// of serving yesterday's distribution forever.
+// With decay configured (Config.Decay) the engine also forgets: every
+// Config.DecayEvery writes to a shard advance its decay epoch and sweep
+// it — fading old mass by 2^(−λ·Δe), pruning what falls below the weight
+// floor — so a long-running server stays bounded and tracks concept
+// drift. The clock is stream position, as in the paper.
 //
 // Sharding model: observations are hash-partitioned across shards, each
 // shard holding an independent model over its partition. Because
@@ -35,7 +34,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"time"
 
 	"bayestree/internal/core"
 	"bayestree/internal/persist"
@@ -72,13 +70,10 @@ type Config struct {
 	// keeps today's append-only behaviour. When set it overrides
 	// whatever decay options warm-started trees carried.
 	Decay core.DecayOptions
-	// DecayEvery is the wall-clock length of one decay epoch. With
-	// Decay enabled and DecayEvery > 0, New starts a background
-	// maintenance loop that advances the epoch and sweeps the shards
-	// one write lock at a time; stop it with Close. Zero leaves
-	// maintenance to explicit AdvanceDecay calls (tests or external
-	// schedulers).
-	DecayEvery time.Duration
+	// DecayEvery is a decay epoch's length in writes to a shard: the
+	// write that brings a shard's count to a multiple of it advances the
+	// shard's epoch and sweeps it. Zero leaves epochs to AdvanceDecay.
+	DecayEvery int
 }
 
 // withDefaults returns the configuration with zero values resolved.
@@ -331,7 +326,7 @@ func (s *Server) Insert(x []float64, label int) error {
 			return err
 		}
 	}
-	err := sh.tree.Insert(x, label)
+	err := s.countWrite(sh, sh.tree.Insert(x, label), true)
 	sh.mu.Unlock()
 	if err != nil {
 		return err
@@ -422,8 +417,8 @@ type Stats struct {
 	// memory observable of a decaying server.
 	Nodes int `json:"nodes"`
 	// Decay reports the forgetting state: whether any shard decays, the
-	// current epoch, the effective (decayed) total mass and the
-	// lifetime pruning counters of the maintenance sweeps.
+	// largest shard epoch, the effective (decayed) total mass and the
+	// pruning counters of this process's sweeps.
 	DecayEnabled   bool    `json:"decay_enabled"`
 	DecayEpoch     int64   `json:"decay_epoch"`
 	Weight         float64 `json:"weight"`

@@ -40,7 +40,6 @@ func TestConcurrentClassifyReadsFreeShardsFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(s.Close)
 		return s
 	}
 	mirrored := func(s *Server, i int) bool {

@@ -31,7 +31,6 @@ func clusterStream(tb testing.TB, objects, bodies int) (*ClusterServer, [][]byte
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(cs.Close)
 	rng := rand.New(rand.NewSource(1))
 	centres, steps := make([][4]float64, 8), make([][4]float64, 8)
 	for s := range centres {
