@@ -92,21 +92,22 @@ type decayedRecord struct {
 	Posteriors []float64
 }
 
-// decayedForest trains the forest of one golden input, decays it (three
-// epochs, a sweep, one more epoch outstanding) and returns it; the
-// sweep must dissolve nothing, so the decayed trees are the loaded
-// trees with weighted leaves.
+// decayedForest trains the forest of one golden input, decays it (four
+// epochs, each advanced and swept) and returns it; the sweeps must
+// dissolve nothing, so the decayed trees are the loaded trees with
+// weighted leaves.
 func decayedForest(t *testing.T, in bulkload.GoldenInput, l bulkload.Loader) *core.Classifier {
 	t.Helper()
 	clf := trainGolden(t, in, l, core.ClassifierOptions{})
 	if err := clf.EnableDecay(core.DecayOptions{Lambda: 0.25}); err != nil {
 		t.Fatal(err)
 	}
-	clf.AdvanceEpoch(3)
-	if st := clf.DecaySweep(); st != (core.SweepStats{}) {
-		t.Fatalf("%s: sweep changed the trees' shape: %+v", l.Name(), st)
+	for range 4 {
+		clf.AdvanceEpoch(1)
+		if st := clf.DecaySweep(); st != (core.SweepStats{}) {
+			t.Fatalf("%s: sweep changed the trees' shape: %+v", l.Name(), st)
+		}
 	}
-	clf.AdvanceEpoch(1)
 	return clf
 }
 

@@ -141,10 +141,15 @@ func TestInsertDeltaMatchesSummarize(t *testing.T) {
 			checkMirrorIsFreshBuild(t, ctx, mt)
 			switch {
 			case decay && i == 25:
-				mt.AdvanceEpoch(2)
+				for range 2 {
+					mt.AdvanceEpoch(1)
+					mt.DecaySweep()
+				}
 			case decay && i == 45:
-				mt.AdvanceEpoch(10)
-				mt.DecaySweep()
+				for range 10 {
+					mt.AdvanceEpoch(1)
+					mt.DecaySweep()
+				}
 			}
 		}
 		if err := mt.Validate(); err != nil {
@@ -261,8 +266,10 @@ func TestEntriesOwnTheirVectors(t *testing.T) {
 			ctx := fmt.Sprintf("seed %d step %d", seed, step)
 			switch op := rng.Intn(20); {
 			case op == 0:
-				mt.AdvanceEpoch(int64(1 + rng.Intn(6)))
-				mt.DecaySweep()
+				for range 1 + rng.Intn(6) {
+					mt.AdvanceEpoch(1)
+					mt.DecaySweep()
+				}
 			case op == 1:
 				mt = rebuiltCopy(t, mt)
 			case op < 5 && mt.Len() > 0:

@@ -213,10 +213,15 @@ func TestCursorOnEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees[0].AdvanceEpoch(2)
+	clf.AdvanceEpoch(1)
 	clf.DecaySweep()
-	if trees[0].Len() != 0 {
-		t.Fatalf("class 0 holds %d points after decaying away", trees[0].Len())
+	if err := clf.Learn([]float64{1, 0}, 1); err != nil {
+		t.Fatal(err)
+	}
+	clf.AdvanceEpoch(1)
+	clf.DecaySweep()
+	if trees[0].Len() != 0 || trees[1].Len() != 1 {
+		t.Fatalf("classes hold %d and %d points, want 0 (decayed away) and 1", trees[0].Len(), trees[1].Len())
 	}
 	q := clf.NewQuery([]float64{0, 0})
 	if s := q.scores(); !math.IsInf(s[0], -1) || math.IsInf(s[1], 0) {

@@ -63,18 +63,26 @@ func TestPublishedPairTracksEveryMutation(t *testing.T) {
 		{"AdvanceEpoch", func() (*MultiTree, error) {
 			mt, err := decayed()
 			if err == nil {
-				mt.AdvanceEpoch(3)
+				for range 3 {
+					mt.AdvanceEpoch(1)
+					mt.DecaySweep()
+				}
 			}
 			return mt, err
 		}},
 		{"DecaySweep", func() (*MultiTree, error) {
 			mt, err := decayed()
 			if err == nil {
-				mt.AdvanceEpoch(2)
+				for range 2 {
+					mt.AdvanceEpoch(1)
+					mt.DecaySweep()
+				}
 				err = insert(mt, 200)
 			}
 			if err == nil {
-				mt.AdvanceEpoch(2)
+				mt.AdvanceEpoch(1)
+				mt.DecaySweep()
+				mt.AdvanceEpoch(1)
 				if st := mt.DecaySweep(); st.PointsPruned == 0 || mt.Len() == 0 {
 					t.Errorf("DecaySweep pruned %d of 400 points: the case moves the pair only partly", st.PointsPruned)
 				}
@@ -84,8 +92,8 @@ func TestPublishedPairTracksEveryMutation(t *testing.T) {
 		{"RestoreDecayState", func() (*MultiTree, error) {
 			mt, err := decayed()
 			if err == nil {
-				opts, epoch, ref := mt.DecayState()
-				err = mt.RestoreDecayState(opts, epoch+2, ref)
+				opts, epoch, _ := mt.DecayState()
+				err = mt.RestoreDecayState(opts, epoch+2, epoch+2)
 			}
 			return mt, err
 		}},

@@ -12,8 +12,8 @@ import (
 )
 
 // pinTree builds a three-class tree of 240 inserted points in three
-// dimensions; a decayed one is swept once between its two halves and
-// left with one epoch outstanding, so its leaves are weighted.
+// dimensions; a decayed one advances a decay epoch and sweeps it every
+// 40 inserts, so its leaves are weighted.
 func pinTree(t *testing.T, k kernels.Kernel, mopts MultiOptions, decayed bool) *MultiTree {
 	t.Helper()
 	cfg := smallConfig(3)
@@ -36,9 +36,7 @@ func pinTree(t *testing.T, k kernels.Kernel, mopts MultiOptions, decayed bool) *
 		}
 		if decayed && i%40 == 39 {
 			mt.AdvanceEpoch(1)
-			if i == 119 {
-				mt.DecaySweep()
-			}
+			mt.DecaySweep()
 		}
 	}
 	return mt
@@ -53,13 +51,13 @@ func pinTree(t *testing.T, k kernels.Kernel, mopts MultiOptions, decayed bool) *
 func TestMultiQueryStepsPinned(t *testing.T) {
 	want := map[string]string{
 		"plain/gaussian":              "a88f40abf9ac6931f2234385316210491440d559f8d933fa3ffe20f90b0d8365",
-		"plain/gaussian/decayed":      "9de7838012b1be66308515702dd2222a2e3171f26a5b407270379293546ddf4f",
+		"plain/gaussian/decayed":      "a602b8569912dd153b482571bed6f94c9d2d6e9aa0911a030cb6f11883a2e43e",
 		"plain/epanechnikov":          "9058d65224b88d9445e71b19801db0660bc0fd0696c511d80de60bac302fb079",
-		"plain/epanechnikov/decayed":  "f5df9035a03a7f0028e62f011780d7355826d81c69ca6176f733c454cfbe9956",
+		"plain/epanechnikov/decayed":  "f4cb9342a68fd3208aecfe6cba7487f1c670d8b9282a3ae2b73731b4ed8b0d33",
 		"pooled/gaussian":             "3ee65e48cdc4ea04ec9abacf7ec4632e801153b81b11391553b3ab505ac20183",
-		"pooled/gaussian/decayed":     "35a7fe8ab50e7307b58a2e225b9d2e61c2d982a2bee07b816eff6c8a695c4054",
+		"pooled/gaussian/decayed":     "571726b6ab2b76996f45b530c67ccd4acc6f79def4fcc9fbb75f38511ef9e171",
 		"pooled/epanechnikov":         "fe3f6eaf28351fd9370954725795e2cd2a84cecc870139a8c5d305a3af33b8c9",
-		"pooled/epanechnikov/decayed": "0888d5933c735b88721bbdece567240ca79ba1a0e897d19f0dd32cb0a4d99651",
+		"pooled/epanechnikov/decayed": "f65218187a7353bb5ffcd2cee4e8e2abe57543df23f47203e680b4a44b394ed4",
 	}
 	queries := [][]float64{{0.1, 0.2, 0.5}, {1.4, -2, 0.9}, {2.2, 3, 0.1}, {1, math.NaN(), 0.5}, {9, 9, 9}}
 	strategies, priorities := soaVariants()

@@ -401,9 +401,7 @@ func TestSoAEquivalenceUnderMutation(t *testing.T) {
 			insert(1 + rng.Intn(5))
 		default:
 			mt.AdvanceEpoch(1)
-			if op == 3 {
-				mt.DecaySweep()
-			}
+			mt.DecaySweep()
 			if mt.soa.Load() != nil {
 				t.Fatalf("round %d: a structural mutation left the mirror published", round)
 			}

@@ -149,21 +149,27 @@ func TestSoARepairMatchesFreshBuild(t *testing.T) {
 			inserts("one insert per query", 40, 1)
 			inserts("piled inserts", 40, 4)
 
-			// Decay: later inserts carry weights ≠ 1, so leaves turn
-			// weighted and weighted leaves split.
+			// Decay: a sweep weights every leaf, so the inserts after it
+			// land in weighted leaves and weighted leaves split.
 			if err := mt.EnableDecay(DecayOptions{Lambda: 0.2, MinWeight: 0.05}); err != nil {
 				t.Fatal(err)
 			}
-			mt.AdvanceEpoch(2)
-			query("epoch advance")
-			inserts("weighted inserts", 20, 3)
-			mt.AdvanceEpoch(12)
-			mt.DecaySweep()
-			query("decay sweep")
-			inserts("after the sweep", 15, 3)
-			// Built over the empty tree, after EnableDecay and after the
-			// sweep; dropped by EnableDecay and the second epoch advance
-			// (the other structural mutations found no mirror).
+			for range 2 {
+				mt.AdvanceEpoch(1)
+				mt.DecaySweep()
+			}
+			query("two decay steps")
+			inserts("weighted leaves", 20, 3)
+			for range 12 {
+				mt.AdvanceEpoch(1)
+				mt.DecaySweep()
+			}
+			query("twelve decay steps")
+			inserts("after the sweeps", 15, 3)
+			// Built over the empty tree, after EnableDecay and after each
+			// run of decay steps; dropped by EnableDecay and the first step
+			// of the second run (the other structural mutations found no
+			// mirror).
 			if r, _, inv := mt.SoACounters(); r != 3 || inv != 2 {
 				t.Fatalf("config %d seed %d: %d whole builds, %d drops; want 3 and 2", ci, seed, r, inv)
 			}

@@ -11,10 +11,10 @@ import (
 )
 
 // buildDecayedMultiTree constructs a multi-class tree that has lived
-// through the full decay lifecycle: old mass inserted, epochs advanced,
-// amplified new mass inserted, a pruning sweep, and one more epoch
-// advanced but not yet swept — so the snapshot must carry non-trivial
-// weights AND a non-zero outstanding epoch delta.
+// through the decay lifecycle: old mass inserted, three decay steps
+// (each an epoch advanced and swept), new mass inserted, another step
+// and more mass — so the snapshot must carry non-trivial weights and a
+// non-zero epoch.
 func buildDecayedMultiTree(t testing.TB) *core.MultiTree {
 	t.Helper()
 	cfg := core.Config{Dim: 3, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6,
@@ -36,10 +36,13 @@ func buildDecayedMultiTree(t testing.TB) *core.MultiTree {
 		}
 	}
 	insert(80, 0.0)
-	mt.AdvanceEpoch(3)
+	for range 3 {
+		mt.AdvanceEpoch(1)
+		mt.DecaySweep()
+	}
 	insert(60, 0.6)
+	mt.AdvanceEpoch(1)
 	mt.DecaySweep()
-	mt.AdvanceEpoch(1) // outstanding, un-swept decay
 	insert(20, 0.8)
 	return mt
 }
@@ -96,12 +99,14 @@ func TestDecayedMultiTreeRoundTripDigitIdentical(t *testing.T) {
 		}
 	}
 
-	// The reloaded model keeps decaying: another epoch + sweep must
+	// The reloaded model keeps decaying: two more decay steps must
 	// agree with the original put through the same motions.
-	mt.AdvanceEpoch(2)
-	mt.DecaySweep()
-	got.AdvanceEpoch(2)
-	got.DecaySweep()
+	for range 2 {
+		mt.AdvanceEpoch(1)
+		mt.DecaySweep()
+		got.AdvanceEpoch(1)
+		got.DecaySweep()
+	}
 	if got.Weight() != mt.Weight() || got.Len() != mt.Len() {
 		t.Fatalf("post-reload sweep diverged: weight %v/%v size %d/%d",
 			got.Weight(), mt.Weight(), got.Len(), mt.Len())
@@ -133,15 +138,16 @@ func decayedForest(t testing.TB) *core.Classifier {
 			}
 		}
 		insert(120)
-		tr.AdvanceEpoch(2)
-		insert(20 + 10*c)
-		swept.Add(tr.DecaySweep())
-		for round := 0; round < 4; round++ {
+		for range 2 {
 			tr.AdvanceEpoch(1)
-			insert(7 + 3*c)
 			swept.Add(tr.DecaySweep())
 		}
-		tr.AdvanceEpoch(1)
+		insert(20 + 10*c)
+		for round := 0; round < 4; round++ {
+			tr.AdvanceEpoch(1)
+			swept.Add(tr.DecaySweep())
+			insert(7 + 3*c)
+		}
 		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -157,12 +163,13 @@ func decayedForest(t testing.TB) *core.Classifier {
 	return clf
 }
 
-// learnedAfterSweep is decayedForest swept once more and then taught 5
-// objects: its class counts are masses the sweep rescaled plus the
+// learnedAfterSweep is decayedForest decayed one more step (an epoch
+// advanced and swept) and then taught 5 objects: its class counts are masses the sweep rescaled plus the
 // weights learned since, which no walk of the leaves reproduces bit for
 // bit — the snapshot must carry them.
 func learnedAfterSweep(t testing.TB) *core.Classifier {
 	clf := decayedForest(t)
+	clf.AdvanceEpoch(1)
 	clf.DecaySweep()
 	rng := rand.New(rand.NewSource(14))
 	for i := 0; i < 5; i++ {
@@ -187,8 +194,8 @@ func TestDecayedClassifierRoundTripDigitIdentical(t *testing.T) {
 		size int
 		sum  string
 	}{
-		{"decayed", decayedForest(t), 2854, "e6aaf996da4cbdefd331029fff88e3f85ce0fbffb9648e4c9b782734917d9f86"},
-		{"learned-after-sweep", learnedAfterSweep(t), 2384, "95ce6f5ff46fbba9bf5cca8bb52cc7df3b3f333fa6caee4bd69b5cacff79e8f2"},
+		{"decayed", decayedForest(t), 2741, "bf26e605361092a5ee1e4cd42d4d8959d877947f5c1e4a82fef4818df9993135"},
+		{"learned-after-sweep", learnedAfterSweep(t), 2347, "599d1158e2f56a7cf677849e894a3a29b239b6f81d0b5ed619c57d759f10e379"},
 	} {
 		var buf bytes.Buffer
 		if err := EncodeClassifier(&buf, row.clf); err != nil {

@@ -149,7 +149,10 @@ func smallMultiTree(tb testing.TB, decayed bool) *core.MultiTree {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 14; i++ {
 		if i == 8 && decayed {
-			mt.AdvanceEpoch(2)
+			for range 2 {
+				mt.AdvanceEpoch(1)
+				mt.DecaySweep()
+			}
 		}
 		if err := mt.Insert([]float64{rng.Float64(), rng.Float64()}, 3+4*(i%2)); err != nil {
 			tb.Fatal(err)
@@ -176,14 +179,17 @@ func smallForest(tb testing.TB) *core.Classifier {
 		}
 		for i := 0; i < 40; i++ {
 			if i == 25 {
-				tr.AdvanceEpoch(2)
+				for range 2 {
+					tr.AdvanceEpoch(1)
+					tr.DecaySweep()
+				}
 			}
 			if err := tr.Insert([]float64{float64(c)*0.5 + 0.3*rng.Float64(), rng.Float64()}, c); err != nil {
 				tb.Fatal(err)
 			}
 		}
-		tr.DecaySweep()
 		tr.AdvanceEpoch(1)
+		tr.DecaySweep()
 		if err := tr.Insert([]float64{float64(c) * 0.5, 0.5}, c); err != nil {
 			tb.Fatal(err)
 		}
