@@ -38,12 +38,13 @@ type (
 	// MultiOptions configure the multi-class tree.
 	MultiOptions = core.MultiOptions
 	// DecayOptions configure exponential forgetting for evolving
-	// streams: Lambda is the per-epoch fade exponent (weights decay as
-	// 2^(−λ·Δe), Section 4.2) and MinWeight the maintenance sweep's
-	// pruning floor. Enable with Classifier.EnableDecay (or
-	// MultiTree.EnableDecay), advance logical time with AdvanceDecay.
+	// streams: Lambda is the fade exponent of one decay step (an
+	// observation inserted age steps ago weighs 2^(−λ·age), Section 4.2)
+	// and MinWeight the floor below which a step forgets an observation.
+	// Enable with Classifier.EnableDecay (or MultiTree.EnableDecay); each
+	// AdvanceDecay is one step, the only way a classifier's time moves.
 	DecayOptions = core.DecayOptions
-	// SweepStats summarise one decay maintenance sweep.
+	// SweepStats summarise what one decay step pruned.
 	SweepStats = core.SweepStats
 	// Dataset is a labelled vector data set.
 	Dataset = dataset.Dataset

@@ -92,8 +92,8 @@ type decayedRecord struct {
 	Posteriors []float64
 }
 
-// decayedForest trains the forest of one golden input, decays it (four
-// epochs, each advanced and swept) and returns it; the sweeps must
+// decayedForest trains the forest of one golden input, decays it four
+// steps (AdvanceDecay) and returns it; the steps must
 // dissolve nothing, so the decayed trees are the loaded trees with
 // weighted leaves.
 func decayedForest(t *testing.T, in bulkload.GoldenInput, l bulkload.Loader) *core.Classifier {
@@ -103,8 +103,7 @@ func decayedForest(t *testing.T, in bulkload.GoldenInput, l bulkload.Loader) *co
 		t.Fatal(err)
 	}
 	for range 4 {
-		clf.AdvanceEpoch(1)
-		if st := clf.DecaySweep(); st != (core.SweepStats{}) {
+		if st := clf.AdvanceDecay(); st != (core.SweepStats{}) {
 			t.Fatalf("%s: sweep changed the trees' shape: %+v", l.Name(), st)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // faded weight fell below minWeight are forgotten, subtrees that emptied
 // out are removed, and a root that degenerated to a single-entry chain
 // is collapsed — bounding a long-running tree's memory the same way the
-// classifier's DecaySweep bounds its trees. It returns how many
+// classifier's AdvanceDecay bounds its trees. It returns how many
 // micro-clusters and how many whole subtree entries were removed.
 //
 // Mass accounting: a removed micro-cluster's weight is below the floor

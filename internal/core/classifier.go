@@ -55,7 +55,8 @@ type Classifier struct {
 
 // NewClassifier builds a classifier from one-class trees, one per class;
 // the class order is the trees' order and the priors are their relative
-// masses. Every tree must be non-empty and share one dimensionality.
+// masses. Every tree must share one dimensionality and be non-empty,
+// unless it decays.
 func NewClassifier(trees []*MultiTree, opts ClassifierOptions) (*Classifier, error) {
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("core: classifier without class trees")
@@ -67,7 +68,9 @@ func NewClassifier(trees []*MultiTree, opts ClassifierOptions) (*Classifier, err
 			return nil, fmt.Errorf("core: class tree %d must hold exactly one class", i)
 		}
 		labels[i] = t.labels[0]
-		if t.Len() == 0 {
+		// A decaying tree may have faded empty (a snapshot of a forest
+		// holds it so); its class scores −Inf until it learns again.
+		if t.Len() == 0 && !t.DecayConfig().Enabled() {
 			return nil, fmt.Errorf("core: empty tree for class %d", labels[i])
 		}
 		if t.cfg.Dim != trees[0].cfg.Dim {
@@ -92,8 +95,7 @@ func NewClassifier(trees []*MultiTree, opts ClassifierOptions) (*Classifier, err
 	}
 	// Priors come from the trees' effective masses (Weight), which for
 	// undecayed trees is exactly the count-based estimate and for
-	// decayed trees (e.g. a reloaded snapshot) folds the outstanding
-	// decay factor in.
+	// decayed trees (e.g. a reloaded snapshot) the decayed mass.
 	c.refreshPriors()
 	return c, nil
 }

@@ -13,23 +13,16 @@ import (
 // model tracks evolving streams instead of classifying yesterday's
 // distribution forever.
 //
-// Time is logical: a tree carries a current epoch and a reference epoch
-// its stored weights are valued at. An observation inserted Δe epochs
-// after the reference is stored with weight 2^(λ·Δe) (amplified, see
-// stats.GrowthFactor), so relative weights inside the tree are exact at
-// every instant without touching any stored cluster feature on insert.
-// The maintenance sweep (DecaySweep) then rescales the whole tree to the
-// current epoch — decaying every cluster feature and leaf weight by
-// 2^(−λ·Δe), pruning what has faded below the configured floor and
-// collapsing subtrees the pruning left underfull — and resets the
-// reference. Cross-tree comparisons (class priors, shard mixing) use
-// Weight(), which folds the outstanding decay factor into the stored
-// root mass.
+// Time is logical and moves one way: AdvanceDecay advances the tree's
+// epoch by one and applies it at once, decaying every cluster feature
+// and leaf weight by 2^(−λ), pruning what has faded below the
+// configured floor and collapsing subtrees the pruning left underfull.
+// Stored weights are therefore always valued at the current epoch: an
+// insert stores weight 1, and Weight() is the stored root mass.
 //
-// Both AdvanceEpoch and DecaySweep drop the cached query state (they
-// call invalidate with no path), so no query ever mixes state from two
-// decay epochs. With
-// decay disabled (λ = 0) every path below is bypassed and behaviour is
+// AdvanceDecay drops the cached query state (it calls invalidate with no
+// path), so no query ever mixes state from two decay epochs. With decay
+// disabled (λ = 0) every path below is bypassed and behaviour is
 // digit-identical to an undecayed tree.
 
 // DecayOptions configure exponential forgetting on a tree.
@@ -40,7 +33,8 @@ type DecayOptions struct {
 	// MinWeight is the pruning floor of the maintenance sweep:
 	// observations whose decayed weight falls below it are forgotten
 	// (subtrees whose observations all fade empty out bottom-up and
-	// are dropped whole). Zero keeps everything (weights still fade).
+	// are dropped whole). Zero keeps an observation until its weight
+	// underflows to 0 (weights still fade).
 	// Must be below 1 so fresh unit-weight observations always
 	// survive.
 	MinWeight float64
@@ -92,13 +86,11 @@ func (s *SweepStats) Add(o SweepStats) {
 // The clock and the sweep
 
 // decayClock is a tree's logical decay time, embedded in MultiTree:
-// decay configures exponential forgetting (zero value = off),
-// epoch is the current logical time and refEpoch the epoch the stored
-// weights are valued at.
+// decay configures exponential forgetting (zero value = off) and epoch
+// counts the decay steps taken.
 type decayClock struct {
-	decay    DecayOptions
-	epoch    int64
-	refEpoch int64
+	decay DecayOptions
+	epoch int64
 }
 
 // DecayConfig returns the decay options in effect (zero value = off).
@@ -107,44 +99,10 @@ func (d *decayClock) DecayConfig() DecayOptions { return d.decay }
 // Epoch returns the tree's current logical decay epoch.
 func (d *decayClock) Epoch() int64 { return d.epoch }
 
-// DecayState returns the decay options, the current epoch and the
-// reference epoch the stored weights are valued at — what a snapshot
-// must carry for a decayed tree to reload digit-identically.
-func (d *decayClock) DecayState() (opts DecayOptions, epoch, ref int64) {
-	return d.decay, d.epoch, d.refEpoch
-}
-
-// restore validates and installs decay options and epochs; the tree
-// then drops its cached query state.
-func (d *decayClock) restore(opts DecayOptions, epoch, ref int64) error {
-	if err := opts.Validate(); err != nil {
-		return err
-	}
-	if epoch < ref {
-		return fmt.Errorf("core: decay epoch %d before reference %d", epoch, ref)
-	}
-	*d = decayClock{decay: opts, epoch: epoch, refEpoch: ref}
-	return nil
-}
-
-// advance moves logical time forward by n epochs and reports whether it
-// moved (the tree then drops its cached query state). Stored state is
-// untouched — decay is applied lazily: subsequent inserts carry larger
-// amplified weights and Weight() folds the larger outstanding decay
-// factor.
-func (d *decayClock) advance(n int64) bool {
-	if n <= 0 || !d.decay.Enabled() {
-		return false
-	}
-	d.epoch += n
-	return true
-}
-
-// insertWeight is the amplified weight of an observation inserted now:
-// 2^(λ·Δe) relative to the reference epoch the tree's weights are
-// stored at. 1 exactly when decay is disabled or no epoch has passed.
-func (d *decayClock) insertWeight() float64 {
-	return stats.GrowthFactor(d.decay.Lambda, d.epoch-d.refEpoch)
+// DecayState returns the decay options and the current epoch — what a
+// snapshot must carry for a decayed tree to reload digit-identically.
+func (d *decayClock) DecayState() (opts DecayOptions, epoch int64) {
+	return d.decay, d.epoch
 }
 
 // sweeper is one maintenance sweep in progress: the rescale factor and
@@ -157,38 +115,6 @@ type sweeper struct {
 	st            SweepStats
 	orphans       []LabeledPoint
 	orphanW       []float64
-}
-
-// decaySweep applies the decay outstanding on the clock to the tree:
-// every leaf weight and cluster feature is rescaled to the current
-// epoch, observations whose decayed weight falls below the MinWeight
-// floor are pruned (children emptied by that pruning are dropped whole),
-// children the pruning left underfull are dissolved into orphans,
-// single-entry root chains are collapsed and the reference epoch is
-// reset to the current epoch. It returns the new root and the finished
-// sweep — nil when there was nothing to do. The caller reinserts the
-// orphans (they carry already-decayed weights and the reference is
-// already current, so at face value), recounts and drops its cached
-// query state.
-func (t *MultiTree) decaySweep() (*MultiNode, *sweeper) {
-	root, d := t.root, &t.decayClock
-	if !d.decay.Enabled() {
-		return root, nil
-	}
-	factor := stats.DecayFactor(d.decay.Lambda, d.epoch-d.refEpoch)
-	d.refEpoch = d.epoch
-	if factor == 1 && d.decay.MinWeight <= 0 {
-		return root, nil
-	}
-	s := &sweeper{factor: factor, floor: d.decay.MinWeight, t: t}
-	s.sweep(root)
-	for !root.leaf && len(root.entries) == 1 {
-		root = root.entries[0].Child
-	}
-	if !root.leaf && len(root.entries) == 0 {
-		root = &MultiNode{leaf: true}
-	}
-	return root, s
 }
 
 // sweep decays the subtree under n in place: leaf weights are scaled by
@@ -206,8 +132,10 @@ func (s *sweeper) sweep(n *MultiNode) {
 		}
 		kept := 0
 		for i := range n.points {
+			// A weight that underflowed to 0 holds no mass, and no
+			// snapshot may store it: it goes whatever the floor.
 			w := n.weights[i] * s.factor
-			if s.floor > 0 && w < s.floor {
+			if w < s.floor || w == 0 {
 				continue
 			}
 			n.points[kept] = n.points[i]
@@ -249,40 +177,31 @@ func (s *sweeper) sweep(n *MultiNode) {
 // MultiTree
 
 // EnableDecay switches exponential forgetting on (or reconfigures it).
-// It affects how future inserts are weighted and what AdvanceEpoch and
-// DecaySweep do; already stored weights are untouched until the next
-// sweep.
+// Stored weights are untouched; the options rule the next AdvanceDecay.
 func (t *MultiTree) EnableDecay(opts DecayOptions) error {
-	return t.RestoreDecayState(opts, t.epoch, t.refEpoch)
+	return t.RestoreDecayState(opts, t.epoch)
 }
 
 // RestoreDecayState reinstates decay state decoded from a snapshot.
-func (t *MultiTree) RestoreDecayState(opts DecayOptions, epoch, ref int64) error {
-	if err := t.restore(opts, epoch, ref); err != nil {
+func (t *MultiTree) RestoreDecayState(opts DecayOptions, epoch int64) error {
+	if err := opts.Validate(); err != nil {
 		return err
 	}
+	if epoch < 0 {
+		return fmt.Errorf("core: decay epoch %d is negative", epoch)
+	}
+	t.decayClock = decayClock{decay: opts, epoch: epoch}
 	t.invalidate(nil, 0, allClasses)
 	t.publish()
 	return nil
 }
 
-// AdvanceEpoch moves logical time forward by n epochs. Stored state is
-// untouched, but the cached query-time constants and the mirror are
-// dropped, so no query observes state from two epochs at once. A no-op
-// when decay is disabled.
-func (t *MultiTree) AdvanceEpoch(n int64) {
-	if t.advance(n) {
-		t.invalidate(nil, 0, allClasses)
-		t.publish()
-	}
-}
-
-// Weight returns the tree's effective total mass: the stored root mass
-// with the decay outstanding since the last sweep folded in. With decay
-// disabled it equals float64(Len()) exactly. This — not the raw point
-// count — is what priors and shard mixing must weight by. The mass is
-// read from the root level directly — one pass over the root node, whose
-// summaries insert and sweep keep fresh; no query-state rebuild.
+// Weight returns the tree's effective total mass: the stored root mass,
+// which every decay step has already rescaled. With decay disabled it
+// equals float64(Len()) exactly. This — not the raw point count — is
+// what priors and shard mixing must weight by. The mass is read from the
+// root level directly — one pass over the root node, whose summaries
+// insert and sweep keep fresh; no query-state rebuild.
 func (t *MultiTree) Weight() float64 {
 	if !t.decay.Enabled() {
 		return float64(t.size)
@@ -303,29 +222,44 @@ func (t *MultiTree) Weight() float64 {
 			mass += w
 		}
 	}
-	return mass * stats.DecayFactor(t.decay.Lambda, t.epoch-t.refEpoch)
+	return mass
 }
 
 // CountNodes returns the number of tree nodes (inner and leaf) — the
 // bounded-memory observable a drift-tracking server reports.
 func (t *MultiTree) CountNodes() int { return countNodes(t.root) }
 
-// DecaySweep applies the decay accumulated since the last sweep
-// (decaySweep: rescale, prune below the floor, dissolve underfull
-// children, collapse root chains, reset the reference epoch), reinserts
-// the dissolved observations, recomputes the per-class masses and point
-// counts and invalidates the cached query state. Cost is one pass over
-// the tree; call it once an epoch, not per insert.
-func (t *MultiTree) DecaySweep() SweepStats {
-	root, s := t.decaySweep()
-	if s == nil {
+// AdvanceDecay advances the tree one decay epoch and applies it: every
+// leaf weight and cluster feature is rescaled by 2^(−λ), observations
+// whose weight falls below the MinWeight floor are pruned (children
+// emptied by that pruning are dropped whole), children the pruning left
+// underfull are dissolved and their observations reinserted at their
+// decayed weights, single-entry root chains are collapsed, and the
+// per-class masses and point counts are recomputed. The cached query
+// state is dropped. Cost is one pass over the tree. A no-op when decay
+// is disabled.
+func (t *MultiTree) AdvanceDecay() SweepStats {
+	if !t.decay.Enabled() {
 		return SweepStats{}
 	}
-	t.root = root
+	t.epoch++
 	// Invalidated before the reinserts, so none of them patches query
-	// constants the sweep has already outdated; the class masses they
-	// would be patched from are only recomputed below.
+	// constants the sweep outdates; the class masses they would be
+	// patched from are only recomputed below.
 	t.invalidate(nil, 0, allClasses)
+	s := &sweeper{factor: stats.DecayFactor(t.decay.Lambda, 1), floor: t.decay.MinWeight, t: t}
+	if s.factor == 1 && s.floor <= 0 {
+		return SweepStats{}
+	}
+	root := t.root
+	s.sweep(root)
+	for !root.leaf && len(root.entries) == 1 {
+		root = root.entries[0].Child
+	}
+	if !root.leaf && len(root.entries) == 0 {
+		root = &MultiNode{leaf: true}
+	}
+	t.root = root
 	for k, p := range s.orphans {
 		t.insertPointW(p, s.orphanW[k], t.index[p.Label])
 	}
@@ -358,31 +292,17 @@ func (c *Classifier) EnableDecay(opts DecayOptions) error {
 	return nil
 }
 
-// AdvanceEpoch moves every class tree's logical time forward by n
-// epochs.
-func (c *Classifier) AdvanceEpoch(n int64) {
-	for _, t := range c.trees {
-		t.AdvanceEpoch(n)
-	}
-}
-
-// DecaySweep runs the maintenance sweep on every class tree and
-// refreshes the class priors from the decayed masses. A class whose
-// tree decays empty keeps a −Inf prior until new observations arrive.
-func (c *Classifier) DecaySweep() SweepStats {
+// AdvanceDecay advances every class tree one decay epoch and applies
+// it (MultiTree.AdvanceDecay), then refreshes the class priors from the
+// decayed masses. A class whose tree decays empty keeps a −Inf prior
+// until new observations arrive.
+func (c *Classifier) AdvanceDecay() SweepStats {
 	var st SweepStats
 	for _, t := range c.trees {
-		st.Add(t.DecaySweep())
+		st.Add(t.AdvanceDecay())
 	}
 	c.refreshPriors()
 	return st
-}
-
-// AdvanceDecay advances one decay epoch and immediately sweeps — the
-// single-call form maintenance loops and stream runners use.
-func (c *Classifier) AdvanceDecay() SweepStats {
-	c.AdvanceEpoch(1)
-	return c.DecaySweep()
 }
 
 // refreshPriors recomputes the log class priors from the trees'

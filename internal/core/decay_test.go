@@ -42,8 +42,7 @@ func TestDecayOptionsValidate(t *testing.T) {
 // per-class forest and the multi-class tree the server serves.
 type decayTree interface {
 	EnableDecay(DecayOptions) error
-	AdvanceEpoch(int64)
-	DecaySweep() SweepStats
+	AdvanceDecay() SweepStats
 	Weight() float64
 	Epoch() int64
 	Len() int
@@ -116,7 +115,7 @@ func mustDensity(t *testing.T, tree decayTree, x []float64) float64 {
 }
 
 // With λ = 0 the decay surface must be inert: epochs do not advance,
-// sweeps do nothing, weights stay nil and queries are untouched.
+// decay steps do nothing, weights stay nil and queries are untouched.
 func TestDecayDisabledIsInert(t *testing.T) {
 	forEachDecayTree(t, func(t *testing.T, tree decayTree) {
 		rng := rand.New(rand.NewSource(1))
@@ -128,13 +127,13 @@ func TestDecayDisabledIsInert(t *testing.T) {
 		x := []float64{0.4, 0.6}
 		before := mustDensity(t, tree, x)
 
-		tree.AdvanceEpoch(3)
+		for range 3 {
+			if st := tree.AdvanceDecay(); st != (SweepStats{}) {
+				t.Fatalf("decay step did work with decay disabled: %+v", st)
+			}
+		}
 		if tree.Epoch() != 0 {
 			t.Fatalf("epoch advanced with decay disabled: %d", tree.Epoch())
-		}
-		st := tree.DecaySweep()
-		if st != (SweepStats{}) {
-			t.Fatalf("sweep did work with decay disabled: %+v", st)
 		}
 		if w := tree.Weight(); w != float64(tree.Len()) {
 			t.Fatalf("Weight %v != Len %d with decay disabled", w, tree.Len())
@@ -145,11 +144,11 @@ func TestDecayDisabledIsInert(t *testing.T) {
 	})
 }
 
-// Advancing epochs halves the effective mass per epoch at λ = 1, both
-// before the sweep (folded factor) and after it (rescaled storage), and
-// the sweep itself must not change any query answer — renormalisation
-// is invisible to densities: both trees take Silverman's n from the
-// point count, not from the mass a sweep rescales.
+// A decay step halves the effective mass at λ = 1 and must not change
+// any query answer — rescaling every weight alike is invisible to
+// densities: both trees take Silverman's n from the point count, not
+// from the mass a step rescales. An insert after more steps weighs 1
+// against the faded mass.
 func TestDecayWeightAndSweepInvariance(t *testing.T) {
 	forEachDecayTree(t, func(t *testing.T, tree decayTree) {
 		if err := tree.EnableDecay(DecayOptions{Lambda: 1}); err != nil {
@@ -165,30 +164,25 @@ func TestDecayWeightAndSweepInvariance(t *testing.T) {
 		if math.Abs(w0-60) > 1e-9 {
 			t.Fatalf("fresh weight %v, want 60", w0)
 		}
-		tree.AdvanceEpoch(1)
-		if w := tree.Weight(); math.Abs(w-30) > 1e-9 {
-			t.Fatalf("weight after one epoch %v, want 30", w)
-		}
-
 		x := []float64{0.3, 0.7}
 		before := mustDensity(t, tree, x)
-		tree.DecaySweep()
+		tree.AdvanceDecay()
 		if w := tree.Weight(); math.Abs(w-30) > 1e-9 {
-			t.Fatalf("weight after sweep %v, want 30", w)
+			t.Fatalf("weight after one decay step %v, want 30", w)
 		}
 		if after := mustDensity(t, tree, x); math.Abs(before-after) > 1e-9 {
-			t.Fatalf("sweep changed density: %v -> %v", before, after)
+			t.Fatalf("decay step changed density: %v -> %v", before, after)
 		}
 
-		// An insert after two more epochs weighs 4x the swept mass scale.
-		tree.AdvanceEpoch(2)
+		tree.AdvanceDecay()
+		tree.AdvanceDecay()
 		if err := tree.insert([]float64{0.5, 0.5}); err != nil {
 			t.Fatal(err)
 		}
 		// Effective: 60 points at 30/4 total plus the new point at 1.
 		want := 30.0/4 + 1
 		if w := tree.Weight(); math.Abs(w-want) > 1e-9 {
-			t.Fatalf("weight after amplified insert %v, want %v", w, want)
+			t.Fatalf("weight after a fresh insert %v, want %v", w, want)
 		}
 	})
 }
@@ -206,7 +200,8 @@ func TestDecayedDensityMatchesDirectComputation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tree.AdvanceEpoch(2) // old points now weigh 1/4 of new ones
+	tree.AdvanceDecay() // old points now weigh 1/4 of new ones
+	tree.AdvanceDecay()
 	fresh := [][]float64{{0.8, 0.9}, {0.85, 0.8}}
 	for _, p := range fresh {
 		if err := tree.Insert(p, 0); err != nil {
@@ -219,7 +214,7 @@ func TestDecayedDensityMatchesDirectComputation(t *testing.T) {
 	got := logDensity(cur)
 	cur.Close()
 
-	// Direct: weights 1,1,1,4,4 on the stored scale; density is
+	// Direct: weights 1/4, 1/4, 1/4, 1, 1; density is
 	// Σ w_i K(x, p_i) / Σ w_i with the tree's own frozen kernel.
 	kern := tree.queryConsts().kern[0]
 	var num, den float64
@@ -228,10 +223,10 @@ func TestDecayedDensityMatchesDirectComputation(t *testing.T) {
 		den += w
 	}
 	for _, p := range old {
-		add(p, 1)
+		add(p, 0.25)
 	}
 	for _, p := range fresh {
-		add(p, 4)
+		add(p, 1)
 	}
 	want := math.Log(num / den)
 	if math.Abs(got-want) > 1e-9 {
@@ -239,9 +234,9 @@ func TestDecayedDensityMatchesDirectComputation(t *testing.T) {
 	}
 }
 
-// Sweeping with a pruning floor forgets faded observations: old mass is
-// dropped, fresh mass survives, and the tree stays structurally sound
-// for further inserts and queries.
+// Decay steps with a pruning floor forget faded observations: old mass
+// is dropped, fresh mass survives, and the tree stays structurally
+// sound for further inserts and queries.
 func TestDecaySweepPrunesOldMass(t *testing.T) {
 	forEachDecayTree(t, func(t *testing.T, tree decayTree) {
 		if err := tree.EnableDecay(DecayOptions{Lambda: 1, MinWeight: 0.1}); err != nil {
@@ -253,21 +248,23 @@ func TestDecaySweepPrunesOldMass(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tree.AdvanceEpoch(5) // factor 1/32 < 0.1: everything old must go
+		var st SweepStats
+		for range 4 { // factor 1/16 < 0.1: everything old must go
+			st.Add(tree.AdvanceDecay())
+		}
+		if st.PointsPruned != 50 {
+			t.Fatalf("pruned %d points, want 50 (stats %+v)", st.PointsPruned, st)
+		}
 		for i := 0; i < 30; i++ {
 			if err := tree.insert([]float64{0.7 + 0.1*rng.Float64(), 0.7 + 0.1*rng.Float64()}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		st := tree.DecaySweep()
-		if st.PointsPruned != 50 {
-			t.Fatalf("pruned %d points, want 50 (stats %+v)", st.PointsPruned, st)
-		}
 		if tree.Len() != 30 {
-			t.Fatalf("size after sweep %d, want 30", tree.Len())
+			t.Fatalf("size after pruning %d, want 30", tree.Len())
 		}
 		if w := tree.Weight(); math.Abs(w-30) > 1e-9 {
-			t.Fatalf("weight after sweep %v, want 30", w)
+			t.Fatalf("weight after pruning %v, want 30", w)
 		}
 		// The tree still inserts and answers queries.
 		if err := tree.insert([]float64{0.5, 0.5}); err != nil {
@@ -295,8 +292,9 @@ func TestDecaySweepToEmptyAndRecover(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tree.AdvanceEpoch(10)
-		tree.DecaySweep()
+		for range 3 {
+			tree.AdvanceDecay()
+		}
 		if tree.Len() != 0 {
 			t.Fatalf("size %d after total decay, want 0", tree.Len())
 		}
@@ -341,8 +339,7 @@ func TestDecayBoundsTreeSize(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tree.AdvanceEpoch(1)
-		tree.DecaySweep()
+		tree.AdvanceDecay()
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}

@@ -98,7 +98,7 @@ func checkQueryStateMatchesRebuild(t *testing.T, ctx string, mt *MultiTree) {
 // TestInsertDeltaMatchesSummarize is the delta's property: over seeded
 // runs — continuous and tie-heavy coordinates (both zeros among them),
 // PooledVariance × decay, three node capacities, two
-// to four classes, an epoch advance and a decay sweep in mid-run — after
+// to four classes, two runs of decay steps in mid-run — after
 // every insert each entry is bitwise summarize(child), the cached query
 // constants are bitwise a rebuild from nil, and the mirror the insert
 // repaired is block for block a fresh build.
@@ -142,13 +142,11 @@ func TestInsertDeltaMatchesSummarize(t *testing.T) {
 			switch {
 			case decay && i == 25:
 				for range 2 {
-					mt.AdvanceEpoch(1)
-					mt.DecaySweep()
+					mt.AdvanceDecay()
 				}
 			case decay && i == 45:
 				for range 10 {
-					mt.AdvanceEpoch(1)
-					mt.DecaySweep()
+					mt.AdvanceDecay()
 				}
 			}
 		}
@@ -191,7 +189,7 @@ func rebuiltCopy(t *testing.T, mt *MultiTree) *MultiTree {
 		t.Fatal(err)
 	}
 	derive()
-	if err := out.RestoreDecayState(mt.decay, mt.epoch, mt.refEpoch); err != nil {
+	if err := out.RestoreDecayState(mt.decay, mt.epoch); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -267,8 +265,7 @@ func TestEntriesOwnTheirVectors(t *testing.T) {
 			switch op := rng.Intn(20); {
 			case op == 0:
 				for range 1 + rng.Intn(6) {
-					mt.AdvanceEpoch(1)
-					mt.DecaySweep()
+					mt.AdvanceDecay()
 				}
 			case op == 1:
 				mt = rebuiltCopy(t, mt)

@@ -213,13 +213,11 @@ func TestCursorOnEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clf.AdvanceEpoch(1)
-	clf.DecaySweep()
+	clf.AdvanceDecay()
 	if err := clf.Learn([]float64{1, 0}, 1); err != nil {
 		t.Fatal(err)
 	}
-	clf.AdvanceEpoch(1)
-	clf.DecaySweep()
+	clf.AdvanceDecay()
 	if trees[0].Len() != 0 || trees[1].Len() != 1 {
 		t.Fatalf("classes hold %d and %d points, want 0 (decayed away) and 1", trees[0].Len(), trees[1].Len())
 	}

@@ -377,19 +377,19 @@ func (t *MultiTree) Insert(x []float64, label int) error {
 	}
 	cp := make([]float64, len(x))
 	copy(cp, x)
-	w := t.insertWeight()
 	// Counted first: the insert ends in invalidate, which patches the
 	// cached query constants of this class from its new count.
 	t.size++
-	t.counts[ci] += w
+	t.counts[ci]++
 	t.npoints[ci]++
-	t.insertPointW(LabeledPoint{X: cp, Label: label}, w, ci)
+	t.insertPointW(LabeledPoint{X: cp, Label: label}, 1, ci)
 	t.publish()
 	return nil
 }
 
 // insertPointW inserts p, of class index c, at leaf level with the given
-// weight (1 for undecayed trees).
+// weight: 1 for an insert, the decayed weight for an observation a decay
+// step reinserts.
 func (t *MultiTree) insertPointW(p LabeledPoint, w float64, c int) {
 	rect := mbr.Rect{Lo: p.X, Hi: p.X}
 	path := append(t.path[:0], t.root)

@@ -60,31 +60,27 @@ func TestPublishedPairTracksEveryMutation(t *testing.T) {
 			return mt, err
 		}},
 		{"EnableDecay then Insert", decayed},
-		{"AdvanceEpoch", func() (*MultiTree, error) {
+		{"AdvanceDecay", func() (*MultiTree, error) {
 			mt, err := decayed()
 			if err == nil {
 				for range 3 {
-					mt.AdvanceEpoch(1)
-					mt.DecaySweep()
+					mt.AdvanceDecay()
 				}
 			}
 			return mt, err
 		}},
-		{"DecaySweep", func() (*MultiTree, error) {
+		{"AdvanceDecay pruning", func() (*MultiTree, error) {
 			mt, err := decayed()
 			if err == nil {
 				for range 2 {
-					mt.AdvanceEpoch(1)
-					mt.DecaySweep()
+					mt.AdvanceDecay()
 				}
 				err = insert(mt, 200)
 			}
 			if err == nil {
-				mt.AdvanceEpoch(1)
-				mt.DecaySweep()
-				mt.AdvanceEpoch(1)
-				if st := mt.DecaySweep(); st.PointsPruned == 0 || mt.Len() == 0 {
-					t.Errorf("DecaySweep pruned %d of 400 points: the case moves the pair only partly", st.PointsPruned)
+				mt.AdvanceDecay()
+				if st := mt.AdvanceDecay(); st.PointsPruned == 0 || mt.Len() == 0 {
+					t.Errorf("AdvanceDecay pruned %d of 400 points: the case moves the pair only partly", st.PointsPruned)
 				}
 			}
 			return mt, err
@@ -92,8 +88,8 @@ func TestPublishedPairTracksEveryMutation(t *testing.T) {
 		{"RestoreDecayState", func() (*MultiTree, error) {
 			mt, err := decayed()
 			if err == nil {
-				opts, epoch, _ := mt.DecayState()
-				err = mt.RestoreDecayState(opts, epoch+2, epoch+2)
+				opts, epoch := mt.DecayState()
+				err = mt.RestoreDecayState(opts, epoch+2)
 			}
 			return mt, err
 		}},

@@ -35,8 +35,7 @@ func pinTree(t *testing.T, k kernels.Kernel, mopts MultiOptions, decayed bool) *
 			t.Fatal(err)
 		}
 		if decayed && i%40 == 39 {
-			mt.AdvanceEpoch(1)
-			mt.DecaySweep()
+			mt.AdvanceDecay()
 		}
 	}
 	return mt

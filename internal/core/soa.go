@@ -50,7 +50,7 @@ import (
 //     block it sat in and only the entries over new halves frozen, and
 //     each surviving level's entry over the path frozen anew, every
 //     class — work proportional to the path, not the tree;
-//   - a structural mutation (decay sweep, epoch or decay-state change)
+//   - a structural mutation (a decay step or a decay-state change)
 //     touches every node and drops the mirror;
 //   - a query that finds none builds it and publishes it with a
 //     compare-and-swap (concurrent first queries build identical mirrors
@@ -474,7 +474,7 @@ func (t *MultiTree) SoACounters() (rebuilds, patches, invalidations int64) {
 // calls it (mutation already requires exclusive access, so no version
 // stamp is needed). An insert passes its path, the number of levels,
 // counted from the leaf, that splits replaced, and the point's class; a
-// nil path is a decay or epoch change. It applies one rule to both
+// nil path is a decay step or a decay-state change. It applies one rule to both
 // places that hold derived state, the cached query constants and the
 // mirror, when they exist:
 //
@@ -620,8 +620,8 @@ func (q *MultiQuery) settle() {
 
 // refineSoALeaf scores a leaf's kernel centres one contiguous class
 // range at a time through the frozen kernel's sweep. Decayed leaves
-// weight each kernel by its observation's faded mass (same
-// reference-epoch scale as logNc).
+// weight each kernel by its observation's faded mass (the scale logNc
+// is on).
 func (q *MultiQuery) refineSoALeaf(nd *soaNode) {
 	s := q.soa
 	dim, nc := s.dim, s.nc

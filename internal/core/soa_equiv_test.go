@@ -366,7 +366,7 @@ func TestSoAEquivalenceEpanechnikov(t *testing.T) {
 }
 
 // TestSoAEquivalenceUnderMutation is the randomized interleaving
-// property: inserts, epoch advances and decay sweeps interleaved with
+// property: inserts and decay steps interleaved with
 // classifications, with no refresh call anywhere. After every mutation
 // the mirror is either gone (a structural mutation dropped it, and the
 // next query builds it) or, after an insert, block for block a fresh
@@ -400,8 +400,7 @@ func TestSoAEquivalenceUnderMutation(t *testing.T) {
 		case 0, 1:
 			insert(1 + rng.Intn(5))
 		default:
-			mt.AdvanceEpoch(1)
-			mt.DecaySweep()
+			mt.AdvanceDecay()
 			if mt.soa.Load() != nil {
 				t.Fatalf("round %d: a structural mutation left the mirror published", round)
 			}

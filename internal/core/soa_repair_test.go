@@ -155,14 +155,12 @@ func TestSoARepairMatchesFreshBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			for range 2 {
-				mt.AdvanceEpoch(1)
-				mt.DecaySweep()
+				mt.AdvanceDecay()
 			}
 			query("two decay steps")
 			inserts("weighted leaves", 20, 3)
 			for range 12 {
-				mt.AdvanceEpoch(1)
-				mt.DecaySweep()
+				mt.AdvanceDecay()
 			}
 			query("twelve decay steps")
 			inserts("after the sweeps", 15, 3)

@@ -37,12 +37,10 @@ func buildDecayedMultiTree(t testing.TB) *core.MultiTree {
 	}
 	insert(80, 0.0)
 	for range 3 {
-		mt.AdvanceEpoch(1)
-		mt.DecaySweep()
+		mt.AdvanceDecay()
 	}
 	insert(60, 0.6)
-	mt.AdvanceEpoch(1)
-	mt.DecaySweep()
+	mt.AdvanceDecay()
 	insert(20, 0.8)
 	return mt
 }
@@ -70,11 +68,10 @@ func TestDecayedMultiTreeRoundTripDigitIdentical(t *testing.T) {
 	mt := buildDecayedMultiTree(t)
 	got := roundTripMultiTree(t, mt)
 
-	wantOpts, wantEpoch, wantRef := mt.DecayState()
-	gotOpts, gotEpoch, gotRef := got.DecayState()
-	if gotOpts != wantOpts || gotEpoch != wantEpoch || gotRef != wantRef {
-		t.Fatalf("decay state %+v e%d r%d, want %+v e%d r%d",
-			gotOpts, gotEpoch, gotRef, wantOpts, wantEpoch, wantRef)
+	wantOpts, wantEpoch := mt.DecayState()
+	gotOpts, gotEpoch := got.DecayState()
+	if gotOpts != wantOpts || gotEpoch != wantEpoch {
+		t.Fatalf("decay state %+v e%d, want %+v e%d", gotOpts, gotEpoch, wantOpts, wantEpoch)
 	}
 	if got.Weight() != mt.Weight() {
 		t.Fatalf("weight %v, want %v", got.Weight(), mt.Weight())
@@ -102,10 +99,8 @@ func TestDecayedMultiTreeRoundTripDigitIdentical(t *testing.T) {
 	// The reloaded model keeps decaying: two more decay steps must
 	// agree with the original put through the same motions.
 	for range 2 {
-		mt.AdvanceEpoch(1)
-		mt.DecaySweep()
-		got.AdvanceEpoch(1)
-		got.DecaySweep()
+		mt.AdvanceDecay()
+		got.AdvanceDecay()
 	}
 	if got.Weight() != mt.Weight() || got.Len() != mt.Len() {
 		t.Fatalf("post-reload sweep diverged: weight %v/%v size %d/%d",
@@ -139,13 +134,11 @@ func decayedForest(t testing.TB) *core.Classifier {
 		}
 		insert(120)
 		for range 2 {
-			tr.AdvanceEpoch(1)
-			swept.Add(tr.DecaySweep())
+			swept.Add(tr.AdvanceDecay())
 		}
 		insert(20 + 10*c)
 		for round := 0; round < 4; round++ {
-			tr.AdvanceEpoch(1)
-			swept.Add(tr.DecaySweep())
+			swept.Add(tr.AdvanceDecay())
 			insert(7 + 3*c)
 		}
 		if err := tr.Validate(); err != nil {
@@ -169,8 +162,7 @@ func decayedForest(t testing.TB) *core.Classifier {
 // bit — the snapshot must carry them.
 func learnedAfterSweep(t testing.TB) *core.Classifier {
 	clf := decayedForest(t)
-	clf.AdvanceEpoch(1)
-	clf.DecaySweep()
+	clf.AdvanceDecay()
 	rng := rand.New(rand.NewSource(14))
 	for i := 0; i < 5; i++ {
 		if err := clf.Learn([]float64{rng.Float64(), rng.Float64()}, i%2); err != nil {

@@ -150,8 +150,7 @@ func smallMultiTree(tb testing.TB, decayed bool) *core.MultiTree {
 	for i := 0; i < 14; i++ {
 		if i == 8 && decayed {
 			for range 2 {
-				mt.AdvanceEpoch(1)
-				mt.DecaySweep()
+				mt.AdvanceDecay()
 			}
 		}
 		if err := mt.Insert([]float64{rng.Float64(), rng.Float64()}, 3+4*(i%2)); err != nil {
@@ -180,16 +179,14 @@ func smallForest(tb testing.TB) *core.Classifier {
 		for i := 0; i < 40; i++ {
 			if i == 25 {
 				for range 2 {
-					tr.AdvanceEpoch(1)
-					tr.DecaySweep()
+					tr.AdvanceDecay()
 				}
 			}
 			if err := tr.Insert([]float64{float64(c)*0.5 + 0.3*rng.Float64(), rng.Float64()}, c); err != nil {
 				tb.Fatal(err)
 			}
 		}
-		tr.AdvanceEpoch(1)
-		tr.DecaySweep()
+		tr.AdvanceDecay()
 		if err := tr.Insert([]float64{float64(c) * 0.5, 0.5}, c); err != nil {
 			tb.Fatal(err)
 		}
@@ -261,9 +258,11 @@ func snapshotCorpus(tb testing.TB) []sample {
 // and three sets that a build which had the setting wrote with a value
 // the setting is no longer allowed: a kind-3 set whose tree has the
 // retired entropy-priority flag set (testdata/kind-3-entropy.snap) or
-// forced reinsertion off (testdata/kind-3-no-reinsert.snap), and a
-// cluster set whose tree's leaves hold six micro-clusters
-// (testdata/clusterset-leaf-6.snap); and a cluster set whose retired
+// forced reinsertion off (testdata/kind-3-no-reinsert.snap) or an epoch
+// of decay not yet swept, its reference epoch 0 below its epoch 2
+// (testdata/kind-3-reference-epoch.snap), and a cluster set whose tree's
+// leaves hold six micro-clusters (testdata/clusterset-leaf-6.snap); and
+// a cluster set whose retired
 // pyramidal store slot holds five snapshots
 // (testdata/clusterset-store.snap), and every cluster set of the corpus
 // with that slot's flag set.
@@ -283,7 +282,7 @@ func retiredSnapshots(tb testing.TB) []sample {
 	one = &encoder{p: []byte{4}}
 	one.clusTree(tiny, tiny.Dump())
 	out = append(out, sample{"kind-4", frame(Version, one.p)})
-	for _, name := range []string{"kind-1", "kind-3-entropy", "kind-3-no-reinsert", "clusterset-leaf-6", "clusterset-store"} {
+	for _, name := range []string{"kind-1", "kind-3-entropy", "kind-3-no-reinsert", "kind-3-reference-epoch", "clusterset-leaf-6", "clusterset-store"} {
 		snap, err := os.ReadFile(filepath.Join("testdata", name+".snap"))
 		if err != nil {
 			tb.Fatal(err)

@@ -300,12 +300,15 @@ func (d *oracleDecoder) cf(dim int) stats.CF {
 	return stats.CF{N: d.f64(), LS: d.floats(dim), SS: d.floats(dim)}
 }
 
-// decayState reads the decay block.
-func (d *oracleDecoder) decayState() (opts core.DecayOptions, epoch, ref int64) {
+// decayState reads the decay block; the retired reference epoch must
+// equal the epoch.
+func (d *oracleDecoder) decayState() (opts core.DecayOptions, epoch int64) {
 	opts.Lambda = d.f64()
 	opts.MinWeight = d.f64()
 	epoch = d.i64()
-	ref = d.i64()
+	if ref := d.i64(); d.err == nil && ref != epoch {
+		d.fail("ReferenceEpoch %d is retired, want %d", ref, epoch)
+	}
 	return
 }
 
@@ -319,7 +322,7 @@ func (d *oracleDecoder) leafWeights(points int) []float64 {
 
 func (d *oracleDecoder) multiTree(balanced bool) *core.MultiTree {
 	cfg, forced, frac := d.config()
-	dopts, epoch, ref := d.decayState()
+	dopts, epoch := d.decayState()
 	var mopts core.MultiOptions
 	mopts.PooledVariance = d.boolv()
 	if d.boolv() {
@@ -350,7 +353,7 @@ func (d *oracleDecoder) multiTree(balanced bool) *core.MultiTree {
 		return nil
 	}
 	derive()
-	if err := t.RestoreDecayState(dopts, epoch, ref); err != nil {
+	if err := t.RestoreDecayState(dopts, epoch); err != nil {
 		d.fail("rebuild multi tree: %v", err)
 		return nil
 	}

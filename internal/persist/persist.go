@@ -354,13 +354,14 @@ func (e *encoder) cf(cf *stats.CF) {
 	e.floats(cf.SS)
 }
 
-// decayState writes the decay block: options, current epoch and the
-// reference epoch the stored weights are valued at.
-func (e *encoder) decayState(opts core.DecayOptions, epoch, ref int64) {
+// decayState writes the decay block: options, the epoch, and the epoch
+// again in the slot of the retired reference epoch (the epoch stored
+// weights were valued at, which every decay step now sweeps to).
+func (e *encoder) decayState(opts core.DecayOptions, epoch int64) {
 	e.f64(opts.Lambda)
 	e.f64(opts.MinWeight)
 	e.i64(epoch)
-	e.i64(ref)
+	e.i64(epoch)
 }
 
 // leafWeights writes the optional per-observation weight vector of a
@@ -724,12 +725,13 @@ func (d *decoder) children(child func() any) []any {
 	return kids
 }
 
-// decayState reads the decay block.
-func (d *decoder) decayState() (opts core.DecayOptions, epoch, ref int64) {
+// decayState reads the decay block; the retired reference epoch must
+// equal the epoch.
+func (d *decoder) decayState() (opts core.DecayOptions, epoch int64) {
 	opts.Lambda = d.f64()
 	opts.MinWeight = d.f64()
 	epoch = d.i64()
-	ref = d.i64()
+	d.fixed("ReferenceEpoch", d.i64(), epoch)
 	return
 }
 
@@ -748,7 +750,7 @@ const minNodeBytes = 1 + 8
 // class tree (a set's trees are balanced).
 func (d *decoder) multiTree(balanced bool) *core.MultiTree {
 	cfg, forced, frac := d.config()
-	dopts, epoch, ref := d.decayState()
+	dopts, epoch := d.decayState()
 	var mopts core.MultiOptions
 	mopts.PooledVariance = d.boolv()
 	if d.boolv() {
@@ -771,7 +773,7 @@ func (d *decoder) multiTree(balanced bool) *core.MultiTree {
 	}
 	t, derive, err := core.RebuildMultiTree(cfg, mopts, labels, root, counts, balanced)
 	if err == nil {
-		err = t.RestoreDecayState(dopts, epoch, ref)
+		err = t.RestoreDecayState(dopts, epoch)
 	}
 	if err != nil {
 		d.fail("rebuild multi tree: %v", err)

@@ -272,13 +272,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // with the wrong-kind error, a set whose tree holds a retired setting
 // at a value other than the one it is fixed at by its decoder with an
 // error naming the setting, and a cluster set whose retired pyramidal
-// store slot is filled with an error naming the slot.
+// store slot is filled with an error naming the slot. The reader-based
+// oracle refuses each with the same message.
 func TestRetiredSnapshotsRefused(t *testing.T) {
 	retired := map[string]string{
-		"kind-3-entropy":     "entropy-weighted descent priority is retired",
-		"kind-3-no-reinsert": "ForcedReinsert false is retired",
-		"clusterset-leaf-6":  "MaxLeafEntries 6 is retired",
-		"clusterset-store":   "pyramidal store slot is retired",
+		"kind-3-entropy":         "entropy-weighted descent priority is retired",
+		"kind-3-no-reinsert":     "ForcedReinsert false is retired",
+		"kind-3-reference-epoch": "ReferenceEpoch 0 is retired, want 2",
+		"clusterset-leaf-6":      "MaxLeafEntries 6 is retired",
+		"clusterset-store":       "pyramidal store slot is retired",
 	}
 	for _, s := range retiredSnapshots(t) {
 		version, kind := binary.LittleEndian.Uint32(s.snap[4:]), payloadOf(s.snap)[0]
@@ -297,6 +299,9 @@ func TestRetiredSnapshotsRefused(t *testing.T) {
 				t.Fatalf("%s: the %s decoder says %v, want ErrVersion", s.name, c.name, err)
 			case version == Version && (err == nil || !strings.Contains(err.Error(), want)):
 				t.Fatalf("%s: the %s decoder says %v, want %q", s.name, c.name, err, want)
+			}
+			if _, werr := c.oracle(bytes.NewReader(s.snap)); werr == nil || werr.Error() != err.Error() {
+				t.Fatalf("%s: the %s decoder says %v, its oracle %v", s.name, c.name, err, werr)
 			}
 			checkAgainstOracle(t, c, s.snap)
 		}

@@ -35,9 +35,6 @@ import (
 // ctree adapts one shard's clustering tree to the engine's Model contract.
 type ctree struct {
 	t *clustree.Tree
-	// epoch counts the sweeps this process ran, for reporting only: the
-	// ClusTree's decay clock is the logical insert timestamp.
-	epoch int64
 	// floor is the maintenance sweep's pruning threshold (0 = keep
 	// everything; weights still fade).
 	floor float64
@@ -56,17 +53,10 @@ func (c *ctree) CountNodes() int { return c.t.CountNodes() }
 // ApproxBytes implements Model.
 func (c *ctree) ApproxBytes() int64 { return c.t.ApproxBytes() }
 
-// Epoch implements Model.
-func (c *ctree) Epoch() int64 { return c.epoch }
-
-// AdvanceEpoch implements Model. The ClusTree fades against its logical
-// insert clock, so advancing the epoch only moves the maintenance
-// counter; the sweep that follows does the forgetting.
-func (c *ctree) AdvanceEpoch(n int64) { c.epoch += n }
-
-// DecaySweep implements Model: prune micro-clusters whose faded weight
-// fell below the floor and drop emptied subtrees.
-func (c *ctree) DecaySweep() core.SweepStats {
+// AdvanceDecay implements Model: prune micro-clusters whose faded
+// weight fell below the floor and drop emptied subtrees. The ClusTree
+// fades on its logical insert clock, not on epochs, so it has none.
+func (c *ctree) AdvanceDecay() core.SweepStats {
 	points, subtrees := c.t.Prune(c.floor)
 	return core.SweepStats{PointsPruned: points, SubtreesPruned: subtrees}
 }

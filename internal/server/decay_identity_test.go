@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -119,7 +120,8 @@ func clusterDecayWorkload(n int) decayWorkload[*ClusterServer] {
 	}
 }
 
-// decayState is a server's per-shard write counts and epochs, and its
+// decayState is a server's per-shard write counts and epochs (nil for a
+// ClusTree, which fades on its own clock and has none), and its
 // durability state.
 func decayState(s any) (writes []uint64, epochs []int64, dur *durState) {
 	switch v := s.(type) {
@@ -130,17 +132,15 @@ func decayState(s any) (writes []uint64, epochs []int64, dur *durState) {
 		return writes, epochs, v.dur
 	case *ClusterServer:
 		for _, sh := range v.shards {
-			writes, epochs = append(writes, sh.writes), append(epochs, sh.tree.Epoch())
+			writes = append(writes, sh.writes)
 		}
-		return writes, epochs, v.dur
+		return writes, nil, v.dur
 	}
 	panic(fmt.Sprintf("decayState: %T", s))
 }
 
 // sameDecayState fails t unless got holds want's snapshot bytes, answer
-// bits and write counts. (A classification snapshot holds its shards'
-// epochs; a ClusTree fades on its own clock, and the epoch its server
-// reports counts the sweeps this process ran.)
+// bits, write counts and /stats decay_epoch.
 func sameDecayState[S Served](t *testing.T, w decayWorkload[S], what string, got, want S) {
 	t.Helper()
 	if g, x := snapshotBytes(t, got), snapshotBytes(t, want); !bytes.Equal(g, x) {
@@ -154,17 +154,36 @@ func sameDecayState[S Served](t *testing.T, w decayWorkload[S], what string, got
 	if fmt.Sprint(gw) != fmt.Sprint(ww) {
 		t.Fatalf("%s: shard writes %v, the primary's %v", what, gw, ww)
 	}
+	if g, x := statsOf(t, got).DecayEpoch, statsOf(t, want).DecayEpoch; g != x {
+		t.Fatalf("%s: /stats decay_epoch %d, the primary's %d", what, g, x)
+	}
+}
+
+// statsOf is what s's /stats answers.
+func statsOf[S Served](t *testing.T, s S) Stats {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	var st Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || rec.Code != 200 {
+		t.Fatalf("/stats answered %d %q: %v", rec.Code, rec.Body.String(), err)
+	}
+	return st
 }
 
 // checkBoundaries fails t unless every shard of s crossed at least ten
-// decay boundaries, one epoch per decayEvery of its writes.
-func checkBoundaries(t *testing.T, s any) {
+// decay boundaries — a classification shard one epoch per decayEvery of
+// its writes — and the boundaries pruned.
+func checkBoundaries[S Served](t *testing.T, s S) {
 	t.Helper()
 	writes, epochs, _ := decayState(s)
 	for i := range writes {
-		if epochs[i] < 10 || epochs[i] != int64(writes[i]/decayEvery) {
-			t.Fatalf("shard %d: epoch %d after %d writes, want ≥ 10 and one per %d", i, epochs[i], writes[i], decayEvery)
+		if writes[i] < 10*decayEvery || (epochs != nil && epochs[i] != int64(writes[i]/decayEvery)) {
+			t.Fatalf("shard %d: epochs %v after %d writes, want ≥ 10 boundaries and one epoch per %d", i, epochs, writes[i], decayEvery)
 		}
+	}
+	if statsOf(t, s).PointsPruned == 0 {
+		t.Fatal("the decay boundaries pruned nothing")
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 //     overload coarsens answers instead of queueing them;
 //   - size-proportional budget splitting across shards;
 //   - forgetting on the write count: every Config.DecayEvery writes a
-//     shard advances its decay epoch and sweeps its faded mass, under the
-//     write lock the crossing write already holds;
+//     shard takes one decay step, under the write lock the crossing
+//     write already holds;
 //   - draining state for graceful shutdown behind a load balancer.
 //
 // A workload plugs in by implementing Model for its per-shard type,
@@ -54,13 +54,10 @@ type Model interface {
 	// ApproxBytes estimates the model's resident memory from its shape
 	// (dimension, classes, nodes, what it stores per observation).
 	ApproxBytes() int64
-	// Epoch returns the model's current decay epoch.
-	Epoch() int64
-	// AdvanceEpoch advances the model's logical decay clock by n epochs.
-	AdvanceEpoch(n int64)
-	// DecaySweep prunes mass that faded below the configured floor,
-	// reporting what was removed.
-	DecaySweep() core.SweepStats
+	// AdvanceDecay takes one decay step: the model fades and prunes
+	// mass that fell below the configured floor, reporting what was
+	// removed.
+	AdvanceDecay() core.SweepStats
 	// DecayConfig reports the decay options in effect.
 	DecayConfig() core.DecayOptions
 	// EnableDecay turns on (or overrides) exponential forgetting.
@@ -222,8 +219,8 @@ func (e *engine[M]) refreshShardSoA(sh *shard[M]) {
 
 // countWrite follows every write to sh, under its write lock, and
 // returns the write's error: a write that applied (err nil) is counted,
-// and the one that brings the count to a multiple of DecayEvery sweeps
-// the shard. A primary, its replay and its followers apply a shard's
+// and the one that brings the count to a multiple of DecayEvery takes a
+// decay step on the shard. A primary, its replay and its followers apply a shard's
 // writes in one order, so all cross every boundary at the same write.
 // Replay passes mirror false and builds each mirror once at its end.
 func (e *engine[M]) countWrite(sh *shard[M], err error, mirror bool) error {
@@ -237,13 +234,12 @@ func (e *engine[M]) countWrite(sh *shard[M], err error, mirror bool) error {
 	return nil
 }
 
-// decayShard advances sh's epoch by one and runs the maintenance sweep
-// (rescale, prune below the floor, collapse underfull subtrees) under
-// the caller's write lock; with mirror set it rebuilds the descent
-// mirror both dropped, rather than leave it to the shard's first read.
+// decayShard takes one decay step on sh (rescale, prune below the
+// floor, collapse underfull subtrees) under the caller's write lock;
+// with mirror set it rebuilds the descent mirror the step dropped,
+// rather than leave it to the shard's first read.
 func (e *engine[M]) decayShard(sh *shard[M], mirror bool) core.SweepStats {
-	sh.tree.AdvanceEpoch(1)
-	st := sh.tree.DecaySweep()
+	st := sh.tree.AdvanceDecay()
 	if mirror {
 		e.refreshShardSoA(sh)
 	}
@@ -252,8 +248,8 @@ func (e *engine[M]) decayShard(sh *shard[M], mirror bool) core.SweepStats {
 	return st
 }
 
-// AdvanceDecay sweeps every shard, one write lock at a time, whatever
-// their write counts. No log record names it, so a replica does not
+// AdvanceDecay takes one decay step on every shard, one write lock at a
+// time, whatever their write counts. No log record names it, so a replica does not
 // repeat it: it is for a caller that keeps its own clock (DecayEvery
 // 0). A no-op (zero stats) when no shard decays.
 func (e *engine[M]) AdvanceDecay() core.SweepStats {
@@ -404,7 +400,9 @@ func (e *engine[M]) baseStats() Stats {
 		n := sh.tree.Len()
 		st.Nodes += sh.tree.CountNodes()
 		st.Weight += sh.tree.Weight()
-		st.DecayEpoch = max(st.DecayEpoch, sh.tree.Epoch())
+		if m, ok := any(sh.tree).(interface{ Epoch() int64 }); ok {
+			st.DecayEpoch = max(st.DecayEpoch, m.Epoch())
+		}
 		if m, ok := any(sh.tree).(soaShard); ok {
 			r, p, inv := m.SoACounters()
 			st.SoARebuilds += r

@@ -10,10 +10,9 @@
 // (/cluster, /microclusters, /macroclusters, /stats, /healthz). Both support snapshot save/load for warm starts.
 //
 // With decay configured (Config.Decay) the engine also forgets: every
-// Config.DecayEvery writes to a shard advance its decay epoch and sweep
-// it — fading old mass by 2^(−λ·Δe), pruning what falls below the weight
-// floor — so a long-running server stays bounded and tracks concept
-// drift. The clock is stream position, as in the paper.
+// Config.DecayEvery writes to a shard take one decay step on it —
+// fading its mass by 2^(−λ), pruning what falls below the weight floor —
+// so a long-running server stays bounded and tracks concept drift. The clock is stream position, as in the paper.
 //
 // Sharding model: observations are hash-partitioned across shards, each
 // shard holding an independent model over its partition. Because
@@ -65,14 +64,15 @@ type Config struct {
 	// probabilistic). The clustering workload ignores it.
 	Query core.ClassifierOptions
 	// Decay configures exponential forgetting on every shard: Lambda is
-	// the per-epoch fade exponent (weights decay as 2^(−λ·Δe)) and
-	// MinWeight the maintenance sweep's pruning floor. The zero value
+	// the fade exponent of one decay step (a classification shard's
+	// weights fade by 2^(−λ) a step; a ClusTree's by 2^(−λ) an ingested
+	// object) and MinWeight the floor below which a step prunes. The zero value
 	// keeps today's append-only behaviour. When set it overrides
 	// whatever decay options warm-started trees carried.
 	Decay core.DecayOptions
 	// DecayEvery is a decay epoch's length in writes to a shard: the
-	// write that brings a shard's count to a multiple of it advances the
-	// shard's epoch and sweeps it. Zero leaves epochs to AdvanceDecay.
+	// write that brings a shard's count to a multiple of it takes one
+	// decay step on the shard. Zero leaves the steps to AdvanceDecay.
 	DecayEvery int
 }
 
@@ -417,8 +417,11 @@ type Stats struct {
 	// memory observable of a decaying server.
 	Nodes int `json:"nodes"`
 	// Decay reports the forgetting state: whether any shard decays, the
-	// largest shard epoch, the effective (decayed) total mass and the
-	// pruning counters of this process's sweeps.
+	// largest shard epoch (0 on a cluster server, which fades on its
+	// clock and has no epochs), the effective (decayed) total mass, and
+	// what this process's decay steps pruned — not the model's lifetime
+	// count, so a recovered server or a follower reads less than its
+	// primary.
 	DecayEnabled   bool    `json:"decay_enabled"`
 	DecayEpoch     int64   `json:"decay_epoch"`
 	Weight         float64 `json:"weight"`

@@ -21,24 +21,3 @@ func DecayFactor(lambda float64, epochs int64) float64 {
 	}
 	return math.Exp2(-e)
 }
-
-// GrowthFactor is the inverse of DecayFactor: the amplification 2^(λ·Δe)
-// applied to the weight of an observation inserted Δe epochs after the
-// reference timestamp its tree's cluster features are stored at. Storing
-// new mass amplified — rather than eagerly decaying every stored feature
-// on each insert — keeps relative weights exact while deferring the
-// whole-tree rescale to the maintenance sweep.
-func GrowthFactor(lambda float64, epochs int64) float64 {
-	if lambda <= 0 || epochs <= 0 {
-		return 1
-	}
-	// Clamp as in DecayFactor: 2^512 (~1e154) already makes all older
-	// mass negligible while staying far from +Inf, so an insert after
-	// an extreme un-swept epoch delta cannot poison cluster features
-	// with non-finite weights.
-	e := lambda * float64(epochs)
-	if e > 512 {
-		e = 512
-	}
-	return math.Exp2(e)
-}

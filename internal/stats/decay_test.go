@@ -23,19 +23,3 @@ func TestDecayFactor(t *testing.T) {
 		t.Errorf("extreme decay factor %v must stay positive", f)
 	}
 }
-
-func TestGrowthFactorInverseAndClamp(t *testing.T) {
-	for _, tc := range []struct {
-		lambda float64
-		epochs int64
-	}{{1, 1}, {0.5, 6}, {2, 3}} {
-		g := GrowthFactor(tc.lambda, tc.epochs)
-		d := DecayFactor(tc.lambda, tc.epochs)
-		if math.Abs(g*d-1) > 1e-12 {
-			t.Errorf("λ=%v Δe=%d: growth·decay = %v, want 1", tc.lambda, tc.epochs, g*d)
-		}
-	}
-	if g := GrowthFactor(10, 1<<40); math.IsInf(g, 0) || math.IsNaN(g) {
-		t.Errorf("extreme growth factor %v must stay finite", g)
-	}
-}

@@ -44,24 +44,6 @@ func (g Gaussian) LogPDF(x []float64) float64 {
 	return -0.5 * (float64(len(g.Mean))*log2Pi + logDet + quad)
 }
 
-// PDF returns the density of x under g.
-func (g Gaussian) PDF(x []float64) float64 { return math.Exp(g.LogPDF(x)) }
-
-// Mahalanobis2 returns the squared Mahalanobis distance of x from g's mean
-// under the diagonal covariance.
-func (g Gaussian) Mahalanobis2(x []float64) float64 {
-	var quad float64
-	for i := range g.Mean {
-		v := g.Var[i]
-		if v < VarianceFloor {
-			v = VarianceFloor
-		}
-		d := x[i] - g.Mean[i]
-		quad += d * d / v
-	}
-	return quad
-}
-
 // KL returns the Kullback-Leibler divergence KL(g || h) between two
 // diagonal Gaussians in closed form:
 //

@@ -11,12 +11,12 @@ func TestGaussianPDFMatchesClosedForm1D(t *testing.T) {
 	g := Gaussian{Mean: []float64{2}, Var: []float64{4}}
 	// N(2, 4) at x=2: 1/sqrt(2π·4)
 	want := 1 / math.Sqrt(2*math.Pi*4)
-	if got := g.PDF([]float64{2}); math.Abs(got-want) > 1e-12 {
+	if got := math.Exp(g.LogPDF([]float64{2})); math.Abs(got-want) > 1e-12 {
 		t.Errorf("PDF at mean = %v, want %v", got, want)
 	}
 	// At one standard deviation.
 	want = math.Exp(-0.5) / math.Sqrt(2*math.Pi*4)
-	if got := g.PDF([]float64{4}); math.Abs(got-want) > 1e-12 {
+	if got := math.Exp(g.LogPDF([]float64{4})); math.Abs(got-want) > 1e-12 {
 		t.Errorf("PDF at mean+σ = %v, want %v", got, want)
 	}
 }
@@ -26,16 +26,9 @@ func TestGaussianPDFFactorsOverDims(t *testing.T) {
 	g0 := Gaussian{Mean: []float64{0}, Var: []float64{1}}
 	g1 := Gaussian{Mean: []float64{1}, Var: []float64{9}}
 	x := []float64{0.3, -0.7}
-	want := g0.PDF(x[:1]) * g1.PDF(x[1:])
-	if got := g.PDF(x); math.Abs(got-want) > 1e-12*want {
+	want := math.Exp(g0.LogPDF(x[:1])) * math.Exp(g1.LogPDF(x[1:]))
+	if got := math.Exp(g.LogPDF(x)); math.Abs(got-want) > 1e-12*want {
 		t.Errorf("product structure violated: %v vs %v", got, want)
-	}
-}
-
-func TestMahalanobis(t *testing.T) {
-	g := Gaussian{Mean: []float64{0, 0}, Var: []float64{1, 4}}
-	if got := g.Mahalanobis2([]float64{1, 2}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Mahalanobis2 = %v, want 2", got)
 	}
 }
 
