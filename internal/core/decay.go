@@ -187,9 +187,6 @@ func (t *MultiTree) RestoreDecayState(opts DecayOptions, epoch int64) error {
 	if err := opts.Validate(); err != nil {
 		return err
 	}
-	if epoch < 0 {
-		return fmt.Errorf("core: decay epoch %d is negative", epoch)
-	}
 	t.decayClock = decayClock{decay: opts, epoch: epoch}
 	t.invalidate(nil, 0, allClasses)
 	t.publish()
@@ -248,9 +245,6 @@ func (t *MultiTree) AdvanceDecay() SweepStats {
 	// patched from are only recomputed below.
 	t.invalidate(nil, 0, allClasses)
 	s := &sweeper{factor: stats.DecayFactor(t.decay.Lambda, 1), floor: t.decay.MinWeight, t: t}
-	if s.factor == 1 && s.floor <= 0 {
-		return SweepStats{}
-	}
 	root := t.root
 	s.sweep(root)
 	for !root.leaf && len(root.entries) == 1 {

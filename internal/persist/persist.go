@@ -356,7 +356,7 @@ func (e *encoder) cf(cf *stats.CF) {
 
 // decayState writes the decay block: options, the epoch, and the epoch
 // again in the slot of the retired reference epoch (the epoch stored
-// weights were valued at, which every decay step now sweeps to).
+// weights are valued at, always the epoch since every step sweeps).
 func (e *encoder) decayState(opts core.DecayOptions, epoch int64) {
 	e.f64(opts.Lambda)
 	e.f64(opts.MinWeight)
