@@ -419,6 +419,34 @@ func BenchmarkRefine(b *testing.B) {
 	}
 }
 
+// BenchmarkExhaust reads one 10-class tree — the served model's shape,
+// built by inserting the Pendigits sample — to exhaustion per query:
+// every leaf's every point scored, the leaf-heaviest read there is.
+func BenchmarkExhaust(b *testing.B) {
+	ds := benchDataset(b, "pendigits", benchScale)
+	tree, err := core.NewMultiTree(core.DefaultConfig(ds.Dim()), ds.Classes(), core.MultiOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, x := range ds.X {
+		if err := tree.Insert(x, ds.Y[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q, err := tree.NewQuery(ds.X[i%ds.Len()], core.ClassifierOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for q.Step() {
+		}
+		_ = q.Predict()
+		q.Close()
+	}
+}
+
 // BenchmarkClassifyBatch measures the parallel batch-classification engine
 // at increasing worker counts against the sequential loop, with custom
 // speedup metrics. Worker count 1 exercises the pooled sequential path.

@@ -351,15 +351,22 @@ func mallocs(f func()) float64 {
 }
 
 // TestSplitFreeInsertAllocs: a split-free insert and its mirror repair
-// allocate a small constant — the stored copy of the point and the
-// leaf's refitted mirror block, and, where its class first appears in
-// an entry, that class's vectors and mirror row; the patched class's
-// query constants are rewritten in place — whatever the number of
-// classes (2 → 26) and the depth of the tree. 26 classes, where classes
-// appear most often, measure 4.9; the limit leaves one allocation of
-// margin.
+// allocate a small constant — the stored copy of the point, now and then
+// a larger class index array for the leaf's mirror, and, where its class
+// first appears in an entry, that class's vectors and mirror row; the
+// patched class's query constants are rewritten in place — whatever the
+// number of classes (2 → 26) and the depth of the tree. 26 classes,
+// where classes appear most often, measure 4.1–4.3, against 4.8 while
+// every insert refilled the leaf's whole mirror block. Under the race
+// detector slices.Grow allocates its extension apart from the grown
+// block, so every mirror block counts twice there: 26 classes measure
+// 4.8–5.1.
 func TestSplitFreeInsertAllocs(t *testing.T) {
-	const rounds, limit = 50, 6
+	const rounds = 50
+	limit := 4.5
+	if raceEnabled {
+		limit = 5.5
+	}
 	for _, tc := range []struct{ nc, depth int }{{2, 2}, {26, 2}, {2, 5}, {26, 5}} {
 		rng := rand.New(rand.NewSource(int64(100*tc.nc + tc.depth)))
 		mt := deepTree(t, tc.nc, tc.depth, rng)
@@ -370,7 +377,7 @@ func TestSplitFreeInsertAllocs(t *testing.T) {
 		got := total / rounds
 		t.Logf("%d classes, depth ≥ %d: %.1f allocations per split-free insert", tc.nc, tc.depth, got)
 		if got > limit {
-			t.Errorf("%d classes, depth ≥ %d: a split-free insert allocates %.1f times, want ≤ %d", tc.nc, tc.depth, got, limit)
+			t.Errorf("%d classes, depth ≥ %d: a split-free insert allocates %.1f times, want ≤ %.1f", tc.nc, tc.depth, got, limit)
 		}
 	}
 }

@@ -6,25 +6,28 @@ import (
 	"unsafe"
 
 	"bayestree/internal/kernels"
-	"bayestree/internal/mbr"
 	"bayestree/internal/stats"
 )
 
-// This file implements the structure-of-arrays mirror, the one frozen
-// and the one read representation of a MultiTree. The tree's entries
-// hold only what is stored — rectangle, cluster features, pointer; the
-// mirror keeps, for every tree node, one contiguous block of float64s
-// holding what is derived from them — the node's frozen per-class
-// Gaussians (means, inverse variances, log variances, log-normalisers,
-// log counts) and MBR bounds, or a leaf's kernel centres — so one
-// refinement step scores all children of a frontier node in a single
-// cache-friendly sweep (kernels.SweepFrozenLogPDFObs for inner entries,
-// FrozenKernel.SweepLogDensityObs for leaves). Every sweep performs the
+// This file implements the structure-of-arrays mirror, the frozen
+// form of a MultiTree that every query descends through. The mirror
+// holds only what it derives from the tree; what the tree stores it
+// reads from the tree. The tree's entries hold rectangle, cluster
+// features and pointer, its leaves the kernel centres; the mirror keeps,
+// for every inner node, one contiguous block of float64s holding the
+// entries' frozen per-class Gaussians (means, inverse variances, log
+// variances, log-normalisers, log counts), so one refinement step scores
+// all entries of a frontier node in a single cache-friendly sweep
+// (kernels.SweepFrozenLogPDFObs), and for every leaf each point's class
+// index and, in a decayed leaf, its log weight. A leaf's points and an
+// entry's rectangle (the geometric priority's) are read through the
+// mirror node's pointer to its tree node. The sweep performs the
 // floating-point operations of the per-entry evaluation
-// (stats.FrozenGaussian.LogPDFObs, FrozenKernel.LogDensityObs) in the
-// same order; the pointer-loop oracle in soa_equiv_test.go, which
-// derives its Gaussians from the cluster features on its own, asserts
-// the scores equal bitwise.
+// (stats.FrozenGaussian.LogPDFObs) in the same order, and a leaf is
+// scored point by point (FrozenKernel.LogDensityObs, or for the Gaussian
+// kernels.LogDensityPair, bitwise the same); the pointer-loop
+// oracle in soa_equiv_test.go, which derives its Gaussians from the
+// cluster features on its own, asserts the scores equal bitwise.
 //
 // A MultiQuery step does only the arithmetic its answer and its pop
 // order need: one sweep per inner node over its class-major rows, one
@@ -43,8 +46,8 @@ import (
 //   - no mirror: a mutation does no mirror work;
 //   - a mirror: an insert repairs it in place along its own path before
 //     it returns — per level the inserted class's row (addRow makes one
-//     for a class new to the entry) and the entry's bounds, the leaf's
-//     block; after a split the replaced nodes' blocks are released and
+//     for a class new to the entry), at the leaf the new point's class
+//     index; after a split the replaced nodes' blocks are released and
 //     the new siblings mirrored (a new root takes over
 //     index 0), each entry a split left alone copied out of the old
 //     block it sat in and only the entries over new halves frozen, and
@@ -66,22 +69,22 @@ import (
 // ---------------------------------------------------------------------
 // MultiTree mirror
 
-// soaNode mirrors one MultiNode. The node owns its storage: every
-// float64 slice below is carved from one block allocated for this node,
-// so a sweep runs over contiguous memory within the node and nothing is
-// shared between nodes — a node's blocks can be replaced or dropped
-// without moving any other's.
+// soaNode mirrors one MultiNode, which it points at. The node owns its
+// storage: an inner node's float64 slices are carved from one block
+// allocated for this node, so a sweep runs over contiguous memory within
+// the node and nothing is shared between nodes — a node's blocks can be
+// replaced or dropped without moving any other's.
 //
 // An inner node of k entries keeps a frozen Gaussian per (entry, class)
 // pair with mass, one row each, laid out class-major in the order of
 // its slot table (slot[c*k+e] is the row, −1 for an absent class), so
 // one class's entries form a contiguous run a single sweep can score.
 // Its block is sized to its allocation class (innerBlock). A leaf keeps
-// its points stable-partitioned by class, so each class's kernel centres
-// are contiguous too, in a block as large as its point count needs.
+// one class index per point, and a log weight per point when decayed,
+// parallel to the tree leaf's points.
 type soaNode struct {
-	leaf     bool
-	weighted bool
+	node *MultiNode // the tree node: a leaf's points, an entry's rectangle
+	leaf bool
 
 	// Inner node, per row (row*dim+d for the vectors).
 	means   []float64
@@ -90,15 +93,11 @@ type soaNode struct {
 	logNorm []float64
 	logN    []float64
 	slot    []int32 // per (class, entry): the row, or −1
-	// Inner node, per entry (e*dim+d for the bounds).
-	child  []int32 // mirror index of the entry's child
-	rectLo []float64
-	rectHi []float64
+	child   []int32 // per entry: the mirror index of its child
 
-	// Leaf, per point slot (slot*dim+d for the centres).
-	pts      []float64
-	ptLogW   []float64 // ln of the decayed weight, 0 when unweighted
-	classOff []int32   // nc+1 point-slot offsets: class c is [classOff[c], classOff[c+1])
+	// Leaf, per point in the tree's order.
+	cls  []int32   // the point's class index
+	logW []float64 // ln of its decayed weight; nil for an unweighted leaf
 }
 
 // multiSoA is the mirror of one MultiTree: a table of node mirrors
@@ -111,18 +110,16 @@ type multiSoA struct {
 	index map[*MultiNode]int32
 	free  []int32
 
-	fillCur []int32   // partition scratch for fillLeaf (exclusive access)
-	donors  []soaNode // repair scratch: the split path's old mirror nodes
-	frozen  int       // class rows fillSlots has frozen
+	donors []soaNode // repair scratch: the split path's old mirror nodes
+	frozen int       // class rows fillSlots has frozen
 }
 
 // buildMultiSoA mirrors the whole tree.
 func buildMultiSoA(t *MultiTree) *multiSoA {
 	s := &multiSoA{
-		dim:     t.cfg.Dim,
-		nc:      len(t.labels),
-		index:   make(map[*MultiNode]int32),
-		fillCur: make([]int32, len(t.labels)),
+		dim:   t.cfg.Dim,
+		nc:    len(t.labels),
+		index: make(map[*MultiNode]int32),
 	}
 	s.place(t, t.root, nil)
 	return s
@@ -134,8 +131,8 @@ func (s *multiSoA) bytes() int64 {
 	floats, ints := 0, cap(s.free)
 	for i := range s.nodes {
 		nd := &s.nodes[i]
-		floats += 3*cap(nd.means) + 2*cap(nd.logN) + 2*len(nd.rectLo) + len(nd.pts) + len(nd.ptLogW)
-		ints += len(nd.child) + len(nd.slot) + len(nd.classOff)
+		floats += 3*cap(nd.means) + 2*cap(nd.logN) + cap(nd.logW)
+		ints += len(nd.child) + len(nd.slot) + cap(nd.cls)
 	}
 	const indexEntry = 16 // a map slot: key pointer, int32 value, bucket overhead
 	return int64(8*floats+4*ints) + int64(cap(s.nodes))*int64(unsafe.Sizeof(soaNode{})) + int64(len(s.index))*indexEntry
@@ -178,8 +175,9 @@ func (s *multiSoA) release(n *MultiNode) {
 // along path, of a point of the given class, whose splits replaced the
 // lowest `replaced` nodes of the path (fixOverflow's report). Above the
 // lowest survivor one entry per level changed, the one over the path:
-// its rectangle and class (with pooled variance, or after a split, every
-// class). The lowest survivor is refilled, mirroring a split's halves.
+// its class (with pooled variance, or after a split, every class). The
+// lowest survivor is refilled, mirroring a split's halves; a leaf that
+// split-free took the point appends its class.
 func (s *multiSoA) repair(t *MultiTree, path []*MultiNode, replaced, class int) {
 	alive := len(path) - replaced
 	lo, hi := class, class+1
@@ -189,7 +187,6 @@ func (s *multiSoA) repair(t *MultiTree, path []*MultiNode, replaced, class int) 
 	for i, n := range path[:max(alive-1, 0)] {
 		nd := &s.nodes[s.index[n]]
 		e := entryOver(n, path[i+1])
-		s.fillBounds(nd, e, &n.entries[e])
 		s.fillSlots(t, nd, e, &n.entries[e], lo, hi)
 	}
 	if replaced == 0 {
@@ -215,15 +212,8 @@ func (s *multiSoA) repair(t *MultiTree, path []*MultiNode, replaced, class int) 
 	s.donors = donors
 }
 
-// carve cuts the next n values off a block.
-func carve(block *[]float64, n int) []float64 {
-	out := (*block)[:n:n]
-	*block = (*block)[n:]
-	return out
-}
-
 // fill (re)fills mirror node idx from the live tree node: an inner node
-// in a new block, a leaf in its own when it still has as many points. It
+// in a new block, a leaf by appending what it gained (fillLeaf). It
 // works on a copy of the table row because placing children can grow
 // the table. An entry a split moved but did not change — its child has
 // a mirror node — copies its rows out of donors[0], the old mirror node
@@ -241,7 +231,7 @@ func (s *multiSoA) fill(t *MultiTree, n *MultiNode, idx int32, donors []soaNode)
 func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode, donors []soaNode) {
 	nc, k := s.nc, len(n.entries)
 	ints := make([]int32, k+nc*k)
-	*nd = soaNode{child: ints[:k:k], slot: ints[k:]}
+	*nd = soaNode{node: n, child: ints[:k:k], slot: ints[k:]}
 	rows := int32(0)
 	for c := 0; c < nc; c++ {
 		for e := range n.entries {
@@ -261,7 +251,6 @@ func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode, donors []s
 		en := &n.entries[e]
 		old, known := s.index[en.Child]
 		nd.child[e] = s.place(t, en.Child, donors)
-		s.fillBounds(nd, e, en)
 		if d := slices.Index(donor.child, old); known && d >= 0 {
 			s.copySlots(nd, e, &donor, d)
 		} else {
@@ -270,20 +259,15 @@ func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode, donors []s
 	}
 }
 
-// innerBlock gives inner node nd a block for at least minRows rows and
-// its entries' bounds, keeping its bounds and its first rows rows. The
-// block is as large as its allocation class: the rows that leaves are
-// spare.
+// innerBlock gives inner node nd a block for at least minRows rows,
+// keeping its first rows rows. The block is as large as its allocation
+// class: the rows that leaves are spare.
 func (s *multiSoA) innerBlock(nd *soaNode, rows, minRows int) {
-	dim, k := s.dim, len(nd.child)
-	block := slices.Grow([]float64(nil), minRows*(3*dim+2)+2*k*dim)
+	w := 3*s.dim + 2
+	block := slices.Grow([]float64(nil), minRows*w)
 	block = block[:cap(block)]
-	spare := (len(block) - 2*k*dim) / (3*dim + 2)
-	lo, hi := nd.rectLo, nd.rectHi
-	nd.rectLo, nd.rectHi = carve(&block, k*dim), carve(&block, k*dim)
-	copy(nd.rectLo, lo)
-	copy(nd.rectHi, hi)
-	for _, a := range nd.rowArrays(dim) {
+	spare := len(block) / w
+	for _, a := range nd.rowArrays(s.dim) {
 		was := *a.v
 		*a.v, block = block[:rows*a.w:spare*a.w], block[spare*a.w:]
 		copy(*a.v, was)
@@ -347,13 +331,6 @@ func (s *multiSoA) copySlots(nd *soaNode, e int, donor *soaNode, d int) {
 	}
 }
 
-// fillBounds writes entry e's rectangle.
-func (s *multiSoA) fillBounds(nd *soaNode, e int, en *MultiEntry) {
-	dim := s.dim
-	copy(nd.rectLo[e*dim:e*dim+dim], en.Rect.Lo)
-	copy(nd.rectHi[e*dim:e*dim+dim], en.Rect.Hi)
-}
-
 // fillSlots writes the rows of classes [lo, hi) of entry e: each one's
 // Gaussian, frozen from its cluster feature straight into the row's own
 // vectors (stats.Freeze's arithmetic, through a view of them); a class
@@ -397,45 +374,25 @@ func (s *multiSoA) fillSlots(t *MultiTree, nd *soaNode, e int, en *MultiEntry, l
 	}
 }
 
-// fillLeaf stable-partitions a leaf's observations by class into its
-// point block, so each class's kernel centres are one contiguous sweep
-// range. Within a class the tree's point order is preserved — the order
-// a walk of the leaf's points folds each class's terms in.
+// fillLeaf mirrors leaf n in nd: each point's class index and, for a
+// weighted leaf, its log weight, in the tree's order. While a mirror
+// lives, only an insert changes a leaf, by appending one point of weight
+// 1 (a decay step, which reorders, prunes and reweighs, drops the
+// mirror first), so a leaf nd already mirrors appends what it gained; a
+// new mirror node is filled whole.
 func (s *multiSoA) fillLeaf(t *MultiTree, n *MultiNode, nd *soaNode) {
-	dim, nc := s.dim, s.nc
-	if k := len(n.points); !nd.leaf || len(nd.ptLogW) != k {
-		co := nd.classOff // nil unless this was a leaf already
-		if co == nil {
-			co = make([]int32, nc+1)
+	k := len(nd.cls)
+	if nd.node != n {
+		*nd = soaNode{node: n, leaf: true, cls: slices.Grow([]int32(nil), len(n.points))}
+		if n.weights != nil {
+			nd.logW = slices.Grow([]float64{}, len(n.points))
 		}
-		block := make([]float64, k*(dim+1))
-		*nd = soaNode{
-			leaf:     true,
-			pts:      carve(&block, k*dim),
-			ptLogW:   carve(&block, k),
-			classOff: co,
-		}
+		k = 0
 	}
-	nd.weighted = n.weights != nil
-	co := nd.classOff
-	clear(co)
-	for _, p := range n.points {
-		co[t.index[p.Label]+1]++
-	}
-	for c := 0; c < nc; c++ {
-		co[c+1] += co[c]
-	}
-	curs := s.fillCur
-	copy(curs, co[:nc])
-	for i, p := range n.points {
-		c := t.index[p.Label]
-		slot := int(curs[c])
-		curs[c]++
-		copy(nd.pts[slot*dim:slot*dim+dim], p.X)
-		if nd.weighted {
-			nd.ptLogW[slot] = math.Log(n.weights[i])
-		} else {
-			nd.ptLogW[slot] = 0
+	for i := k; i < len(n.points); i++ {
+		nd.cls = append(nd.cls, int32(t.index[n.points[i].Label]))
+		if nd.logW != nil {
+			nd.logW = append(nd.logW, math.Log(n.weights[i]))
 		}
 	}
 }
@@ -570,8 +527,7 @@ func (q *MultiQuery) push(off int, nd *soaNode, e int) {
 	switch {
 	case q.opts.Strategy != DescentGlobal:
 	case q.opts.Priority == PriorityGeometric:
-		d := q.soa.dim
-		key = -mbr.Rect{Lo: nd.rectLo[e*d : e*d+d], Hi: nd.rectHi[e*d : e*d+d]}.MinDist2Obs(q.x, q.obs)
+		key = -nd.node.entries[e].Rect.MinDist2Obs(q.x, q.obs)
 		lo = key
 	default:
 		m, n := math.Inf(-1), 0
@@ -618,41 +574,57 @@ func (q *MultiQuery) settle() {
 	}
 }
 
-// refineSoALeaf scores a leaf's kernel centres one contiguous class
-// range at a time through the frozen kernel's sweep. Decayed leaves
-// weight each kernel by its observation's faded mass (the scale logNc
-// is on).
+// refineSoALeaf folds the kernel density of each of a leaf's points,
+// read from the tree in its order, into the accumulator of the point's
+// class, so every class sums its terms in the tree's order. With every
+// dimension observed the Gaussian kernel is called directly, two points
+// at a time (kernels.LogDensityPair), so the two quadratic forms
+// overlap as the rows of a sweep do; each density keeps LogDensityObs's
+// bits. Decayed leaves weight each kernel by its observation's faded
+// mass (the scale logNc is on). A class without mass (logNc +Inf) has
+// no frozen kernel and its terms are −Inf, which add leaves out.
 func (q *MultiQuery) refineSoALeaf(nd *soaNode) {
-	s := q.soa
-	dim, nc := s.dim, s.nc
-	for c := 0; c < nc; c++ {
-		start, end := int(nd.classOff[c]), int(nd.classOff[c+1])
-		if start == end || math.IsInf(q.logNc[c], 1) {
-			continue
-		}
-		cnt := end - start
-		out := q.ensureOut(cnt)
-		q.kern[c].SweepLogDensityObs(q.x, nd.pts[start*dim:end*dim], cnt, dim, q.obs, out)
-		// Folded in a local and stored once: the loop writes no memory
-		// another core may own.
-		acc := q.accs[c]
-		if nd.weighted {
-			for j := 0; j < cnt; j++ {
-				acc.add(-q.logNc[c] + out[j] + nd.ptLogW[start+j])
+	pts, cls := nd.node.points, nd.cls
+	x, obs, kern, logNc, accs := q.x, q.obs, q.kern, q.logNc, q.accs
+	out := q.ensureOut(len(pts))
+	i := 0
+	if obs == nil {
+		for ; i+1 < len(pts); i += 2 {
+			c0, c1 := cls[i], cls[i+1]
+			g0, ok0 := kern[c0].(*kernels.FrozenGaussianKernel)
+			g1, ok1 := kern[c1].(*kernels.FrozenGaussianKernel)
+			if !ok0 || !ok1 || math.IsInf(logNc[c0], 1) || math.IsInf(logNc[c1], 1) {
+				break
 			}
+			d0, d1 := kernels.LogDensityPair(g0, g1, x, pts[i].X, pts[i+1].X)
+			out[i], out[i+1] = -logNc[c0]+d0, -logNc[c1]+d1
+		}
+	}
+	for ; i < len(pts); i++ {
+		if c := cls[i]; math.IsInf(logNc[c], 1) {
+			out[i] = math.Inf(-1)
 		} else {
-			for j := 0; j < cnt; j++ {
-				acc.add(-q.logNc[c] + out[j])
-			}
+			out[i] = -logNc[c] + kern[c].LogDensityObs(x, pts[i].X, obs)
 		}
-		if acc.shift != q.accs[c].shift {
-			q.fresh = len(q.terms)
+	}
+	if nd.logW != nil {
+		for i, w := range nd.logW {
+			out[i] += w
 		}
-		q.accs[c] = acc
+	}
+	moved := false
+	for i, l := range out {
+		acc := &accs[cls[i]]
+		shift := acc.shift
+		acc.add(l)
+		moved = moved || acc.shift != shift
+	}
+	if moved {
+		q.fresh = len(q.terms)
 	}
 }
 
-// ensureOut returns the query's sweep output scratch grown to n.
+// ensureOut returns the query's density scratch grown to n.
 func (q *MultiQuery) ensureOut(n int) []float64 {
 	if cap(q.outBuf) < n {
 		q.outBuf = make([]float64, n)

@@ -44,26 +44,27 @@ func checkMirrorIsFreshBuild(t *testing.T, ctx string, mt *MultiTree) {
 			t.Fatalf("%s: tree node has no mirror node", ctx)
 		}
 		got, want := &s.nodes[idx], &fresh.nodes[fi]
-		if got.leaf != want.leaf || got.weighted != want.weighted {
-			t.Fatalf("%s: node %d: leaf/weighted %v/%v, fresh build %v/%v", ctx, idx, got.leaf, got.weighted, want.leaf, want.weighted)
+		if got.node != n || want.node != n {
+			t.Fatalf("%s: node %d does not point at the tree node it mirrors", ctx, idx)
+		}
+		if got.leaf != want.leaf || got.leaf != n.leaf {
+			t.Fatalf("%s: node %d: leaf %v, fresh build %v, tree node %v", ctx, idx, got.leaf, want.leaf, n.leaf)
 		}
 		if got.leaf {
-			used := int(want.classOff[s.nc])
-			if used != len(n.points) {
-				t.Fatalf("%s: fresh leaf holds %d points, tree leaf %d", ctx, used, len(n.points))
+			if len(want.cls) != len(n.points) {
+				t.Fatalf("%s: fresh leaf holds %d class indices, tree leaf %d points", ctx, len(want.cls), len(n.points))
 			}
-			if !slices.Equal(got.classOff, want.classOff) {
-				t.Fatalf("%s: leaf %d: class offsets %v, fresh build %v", ctx, idx, got.classOff, want.classOff)
+			if !slices.Equal(got.cls, want.cls) {
+				t.Fatalf("%s: leaf %d: class indices %v, fresh build %v", ctx, idx, got.cls, want.cls)
 			}
-			if !bitsEqual(got.pts[:used*s.dim], want.pts[:used*s.dim]) || !bitsEqual(got.ptLogW[:used], want.ptLogW[:used]) {
-				t.Fatalf("%s: leaf %d: point block differs from the fresh build's", ctx, idx)
+			if (got.logW == nil) != (want.logW == nil) || !bitsEqual(got.logW, want.logW) {
+				t.Fatalf("%s: leaf %d: log weights %v, fresh build %v", ctx, idx, got.logW, want.logW)
 			}
 			continue
 		}
 		for name, pair := range map[string][2][]float64{
 			"means": {got.means, want.means}, "invVar": {got.invVar, want.invVar}, "logVar": {got.logVar, want.logVar},
 			"logNorm": {got.logNorm, want.logNorm}, "logN": {got.logN, want.logN},
-			"rectLo": {got.rectLo, want.rectLo}, "rectHi": {got.rectHi, want.rectHi},
 		} {
 			if !bitsEqual(pair[0], pair[1]) {
 				t.Fatalf("%s: inner node %d: %s differs from the fresh build's", ctx, idx, name)

@@ -186,3 +186,10 @@ func gather[T any](items []T, idx []int) []T {
 	}
 	return out
 }
+
+// carve cuts the next n values off a block.
+func carve(block *[]float64, n int) []float64 {
+	out := (*block)[:n:n]
+	*block = (*block)[n:]
+	return out
+}

@@ -25,16 +25,12 @@ type FrozenKernel interface {
 	// LogDensityObs is the marginal restricted to the observed dimensions
 	// (nil = all).
 	LogDensityObs(x, center []float64, obs []int) float64
-	// SweepLogDensityObs evaluates x against a flat block of centres —
-	// count rows of dim contiguous float64s — writing count log
-	// densities into out, each bitwise LogDensityObs(x, row, obs). See
-	// sweep.go.
-	SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64)
 }
 
-// frozenGaussianKernel holds 1/h², ln h² and the full-dimensional
-// log-normaliser −½(D·ln 2π + Σ ln h²).
-type frozenGaussianKernel struct {
+// FrozenGaussianKernel holds 1/h², ln h² and the full-dimensional
+// log-normaliser −½(D·ln 2π + Σ ln h²). It is exported so that a leaf
+// refinement can call it without dynamic dispatch (LogDensityPair).
+type FrozenGaussianKernel struct {
 	invVar  []float64
 	logVar  []float64
 	logNorm float64
@@ -42,10 +38,10 @@ type frozenGaussianKernel struct {
 
 // FreezeBandwidth implements Kernel.
 func (Gaussian) FreezeBandwidth(dst FrozenKernel, h []float64) FrozenKernel {
-	f, ok := dst.(*frozenGaussianKernel)
+	f, ok := dst.(*FrozenGaussianKernel)
 	if !ok || len(f.invVar) != len(h) {
 		blk := make([]float64, 2*len(h))
-		f = &frozenGaussianKernel{invVar: blk[:len(h):len(h)], logVar: blk[len(h):]}
+		f = &FrozenGaussianKernel{invVar: blk[:len(h):len(h)], logVar: blk[len(h):]}
 	}
 	var logDet float64
 	for i, hv := range h {
@@ -62,7 +58,7 @@ func (Gaussian) FreezeBandwidth(dst FrozenKernel, h []float64) FrozenKernel {
 	return f
 }
 
-func (f *frozenGaussianKernel) LogDensity(x, center []float64) float64 {
+func (f *FrozenGaussianKernel) LogDensity(x, center []float64) float64 {
 	var quad float64
 	inv := f.invVar
 	for i, c := range center {
@@ -72,7 +68,7 @@ func (f *frozenGaussianKernel) LogDensity(x, center []float64) float64 {
 	return f.logNorm - 0.5*quad
 }
 
-func (f *frozenGaussianKernel) LogDensityObs(x, center []float64, obs []int) float64 {
+func (f *FrozenGaussianKernel) LogDensityObs(x, center []float64, obs []int) float64 {
 	if obs == nil {
 		return f.LogDensity(x, center)
 	}
@@ -139,4 +135,20 @@ func (f *frozenEpanechnikov) LogDensityObs(x, center []float64, obs []int) float
 		logp += f.logQ[i] + math.Log1p(-u*u)
 	}
 	return logp
+}
+
+// LogDensityPair returns f.LogDensity(x, a) and g.LogDensity(x, b), bit
+// for bit: each quadratic form folds its own terms in dimension order,
+// in one loop, so that the two dependency chains overlap. The centres
+// have the same dimension.
+func LogDensityPair(f, g *FrozenGaussianKernel, x, a, b []float64) (float64, float64) {
+	x, b = x[:len(a)], b[:len(a)]
+	fi, gi := f.invVar[:len(a)], g.invVar[:len(a)]
+	var qa, qb float64
+	for i, c := range a {
+		da, db := x[i]-c, x[i]-b[i]
+		qa += da * da * fi[i]
+		qb += db * db * gi[i]
+	}
+	return f.logNorm - 0.5*qa, g.logNorm - 0.5*qb
 }

@@ -1,88 +1,18 @@
 package kernels
 
-import "math"
-
-// This file is the vectorized-descent companion of frozen.go: where
-// FrozenKernel.LogDensityObs evaluates one (query, centre) pair through
-// an interface call, its SweepLogDensityObs evaluates one query against
-// a whole contiguous block of centres laid out as a flat float64 slice —
-// the structure-of-arrays leaf layout of internal/core — in a single
-// loop with no per-centre pointer dereference or dynamic dispatch. Every
-// sweep reproduces the per-row arithmetic of LogDensityObs operation for
-// operation, so a swept density is digit-identical to the per-row one
-// (sweep_test.go).
-
-// SweepLogDensityObs implements FrozenKernel for the Gaussian kernel,
-// replicating frozenGaussianKernel.LogDensity / LogDensityObs per row.
-func (f *frozenGaussianKernel) SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64) {
-	if obs == nil {
-		inv := f.invVar
-		for j := 0; j < count; j++ {
-			row := centers[j*dim : j*dim+dim]
-			var quad float64
-			for i, c := range row {
-				d := x[i] - c
-				quad += d * d * inv[i]
-			}
-			out[j] = f.logNorm - 0.5*quad
-		}
-		return
-	}
-	// The marginal's log-determinant depends only on the bandwidths, so
-	// it is accumulated once — the same additions in the same order as
-	// the per-row path, hence the same bits.
-	var logDet float64
-	for _, i := range obs {
-		logDet += f.logVar[i]
-	}
-	base := float64(len(obs)) * log2Pi
-	for j := 0; j < count; j++ {
-		row := centers[j*dim : j*dim+dim]
-		var quad float64
-		for _, i := range obs {
-			d := x[i] - row[i]
-			quad += d * d * f.invVar[i]
-		}
-		out[j] = -0.5 * (base + logDet + quad)
-	}
-}
-
-// SweepLogDensityObs implements FrozenKernel for the Epanechnikov
-// kernel, replicating frozenEpanechnikov.LogDensity / LogDensityObs per
-// row (including the −Inf early-out outside the kernel's support).
-func (f *frozenEpanechnikov) SweepLogDensityObs(x, centers []float64, count, dim int, obs []int, out []float64) {
-	if obs == nil {
-	rows:
-		for j := 0; j < count; j++ {
-			row := centers[j*dim : j*dim+dim]
-			logp := f.sumLQ
-			for i, c := range row {
-				u := (x[i] - c) * f.invS[i]
-				if u <= -1 || u >= 1 {
-					out[j] = math.Inf(-1)
-					continue rows
-				}
-				logp += math.Log1p(-u * u)
-			}
-			out[j] = logp
-		}
-		return
-	}
-obsRows:
-	for j := 0; j < count; j++ {
-		row := centers[j*dim : j*dim+dim]
-		var logp float64
-		for _, i := range obs {
-			u := (x[i] - row[i]) * f.invS[i]
-			if u <= -1 || u >= 1 {
-				out[j] = math.Inf(-1)
-				continue obsRows
-			}
-			logp += f.logQ[i] + math.Log1p(-u*u)
-		}
-		out[j] = logp
-	}
-}
+// This file is the vectorized-descent companion of stats.FrozenGaussian:
+// where FrozenGaussian.LogPDFObs scores one frozen Gaussian at a time,
+// SweepFrozenLogPDFObs scores one query against a whole contiguous block
+// of them — the class-major rows an inner node of internal/core's
+// descent mirror derives from its entries' cluster features — in a
+// single loop with no per-row pointer dereference or dynamic dispatch.
+// The sweep reproduces the per-row arithmetic operation for operation,
+// so a swept density is digit-identical to the per-row one
+// (sweep_test.go). Leaves need no sweep: the mirror keeps no copy of a
+// leaf's kernel centres, so a leaf is scored point by point from the
+// tree through FrozenKernel.LogDensityObs — for the Gaussian kernel with
+// every dimension observed, two points at a time through
+// LogDensityPair (frozen.go).
 
 // SweepFrozenLogPDFObs evaluates a query against a flat block of frozen
 // diagonal Gaussians — count rows of means/invVar/logVar (dim values

@@ -12,8 +12,8 @@ import (
 // bitwise what the per-row method returns, with all dimensions observed
 // (nil obs), some, or none (empty obs).
 
-// sweepCase draws a query, a flat block of centres around it — a few of
-// them far outside any compact kernel's support — and the obs masks.
+// sweepCase draws a query, a flat block of means around it — every
+// fourth one far away — and the obs masks.
 func sweepCase(rng *rand.Rand, dim, count int) (x, centers []float64, masks [][]int) {
 	x = make([]float64, dim)
 	for i := range x {
@@ -34,41 +34,6 @@ func sweepCase(rng *rand.Rand, dim, count int) (x, centers []float64, masks [][]
 		partial = append(partial, dim/2, dim-1)
 	}
 	return x, centers, [][]int{nil, partial, {}}
-}
-
-func TestSweepLogDensityObsMatchesPerRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, k := range []Kernel{Gaussian{}, Epanechnikov{}} {
-		for _, dim := range []int{1, 3, 16} {
-			const count = 24
-			x, centers, masks := sweepCase(rng, dim, count)
-			h := make([]float64, dim)
-			for i := range h {
-				h[i] = 0.2 + rng.Float64()
-			}
-			f := k.FreezeBandwidth(nil, h)
-			for _, obs := range masks {
-				out := make([]float64, count)
-				f.SweepLogDensityObs(x, centers, count, dim, obs, out)
-				inside, outside := 0, 0
-				for j := range out {
-					want := f.LogDensityObs(x, centers[j*dim:j*dim+dim], obs)
-					if math.Float64bits(out[j]) != math.Float64bits(want) {
-						t.Fatalf("%s dim %d obs %v row %d: swept %v, per row %v", k.Name(), dim, obs, j, out[j], want)
-					}
-					if math.IsInf(want, -1) {
-						outside++
-					} else {
-						inside++
-					}
-				}
-				// Compact kernels must see both sides of their support.
-				if k.Name() != "gaussian" && len(obs) != 0 && (inside == 0 || outside == 0) {
-					t.Fatalf("%s dim %d obs %v: %d rows inside the support, %d outside", k.Name(), dim, obs, inside, outside)
-				}
-			}
-		}
-	}
 }
 
 // TestSweepFrozenLogPDFObsMatchesPerRow runs row counts 0–9 and 24, so
@@ -106,6 +71,32 @@ func checkSweepFrozen(t *testing.T, rng *rand.Rand, dim, count int) {
 		for j := range out {
 			if want := rows[j].LogPDFObs(x, obs); math.Float64bits(out[j]) != math.Float64bits(want) {
 				t.Fatalf("dim %d count %d obs %v row %d: swept %v, per row %v", dim, count, obs, j, out[j], want)
+			}
+		}
+	}
+}
+
+// TestLogDensityPairMatchesLogDensity: both halves of a pair are bitwise
+// the per-point density, for two kernels of different bandwidths and
+// centres near and far.
+func TestLogDensityPairMatchesLogDensity(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	freeze := func(dim int) *FrozenGaussianKernel {
+		h := make([]float64, dim)
+		for i := range h {
+			h[i] = 0.2 + rng.Float64()
+		}
+		return Gaussian{}.FreezeBandwidth(nil, h).(*FrozenGaussianKernel)
+	}
+	for _, dim := range []int{1, 3, 16} {
+		const count = 8
+		x, centers, _ := sweepCase(rng, dim, count)
+		f, g := freeze(dim), freeze(dim)
+		for j := 0; j < count; j += 2 {
+			a, b := centers[j*dim:(j+1)*dim], centers[(j+1)*dim:(j+2)*dim]
+			da, db := LogDensityPair(f, g, x, a, b)
+			if wa, wb := f.LogDensity(x, a), g.LogDensity(x, b); math.Float64bits(da) != math.Float64bits(wa) || math.Float64bits(db) != math.Float64bits(wb) {
+				t.Fatalf("dim %d rows %d, %d: pair %v, %v, per point %v, %v", dim, j, j+1, da, db, wa, wb)
 			}
 		}
 	}

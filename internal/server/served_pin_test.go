@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"bayestree/internal/core"
 	"bayestree/internal/dataset"
@@ -106,8 +107,9 @@ func TestServedInsertsPinned(t *testing.T) {
 
 // publishedMirror returns the mirror node of every node of tree, in
 // depth-first order. core keeps its descent mirror unexported, so it is
-// read here through reflection; a table row no tree node owns, or an
-// entry not wired to its child's mirror node, fails the test.
+// read here through reflection; a table row no tree node owns, a mirror
+// node that does not point at its own tree node, or an entry not wired
+// to its child's mirror node, fails the test.
 func publishedMirror(t *testing.T, tree *core.MultiTree) []reflect.Value {
 	t.Helper()
 	ptr := reflect.ValueOf(tree).Elem().FieldByName("soa") // atomic.Pointer[multiSoA]
@@ -125,6 +127,9 @@ func publishedMirror(t *testing.T, tree *core.MultiTree) []reflect.Value {
 			t.Fatal("a tree node has no mirror node")
 		}
 		node := nodes.Index(int(idx.Int()))
+		if node.FieldByName("node").UnsafePointer() != unsafe.Pointer(n) {
+			t.Fatal("a mirror node does not point at the tree node it mirrors")
+		}
 		out = append(out, node)
 		child := node.FieldByName("child")
 		for e, en := range n.Entries() {
@@ -142,10 +147,12 @@ func publishedMirror(t *testing.T, tree *core.MultiTree) []reflect.Value {
 }
 
 // mirrorNodeDiff names the first field in which two mirror nodes differ
-// ("" if none): float blocks bit for bit, flags and class offsets by
-// value. Child indices are table positions, which differ between a
-// repaired and a fresh mirror, so only their count is compared here;
-// publishedMirror checks the wiring.
+// ("" if none): float blocks bit for bit — a nil one only equal to a nil
+// one — flags and class indices by value. The tree node pointer and the
+// child indices (table positions) differ between a repaired mirror and
+// a fresh one of a decoded tree, so publishedMirror checks the pointer
+// against the tree and the wiring, and only the child count is compared
+// here.
 func mirrorNodeDiff(a, b reflect.Value) string {
 	for f := 0; f < a.NumField(); f++ {
 		name := a.Type().Field(f).Name
@@ -155,7 +162,8 @@ func mirrorNodeDiff(a, b reflect.Value) string {
 			if x.Bool() != y.Bool() {
 				return name
 			}
-		case x.Len() != y.Len():
+		case name == "node":
+		case x.Len() != y.Len() || x.IsNil() != y.IsNil():
 			return name
 		case name == "child":
 		default:
