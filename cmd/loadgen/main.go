@@ -229,7 +229,7 @@ func startSelfServe(kind string, shards int, nps float64, tenants, maxResident i
 			handler, closeSrv = r.Handler(), func() { r.Close(); os.RemoveAll(dir) }
 		case "cluster":
 			opts.Defaults = registry.TenantConfig{Dim: 2, Shards: shards}
-			r, err := registry.Open(opts, registry.ClusterBackend(server.ClusterOptions{}))
+			r, err := registry.Open(opts, registry.ClusterBackend())
 			if err != nil {
 				os.RemoveAll(dir)
 				return "", nil, err

@@ -1,16 +1,17 @@
 // Command serveclass runs the anytime classification server: a sharded
 // set of multi-class Bayes trees served over HTTP with per-request
 // anytime budgets, a global node-read admission controller, online
-// learning via /insert, and snapshot-based warm starts.
+// learning via /insert, and a durable write-ahead log.
 //
 // Start from a named data set, sharded four ways, with an admission
 // capacity of 200k node reads per second:
 //
 //	serveclass -dataset covertype -scale 0.05 -shards 4 -nps 200000
 //
-// Warm-start from (and persist back to) a snapshot:
+// Make ingest durable: every insert is logged under the directory, a
+// restart recovers the model from it, and a drain checkpoints it there:
 //
-//	serveclass -snapshot model.btsn -addr :8080
+//	serveclass -empty-dim 3 -wal-dir /data/model -addr :8080
 //
 // Track concept drift with exponential forgetting: weights fade by
 // 2^(-λ) per decay epoch, one epoch per -decay-every writes to a shard,
@@ -32,8 +33,7 @@
 // (readiness), GET /replicate (replication stream). On SIGTERM or
 // SIGINT the server drains gracefully: /readyz flips to 503 so load
 // balancers stop routing here, in-flight requests finish within the
-// -drain timeout, and the model is snapshotted back to -snapshot if
-// set.
+// -drain timeout, and the model is checkpointed into -wal-dir if set.
 package main
 
 import (
@@ -72,9 +72,9 @@ func register(fs *flag.FlagSet) *options {
 	o := &options{Flags: serve.RegisterFlags(fs, serve.FlagDefaults{
 		Addr: ":8080", Budget: 32, MaxBudget: server.DefaultMaxBudget, TenantDim: 3,
 	})}
-	fs.StringVar(&o.dataset, "dataset", "", "bootstrap data set when no snapshot exists (pendigits|letter|gender|covertype)")
+	fs.StringVar(&o.dataset, "dataset", "", "bootstrap data set when -wal-dir holds no state yet (pendigits|letter|gender|covertype)")
 	fs.Float64Var(&o.scale, "scale", 0.05, "bootstrap data set scale in (0,1]")
-	fs.IntVar(&o.emptyDim, "empty-dim", 0, "bootstrap an empty model of this dimensionality when no snapshot or dataset is given — the model is built entirely by ingest traffic")
+	fs.IntVar(&o.emptyDim, "empty-dim", 0, "bootstrap an empty model of this dimensionality when no dataset is given — the model is built entirely by ingest traffic")
 	fs.StringVar(&o.emptyLabels, "empty-labels", "0,1,2", "comma-separated class label set of an -empty-dim bootstrap")
 	fs.Int64Var(&o.seed, "seed", 42, "bootstrap shuffle seed")
 	fs.StringVar(&o.strategy, "strategy", "glo", "descent strategy glo|bft|dft")
@@ -86,8 +86,8 @@ func register(fs *flag.FlagSet) *options {
 		fmt.Fprintf(fs.Output(),
 			"Usage: serveclass [flags]\n\n"+
 				"Serve anytime classification over HTTP from a sharded Bayes tree model.\n"+
-				"Model source: -snapshot (warm start), -dataset (bootstrap), or -empty-dim\n"+
-				"(start empty and let ingest traffic build the model); one is required.\n"+
+				"Model source: -dataset (bootstrap) or -empty-dim (start empty, built by\n"+
+				"ingest traffic); one is required unless -wal-dir already holds a model.\n"+
 				"-strategy and -priority set the descent, one key per strategy; -pooled\n"+
 				"bootstraps trees that share one variance per entry across classes.\n"+
 				"-decay-lambda enables exponential forgetting (concept-drift tracking with\n"+
@@ -156,7 +156,6 @@ func (o *options) workload(args []string) (serve.Workload[*server.Server], error
 	return serve.Workload[*server.Server]{
 		Name:         "serveclass",
 		Config:       cfg,
-		Decode:       server.FromSnapshot,
 		Bootstrap:    func() (*server.Server, error) { return o.buildServer(cfg) },
 		Open:         server.OpenDurableServer,
 		Follow:       server.NewFollowerServer,
@@ -193,7 +192,7 @@ func (o *options) buildServer(cfg server.Config) (*server.Server, error) {
 	mopts := core.MultiOptions{PooledVariance: o.pooled}
 	if o.dataset == "" {
 		if o.emptyDim <= 0 {
-			return nil, serve.UsageErrorf("need -snapshot (existing), -dataset or -empty-dim to build a model")
+			return nil, serve.UsageErrorf("need -dataset or -empty-dim to build a model")
 		}
 		labels, err := parseLabelList(o.emptyLabels)
 		if err != nil {

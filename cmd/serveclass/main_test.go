@@ -66,6 +66,14 @@ func TestCommandLines(t *testing.T) {
 	if _, err := parse(t, "").workload([]string{"stray"}); serve.ExitStatus(err) != 2 {
 		t.Errorf("stray argument: err %v; want a usage error", err)
 	}
+	// A model outlives the process only through -wal-dir; -snapshot is
+	// no flag, so naming it is a parse error.
+	fs := flag.NewFlagSet("serveclass", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	register(fs)
+	if err := fs.Parse([]string{"-snapshot", "x"}); err == nil || !strings.Contains(err.Error(), "-snapshot") {
+		t.Errorf("-snapshot x: err %v; want a parse error naming the undefined flag", err)
+	}
 	// The bootstrap's own mistakes travel the same way.
 	for _, args := range []string{"", "-dataset nosuch", "-empty-dim 3 -empty-labels 7"} {
 		w, err := parse(t, args).workload(nil)

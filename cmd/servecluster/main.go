@@ -1,17 +1,18 @@
 // Command servecluster runs the anytime clustering server: a sharded
 // set of Section-4.2 clustering trees (ClusTrees) served over HTTP with
 // per-object anytime descent budgets, a global node-visit admission
-// controller and snapshot-based warm starts — the clustering
-// counterpart of serveclass, running on the same engine.
+// controller and a durable write-ahead log — the clustering counterpart
+// of serveclass, running on the same engine.
 //
 // Start an empty two-dimensional server, sharded four ways, forgetting
 // with half-life 1/0.004 stream objects:
 //
 //	servecluster -dim 2 -shards 4 -lambda 0.004
 //
-// Warm-start from (and persist back to) a snapshot:
+// Make ingest durable: every object is logged under the directory, a
+// restart recovers the model from it, and a drain checkpoints it there:
 //
-//	servecluster -snapshot clusters.btsn -addr :8081
+//	servecluster -dim 2 -wal-dir /data/clusters -addr :8081
 //
 // Run a read-only replica that tails a primary's WAL stream and can be
 // promoted (SIGHUP or -promote-file) when the primary dies:
@@ -23,14 +24,13 @@
 // GET /stats, GET /healthz (liveness), GET /readyz (readiness), GET
 // /replicate (replication stream). On SIGTERM or SIGINT the server
 // drains gracefully: /readyz flips to 503, in-flight requests finish
-// within the -drain timeout, and the model is snapshotted back to
-// -snapshot if set.
+// within the -drain timeout, and the model is checkpointed into -wal-dir
+// if set.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 
 	"bayestree/internal/clustree"
 	"bayestree/internal/registry"
@@ -51,24 +51,24 @@ func register(fs *flag.FlagSet) *options {
 	o := &options{Flags: serve.RegisterFlags(fs, serve.FlagDefaults{
 		Addr: ":8081", Budget: 8, MaxBudget: 64, TenantDim: 2,
 	})}
-	fs.IntVar(&o.dim, "dim", 0, "observation dimensionality when no snapshot exists")
+	fs.IntVar(&o.dim, "dim", 0, "observation dimensionality of a bootstrap (when -wal-dir holds no state yet)")
 	fs.Float64Var(&o.lambda, "lambda", 0.004, "decay rate: a weight halves every 1/λ stream objects (0 = never forget)")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(),
 			"Usage: servecluster [flags]\n\n"+
 				"Serve the Section-4.2 anytime clustering extension over HTTP from a sharded\n"+
-				"ClusTree model. Model source: -snapshot (warm start) or -dim (empty start);\n"+
-				"one is required. Each ingested object descends with an anytime budget —\n"+
+				"ClusTree model. Model source: -dim (empty start), required unless -wal-dir\n"+
+				"holds a model. Each ingested object descends with an anytime budget —\n"+
 				"under overload objects park in inner-node buffers and hitchhike leafward\n"+
 				"later, so the stream never backs up. -lambda sets exponential forgetting\n"+
 				"per stream object; every -decay-every writes to a shard, the write that\n"+
 				"ends the epoch sweeps its shard of micro-clusters below -min-weight.\n"+
 				"-wal-dir makes ingest durable: objects are appended to a per-shard\n"+
 				"write-ahead log (group-committed every -fsync-every) and recovery\n"+
-				"replays the log tail over the latest checkpoint.\n\n"+
+				"replays the log tail over the latest checkpoint; a drain checkpoints.\n\n"+
 				"Examples:\n"+
 				"  servecluster -dim 2 -shards 4 -lambda 0.004\n"+
-				"  servecluster -snapshot clusters.btsn -nps 50000\n\n"+
+				"  servecluster -dim 2 -wal-dir clusters -nps 50000\n\n"+
 				"Endpoints:\n"+
 				"  POST /cluster        {\"x\":[...],\"budget\":3}; NDJSON body bulk-ingests\n"+
 				"  GET  /microclusters  ?minw=0.5    current micro-clusters\n"+
@@ -106,29 +106,21 @@ func (o *options) workload(args []string) (serve.Workload[*server.ClusterServer]
 	if err != nil {
 		return w, err
 	}
-	var copts server.ClusterOptions
 	return serve.Workload[*server.ClusterServer]{
 		Name:   "servecluster",
 		Config: cfg,
-		Decode: func(r io.Reader, cfg server.Config) (*server.ClusterServer, error) {
-			return server.ClusterFromSnapshot(r, cfg, copts)
-		},
 		Bootstrap: func() (*server.ClusterServer, error) {
 			if o.dim < 1 {
-				return nil, serve.UsageErrorf("need -snapshot (existing) or -dim ≥ 1 to build a model")
+				return nil, serve.UsageErrorf("need -dim ≥ 1 to build a model")
 			}
 			ccfg := clustree.DefaultConfig(o.dim)
 			// A zero cfg.Decay.Lambda is "never forget", overriding the tree default.
 			ccfg.Lambda = cfg.Decay.Lambda
-			return server.NewCluster(ccfg, o.Shards, cfg, copts)
+			return server.NewCluster(ccfg, o.Shards, cfg, server.ClusterOptions{})
 		},
-		Open: func(d server.DurabilityOptions, cfg server.Config, boot func() (*server.ClusterServer, error)) (*server.ClusterServer, error) {
-			return server.OpenDurableCluster(d, cfg, copts, boot)
-		},
-		Follow: func(d server.DurabilityOptions, cfg server.Config, primaryURL string) (*server.Follower[*server.ClusterServer], error) {
-			return server.NewFollowerCluster(d, cfg, copts, primaryURL)
-		},
-		Backend: registry.ClusterBackend(copts),
+		Open:    server.OpenDurableCluster,
+		Follow:  server.NewFollowerCluster,
+		Backend: registry.ClusterBackend(),
 		Stats:   func(s *server.ClusterServer) server.Stats { return s.Stats().Stats },
 	}, nil
 }

@@ -47,7 +47,6 @@ func TestCommandLines(t *testing.T) {
 		"-lambda -1",
 		"-min-weight -1",
 		"-decay-every 0",
-		"-tenants-dir t -snapshot s",
 		"-promote-file f",
 		"-max-resident 8",
 		"-tenants-dir t -fsync-every -1s",
@@ -63,6 +62,14 @@ func TestCommandLines(t *testing.T) {
 	}
 	if _, err := parse(t, "").workload([]string{"stray"}); serve.ExitStatus(err) != 2 {
 		t.Errorf("stray argument: err %v; want a usage error", err)
+	}
+	// A model outlives the process only through -wal-dir; -snapshot is
+	// no flag, so naming it is a parse error.
+	fs := flag.NewFlagSet("servecluster", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	register(fs)
+	if err := fs.Parse([]string{"-snapshot", "x"}); err == nil || !strings.Contains(err.Error(), "-snapshot") {
+		t.Errorf("-snapshot x: err %v; want a parse error naming the undefined flag", err)
 	}
 	// The bootstrap's own mistake travels the same way: no -dim.
 	w, err := parse(t, "").workload(nil)

@@ -58,6 +58,7 @@ func (Gaussian) FreezeBandwidth(dst FrozenKernel, h []float64) FrozenKernel {
 	return f
 }
 
+// LogDensity implements FrozenKernel.
 func (f *FrozenGaussianKernel) LogDensity(x, center []float64) float64 {
 	var quad float64
 	inv := f.invVar
@@ -68,6 +69,7 @@ func (f *FrozenGaussianKernel) LogDensity(x, center []float64) float64 {
 	return f.logNorm - 0.5*quad
 }
 
+// LogDensityObs implements FrozenKernel.
 func (f *FrozenGaussianKernel) LogDensityObs(x, center []float64, obs []int) float64 {
 	if obs == nil {
 		return f.LogDensity(x, center)

@@ -27,12 +27,12 @@ func ClassifyBackend() Backend[*server.Server] {
 }
 
 // ClusterBackend serves anytime stream-clustering tenants
-// (*server.ClusterServer) with the given clustering options. Tenants
-// are created on their first POST /cluster.
-func ClusterBackend(copts server.ClusterOptions) Backend[*server.ClusterServer] {
+// (*server.ClusterServer). Tenants are created on their first POST
+// /cluster.
+func ClusterBackend() Backend[*server.ClusterServer] {
 	return backend(replica.WorkloadCluster, "/cluster", func(dopts server.DurabilityOptions, cfg server.Config, tc TenantConfig) (*server.ClusterServer, error) {
-		return server.OpenDurableCluster(dopts, cfg, copts, func() (*server.ClusterServer, error) {
-			return server.NewCluster(clustree.DefaultConfig(tc.Dim), tc.Shards, cfg, copts)
+		return server.OpenDurableCluster(dopts, cfg, func() (*server.ClusterServer, error) {
+			return server.NewCluster(clustree.DefaultConfig(tc.Dim), tc.Shards, cfg, server.ClusterOptions{})
 		})
 	})
 }

@@ -403,7 +403,7 @@ func TestWorkloadMismatchRefused(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{Dir: dir}, ClusterBackend(server.ClusterOptions{})); err == nil {
+	if _, err := Open(Options{Dir: dir}, ClusterBackend()); err == nil {
 		t.Fatal("cluster backend opened a classify root")
 	}
 }

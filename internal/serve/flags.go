@@ -16,10 +16,9 @@ import (
 // replication and the multi-tenant registry. A command registers them
 // with RegisterFlags next to its own (its bootstrap and its decay rate).
 type Flags struct {
-	Addr     string
-	Shards   int
-	Snapshot string
-	Drain    time.Duration
+	Addr   string
+	Shards int
+	Drain  time.Duration
 
 	Budget, MaxBudget int
 	NPS               float64
@@ -51,8 +50,7 @@ type FlagDefaults struct {
 func RegisterFlags(fs *flag.FlagSet, d FlagDefaults) *Flags {
 	f := new(Flags)
 	fs.StringVar(&f.Addr, "addr", d.Addr, "HTTP listen address")
-	fs.IntVar(&f.Shards, "shards", 4, "number of model shards (ignored when warm-starting from -snapshot)")
-	fs.StringVar(&f.Snapshot, "snapshot", "", "snapshot path: warm-start from it when present, write it back on drain")
+	fs.IntVar(&f.Shards, "shards", 4, "number of model shards of a bootstrap (ignored when -wal-dir already holds state)")
 	fs.DurationVar(&f.Drain, "drain", 10*time.Second, "graceful drain timeout on SIGTERM/SIGINT")
 	fs.IntVar(&f.Budget, "budget", d.Budget, "default node budget when a request sets none")
 	fs.IntVar(&f.MaxBudget, "max-budget", d.MaxBudget, "hard cap on any request's node budget")
@@ -64,7 +62,7 @@ func RegisterFlags(fs *flag.FlagSet, d FlagDefaults) *Flags {
 	fs.StringVar(&f.Follow, "follow", "", "run as a read-only replica of the primary at this base URL, e.g. http://host:8080 (requires -wal-dir; writes answer 307 to the primary)")
 	fs.StringVar(&f.PromoteFile, "promote-file", "", "promote this replica to primary when the file appears (SIGHUP promotes too; with -follow)")
 	fs.StringVar(&f.ReplicateAddr, "replicate-addr", "", "serve the replication stream (/replicate) on a second listener at this address (with -wal-dir)")
-	fs.StringVar(&f.TenantsDir, "tenants-dir", "", "multi-tenant mode: serve a registry of named models rooted at this directory (/t/{tenant}/…); excludes -snapshot/-wal-dir/-follow/-replicate-addr")
+	fs.StringVar(&f.TenantsDir, "tenants-dir", "", "multi-tenant mode: serve a registry of named models rooted at this directory (/t/{tenant}/…); excludes -wal-dir/-follow/-replicate-addr")
 	fs.IntVar(&f.MaxResident, "max-resident", 0, "multi-tenant: resident-model cap; LRU tenants beyond it are checkpointed and paged out (0 = registry default)")
 	fs.Int64Var(&f.MaxResidentBytes, "max-resident-bytes", 0, "multi-tenant: additional resident-memory cap in estimated bytes (0 = none)")
 	fs.IntVar(&f.TenantDim, "tenant-default-dim", d.TenantDim, "multi-tenant: dimensionality of tenants created on first write")
@@ -92,8 +90,8 @@ func (f *Flags) Mode() (Mode, error) {
 		return 0, UsageErrorf("-fsync-every must be ≥ 0, got %v", f.FsyncEvery)
 	}
 	if f.TenantsDir != "" {
-		if f.Snapshot != "" || f.WALDir != "" || f.Follow != "" || f.ReplicateAddr != "" {
-			return 0, UsageErrorf("-tenants-dir is exclusive with -snapshot/-wal-dir/-follow/-replicate-addr")
+		if f.WALDir != "" || f.Follow != "" || f.ReplicateAddr != "" {
+			return 0, UsageErrorf("-tenants-dir is exclusive with -wal-dir/-follow/-replicate-addr")
 		}
 		return Registry, nil
 	}

@@ -35,7 +35,6 @@ func TestFlagRules(t *testing.T) {
 		{args: "-replicate-addr :9000", usage: "-replicate-addr requires -wal-dir"},
 		{args: "-max-resident 8", usage: "require -tenants-dir"},
 		{args: "-max-resident-bytes 1024", usage: "require -tenants-dir"},
-		{args: "-tenants-dir t -snapshot s", usage: "-tenants-dir is exclusive"},
 		{args: "-tenants-dir t -wal-dir d", usage: "-tenants-dir is exclusive"},
 		{args: "-tenants-dir t -follow http://p:1", usage: "-tenants-dir is exclusive"},
 		{args: "-tenants-dir t -replicate-addr :9000", usage: "-tenants-dir is exclusive"},

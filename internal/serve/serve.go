@@ -44,8 +44,8 @@ type App struct {
 	// SetDraining flips the workload's draining state so readiness
 	// checks fail before in-flight requests are cut off.
 	SetDraining func(bool)
-	// Persist writes the model back out after the drain — the final
-	// checkpoint (WAL truncation) and/or the legacy snapshot file.
+	// Persist saves the model after the drain (the final checkpoint); a
+	// memory-only primary has none.
 	Persist func() error
 	// Promote, when set, is invoked on SIGHUP or when PromoteFile
 	// appears — the replica-to-primary flip. Errors are logged, not

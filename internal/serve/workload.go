@@ -2,13 +2,10 @@ package serve
 
 import (
 	"fmt"
-	"io"
 	"log"
 	"net/http"
-	"os"
 	"time"
 
-	"bayestree/internal/persist"
 	"bayestree/internal/registry"
 	"bayestree/internal/replica"
 	"bayestree/internal/server"
@@ -23,12 +20,9 @@ type Workload[S server.Served] struct {
 	Name string
 	// Config is the engine configuration the command's flags resolved.
 	Config server.Config
-	// Decode warm-starts the model from a snapshot (server.FromSnapshot
-	// or ClusterFromSnapshot); Bootstrap builds it from the command's own
-	// flags (a data set, empty shards) when -snapshot names no file yet.
-	// Neither is called when durable state already exists. Bootstrap's
-	// usage mistakes come back as UsageErrorf errors.
-	Decode    func(io.Reader, server.Config) (S, error)
+	// Bootstrap builds the model from the command's own flags (a data
+	// set, empty shards); it is not called when durable state already
+	// exists. Its usage mistakes come back as UsageErrorf errors.
 	Bootstrap func() (S, error)
 	// Open opens the durable state (server.OpenDurableServer or
 	// OpenDurableCluster), Follow a replica of it (NewFollowerServer or
@@ -65,40 +59,20 @@ func (f *Flags) durability() server.DurabilityOptions {
 	return server.DurabilityOptions{Dir: f.WALDir, FsyncEvery: f.FsyncEvery}
 }
 
-// initial resolves the model source: an existing -snapshot wins,
-// otherwise the command bootstraps -shards fresh shards.
-func initial[S server.Served](f *Flags, w Workload[S]) (S, error) {
-	var zero S
-	if f.Snapshot != "" {
-		file, err := os.Open(f.Snapshot)
-		if err == nil {
-			defer file.Close()
-			s, err := w.Decode(file, w.Config)
-			if err != nil {
-				return zero, fmt.Errorf("snapshot %s: %w", f.Snapshot, err)
-			}
-			log.Printf("warm start from %s: %d shards, %d observations", f.Snapshot, s.NumShards(), s.Len())
-			return s, nil
-		}
-		if !os.IsNotExist(err) {
-			return zero, err
-		}
-		log.Printf("snapshot %s does not exist yet; bootstrapping", f.Snapshot)
-	}
-	if f.Shards < 1 {
-		return zero, UsageErrorf("-shards must be ≥ 1, got %d", f.Shards)
-	}
-	return w.Bootstrap()
-}
-
 // runPrimary runs the single-model lifecycle: bootstrap or recover the
-// model, serve it, and on drain checkpoint it (-wal-dir) and write the
-// snapshot back (-snapshot).
+// model, serve it, and on drain checkpoint it into -wal-dir. Without
+// -wal-dir the model lives in memory only.
 func runPrimary[S server.Served](f *Flags, w Workload[S]) error {
+	bootstrap := func() (S, error) {
+		if f.Shards < 1 {
+			var zero S
+			return zero, UsageErrorf("-shards must be ≥ 1, got %d", f.Shards)
+		}
+		return w.Bootstrap()
+	}
 	var s S
 	var err error
-	var recoverFn func() error
-	bootstrap := func() (S, error) { return initial(f, w) }
+	var recoverFn, persistFn func() error
 	if f.WALDir != "" {
 		s, err = w.Open(f.durability(), w.Config, bootstrap)
 		recoverFn = func() error {
@@ -115,6 +89,16 @@ func runPrimary[S server.Served](f *Flags, w Workload[S]) error {
 				st.RecoverMs, st.SnapshotDecodeMs, st.WALReplayMs, st.MirrorBuildMs, st.CheckpointMs)
 			return nil
 		}
+		persistFn = func() error {
+			if err := s.Checkpoint(); err != nil {
+				return err
+			}
+			if err := s.CloseDurability(); err != nil {
+				return err
+			}
+			log.Printf("final checkpoint written to %s (%d observations)", f.WALDir, s.Len())
+			return nil
+		}
 	} else {
 		s, err = bootstrap()
 	}
@@ -125,31 +109,13 @@ func runPrimary[S server.Served](f *Flags, w Workload[S]) error {
 		s.Len(), s.NumShards(), f.Addr, f.Budget, admissionDesc(f.NPS), decayDesc(w.Stats(s), w.Config), walDesc(f.WALDir, f.FsyncEvery))
 
 	return Run(App{
-		Name:         w.Name,
-		Addr:         f.Addr,
-		Handler:      s.Handler(),
-		DrainTimeout: f.Drain,
-		Recover:      recoverFn,
-		SetDraining:  s.SetDraining,
-		Persist: func() error {
-			if f.WALDir != "" {
-				if err := s.Checkpoint(); err != nil {
-					return err
-				}
-				if err := s.CloseDurability(); err != nil {
-					return err
-				}
-				log.Printf("final checkpoint written to %s (%d observations)", f.WALDir, s.Len())
-			}
-			if f.Snapshot != "" {
-				// Durably and atomically.
-				if err := persist.WriteFileAtomic(f.Snapshot, s.WriteSnapshot); err != nil {
-					return err
-				}
-				log.Printf("snapshot written to %s (%d observations)", f.Snapshot, s.Len())
-			}
-			return nil
-		},
+		Name:             w.Name,
+		Addr:             f.Addr,
+		Handler:          s.Handler(),
+		DrainTimeout:     f.Drain,
+		Recover:          recoverFn,
+		SetDraining:      s.SetDraining,
+		Persist:          persistFn,
 		ReplicateAddr:    f.ReplicateAddr,
 		ReplicateHandler: s.ReplicateHandler(),
 	})
@@ -271,15 +237,15 @@ func walDesc(dir string, fsyncEvery time.Duration) string {
 }
 
 // decayDesc describes the decay state the server actually runs with —
-// which may come from a warm-started snapshot rather than the flags. A
-// decayed snapshot loaded without a decay rate keeps fading scores but
-// crosses no epoch boundary, which deserves a loud hint, not "off".
+// which may come from a recovered checkpoint rather than the flags. A
+// decayed checkpoint recovered without a decay rate keeps fading scores
+// but crosses no epoch boundary, which deserves a loud hint, not "off".
 func decayDesc(st server.Stats, cfg server.Config) string {
 	if !st.DecayEnabled {
 		return "off"
 	}
 	if !cfg.Decay.Enabled() {
-		return fmt.Sprintf("snapshot state at epoch %d — no epoch boundaries; set the decay rate and -decay-every to resume forgetting", st.DecayEpoch)
+		return fmt.Sprintf("recovered state at epoch %d — no epoch boundaries; set the decay rate and -decay-every to resume forgetting", st.DecayEpoch)
 	}
 	return fmt.Sprintf("λ=%g floor=%g, one epoch per %d writes to a shard", cfg.Decay.Lambda, cfg.Decay.MinWeight, cfg.DecayEvery)
 }

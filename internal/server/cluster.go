@@ -86,8 +86,8 @@ func (c *ctree) EnableDecay(opts core.DecayOptions) error {
 	return nil
 }
 
-// ClusterOptions has no field. It is kept so that the constructors keep
-// the signatures the API list in bench/sut.go names.
+// ClusterOptions has no field. NewCluster and ClusterFromSnapshot keep
+// it for the signatures the API list in bench/sut.go names.
 type ClusterOptions struct{}
 
 // ClusterServer is the sharded anytime clustering instantiation of the

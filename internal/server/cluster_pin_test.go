@@ -106,7 +106,7 @@ func TestDurableClusterReplayPinned(t *testing.T) {
 	ccfg := clustree.Config{Dim: 2, MaxFanout: 4, Lambda: 0.002}
 	open := func(dir string) *ClusterServer {
 		t.Helper()
-		s, err := OpenDurableCluster(DurabilityOptions{Dir: dir}, Config{}, copts, func() (*ClusterServer, error) {
+		s, err := OpenDurableCluster(DurabilityOptions{Dir: dir}, Config{}, func() (*ClusterServer, error) {
 			return NewCluster(ccfg, 4, Config{}, copts)
 		})
 		if err != nil {

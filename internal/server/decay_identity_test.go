@@ -88,7 +88,7 @@ func clusterDecayWorkload(n int) decayWorkload[*ClusterServer] {
 		name: replica.WorkloadCluster,
 		open: func(t *testing.T, dir string) *ClusterServer {
 			t.Helper()
-			s, err := OpenDurableCluster(DurabilityOptions{Dir: dir}, cfg, ClusterOptions{}, func() (*ClusterServer, error) {
+			s, err := OpenDurableCluster(DurabilityOptions{Dir: dir}, cfg, func() (*ClusterServer, error) {
 				return NewCluster(clustree.DefaultConfig(2), 3, cfg, ClusterOptions{})
 			})
 			if err == nil {
@@ -100,7 +100,7 @@ func clusterDecayWorkload(n int) decayWorkload[*ClusterServer] {
 			return s
 		},
 		follow: func(dir, url string) (*Follower[*ClusterServer], error) {
-			return NewFollowerCluster(DurabilityOptions{Dir: dir}, cfg, ClusterOptions{}, url)
+			return NewFollowerCluster(DurabilityOptions{Dir: dir}, cfg, url)
 		},
 		write: func(s *ClusterServer, i int) error {
 			_, err := s.Insert(xs[i], budgets[i])

@@ -632,8 +632,8 @@ func OpenDurableServer(dopts DurabilityOptions, cfg Config, bootstrap func() (*S
 }
 
 // OpenDurableCluster is OpenDurableServer for the clustering workload.
-func OpenDurableCluster(dopts DurabilityOptions, cfg Config, copts ClusterOptions, bootstrap func() (*ClusterServer, error)) (*ClusterServer, error) {
-	return openDurable(dopts, func(r io.Reader) (*ClusterServer, error) { return ClusterFromSnapshot(r, cfg, copts) }, bootstrap)
+func OpenDurableCluster(dopts DurabilityOptions, cfg Config, bootstrap func() (*ClusterServer, error)) (*ClusterServer, error) {
+	return openDurable(dopts, func(r io.Reader) (*ClusterServer, error) { return ClusterFromSnapshot(r, cfg, ClusterOptions{}) }, bootstrap)
 }
 
 // openDurable is the open sequence both workloads share: lock + sweep

@@ -74,11 +74,12 @@ func crash(t *testing.T, dur *durState) {
 }
 
 // snapshotBytes is a server's full model state, the digit-identity
-// comparand.
-func snapshotBytes(t *testing.T, w interface{ WriteSnapshot(io.Writer) error }) []byte {
+// comparand. s is a *Server or a *ClusterServer; Served does not carry
+// WriteSnapshot, so a generic caller passes its S here.
+func snapshotBytes(t *testing.T, s any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := w.WriteSnapshot(&buf); err != nil {
+	if err := s.(interface{ WriteSnapshot(io.Writer) error }).WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -151,7 +152,7 @@ func TestDurableClassKillRestartDigitIdentical(t *testing.T) {
 func newDurableCluster(t *testing.T, dir string, shards int) *ClusterServer {
 	t.Helper()
 	copts := ClusterOptions{}
-	s, err := OpenDurableCluster(DurabilityOptions{Dir: dir}, Config{}, copts, func() (*ClusterServer, error) {
+	s, err := OpenDurableCluster(DurabilityOptions{Dir: dir}, Config{}, func() (*ClusterServer, error) {
 		return NewCluster(clustree.DefaultConfig(2), shards, Config{}, copts)
 	})
 	if err != nil {
@@ -432,9 +433,10 @@ func TestDurableCorruptSegmentFatal(t *testing.T) {
 	}
 }
 
-// TestDurableLegacySnapshotBootstrap: a pre-WAL snapshot file (the PR 4
-// deployment) migrates into a fresh durability directory via bootstrap,
-// and the old file keeps loading unchanged without -wal-dir.
+// TestDurableLegacySnapshotBootstrap: in the library, a bare snapshot
+// file loads memory-only through FromSnapshot and migrates into a fresh
+// durability directory as OpenDurableServer's bootstrap. No serving
+// command reads such a file; this is the library-level migration path.
 func TestDurableLegacySnapshotBootstrap(t *testing.T) {
 	xs, ys := classPoints(80)
 	legacy, err := NewEmpty(2, core.DefaultConfig(3), []int{0, 1, 2}, core.MultiOptions{}, Config{})

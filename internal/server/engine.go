@@ -91,8 +91,6 @@ type Served interface {
 	Recover() error
 	// Checkpoint folds the WAL into a new snapshot generation.
 	Checkpoint() error
-	// WriteSnapshot encodes the whole model as one consistent cut.
-	WriteSnapshot(w io.Writer) error
 	// Promote makes this server the primary of a new fencing epoch.
 	Promote() error
 	// ApplyReplicated logs and applies one record shipped by a primary.

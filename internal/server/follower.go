@@ -59,8 +59,8 @@ func NewFollowerServer(dopts DurabilityOptions, cfg Config, primaryURL string) (
 }
 
 // NewFollowerCluster is NewFollowerServer for the clustering workload.
-func NewFollowerCluster(dopts DurabilityOptions, cfg Config, copts ClusterOptions, primaryURL string) (*Follower[*ClusterServer], error) {
-	return newFollower(replica.WorkloadCluster, dopts, primaryURL, func(r io.Reader) (*ClusterServer, error) { return ClusterFromSnapshot(r, cfg, copts) })
+func NewFollowerCluster(dopts DurabilityOptions, cfg Config, primaryURL string) (*Follower[*ClusterServer], error) {
+	return newFollower(replica.WorkloadCluster, dopts, primaryURL, func(r io.Reader) (*ClusterServer, error) { return ClusterFromSnapshot(r, cfg, ClusterOptions{}) })
 }
 
 // newFollower builds a follower of the named workload, whose snapshots

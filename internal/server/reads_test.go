@@ -112,13 +112,12 @@ func TestDurableClusterReadsInvisible(t *testing.T) {
 func TestFollowerClusterReadsInvisible(t *testing.T) {
 	const n = 300
 	xs, budgets := killRestartStream(n)
-	copts := ClusterOptions{}
 
 	prim := newDurableCluster(t, t.TempDir(), 3)
 	defer prim.CloseDurability()
 	pts := httptest.NewServer(prim.Handler())
 	defer killServer(pts)
-	foll, err := NewFollowerCluster(DurabilityOptions{Dir: t.TempDir()}, Config{}, copts, pts.URL)
+	foll, err := NewFollowerCluster(DurabilityOptions{Dir: t.TempDir()}, Config{}, pts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,7 @@ func TestConcurrentClusterReaders(t *testing.T) {
 	setCheckpointFloor(t, 4<<10)
 	cfg := Config{Decay: core.DecayOptions{Lambda: 0.01, MinWeight: 0.3}}
 	copts := ClusterOptions{}
-	s, err := OpenDurableCluster(DurabilityOptions{Dir: t.TempDir()}, cfg, copts, func() (*ClusterServer, error) {
+	s, err := OpenDurableCluster(DurabilityOptions{Dir: t.TempDir()}, cfg, func() (*ClusterServer, error) {
 		return NewCluster(clustree.DefaultConfig(2), 4, cfg, copts)
 	})
 	if err != nil {

@@ -216,7 +216,7 @@ func TestFailoverClusterKillPrimary(t *testing.T) {
 	prim := newDurableCluster(t, primDir, 3)
 	ts := httptest.NewServer(prim.Handler())
 
-	foll, err := NewFollowerCluster(DurabilityOptions{Dir: follDir}, Config{}, copts, ts.URL)
+	foll, err := NewFollowerCluster(DurabilityOptions{Dir: follDir}, Config{}, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

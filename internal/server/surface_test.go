@@ -43,7 +43,7 @@ var surfaceWorkloads = []struct {
 		})
 	}},
 	{replica.WorkloadCluster, "/cluster", `{"x":[0.25,0.5]}`, func(dir string) (surface, error) {
-		return OpenDurableCluster(DurabilityOptions{Dir: dir}, Config{}, ClusterOptions{}, func() (*ClusterServer, error) {
+		return OpenDurableCluster(DurabilityOptions{Dir: dir}, Config{}, func() (*ClusterServer, error) {
 			return NewCluster(clustree.DefaultConfig(2), 2, Config{}, ClusterOptions{})
 		})
 	}},
