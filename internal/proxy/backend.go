@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bayestree/internal/replica"
+	"bayestree/internal/server"
 )
 
 // backend is one upstream process: its base URL, a dedicated pooled
@@ -45,21 +46,6 @@ type probeState struct {
 	weight       float64
 	hubBuffered  int
 	decays       bool
-}
-
-// backendStats is the subset of a server's /stats the prober reads.
-type backendStats struct {
-	Role            string  `json:"role"`
-	Epoch           uint64  `json:"epoch"`
-	Fenced          bool    `json:"fenced"`
-	Recovering      bool    `json:"recovering"`
-	Draining        bool    `json:"draining"`
-	StalenessMs     int64   `json:"staleness_ms"`
-	AppliedLSN      uint64  `json:"applied_lsn"`
-	Observations    int     `json:"observations"`
-	Weight          float64 `json:"weight"`
-	ReplSubBuffered []int   `json:"repl_sub_buffered"`
-	DecayEnabled    bool    `json:"decay_enabled"`
 }
 
 // maxProbeBody is the longest /stats body the prober accepts; a longer
@@ -250,7 +236,7 @@ func (p *Proxy) probeBackend(b *backend) {
 	defer cancel()
 	status, data, err := b.probeFetch(ctx)
 	var st probeState
-	var bs backendStats
+	var bs server.Stats
 	// The observation count sizes the budget split, so a count it cannot
 	// hold fails the probe: a negative one would be sent on as a negative
 	// literal budget, which the backend caps up to MaxBudget, and one past

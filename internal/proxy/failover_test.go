@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"bayestree/internal/core"
-	"bayestree/internal/replica"
 	"bayestree/internal/server"
 )
 
@@ -86,11 +85,6 @@ func TestProxyFailoverKillPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := replica.New(foll, replica.Options{
-		PrimaryURL: ts.URL, Workload: replica.WorkloadClassify, Epoch: foll.Epoch,
-		BackoffMin: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
-	})
-	tail.Start()
 	fts := httptest.NewServer(foll.Handler())
 	defer fts.Close()
 
@@ -132,7 +126,6 @@ func TestProxyFailoverKillPrimary(t *testing.T) {
 	// new line of succession.
 	ts.CloseClientConnections()
 	ts.Close()
-	tail.Stop()
 	if err := foll.Promote(); err != nil {
 		t.Fatalf("promote: %v", err)
 	}

@@ -1,5 +1,6 @@
-// Package replica implements the follower side of WAL-shipping
-// replication and the wire protocol both sides share.
+// Package replica is the wire protocol of WAL-shipping replication,
+// shared by a primary's /replicate handler and a follower's tail (both
+// in internal/server).
 //
 // A primary serving process exposes GET /replicate: the response is one
 // JSON header line describing the checkpoint being shipped (snapshot
@@ -11,20 +12,15 @@
 // with its shard) interleaved with heartbeat frames carrying the
 // primary's current shipped LSN.
 //
-// The Tailer here is the replica's pump: it connects, hands the header
-// and snapshot to its Sink (which rebuilds the local model from the
-// checkpoint), then applies record frames one at a time — through the
-// replica's own log-before-apply path, so replica state is itself
-// durable — and reconnects with jittered exponential backoff whenever
-// the stream breaks. Reconnects always re-bootstrap from a fresh
-// checkpoint: the stream has no resume cursor, which trades transfer
-// volume for never having to reason about a half-applied tail.
+// The stream has no resume cursor: a follower that reconnects
+// re-bootstraps from a fresh checkpoint, which trades transfer volume
+// for never having to reason about a half-applied tail.
 //
-// Fencing rides the same connection: the follower sends its own epoch
-// in the X-Bayestree-Epoch request header. A primary that sees a caller
-// with a NEWER epoch knows it has been superseded — it fences itself
-// (persistently) and answers 409, and the Tailer reports the condition
-// instead of applying frames from a stale line of succession.
+// Fencing rides the same request: the follower sends its own epoch in
+// the X-Bayestree-Epoch header (EpochHeader). A primary that sees a
+// caller with a NEWER epoch knows it has been superseded — it fences
+// itself (persistently) and answers 409, and the follower reports the
+// condition instead of applying frames from a stale line of succession.
 package replica
 
 import (
@@ -32,14 +28,10 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
-	"sync"
-	"time"
 )
 
 // Proto is the replication wire-protocol version. A follower refuses a
@@ -90,10 +82,12 @@ type Header struct {
 	ShardWrites []uint64 `json:"shard_writes,omitempty"`
 }
 
-// frame kind bytes on the wire.
+// Frame kind bytes on the wire.
 const (
-	frameRecord    byte = 'r'
-	frameHeartbeat byte = 'h'
+	// FrameRecord opens a record frame.
+	FrameRecord byte = 'r'
+	// FrameHeartbeat opens a heartbeat frame.
+	FrameHeartbeat byte = 'h'
 )
 
 // maxFramePayload bounds a declared record length before allocation,
@@ -158,7 +152,7 @@ func ReadHeader(r *bufio.Reader) (Header, error) {
 // the exact bytes the primary appended to that shard's WAL.
 func WriteRecord(w io.Writer, shard int, payload []byte) error {
 	var hdr [9]byte
-	hdr[0] = frameRecord
+	hdr[0] = FrameRecord
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(shard))
 	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -172,7 +166,7 @@ func WriteRecord(w io.Writer, shard int, payload []byte) error {
 // current shipped LSN.
 func WriteHeartbeat(w io.Writer, lsn uint64) error {
 	var buf [9]byte
-	buf[0] = frameHeartbeat
+	buf[0] = FrameHeartbeat
 	binary.LittleEndian.PutUint64(buf[1:9], lsn)
 	_, err := w.Write(buf[:])
 	return err
@@ -181,7 +175,7 @@ func WriteHeartbeat(w io.Writer, lsn uint64) error {
 // Frame is one parsed wire frame: a record (Shard, Payload) or a
 // heartbeat (LSN).
 type Frame struct {
-	// Kind is 'r' for a record frame, 'h' for a heartbeat.
+	// Kind is FrameRecord or FrameHeartbeat.
 	Kind byte
 	// Shard is the record's shard index (record frames only).
 	Shard int
@@ -198,7 +192,7 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, err
 	}
 	switch kind[0] {
-	case frameRecord:
+	case FrameRecord:
 		var hdr [8]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return Frame{}, fmt.Errorf("replica: record frame: %w", err)
@@ -217,13 +211,13 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		if err != nil {
 			return Frame{}, fmt.Errorf("replica: record frame: %w", err)
 		}
-		return Frame{Kind: frameRecord, Shard: int(shard), Payload: payload}, nil
-	case frameHeartbeat:
+		return Frame{Kind: FrameRecord, Shard: int(shard), Payload: payload}, nil
+	case FrameHeartbeat:
 		var buf [8]byte
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return Frame{}, fmt.Errorf("replica: heartbeat frame: %w", err)
 		}
-		return Frame{Kind: frameHeartbeat, LSN: binary.LittleEndian.Uint64(buf[:])}, nil
+		return Frame{Kind: FrameHeartbeat, LSN: binary.LittleEndian.Uint64(buf[:])}, nil
 	default:
 		return Frame{}, fmt.Errorf("replica: unknown frame kind 0x%02x", kind[0])
 	}
@@ -232,10 +226,10 @@ func ReadFrame(r io.Reader) (Frame, error) {
 // FormatEpoch renders an epoch for the EpochHeader request header.
 func FormatEpoch(epoch uint64) string { return strconv.FormatUint(epoch, 10) }
 
-// replicateRequest builds the GET /replicate request to the server at
-// base that announces epoch in EpochHeader — what a tailing follower
+// NewRequest builds the GET /replicate request to the server at base
+// that announces epoch in EpochHeader — what a tailing follower
 // connects with and what a fence probe sends.
-func replicateRequest(ctx context.Context, base string, epoch uint64) (*http.Request, error) {
+func NewRequest(ctx context.Context, base string, epoch uint64) (*http.Request, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/replicate", nil)
 	if err != nil {
 		return nil, err
@@ -252,7 +246,7 @@ func replicateRequest(ctx context.Context, base string, epoch uint64) (*http.Req
 // exchange, and the start of the answer is drained so a pooled client
 // can reuse the connection.
 func FenceProbe(ctx context.Context, client *http.Client, base string, epoch uint64) {
-	req, err := replicateRequest(ctx, base, epoch)
+	req, err := NewRequest(ctx, base, epoch)
 	if err != nil {
 		return
 	}
@@ -262,253 +256,4 @@ func FenceProbe(ctx context.Context, client *http.Client, base string, epoch uin
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 	resp.Body.Close()
-}
-
-// ErrStalePrimary reports that the primary refused to serve the stream
-// because the follower's epoch is newer than its own — the primary is a
-// stale resurrection of a superseded line of succession (it fenced
-// itself on our probe). Test with errors.Is.
-var ErrStalePrimary = errors.New("replica: primary is stale (fenced by our newer epoch)")
-
-// Sink is what the Tailer pumps into — the replica's model layer.
-// Calls are sequential: one Bootstrap per (re)connect, then Apply and
-// CaughtUp in stream order until the connection breaks.
-type Sink interface {
-	// Bootstrap rebuilds the replica from a full checkpoint: snapshot
-	// delivers exactly Header.SnapshotBytes bytes. On error the Tailer
-	// drops the connection and retries with a fresh checkpoint.
-	Bootstrap(h Header, snapshot io.Reader) error
-	// Apply applies one shipped WAL record to the given shard, through
-	// the replica's own log-before-apply path. An error drops the
-	// connection (and the next bootstrap re-converges).
-	Apply(shard int, payload []byte) error
-	// CaughtUp reports a heartbeat: the primary had shipped lsn records
-	// as of now, so a replica that has applied that many knows it is
-	// current and can reset its staleness clock.
-	CaughtUp(lsn uint64)
-	// Connected reports tail connectivity transitions: nil after a
-	// successful bootstrap, and the error that dropped the stream or
-	// refused the connection otherwise. A Tailer being stopped reports
-	// nothing.
-	Connected(err error)
-}
-
-// Options parameterise a Tailer.
-type Options struct {
-	// PrimaryURL is the primary's base URL (e.g. http://host:8080); the
-	// Tailer appends /replicate.
-	PrimaryURL string
-	// Workload is the expected Header.Workload; a mismatch is refused.
-	Workload string
-	// Epoch returns the follower's current fencing epoch, sent with
-	// every connect so a stale primary fences itself. Nil means epoch 0.
-	Epoch func() uint64
-	// BackoffMin and BackoffMax bound the jittered exponential
-	// reconnect backoff (0 means 100ms and 5s).
-	BackoffMin time.Duration
-	BackoffMax time.Duration
-}
-
-// silenceTimeout drops a connection that has delivered no frame for
-// this long: heartbeats make silence abnormal.
-const silenceTimeout = 15 * time.Second
-
-// errSilent is the error a connection dropped for silence reports.
-var errSilent = fmt.Errorf("replica: no frame from the primary for %v", silenceTimeout)
-
-// withDefaults resolves zero values.
-func (o Options) withDefaults() Options {
-	if o.BackoffMin <= 0 {
-		o.BackoffMin = 100 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 5 * time.Second
-	}
-	return o
-}
-
-// Tailer pumps a primary's replication stream into a Sink, reconnecting
-// with jittered exponential backoff until stopped.
-type Tailer struct {
-	sink Sink
-	opts Options
-
-	mu     sync.Mutex
-	cancel context.CancelFunc
-	done   chan struct{}
-}
-
-// New builds a Tailer over a sink. Start it with Start (or drive it
-// directly with Run) and stop it with Stop.
-func New(sink Sink, opts Options) *Tailer {
-	return &Tailer{sink: sink, opts: opts.withDefaults()}
-}
-
-// Start launches Run in a background goroutine with an internal
-// context. Stop cancels it and waits.
-func (t *Tailer) Start() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.done != nil {
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	t.cancel = cancel
-	t.done = make(chan struct{})
-	go func(done chan struct{}) {
-		defer close(done)
-		t.Run(ctx)
-	}(t.done)
-}
-
-// Stop cancels a Start-ed tailer and waits for its loop to exit. Safe
-// to call multiple times, and a no-op for a tailer that never started.
-func (t *Tailer) Stop() {
-	t.mu.Lock()
-	cancel, done := t.cancel, t.done
-	t.cancel, t.done = nil, nil
-	t.mu.Unlock()
-	if cancel != nil {
-		cancel()
-		<-done
-	}
-}
-
-// Run drives the connect/bootstrap/apply loop until ctx is cancelled.
-// Every connection failure is reported to the sink (Connected(err)) and
-// retried after a jittered exponential backoff.
-func (t *Tailer) Run(ctx context.Context) {
-	backoff := t.opts.BackoffMin
-	for ctx.Err() == nil {
-		streamed, err := t.tailOnce(ctx)
-		if ctx.Err() != nil {
-			return
-		}
-		t.sink.Connected(err)
-		if streamed {
-			// A connection that got as far as applying frames earns a
-			// fresh backoff; only repeated connect failures escalate.
-			backoff = t.opts.BackoffMin
-		}
-		// Full jitter on the current backoff step keeps a fleet of
-		// reconnecting replicas from stampeding a recovering primary.
-		delay := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(delay):
-		}
-		if backoff *= 2; backoff > t.opts.BackoffMax {
-			backoff = t.opts.BackoffMax
-		}
-	}
-}
-
-// tailOnce runs one connection to completion: bootstrap from the
-// shipped checkpoint, then apply frames until the stream breaks, which
-// err says why. streamed reports whether the bootstrap succeeded (for
-// backoff reset).
-func (t *Tailer) tailOnce(ctx context.Context) (streamed bool, err error) {
-	// The watchdog cancels the request context — aborting any blocked
-	// body read — when no frame has arrived for silenceTimeout.
-	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	defer func() {
-		if context.Cause(ctx) == errSilent {
-			err = errSilent
-		}
-	}()
-	activity := make(chan struct{}, 1)
-	poke := func() {
-		select {
-		case activity <- struct{}{}:
-		default:
-		}
-	}
-	go func() {
-		timer := time.NewTimer(silenceTimeout)
-		defer timer.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-activity:
-				if !timer.Stop() {
-					<-timer.C
-				}
-				timer.Reset(silenceTimeout)
-			case <-timer.C:
-				cancel(errSilent)
-				return
-			}
-		}
-	}()
-
-	var epoch uint64
-	if t.opts.Epoch != nil {
-		epoch = t.opts.Epoch()
-	}
-	req, err := replicateRequest(ctx, t.opts.PrimaryURL, epoch)
-	if err != nil {
-		return false, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusConflict:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return false, ErrStalePrimary
-	default:
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return false, fmt.Errorf("replica: /replicate: %s: %s", resp.Status, string(body))
-	}
-
-	br := bufio.NewReaderSize(resp.Body, 64*1024)
-	h, err := ReadHeader(br)
-	if err != nil {
-		return false, err
-	}
-	poke()
-	if t.opts.Workload != "" && h.Workload != t.opts.Workload {
-		return false, fmt.Errorf("replica: primary serves workload %q, want %q", h.Workload, t.opts.Workload)
-	}
-	if h.Epoch < epoch {
-		// The primary should have fenced itself on our header; refuse
-		// its stream regardless.
-		return false, ErrStalePrimary
-	}
-
-	snap := io.LimitReader(br, h.SnapshotBytes)
-	if err := t.sink.Bootstrap(h, snap); err != nil {
-		return false, fmt.Errorf("replica: bootstrap: %w", err)
-	}
-	// Stay frame-aligned even if the sink under-read the snapshot.
-	if _, err := io.Copy(io.Discard, snap); err != nil {
-		return true, err
-	}
-	t.sink.Connected(nil)
-	poke()
-
-	for {
-		f, err := ReadFrame(br)
-		if err != nil {
-			return true, err
-		}
-		poke()
-		switch f.Kind {
-		case frameRecord:
-			if f.Shard < 0 || f.Shard >= h.Shards {
-				return true, fmt.Errorf("replica: record for shard %d of %d", f.Shard, h.Shards)
-			}
-			if err := t.sink.Apply(f.Shard, f.Payload); err != nil {
-				return true, fmt.Errorf("replica: apply: %w", err)
-			}
-		case frameHeartbeat:
-			t.sink.CaughtUp(f.LSN)
-		}
-	}
 }

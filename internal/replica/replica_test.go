@@ -55,14 +55,14 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Kind != frameRecord || f.Shard != 2 || string(f.Payload) != "payload" {
+	if f.Kind != FrameRecord || f.Shard != 2 || string(f.Payload) != "payload" {
 		t.Fatalf("record frame = %+v", f)
 	}
 	f, err = ReadFrame(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Kind != frameHeartbeat || f.LSN != 42 {
+	if f.Kind != FrameHeartbeat || f.LSN != 42 {
 		t.Fatalf("heartbeat frame = %+v", f)
 	}
 	if _, err := ReadFrame(r); err != io.EOF {
@@ -92,7 +92,7 @@ func TestReadHeaderRejects(t *testing.T) {
 // cap is refused before any allocation of that size.
 func TestReadFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteByte(frameRecord)
+	buf.WriteByte(FrameRecord)
 	buf.Write([]byte{0, 0, 0, 0})             // shard 0
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff}) // absurd length
 	if _, err := ReadFrame(&buf); err == nil {
@@ -219,7 +219,7 @@ func FuzzReadFrame(f *testing.F) {
 			return
 		}
 		var back bytes.Buffer
-		if fr.Kind == frameRecord {
+		if fr.Kind == FrameRecord {
 			err = WriteRecord(&back, fr.Shard, fr.Payload)
 		} else {
 			err = WriteHeartbeat(&back, fr.LSN)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bayestree/internal/registry"
-	"bayestree/internal/replica"
 	"bayestree/internal/server"
 )
 
@@ -122,19 +121,13 @@ func runPrimary[S server.Served](f *Flags, w Workload[S]) error {
 }
 
 // runFollower runs the replica lifecycle: a Follower over the durable
-// directory, a Tailer pumping the primary's stream into it, and the
-// serve loop with the promote triggers armed.
+// directory, tailing the primary's stream, and the serve loop with the
+// promote triggers armed.
 func runFollower[S server.Served](f *Flags, w Workload[S]) error {
 	fo, err := w.Follow(f.durability(), w.Config, f.Follow)
 	if err != nil {
 		return err
 	}
-	t := replica.New(fo, replica.Options{
-		PrimaryURL: f.Follow,
-		Workload:   w.Backend.Workload,
-		Epoch:      fo.Epoch,
-	})
-	t.Start()
 	log.Printf("following %s (wal %s); promote with SIGHUP%s", f.Follow, f.WALDir, promoteHint(f.PromoteFile))
 	// The replication listener gets only /replicate of the follower's
 	// full handler — live once the follower is promoted (or for chained
@@ -142,19 +135,13 @@ func runFollower[S server.Served](f *Flags, w Workload[S]) error {
 	replicate := http.NewServeMux()
 	replicate.Handle("/replicate", fo.Handler())
 	return Run(App{
-		Name:         w.Name,
-		Addr:         f.Addr,
-		Handler:      fo.Handler(),
-		DrainTimeout: f.Drain,
-		SetDraining:  fo.SetDraining,
-		Persist: func() error {
-			t.Stop()
-			return fo.Persist()
-		},
-		Promote: func() error {
-			t.Stop()
-			return fo.Promote()
-		},
+		Name:             w.Name,
+		Addr:             f.Addr,
+		Handler:          fo.Handler(),
+		DrainTimeout:     f.Drain,
+		SetDraining:      fo.SetDraining,
+		Persist:          fo.Persist,
+		Promote:          fo.Promote,
 		PromoteFile:      f.PromoteFile,
 		ReplicateAddr:    f.ReplicateAddr,
 		ReplicateHandler: replicate,

@@ -13,7 +13,6 @@ import (
 	"bayestree/internal/core"
 	"bayestree/internal/dataset"
 	"bayestree/internal/persist"
-	"bayestree/internal/replica"
 	"bayestree/internal/wal"
 )
 
@@ -284,9 +283,7 @@ func TestCheckpointRacesFollowerBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := replica.New(foll, tailOpts(ts.URL, replica.WorkloadClassify, foll.Epoch))
-	tail.Start()
-	defer tail.Stop()
+	defer foll.stopTail()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +294,6 @@ func TestCheckpointRacesFollowerBootstrap(t *testing.T) {
 	if !bytes.Equal(snapshotBytes(t, foll.Current()), snapshotBytes(t, prim)) {
 		t.Fatal("the follower is not the primary")
 	}
-	tail.Stop()
 	if err := foll.Persist(); err != nil {
 		t.Fatal(err)
 	}
@@ -397,15 +393,13 @@ func TestFollowerBootstrapOverEmptySegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := replica.New(foll, tailOpts(ts.URL, replica.WorkloadClassify, foll.Epoch))
-	tail.Start()
 	for i := range xs {
 		if err := prim.Insert(xs[i], ys[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitFor(t, 10*time.Second, "follower to apply every insert", func() bool { return appliedLSN(foll) == n })
-	tail.Stop()
+	foll.stopTail()
 	s := foll.Current()
 	for i, start := range s.dur.manifest.ShardStart {
 		if start != 3 {
@@ -415,12 +409,16 @@ func TestFollowerBootstrapOverEmptySegment(t *testing.T) {
 	if err := s.CloseDurability(); err != nil {
 		t.Fatal(err)
 	}
+	// With its primary gone, the restarted follower serves what it
+	// recovered, not a fresh bootstrap.
+	killServer(ts)
 	foll2, err := NewFollowerServer(DurabilityOptions{Dir: follDir}, Config{}, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s2 := foll2.Current()
 	defer s2.CloseDurability()
+	defer foll2.stopTail()
 	if !bytes.Equal(snapshotBytes(t, s2), snapshotBytes(t, prim)) {
 		t.Fatal("the restarted follower is not the primary")
 	}

@@ -250,9 +250,7 @@ func decayFollower[S Served](t *testing.T, w decayWorkload[S], n, ckpt int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := replica.New(f, tailOpts(ts.URL, w.name, f.Epoch))
-	tail.Start()
-	defer tail.Stop()
+	defer f.stopTail()
 	for i := start; i < n; i++ {
 		if err := w.write(p, i); err != nil {
 			t.Fatal(err)
@@ -268,7 +266,6 @@ func decayFollower[S Served](t *testing.T, w decayWorkload[S], n, ckpt int) {
 		}
 	}
 	checkBoundaries(t, p)
-	tail.Stop()
 	if err := f.Persist(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bayestree/internal/core"
-	"bayestree/internal/replica"
 )
 
 // Multi-follower fan-out: one primary ships its WAL to several
@@ -29,15 +28,12 @@ func TestReplicationFanOutThreeFollowers(t *testing.T) {
 	defer killServer(ts)
 
 	folls := make([]*Follower[*Server], nf)
-	tails := make([]*replica.Tailer, nf)
 	for i := range folls {
 		f, err := NewFollowerServer(DurabilityOptions{Dir: t.TempDir()}, Config{}, ts.URL)
 		if err != nil {
 			t.Fatal(err)
 		}
 		folls[i] = f
-		tails[i] = replica.New(f, tailOpts(ts.URL, replica.WorkloadClassify, f.Epoch))
-		tails[i].Start()
 	}
 
 	for i := 0; i < half; i++ {
@@ -76,7 +72,7 @@ func TestReplicationFanOutThreeFollowers(t *testing.T) {
 
 	// One follower leaves mid-stream; the rest of the stream flows to the
 	// survivors undisturbed.
-	tails[0].Stop()
+	folls[0].stopTail()
 	for i := half; i < n; i++ {
 		if err := prim.Insert(xs[i], ys[i]); err != nil {
 			t.Fatal(err)
@@ -103,9 +99,6 @@ func TestReplicationFanOutThreeFollowers(t *testing.T) {
 		t.Fatalf("detached follower applied LSN %d, want within [%d, %d]", got, half, n)
 	}
 
-	for i := 1; i < nf; i++ {
-		tails[i].Stop()
-	}
 	for _, f := range folls {
 		if err := f.Persist(); err != nil {
 			t.Fatal(err)
@@ -208,15 +201,12 @@ func TestReplicationFanOutEightFollowers(t *testing.T) {
 	defer killServer(ts)
 
 	folls := make([]*Follower[*Server], nf)
-	tails := make([]*replica.Tailer, nf)
 	for i := range folls {
 		f, err := NewFollowerServer(DurabilityOptions{Dir: t.TempDir()}, Config{}, ts.URL)
 		if err != nil {
 			t.Fatal(err)
 		}
 		folls[i] = f
-		tails[i] = replica.New(f, tailOpts(ts.URL, replica.WorkloadClassify, f.Epoch))
-		tails[i].Start()
 	}
 	for i := range folls {
 		f := folls[i]
@@ -278,9 +268,6 @@ func TestReplicationFanOutEightFollowers(t *testing.T) {
 		}
 	}
 
-	for i := range tails {
-		tails[i].Stop()
-	}
 	for _, f := range folls {
 		if err := f.Persist(); err != nil {
 			t.Fatal(err)

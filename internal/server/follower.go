@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -17,9 +19,9 @@ import (
 	"bayestree/internal/wal"
 )
 
-// This file is the replica's model layer: a Follower wraps a durable
-// workload server, rebuilds it from each checkpoint a primary ships
-// (replica.Sink's Bootstrap), applies the live WAL tail through the
+// This file is the replica: a Follower wraps a durable workload server,
+// tails its primary's /replicate stream, rebuilds the server from each
+// checkpoint the primary ships, applies the live WAL tail through the
 // server's own log-before-apply path, and serves follower reads the
 // whole time. Because a bootstrap writes the shipped snapshot and a
 // matching manifest into the follower's own durability directory and
@@ -28,15 +30,30 @@ import (
 // what makes Promote a local operation: bump the epoch, checkpoint,
 // start taking writes.
 
+// Tail timing: the reconnect backoff grows from tailBackoffMin to
+// tailBackoffMax, and a connection that delivers no frame for
+// silenceTimeout is dropped (heartbeats make silence abnormal). Tests
+// lower them (export_test.go).
+var (
+	tailBackoffMin = 100 * time.Millisecond
+	tailBackoffMax = 5 * time.Second
+	silenceTimeout = 15 * time.Second
+)
+
+// errStalePrimary reports that the primary refused to serve the stream
+// because the follower's epoch is newer than its own — the primary is a
+// stale resurrection of a superseded line of succession.
+var errStalePrimary = errors.New("replica: primary is stale (fenced by our newer epoch)")
+
 // errNoLocalState is the sentinel a follower's bootstrap callback
 // returns when the durability directory has no checkpoint yet: not an
 // error, just "wait for the primary to ship one".
 var errNoLocalState = errors.New("server: follower has no local state yet")
 
-// Follower is a replica of a primary serving process: it implements
-// replica.Sink over a durable workload server, serving follower reads
-// (writes answer 307 to the primary) and staying byte-identical to the
-// primary's logged state. S is *Server or *ClusterServer.
+// Follower is a replica of a primary serving process: it tails the
+// primary's stream into a durable workload server, serving follower
+// reads (writes answer 307 to the primary) and staying byte-identical
+// to the primary's logged state. S is *Server or *ClusterServer.
 type Follower[S Served] struct {
 	dopts      DurabilityOptions
 	workload   string
@@ -46,14 +63,18 @@ type Follower[S Served] struct {
 	mu       sync.RWMutex
 	cur      S // zero until the first bootstrap (or warm start) lands
 	promoted atomic.Bool
-	tailErr  atomic.Value // string: the last Connected error, "" if none
+	tailErr  atomic.Value // string: the error that last dropped the tail, "" if none
+
+	tailMu   sync.Mutex
+	tailStop func() // stops the running tail and waits for it; nil while none runs
 }
 
 // NewFollowerServer opens a classification follower over the durability
 // directory at dopts.Dir, replicating from the primary at primaryURL.
 // Existing local state (a previous bootstrap's checkpoint + WAL tail)
 // is recovered and served immediately; otherwise reads answer 503 until
-// the first bootstrap arrives. Drive it with a replica.Tailer.
+// the first bootstrap arrives. The follower tails the primary from the
+// start; Promote and Persist stop the tail.
 func NewFollowerServer(dopts DurabilityOptions, cfg Config, primaryURL string) (*Follower[*Server], error) {
 	return newFollower(replica.WorkloadClassify, dopts, primaryURL, func(r io.Reader) (*Server, error) { return FromSnapshot(r, cfg) })
 }
@@ -64,10 +85,14 @@ func NewFollowerCluster(dopts DurabilityOptions, cfg Config, primaryURL string) 
 }
 
 // newFollower builds a follower of the named workload, whose snapshots
-// decode decodes, and warm-starts it.
+// decode decodes, warm-starts it and starts its tail.
 func newFollower[S Served](workload string, dopts DurabilityOptions, primaryURL string, decode func(io.Reader) (S, error)) (*Follower[S], error) {
 	f := &Follower[S]{dopts: dopts, workload: workload, primaryURL: primaryURL, decode: decode}
-	return f, f.warmStart()
+	if err := f.warmStart(); err != nil {
+		return f, err
+	}
+	f.startTail()
+	return f, nil
 }
 
 // open opens the follower's durable state through the standard path;
@@ -119,20 +144,16 @@ func (f *Follower[S]) ifLive(fn func(S)) {
 	}
 }
 
-// Bootstrap implements replica.Sink: it replaces the follower's state
-// with the shipped checkpoint. The snapshot is written into the
-// durability directory with a manifest whose ShardStart points at
-// not-yet-existing WAL segments, then reopened through the standard
-// recovery path — so the on-disk layout is indistinguishable from a
-// primary that just checkpointed, and every subsequent Apply is logged
-// before it lands.
-func (f *Follower[S]) Bootstrap(h replica.Header, snapshot io.Reader) error {
+// bootstrap replaces the follower's state with the shipped checkpoint.
+// The snapshot is written into the durability directory with a manifest
+// whose ShardStart points at not-yet-existing WAL segments, then
+// reopened through the standard recovery path — so the on-disk layout
+// is indistinguishable from a primary that just checkpointed, and every
+// record applied after it is logged before it lands.
+func (f *Follower[S]) bootstrap(h replica.Header, snapshot io.Reader) error {
 	var zero S
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.promoted.Load() {
-		return fmt.Errorf("server: promoted: refusing bootstrap from %s", f.primaryURL)
-	}
 	if h.Workload != f.workload {
 		return fmt.Errorf("server: primary ships workload %q, this follower serves %q", h.Workload, f.workload)
 	}
@@ -212,32 +233,145 @@ func (f *Follower[S]) Bootstrap(h replica.Header, snapshot io.Reader) error {
 	return nil
 }
 
-// Apply implements replica.Sink: one shipped WAL record, logged then
-// applied on the owning shard.
-func (f *Follower[S]) Apply(shard int, payload []byte) error {
-	var zero S
-	s := f.Current()
-	if s == zero {
-		return fmt.Errorf("server: apply before bootstrap")
-	}
-	return s.ApplyReplicated(shard, payload)
-}
-
-// CaughtUp implements replica.Sink: a primary heartbeat at shipped LSN
-// lsn resets the staleness clock if we have applied that far.
-func (f *Follower[S]) CaughtUp(lsn uint64) {
-	f.ifLive(func(s S) { s.role().markCaughtUp(lsn) })
-}
-
-// Connected implements replica.Sink, recording tail connectivity and
-// the error that last dropped the tail for /stats — and, before the
+// connected records tail connectivity: nil after a bootstrap, else the
+// error that dropped or refused the tail, for /stats — and, before the
 // first bootstrap, for the 503 reads answer.
-func (f *Follower[S]) Connected(err error) {
+func (f *Follower[S]) connected(err error) {
 	f.tailErr.Store(errText(err))
 	f.ifLive(func(s S) { s.role().setTail(err) })
 }
 
-// Epoch returns the follower's current fencing epoch — what its tailer
+// startTail starts the tail loop unless one runs.
+func (f *Follower[S]) startTail() {
+	f.tailMu.Lock()
+	defer f.tailMu.Unlock()
+	if f.tailStop != nil {
+		return
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.tail(ctx)
+	}()
+	f.tailStop = func() {
+		cancel()
+		<-done
+	}
+}
+
+// stopTail cancels the tail loop and waits for it to exit; with no tail
+// running it does nothing.
+func (f *Follower[S]) stopTail() {
+	f.tailMu.Lock()
+	stop := f.tailStop
+	f.tailStop = nil
+	f.tailMu.Unlock()
+	if stop != nil {
+		stop()
+	}
+}
+
+// tail drives the connect/bootstrap/apply loop until ctx is cancelled,
+// recording every connection failure and retrying it after a jittered
+// exponential backoff.
+func (f *Follower[S]) tail(ctx context.Context) {
+	backoff := tailBackoffMin
+	for {
+		streamed, err := f.tailOnce(ctx)
+		if ctx.Err() != nil {
+			return
+		}
+		f.connected(err)
+		if streamed {
+			// A connection that got as far as a bootstrap earns a fresh
+			// backoff; only repeated connect failures escalate.
+			backoff = tailBackoffMin
+		}
+		// Full jitter on the current backoff step keeps a fleet of
+		// reconnecting replicas from stampeding a recovering primary.
+		delay := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
+		select {
+		case <-ctx.Done():
+			return
+		case <-time.After(delay):
+		}
+		backoff = min(2*backoff, tailBackoffMax)
+	}
+}
+
+// tailOnce runs one connection to completion: bootstrap from the
+// shipped checkpoint, then apply frames until the stream breaks, which
+// err says why. streamed reports whether the bootstrap succeeded.
+func (f *Follower[S]) tailOnce(ctx context.Context) (streamed bool, err error) {
+	// The watchdog cancels the request — aborting any blocked body
+	// read — once no frame has arrived for silenceTimeout.
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	silent := fmt.Errorf("replica: no frame from the primary for %v", silenceTimeout)
+	watchdog := time.AfterFunc(silenceTimeout, func() { cancel(silent) })
+	defer watchdog.Stop()
+	defer func() {
+		if context.Cause(ctx) == silent {
+			err = silent
+		}
+	}()
+
+	epoch := f.Epoch()
+	req, err := replica.NewRequest(ctx, f.primaryURL, epoch)
+	if err != nil {
+		return false, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return false, err
+	}
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusConflict:
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		return false, errStalePrimary
+	default:
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return false, fmt.Errorf("replica: /replicate: %s: %s", resp.Status, string(body))
+	}
+
+	br := bufio.NewReaderSize(resp.Body, 64*1024)
+	h, err := replica.ReadHeader(br)
+	if err != nil {
+		return false, err
+	}
+	watchdog.Reset(silenceTimeout)
+	if h.Epoch < epoch {
+		// The primary should have fenced itself on our header; refuse
+		// its stream regardless.
+		return false, errStalePrimary
+	}
+	// bootstrap reads exactly h.SnapshotBytes or fails, so the frames
+	// start where it stops.
+	if err := f.bootstrap(h, io.LimitReader(br, h.SnapshotBytes)); err != nil {
+		return false, fmt.Errorf("replica: bootstrap: %w", err)
+	}
+	f.connected(nil)
+	s := f.Current()
+	for {
+		watchdog.Reset(silenceTimeout)
+		fr, err := replica.ReadFrame(br)
+		if err != nil {
+			return true, err
+		}
+		if fr.Kind == replica.FrameHeartbeat {
+			// The primary had shipped fr.LSN records as of now: a
+			// follower that applied that many is current.
+			s.role().markCaughtUp(fr.LSN)
+		} else if err := s.ApplyReplicated(fr.Shard, fr.Payload); err != nil {
+			return true, fmt.Errorf("replica: apply: %w", err)
+		}
+	}
+}
+
+// Epoch returns the follower's current fencing epoch — what its tail
 // announces on every connect. Before the first bootstrap it falls back
 // to the on-disk manifest (0 when none).
 func (f *Follower[S]) Epoch() uint64 {
@@ -276,13 +410,23 @@ func (f *Follower[S]) Handler() http.Handler {
 }
 
 // Promote turns this follower into the primary of a new line of
-// succession: the wrapped server bumps its fencing epoch, durably
-// commits it with a checkpoint and starts accepting writes. Stop the
-// replication tailer before calling. A best-effort probe tells the old
-// primary about the new epoch so it fences itself immediately if it is
-// still (or again) alive; a dead primary learns the same the moment
-// anything probes it with the new epoch.
+// succession: it stops the tail, and the wrapped server bumps its
+// fencing epoch, durably commits it with a checkpoint and starts
+// accepting writes. A failed promote resumes the tail. A best-effort
+// probe tells the old primary about the new epoch so it fences itself
+// immediately if it is still (or again) alive; a dead primary learns the
+// same the moment anything probes it with the new epoch.
 func (f *Follower[S]) Promote() error {
+	f.stopTail()
+	if err := f.promote(); err != nil {
+		f.startTail()
+		return err
+	}
+	return nil
+}
+
+// promote is Promote with the tail stopped.
+func (f *Follower[S]) promote() error {
 	var zero S
 	s := f.Current()
 	if s == zero {
@@ -312,9 +456,10 @@ func (f *Follower[S]) SetDraining(v bool) {
 }
 
 // Persist cuts a final checkpoint and closes the durability layer — the
-// follower's shutdown path. Stop the tailer first.
+// follower's shutdown path. It stops the tail first.
 func (f *Follower[S]) Persist() error {
 	var zero S
+	f.stopTail()
 	s := f.Current()
 	if s == zero {
 		return nil

@@ -410,10 +410,11 @@ func TestHTTPStatsReplicationHubWireNames(t *testing.T) {
 // Retry-After (as primaries do during recovery), so probers back off
 // the same way whatever the reason.
 func TestHTTPFollowerReadyzBootstrapping(t *testing.T) {
-	f, err := NewFollowerServer(DurabilityOptions{Dir: t.TempDir()}, Config{}, "http://unreachable:1")
+	f, err := NewFollowerServer(DurabilityOptions{Dir: t.TempDir()}, Config{}, deadURL(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.stopTail()
 	ts := httptest.NewServer(f.Handler())
 	defer ts.Close()
 

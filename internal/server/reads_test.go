@@ -12,7 +12,6 @@ import (
 
 	"bayestree/internal/clustree"
 	"bayestree/internal/core"
-	"bayestree/internal/replica"
 )
 
 // A ClusTree read computes faded weights and stores nothing, so no read
@@ -123,9 +122,7 @@ func TestFollowerClusterReadsInvisible(t *testing.T) {
 	}
 	fts := httptest.NewServer(foll.Handler())
 	defer killServer(fts)
-	tail := replica.New(foll, tailOpts(pts.URL, replica.WorkloadCluster, foll.Epoch))
-	tail.Start()
-	defer tail.Stop()
+	defer foll.stopTail()
 
 	probe := func(url string) int {
 		resp, err := http.Get(url + "/stats")
@@ -172,7 +169,6 @@ func TestFollowerClusterReadsInvisible(t *testing.T) {
 	if sf, sp := snapshotBytes(t, foll.Current()), snapshotBytes(t, prim); !bytes.Equal(sf, sp) {
 		t.Fatalf("read follower's model differs from its primary's at LSN %d: %d vs %d bytes", n, len(sf), len(sp))
 	}
-	tail.Stop()
 	if err := foll.Persist(); err != nil {
 		t.Fatal(err)
 	}

@@ -274,8 +274,7 @@ func (e *engine[M]) Epoch() uint64 {
 // Promote turns this server into the primary of a new line of
 // succession: bump the fencing epoch and cut a checkpoint under it (the
 // manifest write is the durable commit of the new epoch), then drop any
-// follower/fenced role state. Callers should stop their replication
-// tailer first.
+// follower/fenced role state. Follower.Promote stops its tail first.
 func (e *engine[M]) Promote() error {
 	d := e.dur
 	if d == nil {
@@ -306,7 +305,7 @@ func (e *engine[M]) Promote() error {
 // makes its apply deterministic, the model is digit-identical to the
 // primary's at the same applied LSN. A record older than its shard's
 // time is refused before it is logged, so every logged record applies.
-// Used by the replication tailer; not a client API.
+// Used by a Follower's tail; not a client API.
 func (e *engine[M]) ApplyReplicated(shard int, payload []byte) error {
 	if e.Recovering() {
 		return errRecovering

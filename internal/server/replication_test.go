@@ -54,15 +54,14 @@ func appliedLSN[S Served](f *Follower[S]) uint64 {
 	return 0
 }
 
-// tailOpts builds fast-reconnect tailer options for tests.
-func tailOpts(url, workload string, epoch func() uint64) replica.Options {
-	return replica.Options{
-		PrimaryURL: url,
-		Workload:   workload,
-		Epoch:      epoch,
-		BackoffMin: 5 * time.Millisecond,
-		BackoffMax: 50 * time.Millisecond,
+// deadURL is the base URL of a loopback port nothing listens on.
+func deadURL(t *testing.T) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	ln.Close()
+	return "http://" + ln.Addr().String()
 }
 
 // killServer severs an httptest primary the way SIGKILL would: client
@@ -85,8 +84,6 @@ func TestFailoverClassKillPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := replica.New(foll, tailOpts(ts.URL, replica.WorkloadClassify, foll.Epoch))
-	tail.Start()
 
 	// Every Insert that returns nil is an acknowledged write.
 	for i := 0; i < kill; i++ {
@@ -110,7 +107,6 @@ func TestFailoverClassKillPrimary(t *testing.T) {
 	waitFor(t, 10*time.Second, "the follower to report its tail error", func() bool {
 		return foll.Current().Stats().ReplTailError != ""
 	})
-	tail.Stop()
 
 	if err := foll.Promote(); err != nil {
 		t.Fatal(err)
@@ -220,8 +216,6 @@ func TestFailoverClusterKillPrimary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := replica.New(foll, tailOpts(ts.URL, replica.WorkloadCluster, foll.Epoch))
-	tail.Start()
 
 	// Sequential ingest: global timestamp order equals stream order, so
 	// the uninterrupted run's timestamps are the primary's.
@@ -234,7 +228,7 @@ func TestFailoverClusterKillPrimary(t *testing.T) {
 		return appliedLSN(foll) == uint64(kill)
 	})
 
-	tail.Stop()
+	foll.stopTail()
 	crash(t, prim.dur)
 	killServer(ts)
 
@@ -422,9 +416,11 @@ func TestFollowerStalenessAndRedirect(t *testing.T) {
 	const n = 40
 	xs, ys := classPoints(n)
 	prim := newDurableClass(t, t.TempDir(), 2)
-	ts := httptest.NewServer(prim.Handler())
+	// The primary serves only once the follower has been seen waiting
+	// for its first bootstrap.
+	ts := httptest.NewUnstartedServer(prim.Handler())
 
-	foll, err := NewFollowerServer(DurabilityOptions{Dir: t.TempDir()}, Config{}, ts.URL)
+	foll, err := NewFollowerServer(DurabilityOptions{Dir: t.TempDir()}, Config{}, "http://"+ts.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,8 +442,7 @@ func TestFollowerStalenessAndRedirect(t *testing.T) {
 		t.Fatalf("follower /stats before bootstrap = %d, want 503", resp.StatusCode)
 	}
 
-	tail := replica.New(foll, tailOpts(ts.URL, replica.WorkloadClassify, foll.Epoch))
-	tail.Start()
+	ts.Start()
 	for i := 0; i < n; i++ {
 		if err := prim.Insert(xs[i], ys[i]); err != nil {
 			t.Fatal(err)
@@ -496,7 +491,7 @@ func TestFollowerStalenessAndRedirect(t *testing.T) {
 
 	// Pause the tail: the applied LSN freezes and the reported staleness
 	// bound grows past anything heartbeats would allow.
-	tail.Stop()
+	foll.stopTail()
 	killServer(ts)
 	st1 := statsOver(t, fts.URL)
 	waitFor(t, 10*time.Second, "staleness bound to grow", func() bool {
@@ -513,19 +508,11 @@ func TestFollowerStalenessAndRedirect(t *testing.T) {
 // whose primary refuses connections names the dial error in the 503 its
 // reads answer.
 func TestFollowerNamesTailError(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	foll, err := NewFollowerServer(DurabilityOptions{Dir: t.TempDir()}, Config{}, deadURL(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	url := "http://" + ln.Addr().String()
-	ln.Close()
-	foll, err := NewFollowerServer(DurabilityOptions{Dir: t.TempDir()}, Config{}, url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail := replica.New(foll, tailOpts(url, replica.WorkloadClassify, foll.Epoch))
-	tail.Start()
-	defer tail.Stop()
+	defer foll.stopTail()
 	var body string
 	waitFor(t, 10*time.Second, "the 503 to name the dial error", func() bool {
 		rec := httptest.NewRecorder()
@@ -553,8 +540,6 @@ func TestFollowerResumeAfterDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := replica.New(foll, tailOpts(ts.URL, replica.WorkloadClassify, foll.Epoch))
-	tail.Start()
 	for i := 0; i < n/2; i++ {
 		if err := prim.Insert(xs[i], ys[i]); err != nil {
 			t.Fatal(err)
@@ -566,16 +551,15 @@ func TestFollowerResumeAfterDisconnect(t *testing.T) {
 
 	// Drop the stream (primary keeps running), insert the second half
 	// while the follower is dark, then let it reconnect.
-	tail.Stop()
+	foll.stopTail()
 	ts.CloseClientConnections()
 	for i := n / 2; i < n; i++ {
 		if err := prim.Insert(xs[i], ys[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tail2 := replica.New(foll, tailOpts(ts.URL, replica.WorkloadClassify, foll.Epoch))
-	tail2.Start()
-	defer tail2.Stop()
+	foll.startTail()
+	defer foll.stopTail()
 
 	// The reconnect bootstraps from a fresh checkpoint that already
 	// contains everything, so the model converges to the full stream.
@@ -593,7 +577,6 @@ func TestFollowerResumeAfterDisconnect(t *testing.T) {
 		s := foll.Current()
 		return s != nil && bytes.Equal(snapshotBytes(t, s), want)
 	})
-	tail2.Stop()
 	if err := foll.Persist(); err != nil {
 		t.Fatal(err)
 	}

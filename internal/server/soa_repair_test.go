@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bayestree/internal/core"
-	"bayestree/internal/replica"
 )
 
 // TestInsertsRepairTheMirror: on a warm server an insert, split or not,
@@ -37,9 +36,7 @@ func TestInsertsRepairTheMirror(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := replica.New(foll, tailOpts(ts.URL, replica.WorkloadClassify, foll.Epoch))
-	tail.Start()
-	defer tail.Stop()
+	defer foll.stopTail()
 
 	xs, ys := classPoints(warm + more)
 	ingest := func(from, to int) {
