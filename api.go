@@ -16,8 +16,9 @@ import (
 // Re-exported core types: see the internal/core package for full
 // documentation of each.
 type (
-	// Config holds the Bayes tree structural parameters (fanout and leaf
-	// capacities, kernel, reinsertion policy).
+	// Config holds the Bayes tree structural parameters (dimension,
+	// fanout and leaf capacities); the leaf kernel is the paper's
+	// Gaussian.
 	Config = core.Config
 	// Classifier is the per-class-forest anytime classifier with the qbk
 	// refinement strategy.

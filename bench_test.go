@@ -28,7 +28,6 @@ import (
 	"bayestree/internal/core"
 	"bayestree/internal/dataset"
 	"bayestree/internal/eval"
-	"bayestree/internal/kernels"
 )
 
 // benchScale keeps figure benchmarks tractable: curves keep their shape
@@ -224,34 +223,6 @@ func BenchmarkAblationQBK(b *testing.B) {
 				c, err := eval.AnytimeCurve(ds, loader, eval.CurveOptions{
 					Folds: 4, MaxNodes: 100, Seed: 42,
 					Classifier: core.ClassifierOptions{K: k},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = c
-			}
-			reportCurve(b, last)
-		})
-	}
-}
-
-// BenchmarkAblationKernel swaps the leaf kernel (Section 4.1 future work:
-// Epanechnikov instead of Gaussian).
-func BenchmarkAblationKernel(b *testing.B) {
-	ds := benchDataset(b, "pendigits", benchScale)
-	loader, _ := bulkload.ByName("emtopdown")
-	for _, k := range []kernels.Kernel{kernels.Gaussian{}, kernels.Epanechnikov{}} {
-		b.Run(k.Name(), func(b *testing.B) {
-			kernel := k
-			cfgFn := func(dim int) core.Config {
-				cfg := core.DefaultConfig(dim)
-				cfg.Kernel = kernel
-				return cfg
-			}
-			var last *eval.Curve
-			for i := 0; i < b.N; i++ {
-				c, err := eval.AnytimeCurve(ds, loader, eval.CurveOptions{
-					Folds: 4, MaxNodes: 100, Seed: 42, Config: cfgFn,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"bayestree/internal/core"
-	"bayestree/internal/kernels"
 )
 
 func testConfig(dim int) core.Config {
@@ -14,7 +13,6 @@ func testConfig(dim int) core.Config {
 		Dim:       dim,
 		MinFanout: 2, MaxFanout: 5,
 		MinLeaf: 2, MaxLeaf: 8,
-		Kernel: kernels.Gaussian{},
 	}
 }
 

@@ -13,17 +13,14 @@
 // multi-class variant sketched in Section 4.1.
 package core
 
-import (
-	"fmt"
-
-	"bayestree/internal/kernels"
-)
+import "fmt"
 
 // Config are the structural parameters of Definition 2: inner nodes hold
 // between MinFanout and MaxFanout entries (m, M), leaves hold between
 // MinLeaf and MaxLeaf observations (l, L). The original system derived M
 // and L from a disk page size; here they are explicit so experiments can
-// sweep them. DefaultConfig emulates the paper's 2 KiB pages.
+// sweep them. DefaultConfig emulates the paper's 2 KiB pages. The leaf
+// kernel is not a setting: it is the paper's Gaussian (internal/kernels).
 type Config struct {
 	// Dim is the dimensionality of the indexed observations.
 	Dim int
@@ -31,9 +28,6 @@ type Config struct {
 	MinFanout, MaxFanout int
 	// MinLeaf (l) and MaxLeaf (L) bound leaf observation counts.
 	MinLeaf, MaxLeaf int
-	// Kernel is the leaf-level kernel estimator (Gaussian in the paper,
-	// Epanechnikov as the Section 4.1 alternative).
-	Kernel kernels.Kernel
 }
 
 // DefaultConfig returns the parameterisation used by the experiments: an
@@ -63,7 +57,6 @@ func DefaultConfig(dim int) Config {
 		MaxFanout: m,
 		MinLeaf:   max(2, (l*2)/5),
 		MaxLeaf:   l,
-		Kernel:    kernels.Gaussian{},
 	}
 }
 
@@ -83,9 +76,6 @@ func (c Config) Validate() error {
 	}
 	if c.MinLeaf < 1 || c.MinLeaf > c.MaxLeaf/2 {
 		return fmt.Errorf("core: MinLeaf must be in [1, MaxLeaf/2], got %d (MaxLeaf %d)", c.MinLeaf, c.MaxLeaf)
-	}
-	if c.Kernel == nil {
-		return fmt.Errorf("core: Kernel must be set")
 	}
 	return nil
 }

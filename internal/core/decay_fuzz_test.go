@@ -38,7 +38,7 @@ type decayModels struct {
 
 func newDecayModels(t *testing.T, opts core.DecayOptions) decayModels {
 	t.Helper()
-	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 4, Kernel: core.DefaultConfig(2).Kernel}
+	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 4}
 	mt, err := core.NewMultiTree(cfg, []int{0, 1, 2}, core.MultiOptions{})
 	if err != nil {
 		t.Fatal(err)

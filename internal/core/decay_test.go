@@ -11,7 +11,6 @@ import (
 func decayTestConfig(dim int) Config {
 	return Config{
 		Dim: dim, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 4,
-		Kernel: DefaultConfig(dim).Kernel,
 	}
 }
 

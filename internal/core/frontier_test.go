@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"bayestree/internal/kernels"
 )
 
 // buildTree constructs a one-class tree over n random points by R*
@@ -48,7 +50,7 @@ func directKernelLogDensity(tree *MultiTree, x []float64) float64 {
 	collect = func(n *MultiNode) {
 		if n.IsLeaf() {
 			for _, p := range n.Points() {
-				logs = append(logs, tree.Config().Kernel.LogDensity(x, p.X, h))
+				logs = append(logs, kernels.Gaussian{}.LogDensity(x, p.X, h))
 			}
 			return
 		}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"bayestree/internal/kernels"
 )
 
 // Marginalisation correctness: the fully refined density of a query with
@@ -28,7 +30,7 @@ func TestMissingValueDensityIsMarginal(t *testing.T) {
 	collect = func(n *MultiNode) {
 		if n.IsLeaf() {
 			for _, p := range n.Points() {
-				logs = append(logs, tree.Config().Kernel.LogDensityObs(x, p.X, h, obs))
+				logs = append(logs, kernels.Gaussian{}.LogDensityObs(x, p.X, h, obs))
 			}
 			return
 		}

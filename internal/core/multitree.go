@@ -99,7 +99,7 @@ type multiQueryState struct {
 	bw     [][]float64
 	logNc  []float64
 	// kern holds the leaf kernel frozen at each class's bandwidths.
-	kern []kernels.FrozenKernel
+	kern []*kernels.FrozenGaussianKernel
 	// ceilLn[n] ≥ Log(s) for every float s ≤ n (Log is within an ulp of
 	// ln, so two steps up from Log(n)); 0 for n ≤ 1. See MultiQuery.push.
 	ceilLn []float64
@@ -505,7 +505,7 @@ func (t *MultiTree) queryConsts() *multiQueryState {
 		frozen: make([]stats.FrozenGaussian, nc),
 		bw:     make([][]float64, nc),
 		logNc:  make([]float64, nc),
-		kern:   make([]kernels.FrozenKernel, nc),
+		kern:   make([]*kernels.FrozenGaussianKernel, nc),
 		ceilLn: make([]float64, nc+1),
 	}
 	for c := 0; c < nc; c++ {
@@ -555,7 +555,7 @@ func (t *MultiTree) classConsts(st *multiQueryState, c int) {
 		bw[i] = math.Sqrt(v)
 	}
 	st.bw[c] = stats.SilvermanBandwidth(bw, t.npoints[c], t.cfg.Dim)
-	st.kern[c] = t.cfg.Kernel.FreezeBandwidth(st.kern[c], st.bw[c])
+	st.kern[c] = kernels.FreezeBandwidth(st.kern[c], st.bw[c])
 }
 
 // multiRef is the payload of a MultiQuery's frontier element. Its
@@ -577,7 +577,7 @@ type MultiQuery struct {
 	opts   ClassifierOptions
 	front  frontier
 	accs   []accumulator // one per class
-	kern   []kernels.FrozenKernel
+	kern   []*kernels.FrozenGaussianKernel
 	logNc  []float64
 	ceilLn []float64
 	obs    []int

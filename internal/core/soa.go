@@ -24,8 +24,8 @@ import (
 // mirror node's pointer to its tree node. The sweep performs the
 // floating-point operations of the per-entry evaluation
 // (stats.FrozenGaussian.LogPDFObs) in the same order, and a leaf is
-// scored point by point (FrozenKernel.LogDensityObs, or for the Gaussian
-// kernels.LogDensityPair, bitwise the same); the pointer-loop
+// scored point by point (FrozenGaussianKernel.LogDensityObs, or two at
+// a time by kernels.LogDensityPair, bitwise the same); the pointer-loop
 // oracle in soa_equiv_test.go, which derives its Gaussians from the
 // cluster features on its own, asserts the scores equal bitwise.
 //
@@ -577,10 +577,9 @@ func (q *MultiQuery) settle() {
 // refineSoALeaf folds the kernel density of each of a leaf's points,
 // read from the tree in its order, into the accumulator of the point's
 // class, so every class sums its terms in the tree's order. With every
-// dimension observed the Gaussian kernel is called directly, two points
-// at a time (kernels.LogDensityPair), so the two quadratic forms
-// overlap as the rows of a sweep do; each density keeps LogDensityObs's
-// bits. Decayed leaves weight each kernel by its observation's faded
+// dimension observed it scores two points at a time
+// (kernels.LogDensityPair), so the two quadratic forms overlap as the
+// rows of a sweep do; each density keeps LogDensityObs's bits. Decayed leaves weight each kernel by its observation's faded
 // mass (the scale logNc is on). A class without mass (logNc +Inf) has
 // no frozen kernel and its terms are −Inf, which add leaves out.
 func (q *MultiQuery) refineSoALeaf(nd *soaNode) {
@@ -591,12 +590,10 @@ func (q *MultiQuery) refineSoALeaf(nd *soaNode) {
 	if obs == nil {
 		for ; i+1 < len(pts); i += 2 {
 			c0, c1 := cls[i], cls[i+1]
-			g0, ok0 := kern[c0].(*kernels.FrozenGaussianKernel)
-			g1, ok1 := kern[c1].(*kernels.FrozenGaussianKernel)
-			if !ok0 || !ok1 || math.IsInf(logNc[c0], 1) || math.IsInf(logNc[c1], 1) {
+			if math.IsInf(logNc[c0], 1) || math.IsInf(logNc[c1], 1) {
 				break
 			}
-			d0, d1 := kernels.LogDensityPair(g0, g1, x, pts[i].X, pts[i+1].X)
+			d0, d1 := kernels.LogDensityPair(kern[c0], kern[c1], x, pts[i].X, pts[i+1].X)
 			out[i], out[i+1] = -logNc[c0]+d0, -logNc[c1]+d1
 		}
 	}

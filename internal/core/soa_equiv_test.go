@@ -7,14 +7,13 @@ import (
 	"sync"
 	"testing"
 
-	"bayestree/internal/kernels"
 	"bayestree/internal/stats"
 )
 
 // These are the digit-identity property tests of the descent contract
 // (soa.go): a query served through the structure-of-arrays mirror must
 // produce bitwise the same scores, at every step, as the pointer loop it
-// replaced — across strategies, priorities, kernels, missing-value
+// replaced — across strategies, priorities, variance modes, missing-value
 // queries and randomized insert/decay/classify interleavings. Run them
 // under -race to also check the published mirror is safe for concurrent
 // readers.
@@ -335,34 +334,6 @@ func TestSoAEquivalenceLazyOrder(t *testing.T) {
 	if total.stale == 0 || total.ties == 0 {
 		t.Fatalf("the data no longer exercise the lazy heap: %d stale reads, %d ties", total.stale, total.ties)
 	}
-}
-
-// checkKernelEquivalence grows a tree over leaf kernel k and compares
-// mirror and oracle to exhaustion, on in-range, far-away (outside a
-// compact kernel's support: the sweep's −Inf early-out) and missing-value
-// queries.
-func checkKernelEquivalence(t *testing.T, k kernels.Kernel) {
-	cfg := smallConfig(2)
-	cfg.Kernel = k
-	xs, ys := twoClassData(300, 11)
-	mt, err := NewMultiTree(cfg, []int{0, 1}, MultiOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if err := mt.Insert(xs[i], ys[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	queries, _ := twoClassData(8, 12)
-	queries = append(queries, []float64{25, 25}, []float64{math.NaN(), 0.4})
-	for _, x := range queries {
-		compareMultiQuery(t, k.Name(), mt, x, ClassifierOptions{}, -1)
-	}
-}
-
-func TestSoAEquivalenceEpanechnikov(t *testing.T) {
-	checkKernelEquivalence(t, kernels.Epanechnikov{})
 }
 
 // TestSoAEquivalenceUnderMutation is the randomized interleaving

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"bayestree/internal/kernels"
 	"bayestree/internal/stats"
 )
 
@@ -15,7 +14,6 @@ func smallConfig(dim int) Config {
 		Dim:       dim,
 		MinFanout: 2, MaxFanout: 5,
 		MinLeaf: 2, MaxLeaf: 6,
-		Kernel: kernels.Gaussian{},
 	}
 }
 
@@ -60,10 +58,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("default config invalid: %v", err)
 	}
 	bad := []Config{
-		{Dim: 0, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6, Kernel: kernels.Gaussian{}},
-		{Dim: 2, MinFanout: 3, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6, Kernel: kernels.Gaussian{}},
-		{Dim: 2, MinFanout: 2, MaxFanout: 5, MinLeaf: 4, MaxLeaf: 6, Kernel: kernels.Gaussian{}},
-		{Dim: 2, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6},
+		{Dim: 0, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6},
+		{Dim: 2, MinFanout: 3, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6},
+		{Dim: 2, MinFanout: 2, MaxFanout: 5, MinLeaf: 4, MaxLeaf: 6},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

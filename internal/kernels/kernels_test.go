@@ -16,52 +16,29 @@ func TestGaussianKernelMatchesNormalPDF(t *testing.T) {
 	}
 }
 
-// Numeric integration: both kernels must integrate to 1 in 1D.
+// Numeric integration: the kernel must integrate to 1 in 1D.
 func TestKernelsIntegrateToOne(t *testing.T) {
-	for _, k := range []Kernel{Gaussian{}, Epanechnikov{}} {
-		c, h := []float64{0.5}, []float64{0.3}
-		var integral float64
-		const step = 0.001
-		for x := -10.0; x < 10; x += step {
-			ld := k.LogDensity([]float64{x}, c, h)
-			if !math.IsInf(ld, -1) {
-				integral += math.Exp(ld) * step
-			}
-		}
-		if math.Abs(integral-1) > 5e-3 {
-			t.Errorf("%s integrates to %v, want 1", k.Name(), integral)
-		}
+	c, h := []float64{0.5}, []float64{0.3}
+	var integral float64
+	const step = 0.001
+	for x := -10.0; x < 10; x += step {
+		integral += math.Exp(Gaussian{}.LogDensity([]float64{x}, c, h)) * step
+	}
+	if math.Abs(integral-1) > 5e-3 {
+		t.Errorf("gaussian integrates to %v, want 1", integral)
 	}
 }
 
-// Both kernels must have standard deviation h per dimension (the √5
-// rescaling of the Epanechnikov kernel is exactly about this).
+// The kernel must have standard deviation h per dimension.
 func TestKernelsVarianceIsH2(t *testing.T) {
-	for _, k := range []Kernel{Gaussian{}, Epanechnikov{}} {
-		c, h := []float64{0}, []float64{0.4}
-		var m2 float64
-		const step = 0.0005
-		for x := -5.0; x < 5; x += step {
-			ld := k.LogDensity([]float64{x}, c, h)
-			if !math.IsInf(ld, -1) {
-				m2 += x * x * math.Exp(ld) * step
-			}
-		}
-		if math.Abs(m2-0.16) > 2e-3 {
-			t.Errorf("%s second moment = %v, want h² = 0.16", k.Name(), m2)
-		}
+	c, h := []float64{0}, []float64{0.4}
+	var m2 float64
+	const step = 0.0005
+	for x := -5.0; x < 5; x += step {
+		m2 += x * x * math.Exp(Gaussian{}.LogDensity([]float64{x}, c, h)) * step
 	}
-}
-
-func TestEpanechnikovCompactSupport(t *testing.T) {
-	k := Epanechnikov{}
-	c, h := []float64{0}, []float64{1}
-	// Support is |x| < √5·h.
-	if ld := k.LogDensity([]float64{2.2}, c, h); math.IsInf(ld, -1) {
-		t.Errorf("inside support should be finite")
-	}
-	if ld := k.LogDensity([]float64{2.3}, c, h); !math.IsInf(ld, -1) {
-		t.Errorf("outside support should be -Inf")
+	if math.Abs(m2-0.16) > 2e-3 {
+		t.Errorf("gaussian second moment = %v, want h² = 0.16", m2)
 	}
 }
 
@@ -76,25 +53,7 @@ func TestGaussianSymmetry(t *testing.T) {
 }
 
 func TestZeroBandwidthSafe(t *testing.T) {
-	for _, k := range []Kernel{Gaussian{}, Epanechnikov{}} {
-		ld := k.LogDensity([]float64{0}, []float64{0}, []float64{0})
-		if math.IsNaN(ld) {
-			t.Errorf("%s NaN for zero bandwidth", k.Name())
-		}
-	}
-}
-
-func TestByName(t *testing.T) {
-	if k, ok := ByName("gaussian"); !ok || k.Name() != "gaussian" {
-		t.Errorf("ByName(gaussian) failed")
-	}
-	if k, ok := ByName(""); !ok || k.Name() != "gaussian" {
-		t.Errorf("default kernel should be gaussian")
-	}
-	if k, ok := ByName("epanechnikov"); !ok || k.Name() != "epanechnikov" {
-		t.Errorf("ByName(epanechnikov) failed")
-	}
-	if _, ok := ByName("triweight"); ok {
-		t.Errorf("unknown kernel accepted")
+	if ld := (Gaussian{}).LogDensity([]float64{0}, []float64{0}, []float64{0}); math.IsNaN(ld) {
+		t.Errorf("gaussian NaN for zero bandwidth")
 	}
 }

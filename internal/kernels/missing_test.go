@@ -15,12 +15,9 @@ func TestLogDensityObsMatchesReducedVectors(t *testing.T) {
 	xr := []float64{0.3, 0.9}
 	cr := []float64{0.2, 0.8}
 	hr := []float64{0.1, 0.3}
-	for _, k := range []Kernel{Gaussian{}, Epanechnikov{}} {
-		got := k.LogDensityObs(x, c, h, obs)
-		want := k.LogDensity(xr, cr, hr)
-		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("%s: masked %v, reduced %v", k.Name(), got, want)
-		}
+	k := Gaussian{}
+	if got, want := k.LogDensityObs(x, c, h, obs), k.LogDensity(xr, cr, hr); math.Abs(got-want) > 1e-12 {
+		t.Errorf("masked %v, reduced %v", got, want)
 	}
 }
 
@@ -28,26 +25,9 @@ func TestLogDensityObsNilIsFull(t *testing.T) {
 	x := []float64{0.4, 0.6}
 	c := []float64{0.5, 0.5}
 	h := []float64{0.2, 0.2}
-	for _, k := range []Kernel{Gaussian{}, Epanechnikov{}} {
-		if got, want := k.LogDensityObs(x, c, h, nil), k.LogDensity(x, c, h); got != want {
-			t.Errorf("%s: nil obs %v != full %v", k.Name(), got, want)
-		}
-	}
-}
-
-func TestEpanechnikovObsSupport(t *testing.T) {
-	// The observed dim is outside the support; the masked density must be
-	// -Inf regardless of the (masked) offending other dim.
-	x := []float64{5, math.NaN()}
-	c := []float64{0, 0}
-	h := []float64{1, 1}
-	if got := (Epanechnikov{}).LogDensityObs(x, c, h, []int{0}); !math.IsInf(got, -1) {
-		t.Errorf("outside-support masked density %v, want -Inf", got)
-	}
-	// Masked-away violation does not matter.
-	x = []float64{0.1, 99}
-	if got := (Epanechnikov{}).LogDensityObs(x, c, h, []int{0}); math.IsInf(got, -1) {
-		t.Errorf("masked violation leaked into density")
+	k := Gaussian{}
+	if got, want := k.LogDensityObs(x, c, h, nil), k.LogDensity(x, c, h); got != want {
+		t.Errorf("nil obs %v != full %v", got, want)
 	}
 }
 
@@ -55,10 +35,8 @@ func TestLogDensityObsZeroBandwidth(t *testing.T) {
 	x := []float64{0.1, 0.2}
 	c := []float64{0.1, 0.2}
 	h := []float64{0, 0}
-	for _, k := range []Kernel{Gaussian{}, Epanechnikov{}} {
-		if got := k.LogDensityObs(x, c, h, []int{1}); math.IsNaN(got) {
-			t.Errorf("%s: NaN for zero bandwidth", k.Name())
-		}
+	if got := (Gaussian{}).LogDensityObs(x, c, h, []int{1}); math.IsNaN(got) {
+		t.Errorf("NaN for zero bandwidth")
 	}
 }
 
@@ -67,9 +45,7 @@ func TestLogDensityObsEmpty(t *testing.T) {
 	x := []float64{math.NaN()}
 	c := []float64{0}
 	h := []float64{1}
-	for _, k := range []Kernel{Gaussian{}, Epanechnikov{}} {
-		if got := k.LogDensityObs(x, c, h, []int{}); got != 0 {
-			t.Errorf("%s: empty obs log density %v, want 0", k.Name(), got)
-		}
+	if got := (Gaussian{}).LogDensityObs(x, c, h, []int{}); got != 0 {
+		t.Errorf("empty obs log density %v, want 0", got)
 	}
 }

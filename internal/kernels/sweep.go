@@ -10,20 +10,19 @@ package kernels
 // so a swept density is digit-identical to the per-row one
 // (sweep_test.go). Leaves need no sweep: the mirror keeps no copy of a
 // leaf's kernel centres, so a leaf is scored point by point from the
-// tree through FrozenKernel.LogDensityObs — for the Gaussian kernel with
-// every dimension observed, two points at a time through
-// LogDensityPair (frozen.go).
+// tree through FrozenGaussianKernel.LogDensityObs — with every
+// dimension observed, two points at a time through LogDensityPair
+// (frozen.go).
 
 // SweepFrozenLogPDFObs evaluates a query against a flat block of frozen
 // diagonal Gaussians — count rows of means/invVar/logVar (dim values
 // each) plus one logNorm per row — writing count log densities into
 // out. Row j is bitwise equal to stats.FrozenGaussian.LogPDFObs for the
 // Gaussian those row constants came from; inner-node entries of a Bayes
-// tree are always Gaussian regardless of the leaf kernel, so this one
-// sweep serves every inner refinement. With every dimension observed it
-// scores four rows at a time: four independent sums, each folding its
-// own row's terms in dimension order, so a row's bits do not depend on
-// its neighbours.
+// tree are Gaussian, so this one sweep serves every inner refinement.
+// With every dimension observed it scores four rows at a time: four
+// independent sums, each folding its own row's terms in dimension
+// order, so a row's bits do not depend on its neighbours.
 func SweepFrozenLogPDFObs(x, means, invVar, logVar, logNorm []float64, count, dim int, obs []int, out []float64) {
 	if obs == nil {
 		x = x[:dim]

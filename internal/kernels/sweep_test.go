@@ -86,7 +86,7 @@ func TestLogDensityPairMatchesLogDensity(t *testing.T) {
 		for i := range h {
 			h[i] = 0.2 + rng.Float64()
 		}
-		return Gaussian{}.FreezeBandwidth(nil, h).(*FrozenGaussianKernel)
+		return FreezeBandwidth(nil, h)
 	}
 	for _, dim := range []int{1, 3, 16} {
 		const count = 8

@@ -17,8 +17,7 @@ import (
 // non-zero epoch.
 func buildDecayedMultiTree(t testing.TB) *core.MultiTree {
 	t.Helper()
-	cfg := core.Config{Dim: 3, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6,
-		Kernel: core.DefaultConfig(3).Kernel}
+	cfg := core.Config{Dim: 3, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6}
 	mt, err := core.NewMultiTree(cfg, []int{0, 1, 2}, core.MultiOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -112,8 +111,7 @@ func TestDecayedMultiTreeRoundTripDigitIdentical(t *testing.T) {
 // pruning sweeps, collapsed subtrees and orphan reinsertion.
 func decayedForest(t testing.TB) *core.Classifier {
 	t.Helper()
-	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 5,
-		Kernel: core.DefaultConfig(2).Kernel}
+	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 5}
 	trees := make([]*core.MultiTree, 2)
 	rng := rand.New(rand.NewSource(13))
 	var swept core.SweepStats

@@ -136,7 +136,7 @@ func frame(version uint32, payload []byte) []byte {
 // that its snapshot can be cut at every byte and is a good fuzz seed.
 func smallMultiTree(tb testing.TB, decayed bool) *core.MultiTree {
 	tb.Helper()
-	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 4, Kernel: core.DefaultConfig(2).Kernel}
+	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 4}
 	mt, err := core.NewMultiTree(cfg, []int{3, 7}, core.MultiOptions{})
 	if err != nil {
 		tb.Fatal(err)
@@ -164,8 +164,7 @@ func smallMultiTree(tb testing.TB, decayed bool) *core.MultiTree {
 // pruning sweep and learned after it.
 func smallForest(tb testing.TB) *core.Classifier {
 	tb.Helper()
-	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 5,
-		Kernel: core.DefaultConfig(2).Kernel}
+	cfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 4, MinLeaf: 2, MaxLeaf: 5}
 	rng := rand.New(rand.NewSource(13))
 	trees := make([]*core.MultiTree, 2)
 	for c := range trees {
@@ -255,14 +254,15 @@ func snapshotCorpus(tb testing.TB) []sample {
 // version-3 frames of the retired kinds 1 (a forest of the retired
 // per-class tree type, written by the last build that had it:
 // testdata/kind-1.snap), 2 (one multi-class tree) and 4 (one ClusTree),
-// and three sets that a build which had the setting wrote with a value
+// and five sets that a build which had the setting wrote with a value
 // the setting is no longer allowed: a kind-3 set whose tree has the
 // retired entropy-priority flag set (testdata/kind-3-entropy.snap) or
 // forced reinsertion off (testdata/kind-3-no-reinsert.snap) or an epoch
 // of decay not yet swept, its reference epoch 0 below its epoch 2
-// (testdata/kind-3-reference-epoch.snap), and a cluster set whose tree's
-// leaves hold six micro-clusters (testdata/clusterset-leaf-6.snap); and
-// a cluster set whose retired
+// (testdata/kind-3-reference-epoch.snap) or the Epanechnikov leaf
+// kernel (testdata/kind-3-epanechnikov.snap), and a cluster set whose
+// tree's leaves hold six micro-clusters
+// (testdata/clusterset-leaf-6.snap); and a cluster set whose retired
 // pyramidal store slot holds five snapshots
 // (testdata/clusterset-store.snap), and every cluster set of the corpus
 // with that slot's flag set.
@@ -282,7 +282,7 @@ func retiredSnapshots(tb testing.TB) []sample {
 	one = &encoder{p: []byte{4}}
 	one.clusTree(tiny, tiny.Dump())
 	out = append(out, sample{"kind-4", frame(Version, one.p)})
-	for _, name := range []string{"kind-1", "kind-3-entropy", "kind-3-no-reinsert", "kind-3-reference-epoch", "clusterset-leaf-6", "clusterset-store"} {
+	for _, name := range []string{"kind-1", "kind-3-entropy", "kind-3-no-reinsert", "kind-3-reference-epoch", "kind-3-epanechnikov", "clusterset-leaf-6", "clusterset-store"} {
 		snap, err := os.ReadFile(filepath.Join("testdata", name+".snap"))
 		if err != nil {
 			tb.Fatal(err)

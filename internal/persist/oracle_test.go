@@ -10,7 +10,6 @@ import (
 
 	"bayestree/internal/clustree"
 	"bayestree/internal/core"
-	"bayestree/internal/kernels"
 	"bayestree/internal/stats"
 )
 
@@ -284,15 +283,9 @@ func (d *oracleDecoder) config() (c core.Config, forced bool, frac float64) {
 	c.MaxLeaf = int(d.i64())
 	name := d.str()
 	forced, frac = d.boolv(), d.f64()
-	if d.err != nil {
-		return
+	if d.err == nil && name != "gaussian" {
+		d.fail("Kernel %s is retired, want gaussian", name)
 	}
-	k, ok := kernels.ByName(name)
-	if !ok {
-		d.fail("unknown kernel %q", name)
-		return
-	}
-	c.Kernel = k
 	return
 }
 

@@ -47,7 +47,6 @@ import (
 	"syscall"
 
 	"bayestree/internal/core"
-	"bayestree/internal/kernels"
 	"bayestree/internal/stats"
 )
 
@@ -343,8 +342,8 @@ func (e *encoder) config(c core.Config) {
 	e.i64(int64(c.MaxFanout))
 	e.i64(int64(c.MinLeaf))
 	e.i64(int64(c.MaxLeaf))
-	e.str(c.Kernel.Name())
-	e.boolv(true) // the retired ForcedReinsert: always on
+	e.str("gaussian") // the retired kernel name: the only leaf kernel
+	e.boolv(true)     // the retired ForcedReinsert: always on
 	e.f64(core.ReinsertFraction)
 }
 
@@ -675,9 +674,10 @@ func (d *decoder) dim() int {
 	return int(v)
 }
 
-// config reads a tree's configuration and the retired reinsertion
-// slots, which the caller checks with fixed only after the retired
-// entropy byte, the older of the two refusals.
+// config reads a tree's configuration, refuses a kernel other than the
+// Gaussian and reads the retired reinsertion slots, which the caller
+// checks with fixed only after the retired entropy byte, the older of
+// the two refusals.
 func (d *decoder) config() (c core.Config, forced bool, frac float64) {
 	c.Dim = d.dim()
 	c.MinFanout = int(d.i64())
@@ -686,15 +686,7 @@ func (d *decoder) config() (c core.Config, forced bool, frac float64) {
 	c.MaxLeaf = int(d.i64())
 	name := d.str()
 	forced, frac = d.boolv(), d.f64()
-	if d.err != nil {
-		return
-	}
-	k, ok := kernels.ByName(name)
-	if !ok {
-		d.fail("unknown kernel %q", name)
-		return
-	}
-	c.Kernel = k
+	d.fixed("Kernel", name, "gaussian")
 	return
 }
 

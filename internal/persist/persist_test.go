@@ -279,6 +279,7 @@ func TestRetiredSnapshotsRefused(t *testing.T) {
 		"kind-3-entropy":         "entropy-weighted descent priority is retired",
 		"kind-3-no-reinsert":     "ForcedReinsert false is retired",
 		"kind-3-reference-epoch": "ReferenceEpoch 0 is retired, want 2",
+		"kind-3-epanechnikov":    "Kernel epanechnikov is retired, want gaussian",
 		"clusterset-leaf-6":      "MaxLeafEntries 6 is retired",
 		"clusterset-store":       "pyramidal store slot is retired",
 	}

@@ -38,8 +38,7 @@ func decayServerConfig(decay bool) Config {
 
 func newDecayTestServer(t *testing.T, decay bool) *Server {
 	t.Helper()
-	treeCfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6,
-		Kernel: core.DefaultConfig(2).Kernel}
+	treeCfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6}
 	s, err := NewEmpty(2, treeCfg, []int{0, 1}, core.MultiOptions{}, decayServerConfig(decay))
 	if err != nil {
 		t.Fatal(err)
@@ -209,8 +208,7 @@ func TestServerTracksDriftOverHTTP(t *testing.T) {
 // (run under -race in CI). However the writes interleave, each shard
 // ends at exactly one epoch per DecayEvery of its writes.
 func TestServerDecayBoundariesUnderConcurrentTraffic(t *testing.T) {
-	treeCfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6,
-		Kernel: core.DefaultConfig(2).Kernel}
+	treeCfg := core.Config{Dim: 2, MinFanout: 2, MaxFanout: 5, MinLeaf: 2, MaxLeaf: 6}
 	cfg := decayServerConfig(true)
 	cfg.DecayEvery = 16
 	s, err := NewEmpty(2, treeCfg, []int{0, 1}, core.MultiOptions{}, cfg)

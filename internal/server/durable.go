@@ -621,7 +621,7 @@ func decodeRecord(p []byte, nhead, dim int) (head [2]int64, x []float64, err err
 // OpenDurableServer opens (or creates) the durable classification state
 // at dopts.Dir: when a manifest exists its snapshot generation is
 // loaded and bootstrap is not called; otherwise bootstrap supplies the
-// initial server (empty shards, a data set, or a legacy snapshot file).
+// initial server (empty shards or a data set).
 // The returned server is recovering — /readyz answers 503 and writes
 // are rejected — until Recover replays the WAL tail. The directory is
 // locked (flock) for the life of the server, so a second process
