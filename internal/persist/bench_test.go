@@ -94,3 +94,22 @@ func BenchmarkEncodeMultiTrees(b *testing.B) {
 	}
 	reportPerObs(b, set)
 }
+
+// TestSnapshotBytesPinned pins the size of benchSnapshot's encoding
+// exactly: 4 shards × 2,000 points, 16 dimensions, 10 classes, 137.34
+// bytes an observation. A snapshot stores leaves only, so a point costs
+// its coordinates, its label and its share of the framing; storing
+// inner summaries too took 526 bytes an observation. An encoder that
+// writes one more float64 a point adds 64,000 bytes.
+func TestSnapshotBytesPinned(t *testing.T) {
+	const want, wantObs = 1_098_749, 8000
+	set, snap := benchSnapshot(t)
+	obs := 0
+	for _, mt := range set {
+		obs += mt.Len()
+	}
+	t.Logf("%d bytes, %d observations, %.2f bytes an observation", len(snap), obs, float64(len(snap))/float64(obs))
+	if len(snap) != want || obs != wantObs {
+		t.Errorf("the snapshot takes %d bytes for %d observations, want %d for %d", len(snap), obs, want, wantObs)
+	}
+}
