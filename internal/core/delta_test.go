@@ -81,7 +81,7 @@ func checkQueryStateMatchesRebuild(t *testing.T, ctx string, mt *MultiTree) {
 	for c := range want.bw {
 		if want.root.CFs[c].N > 0 {
 			g, w := &got.frozen[c], &want.frozen[c]
-			if !bitsEqual(g.Mean, w.Mean) || !bitsEqual(g.InvVar, w.InvVar) || !bitsEqual(g.LogVar, w.LogVar) ||
+			if !bitsEqual(g.Mean, w.Mean) || !bitsEqual(g.InvVar, w.InvVar) ||
 				!bitsEqual([]float64{g.LogN, g.LogNorm()}, []float64{w.LogN, w.LogNorm()}) {
 				t.Fatalf("%s: cached root Gaussian of class %d differs from a rebuild", ctx, c)
 			}

@@ -94,7 +94,7 @@ func TestFrozenEntriesMatchCF(t *testing.T) {
 		nd := &s.nodes[s.index[n]]
 		k := len(n.entries)
 		out := make([]float64, k)
-		kernels.SweepFrozenLogPDFObs(x, nd.means, nd.invVar, nd.logVar, nd.logNorm, k, s.dim, nil, out)
+		kernels.SweepFrozenLogPDFObs(x, nd.means, nd.invVar, nil, nd.logNorm, k, s.dim, nil, out)
 		for i := range n.entries {
 			e := &n.entries[i]
 			want := e.CFs[0].Gaussian().LogPDF(x)

@@ -14,15 +14,18 @@ import (
 // pair with mass, 6,649 of the 9,700 pairs — and the inner rows that
 // classifying the 2,992 held-out points sweeps at budgets 4, 32 and 128,
 // split evenly over the trees, and the exact priorities settle computes
-// for them. The mirrors' bytes are a ceiling, 1.4 % above the 3,106,848
-// measured: the mirror reads a leaf's points and an entry's rectangle
-// from the tree, and copying them too took 4,608,844. A mirror or a tree
-// that allocates, freezes or sweeps an absent class moves every count,
-// and a descent that computes priorities eagerly moves the last.
+// for them. The mirrors' bytes are a ceiling, 1.4 % above the 2,201,056
+// measured: an inner row is 2·dim + 2 floats, since a marginal takes a
+// missing dimension's term from its inverse variance; rows that also
+// kept log variances (3·dim + 2) took 3,106,848, and a mirror that
+// copied a leaf's points and an entry's rectangle from the tree too
+// took 4,608,844. A mirror or a tree that allocates, freezes or sweeps
+// an absent class moves every count, and a descent that computes
+// priorities eagerly moves the last.
 func TestMirrorSlotsPinned(t *testing.T) {
 	const (
 		train, pairs, held = 8000, 6649, 2992
-		maxMirrorBytes     = 3_150_000
+		maxMirrorBytes     = 2_231_000
 	)
 	d, err := dataset.Pendigits(1)
 	if err != nil {

@@ -49,13 +49,13 @@ func pinTree(t *testing.T, mopts MultiOptions, decayed bool) *MultiTree {
 func TestMultiQueryStepsPinned(t *testing.T) {
 	want := map[string]string{
 		"plain/gaussian":                  "79b99897c46a94e31eda87a7aa130622fa53e2a9f96349f14fc07ef631f4e993",
-		"plain/gaussian/missing":          "6e019f0eddc4ac142141365339247cc20dbc1a7f46d3597c33445fb0be5d658f",
+		"plain/gaussian/missing":          "ff70155e1cd5b02fda52f4bfacc0de9d1ed785f02362a33676c0cd87bfb2b6c6",
 		"plain/gaussian/decayed":          "ae2839baa57ca532c2cff43f0cc436aa3dfdb1b8fa49b1d7c38193e0ff31fd24",
-		"plain/gaussian/decayed/missing":  "cbfbcb0df0009848a8810bfd4f1322834aafb2419267a6dd9ea4ad61af503e96",
+		"plain/gaussian/decayed/missing":  "abe3f6cdb18c7b51bf0e7a5716e7dcbf776988f5a81dcd9d1b6b6d69a989b478",
 		"pooled/gaussian":                 "23e710dac9caaf39f891cfdb59c962bb285f0d154e47c862892196ae66f60d7c",
-		"pooled/gaussian/missing":         "407275c03e64f42b92bfa791fc50d4e0fd549faa9201b0ca151f911138157860",
+		"pooled/gaussian/missing":         "f5a344ce82c412b42e383624bee352c90fb652fdb16df7e828df3e7e2505aa7b",
 		"pooled/gaussian/decayed":         "1bd9b2d00c045f4b30a4d543944038f2511b0252fcd093a5c89e409e24c817c5",
-		"pooled/gaussian/decayed/missing": "000cf9d00c8329bcdd96dfef84f5095a4d69c0c3f0031d71263c4c13d2849977",
+		"pooled/gaussian/decayed/missing": "e57ecea85b86421d5db09cb0ecdfbc74b7ad2db3a952135451f74e8ad631e772",
 	}
 	sets := []struct {
 		suffix  string

@@ -15,15 +15,18 @@ import (
 // reads from the tree. The tree's entries hold rectangle, cluster
 // features and pointer, its leaves the kernel centres; the mirror keeps,
 // for every inner node, one contiguous block of float64s holding the
-// entries' frozen per-class Gaussians (means, inverse variances, log
-// variances, log-normalisers, log counts), so one refinement step scores
-// all entries of a frontier node in a single cache-friendly sweep
-// (kernels.SweepFrozenLogPDFObs), and for every leaf each point's class
+// entries' frozen per-class Gaussians (means, inverse variances,
+// log-normalisers, log counts: 2·dim + 2 floats a row), so one
+// refinement step scores all entries of a frontier node in a single
+// cache-friendly sweep (kernels.SweepFrozenLogPDFObs), and for every leaf each point's class
 // index and, in a decayed leaf, its log weight. A leaf's points and an
 // entry's rectangle (the geometric priority's) are read through the
 // mirror node's pointer to its tree node. The sweep performs the
 // floating-point operations of the per-entry evaluation
-// (stats.FrozenGaussian.LogPDFObs) in the same order, and a leaf is
+// (stats.FrozenGaussian.LogPDFObs) in the same order — a marginal, for
+// a query with a missing value, takes each missing dimension's
+// normaliser term from its inverse variance, so a row stores no log
+// variances — and a leaf is
 // scored point by point (FrozenGaussianKernel.LogDensityObs, or two at
 // a time by kernels.LogDensityPair, bitwise the same); the pointer-loop
 // oracle in soa_equiv_test.go, which derives its Gaussians from the
@@ -89,7 +92,6 @@ type soaNode struct {
 	// Inner node, per row (row*dim+d for the vectors).
 	means   []float64
 	invVar  []float64
-	logVar  []float64
 	logNorm []float64
 	logN    []float64
 	slot    []int32 // per (class, entry): the row, or −1
@@ -131,7 +133,7 @@ func (s *multiSoA) bytes() int64 {
 	floats, ints := 0, cap(s.free)
 	for i := range s.nodes {
 		nd := &s.nodes[i]
-		floats += 3*cap(nd.means) + 2*cap(nd.logN) + cap(nd.logW)
+		floats += 2*cap(nd.means) + 2*cap(nd.logN) + cap(nd.logW)
 		ints += len(nd.child) + len(nd.slot) + cap(nd.cls)
 	}
 	const indexEntry = 16 // a map slot: key pointer, int32 value, bucket overhead
@@ -263,7 +265,7 @@ func (s *multiSoA) fillInner(t *MultiTree, n *MultiNode, nd *soaNode, donors []s
 // keeping its first rows rows. The block is as large as its allocation
 // class: the rows that leaves are spare.
 func (s *multiSoA) innerBlock(nd *soaNode, rows, minRows int) {
-	w := 3*s.dim + 2
+	w := 2*s.dim + 2
 	block := slices.Grow([]float64(nil), minRows*w)
 	block = block[:cap(block)]
 	spare := len(block) / w
@@ -309,8 +311,8 @@ type rowArray struct {
 }
 
 // rowArrays lists an inner node's per-row arrays in block order.
-func (nd *soaNode) rowArrays(dim int) [5]rowArray {
-	return [5]rowArray{{&nd.means, dim}, {&nd.invVar, dim}, {&nd.logVar, dim}, {&nd.logNorm, 1}, {&nd.logN, 1}}
+func (nd *soaNode) rowArrays(dim int) [4]rowArray {
+	return [4]rowArray{{&nd.means, dim}, {&nd.invVar, dim}, {&nd.logNorm, 1}, {&nd.logN, 1}}
 }
 
 // copySlots copies the rows of entry d of donor into entry e of nd: what
@@ -327,7 +329,6 @@ func (s *multiSoA) copySlots(nd *soaNode, e int, donor *soaNode, d int) {
 		nd.logN[to], nd.logNorm[to] = donor.logN[from], donor.logNorm[from]
 		copy(nd.means[to*dim:to*dim+dim], donor.means[from*dim:])
 		copy(nd.invVar[to*dim:to*dim+dim], donor.invVar[from*dim:])
-		copy(nd.logVar[to*dim:to*dim+dim], donor.logVar[from*dim:])
 	}
 }
 
@@ -354,7 +355,7 @@ func (s *multiSoA) fillSlots(t *MultiTree, nd *soaNode, e int, en *MultiEntry, l
 			}
 		}
 		at := int(row) * dim
-		f := stats.FrozenGaussian{Mean: nd.means[at : at+dim], InvVar: nd.invVar[at : at+dim], LogVar: nd.logVar[at : at+dim]}
+		f := stats.FrozenGaussian{Mean: nd.means[at : at+dim], InvVar: nd.invVar[at : at+dim]}
 		f.SetMean(cf)
 		nd.logN[row] = f.LogN
 		switch {
@@ -366,7 +367,6 @@ func (s *multiSoA) fillSlots(t *MultiTree, nd *soaNode, e int, en *MultiEntry, l
 		default:
 			p := int(pooled) * dim
 			copy(f.InvVar, nd.invVar[p:p+dim])
-			copy(f.LogVar, nd.logVar[p:p+dim])
 			nd.logNorm[row] = nd.logNorm[pooled]
 			continue
 		}
@@ -482,7 +482,7 @@ func (q *MultiQuery) refineSoA(idx int) {
 	nc := s.nc
 	k, rows := len(nd.child), len(nd.logN)
 	out := q.ensureOut(rows)
-	kernels.SweepFrozenLogPDFObs(q.x, nd.means, nd.invVar, nd.logVar, nd.logNorm, rows, s.dim, q.obs, out)
+	kernels.SweepFrozenLogPDFObs(q.x, nd.means, nd.invVar, nil, nd.logNorm, rows, s.dim, q.obs, out)
 	q.swept += rows
 	for e := 0; e < k; e++ {
 		off := q.grow()

@@ -63,7 +63,7 @@ func checkMirrorIsFreshBuild(t *testing.T, ctx string, mt *MultiTree) {
 			continue
 		}
 		for name, pair := range map[string][2][]float64{
-			"means": {got.means, want.means}, "invVar": {got.invVar, want.invVar}, "logVar": {got.logVar, want.logVar},
+			"means": {got.means, want.means}, "invVar": {got.invVar, want.invVar},
 			"logNorm": {got.logNorm, want.logNorm}, "logN": {got.logN, want.logN},
 		} {
 			if !bitsEqual(pair[0], pair[1]) {

@@ -51,7 +51,6 @@ func checkSweepFrozen(t *testing.T, rng *rand.Rand, dim, count int) {
 	t.Helper()
 	x, means, masks := sweepCase(rng, dim, count)
 	invVar := make([]float64, count*dim)
-	logVar := make([]float64, count*dim)
 	logNorm := make([]float64, count)
 	rows := make([]stats.FrozenGaussian, count)
 	for j := range rows {
@@ -62,12 +61,11 @@ func checkSweepFrozen(t *testing.T, rng *rand.Rand, dim, count int) {
 		variance[0] = 0 // floored at freeze time
 		rows[j] = stats.FrozenFromMoments(means[j*dim:j*dim+dim], variance)
 		copy(invVar[j*dim:], rows[j].InvVar)
-		copy(logVar[j*dim:], rows[j].LogVar)
 		logNorm[j] = rows[j].LogNorm()
 	}
 	for _, obs := range masks {
 		out := make([]float64, count)
-		SweepFrozenLogPDFObs(x, means, invVar, logVar, logNorm, count, dim, obs, out)
+		SweepFrozenLogPDFObs(x, means, invVar, nil, logNorm, count, dim, obs, out)
 		for j := range out {
 			if want := rows[j].LogPDFObs(x, obs); math.Float64bits(out[j]) != math.Float64bits(want) {
 				t.Fatalf("dim %d count %d obs %v row %d: swept %v, per row %v", dim, count, obs, j, out[j], want)

@@ -11,8 +11,11 @@ import "math"
 //
 //	logNorm = −½ (D·ln 2π + Σ_d ln σ²_d),
 //
-// which removes every math.Log call from the hot path. LogPDF and
-// LogPDFObs run one fused loop and allocate nothing.
+// which removes every math.Log call from the full-dimensional path. A
+// marginal (LogPDFObs with some dimensions missing) starts from the same
+// normaliser and gives back each missing dimension's term,
+// ½(ln 2π − ln(1/σ²_d)): one math.Log per missing dimension, so no log
+// variance is stored. LogPDF and LogPDFObs allocate nothing.
 //
 // Variances are clamped to VarianceFloor at freeze time, exactly as
 // Gaussian.LogPDF clamps on the fly, so a frozen Gaussian agrees with its
@@ -20,7 +23,6 @@ import "math"
 type FrozenGaussian struct {
 	Mean   []float64
 	InvVar []float64 // 1/σ²_d, after flooring
-	LogVar []float64 // ln σ²_d, after flooring (needed for marginals)
 	// LogN is ln n of the source cluster feature (0 when frozen from bare
 	// moments) — the mixture weight numerator, precomputed so the query
 	// path does not take a log per entry.
@@ -44,26 +46,17 @@ func FrozenFromMoments(mean, variance []float64) FrozenGaussian {
 	f := FrozenGaussian{
 		Mean:   mean,
 		InvVar: make([]float64, len(variance)),
-		LogVar: make([]float64, len(variance)),
 	}
 	var logDet float64
 	for i, v := range variance {
 		if v < VarianceFloor {
 			v = VarianceFloor
 		}
-		logDet += f.setVar(i, v)
+		f.InvVar[i] = 1 / v
+		logDet += math.Log(v)
 	}
 	f.logNorm = -0.5 * (float64(len(variance))*log2Pi + logDet)
 	return f
-}
-
-// setVar freezes dimension i at the (floored) variance v and returns
-// ln v, the dimension's term of the log-determinant.
-func (f *FrozenGaussian) setVar(i int, v float64) float64 {
-	f.InvVar[i] = 1 / v
-	lv := math.Log(v)
-	f.LogVar[i] = lv
-	return lv
 }
 
 // Freeze returns the frozen form of the Gaussian summarised by the cluster
@@ -100,15 +93,17 @@ func (f *FrozenGaussian) SetMean(cf *CF) {
 	f.LogN = math.Log(cf.N)
 }
 
-// SetVariance rewrites the inverse variances, log variances and the
-// log-normaliser from cf's floored variance (cf.Variance, term by term).
+// SetVariance rewrites the inverse variances and the log-normaliser
+// from cf's floored variance (cf.Variance, term by term).
 func (f *FrozenGaussian) SetVariance(cf *CF) {
 	d := len(cf.SS)
-	f.InvVar, f.LogVar = sized(f.InvVar, d), sized(f.LogVar, d)
+	f.InvVar = sized(f.InvVar, d)
 	inv := 1 / cf.N
 	var logDet float64
 	for i := range cf.SS {
-		logDet += f.setVar(i, cf.varianceAt(i, inv))
+		v := cf.varianceAt(i, inv)
+		f.InvVar[i] = 1 / v
+		logDet += math.Log(v)
 	}
 	f.logNorm = -0.5 * (float64(d)*log2Pi + logDet)
 }
@@ -116,7 +111,7 @@ func (f *FrozenGaussian) SetVariance(cf *CF) {
 // ShareVariance makes f alias from's variance terms — variance pooling
 // keeps one inverse-variance vector per entry, shared by its classes.
 func (f *FrozenGaussian) ShareVariance(from *FrozenGaussian) {
-	f.InvVar, f.LogVar, f.logNorm = from.InvVar, from.LogVar, from.logNorm
+	f.InvVar, f.logNorm = from.InvVar, from.logNorm
 }
 
 // sized returns v when it already has n elements, else a new vector.
@@ -154,17 +149,36 @@ func (f *FrozenGaussian) LogPDF(x []float64) float64 {
 }
 
 // LogPDFObs returns the log marginal density restricted to the observed
-// dimensions obs (nil = all dimensions, an empty obs yields 0 — the same
-// contract as Gaussian.LogPDFObs).
+// dimensions obs, in ascending order as ObservedDimsInto returns them
+// (nil = all dimensions, an empty obs yields 0 — the same contract as
+// Gaussian.LogPDFObs). The marginal is the full normaliser plus what the
+// missing dimensions give back, summed in ascending order over the gaps
+// between observed ones, minus half the observed quadratic form:
+//
+//	logNorm + ½·Σ_{d∉obs}(ln 2π − ln invVar_d) − ½·Σ_{d∈obs} (x_d − μ_d)²·invVar_d
+//
+// kernels.SweepFrozenLogPDFObs does the same operations in the same
+// order, so a swept row keeps these bits.
 func (f *FrozenGaussian) LogPDFObs(x []float64, obs []int) float64 {
 	if obs == nil {
 		return f.LogPDF(x)
 	}
-	var quad, logDet float64
-	for _, i := range obs {
-		d := x[i] - f.Mean[i]
-		quad += d * d * f.InvVar[i]
-		logDet += f.LogVar[i]
+	if len(obs) == 0 {
+		return 0
 	}
-	return -0.5 * (float64(len(obs))*log2Pi + logDet + quad)
+	inv := f.InvVar
+	var quad, gone float64
+	next := 0
+	for _, i := range obs {
+		for ; next < i; next++ {
+			gone += log2Pi - math.Log(inv[next])
+		}
+		next = i + 1
+		d := x[i] - f.Mean[i]
+		quad += d * d * inv[i]
+	}
+	for ; next < len(inv); next++ {
+		gone += log2Pi - math.Log(inv[next])
+	}
+	return f.logNorm + 0.5*gone - 0.5*quad
 }
