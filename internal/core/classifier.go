@@ -133,9 +133,6 @@ func (c *Classifier) Learn(x []float64, label int) error {
 	return nil
 }
 
-// NumClasses returns the number of classes.
-func (c *Classifier) NumClasses() int { return len(c.labels) }
-
 // Options returns the classifier options in effect (after defaulting).
 func (c *Classifier) Options() ClassifierOptions { return c.opts }
 

@@ -356,3 +356,6 @@ func TestOptionsDefaulting(t *testing.T) {
 		t.Errorf("Tree(unknown) should be nil")
 	}
 }
+
+// NumClasses returns the number of classes.
+func (c *Classifier) NumClasses() int { return len(c.labels) }

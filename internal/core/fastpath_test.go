@@ -170,7 +170,9 @@ func TestQueryPoolNoStateLeak(t *testing.T) {
 // TestSteadyStateQueryAllocs: a warmed, pooled query allocates nothing —
 // start, 32 node reads, answer, Close — for either query type, the
 // forest's and the multi-class tree's, every descent strategy and both
-// priorities. A frontier that boxes an element or an accumulator slice
+// priorities, with every value observed and with one missing (the
+// marginal path, which takes its normaliser terms from the inverse
+// variances). A frontier that boxes an element or an accumulator slice
 // that escapes shows here by name.
 func TestSteadyStateQueryAllocs(t *testing.T) {
 	if raceEnabled {
@@ -178,30 +180,31 @@ func TestSteadyStateQueryAllocs(t *testing.T) {
 	}
 	xs, ys := twoClassData(2000, 32)
 	mt := buildMultiTree(t, xs, ys, MultiOptions{})
-	x2 := []float64{0.4, 0.6}
 	var sink float64
 	for _, strat := range []Strategy{DescentGlobal, DescentBFT, DescentDFT} {
 		for _, prio := range []Priority{PriorityProbabilistic, PriorityGeometric} {
 			clf := buildClassifier(t, xs, ys, ClassifierOptions{Strategy: strat, Priority: prio})
-			forest := testing.AllocsPerRun(100, func() {
-				q := clf.NewQuery(x2)
-				for i := 0; i < 32 && q.Step(); i++ {
+			for _, x2 := range [][]float64{{0.4, 0.6}, {0.4, math.NaN()}} {
+				forest := testing.AllocsPerRun(100, func() {
+					q := clf.NewQuery(x2)
+					for i := 0; i < 32 && q.Step(); i++ {
+					}
+					sink += float64(q.Predict())
+					q.Close()
+				})
+				query := testing.AllocsPerRun(100, func() {
+					q, err := mt.NewQuery(x2, ClassifierOptions{Strategy: strat, Priority: prio})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < 32 && q.Step(); i++ {
+					}
+					sink += float64(q.Predict())
+					q.Close()
+				})
+				if forest != 0 || query != 0 {
+					t.Errorf("%v/%v, query %v: a steady-state forest Query allocates %v times, a MultiQuery %v; want 0", strat, prio, x2, forest, query)
 				}
-				sink += float64(q.Predict())
-				q.Close()
-			})
-			query := testing.AllocsPerRun(100, func() {
-				q, err := mt.NewQuery(x2, ClassifierOptions{Strategy: strat, Priority: prio})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 32 && q.Step(); i++ {
-				}
-				sink += float64(q.Predict())
-				q.Close()
-			})
-			if forest != 0 || query != 0 {
-				t.Errorf("%v/%v: a steady-state forest Query allocates %v times, a MultiQuery %v; want 0", strat, prio, forest, query)
 			}
 		}
 	}

@@ -170,7 +170,7 @@ func TestSplitNodeMatchesOracle(t *testing.T) {
 			labeled[i] = LabeledPoint{X: rects[i].Lo, Label: i % 2}
 			weights[i] = float64(i + 1)
 		}
-		wantL, wantR := oracleSplitItems(points, mbr.Point, dim, cfg.MinLeaf)
+		wantL, wantR := oracleSplitItems(points, pointRect, dim, cfg.MinLeaf)
 		wantWL, wantWR := make([]float64, len(wantL)), make([]float64, len(wantR))
 		for i := range points {
 			for k := range wantL {
@@ -263,4 +263,9 @@ func TestSplitAllocsConstant(t *testing.T) {
 			t.Fatalf("dim %d: %v allocations per leaf split (dim 2: %v), want a constant ≤ 4", dim, allocs, base)
 		}
 	}
+}
+
+// pointRect is the degenerate rectangle covering exactly the point x.
+func pointRect(x []float64) mbr.Rect {
+	return mbr.Rect{Lo: slices.Clone(x), Hi: slices.Clone(x)}
 }

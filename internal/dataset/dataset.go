@@ -1,6 +1,5 @@
 // Package dataset provides the training data substrate for the
-// experiments: labelled vector data sets, min-max normalisation,
-// stratified k-fold cross validation (the paper uses 4-fold), CSV
+// experiments: labelled vector data sets, stratified k-fold cross validation (the paper uses 4-fold), CSV
 // loading for real UCI data when available, and seeded synthetic
 // generators matched to the four data sets of Table 1 (Pendigits, Letter,
 // Gender, Covertype) for fully offline reproduction.
@@ -106,38 +105,6 @@ func (d *Dataset) Shuffle(seed int64) {
 	})
 }
 
-// Normalize rescales every dimension to [0, 1] in place (min-max).
-// Constant dimensions map to 0. It returns the per-dimension (lo, hi)
-// used, so streams can apply the same scaling later.
-func (d *Dataset) Normalize() (lo, hi []float64) {
-	dim := d.Dim()
-	lo = make([]float64, dim)
-	hi = make([]float64, dim)
-	for k := 0; k < dim; k++ {
-		lo[k], hi[k] = math.Inf(1), math.Inf(-1)
-	}
-	for _, x := range d.X {
-		for k, v := range x {
-			if v < lo[k] {
-				lo[k] = v
-			}
-			if v > hi[k] {
-				hi[k] = v
-			}
-		}
-	}
-	for _, x := range d.X {
-		for k := range x {
-			if hi[k] > lo[k] {
-				x[k] = (x[k] - lo[k]) / (hi[k] - lo[k])
-			} else {
-				x[k] = 0
-			}
-		}
-	}
-	return lo, hi
-}
-
 // Fold is one train/test split of a cross validation.
 type Fold struct {
 	Train []int
@@ -185,34 +152,4 @@ func (d *Dataset) StratifiedKFold(k int, seed int64) ([]Fold, error) {
 		folds[f] = Fold{Train: train, Test: test}
 	}
 	return folds, nil
-}
-
-// Sample returns a stratified random sample of approximately n
-// observations (at least one per class), used to scale experiments down.
-func (d *Dataset) Sample(n int, seed int64) *Dataset {
-	if n >= d.Len() {
-		return d
-	}
-	rng := rand.New(rand.NewSource(seed))
-	frac := float64(n) / float64(d.Len())
-	perClass := make(map[int][]int)
-	for i, y := range d.Y {
-		perClass[y] = append(perClass[y], i)
-	}
-	var pick []int
-	labels := d.Classes()
-	for _, y := range labels {
-		idxs := perClass[y]
-		rng.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
-		take := int(math.Round(frac * float64(len(idxs))))
-		if take < 1 {
-			take = 1
-		}
-		if take > len(idxs) {
-			take = len(idxs)
-		}
-		pick = append(pick, idxs[:take]...)
-	}
-	sort.Ints(pick)
-	return d.Subset(pick, fmt.Sprintf("%s[n=%d]", d.Name, len(pick)))
 }

@@ -82,8 +82,8 @@ func TestTrainForestCoversClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clf.NumClasses() != 3 {
-		t.Fatalf("classes = %d", clf.NumClasses())
+	if n := len(clf.Labels()); n != 3 {
+		t.Fatalf("classes = %d", n)
 	}
 	for _, y := range clf.Labels() {
 		if clf.Tree(y) == nil || clf.Tree(y).Len() == 0 {

@@ -34,14 +34,6 @@ func New(lo, hi []float64) (Rect, error) {
 	return r, nil
 }
 
-// Point returns the degenerate rectangle covering exactly the point x.
-func Point(x []float64) Rect {
-	r := Rect{Lo: make([]float64, len(x)), Hi: make([]float64, len(x))}
-	copy(r.Lo, x)
-	copy(r.Hi, x)
-	return r
-}
-
 // Empty returns a canonical "empty" rectangle of dimension d whose bounds
 // are inverted infinities; unioning anything into it yields that thing.
 func Empty(d int) Rect {

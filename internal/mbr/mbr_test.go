@@ -253,3 +253,11 @@ func randomRect(rng *rand.Rand, d int) Rect {
 	}
 	return Rect{Lo: lo, Hi: hi}
 }
+
+// Point returns the degenerate rectangle covering exactly the point x.
+func Point(x []float64) Rect {
+	r := Rect{Lo: make([]float64, len(x)), Hi: make([]float64, len(x))}
+	copy(r.Lo, x)
+	copy(r.Hi, x)
+	return r
+}

@@ -79,6 +79,61 @@ func TestFrozenLogPDFObsMatchesGaussian(t *testing.T) {
 	}
 }
 
+// TestFrozenMarginalEveryMask holds the frozen marginal — the full
+// normaliser plus what the missing dimensions give back, taken from the
+// inverse variances — to the unfrozen Gaussian's, which sums only the
+// observed dimensions' log variances, within 1e-12 relative: random
+// Gaussians of 1–6 dimensions, frozen from moments and from cluster
+// features of 1–4 points, some variances below the floor, under every
+// obs mask. An empty obs is 0 exactly.
+func TestFrozenMarginalEveryMask(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	for dim := 1; dim <= 6; dim++ {
+		for trial := 0; trial < 20; trial++ {
+			var g Gaussian
+			var f FrozenGaussian
+			if trial%2 == 0 {
+				g = Gaussian{Mean: make([]float64, dim), Var: make([]float64, dim)}
+				for i := range g.Mean {
+					g.Mean[i] = 3 * rng.NormFloat64()
+					switch rng.Intn(4) {
+					case 0:
+						g.Var[i] = VarianceFloor * rng.Float64() // floored
+					default:
+						g.Var[i] = 0.01 + 4*rng.Float64()
+					}
+				}
+				f = g.Freeze()
+			} else {
+				cf := randomCF(rng, dim, 1+rng.Intn(4)) // one point: every variance floored
+				g, f = cf.Gaussian(), Freeze(&cf)
+			}
+			x := make([]float64, dim)
+			for i := range x {
+				x[i] = g.Mean[i] + rng.NormFloat64()*math.Sqrt(max(g.Var[i], VarianceFloor))*2
+			}
+			for mask := 0; mask < 1<<dim; mask++ {
+				obs := []int{}
+				for i := 0; i < dim; i++ {
+					if mask&(1<<i) != 0 {
+						obs = append(obs, i)
+					}
+				}
+				got, want := f.LogPDFObs(x, obs), g.LogPDFObs(x, obs)
+				if mask == 0 {
+					if got != 0 {
+						t.Fatalf("dim %d: empty obs gives %v, want 0", dim, got)
+					}
+					continue
+				}
+				if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+					t.Fatalf("dim %d trial %d obs %v: frozen marginal %v, Gaussian's %v (diff %g)", dim, trial, obs, got, want, got-want)
+				}
+			}
+		}
+	}
+}
+
 // Freezing a Gaussian directly and round-tripping must preserve moments.
 func TestFreezeRoundTrip(t *testing.T) {
 	g := Gaussian{Mean: []float64{1, -2, 3}, Var: []float64{0.5, 2, 1e-12}}
