@@ -16,18 +16,16 @@ import (
 // features and pointer, its leaves the kernel centres; the mirror keeps,
 // for every inner node, one contiguous block of float64s holding the
 // entries' frozen per-class Gaussians (means, inverse variances,
-// log-normalisers, log counts: 2·dim + 2 floats a row), so one
+// log-normalisers, log counts: 2·dim + 2 floats a row, no log variances
+// — a marginal takes them from the inverse variances), so one
 // refinement step scores all entries of a frontier node in a single
-// cache-friendly sweep (kernels.SweepFrozenLogPDFObs), and for every leaf each point's class
-// index and, in a decayed leaf, its log weight. A leaf's points and an
-// entry's rectangle (the geometric priority's) are read through the
-// mirror node's pointer to its tree node. The sweep performs the
-// floating-point operations of the per-entry evaluation
-// (stats.FrozenGaussian.LogPDFObs) in the same order — a marginal, for
-// a query with a missing value, takes each missing dimension's
-// normaliser term from its inverse variance, so a row stores no log
-// variances — and a leaf is
-// scored point by point (FrozenGaussianKernel.LogDensityObs, or two at
+// cache-friendly sweep (kernels.SweepFrozenLogPDFObs), and for every
+// leaf each point's class index and, in a decayed leaf, its log weight.
+// A leaf's points and an entry's rectangle (the geometric priority's)
+// are read through the mirror node's pointer to its tree node. The
+// sweep performs the floating-point operations of the per-entry
+// evaluation (stats.FrozenGaussian.LogPDFObs) in the same order, and a
+// leaf is scored point by point (FrozenGaussianKernel.LogDensityObs, or two at
 // a time by kernels.LogDensityPair, bitwise the same); the pointer-loop
 // oracle in soa_equiv_test.go, which derives its Gaussians from the
 // cluster features on its own, asserts the scores equal bitwise.

@@ -1,6 +1,6 @@
 package kernels
 
-import "math"
+import "bayestree/internal/stats"
 
 // This file is the vectorized-descent companion of stats.FrozenGaussian:
 // where FrozenGaussian.LogPDFObs scores one frozen Gaussian at a time,
@@ -10,11 +10,10 @@ import "math"
 // single loop with no per-row pointer dereference or dynamic dispatch.
 // The sweep reproduces the per-row arithmetic operation for operation,
 // so a swept density is digit-identical to the per-row one
-// (sweep_test.go). A row is its mean, its inverse variances and its
-// log-normaliser; it keeps no log variances, since a marginal recovers
-// a missing dimension's term from its inverse variance. The logVar
-// parameter is no longer read: it stays only because bench/sut.go's API
-// list names the signature. Leaves need no sweep: the mirror keeps no copy of a
+// (sweep_test.go). A row keeps no log variances: a marginal takes a
+// missing dimension's term from its inverse variance. The logVar
+// parameter is unread and stays only because bench/sut.go's API list
+// names the signature. Leaves need no sweep: the mirror keeps no copy of a
 // leaf's kernel centres, so a leaf is scored point by point from the
 // tree through FrozenGaussianKernel.LogDensityObs — with every
 // dimension observed, two points at a time through LogDensityPair
@@ -28,11 +27,8 @@ import "math"
 // Gaussian, so this one sweep serves every inner refinement. With every
 // dimension observed it scores four rows at a time: four independent
 // sums, each folding its own row's terms in dimension order, so a row's
-// bits do not depend on its neighbours. With some missing (obs
-// ascending, as stats.ObservedDimsInto returns it) a row is the full
-// normaliser plus ½(ln 2π − ln invVar_d) for each missing d, in
-// ascending order, minus half the observed quadratic form: one math.Log
-// per missing dimension and row. logVar is unread (see the header).
+// bits do not depend on its neighbours. With some missing, a row is
+// stats.MarginalLogPDF of its constants. logVar is unread (see above).
 func SweepFrozenLogPDFObs(x, means, invVar, logVar, logNorm []float64, count, dim int, obs []int, out []float64) {
 	if obs == nil {
 		x = x[:dim]
@@ -60,25 +56,7 @@ func SweepFrozenLogPDFObs(x, means, invVar, logVar, logNorm []float64, count, di
 		}
 		return
 	}
-	if len(obs) == 0 {
-		clear(out[:count])
-		return
-	}
 	for j := 0; j < count; j++ {
-		m, v := means[j*dim:][:dim], invVar[j*dim:][:dim]
-		var quad, gone float64
-		next := 0
-		for _, i := range obs {
-			for ; next < i; next++ {
-				gone += log2Pi - math.Log(v[next])
-			}
-			next = i + 1
-			d := x[i] - m[i]
-			quad += d * d * v[i]
-		}
-		for ; next < dim; next++ {
-			gone += log2Pi - math.Log(v[next])
-		}
-		out[j] = logNorm[j] + 0.5*gone - 0.5*quad
+		out[j] = stats.MarginalLogPDF(x, means[j*dim:][:dim], invVar[j*dim:][:dim], logNorm[j], obs)
 	}
 }

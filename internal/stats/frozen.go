@@ -11,11 +11,9 @@ import "math"
 //
 //	logNorm = −½ (D·ln 2π + Σ_d ln σ²_d),
 //
-// which removes every math.Log call from the full-dimensional path. A
-// marginal (LogPDFObs with some dimensions missing) starts from the same
-// normaliser and gives back each missing dimension's term,
-// ½(ln 2π − ln(1/σ²_d)): one math.Log per missing dimension, so no log
-// variance is stored. LogPDF and LogPDFObs allocate nothing.
+// which removes every math.Log call from the full-dimensional path. No
+// log variance is kept: a marginal takes one math.Log per missing
+// dimension (MarginalLogPDF). LogPDF and LogPDFObs allocate nothing.
 //
 // Variances are clamped to VarianceFloor at freeze time, exactly as
 // Gaussian.LogPDF clamps on the fly, so a frozen Gaussian agrees with its
@@ -149,36 +147,37 @@ func (f *FrozenGaussian) LogPDF(x []float64) float64 {
 }
 
 // LogPDFObs returns the log marginal density restricted to the observed
-// dimensions obs, in ascending order as ObservedDimsInto returns them
-// (nil = all dimensions, an empty obs yields 0 — the same contract as
-// Gaussian.LogPDFObs). The marginal is the full normaliser plus what the
-// missing dimensions give back, summed in ascending order over the gaps
-// between observed ones, minus half the observed quadratic form:
-//
-//	logNorm + ½·Σ_{d∉obs}(ln 2π − ln invVar_d) − ½·Σ_{d∈obs} (x_d − μ_d)²·invVar_d
-//
-// kernels.SweepFrozenLogPDFObs does the same operations in the same
-// order, so a swept row keeps these bits.
+// dimensions obs (nil = all dimensions; otherwise MarginalLogPDF).
 func (f *FrozenGaussian) LogPDFObs(x []float64, obs []int) float64 {
 	if obs == nil {
 		return f.LogPDF(x)
 	}
+	return MarginalLogPDF(x, f.Mean, f.InvVar, f.logNorm, obs)
+}
+
+// MarginalLogPDF is the log density over the observed dimensions obs
+// (ascending, as ObservedDimsInto returns them; an empty obs yields 0,
+// as in Gaussian.LogPDFObs) of the frozen Gaussian with these
+// constants: the full normaliser plus what the missing dimensions give
+// back, each sum taken in ascending order,
+//
+//	logNorm + ½·Σ_{d∉obs}(ln 2π − ln invVar_d) − ½·Σ_{d∈obs}(x_d − μ_d)²·invVar_d.
+//
+// kernels.SweepFrozenLogPDFObs scores a mirror row through it too.
+func MarginalLogPDF(x, mean, invVar []float64, logNorm float64, obs []int) float64 {
 	if len(obs) == 0 {
 		return 0
 	}
-	inv := f.InvVar
 	var quad, gone float64
-	next := 0
-	for _, i := range obs {
-		for ; next < i; next++ {
-			gone += log2Pi - math.Log(inv[next])
+	k := 0
+	for i, v := range invVar {
+		if k < len(obs) && obs[k] == i {
+			k++
+			d := x[i] - mean[i]
+			quad += d * d * v
+		} else {
+			gone += log2Pi - math.Log(v)
 		}
-		next = i + 1
-		d := x[i] - f.Mean[i]
-		quad += d * d * inv[i]
 	}
-	for ; next < len(inv); next++ {
-		gone += log2Pi - math.Log(inv[next])
-	}
-	return f.logNorm + 0.5*gone - 0.5*quad
+	return logNorm + 0.5*gone - 0.5*quad
 }
